@@ -1,4 +1,4 @@
-//! Engine ablation — naive vs semi-naive vs indexed fixpoint evaluation.
+//! Engine ablation — the reference oracles vs indexed fixpoint evaluation.
 //!
 //! Transitive closure over "braid" graphs (disjoint chains of length 10, so
 //! the closure grows linearly with the edge count and the interesting signal
@@ -7,7 +7,6 @@
 //! * `reference_naive` — the seed's nested-loop naive evaluator (oracle);
 //! * `reference_semi_naive` — the seed's nested-loop semi-naive evaluator,
 //!   the baseline the indexed engine is measured against;
-//! * `engine_naive` — engine rounds with index probes but full recompute;
 //! * `engine_indexed` — the production path: delta-driven semi-naive rounds
 //!   over hash-indexed storage.
 //!
@@ -18,8 +17,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kbt_bench::{alloc_counter, quick_criterion, record_alloc};
 use kbt_data::{Database, DatabaseBuilder, RelId};
 use kbt_datalog::{
-    naive_eval, reference_naive_eval, reference_semi_naive_eval, semi_naive_eval, DlAtom, Literal,
-    Program, Rule,
+    reference_naive_eval, reference_semi_naive_eval, semi_naive_eval, DlAtom, Literal, Program,
+    Rule,
 };
 use kbt_logic::builder::var;
 
@@ -96,21 +95,6 @@ fn bench_reference_semi_naive(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_naive(c: &mut Criterion) {
-    let program = tc_program();
-    let mut group = c.benchmark_group("engine_joins/engine_naive");
-    for (chains, edges) in edge_counts() {
-        if edges > 1_000 {
-            continue; // full recompute per round is the point of this baseline
-        }
-        let edb = braid(chains);
-        group.bench_with_input(BenchmarkId::from_parameter(edges), &edges, |b, _| {
-            b.iter(|| naive_eval(&program, &edb).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_engine_indexed(c: &mut Criterion) {
     let program = tc_program();
     let mut group = c.benchmark_group("engine_joins/engine_indexed");
@@ -150,7 +134,6 @@ criterion_group! {
     targets =
         bench_reference_naive,
         bench_reference_semi_naive,
-        bench_engine_naive,
         bench_engine_indexed,
         bench_alloc_counts,
 }

@@ -1,8 +1,9 @@
 //! # kbt-bench — shared helpers for the benchmark harness
 //!
-//! Each Criterion bench target under `benches/` regenerates one experiment of
-//! EXPERIMENTS.md (one row-group of the paper's Section 4 complexity table, a
-//! Section 3 example, or a Section 4/5 reduction).  This library crate only
+//! Each Criterion bench target under `benches/` regenerates one experiment
+//! (one row-group of the paper's Section 4 complexity table, a Section 3
+//! example, a Section 4/5 reduction, or one serving layer's `BENCH_*.json`
+//! baseline at the repository root).  This library crate only
 //! hosts the small helpers the targets share, so that the benchmark code
 //! itself stays focused on the experiment being reproduced.
 

@@ -58,12 +58,12 @@ pub mod transformer;
 pub mod update;
 
 pub use error::CoreError;
-pub use kbt_datalog::RuleProfile;
+pub use kbt_datalog::{RuleProfile, View};
 pub use options::{EvalOptions, EvalStats, Strategy};
 pub use transform::Transform;
 pub use transformer::{TransformResult, Transformer};
 pub use update::datalog::ChainSession;
-pub use update::{minimal_update, minimal_update_profiled, UpdateOutcome};
+pub use update::{minimal_update, UpdateOutcome};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

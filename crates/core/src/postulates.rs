@@ -106,7 +106,7 @@ pub fn postulate_3(t: &Transformer, phi: &Sentence, kb: &Knowledgebase) -> Resul
     // space of every database of kb, by asking the exhaustive evaluator for
     // any model at all (µ is empty iff there is none).
     for db in kb.iter() {
-        let outcome = crate::update::minimal_update(phi, db, t.options())?;
+        let outcome = crate::update::minimal_update(phi, db, t.options(), None)?;
         if !outcome.databases.is_empty() {
             return Ok(false);
         }

@@ -15,14 +15,14 @@
 //! scratch.  Results are byte-identical; `EvalStats::reused_facts` shows
 //! the saving.
 
-use kbt_data::{Knowledgebase, RelId};
-use kbt_datalog::RuleProfile;
+use kbt_data::{Database, Knowledgebase};
+use kbt_datalog::View;
 
 use crate::error::CoreError;
 use crate::options::{EvalOptions, EvalStats, Strategy};
 use crate::transform::Transform;
 use crate::update::datalog::{self, ChainSession};
-use crate::update::{minimal_update, minimal_update_profiled, UpdateOutcome};
+use crate::update::{minimal_update, operator_row, UpdateOutcome};
 use crate::Result;
 
 /// The result of applying a transformation expression.
@@ -58,9 +58,7 @@ impl Transformer {
 
     /// Applies a transformation expression to a knowledgebase.
     pub fn apply(&self, transform: &Transform, kb: &Knowledgebase) -> Result<TransformResult> {
-        let mut stats = EvalStats::default();
-        let kb = self.apply_inner(transform, kb.clone(), &mut stats, None)?;
-        Ok(TransformResult { kb, stats })
+        self.apply_viewed(transform, kb, None)
     }
 
     /// Like [`Self::apply`], but with a caller-owned chain-session slot that
@@ -83,7 +81,7 @@ impl Transformer {
         chain: &mut Option<ChainSession>,
     ) -> Result<TransformResult> {
         let mut stats = EvalStats::default();
-        let kb = self.apply_inner(transform, kb.clone(), &mut stats, Some(chain))?;
+        let kb = self.walk(transform, kb.clone(), &mut stats, Some(chain), None)?;
         Ok(TransformResult { kb, stats })
     }
 
@@ -92,162 +90,116 @@ impl Transformer {
         self.apply(&Transform::Insert(phi.clone()), kb)
     }
 
-    /// Like [`Self::apply`], but collects one [`RuleProfile`] per lowered
-    /// rule from every Datalog-fast-path insertion step (`namer` renders
-    /// relation identifiers in rule and plan text).
+    /// [`Self::apply`] observed through `view` (`None` *is* [`Self::apply`];
+    /// `view`'s namer renders relation identifiers in rule and plan text).
     ///
-    /// The resulting knowledgebase is byte-identical to [`Self::apply`]'s.
-    /// The incremental chain optimisation is skipped on the profiled walk
-    /// (chain sessions are documented to be byte-identical to from-scratch
-    /// evaluation, so only the `reused_facts` saving is forgone); against a
-    /// transformer with `incremental: false` the statistics match exactly.
-    pub fn apply_profiled(
+    /// Under a **profiling** view every Datalog-fast-path insertion step
+    /// records one [`kbt_datalog::RuleProfile`] per lowered rule per world.
+    /// The resulting knowledgebase is byte-identical to [`Self::apply`]'s;
+    /// the incremental chain optimisation is skipped (chain sessions are
+    /// documented to be byte-identical to from-scratch evaluation, so only
+    /// the `reused_facts` saving is forgone) — against a transformer with
+    /// `incremental: false` the statistics match exactly.
+    ///
+    /// Under a **plan-only** view nothing is evaluated: Datalog-fast-path
+    /// insertions record their join plans, every other operator records a
+    /// single descriptive row (lattice operators and non-Horn insertions
+    /// have no rule plans), and every step is planned against the *input*
+    /// knowledgebase's first world — earlier steps never ran, so index
+    /// choices shown for deep pipelines are representative, not exact.  The
+    /// returned knowledgebase is that one world, the statistics are zero.
+    pub fn apply_viewed(
         &self,
         transform: &Transform,
         kb: &Knowledgebase,
-        namer: &dyn Fn(RelId) -> String,
-    ) -> Result<(TransformResult, Vec<RuleProfile>)> {
-        let mut stats = EvalStats::default();
-        let mut profiles = Vec::new();
-        let mut current = kb.clone();
-        for step in transform.steps() {
-            current = self.apply_step_profiled(step, current, &mut stats, &mut profiles, namer)?;
-        }
-        Ok((TransformResult { kb: current, stats }, profiles))
-    }
-
-    /// Renders the evaluation plan of `transform` against `kb` without
-    /// evaluating anything.
-    ///
-    /// Datalog-fast-path insertion steps contribute one zeroed
-    /// [`RuleProfile`] per lowered rule with the full join-plan rendering;
-    /// every other operator contributes a single descriptive row (lattice
-    /// operators and non-Horn insertions have no rule plans).  Plans for
-    /// later steps are sized against the *initial* knowledgebase's first
-    /// world — EXPLAIN never runs the earlier steps, so index choices shown
-    /// for deep pipelines are representative, not exact.
-    pub fn explain(
-        &self,
-        transform: &Transform,
-        kb: &Knowledgebase,
-        namer: &dyn Fn(RelId) -> String,
-    ) -> Result<Vec<RuleProfile>> {
-        let representative = match kb.iter().next() {
-            Some(db) => db.clone(),
-            None => kbt_data::Database::new(),
+        view: Option<&mut View<'_>>,
+    ) -> Result<TransformResult> {
+        let start = match &view {
+            Some(v) if !v.runs() => {
+                Knowledgebase::singleton(kb.iter().next().cloned().unwrap_or_else(Database::new))
+            }
+            _ => kb.clone(),
         };
-        let mut out = Vec::new();
-        for step in transform.steps() {
-            match step {
-                Transform::Identity | Transform::Seq(_) => {}
-                Transform::Insert(phi) => {
-                    if datalog::applicable(phi, &representative) {
-                        out.extend(datalog::datalog_explain(phi, &representative, namer)?);
-                    } else {
-                        let strategy = if kbt_logic::is_ground(phi.formula()) {
-                            "quantifier-free"
-                        } else {
-                            "grounding"
-                        };
-                        out.push(operator_row(format!("insert {phi}"), strategy));
-                    }
-                }
-                Transform::Glb => out.push(operator_row("glb".to_string(), "lattice")),
-                Transform::Lub => out.push(operator_row("lub".to_string(), "lattice")),
-                Transform::Project(rels) => {
-                    let names: Vec<String> = rels.iter().map(|r| namer(*r)).collect();
-                    out.push(operator_row(
-                        format!("project({})", names.join(", ")),
-                        "lattice",
-                    ));
-                }
-            }
-        }
-        Ok(out)
+        let mut stats = EvalStats::default();
+        let kb = self.walk(transform, start, &mut stats, None, view)?;
+        Ok(TransformResult { kb, stats })
     }
 
-    /// One step of the profiled walk: [`Self::apply_step`] without the
-    /// chain slot, routing insertions through [`minimal_update_profiled`].
-    fn apply_step_profiled(
-        &self,
-        step: &Transform,
-        kb: Knowledgebase,
-        stats: &mut EvalStats,
-        profiles: &mut Vec<RuleProfile>,
-        namer: &dyn Fn(RelId) -> String,
-    ) -> Result<Knowledgebase> {
-        match step {
-            Transform::Insert(phi) => {
-                stats.operators += 1;
-                let mut out = Knowledgebase::empty();
-                for db in kb.iter() {
-                    let mut outcome = minimal_update_profiled(phi, db, &self.options, namer)?;
-                    self.absorb_outcome(&outcome, stats);
-                    if let Some(profile) = outcome.profile.take() {
-                        profiles.extend(profile);
-                    }
-                    self.collect_worlds(outcome, &mut out)?;
-                }
-                Ok(out)
-            }
-            other => self.apply_step(other, kb, stats, None),
-        }
-    }
-
-    fn apply_inner(
+    /// Walks the flattened steps of `transform` with a persistent chain
+    /// session, so consecutive Datalog-fast-path insertions of the same
+    /// sentence share one live engine fixpoint.  When the caller supplies a
+    /// slot (apply_with_chain) it is always used — the session may pay off
+    /// on a *later* call.  Otherwise a local slot is used, and building a
+    /// session only pays off when a later insertion in this same walk can
+    /// reuse it, so walks with fewer than two `τ` steps — and observed
+    /// walks, which evaluate every step from scratch — skip it.
+    fn walk(
         &self,
         transform: &Transform,
         kb: Knowledgebase,
         stats: &mut EvalStats,
         chain: Option<&mut Option<ChainSession>>,
+        mut view: Option<&mut View<'_>>,
     ) -> Result<Knowledgebase> {
-        match transform {
-            Transform::Identity => Ok(kb),
-            Transform::Seq(_) => {
-                // Walk the flattened steps with a persistent chain session,
-                // so consecutive Datalog-fast-path insertions of the same
-                // sentence share one live engine fixpoint.  When the caller
-                // supplies a slot (apply_with_chain) it is always used —
-                // the session may pay off on a *later* call.  Otherwise a
-                // local slot is used, and building a session only pays off
-                // when a later insertion in this same walk can reuse it, so
-                // chains with fewer than two `τ` steps skip it.
-                let steps = transform.steps();
-                let mut local: Option<ChainSession> = None;
-                let mut slot: Option<&mut Option<ChainSession>> = match chain {
-                    Some(external) => Some(external),
-                    None => {
-                        let enable = steps
-                            .iter()
-                            .filter(|s| matches!(s, Transform::Insert(_)))
-                            .count()
-                            >= 2;
-                        enable.then_some(&mut local)
-                    }
-                };
-                let mut current = kb;
-                for part in steps {
-                    current = self.apply_step(part, current, stats, slot.as_deref_mut())?;
-                }
-                Ok(current)
+        let steps = transform.steps();
+        let mut local: Option<ChainSession> = None;
+        let mut slot: Option<&mut Option<ChainSession>> = match chain {
+            Some(external) => Some(external),
+            None => {
+                let inserts = steps.iter().filter(|s| matches!(s, Transform::Insert(_)));
+                (view.is_none() && inserts.count() >= 2).then_some(&mut local)
             }
-            other => self.apply_step(other, kb, stats, chain),
+        };
+        let mut current = kb;
+        for step in steps {
+            current = match view.as_deref_mut() {
+                Some(view) if !view.runs() => {
+                    self.plan_step(step, &current, view)?;
+                    current
+                }
+                view => self.apply_step(step, current, stats, slot.as_deref_mut(), view)?,
+            };
         }
+        Ok(current)
+    }
+
+    /// The plan-only view of one step against the (never advancing) input.
+    fn plan_step(&self, step: &Transform, kb: &Knowledgebase, view: &mut View<'_>) -> Result<()> {
+        match step {
+            Transform::Identity | Transform::Seq(_) => {}
+            Transform::Insert(phi) => {
+                for db in kb.iter() {
+                    minimal_update(phi, db, &self.options, Some(&mut *view))?;
+                }
+            }
+            Transform::Glb => view.rows.push(operator_row("glb".to_string(), "lattice")),
+            Transform::Lub => view.rows.push(operator_row("lub".to_string(), "lattice")),
+            Transform::Project(rels) => {
+                let names: Vec<String> = rels.iter().map(|r| (view.namer)(*r)).collect();
+                view.rows.push(operator_row(
+                    format!("project({})", names.join(", ")),
+                    "lattice",
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Applies one primitive operator (`steps()` has flattened away `Seq`
-    /// and `Identity`).  `chain` is the `Seq` walk's persistent session
-    /// slot; `None` disables chain reuse (single-step expressions).
+    /// and `Identity`).  `chain` is the walk's persistent session slot;
+    /// `None` disables chain reuse (single-step and observed walks).
     fn apply_step(
         &self,
         step: &Transform,
         kb: Knowledgebase,
         stats: &mut EvalStats,
         chain: Option<&mut Option<ChainSession>>,
+        mut view: Option<&mut View<'_>>,
     ) -> Result<Knowledgebase> {
         match step {
-            Transform::Identity => Ok(kb),
-            Transform::Seq(_) => self.apply_inner(step, kb, stats, chain),
+            Transform::Identity | Transform::Seq(_) => {
+                unreachable!("Transform::steps flattens sequences and drops identities")
+            }
             Transform::Insert(phi) => {
                 stats.operators += 1;
                 let mut out = Knowledgebase::empty();
@@ -259,7 +211,7 @@ impl Transformer {
                     }
                 }
                 for db in kb.iter() {
-                    let outcome = minimal_update(phi, db, &self.options)?;
+                    let outcome = minimal_update(phi, db, &self.options, view.as_deref_mut())?;
                     self.absorb_outcome(&outcome, stats);
                     self.collect_worlds(outcome, &mut out)?;
                 }
@@ -334,20 +286,6 @@ impl Transformer {
             }
         }
         Ok(())
-    }
-}
-
-/// A descriptive EXPLAIN row for an operator that has no Datalog rule plan.
-fn operator_row(rule: String, strategy: &str) -> RuleProfile {
-    RuleProfile {
-        stratum: 0,
-        rule,
-        plan: format!("strategy: {strategy} (no rule plan)"),
-        rounds: 0,
-        derived: 0,
-        probes: 0,
-        scanned: 0,
-        elapsed_ns: 0,
     }
 }
 
@@ -596,9 +534,11 @@ mod tests {
                 .unwrap(),
         );
         let plain = Transformer::new().apply(&expr, &kb).unwrap();
-        let (profiled, profiles) = Transformer::new()
-            .apply_profiled(&expr, &kb, &namer)
+        let mut view = View::profile(&namer);
+        let profiled = Transformer::new()
+            .apply_viewed(&expr, &kb, Some(&mut view))
             .unwrap();
+        let profiles = view.rows;
         assert_eq!(profiled.kb, plain.kb);
         assert_eq!(profiled.stats, plain.stats);
         assert_eq!(profiles.len(), 2, "one profile per lowered TC rule");
@@ -636,12 +576,13 @@ mod tests {
         })
         .apply(&expr, &kb)
         .unwrap();
-        let (profiled, profiles) = Transformer::new()
-            .apply_profiled(&expr, &kb, &namer)
+        let mut view = View::profile(&namer);
+        let profiled = Transformer::new()
+            .apply_viewed(&expr, &kb, Some(&mut view))
             .unwrap();
         assert_eq!(profiled.kb, chained.kb);
         assert_eq!(profiled.stats, from_scratch.stats);
-        assert_eq!(profiles.len(), 3 * 2, "two TC rules per profiled insert");
+        assert_eq!(view.rows.len(), 3 * 2, "two TC rules per profiled insert");
     }
 
     #[test]
@@ -655,7 +596,12 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let rows = Transformer::new().explain(&expr, &kb, &namer).unwrap();
+        let mut view = View::explain(&namer);
+        let result = Transformer::new()
+            .apply_viewed(&expr, &kb, Some(&mut view))
+            .unwrap();
+        assert_eq!((result.kb, result.stats), (kb, EvalStats::default()));
+        let rows = view.rows;
         assert_eq!(rows.len(), 4, "two TC rules, lub, project");
         assert!(rows[0].plan.contains("scan"), "plan: {}", rows[0].plan);
         assert!(rows.iter().all(|p| p.elapsed_ns == 0 && p.derived == 0));

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use kbt_data::{Database, RelId, Relation, Schema, Tuple};
-use kbt_datalog::{program_from_sentence, semi_naive_eval_threads, IncrementalEval};
+use kbt_datalog::{program_from_sentence, semi_naive_eval_viewed, IncrementalEval, View};
 use kbt_logic::{horn_clauses, Sentence};
 
 use crate::error::CoreError;
@@ -40,11 +40,17 @@ pub fn applicable(phi: &Sentence, db: &Database) -> bool {
     kbt_datalog::program_from_horn(&clauses).is_ok()
 }
 
-/// Computes `µ(φ, db)` for a Horn sentence defining fresh relations.
+/// Computes `µ(φ, db)` for a Horn sentence defining fresh relations,
+/// optionally observed through `view` (see [`kbt_engine::profile`]): a
+/// profiling view leaves the outcome byte-identical and records the
+/// per-rule breakdown; a plan-only view records the join plans and
+/// evaluates nothing (the outcome's database is then `db` over the result
+/// schema, the fresh relations empty).
 pub fn datalog_update(
     phi: &Sentence,
     db: &Database,
     options: &EvalOptions,
+    view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
     if !applicable(phi, db) {
         return Err(CoreError::StrategyNotApplicable {
@@ -60,64 +66,12 @@ pub fn datalog_update(
     let program = program_from_sentence(phi)?;
     let schema = db.schema().union(&phi.schema())?;
     let lifted = db.extend_schema(&schema)?;
-    let (fixpoint, stats) = semi_naive_eval_threads(&program, &lifted, options.threads)?;
+    let (fixpoint, stats) = semi_naive_eval_viewed(&program, &lifted, options.threads, view)?;
     Ok(UpdateOutcome {
         databases: vec![fixpoint],
         candidate_atoms: 0,
         fixpoint: Some(stats),
-        profile: None,
     })
-}
-
-/// [`datalog_update`] with per-rule profiling: identical databases and
-/// fixpoint statistics (see [`kbt_engine::profile`] for the determinism
-/// contract), plus the per-rule breakdown in the outcome's `profile`.
-pub fn datalog_update_profiled(
-    phi: &Sentence,
-    db: &Database,
-    options: &EvalOptions,
-    namer: &dyn Fn(RelId) -> String,
-) -> Result<UpdateOutcome> {
-    if !applicable(phi, db) {
-        return Err(CoreError::StrategyNotApplicable {
-            strategy: "Datalog",
-            reason:
-                "the sentence is not a conjunction of safe Horn clauses over fresh head relations"
-                    .to_string(),
-        });
-    }
-    let program = program_from_sentence(phi)?;
-    let schema = db.schema().union(&phi.schema())?;
-    let lifted = db.extend_schema(&schema)?;
-    let (fixpoint, stats, profile) =
-        kbt_datalog::semi_naive_eval_profiled(&program, &lifted, options.threads, namer)?;
-    Ok(UpdateOutcome {
-        databases: vec![fixpoint],
-        candidate_atoms: 0,
-        fixpoint: Some(stats),
-        profile: Some(profile),
-    })
-}
-
-/// Renders the join plans [`datalog_update`] would run for `φ` over `db`,
-/// without evaluating: one zeroed [`kbt_datalog::RuleProfile`] per rule.
-pub fn datalog_explain(
-    phi: &Sentence,
-    db: &Database,
-    namer: &dyn Fn(RelId) -> String,
-) -> Result<Vec<kbt_datalog::RuleProfile>> {
-    if !applicable(phi, db) {
-        return Err(CoreError::StrategyNotApplicable {
-            strategy: "Datalog",
-            reason:
-                "the sentence is not a conjunction of safe Horn clauses over fresh head relations"
-                    .to_string(),
-        });
-    }
-    let program = program_from_sentence(phi)?;
-    let schema = db.schema().union(&phi.schema())?;
-    let lifted = db.extend_schema(&schema)?;
-    kbt_datalog::explain_plans(&program, &lifted, namer).map_err(Into::into)
 }
 
 /// A persistent incremental evaluation of one Horn sentence across a chain
@@ -164,7 +118,6 @@ impl ChainSession {
             databases: vec![session.eval.current()],
             candidate_atoms: 0,
             fixpoint: Some(stats),
-            profile: None,
         };
         Ok((session, outcome))
     }
@@ -222,7 +175,6 @@ impl ChainSession {
             databases: vec![result],
             candidate_atoms: 0,
             fixpoint: Some(stats),
-            profile: None,
         })
     }
 }
@@ -365,7 +317,7 @@ mod tests {
             .fact(r(1), [4u32, 5])
             .build()
             .unwrap();
-        let out = datalog_update(&tc_sentence(), &db, &EvalOptions::default()).unwrap();
+        let out = datalog_update(&tc_sentence(), &db, &EvalOptions::default(), None).unwrap();
         assert_eq!(out.databases.len(), 1);
         let result = &out.databases[0];
         assert_eq!(result.relation(r(1)).unwrap().len(), 4);
@@ -386,7 +338,7 @@ mod tests {
         ))
         .unwrap();
         let opts = EvalOptions::default();
-        let mut a = datalog_update(&phi, &db, &opts).unwrap().databases;
+        let mut a = datalog_update(&phi, &db, &opts, None).unwrap().databases;
         let mut b = grounding_update(&phi, &db, &opts).unwrap().databases;
         let mut c = exhaustive_update(&phi, &db, &opts).unwrap().databases;
         a.sort();
@@ -406,7 +358,7 @@ mod tests {
             .unwrap();
         let opts = EvalOptions::default();
         let (mut session, first) = ChainSession::start(&phi, &db, 0).unwrap();
-        assert_eq!(first, datalog_update(&phi, &db, &opts).unwrap());
+        assert_eq!(first, datalog_update(&phi, &db, &opts, None).unwrap());
         assert!(session.matches(&phi));
 
         // grow the chain, shrink it, and then change an unrelated relation
@@ -423,7 +375,7 @@ mod tests {
                 db.remove_fact(r(1), &kbt_data::tuple![x, y]);
             }
             let got = session.advance(&db).unwrap();
-            let want = datalog_update(&phi, &db, &opts).unwrap();
+            let want = datalog_update(&phi, &db, &opts, None).unwrap();
             assert_eq!(got.databases, want.databases);
         }
     }
@@ -445,7 +397,7 @@ mod tests {
             .unwrap();
         let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
         let got = session.advance(&db2).unwrap();
-        let want = datalog_update(&phi, &db2, &EvalOptions::default()).unwrap();
+        let want = datalog_update(&phi, &db2, &EvalOptions::default(), None).unwrap();
         assert_eq!(got.databases, want.databases);
         assert!(got.databases[0].relation(r(3)).is_none());
     }
@@ -467,13 +419,13 @@ mod tests {
             .unwrap();
         let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
         let got = session.advance(&db2).unwrap();
-        let want = datalog_update(&phi, &db2, &EvalOptions::default()).unwrap();
+        let want = datalog_update(&phi, &db2, &EvalOptions::default(), None).unwrap();
         assert_eq!(got.databases, want.databases);
         // and the rebuilt session keeps advancing correctly
         let mut db3 = db2.clone();
         db3.insert_fact(r(1), kbt_data::tuple![2, 3]).unwrap();
         let got = session.advance(&db3).unwrap();
-        let want = datalog_update(&phi, &db3, &EvalOptions::default()).unwrap();
+        let want = datalog_update(&phi, &db3, &EvalOptions::default(), None).unwrap();
         assert_eq!(got.databases, want.databases);
     }
 
@@ -490,7 +442,7 @@ mod tests {
         let db2 = DatabaseBuilder::new().relation(r(1), 3).build().unwrap();
         let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
         assert!(session.advance(&db2).is_err());
-        assert!(datalog_update(&phi, &db2, &EvalOptions::default()).is_err());
+        assert!(datalog_update(&phi, &db2, &EvalOptions::default(), None).is_err());
     }
 
     #[test]
@@ -501,7 +453,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            datalog_update(&tc_sentence(), &db, &EvalOptions::default()),
+            datalog_update(&tc_sentence(), &db, &EvalOptions::default(), None),
             Err(CoreError::StrategyNotApplicable { .. })
         ));
     }

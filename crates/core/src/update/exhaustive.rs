@@ -48,7 +48,6 @@ pub fn exhaustive_update(
         databases: minimal,
         candidate_atoms: n,
         fixpoint: None,
-        profile: None,
     })
 }
 

@@ -116,7 +116,6 @@ pub fn grounding_update(
         databases: result.into_iter().collect(),
         candidate_atoms: n,
         fixpoint: None,
-        profile: None,
     })
 }
 

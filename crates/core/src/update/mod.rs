@@ -20,6 +20,7 @@ pub mod quantifier_free;
 pub mod universe;
 
 use kbt_data::Database;
+use kbt_datalog::{RuleProfile, View};
 use kbt_logic::Sentence;
 
 use crate::options::{EvalOptions, Strategy};
@@ -38,58 +39,57 @@ pub struct UpdateOutcome {
     /// Engine statistics of the least-fixpoint computation, when the Datalog
     /// fast path ran.
     pub fixpoint: Option<kbt_datalog::EvalStats>,
-    /// Per-rule fixpoint profiles, when profiling was requested *and* the
-    /// Datalog fast path ran ([`minimal_update_profiled`]); `None` on
-    /// every unprofiled path, so outcome equality between profiled and
-    /// plain runs is checked on the deterministic fields alone.
-    pub profile: Option<Vec<kbt_datalog::RuleProfile>>,
 }
 
-/// Computes `µ(φ, db)` with the strategy selected in `options`.
+/// Computes `µ(φ, db)` with the strategy selected in `options`, optionally
+/// observed through `view`.
+///
+/// Only the Datalog fast path has rule plans to record (see
+/// [`datalog::datalog_update`]); under a profiling view every other
+/// strategy runs unchanged and records nothing, and under a plan-only view
+/// it records one descriptive row and evaluates nothing (the outcome is
+/// then empty).  The outcome of an evaluating call never depends on the
+/// view.
 pub fn minimal_update(
     phi: &Sentence,
     db: &Database,
     options: &EvalOptions,
+    view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
-    match options.strategy {
-        Strategy::Exhaustive => exhaustive::exhaustive_update(phi, db, options),
-        Strategy::Grounding => grounding::grounding_update(phi, db, options),
-        Strategy::QuantifierFree => quantifier_free::quantifier_free_update(phi, db, options),
-        Strategy::Datalog => datalog::datalog_update(phi, db, options),
-        Strategy::Auto => {
-            if datalog::applicable(phi, db) {
-                datalog::datalog_update(phi, db, options)
-            } else if kbt_logic::is_ground(phi.formula()) {
-                quantifier_free::quantifier_free_update(phi, db, options)
-            } else {
-                grounding::grounding_update(phi, db, options)
-            }
-        }
+    let strategy = match options.strategy {
+        Strategy::Auto if datalog::applicable(phi, db) => Strategy::Datalog,
+        Strategy::Auto if kbt_logic::is_ground(phi.formula()) => Strategy::QuantifierFree,
+        Strategy::Auto => Strategy::Grounding,
+        chosen => chosen,
+    };
+    let (name, update): (_, fn(&Sentence, &Database, &EvalOptions) -> _) = match strategy {
+        Strategy::Datalog => return datalog::datalog_update(phi, db, options, view),
+        Strategy::Exhaustive => ("exhaustive", exhaustive::exhaustive_update),
+        Strategy::QuantifierFree => ("quantifier-free", quantifier_free::quantifier_free_update),
+        Strategy::Grounding | Strategy::Auto => ("grounding", grounding::grounding_update),
+    };
+    if let Some(view) = view.filter(|v| !v.runs()) {
+        view.rows.push(operator_row(format!("insert {phi}"), name));
+        return Ok(UpdateOutcome {
+            databases: Vec::new(),
+            candidate_atoms: 0,
+            fixpoint: None,
+        });
     }
+    update(phi, db, options)
 }
 
-/// [`minimal_update`] with per-rule profiling on the Datalog fast path.
-///
-/// When the selected strategy resolves to Datalog, the outcome's
-/// `profile` carries one [`kbt_datalog::RuleProfile`] per lowered rule
-/// (named through `namer`) and every other field — databases, candidate
-/// count, fixpoint stats — is byte-identical to [`minimal_update`]'s.
-/// Other strategies run unchanged and return `profile: None`.
-pub fn minimal_update_profiled(
-    phi: &Sentence,
-    db: &Database,
-    options: &EvalOptions,
-    namer: &dyn Fn(kbt_data::RelId) -> String,
-) -> Result<UpdateOutcome> {
-    let wants_datalog = match options.strategy {
-        Strategy::Datalog => true,
-        Strategy::Auto => datalog::applicable(phi, db),
-        _ => false,
-    };
-    if wants_datalog {
-        datalog::datalog_update_profiled(phi, db, options, namer)
-    } else {
-        minimal_update(phi, db, options)
+/// A descriptive plan row for an operator that has no Datalog rule plan.
+pub(crate) fn operator_row(rule: String, strategy: &str) -> RuleProfile {
+    RuleProfile {
+        stratum: 0,
+        rule,
+        plan: format!("strategy: {strategy} (no rule plan)"),
+        rounds: 0,
+        derived: 0,
+        probes: 0,
+        scanned: 0,
+        elapsed_ns: 0,
     }
 }
 
@@ -128,7 +128,7 @@ mod tests {
         // (the conjunctive-head sentence is not Horn, so the Datalog strategy
         // is exercised separately in `update::datalog::tests`)
         for strategy in [Strategy::Grounding, Strategy::Auto] {
-            let got = minimal_update(&phi, &db, &EvalOptions::with_strategy(strategy))
+            let got = minimal_update(&phi, &db, &EvalOptions::with_strategy(strategy), None)
                 .unwrap()
                 .databases;
             let mut a = reference.clone();
@@ -143,7 +143,7 @@ mod tests {
     fn auto_uses_quantifier_free_for_ground_sentences() {
         let db = DatabaseBuilder::new().fact(r(1), [1u32]).build().unwrap();
         let phi = Sentence::new(or(atom(1, [cst(2)]), atom(1, [cst(3)]))).unwrap();
-        let out = minimal_update(&phi, &db, &EvalOptions::default()).unwrap();
+        let out = minimal_update(&phi, &db, &EvalOptions::default(), None).unwrap();
         // two incomparable minimal ways to satisfy the disjunction
         assert_eq!(out.databases.len(), 2);
     }

@@ -101,7 +101,6 @@ pub fn quantifier_free_update(
         databases: minimal,
         candidate_atoms: k,
         fixpoint: None,
-        profile: None,
     })
 }
 

@@ -2,25 +2,22 @@
 //!
 //! Inserting a Datalog program into an extensional database produces the
 //! program's unique least fixpoint (the remark before the contributions list
-//! in Section 1, made precise by Theorem 4.8).  Both entry points below
-//! compute that fixpoint by stratifying the program, lowering each stratum
-//! to the `kbt-engine` IR, and running the engine's join-planned evaluator:
-//!
-//! * [`semi_naive_eval`] — the production path: delta-aware semi-naive
-//!   rounds over hash-indexed storage;
-//! * [`naive_eval`] — recompute-everything rounds (still index-probed);
-//!   useful as a sanity cross-check and for measuring what semi-naive saves.
+//! in Section 1, made precise by Theorem 4.8).  [`semi_naive_eval_viewed`]
+//! computes it by stratifying the program, lowering each stratum to the
+//! `kbt-engine` IR, and running the engine's one evaluator — delta-aware
+//! semi-naive rounds over hash-indexed storage — optionally observed
+//! through a [`View`] (`EXPLAIN` / `PROFILE`); [`semi_naive_eval_threads`]
+//! and [`semi_naive_eval`] are that same call with nothing recorded.
 //!
 //! The original nested-loop evaluators are preserved unchanged in
-//! [`crate::reference`] as an independent oracle; the differential tests
-//! assert byte-identical fixpoints between all four paths.
+//! [`crate::reference`] as independent oracles; the differential tests
+//! assert byte-identical fixpoints between the engine and both of them.
 
 use kbt_data::Database;
-use kbt_engine::{EngineOptions, EngineStats, EvalMode, RuleProfile};
+use kbt_engine::{EngineStats, View};
 
 use crate::ast::Program;
-use crate::lower::lower_program;
-use crate::stratify::stratify;
+use crate::lower::lower_strata;
 use crate::Result;
 
 /// Statistics reported by the evaluators (used by the benchmark harness and
@@ -67,36 +64,12 @@ impl From<EngineStats> for EvalStats {
     }
 }
 
-/// Computes the least fixpoint of `program` over the extensional database
-/// `edb` using naive evaluation (recompute everything each round).
+/// Computes the least fixpoint of `program` over `edb` using delta-indexed
+/// semi-naive evaluation (only facts that are new in the previous round are
+/// re-joined, through hash-index probes), at the process-default width.
 ///
 /// Supports stratified negation: the program is stratified first and the
 /// strata are evaluated in order.
-pub fn naive_eval(program: &Program, edb: &Database) -> Result<(Database, EvalStats)> {
-    naive_eval_threads(program, edb, 0)
-}
-
-/// [`naive_eval`] at an explicit evaluation width (`0` = process default,
-/// `1` = exact sequential path; results and statistics are identical at
-/// every width).
-pub fn naive_eval_threads(
-    program: &Program,
-    edb: &Database,
-    threads: usize,
-) -> Result<(Database, EvalStats)> {
-    eval_with(
-        program,
-        edb,
-        EngineOptions {
-            mode: EvalMode::Naive,
-            threads,
-        },
-    )
-}
-
-/// Computes the least fixpoint of `program` over `edb` using delta-indexed
-/// semi-naive evaluation (only facts that are new in the previous round are
-/// re-joined, through hash-index probes).
 pub fn semi_naive_eval(program: &Program, edb: &Database) -> Result<(Database, EvalStats)> {
     semi_naive_eval_threads(program, edb, 0)
 }
@@ -110,66 +83,25 @@ pub fn semi_naive_eval_threads(
     edb: &Database,
     threads: usize,
 ) -> Result<(Database, EvalStats)> {
-    eval_with(
-        program,
-        edb,
-        EngineOptions {
-            mode: EvalMode::SemiNaive,
-            threads,
-        },
-    )
+    semi_naive_eval_viewed(program, edb, threads, None)
 }
 
-fn eval_with(
-    program: &Program,
-    edb: &Database,
-    options: EngineOptions,
-) -> Result<(Database, EvalStats)> {
-    let strata = stratify(program)?;
-    let lowered = strata
-        .iter()
-        .map(lower_program)
-        .collect::<Result<Vec<_>>>()?;
-    let (db, stats) = kbt_engine::evaluate_with(&lowered, edb, options)?;
-    Ok((db, stats.into()))
-}
-
-/// [`semi_naive_eval_threads`] with per-rule profiling: the identical
-/// fixpoint and statistics (the engine's profiled driver runs the same
-/// plans through the same round code — see [`kbt_engine::profile`]), plus
-/// one [`RuleProfile`] per lowered rule.  The lowering is the **named**
-/// one, so profiles carry each rule's source text rendered through
-/// `namer` (typically the service's relation vocabulary).
-pub fn semi_naive_eval_profiled(
+/// [`semi_naive_eval_threads`] observed through `view` (see
+/// [`kbt_engine::profile`]): a profiling view yields the identical
+/// fixpoint and statistics plus one [`kbt_engine::RuleProfile`] per lowered
+/// rule; a plan-only view yields the same rows with the join plans only
+/// and evaluates nothing (the returned database is `edb` with the
+/// program's relations declared).  Under a view the lowering attaches each
+/// rule's source text, rendered through the view's namer.
+pub fn semi_naive_eval_viewed(
     program: &Program,
     edb: &Database,
     threads: usize,
-    namer: &dyn Fn(kbt_data::RelId) -> String,
-) -> Result<(Database, EvalStats, Vec<RuleProfile>)> {
-    let lowered = crate::lower::lower_strata_named(program, namer)?;
-    let (db, stats, profiles) = kbt_engine::evaluate_profiled(
-        &lowered,
-        edb,
-        EngineOptions {
-            mode: EvalMode::SemiNaive,
-            threads,
-        },
-        namer,
-    )?;
-    Ok((db, stats.into(), profiles))
-}
-
-/// Renders the join plans `semi_naive_eval` would run, without evaluating
-/// anything: one zeroed [`RuleProfile`] per rule, named through `namer`.
-/// Plans for strata after the first are sized against the extensional
-/// database only (see [`kbt_engine::profile`] for the caveat).
-pub fn explain_plans(
-    program: &Program,
-    edb: &Database,
-    namer: &dyn Fn(kbt_data::RelId) -> String,
-) -> Result<Vec<RuleProfile>> {
-    let lowered = crate::lower::lower_strata_named(program, namer)?;
-    kbt_engine::explain(&lowered, edb, namer).map_err(Into::into)
+    view: Option<&mut View<'_>>,
+) -> Result<(Database, EvalStats)> {
+    let lowered = lower_strata(program, view.as_ref().map(|v| v.namer))?;
+    let (db, stats) = kbt_engine::evaluate(&lowered, edb, threads, view)?;
+    Ok((db, stats.into()))
 }
 
 /// A persistent incremental evaluation of one Datalog program: the
@@ -197,7 +129,7 @@ impl IncrementalEval {
     /// default, `1` = exact sequential path).  Fixpoints and statistics are
     /// identical at every width.
     pub fn with_threads(program: &Program, edb: &Database, threads: usize) -> Result<Self> {
-        let lowered = crate::lower::lower_strata(program)?;
+        let lowered = lower_strata(program, None)?;
         Ok(IncrementalEval {
             session: kbt_engine::IncrementalSession::with_threads(&lowered, edb, threads)?,
         })
@@ -314,47 +246,19 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_semi_naive_agree() {
-        for n in 2..7 {
-            let edb = chain_db(n);
-            let (naive, _) = naive_eval(&tc_program(), &edb).unwrap();
-            let (semi, _) = semi_naive_eval(&tc_program(), &edb).unwrap();
-            assert_eq!(naive, semi, "disagreement on chain of length {n}");
-        }
-    }
-
-    #[test]
-    fn engine_paths_match_the_reference_oracle_byte_for_byte() {
+    fn engine_matches_both_reference_oracles_byte_for_byte() {
         for n in 2..10 {
             let edb = chain_db(n);
             let (oracle, _) = reference_naive_eval(&tc_program(), &edb).unwrap();
             let (oracle_semi, _) = reference_semi_naive_eval(&tc_program(), &edb).unwrap();
-            let (naive, _) = naive_eval(&tc_program(), &edb).unwrap();
             let (semi, _) = semi_naive_eval(&tc_program(), &edb).unwrap();
             assert_eq!(oracle, oracle_semi);
-            assert_eq!(naive, oracle, "engine naive diverges on chain {n}");
-            assert_eq!(semi, oracle, "engine semi-naive diverges on chain {n}");
+            assert_eq!(semi, oracle, "the engine diverges on chain {n}");
         }
     }
 
     #[test]
-    fn semi_naive_does_less_work_on_long_chains() {
-        let edb = chain_db(12);
-        let (_, naive_stats) = naive_eval(&tc_program(), &edb).unwrap();
-        let (_, semi_stats) = semi_naive_eval(&tc_program(), &edb).unwrap();
-        assert_eq!(naive_stats.derived_facts, semi_stats.derived_facts);
-        // both need ~n iterations, but naive re-derives every fact each round
-        assert!(semi_stats.iterations >= 3);
-        assert!(
-            semi_stats.tuples_scanned < naive_stats.tuples_scanned,
-            "semi-naive ({}) must inspect fewer tuples than naive ({})",
-            semi_stats.tuples_scanned,
-            naive_stats.tuples_scanned
-        );
-    }
-
-    #[test]
-    fn stats_are_populated_per_stratum_by_both_evaluators() {
+    fn stats_are_populated_per_stratum() {
         // Two strata: TC in the first, a negation rule in the second.
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let reach = |a, b| DlAtom::new(r(2), vec![a, b]);
@@ -392,20 +296,16 @@ mod tests {
             .fact(r(1), [3u32, 4]);
         let edb = b.build().unwrap();
 
-        let (_, naive_stats) = naive_eval(&p, &edb).unwrap();
-        let (_, semi_stats) = semi_naive_eval(&p, &edb).unwrap();
-        for (name, stats) in [("naive", naive_stats), ("semi", semi_stats)] {
-            assert_eq!(stats.strata, 2, "{name} must report both strata");
-            // each stratum runs at least one round: iterations accumulate
-            // across strata rather than reporting only the last one.
-            assert!(
-                stats.iterations > stats.strata,
-                "{name} iterations ({}) must cover all strata",
-                stats.iterations
-            );
-            assert!(stats.index_probes > 0, "{name} must report its probes");
-        }
-        assert_eq!(naive_stats.derived_facts, semi_stats.derived_facts);
+        let (_, stats) = semi_naive_eval(&p, &edb).unwrap();
+        assert_eq!(stats.strata, 2, "both strata must be reported");
+        // each stratum runs at least one round: iterations accumulate
+        // across strata rather than reporting only the last one.
+        assert!(
+            stats.iterations > stats.strata,
+            "iterations ({}) must cover all strata",
+            stats.iterations
+        );
+        assert!(stats.index_probes > 0, "probes must be reported");
     }
 
     #[test]

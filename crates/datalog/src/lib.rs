@@ -17,10 +17,14 @@
 //! `kbt-data`.
 //!
 //! Evaluation is delegated to `kbt-engine` ([`lower`] maps the AST onto the
-//! engine's slot-based IR): [`semi_naive_eval`] runs delta-indexed
-//! semi-naive rounds over hash-indexed storage, [`naive_eval`] recomputes
-//! every round.  The original nested-loop evaluators survive unchanged in
-//! [`reference`](mod@reference) as an independent cross-check oracle.
+//! engine's slot-based IR).  The evaluator inventory is short on purpose:
+//! [`semi_naive_eval_threads`] (delta-indexed semi-naive rounds over
+//! hash-indexed storage; [`semi_naive_eval_viewed`] is the same run observed
+//! as an `EXPLAIN` or a `PROFILE`) and the delta-driven [`IncrementalEval`]
+//! session are the engine; the original nested-loop
+//! [`reference_naive_eval`] / [`reference_semi_naive_eval`] survive
+//! unchanged in [`reference`](mod@reference) as the independent oracles the
+//! differential tests hold the engine to.
 
 pub mod adorn;
 pub mod ast;
@@ -36,15 +40,12 @@ pub use adorn::{adorn_program, AdornedProgram, Adornment};
 pub use ast::{DlAtom, Literal, Program, Rule};
 pub use error::DatalogError;
 pub use eval::{
-    explain_plans, idb_only, naive_eval, naive_eval_threads, semi_naive_eval,
-    semi_naive_eval_profiled, semi_naive_eval_threads, EvalStats, IncrementalEval,
+    idb_only, semi_naive_eval, semi_naive_eval_threads, semi_naive_eval_viewed, EvalStats,
+    IncrementalEval,
 };
 pub use from_logic::{program_from_horn, program_from_sentence};
-pub use kbt_engine::RuleProfile;
-pub use lower::{
-    lower_program, lower_program_named, lower_rule, lower_rule_named, lower_strata,
-    lower_strata_named, render_rule,
-};
+pub use kbt_engine::{RuleProfile, View};
+pub use lower::{lower_program, lower_rule, lower_strata, render_rule};
 pub use magic::{magic_rewrite, MagicName, MagicPlan};
 pub use reference::{reference_naive_eval, reference_semi_naive_eval};
 pub use stratify::stratify;

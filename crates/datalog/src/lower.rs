@@ -5,6 +5,11 @@
 //! of first occurrence and hands the result to the engine, which re-checks
 //! range restriction as a defence in depth (the `Program` constructor
 //! already guarantees it).
+//!
+//! Every lowering takes an optional *namer*: with one, each lowered rule
+//! carries [`render_rule`]'s text as its [`ir::Rule::name`], so engine
+//! plans and profiles speak the user's vocabulary; without one the rules
+//! are anonymous.  Provenance is never consulted by evaluation.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +21,7 @@ use crate::ast::{DlAtom, Program, Rule};
 use crate::Result;
 
 /// Lowers a single rule, assigning slots by first occurrence.
-pub fn lower_rule(rule: &Rule) -> Result<ir::Rule> {
+pub fn lower_rule(rule: &Rule, namer: Option<&dyn Fn(RelId) -> String>) -> Result<ir::Rule> {
     let mut slots: BTreeMap<Var, usize> = BTreeMap::new();
     let mut slot_of = |v: Var| {
         let next = slots.len();
@@ -47,12 +52,15 @@ pub fn lower_rule(rule: &Rule) -> Result<ir::Rule> {
         })
         .collect();
     let head = ir::Atom::new(rule.head.rel, lower_terms(&rule.head.terms, &mut slot_of));
-    ir::Rule::new(head, body).map_err(Into::into)
+    let lowered = ir::Rule::new(head, body)?;
+    Ok(match namer {
+        Some(namer) => lowered.with_name(render_rule(rule, namer)),
+        None => lowered,
+    })
 }
 
-/// Renders `rule` with relation names from `namer` — the source text the
-/// named lowering attaches as provenance, so engine plans and profiles
-/// speak the user's vocabulary instead of raw relation ids.
+/// Renders `rule` with relation names from `namer` — the source text a
+/// lowering with a namer attaches as provenance.
 pub fn render_rule(rule: &Rule, namer: &dyn Fn(RelId) -> String) -> String {
     let app = |atom: &DlAtom| {
         let args: Vec<String> = atom.terms.iter().map(|t| t.to_string()).collect();
@@ -75,56 +83,31 @@ pub fn render_rule(rule: &Rule, namer: &dyn Fn(RelId) -> String) -> String {
     out
 }
 
-/// [`lower_rule`] with provenance: the lowered rule carries
-/// [`render_rule`]'s text as its [`ir::Rule::name`].
-pub fn lower_rule_named(rule: &Rule, namer: &dyn Fn(RelId) -> String) -> Result<ir::Rule> {
-    Ok(lower_rule(rule)?.with_name(render_rule(rule, namer)))
-}
-
-/// [`lower_program`] with provenance on every rule.
-pub fn lower_program_named(
+/// Lowers a whole program (typically one stratum).
+pub fn lower_program(
     program: &Program,
-    namer: &dyn Fn(RelId) -> String,
+    namer: Option<&dyn Fn(RelId) -> String>,
 ) -> Result<ir::Program> {
     Ok(ir::Program::new(
         program
             .rules()
             .iter()
-            .map(|rule| lower_rule_named(rule, namer))
-            .collect::<Result<Vec<_>>>()?,
-    ))
-}
-
-/// [`lower_strata`] with provenance on every rule.
-pub fn lower_strata_named(
-    program: &Program,
-    namer: &dyn Fn(RelId) -> String,
-) -> Result<Vec<ir::Program>> {
-    crate::stratify::stratify(program)?
-        .iter()
-        .map(|stratum| lower_program_named(stratum, namer))
-        .collect()
-}
-
-/// Lowers a whole program (typically one stratum).
-pub fn lower_program(program: &Program) -> Result<ir::Program> {
-    Ok(ir::Program::new(
-        program
-            .rules()
-            .iter()
-            .map(lower_rule)
+            .map(|rule| lower_rule(rule, namer))
             .collect::<Result<Vec<_>>>()?,
     ))
 }
 
 /// Stratifies `program` and lowers every stratum: the entry point shared by
-/// the one-shot evaluators and the delta-driven
+/// the one-shot evaluator and the delta-driven
 /// [`IncrementalEval`](crate::eval::IncrementalEval) session, which hands
 /// the result straight to [`kbt_engine::IncrementalSession`].
-pub fn lower_strata(program: &Program) -> Result<Vec<ir::Program>> {
+pub fn lower_strata(
+    program: &Program,
+    namer: Option<&dyn Fn(RelId) -> String>,
+) -> Result<Vec<ir::Program>> {
     crate::stratify::stratify(program)?
         .iter()
-        .map(lower_program)
+        .map(|stratum| lower_program(stratum, namer))
         .collect()
 }
 
@@ -149,7 +132,7 @@ mod tests {
                 Literal::positive(DlAtom::new(r(1), vec![var(5), var(3)])),
             ],
         );
-        let lowered = lower_rule(&rule).unwrap();
+        let lowered = lower_rule(&rule, None).unwrap();
         assert_eq!(lowered.slots, 3);
         assert_eq!(
             lowered.body[0].atom.terms,
@@ -171,7 +154,7 @@ mod tests {
             DlAtom::new(r(3), vec![var(1)]),
             vec![Literal::positive(DlAtom::new(r(1), vec![cst(1), var(1)]))],
         );
-        let lowered = lower_rule(&rule).unwrap();
+        let lowered = lower_rule(&rule, None).unwrap();
         assert_eq!(
             lowered.body[0].atom.terms,
             vec![ir::Term::Const(kbt_data::Const::new(1)), ir::Term::Slot(0)]
@@ -187,8 +170,11 @@ mod tests {
                 Literal::negative(DlAtom::new(r(2), vec![var(1)])),
             ],
         );
-        let lowered = lower_rule(&rule).unwrap();
+        let lowered = lower_rule(&rule, None).unwrap();
         assert!(lowered.body[0].positive);
         assert!(!lowered.body[1].positive);
+        assert_eq!(lowered.name, None);
+        let named = lower_rule(&rule, Some(&|rel| format!("r{}", rel.index()))).unwrap();
+        assert_eq!(named.name.as_deref(), Some("r4(x1) :- r3(x1), ~r2(x1)."));
     }
 }

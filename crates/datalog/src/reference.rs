@@ -49,15 +49,15 @@ fn eval_with(program: &Program, edb: &Database, semi_naive: bool) -> Result<(Dat
     for stratum in &strata {
         stats.strata += 1;
         if semi_naive {
-            eval_stratum_semi_naive(stratum, &mut db, &mut stats);
+            semi_naive_stratum(stratum, &mut db, &mut stats);
         } else {
-            eval_stratum_naive(stratum, &mut db, &mut stats);
+            naive_stratum(stratum, &mut db, &mut stats);
         }
     }
     Ok((db, stats))
 }
 
-fn eval_stratum_naive(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
     loop {
         stats.iterations += 1;
         let mut new_facts: Vec<(kbt_data::RelId, Tuple)> = Vec::new();
@@ -79,7 +79,7 @@ fn eval_stratum_naive(stratum: &Program, db: &mut Database, stats: &mut EvalStat
     }
 }
 
-fn eval_stratum_semi_naive(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn semi_naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
     // round 0: plain naive round to seed the deltas
     let mut delta: BTreeMap<kbt_data::RelId, BTreeSet<Tuple>> = BTreeMap::new();
     stats.iterations += 1;

@@ -1,5 +1,6 @@
-//! The fixpoint driver: naive and delta-aware semi-naive evaluation over
-//! indexed storage, sequential or parallel.
+//! The fixpoint driver: delta-aware semi-naive evaluation over indexed
+//! storage, sequential or parallel, optionally observed through a
+//! [`View`].
 //!
 //! The caller supplies pre-stratified programs (`kbt-datalog` stratifies and
 //! lowers); each stratum is run to its least fixpoint before the next one
@@ -19,8 +20,8 @@
 //!
 //! Within one fixpoint round every (rule, plan) pair reads the storage and
 //! writes only to a pending-facts buffer, so rounds are embarrassingly
-//! parallel.  [`EngineOptions::threads`] > 1 fans a round out over the
-//! `kbt-par` pool:
+//! parallel.  A width (`threads`, see [`evaluate`]) above 1 fans a round
+//! out over the `kbt-par` pool:
 //!
 //! 1. the round's plans are decomposed into `RoundTask`s — a plan led by a
 //!    scan contributes one task per *chunk* of the scanned relation's tuple
@@ -40,6 +41,7 @@
 //! overhead would dominate); that cutoff cannot be observed in the results
 //! either.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -51,69 +53,37 @@ use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
 use crate::ir::{Program, Term};
 use crate::plan::{JoinPlan, PlannedRule, Source, Step};
+use crate::profile::{RoundObserver, View};
 use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::Result;
 
-/// How the fixpoint is computed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Recompute every rule against the full storage each round.  Still uses
-    /// index probes within a round; used as a cross-check and for measuring
-    /// what semi-naive evaluation saves.
-    Naive,
-    /// Delta-aware semi-naive: after the seeding round, only rule variants
-    /// driven by the previous round's delta run.
-    #[default]
-    SemiNaive,
-}
-
-/// Options for one [`evaluate_with`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// How the fixpoint is computed.
-    pub mode: EvalMode,
-    /// Evaluation width: `0` uses the process default
-    /// ([`kbt_par::default_threads`] — the `KBT_THREADS` environment
-    /// variable, else the machine's available parallelism), `1` is the exact
-    /// sequential path, anything larger fans the rounds out over the
-    /// `kbt-par` pool.  Results and statistics are identical at every width.
-    pub threads: usize,
-}
-
-impl EngineOptions {
-    /// Options with the given width and the default (semi-naive) mode.
-    pub fn threads(threads: usize) -> Self {
-        EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        }
-    }
-}
-
-/// Computes the least fixpoint of the stratified program over `edb`.
+/// Computes the least fixpoint of the stratified program over `edb` — the
+/// engine's one evaluation entry.
 ///
 /// Every relation mentioned by any stratum is materialised (empty if absent
 /// from `edb`); the result contains the EDB unchanged plus the derived
-/// facts.  Runs at the process-default width (see [`EngineOptions::threads`];
-/// use [`evaluate_with`] for explicit control).
+/// facts.  `threads` is the evaluation width: `0` uses the process default
+/// ([`kbt_par::default_threads`] — the `KBT_THREADS` environment variable,
+/// else the machine's available parallelism), `1` is the exact sequential
+/// path, anything larger fans the rounds out over the `kbt-par` pool;
+/// results and statistics are identical at every width.  `view` selects
+/// what is recorded on the way (see
+/// [`crate::profile`]): `None` records nothing; a profiling view gets one
+/// [`crate::RuleProfile`] per planned rule, filled in by the round
+/// observer; a plan-only view gets the same rows zeroed and the rounds are
+/// **skipped** — the returned database is then the un-evaluated storage
+/// and the statistics are all zero.
 pub fn evaluate(
     strata: &[Program],
     edb: &Database,
-    mode: EvalMode,
+    threads: usize,
+    mut view: Option<&mut View<'_>>,
 ) -> Result<(Database, EngineStats)> {
-    evaluate_with(strata, edb, EngineOptions { mode, threads: 0 })
-}
-
-/// [`evaluate`] with explicit [`EngineOptions`].
-pub fn evaluate_with(
-    strata: &[Program],
-    edb: &Database,
-    options: EngineOptions,
-) -> Result<(Database, EngineStats)> {
+    let runs = view.as_ref().is_none_or(|v| v.runs());
     let metrics = crate::metrics::metrics();
-    let _eval_span = metrics.eval_ns.span();
-    let width = kbt_par::resolve_threads(options.threads);
+    let _eval_span = runs.then(|| metrics.eval_ns.span());
+    let width = kbt_par::resolve_threads(threads);
     let mut storage = IndexStorage::from_database(edb);
     for program in strata {
         for (rel, arity) in program.relation_arities() {
@@ -122,18 +92,18 @@ pub fn evaluate_with(
     }
 
     let mut stats = EngineStats::default();
-    for program in strata {
-        stats.strata += 1;
+    for (stratum, program) in strata.iter().enumerate() {
         let planned = plan_stratum(program, &mut storage, &program.idb_relations());
-        match options.mode {
-            EvalMode::Naive => eval_stratum_naive(&planned, &mut storage, &mut stats, width),
-            EvalMode::SemiNaive => {
-                eval_stratum_semi_naive(&planned, &mut storage, &mut stats, width)
-            }
+        let mut observer = view.as_deref_mut().map(|v| v.observe(stratum, &planned));
+        if runs {
+            stats.strata += 1;
+            eval_stratum(&planned, &mut storage, &mut stats, width, observer.as_mut());
         }
     }
-    metrics.evals_total.inc();
-    metrics.absorb_stats(&stats);
+    if runs {
+        metrics.evals_total.inc();
+        metrics.absorb_stats(&stats);
+    }
     Ok((storage.to_database(), stats))
 }
 
@@ -421,16 +391,7 @@ where
         let mut pending = Pending::new();
         for (part, local) in results {
             stats.absorb(&local);
-            for (rel, rows) in part {
-                match pending.entry(rel) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(rows);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut().absorb(rows);
-                    }
-                }
-            }
+            absorb_pending(&mut pending, part);
         }
         pending
     };
@@ -440,38 +401,50 @@ where
     pending
 }
 
-/// [`run_round_with`] specialised to the fixpoint filter: keep facts not yet
-/// in storage.
+/// Folds one part of a round's derivations into `into` (same relation, so
+/// same arity; canonicalise afterwards).
+fn absorb_pending(into: &mut Pending, part: Pending) {
+    for (rel, rows) in part {
+        match into.entry(rel) {
+            Entry::Vacant(v) => {
+                v.insert(rows);
+            }
+            Entry::Occupied(mut o) => o.get_mut().absorb(rows),
+        }
+    }
+}
+
+/// One fixpoint round: [`run_round_with`] under the fixpoint filter (keep
+/// facts not yet in storage).  Unobserved, the plans run as one batch.
+/// Observed, the same plans run one execution at a time against the same
+/// unchanged storage with the same filter, the observer reading clock and
+/// counters **between** executions, and the parts are merged into the
+/// canonical union the batch would have produced — so observation never
+/// changes the pending set or the counters (see [`crate::profile`]).
 fn run_round(
     plans: &[(&PlannedRule, &JoinPlan)],
     storage: &IndexStorage,
     deltas: &Deltas,
     stats: &mut EngineStats,
     width: usize,
+    observer: Option<&mut RoundObserver<'_>>,
 ) -> Pending {
-    run_round_with(plans, storage, deltas, stats, width, &|rel, row| {
-        !storage.holds_row(rel, row)
-    })
-}
-
-pub(crate) fn eval_stratum_naive(
-    rules: &[PlannedRule],
-    storage: &mut IndexStorage,
-    stats: &mut EngineStats,
-    width: usize,
-) {
-    let no_deltas = Deltas::new();
-    let plans: Vec<(&PlannedRule, &JoinPlan)> = rules.iter().map(|r| (r, &r.full)).collect();
-    let round_ns = &crate::metrics::metrics().round_ns;
-    loop {
-        stats.iterations += 1;
-        let _round_span = round_ns.span();
-        let pending = run_round(&plans, storage, &no_deltas, stats, width);
-        if pending.is_empty() {
-            break;
-        }
-        commit(storage, pending, stats);
+    let keep = |rel: RelId, row: &[Const]| !storage.holds_row(rel, row);
+    let Some(observer) = observer else {
+        return run_round_with(plans, storage, deltas, stats, width, &keep);
+    };
+    observer.begin_round();
+    let mut pending = Pending::new();
+    for &(rule, plan) in plans {
+        let part = observer.observe_plan(rule, stats, |stats| {
+            run_round_with(&[(rule, plan)], storage, deltas, stats, width, &keep)
+        });
+        absorb_pending(&mut pending, part);
     }
+    for rows in pending.values_mut() {
+        rows.sort_dedup();
+    }
+    pending
 }
 
 /// The delta-variant plans whose driving delta is non-empty this round.
@@ -490,28 +463,36 @@ pub(crate) fn delta_plans<'a>(
         .collect()
 }
 
-pub(crate) fn eval_stratum_semi_naive(
+/// Runs one planned stratum to its least fixpoint — the engine's one
+/// commit-until-the-delta-is-empty loop.  The seeding round runs every
+/// rule's full plan; each later round runs only the delta variants driven
+/// by the facts the previous round committed.
+pub(crate) fn eval_stratum(
     rules: &[PlannedRule],
     storage: &mut IndexStorage,
     stats: &mut EngineStats,
     width: usize,
+    mut observer: Option<&mut RoundObserver<'_>>,
 ) {
     let round_ns = &crate::metrics::metrics().round_ns;
-    // Seeding round: one full evaluation populates the first delta.
-    stats.iterations += 1;
-    let no_deltas = Deltas::new();
-    let plans: Vec<(&PlannedRule, &JoinPlan)> = rules.iter().map(|r| (r, &r.full)).collect();
-    let seed_span = round_ns.span();
-    let pending = run_round(&plans, storage, &no_deltas, stats, width);
-    let mut delta = commit(storage, pending, stats);
-    drop(seed_span);
-
-    while !delta.is_empty() {
+    let mut plans: Vec<(&PlannedRule, &JoinPlan)> = rules.iter().map(|r| (r, &r.full)).collect();
+    let mut delta = Deltas::new();
+    loop {
         stats.iterations += 1;
         let _round_span = round_ns.span();
-        let plans = delta_plans(rules, &delta);
-        let pending = run_round(&plans, storage, &delta, stats, width);
+        let pending = run_round(
+            &plans,
+            storage,
+            &delta,
+            stats,
+            width,
+            observer.as_deref_mut(),
+        );
         delta = commit(storage, pending, stats);
+        if delta.is_empty() {
+            break;
+        }
+        plans = delta_plans(rules, &delta);
     }
 }
 
@@ -821,6 +802,10 @@ mod tests {
         ])
     }
 
+    fn eval(strata: &[Program], edb: &Database, threads: usize) -> (Database, EngineStats) {
+        evaluate(strata, edb, threads, None).unwrap()
+    }
+
     fn chain_db(n: u32) -> Database {
         let mut b = DatabaseBuilder::new().relation(r(1), 2);
         for i in 1..n {
@@ -830,32 +815,14 @@ mod tests {
     }
 
     #[test]
-    fn transitive_closure_both_modes() {
-        let edb = chain_db(6);
-        for mode in [EvalMode::Naive, EvalMode::SemiNaive] {
-            let (fix, stats) = evaluate(&[tc_program()], &edb, mode).unwrap();
-            assert_eq!(fix.relation(r(2)).unwrap().len(), 15, "mode {mode:?}");
-            assert!(fix.holds(r(2), &tuple![1, 6]));
-            assert!(!fix.holds(r(2), &tuple![6, 1]));
-            assert_eq!(stats.derived_facts, 15);
-            assert_eq!(stats.strata, 1);
-            assert!(stats.index_probes > 0);
-        }
-    }
-
-    #[test]
-    fn modes_agree_and_semi_naive_scans_less() {
-        let edb = chain_db(14);
-        let (naive, naive_stats) = evaluate(&[tc_program()], &edb, EvalMode::Naive).unwrap();
-        let (semi, semi_stats) = evaluate(&[tc_program()], &edb, EvalMode::SemiNaive).unwrap();
-        assert_eq!(naive, semi);
-        assert_eq!(naive_stats.derived_facts, semi_stats.derived_facts);
-        assert!(
-            semi_stats.tuples_scanned < naive_stats.tuples_scanned,
-            "semi-naive ({}) must scan fewer tuples than naive ({})",
-            semi_stats.tuples_scanned,
-            naive_stats.tuples_scanned
-        );
+    fn transitive_closure_of_a_chain() {
+        let (fix, stats) = eval(&[tc_program()], &chain_db(6), 0);
+        assert_eq!(fix.relation(r(2)).unwrap().len(), 15);
+        assert!(fix.holds(r(2), &tuple![1, 6]));
+        assert!(!fix.holds(r(2), &tuple![6, 1]));
+        assert_eq!(stats.derived_facts, 15);
+        assert_eq!(stats.strata, 1);
+        assert!(stats.index_probes > 0);
     }
 
     #[test]
@@ -894,13 +861,11 @@ mod tests {
         b = b.fact(r(1), [1u32, 2]).fact(r(1), [2u32, 3]);
         let edb = b.build().unwrap();
 
-        for mode in [EvalMode::Naive, EvalMode::SemiNaive] {
-            let (fix, stats) = evaluate(&[stratum0.clone(), stratum1.clone()], &edb, mode).unwrap();
-            assert_eq!(fix.relation(r(4)).unwrap().len(), 6, "mode {mode:?}");
-            assert!(fix.holds(r(4), &tuple![3, 1]));
-            assert!(!fix.holds(r(4), &tuple![1, 3]));
-            assert_eq!(stats.strata, 2);
-        }
+        let (fix, stats) = eval(&[stratum0, stratum1], &edb, 0);
+        assert_eq!(fix.relation(r(4)).unwrap().len(), 6);
+        assert!(fix.holds(r(4), &tuple![3, 1]));
+        assert!(!fix.holds(r(4), &tuple![1, 3]));
+        assert_eq!(stats.strata, 2);
     }
 
     #[test]
@@ -918,7 +883,7 @@ mod tests {
             Rule::new(Atom::new(r(4), vec![Term::Const(Const::new(7))]), vec![]).unwrap(),
         ]);
         let edb = chain_db(4);
-        let (fix, _) = evaluate(&[program], &edb, EvalMode::SemiNaive).unwrap();
+        let (fix, _) = eval(&[program], &edb, 0);
         assert!(fix.holds(r(3), &tuple![2]));
         assert!(!fix.holds(r(3), &tuple![3]));
         assert!(fix.holds(r(4), &tuple![7]));
@@ -938,7 +903,7 @@ mod tests {
             .fact(r(1), [2u32, 2])
             .fact(r(1), [3u32, 3]);
         let edb = b.build().unwrap();
-        let (fix, _) = evaluate(&[program], &edb, EvalMode::SemiNaive).unwrap();
+        let (fix, _) = eval(&[program], &edb, 0);
         assert_eq!(fix.relation(r(3)).unwrap().len(), 2);
         assert!(fix.holds(r(3), &tuple![2]));
         assert!(fix.holds(r(3), &tuple![3]));
@@ -966,12 +931,10 @@ mod tests {
             .fact(r(3), [4u32, 5, 8])
             .build()
             .unwrap();
-        for mode in [EvalMode::Naive, EvalMode::SemiNaive] {
-            let (fix, _) = evaluate(std::slice::from_ref(&program), &edb, mode).unwrap();
-            assert_eq!(fix.relation(r(5)).unwrap().len(), 1, "mode {mode:?}");
-            assert!(fix.holds(r(5), &tuple![1, 2, 3, 7]));
-            assert!(!fix.holds(r(5), &tuple![4, 5, 6, 8]), "negated by g3");
-        }
+        let (fix, _) = eval(&[program], &edb, 0);
+        assert_eq!(fix.relation(r(5)).unwrap().len(), 1);
+        assert!(fix.holds(r(5), &tuple![1, 2, 3, 7]));
+        assert!(!fix.holds(r(5), &tuple![4, 5, 6, 8]), "negated by g3");
     }
 
     /// `chains` disjoint chains of `len` edges each — enough driving tuples
@@ -990,18 +953,11 @@ mod tests {
     #[test]
     fn parallel_widths_match_sequential_bytes_and_stats() {
         let edb = braid_db(40, 16);
-        for mode in [EvalMode::Naive, EvalMode::SemiNaive] {
-            let (seq, seq_stats) =
-                evaluate_with(&[tc_program()], &edb, EngineOptions { mode, threads: 1 }).unwrap();
-            for threads in [2, 4] {
-                let (par, par_stats) =
-                    evaluate_with(&[tc_program()], &edb, EngineOptions { mode, threads }).unwrap();
-                assert_eq!(seq, par, "fixpoint diverges at width {threads} ({mode:?})");
-                assert_eq!(
-                    seq_stats, par_stats,
-                    "stats diverge at width {threads} ({mode:?})"
-                );
-            }
+        let (seq, seq_stats) = eval(&[tc_program()], &edb, 1);
+        for threads in [2, 4] {
+            let (par, par_stats) = eval(&[tc_program()], &edb, threads);
+            assert_eq!(seq, par, "fixpoint diverges at width {threads}");
+            assert_eq!(seq_stats, par_stats, "stats diverge at width {threads}");
         }
     }
 
@@ -1009,24 +965,8 @@ mod tests {
     fn small_rounds_stay_sequential_but_identical() {
         // far below the fan-out threshold: the cutoff must not be observable
         let edb = chain_db(8);
-        let (seq, seq_stats) = evaluate_with(
-            &[tc_program()],
-            &edb,
-            EngineOptions {
-                mode: EvalMode::SemiNaive,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        let (par, par_stats) = evaluate_with(
-            &[tc_program()],
-            &edb,
-            EngineOptions {
-                mode: EvalMode::SemiNaive,
-                threads: 4,
-            },
-        )
-        .unwrap();
+        let (seq, seq_stats) = eval(&[tc_program()], &edb, 1);
+        let (par, par_stats) = eval(&[tc_program()], &edb, 4);
         assert_eq!(seq, par);
         assert_eq!(seq_stats, par_stats);
     }
@@ -1034,7 +974,7 @@ mod tests {
     #[test]
     fn empty_edb_yields_empty_idb() {
         let edb = DatabaseBuilder::new().relation(r(1), 2).build().unwrap();
-        let (fix, stats) = evaluate(&[tc_program()], &edb, EvalMode::SemiNaive).unwrap();
+        let (fix, stats) = eval(&[tc_program()], &edb, 0);
         assert!(fix.relation(r(2)).unwrap().is_empty());
         assert_eq!(stats.derived_facts, 0);
     }
@@ -1056,7 +996,7 @@ mod tests {
             .fact(r(2), [8u32])
             .build()
             .unwrap();
-        let (fix, _) = evaluate(&[program], &edb, EvalMode::SemiNaive).unwrap();
+        let (fix, _) = eval(&[program], &edb, 0);
         assert_eq!(fix.relation(r(3)).unwrap().len(), 2);
         assert!(fix.holds(r(3), &tuple![2, 8]));
     }

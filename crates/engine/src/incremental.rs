@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use kbt_data::{Const, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    bound_cols_match, commit, delta_plans, eval_stratum_semi_naive, match_cols, member_holds,
+    bound_cols_match, commit, delta_plans, eval_stratum, match_cols, member_holds,
     member_holds_cols, run_round_with, Deltas,
 };
 use crate::fx::{key_is_exact, KeyAcc};
@@ -75,7 +75,7 @@ pub struct IncrementalSession {
     protected: BTreeMap<RelId, Relation>,
     storage: IndexStorage,
     totals: EngineStats,
-    /// Resolved evaluation width (see [`crate::EngineOptions::threads`]);
+    /// Resolved evaluation width (see [`crate::evaluate`]);
     /// every maintenance call — initial evaluation, propagation rounds,
     /// overdeletion, fallback recomputation — runs at this width.
     width: usize,
@@ -83,8 +83,8 @@ pub struct IncrementalSession {
 
 impl IncrementalSession {
     /// Builds a session by fully evaluating the pre-stratified `strata` over
-    /// `edb` (the same computation as [`crate::evaluate`] in semi-naive
-    /// mode), at the process-default width.  The statistics of this initial
+    /// `edb` (the same computation as [`crate::evaluate`]), at the
+    /// process-default width.  The statistics of this initial
     /// evaluation are available through [`Self::stats`].
     pub fn new(strata: &[Program], edb: &Database) -> Result<Self> {
         IncrementalSession::with_threads(strata, edb, 0)
@@ -126,7 +126,7 @@ impl IncrementalSession {
                 }
             }
             let rules = crate::eval::plan_stratum(program, &mut storage, &eligible);
-            eval_stratum_semi_naive(&rules, &mut storage, &mut stats, width);
+            eval_stratum(&rules, &mut storage, &mut stats, width, None);
 
             let neg_rels = program
                 .rules
@@ -369,7 +369,13 @@ impl IncrementalSession {
                 }
             }
             let stratum = &self.strata[k];
-            eval_stratum_semi_naive(&stratum.rules, &mut self.storage, &mut stats, self.width);
+            eval_stratum(
+                &stratum.rules,
+                &mut self.storage,
+                &mut stats,
+                self.width,
+                None,
+            );
             for (rel, old) in olds {
                 let new = self.storage.relation(rel).expect("relation ensured");
                 stats.rederived_facts += old.iter().filter(|row| new.contains_row(row)).count();
@@ -562,7 +568,7 @@ fn satisfiable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, EvalMode};
+    use crate::eval::evaluate;
     use crate::ir::{Atom, Literal, Rule};
     use kbt_data::{tuple, DatabaseBuilder};
 
@@ -603,7 +609,7 @@ mod tests {
 
     /// The from-scratch fixpoint the session must stay byte-identical to.
     fn from_scratch(strata: &[Program], edb: &Database) -> Database {
-        evaluate(strata, edb, EvalMode::SemiNaive).unwrap().0
+        evaluate(strata, edb, 0, None).unwrap().0
     }
 
     #[test]

@@ -20,13 +20,19 @@
 //!   count and compiles every rule into a sequence of index probes instead
 //!   of full scans;
 //! * [`eval`] — a delta-aware semi-naive driver (stratified negation
-//!   preserved) maintaining `full`/`delta` relation pairs, plus a naive
-//!   recompute-everything mode used as a cross-check;
+//!   preserved) maintaining `full`/`delta` relation pairs;
 //! * [`EngineStats`] — iterations, derived facts, index probes and tuples
 //!   scanned, so callers and benchmarks can see the work performed.
 //!
-//! Rounds can run **in parallel**: [`EngineOptions::threads`] fans the
-//! independent (rule, plan) derivations of a round — chunked over each
+//! There are exactly two evaluators here: the one-shot [`evaluate`] — one
+//! entry, one stratum loop, optionally observed through a [`View`] that
+//! turns the same run into an `EXPLAIN` or a `PROFILE` (see [`profile`]) —
+//! and the delta-driven [`IncrementalSession`] built on the same round
+//! driver.  The independent oracles they are tested against (naive and
+//! semi-naive nested-loop evaluators) live in `kbt_datalog::reference`.
+//!
+//! Rounds can run **in parallel**: a width above 1 (see [`evaluate`]) fans
+//! the independent (rule, plan) derivations of a round — chunked over each
 //! plan's driving scan — out over the vendored `kbt-par` work-sharing pool.
 //! Each worker derives into a private buffer merged in stable task order, so
 //! fixpoints *and statistics* are byte-identical at every width; `threads =
@@ -85,12 +91,12 @@ pub mod storage;
 pub mod table;
 
 pub use error::EngineError;
-pub use eval::{evaluate, evaluate_with, EngineOptions, EvalMode};
+pub use eval::evaluate;
 pub use fx::{FxBuild, FxHasher, KeyAcc, PACK_MAX};
 pub use incremental::IncrementalSession;
 pub use index::{IndexedRelation, Mask};
 pub use metrics::{metrics, EngineMetrics};
-pub use profile::{evaluate_profiled, explain, RuleProfile};
+pub use profile::{RuleProfile, View};
 pub use stats::EngineStats;
 pub use storage::{FactSet, IndexStorage};
 pub use table::SubsumptiveTable;

@@ -1,48 +1,49 @@
-//! Per-rule fixpoint profiling and plan explanation.
+//! Views of one evaluation: the plans it runs and each rule's share of the
+//! work.
 //!
-//! [`evaluate_profiled`] is [`crate::evaluate_with`] plus a
-//! [`RuleProfile`] per planned rule: how many rounds the rule ran in, how
-//! many new facts, index probes and scanned tuples it accounted for, and
-//! its wall-clock time — all gathered **around** the round driver, never
-//! inside the zero-allocation join loops.  [`explain`] renders the plans
-//! without evaluating anything.
+//! [`crate::evaluate`] is the engine's only evaluation path; a [`View`]
+//! passed to it selects what that path records on the way.  No view:
+//! nothing (the answer).  [`View::profile`]: one [`RuleProfile`] per
+//! planned rule — its plan rendering, the rounds it ran in, the new facts,
+//! index probes and scanned tuples it accounted for, and its wall-clock
+//! time.  [`View::explain`]: the same rows with the plan rendering only,
+//! and the fixpoint rounds are skipped.  All three plan every stratum
+//! through the same planner call in the same entry, so what `EXPLAIN`
+//! shows is what `QUERY` runs and what `PROFILE` measures.
 //!
 //! ## Determinism contract
 //!
-//! Profiling must never perturb evaluation.  A profiled round runs the
-//! same `(rule, plan)` pairs the unprofiled round would, one pair at a
-//! time through the same `run_round_with` driver with the
-//! same keep-filter, and merges the per-rule pending sets into the same
-//! canonical (sorted, deduplicated) union before the single per-round
-//! commit.  Every plan still executes exactly once per round against
-//! unchanged storage, so the fixpoint, the resulting [`Database`] and
-//! every [`EngineStats`] counter are byte-identical to the unprofiled
-//! path at every thread width — `tests/profile_differential.rs` pins
-//! this.  The only additions are `Instant` reads and counter snapshots
-//! between plan executions, and an off-hot-path attribution pass over the
-//! pending rows before each commit.
+//! Observation must never perturb evaluation.  The observer is called
+//! **between plan executions of the one round driver** (`run_round` in
+//! [`crate::eval`]), never inside the zero-allocation join loops: an
+//! observed round runs the same `(rule, plan)` pairs the unobserved round
+//! batches, one pair at a time through the same `run_round_with` with the
+//! same keep-filter against unchanged storage, and merges the per-plan
+//! pending sets into the same canonical (sorted, deduplicated) union before
+//! the single per-round commit.  So the fixpoint, the resulting database
+//! and every [`EngineStats`] counter are byte-identical to the unobserved
+//! run at every thread width — `tests/profile_differential.rs` pins this.
+//! The only additions are `Instant` reads, counter differences and an
+//! attribution pass over each plan's pending rows.
 //!
 //! ## Explanation caveat
 //!
-//! [`explain`] plans every stratum against the **un-evaluated** storage:
-//! relation cardinalities seen by the planner reflect the EDB only, so
-//! for later strata the greedy size-based tie-breaks may differ from the
-//! plans a real evaluation (which plans each stratum after the previous
-//! ones ran) would choose.  The rendering is still the faithful plan for
-//! the shown sizes, and for single-stratum programs — every `τ_φ`
+//! A plan-only view plans every stratum against the **un-evaluated**
+//! storage: relation cardinalities seen by the planner reflect the EDB
+//! only, so for later strata the greedy size-based tie-breaks may differ
+//! from the plans a real evaluation (which plans each stratum after the
+//! previous ones ran) would choose.  The rendering is still the faithful
+//! plan for the shown sizes, and for single-stratum programs — every `τ_φ`
 //! lowering — it is exact.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use kbt_data::{Const, Database, RelId};
+use kbt_data::{Const, RelId};
 
-use crate::eval::{commit, plan_stratum, run_round_with, Deltas, Pending};
-use crate::ir::Program;
-use crate::plan::{JoinPlan, PlannedRule};
+use crate::eval::Pending;
+use crate::plan::PlannedRule;
 use crate::stats::EngineStats;
-use crate::storage::IndexStorage;
-use crate::{EngineOptions, EvalMode, Result};
 
 /// One rule's share of a fixpoint evaluation.
 ///
@@ -92,206 +93,127 @@ impl RuleProfile {
     }
 }
 
-/// [`crate::evaluate_with`] with per-rule profiling.  Returns the same
-/// database and stats the unprofiled evaluation returns (see the module
-/// docs for why), plus one [`RuleProfile`] per planned rule in stratum
-/// order then rule order.  `namer` maps relation ids into the caller's
-/// vocabulary for the rendered rule and plan texts.
-pub fn evaluate_profiled(
-    strata: &[Program],
-    edb: &Database,
-    options: EngineOptions,
-    namer: &dyn Fn(RelId) -> String,
-) -> Result<(Database, EngineStats, Vec<RuleProfile>)> {
-    let metrics = crate::metrics::metrics();
-    let _eval_span = metrics.eval_ns.span();
-    let width = kbt_par::resolve_threads(options.threads);
-    let mut storage = IndexStorage::from_database(edb);
-    for program in strata {
-        for (rel, arity) in program.relation_arities() {
-            storage.ensure_relation(rel, arity)?;
-        }
-    }
-
-    let mut stats = EngineStats::default();
-    let mut profiles = Vec::new();
-    for (stratum, program) in strata.iter().enumerate() {
-        stats.strata += 1;
-        let planned = plan_stratum(program, &mut storage, &program.idb_relations());
-        let mut rows: Vec<RuleProfile> = planned
-            .iter()
-            .map(|rule| RuleProfile::new(rule, stratum, namer))
-            .collect();
-        match options.mode {
-            EvalMode::Naive => {
-                profiled_stratum_naive(&planned, &mut storage, &mut stats, width, &mut rows)
-            }
-            EvalMode::SemiNaive => {
-                profiled_stratum_semi_naive(&planned, &mut storage, &mut stats, width, &mut rows)
-            }
-        }
-        profiles.append(&mut rows);
-    }
-    metrics.evals_total.inc();
-    metrics.absorb_stats(&stats);
-    Ok((storage.to_database(), stats, profiles))
+/// What an evaluation records besides its answer (see the module docs).
+/// Threaded as `Option<&mut View>` from the service's read path down to
+/// [`crate::evaluate`]; every layer appends to the same row list.
+pub struct View<'a> {
+    runs: bool,
+    /// Maps relation ids into the caller's vocabulary for the rendered rule
+    /// and plan texts.
+    pub namer: &'a dyn Fn(RelId) -> String,
+    /// The rows recorded so far, in evaluation order (stratum order then
+    /// rule order within one evaluation; layers above the engine append
+    /// rows for operators without a rule plan).
+    pub rows: Vec<RuleProfile>,
 }
 
-/// Renders the plans of every stratum without evaluating: one zeroed
-/// [`RuleProfile`] per rule, in stratum order then rule order.  See the
-/// module docs for the sizing caveat on multi-stratum programs.
-pub fn explain(
-    strata: &[Program],
-    edb: &Database,
-    namer: &dyn Fn(RelId) -> String,
-) -> Result<Vec<RuleProfile>> {
-    let mut storage = IndexStorage::from_database(edb);
-    for program in strata {
-        for (rel, arity) in program.relation_arities() {
-            storage.ensure_relation(rel, arity)?;
+impl<'a> View<'a> {
+    /// The plan-only view: rows carry plan renderings, nothing is evaluated.
+    pub fn explain(namer: &'a dyn Fn(RelId) -> String) -> Self {
+        View {
+            runs: false,
+            namer,
+            rows: Vec::new(),
         }
     }
-    let mut profiles = Vec::new();
-    for (stratum, program) in strata.iter().enumerate() {
-        let planned = plan_stratum(program, &mut storage, &program.idb_relations());
-        profiles.extend(
-            planned
+
+    /// The profiling view: evaluation runs unchanged and every rule's row
+    /// is filled in by the round observer.
+    pub fn profile(namer: &'a dyn Fn(RelId) -> String) -> Self {
+        View {
+            runs: true,
+            ..View::explain(namer)
+        }
+    }
+
+    /// Whether evaluation runs under this view (`false`: plan only).
+    pub fn runs(&self) -> bool {
+        self.runs
+    }
+
+    /// Records one row per planned rule of a stratum and returns the
+    /// observer that fills them in while the stratum's rounds run.
+    pub(crate) fn observe<'s>(
+        &'s mut self,
+        stratum: usize,
+        rules: &'s [PlannedRule],
+    ) -> RoundObserver<'s> {
+        let (first, namer) = (self.rows.len(), self.namer);
+        self.rows.extend(
+            rules
                 .iter()
                 .map(|rule| RuleProfile::new(rule, stratum, namer)),
         );
-    }
-    Ok(profiles)
-}
-
-/// Mirrors `eval_stratum_naive`, round by round.
-fn profiled_stratum_naive(
-    rules: &[PlannedRule],
-    storage: &mut IndexStorage,
-    stats: &mut EngineStats,
-    width: usize,
-    rows: &mut [RuleProfile],
-) {
-    let no_deltas = Deltas::new();
-    let plans: Vec<(usize, &PlannedRule, &JoinPlan)> = rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i, r, &r.full))
-        .collect();
-    let round_ns = &crate::metrics::metrics().round_ns;
-    loop {
-        stats.iterations += 1;
-        let _round_span = round_ns.span();
-        let pending = profiled_round(&plans, storage, &no_deltas, stats, width, rows);
-        if pending.is_empty() {
-            break;
+        RoundObserver {
+            rules,
+            rows: &mut self.rows[first..],
+            ran: BTreeSet::new(),
+            seen: BTreeSet::new(),
         }
-        commit(storage, pending, stats);
     }
 }
 
-/// Mirrors `eval_stratum_semi_naive`, round by round.
-fn profiled_stratum_semi_naive(
-    rules: &[PlannedRule],
-    storage: &mut IndexStorage,
-    stats: &mut EngineStats,
-    width: usize,
-    rows: &mut [RuleProfile],
-) {
-    let round_ns = &crate::metrics::metrics().round_ns;
-    // Seeding round: one full evaluation populates the first delta.
-    stats.iterations += 1;
-    let no_deltas = Deltas::new();
-    let plans: Vec<(usize, &PlannedRule, &JoinPlan)> = rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i, r, &r.full))
-        .collect();
-    let seed_span = round_ns.span();
-    let pending = profiled_round(&plans, storage, &no_deltas, stats, width, rows);
-    let mut delta = commit(storage, pending, stats);
-    drop(seed_span);
+/// The round-level observer of one stratum: called by the round driver
+/// around each plan execution, it charges the execution to its rule's row.
+pub(crate) struct RoundObserver<'s> {
+    rules: &'s [PlannedRule],
+    /// One row per rule of `rules`, same order.
+    rows: &'s mut [RuleProfile],
+    /// Rules that ran in the current round.
+    ran: BTreeSet<usize>,
+    /// Facts already attributed in the current round (first deriving rule
+    /// wins).
+    seen: BTreeSet<(RelId, Vec<Const>)>,
+}
 
-    while !delta.is_empty() {
-        stats.iterations += 1;
-        let _round_span = round_ns.span();
-        let plans: Vec<(usize, &PlannedRule, &JoinPlan)> = rules
+impl RoundObserver<'_> {
+    pub(crate) fn begin_round(&mut self) {
+        self.ran.clear();
+        self.seen.clear();
+    }
+
+    /// Runs one plan execution of `rule` through `run`, charging its time,
+    /// its counter differences and the new facts of its pending set (all
+    /// absent from storage: the keep-filter saw to that) to the rule's row.
+    pub(crate) fn observe_plan(
+        &mut self,
+        rule: &PlannedRule,
+        stats: &mut EngineStats,
+        run: impl FnOnce(&mut EngineStats) -> Pending,
+    ) -> Pending {
+        let idx = self
+            .rules
             .iter()
-            .enumerate()
-            .flat_map(|(i, rule)| {
-                rule.deltas
-                    .iter()
-                    .filter(|(driver, _)| delta.get(driver).is_some_and(|d| !d.is_empty()))
-                    .map(move |(_, plan)| (i, rule, plan))
-            })
-            .collect();
-        let pending = profiled_round(&plans, storage, &delta, stats, width, rows);
-        delta = commit(storage, pending, stats);
-    }
-}
-
-/// Runs one round plan by plan, timing and attributing each execution,
-/// and returns the canonical union of the per-plan pending sets — the
-/// identical `Pending` one batched round over the same plans produces.
-fn profiled_round(
-    plans: &[(usize, &PlannedRule, &JoinPlan)],
-    storage: &IndexStorage,
-    deltas: &Deltas,
-    stats: &mut EngineStats,
-    width: usize,
-    rows: &mut [RuleProfile],
-) -> Pending {
-    let keep = |rel: RelId, row: &[Const]| !storage.holds_row(rel, row);
-    let mut in_round: BTreeSet<usize> = BTreeSet::new();
-    let mut parts: Vec<(usize, Pending)> = Vec::with_capacity(plans.len());
-    for &(idx, rule, plan) in plans {
-        let probes_before = stats.index_probes;
-        let scanned_before = stats.tuples_scanned;
+            .position(|r| std::ptr::eq(r, rule))
+            .expect("the round driver only runs plans of the observed stratum");
+        let (probes, scanned) = (stats.index_probes, stats.tuples_scanned);
         let start = Instant::now();
-        let part = run_round_with(&[(rule, plan)], storage, deltas, stats, width, &keep);
+        let part = run(stats);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let row = &mut rows[idx];
+        let row = &mut self.rows[idx];
         row.elapsed_ns = row.elapsed_ns.saturating_add(ns);
-        row.probes += stats.index_probes - probes_before;
-        row.scanned += stats.tuples_scanned - scanned_before;
-        in_round.insert(idx);
-        parts.push((idx, part));
-    }
-    for &idx in &in_round {
-        rows[idx].rounds += 1;
-    }
-    // Attribute the round's new facts (first deriving rule wins), then
-    // merge the parts into one canonical pending set for the commit.
-    let mut seen: BTreeSet<(RelId, Vec<Const>)> = BTreeSet::new();
-    let mut merged = Pending::new();
-    for (idx, part) in parts {
-        for (rel, set) in part {
-            for row in set.iter() {
-                if !storage.holds_row(rel, row) && seen.insert((rel, row.to_vec())) {
-                    rows[idx].derived += 1;
-                }
-            }
-            match merged.entry(rel) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(set);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    o.get_mut().absorb(set);
+        row.probes += stats.index_probes - probes;
+        row.scanned += stats.tuples_scanned - scanned;
+        if self.ran.insert(idx) {
+            row.rounds += 1;
+        }
+        for (rel, set) in &part {
+            for fact in set.iter() {
+                if self.seen.insert((*rel, fact.to_vec())) {
+                    row.derived += 1;
                 }
             }
         }
+        part
     }
-    for set in merged.values_mut() {
-        set.sort_dedup();
-    }
-    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate_with;
-    use crate::ir::{Atom, Literal, Rule, Term};
-    use kbt_data::DatabaseBuilder;
+    use crate::evaluate;
+    use crate::ir::{Atom, Literal, Program, Rule, Term};
+    use kbt_data::{Database, DatabaseBuilder};
 
     fn rel(i: u32) -> RelId {
         RelId::new(i)
@@ -337,35 +259,29 @@ mod tests {
     fn profiled_evaluation_matches_plain_evaluation_exactly() {
         let strata = tc_strata();
         let edb = chain_edb(12);
-        for mode in [EvalMode::Naive, EvalMode::SemiNaive] {
-            for threads in [1, 4] {
-                let options = EngineOptions { mode, threads };
-                let (plain_db, plain_stats) = evaluate_with(&strata, &edb, options).unwrap();
-                let (prof_db, prof_stats, profiles) =
-                    evaluate_profiled(&strata, &edb, options, &namer).unwrap();
-                assert_eq!(plain_db, prof_db, "{mode:?} x{threads}: databases differ");
-                assert_eq!(plain_stats, prof_stats, "{mode:?} x{threads}: stats differ");
-                // Attribution is complete: per-rule derived counts sum to
-                // the engine's total.
-                let derived: usize = profiles.iter().map(|p| p.derived).sum();
-                assert_eq!(derived, prof_stats.derived_facts);
-                let probes: usize = profiles.iter().map(|p| p.probes).sum();
-                assert_eq!(probes, prof_stats.index_probes);
-                let scanned: usize = profiles.iter().map(|p| p.scanned).sum();
-                assert_eq!(scanned, prof_stats.tuples_scanned);
-            }
+        for threads in [1, 4] {
+            let (plain_db, plain_stats) = evaluate(&strata, &edb, threads, None).unwrap();
+            let mut view = View::profile(&namer);
+            let (prof_db, prof_stats) = evaluate(&strata, &edb, threads, Some(&mut view)).unwrap();
+            assert_eq!(plain_db, prof_db, "x{threads}: databases differ");
+            assert_eq!(plain_stats, prof_stats, "x{threads}: stats differ");
+            // Attribution is complete: per-rule counts sum to the
+            // engine's totals.
+            let profiles = &view.rows;
+            let derived: usize = profiles.iter().map(|p| p.derived).sum();
+            assert_eq!(derived, prof_stats.derived_facts);
+            let probes: usize = profiles.iter().map(|p| p.probes).sum();
+            assert_eq!(probes, prof_stats.index_probes);
+            let scanned: usize = profiles.iter().map(|p| p.scanned).sum();
+            assert_eq!(scanned, prof_stats.tuples_scanned);
         }
     }
 
     #[test]
     fn profiles_carry_provenance_and_plans() {
-        let strata = tc_strata();
-        let edb = chain_edb(4);
-        let options = EngineOptions {
-            mode: EvalMode::SemiNaive,
-            threads: 1,
-        };
-        let (_, _, profiles) = evaluate_profiled(&strata, &edb, options, &namer).unwrap();
+        let mut view = View::profile(&namer);
+        evaluate(&tc_strata(), &chain_edb(4), 1, Some(&mut view)).unwrap();
+        let profiles = &view.rows;
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].rule, "path(x, y) :- edge(x, y)");
         assert_eq!(profiles[0].stratum, 0);
@@ -382,11 +298,14 @@ mod tests {
 
     #[test]
     fn explain_renders_without_evaluating() {
-        let strata = tc_strata();
         let edb = chain_edb(4);
-        let profiles = explain(&strata, &edb, &namer).unwrap();
+        let mut view = View::explain(&namer);
+        let (db, stats) = evaluate(&tc_strata(), &edb, 0, Some(&mut view)).unwrap();
+        assert!(db.relation(rel(2)).unwrap().is_empty(), "no round ran");
+        assert_eq!(stats, EngineStats::default());
+        let profiles = &view.rows;
         assert_eq!(profiles.len(), 2);
-        for p in &profiles {
+        for p in profiles {
             assert_eq!((p.rounds, p.derived, p.probes, p.scanned), (0, 0, 0, 0));
             assert_eq!(p.elapsed_ns, 0);
             assert!(!p.plan.is_empty());

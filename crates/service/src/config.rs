@@ -134,17 +134,6 @@ impl ServiceConfig {
         }
     }
 
-    /// The default configuration with an explicit width.  `0` follows the
-    /// workspace-wide convention and means "use the default" (a fresh
-    /// resolution of the `KBT_THREADS`/available-parallelism policy).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ServiceConfig::builder().threads(n).build()"
-    )]
-    pub fn with_threads(threads: usize) -> Self {
-        ServiceConfig::builder().threads(threads).build()
-    }
-
     /// The options handed to every [`kbt_core::Transformer`] the service
     /// builds: [`Self::options`] with the width forced to the explicit
     /// [`Self::threads`] (never `0`, so the evaluator can never fall back
@@ -270,14 +259,5 @@ mod tests {
         assert_eq!(d.fsync_policy, FsyncPolicy::Always);
         assert_eq!(d.checkpoint_every_n_commits, 10);
         assert_eq!(FsyncPolicy::group_commit().name(), "group-commit");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn the_deprecated_shim_still_builds_the_same_config() {
-        assert_eq!(
-            ServiceConfig::with_threads(3),
-            ServiceConfig::builder().threads(3).build()
-        );
     }
 }

@@ -71,17 +71,33 @@
 //! fact  := <relation>(<const>, …)        const := NUMBER | 'name'
 //! ```
 //!
-//! ## Goal-directed bound queries
+//! ## The read path: one evaluation, three views
+//!
+//! `QUERY`, `EXPLAIN` and `PROFILE` enter through one function (the
+//! private `read` module): it opens the slow-query span, takes the
+//! snapshot and parses the query **once**, then evaluates through a single
+//! path whose only parameter is the view threaded down to the engine
+//! ([`kbt_core::View`]) — none for `QUERY`; a plan-only view for `EXPLAIN`
+//! (the same planner calls, the fixpoint rounds skipped — it is not a
+//! served query and opens no span); a profiling view for `PROFILE` (the
+//! same evaluation with a round-level observer recording each rule's
+//! share).  What `EXPLAIN` shows is therefore what `QUERY` runs and what
+//! `PROFILE` measures by construction, not by three implementations
+//! agreeing.  A transformation expression goes through
+//! `Transformer::apply_viewed`; a goal is resolved once into a goal plan
+//! (stored / magic / materialize) and run through one per-world fold.
 //!
 //! The bare form `QUERY CERTAIN path` reads the **stored** facts of a
 //! relation.  The bound form `QUERY CERTAIN path('a', x)` instead asks a
 //! *goal*: the service re-derives the fixpoint of every registered `τ`
 //! rulebase over each world — the same fixpoint `APPLY` would commit —
 //! restricted to tuples matching the goal's constants (repeated variables
-//! impose equality), and folds the worlds certain/possible as usual.  A
-//! bound goal must name an existing relation with its exact arity
-//! (`unknown-relation` / `arity-mismatch` otherwise) and never interns new
-//! symbols: an unknown constant is a legal empty answer, not an error.
+//! impose equality), and folds the worlds certain/possible as usual.  The
+//! rulebase is assembled from the registry once per epoch and cached with
+//! the answer table.  A bound goal must name an existing relation with its
+//! exact arity (`unknown-relation` / `arity-mismatch` otherwise) and never
+//! interns new symbols: an unknown constant is a legal empty answer, not
+//! an error.
 //!
 //! Three strategies serve a bound goal, reported as `strategy=` in the
 //! wire status line and counted per strategy in the metrics catalogue:
@@ -101,7 +117,8 @@
 //!   a memoized answer can never survive its epoch, and a reader holding
 //!   an older snapshot re-derives rather than polluting the cache
 //!   (inserts are dropped unless the snapshot still matches the cache
-//!   epoch).
+//!   epoch).  Only `QUERY` consults and fills it: a memo hit would explain
+//!   and profile nothing.
 //! * **`materialize`** — the fallback: evaluate the full program (or, with
 //!   no rulebase registered, read the stored facts) and filter.  Taken
 //!   when the magic rewrite refuses — e.g. a rewrite that would break
@@ -112,7 +129,7 @@
 //! `EXPLAIN` on a bound goal renders the adorned magic plan — the seed
 //! facts and every guarded/magic rule with `p_bf` / `m_p_bf`-style
 //! adorned names — and `PROFILE` evaluates it with the per-rule fixpoint
-//! breakdown (bypassing the table: a memo hit profiles nothing).
+//! breakdown.
 //!
 //! ## The wire protocol
 //!
@@ -357,8 +374,8 @@
 //! field; it appears in data rows only — status lines (`OK epoch=…
 //! rows=…` / `OK epoch=… worlds=… rows=…`) stay deterministic, and
 //! profiled evaluation returns byte-identical results, statistics and
-//! epochs to its unprofiled twin (`tests/profile_differential.rs` pins
-//! this at widths 1 and 4).  Operators without a Datalog rule plan —
+//! epochs to the unobserved run of the same path
+//! (`tests/profile_differential.rs` pins this at widths 1 and 4).  Operators without a Datalog rule plan —
 //! lattice steps, non-Horn insertions, `CERTAIN`/`POSSIBLE` folds — render
 //! a single descriptive row marked `(no rule plan)`.
 //!
@@ -384,6 +401,7 @@ pub mod config;
 pub mod error;
 pub mod metrics;
 pub mod net;
+mod read;
 pub mod recover;
 pub mod service;
 pub mod wal;

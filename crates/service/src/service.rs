@@ -17,27 +17,19 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
-use kbt_core::{ChainSession, CoreError, EvalStats, RuleProfile, Transform, Transformer};
-use kbt_data::{
-    Const, Database, EpochCell, EpochId, Knowledgebase, RelId, Relation, Tuple, Versioned,
-    Vocabulary,
-};
-use kbt_datalog::{
-    explain_plans, magic_rewrite, program_from_sentence, semi_naive_eval_profiled,
-    semi_naive_eval_threads, DatalogError, MagicPlan, Program,
-};
-use kbt_engine::table::{filter_rows, SubsumptiveTable};
-use kbt_logic::Term;
+use kbt_core::{ChainSession, EvalStats, Transform, Transformer};
+use kbt_data::{Database, EpochCell, EpochId, Knowledgebase, RelId, Versioned, Vocabulary};
 use kbt_obs::{Counter, Gauge, Registry};
 
 use crate::checkpoint::CheckpointManager;
 use crate::command::{
-    parse_define, parse_fact_list, parse_query, parse_transform, render_fact, render_relation,
-    render_transform, split_command, split_lines, QueryCmd, QueryGoal, Verb,
+    parse_define, parse_fact_list, parse_transform, render_fact, render_transform, split_command,
+    split_lines, Verb,
 };
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::metrics::ServiceMetrics;
+use crate::read::{QueryCache, ReadView};
 use crate::recover;
 use crate::wal::{Wal, WalMetrics, WAL_FILE};
 
@@ -381,22 +373,6 @@ pub struct StatsReport {
     pub held_epochs: Vec<(u64, u64)>,
 }
 
-/// Per-epoch goal-directed query state: the rulebase assembled from the
-/// snapshot's transform registry (built lazily, once per epoch) and the
-/// subsumptive answer table.  The whole cache is evicted when a new epoch
-/// publishes — the table memoizes answers over one immutable snapshot, so
-/// staleness is impossible by construction.
-struct QueryCache {
-    /// The epoch the cached state speaks for.
-    epoch: EpochId,
-    /// The assembled rulebase: `None` until first needed, `Some(None)` when
-    /// the registry defines no Horn rules at all.
-    rulebase: Option<Option<Arc<Program>>>,
-    /// Memoized goal answers over this epoch's snapshot (tag 0 = certain,
-    /// tag 1 = possible).
-    table: SubsumptiveTable,
-}
-
 /// The durability machinery of one durable service: the open write-ahead
 /// log and the checkpoint scheduler.  Installed **after** recovery replay
 /// ([`Service::open`]), so replayed commands never re-append to the log
@@ -496,11 +472,7 @@ impl Service {
             config,
             committed,
             writer: Mutex::new(writer),
-            query_cache: Mutex::new(QueryCache {
-                epoch,
-                rulebase: None,
-                table: SubsumptiveTable::new(),
-            }),
+            query_cache: Mutex::new(QueryCache::new(epoch)),
             metrics,
             sessions,
             holders,
@@ -675,9 +647,9 @@ impl Service {
                 epoch: self.epoch(),
                 text: self.metrics_text(),
             }),
-            Verb::Query => self.query_text(rest, trace),
-            Verb::Explain => self.explain_text(rest),
-            Verb::Profile => self.profile_text(rest, trace),
+            Verb::Query => self.read(ReadView::Answer, rest, trace),
+            Verb::Explain => self.read(ReadView::Explain, rest, trace),
+            Verb::Profile => self.read(ReadView::Profile, rest, trace),
             Verb::Load => self.load(rest, depth),
             Verb::Checkpoint => self.checkpoint_now(),
             Verb::Walstat => self.walstat(),
@@ -722,7 +694,7 @@ impl Service {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_query_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
+    pub(crate) fn lock_query_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
         self.query_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -740,12 +712,7 @@ impl Service {
         });
         // The goal-directed cache memoizes answers over the *previous*
         // snapshot: evict it before anyone can read against the new epoch.
-        {
-            let mut cache = self.lock_query_cache();
-            cache.table.evict();
-            cache.rulebase = None;
-            cache.epoch = epoch;
-        }
+        self.lock_query_cache().reset(epoch);
         // Publishes serialize on the writer lock, so this load observes the
         // version published one line above.
         let current = self.committed.load();
@@ -1019,16 +986,14 @@ impl Service {
         let result = transformer.apply_with_chain(&transform, &w.kb, &mut chain);
         drop(apply_span);
         let reg = w.transforms.get_mut(name).expect("present above");
-        reg.chain = chain;
+        // The session goes back only once the commit is certain.  After an
+        // evaluation error it may hold a partially applied delta (see the
+        // `kbt-engine` crate docs); after a WAL failure it has consumed a
+        // delta the committed knowledgebase never saw.  Either way it
+        // stays dropped and the next successful APPLY rebuilds it.
         let result = result?;
-        if let Err(e) = self.wal_append(&format!("APPLY {name}")) {
-            // the chain session already consumed this application's delta;
-            // restoring it against an *unpublished* commit would desync it
-            // from the committed knowledgebase — drop it and rebuild fresh
-            // on the next successful APPLY
-            reg.chain = None;
-            return Err(e);
-        }
+        self.wal_append(&format!("APPLY {name}"))?;
+        reg.chain = chain;
         reg.applications += 1;
         w.refresh_transforms_meta();
         w.kb = result.kb;
@@ -1044,525 +1009,6 @@ impl Service {
             reused_facts: result.stats.reused_facts,
             durable: None,
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Read path: snapshot queries, never touching the writer lock.
-    // ------------------------------------------------------------------
-
-    /// Evaluates a transformation expression read-only against the current
-    /// snapshot (the typed counterpart of `QUERY <texpr>`).
-    pub fn query(&self, transform: &Transform) -> Result<QueryResult> {
-        let snap = self.snapshot();
-        self.query_on(&snap, transform)
-    }
-
-    /// Evaluates a transformation expression read-only against a specific
-    /// snapshot.
-    pub fn query_on(&self, snap: &Snapshot, transform: &Transform) -> Result<QueryResult> {
-        self.metrics.queries_total.inc();
-        let transformer = Transformer::with_options(self.config.eval_options());
-        let result = transformer.apply(transform, snap.kb())?;
-        Ok(QueryResult {
-            epoch: snap.epoch(),
-            kb: result.kb,
-            stats: result.stats,
-        })
-    }
-
-    /// The facts of `rel` holding in **every** world of the snapshot.
-    pub fn certain(&self, snap: &Snapshot, rel: RelId) -> Relation {
-        self.metrics.queries_total.inc();
-        fold_relation(snap.kb(), rel, |a, b| {
-            a.intersection(b).expect("one schema per knowledgebase")
-        })
-    }
-
-    /// The facts of `rel` holding in **at least one** world of the
-    /// snapshot.
-    pub fn possible(&self, snap: &Snapshot, rel: RelId) -> Relation {
-        self.metrics.queries_total.inc();
-        fold_relation(snap.kb(), rel, |a, b| {
-            a.union(b).expect("one schema per knowledgebase")
-        })
-    }
-
-    /// Builds the `Response::Facts` for a `CERTAIN`/`POSSIBLE` goal: the
-    /// bare form folds the stored relation as ever (no strategy); the bound
-    /// form goes through the goal-directed planner and reports which
-    /// strategy answered it.
-    fn goal_response(
-        &self,
-        snap: &Snapshot,
-        vocab: &Vocabulary,
-        goal: &QueryGoal,
-        certain: bool,
-    ) -> Result<Response> {
-        let kind = if certain { "certain" } else { "possible" };
-        let (facts, strategy) = match &goal.terms {
-            None => {
-                let facts = if certain {
-                    self.certain(snap, goal.rel)
-                } else {
-                    self.possible(snap, goal.rel)
-                };
-                (facts, None)
-            }
-            Some(terms) => {
-                let (facts, strategy) = self.query_goal(snap, vocab, goal.rel, terms, certain)?;
-                (facts, Some(strategy))
-            }
-        };
-        Ok(Response::Facts {
-            epoch: snap.epoch(),
-            kind,
-            relation: render_relation(goal.rel, vocab),
-            facts: render_relation_facts(goal.rel, &facts, vocab),
-            strategy,
-        })
-    }
-
-    /// Answers a bound goal (`QUERY CERTAIN reach('a', x)`) goal-directedly.
-    ///
-    /// Strategy order: the per-epoch [`SubsumptiveTable`] first (`tabled` —
-    /// an exact or subsuming memoized call answers without evaluating);
-    /// then the magic-set rewrite of the registry's rulebase around the
-    /// goal's binding pattern (`magic` — only the facts the goal demands
-    /// are derived); and when the rewrite refuses (negation reached through
-    /// the goal) or no rulebase exists, full materialization plus a filter
-    /// (`materialize`).  Answers from *every* path are memoized, so a
-    /// repeated or more specific same-snapshot goal is a table hit.
-    ///
-    /// The bound form answers against the **derived** fixpoint of the
-    /// registered `tau` rules over each world (the same fixpoint `APPLY`
-    /// would commit), filtered to the goal — whereas the bare form reads
-    /// stored facts only.  Positions bound by repeated variables
-    /// (`reach(x, x)`) are equality-filtered after memo retrieval, so the
-    /// memoized answer stays reusable for other patterns.
-    fn query_goal(
-        &self,
-        snap: &Snapshot,
-        vocab: &Vocabulary,
-        rel: RelId,
-        terms: &[Term],
-        certain: bool,
-    ) -> Result<(Relation, &'static str)> {
-        self.metrics.queries_total.inc();
-        let bound: Vec<(usize, Const)> = terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_const().map(|c| (i, c)))
-            .collect();
-        let groups = var_groups(terms);
-        let tag = if certain { 0u8 } else { 1u8 };
-
-        let rulebase = {
-            let mut cache = self.lock_query_cache();
-            if cache.epoch != snap.epoch() {
-                cache.table.evict();
-                cache.rulebase = None;
-                cache.epoch = snap.epoch();
-            }
-            if let Some(answer) = cache.table.lookup(tag, rel.index(), &bound) {
-                self.metrics.queries_tabled_total.inc();
-                return Ok((filter_equal(&answer, &groups), "tabled"));
-            }
-            match &cache.rulebase {
-                Some(rb) => rb.clone(),
-                None => {
-                    let rb = build_rulebase(snap).map(Arc::new);
-                    cache.rulebase = Some(rb.clone());
-                    rb
-                }
-            }
-            // the lock drops here: evaluation must not block the commit
-            // pipeline (publish evicts this cache under the same lock)
-        };
-
-        let (answer, strategy) = match &rulebase {
-            Some(program) => {
-                match magic_rewrite(program, rel, terms, vocab.relation_count() as u32) {
-                    Ok(plan) => (
-                        self.eval_goal_plan(snap, &plan, &bound, terms.len(), certain)?,
-                        "magic",
-                    ),
-                    Err(DatalogError::GoalDirected { .. }) => (
-                        self.materialize_goal(snap, program, rel, &bound, terms.len(), certain)?,
-                        "materialize",
-                    ),
-                    Err(e) => return Err(datalog_err(e)),
-                }
-            }
-            // No rules at all: the stored relation is its own fixpoint.
-            None => {
-                let folded = fold_goal(snap.kb(), rel, certain);
-                (filter_rows(&folded, &bound), "materialize")
-            }
-        };
-        match strategy {
-            "magic" => self.metrics.queries_magic_total.inc(),
-            _ => self.metrics.queries_materialize_total.inc(),
-        }
-        let mut cache = self.lock_query_cache();
-        if cache.epoch == snap.epoch() {
-            cache.table.insert(tag, rel.index(), &bound, answer.clone());
-        }
-        Ok((filter_equal(&answer, &groups), strategy))
-    }
-
-    /// Evaluates a magic plan against every world of the snapshot and folds
-    /// the per-world answers (intersection for certain, union for
-    /// possible).  The answer predicate may also carry tuples derived for
-    /// recursive sub-calls with other bindings, so each world's answers are
-    /// filtered to the goal's own bound constants before folding.
-    fn eval_goal_plan(
-        &self,
-        snap: &Snapshot,
-        plan: &MagicPlan,
-        bound: &[(usize, Const)],
-        arity: usize,
-        certain: bool,
-    ) -> Result<Relation> {
-        let mut acc: Option<Relation> = None;
-        for db in snap.kb().iter() {
-            let mut edb = db.clone();
-            for (seed_rel, consts) in &plan.seeds {
-                edb.insert_fact(*seed_rel, Tuple::new(consts.clone()))?;
-            }
-            let (result, _stats) =
-                semi_naive_eval_threads(&plan.program, &edb, self.config.threads)
-                    .map_err(datalog_err)?;
-            let answers = result
-                .relation(plan.answer)
-                .map(|r| filter_rows(r, bound))
-                .unwrap_or_else(|| Relation::empty(arity));
-            acc = Some(fold_step(acc, answers, certain));
-        }
-        Ok(acc.unwrap_or_else(|| Relation::empty(arity)))
-    }
-
-    /// The materializing fallback: the full rulebase fixpoint over every
-    /// world, the goal relation filtered to the bound constants, folded
-    /// across worlds.  This is also the oracle the differential suite holds
-    /// the magic path to.
-    fn materialize_goal(
-        &self,
-        snap: &Snapshot,
-        program: &Program,
-        rel: RelId,
-        bound: &[(usize, Const)],
-        arity: usize,
-        certain: bool,
-    ) -> Result<Relation> {
-        let mut acc: Option<Relation> = None;
-        for db in snap.kb().iter() {
-            let (result, _stats) =
-                semi_naive_eval_threads(program, db, self.config.threads).map_err(datalog_err)?;
-            let answers = result
-                .relation(rel)
-                .map(|r| filter_rows(r, bound))
-                .unwrap_or_else(|| Relation::empty(arity));
-            acc = Some(fold_step(acc, answers, certain));
-        }
-        Ok(acc.unwrap_or_else(|| Relation::empty(arity)))
-    }
-
-    fn query_text(&self, rest: &str, trace: Option<&str>) -> Result<Response> {
-        // the slow-query span: end-to-end latency of the textual command,
-        // emitted to the log sink (with the query text) when it crosses
-        // the registry's slow-span threshold
-        let mut span = self.metrics.query_ns.span_event("slow_query");
-        if span.enabled() {
-            span.field("query", rest.trim());
-            if let Some(id) = trace {
-                span.field("id", id);
-            }
-        }
-        let snap = self.snapshot();
-        // parse against a clone: query-local names must not leak into (or
-        // wait on) the committed vocabulary
-        let mut vocab = snap.vocab().clone();
-        match parse_query(rest, &mut vocab)? {
-            QueryCmd::Certain(goal) => self.goal_response(&snap, &vocab, &goal, true),
-            QueryCmd::Possible(goal) => self.goal_response(&snap, &vocab, &goal, false),
-            QueryCmd::Transform(t) => {
-                let result = self.query_on(&snap, &t)?;
-                let worlds = result
-                    .kb
-                    .iter()
-                    .map(|db| {
-                        db.facts()
-                            .map(|(rel, t)| render_fact(rel, t.components(), &vocab))
-                            .collect()
-                    })
-                    .collect();
-                Ok(Response::Worlds {
-                    epoch: result.epoch,
-                    worlds,
-                })
-            }
-        }
-    }
-
-    /// `EXPLAIN <query>`: renders the query's evaluation plan against the
-    /// current snapshot without evaluating anything (and without counting
-    /// as a served query).
-    fn explain_text(&self, rest: &str) -> Result<Response> {
-        let snap = self.snapshot();
-        let mut vocab = snap.vocab().clone();
-        let query = parse_query(rest, &mut vocab)?;
-        let namer = |rel: RelId| render_relation(rel, &vocab);
-        let rows = match query {
-            QueryCmd::Certain(QueryGoal {
-                rel,
-                terms: Some(terms),
-            }) => self.explain_goal(&snap, &vocab, rel, &terms, true)?,
-            QueryCmd::Possible(QueryGoal {
-                rel,
-                terms: Some(terms),
-            }) => self.explain_goal(&snap, &vocab, rel, &terms, false)?,
-            QueryCmd::Certain(goal) => vec![format!(
-                "certain({}): intersection across worlds (no rule plan)",
-                namer(goal.rel)
-            )],
-            QueryCmd::Possible(goal) => vec![format!(
-                "possible({}): union across worlds (no rule plan)",
-                namer(goal.rel)
-            )],
-            QueryCmd::Transform(t) => {
-                let transformer = Transformer::with_options(self.config.eval_options());
-                transformer
-                    .explain(&t, snap.kb(), &namer)?
-                    .iter()
-                    .map(render_explain_row)
-                    .collect()
-            }
-        };
-        Ok(Response::Explain {
-            epoch: snap.epoch(),
-            rows,
-        })
-    }
-
-    /// `EXPLAIN` of a bound goal: the binding pattern, the invented magic
-    /// predicates with their seeds, and the join plans of the rewritten
-    /// program — all in the stable renderings the golden tests pin down.
-    /// A refused rewrite explains the fallback instead.
-    fn explain_goal(
-        &self,
-        snap: &Snapshot,
-        vocab: &Vocabulary,
-        rel: RelId,
-        terms: &[Term],
-        certain: bool,
-    ) -> Result<Vec<String>> {
-        let kind = if certain { "certain" } else { "possible" };
-        let namer = |r: RelId| render_relation(r, vocab);
-        let pattern = kbt_datalog::Adornment::from_terms(terms);
-        let Some(program) = build_rulebase(snap) else {
-            return Ok(vec![format!(
-                "{kind}({}) pattern={pattern}: no rulebase, stored facts filtered ({} across worlds)",
-                namer(rel),
-                if certain { "intersection" } else { "union" }
-            )]);
-        };
-        match magic_rewrite(&program, rel, terms, vocab.relation_count() as u32) {
-            Ok(plan) => {
-                let plan_namer = |r: RelId| plan.render_relation(r, &namer);
-                let mut rows = vec![format!(
-                    "{kind}({}) pattern={pattern}: magic plan, answer={}",
-                    namer(rel),
-                    plan_namer(plan.answer)
-                )];
-                for (seed_rel, consts) in &plan.seeds {
-                    let args: Vec<String> = consts
-                        .iter()
-                        .map(|c| match vocab.constant_name(*c) {
-                            Some(name) => format!("'{name}'"),
-                            None => format!("{}", c.index()),
-                        })
-                        .collect();
-                    rows.push(format!(
-                        "seed {}({})",
-                        plan_namer(*seed_rel),
-                        args.join(", ")
-                    ));
-                }
-                let edb = snap
-                    .kb()
-                    .iter()
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(Database::new);
-                rows.extend(
-                    explain_plans(&plan.program, &edb, &plan_namer)
-                        .map_err(datalog_err)?
-                        .iter()
-                        .map(render_explain_row),
-                );
-                Ok(rows)
-            }
-            Err(e @ DatalogError::GoalDirected { .. }) => Ok(vec![format!(
-                "{kind}({}) pattern={pattern}: {e}; falling back to full materialization + filter",
-                namer(rel)
-            )]),
-            Err(e) => Err(datalog_err(e)),
-        }
-    }
-
-    /// `PROFILE` of a bound goal: runs the goal-directed evaluation with
-    /// per-rule profiling (bypassing the answer table — a memo hit would
-    /// profile nothing) and reports a summary row followed by the rewritten
-    /// program's per-rule fixpoint breakdown, merged across worlds.
-    fn profile_goal(
-        &self,
-        snap: &Snapshot,
-        vocab: &Vocabulary,
-        rel: RelId,
-        terms: &[Term],
-        certain: bool,
-    ) -> Result<Vec<String>> {
-        self.metrics.queries_total.inc();
-        let kind = if certain { "certain" } else { "possible" };
-        let namer = |r: RelId| render_relation(r, vocab);
-        let pattern = kbt_datalog::Adornment::from_terms(terms);
-        let bound: Vec<(usize, Const)> = terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_const().map(|c| (i, c)))
-            .collect();
-        let groups = var_groups(terms);
-        let start = std::time::Instant::now();
-        let Some(program) = build_rulebase(snap) else {
-            let facts = filter_equal(
-                &filter_rows(&fold_goal(snap.kb(), rel, certain), &bound),
-                &groups,
-            );
-            let elapsed = start.elapsed().as_nanos() as u64;
-            return Ok(vec![format!(
-                "{kind}({}) pattern={pattern} strategy=materialize: facts={} elapsed_ns={elapsed} (no rule plan)",
-                namer(rel),
-                facts.len()
-            )]);
-        };
-        let rewrite = magic_rewrite(&program, rel, terms, vocab.relation_count() as u32);
-        let (plan, strategy, note) = match rewrite {
-            Ok(plan) => (Some(plan), "magic", String::new()),
-            Err(e @ DatalogError::GoalDirected { .. }) => (None, "materialize", format!(" ({e})")),
-            Err(e) => return Err(datalog_err(e)),
-        };
-        let eval_program = plan.as_ref().map_or(&program, |p| &p.program);
-        let answer_rel = plan.as_ref().map_or(rel, |p| p.answer);
-        let base_namer = namer;
-        let plan_namer = |r: RelId| match &plan {
-            Some(p) => p.render_relation(r, &base_namer),
-            None => base_namer(r),
-        };
-        let mut acc: Option<Relation> = None;
-        let mut merged: Vec<RuleProfile> = Vec::new();
-        for db in snap.kb().iter() {
-            let mut edb = db.clone();
-            if let Some(p) = &plan {
-                for (seed_rel, consts) in &p.seeds {
-                    edb.insert_fact(*seed_rel, Tuple::new(consts.clone()))?;
-                }
-            }
-            let (result, _stats, profiles) =
-                semi_naive_eval_profiled(eval_program, &edb, self.config.threads, &plan_namer)
-                    .map_err(datalog_err)?;
-            let answers = result
-                .relation(answer_rel)
-                .map(|r| filter_rows(r, &bound))
-                .unwrap_or_else(|| Relation::empty(terms.len()));
-            acc = Some(fold_step(acc, answers, certain));
-            merge_profiles(&mut merged, profiles);
-        }
-        let facts = filter_equal(
-            &acc.unwrap_or_else(|| Relation::empty(terms.len())),
-            &groups,
-        );
-        let elapsed = start.elapsed().as_nanos() as u64;
-        let mut rows = vec![format!(
-            "{kind}({}) pattern={pattern} strategy={strategy}: facts={} elapsed_ns={elapsed}{note}",
-            namer(rel),
-            facts.len()
-        )];
-        rows.extend(merged.iter().map(render_profile_row));
-        Ok(rows)
-    }
-
-    /// `PROFILE <query>`: evaluates the query like `QUERY` does (it counts
-    /// as a served query and feeds the slow-query span) and reports the
-    /// per-rule fixpoint breakdown alongside the result summary.
-    fn profile_text(&self, rest: &str, trace: Option<&str>) -> Result<Response> {
-        let mut span = self.metrics.query_ns.span_event("slow_query");
-        if span.enabled() {
-            span.field("query", rest.trim());
-            if let Some(id) = trace {
-                span.field("id", id);
-            }
-        }
-        let snap = self.snapshot();
-        let mut vocab = snap.vocab().clone();
-        let query = parse_query(rest, &mut vocab)?;
-        let namer = |rel: RelId| render_relation(rel, &vocab);
-        match query {
-            QueryCmd::Certain(QueryGoal {
-                rel,
-                terms: Some(terms),
-            }) => {
-                let rows = self.profile_goal(&snap, &vocab, rel, &terms, true)?;
-                Ok(Response::Profile {
-                    epoch: snap.epoch(),
-                    worlds: snap.kb().len(),
-                    rows,
-                })
-            }
-            QueryCmd::Possible(QueryGoal {
-                rel,
-                terms: Some(terms),
-            }) => {
-                let rows = self.profile_goal(&snap, &vocab, rel, &terms, false)?;
-                Ok(Response::Profile {
-                    epoch: snap.epoch(),
-                    worlds: snap.kb().len(),
-                    rows,
-                })
-            }
-            // certain/possible bump queries_total themselves
-            certain_or_possible @ (QueryCmd::Certain(_) | QueryCmd::Possible(_)) => {
-                let start = std::time::Instant::now();
-                let (kind, rel, facts) = match certain_or_possible {
-                    QueryCmd::Certain(goal) => ("certain", goal.rel, self.certain(&snap, goal.rel)),
-                    QueryCmd::Possible(goal) => {
-                        ("possible", goal.rel, self.possible(&snap, goal.rel))
-                    }
-                    QueryCmd::Transform(_) => unreachable!("matched above"),
-                };
-                let elapsed = start.elapsed().as_nanos() as u64;
-                let rows = vec![format!(
-                    "{kind}({}): facts={} elapsed_ns={elapsed} (no rule plan)",
-                    namer(rel),
-                    facts.len()
-                )];
-                Ok(Response::Profile {
-                    epoch: snap.epoch(),
-                    worlds: snap.kb().len(),
-                    rows,
-                })
-            }
-            QueryCmd::Transform(t) => {
-                self.metrics.queries_total.inc();
-                let transformer = Transformer::with_options(self.config.eval_options());
-                let (result, profiles) = transformer.apply_profiled(&t, snap.kb(), &namer)?;
-                let rows = profiles.iter().map(render_profile_row).collect();
-                Ok(Response::Profile {
-                    epoch: snap.epoch(),
-                    worlds: result.kb.len(),
-                    rows,
-                })
-            }
-        }
     }
 
     fn stats_report(&self) -> StatsReport {
@@ -1619,38 +1065,6 @@ impl Service {
     }
 }
 
-/// One `EXPLAIN` row: stratum, rule provenance, and the plan rendering —
-/// fully deterministic (no counters, no timing).
-fn render_explain_row(p: &RuleProfile) -> String {
-    format!("s{} {} :: {}", p.stratum, p.rule, p.plan)
-}
-
-/// Merges per-world rule profiles positionally (the worlds all evaluate
-/// the same lowered program, so index `i` is the same rule everywhere).
-fn merge_profiles(acc: &mut Vec<RuleProfile>, more: Vec<RuleProfile>) {
-    if acc.is_empty() {
-        *acc = more;
-        return;
-    }
-    for (a, b) in acc.iter_mut().zip(more) {
-        a.rounds += b.rounds;
-        a.derived += b.derived;
-        a.probes += b.probes;
-        a.scanned += b.scanned;
-        a.elapsed_ns += b.elapsed_ns;
-    }
-}
-
-/// One `PROFILE` row: the `EXPLAIN` row plus the rule's share of the
-/// fixpoint work.  `elapsed_ns` is wall-clock and therefore the only
-/// nondeterministic field; it lives in data rows, never in status lines.
-fn render_profile_row(p: &RuleProfile) -> String {
-    format!(
-        "s{} {} | rounds={} derived={} probes={} scanned={} elapsed_ns={} :: {}",
-        p.stratum, p.rule, p.rounds, p.derived, p.probes, p.scanned, p.elapsed_ns, p.plan
-    )
-}
-
 /// Total facts across all worlds.
 fn total_facts(kb: &Knowledgebase) -> usize {
     kb.iter().map(Database::fact_count).sum()
@@ -1666,128 +1080,6 @@ fn commit_epoch(response: &Response) -> Option<EpochId> {
         | Response::Applied { epoch, .. } => Some(*epoch),
         _ => None,
     }
-}
-
-/// Maps a Datalog-substrate error onto the service error space (bound
-/// queries drive the evaluator directly, without going through `kbt-core`).
-fn datalog_err(e: DatalogError) -> ServiceError {
-    ServiceError::Core(CoreError::Datalog(e))
-}
-
-/// One fold step of the per-world answer combination: intersection for
-/// certain, union for possible.
-fn fold_step(acc: Option<Relation>, next: Relation, certain: bool) -> Relation {
-    match acc {
-        None => next,
-        Some(prev) if certain => prev
-            .intersection(&next)
-            .expect("one schema per knowledgebase"),
-        Some(prev) => prev.union(&next).expect("one schema per knowledgebase"),
-    }
-}
-
-/// Folds the *stored* goal relation across worlds (the no-rulebase
-/// materialization path).
-fn fold_goal(kb: &Knowledgebase, rel: RelId, certain: bool) -> Relation {
-    fold_relation(kb, rel, |a, b| {
-        if certain {
-            a.intersection(b).expect("one schema per knowledgebase")
-        } else {
-            a.union(b).expect("one schema per knowledgebase")
-        }
-    })
-}
-
-/// Position groups the goal binds to one repeated variable (`reach(x, x)`
-/// → `[[0, 1]]`): rows must carry equal constants across each group.
-fn var_groups(terms: &[Term]) -> Vec<Vec<usize>> {
-    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, t) in terms.iter().enumerate() {
-        if let Term::Var(v) = t {
-            groups.entry(v.index()).or_default().push(i);
-        }
-    }
-    groups.into_values().filter(|g| g.len() > 1).collect()
-}
-
-/// Keeps the rows whose columns agree across every repeated-variable group.
-fn filter_equal(rel: &Relation, groups: &[Vec<usize>]) -> Relation {
-    if groups.is_empty() {
-        return rel.clone();
-    }
-    let mut out = Relation::empty(rel.arity());
-    for row in rel.iter() {
-        if groups
-            .iter()
-            .all(|g| g.iter().all(|&i| row[i] == row[g[0]]))
-        {
-            out.insert_row(row);
-        }
-    }
-    out
-}
-
-/// Assembles the goal-directed rulebase from a snapshot's transform
-/// registry: every `tau[…]` step whose sentence lowers to safe Horn rules
-/// contributes them.  Steps that are not Horn (disjunctive updates, say)
-/// simply contribute nothing — the goal planner only ever speaks for the
-/// Datalog-restricted fragment (Theorem 4.8), and relations those steps
-/// define fall back to stored-fact materialization.  Returns `None` when
-/// no step yields any rule.
-fn build_rulebase(snap: &Snapshot) -> Option<Program> {
-    let mut vocab = snap.vocab().clone();
-    let mut rules = Vec::new();
-    for info in snap.transforms().values() {
-        // the wire text was rendered from this vocabulary, so re-parsing
-        // interns nothing new and cannot fail — but stay defensive
-        let Ok(t) = parse_transform(&info.text, &mut vocab) else {
-            continue;
-        };
-        for step in t.steps() {
-            if let Transform::Insert(sentence) = step {
-                if let Ok(p) = program_from_sentence(sentence) {
-                    rules.extend(p.rules().iter().cloned());
-                }
-            }
-        }
-    }
-    if rules.is_empty() {
-        None
-    } else {
-        Program::new(rules).ok()
-    }
-}
-
-/// Folds one relation across all worlds (empty-at-right-arity for worlds
-/// missing it; the empty knowledgebase yields a zero-ary empty relation).
-fn fold_relation(
-    kb: &Knowledgebase,
-    rel: RelId,
-    combine: impl Fn(&Relation, &Relation) -> Relation,
-) -> Relation {
-    let arity = kb
-        .iter()
-        .find_map(|db| db.relation(rel))
-        .map_or(0, Relation::arity);
-    let mut acc: Option<Relation> = None;
-    for db in kb.iter() {
-        let r = db
-            .relation(rel)
-            .cloned()
-            .unwrap_or_else(|| Relation::empty(arity));
-        acc = Some(match acc {
-            None => r,
-            Some(prev) => combine(&prev, &r),
-        });
-    }
-    acc.unwrap_or_else(|| Relation::empty(arity))
-}
-
-fn render_relation_facts(rel: RelId, facts: &Relation, vocab: &Vocabulary) -> Vec<String> {
-    facts
-        .iter()
-        .map(|row| render_fact(rel, row, vocab))
-        .collect()
 }
 
 impl fmt::Display for Response {
@@ -2033,40 +1325,44 @@ mod tests {
     }
 
     #[test]
-    fn queries_run_on_snapshots_and_count() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2)").unwrap();
-        let r = s.execute("QUERY lub; project[edge]").unwrap();
-        match r {
-            Response::Worlds { epoch, worlds } => {
-                assert_eq!(epoch, EpochId::new(1));
-                assert_eq!(worlds, vec![vec!["edge(1, 2)".to_string()]]);
-            }
-            other => panic!("expected Worlds, got {other:?}"),
-        }
-        // the query committed nothing
-        assert_eq!(s.epoch(), EpochId::new(1));
-        match s.execute("STATS").unwrap() {
-            Response::Stats(report) => {
-                assert_eq!(report.queries, 1);
-                assert_eq!(report.stats.commits, 1);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn query_transforms_can_split_worlds_without_committing() {
-        let s = service();
-        s.execute("ASSERT r(1)").unwrap();
-        let r = s.execute("QUERY tau[r(2) | r(3)]").unwrap();
-        match r {
-            Response::Worlds { worlds, .. } => assert_eq!(worlds.len(), 2),
-            other => panic!("expected Worlds, got {other:?}"),
-        }
-        // … and the committed state is untouched
-        assert_eq!(s.snapshot().kb().len(), 1);
-        assert_eq!(total_facts(s.snapshot().kb()), 1);
+    fn a_failed_apply_drops_the_chain_session() {
+        // at most two worlds: with two marks the last step's four worlds
+        // overflow *after* the closure step has advanced the chain session
+        let options = kbt_core::EvalOptions {
+            max_worlds: 2,
+            ..kbt_core::EvalOptions::default()
+        };
+        let s = Service::new(ServiceConfig::builder().threads(1).options(options).build());
+        s.execute("ASSERT edge(1, 2), edge(2, 3), mark(1), mark(2)")
+            .unwrap();
+        s.execute(
+            "DEFINE step := project[edge, mark]; \
+             tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
+             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]; \
+             tau[forall x0. mark(x0) -> (a(x0) | b(x0))]",
+        )
+        .unwrap();
+        assert!(matches!(
+            s.execute("APPLY step"),
+            Err(ServiceError::Core(
+                kbt_core::CoreError::TooManyWorlds { .. }
+            ))
+        ));
+        assert!(s.lock_writer().transforms["step"].chain.is_none());
+        // the next successful APPLY rebuilds the session and equals a
+        // from-scratch application
+        s.execute("RETRACT mark(2)").unwrap();
+        s.execute("ASSERT edge(3, 4)").unwrap();
+        let before = s.snapshot();
+        let Response::Applied { reused_facts, .. } = s.execute("APPLY step").unwrap() else {
+            panic!("expected Applied");
+        };
+        assert_eq!(reused_facts, 0, "a dropped session cannot be reused");
+        let text = &before.transforms()["step"].text;
+        let transform = parse_transform(text, &mut before.vocab().clone()).unwrap();
+        let scratch = Transformer::new().apply(&transform, before.kb()).unwrap();
+        assert_eq!(scratch.kb.len(), 2);
+        assert!(s.snapshot().kb() == &scratch.kb);
     }
 
     #[test]
@@ -2244,195 +1540,6 @@ mod tests {
             }
             other => panic!("expected Facts, got {other:?}"),
         }
-    }
-
-    /// The facts and strategy of a bound goal response.
-    fn bound_facts(r: Response) -> (Vec<String>, &'static str) {
-        match r {
-            Response::Facts {
-                facts,
-                strategy: Some(strategy),
-                ..
-            } => (facts, strategy),
-            other => panic!("expected bound Facts, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bound_goals_derive_goal_directed_then_hit_the_table() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2), edge(2, 3), edge(3, 4)")
-            .unwrap();
-        s.execute(
-            "DEFINE tc := tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
-             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]",
-        )
-        .unwrap();
-        // no APPLY: the bound goal derives against the registered rules
-        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
-        assert_eq!(strategy, "magic");
-        assert_eq!(facts, ["path(1, 2)", "path(1, 3)", "path(1, 4)"]);
-        // the identical goal on the same snapshot is a table hit
-        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
-        assert_eq!(strategy, "tabled");
-        assert_eq!(facts.len(), 3);
-        // … and so is a *more specific* goal (subsumption)
-        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, 4)").unwrap());
-        assert_eq!(strategy, "tabled");
-        assert_eq!(facts, ["path(1, 4)"]);
-        // a commit publishes a new epoch and evicts the memo
-        s.execute("ASSERT edge(4, 5)").unwrap();
-        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
-        assert_eq!(strategy, "magic");
-        assert_eq!(facts.len(), 4, "the new edge must be visible: {facts:?}");
-    }
-
-    #[test]
-    fn bound_goals_match_the_materializing_oracle() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2), edge(2, 3), edge(3, 1), edge(4, 4)")
-            .unwrap();
-        s.execute(
-            "DEFINE tc := tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
-             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]",
-        )
-        .unwrap();
-        s.execute("APPLY tc").unwrap();
-        // after APPLY the derived relation is stored, so the bare query is
-        // the oracle: filtering it gives the expected bound answers …
-        let Response::Facts { facts: oracle, .. } = s.execute("QUERY CERTAIN path").unwrap() else {
-            panic!("expected Facts");
-        };
-        let (from_one, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
-        assert_eq!(strategy, "magic");
-        let expected: Vec<String> = oracle
-            .iter()
-            .filter(|f| f.starts_with("path(1,"))
-            .cloned()
-            .collect();
-        assert_eq!(from_one, expected);
-        // … and the fully-free goal re-derives the whole oracle
-        let (all, strategy) = bound_facts(s.execute("QUERY CERTAIN path(x, y)").unwrap());
-        assert_eq!(strategy, "magic");
-        assert_eq!(all, oracle);
-        // once the all-free call is memoized, it subsumes *every* pattern
-        let (from_four, strategy) = bound_facts(s.execute("QUERY CERTAIN path(4, x)").unwrap());
-        assert_eq!(strategy, "tabled");
-        assert_eq!(from_four, ["path(4, 4)"]);
-    }
-
-    #[test]
-    fn bound_goals_without_rules_materialize_stored_facts() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2), edge(1, 3), edge(2, 2)")
-            .unwrap();
-        let (facts, strategy) = bound_facts(s.execute("QUERY POSSIBLE edge(1, x)").unwrap());
-        assert_eq!(strategy, "materialize");
-        assert_eq!(facts, ["edge(1, 2)", "edge(1, 3)"]);
-        let (facts, strategy) = bound_facts(s.execute("QUERY POSSIBLE edge(1, 2)").unwrap());
-        assert_eq!(strategy, "tabled", "the subsuming call must be memoized");
-        assert_eq!(facts, ["edge(1, 2)"]);
-        // repeated variables constrain positions to be equal
-        let (facts, _) = bound_facts(s.execute("QUERY POSSIBLE edge(x, x)").unwrap());
-        assert_eq!(facts, ["edge(2, 2)"]);
-    }
-
-    #[test]
-    fn bound_goals_reject_typos_with_typed_errors() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2)").unwrap();
-        assert!(matches!(
-            s.execute("QUERY CERTAIN nowhere(1, x)"),
-            Err(ServiceError::UnknownRelation(_))
-        ));
-        assert!(matches!(
-            s.execute("QUERY CERTAIN edge(1)"),
-            Err(ServiceError::ArityMismatch {
-                expected: 2,
-                found: 1,
-                ..
-            })
-        ));
-        // an unknown *constant* over known names is a legal empty answer,
-        // not an error (the goal is well-formed; the fact just isn't there)
-        let (facts, _) = bound_facts(s.execute("QUERY POSSIBLE edge('ghost', x)").unwrap());
-        assert!(facts.is_empty());
-    }
-
-    #[test]
-    fn bound_goal_metrics_count_strategies_and_table_hits() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2)").unwrap();
-        s.execute("DEFINE close := tau[forall x0 x1. edge(x0, x1) -> path(x0, x1)]")
-            .unwrap();
-        s.execute("QUERY CERTAIN path(1, x)").unwrap();
-        s.execute("QUERY CERTAIN path(1, x)").unwrap();
-        let text = s.metrics_text();
-        assert!(
-            text.contains("kbt_service_queries_magic_total 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("kbt_service_queries_tabled_total 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("kbt_service_queries_materialize_total 0\n"),
-            "{text}"
-        );
-        // the engine-level table counters moved too (global registry, so
-        // other tests may have bumped them — nonzero is the assertion)
-        let hits: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("kbt_engine_table_hits "))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("table hit counter must be exposed");
-        assert!(hits >= 1);
-    }
-
-    #[test]
-    fn explain_renders_the_adorned_magic_plan() {
-        let s = service();
-        s.execute("ASSERT edge(1, 2), edge(2, 3)").unwrap();
-        s.execute(
-            "DEFINE tc := tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
-             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]",
-        )
-        .unwrap();
-        let Response::Explain { rows, .. } = s.execute("EXPLAIN CERTAIN path(1, x)").unwrap()
-        else {
-            panic!("expected Explain");
-        };
-        assert_eq!(
-            rows[0],
-            "certain(path) pattern=bf: magic plan, answer=path_bf"
-        );
-        assert_eq!(rows[1], "seed m_path_bf(1)");
-        assert!(
-            rows.iter().any(|r| r.contains("m_path_bf(")),
-            "magic guards must appear in the plan rows: {rows:?}"
-        );
-        assert!(
-            rows.iter().any(|r| r.contains("path_bf(")),
-            "adorned answer predicates must appear: {rows:?}"
-        );
-        // EXPLAIN never evaluates: rendering the plan twice changes nothing
-        let Response::Explain { rows: again, .. } =
-            s.execute("EXPLAIN CERTAIN path(1, x)").unwrap()
-        else {
-            panic!("expected Explain");
-        };
-        assert_eq!(rows, again, "the rendering must be stable");
-        // PROFILE of the same goal carries the strategy and per-rule rows
-        let Response::Profile { rows, .. } = s.execute("PROFILE CERTAIN path(1, x)").unwrap()
-        else {
-            panic!("expected Profile");
-        };
-        assert!(
-            rows[0].starts_with("certain(path) pattern=bf strategy=magic: facts=2"),
-            "{rows:?}"
-        );
-        assert!(rows.len() > 1, "per-rule profile rows must follow");
     }
 
     #[test]

@@ -120,6 +120,6 @@ pub mod prelude {
         Const, Database, DatabaseBuilder, Knowledgebase, KnowledgebaseBuilder, RelId, Relation,
         Schema, Tuple, Vocabulary,
     };
-    pub use kbt_engine::{EngineStats, EvalMode};
+    pub use kbt_engine::EngineStats;
     pub use kbt_logic::{Formula, Sentence, Term, Var};
 }

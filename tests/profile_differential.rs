@@ -2,11 +2,14 @@
 //! identical workload answers byte-identically whether its hypothetical
 //! reads go through `QUERY` or `PROFILE`, at evaluation widths 1 and 4 —
 //! published epochs, knowledgebases and `ServiceStats` included.  At the
-//! core layer, [`Transformer::apply_profiled`] must reproduce
-//! [`Transformer::apply`] exactly.  The golden `EXPLAIN` rendering of the
-//! Section 3 transitive-closure example is pinned here too.
+//! core layer, [`Transformer::apply_viewed`] under a profiling view must
+//! reproduce [`Transformer::apply`] exactly.  `QUERY`, `EXPLAIN` and
+//! `PROFILE` are three views of one evaluation path, so over a goal corpus
+//! they must name the same strategy and count the same facts.  The golden
+//! `EXPLAIN` rendering of the Section 3 transitive-closure example is
+//! pinned here too.
 
-use kbt::core::{EvalOptions, Transform, Transformer};
+use kbt::core::{EvalOptions, Transform, Transformer, View};
 use kbt::data::{DatabaseBuilder, Knowledgebase, RelId};
 use kbt::logic::builder::{and, atom, forall, implies, var};
 use kbt::logic::Sentence;
@@ -196,10 +199,12 @@ fn core_apply_profiled_is_invisible_at_widths_1_and_4() {
     for threads in [1usize, 4] {
         let t = Transformer::with_options(EvalOptions::with_threads(threads));
         let plain = t.apply(&expr, &kb).unwrap();
-        let (prof, profiles) = t.apply_profiled(&expr, &kb, &namer).unwrap();
+        let mut view = View::profile(&namer);
+        let prof = t.apply_viewed(&expr, &kb, Some(&mut view)).unwrap();
         assert!(plain.kb == prof.kb, "width {threads}: fixpoints diverge");
         assert_eq!(plain.stats, prof.stats, "width {threads}: stats diverge");
-        let stripped: Vec<String> = profiles
+        let stripped: Vec<String> = view
+            .rows
             .iter()
             .map(|p| {
                 format!(
@@ -216,6 +221,84 @@ fn core_apply_profiled_is_invisible_at_widths_1_and_4() {
     assert!(kb1 == kb4, "fixpoints diverge across widths");
     assert_eq!(stats1, stats4, "stats diverge across widths");
     assert_eq!(rows1, rows4, "profiles diverge across widths");
+}
+
+/// The value of `key=` in a rendered row (up to the next space or colon).
+fn field<'a>(row: &'a str, key: &str) -> &'a str {
+    let tail = &row[row.find(key).unwrap_or_else(|| panic!("no {key} in {row}")) + key.len()..];
+    tail.split([' ', ':']).next().unwrap()
+}
+
+#[test]
+fn query_explain_and_profile_agree_on_strategy_and_count() {
+    // (registered rules?, goal): bare, bound Horn, a goal on a relation
+    // only a negating — hence non-Horn, rule-less — `tau` defines, no
+    // rulebase at all, repeated variable.  (A rewrite that *refuses* needs
+    // negation inside the rulebase, which no `tau` registered over the wire
+    // can contribute; `read::tests` injects one.)
+    let corpus = [
+        (true, "CERTAIN edge", None),
+        (true, "CERTAIN path(1, x)", Some("magic")),
+        (true, "POSSIBLE apart(1, x)", Some("magic")),
+        (false, "POSSIBLE edge(1, x)", Some("materialize")),
+        (true, "CERTAIN path(x, x)", Some("magic")),
+    ];
+    for (rules, goal, expected) in corpus {
+        let s = Service::new(ServiceConfig::builder().threads(1).build());
+        s.execute("ASSERT edge(1, 2), edge(2, 3), edge(3, 1), edge(3, 4), apart(1, 4)")
+            .unwrap();
+        if rules {
+            s.execute(&format!("DEFINE tc := {TC}")).unwrap();
+            s.execute(
+                "DEFINE far := tau[forall x0 x1. edge(x0, x1) & ~path(x1, x0) -> apart(x0, x1)]",
+            )
+            .unwrap();
+        }
+        // EXPLAIN and PROFILE first: neither may warm the answer table
+        let Response::Explain { rows: plan, .. } = s.execute(&format!("EXPLAIN {goal}")).unwrap()
+        else {
+            panic!("{goal}: expected Explain");
+        };
+        let Response::Profile { rows: profile, .. } =
+            s.execute(&format!("PROFILE {goal}")).unwrap()
+        else {
+            panic!("{goal}: expected Profile");
+        };
+        let Response::Facts {
+            facts, strategy, ..
+        } = s.execute(&format!("QUERY {goal}")).unwrap()
+        else {
+            panic!("{goal}: expected Facts");
+        };
+        assert!(
+            !facts.is_empty(),
+            "{goal}: the corpus goals all have answers"
+        );
+        assert_eq!(strategy, expected, "{goal}");
+        assert_eq!(
+            field(&profile[0], "facts="),
+            facts.len().to_string(),
+            "{goal}"
+        );
+        let explained = if plan[0].contains(": magic plan, ") {
+            Some("magic")
+        } else if plan[0].contains("no rulebase, stored facts filtered")
+            || plan[0].contains("falling back to full materialization")
+        {
+            Some("materialize")
+        } else {
+            assert!(
+                plan[0].ends_with("across worlds (no rule plan)"),
+                "{plan:?}"
+            );
+            None
+        };
+        assert_eq!(strategy, explained, "{goal}: QUERY vs EXPLAIN {plan:?}");
+        let profiled = profile[0]
+            .contains(" strategy=")
+            .then(|| field(&profile[0], "strategy="));
+        assert_eq!(strategy, profiled, "{goal}: QUERY vs PROFILE {profile:?}");
+    }
 }
 
 #[test]
