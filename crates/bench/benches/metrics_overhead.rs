@@ -181,6 +181,28 @@ fn benches(c: &mut Criterion) {
     record("profile_transform", &mut p);
     record("profile_overhead", &mut overhead_pct(&ratios));
 
+    // the same closure with spans enabled vs disabled: the read that runs
+    // the engine's per-evaluation and per-round spans (load, round, commit,
+    // materialize), a hundred rounds of them — paired like the rest
+    let (mut on, mut off, _) = paired_run(
+        ROUNDS,
+        &mut || {
+            set_enabled(&service, true);
+            sample(4, &mut || {
+                black_box(service.execute(&query_tc).expect("query"));
+            })
+        },
+        &mut || {
+            set_enabled(&service, false);
+            sample(4, &mut || {
+                black_box(service.execute(&query_tc).expect("query"));
+            })
+        },
+    );
+    record("transform_on", &mut on);
+    record("transform_off", &mut off);
+    set_enabled(&service, true);
+
     // primitive costs, on a private registry
     let registry = Registry::new();
     let counter = registry.counter("bench_counter");

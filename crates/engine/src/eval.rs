@@ -16,6 +16,31 @@
 //! buffer that the pending-set sink copies out of.  The inner join loops
 //! perform **zero heap allocations per probe**.
 //!
+//! ## The commit contract: canonical, disjoint, moved out as the delta
+//!
+//! A round derives into per-relation bags and canonicalises each bag once
+//! into a sorted, duplicate-free run — a plain [`Relation`].  `commit` is
+//! the one place facts derived by a fixpoint enter storage, and it owns
+//! both halves of the argument that lets it write without looking:
+//!
+//! * it runs the round under the **fixpoint filter** (keep a derived row
+//!   iff storage does not hold it), so every pending run is *disjoint* from
+//!   storage;
+//! * storage is borrowed shared for the whole round and nothing writes
+//!   between the filter's last lookup and the append, so the run is still
+//!   disjoint when [`IndexStorage::append_run`] extends the arena with it —
+//!   one reserve-then-extend, one membership insert and one bucket push per
+//!   live index per row, no second lookup;
+//! * the pending runs are then **moved out** as the next round's delta.
+//!   A delta is only ever scanned ([`crate::plan`] compiles every delta
+//!   driver to a scan), so a sorted run is all it needs to be: no arena,
+//!   no membership table, no copy.
+//!
+//! Each derived fact is therefore written twice in all — into its round's
+//! run, and from the run into the arena — and because every arena the
+//! fixpoint writes is a concatenation of such runs, materialising the
+//! result merges them instead of sorting (see [`crate::index`]).
+//!
 //! ## Parallel rounds
 //!
 //! Within one fixpoint round every (rule, plan) pair reads the storage and
@@ -26,14 +51,14 @@
 //! 1. the round's plans are decomposed into `RoundTask`s — a plan led by a
 //!    scan contributes one task per *chunk* of the scanned relation's tuple
 //!    range, any other plan is a single task;
-//! 2. every task derives into a **private** `Pending` buffer with private
+//! 2. every task derives into **private** bags with private
 //!    [`EngineStats`] counters — workers share nothing mutable;
-//! 3. the buffers are merged **in stable task order** (rule index first,
+//! 3. the bags are merged **in stable task order** (rule index first,
 //!    chunk offset second) and each relation's pending rows are sorted and
 //!    deduplicated once, and the per-worker counters are summed.
 //!
 //! Because the canonicalised pending set is an order-insensitive union and
-//! commit inserts it in sorted order, the storage contents, the resulting
+//! commit appends it in sorted order, the storage contents, the resulting
 //! [`Database`] *and every statistics counter* are byte-identical to the
 //! sequential path — `threads = 1` runs the exact sequential code, and the
 //! differential tests hold the two paths equal.  Rounds whose driving
@@ -45,8 +70,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use kbt_data::relation::{sort_dedup_rows, RowIter};
-use kbt_data::{Const, Database, RelId};
+use kbt_data::{Const, Database, RelId, Relation};
 use kbt_par::ThreadPool;
 
 use crate::fx::{key_is_exact, KeyAcc};
@@ -63,7 +87,10 @@ use crate::Result;
 ///
 /// Every relation mentioned by any stratum is materialised (empty if absent
 /// from `edb`); the result contains the EDB unchanged plus the derived
-/// facts.  `threads` is the evaluation width: `0` uses the process default
+/// facts.  Only the relations some stratum names are loaded into indexed
+/// storage; every other relation of `edb` — and every named one nothing
+/// was derived into — is in the result as the very `Arc` it came in as.
+/// `threads` is the evaluation width: `0` uses the process default
 /// ([`kbt_par::default_threads`] — the `KBT_THREADS` environment variable,
 /// else the machine's available parallelism), `1` is the exact sequential
 /// path, anything larger fans the rounds out over the `kbt-par` pool;
@@ -72,50 +99,76 @@ use crate::Result;
 /// [`crate::profile`]): `None` records nothing; a profiling view gets one
 /// [`crate::RuleProfile`] per planned rule, filled in by the round
 /// observer; a plan-only view gets the same rows zeroed and the rounds are
-/// **skipped** — the returned database is then the un-evaluated storage
-/// and the statistics are all zero.
+/// **skipped**, along with everything only they need (no index and no
+/// membership table is built) — the returned database is then the
+/// un-evaluated storage and the statistics are all zero.
 pub fn evaluate(
     strata: &[Program],
     edb: &Database,
     threads: usize,
-    mut view: Option<&mut View<'_>>,
+    view: Option<&mut View<'_>>,
 ) -> Result<(Database, EngineStats)> {
     let runs = view.as_ref().is_none_or(|v| v.runs());
     let metrics = crate::metrics::metrics();
     let _eval_span = runs.then(|| metrics.eval_ns.span());
-    let width = kbt_par::resolve_threads(threads);
-    let mut storage = IndexStorage::from_database(edb);
-    for program in strata {
-        for (rel, arity) in program.relation_arities() {
-            storage.ensure_relation(rel, arity)?;
-        }
-    }
-
-    let mut stats = EngineStats::default();
-    for (stratum, program) in strata.iter().enumerate() {
-        let planned = plan_stratum(program, &mut storage, &program.idb_relations());
-        let mut observer = view.as_deref_mut().map(|v| v.observe(stratum, &planned));
-        if runs {
-            stats.strata += 1;
-            eval_stratum(&planned, &mut storage, &mut stats, width, observer.as_mut());
-        }
-    }
+    let mut storage = {
+        let _load_span = runs.then(|| metrics.load_ns.span());
+        IndexStorage::load(edb, strata.iter().flat_map(Program::relation_arities))?
+    };
+    let stats = eval_strata(
+        strata,
+        &mut storage,
+        kbt_par::resolve_threads(threads),
+        view,
+    );
     if runs {
         metrics.evals_total.inc();
         metrics.absorb_stats(&stats);
     }
-    Ok((storage.to_database(), stats))
+    let _materialize_span = runs.then(|| metrics.materialize_ns.span());
+    Ok((storage.overlay_on(edb), stats))
 }
 
-/// Plans one stratum against the current storage and demands the indexes
-/// the plans need: the planner is fed the relation cardinalities known at
-/// this point so greedy ties are broken towards smaller relations, and
-/// `eligible` names the relations that get delta-scan variants (the
-/// stratum's IDB for one-shot evaluation; every positive body relation for
-/// the incremental session, whose extensional relations change too).
+/// Plans every stratum in order over the loaded `storage` and, unless
+/// `view` is plan-only, demands what its plans look up and runs it to its
+/// fixpoint before planning the next.
+fn eval_strata(
+    strata: &[Program],
+    storage: &mut IndexStorage,
+    width: usize,
+    mut view: Option<&mut View<'_>>,
+) -> EngineStats {
+    let runs = view.as_ref().is_none_or(|v| v.runs());
+    let load_ns = &crate::metrics::metrics().load_ns;
+    let mut stats = EngineStats::default();
+    for (stratum, program) in strata.iter().enumerate() {
+        let planned = {
+            let _load_span = runs.then(|| load_ns.span());
+            let planned = plan_stratum(program, storage, &program.idb_relations());
+            if runs {
+                demand(&planned, storage);
+            }
+            planned
+        };
+        let mut observer = view.as_deref_mut().map(|v| v.observe(stratum, &planned));
+        if runs {
+            stats.strata += 1;
+            eval_stratum(&planned, storage, &mut stats, width, observer.as_mut());
+        }
+    }
+    stats
+}
+
+/// Plans one stratum against the current storage, touching nothing: the
+/// planner is fed the relation cardinalities known at this point so greedy
+/// ties are broken towards smaller relations, and `eligible` names the
+/// relations that get delta-scan variants (the stratum's IDB for one-shot
+/// evaluation; every positive body relation for the incremental session,
+/// whose extensional relations change too).  Whoever goes on to *run* the
+/// plans calls [`demand`] first; a plan-only view does not.
 pub(crate) fn plan_stratum(
     program: &Program,
-    storage: &mut IndexStorage,
+    storage: &IndexStorage,
     eligible: &BTreeSet<RelId>,
 ) -> Vec<PlannedRule> {
     let sizes: BTreeMap<RelId, usize> = program
@@ -123,40 +176,44 @@ pub(crate) fn plan_stratum(
         .keys()
         .map(|&rel| (rel, storage.relation_len(rel)))
         .collect();
-    let planned: Vec<PlannedRule> = program
+    program
         .rules
         .iter()
         .map(|r| PlannedRule::plan_sized(r, eligible, &sizes))
-        .collect();
-    for rule in &planned {
+        .collect()
+}
+
+/// Builds what running `planned` will look up: the index of every probed
+/// `(relation, mask)` and the membership table of every `Member` /
+/// `NegCheck` target.
+pub(crate) fn demand(planned: &[PlannedRule], storage: &mut IndexStorage) {
+    for rule in planned {
         for (rel, mask) in rule.demanded_indexes() {
             storage.ensure_index(rel, mask);
         }
+        for rel in rule.demanded_membership() {
+            storage.ensure_membership(rel);
+        }
     }
-    planned
 }
 
 /// An unsorted bag of derived head rows for one relation: an arity-strided
 /// buffer that is canonicalised (sorted, deduplicated) once per round
 /// instead of paying a tree insertion per derivation.
 #[derive(Clone, Debug)]
-pub(crate) struct RowSet {
+pub(crate) struct RowBag {
     arity: usize,
     rows: Vec<Const>,
     count: usize,
 }
 
-impl RowSet {
+impl RowBag {
     pub(crate) fn new(arity: usize) -> Self {
-        RowSet {
+        RowBag {
             arity,
             rows: Vec::new(),
             count: 0,
         }
-    }
-
-    pub(crate) fn arity(&self) -> usize {
-        self.arity
     }
 
     pub(crate) fn push(&mut self, row: &[Const]) {
@@ -165,35 +222,43 @@ impl RowSet {
         self.count += 1;
     }
 
+    /// Appends the rows of a run (same relation, so same arity).
+    pub(crate) fn push_run(&mut self, run: &Relation) {
+        debug_assert_eq!(self.arity, run.arity());
+        self.rows.extend_from_slice(run.as_rows());
+        self.count += run.len();
+    }
+
     /// Appends another bag (same relation, so same arity).
-    pub(crate) fn absorb(&mut self, other: RowSet) {
+    fn absorb(&mut self, other: RowBag) {
         debug_assert_eq!(self.arity, other.arity);
         self.rows.extend_from_slice(&other.rows);
         self.count += other.count;
     }
 
     /// Canonicalises the bag into a sorted, duplicate-free run.
-    pub(crate) fn sort_dedup(&mut self) {
-        if self.arity == 0 {
-            self.count = self.count.min(1);
-            return;
-        }
-        let kept = sort_dedup_rows(&mut self.rows, self.arity);
-        self.rows.truncate(kept * self.arity);
-        self.count = kept;
-    }
-
-    /// Iterates the rows (canonical order once [`Self::sort_dedup`] ran).
-    pub(crate) fn iter(&self) -> RowIter<'_> {
-        RowIter::over(&self.rows, self.arity, self.count)
+    fn into_run(self) -> Relation {
+        Relation::from_rows(self.arity, self.rows, self.count)
+            .expect("the bag is arity-strided by construction")
     }
 }
 
-/// Derived-but-uncommitted head facts per relation.  As returned by
-/// [`run_round_with`] the per-relation row sets are canonical (sorted,
-/// deduplicated) — entries exist only for relations with at least one row.
-pub(crate) type Pending = BTreeMap<RelId, RowSet>;
-pub(crate) type Deltas = BTreeMap<RelId, IndexedRelation>;
+/// Uncanonicalised derivations per relation — entries exist only for
+/// relations with at least one row.
+pub(crate) type Bags = BTreeMap<RelId, RowBag>;
+
+/// Canonical (sorted, duplicate-free) runs of facts per relation, entries
+/// only for relations with at least one row: what a round returns as its
+/// pending set, what [`commit`] appends, and — moved, not copied — what the
+/// next round's delta plans scan.
+pub(crate) type Deltas = BTreeMap<RelId, Relation>;
+
+/// Canonicalises every bag.
+pub(crate) fn into_runs(bags: Bags) -> Deltas {
+    bags.into_iter()
+        .map(|(rel, bag)| (rel, bag.into_run()))
+        .collect()
+}
 
 /// Minimum number of driving tuples in a round before it is fanned out;
 /// below this, coordination overhead dominates and the round runs
@@ -203,6 +268,55 @@ const PAR_ROUND_THRESHOLD: usize = 256;
 /// Minimum tuples per chunk of a driving scan (fed to
 /// [`kbt_par::chunk_size`], which supplies the chunks-per-worker policy).
 const PAR_MIN_CHUNK: usize = 64;
+
+/// What a scan step walks: a stored relation's slots, tombstones skipped,
+/// or a delta run.
+#[derive(Clone, Copy)]
+enum Scanned<'a> {
+    Stored(&'a IndexedRelation),
+    Delta(&'a Relation),
+}
+
+impl<'a> Scanned<'a> {
+    /// The relation a scan of `rel` from `source` walks; `None` when there
+    /// is nothing to scan (the plan derives nothing).
+    fn of(
+        rel: RelId,
+        source: Source,
+        storage: &'a IndexStorage,
+        deltas: &'a Deltas,
+    ) -> Option<Self> {
+        match source {
+            Source::Full => storage.relation(rel).map(Scanned::Stored),
+            Source::Delta => deltas.get(&rel).map(Scanned::Delta),
+        }
+    }
+
+    /// The valid id range is `0..slots()`.
+    fn slots(self) -> u32 {
+        match self {
+            Scanned::Stored(r) => r.slot_count(),
+            Scanned::Delta(r) => r.len() as u32,
+        }
+    }
+
+    /// Number of rows a full walk yields.
+    fn len(self) -> usize {
+        match self {
+            Scanned::Stored(r) => r.len(),
+            Scanned::Delta(r) => r.len(),
+        }
+    }
+
+    /// The row in slot `id`, unless it is a tombstone.
+    #[inline]
+    fn live_row(self, id: u32) -> Option<&'a [Const]> {
+        match self {
+            Scanned::Stored(r) => r.is_live(id).then(|| r.row(id)),
+            Scanned::Delta(r) => Some(r.row(id as usize)),
+        }
+    }
+}
 
 /// One unit of parallel work within a round: a plan, optionally restricted
 /// to a slice of its driving scan.
@@ -233,18 +347,14 @@ fn round_tasks<'a>(
             });
             continue;
         };
-        let relation = match source {
-            Source::Full => storage.relation(*rel),
-            Source::Delta => deltas.get(rel),
-        };
-        let Some(relation) = relation else {
+        let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
             continue; // nothing to scan: the plan derives nothing
         };
-        let slots = relation.slot_count();
+        let slots = scanned.slots();
         if slots == 0 {
             continue;
         }
-        driving += relation.len();
+        driving += scanned.len();
         let chunk = kbt_par::chunk_size(slots as usize, width, PAR_MIN_CHUNK) as u32;
         let mut start = 0u32;
         while start < slots {
@@ -294,11 +404,7 @@ fn run_task(
     let Some((Step::Scan { rel, source, cols }, rest)) = task.plan.split_driving_scan() else {
         unreachable!("ranged tasks are built from scan-driven plans only");
     };
-    let relation = match source {
-        Source::Full => storage.relation(*rel),
-        Source::Delta => deltas.get(rel),
-    };
-    let Some(relation) = relation else {
+    let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
         return;
     };
     let mut scratch = Scratch::for_rule(task.rule, task.plan.steps.len());
@@ -307,11 +413,11 @@ fn run_task(
         .split_first_mut()
         .expect("plans have at least the driving step");
     for id in range {
-        if !relation.is_live(id) {
+        let Some(row) = scanned.live_row(id) else {
             continue; // tombstone from an incremental removal
-        }
+        };
         stats.tuples_scanned += 1;
-        if match_cols(relation.row(id), cols, &mut scratch.regs, undo) {
+        if match_cols(row, cols, &mut scratch.regs, undo) {
             run_steps(
                 task.rule,
                 rest,
@@ -331,7 +437,8 @@ fn run_task(
 }
 
 /// Runs one round — every listed plan — and returns the pending head facts
-/// that pass `keep` (called with the head relation and the candidate row).
+/// that pass `keep` (called with the head relation and the candidate row),
+/// one canonical run per relation.
 ///
 /// `width > 1` distributes the round's tasks over the global pool; private
 /// per-task buffers are merged in task order, so the result and the counters
@@ -343,12 +450,12 @@ pub(crate) fn run_round_with<K>(
     stats: &mut EngineStats,
     width: usize,
     keep: &K,
-) -> Pending
+) -> Deltas
 where
     K: Fn(RelId, &[Const]) -> bool + Sync,
 {
     let sequential = |stats: &mut EngineStats| {
-        let mut pending = Pending::new();
+        let mut pending = Bags::new();
         for &(rule, plan) in plans {
             let head_rel = rule.head.rel;
             let head_arity = rule.head.terms.len();
@@ -356,14 +463,14 @@ where
                 if keep(head_rel, row) {
                     pending
                         .entry(head_rel)
-                        .or_insert_with(|| RowSet::new(head_arity))
+                        .or_insert_with(|| RowBag::new(head_arity))
                         .push(row);
                 }
             });
         }
         pending
     };
-    let mut pending = 'collected: {
+    let pending = 'collected: {
         if width <= 1 {
             break 'collected sequential(stats);
         }
@@ -372,7 +479,7 @@ where
             break 'collected sequential(stats);
         }
         let results = ThreadPool::global().map(width, &tasks, |_, task| {
-            let mut pending = Pending::new();
+            let mut pending = Bags::new();
             let mut local = EngineStats::default();
             let head_rel = task.rule.head.rel;
             let head_arity = task.rule.head.terms.len();
@@ -380,7 +487,7 @@ where
                 if keep(head_rel, row) {
                     pending
                         .entry(head_rel)
-                        .or_insert_with(|| RowSet::new(head_arity))
+                        .or_insert_with(|| RowBag::new(head_arity))
                         .push(row);
                 }
             });
@@ -388,61 +495,69 @@ where
         });
         // Deterministic merge: task order is rule order then chunk offset,
         // and the canonicalisation below erases even that.
-        let mut pending = Pending::new();
+        let mut pending = Bags::new();
         for (part, local) in results {
             stats.absorb(&local);
-            absorb_pending(&mut pending, part);
+            for (rel, rows) in part {
+                match pending.entry(rel) {
+                    Entry::Vacant(v) => {
+                        v.insert(rows);
+                    }
+                    Entry::Occupied(mut o) => o.get_mut().absorb(rows),
+                }
+            }
         }
         pending
     };
-    for rows in pending.values_mut() {
-        rows.sort_dedup();
-    }
-    pending
+    into_runs(pending)
 }
 
-/// Folds one part of a round's derivations into `into` (same relation, so
-/// same arity; canonicalise afterwards).
-fn absorb_pending(into: &mut Pending, part: Pending) {
-    for (rel, rows) in part {
-        match into.entry(rel) {
-            Entry::Vacant(v) => {
-                v.insert(rows);
-            }
-            Entry::Occupied(mut o) => o.get_mut().absorb(rows),
-        }
-    }
-}
-
-/// One fixpoint round: [`run_round_with`] under the fixpoint filter (keep
-/// facts not yet in storage).  Unobserved, the plans run as one batch.
-/// Observed, the same plans run one execution at a time against the same
-/// unchanged storage with the same filter, the observer reading clock and
-/// counters **between** executions, and the parts are merged into the
-/// canonical union the batch would have produced — so observation never
-/// changes the pending set or the counters (see [`crate::profile`]).
-fn run_round(
+/// One fixpoint round, start to finish — the engine's one commit (see the
+/// module docs for the contract): derives `plans` under the fixpoint filter,
+/// bulk-appends what came out, and returns it as the next round's delta.
+///
+/// Unobserved, the plans run as one batch.  Observed, the same plans run
+/// one execution at a time against the same unchanged storage with the same
+/// filter, the observer reading clock and counters **between** executions,
+/// and the parts are merged into the canonical union the batch would have
+/// produced — so observation never changes the pending set or the counters
+/// (see [`crate::profile`]).
+pub(crate) fn commit(
     plans: &[(&PlannedRule, &JoinPlan)],
-    storage: &IndexStorage,
+    storage: &mut IndexStorage,
     deltas: &Deltas,
     stats: &mut EngineStats,
     width: usize,
     observer: Option<&mut RoundObserver<'_>>,
-) -> Pending {
-    let keep = |rel: RelId, row: &[Const]| !storage.holds_row(rel, row);
-    let Some(observer) = observer else {
-        return run_round_with(plans, storage, deltas, stats, width, &keep);
+) -> Deltas {
+    let pending = {
+        let storage = &*storage;
+        let keep = |rel: RelId, row: &[Const]| !storage.holds_row(rel, row);
+        match observer {
+            None => run_round_with(plans, storage, deltas, stats, width, &keep),
+            Some(observer) => {
+                observer.begin_round();
+                let mut pending = Deltas::new();
+                for &(rule, plan) in plans {
+                    let part = observer.observe_plan(rule, stats, |stats| {
+                        run_round_with(&[(rule, plan)], storage, deltas, stats, width, &keep)
+                    });
+                    for (rel, run) in part {
+                        let merged = match pending.get(&rel) {
+                            Some(seen) => seen.union(&run).expect("one relation, one arity"),
+                            None => run,
+                        };
+                        pending.insert(rel, merged);
+                    }
+                }
+                pending
+            }
+        }
     };
-    observer.begin_round();
-    let mut pending = Pending::new();
-    for &(rule, plan) in plans {
-        let part = observer.observe_plan(rule, stats, |stats| {
-            run_round_with(&[(rule, plan)], storage, deltas, stats, width, &keep)
-        });
-        absorb_pending(&mut pending, part);
-    }
-    for rows in pending.values_mut() {
-        rows.sort_dedup();
+    let _commit_span = crate::metrics::metrics().commit_ns.span();
+    for (&rel, run) in &pending {
+        stats.derived_facts += run.len();
+        storage.append_run(rel, run);
     }
     pending
 }
@@ -480,7 +595,7 @@ pub(crate) fn eval_stratum(
     loop {
         stats.iterations += 1;
         let _round_span = round_ns.span();
-        let pending = run_round(
+        delta = commit(
             &plans,
             storage,
             &delta,
@@ -488,37 +603,11 @@ pub(crate) fn eval_stratum(
             width,
             observer.as_deref_mut(),
         );
-        delta = commit(storage, pending, stats);
         if delta.is_empty() {
             break;
         }
         plans = delta_plans(rules, &delta);
     }
-}
-
-/// Inserts the pending facts, returning the ones that were actually new as
-/// the next delta (in indexed form, ready to be scanned as drivers).  The
-/// pending rows are canonical, so each delta relation is populated in
-/// sorted order.
-pub(crate) fn commit(
-    storage: &mut IndexStorage,
-    pending: Pending,
-    stats: &mut EngineStats,
-) -> Deltas {
-    let mut delta = Deltas::new();
-    for (rel, rows) in &pending {
-        let arity = rows.arity();
-        for row in rows.iter() {
-            if storage.insert_row(*rel, row) {
-                stats.derived_facts += 1;
-                delta
-                    .entry(*rel)
-                    .or_insert_with(|| IndexedRelation::new(arity))
-                    .insert_row(row);
-            }
-        }
-    }
-    delta
 }
 
 /// Runs one join plan, feeding every instantiated head row to `sink`
@@ -691,14 +780,10 @@ fn run_steps(
         .expect("one undo list per plan step");
     match step {
         Step::Scan { rel, source, cols } => {
-            let relation = match source {
-                Source::Full => storage.relation(*rel),
-                Source::Delta => deltas.get(rel),
-            };
-            let Some(relation) = relation else {
+            let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
                 return;
             };
-            for row in relation.iter() {
+            for row in (0..scanned.slots()).filter_map(|id| scanned.live_row(id)) {
                 stats.tuples_scanned += 1;
                 if match_cols(row, cols, regs, undo) {
                     run_steps(
@@ -977,6 +1062,97 @@ mod tests {
         let (fix, stats) = eval(&[tc_program()], &edb, 0);
         assert!(fix.relation(r(2)).unwrap().is_empty());
         assert_eq!(stats.derived_facts, 0);
+    }
+
+    /// tri(x,y,z) :- edge(x,y), edge(y,z), edge(z,x): probes `edge` on its
+    /// first column and closes with a membership check on it.
+    fn triangle_rule() -> Rule {
+        let e = |a, b| Literal::positive(Atom::new(r(1), vec![a, b]));
+        Rule::new(
+            Atom::new(r(3), vec![s(0), s(1), s(2)]),
+            vec![e(s(0), s(1)), e(s(1), s(2)), e(s(2), s(0))],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn plan_only_views_build_no_index_and_no_membership_table() {
+        let mut program = tc_program();
+        program.rules.push(triangle_rule());
+        let strata = [program];
+        let edb = chain_db(6);
+        let namer = |rel: RelId| rel.to_string();
+        let load = || IndexStorage::load(&edb, strata[0].relation_arities()).unwrap();
+
+        let mut storage = load();
+        let mut planned_only = View::explain(&namer);
+        let stats = eval_strata(&strata, &mut storage, 1, Some(&mut planned_only));
+        assert_eq!(stats, EngineStats::default());
+        let edge = storage.relation(r(1)).unwrap();
+        assert_eq!(edge.index_count(), 0, "EXPLAIN must not build indexes");
+        assert!(!edge.has_membership(), "EXPLAIN must not hash the EDB");
+        assert!(storage.relation(r(2)).unwrap().is_empty(), "no round ran");
+
+        // the same rows the public entry explains, and the plans a run runs
+        let mut explained = View::explain(&namer);
+        evaluate(&strata, &edb, 1, Some(&mut explained)).unwrap();
+        assert_eq!(planned_only.rows, explained.rows);
+        let mut profiled = View::profile(&namer);
+        evaluate(&strata, &edb, 1, Some(&mut profiled)).unwrap();
+        let plans = |v: &View<'_>| v.rows.iter().map(|p| p.plan.clone()).collect::<Vec<_>>();
+        assert_eq!(plans(&planned_only), plans(&profiled));
+
+        // whereas a run demands exactly what its steps look up
+        let mut storage = load();
+        eval_strata(&strata, &mut storage, 1, None);
+        let edge = storage.relation(r(1)).unwrap();
+        assert_eq!(edge.index_count(), 1, "probed on the first column");
+        assert!(edge.has_membership(), "the closing edge is a Member step");
+    }
+
+    #[test]
+    fn unnamed_and_unwritten_relations_come_back_as_the_arcs_they_went_in_as() {
+        // r(7) and r(8) are named by no rule; r(1) is named but only read
+        let edb = {
+            let mut b = DatabaseBuilder::new().relation(r(8), 3);
+            for i in 0..20u32 {
+                b = b.fact(r(7), [i, i + 1]);
+            }
+            let mut edb = b.build().unwrap();
+            for (rel, relation) in chain_db(6).iter() {
+                edb.set_relation(rel, relation.clone());
+            }
+            edb
+        };
+        for threads in [1, 4] {
+            let (fix, _) = eval(&[tc_program()], &edb, threads);
+            for rel in [r(1), r(7), r(8)] {
+                assert!(
+                    fix.relation(rel)
+                        .unwrap()
+                        .shares_rows(edb.relation(rel).unwrap()),
+                    "{rel} was copied"
+                );
+            }
+            assert_eq!(fix.relation(r(2)).unwrap().len(), 15);
+            assert_eq!(fix.schema().relations().count(), 4);
+        }
+        // a plan-only view hands the whole EDB back the same way
+        let namer = |rel: RelId| rel.to_string();
+        let mut view = View::explain(&namer);
+        let (fix, _) = evaluate(&[tc_program()], &edb, 1, Some(&mut view)).unwrap();
+        assert!(fix
+            .relation(r(7))
+            .unwrap()
+            .shares_rows(edb.relation(r(7)).unwrap()));
+        assert!(fix.relation(r(2)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn arity_conflicts_with_the_edb_are_errors() {
+        // the EDB stores r(1) as unary; the program reads it as binary
+        let edb = DatabaseBuilder::new().fact(r(1), [1u32]).build().unwrap();
+        assert!(evaluate(&[tc_program()], &edb, 1, None).is_err());
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use kbt_data::{Const, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    bound_cols_match, commit, delta_plans, eval_stratum, match_cols, member_holds,
-    member_holds_cols, run_round_with, Deltas,
+    bound_cols_match, commit, delta_plans, demand, eval_stratum, into_runs, match_cols,
+    member_holds, member_holds_cols, plan_stratum, run_round_with, Bags, Deltas, RowBag,
 };
 use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
@@ -94,14 +94,19 @@ impl IncrementalSession {
     /// `1` = exact sequential path).  The maintained fixpoint and all
     /// statistics are identical at every width.
     pub fn with_threads(strata: &[Program], edb: &Database, threads: usize) -> Result<Self> {
-        let _eval_span = crate::metrics::metrics().eval_ns.span();
+        let metrics = crate::metrics::metrics();
+        let _eval_span = metrics.eval_ns.span();
         let width = kbt_par::resolve_threads(threads);
-        let mut storage = IndexStorage::from_database(edb);
-        for program in strata {
-            for (rel, arity) in program.relation_arities() {
-                storage.ensure_relation(rel, arity)?;
+        let mut storage = {
+            let _load_span = metrics.load_ns.span();
+            let mut storage = IndexStorage::from_database(edb);
+            for program in strata {
+                for (rel, arity) in program.relation_arities() {
+                    storage.ensure_relation(rel, arity)?;
+                }
             }
-        }
+            storage
+        };
 
         let mut stats = EngineStats::default();
         let mut planned = Vec::with_capacity(strata.len());
@@ -125,19 +130,30 @@ impl IncrementalSession {
                     eligible.insert(atom.rel);
                 }
             }
-            let rules = crate::eval::plan_stratum(program, &mut storage, &eligible);
-            eval_stratum(&rules, &mut storage, &mut stats, width, None);
-
             let neg_rels = program
                 .rules
                 .iter()
                 .flat_map(|r| r.body.iter().filter(|l| !l.positive).map(|l| l.atom.rel))
                 .collect();
-            let read_rels = program
+            let read_rels: BTreeSet<RelId> = program
                 .rules
                 .iter()
                 .flat_map(|r| r.body.iter().map(|l| l.atom.rel))
                 .collect();
+            let rules = {
+                let _load_span = metrics.load_ns.span();
+                let rules = plan_stratum(program, &storage, &eligible);
+                demand(&rules, &mut storage);
+                // rederivation pre-binds head slots, which turns a scan
+                // whose columns are then all bound into a membership check
+                // no plan step announces (`member_holds_cols`): every
+                // relation a body reads may be asked
+                for &rel in &read_rels {
+                    storage.ensure_membership(rel);
+                }
+                rules
+            };
+            eval_stratum(&rules, &mut storage, &mut stats, width, None);
             idb.extend(heads.iter().copied());
             planned.push(Stratum {
                 rules,
@@ -146,7 +162,6 @@ impl IncrementalSession {
                 read_rels,
             });
         }
-        let metrics = crate::metrics::metrics();
         metrics.evals_total.inc();
         metrics.absorb_stats(&stats);
         Ok(IncrementalSession {
@@ -196,10 +211,10 @@ impl IncrementalSession {
         let count_before = self.storage.fact_count();
 
         // The deletions actually present, grouped and deduplicated.
-        let mut del_actual = Deltas::new();
+        let mut del_actual = FactSets::new();
         for (rel, t) in deletions {
             if self.storage.holds(*rel, t) {
-                delta_insert(&mut del_actual, *rel, t.components());
+                set_insert(&mut del_actual, *rel, t.components());
             }
         }
         // Relations whose content this call may change, from the input's
@@ -238,8 +253,11 @@ impl IncrementalSession {
         // joint deletion across body atoms can be missed).  Rounds fan out
         // over the pool exactly like fixpoint rounds: private buffers per
         // task, merged in stable order (see `eval` module docs).
-        let mut over = del_actual.clone();
-        let mut round = del_actual;
+        let mut round: Deltas = del_actual
+            .iter()
+            .map(|(&rel, set)| (rel, set.to_relation()))
+            .collect();
+        let mut over = del_actual;
         while !round.is_empty() {
             stats.iterations += 1;
             let mut plans: Vec<(&PlannedRule, &JoinPlan)> = Vec::new();
@@ -249,7 +267,7 @@ impl IncrementalSession {
             let storage = &self.storage;
             let over_ref = &over;
             let protected = &self.protected;
-            let pending = run_round_with(
+            round = run_round_with(
                 &plans,
                 storage,
                 &round,
@@ -261,13 +279,12 @@ impl IncrementalSession {
                         && !protected.get(&rel).is_some_and(|p| p.contains_row(f))
                 },
             );
-            round = Deltas::new();
-            for (rel, rows) in &pending {
-                for fact in rows.iter() {
-                    if delta_insert(&mut over, *rel, fact) {
-                        delta_insert(&mut round, *rel, fact);
-                    }
-                }
+            // the filter just kept these out of `over`, which has not
+            // changed since: the bulk append's disjointness holds
+            for (&rel, run) in &round {
+                over.entry(rel)
+                    .or_insert_with(|| IndexedRelation::new(run.arity()))
+                    .append_run(run);
             }
         }
 
@@ -283,12 +300,14 @@ impl IncrementalSession {
 
         // Phase C — apply the extensional insertions; `added` accumulates
         // every fact added during this call and seeds the per-stratum
-        // propagation deltas.
-        let mut added = Deltas::new();
+        // propagation deltas.  Each entry is a real absent-to-present step
+        // of the storage and nothing is removed from here on, so no fact
+        // enters twice.
+        let mut added = Bags::new();
         for (rel, t) in insertions {
             self.storage.ensure_relation(*rel, t.arity())?;
             if self.storage.insert_fact(*rel, t.clone()) {
-                delta_insert(&mut added, *rel, t.components());
+                bag(&mut added, *rel, t.arity()).push(t.components());
             }
         }
 
@@ -313,33 +332,25 @@ impl IncrementalSession {
                     if derivable {
                         self.storage.insert_row(*rel, fact);
                         stats.rederived_facts += 1;
-                        delta_insert(&mut added, *rel, fact);
+                        bag(&mut added, *rel, fact.len()).push(fact);
                     }
                 }
             }
 
-            let mut delta = added.clone();
+            let mut delta = into_runs(added.clone());
             while !delta.is_empty() {
                 stats.iterations += 1;
-                let stratum = &self.strata[k];
                 let plans = delta_plans(&stratum.rules, &delta);
-                let storage = &self.storage;
-                let pending = run_round_with(
+                delta = commit(
                     &plans,
-                    storage,
+                    &mut self.storage,
                     &delta,
                     &mut stats,
                     self.width,
-                    &|rel, f: &[Const]| !storage.holds_row(rel, f),
+                    None,
                 );
-                if pending.is_empty() {
-                    break;
-                }
-                delta = commit(&mut self.storage, pending, &mut stats);
-                for (rel, facts) in &delta {
-                    for fact in facts.iter() {
-                        delta_insert(&mut added, *rel, fact);
-                    }
+                for (&rel, run) in &delta {
+                    bag(&mut added, rel, run.arity()).push_run(run);
                 }
             }
         }
@@ -363,9 +374,7 @@ impl IncrementalSession {
                 self.storage.clear_relation(*rel);
                 if let Some(base) = self.protected.get(rel) {
                     cleared -= base.len();
-                    for row in base.iter() {
-                        self.storage.insert_row(*rel, row);
-                    }
+                    self.storage.append_run(*rel, base);
                 }
             }
             let stratum = &self.strata[k];
@@ -435,11 +444,20 @@ impl IncrementalSession {
     }
 }
 
-/// Inserts a row into a delta map, creating the indexed relation on first
-/// use; returns whether the fact was new.
-fn delta_insert(deltas: &mut Deltas, rel: RelId, row: &[Const]) -> bool {
-    deltas
-        .entry(rel)
+/// The bag of `rel`'s rows, created on first use.
+fn bag(bags: &mut Bags, rel: RelId, arity: usize) -> &mut RowBag {
+    bags.entry(rel).or_insert_with(|| RowBag::new(arity))
+}
+
+/// Facts per relation with membership: DRed's deleted and overdeleted sets,
+/// which the overdeletion filter looks rows up in.  (A round is never
+/// *driven* by one of these — drivers are scan-only [`Deltas`].)
+type FactSets = BTreeMap<RelId, IndexedRelation>;
+
+/// Inserts a row into a fact set, creating the relation on first use;
+/// returns whether the fact was new.
+fn set_insert(sets: &mut FactSets, rel: RelId, row: &[Const]) -> bool {
+    sets.entry(rel)
         .or_insert_with(|| IndexedRelation::new(row.len()))
         .insert_row(row)
 }
@@ -874,6 +892,46 @@ mod tests {
         edb.insert_fact(r(1), tuple![2, 3]).unwrap();
         assert_eq!(session.current(), from_scratch(&strata, &edb));
         assert!(session.holds(r(4), &tuple![9, 9]));
+    }
+
+    #[test]
+    fn rederivation_finds_the_membership_table_of_an_untouched_edb_relation() {
+        // p(x,y) :- a(x,y), b(x).   p(x,y) :- a(x,y), c(x).
+        // `a` is the smallest relation, so both full plans scan it first,
+        // and every delta variant either scans its delta or probes it on
+        // x: no Member / NegCheck step ever names `a`.  But rederiving
+        // p(1,5) pre-binds x and y, which turns the full plan's scan of `a`
+        // into a membership check — on a relation the session loaded and
+        // never writes.  Its table exists only because sessions demand one
+        // for every relation their plans read.
+        let rule = |other: u32| {
+            Rule::new(
+                Atom::new(r(9), vec![s(0), s(1)]),
+                vec![
+                    Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
+                    Literal::positive(Atom::new(r(other), vec![s(0)])),
+                ],
+            )
+            .unwrap()
+        };
+        let strata = [Program::new(vec![rule(2), rule(3)])];
+        let mut b = DatabaseBuilder::new()
+            .fact(r(1), [1u32, 5])
+            .fact(r(1), [2u32, 6]);
+        for i in 1..=3u32 {
+            b = b.fact(r(2), [i]).fact(r(3), [i]);
+        }
+        let mut edb = b.build().unwrap();
+        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+
+        let stats = session.remove_facts(&[(r(2), tuple![1])]).unwrap();
+        edb.remove_fact(r(2), &tuple![1]);
+        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert!(session.holds(r(9), &tuple![1, 5]), "derivable through c");
+        assert_eq!(stats.rederived_facts, 1);
+        // `a` came through it all exactly as loaded
+        let a = session.relation(r(1)).unwrap();
+        assert!(a.to_relation().shares_rows(edb.relation(r(1)).unwrap()));
     }
 
     #[test]

@@ -8,6 +8,24 @@
 //! per-tuple allocation; scans walk one contiguous buffer and join steps
 //! hand out `&[Const]` row slices straight from the arena.
 //!
+//! The arena is written in bulk.  [`IndexedRelation::from_relation`] copies
+//! a plain relation's sorted run in, and every later
+//! [`IndexedRelation::append_run`] — one per fixpoint round, see the commit
+//! contract in [`crate::eval`] — appends another sorted, duplicate-free run
+//! that is disjoint from everything already stored.  So as long as nothing
+//! else has happened the arena **is a concatenation of sorted runs**, and
+//! the relation records where each one ends: materialising it
+//! ([`IndexedRelation::to_relation`]) is then a k-way *merge* of the runs,
+//! handed to the verifying `Relation::from_sorted_rows`, not a sort.  A
+//! relation that was loaded and never written is returned as the very
+//! `Arc` it was loaded from.  The first single-row mutation
+//! ([`IndexedRelation::insert_row`] / [`IndexedRelation::remove_row`])
+//! puts a row where the order does not say, so it forgets the run
+//! boundaries; from then on materialising sorts, unless a mirror (below)
+//! is kept.
+//!
+//! # Indexes and the membership table
+//!
 //! A *binding pattern* for the relation is the set of argument positions
 //! bound when a rule body reaches the corresponding atom, represented as a
 //! bitmask ([`Mask`], bit `i` = column `i` bound).  For every pattern a rule
@@ -18,32 +36,45 @@
 //! probe**.  Hashed (≥ 3 column) buckets may contain collisions; consumers
 //! verify candidates against the arena (the evaluator's bound-column check).
 //!
+//! The *membership table* is the same thing for the full row: full-row key
+//! → live id.  A relation that starts empty has it from the start.  A bulk
+//! load **defers** it: hashing every stored fact of a relation that is only
+//! ever scanned or probed is the single largest cost of loading it, and a
+//! loaded relation that has not been written since can answer
+//! [`IndexedRelation::contains_row`] by binary search on the sorted run it
+//! came from.  The table is built when someone needs it —
+//! [`IndexedRelation::ensure_membership`], which the planner calls for the
+//! targets of `Member` / `NegCheck` steps exactly as it calls
+//! [`IndexedRelation::ensure_index`] for probe masks — and before the first
+//! mutation of any kind, so that [`IndexedRelation::member_bucket`] is
+//! either complete or absent, never partial.
+//!
 //! Indexes are built lazily (first demand pays the build) and maintained
-//! incrementally on insertion.  Removal — needed by the incremental
+//! on every append and insertion.  Removal — needed by the incremental
 //! session's DRed deletion path — is tombstone-based: the slot is marked
 //! dead and left in the index buckets, and readers filter by
 //! [`IndexedRelation::is_live`]; once more than half the slots are dead the
 //! relation compacts itself, rebuilding arena and indexes without garbage.
 //!
-//! # The mirror
+//! # The mirror (a session concern)
 //!
-//! Relations additionally keep an optional **mirror** — a copy-on-write
-//! [`Relation`] — so that materialising the relation
-//! ([`IndexedRelation::to_relation`] / [`IndexedRelation::snapshot`]) is an
-//! `O(1)` `Arc` clone instead of an `O(n log n)` rebuild.  The mirror exists
-//! for relations built from a plain [`Relation`] and for relations that have
-//! been snapshotted at least once.  Mutations do **not** touch the sorted
-//! run per fact (that would cost `O(n)` each against a flat run): they are
-//! buffered as pending add/delete rows and *flushed in one batched linear
-//! merge* ([`Relation::merge_rows`]) the next time a snapshot is taken.
-//! Because inserts and removes record only real membership changes, the
-//! events for one row strictly alternate, so a row's final membership flips
-//! exactly when its event count is odd — the flush sorts the event buffer
-//! once and applies the odd-parity rows.  The incremental chain evaluator
-//! leans on this: each `τ_φ` step snapshots the intensional output relation
-//! for the cost of one merge over the step's delta.
+//! One-shot evaluation never creates one.  The incremental session
+//! mutates row by row *and* hands its intensional relations out after
+//! every step, so it asks for [`IndexedRelation::snapshot`], which keeps a
+//! **mirror** — a copy-on-write [`Relation`] — beside the arena so the next
+//! snapshot is an `O(1)` `Arc` clone plus whatever changed in between.
+//! While a mirror exists, mutations do **not** touch its sorted run per
+//! fact (that would cost `O(n)` each against a flat run): they are buffered
+//! as pending add/delete rows and *flushed in one batched linear merge*
+//! ([`Relation::merge_rows`]) the next time a snapshot is taken.  Because
+//! inserts and removes record only real membership changes, the events for
+//! one row strictly alternate, so a row's final membership flips exactly
+//! when its event count is odd — the flush sorts the event buffer once and
+//! applies the odd-parity rows.
 
 use kbt_data::{Const, Relation, Tuple};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashMap;
 use std::collections::HashSet;
 
@@ -114,7 +145,8 @@ impl IdList {
 type Buckets = HashMap<u64, IdList, FxBuild>;
 
 /// A relation stored as a flat row arena with hash indexes per demanded
-/// binding pattern (see the module docs for layout and mirror semantics).
+/// binding pattern (see the module docs for layout, the deferred membership
+/// table and mirror semantics).
 #[derive(Clone, Debug)]
 pub struct IndexedRelation {
     arity: usize,
@@ -128,11 +160,21 @@ pub struct IndexedRelation {
     dead: usize,
     /// Number of live tuples (`live.len() - dead`).
     live_count: usize,
-    /// Membership buckets from full-row keys to live ids only (doubles as
-    /// the full-binding-pattern index).
-    ids: Buckets,
+    /// The membership table: full-row keys to live ids only (doubles as
+    /// the full-binding-pattern index).  `None` only on a bulk load nobody
+    /// has written to or demanded membership of — see `source`.
+    ids: Option<Buckets>,
     /// One hash index per demanded mask (buckets may contain tombstones).
     indexes: Vec<(Mask, Buckets)>,
+    /// The end slot of every sorted run the arena is a concatenation of,
+    /// while that is all it is: bulk loads and bulk appends push here, the
+    /// first single-row mutation sets `None` (see the module docs).  A
+    /// recorded run may be empty.
+    runs: Option<Vec<u32>>,
+    /// The relation a bulk load copied, kept until the first mutation: it
+    /// *is* the contents, so it answers membership while `ids` is deferred
+    /// and is what [`Self::to_relation`] returns.
+    source: Option<Relation>,
     /// Copy-on-write materialised view (see the module docs).
     mirror: Option<Relation>,
     /// Buffered mirror mutations: arity-strided rows actually inserted /
@@ -158,8 +200,10 @@ impl IndexedRelation {
             live: Vec::new(),
             dead: 0,
             live_count: 0,
-            ids: Buckets::default(),
+            ids: Some(Buckets::default()),
             indexes: Vec::new(),
+            runs: Some(Vec::new()),
+            source: None,
             mirror: None,
             pending_adds: Vec::new(),
             pending_add_count: 0,
@@ -171,19 +215,19 @@ impl IndexedRelation {
 
     /// Copies a plain relation into indexed form — a bulk load: the source's
     /// sorted run is copied into the arena in one `memcpy`-shaped move and
-    /// becomes the mirror (an `Arc` clone), so materialising the relation
-    /// back out stays `O(1)` as long as the contents are maintained through
-    /// [`Self::insert`] / [`Self::remove`].
+    /// recorded as the arena's first run, and nothing is hashed.  Until the
+    /// first mutation the source itself (an `Arc` clone) answers membership
+    /// and is handed back by [`Self::to_relation`].
     pub fn from_relation(relation: &Relation) -> Self {
-        let mut out = IndexedRelation::new(relation.arity());
-        out.rows = relation.as_rows().to_vec();
-        out.live = vec![true; relation.len()];
-        out.live_count = relation.len();
-        for (id, row) in relation.iter().enumerate() {
-            bucket_push(&mut out.ids, fx::row_key(row), id as u32);
+        IndexedRelation {
+            rows: relation.as_rows().to_vec(),
+            live: vec![true; relation.len()],
+            live_count: relation.len(),
+            ids: None,
+            runs: Some(vec![relation.len() as u32]),
+            source: Some(relation.clone()),
+            ..IndexedRelation::new(relation.arity())
         }
-        out.mirror = Some(relation.clone());
-        out
     }
 
     /// The arity of the relation.
@@ -201,19 +245,41 @@ impl IndexedRelation {
         self.live_count == 0
     }
 
-    /// Whether the tuple is present (one hash probe plus verification).
+    /// Whether the tuple is present (one hash probe plus verification, or a
+    /// binary search while the membership table is deferred).
     pub fn contains(&self, t: &Tuple) -> bool {
         t.arity() == self.arity && self.contains_row(t.components())
     }
 
     /// [`Self::contains`] for a raw row slice.
     pub fn contains_row(&self, row: &[Const]) -> bool {
-        self.find_live_id(row).is_some()
+        match &self.ids {
+            Some(_) => self.find_live_id(row).is_some(),
+            None => self
+                .source
+                .as_ref()
+                .expect("a deferred membership table implies an unwritten load")
+                .contains_row(row),
+        }
+    }
+
+    /// The membership table; every caller sits behind a mutation or a
+    /// demand, both of which build it.
+    #[inline]
+    fn ids(&self) -> &Buckets {
+        self.ids
+            .as_ref()
+            .expect("membership table built by ensure_membership or the first mutation")
+    }
+
+    /// [`Self::ids`] for writing, after [`Self::begin_mutation`].
+    fn ids_mut(&mut self) -> &mut Buckets {
+        self.ids.as_mut().expect("built by begin_mutation")
     }
 
     fn find_live_id(&self, row: &[Const]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.arity);
-        let bucket = self.ids.get(&fx::row_key(row))?;
+        let bucket = self.ids().get(&fx::row_key(row))?;
         if fx::key_is_exact(self.arity) {
             // packed keys are injective over the full row: any occupant is a
             // true match (membership buckets hold live ids only)
@@ -285,18 +351,22 @@ impl IndexedRelation {
         self.insert_row(t.components())
     }
 
-    /// [`Self::insert`] for a raw row slice: appends to the arena and
-    /// updates every existing index, with no per-tuple boxing.
+    /// [`Self::insert`] for a raw row slice: the checked single-row write
+    /// (extensional deltas, rederivation).  Appends to the arena and updates
+    /// every existing index, with no per-tuple boxing; the arena stops being
+    /// a concatenation of sorted runs.
     pub fn insert_row(&mut self, row: &[Const]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
         if self.contains_row(row) {
             return false;
         }
+        self.begin_mutation();
+        self.runs = None;
         let id = self.live.len() as u32;
         self.rows.extend_from_slice(row);
         self.live.push(true);
         self.live_count += 1;
-        bucket_push(&mut self.ids, fx::row_key(row), id);
+        bucket_push(self.ids_mut(), fx::row_key(row), id);
         for (mask, index) in &mut self.indexes {
             bucket_push(index, mask_key(row, *mask), id);
         }
@@ -305,6 +375,61 @@ impl IndexedRelation {
             self.pending_add_count += 1;
         }
         true
+    }
+
+    /// Appends a whole run in one go — the unchecked bulk write behind the
+    /// fixpoint's commit.  `run` is sorted and duplicate-free by type; the
+    /// caller guarantees that **none of its rows is present** (the commit
+    /// filters the round's derivations against this very relation, and
+    /// nothing writes in between — see [`crate::eval`]).  One arena extend,
+    /// then one membership insert and one bucket push per live index per
+    /// row; no second lookup.  The run's end is recorded, so a relation
+    /// written only this way materialises by merging.
+    ///
+    /// Appending a row that is present is a caller bug: debug builds assert,
+    /// release builds find out in [`Self::to_relation`], whose merged run
+    /// fails verification.
+    pub fn append_run(&mut self, run: &Relation) {
+        debug_assert_eq!(run.arity(), self.arity);
+        debug_assert!(
+            // `contains_row` compares rows, so a hashed-key collision with a
+            // stored row does not read as "present"
+            run.iter().all(|row| !self.contains_row(row)),
+            "bulk-appended rows must be absent from the relation"
+        );
+        if run.is_empty() {
+            return;
+        }
+        self.begin_mutation();
+        let first = self.live.len() as u32;
+        self.rows.extend_from_slice(run.as_rows());
+        self.live.resize(self.live.len() + run.len(), true);
+        self.live_count += run.len();
+        let ids = self.ids_mut();
+        ids.reserve(run.len());
+        for (id, row) in (first..).zip(run.iter()) {
+            bucket_push(ids, fx::row_key(row), id);
+        }
+        for (mask, index) in &mut self.indexes {
+            for (id, row) in (first..).zip(run.iter()) {
+                bucket_push(index, mask_key(row, *mask), id);
+            }
+        }
+        if let Some(runs) = &mut self.runs {
+            runs.push(self.live.len() as u32);
+        }
+        if self.mirror.is_some() {
+            self.pending_adds.extend_from_slice(run.as_rows());
+            self.pending_add_count += run.len();
+        }
+    }
+
+    /// What every mutation does first: the contents are about to stop being
+    /// the load's source, so the membership table must exist and the source
+    /// must go.
+    fn begin_mutation(&mut self) {
+        self.ensure_membership();
+        self.source = None;
     }
 
     /// Removes a tuple, returning `true` if it was present.
@@ -319,17 +444,16 @@ impl IndexedRelation {
     /// index buckets are cleaned up lazily by compaction, which runs
     /// automatically once tombstones outnumber live rows.
     pub fn remove_row(&mut self, row: &[Const]) -> bool {
-        let Some(id) = self.find_live_id(row) else {
+        if !self.contains_row(row) {
             return false;
-        };
+        }
+        self.begin_mutation();
+        self.runs = None;
+        let id = self.find_live_id(row).expect("present, checked above");
         let key = fx::row_key(row);
-        if self
-            .ids
-            .get_mut(&key)
-            .expect("bucket found above")
-            .remove_id(id)
-        {
-            self.ids.remove(&key);
+        let ids = self.ids_mut();
+        if ids.get_mut(&key).expect("bucket found above").remove_id(id) {
+            ids.remove(&key);
         }
         self.live[id as usize] = false;
         self.dead += 1;
@@ -345,16 +469,20 @@ impl IndexedRelation {
     }
 
     /// Drops every tuple while keeping the demanded index masks alive (with
-    /// empty buckets), so existing plans can still probe after a reset.
+    /// empty buckets), so existing plans can still probe after a reset.  An
+    /// empty arena is a concatenation of zero runs, so bulk appends after a
+    /// clear are merged again.
     pub fn clear(&mut self) {
         self.rows.clear();
         self.live.clear();
         self.dead = 0;
         self.live_count = 0;
-        self.ids.clear();
+        self.ids.get_or_insert_default().clear();
         for (_, index) in &mut self.indexes {
             index.clear();
         }
+        self.runs = Some(Vec::new());
+        self.source = None;
         // the mirror is set to the true (empty) contents directly, so any
         // buffered events are obsolete
         self.pending_adds.clear();
@@ -381,17 +509,9 @@ impl IndexedRelation {
         }
         self.live = vec![true; self.live_count];
         self.dead = 0;
-        self.ids.clear();
+        self.ids = Some(self.build_membership());
         for (_, index) in &mut self.indexes {
             index.clear();
-        }
-        for id in 0..self.live_count as u32 {
-            let row = if arity == 0 {
-                &[][..]
-            } else {
-                &self.rows[id as usize * arity..(id as usize + 1) * arity]
-            };
-            bucket_push(&mut self.ids, fx::row_key(row), id);
         }
         for i in 0..self.indexes.len() {
             let mask = self.indexes[i].0;
@@ -410,6 +530,32 @@ impl IndexedRelation {
         } else {
             &self.rows[id as usize * self.arity..(id as usize + 1) * self.arity]
         }
+    }
+
+    /// Builds the membership table if a bulk load deferred it (see the
+    /// module docs).  Called by the planner's demand pass for every relation
+    /// a `Member` / `NegCheck` step targets, by sessions for every relation
+    /// their plans read, and by every mutation.
+    pub fn ensure_membership(&mut self) {
+        if self.ids.is_none() {
+            self.ids = Some(self.build_membership());
+        }
+    }
+
+    /// The membership table of an arena without tombstones (a load nobody
+    /// has written to, or one just compacted).
+    fn build_membership(&self) -> Buckets {
+        debug_assert_eq!(self.dead, 0);
+        let mut ids = Buckets::with_capacity_and_hasher(self.live.len(), FxBuild::default());
+        for id in 0..self.live.len() as u32 {
+            bucket_push(&mut ids, fx::row_key(self.row_raw(id)), id);
+        }
+        ids
+    }
+
+    /// Whether the membership table exists (for tests and diagnostics).
+    pub fn has_membership(&self) -> bool {
+        self.ids.is_some()
     }
 
     /// Builds the index for `mask` if it does not exist yet.
@@ -446,9 +592,11 @@ impl IndexedRelation {
 
     /// The raw membership bucket for a full-row key (live ids only; for
     /// hashed keys — arity > 2 — verify candidates against [`Self::row`]).
+    /// Like a probe index, the membership table of a loaded relation must
+    /// have been demanded with [`Self::ensure_membership`] beforehand.
     #[inline]
     pub fn member_bucket(&self, key: u64) -> &[u32] {
-        self.ids.get(&key).map_or(&[], IdList::as_slice)
+        self.ids().get(&key).map_or(&[], IdList::as_slice)
     }
 
     /// Diagnostic probe: the live ids whose projection onto `mask` equals
@@ -563,25 +711,71 @@ impl IndexedRelation {
                 .is_some_and(|m| m.len() == self.live_count)
     }
 
-    /// Rebuilds the live contents from the arena (the mirror-free slow path,
-    /// and the reference the mirror is resynced from).
+    /// Materialises the live contents from the arena, mirror or no mirror
+    /// (it is also the reference the mirror is resynced from): a merge of
+    /// the recorded runs while the arena is nothing but runs, a full sort
+    /// once a single-row mutation has forgotten them.
     fn rebuild_relation(&self) -> Relation {
-        let mut buf = Vec::with_capacity(self.live_count * self.arity);
-        for row in self.iter() {
-            buf.extend_from_slice(row);
+        if self.arity == 0 {
+            return Relation::from_rows(0, Vec::new(), self.live_count).expect("flag relation");
         }
-        Relation::from_rows(self.arity, buf, self.live_count)
-            .expect("the arena is arity-strided by construction")
+        let Some(ends) = &self.runs else {
+            let mut buf = Vec::with_capacity(self.live_count * self.arity);
+            for row in self.iter() {
+                buf.extend_from_slice(row);
+            }
+            return Relation::from_rows(self.arity, buf, self.live_count)
+                .expect("the arena is arity-strided by construction");
+        };
+        // runs ⇒ no removal ever happened ⇒ every slot is live
+        debug_assert_eq!(self.dead, 0);
+        let arity = self.arity;
+        let row_at = |slot: u32| &self.rows[slot as usize * arity..][..arity];
+        // (next slot, end slot) per non-empty run
+        let mut cursors: Vec<(u32, u32)> = std::iter::once(0)
+            .chain(ends.iter().copied())
+            .zip(ends.iter().copied())
+            .filter(|(start, end)| start < end)
+            .collect();
+        let merged = if cursors.len() <= 1 {
+            self.rows.clone()
+        } else {
+            let mut heap: BinaryHeap<Reverse<(&[Const], usize)>> = cursors
+                .iter()
+                .enumerate()
+                .map(|(run, &(start, _))| Reverse((row_at(start), run)))
+                .collect();
+            let mut merged = Vec::with_capacity(self.rows.len());
+            while let Some(mut top) = heap.peek_mut() {
+                let Reverse((row, run)) = *top;
+                merged.extend_from_slice(row);
+                let (next, end) = &mut cursors[run];
+                *next += 1;
+                if *next < *end {
+                    *top = Reverse((row_at(*next), run));
+                } else {
+                    PeekMut::pop(top);
+                }
+            }
+            merged
+        };
+        Relation::from_sorted_rows(arity, merged)
+            .expect("every appended run is sorted and disjoint from the runs before it")
     }
 
-    /// The live contents as a plain relation: an `O(1)` clone of the mirror
-    /// when one is maintained, fully flushed *and in sync*, otherwise a
-    /// rebuild.  A desynchronised mirror is never served — in debug builds
-    /// it also trips an assertion so the maintenance bug gets fixed rather
-    /// than papered over.  (Callers holding `&mut self` should prefer
-    /// [`Self::snapshot`], which flushes the buffered mirror events instead
-    /// of falling back to a rebuild.)
+    /// The live contents as a plain relation: the load's source while
+    /// nothing has been written, an `O(1)` clone of the mirror when one is
+    /// maintained, fully flushed *and in sync*, otherwise a rebuild from the
+    /// arena (`rebuild_relation`: a merge while the arena is
+    /// all runs).  A desynchronised mirror is never served — in debug
+    /// builds it also trips an assertion so the maintenance bug gets fixed
+    /// rather than papered over.  (Callers holding `&mut self` and coming
+    /// back for more should prefer [`Self::snapshot`], which keeps the
+    /// result as the mirror.)
     pub fn to_relation(&self) -> Relation {
+        if let Some(source) = &self.source {
+            return source.clone();
+        }
         if self.pending_empty() {
             if let Some(mirror) = &self.mirror {
                 debug_assert_eq!(mirror.len(), self.live_count, "mirror out of sync");
@@ -610,7 +804,7 @@ impl IndexedRelation {
             self.mirror_rebuilds += 1;
         }
         if self.mirror.is_none() {
-            self.mirror = Some(self.rebuild_relation());
+            self.mirror = Some(self.to_relation());
         }
         self.mirror.clone().expect("just ensured")
     }
@@ -833,14 +1027,93 @@ mod tests {
     }
 
     #[test]
-    fn from_relation_keeps_the_source_as_mirror() {
+    fn a_load_hands_its_source_back_until_it_is_written() {
         let plain = sample().to_relation();
         let mut r = IndexedRelation::from_relation(&plain);
-        assert_eq!(r.to_relation(), plain);
+        assert!(r.to_relation().shares_rows(&plain));
+        // reading, indexing and demanding membership are not writes
+        r.ensure_index(0b01);
+        r.ensure_membership();
+        assert!(r.contains(&tuple![1, 3]));
+        assert!(!r.insert(tuple![1, 3]), "a redundant insert is not a write");
+        assert!(!r.remove(&tuple![7, 7]), "nor is a removal that misses");
+        assert!(r.to_relation().shares_rows(&plain));
+        // a write is
         r.clear();
         assert!(r.to_relation().is_empty());
         r.insert(tuple![4, 4]);
         assert_eq!(r.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn a_load_defers_its_membership_table() {
+        let plain = sample().to_relation();
+        let mut r = IndexedRelation::from_relation(&plain);
+        assert!(!r.has_membership());
+        // membership is answered from the sorted source meanwhile
+        assert!(r.contains(&tuple![2, 3]));
+        assert!(!r.contains(&tuple![3, 2]));
+        assert!(!r.contains(&tuple![1]), "wrong arity is simply absent");
+        // the first write builds the table before it changes anything
+        assert!(r.insert(tuple![3, 2]));
+        assert!(r.has_membership());
+        for t in [tuple![1, 2], tuple![1, 3], tuple![2, 3], tuple![3, 2]] {
+            assert!(r.contains(&t), "{t:?}");
+        }
+        assert_eq!(r.to_relation().len(), 4);
+    }
+
+    /// A run over binary rows, in whatever order they are given.
+    fn run2(rows: &[(u32, u32)]) -> Relation {
+        Relation::from_tuples(2, rows.iter().map(|&(a, b)| tuple![a, b])).unwrap()
+    }
+
+    #[test]
+    fn bulk_appends_are_indexed_and_merged_back_in_order() {
+        let mut r = IndexedRelation::from_relation(&Relation::empty(2));
+        r.ensure_index(0b01);
+        r.append_run(&run2(&[(1, 5), (3, 1), (2, 2)]));
+        r.append_run(&Relation::empty(2));
+        r.append_run(&run2(&[(1, 1), (9, 9)]));
+        r.append_run(&run2(&[(2, 1)]));
+        assert!(r.has_membership());
+        assert_eq!(r.len(), 6);
+        assert_eq!(r.slot_count(), 6);
+        // arena order is append order; the indexes cover every run
+        assert_eq!(r.row(0), &[Const::new(1), Const::new(5)]);
+        assert_eq!(r.row(3), &[Const::new(1), Const::new(1)]);
+        assert_eq!(r.probe(0b01, &[Const::new(1)]), vec![0, 3]);
+        assert_eq!(r.probe(0b01, &[Const::new(2)]), vec![1, 5]);
+        assert!(r.contains(&tuple![9, 9]));
+        assert!(!r.contains(&tuple![9, 1]));
+        // materialising merges the runs into one canonical run
+        let expected = run2(&[(1, 1), (1, 5), (2, 1), (2, 2), (3, 1), (9, 9)]);
+        assert_eq!(r.to_relation(), expected);
+        assert_eq!(r.snapshot(), expected);
+        // with a mirror kept, a later run is flushed into it
+        r.append_run(&run2(&[(0, 0)]));
+        assert_eq!(r.snapshot().len(), 7);
+        assert_eq!(r.snapshot().row(0), &[Const::new(0), Const::new(0)]);
+        assert_eq!(r.mirror_rebuilds(), 0);
+        // a single-row write ends the merging, not the correctness
+        let mut s = r.clone();
+        s.remove(&tuple![1, 5]);
+        s.append_run(&run2(&[(1, 5), (4, 4)]));
+        assert_eq!(s.to_relation().len(), 8);
+        assert_eq!(s.to_relation(), s.snapshot());
+    }
+
+    #[test]
+    fn zero_arity_relations_take_bulk_appends() {
+        let on = Relation::from_tuples(0, [Tuple::empty()]).unwrap();
+        let mut r = IndexedRelation::from_relation(&Relation::empty(0));
+        assert!(!r.contains(&Tuple::empty()));
+        r.append_run(&Relation::empty(0));
+        assert!(r.to_relation().is_empty());
+        r.append_run(&on);
+        assert!(r.contains(&Tuple::empty()));
+        assert_eq!(r.to_relation(), on);
+        assert!(IndexedRelation::from_relation(&on).contains(&Tuple::empty()));
     }
 
     #[test]

@@ -8,19 +8,30 @@
 //!
 //! * [`index::IndexedRelation`] / [`storage::IndexStorage`] — flat row
 //!   storage: every relation keeps its tuples in one arity-strided
-//!   `Vec<Const>` arena (slot = row id, tombstoned removals, amortised
-//!   compaction) with hash indexes keyed by *bound-column masks*, built
-//!   lazily for exactly the `(relation, binding pattern)` pairs a rule body
-//!   demands.  Keys over ≤ [`PACK_MAX`] bound columns pack injectively into
-//!   a `u64` ([`fx::KeyAcc`]); wider patterns hash with verification.  A
-//!   probe is therefore allocation-free: pack the key on the stack, borrow
-//!   the bucket's id slice, verify candidates against `&[Const]` row slices
-//!   straight out of the arena;
+//!   `Vec<Const>` arena (slot = row id) with hash indexes keyed by
+//!   *bound-column masks*, built lazily for exactly the `(relation, binding
+//!   pattern)` pairs a rule body demands.  Keys over ≤ [`PACK_MAX`] bound
+//!   columns pack injectively into a `u64` ([`fx::KeyAcc`]); wider patterns
+//!   hash with verification.  A probe is therefore allocation-free: pack
+//!   the key on the stack, borrow the bucket's id slice, verify candidates
+//!   against `&[Const]` row slices straight out of the arena.  Storage is
+//!   **written in bulk and read back by merging**: one-shot evaluation
+//!   loads only the relations its rules name (a memcpy each — the
+//!   membership table of a loaded relation is deferred until a plan or a
+//!   write needs it; everything else in the database passes through as the
+//!   `Arc` it is), each fixpoint round appends one sorted run per relation
+//!   that is by construction disjoint from what is stored, the arena
+//!   records the run boundaries, and the result is a k-way merge of them.
+//!   Each derived fact is written once into its round's run and once into
+//!   the arena.  Single-row writes, tombstoned removals with amortised
+//!   compaction and the copy-on-write snapshot mirror exist for the
+//!   incremental session, which is the only caller that needs them;
 //! * [`plan`] — a join planner that orders body atoms by bound-variable
 //!   count and compiles every rule into a sequence of index probes instead
 //!   of full scans;
 //! * [`eval`] — a delta-aware semi-naive driver (stratified negation
-//!   preserved) maintaining `full`/`delta` relation pairs;
+//!   preserved) whose one `commit` runs a round, appends what it derived
+//!   and hands the very same runs on as the next round's delta;
 //! * [`EngineStats`] — iterations, derived facts, index probes and tuples
 //!   scanned, so callers and benchmarks can see the work performed.
 //!

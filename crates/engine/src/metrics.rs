@@ -46,6 +46,16 @@ pub struct EngineMetrics {
     pub eval_ns: Histogram,
     /// `kbt_engine_round_ns` — per-fixpoint-round wall time (derive+commit).
     pub round_ns: Histogram,
+    /// `kbt_engine_load_ns` — getting ready to run: one sample for wrapping
+    /// the relations the strata name, one per stratum for planning it and
+    /// building the indexes and membership tables its plans demand.
+    pub load_ns: Histogram,
+    /// `kbt_engine_commit_ns` — per-round wall time of the bulk append
+    /// alone (the part of `round_ns` that is not joining).
+    pub commit_ns: Histogram,
+    /// `kbt_engine_materialize_ns` — turning the evaluated storage's runs
+    /// back into a `Database`, once per from-scratch evaluation.
+    pub materialize_ns: Histogram,
     /// `kbt_engine_delta_ns` — per-incremental-delta wall time.
     pub delta_ns: Histogram,
 }
@@ -110,6 +120,18 @@ pub fn metrics() -> &'static EngineMetrics {
                 "Per-fixpoint-round wall time in nanoseconds.",
             ),
             (
+                "kbt_engine_load_ns",
+                "Wall time wrapping named relations, and per stratum planning and building demanded indexes, in nanoseconds.",
+            ),
+            (
+                "kbt_engine_commit_ns",
+                "Per-fixpoint-round wall time of the bulk append in nanoseconds.",
+            ),
+            (
+                "kbt_engine_materialize_ns",
+                "Wall time merging evaluated storage back into a database in nanoseconds.",
+            ),
+            (
                 "kbt_engine_delta_ns",
                 "Per-incremental-delta wall time in nanoseconds.",
             ),
@@ -128,6 +150,9 @@ pub fn metrics() -> &'static EngineMetrics {
             table_evictions: r.counter("kbt_engine_table_evictions"),
             eval_ns: r.histogram("kbt_engine_eval_ns"),
             round_ns: r.histogram("kbt_engine_round_ns"),
+            load_ns: r.histogram("kbt_engine_load_ns"),
+            commit_ns: r.histogram("kbt_engine_commit_ns"),
+            materialize_ns: r.histogram("kbt_engine_materialize_ns"),
             delta_ns: r.histogram("kbt_engine_delta_ns"),
         }
     })

@@ -166,17 +166,32 @@ impl PlannedRule {
         out
     }
 
+    /// Every step of every plan: the full plan, then each delta variant.
+    fn steps(&self) -> impl Iterator<Item = &Step> {
+        std::iter::once(&self.full)
+            .chain(self.deltas.iter().map(|(_, p)| p))
+            .flat_map(|plan| &plan.steps)
+    }
+
     /// Every `(relation, mask)` index the plans demand.
     pub fn demanded_indexes(&self) -> BTreeSet<(RelId, Mask)> {
-        let mut out = BTreeSet::new();
-        for plan in std::iter::once(&self.full).chain(self.deltas.iter().map(|(_, p)| p)) {
-            for step in &plan.steps {
-                if let Step::Probe { rel, mask, .. } = step {
-                    out.insert((*rel, *mask));
-                }
-            }
-        }
-        out
+        self.steps()
+            .filter_map(|step| match step {
+                Step::Probe { rel, mask, .. } => Some((*rel, *mask)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every relation whose membership table the plans demand: the targets
+    /// of `Member` and `NegCheck` steps.
+    pub fn demanded_membership(&self) -> BTreeSet<RelId> {
+        self.steps()
+            .filter_map(|step| match step {
+                Step::Member { rel, .. } | Step::NegCheck { rel, .. } => Some(*rel),
+                _ => None,
+            })
+            .collect()
     }
 }
 

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use kbt_data::{Const, RelId};
 
-use crate::eval::Pending;
+use crate::eval::Deltas;
 use crate::plan::PlannedRule;
 use crate::stats::EngineStats;
 
@@ -179,8 +179,8 @@ impl RoundObserver<'_> {
         &mut self,
         rule: &PlannedRule,
         stats: &mut EngineStats,
-        run: impl FnOnce(&mut EngineStats) -> Pending,
-    ) -> Pending {
+        run: impl FnOnce(&mut EngineStats) -> Deltas,
+    ) -> Deltas {
         let idx = self
             .rules
             .iter()

@@ -1,8 +1,9 @@
 //! Storage of whole databases in indexed form.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use kbt_data::{Const, DataError, Database, RelId, Tuple};
+use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
 use crate::index::{IndexedRelation, Mask};
 
@@ -19,7 +20,9 @@ impl IndexStorage {
         IndexStorage::default()
     }
 
-    /// Copies a database into indexed form.
+    /// Copies a whole database into indexed form — what a session does,
+    /// since later deltas may touch any relation.  One-shot evaluation uses
+    /// [`Self::load`] instead.
     pub fn from_database(db: &Database) -> Self {
         IndexStorage {
             relations: db
@@ -27,6 +30,27 @@ impl IndexStorage {
                 .map(|(rel, r)| (rel, IndexedRelation::from_relation(r)))
                 .collect(),
         }
+    }
+
+    /// Wraps only the `named` relations of `edb` (each with the arity its
+    /// user expects; empty where `edb` has none) — the one-shot path's
+    /// load: a relation no rule names is never copied, and comes back
+    /// through [`Self::overlay_on`] as the `Arc` it went in as.  Fails on an
+    /// arity conflict, between `edb` and a name or between two names.
+    pub fn load(
+        edb: &Database,
+        named: impl IntoIterator<Item = (RelId, usize)>,
+    ) -> Result<Self, DataError> {
+        let mut storage = IndexStorage::new();
+        for (rel, arity) in named {
+            if let (Entry::Vacant(slot), Some(r)) =
+                (storage.relations.entry(rel), edb.relation(rel))
+            {
+                slot.insert(IndexedRelation::from_relation(r));
+            }
+            storage.ensure_relation(rel, arity)?;
+        }
+        Ok(storage)
     }
 
     /// Ensures `rel` exists with the given arity (empty if absent); fails on
@@ -87,6 +111,15 @@ impl IndexStorage {
             .insert_row(row)
     }
 
+    /// Bulk-appends a run of facts none of which is stored yet (see
+    /// [`IndexedRelation::append_run`] for the contract).
+    pub fn append_run(&mut self, rel: RelId, run: &Relation) {
+        self.relations
+            .get_mut(&rel)
+            .expect("relation ensured before evaluation")
+            .append_run(run);
+    }
+
     /// Removes a fact, returning `true` if it was present.  Unknown
     /// relations simply report `false`.
     pub fn remove_fact(&mut self, rel: RelId, t: &Tuple) -> bool {
@@ -116,6 +149,15 @@ impl IndexStorage {
         }
     }
 
+    /// Demands the membership table of `rel` (see
+    /// [`IndexedRelation::ensure_membership`]); a no-op for unknown
+    /// relations.
+    pub fn ensure_membership(&mut self, rel: RelId) {
+        if let Some(r) = self.relations.get_mut(&rel) {
+            r.ensure_membership();
+        }
+    }
+
     /// The number of facts stored under `rel` (0 when absent); the
     /// cardinality source for the join planner's tie-breaking.
     pub fn relation_len(&self, rel: RelId) -> usize {
@@ -138,7 +180,14 @@ impl IndexStorage {
 
     /// Copies the storage back into a plain database.
     pub fn to_database(&self) -> Database {
-        let mut db = Database::new();
+        self.overlay_on(&Database::new())
+    }
+
+    /// `edb` with every stored relation set to its current contents: the
+    /// relations [`Self::load`] left out pass through as `Arc` clones, and
+    /// so does every stored one nothing was written to.
+    pub fn overlay_on(&self, edb: &Database) -> Database {
+        let mut db = edb.clone();
         for (&rel, r) in &self.relations {
             db.set_relation(rel, r.to_relation());
         }

@@ -1,18 +1,43 @@
-//! Differential proptest for the copy-on-write mirror of
-//! [`IndexedRelation`]: random interleavings of `insert` / `remove` /
-//! `clear` (with automatic compaction kicking in on delete-heavy prefixes)
-//! are replayed against a plain [`Relation`] as the reference, and the
-//! mirror-backed snapshots must agree with the reference after every step.
+//! Differential proptests for [`IndexedRelation`]'s three ways of knowing
+//! its own contents in order — the source of an unwritten load, the
+//! recorded sorted runs of an arena only bulk-written, and the
+//! copy-on-write mirror behind `snapshot` — and for the membership table a
+//! load defers.
 //!
-//! This is the test the release-mode desync guard demanded: any mirror
-//! maintenance bug — a missed insert, a remove that leaves the tuple
-//! behind, a clear or compaction that forgets the mirror — shows up as a
-//! snapshot/reference mismatch (or, for count-changing bugs, as a non-zero
-//! `mirror_rebuilds` recovery counter).
+//! Random interleavings of load / bulk append / `insert` / `remove` /
+//! `clear` / `snapshot` (with automatic compaction kicking in on
+//! delete-heavy prefixes) are replayed against a `BTreeSet` of rows, which
+//! shares no code with either relation type, and every view of the indexed
+//! relation must agree with it after every step.  Any bookkeeping bug — a
+//! run boundary lost or kept too long, a load's source served after a
+//! write, a membership table built late, a missed mirror event, a clear or
+//! compaction that forgets one of them — shows up as a mismatch (or, for
+//! count-changing mirror bugs, as a non-zero `mirror_rebuilds` recovery
+//! counter).
 
-use kbt_data::{tuple, Relation};
+use std::collections::BTreeSet;
+
+use kbt_data::{Const, Relation, Tuple};
 use kbt_engine::IndexedRelation;
 use proptest::prelude::*;
+
+type Rows = BTreeSet<Vec<u32>>;
+
+/// The oracle's rows as the canonical relation they should materialise to.
+fn relation_of(arity: usize, rows: &Rows) -> Relation {
+    Relation::from_tuples(arity, rows.iter().map(|row| Tuple::from_row(&consts(row)))).unwrap()
+}
+
+fn consts(row: &[u32]) -> Vec<Const> {
+    row.iter().copied().map(Const::new).collect()
+}
+
+fn rows_of(relation: &Relation) -> Vec<Vec<u32>> {
+    relation
+        .iter()
+        .map(|row| row.iter().map(|c| c.index()).collect())
+        .collect()
+}
 
 /// One scripted operation against both stores.
 #[derive(Clone, Copy, Debug)]
@@ -21,8 +46,17 @@ enum Op {
     Remove(u32, u32),
     Clear,
     /// Take (and hold) a snapshot here, so later mutations run against an
-    /// outstanding copy-on-write reader.
+    /// outstanding copy-on-write reader — and, from here to the next
+    /// `Load`, against a maintained mirror.
     Snapshot,
+    /// Replace the relation by a bulk load of its own current contents: the
+    /// same rows, but pristine again — deferred membership table, one
+    /// recorded run, no mirror.  (A load of the empty relation when the
+    /// script opens with one or one follows a `Clear`.)
+    Load,
+    /// Bulk-append the run of those rows of a cross through `(a, b)` that
+    /// are not present: canonical and disjoint, as the commit's are.
+    Append(u32, u32),
 }
 
 fn decode(code: (u8, u32, u32)) -> Op {
@@ -33,7 +67,9 @@ fn decode(code: (u8, u32, u32)) -> Op {
         4..=6 => Op::Remove(a, b),
         // rare: a full reset
         7 => Op::Clear,
-        _ => Op::Snapshot,
+        8 => Op::Snapshot,
+        9..=10 => Op::Load,
+        _ => Op::Append(a, b),
     }
 }
 
@@ -41,53 +77,164 @@ fn arb_script() -> impl Strategy<Value = Vec<Op>> {
     // constants in 0..5 so removes genuinely hit existing tuples and
     // delete-heavy stretches push past the tombstone threshold (automatic
     // compaction), the code path most likely to desync a mirror.
-    proptest::collection::vec((0u8..9, 0u32..5, 0u32..5), 1..120)
+    proptest::collection::vec((0u8..14, 0u32..5, 0u32..5), 1..120)
         .prop_map(|codes| codes.into_iter().map(decode).collect())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn mirror_snapshots_track_a_reference_relation(script in arb_script()) {
+    fn every_view_tracks_a_btreeset_oracle(script in arb_script()) {
         let mut indexed = IndexedRelation::new(2);
         // demand an index so maintenance paths touch index buckets too
         indexed.ensure_index(0b01);
-        let mut reference = Relation::empty(2);
-        // enable the mirror up front: from here on every mutation maintains it
-        let _ = indexed.snapshot();
-        let mut held: Vec<(Relation, Relation)> = Vec::new();
+        let mut oracle = Rows::new();
+        let mut held: Vec<(Relation, Rows)> = Vec::new();
 
         for op in script {
             match op {
                 Op::Insert(a, b) => {
-                    let added = indexed.insert(tuple![a, b]);
-                    prop_assert_eq!(added, reference.insert(tuple![a, b]).unwrap());
+                    let added = indexed.insert_row(&consts(&[a, b]));
+                    prop_assert_eq!(added, oracle.insert(vec![a, b]));
                 }
                 Op::Remove(a, b) => {
-                    let removed = indexed.remove(&tuple![a, b]);
-                    prop_assert_eq!(removed, reference.remove(&tuple![a, b]));
+                    let removed = indexed.remove_row(&consts(&[a, b]));
+                    prop_assert_eq!(removed, oracle.remove(&vec![a, b]));
                 }
                 Op::Clear => {
                     indexed.clear();
-                    reference = Relation::empty(2);
+                    oracle.clear();
                 }
                 Op::Snapshot => {
-                    held.push((indexed.snapshot(), reference.clone()));
+                    held.push((indexed.snapshot(), oracle.clone()));
+                }
+                Op::Load => {
+                    indexed = IndexedRelation::from_relation(&relation_of(2, &oracle));
+                    prop_assert!(!indexed.has_membership());
+                    indexed.ensure_index(0b01);
+                }
+                Op::Append(a, b) => {
+                    let fresh: Rows = (0..5)
+                        .flat_map(|j| [vec![a, j], vec![j, b]])
+                        .filter(|row| !oracle.contains(row))
+                        .collect();
+                    indexed.append_run(&relation_of(2, &fresh));
+                    oracle.extend(fresh);
                 }
             }
-            // the mirror-backed views agree with the reference at every step
-            prop_assert_eq!(indexed.len(), reference.len());
-            prop_assert_eq!(&indexed.snapshot(), &reference);
-            prop_assert_eq!(&indexed.to_relation(), &reference);
+            // every view agrees with the oracle at every step: the count,
+            // the materialised run (`to_relation` takes `&self`, so it
+            // answers from whichever of source / runs / mirror / full sort
+            // is current without changing which), membership of every row
+            // of the domain, and the index
+            prop_assert_eq!(indexed.len(), oracle.len());
+            let expected: Vec<Vec<u32>> = oracle.iter().cloned().collect();
+            prop_assert_eq!(rows_of(&indexed.to_relation()), expected);
+            for a in 0..5u32 {
+                let mut probed: Vec<Vec<u32>> = indexed
+                    .probe(0b01, &[Const::new(a)])
+                    .into_iter()
+                    .map(|id| indexed.row(id).iter().map(|c| c.index()).collect())
+                    .collect();
+                probed.sort();
+                let group: Vec<Vec<u32>> =
+                    oracle.iter().filter(|row| row[0] == a).cloned().collect();
+                prop_assert_eq!(probed, group);
+                for b in 0..5u32 {
+                    prop_assert_eq!(
+                        indexed.contains_row(&consts(&[a, b])),
+                        oracle.contains(&vec![a, b])
+                    );
+                }
+            }
         }
 
-        // no desync was ever detected (the recovery path stayed cold) …
+        // a final snapshot agrees too, no desync was ever detected (the
+        // recovery path stayed cold) …
+        let expected: Vec<Vec<u32>> = oracle.iter().cloned().collect();
+        prop_assert_eq!(rows_of(&indexed.snapshot()), expected);
         prop_assert_eq!(indexed.mirror_rebuilds(), 0);
         // … and outstanding snapshots were frozen, not disturbed, by the
         // mutations that followed them (copy-on-write isolation).
-        for (snap, expected) in held {
-            prop_assert_eq!(snap, expected);
+        for (snap, rows) in held {
+            let expected: Vec<Vec<u32>> = rows.into_iter().collect();
+            prop_assert_eq!(rows_of(&snap), expected);
+        }
+    }
+
+    /// `to_relation` after *k* bulk appends is `Relation::from_rows` over
+    /// the same rows — at arity 0 (no row data: the count lives in the
+    /// liveness vector), 1 and 2 (packed, exact membership keys) and 4
+    /// (hashed keys: membership verifies rows), from a relation that starts
+    /// empty and from one loaded from the first batch (an empty first batch
+    /// leaves an empty first run behind).
+    #[test]
+    fn merged_runs_equal_one_sort(
+        arity_pick in 0usize..4,
+        batches in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u32..4, 4..5), 0..12),
+            0..7,
+        ),
+        loaded in any::<bool>(),
+    ) {
+        let arity = [0usize, 1, 2, 4][arity_pick];
+        // each batch's rows cut to the arity, minus everything seen before
+        let mut seen = Rows::new();
+        let runs: Vec<Rows> = batches
+            .iter()
+            .map(|batch| {
+                let fresh: Rows = batch
+                    .iter()
+                    .map(|row| row[..arity].to_vec())
+                    .filter(|row| !seen.contains(row))
+                    .collect();
+                seen.extend(fresh.iter().cloned());
+                fresh
+            })
+            .collect();
+
+        let (mut indexed, appended) = match runs.split_first() {
+            Some((first, rest)) if loaded => {
+                (IndexedRelation::from_relation(&relation_of(arity, first)), rest)
+            }
+            _ => (IndexedRelation::new(arity), &runs[..]),
+        };
+        for run in appended {
+            indexed.append_run(&relation_of(arity, run));
+        }
+
+        let flat: Vec<Const> = seen.iter().flat_map(|row| consts(row)).collect();
+        let expected = Relation::from_rows(arity, flat, seen.len()).unwrap();
+        prop_assert_eq!(indexed.len(), seen.len());
+        prop_assert_eq!(&indexed.to_relation(), &expected);
+        prop_assert_eq!(&indexed.snapshot(), &expected);
+        for row in &seen {
+            prop_assert!(indexed.contains_row(&consts(row)));
+        }
+    }
+
+    /// A pristine load answers `contains_row` the same with its membership
+    /// table deferred (binary search on the source) and built (hash probe,
+    /// verified for wide rows).
+    #[test]
+    fn deferred_and_built_membership_agree(
+        wide in any::<bool>(),
+        stored in proptest::collection::vec(proptest::collection::vec(0u32..4, 4..5), 0..40),
+        probes in proptest::collection::vec(proptest::collection::vec(0u32..4, 4..5), 1..40),
+    ) {
+        let arity = if wide { 4 } else { 2 };
+        let rows: Rows = stored.iter().map(|row| row[..arity].to_vec()).collect();
+        let deferred = IndexedRelation::from_relation(&relation_of(arity, &rows));
+        let mut built = deferred.clone();
+        built.ensure_membership();
+        prop_assert!(!deferred.has_membership());
+        prop_assert!(built.has_membership());
+        for probe in probes.iter().chain(&stored) {
+            let probe = &probe[..arity];
+            let expected = rows.contains(probe);
+            prop_assert_eq!(deferred.contains_row(&consts(probe)), expected);
+            prop_assert_eq!(built.contains_row(&consts(probe)), expected);
         }
     }
 }

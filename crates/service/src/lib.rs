@@ -334,6 +334,13 @@
 //!   their snapshot was superseded.
 //! * `kbt_engine_eval_ns` (histogram): full evaluation latency.
 //! * `kbt_engine_round_ns` (histogram): per-round latency.
+//! * `kbt_engine_load_ns` (histogram): getting ready to run — one sample
+//!   for wrapping the relations the strata name, one per stratum for
+//!   planning and building the indexes and membership tables demanded.
+//! * `kbt_engine_commit_ns` (histogram): per-round latency of the bulk
+//!   append alone (the part of a round that is not joining).
+//! * `kbt_engine_materialize_ns` (histogram): merging an evaluation's
+//!   storage back into a database.
 //! * `kbt_engine_delta_ns` (histogram): per-delta latency.
 //! * `kbt_par_scopes_total` (counter): pool scopes entered.
 //! * `kbt_par_contended_scopes_total` (counter): scopes that waited.
@@ -341,7 +348,9 @@
 //! * `kbt_par_workerset_rejected_total` (counter): jobs refused at capacity.
 //!
 //! **Span taxonomy.**  Timed spans feed the `_ns` histograms above:
-//! `eval` / `round` / `delta` (engine), `commit_parse` / `commit_apply` /
+//! `eval` / `load` / `round` / `commit` / `materialize` / `delta` (engine:
+//! an `eval` is its `load`s, its `round`s — each ending in a `commit` — and
+//! one `materialize`), `commit_parse` / `commit_apply` /
 //! `commit_publish` (the commit pipeline), `slow_query` (textual queries;
 //! carries the query text and, over the wire, the trace `id`), and the
 //! per-verb net command spans.  With `kbt-serve --log-format text|json` a
