@@ -432,15 +432,15 @@ impl Relation {
     /// `(self \ dels) ∪ adds`.  Both `adds` and `dels` must be sorted,
     /// deduplicated, arity-strided runs, and they must be disjoint from each
     /// other; `adds ∩ self` and `dels \ self` are tolerated (redundant adds
-    /// and misses are skipped).  This is the engine mirror's flush
-    /// primitive: a whole delta's worth of mutations costs one `O(n + a +
-    /// d)` pass instead of `O(n)` per fact, and the fresh run never
-    /// disturbs outstanding copy-on-write snapshots.
+    /// and misses are skipped).  This is how the engine's indexed relations
+    /// materialise — the last run handed out, plus the rows appended and
+    /// minus the rows tombstoned since: a whole delta's worth of mutations
+    /// costs one `O(n + a + d)` pass instead of `O(n)` per fact, and the
+    /// fresh run never disturbs outstanding copy-on-write snapshots.
     pub fn merge_rows(&self, adds: &[Const], dels: &[Const]) -> Result<Relation> {
         if self.arity == 0 {
             // adds/dels are disjoint runs of the empty row: at most one of
-            // them is non-empty (len is tracked by the caller via the
-            // parity rule, so receiving both would be a caller bug).
+            // them is non-empty (receiving both would be a caller bug).
             debug_assert!(adds.is_empty() || dels.is_empty());
             let len = if !adds.is_empty() {
                 1

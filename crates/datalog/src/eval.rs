@@ -144,8 +144,8 @@ impl IncrementalEval {
     /// Applies one delta (deletions retracted before insertions are added)
     /// and restores the least fixpoint; returns this call's statistics.
     ///
-    /// Deltas may only touch extensional relations.  On error the session
-    /// may be partially mutated — rebuild it instead of continuing.
+    /// Deltas may only touch extensional relations.  A delta is checked
+    /// whole before any of it is applied: on error the session is unchanged.
     pub fn apply_delta(
         &mut self,
         insertions: &[(kbt_data::RelId, kbt_data::Tuple)],
@@ -178,9 +178,9 @@ impl IncrementalEval {
     /// Materialises one maintained relation (`None` if the session has never
     /// seen it) — cheaper than [`Self::current`] when the caller assembles
     /// its result from a known schema.  The returned relation is a
-    /// copy-on-write snapshot: after the first call per relation this is an
-    /// `O(1)` `Arc` clone, and later deltas only pay for the tuples they
-    /// actually change.
+    /// snapshot later deltas never disturb; a call pays one merge of what
+    /// the deltas since the previous call changed, an `O(1)` `Arc` clone if
+    /// nothing did.
     pub fn relation(&mut self, rel: kbt_data::RelId) -> Option<kbt_data::Relation> {
         self.session.snapshot_relation(rel)
     }

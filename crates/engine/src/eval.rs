@@ -16,6 +16,14 @@
 //! buffer that the pending-set sink copies out of.  The inner join loops
 //! perform **zero heap allocations per probe**.
 //!
+//! There is one interpreter of plan steps, `run_steps`, and the sink it
+//! feeds says whether to go on ([`ControlFlow`]).  A fixpoint round wants
+//! every derivation, so its sinks always continue.  The incremental
+//! session's rederivation wants to know whether *one* exists: it unifies a
+//! rule's head with the fact in question, runs the rule's head-bound plan
+//! ([`JoinPlan::head_bound`]) and breaks at the first row that arrives
+//! (`derives`) — the same steps, the same counters, no second walker.
+//!
 //! ## The commit contract: canonical, disjoint, moved out as the delta
 //!
 //! A round derives into per-relation bags and canonicalises each bag once
@@ -68,7 +76,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use kbt_data::{Const, Database, RelId, Relation};
 use kbt_par::ThreadPool;
@@ -115,11 +123,12 @@ pub fn evaluate(
         let _load_span = runs.then(|| metrics.load_ns.span());
         IndexStorage::load(edb, strata.iter().flat_map(Program::relation_arities))?
     };
-    let stats = eval_strata(
+    let (_, stats) = eval_strata(
         strata,
         &mut storage,
         kbt_par::resolve_threads(threads),
         view,
+        Program::idb_relations,
     );
     if runs {
         metrics.evals_total.inc();
@@ -129,24 +138,34 @@ pub fn evaluate(
     Ok((storage.overlay_on(edb), stats))
 }
 
-/// Plans every stratum in order over the loaded `storage` and, unless
-/// `view` is plan-only, demands what its plans look up and runs it to its
-/// fixpoint before planning the next.
-fn eval_strata(
+/// The engine's one stratum driver: plans every stratum in order over the
+/// loaded `storage` and, unless `view` is plan-only, demands what its plans
+/// look up and runs it to its fixpoint before planning the next.  `eligible`
+/// names, per stratum, the relations that get delta-scan variants: the
+/// stratum's heads for one-shot evaluation, every positive body relation as
+/// well for the incremental session, whose extensional relations change
+/// too.  Returns the plans, stratum by stratum, for a caller that goes on
+/// running them.
+pub(crate) fn eval_strata(
     strata: &[Program],
     storage: &mut IndexStorage,
     width: usize,
     mut view: Option<&mut View<'_>>,
-) -> EngineStats {
+    eligible: fn(&Program) -> BTreeSet<RelId>,
+) -> (Vec<Vec<PlannedRule>>, EngineStats) {
     let runs = view.as_ref().is_none_or(|v| v.runs());
     let load_ns = &crate::metrics::metrics().load_ns;
     let mut stats = EngineStats::default();
+    let mut plans = Vec::with_capacity(strata.len());
     for (stratum, program) in strata.iter().enumerate() {
         let planned = {
             let _load_span = runs.then(|| load_ns.span());
-            let planned = plan_stratum(program, storage, &program.idb_relations());
+            let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
+            let planned: Vec<PlannedRule> = (program.rules.iter())
+                .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
+                .collect();
             if runs {
-                demand(&planned, storage);
+                demand(planned.iter().flat_map(PlannedRule::steps), storage);
             }
             planned
         };
@@ -155,44 +174,32 @@ fn eval_strata(
             stats.strata += 1;
             eval_stratum(&planned, storage, &mut stats, width, observer.as_mut());
         }
+        plans.push(planned);
     }
-    stats
+    (plans, stats)
 }
 
-/// Plans one stratum against the current storage, touching nothing: the
-/// planner is fed the relation cardinalities known at this point so greedy
-/// ties are broken towards smaller relations, and `eligible` names the
-/// relations that get delta-scan variants (the stratum's IDB for one-shot
-/// evaluation; every positive body relation for the incremental session,
-/// whose extensional relations change too).  Whoever goes on to *run* the
-/// plans calls [`demand`] first; a plan-only view does not.
-pub(crate) fn plan_stratum(
-    program: &Program,
-    storage: &IndexStorage,
-    eligible: &BTreeSet<RelId>,
-) -> Vec<PlannedRule> {
-    let sizes: BTreeMap<RelId, usize> = program
+/// The cardinalities of the relations `program` names, as stored right now:
+/// what the planner breaks greedy ties with.
+pub(crate) fn relation_sizes(program: &Program, storage: &IndexStorage) -> BTreeMap<RelId, usize> {
+    program
         .relation_arities()
         .keys()
         .map(|&rel| (rel, storage.relation_len(rel)))
-        .collect();
-    program
-        .rules
-        .iter()
-        .map(|r| PlannedRule::plan_sized(r, eligible, &sizes))
         .collect()
 }
 
-/// Builds what running `planned` will look up: the index of every probed
+/// Builds what running `steps` will look up: the index of every probed
 /// `(relation, mask)` and the membership table of every `Member` /
 /// `NegCheck` target.
-pub(crate) fn demand(planned: &[PlannedRule], storage: &mut IndexStorage) {
-    for rule in planned {
-        for (rel, mask) in rule.demanded_indexes() {
-            storage.ensure_index(rel, mask);
-        }
-        for rel in rule.demanded_membership() {
-            storage.ensure_membership(rel);
+pub(crate) fn demand<'a>(steps: impl IntoIterator<Item = &'a Step>, storage: &mut IndexStorage) {
+    for step in steps {
+        match step {
+            Step::Probe { rel, mask, .. } => storage.ensure_index(*rel, *mask),
+            Step::Member { rel, .. } | Step::NegCheck { rel, .. } => {
+                storage.ensure_membership(*rel)
+            }
+            Step::Scan { .. } => {}
         }
     }
 }
@@ -389,13 +396,14 @@ impl Scratch {
     }
 }
 
-/// Runs one task, feeding instantiated head rows to `sink`.
+/// Runs one task, feeding instantiated head rows to `sink` (which every
+/// round keeps going — see [`Sink`]).
 fn run_task(
     task: &RoundTask<'_>,
     storage: &IndexStorage,
     deltas: &Deltas,
     stats: &mut EngineStats,
-    sink: &mut dyn FnMut(&[Const]),
+    sink: &mut Sink<'_>,
 ) {
     let Some(range) = task.range.clone() else {
         run_plan(task.rule, task.plan, storage, deltas, stats, sink);
@@ -418,7 +426,7 @@ fn run_task(
         };
         stats.tuples_scanned += 1;
         if match_cols(row, cols, &mut scratch.regs, undo) {
-            run_steps(
+            let flow = run_steps(
                 task.rule,
                 rest,
                 storage,
@@ -429,6 +437,9 @@ fn run_task(
                 stats,
                 sink,
             );
+            if flow.is_break() {
+                return;
+            }
         }
         for s in undo.drain(..) {
             scratch.regs[s] = None;
@@ -466,6 +477,7 @@ where
                         .or_insert_with(|| RowBag::new(head_arity))
                         .push(row);
                 }
+                ControlFlow::Continue(())
             });
         }
         pending
@@ -490,6 +502,7 @@ where
                         .or_insert_with(|| RowBag::new(head_arity))
                         .push(row);
                 }
+                ControlFlow::Continue(())
             });
             (pending, local)
         });
@@ -610,20 +623,23 @@ pub(crate) fn eval_stratum(
     }
 }
 
-/// Runs one join plan, feeding every instantiated head row to `sink`
-/// (the incremental session's *rederivation* check needs pre-bound
-/// registers and early exit instead, which its dedicated `satisfiable`
-/// walker handles).
-pub(crate) fn run_plan(
+/// Where the interpreter sends every instantiated head row.  The sink says
+/// whether to go on: a fixpoint round wants every derivation and always
+/// continues; [`derives`] wants one and breaks at the first.  After a break
+/// the scratch registers are left as they stood — the scratch is done.
+type Sink<'a> = dyn FnMut(&[Const]) -> ControlFlow<()> + 'a;
+
+/// Runs one join plan, feeding every instantiated head row to `sink`.
+fn run_plan(
     rule: &PlannedRule,
     plan: &JoinPlan,
     storage: &IndexStorage,
     deltas: &Deltas,
     stats: &mut EngineStats,
-    sink: &mut dyn FnMut(&[Const]),
+    sink: &mut Sink<'_>,
 ) {
     let mut scratch = Scratch::for_rule(rule, plan.steps.len());
-    run_steps(
+    let _ = run_steps(
         rule,
         &plan.steps,
         storage,
@@ -636,7 +652,44 @@ pub(crate) fn run_plan(
     );
 }
 
-pub(crate) fn resolve(term: Term, regs: &[Option<Const>]) -> Const {
+/// Whether `rule` derives the head row `fact` from the current storage:
+/// unifies the head with the fact and runs `plan` — a head-bound plan of
+/// this rule ([`JoinPlan::head_bound`]), whose indexes and membership tables
+/// have been [`demand`]ed — through the one interpreter, stopping at the
+/// first witness.
+pub(crate) fn derives(
+    rule: &PlannedRule,
+    plan: &JoinPlan,
+    fact: &[Const],
+    storage: &IndexStorage,
+    stats: &mut EngineStats,
+) -> bool {
+    let mut scratch = Scratch::for_rule(rule, plan.steps.len());
+    for (term, &value) in rule.head.terms.iter().zip(fact) {
+        match *term {
+            Term::Const(c) if c != value => return false,
+            Term::Const(_) => {}
+            Term::Slot(s) => match scratch.regs[s] {
+                Some(bound) if bound != value => return false,
+                _ => scratch.regs[s] = Some(value),
+            },
+        }
+    }
+    run_steps(
+        rule,
+        &plan.steps,
+        storage,
+        &Deltas::new(),
+        &mut scratch.regs,
+        &mut scratch.undos,
+        &mut scratch.head,
+        stats,
+        &mut |_| ControlFlow::Break(()),
+    )
+    .is_break()
+}
+
+fn resolve(term: Term, regs: &[Option<Const>]) -> Const {
     match term {
         Term::Const(c) => c,
         Term::Slot(s) => regs[s].expect("slot bound by an earlier step (range restriction)"),
@@ -645,7 +698,7 @@ pub(crate) fn resolve(term: Term, regs: &[Option<Const>]) -> Const {
 
 /// Matches a row against per-column actions, binding unbound slots.
 /// Returns `false` (after recording partial bindings in `undo`) on mismatch.
-pub(crate) fn match_cols(
+fn match_cols(
     row: &[Const],
     cols: &[(usize, Term)],
     regs: &mut [Option<Const>],
@@ -679,12 +732,7 @@ pub(crate) fn match_cols(
 /// the verification pass behind hashed (> 2 column) probe keys, whose
 /// buckets may contain false positives.
 #[inline]
-pub(crate) fn bound_cols_match(
-    row: &[Const],
-    mask: u32,
-    key: &[Term],
-    regs: &[Option<Const>],
-) -> bool {
+fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Option<Const>]) -> bool {
     let mut m = mask;
     let mut k = 0;
     while m != 0 {
@@ -702,11 +750,7 @@ pub(crate) fn bound_cols_match(
 /// one membership-bucket probe, no tuple materialisation.  The terms cover
 /// every column in ascending order, so the accumulated key is exactly the
 /// stored row key.
-pub(crate) fn member_holds(
-    relation: &IndexedRelation,
-    terms: &[Term],
-    regs: &[Option<Const>],
-) -> bool {
+fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Option<Const>]) -> bool {
     debug_assert_eq!(terms.len(), relation.arity());
     let mut acc = KeyAcc::new(terms.len());
     for &t in terms {
@@ -727,34 +771,12 @@ pub(crate) fn member_holds(
     }
 }
 
-/// [`member_holds`] for a determined `(column, term)` cover (ascending
-/// column order, every column present) — the incremental session's
-/// determined-scan degradation.
-pub(crate) fn member_holds_cols(
-    relation: &IndexedRelation,
-    cols: &[(usize, Term)],
-    regs: &[Option<Const>],
-) -> bool {
-    debug_assert_eq!(cols.len(), relation.arity());
-    let mut acc = KeyAcc::new(cols.len());
-    for &(_, t) in cols {
-        acc.push(resolve(t, regs));
-    }
-    let bucket = relation.member_bucket(acc.finish());
-    if key_is_exact(cols.len()) {
-        !bucket.is_empty()
-    } else {
-        bucket.iter().any(|&id| {
-            let row = relation.row(id);
-            cols.iter().all(|&(col, t)| row[col] == resolve(t, regs))
-        })
-    }
-}
-
-/// Recursive step interpreter behind [`run_plan`]: `undos` carries one
-/// reusable undo list per remaining step, split level by level alongside
-/// `steps` (capacity sticks across derivations, so binding bookkeeping
-/// stops allocating after the first few matches).
+/// The engine's one interpreter of [`Step`]s, behind [`run_plan`] and
+/// [`derives`]: `undos` carries one reusable undo list per remaining step,
+/// split level by level alongside `steps` (capacity sticks across
+/// derivations, so binding bookkeeping stops allocating after the first few
+/// matches).  Slots bound on entry are simply bound — a head-bound plan
+/// never binds them again.  Breaks as soon as `sink` does.
 #[allow(clippy::too_many_arguments)]
 fn run_steps(
     rule: &PlannedRule,
@@ -765,15 +787,14 @@ fn run_steps(
     undos: &mut [Vec<usize>],
     head: &mut Vec<Const>,
     stats: &mut EngineStats,
-    sink: &mut dyn FnMut(&[Const]),
-) {
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
     let Some((step, rest)) = steps.split_first() else {
         head.clear();
         for &t in &rule.head.terms {
             head.push(resolve(t, regs));
         }
-        sink(head);
-        return;
+        return sink(head);
     };
     let (undo, rest_undos) = undos
         .split_first_mut()
@@ -781,14 +802,14 @@ fn run_steps(
     match step {
         Step::Scan { rel, source, cols } => {
             let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
-                return;
+                return ControlFlow::Continue(());
             };
             for row in (0..scanned.slots()).filter_map(|id| scanned.live_row(id)) {
                 stats.tuples_scanned += 1;
                 if match_cols(row, cols, regs, undo) {
                     run_steps(
                         rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                    );
+                    )?;
                 }
                 for s in undo.drain(..) {
                     regs[s] = None;
@@ -802,7 +823,7 @@ fn run_steps(
             cols,
         } => {
             let Some(relation) = storage.relation(*rel) else {
-                return;
+                return ControlFlow::Continue(());
             };
             let mut acc = KeyAcc::new(key.len());
             for &t in key {
@@ -822,7 +843,7 @@ fn run_steps(
                 if match_cols(row, cols, regs, undo) {
                     run_steps(
                         rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                    );
+                    )?;
                 }
                 for s in undo.drain(..) {
                     regs[s] = None;
@@ -837,7 +858,7 @@ fn run_steps(
             if holds {
                 run_steps(
                     rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                );
+                )?;
             }
         }
         Step::NegCheck { rel, terms } => {
@@ -848,10 +869,11 @@ fn run_steps(
             if !holds {
                 run_steps(
                     rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                );
+                )?;
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -1086,7 +1108,13 @@ mod tests {
 
         let mut storage = load();
         let mut planned_only = View::explain(&namer);
-        let stats = eval_strata(&strata, &mut storage, 1, Some(&mut planned_only));
+        let (_, stats) = eval_strata(
+            &strata,
+            &mut storage,
+            1,
+            Some(&mut planned_only),
+            Program::idb_relations,
+        );
         assert_eq!(stats, EngineStats::default());
         let edge = storage.relation(r(1)).unwrap();
         assert_eq!(edge.index_count(), 0, "EXPLAIN must not build indexes");
@@ -1104,7 +1132,7 @@ mod tests {
 
         // whereas a run demands exactly what its steps look up
         let mut storage = load();
-        eval_strata(&strata, &mut storage, 1, None);
+        eval_strata(&strata, &mut storage, 1, None, Program::idb_relations);
         let edge = storage.relation(r(1)).unwrap();
         assert_eq!(edge.index_count(), 1, "probed on the first column");
         assert!(edge.has_membership(), "the closing edge is a Member step");

@@ -14,8 +14,16 @@
 //!   of micro-datalog's `dred.rs`): first every fact transitively supported
 //!   by a deleted fact is overdeleted against the *old* state, then the
 //!   overdeleted facts with surviving alternative derivations are restored
-//!   by a head-bound satisfiability probe and a final insertion-propagation
-//!   sweep.
+//!   and a final insertion-propagation sweep runs.  Rederivation is a plan
+//!   like any other — `rederive_p(x̄) :- overdel_p(x̄), body` handed to the
+//!   ordinary evaluator: each rule's body is planned once more with the
+//!   head's slots bound on entry ([`JoinPlan::head_bound`]), and asking
+//!   whether an overdeleted fact survives is unifying the head with it and
+//!   running that plan through the engine's one step interpreter until the
+//!   first witness.  A stratum's rederivation plans are made at its **first
+//!   non-empty overdeletion**, with the cardinalities of that moment, and
+//!   their indexes and membership tables are demanded then: a session that
+//!   never deletes builds nothing for them.
 //! * **Stratified negation** is handled by a conservative fallback: a
 //!   stratum whose negated relations may have changed — and every stratum
 //!   above it — is recomputed from scratch (its intensional relations are
@@ -29,16 +37,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use kbt_data::{Const, Database, RelId, Relation, Tuple};
+use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    bound_cols_match, commit, delta_plans, demand, eval_stratum, into_runs, match_cols,
-    member_holds, member_holds_cols, plan_stratum, run_round_with, Bags, Deltas, RowBag,
+    commit, delta_plans, demand, derives, eval_strata, eval_stratum, into_runs, relation_sizes,
+    run_round_with, Bags, Deltas, RowBag,
 };
-use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
-use crate::ir::{Program, Term};
-use crate::plan::{JoinPlan, PlannedRule, Source, Step};
+use crate::ir::Program;
+use crate::plan::{JoinPlan, PlannedRule};
 use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::{EngineError, Result};
@@ -46,10 +53,15 @@ use crate::{EngineError, Result};
 /// One planned stratum with the relation sets the delta dispatcher needs.
 #[derive(Clone, Debug)]
 struct Stratum {
+    /// The stratum as given, kept for planning rederivation.
+    program: Program,
     /// The planned rules (with delta variants for *every* positive body
     /// occurrence, since between calls the extensional relations change
     /// too, not just the intensional ones).
     rules: Vec<PlannedRule>,
+    /// One head-bound plan per rule, same order; empty until the stratum's
+    /// first non-empty overdeletion (see the module docs).
+    rederive: Vec<JoinPlan>,
     /// The stratum's head relations.
     heads: BTreeSet<RelId>,
     /// Relations occurring under negation in this stratum.
@@ -71,7 +83,7 @@ pub struct IncrementalSession {
     /// hold without needing a rule derivation, so DRed must never retract
     /// them and fallback recomputations must re-seed them.  Stored as plain
     /// sorted-run relations: membership is a binary search over row slices,
-    /// and capturing them at session start is an `O(1)` mirror clone.
+    /// and capturing them at session start is an `O(1)` `Arc` clone.
     protected: BTreeMap<RelId, Relation>,
     storage: IndexStorage,
     totals: EngineStats,
@@ -108,58 +120,28 @@ impl IncrementalSession {
             storage
         };
 
-        let mut stats = EngineStats::default();
-        let mut planned = Vec::with_capacity(strata.len());
+        let (plans, stats) = eval_strata(strata, &mut storage, width, None, delta_eligible);
         let mut idb = BTreeSet::new();
         let mut protected: BTreeMap<RelId, Relation> = BTreeMap::new();
-        for program in strata {
-            stats.strata += 1;
+        let mut planned = Vec::with_capacity(strata.len());
+        for (program, rules) in strata.iter().zip(plans) {
             let heads = program.idb_relations();
-            // facts the EDB itself stored in this stratum's head relations
-            // (before any rule has fired) hold unconditionally
+            // facts the EDB itself stores in head relations hold
+            // unconditionally
             for &rel in &heads {
-                if let Some(base) = storage.relation(rel) {
-                    if !base.is_empty() {
-                        protected.insert(rel, base.to_relation());
-                    }
+                if let Some(base) = edb.relation(rel).filter(|base| !base.is_empty()) {
+                    protected.insert(rel, base.clone());
                 }
             }
-            let mut eligible = heads.clone();
-            for rule in &program.rules {
-                for (_, atom) in rule.positive_atoms() {
-                    eligible.insert(atom.rel);
-                }
-            }
-            let neg_rels = program
-                .rules
-                .iter()
-                .flat_map(|r| r.body.iter().filter(|l| !l.positive).map(|l| l.atom.rel))
-                .collect();
-            let read_rels: BTreeSet<RelId> = program
-                .rules
-                .iter()
-                .flat_map(|r| r.body.iter().map(|l| l.atom.rel))
-                .collect();
-            let rules = {
-                let _load_span = metrics.load_ns.span();
-                let rules = plan_stratum(program, &storage, &eligible);
-                demand(&rules, &mut storage);
-                // rederivation pre-binds head slots, which turns a scan
-                // whose columns are then all bound into a membership check
-                // no plan step announces (`member_holds_cols`): every
-                // relation a body reads may be asked
-                for &rel in &read_rels {
-                    storage.ensure_membership(rel);
-                }
-                rules
-            };
-            eval_stratum(&rules, &mut storage, &mut stats, width, None);
             idb.extend(heads.iter().copied());
+            let body = || program.rules.iter().flat_map(|r| &r.body);
             planned.push(Stratum {
+                program: program.clone(),
                 rules,
+                rederive: Vec::new(),
                 heads,
-                neg_rels,
-                read_rels,
+                neg_rels: body().filter(|l| !l.positive).map(|l| l.atom.rel).collect(),
+                read_rels: body().map(|l| l.atom.rel).collect(),
             });
         }
         metrics.evals_total.inc();
@@ -191,9 +173,10 @@ impl IncrementalSession {
     /// extensional database.  Returns the statistics of this application
     /// only (lifetime totals accumulate in [`Self::stats`]).
     ///
-    /// On error (an intensional relation touched, or an arity conflict) the
-    /// storage may hold a partially applied delta; callers should rebuild
-    /// the session rather than continue with it.
+    /// A delta is checked whole before any of it is applied: on error (an
+    /// intensional relation touched, or an insertion whose arity conflicts
+    /// with the stored relation or with another insertion of the call) the
+    /// session is unchanged.
     pub fn apply_delta(
         &mut self,
         insertions: &[(RelId, Tuple)],
@@ -202,6 +185,21 @@ impl IncrementalSession {
         for (rel, _) in insertions.iter().chain(deletions) {
             if self.idb.contains(rel) {
                 return Err(EngineError::IntensionalUpdate { rel: *rel });
+            }
+        }
+        let mut new_arities: BTreeMap<RelId, usize> = BTreeMap::new();
+        for (rel, t) in insertions {
+            let expected = match self.storage.relation(*rel) {
+                Some(stored) => stored.arity(),
+                None => *new_arities.entry(*rel).or_insert(t.arity()),
+            };
+            if expected != t.arity() {
+                return Err(DataError::ArityMismatch {
+                    rel: *rel,
+                    expected,
+                    found: t.arity(),
+                }
+                .into());
             }
         }
 
@@ -304,8 +302,12 @@ impl IncrementalSession {
         // of the storage and nothing is removed from here on, so no fact
         // enters twice.
         let mut added = Bags::new();
+        for (rel, arity) in new_arities {
+            self.storage
+                .ensure_relation(rel, arity)
+                .expect("absent from storage when the delta was validated");
+        }
         for (rel, t) in insertions {
-            self.storage.ensure_relation(*rel, t.arity())?;
             if self.storage.insert_fact(*rel, t.clone()) {
                 bag(&mut added, *rel, t.arity()).push(t.components());
             }
@@ -315,6 +317,17 @@ impl IncrementalSession {
         // with a surviving alternative derivation, then run semi-naive
         // insertion rounds seeded with everything added so far.
         for k in 0..fallback_from {
+            let stratum = &mut self.strata[k];
+            if stratum.rederive.is_empty() && stratum.heads.iter().any(|h| over.contains_key(h)) {
+                let sizes = relation_sizes(&stratum.program, &self.storage);
+                stratum.rederive = (stratum.program.rules.iter())
+                    .map(|rule| JoinPlan::head_bound(rule, &sizes))
+                    .collect();
+                demand(
+                    stratum.rederive.iter().flat_map(|plan| &plan.steps),
+                    &mut self.storage,
+                );
+            }
             let stratum = &self.strata[k];
             for rel in &stratum.heads {
                 let Some(over_rel) = over.get(rel) else {
@@ -324,11 +337,9 @@ impl IncrementalSession {
                     if self.storage.holds_row(*rel, fact) {
                         continue; // restored by an earlier rederivation
                     }
-                    let derivable = stratum
-                        .rules
-                        .iter()
-                        .filter(|r| r.head.rel == *rel)
-                        .any(|r| rederivable(r, fact, &self.storage, &mut stats));
+                    let derivable = (stratum.rules.iter().zip(&stratum.rederive))
+                        .filter(|(rule, _)| rule.head.rel == *rel)
+                        .any(|(rule, plan)| derives(rule, plan, fact, &self.storage, &mut stats));
                     if derivable {
                         self.storage.insert_row(*rel, fact);
                         stats.rederived_facts += 1;
@@ -411,11 +422,12 @@ impl IncrementalSession {
         self.storage.relation(rel)
     }
 
-    /// A copy-on-write snapshot of one maintained relation: after the first
-    /// call per relation this is an `O(1)` `Arc` clone, and later deltas
-    /// touch the snapshot holder only through copy-on-write.  The chain
-    /// evaluator uses this to assemble each step's output without
-    /// re-collecting the (large) intensional relations.
+    /// A snapshot of one maintained relation (see
+    /// [`IndexedRelation::snapshot`]): one merge of what the deltas since the
+    /// previous call changed — an `O(1)` `Arc` clone if nothing — and never
+    /// disturbed by later deltas.  The chain evaluator uses this to assemble
+    /// each step's output without re-collecting the (large) intensional
+    /// relations.
     pub fn snapshot_relation(&mut self, rel: RelId) -> Option<kbt_data::Relation> {
         self.storage.snapshot_relation(rel)
     }
@@ -430,18 +442,21 @@ impl IncrementalSession {
         self.storage.fact_count()
     }
 
-    /// Number of times a copy-on-write mirror was found desynchronised and
-    /// rebuilt while snapshotting (zero in a correct engine; the release
-    /// build checks the invariant instead of trusting it — see
-    /// [`IndexedRelation::mirror_rebuilds`]).
-    pub fn mirror_rebuilds(&self) -> usize {
-        self.storage.mirror_rebuilds()
-    }
-
     /// Lifetime statistics: the initial evaluation plus every delta applied.
     pub fn stats(&self) -> &EngineStats {
         &self.totals
     }
+}
+
+/// The relations whose change between calls drives a stratum's delta plans:
+/// its heads and, since a session's extensional relations change too, every
+/// relation its bodies read positively.
+fn delta_eligible(program: &Program) -> BTreeSet<RelId> {
+    let mut eligible = program.idb_relations();
+    for rule in &program.rules {
+        eligible.extend(rule.positive_atoms().map(|(_, atom)| atom.rel));
+    }
+    eligible
 }
 
 /// The bag of `rel`'s rows, created on first use.
@@ -462,132 +477,11 @@ fn set_insert(sets: &mut FactSets, rel: RelId, row: &[Const]) -> bool {
         .insert_row(row)
 }
 
-/// Whether `fact` can be derived for `rule`'s head from the current storage:
-/// binds the head against the fact and searches the rule's full plan for one
-/// witness (DRed's `rederive_p(x̄) :- overdel_p(x̄), body` with the
-/// overdeleted atom pre-bound).
-fn rederivable(
-    rule: &PlannedRule,
-    fact: &[Const],
-    storage: &IndexStorage,
-    stats: &mut EngineStats,
-) -> bool {
-    let mut regs: Vec<Option<Const>> = vec![None; rule.slots];
-    for (term, &value) in rule.head.terms.iter().zip(fact) {
-        match *term {
-            Term::Const(c) => {
-                if c != value {
-                    return false;
-                }
-            }
-            Term::Slot(s) => match regs[s] {
-                Some(existing) if existing != value => return false,
-                _ => regs[s] = Some(value),
-            },
-        }
-    }
-    satisfiable(&rule.full.steps, storage, &mut regs, stats)
-}
-
-/// Depth-first search for one satisfying binding of the remaining steps,
-/// honouring slots pre-bound by the caller (which full plans did not expect,
-/// so scans whose columns are all determined degrade to membership checks).
-fn satisfiable(
-    steps: &[Step],
-    storage: &IndexStorage,
-    regs: &mut Vec<Option<Const>>,
-    stats: &mut EngineStats,
-) -> bool {
-    let Some((step, rest)) = steps.split_first() else {
-        return true;
-    };
-    match step {
-        Step::Scan { rel, source, cols } => {
-            debug_assert_eq!(*source, Source::Full, "full plans never scan deltas");
-            let Some(relation) = storage.relation(*rel) else {
-                return false;
-            };
-            let determined = cols.iter().all(|&(_, t)| match t {
-                Term::Const(_) => true,
-                Term::Slot(s) => regs[s].is_some(),
-            });
-            if determined {
-                stats.index_probes += 1;
-                return member_holds_cols(relation, cols, regs)
-                    && satisfiable(rest, storage, regs, stats);
-            }
-            let mut undo = Vec::new();
-            for row in relation.iter() {
-                stats.tuples_scanned += 1;
-                let hit = match_cols(row, cols, regs, &mut undo)
-                    && satisfiable(rest, storage, regs, stats);
-                for s in undo.drain(..) {
-                    regs[s] = None;
-                }
-                if hit {
-                    return true;
-                }
-            }
-            false
-        }
-        Step::Probe {
-            rel,
-            mask,
-            key,
-            cols,
-        } => {
-            let Some(relation) = storage.relation(*rel) else {
-                return false;
-            };
-            let mut acc = KeyAcc::new(key.len());
-            for &t in key {
-                acc.push(crate::eval::resolve(t, regs));
-            }
-            stats.index_probes += 1;
-            let exact = key_is_exact(key.len());
-            let mut undo = Vec::new();
-            for &id in relation.probe_bucket(*mask, acc.finish()) {
-                if !relation.is_live(id) {
-                    continue;
-                }
-                let row = relation.row(id);
-                if !exact && !bound_cols_match(row, *mask, key, regs) {
-                    continue; // hash collision in a wide-key bucket
-                }
-                stats.tuples_scanned += 1;
-                let hit = match_cols(row, cols, regs, &mut undo)
-                    && satisfiable(rest, storage, regs, stats);
-                for s in undo.drain(..) {
-                    regs[s] = None;
-                }
-                if hit {
-                    return true;
-                }
-            }
-            false
-        }
-        Step::Member { rel, terms } => {
-            stats.index_probes += 1;
-            storage
-                .relation(*rel)
-                .is_some_and(|r| member_holds(r, terms, regs))
-                && satisfiable(rest, storage, regs, stats)
-        }
-        Step::NegCheck { rel, terms } => {
-            stats.index_probes += 1;
-            !storage
-                .relation(*rel)
-                .is_some_and(|r| member_holds(r, terms, regs))
-                && satisfiable(rest, storage, regs, stats)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate;
-    use crate::ir::{Atom, Literal, Rule};
+    use crate::ir::{Atom, Literal, Rule, Term};
     use kbt_data::{tuple, DatabaseBuilder};
 
     fn r(i: u32) -> RelId {
@@ -676,6 +570,40 @@ mod tests {
         assert!(!session.holds(r(2), &tuple![2, 4]));
         assert!(stats.rederived_facts > 0, "the diamond must rederive");
         assert!(stats.reused_facts > 0);
+    }
+
+    #[test]
+    fn retraction_work_follows_what_was_overdeleted_not_what_is_stored() {
+        // A braid of 200 disjoint ten-edge chains.  Four of them grow by
+        // eight edges, then the 32 edges are retracted again: nothing that
+        // is overdeleted has another derivation, and finding that out must
+        // cost a probe and a membership check per fact — not a walk over
+        // the 11 000 stored path facts for each of them.
+        let strata = [tc_program()];
+        let mut b = DatabaseBuilder::new().relation(r(1), 2);
+        for c in 0..200u32 {
+            for i in 1..=10 {
+                b = b.fact(r(1), [c * 32 + i, c * 32 + i + 1]);
+            }
+        }
+        let edb = b.build().unwrap();
+        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let extension: Vec<(RelId, Tuple)> = (0..4u32)
+            .flat_map(|c| (11..19).map(move |i| (r(1), tuple![c * 32 + i, c * 32 + i + 1])))
+            .collect();
+        session.insert_facts(&extension).unwrap();
+
+        let before = session.fact_count();
+        let stats = session.remove_facts(&extension).unwrap();
+        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(stats.rederived_facts, 0);
+        let overdeleted = before - stats.reused_facts;
+        assert_eq!(overdeleted, 4 * (8 + 171 - 55), "edges plus closure growth");
+        assert!(
+            stats.tuples_scanned <= 64 * overdeleted,
+            "{} tuples scanned to retract {overdeleted} facts",
+            stats.tuples_scanned
+        );
     }
 
     #[test]
@@ -848,6 +776,35 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_delta_leaves_the_session_untouched() {
+        let strata = [tc_program()];
+        let edb = chain_db(6);
+        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let untouched = from_scratch(&strata, &edb);
+        let valid_deletion = [(r(1), tuple![2, 3])];
+
+        // against the stored arity …
+        let conflicting = [(r(1), tuple![7, 8, 9])];
+        assert!(matches!(
+            session.apply_delta(&conflicting, &valid_deletion),
+            Err(EngineError::Data(DataError::ArityMismatch { rel, expected: 2, found: 3 }))
+                if rel == r(1)
+        ));
+        assert_eq!(session.current(), untouched);
+        // … and between two insertions into a relation nobody has seen yet
+        let conflicting = [(r(9), tuple![1]), (r(9), tuple![1, 2])];
+        assert!(session.apply_delta(&conflicting, &valid_deletion).is_err());
+        assert_eq!(session.current(), untouched, "r(9) must not appear");
+        assert_eq!(session.stats().rederived_facts, 0);
+
+        // the session goes on as if nothing had been asked
+        session.remove_facts(&valid_deletion).unwrap();
+        let mut edb = edb;
+        edb.remove_fact(r(1), &tuple![2, 3]);
+        assert_eq!(session.current(), from_scratch(&strata, &edb));
+    }
+
+    #[test]
     fn edb_facts_in_head_relations_survive_dred() {
         // path(1,3) is stored extensionally (no rule derives it once
         // edge(2,3) is gone); deleting edge(2,3) must not retract it —
@@ -899,11 +856,11 @@ mod tests {
         // p(x,y) :- a(x,y), b(x).   p(x,y) :- a(x,y), c(x).
         // `a` is the smallest relation, so both full plans scan it first,
         // and every delta variant either scans its delta or probes it on
-        // x: no Member / NegCheck step ever names `a`.  But rederiving
-        // p(1,5) pre-binds x and y, which turns the full plan's scan of `a`
-        // into a membership check — on a relation the session loaded and
-        // never writes.  Its table exists only because sessions demand one
-        // for every relation their plans read.
+        // x: no Member / NegCheck step of theirs ever names `a`.  But
+        // rederiving p(1,5) binds x and y on entry, so the head-bound plan
+        // checks `a` for membership — a relation the session loaded and
+        // never writes.  Its table exists because the rederivation plan's
+        // `Member` step demands it.
         let rule = |other: u32| {
             Rule::new(
                 Atom::new(r(9), vec![s(0), s(1)]),

@@ -12,17 +12,38 @@
 //! a plain relation's sorted run in, and every later
 //! [`IndexedRelation::append_run`] — one per fixpoint round, see the commit
 //! contract in [`crate::eval`] — appends another sorted, duplicate-free run
-//! that is disjoint from everything already stored.  So as long as nothing
-//! else has happened the arena **is a concatenation of sorted runs**, and
-//! the relation records where each one ends: materialising it
-//! ([`IndexedRelation::to_relation`]) is then a k-way *merge* of the runs,
-//! handed to the verifying `Relation::from_sorted_rows`, not a sort.  A
-//! relation that was loaded and never written is returned as the very
-//! `Arc` it was loaded from.  The first single-row mutation
-//! ([`IndexedRelation::insert_row`] / [`IndexedRelation::remove_row`])
-//! puts a row where the order does not say, so it forgets the run
-//! boundaries; from then on materialising sorts, unless a mirror (below)
-//! is kept.
+//! that is disjoint from everything already stored.  A single-row
+//! [`IndexedRelation::insert_row`] appends a run of one.  Removal only
+//! tombstones a slot.
+//!
+//! # Contents: a base run plus what the arena records since
+//!
+//! The relation knows its contents in canonical order exactly one way.  It
+//! keeps the last canonical run it handed out — the **base**, a plain
+//! [`Relation`] — and a watermark: the base holds exactly the rows that
+//! were live in the slots below the watermark when it was taken.  Since
+//! then the arena itself has recorded everything that changed: where each
+//! appended run ends, and the ids below the watermark that were tombstoned.
+//! Materialising ([`IndexedRelation::to_relation`]) k-way merges the live
+//! rows of the runs above the watermark, sorts the rows that died below
+//! it (less those that were appended again), and applies both to the base
+//! in one linear merge ([`Relation::merge_rows`]) — or, while the base is
+//! empty, hands the merged run to the verifying
+//! [`Relation::from_sorted_rows`] as it is.  With nothing recorded the
+//! merge returns the base itself, so a relation that was loaded and never
+//! written comes back as the very `Arc` it was loaded from (the load *is*
+//! its base).  [`IndexedRelation::snapshot`] is the same materialisation
+//! followed by moving base and watermark up to it, so the next one pays
+//! only for what changes in between — one `Arc` clone if nothing does;
+//! `clear` and compaction (which renumbers the slots, and therefore
+//! materialises first) move them too.  Outstanding snapshots are never
+//! disturbed: every merge builds a fresh run.
+//!
+//! A materialisation whose length differs from the live count is never
+//! served.  The comparison is `O(1)` and runs in every build; on a mismatch
+//! debug builds panic — so a bookkeeping bug fails the suite — and release
+//! builds fall back to sorting the arena's live rows, which needs none of
+//! the bookkeeping.
 //!
 //! # Indexes and the membership table
 //!
@@ -41,13 +62,14 @@
 //! load **defers** it: hashing every stored fact of a relation that is only
 //! ever scanned or probed is the single largest cost of loading it, and a
 //! loaded relation that has not been written since can answer
-//! [`IndexedRelation::contains_row`] by binary search on the sorted run it
-//! came from.  The table is built when someone needs it —
-//! [`IndexedRelation::ensure_membership`], which the planner calls for the
-//! targets of `Member` / `NegCheck` steps exactly as it calls
-//! [`IndexedRelation::ensure_index`] for probe masks — and before the first
-//! mutation of any kind, so that [`IndexedRelation::member_bucket`] is
-//! either complete or absent, never partial.
+//! [`IndexedRelation::contains_row`] by binary search on its base, which is
+//! still all of it.  The table exists from the moment someone needs it:
+//! [`IndexedRelation::ensure_membership`] — demanded for the targets of the
+//! `Member` / `NegCheck` steps of every plan about to run, exactly as
+//! [`IndexedRelation::ensure_index`] is for probe masks — and the first
+//! mutation of any kind build it, so that
+//! [`IndexedRelation::member_bucket`] is either complete or absent, never
+//! partial.
 //!
 //! Indexes are built lazily (first demand pays the build) and maintained
 //! on every append and insertion.  Removal — needed by the incremental
@@ -55,22 +77,6 @@
 //! dead and left in the index buckets, and readers filter by
 //! [`IndexedRelation::is_live`]; once more than half the slots are dead the
 //! relation compacts itself, rebuilding arena and indexes without garbage.
-//!
-//! # The mirror (a session concern)
-//!
-//! One-shot evaluation never creates one.  The incremental session
-//! mutates row by row *and* hands its intensional relations out after
-//! every step, so it asks for [`IndexedRelation::snapshot`], which keeps a
-//! **mirror** — a copy-on-write [`Relation`] — beside the arena so the next
-//! snapshot is an `O(1)` `Arc` clone plus whatever changed in between.
-//! While a mirror exists, mutations do **not** touch its sorted run per
-//! fact (that would cost `O(n)` each against a flat run): they are buffered
-//! as pending add/delete rows and *flushed in one batched linear merge*
-//! ([`Relation::merge_rows`]) the next time a snapshot is taken.  Because
-//! inserts and removes record only real membership changes, the events for
-//! one row strictly alternate, so a row's final membership flips exactly
-//! when its event count is odd — the flush sorts the event buffer once and
-//! applies the odd-parity rows.
 
 use kbt_data::{Const, Relation, Tuple};
 use std::cmp::Reverse;
@@ -145,8 +151,8 @@ impl IdList {
 type Buckets = HashMap<u64, IdList, FxBuild>;
 
 /// A relation stored as a flat row arena with hash indexes per demanded
-/// binding pattern (see the module docs for layout, the deferred membership
-/// table and mirror semantics).
+/// binding pattern (see the module docs for layout, how it knows its
+/// contents in order, and the deferred membership table).
 #[derive(Clone, Debug)]
 pub struct IndexedRelation {
     arity: usize,
@@ -162,33 +168,22 @@ pub struct IndexedRelation {
     live_count: usize,
     /// The membership table: full-row keys to live ids only (doubles as
     /// the full-binding-pattern index).  `None` only on a bulk load nobody
-    /// has written to or demanded membership of — see `source`.
+    /// has written to or demanded membership of — `base` is then all of
+    /// the contents and answers membership.
     ids: Option<Buckets>,
     /// One hash index per demanded mask (buckets may contain tombstones).
     indexes: Vec<(Mask, Buckets)>,
-    /// The end slot of every sorted run the arena is a concatenation of,
-    /// while that is all it is: bulk loads and bulk appends push here, the
-    /// first single-row mutation sets `None` (see the module docs).  A
-    /// recorded run may be empty.
-    runs: Option<Vec<u32>>,
-    /// The relation a bulk load copied, kept until the first mutation: it
-    /// *is* the contents, so it answers membership while `ids` is deferred
-    /// and is what [`Self::to_relation`] returns.
-    source: Option<Relation>,
-    /// Copy-on-write materialised view (see the module docs).
-    mirror: Option<Relation>,
-    /// Buffered mirror mutations: arity-strided rows actually inserted /
-    /// removed since the last flush, with their row counts (the counts carry
-    /// the information for arity 0, where rows are empty).
-    pending_adds: Vec<Const>,
-    pending_add_count: usize,
-    pending_dels: Vec<Const>,
-    pending_del_count: usize,
-    /// Number of times a desynchronised mirror was detected and rebuilt
-    /// (see [`Self::snapshot`]).  Always `0` unless a maintenance bug slips
-    /// in — the counter exists so a slip is *observable* instead of
-    /// silently serving wrong snapshots forever.
-    mirror_rebuilds: usize,
+    /// The last canonical run handed out (or loaded): exactly the rows that
+    /// were live in slots `..base_slots` when it was taken.
+    base: Relation,
+    /// The watermark `base` covers the arena up to.
+    base_slots: u32,
+    /// Ids below the watermark tombstoned since `base` was taken.
+    died: Vec<u32>,
+    /// The end slot of every sorted run appended since `base` was taken —
+    /// the first starts at the watermark, a single-row insert is a run of
+    /// one, and rows in them may have been tombstoned again.
+    runs: Vec<u32>,
 }
 
 impl IndexedRelation {
@@ -202,30 +197,26 @@ impl IndexedRelation {
             live_count: 0,
             ids: Some(Buckets::default()),
             indexes: Vec::new(),
-            runs: Some(Vec::new()),
-            source: None,
-            mirror: None,
-            pending_adds: Vec::new(),
-            pending_add_count: 0,
-            pending_dels: Vec::new(),
-            pending_del_count: 0,
-            mirror_rebuilds: 0,
+            base: Relation::empty(arity),
+            base_slots: 0,
+            died: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
     /// Copies a plain relation into indexed form — a bulk load: the source's
-    /// sorted run is copied into the arena in one `memcpy`-shaped move and
-    /// recorded as the arena's first run, and nothing is hashed.  Until the
-    /// first mutation the source itself (an `Arc` clone) answers membership
-    /// and is handed back by [`Self::to_relation`].
+    /// sorted run is copied into the arena in one `memcpy`-shaped move,
+    /// the source itself (an `Arc` clone) becomes the base covering all of
+    /// it, and nothing is hashed.  Until the first mutation the base
+    /// answers membership and is handed back by [`Self::to_relation`].
     pub fn from_relation(relation: &Relation) -> Self {
         IndexedRelation {
             rows: relation.as_rows().to_vec(),
             live: vec![true; relation.len()],
             live_count: relation.len(),
             ids: None,
-            runs: Some(vec![relation.len() as u32]),
-            source: Some(relation.clone()),
+            base: relation.clone(),
+            base_slots: relation.len() as u32,
             ..IndexedRelation::new(relation.arity())
         }
     }
@@ -255,11 +246,8 @@ impl IndexedRelation {
     pub fn contains_row(&self, row: &[Const]) -> bool {
         match &self.ids {
             Some(_) => self.find_live_id(row).is_some(),
-            None => self
-                .source
-                .as_ref()
-                .expect("a deferred membership table implies an unwritten load")
-                .contains_row(row),
+            // deferred ⇒ an unwritten load ⇒ the base is all of it
+            None => self.base.contains_row(row),
         }
     }
 
@@ -272,9 +260,9 @@ impl IndexedRelation {
             .expect("membership table built by ensure_membership or the first mutation")
     }
 
-    /// [`Self::ids`] for writing, after [`Self::begin_mutation`].
+    /// [`Self::ids`] for writing; every mutation builds the table first.
     fn ids_mut(&mut self) -> &mut Buckets {
-        self.ids.as_mut().expect("built by begin_mutation")
+        self.ids.as_mut().expect("built before the first mutation")
     }
 
     fn find_live_id(&self, row: &[Const]) -> Option<u32> {
@@ -352,16 +340,14 @@ impl IndexedRelation {
     }
 
     /// [`Self::insert`] for a raw row slice: the checked single-row write
-    /// (extensional deltas, rederivation).  Appends to the arena and updates
-    /// every existing index, with no per-tuple boxing; the arena stops being
-    /// a concatenation of sorted runs.
+    /// (extensional deltas, rederivation).  Appends a run of one to the
+    /// arena and updates every existing index, with no per-tuple boxing.
     pub fn insert_row(&mut self, row: &[Const]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
         if self.contains_row(row) {
             return false;
         }
-        self.begin_mutation();
-        self.runs = None;
+        self.ensure_membership();
         let id = self.live.len() as u32;
         self.rows.extend_from_slice(row);
         self.live.push(true);
@@ -370,10 +356,7 @@ impl IndexedRelation {
         for (mask, index) in &mut self.indexes {
             bucket_push(index, mask_key(row, *mask), id);
         }
-        if self.mirror.is_some() {
-            self.pending_adds.extend_from_slice(row);
-            self.pending_add_count += 1;
-        }
+        self.runs.push(self.live.len() as u32);
         true
     }
 
@@ -383,12 +366,12 @@ impl IndexedRelation {
     /// filters the round's derivations against this very relation, and
     /// nothing writes in between — see [`crate::eval`]).  One arena extend,
     /// then one membership insert and one bucket push per live index per
-    /// row; no second lookup.  The run's end is recorded, so a relation
-    /// written only this way materialises by merging.
+    /// row; no second lookup.  The run's end is recorded for the merge that
+    /// materialises the relation.
     ///
     /// Appending a row that is present is a caller bug: debug builds assert,
     /// release builds find out in [`Self::to_relation`], whose merged run
-    /// fails verification.
+    /// fails verification or comes out shorter than the live count.
     pub fn append_run(&mut self, run: &Relation) {
         debug_assert_eq!(run.arity(), self.arity);
         debug_assert!(
@@ -400,7 +383,7 @@ impl IndexedRelation {
         if run.is_empty() {
             return;
         }
-        self.begin_mutation();
+        self.ensure_membership();
         let first = self.live.len() as u32;
         self.rows.extend_from_slice(run.as_rows());
         self.live.resize(self.live.len() + run.len(), true);
@@ -415,21 +398,7 @@ impl IndexedRelation {
                 bucket_push(index, mask_key(row, *mask), id);
             }
         }
-        if let Some(runs) = &mut self.runs {
-            runs.push(self.live.len() as u32);
-        }
-        if self.mirror.is_some() {
-            self.pending_adds.extend_from_slice(run.as_rows());
-            self.pending_add_count += run.len();
-        }
-    }
-
-    /// What every mutation does first: the contents are about to stop being
-    /// the load's source, so the membership table must exist and the source
-    /// must go.
-    fn begin_mutation(&mut self) {
-        self.ensure_membership();
-        self.source = None;
+        self.runs.push(self.live.len() as u32);
     }
 
     /// Removes a tuple, returning `true` if it was present.
@@ -447,8 +416,7 @@ impl IndexedRelation {
         if !self.contains_row(row) {
             return false;
         }
-        self.begin_mutation();
-        self.runs = None;
+        self.ensure_membership();
         let id = self.find_live_id(row).expect("present, checked above");
         let key = fx::row_key(row);
         let ids = self.ids_mut();
@@ -458,9 +426,8 @@ impl IndexedRelation {
         self.live[id as usize] = false;
         self.dead += 1;
         self.live_count -= 1;
-        if self.mirror.is_some() {
-            self.pending_dels.extend_from_slice(row);
-            self.pending_del_count += 1;
+        if id < self.base_slots {
+            self.died.push(id);
         }
         if self.dead * 2 > self.live.len() {
             self.compact();
@@ -469,9 +436,7 @@ impl IndexedRelation {
     }
 
     /// Drops every tuple while keeping the demanded index masks alive (with
-    /// empty buckets), so existing plans can still probe after a reset.  An
-    /// empty arena is a concatenation of zero runs, so bulk appends after a
-    /// clear are merged again.
+    /// empty buckets), so existing plans can still probe after a reset.
     pub fn clear(&mut self) {
         self.rows.clear();
         self.live.clear();
@@ -481,22 +446,24 @@ impl IndexedRelation {
         for (_, index) in &mut self.indexes {
             index.clear();
         }
-        self.runs = Some(Vec::new());
-        self.source = None;
-        // the mirror is set to the true (empty) contents directly, so any
-        // buffered events are obsolete
-        self.pending_adds.clear();
-        self.pending_add_count = 0;
-        self.pending_dels.clear();
-        self.pending_del_count = 0;
-        if let Some(mirror) = &mut self.mirror {
-            *mirror = Relation::empty(self.arity);
-        }
+        self.rebase(Relation::empty(self.arity));
+    }
+
+    /// Makes `contents` — the arena's live rows in canonical order — the
+    /// base, covering every slot there is.
+    fn rebase(&mut self, contents: Relation) {
+        self.base = contents;
+        self.base_slots = self.live.len() as u32;
+        self.died.clear();
+        self.runs.clear();
     }
 
     /// Rebuilds the arena and all indexes without tombstones (live rows keep
-    /// their relative order, so scan order is unchanged).
+    /// their relative order, so scan order is unchanged).  Slots are
+    /// renumbered, so what was recorded against the old numbers is folded
+    /// into a new base first.
     fn compact(&mut self) {
+        let contents = self.materialise();
         let arity = self.arity;
         let old_rows = std::mem::take(&mut self.rows);
         let old_live = std::mem::take(&mut self.live);
@@ -520,6 +487,7 @@ impl IndexedRelation {
                 bucket_push(&mut self.indexes[i].1, key, id);
             }
         }
+        self.rebase(contents);
     }
 
     /// `row()` without the borrow of `self.indexes` (compaction helper).
@@ -533,9 +501,8 @@ impl IndexedRelation {
     }
 
     /// Builds the membership table if a bulk load deferred it (see the
-    /// module docs).  Called by the planner's demand pass for every relation
-    /// a `Member` / `NegCheck` step targets, by sessions for every relation
-    /// their plans read, and by every mutation.
+    /// module docs).  Called by the demand pass for every relation a
+    /// `Member` / `NegCheck` step targets, and by every mutation.
     pub fn ensure_membership(&mut self) {
         if self.ids.is_none() {
             self.ids = Some(self.build_membership());
@@ -642,197 +609,108 @@ impl IndexedRelation {
         self.dead
     }
 
-    fn pending_empty(&self) -> bool {
-        self.pending_add_count == 0 && self.pending_del_count == 0
-    }
-
-    /// Applies the buffered mirror mutations in one batched merge (see the
-    /// module docs for the parity argument).
-    fn flush_mirror(&mut self) {
-        if self.pending_empty() {
-            return;
-        }
-        let mut events = std::mem::take(&mut self.pending_adds);
-        let dels = std::mem::take(&mut self.pending_dels);
-        let total = self.pending_add_count + self.pending_del_count;
-        self.pending_add_count = 0;
-        self.pending_del_count = 0;
-        let Some(mirror) = &self.mirror else {
-            return; // pending is only recorded while a mirror exists
-        };
-        if self.arity == 0 {
-            self.mirror =
-                Some(Relation::from_rows(0, Vec::new(), self.live_count).expect("flag relation"));
-            return;
-        }
-        events.extend_from_slice(&dels);
-        let arity = self.arity;
-        let row_at = |i: u32| &events[i as usize * arity..(i as usize + 1) * arity];
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        order.sort_unstable_by(|&a, &b| row_at(a).cmp(row_at(b)));
-        let mut adds: Vec<Const> = Vec::new();
-        let mut del_run: Vec<Const> = Vec::new();
-        let mut i = 0usize;
-        while i < total {
-            let row = row_at(order[i]);
-            let mut j = i + 1;
-            while j < total && row_at(order[j]) == row {
-                j += 1;
-            }
-            // events per row strictly alternate insert/remove, so odd count
-            // ⇔ final membership differs from the mirror's current state
-            if (j - i) % 2 == 1 {
-                if mirror.contains_row(row) {
-                    del_run.extend_from_slice(row);
-                } else {
-                    adds.extend_from_slice(row);
-                }
-            }
-            i = j;
-        }
-        self.mirror = Some(
-            mirror
-                .merge_rows(&adds, &del_run)
-                .expect("pending rows share the relation's arity"),
-        );
-    }
-
-    /// Whether the maintained mirror can be trusted.  A full content
-    /// comparison would cost `O(n)` per snapshot, so this is the cheap
-    /// necessary condition — no unflushed events and a matching live count —
-    /// checked **in release builds too**: every mirror update path changes
-    /// the live count in lockstep, so any maintenance bug that adds, drops
-    /// or duplicates a mirror row shows up here.
-    fn mirror_in_sync(&self) -> bool {
-        self.pending_empty()
-            && self
-                .mirror
-                .as_ref()
-                .is_some_and(|m| m.len() == self.live_count)
-    }
-
-    /// Materialises the live contents from the arena, mirror or no mirror
-    /// (it is also the reference the mirror is resynced from): a merge of
-    /// the recorded runs while the arena is nothing but runs, a full sort
-    /// once a single-row mutation has forgotten them.
-    fn rebuild_relation(&self) -> Relation {
-        if self.arity == 0 {
-            return Relation::from_rows(0, Vec::new(), self.live_count).expect("flag relation");
-        }
-        let Some(ends) = &self.runs else {
-            let mut buf = Vec::with_capacity(self.live_count * self.arity);
-            for row in self.iter() {
-                buf.extend_from_slice(row);
-            }
-            return Relation::from_rows(self.arity, buf, self.live_count)
-                .expect("the arena is arity-strided by construction");
-        };
-        // runs ⇒ no removal ever happened ⇒ every slot is live
-        debug_assert_eq!(self.dead, 0);
-        let arity = self.arity;
-        let row_at = |slot: u32| &self.rows[slot as usize * arity..][..arity];
-        // (next slot, end slot) per non-empty run
-        let mut cursors: Vec<(u32, u32)> = std::iter::once(0)
-            .chain(ends.iter().copied())
-            .zip(ends.iter().copied())
-            .filter(|(start, end)| start < end)
+    /// The live rows of the runs appended since the base was taken, merged
+    /// into one sorted, arity-strided buffer (live rows are distinct, so it
+    /// is duplicate-free).
+    fn merged_tail(&self) -> Vec<Const> {
+        let next_live = |slot: u32, end: u32| (slot..end).find(|&s| self.live[s as usize]);
+        // (next live slot, end slot) per run that has a live row left
+        let mut cursors: Vec<(u32, u32)> = std::iter::once(self.base_slots)
+            .chain(self.runs.iter().copied())
+            .zip(self.runs.iter().copied())
+            .filter_map(|(start, end)| Some((next_live(start, end)?, end)))
             .collect();
-        let merged = if cursors.len() <= 1 {
-            self.rows.clone()
-        } else {
-            let mut heap: BinaryHeap<Reverse<(&[Const], usize)>> = cursors
-                .iter()
-                .enumerate()
-                .map(|(run, &(start, _))| Reverse((row_at(start), run)))
-                .collect();
-            let mut merged = Vec::with_capacity(self.rows.len());
-            while let Some(mut top) = heap.peek_mut() {
-                let Reverse((row, run)) = *top;
-                merged.extend_from_slice(row);
-                let (next, end) = &mut cursors[run];
-                *next += 1;
-                if *next < *end {
-                    *top = Reverse((row_at(*next), run));
-                } else {
+        let mut heap: BinaryHeap<Reverse<(&[Const], usize)>> = cursors
+            .iter()
+            .enumerate()
+            .map(|(run, &(next, _))| Reverse((self.row(next), run)))
+            .collect();
+        let mut merged =
+            Vec::with_capacity(self.rows.len() - self.base_slots as usize * self.arity);
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((row, run)) = *top;
+            merged.extend_from_slice(row);
+            let (next, end) = &mut cursors[run];
+            match next_live(*next + 1, *end) {
+                Some(slot) => {
+                    *next = slot;
+                    *top = Reverse((self.row(slot), run));
+                }
+                None => {
                     PeekMut::pop(top);
                 }
             }
-            merged
+        }
+        merged
+    }
+
+    /// The one way the arena becomes a [`Relation`] (see the module docs):
+    /// the base with everything recorded since applied in one merge.  A
+    /// base row that died and was appended again is live, so it is not
+    /// among the deletions, and [`Relation::merge_rows`] skips it among the
+    /// additions as already there.
+    fn materialise(&self) -> Relation {
+        if self.arity == 0 {
+            return Relation::from_rows(0, Vec::new(), self.live_count).expect("flag relation");
+        }
+        let arity = self.arity;
+        let adds = self.merged_tail();
+        let mut died: Vec<u32> = (self.died.iter().copied())
+            .filter(|&id| !self.contains_row(self.row(id)))
+            .collect();
+        died.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        let dels: Vec<Const> = died.iter().flat_map(|&id| self.row(id)).copied().collect();
+        let contents = if self.base.is_empty() && !adds.is_empty() {
+            // nothing to merge into (and so nothing died): the verifying
+            // constructor takes the run as it is
+            Relation::from_sorted_rows(arity, adds)
+                .expect("every appended run is sorted and disjoint from the live rows before it")
+        } else {
+            self.base
+                .merge_rows(&adds, &dels)
+                .expect("the arena is arity-strided by construction")
         };
-        Relation::from_sorted_rows(arity, merged)
-            .expect("every appended run is sorted and disjoint from the runs before it")
+        debug_assert_eq!(
+            contents.len(),
+            self.live_count,
+            "the base and what was recorded since do not add up to the arena"
+        );
+        if contents.len() == self.live_count {
+            return contents;
+        }
+        // never serve a mismatch: sort the live rows, which needs no
+        // bookkeeping at all
+        let mut buf = Vec::with_capacity(self.live_count * arity);
+        for row in self.iter() {
+            buf.extend_from_slice(row);
+        }
+        Relation::from_rows(arity, buf, self.live_count)
+            .expect("the arena is arity-strided by construction")
     }
 
-    /// The live contents as a plain relation: the load's source while
-    /// nothing has been written, an `O(1)` clone of the mirror when one is
-    /// maintained, fully flushed *and in sync*, otherwise a rebuild from the
-    /// arena (`rebuild_relation`: a merge while the arena is
-    /// all runs).  A desynchronised mirror is never served — in debug
-    /// builds it also trips an assertion so the maintenance bug gets fixed
-    /// rather than papered over.  (Callers holding `&mut self` and coming
-    /// back for more should prefer [`Self::snapshot`], which keeps the
-    /// result as the mirror.)
+    /// The live contents as a plain relation, in canonical order: `O(1)`
+    /// when nothing was written since the load or the last
+    /// [`Self::snapshot`], otherwise one merge of what was (see the module
+    /// docs).  (Callers holding `&mut self` and coming back for more should
+    /// prefer [`Self::snapshot`], which remembers the result.)
     pub fn to_relation(&self) -> Relation {
-        if let Some(source) = &self.source {
-            return source.clone();
-        }
-        if self.pending_empty() {
-            if let Some(mirror) = &self.mirror {
-                debug_assert_eq!(mirror.len(), self.live_count, "mirror out of sync");
-                if mirror.len() == self.live_count {
-                    return mirror.clone();
-                }
-            }
-        }
-        self.rebuild_relation()
+        self.materialise()
     }
 
-    /// Like [`Self::to_relation`], but flushes buffered mirror events and
-    /// enables the mirror first, so *every* later snapshot of this relation
-    /// (until its contents are rebuilt wholesale) costs one batched merge
-    /// over the mutations since the previous snapshot — `O(1)` when there
-    /// were none.
-    ///
-    /// If an existing mirror fails the release-mode sync check it is
-    /// rebuilt from the arena here and the event is counted in
-    /// [`Self::mirror_rebuilds`] — readers can never be handed a stale
-    /// snapshot, and operators can see that the invariant tripped.
+    /// [`Self::to_relation`], remembered: the result becomes the base, so
+    /// the next materialisation merges only the mutations in between — and
+    /// costs one `Arc` clone when there were none.  The snapshot handed out
+    /// is never disturbed by later mutations.
     pub fn snapshot(&mut self) -> Relation {
-        self.flush_mirror();
-        if self.mirror.is_some() && !self.mirror_in_sync() {
-            self.mirror = None;
-            self.mirror_rebuilds += 1;
-        }
-        if self.mirror.is_none() {
-            self.mirror = Some(self.to_relation());
-        }
-        self.mirror.clone().expect("just ensured")
-    }
-
-    /// Number of times [`Self::snapshot`] found the mirror desynchronised
-    /// and rebuilt it (zero in a correct engine).
-    pub fn mirror_rebuilds(&self) -> usize {
-        self.mirror_rebuilds
+        let contents = self.materialise();
+        self.rebase(contents.clone());
+        contents
     }
 
     /// The live tuples as a hash set (boundary convenience for differential
     /// tests; hot paths stay on row slices).
     pub fn to_set(&self) -> HashSet<Tuple> {
         self.tuples().collect()
-    }
-
-    /// Test-only: forcibly desynchronises the mirror (drops one mirror
-    /// row behind the store's back) so the release-mode recovery path of
-    /// [`Self::snapshot`] can be exercised.
-    #[cfg(test)]
-    fn corrupt_mirror_for_test(&mut self) {
-        let mirror = self.mirror.as_mut().expect("mirror must exist");
-        let victim: Vec<Const> = mirror
-            .iter()
-            .next()
-            .expect("mirror must be non-empty")
-            .to_vec();
-        mirror.remove_row(&victim);
     }
 }
 
@@ -993,7 +871,7 @@ mod tests {
         let snap1 = r.snapshot();
         assert_eq!(snap1.len(), 3);
         // mutations after a snapshot: the snapshot is frozen, the next one
-        // reflects them — and both come from the maintained mirror.
+        // reflects them
         r.insert(tuple![9, 9]);
         r.remove(&tuple![1, 2]);
         assert_eq!(snap1.len(), 3, "outstanding snapshot must be frozen");
@@ -1002,24 +880,32 @@ mod tests {
         assert!(snap2.contains(&tuple![9, 9]));
         assert!(!snap2.contains(&tuple![1, 2]));
         assert_eq!(snap2, r.to_relation());
-        // and the mirror agrees with a from-scratch rebuild
+        // and it agrees with a from-scratch rebuild
         let rebuilt = kbt_data::Relation::from_tuples(r.arity(), r.tuples()).unwrap();
         assert_eq!(snap2, rebuilt);
     }
 
     #[test]
-    fn batched_mirror_handles_insert_remove_cycles() {
-        // parity bookkeeping: insert+remove (even) is a no-op, and
-        // remove+insert of a pre-existing row is too
+    fn insert_remove_cycles_between_snapshots_cancel() {
+        // a tail row added and removed again is a no-op, and so is a base
+        // row removed and re-inserted
         let mut r = sample();
         let snap1 = r.snapshot();
         r.insert(tuple![9, 9]);
         r.remove(&tuple![9, 9]);
         r.remove(&tuple![1, 2]);
         r.insert(tuple![1, 2]);
+        assert_eq!(r.to_relation(), snap1);
         let snap2 = r.snapshot();
         assert_eq!(snap1, snap2);
-        // odd parity flips
+        // the base row may go round more than once, and end up gone
+        r.remove(&tuple![1, 2]);
+        r.insert(tuple![1, 2]);
+        r.remove(&tuple![1, 2]);
+        assert_eq!(r.to_relation(), run2(&[(1, 3), (2, 3)]));
+        r.insert(tuple![1, 2]);
+        assert_eq!(r.snapshot(), snap1);
+        // an odd number of flips of a new row leaves it in
         r.insert(tuple![5, 5]);
         r.remove(&tuple![5, 5]);
         r.insert(tuple![5, 5]);
@@ -1090,12 +976,11 @@ mod tests {
         let expected = run2(&[(1, 1), (1, 5), (2, 1), (2, 2), (3, 1), (9, 9)]);
         assert_eq!(r.to_relation(), expected);
         assert_eq!(r.snapshot(), expected);
-        // with a mirror kept, a later run is flushed into it
+        // a run appended after a snapshot is merged into it
         r.append_run(&run2(&[(0, 0)]));
         assert_eq!(r.snapshot().len(), 7);
         assert_eq!(r.snapshot().row(0), &[Const::new(0), Const::new(0)]);
-        assert_eq!(r.mirror_rebuilds(), 0);
-        // a single-row write ends the merging, not the correctness
+        // single-row writes between bulk appends merge like any other run
         let mut s = r.clone();
         s.remove(&tuple![1, 5]);
         s.append_run(&run2(&[(1, 5), (4, 4)]));
@@ -1117,35 +1002,68 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_the_mirror() {
+    fn a_compaction_between_two_snapshots_rebases() {
         let mut r = sample();
         r.ensure_index(0b01);
-        let _ = r.snapshot();
+        let before = r.snapshot();
+        r.insert(tuple![0, 7]);
         r.remove(&tuple![1, 2]);
-        r.remove(&tuple![1, 3]); // triggers compaction
+        r.remove(&tuple![0, 7]);
+        assert_eq!(r.tombstone_count(), 2);
+        r.remove(&tuple![1, 3]); // 3 dead of 4 slots → compaction
         assert_eq!(r.tombstone_count(), 0);
-        assert_eq!(r.snapshot().len(), 1);
-        assert!(r.snapshot().contains(&tuple![2, 3]));
+        assert_eq!(r.slot_count(), 1);
+        // the renumbered arena keeps recording against the new base
+        r.insert(tuple![0, 1]);
+        r.remove(&tuple![2, 3]);
+        r.insert(tuple![2, 3]);
+        assert_eq!(r.to_relation(), run2(&[(0, 1), (2, 3)]));
+        assert_eq!(r.snapshot(), run2(&[(0, 1), (2, 3)]));
+        assert_eq!(before.len(), 3, "outstanding snapshot must be frozen");
     }
 
     #[test]
-    fn desynced_mirror_is_rebuilt_not_served() {
-        // A maintenance bug that desynchronises the mirror must never reach
-        // readers: `snapshot` detects the length mismatch (release-mode
-        // check), rebuilds the mirror from the arena, and counts the event
-        // so it is observable.
+    fn arity_zero_goes_through_every_materialisation() {
+        let on = Relation::from_tuples(0, [Tuple::empty()]).unwrap();
+        let off = Relation::empty(0);
+        // loaded set: removed and re-inserted between two snapshots
+        let mut r = IndexedRelation::from_relation(&on);
+        assert_eq!(r.snapshot(), on);
+        assert!(r.remove(&Tuple::empty())); // the only slot dies → compaction
+        assert_eq!(r.slot_count(), 0);
+        assert_eq!(r.to_relation(), off);
+        assert!(r.insert(Tuple::empty()));
+        assert_eq!(r.snapshot(), on);
+        // starting unset: added and removed between two snapshots
+        let mut r = IndexedRelation::new(0);
+        assert_eq!(r.snapshot(), off);
+        assert!(r.insert(Tuple::empty()));
+        assert_eq!(r.to_relation(), on);
+        assert!(r.remove(&Tuple::empty()));
+        assert_eq!(r.snapshot(), off);
+        assert!(!r.contains(&Tuple::empty()));
+    }
+
+    /// Both halves of the safety contract in one test: a base that does not
+    /// add up to the arena is never served.  Under `cargo test` the
+    /// assertion fires (a fast path that silently always fell back would
+    /// fail the suite, not slow it down); under `cargo test --release` the
+    /// contents are rebuilt from the arena's live rows.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "do not add up"))]
+    fn a_corrupted_base_is_rebuilt_not_served() {
         let mut r = sample();
         let _ = r.snapshot();
-        assert_eq!(r.mirror_rebuilds(), 0);
-        r.corrupt_mirror_for_test();
-        let snap = r.snapshot();
-        assert_eq!(r.mirror_rebuilds(), 1);
-        let rebuilt = Relation::from_tuples(r.arity(), r.tuples()).unwrap();
-        assert_eq!(snap, rebuilt, "recovered snapshot must match the store");
-        // and the rebuilt mirror is maintained again from here on
+        // drop one base row behind the arena's back
+        let victim = r.base.row(0).to_vec();
+        r.base.remove_row(&victim);
+        let expected = Relation::from_tuples(r.arity(), r.tuples()).unwrap();
+        assert_eq!(r.to_relation(), expected, "never serve the mismatch");
+        assert_eq!(r.snapshot(), expected);
+        // and the rebuilt base is merged into again from here on
         r.insert(tuple![7, 7]);
-        assert_eq!(r.snapshot().len(), 4);
-        assert_eq!(r.mirror_rebuilds(), 1);
+        r.remove(&tuple![2, 3]);
+        assert_eq!(r.snapshot(), run2(&[(1, 2), (1, 3), (7, 7)]));
     }
 
     #[test]

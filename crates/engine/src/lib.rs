@@ -23,9 +23,12 @@
 //!   that is by construction disjoint from what is stored, the arena
 //!   records the run boundaries, and the result is a k-way merge of them.
 //!   Each derived fact is written once into its round's run and once into
-//!   the arena.  Single-row writes, tombstoned removals with amortised
-//!   compaction and the copy-on-write snapshot mirror exist for the
-//!   incremental session, which is the only caller that needs them;
+//!   the arena.  A relation knows its contents in order one way — the last
+//!   canonical run it handed out (a load is one) plus what the arena
+//!   records since — so a snapshot costs one merge of what changed since
+//!   the previous one.  Single-row writes and tombstoned removals with
+//!   amortised compaction exist for the incremental session, which is the
+//!   only caller that needs them;
 //! * [`plan`] — a join planner that orders body atoms by bound-variable
 //!   count and compiles every rule into a sequence of index probes instead
 //!   of full scans;
@@ -62,7 +65,9 @@
 //! indexes) alive across a chain of closely related databases and accepts
 //! fact deltas instead of re-deriving every fixpoint from scratch:
 //! insertions continue semi-naive propagation, deletions run DRed-style
-//! overdeletion/rederivation.  Lifecycle:
+//! overdeletion/rederivation — rederivation being one more plan per rule
+//! (the body with the head's slots bound on entry), run by the same step
+//! interpreter as every other plan.  Lifecycle:
 //!
 //! 1. [`IncrementalSession::new`] evaluates the stratified program once and
 //!    becomes the owner of the fixpoint ([`IncrementalSession::stats`]
@@ -84,9 +89,8 @@
 //! when negated relations are stable.  Purely positive programs (all Horn
 //! fast-path programs of `kbt-core`) never hit the fallback.  Deltas may
 //! only touch extensional relations; mutating a derived relation returns
-//! [`EngineError::IntensionalUpdate`].  After any error the session's
-//! storage may hold a partially applied delta — rebuild the session instead
-//! of continuing.
+//! [`EngineError::IntensionalUpdate`].  A delta is checked whole before any
+//! of it is applied: on error the session is unchanged.
 
 pub mod error;
 pub mod eval;

@@ -19,6 +19,10 @@
 //! variant* per positive occurrence of an intensional relation: that
 //! occurrence is forced to the front as a scan of the delta relation, and
 //! the rest of the body is re-planned greedily around the slots it binds.
+//!
+//! The same greedy order, started with the head's slots already bound, is a
+//! *rederivation plan* ([`JoinPlan::head_bound`]): the incremental session
+//! asks it whether one given head fact still has a derivation.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -131,11 +135,12 @@ impl PlannedRule {
     /// planning time: ties on bound-position counts are broken towards the
     /// smaller relation (relations absent from `sizes` count as empty).
     pub fn plan_sized(rule: &Rule, idb: &BTreeSet<RelId>, sizes: &BTreeMap<RelId, usize>) -> Self {
-        let full = plan_body(rule, None, sizes);
+        let unbound = BTreeSet::new();
+        let full = plan_body(rule, &unbound, None, sizes);
         let deltas = rule
             .positive_atoms()
             .filter(|(_, atom)| idb.contains(&atom.rel))
-            .map(|(pos, atom)| (atom.rel, plan_body(rule, Some(pos), sizes)))
+            .map(|(pos, atom)| (atom.rel, plan_body(rule, &unbound, Some(pos), sizes)))
             .collect();
         PlannedRule {
             head: rule.head.clone(),
@@ -167,31 +172,12 @@ impl PlannedRule {
     }
 
     /// Every step of every plan: the full plan, then each delta variant.
-    fn steps(&self) -> impl Iterator<Item = &Step> {
+    /// What running them looks up — the index of a `Probe`, the membership
+    /// table of a `Member` / `NegCheck` target — is demanded from these.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = &Step> {
         std::iter::once(&self.full)
             .chain(self.deltas.iter().map(|(_, p)| p))
             .flat_map(|plan| &plan.steps)
-    }
-
-    /// Every `(relation, mask)` index the plans demand.
-    pub fn demanded_indexes(&self) -> BTreeSet<(RelId, Mask)> {
-        self.steps()
-            .filter_map(|step| match step {
-                Step::Probe { rel, mask, .. } => Some((*rel, *mask)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Every relation whose membership table the plans demand: the targets
-    /// of `Member` and `NegCheck` steps.
-    pub fn demanded_membership(&self) -> BTreeSet<RelId> {
-        self.steps()
-            .filter_map(|step| match step {
-                Step::Member { rel, .. } | Step::NegCheck { rel, .. } => Some(*rel),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -202,6 +188,17 @@ fn render_app(name: &str, terms: &[Term]) -> String {
 }
 
 impl JoinPlan {
+    /// Plans `rule`'s body with **the head's slots bound on entry** — the
+    /// rederivation plan.  Run with the head unified against a fact, it
+    /// enumerates that fact's derivations (DRed's `rederive_p(x̄) :-
+    /// overdel_p(x̄), body` with the overdeleted atom pre-bound), so atoms
+    /// the head determines compile to probes and membership checks where
+    /// the full plan scans.  `sizes` breaks greedy ties as in
+    /// [`PlannedRule::plan_sized`].
+    pub fn head_bound(rule: &Rule, sizes: &BTreeMap<RelId, usize>) -> Self {
+        plan_body(rule, &rule.head.slots(), None, sizes)
+    }
+
     /// Stable one-line rendering of the steps in execution order, joined
     /// with `; `: `scan` (the driving scan, `#delta` for delta drivers),
     /// `probe` with its bound-column mask and key, `member`, and `absent`
@@ -333,11 +330,17 @@ fn mark_bound(atom: &Atom, bound: &mut [bool]) {
     }
 }
 
-/// Plans the body of `rule`; `forced_first` names a body position scanned
-/// from the delta and moved to the front; `sizes` supplies the relation
-/// cardinalities used to break greedy ties.
-fn plan_body(rule: &Rule, forced_first: Option<usize>, sizes: &BTreeMap<RelId, usize>) -> JoinPlan {
-    let mut bound = vec![false; rule.slots];
+/// Plans the body of `rule`; `entry` names the slots bound before the first
+/// step runs (none, or the head's); `forced_first` names a body position
+/// scanned from the delta and moved to the front; `sizes` supplies the
+/// relation cardinalities used to break greedy ties.
+fn plan_body(
+    rule: &Rule,
+    entry: &BTreeSet<usize>,
+    forced_first: Option<usize>,
+    sizes: &BTreeMap<RelId, usize>,
+) -> JoinPlan {
+    let mut bound: Vec<bool> = (0..rule.slots).map(|s| entry.contains(&s)).collect();
     let mut steps = Vec::with_capacity(rule.body.len());
     let mut scheduled = vec![false; rule.body.len()];
 
@@ -533,11 +536,60 @@ mod tests {
     }
 
     #[test]
-    fn demanded_indexes_cover_all_variants() {
+    fn steps_cover_all_variants() {
         let idb = [r(2)].into_iter().collect();
         let planned = PlannedRule::plan(&tc_recursive_rule(), &idb);
-        let demanded = planned.demanded_indexes();
-        assert!(demanded.contains(&(r(1), 0b01)));
+        // full plan and delta variant: a scan and a probe of edge each
+        assert_eq!(planned.steps().count(), 4);
+        let probes = planned
+            .steps()
+            .filter(|s| matches!(s, Step::Probe { rel, mask: 0b01, .. } if *rel == r(1)));
+        assert_eq!(probes.count(), 2);
+    }
+
+    #[test]
+    fn head_bound_plans_probe_and_check_where_full_plans_scan() {
+        // path(x,z) :- path(x,y), edge(y,z) with x and z bound: both atoms
+        // have one bound position, so the tie goes to the smaller relation —
+        // probe edge on z, then path(x,y) is a membership check.
+        let rule = tc_recursive_rule();
+        let sizes: BTreeMap<RelId, usize> = [(r(1), 10), (r(2), 100)].into_iter().collect();
+        let plan = JoinPlan::head_bound(&rule, &sizes);
+        assert_eq!(plan.delta_pos, None);
+        assert!(
+            matches!(plan.steps[0], Step::Probe { rel, mask: 0b10, .. } if rel == r(1)),
+            "got {:?}",
+            plan.steps[0]
+        );
+        assert!(matches!(plan.steps[1], Step::Member { rel, .. } if rel == r(2)));
+        // the full plan of the same rule is untouched by the new entry
+        let full = PlannedRule::plan_sized(&rule, &BTreeSet::new(), &sizes).full;
+        assert!(matches!(full.steps[0], Step::Scan { .. }));
+
+        // path(x,y) :- edge(x,y): the head determines the whole atom
+        let base = Rule::new(
+            Atom::new(r(2), vec![s(0), s(1)]),
+            vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
+        )
+        .unwrap();
+        let plan = JoinPlan::head_bound(&base, &sizes);
+        assert!(matches!(plan.steps[..], [Step::Member { rel, .. }] if rel == r(1)));
+
+        // a negation the head determines runs first, and what the probe
+        // binds turns the atom the head says nothing about into a check
+        let rule = Rule::new(
+            Atom::new(r(4), vec![s(0)]),
+            vec![
+                Literal::positive(Atom::new(r(3), vec![s(1)])),
+                Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
+                Literal::negative(Atom::new(r(2), vec![s(0), s(0)])),
+            ],
+        )
+        .unwrap();
+        let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
+        assert!(matches!(plan.steps[0], Step::NegCheck { .. }));
+        assert!(matches!(plan.steps[1], Step::Probe { rel, mask: 0b01, .. } if rel == r(1)));
+        assert!(matches!(plan.steps[2], Step::Member { rel, .. } if rel == r(3)));
     }
 
     #[test]

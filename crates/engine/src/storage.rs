@@ -75,9 +75,9 @@ impl IndexStorage {
         self.relations.get(&rel)
     }
 
-    /// A copy-on-write snapshot of the relation stored under `rel` (see
-    /// [`IndexedRelation::snapshot`]): `O(1)` after the first call, and
-    /// never disturbed by later mutations of the storage.
+    /// A snapshot of the relation stored under `rel` (see
+    /// [`IndexedRelation::snapshot`]): `O(1)` when nothing changed since the
+    /// last one, and never disturbed by later mutations of the storage.
     pub fn snapshot_relation(&mut self, rel: RelId) -> Option<kbt_data::Relation> {
         self.relations.get_mut(&rel).map(IndexedRelation::snapshot)
     }
@@ -167,15 +167,6 @@ impl IndexStorage {
     /// Total number of stored facts.
     pub fn fact_count(&self) -> usize {
         self.relations.values().map(IndexedRelation::len).sum()
-    }
-
-    /// Total number of mirror desync rebuilds across all relations (zero in
-    /// a correct engine — see [`IndexedRelation::mirror_rebuilds`]).
-    pub fn mirror_rebuilds(&self) -> usize {
-        self.relations
-            .values()
-            .map(IndexedRelation::mirror_rebuilds)
-            .sum()
     }
 
     /// Copies the storage back into a plain database.

@@ -1,19 +1,19 @@
-//! Differential proptests for [`IndexedRelation`]'s three ways of knowing
-//! its own contents in order — the source of an unwritten load, the
-//! recorded sorted runs of an arena only bulk-written, and the
-//! copy-on-write mirror behind `snapshot` — and for the membership table a
-//! load defers.
+//! Differential proptests for the one way [`IndexedRelation`] knows its own
+//! contents in order — the last canonical run it handed out (or was loaded
+//! from) plus what the arena records since: the runs appended above the
+//! watermark and the ids tombstoned below it — and for the membership table
+//! a load defers.
 //!
 //! Random interleavings of load / bulk append / `insert` / `remove` /
 //! `clear` / `snapshot` (with automatic compaction kicking in on
 //! delete-heavy prefixes) are replayed against a `BTreeSet` of rows, which
 //! shares no code with either relation type, and every view of the indexed
 //! relation must agree with it after every step.  Any bookkeeping bug — a
-//! run boundary lost or kept too long, a load's source served after a
-//! write, a membership table built late, a missed mirror event, a clear or
-//! compaction that forgets one of them — shows up as a mismatch (or, for
-//! count-changing mirror bugs, as a non-zero `mirror_rebuilds` recovery
-//! counter).
+//! run boundary lost, a death below the watermark not recorded, a base row
+//! that died and came back counted twice or not at all, a membership table
+//! built late, a clear or compaction that forgets to move the base — shows
+//! up as a mismatch, or trips the debug assertion that the materialised
+//! length equals the live count.
 
 use std::collections::BTreeSet;
 
@@ -46,13 +46,13 @@ enum Op {
     Remove(u32, u32),
     Clear,
     /// Take (and hold) a snapshot here, so later mutations run against an
-    /// outstanding copy-on-write reader — and, from here to the next
-    /// `Load`, against a maintained mirror.
+    /// outstanding reader — and against a base and watermark moved up to
+    /// this point.
     Snapshot,
     /// Replace the relation by a bulk load of its own current contents: the
-    /// same rows, but pristine again — deferred membership table, one
-    /// recorded run, no mirror.  (A load of the empty relation when the
-    /// script opens with one or one follows a `Clear`.)
+    /// same rows, but pristine again — deferred membership table, the load
+    /// as the base, nothing recorded.  (A load of the empty relation when
+    /// the script opens with one or one follows a `Clear`.)
     Load,
     /// Bulk-append the run of those rows of a cross through `(a, b)` that
     /// are not present: canonical and disjoint, as the commit's are.
@@ -76,7 +76,7 @@ fn decode(code: (u8, u32, u32)) -> Op {
 fn arb_script() -> impl Strategy<Value = Vec<Op>> {
     // constants in 0..5 so removes genuinely hit existing tuples and
     // delete-heavy stretches push past the tombstone threshold (automatic
-    // compaction), the code path most likely to desync a mirror.
+    // compaction), which renumbers the slots everything is recorded against.
     proptest::collection::vec((0u8..14, 0u32..5, 0u32..5), 1..120)
         .prop_map(|codes| codes.into_iter().map(decode).collect())
 }
@@ -125,9 +125,8 @@ proptest! {
             }
             // every view agrees with the oracle at every step: the count,
             // the materialised run (`to_relation` takes `&self`, so it
-            // answers from whichever of source / runs / mirror / full sort
-            // is current without changing which), membership of every row
-            // of the domain, and the index
+            // merges what was recorded since the base without moving the
+            // base), membership of every row of the domain, and the index
             prop_assert_eq!(indexed.len(), oracle.len());
             let expected: Vec<Vec<u32>> = oracle.iter().cloned().collect();
             prop_assert_eq!(rows_of(&indexed.to_relation()), expected);
@@ -150,13 +149,11 @@ proptest! {
             }
         }
 
-        // a final snapshot agrees too, no desync was ever detected (the
-        // recovery path stayed cold) …
+        // a final snapshot agrees too …
         let expected: Vec<Vec<u32>> = oracle.iter().cloned().collect();
         prop_assert_eq!(rows_of(&indexed.snapshot()), expected);
-        prop_assert_eq!(indexed.mirror_rebuilds(), 0);
         // … and outstanding snapshots were frozen, not disturbed, by the
-        // mutations that followed them (copy-on-write isolation).
+        // mutations that followed them.
         for (snap, rows) in held {
             let expected: Vec<Vec<u32>> = rows.into_iter().collect();
             prop_assert_eq!(rows_of(&snap), expected);

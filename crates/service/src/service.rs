@@ -987,10 +987,11 @@ impl Service {
         drop(apply_span);
         let reg = w.transforms.get_mut(name).expect("present above");
         // The session goes back only once the commit is certain.  After an
-        // evaluation error it may hold a partially applied delta (see the
-        // `kbt-engine` crate docs); after a WAL failure it has consumed a
-        // delta the committed knowledgebase never saw.  Either way it
-        // stays dropped and the next successful APPLY rebuilds it.
+        // evaluation error the walk stopped midway; after a WAL failure it
+        // has consumed a delta the committed knowledgebase never saw.
+        // Either way it has been advanced towards a state that was never
+        // committed, so it stays dropped and the next successful APPLY
+        // rebuilds it.
         let result = result?;
         self.wal_append(&format!("APPLY {name}"))?;
         reg.chain = chain;
