@@ -243,9 +243,17 @@ impl Registry {
         *slot = sink;
     }
 
+    /// Whether a structured-log sink is installed (one relaxed load).  A hot
+    /// path checks this before it *builds* the fields of an
+    /// [`event`](Registry::event) nobody would receive.
+    #[inline]
+    pub fn has_sink(&self) -> bool {
+        self.inner.has_sink.load(Ordering::Relaxed)
+    }
+
     /// Emits an event record to the sink, if one is installed.
     pub fn event(&self, name: &str, fields: &[(&'static str, String)]) {
-        if !self.inner.has_sink.load(Ordering::Relaxed) {
+        if !self.has_sink() {
             return;
         }
         let sink = self.inner.sink.lock().unwrap().clone();

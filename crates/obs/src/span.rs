@@ -10,8 +10,9 @@
 //! If the registry has a log sink installed and a slow-span threshold
 //! set, spans at least that long are additionally emitted as structured
 //! records (the slow-query log).  Fields attached via [`Span::field`] ride
-//! along on that record; when the span is disabled, `field` is a no-op so
-//! callers never pay for formatting.
+//! along on that record.  A span only *borrows* them: they become owned
+//! strings in the slow branch of drop, so the fast path — every span that
+//! stays under the threshold — allocates nothing for them.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -27,12 +28,17 @@ pub struct Span<'a> {
     active: Option<ActiveSpan<'a>>,
 }
 
+/// How many fields one span can carry.
+const MAX_FIELDS: usize = 4;
+
 #[derive(Debug)]
 struct ActiveSpan<'a> {
     histogram: &'a Histogram,
     event: &'static str,
     start: Instant,
-    fields: Vec<(&'static str, String)>,
+    /// The first `field_count` entries are attached fields, in order.
+    fields: [(&'static str, &'a str); MAX_FIELDS],
+    field_count: usize,
 }
 
 impl Histogram {
@@ -55,31 +61,39 @@ impl Histogram {
                 histogram: self,
                 event,
                 start: Instant::now(),
-                fields: Vec::new(),
+                fields: [("", ""); MAX_FIELDS],
+                field_count: 0,
             }),
         }
     }
 }
 
-impl Span<'_> {
+impl<'a> Span<'a> {
     /// Whether this span is live (timing was enabled at creation).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.active.is_some()
     }
 
-    /// Attaches a field carried on the slow-span log record.  No-op (and
-    /// `value` is never evaluated further) on a disabled span.
-    pub fn field(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Attaches a field carried on the slow-span log record: borrowed for
+    /// the span's lifetime, copied only if the record is emitted.  No-op on
+    /// a disabled span.  A span carries at most four fields; further ones
+    /// are dropped.
+    pub fn field(&mut self, key: &'static str, value: &'a str) {
         if let Some(active) = &mut self.active {
-            active.fields.push((key, value.into()));
+            debug_assert!(active.field_count < MAX_FIELDS, "span field {key} dropped");
+            if let Some(slot) = active.fields.get_mut(active.field_count) {
+                *slot = (key, value);
+                active.field_count += 1;
+            }
         }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(active) = self.active.take() else {
+        // nothing in an active span owns anything: read it in place
+        let Some(active) = &self.active else {
             return;
         };
         let elapsed = active.start.elapsed();
@@ -97,10 +111,14 @@ impl Drop for Span<'_> {
             } else {
                 active.event
             };
+            let fields: Vec<(&'static str, String)> = active.fields[..active.field_count]
+                .iter()
+                .map(|(key, value)| (*key, value.to_string()))
+                .collect();
             sink.emit(&Record {
                 name,
                 elapsed_ns: Some(ns),
-                fields: &active.fields,
+                fields: &fields,
             });
         }
     }

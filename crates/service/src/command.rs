@@ -482,25 +482,72 @@ pub fn render_transform(t: &Transform, vocab: &Vocabulary) -> String {
 /// A relation's surface name: the vocabulary name, or the `R<i>` fallback
 /// the sentence parser would re-intern.
 pub fn render_relation(rel: RelId, vocab: &Vocabulary) -> String {
-    vocab
-        .relation_name(rel)
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("R{}", rel.index()))
+    let mut out = String::new();
+    render_relation_into(&mut out, rel, vocab);
+    out
 }
 
-/// Renders one fact in re-`ASSERT`able syntax: `edge(1, 2)`,
-/// `city('Toronto')`.  Takes the fact as a raw row slice so callers can
-/// feed relation rows without materialising tuples.
+fn render_relation_into(out: &mut String, rel: RelId, vocab: &Vocabulary) {
+    use std::fmt::Write;
+    match vocab.relation_name(rel) {
+        Some(name) => out.push_str(name),
+        None => write!(out, "R{}", rel.index()).expect("writing to a String cannot fail"),
+    }
+}
+
+/// Renders one fact in re-`ASSERT`able syntax — `edge(1, 2)`,
+/// `city('Toronto')` — straight into `out`: no intermediate strings.  This
+/// is the one place a `(relation, row)` pair becomes text; the reply path,
+/// the WAL record of a fact commit and [`render_fact`] all go through it.
+/// Takes the fact as a raw row slice so callers can feed relation rows
+/// without materialising tuples.
+pub fn render_fact_into(out: &mut String, rel: RelId, row: &[Const], vocab: &Vocabulary) {
+    render_relation_into(out, rel, vocab);
+    render_args_into(out, row, vocab);
+}
+
+/// The argument list of a fact, parentheses included: named constants
+/// quoted, the rest as numerals.  The one copy of the quoting rule (`EXPLAIN`
+/// seed rows put it behind a magic predicate's name, which no vocabulary
+/// holds).
+pub(crate) fn render_args_into(out: &mut String, row: &[Const], vocab: &Vocabulary) {
+    use std::fmt::Write;
+    out.push('(');
+    for (i, c) in row.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match vocab.constant_name(*c) {
+            Some(name) => {
+                out.push('\'');
+                out.push_str(name);
+                out.push('\'');
+            }
+            None => write!(out, "{}", c.index()).expect("writing to a String cannot fail"),
+        }
+    }
+    out.push(')');
+}
+
+/// [`render_fact_into`] a fresh `String` — one allocation, sized exactly.
 pub fn render_fact(rel: RelId, row: &[Const], vocab: &Vocabulary) -> String {
-    let args: Vec<String> = row
+    let digits = |n: u32| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let name = vocab
+        .relation_name(rel)
+        .map_or_else(|| 1 + digits(rel.index()), str::len);
+    let args: usize = row
         .iter()
-        .copied()
-        .map(|c| match vocab.constant_name(c) {
-            Some(name) => format!("'{name}'"),
-            None => format!("{}", c.index()),
+        .map(|c| match vocab.constant_name(*c) {
+            Some(name) => name.len() + 2,
+            None => digits(c.index()),
         })
-        .collect();
-    format!("{}({})", render_relation(rel, vocab), args.join(", "))
+        .sum();
+    let separators = 2 * row.len().saturating_sub(1);
+    let len = name + 2 + args + separators;
+    let mut out = String::with_capacity(len);
+    render_fact_into(&mut out, rel, row, vocab);
+    debug_assert_eq!(out.len(), len, "sized exactly: {out}");
+    out
 }
 
 #[cfg(test)]
@@ -567,6 +614,16 @@ mod tests {
             .map(|(r, t)| render_fact(*r, t.components(), &v))
             .collect();
         assert_eq!(rendered, ["edge(1, 2)", "city('Toronto')", "flag()"]);
+        // the wrapper is the streaming renderer plus one exact allocation,
+        // index fallbacks included
+        let mut line = String::from("ASSERT ");
+        render_fact_into(&mut line, facts[1].0, facts[1].1.components(), &v);
+        assert_eq!(line, "ASSERT city('Toronto')");
+        let unnamed = [Const::new(0), Const::new(4_000_000_000)];
+        assert_eq!(
+            render_fact(RelId::new(12), &unnamed, &v),
+            "R12('Toronto', 4000000000)"
+        );
         // and the rendering re-parses to the same typed facts
         let again = parse_fact_list(&rendered.join(", "), &mut v.clone()).unwrap();
         assert_eq!(again, facts);

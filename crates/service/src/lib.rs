@@ -87,6 +87,16 @@
 //! `Transformer::apply_viewed`; a goal is resolved once into a goal plan
 //! (stored / magic / materialize) and run through one per-world fold.
 //!
+//! The query is parsed against a clone of the snapshot's
+//! [`kbt_data::Vocabulary`], which is a handle on shared, immutable names:
+//! the clone is a reference-count bump, and the names are copied only if
+//! the query *interns* one (a fresh relation in a `tau[…]`, say).  That a
+//! read's names never reach the committed vocabulary — and a rejected
+//! write's neither — is the type's contract, not a defensive copy; a read
+//! that interns nothing costs nothing for it.  On the way out each fact is
+//! rendered once ([`command::render_fact_into`]) and the reply is streamed
+//! to the socket by the one encoder, [`net::proto::write_response`].
+//!
 //! The bare form `QUERY CERTAIN path` reads the **stored** facts of a
 //! relation.  The bound form `QUERY CERTAIN path('a', x)` instead asks a
 //! *goal*: the service re-derives the fixpoint of every registered `τ`

@@ -12,9 +12,9 @@
 //! line); the status line both terminates the response — a client reads
 //! lines until it sees one — and names the epoch a committed or snapshot
 //! response speaks for.  Because payloads may legally contain newlines
-//! (quoted constants admit them), every emitted line is passed through
-//! [`escape_line`], so one response line is always exactly one physical
-//! line on the wire.
+//! (quoted constants admit them), every emitted line goes out under
+//! [`escape_line`]'s rule, so one response line is always exactly one
+//! physical line on the wire.
 //!
 //! # Status key order
 //!
@@ -35,6 +35,16 @@
 //! ` id=<trace>` after the human-readable message (the message itself
 //! never contains a newline, so the last field is unambiguous).
 //!
+//! # One encoder
+//!
+//! [`write_response`] is the only function that turns a [`Response`] into
+//! wire bytes.  It streams: each data line goes to the writer as its prefix
+//! followed by the payload's slices with the escaping rule applied on the
+//! way (the session's `BufWriter` collects them), so no line is ever built
+//! as a `String`, whatever the number of facts or worlds.
+//! [`encode_response`] is its line-splitting view — the same encoder run
+//! into a `Vec<u8>` and cut at the newlines — for callers that want lines.
+//!
 //! Error codes: [`crate::ServiceError::code`] defines the service-level
 //! codes (`parse`, `unknown-relation`, …); the net layer adds
 //! [`CODE_LINE_TOO_LONG`], [`CODE_INVALID_UTF8`], [`CODE_IDLE_TIMEOUT`],
@@ -42,6 +52,8 @@
 //! never pass through a [`crate::ServiceError`].  The full code table
 //! lives in [`crate::error`] (`CODE_TABLE`), with an exhaustiveness test
 //! holding it to the error enum.
+
+use std::io::{self, Write};
 
 use crate::error::ServiceError;
 use crate::service::Response;
@@ -63,16 +75,40 @@ pub const CODE_SHUTTING_DOWN: &str = "shutting-down";
 /// Escapes a payload so it occupies exactly one physical line: `\` → `\\`,
 /// newline → `\n`, carriage return → `\r`.
 pub fn escape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+    let mut out = Vec::with_capacity(s.len());
+    write_escaped(&mut out, s).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("escaping ASCII bytes keeps UTF-8 valid")
+}
+
+/// [`escape_line`]'s rule, applied while writing: the stretches between
+/// escaped bytes go out as the slices they are.
+fn write_escaped(w: &mut impl Write, s: &str) -> io::Result<()> {
+    // the three escaped characters are ASCII, so cutting at their bytes
+    // never splits a UTF-8 sequence
+    let mut rest = s.as_bytes();
+    while let Some(i) = rest.iter().position(|b| matches!(b, b'\\' | b'\n' | b'\r')) {
+        w.write_all(&rest[..i])?;
+        w.write_all(match rest[i] {
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            _ => b"\\r",
+        })?;
+        rest = &rest[i + 1..];
     }
-    out
+    w.write_all(rest)
+}
+
+/// Writes one data line per payload: prefix, escaped payload, newline.
+fn write_data_lines<'a>(
+    w: &mut impl Write,
+    payloads: impl IntoIterator<Item = &'a str>,
+) -> io::Result<()> {
+    for payload in payloads {
+        w.write_all(DATA_PREFIX.as_bytes())?;
+        write_escaped(w, payload)?;
+        w.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// The single producer of `OK` status lines, enforcing the module-level
@@ -123,42 +159,37 @@ impl StatusBuilder {
     }
 }
 
-/// Encodes one successful response as `(data_lines, status_line)` — the
-/// data lines already carry [`DATA_PREFIX`] and are escaped, and the
-/// status line carries `trace` as its leading `id=` key (when given) per
-/// the module-level fixed key order.
-pub fn encode_response(response: &Response, trace: Option<&str>) -> (Vec<String>, String) {
-    let data_line = |s: &str| format!("{DATA_PREFIX}{}", escape_line(s));
+/// Writes one successful response — every data line under [`DATA_PREFIX`]
+/// and escaped, then the status line carrying `trace` as its leading `id=`
+/// key (when given) per the module-level fixed key order — each line
+/// newline-terminated.  The one encoder (see the module docs).
+pub fn write_response(
+    w: &mut impl Write,
+    response: &Response,
+    trace: Option<&str>,
+) -> io::Result<()> {
     let status = StatusBuilder::new(trace);
-    match response {
-        Response::Ok => (Vec::new(), status.finish()),
+    let status = match response {
+        Response::Ok => status,
         Response::Committed {
             epoch,
             worlds,
             facts,
             durable,
-        } => (
-            Vec::new(),
-            status
-                .epoch(*epoch)
-                .durable(*durable)
-                .key("worlds", worlds)
-                .key("facts", facts)
-                .finish(),
-        ),
+        } => status
+            .epoch(*epoch)
+            .durable(*durable)
+            .key("worlds", worlds)
+            .key("facts", facts),
         Response::Defined {
             epoch,
             name,
             text,
             durable,
-        } => (
-            vec![data_line(text)],
-            status
-                .epoch(*epoch)
-                .durable(*durable)
-                .key("defined", name)
-                .finish(),
-        ),
+        } => {
+            write_data_lines(w, [text.as_str()])?;
+            status.epoch(*epoch).durable(*durable).key("defined", name)
+        }
         Response::Applied {
             epoch,
             name,
@@ -166,33 +197,34 @@ pub fn encode_response(response: &Response, trace: Option<&str>) -> (Vec<String>
             facts,
             reused_facts,
             durable,
-        } => (
-            Vec::new(),
-            status
-                .epoch(*epoch)
-                .durable(*durable)
-                .key("applied", name)
-                .key("worlds", worlds)
-                .key("facts", facts)
-                .key("reused", reused_facts)
-                .finish(),
-        ),
-        Response::Worlds { epoch, worlds } => (
-            worlds
-                .iter()
-                .enumerate()
-                .map(|(i, world)| data_line(&format!("world {i}: {{{}}}", world.join(", "))))
-                .collect(),
-            status.epoch(*epoch).key("worlds", worlds.len()).finish(),
-        ),
+        } => status
+            .epoch(*epoch)
+            .durable(*durable)
+            .key("applied", name)
+            .key("worlds", worlds)
+            .key("facts", facts)
+            .key("reused", reused_facts),
+        Response::Worlds { epoch, worlds } => {
+            for (i, world) in worlds.iter().enumerate() {
+                write!(w, "{DATA_PREFIX}world {i}: {{")?;
+                for (j, fact) in world.iter().enumerate() {
+                    if j > 0 {
+                        w.write_all(b", ")?;
+                    }
+                    write_escaped(w, fact)?;
+                }
+                w.write_all(b"}\n")?;
+            }
+            status.epoch(*epoch).key("worlds", worlds.len())
+        }
         Response::Facts {
             epoch,
             kind,
             relation,
             facts,
             strategy,
-        } => (
-            facts.iter().map(|fact| data_line(fact)).collect(),
+        } => {
+            write_data_lines(w, facts.iter().map(String::as_str))?;
             status
                 .epoch(*epoch)
                 // only bound goals carry a strategy; the bare form's
@@ -201,43 +233,32 @@ pub fn encode_response(response: &Response, trace: Option<&str>) -> (Vec<String>
                 .key("kind", kind)
                 .key("relation", relation)
                 .key("count", facts.len())
-                .finish(),
-        ),
-        Response::Explain { epoch, rows } => (
-            rows.iter().map(|row| data_line(row)).collect(),
-            status.epoch(*epoch).key("rows", rows.len()).finish(),
-        ),
+        }
+        Response::Explain { epoch, rows } => {
+            write_data_lines(w, rows.iter().map(String::as_str))?;
+            status.epoch(*epoch).key("rows", rows.len())
+        }
         Response::Profile {
             epoch,
             worlds,
             rows,
-        } => (
-            rows.iter().map(|row| data_line(row)).collect(),
+        } => {
+            write_data_lines(w, rows.iter().map(String::as_str))?;
             status
                 .epoch(*epoch)
                 .key("worlds", worlds)
                 .key("rows", rows.len())
-                .finish(),
-        ),
-        Response::Stats(report) => (
-            response
-                .to_string()
-                .lines()
-                .map(|line| data_line(line.trim_start()))
-                .collect(),
-            status.epoch(report.epoch).finish(),
-        ),
-        Response::Metrics { epoch, text } => (
-            text.lines().map(data_line).collect(),
-            status
-                .epoch(*epoch)
-                .key("lines", text.lines().count())
-                .finish(),
-        ),
-        Response::Loaded { commands } => (Vec::new(), status.key("commands", commands).finish()),
-        Response::Checkpointed { epoch, file } => {
-            (Vec::new(), status.epoch(*epoch).key("file", file).finish())
         }
+        Response::Stats(report) => {
+            write_data_lines(w, response.to_string().lines().map(str::trim_start))?;
+            status.epoch(report.epoch)
+        }
+        Response::Metrics { epoch, text } => {
+            write_data_lines(w, text.lines())?;
+            status.epoch(*epoch).key("lines", text.lines().count())
+        }
+        Response::Loaded { commands } => status.key("commands", commands),
+        Response::Checkpointed { epoch, file } => status.epoch(*epoch).key("file", file),
         Response::WalStat {
             epoch,
             policy,
@@ -246,19 +267,30 @@ pub fn encode_response(response: &Response, trace: Option<&str>) -> (Vec<String>
             fsyncs,
             durable_epoch,
             checkpoint_epoch,
-        } => (
-            Vec::new(),
-            status
-                .epoch(*epoch)
-                .key("policy", policy)
-                .key("records", records)
-                .key("bytes", bytes)
-                .key("fsyncs", fsyncs)
-                .key("synced", durable_epoch)
-                .key("checkpoint", checkpoint_epoch)
-                .finish(),
-        ),
-    }
+        } => status
+            .epoch(*epoch)
+            .key("policy", policy)
+            .key("records", records)
+            .key("bytes", bytes)
+            .key("fsyncs", fsyncs)
+            .key("synced", durable_epoch)
+            .key("checkpoint", checkpoint_epoch),
+    };
+    w.write_all(status.finish().as_bytes())?;
+    w.write_all(b"\n")
+}
+
+/// [`write_response`]'s output as `(data_lines, status_line)`, newlines
+/// dropped: the encoder run into a buffer and cut into its lines (escaping
+/// leaves exactly one newline per line, so the cut is unambiguous).
+pub fn encode_response(response: &Response, trace: Option<&str>) -> (Vec<String>, String) {
+    let mut bytes = Vec::new();
+    write_response(&mut bytes, response, trace).expect("writing to a Vec cannot fail");
+    let text = String::from_utf8(bytes).expect("responses are rendered from strings");
+    let text = text.strip_suffix('\n').expect("every line is terminated");
+    let mut lines: Vec<String> = text.split('\n').map(str::to_string).collect();
+    let status = lines.pop().expect("every response ends in a status line");
+    (lines, status)
 }
 
 /// Encodes a service error as its `ERR code message` status line.
@@ -389,6 +421,225 @@ mod tests {
         let r = s.execute("QUERY POSSIBLE note").unwrap();
         let (data, _) = encode_response(&r, None);
         assert_eq!(data, ["= note('one\\ntwo')"]);
+    }
+
+    /// One response of every variant, with everything the escaping rule
+    /// and the line splitting can trip over.
+    fn corpus() -> Vec<(Response, Option<&'static str>)> {
+        use crate::service::{ServiceStats, SessionSnapshot, StatsReport};
+        let epoch = kbt_data::EpochId::new(3);
+        let facts = |facts: &[&str]| Response::Facts {
+            epoch,
+            kind: "possible",
+            relation: "note".into(),
+            facts: facts.iter().map(|f| f.to_string()).collect(),
+            strategy: None,
+        };
+        let stats = StatsReport {
+            epoch,
+            worlds: 2,
+            facts: 5,
+            threads: 1,
+            queries: 7,
+            transforms: vec![("tc".into(), "tau[p('a\nb')]; lub".into(), 4)],
+            stats: ServiceStats::default(),
+            sessions: SessionSnapshot::default(),
+            held_epochs: vec![(1, 2)],
+        };
+        vec![
+            (Response::Ok, None),
+            (Response::Ok, Some("t1")),
+            (
+                Response::Committed {
+                    epoch,
+                    worlds: 1,
+                    facts: 2,
+                    durable: Some(true),
+                },
+                Some("t2"),
+            ),
+            (
+                Response::Defined {
+                    epoch,
+                    name: "tc".into(),
+                    text: "tau[p('a\nb\\c')]".into(),
+                    durable: None,
+                },
+                None,
+            ),
+            (
+                Response::Applied {
+                    epoch,
+                    name: "tc".into(),
+                    worlds: 1,
+                    facts: 9,
+                    reused_facts: 3,
+                    durable: Some(false),
+                },
+                None,
+            ),
+            (
+                Response::Worlds {
+                    epoch,
+                    worlds: vec![
+                        vec!["r(1)".into(), "note('x\ny')".into()],
+                        vec![],
+                        vec!["r(2)".into()],
+                    ],
+                },
+                Some("w"),
+            ),
+            (
+                Response::Worlds {
+                    epoch,
+                    worlds: vec![],
+                },
+                None,
+            ),
+            (
+                facts(&[
+                    "note('one\ntwo')",
+                    "note('cr\rlf\r\n')",
+                    "note('back\\slash\\')",
+                    "note('')",
+                    "note(7)",
+                ]),
+                Some("req-9"),
+            ),
+            (facts(&[]), None),
+            (
+                Response::Facts {
+                    epoch,
+                    kind: "certain",
+                    relation: "edge".into(),
+                    facts: vec!["edge(1, 2)".into()],
+                    strategy: Some("tabled"),
+                },
+                None,
+            ),
+            (
+                Response::Explain {
+                    epoch,
+                    rows: vec![
+                        "certain(p) pattern=bf: magic plan".into(),
+                        "seed m_p_bf('a\nb')".into(),
+                    ],
+                },
+                None,
+            ),
+            (
+                Response::Profile {
+                    epoch,
+                    worlds: 2,
+                    rows: vec![
+                        "s0 r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan".into(),
+                    ],
+                },
+                Some("p"),
+            ),
+            (Response::Stats(stats), None),
+            (
+                Response::Metrics {
+                    epoch,
+                    text: "# TYPE a counter\na 1\n\nb{l=\"x\\y\"} 2\n".into(),
+                },
+                None,
+            ),
+            (
+                Response::Metrics {
+                    epoch,
+                    text: String::new(),
+                },
+                None,
+            ),
+            (Response::Loaded { commands: 4 }, None),
+            (
+                Response::Checkpointed {
+                    epoch,
+                    file: "checkpoint-3.kbt".into(),
+                },
+                Some("c"),
+            ),
+            (
+                Response::WalStat {
+                    epoch,
+                    policy: "group-commit",
+                    records: 3,
+                    bytes: 120,
+                    fsyncs: 2,
+                    durable_epoch: 3,
+                    checkpoint_epoch: 0,
+                },
+                None,
+            ),
+        ]
+    }
+
+    /// What the encoder before the streaming one (a `String` per data
+    /// line, `join` + `format!` per world) produced for [`corpus`].
+    const CORPUS_BYTES: &str = r#"OK
+OK id=t1
+OK id=t2 epoch=3 durable=true worlds=1 facts=2
+= tau[p('a\nb\\c')]
+OK epoch=3 defined=tc
+OK epoch=3 durable=false applied=tc worlds=1 facts=9 reused=3
+= world 0: {r(1), note('x\ny')}
+= world 1: {}
+= world 2: {r(2)}
+OK id=w epoch=3 worlds=3
+OK epoch=3 worlds=0
+= note('one\ntwo')
+= note('cr\rlf\r\n')
+= note('back\\slash\\')
+= note('')
+= note(7)
+OK id=req-9 epoch=3 kind=possible relation=note count=5
+OK epoch=3 kind=possible relation=note count=0
+= edge(1, 2)
+OK epoch=3 strategy=tabled kind=certain relation=edge count=1
+= certain(p) pattern=bf: magic plan
+= seed m_p_bf('a\nb')
+OK epoch=3 rows=2
+= s0 r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan
+OK id=p epoch=3 worlds=2 rows=1
+= epoch e3 | 2 world(s), 5 fact(s) | threads 1 | commits 0 (applies 0, defines 0) | queries 7
+= eval: 0 update(s), 0 fixpoint round(s), 0 reused, 0 rederived
+= sessions: accepted 0, active 0, rejected-at-capacity 0, idle-closed 0
+= held epochs: e1 x2
+= transform tc := tau[p('a
+= b')]; lub (applied 4x)
+OK epoch=3
+= # TYPE a counter
+= a 1
+= 
+= b{l="x\\y"} 2
+OK epoch=3 lines=4
+OK epoch=3 lines=0
+OK commands=4
+OK id=c epoch=3 file=checkpoint-3.kbt
+OK epoch=3 policy=group-commit records=3 bytes=120 fsyncs=2 synced=3 checkpoint=0
+"#;
+
+    #[test]
+    fn one_encoder_same_bytes() {
+        let mut wire = Vec::new();
+        let mut from_lines = String::new();
+        for (response, trace) in corpus() {
+            let start = wire.len();
+            write_response(&mut wire, &response, trace).unwrap();
+            let (data, status) = encode_response(&response, trace);
+            let mut joined = data;
+            joined.push(status);
+            assert_eq!(
+                std::str::from_utf8(&wire[start..]).unwrap(),
+                joined.join("\n") + "\n",
+                "{response:?}"
+            );
+            from_lines.push_str(&joined.join("\n"));
+            from_lines.push('\n');
+        }
+        assert_eq!(std::str::from_utf8(&wire).unwrap(), CORPUS_BYTES);
+        assert_eq!(from_lines, CORPUS_BYTES);
     }
 
     #[test]

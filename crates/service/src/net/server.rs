@@ -328,11 +328,13 @@ fn respond(
     // `#id=` prefix or assigned from the per-session sequence — echoed on
     // the status line, attached to slow-query records, and logged per
     // command, so wire traffic, logs and histograms correlate
+    let assigned;
     let (trace, line) = match client_trace(line) {
-        Some((id, rest)) => (id.to_string(), rest),
+        Some((id, rest)) => (id, rest),
         None => {
             *trace_seq += 1;
-            (format!("t{trace_seq}"), line)
+            assigned = format!("t{trace_seq}");
+            (assigned.as_str(), line)
         }
     };
     // the per-verb latency series (unparsable lines time under
@@ -340,23 +342,21 @@ fn respond(
     // word-split against a ~17 µs round trip
     let verb = split_command(line).map(|(verb, _)| verb).ok();
     let _span = metrics.command_ns(verb).span();
-    service.obs_registry().event(
-        "command",
-        &[
-            ("id", trace.clone()),
-            ("verb", verb_label(verb).to_string()),
-        ],
-    );
-    match service.execute_traced(line, Some(&trace)) {
-        Ok(response) => {
-            // the trace ID travels inside the status builder (leading
-            // `id=` key); ERR lines carry it trailing, after the message
-            let (data, status) = proto::encode_response(&response, Some(&trace));
-            for line in data {
-                writeln!(writer, "{line}")?;
-            }
-            writeln!(writer, "{status}")
-        }
+    let registry = service.obs_registry();
+    // the record's owned fields are built only for a sink that will take them
+    if registry.has_sink() {
+        registry.event(
+            "command",
+            &[
+                ("id", trace.to_string()),
+                ("verb", verb_label(verb).to_string()),
+            ],
+        );
+    }
+    match service.execute_traced(line, Some(trace)) {
+        // the trace ID travels inside the status builder (leading `id=`
+        // key); ERR lines carry it trailing, after the message
+        Ok(response) => proto::write_response(writer, &response, Some(trace)),
         Err(e) => writeln!(writer, "{} id={trace}", proto::encode_service_error(&e)),
     }
 }

@@ -24,7 +24,8 @@ use kbt_engine::table::{filter_rows, SubsumptiveTable};
 use kbt_logic::Term;
 
 use crate::command::{
-    parse_query, parse_transform, render_fact, render_relation, QueryCmd, QueryGoal,
+    parse_query, parse_transform, render_args_into, render_fact, render_relation, QueryCmd,
+    QueryGoal,
 };
 use crate::error::{Result, ServiceError};
 use crate::service::{QueryResult, Response, Service, Snapshot};
@@ -208,8 +209,11 @@ impl Service {
             }
         }
         let snap = self.snapshot();
-        // parse against a clone: query-local names must not leak into (or
-        // wait on) the committed vocabulary
+        // parse against a handle of our own: a `Vocabulary` clone shares the
+        // committed names until this query interns one, and only then
+        // copies — query-local names cannot leak into (or wait on) the
+        // committed vocabulary, and a query that interns nothing copies
+        // nothing
         let mut vocab = snap.vocab().clone();
         let query = parse_query(rest, &mut vocab)?;
         if evaluates {
@@ -366,18 +370,9 @@ impl Service {
             let mut rows = vec![format!("{}: {how}", label())];
             if let GoalPlan::Magic(magic) = &plan {
                 for (seed_rel, consts) in &magic.seeds {
-                    let args: Vec<String> = consts
-                        .iter()
-                        .map(|c| match vocab.constant_name(*c) {
-                            Some(name) => format!("'{name}'"),
-                            None => format!("{}", c.index()),
-                        })
-                        .collect();
-                    rows.push(format!(
-                        "seed {}({})",
-                        plan_namer(*seed_rel),
-                        args.join(", ")
-                    ));
+                    let mut row = format!("seed {}", plan_namer(*seed_rel));
+                    render_args_into(&mut row, consts, vocab);
+                    rows.push(row);
                 }
                 let world = snap.kb().iter().next().cloned().unwrap_or_default();
                 let mut recorded = View::explain(&plan_namer);

@@ -23,8 +23,8 @@ use kbt_obs::{Counter, Gauge, Registry};
 
 use crate::checkpoint::CheckpointManager;
 use crate::command::{
-    parse_define, parse_fact_list, parse_transform, render_fact, render_transform, split_command,
-    split_lines, Verb,
+    parse_define, parse_fact_list, parse_transform, render_fact_into, render_transform,
+    split_command, split_lines, Verb,
 };
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
@@ -832,11 +832,13 @@ impl Service {
     fn write_command(&self, verb: Verb, rest: &str) -> Result<Response> {
         let mut response = {
             let mut w = self.lock_writer();
-            // Parse against a *scratch copy* of the authoritative
+            // Parse against a handle of our own on the authoritative
             // vocabulary: a rejected command must leave no trace, and
             // interning is only adopted once the whole commit has
             // succeeded.  (A failed `ASSERT ghost(x)` must not make a
-            // later `QUERY CERTAIN ghost` resolve.)
+            // later `QUERY CERTAIN ghost` resolve.)  The isolation is the
+            // type's — the handle copies the names when this command
+            // first interns one, and not before.
             let mut vocab = w.vocab.as_ref().clone();
             match verb {
                 Verb::Assert => {
@@ -948,18 +950,16 @@ impl Service {
         // every fallible step is behind us: log the commit (canonical
         // rendering against the scratch vocabulary, which has every name
         // this command interned), then adopt the state
-        let rendered: Vec<String> = facts
-            .iter()
-            .map(|(rel, t)| render_fact(*rel, t.components(), &vocab))
-            .collect();
-        let verb = if insert { "ASSERT" } else { "RETRACT" };
-        self.wal_append(&format!("{verb} {}", rendered.join(", ")))?;
-        // only allocate a new shared vocabulary handle when this command
-        // actually interned something (interning is append-only, so equal
-        // counts mean identical content)
-        if vocab.relation_count() != w.vocab.relation_count()
-            || vocab.constant_count() != w.vocab.constant_count()
-        {
+        let mut command = String::from(if insert { "ASSERT " } else { "RETRACT " });
+        for (i, (rel, t)) in facts.iter().enumerate() {
+            if i > 0 {
+                command.push_str(", ");
+            }
+            render_fact_into(&mut command, *rel, t.components(), &vocab);
+        }
+        self.wal_append(&command)?;
+        // publish a new vocabulary only when this command interned a name
+        if !vocab.shares_names(&w.vocab) {
             w.vocab = Arc::new(vocab);
         }
         w.kb = kb;
@@ -1395,6 +1395,55 @@ mod tests {
             "the rejected ASSERT must not have interned 'ghost'"
         );
         assert!(s.snapshot().vocab().lookup_relation("ghost").is_none());
+    }
+
+    #[test]
+    fn interning_reads_leave_the_published_vocabulary_alone() {
+        let s = service();
+        s.execute("ASSERT isa('a', 'b')").unwrap();
+        let before = s.snapshot().vocab().clone();
+        // an unknown constant in a bound goal: interned by the read's own
+        // handle, a legal empty answer
+        match s.execute("QUERY CERTAIN isa('ghost', x)").unwrap() {
+            Response::Facts { facts, .. } => assert!(facts.is_empty()),
+            other => panic!("expected Facts, got {other:?}"),
+        }
+        // a fresh relation and a fresh constant in a hypothetical update
+        match s.execute("QUERY tau[fresh('n')]; project[fresh]").unwrap() {
+            Response::Worlds { worlds, .. } => {
+                assert_eq!(worlds, vec![vec!["fresh('n')".to_string()]]);
+            }
+            other => panic!("expected Worlds, got {other:?}"),
+        }
+        let snap = s.snapshot();
+        assert!(snap.vocab().shares_names(&before));
+        assert!(snap.vocab().lookup_constant("ghost").is_none());
+        assert!(snap.vocab().lookup_constant("n").is_none());
+        assert!(snap.vocab().lookup_relation("fresh").is_none());
+    }
+
+    #[test]
+    fn only_interning_commits_publish_new_names() {
+        let s = service();
+        s.execute("ASSERT edge(1, 2), city('Toronto')").unwrap();
+        let before = s.snapshot();
+        // rejected (arity conflict after interning `ghost`), known names
+        // only, and a retraction: the published names are the same object
+        assert!(s.execute("ASSERT ghost('g'), edge(1)").is_err());
+        assert!(s.snapshot().vocab().shares_names(before.vocab()));
+        s.execute("ASSERT edge(2, 3), city('Toronto')").unwrap();
+        s.execute("RETRACT edge(1, 2)").unwrap();
+        let after = s.snapshot();
+        assert_eq!(after.epoch(), EpochId::new(before.epoch().get() + 2));
+        assert!(after.vocab().shares_names(before.vocab()));
+        // a commit that interns publishes a vocabulary of its own, and the
+        // held snapshot still reads the old one
+        s.execute("ASSERT city('Ottawa')").unwrap();
+        let grown = s.snapshot();
+        assert!(!grown.vocab().shares_names(before.vocab()));
+        assert!(grown.vocab().lookup_constant("Ottawa").is_some());
+        assert!(before.vocab().lookup_constant("Ottawa").is_none());
+        assert!(grown.vocab().lookup_relation("ghost").is_none());
     }
 
     #[test]
