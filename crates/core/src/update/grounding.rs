@@ -16,6 +16,13 @@
 //!
 //! Every pair (minimal flip-set, minimal new-part) is a Winslett-minimal
 //! model, and every Winslett-minimal model arises this way.
+//!
+//! `EvalOptions::max_worlds` bounds the enumeration itself, not just its
+//! answer: distinct flip-sets give distinct worlds and each has at least one
+//! new-part, so stage 1 is asked for at most `max_worlds + 1` flip-sets and
+//! each stage-2 call for at most as many new-parts as are still missing to
+//! exceed the budget.  A sentence with exponentially many minimal models
+//! under a small budget is refused after `max_worlds + 1` of them.
 
 use kbt_data::Database;
 use kbt_logic::{GroundFormula, Sentence};
@@ -35,8 +42,8 @@ pub fn grounding_update(
 ) -> Result<UpdateOutcome> {
     // The lazy universe: only atoms `ground(φ)` mentions become SAT
     // variables — unmentioned facts cannot change in a Winslett-minimal
-    // model and carry over from the input database (through the engine's
-    // hashed snapshot) when results are materialised.  Large databases with
+    // model and carry over from the input database when results are
+    // materialised.  Large databases with
     // small-footprint sentences thus stop paying the `Σ_R |B|^arity`
     // ceiling; see `universe` for the soundness argument.
     let (ctx, ground) = UpdateContext::grounded(phi, db, options)?;
@@ -78,8 +85,10 @@ pub fn grounding_update(
         .collect();
     let new_vars: Vec<BoolVar> = new_atoms.iter().map(|&i| BoolVar::new(i as u32)).collect();
 
-    // Stage 1: minimal flip-sets.
-    let minimal_flip_sets = enumerate_minimal_models(&solver, &flip_vars, &[], None);
+    // Stage 1: minimal flip-sets — one more than the budget is enough to
+    // know it is exceeded (see the module docs).
+    let over_budget = options.max_worlds.saturating_add(1);
+    let minimal_flip_sets = enumerate_minimal_models(&solver, &flip_vars, &[], Some(over_budget));
 
     // Stage 2: per flip-set, minimal new-relation contents.  The world
     // limit is enforced against the *deduplicated* set: duplicate databases
@@ -94,7 +103,8 @@ pub fn grounding_update(
             let value = ctx.holds_in_input(atom_idx) ^ flipped;
             assumptions.push(Lit::new(BoolVar::new(atom_idx as u32), value));
         }
-        let minimal_new = enumerate_minimal_models(&solver, &new_vars, &assumptions, None);
+        let missing = over_budget - result.len();
+        let minimal_new = enumerate_minimal_models(&solver, &new_vars, &assumptions, Some(missing));
         for new_set in &minimal_new {
             let database = ctx.database_from(|i| {
                 if ctx.is_old_atom(i) {

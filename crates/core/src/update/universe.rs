@@ -10,22 +10,20 @@
 //! * [`UpdateContext::grounded`] — the **lazy** universe used by the SAT
 //!   path: only the atoms the grounded sentence actually mentions become
 //!   candidates, and the output database is assembled from the *input
-//!   database* (via the engine's hashed snapshot) plus the per-atom model
-//!   values.  This is sound for Winslett minimisation because an atom
-//!   `ground(φ)` never mentions cannot change in any minimal model: flipping
-//!   a stored old fact (or asserting an absent one, old or new) that `φ`
-//!   does not constrain only grows the symmetric difference / the new-part,
-//!   and reverting it to its input value preserves `φ` — so stage one
-//!   (respectively stage two) of the order always prefers the reverted
-//!   model.  The `max_ground_atoms` ceiling then bounds the *mentioned*
-//!   atoms instead of `Σ_R |B|^arity(R)`, which frees ground or
-//!   small-footprint sentences from paying for the database's whole
-//!   active-domain universe.
+//!   database* plus the per-atom model values.  This is sound for Winslett
+//!   minimisation because an atom `ground(φ)` never mentions cannot change
+//!   in any minimal model: flipping a stored old fact (or asserting an
+//!   absent one, old or new) that `φ` does not constrain only grows the
+//!   symmetric difference / the new-part, and reverting it to its input
+//!   value preserves `φ` — so stage one (respectively stage two) of the
+//!   order always prefers the reverted model.  The `max_ground_atoms`
+//!   ceiling then bounds the *mentioned* atoms instead of
+//!   `Σ_R |B|^arity(R)`, which frees ground or small-footprint sentences
+//!   from paying for the database's whole active-domain universe.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, Database, Schema, Tuple};
-use kbt_engine::FactSet;
 use kbt_logic::{ground_sentence, GroundAtom, GroundFormula, Sentence};
 
 use crate::error::CoreError;
@@ -46,9 +44,10 @@ pub struct UpdateContext {
     pub atoms: Vec<GroundAtom>,
     /// Index of each atom within [`UpdateContext::atoms`].
     pub atom_index: BTreeMap<GroundAtom, usize>,
-    /// Engine-backed hashed snapshot of the input database, for O(1)
-    /// candidate-fact membership checks.
-    stored: FactSet,
+    /// Per atom of [`UpdateContext::atoms`], whether the input database
+    /// stores it: looked up once per candidate here, so the context never
+    /// touches the facts `φ` does not mention.
+    stored: Vec<bool>,
     /// For lazy contexts: the input database lifted to `schema`, the base
     /// every output database starts from (facts outside [`Self::atoms`]
     /// carry over verbatim).  `None` for the eager universe.
@@ -88,13 +87,14 @@ impl UpdateContext {
             .enumerate()
             .map(|(i, a)| (a.clone(), i))
             .collect();
+        let stored = atoms.iter().map(|a| db.holds(a.rel, &a.tuple)).collect();
         Ok(UpdateContext {
             domain,
             schema,
             old_schema,
             atoms,
             atom_index,
-            stored: FactSet::from_database(db),
+            stored,
             base: None,
         })
     }
@@ -147,6 +147,7 @@ impl UpdateContext {
             .enumerate()
             .map(|(i, a)| (a.clone(), i))
             .collect();
+        let stored = atoms.iter().map(|a| db.holds(a.rel, &a.tuple)).collect();
         let base = db.extend_schema(&schema)?;
         let ctx = UpdateContext {
             domain,
@@ -154,7 +155,7 @@ impl UpdateContext {
             old_schema,
             atoms,
             atom_index,
-            stored: FactSet::from_database(db),
+            stored,
             base: Some(base),
         };
         Ok((ctx, ground))
@@ -173,10 +174,9 @@ impl UpdateContext {
     }
 
     /// Whether candidate fact `i` is stored in the input database the
-    /// context was built from (one hash lookup in the engine snapshot).
+    /// context was built from.
     pub fn holds_in_input(&self, i: usize) -> bool {
-        let a = &self.atoms[i];
-        self.stored.holds(a.rel, &a.tuple)
+        self.stored[i]
     }
 
     /// Whether candidate fact `i` is currently stored in `db`.

@@ -113,7 +113,7 @@ pub use index::{IndexedRelation, Mask};
 pub use metrics::{metrics, EngineMetrics};
 pub use profile::{RuleProfile, View};
 pub use stats::EngineStats;
-pub use storage::{FactSet, IndexStorage};
+pub use storage::IndexStorage;
 pub use table::SubsumptiveTable;
 
 /// Convenience result alias used throughout the crate.

@@ -1,7 +1,7 @@
 //! Storage of whole databases in indexed form.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
@@ -186,46 +186,6 @@ impl IndexStorage {
     }
 }
 
-/// A flat hashed snapshot of a database: O(1) `holds` checks without the
-/// ordering overhead of `BTreeSet` relations.
-///
-/// `kbt-core`'s update strategies use this when they need many membership
-/// tests against a fixed database (candidate filtering during grounding and
-/// the quantifier-free fast path).
-#[derive(Clone, Debug, Default)]
-pub struct FactSet {
-    facts: HashMap<RelId, HashSet<Tuple>>,
-}
-
-impl FactSet {
-    /// Snapshots a database (tuples are materialised from the flat row
-    /// storage once, here — the point of the snapshot is that `holds` then
-    /// never touches the sorted runs again).
-    pub fn from_database(db: &Database) -> Self {
-        FactSet {
-            facts: db
-                .iter()
-                .map(|(rel, r)| (rel, r.tuples().collect()))
-                .collect(),
-        }
-    }
-
-    /// Whether the fact `rel(t)` is in the snapshot.
-    pub fn holds(&self, rel: RelId, t: &Tuple) -> bool {
-        self.facts.get(&rel).is_some_and(|s| s.contains(t))
-    }
-
-    /// Number of facts in the snapshot.
-    pub fn len(&self) -> usize {
-        self.facts.values().map(HashSet::len).sum()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,15 +249,5 @@ mod tests {
         assert!(storage.relation(r(1)).unwrap().is_empty());
         assert_eq!(storage.fact_count(), 1);
         storage.clear_relation(r(9)); // unknown relations are a no-op
-    }
-
-    #[test]
-    fn fact_set_snapshot() {
-        let facts = FactSet::from_database(&db());
-        assert_eq!(facts.len(), 3);
-        assert!(!facts.is_empty());
-        assert!(facts.holds(r(2), &tuple![7]));
-        assert!(!facts.holds(r(2), &tuple![8]));
-        assert!(!facts.holds(r(9), &tuple![7]));
     }
 }

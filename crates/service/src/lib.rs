@@ -266,10 +266,10 @@
 //! Every serving layer records into `kbt-obs` ([`kbt_obs::Registry`]):
 //! each [`Service`] owns a **per-instance** registry (two services never
 //! share a counter — essential for tests and embedded use), while the
-//! library crates underneath (`kbt-engine`, `kbt-par`) record into the
-//! process-global one.  The `METRICS` command merges both and returns a
-//! Prometheus-style text exposition, one `= `-prefixed data line per
-//! sample over the wire:
+//! library crates underneath (`kbt-engine`, `kbt-par`, `kbt-solver`)
+//! record into the process-global one.  The `METRICS` command merges both
+//! and returns a Prometheus-style text exposition, one `= `-prefixed data
+//! line per sample over the wire:
 //!
 //! ```text
 //! exposition := family*
@@ -356,6 +356,17 @@
 //! * `kbt_par_contended_scopes_total` (counter): scopes that waited.
 //! * `kbt_par_workerset_jobs_total` (counter): worker-set jobs admitted.
 //! * `kbt_par_workerset_rejected_total` (counter): jobs refused at capacity.
+//! * `kbt_solver_solves_total` (counter): SAT searches run — one per
+//!   satisfiability call, per model looked for and per shrink candidate
+//!   tested by a minimal-model enumeration.
+//! * `kbt_solver_decisions_total` (counter): branching decisions taken.
+//! * `kbt_solver_propagations_total` (counter): assigned literals whose
+//!   watch lists were walked.
+//! * `kbt_solver_conflicts_total` (counter): propagations that falsified a
+//!   clause.
+//! * `kbt_solver_minimal_models_total` (counter): minimal sets returned by
+//!   minimal-model enumerations (flip-sets and new-parts of non-Horn
+//!   updates).
 //!
 //! **Span taxonomy.**  Timed spans feed the `_ns` histograms above:
 //! `eval` / `load` / `round` / `commit` / `materialize` / `delta` (engine:

@@ -533,7 +533,7 @@ mod tests {
             .map(|line| line.strip_prefix("= ").unwrap())
             .collect();
         // one scrape sees the service core, the net front (full verb
-        // taxonomy, traffic or not), and the engine/par library series
+        // taxonomy, traffic or not), and the engine/par/solver library series
         for needle in [
             "kbt_service_commits_total 1",
             "kbt_service_queries_total 1",
@@ -542,6 +542,7 @@ mod tests {
             "# TYPE kbt_net_command_ns histogram",
             "kbt_engine_evals_total",
             "kbt_par_scopes_total",
+            "kbt_solver_solves_total",
         ] {
             assert!(
                 text.iter().any(|line| line.contains(needle)),

@@ -439,10 +439,12 @@ impl Service {
         transforms: BTreeMap<String, Registered>,
         stats: ServiceStats,
     ) -> Self {
-        // Touch the library-level registries eagerly: every engine/par
-        // series must exist from the first scrape, not the first fixpoint.
+        // Touch the library-level registries eagerly: every engine/par/
+        // solver series must exist from the first scrape, not the first
+        // fixpoint or the first non-Horn update.
         kbt_engine::metrics();
         kbt_par::metrics();
+        kbt_solver::metrics();
         let metrics = ServiceMetrics::register(Registry::new());
         metrics.registry.set_enabled(config.metrics_timing);
         let sessions = Arc::new(SessionCounters::register(&metrics.registry));
