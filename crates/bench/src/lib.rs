@@ -1,11 +1,15 @@
 //! # kbt-bench — shared helpers for the benchmark harness
 //!
-//! Each Criterion bench target under `benches/` regenerates one experiment
-//! (one row-group of the paper's Section 4 complexity table, a Section 3
-//! example, a Section 4/5 reduction, or one serving layer's `BENCH_*.json`
-//! baseline at the repository root).  This library crate only
-//! hosts the small helpers the targets share, so that the benchmark code
-//! itself stays focused on the experiment being reproduced.
+//! Each Criterion bench target under `benches/` regenerates one of the
+//! paper's experiments (one row-group of the Section 4 complexity table, a
+//! Section 3 example, a Section 4/5 reduction, the KM postulates), except
+//! `metrics_overhead`, which asserts the observability layer's paired
+//! <5 % budget.  The serving stack's performance is measured end to end by
+//! `bench/stackbench` (`BENCHMARK.json`), not here.  The integration tests
+//! under `tests/` pin work by counts (allocations, solver searches), which
+//! repeat on any machine.  This library crate only hosts the small helpers
+//! the targets and tests share, so that the benchmark code itself stays
+//! focused on the experiment being reproduced.
 
 use std::time::Duration;
 
@@ -88,23 +92,6 @@ pub mod alloc_counter {
             BYTES.load(Ordering::Relaxed),
         )
     }
-}
-
-/// Publishes an allocation measurement into the `KBT_BENCH_JSON` report as
-/// two records, `{name}/allocs` and `{name}/bytes` (the `_ns` field names
-/// are an artifact of the shared record shape — the values are counts).
-/// They ride the same baseline-comparison pipeline as the timing medians,
-/// un-gated, so an allocation regression warns in the PR summary without
-/// failing the job on runner noise.
-pub fn record_alloc(name: &str, allocs: u64, bytes: u64) {
-    let flat = |v: u64| criterion::BenchRecord {
-        median_ns: v as f64,
-        mean_ns: v as f64,
-        min_ns: v as f64,
-        max_ns: v as f64,
-    };
-    criterion::record_external(&format!("{name}/allocs"), flat(allocs));
-    criterion::record_external(&format!("{name}/bytes"), flat(bytes));
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! An upper bound on what one from-scratch evaluation allocates.
 //!
-//! Linear transitive closure over `engine_joins`' 1 000-edge braid (100
-//! disjoint chains of 10 edges, closure of 5 500 pairs), evaluated once at
+//! Linear transitive closure over a 1 000-edge braid (100 disjoint chains
+//! of 10 edges, closure of 5 500 pairs), evaluated once at
 //! **width 1** — the count depends on the width (per-task buffers), so the
 //! default width would make the bound machine-dependent.  At width 1 it is
 //! exact and repeats.
@@ -54,7 +54,7 @@ fn tc_program() -> Program {
     .unwrap()
 }
 
-/// `chains` disjoint chains of 10 edges each (as in `engine_joins`).
+/// `chains` disjoint chains of 10 edges each, 11 constants apart.
 fn braid(chains: u32) -> Database {
     let mut b = DatabaseBuilder::new().relation(r(1), 2);
     for c in 0..chains {

@@ -3,8 +3,8 @@
 //! These are the original naive and semi-naive evaluators of this crate,
 //! kept verbatim as a cross-check oracle for the indexed engine: they share
 //! no code with `kbt-engine`, so agreement between the two is strong
-//! evidence of correctness.  The differential tests and the benchmark
-//! baselines call them; production paths go through [`crate::eval`].
+//! evidence of correctness.  The differential tests call them; production
+//! paths go through [`crate::eval`].
 
 use std::collections::{BTreeMap, BTreeSet};
 

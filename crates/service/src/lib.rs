@@ -116,8 +116,8 @@
 //!   pattern and rewritten with magic (demand) predicates
 //!   (`kbt_datalog::magic_rewrite`), so the fixpoint only derives facts
 //!   the goal can reach.  On a 10k-edge transitive closure a point query
-//!   runs in microseconds where materialization takes milliseconds
-//!   (`query_point` in `BENCH_engine.json`).
+//!   scans 21 tuples where materialization scans 110 000
+//!   (`tests/magic_differential.rs` pins the gap by counts).
 //! * **`tabled`** — answered from the per-epoch subsumptive table
 //!   (`kbt_engine::table::SubsumptiveTable`): a memoized call whose bound
 //!   positions are a subset of the goal's (agreeing where shared) already
@@ -129,11 +129,11 @@
 //!   (inserts are dropped unless the snapshot still matches the cache
 //!   epoch).  Only `QUERY` consults and fills it: a memo hit would explain
 //!   and profile nothing.
-//! * **`materialize`** — the fallback: evaluate the full program (or, with
-//!   no rulebase registered, read the stored facts) and filter.  Taken
-//!   when the magic rewrite refuses — e.g. a rewrite that would break
-//!   stratification — so bound queries are *always* answerable, and
-//!   byte-identical to this oracle by construction
+//! * **`materialize`** — no rulebase is registered: the stored facts,
+//!   filtered.  The rulebase only ever holds positive Horn rules, whose
+//!   magic rewrite never refuses; were it to, the goal would answer with
+//!   a typed `eval` error, never a wrong answer.  Magic answers are
+//!   byte-identical to the full fixpoint filtered the same way
 //!   (`tests/magic_differential.rs` pins this at widths 1 and 4).
 //!
 //! `EXPLAIN` on a bound goal renders the adorned magic plan — the seed
@@ -232,9 +232,10 @@
 //!   the default — batches concurrent committers under one fsync: a
 //!   commit enqueues its appended epoch, one leader flushes the whole
 //!   appended tail, and every commit at or below the flushed epoch
-//!   returns together.  `N` writers pay ~1 fsync, not `N` (the
-//!   `commit_durable` bench enforces ≥2× over per-commit fsync at 4
-//!   writers).  Commit responses report the outcome as `durable=true`
+//!   returns together.  `N` writers pay ~1 fsync, not `N`
+//!   (`wal.rs::group_commit_wakes_every_follower` asserts fewer fsyncs
+//!   than commits under 4 writers; `stackbench`'s `commit_stream` reports
+//!   `wal.group_batch_mean`).  Commit responses report the outcome as `durable=true`
 //!   (flushed before the reply) or `durable=false` (appended, not yet
 //!   flushed); the key is absent on an in-memory service.
 //! * **Epoch checkpoints.**  Every `checkpoint_every_n_commits` commits

@@ -4,8 +4,7 @@
 //! [`Client::send`] buffers; [`Client::recv`] flushes and then reads lines
 //! until the terminating status line — so `N × send` followed by
 //! `N × recv` pipelines N commands into (at best) one TCP segment each
-//! way, which is where the round-trips/s in the `net_throughput` bench
-//! come from.  [`Client::roundtrip`] is the one-command convenience.
+//! way.  [`Client::roundtrip`] is the one-command convenience.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -20,8 +20,8 @@
 //!   bound), idle timeouts, and cooperative graceful shutdown.
 //! * [`client`] — [`Client`]: a blocking client speaking the same
 //!   protocol, with split `send`/`recv` so callers can pipeline many
-//!   commands per round-trip (`kbt-shell --connect` and the
-//!   `net_throughput` bench both use it).
+//!   commands per round-trip (`kbt-shell --connect` and
+//!   `tests/net_concurrent.rs` both use it).
 
 pub mod client;
 pub mod frame;

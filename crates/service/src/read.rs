@@ -96,10 +96,6 @@ enum GoalPlan {
     /// The rulebase rewritten around the goal's binding pattern: only the
     /// facts the goal demands are derived.
     Magic(MagicPlan),
-    /// The rewrite refused (negation reached through the goal), for the
-    /// carried reason: the full rulebase fixpoint, filtered.  This is also
-    /// the oracle the differential suite holds the magic path to.
-    Materialize(Arc<Program>, DatalogError),
 }
 
 impl GoalPlan {
@@ -112,18 +108,19 @@ impl GoalPlan {
         let Some(program) = rulebase else {
             return Ok(GoalPlan::Stored);
         };
-        match magic_rewrite(&program, rel, terms, fresh) {
-            Ok(plan) => Ok(GoalPlan::Magic(plan)),
-            Err(e @ DatalogError::GoalDirected { .. }) => Ok(GoalPlan::Materialize(program, e)),
-            Err(e) => Err(datalog_err(e)),
-        }
+        // the rulebase is positive Horn (`build_rulebase`), whose rewrite
+        // never refuses; were it to, the refusal is a typed error, never a
+        // wrong answer
+        magic_rewrite(&program, rel, terms, fresh)
+            .map(GoalPlan::Magic)
+            .map_err(datalog_err)
     }
 
     /// The strategy name reported for a bound goal this plan answers.
     fn strategy(&self) -> &'static str {
         match self {
             GoalPlan::Magic(_) => "magic",
-            GoalPlan::Stored | GoalPlan::Materialize(..) => "materialize",
+            GoalPlan::Stored => "materialize",
         }
     }
 }
@@ -345,14 +342,13 @@ impl Service {
         let strategy = query.terms.as_ref().map(|_| plan.strategy());
         let plan_namer = |r: RelId| match &plan {
             GoalPlan::Magic(magic) => magic.render_relation(r, &namer),
-            _ => namer(r),
+            GoalPlan::Stored => namer(r),
         };
 
         if view == ReadView::Explain {
             // the binding pattern, the invented magic predicates with
-            // their seeds, and the join plans of the rewritten program (a
-            // refused rewrite explains the fallback instead) — in the
-            // stable renderings the golden tests pin down
+            // their seeds, and the join plans of the rewritten program —
+            // in the stable renderings the golden tests pin down
             let how = match &plan {
                 GoalPlan::Stored if query.terms.is_none() => {
                     format!("{fold} across worlds (no rule plan)")
@@ -362,9 +358,6 @@ impl Service {
                 }
                 GoalPlan::Magic(magic) => {
                     format!("magic plan, answer={}", plan_namer(magic.answer))
-                }
-                GoalPlan::Materialize(_, refusal) => {
-                    format!("{refusal}; falling back to full materialization + filter")
                 }
             };
             let mut rows = vec![format!("{}: {how}", label())];
@@ -389,9 +382,8 @@ impl Service {
             let elapsed = start.elapsed().as_nanos() as u64;
             let how = strategy.map_or(String::new(), |s| format!(" strategy={s}"));
             let note = match &plan {
-                GoalPlan::Stored => " (no rule plan)".to_string(),
-                GoalPlan::Magic(_) => String::new(),
-                GoalPlan::Materialize(_, refusal) => format!(" ({refusal})"),
+                GoalPlan::Stored => " (no rule plan)",
+                GoalPlan::Magic(_) => "",
             };
             let mut rows = vec![format!(
                 "{}{how}: facts={} elapsed_ns={elapsed}{note}",
@@ -408,7 +400,7 @@ impl Service {
         if strategy.is_some() {
             match &plan {
                 GoalPlan::Magic(_) => self.metrics().queries_magic_total.inc(),
-                _ => self.metrics().queries_materialize_total.inc(),
+                GoalPlan::Stored => self.metrics().queries_materialize_total.inc(),
             }
             let mut cache = self.lock_query_cache();
             if cache.epoch == epoch {
@@ -485,12 +477,6 @@ impl Service {
                     .map_err(datalog_err)?
                     .0;
                 (&fixpoint, magic.answer)
-            }
-            GoalPlan::Materialize(program, _) => {
-                fixpoint = semi_naive_eval_viewed(program, db, threads, view)
-                    .map_err(datalog_err)?
-                    .0;
-                (&fixpoint, goal.rel)
             }
         };
         Ok(source
@@ -818,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_rewrite_materializes_under_every_view() {
+    fn a_refused_rewrite_is_a_typed_error_under_every_view() {
         // No `tau` registered over the wire lowers to a rule with negation,
         // so the refusing rulebase is planted in the epoch's cache:
         // far(x, y) :- edge(x, y), ~path(y, x) on top of path = edge.
@@ -845,29 +831,18 @@ mod tests {
         .unwrap();
         s.lock_query_cache().rulebase = Some(Some(Arc::new(program)));
 
-        let Response::Explain { rows, .. } = s.execute("EXPLAIN CERTAIN far(2, x)").unwrap() else {
-            panic!("expected Explain");
-        };
-        assert_eq!(rows.len(), 1, "{rows:?}");
-        assert!(
-            rows[0].starts_with("certain(far) pattern=bf: goal-directed")
-                && rows[0].ends_with("; falling back to full materialization + filter"),
-            "{rows:?}"
-        );
-        let Response::Profile { rows, .. } = s.execute("PROFILE CERTAIN far(2, x)").unwrap() else {
-            panic!("expected Profile");
-        };
-        assert!(
-            rows[0].starts_with("certain(far) pattern=bf strategy=materialize: facts=1 "),
-            "{rows:?}"
-        );
-        assert_eq!(rows.len(), 3, "one row per rule of the full program");
-        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN far(2, x)").unwrap());
-        assert_eq!(
-            (facts, strategy),
-            (vec!["far(2, 3)".to_string()], "materialize")
-        );
-        let (_, strategy) = bound_facts(s.execute("QUERY CERTAIN far(2, 3)").unwrap());
-        assert_eq!(strategy, "tabled", "the materialized answer was memoized");
+        // `QUERY` twice: a refusal memoizes nothing in the answer table
+        for verb in ["EXPLAIN", "PROFILE", "QUERY", "QUERY"] {
+            let r = s.execute(&format!("{verb} CERTAIN far(2, x)"));
+            assert!(
+                matches!(
+                    r,
+                    Err(ServiceError::Core(CoreError::Datalog(
+                        DatalogError::GoalDirected { .. }
+                    )))
+                ),
+                "{verb}: {r:?}"
+            );
+        }
     }
 }

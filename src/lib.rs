@@ -41,8 +41,9 @@
 //! Horn sentences over fresh head relations) runs on `kbt-engine`: the
 //! least fixpoint is computed by semi-naive rounds whose joins are hash
 //! index probes keyed by the binding patterns each rule body demands.  The
-//! `engine_joins` benchmark compares the engine against the preserved
-//! nested-loop oracle; [`core::EvalStats`] and
+//! end-to-end benchmark (`bench/stackbench`, described in `bench/README.md`)
+//! times it on its `closure_scan` workload (`engine.eval_ns`);
+//! [`core::EvalStats`] and
 //! [`datalog::EvalStats`] expose iterations, index
 //! probes and tuples scanned so regressions are observable.
 //!
@@ -51,8 +52,9 @@
 //! [`engine::IncrementalSession`] — the
 //! diff between consecutive databases is fed into the live fixpoint
 //! (semi-naive propagation for insertions, DRed overdelete/rederive for
-//! deletions) instead of re-deriving it from scratch.  The
-//! `chain_incremental` benchmark measures the win; `reused_facts` /
+//! deletions) instead of re-deriving it from scratch.  `stackbench`'s
+//! `commit_stream` workload measures the win (`engine.delta_ns`);
+//! `reused_facts` /
 //! `rederived_facts` in the stats records make it observable per run.
 //!
 //! ## Serving
@@ -65,8 +67,9 @@
 //! and advances persistent incremental chain sessions per `APPLY`.  A
 //! textual command language (`LOAD`, `ASSERT`, `RETRACT`, `DEFINE`,
 //! `APPLY`, `QUERY`, `STATS`) fronts it, driven by the `kbt-shell` REPL /
-//! batch runner; the `service_throughput` benchmark measures concurrent
-//! readers against a committing writer.
+//! batch runner; `stackbench`'s `commit_stream` workload measures reads
+//! interleaved with commits (`service.read_typed_ns`,
+//! `service.commit_apply_ns`, `service.commit_publish_ns`).
 //!
 //! The same language travels over TCP: `kbt-serve` is a std-only network
 //! front (one session per connection, bounded session workers with
@@ -74,9 +77,9 @@
 //! shutdown) and `kbt-shell --connect host:port` runs the same scripts
 //! remotely.  See the wire-protocol section of the
 //! [`service`] crate docs for the framing and response
-//! grammar; the `net_throughput` benchmark measures pipelined round-trips
-//! under a committing writer, and CI's `e2e-net` job replays a golden
-//! session over a live socket.
+//! grammar; every `stackbench` workload drives a live `kbt-serve` over
+//! loopback (`abox_read`: `read_p50_us`, `net.encode_ns_per_op`), and CI's
+//! `e2e-net` job replays a golden session over a live socket.
 //!
 //! The engine's fixpoint rounds can also run **in parallel**:
 //! [`core::EvalOptions::threads`] sets the
@@ -84,8 +87,8 @@
 //! machine's available parallelism; `1` = the exact sequential path).  The
 //! rounds fan out over the vendored `kbt-par` work-sharing pool with
 //! private per-worker buffers merged deterministically, so fixpoints *and*
-//! statistics are byte-identical at every width — the `engine_parallel`
-//! benchmark records the 1/2/4-thread scaling.
+//! statistics are byte-identical at every width — `stackbench` reports
+//! width 2 against width 1 as `engine.eval_width2_ratio` (`closure_scan`).
 //!
 //! ## Observability
 //!

@@ -11,15 +11,20 @@
 //!    same way, at widths 1 **and** 4 (and the two widths identical to
 //!    each other, so goal-directed evaluation preserves the engine's
 //!    width-independence contract).
-//! 2. **Negation fallback**: programs whose top stratum negates a derived
+//! 2. **Negation refusal**: programs whose top stratum negates a derived
 //!    predicate make the rewrite refuse with the *typed*
-//!    [`DatalogError::GoalDirected`] error — never a wrong answer — and
-//!    the materializing fallback the service takes is the oracle by
-//!    construction.  Negation confined below the goal's reachable slice
-//!    must *not* trigger the refusal.
+//!    [`DatalogError::GoalDirected`] error — never a wrong answer — while
+//!    the materializing oracle still answers the goal.  (The service never
+//!    meets one: its rulebase is positive Horn, and a refusal there would
+//!    be a typed `ERR`.)  Negation confined below the goal's reachable
+//!    slice must *not* trigger the refusal.
 //! 3. **Subsumptive-table layer**: a memoized less-bound call re-filtered
 //!    for a more-bound pattern must equal evaluating the more-bound goal
 //!    directly.
+//! 4. **Goal-directedness, by counts**: a point goal over a thousand
+//!    disjoint chains derives one chain's answers and scans about as many
+//!    tuples, where materialization derives all 55 000 — work counters,
+//!    so the gap is the same on any machine.
 
 use kbt::data::{Const, Database, DatabaseBuilder, RelId, Relation, Tuple};
 use kbt::datalog::{
@@ -225,8 +230,8 @@ proptest! {
             "refusal must be the typed GoalDirected error, got {err:?}"
         );
 
-        // ... and the materializing fallback (what the service then takes)
-        // answers the goal; sanity-check it against a by-hand filter
+        // ... and the materializing oracle still answers the goal;
+        // sanity-check it against a by-hand filter
         let full = oracle(&program, &edb, r(TOP_UN), 1, &[]);
         let fallback = oracle(&program, &edb, r(TOP_UN), 1, &bound);
         for row in fallback.iter() {
@@ -271,5 +276,76 @@ proptest! {
             .lookup(0, goal, &bound)
             .expect("a less-bound memoized call subsumes");
         prop_assert!(via_table == direct, "subsumed answer diverges (seed {seed})");
+    }
+}
+
+/// path(x, y) :- edge(x, y).  path(x, z) :- path(x, y), edge(y, z).
+fn tc_program() -> Program {
+    let edge = |a, b| DlAtom::new(r(EDB_BIN), vec![a, b]);
+    let path = |a, b| DlAtom::new(r(IDB_BIN), vec![a, b]);
+    Program::new(vec![
+        Rule::new(
+            path(var(1), var(2)),
+            vec![Literal::positive(edge(var(1), var(2)))],
+        ),
+        Rule::new(
+            path(var(1), var(3)),
+            vec![
+                Literal::positive(path(var(1), var(2))),
+                Literal::positive(edge(var(2), var(3))),
+            ],
+        ),
+    ])
+    .unwrap()
+}
+
+/// `chains` disjoint chains of 10 edges each; the first starts at 1.
+fn braid(chains: u32) -> Database {
+    let mut b = DatabaseBuilder::new().relation(r(EDB_BIN), 2);
+    for c in 0..chains {
+        let base = c * 11 + 1;
+        for i in 0..10 {
+            b = b.fact(r(EDB_BIN), [base + i, base + i + 1]);
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn a_point_goal_scans_its_answers_not_the_closure() {
+    // 10 000 edges; the goal path(1, x) reaches one chain: 10 answers out
+    // of 55 000 closure facts
+    let program = tc_program();
+    let edb = braid(1_000);
+    let path = r(IDB_BIN);
+    let terms = [cst(1), var(50)];
+    let bound = [(0usize, Const::new(1))];
+    let plan = magic_rewrite(&program, path, &terms, FIRST_FREE).unwrap();
+    let mut seeded = edb.clone();
+    for (seed_rel, consts) in &plan.seeds {
+        seeded
+            .insert_fact(*seed_rel, Tuple::new(consts.clone()))
+            .unwrap();
+    }
+    for threads in [1, 2] {
+        let (full, materialize) = semi_naive_eval_threads(&program, &edb, threads).unwrap();
+        let (db, magic) = semi_naive_eval_threads(&plan.program, &seeded, threads).unwrap();
+        let expect = filter_rows(full.relation(path).unwrap(), &bound);
+        let answers = filter_rows(db.relation(plan.answer).unwrap(), &bound);
+        assert_eq!(answers, expect, "width {threads}");
+        assert_eq!(answers.len(), 10, "width {threads}");
+        assert_eq!(materialize.derived_facts, 55_000, "width {threads}");
+        assert_eq!(
+            magic.derived_facts, 10,
+            "width {threads}: magic must derive exactly the answers ({magic:?})"
+        );
+        assert!(
+            magic.tuples_scanned <= 2 * (answers.len() + 1),
+            "width {threads}: magic scanned {} tuples for {} answers \
+             (materialize: {}) — the rewrite stopped being goal-directed",
+            magic.tuples_scanned,
+            answers.len(),
+            materialize.tuples_scanned
+        );
     }
 }

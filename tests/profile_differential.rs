@@ -282,9 +282,7 @@ fn query_explain_and_profile_agree_on_strategy_and_count() {
         );
         let explained = if plan[0].contains(": magic plan, ") {
             Some("magic")
-        } else if plan[0].contains("no rulebase, stored facts filtered")
-            || plan[0].contains("falling back to full materialization")
-        {
+        } else if plan[0].contains("no rulebase, stored facts filtered") {
             Some("materialize")
         } else {
             assert!(
