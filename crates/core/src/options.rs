@@ -57,7 +57,7 @@ pub struct EvalOptions {
     /// Evaluation width of the Datalog fast path's fixpoint engine: `0`
     /// (the default) uses the process default — the `KBT_THREADS`
     /// environment variable when set, else the machine's available
-    /// parallelism; `1` is the exact sequential path; larger values fan the
+    /// parallelism; `1` runs every round on the calling thread; larger values fan the
     /// engine's semi-naive rounds out over that many threads.  Fixpoints
     /// and statistics are byte-identical at every width (the engine merges
     /// private worker buffers deterministically), so this is purely a

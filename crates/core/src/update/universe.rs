@@ -179,12 +179,6 @@ impl UpdateContext {
         self.stored[i]
     }
 
-    /// Whether candidate fact `i` is currently stored in `db`.
-    pub fn holds_in(&self, i: usize, db: &Database) -> bool {
-        let a = &self.atoms[i];
-        db.holds(a.rel, &a.tuple)
-    }
-
     /// Materialises a candidate database over the result schema from a
     /// membership predicate on candidate facts.
     ///

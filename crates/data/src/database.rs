@@ -74,11 +74,6 @@ impl Database {
         self.relations.get(&rel)
     }
 
-    /// Mutable access to the relation stored under `rel`, if any.
-    pub fn relation_mut(&mut self, rel: RelId) -> Option<&mut Relation> {
-        self.relations.get_mut(&rel)
-    }
-
     /// Whether the fact `rel(t)` holds (closed world: absent ⇒ false).
     pub fn holds(&self, rel: RelId, t: &Tuple) -> bool {
         self.relations.get(&rel).is_some_and(|r| r.contains(t))

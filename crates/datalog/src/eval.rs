@@ -75,9 +75,9 @@ pub fn semi_naive_eval(program: &Program, edb: &Database) -> Result<(Database, E
 }
 
 /// [`semi_naive_eval`] at an explicit evaluation width (`0` = process
-/// default, `1` = exact sequential path; results and statistics are
-/// identical at every width — the engine's parallel rounds merge private
-/// worker buffers deterministically).
+/// default, `1` = every round on the calling thread; results and
+/// statistics are identical at every width — the engine's parallel rounds
+/// merge private task buffers deterministically).
 pub fn semi_naive_eval_threads(
     program: &Program,
     edb: &Database,
@@ -126,8 +126,8 @@ impl IncrementalEval {
     }
 
     /// [`Self::new`] at an explicit evaluation width (`0` = process
-    /// default, `1` = exact sequential path).  Fixpoints and statistics are
-    /// identical at every width.
+    /// default, `1` = every round on the calling thread).  Fixpoints and
+    /// statistics are identical at every width.
     pub fn with_threads(program: &Program, edb: &Database, threads: usize) -> Result<Self> {
         let lowered = lower_strata(program, None)?;
         Ok(IncrementalEval {

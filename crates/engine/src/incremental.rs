@@ -103,7 +103,7 @@ impl IncrementalSession {
     }
 
     /// [`Self::new`] with an explicit thread count (`0` = process default,
-    /// `1` = exact sequential path).  The maintained fixpoint and all
+    /// `1` = every round on the calling thread).  The maintained fixpoint and all
     /// statistics are identical at every width.
     pub fn with_threads(strata: &[Program], edb: &Database, threads: usize) -> Result<Self> {
         let metrics = crate::metrics::metrics();

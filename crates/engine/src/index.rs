@@ -82,7 +82,6 @@ use kbt_data::{Const, Relation, Tuple};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::HashMap;
-use std::collections::HashSet;
 
 use crate::fx::{self, FxBuild, KeyAcc};
 
@@ -705,12 +704,6 @@ impl IndexedRelation {
         let contents = self.materialise();
         self.rebase(contents.clone());
         contents
-    }
-
-    /// The live tuples as a hash set (boundary convenience for differential
-    /// tests; hot paths stay on row slices).
-    pub fn to_set(&self) -> HashSet<Tuple> {
-        self.tuples().collect()
     }
 }
 

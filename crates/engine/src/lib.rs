@@ -47,11 +47,11 @@
 //!
 //! Rounds can run **in parallel**: a width above 1 (see [`evaluate`]) fans
 //! the independent (rule, plan) derivations of a round — chunked over each
-//! plan's driving scan — out over the vendored `kbt-par` work-sharing pool.
-//! Each worker derives into a private buffer merged in stable task order, so
+//! plan's driving scan — out through the vendored `kbt-par` pool's ordered
+//! `map`.  Each task derives into a private buffer merged in task order, so
 //! fixpoints *and statistics* are byte-identical at every width; `threads =
-//! 1` runs the exact sequential path.  See the [`eval`] module docs for the
-//! determinism argument.
+//! 1` runs the same tasks inline on the calling thread.  See the [`eval`]
+//! module docs for the determinism argument.
 //!
 //! The engine has its own minimal rule IR ([`ir`]) with variables resolved
 //! to dense register slots; `kbt-datalog` lowers its AST into it, which keeps

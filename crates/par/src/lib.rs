@@ -1,91 +1,67 @@
-//! # kbt-par — a std-only scoped thread pool
+//! # kbt-par — a std-only ordered parallel `map`
 //!
-//! The fixpoint engine wants to fan the independent derivations of a
-//! semi-naive round out across cores.  The usual answer is `rayon`, but this
-//! repository builds offline (no crates.io), so — like `vendor/rand` and
-//! `vendor/criterion` — the thread pool is vendored in-workspace.  It is
-//! deliberately small: fixed OS worker threads, one shared FIFO of jobs per
-//! [`scope`](ThreadPool::scope), and nothing speculative (no work *stealing*,
-//! no per-worker deques, no latency tricks).  Callers split their work into
-//! chunks; idle workers *share* the chunk queue and pull the next one.
+//! The fixpoint engine fans the independent derivations of a semi-naive
+//! round out across cores, and it asks for exactly one shape to do it: an
+//! ordered map over the round's tasks, what `rayon` spells
+//! `into_par_iter().map().collect()`.  This repository builds offline (no
+//! crates.io), so — like `vendor/rand` and `vendor/criterion` — that one
+//! shape is implemented in-workspace, and nothing else is: no job queue, no
+//! nested spawns, no work *stealing*.
 //!
 //! ## Design
 //!
 //! * **Pool** — [`ThreadPool`] owns helper threads that sleep on a condvar
-//!   until a scope is installed.  [`ThreadPool::global`] is the process-wide
+//!   until a `map` is installed.  [`ThreadPool::global`] is the process-wide
 //!   instance the engine uses; it grows its worker set on demand so an
 //!   explicit `threads = 4` request is honoured even when
 //!   `available_parallelism` reports fewer cores (the OS timeslices — the
 //!   callers' *determinism* never depends on the physical core count).
-//! * **Scope** — [`ThreadPool::scope`] mirrors `std::thread::scope`: jobs
-//!   spawned inside may borrow from the caller's stack, because `scope` does
-//!   not return until every job has finished and every helper has detached.
-//!   The scope body runs on the calling thread, which also participates in
-//!   draining the job queue (a `width` of `n` means the caller plus at most
-//!   `n - 1` helpers).
-//! * **Work sharing** — [`Scope::spawn`] pushes one job; helpers and the
-//!   caller pop jobs FIFO.  [`ThreadPool::map`] / [`ThreadPool::for_each_chunk`]
-//!   build the common shapes on top: per-item results collected *in item
-//!   order* (so reductions over them are deterministic regardless of which
-//!   worker ran what), and chunked iteration over a slice.
-//! * **Panic propagation** — a job that panics does not tear down the pool:
-//!   the first payload is captured, the remaining jobs still run, and the
-//!   payload is re-raised on the calling thread when the scope closes (after
-//!   all helpers have detached, so no job ever outlives borrowed data).  A
-//!   panic in the scope *body* likewise waits for in-flight jobs, drops the
-//!   not-yet-started ones, and then resumes unwinding.
+//! * **The one `map`** — [`ThreadPool::map`]`(width, items, f)` runs `f`
+//!   on the calling thread plus at most `width - 1` helpers, each claiming
+//!   the next unclaimed item by one atomic increment, and may borrow from
+//!   the caller's stack, because it does not return until every helper has
+//!   left.  A `width` of 1 or a single item runs inline and never touches
+//!   the pool.  The pool serves one `map` at a time; one that finds it held
+//!   runs caller-only and is counted (`kbt_par_contended_scopes_total`).
+//! * **Panic propagation** — an item that panics does not tear down the
+//!   pool: the first payload is captured, the remaining items still run,
+//!   and the payload is re-raised on the calling thread once every helper
+//!   has left.
 //!
 //! ## Determinism contract
 //!
-//! The pool itself guarantees only that `map` returns results in item order
-//! and that `scope` joins everything.  The engine builds byte-identical
-//! fixpoints on top by giving every worker a *private* derivation buffer and
-//! merging the buffers in stable task order — worker interleaving can then
-//! never reach the output.  See `kbt_engine::eval` for that merge.
+//! `map` returns its results **in item order**, whichever thread computed
+//! which.  That is all the pool guarantees, and all the engine needs: it
+//! builds byte-identical fixpoints on top by giving every task a *private*
+//! derivation buffer and merging the buffers in stable task order — thread
+//! interleaving can then never reach the output.  See `kbt_engine::eval`
+//! for that merge.
 //!
 //! ## Thread-count configuration
 //!
 //! [`default_threads`] is the process-wide default width: the
-//! `KBT_THREADS` environment variable when set (the CI matrix pins it to
-//! `1` and `4`), otherwise [`std::thread::available_parallelism`].  A width
-//! of `1` never touches the pool at all — callers run their exact
-//! sequential path.
-
+//! `KBT_THREADS` environment variable when set, otherwise
+//! [`std::thread::available_parallelism`].
 //!
-//! ## Beyond scopes: bounded long-lived workers
+//! ## Beyond `map`: bounded long-lived workers
 //!
 //! [`WorkerSet`] is the second shape this crate offers: a fixed set of
 //! named worker threads pulling independent `'static` jobs from a bounded
 //! queue, with admission control ([`WorkerSet::try_submit`] refuses work at
-//! capacity instead of growing).  Scoped fan-outs serve the evaluation
-//! engine; the worker set serves connection supervision in the network
-//! front, where a session outlives any one call stack and "reject at
-//! capacity" is the correct overload behaviour.
+//! capacity instead of growing).  `map` serves the evaluation engine; the
+//! worker set serves connection supervision in the network front, where a
+//! session outlives any one call stack and "reject at capacity" is the
+//! correct overload behaviour.
 
 pub mod metrics;
 mod pool;
 mod worker_set;
 
 pub use metrics::{metrics, ParMetrics};
-pub use pool::{chunk_size, Scope, ThreadPool};
+pub use pool::ThreadPool;
 pub use worker_set::WorkerSet;
 
 use std::sync::OnceLock;
-
-/// Reads the `KBT_THREADS` environment variable **fresh** (no caching):
-/// `Some(n)` when it is set to a positive integer, `None` otherwise.
-///
-/// Unlike [`default_threads`], repeated calls observe environment changes.
-/// Long-lived processes that must remain reconfigurable (e.g. a service
-/// deciding its evaluation width at construction time) should read this —
-/// or take an explicit width from their own configuration — instead of
-/// relying on the frozen process default.
-pub fn env_threads() -> Option<usize> {
-    std::env::var("KBT_THREADS")
-        .ok()
-        .as_deref()
-        .and_then(parse_threads)
-}
 
 /// Parses a width setting: a positive integer (surrounding whitespace
 /// ignored); anything else — including `0` — is "unset".
@@ -99,10 +75,14 @@ fn parse_threads(v: &str) -> Option<usize> {
 ///
 /// This is exactly what [`default_threads`] computes on its first call —
 /// factored out so long-lived hosts (service configuration) can apply the
-/// same policy *freshly* instead of copying it; a future change to the
-/// fallback then cannot diverge between the two.
+/// same policy *freshly*, observing environment changes, instead of copying
+/// it; a future change to the fallback then cannot diverge between the two.
 pub fn fresh_threads() -> usize {
-    env_threads().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    std::env::var("KBT_THREADS")
+        .ok()
+        .as_deref()
+        .and_then(parse_threads)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The process-wide default evaluation width: `KBT_THREADS` when set to a
@@ -115,7 +95,7 @@ pub fn fresh_threads() -> usize {
 /// deliberately *not* observed, so that every evaluation in one process run
 /// agrees on what "the default width" means.  Callers that need a
 /// reconfigurable width must plumb an explicit `threads` value through their
-/// own configuration (as `kbt-service` does) or read [`env_threads`]
+/// own configuration (as `kbt-service` does) or call [`fresh_threads`]
 /// themselves — nothing forces them through this cache.
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
@@ -158,19 +138,5 @@ mod tests {
         assert_eq!(parse_threads(""), None);
         assert_eq!(parse_threads("-1"), None);
         assert_eq!(parse_threads("four"), None);
-    }
-
-    #[test]
-    fn env_threads_agrees_with_the_current_environment() {
-        // No env mutation here (set_var races with concurrent readers in a
-        // multi-threaded test run); just check consistency with whatever the
-        // harness set.  The freshness of the read is by construction —
-        // `env_threads` holds no cache — and `parse_threads` is covered
-        // above.
-        let expected = std::env::var("KBT_THREADS")
-            .ok()
-            .as_deref()
-            .and_then(parse_threads);
-        assert_eq!(env_threads(), expected);
     }
 }

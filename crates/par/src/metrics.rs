@@ -11,10 +11,12 @@ use kbt_obs::{Counter, Registry};
 
 /// Handles onto the pool's series in [`Registry::global`].
 pub struct ParMetrics {
-    /// `kbt_par_scopes_total` — scopes opened on the shared pool.
+    /// `kbt_par_scopes_total` — scopes opened on the shared pool: one per
+    /// [`crate::ThreadPool::map`] that fans out (width above 1, more than
+    /// one item).
     pub scopes_total: Counter,
     /// `kbt_par_contended_scopes_total` — scopes that wanted helpers while
-    /// another scope held the pool and therefore ran caller-only.
+    /// another `map` held the pool and therefore ran caller-only.
     pub contended_scopes_total: Counter,
     /// `kbt_par_workerset_jobs_total` — jobs admitted by a [`crate::WorkerSet`].
     pub workerset_jobs_total: Counter,

@@ -1,163 +1,34 @@
-//! The thread pool: persistent helper threads, scoped job queues, and the
-//! chunked work-sharing helpers built on top.
+//! The thread pool: persistent helper threads and the one call the engine
+//! makes of them, an ordered [`ThreadPool::map`].
 //!
-//! See the crate docs for the design overview.  The implementation notes
-//! that matter for safety live on [`ThreadPool::scope`] and [`Scope::spawn`].
+//! See the crate docs for the design overview.  The one `unsafe` block —
+//! handing the helpers a lifetime-erased reference to a `map`'s work loop —
+//! has its argument in [`ThreadPool::map`].
 
 use std::any::Any;
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// Upper bound on helper threads the pool will ever spawn, however wide a
 /// caller asks to go (a runaway `threads` request must not fork-bomb).
 const MAX_HELPERS: usize = 64;
 
-/// How many chunks per participating thread [`ThreadPool::for_each_chunk`]
-/// aims for: more than one so a slow chunk does not serialise the round,
-/// bounded so per-chunk overhead stays negligible.
-const CHUNKS_PER_THREAD: usize = 4;
+/// A `map`'s work loop — claim the next item, run it, until none is left —
+/// with its lifetime erased (see [`ThreadPool::map`]).
+type Work = &'static (dyn Fn() + Sync);
 
-/// A lifetime-erased job.  Only [`Scope::spawn`] creates these, and the
-/// erasure is sound because [`ThreadPool::scope`] joins every job before it
-/// returns (see there).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// State of one scope, shared between the caller and the helper threads.
-struct ScopeState {
-    /// Spawned, not-yet-started jobs (FIFO — the work-sharing queue).
-    queue: VecDeque<Job>,
-    /// Spawned jobs that have not finished (queued + currently running).
-    pending: usize,
-    /// No further jobs will arrive; set once the caller has drained.
-    closed: bool,
-    /// Helper slots still available (`width - 1` at the start).
-    helpers_allowed: usize,
-    /// Helpers currently attached to this scope.
-    helpers_active: usize,
-    /// First panic payload raised by a job.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// One scope's queue plus the condvar everything synchronises on.
-struct ScopeShared {
-    state: Mutex<ScopeState>,
-    cv: Condvar,
-}
-
-impl ScopeShared {
-    fn new(helpers_allowed: usize) -> Self {
-        ScopeShared {
-            state: Mutex::new(ScopeState {
-                queue: VecDeque::new(),
-                pending: 0,
-                closed: false,
-                helpers_allowed,
-                helpers_active: 0,
-                panic: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(!st.closed, "spawn after the scope closed");
-        st.queue.push_back(job);
-        st.pending += 1;
-        self.cv.notify_all();
-    }
-
-    /// Runs queued jobs until there is nothing left to do.  The caller
-    /// (`caller = true`) keeps going until every pending job has *finished*;
-    /// helpers leave as soon as the scope is closed.
-    fn drain(&self, caller: bool) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = st.queue.pop_front() {
-                drop(st);
-                let outcome = catch_unwind(AssertUnwindSafe(job));
-                st = self.state.lock().unwrap();
-                st.pending -= 1;
-                if let Err(payload) = outcome {
-                    if st.panic.is_none() {
-                        st.panic = Some(payload);
-                    }
-                }
-                self.cv.notify_all();
-                continue;
-            }
-            if caller {
-                if st.pending == 0 {
-                    return;
-                }
-            } else if st.closed {
-                return;
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Drops every not-yet-started job (used when the scope body panicked:
-    /// the work is abandoned, only in-flight jobs are awaited).
-    fn clear_queue(&self) {
-        let dropped: Vec<Job> = {
-            let mut st = self.state.lock().unwrap();
-            let dropped: Vec<Job> = st.queue.drain(..).collect();
-            st.pending -= dropped.len();
-            dropped
-        };
-        drop(dropped); // run captured destructors outside the lock
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        self.cv.notify_all();
-    }
-
-    /// A helper claims a participation slot; refused once the scope closed
-    /// or the width limit is reached.
-    fn try_attach(&self) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if st.closed || st.helpers_allowed == 0 {
-            return false;
-        }
-        st.helpers_allowed -= 1;
-        st.helpers_active += 1;
-        true
-    }
-
-    fn detach(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.helpers_active -= 1;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until every attached helper has detached.
-    fn wait_detached(&self) {
-        let mut st = self.state.lock().unwrap();
-        while st.helpers_active > 0 {
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.state.lock().unwrap().panic.take()
-    }
-}
-
-/// Pool-level state: the currently installed scope, if any.
+/// Pool-level state, shared between the callers and the helper threads.
 struct PoolState {
-    scope: Option<Arc<ScopeShared>>,
-    /// Bumped per installation so sleeping workers can tell a new scope from
-    /// the one they already served.
+    /// The work loop of the `map` holding the pool, if any.
+    work: Option<Work>,
+    /// Bumped per installation, so a helper joins each `map` at most once.
     epoch: u64,
+    /// Helpers the installed `map` may still take on (`width - 1` at first).
+    seats: usize,
+    /// Helpers currently running the installed work loop.
+    active: usize,
     shutdown: bool,
 }
 
@@ -166,39 +37,45 @@ struct PoolShared {
     cv: Condvar,
 }
 
+/// Locks one of the pool's mutexes.  Nothing panics while holding one —
+/// item panics are caught outside them — and every update under them is a
+/// single assignment, so a poisoned guard still holds valid data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A pool of persistent helper threads.  See the crate docs for the design.
 ///
-/// The pool serves **one scope at a time**: a scope that arrives while
-/// another is installed runs correctly but unassisted (the calling thread
-/// drains its own queue at effective width 1).  That degradation is
-/// deliberate — helpers never interleave two scopes' borrowed stacks — but
-/// it must be *observable*, so it is counted in
-/// [`ThreadPool::contended_scopes`]; a serving layer that fans out many
-/// concurrent wide evaluations can watch the counter to see how often its
-/// configured width was not actually honoured.
+/// The pool serves **one `map` at a time**: a `map` that arrives while
+/// another holds the pool runs correctly but unassisted (the calling thread
+/// works through its items alone, at effective width 1).  That degradation
+/// is deliberate — helpers never interleave two callers' borrowed stacks —
+/// but it must be *observable*, so it is counted in
+/// `kbt_par_contended_scopes_total` ([`crate::ParMetrics`]); a serving
+/// layer that fans out many concurrent wide evaluations can watch the
+/// counter to see how often its configured width was not actually honoured.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Scopes that wanted helpers but found the pool busy (ran caller-only).
-    contended: AtomicUsize,
 }
 
 impl ThreadPool {
     /// A pool with `helpers` pre-spawned helper threads (the pool grows on
-    /// demand up to an internal cap when a wider scope is requested, so `0`
+    /// demand up to an internal cap when a wider `map` is requested, so `0`
     /// is a fine starting point).
     pub fn new(helpers: usize) -> Self {
         let pool = ThreadPool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
-                    scope: None,
+                    work: None,
                     epoch: 0,
+                    seats: 0,
+                    active: 0,
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
             }),
             workers: Mutex::new(Vec::new()),
-            contended: AtomicUsize::new(0),
         };
         pool.ensure_workers(helpers);
         pool
@@ -213,18 +90,12 @@ impl ThreadPool {
 
     /// Number of helper threads currently alive.
     pub fn helpers(&self) -> usize {
-        self.workers.lock().unwrap().len()
-    }
-
-    /// Number of scopes that requested helpers while another scope held
-    /// the pool and therefore ran caller-only (see the type docs).
-    pub fn contended_scopes(&self) -> usize {
-        self.contended.load(Ordering::Relaxed)
+        lock(&self.workers).len()
     }
 
     fn ensure_workers(&self, n: usize) {
         let n = n.min(MAX_HELPERS);
-        let mut workers = self.workers.lock().unwrap();
+        let mut workers = lock(&self.workers);
         while workers.len() < n {
             let shared = self.shared.clone();
             let handle = std::thread::Builder::new()
@@ -235,91 +106,14 @@ impl ThreadPool {
         }
     }
 
-    /// Installs `scope` as the pool's current scope; `false` if another
-    /// scope is already running (the caller then works alone, which is
-    /// always correct, just unassisted).
-    fn install(&self, scope: &Arc<ScopeShared>) -> bool {
-        let mut st = self.shared.state.lock().unwrap();
-        if st.scope.is_some() || st.shutdown {
-            return false;
-        }
-        st.scope = Some(scope.clone());
-        st.epoch += 1;
-        self.shared.cv.notify_all();
-        true
-    }
-
-    fn uninstall(&self, scope: &Arc<ScopeShared>) {
-        let mut st = self.shared.state.lock().unwrap();
-        if st.scope.as_ref().is_some_and(|s| Arc::ptr_eq(s, scope)) {
-            st.scope = None;
-        }
-    }
-
-    /// Runs `f` with a [`Scope`] whose jobs may borrow anything that
-    /// outlives the `scope` call, executed by the calling thread plus up to
-    /// `width - 1` pool helpers.
+    /// Applies `f` to every item, at most `width` threads wide — the
+    /// calling thread plus up to `width - 1` helpers, each claiming the next
+    /// unclaimed item — and returns the results **in item order**
+    /// regardless of which thread computed what.  `width <= 1` (or a single
+    /// item) runs inline with no pool involvement at all.
     ///
-    /// Every spawned job is guaranteed to have finished — and every helper
-    /// to have detached from the scope — before `scope` returns or unwinds.
-    /// That join is what makes the internal lifetime erasure of
-    /// [`Scope::spawn`] sound: no job and no worker can observe a borrow of
-    /// the caller's stack after `scope` is over.
-    ///
-    /// If a job panics, the first payload is re-raised here after the scope
-    /// has fully joined; a panic in `f` itself takes precedence (queued jobs
-    /// are then dropped unstarted, in-flight ones are still awaited).
-    pub fn scope<'env, F, R>(&self, width: usize, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        crate::metrics::metrics().scopes_total.inc();
-        let helpers_wanted = width.saturating_sub(1).min(MAX_HELPERS);
-        let shared = Arc::new(ScopeShared::new(helpers_wanted));
-        let installed = if helpers_wanted > 0 {
-            self.ensure_workers(helpers_wanted);
-            let installed = self.install(&shared);
-            if !installed {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::metrics().contended_scopes_total.inc();
-            }
-            installed
-        } else {
-            false
-        };
-        let scope = Scope {
-            shared: shared.clone(),
-            scope: PhantomData,
-            env: PhantomData,
-        };
-
-        let body = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        if body.is_err() {
-            shared.clear_queue();
-        }
-        shared.drain(true);
-        shared.close();
-        if installed {
-            self.uninstall(&shared);
-        }
-        shared.wait_detached();
-
-        let job_panic = shared.take_panic();
-        match body {
-            Err(payload) => resume_unwind(payload),
-            Ok(result) => {
-                if let Some(payload) = job_panic {
-                    resume_unwind(payload);
-                }
-                result
-            }
-        }
-    }
-
-    /// Applies `f` to every item, at most `width` threads wide, returning
-    /// the results **in item order** regardless of which worker computed
-    /// what.  `width <= 1` (or a single item) runs inline with no pool
-    /// involvement at all.
+    /// If `f` panics, the remaining items still run and the first payload
+    /// is re-raised here once every helper has left; the pool stays usable.
     pub fn map<T, R, F>(&self, width: usize, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -329,145 +123,109 @@ impl ThreadPool {
         if width <= 1 || items.len() <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        let slots: Vec<Slot<R>> = items.iter().map(|_| Slot::empty()).collect();
-        let f = &f;
-        self.scope(width, |s| {
-            for (i, (item, slot)) in items.iter().zip(&slots).enumerate() {
-                s.spawn(move || slot.set(f(i, item)));
+        let metrics = crate::metrics::metrics();
+        metrics.scopes_total.inc();
+        // `Relaxed` suffices: the increment alone hands each index to one
+        // thread, and results travel through the slot mutexes and the join
+        // in `retire`.
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return;
+            };
+            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(result) => *lock(&slots[i]) = Some(result),
+                Err(payload) => {
+                    lock(&first_panic).get_or_insert(payload);
+                }
             }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.take().expect("scope() joins every job"))
+        };
+        let helpers = (width - 1).min(MAX_HELPERS);
+        self.ensure_workers(helpers);
+        let installed = {
+            let mut st = lock(&self.shared.state);
+            let free = st.work.is_none();
+            if free {
+                // SAFETY: only the lifetime is erased.  A helper takes the
+                // reference and counts itself `active` in one critical
+                // section, and only while it is installed.  This function
+                // does not return before `retire` has closed the seats,
+                // waited until no helper is active and uninstalled it, and
+                // it cannot unwind before that either: `work` catches `f`'s
+                // panics item by item.  So no helper calls `work` after the
+                // borrows it captures have ended.
+                let work = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Work>(&work) };
+                st.work = Some(work);
+                st.epoch += 1;
+                st.seats = helpers;
+                self.shared.cv.notify_all();
+            }
+            free
+        };
+        if !installed {
+            metrics.contended_scopes_total.inc();
+        }
+        work();
+        if installed {
+            self.retire();
+        }
+        let panicked = lock(&first_panic).take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+        (slots.iter())
+            .map(|slot| lock(slot).take().expect("every item ran once"))
             .collect()
     }
 
-    /// Splits `items` into chunks of at least `min_chunk` (aiming for a few
-    /// chunks per thread) and calls `f(chunk_index, chunk)` for each, at
-    /// most `width` threads wide.  The chunk decomposition depends only on
-    /// `items.len()`, `width` and `min_chunk` — never on scheduling.
-    pub fn for_each_chunk<T, F>(&self, width: usize, min_chunk: usize, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &[T]) + Sync,
-    {
-        if items.is_empty() {
-            return;
+    /// Waits for every helper still running the installed work loop, then
+    /// frees the pool for the next `map`.
+    fn retire(&self) {
+        let mut st = lock(&self.shared.state);
+        st.seats = 0;
+        while st.active > 0 {
+            st = self
+                .shared
+                .cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let chunk = chunk_size(items.len(), width, min_chunk);
-        if width <= 1 || items.len() <= chunk {
-            for (i, c) in items.chunks(chunk).enumerate() {
-                f(i, c);
-            }
-            return;
-        }
-        let f = &f;
-        self.scope(width, |s| {
-            for (i, c) in items.chunks(chunk).enumerate() {
-                s.spawn(move || f(i, c));
-            }
-        });
+        st.work = None;
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
-        for handle in self.workers.get_mut().unwrap().drain(..) {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.cv.notify_all();
+        for handle in lock(&self.workers).drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The deterministic chunk length for a slice of `len` work items split
-/// across `width` threads: a few chunks per thread (so a slow chunk does not
-/// serialise the tail), never below `min_chunk` (so per-chunk overhead stays
-/// negligible).  [`ThreadPool::for_each_chunk`] uses it internally, and the
-/// evaluation engine uses the same function to chunk a round's driving
-/// scans — one chunking policy for the whole workspace.
-pub fn chunk_size(len: usize, width: usize, min_chunk: usize) -> usize {
-    let target = len.div_ceil(width.max(1) * CHUNKS_PER_THREAD);
-    target.max(min_chunk).max(1)
-}
-
-/// Handle for spawning jobs inside [`ThreadPool::scope`]; mirrors
-/// [`std::thread::Scope`].
-pub struct Scope<'scope, 'env: 'scope> {
-    shared: Arc<ScopeShared>,
-    /// Invariant over `'scope`, like `std::thread::Scope`: jobs may borrow
-    /// `'scope` data but the scope handle must not be smuggled out.
-    scope: PhantomData<&'scope mut &'scope ()>,
-    env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Queues one job.  Jobs run on the calling thread or a pool helper, in
-    /// FIFO claim order; a job may itself spawn further jobs onto the same
-    /// scope.
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: only the lifetime is erased.  `ThreadPool::scope` does not
-        // return (or unwind) before every job has run or been dropped and
-        // every helper has detached, so the boxed closure never outlives the
-        // `'scope` borrows it captures.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.shared.push(job);
-    }
-}
-
-/// A write-once result cell for [`ThreadPool::map`].
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: each slot is written by exactly one job (the one holding its
-// reference) and read only after `scope()` has joined all jobs, so there is
-// never a concurrent access.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-impl<T> Slot<T> {
-    fn empty() -> Self {
-        Slot(UnsafeCell::new(None))
-    }
-
-    fn set(&self, value: T) {
-        // SAFETY: see the `Sync` impl — this is the only writer.
-        unsafe { *self.0.get() = Some(value) }
-    }
-
-    fn take(self) -> Option<T> {
-        self.0.into_inner()
-    }
-}
-
 fn worker_main(shared: &PoolShared) {
-    let mut seen_epoch = 0u64;
+    let mut served = 0u64;
+    let mut st = lock(&shared.state);
     loop {
-        let scope = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(scope) = &st.scope {
-                    if st.epoch != seen_epoch {
-                        seen_epoch = st.epoch;
-                        break scope.clone();
-                    }
-                }
-                st = shared.cv.wait(st).unwrap();
+        if st.shutdown {
+            return;
+        }
+        match st.work {
+            Some(work) if st.epoch != served && st.seats > 0 => {
+                served = st.epoch;
+                st.seats -= 1;
+                st.active += 1;
+                drop(st);
+                work();
+                st = lock(&shared.state);
+                st.active -= 1;
+                shared.cv.notify_all();
             }
-        };
-        if scope.try_attach() {
-            scope.drain(false);
-            scope.detach();
+            _ => st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -475,7 +233,7 @@ fn worker_main(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn map_returns_results_in_item_order() {
@@ -501,129 +259,51 @@ mod tests {
     }
 
     #[test]
-    fn scope_jobs_borrow_the_callers_stack() {
-        let pool = ThreadPool::new(2);
-        let data: Vec<u64> = (1..=100).collect();
-        let total = AtomicUsize::new(0);
-        pool.scope(3, |s| {
-            for chunk in data.chunks(7) {
-                let total = &total;
-                s.spawn(move || {
-                    let sum: u64 = chunk.iter().sum();
-                    total.fetch_add(sum as usize, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn jobs_can_spawn_more_jobs() {
-        let pool = ThreadPool::new(2);
-        let count = AtomicUsize::new(0);
-        pool.scope(3, |s| {
-            let count = &count;
-            for _ in 0..4 {
-                s.spawn(move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    s.spawn(move || {
-                        count.fetch_add(10, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 44);
-    }
-
-    #[test]
-    fn job_panics_propagate_and_the_pool_survives() {
+    fn item_panics_propagate_and_the_pool_survives() {
         let pool = ThreadPool::new(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.map(4, &[1u32, 2, 3, 4], |_, &x| {
                 if x == 3 {
-                    panic!("job {x} failed");
+                    panic!("item {x} failed");
                 }
                 x
             });
         }));
-        assert!(caught.is_err(), "the job panic must surface");
+        assert!(caught.is_err(), "the item's panic must surface");
         // the pool remains usable
         let got = pool.map(4, &[10u32, 20], |_, &x| x + 1);
         assert_eq!(got, vec![11, 21]);
     }
 
     #[test]
-    fn body_panics_still_join_inflight_jobs() {
-        let pool = ThreadPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(3, |s| {
-                let ran = &ran;
-                for _ in 0..8 {
-                    s.spawn(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                panic!("body failed");
-            })
-        }));
-        assert!(caught.is_err());
-        // whatever ran, the scope joined: a subsequent scope works fine and
-        // the counter is stable (no job still running in the background).
-        let after = ran.load(Ordering::Relaxed);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(ran.load(Ordering::Relaxed), after);
-    }
-
-    #[test]
-    fn for_each_chunk_covers_every_item_exactly_once() {
-        let pool = ThreadPool::new(3);
-        for (len, width, min_chunk) in [(0usize, 4, 8), (5, 4, 8), (100, 4, 8), (1000, 2, 1)] {
-            let items: Vec<usize> = (0..len).collect();
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            pool.for_each_chunk(width, min_chunk, &items, |_, chunk| {
-                for &x in chunk {
-                    hits[x].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "len {len} width {width}"
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_sizes_are_deterministic_and_bounded() {
-        assert_eq!(chunk_size(0, 4, 8), 8);
-        assert_eq!(chunk_size(1000, 1, 1), 250);
-        assert!(chunk_size(1000, 4, 1) >= 1000 / (4 * CHUNKS_PER_THREAD));
-        assert_eq!(chunk_size(10, 4, 64), 64);
-    }
-
-    #[test]
-    fn concurrent_scopes_run_caller_only_and_are_counted() {
-        // the pool serves one scope at a time; a second, overlapping scope
-        // must still compute correctly (caller drains alone) and the
-        // degradation must show up in the contention counter
-        let pool = ThreadPool::new(2);
-        assert_eq!(pool.contended_scopes(), 0);
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                pool.scope(2, |sc| {
-                    sc.spawn(|| {
-                        barrier.wait(); // 1: scope A is installed and busy
-                        barrier.wait(); // 2: hold it until B has finished
-                    });
+    fn a_map_over_a_held_pool_runs_caller_only_and_is_counted() {
+        // the pool serves one map at a time; a second, overlapping map must
+        // still compute correctly (its caller works alone) and the
+        // degradation must show up in the contention counter (no other test
+        // here overlaps two maps on one pool, so the delta is exact)
+        let contended = || crate::metrics::metrics().contended_scopes_total.get();
+        let before = contended();
+        let pool = Arc::new(ThreadPool::new(2));
+        let barrier = Arc::new(Barrier::new(2));
+        let holder = {
+            let (pool, barrier) = (pool.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                pool.map(2, &[0, 1], |i, _: &i32| {
+                    if i == 0 {
+                        barrier.wait(); // 1: map A holds the pool
+                        barrier.wait(); // 2: and keeps it until B is done
+                    }
                 });
-            });
-            barrier.wait(); // 1
-            let got = pool.map(4, &[1, 2, 3], |_, &x: &i32| x * 2);
-            assert_eq!(got, vec![2, 4, 6], "contended map must still be correct");
-            assert_eq!(pool.contended_scopes(), 1);
-            barrier.wait(); // 2
-        });
+            })
+        };
+        barrier.wait(); // 1
+        let got = pool.map(4, &[1, 2, 3], |_, &x: &i32| x * 2);
+        assert_eq!(got, vec![2, 4, 6], "a contended map must still be correct");
+        assert_eq!(contended() - before, 1);
+        barrier.wait(); // 2
+        holder.join().unwrap();
+        assert_eq!(pool.map(2, &[5, 6], |_, &x: &i32| x), vec![5, 6]);
+        assert_eq!(contended() - before, 1, "the pool is free again");
     }
 
     #[test]
@@ -634,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_scopes_grow_the_worker_set_up_to_the_cap() {
+    fn wide_maps_grow_the_worker_set_up_to_the_cap() {
         let pool = ThreadPool::new(0);
         pool.map(3, &(0..64).collect::<Vec<_>>(), |_, &x: &i32| x);
         assert!(pool.helpers() >= 2);

@@ -1,9 +1,9 @@
 //! A bounded set of long-lived worker threads with admission control.
 //!
-//! [`ThreadPool`](crate::ThreadPool) serves *scoped* fan-outs: the caller
-//! blocks until every job is done, which is exactly right for a fixpoint
-//! round and exactly wrong for a server dispatching independent, long-lived
-//! sessions.  [`WorkerSet`] is the complementary shape: a fixed number of
+//! [`ThreadPool::map`](crate::ThreadPool::map) serves *ordered* fan-outs:
+//! the caller blocks until every item is done, which is exactly right for a
+//! fixpoint round and exactly wrong for a server dispatching independent,
+//! long-lived sessions.  [`WorkerSet`] is the complementary shape: a fixed number of
 //! named worker threads pulling `'static` jobs from a bounded queue, with
 //! **admission control instead of unbounded growth** — when every worker is
 //! busy and the backlog allowance is exhausted, [`WorkerSet::try_submit`]

@@ -97,8 +97,8 @@ impl DurabilityConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Evaluation width used for every query and commit evaluation:
-    /// always an explicit positive number (`1` = the exact sequential
-    /// path).  Defaults to a *fresh* read of `KBT_THREADS`, falling back
+    /// always an explicit positive number (`1` = every round on the
+    /// calling thread).  Defaults to a *fresh* read of `KBT_THREADS`, falling back
     /// to the machine's available parallelism — deliberately not
     /// `kbt_par::default_threads`, which is frozen on first read.
     pub threads: usize,

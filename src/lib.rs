@@ -84,9 +84,9 @@
 //! The engine's fixpoint rounds can also run **in parallel**:
 //! [`core::EvalOptions::threads`] sets the
 //! evaluation width (`0` = the process default — `KBT_THREADS` or the
-//! machine's available parallelism; `1` = the exact sequential path).  The
-//! rounds fan out over the vendored `kbt-par` work-sharing pool with
-//! private per-worker buffers merged deterministically, so fixpoints *and*
+//! machine's available parallelism; `1` = every round on the calling
+//! thread).  The rounds fan out through the vendored `kbt-par` pool's
+//! ordered `map`, with private per-task buffers merged in task order, so fixpoints *and*
 //! statistics are byte-identical at every width — `stackbench` reports
 //! width 2 against width 1 as `engine.eval_width2_ratio` (`closure_scan`).
 //!

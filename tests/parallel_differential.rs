@@ -1,5 +1,5 @@
 //! Differential tests for parallel evaluation: every thread width must be
-//! *observationally identical* to the sequential path.
+//! *observationally identical* to width 1.
 //!
 //! Three layers:
 //!
