@@ -4,9 +4,7 @@
 //!   in-process service instance, print every response, exit non-zero on
 //!   the first error (CI smoke-runs this on `examples/service_demo.kbt`).
 //! * `kbt-shell --connect HOST:PORT [script.kbt …]` — the same, but every
-//!   command goes to a running `kbt-serve` over TCP and the printed output
-//!   is the wire response verbatim (`= ` data lines + `OK`/`ERR` status) —
-//!   the same scripts run locally or remotely.
+//!   command goes to a running `kbt-serve` over TCP.
 //! * `kbt-shell` — REPL mode: read commands from stdin (with a prompt when
 //!   stdin is a terminal); errors are printed and the session continues.
 //!   A line ending inside an open `'…'` quote continues onto the next one.
@@ -26,8 +24,15 @@
 //!   Implies the `--time` exit summary so the breakdown comes with
 //!   end-to-end quantiles.
 //!
+//! Both modes print each reply in its wire form — `= ` data lines, then
+//! one `OK …`/`ERR …` status line — written by the one encoder,
+//! [`kbt_service::net::proto::write_response`].  The same script prints
+//! the same transcript in both modes, except that a server adds an `id=`
+//! trace key to every status line, and `STATS` reports the server's own
+//! width and session counts.
+//!
 //! Scripts are segmented into **logical** command lines (a quoted constant
-//! may contain newlines) by the same splitter the service and the network
+//! may contain newlines) by the same scanner the service and the network
 //! framer use, so a script means the same thing in every mode.
 
 use std::io::{BufRead, IsTerminal, Write};
@@ -35,9 +40,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use kbt_obs::HistogramCell;
-use kbt_service::command::{quote_open, split_lines};
-use kbt_service::net::Client;
-use kbt_service::{Response, Service, ServiceConfig};
+use kbt_service::command::{quote_open, split_command, split_lines};
+use kbt_service::net::proto::{encode_response, encode_service_error};
+use kbt_service::net::{Client, WireResponse};
+use kbt_service::{Service, ServiceConfig, Verb};
 
 fn main() -> ExitCode {
     let mut scripts = Vec::new();
@@ -143,32 +149,59 @@ struct Shell {
 }
 
 impl Shell {
-    /// Runs one command through the backend, timing it when `--time` is
-    /// set.  The latency and profile lines go to stderr so stdout
-    /// transcripts stay byte-identical with and without the flags.
-    fn run(&mut self, command: &str, err_line: impl FnOnce() -> String) -> bool {
-        let ok = match &self.timing {
-            None => self.backend.run(command, err_line),
-            Some(cell) => {
-                let start = Instant::now();
-                let ok = self.backend.run(command, err_line);
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                cell.record(ns);
-                if self.show_time {
-                    let verb = command.split_whitespace().next().unwrap_or("");
-                    eprintln!("time: {:.3} ms  {verb}", ns as f64 / 1e6);
-                }
-                ok
-            }
-        };
-        // the PROFILE re-run happens outside the timed window: the --time
-        // histogram keeps measuring exactly what ran without --profile
-        if ok && self.profile {
-            if let Some(rest) = query_rest(command) {
-                self.backend.profile(rest);
+    /// Runs one command and prints its reply in wire form, timing it when
+    /// `--time` is set.  The latency and profile lines go to stderr so
+    /// stdout transcripts stay byte-identical with and without the flags.
+    /// Returns whether the command succeeded (errors are also reported on
+    /// stderr, prefixed with `at`).
+    fn run(&mut self, command: &str, at: impl FnOnce() -> String) -> bool {
+        // never put an unterminated quote on the wire: the server's framer
+        // would buffer waiting for the continuation while we block waiting
+        // for a response — a deadlock until its idle timeout
+        if quote_open(command) {
+            eprintln!("{}: unterminated quoted constant (command not sent)", at());
+            return false;
+        }
+        let start = Instant::now();
+        let reply = self.backend.call(command);
+        if let Some(cell) = &self.timing {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            cell.record(ns);
+            if self.show_time {
+                let verb = command.split_whitespace().next().unwrap_or("");
+                eprintln!("time: {:.3} ms  {verb}", ns as f64 / 1e6);
             }
         }
-        ok
+        let reply = match reply {
+            Ok(reply) => reply,
+            Err(e) => {
+                eprintln!("{}: connection error: {e}", at());
+                return false;
+            }
+        };
+        for line in &reply.data {
+            println!("{line}");
+        }
+        println!("{}", reply.status);
+        if !reply.is_ok() {
+            eprintln!("{}: {}", at(), reply.status);
+            return false;
+        }
+        // the PROFILE re-run happens outside the timed window: the --time
+        // histogram keeps measuring exactly what ran without --profile; a
+        // profile failure is reported but never fails the command
+        if let (true, Ok((Verb::Query, rest))) = (self.profile, split_command(command)) {
+            match self.backend.call(&format!("PROFILE {rest}")) {
+                Ok(profile) => {
+                    eprintln!("profile: {}", profile.status);
+                    for line in &profile.data {
+                        eprintln!("profile: {line}");
+                    }
+                }
+                Err(e) => eprintln!("profile: connection error: {e}"),
+            }
+        }
+        true
     }
 
     /// The timing exit summary (quantiles are log-bucket upper bounds,
@@ -190,15 +223,6 @@ impl Shell {
     }
 }
 
-/// The query form of a `QUERY` command, when `command` is one (the part
-/// `--profile` re-runs as `PROFILE <rest>`).
-fn query_rest(command: &str) -> Option<&str> {
-    let (verb, rest) = command.trim_start().split_once(char::is_whitespace)?;
-    verb.eq_ignore_ascii_case("QUERY")
-        .then(|| rest.trim_start())
-        .filter(|rest| !rest.is_empty())
-}
-
 /// Where commands go: an in-process service or a remote `kbt-serve`.
 enum Backend {
     Local(Box<Service>),
@@ -206,78 +230,22 @@ enum Backend {
 }
 
 impl Backend {
-    /// Executes one command, prints its output, and reports whether it
-    /// succeeded (with the error already printed via `err_line`).
-    fn run(&mut self, command: &str, err_line: impl FnOnce() -> String) -> bool {
+    /// Executes one command and returns its reply in wire form: the
+    /// in-process service's through the encoder the server streams with,
+    /// a remote server's as received.
+    fn call(&mut self, command: &str) -> std::io::Result<WireResponse> {
         match self {
-            Backend::Local(service) => match service.execute(command) {
-                Ok(Response::Ok) => true,
+            Backend::Local(service) => Ok(match service.execute(command) {
                 Ok(response) => {
-                    println!("{response}");
-                    true
+                    let (data, status) = encode_response(&response, None);
+                    WireResponse { data, status }
                 }
-                Err(e) => {
-                    eprintln!("{}: {e}", err_line());
-                    false
-                }
-            },
-            Backend::Remote(client) => {
-                // never put an unterminated quote on the wire: the server's
-                // framer would buffer waiting for the continuation while we
-                // block waiting for a response — a deadlock until its idle
-                // timeout.  Local mode gets an instant parse error; match it.
-                if quote_open(command) {
-                    eprintln!(
-                        "{}: unterminated quoted constant (command not sent)",
-                        err_line()
-                    );
-                    return false;
-                }
-                match client.roundtrip(command) {
-                    Ok(response) => {
-                        for line in &response.data {
-                            println!("{line}");
-                        }
-                        println!("{}", response.status);
-                        response.is_ok() || {
-                            eprintln!("{}: {}", err_line(), response.status);
-                            false
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{}: connection error: {e}", err_line());
-                        false
-                    }
-                }
-            }
-        }
-    }
-
-    /// `--profile`: runs `PROFILE <rest>` and prints the per-rule
-    /// breakdown to stderr.  A profile failure is reported but never fails
-    /// the command — the `QUERY` itself already succeeded.
-    fn profile(&mut self, rest: &str) {
-        let command = format!("PROFILE {rest}");
-        match self {
-            Backend::Local(service) => match service.execute(&command) {
-                Ok(Response::Profile { worlds, rows, .. }) => {
-                    eprintln!("profile: {worlds} world(s), {} row(s)", rows.len());
-                    for row in rows {
-                        eprintln!("profile: {row}");
-                    }
-                }
-                Ok(other) => eprintln!("profile: unexpected response: {other}"),
-                Err(e) => eprintln!("profile: {e}"),
-            },
-            Backend::Remote(client) => match client.roundtrip(&command) {
-                Ok(response) => {
-                    eprintln!("profile: {}", response.status);
-                    for line in &response.data {
-                        eprintln!("profile: {line}");
-                    }
-                }
-                Err(e) => eprintln!("profile: connection error: {e}"),
-            },
+                Err(e) => WireResponse {
+                    data: Vec::new(),
+                    status: encode_service_error(&e),
+                },
+            }),
+            Backend::Remote(client) => client.roundtrip(command),
         }
     }
 }
@@ -285,8 +253,7 @@ impl Backend {
 /// Is this line nothing but whitespace or a comment (not worth a network
 /// round-trip — and, remotely, not worth an `OK` line in the transcript)?
 fn is_nop(line: &str) -> bool {
-    let line = line.trim();
-    line.is_empty() || line.starts_with('#')
+    matches!(split_command(line), Ok((Verb::Nop, _)))
 }
 
 /// Runs every script, one logical command line at a time, printing each
@@ -337,8 +304,7 @@ fn repl(shell: &mut Shell) -> ExitCode {
         match stdin.lock().read_line(&mut line) {
             Ok(0) => {
                 // EOF with input pending: run it as-is (an open-quoted
-                // trailer errors — locally from the parser, remotely from
-                // the client-side unterminated-quote check)
+                // trailer fails the unterminated-quote check)
                 if !pending.is_empty() && !is_nop(&pending) {
                     shell.run(&pending, || "stdin".to_string());
                 }
@@ -360,28 +326,5 @@ fn repl(shell: &mut Shell) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nop_lines_are_detected() {
-        assert!(is_nop(""));
-        assert!(is_nop("   "));
-        assert!(is_nop("# comment"));
-        assert!(!is_nop("STATS"));
-    }
-
-    #[test]
-    fn query_commands_yield_their_profile_form() {
-        assert_eq!(query_rest("QUERY CERTAIN edge"), Some("CERTAIN edge"));
-        assert_eq!(query_rest("  query   lub"), Some("lub"));
-        assert_eq!(query_rest("QUERY"), None);
-        assert_eq!(query_rest("QUERY   "), None);
-        assert_eq!(query_rest("ASSERT edge(1, 2)"), None);
-        assert_eq!(query_rest("PROFILE lub"), None);
     }
 }

@@ -14,7 +14,8 @@
 //! # File format (`checkpoint-<epoch>.kbtc`)
 //!
 //! Line-oriented text; every name/text field is escaped to one physical
-//! line (`\\`, `\n`, `\r`).  Interning is append-only and Vec-ordered in
+//! line by the wire's rule ([`crate::net::proto::escape_line`]: `\\`,
+//! `\n`, `\r`).  Interning is append-only and Vec-ordered in
 //! [`kbt_data::Vocabulary`], so writing constants and relations **in id
 //! order** and re-interning them on load reproduces identical
 //! `Const`/`RelId` assignments — fact rows serialize as raw indices.
@@ -51,6 +52,7 @@ use kbt_data::{Const, Database, RelId, Tuple, Vocabulary};
 use kbt_obs::Counter;
 
 use crate::error::{Result, ServiceError};
+use crate::net::proto::{escape_line, unescape_line};
 use crate::service::{CommittedState, ServiceStats};
 
 /// File-name prefix of checkpoints inside the data dir.
@@ -60,39 +62,6 @@ pub const CHECKPOINT_SUFFIX: &str = ".kbtc";
 /// How many finished checkpoints are retained (older ones are deleted
 /// after a newer one lands).
 pub const KEEP_CHECKPOINTS: usize = 2;
-
-/// Escapes a name/text field to one physical line.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape`].
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
-}
 
 /// The canonical file name of the checkpoint for `epoch` (zero-padded so
 /// lexical order is epoch order).
@@ -155,7 +124,7 @@ pub fn render(epoch: u64, state: &CommittedState) -> String {
         let name = vocab
             .constant_name(Const::new(i as u32))
             .expect("interned constants are dense");
-        out.push_str(&format!("c {}\n", escape(name)));
+        out.push_str(&format!("c {}\n", escape_line(name)));
     }
     out.push_str(&format!("relations {}\n", vocab.relation_count()));
     for i in 0..vocab.relation_count() {
@@ -164,14 +133,14 @@ pub fn render(epoch: u64, state: &CommittedState) -> String {
             .relation_name(rel)
             .expect("interned relations are dense");
         let arity = vocab.relation_arity(rel).expect("registered above");
-        out.push_str(&format!("r {arity} {}\n", escape(name)));
+        out.push_str(&format!("r {arity} {}\n", escape_line(name)));
     }
     out.push_str(&format!("transforms {}\n", state.transforms.len()));
     for (name, info) in state.transforms.iter() {
         out.push_str(&format!(
             "t {} {name} {}\n",
             info.applications,
-            escape(&info.text)
+            escape_line(&info.text)
         ));
     }
     out.push_str(&format!("worlds {}\n", state.kb.len()));
@@ -273,7 +242,7 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
     let mut vocab = Vocabulary::new();
     let n_constants = field(&expect("constants ")?)?;
     for _ in 0..n_constants {
-        vocab.constant(&unescape(&expect("c ")?));
+        vocab.constant(&unescape_line(&expect("c ")?));
     }
     let n_relations = field(&expect("relations ")?)?;
     for _ in 0..n_relations {
@@ -282,7 +251,7 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
             .split_once(' ')
             .ok_or_else(|| corrupt("relation line needs arity and name"))?;
         vocab
-            .relation(&unescape(name), field(arity)? as usize)
+            .relation(&unescape_line(name), field(arity)? as usize)
             .map_err(|_| corrupt("conflicting relation arity"))?;
     }
 
@@ -296,7 +265,7 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
             .next()
             .ok_or_else(|| corrupt("transform line needs a name"))?
             .to_string();
-        let text = unescape(parts.next().unwrap_or_default());
+        let text = unescape_line(parts.next().unwrap_or_default());
         transforms.push((name, applications, text));
     }
 
@@ -530,13 +499,6 @@ impl Drop for CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_round_trips() {
-        for s in ["plain", "new\nline", "back\\slash\r", "\\n literal"] {
-            assert_eq!(unescape(&escape(s)), s, "{s:?}");
-        }
-    }
 
     #[test]
     fn file_names_sort_by_epoch() {

@@ -126,12 +126,41 @@ fn parse_err(message: impl Into<String>) -> ServiceError {
     }
 }
 
-/// Scanner state for logical-line splitting (shared by [`split_lines`] and
-/// [`quote_open`]; the byte-level twin lives in [`crate::net::LineFramer`]).
+/// Every verb with its name, lowercase: [`split_command`] matches command
+/// words against it case-insensitively, and the net front labels each
+/// verb's latency series with it (`kbt_net_command_ns{verb="…"}`).  `nop`
+/// names blank and comment lines, which no command word spells.
+pub(crate) const VERBS: [(Verb, &str); 13] = [
+    (Verb::Nop, "nop"),
+    (Verb::Load, "load"),
+    (Verb::Assert, "assert"),
+    (Verb::Retract, "retract"),
+    (Verb::Define, "define"),
+    (Verb::Apply, "apply"),
+    (Verb::Query, "query"),
+    (Verb::Stats, "stats"),
+    (Verb::Metrics, "metrics"),
+    (Verb::Explain, "explain"),
+    (Verb::Profile, "profile"),
+    (Verb::Checkpoint, "checkpoint"),
+    (Verb::Walstat, "walstat"),
+];
+
+/// The lead of a client-supplied trace ID: `#id=<token> <command>`.
+const TRACE_PREFIX: &str = "#id=";
+
+/// Scanner state for logical-line splitting, one byte at a time (shared
+/// by [`split_lines`], [`quote_open`] and [`crate::net::LineFramer`]).
+/// Scanning bytes is UTF-8 safe: every transition is on an ASCII byte,
+/// and the bytes of a multi-byte character are all >= 0x80.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LineScan {
     /// At the start of a logical line (only ASCII whitespace seen so far).
     Start,
+    /// A `#` line whose first `n` bytes match the start of `#id=`.
+    Prefix(usize),
+    /// Inside the token of a `#id=<token>` trace prefix.
+    Token,
     /// Inside a `#` comment line: runs to the newline, quotes inert.
     Comment,
     /// Inside a command; `true` = a `'…'` constant is open.
@@ -139,35 +168,40 @@ pub(crate) enum LineScan {
 }
 
 impl LineScan {
-    /// Advances over one character; `true` means the logical line ends at
-    /// this character (an unquoted newline) and the state has reset.
-    pub(crate) fn step(&mut self, c: char) -> bool {
-        match self {
-            LineScan::Start => match c {
-                '\n' => return true,
-                ' ' | '\t' | '\r' => {}
-                '#' => *self = LineScan::Comment,
-                c => {
-                    *self = LineScan::Command {
-                        in_quote: c == '\'',
-                    }
-                }
+    /// Advances over one byte; `true` means the logical line ends at this
+    /// byte (a newline outside quotes) and the state has reset.
+    pub(crate) fn step(&mut self, byte: u8) -> bool {
+        use LineScan::*;
+        *self = match (*self, byte) {
+            (Command { in_quote: true }, b'\'') => Command { in_quote: false },
+            (Command { in_quote: true }, _) => return false,
+            (_, b'\n') => {
+                *self = Start;
+                return true;
+            }
+            (Start, b' ' | b'\t' | b'\r') => Start,
+            (Start, b'#') => Prefix(1),
+            (Start, byte) => Command {
+                in_quote: byte == b'\'',
             },
-            LineScan::Comment => {
-                if c == '\n' {
-                    *self = LineScan::Start;
-                    return true;
+            (Prefix(n), byte) if n < TRACE_PREFIX.len() => {
+                if byte == TRACE_PREFIX.as_bytes()[n] {
+                    Prefix(n + 1)
+                } else {
+                    Comment
                 }
             }
-            LineScan::Command { in_quote } => match c {
-                '\'' => *in_quote = !*in_quote,
-                '\n' if !*in_quote => {
-                    *self = LineScan::Start;
-                    return true;
-                }
-                _ => {}
+            // a bare `#id=` with no token stays a comment
+            (Prefix(_), byte) if byte.is_ascii_whitespace() => Comment,
+            (Prefix(_), _) => Token,
+            // the line goes on as if it started after the prefix
+            (Token, byte) if byte.is_ascii_whitespace() => Start,
+            (Token, _) => Token,
+            (Comment, _) => Comment,
+            (Command { .. }, byte) => Command {
+                in_quote: byte == b'\'',
             },
-        }
+        };
         false
     }
 }
@@ -178,10 +212,12 @@ impl LineScan {
 /// `ASSERT note('line one\nline two')` spans two physical lines but is one
 /// logical command.  Comment lines — optional ASCII whitespace then `#` —
 /// are line-scoped and quote-**inert**: an apostrophe in prose (`CI's`)
-/// must not swallow the commands below it.  This is exactly the
-/// continuation rule the network framer ([`crate::net::LineFramer`])
-/// applies to its byte stream, and `tests/net_framing.rs` holds the two
-/// splitters to the same output on the same text.
+/// must not swallow the commands below it.  A `#id=<token> ` trace prefix
+/// (see the crate-level *wire protocol* section) is not a comment: the
+/// command after it keeps its quotes.  The network framer
+/// ([`crate::net::LineFramer`]) steps the same scanner over its byte
+/// stream, and `tests/net_framing.rs` checks that chunked feeding yields
+/// the lines this function does.
 ///
 /// Lines are returned as written (no trimming, terminating newline
 /// excluded); an unterminated quote runs to the end of the text.
@@ -189,8 +225,8 @@ pub fn split_lines(text: &str) -> Vec<&str> {
     let mut lines = Vec::new();
     let mut scan = LineScan::Start;
     let mut start = 0;
-    for (i, c) in text.char_indices() {
-        if scan.step(c) {
+    for (i, byte) in text.bytes().enumerate() {
+        if scan.step(byte) {
             lines.push(&text[start..i]);
             start = i + 1;
         }
@@ -207,10 +243,24 @@ pub fn split_lines(text: &str) -> Vec<&str> {
 /// comment lines do not count (see [`split_lines`]).
 pub fn quote_open(text: &str) -> bool {
     let mut scan = LineScan::Start;
-    for c in text.chars() {
-        scan.step(c);
+    for byte in text.bytes() {
+        scan.step(byte);
     }
     scan == LineScan::Command { in_quote: true }
+}
+
+/// Splits an optional `#id=<token> ` trace prefix off a command line,
+/// returning `(token, command)`.  The token runs to the first ASCII
+/// whitespace, as [`LineScan`] reads it.  The `#` lead keeps traced lines
+/// inert for parsers that do not know the prefix (they read a comment); a
+/// bare `#id=` with no token stays an ordinary comment.
+pub(crate) fn split_trace(line: &str) -> Option<(&str, &str)> {
+    let rest = line.trim_start().strip_prefix(TRACE_PREFIX)?;
+    let end = rest
+        .find(|c: char| c.is_ascii_whitespace())
+        .unwrap_or(rest.len());
+    let (id, cmd) = rest.split_at(end);
+    (!id.is_empty()).then_some((id, cmd.trim_start()))
 }
 
 /// Splits a command line into its verb and payload.
@@ -219,26 +269,15 @@ pub fn split_command(line: &str) -> Result<(Verb, &str)> {
     if line.is_empty() || line.starts_with('#') {
         return Ok((Verb::Nop, ""));
     }
-    let (verb, rest) = match line.find(char::is_whitespace) {
+    let (word, rest) = match line.find(char::is_whitespace) {
         Some(i) => (&line[..i], line[i..].trim_start()),
         None => (line, ""),
     };
-    let verb = match verb.to_ascii_uppercase().as_str() {
-        "LOAD" => Verb::Load,
-        "ASSERT" => Verb::Assert,
-        "RETRACT" => Verb::Retract,
-        "DEFINE" => Verb::Define,
-        "APPLY" => Verb::Apply,
-        "QUERY" => Verb::Query,
-        "EXPLAIN" => Verb::Explain,
-        "PROFILE" => Verb::Profile,
-        "STATS" => Verb::Stats,
-        "METRICS" => Verb::Metrics,
-        "CHECKPOINT" => Verb::Checkpoint,
-        "WALSTAT" => Verb::Walstat,
-        other => return Err(parse_err(format!("unknown command {other:?}"))),
-    };
-    Ok((verb, rest))
+    let verb = VERBS
+        .iter()
+        .find(|&&(verb, name)| verb != Verb::Nop && word.eq_ignore_ascii_case(name))
+        .ok_or_else(|| parse_err(format!("unknown command {:?}", word.to_ascii_uppercase())))?;
+    Ok((verb.0, rest))
 }
 
 /// Splits `text` on `sep` at bracket/paren nesting depth 0, ignoring
@@ -588,10 +627,41 @@ mod tests {
             split_lines("ASSERT note('x\n# quoted\ny')\nSTATS"),
             vec!["ASSERT note('x\n# quoted\ny')", "STATS"]
         );
+        // a trace prefix starts a command, whose quotes stay live…
+        assert_eq!(
+            split_lines("#id=t9 ASSERT note('one\ntwo')\nSTATS\n"),
+            vec!["#id=t9 ASSERT note('one\ntwo')", "STATS"]
+        );
+        assert!(quote_open("  #id=q ASSERT r('open"));
+        // …while the token itself, a bare `#id=` and other `#` lines are
+        // quote-inert
+        assert!(!quote_open("#id=it's"));
+        assert_eq!(
+            split_lines("#id= it's\n#idea's\n#i'd\nSTATS"),
+            vec!["#id= it's", "#idea's", "#i'd", "STATS"]
+        );
+    }
+
+    #[test]
+    fn trace_prefixes_split_off_their_token() {
+        assert_eq!(
+            split_trace("#id=req-42 ASSERT edge(1, 2)"),
+            Some(("req-42", "ASSERT edge(1, 2)"))
+        );
+        assert_eq!(split_trace("  #id=x\t STATS"), Some(("x", "STATS")));
+        assert_eq!(split_trace("#id=x"), Some(("x", "")));
+        assert_eq!(split_trace("#id= STATS"), None);
+        assert_eq!(split_trace("# id=x STATS"), None);
+        assert_eq!(split_trace("STATS"), None);
     }
 
     #[test]
     fn verbs_are_case_insensitive_and_comments_are_nops() {
+        for (verb, name) in VERBS.into_iter().filter(|&(v, _)| v != Verb::Nop) {
+            assert_eq!(split_command(name).unwrap().0, verb);
+            assert_eq!(split_command(&name.to_ascii_uppercase()).unwrap().0, verb);
+        }
+        assert!(split_command("NOP").is_err());
         assert_eq!(split_command("  stats ").unwrap().0, Verb::Stats);
         assert_eq!(split_command("Assert edge(1, 2)").unwrap().0, Verb::Assert);
         assert_eq!(split_command("explain lub").unwrap().0, Verb::Explain);

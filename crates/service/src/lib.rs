@@ -154,16 +154,21 @@
 //! first newline outside a `'…'` quoted constant (quoted constants may
 //! contain newlines — the framer treats the next physical line as a
 //! continuation), and comment lines (`#` after optional ASCII whitespace)
-//! are line-scoped with quotes inert.  [`command::split_lines`] applies
-//! exactly the same segmentation to script text, so a script means the
-//! same thing locally and over the wire.  Commands may be pipelined:
+//! are line-scoped with quotes inert.  A `#id=<token> ` trace prefix (see
+//! *Trace IDs* below) is not a comment: the command after it keeps its
+//! quotes live, so `#id=q ASSERT note('a` + newline + `b')` is one
+//! command.  [`command::split_lines`] and the framer step one scanner, so
+//! a script means the same thing locally and over the wire.  Commands may
+//! be pipelined:
 //! responses come back in order, one per command.  A logical line is
 //! capped at [`net::MAX_LINE_BYTES`] (configurable); an overflowing or
 //! non-UTF-8 line is unrecoverable mid-stream, so the server answers
 //! `ERR line-too-long` / `ERR invalid-utf8` and closes the connection.
 //!
 //! **Responses.**  Zero or more data lines, each prefixed `= `, then
-//! exactly one status line:
+//! exactly one status line.  This is the only text form of a
+//! [`Response`]: [`net::proto::write_response`] writes it, and
+//! `kbt-shell` prints it in local mode too.
 //!
 //! ```text
 //! response := ("= " data "\n")* status "\n"
@@ -182,11 +187,11 @@
 //!
 //! **Trace IDs.**  Every wire command carries a trace identifier, echoed
 //! as the final `id=<trace>` field of its status line.  A client may
-//! supply one by prefixing the command with `#id=<token> ` (the `#` lead
-//! keeps traced lines inert for parsers that do not know the prefix — and
-//! a bare `#id=` with no token stays an ordinary comment); otherwise the
-//! server assigns `t1`, `t2`, … from a deterministic per-session
-//! sequence.  The same ID is attached to the command's log records — one
+//! supply one by prefixing the command with `#id=<token> `, the token
+//! running to the first ASCII whitespace (the `#` lead keeps traced lines
+//! inert for parsers that do not know the prefix — and a bare `#id=` with
+//! no token stays an ordinary comment); otherwise the server assigns
+//! `t1`, `t2`, … from a deterministic per-session sequence.  The same ID is attached to the command's log records — one
 //! `event=command` record per wire command (with the verb), plus the `id`
 //! field on any `slow_query` record the command produces — so wire
 //! traffic, logs and latency histograms correlate per request.

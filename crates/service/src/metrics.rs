@@ -21,7 +21,7 @@
 
 use kbt_obs::{Counter, Gauge, Histogram, Registry};
 
-use crate::command::Verb;
+use crate::command::{Verb, VERBS};
 
 /// Metric handles for the service core (commit pipeline + read path).
 #[derive(Debug)]
@@ -202,56 +202,33 @@ impl ServiceMetrics {
     }
 }
 
-/// The verbs a network command line can carry, as exposition label values
-/// (plus `"error"` for lines that fail verb parsing — they are timed too).
-pub(crate) const VERB_LABELS: [&str; 14] = [
-    "nop",
-    "load",
-    "assert",
-    "retract",
-    "define",
-    "apply",
-    "query",
-    "stats",
-    "metrics",
-    "explain",
-    "profile",
-    "checkpoint",
-    "walstat",
-    "error",
-];
-
+/// The slot of a verb's latency series: its position in [`VERBS`], or one
+/// past the end — `verb="error"` — for lines that fail verb parsing (they
+/// are timed too).
 fn verb_slot(verb: Option<Verb>) -> usize {
-    match verb {
-        Some(Verb::Nop) => 0,
-        Some(Verb::Load) => 1,
-        Some(Verb::Assert) => 2,
-        Some(Verb::Retract) => 3,
-        Some(Verb::Define) => 4,
-        Some(Verb::Apply) => 5,
-        Some(Verb::Query) => 6,
-        Some(Verb::Stats) => 7,
-        Some(Verb::Metrics) => 8,
-        Some(Verb::Explain) => 9,
-        Some(Verb::Profile) => 10,
-        Some(Verb::Checkpoint) => 11,
-        Some(Verb::Walstat) => 12,
-        None => 13,
-    }
+    VERBS
+        .iter()
+        .position(|&(v, _)| Some(v) == verb)
+        .unwrap_or(VERBS.len())
+}
+
+/// The exposition label value of a series slot.
+fn slot_label(slot: usize) -> &'static str {
+    VERBS.get(slot).map_or("error", |&(_, name)| name)
 }
 
 /// The exposition label value for a verb (`None` = `"error"`).
 pub(crate) fn verb_label(verb: Option<Verb>) -> &'static str {
-    VERB_LABELS[verb_slot(verb)]
+    slot_label(verb_slot(verb))
 }
 
 /// Metric handles for the TCP front.
 #[derive(Debug)]
 pub struct NetMetrics {
     /// Per-verb command latency over the wire, one labelled series per
-    /// entry in [`VERB_LABELS`] — all pre-registered at server start, so a
+    /// verb plus `verb="error"` — all pre-registered at server start, so a
     /// scrape sees the full verb taxonomy before any traffic.
-    command_ns: [Histogram; VERB_LABELS.len()],
+    command_ns: [Histogram; VERBS.len() + 1],
     /// Command lines the framer refused (too long / invalid UTF-8).
     pub framing_errors_total: Counter,
 }
@@ -269,8 +246,9 @@ impl NetMetrics {
             "Command lines the framer refused (too long / invalid UTF-8).",
         );
         NetMetrics {
-            command_ns: VERB_LABELS
-                .map(|label| registry.histogram_labeled("kbt_net_command_ns", "verb", label)),
+            command_ns: std::array::from_fn(|slot| {
+                registry.histogram_labeled("kbt_net_command_ns", "verb", slot_label(slot))
+            }),
             framing_errors_total: registry.counter("kbt_net_framing_errors_total"),
         }
     }
@@ -306,7 +284,8 @@ mod tests {
         m.command_ns(Some(Verb::Query)).record(10);
         m.command_ns(None).record(99);
         let snap = registry.snapshot();
-        for label in VERB_LABELS {
+        let labels = VERBS.map(|(_, name)| name);
+        for label in labels.iter().chain(&["error"]) {
             let name = format!("kbt_net_command_ns{{verb=\"{label}\"}}");
             assert!(snap.histogram(&name).is_some(), "{name} must pre-register");
         }

@@ -1,15 +1,17 @@
 //! Request framing: an incremental, quote-aware, length-capped splitter of
 //! a byte stream into logical command lines.
 //!
-//! The framer is the streaming twin of [`crate::command::split_lines`]: a
-//! command ends at the first newline that is **not** inside a `'…'` quoted
-//! constant (the sentence lexer admits any character but `'` there,
-//! newlines included), so one command may span several physical lines and
-//! several pipelined commands may arrive in one TCP segment.  Bytes are
-//! buffered until a complete logical line is available — a read that splits
-//! a multi-byte UTF-8 character (or a quoted constant) mid-way is handled
-//! by construction, because decoding happens per complete line, never per
-//! chunk.
+//! The framer is the streaming form of [`crate::command::split_lines`] and
+//! steps the same scanner over its bytes: a command ends at the first
+//! newline that is **not** inside a `'…'` quoted constant (the sentence
+//! lexer admits any character but `'` there, newlines included), so one
+//! command may span several physical lines and several pipelined commands
+//! may arrive in one TCP segment.  A `#id=<token> ` trace prefix leaves
+//! the command's quotes live; any other `#` line is a comment, quote-inert.
+//! Bytes are buffered until a complete logical line is available — a read
+//! that splits a multi-byte UTF-8 character (or a quoted constant) mid-way
+//! is handled by construction, because decoding happens per complete
+//! line, never per chunk.
 //!
 //! Two failure modes are detected instead of buffered forever:
 //!
@@ -21,6 +23,8 @@
 //!   Same answer: `ERR invalid-utf8`, close.
 
 use std::collections::VecDeque;
+
+use crate::command::LineScan;
 
 /// Default cap on one logical command line, in bytes (64 KiB).
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
@@ -50,53 +54,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Byte-level scanner state, mirroring `command::LineScan` (the two are
-/// held to identical segmentation by `tests/net_framing.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Scan {
-    /// At the start of a logical line (only ASCII whitespace seen so far).
-    Start,
-    /// Inside a `#` comment line: runs to the newline, quotes inert.
-    Comment,
-    /// Inside a command; `true` = a `'…'` constant is open.
-    Command { in_quote: bool },
-}
-
-impl Scan {
-    /// Advances over one byte; `true` means the logical line ends at this
-    /// byte.  Scanning bytes is UTF-8 safe: every state transition is on
-    /// an ASCII byte, and multi-byte characters' bytes are all >= 0x80.
-    fn step(&mut self, byte: u8) -> bool {
-        match self {
-            Scan::Start => match byte {
-                b'\n' => return true,
-                b' ' | b'\t' | b'\r' => {}
-                b'#' => *self = Scan::Comment,
-                byte => {
-                    *self = Scan::Command {
-                        in_quote: byte == b'\'',
-                    }
-                }
-            },
-            Scan::Comment => {
-                if byte == b'\n' {
-                    *self = Scan::Start;
-                    return true;
-                }
-            }
-            Scan::Command { in_quote } => match byte {
-                b'\'' => *in_quote = !*in_quote,
-                b'\n' if !*in_quote => {
-                    *self = Scan::Start;
-                    return true;
-                }
-                _ => {}
-            },
-        }
-        false
-    }
-}
-
 /// The incremental framer (see module docs).  Push raw bytes in with
 /// [`push`](LineFramer::push), take complete logical lines out with
 /// [`next_line`](LineFramer::next_line), and flush the unterminated tail at
@@ -107,7 +64,7 @@ pub struct LineFramer {
     /// `buf[..scanned]` is known to contain no line-terminating newline.
     scanned: usize,
     /// Scanner state at `scanned`.
-    scan: Scan,
+    scan: LineScan,
     max_line: usize,
 }
 
@@ -117,7 +74,7 @@ impl LineFramer {
         LineFramer {
             buf: VecDeque::new(),
             scanned: 0,
-            scan: Scan::Start,
+            scan: LineScan::Start,
             max_line,
         }
     }
@@ -135,7 +92,7 @@ impl LineFramer {
     /// The next complete logical line (terminating newline excluded), or
     /// `Ok(None)` when more bytes are needed.
     pub fn next_line(&mut self) -> Result<Option<String>, FrameError> {
-        // scan forward from where the last call stopped ([`Scan::step`]
+        // scan forward from where the last call stopped ([`LineScan`]
         // explains why byte-wise scanning is UTF-8 safe)
         while self.scanned < self.buf.len() {
             let byte = self.buf[self.scanned];
@@ -145,13 +102,9 @@ impl LineFramer {
                         limit: self.max_line,
                     });
                 }
-                let line: Vec<u8> = self.buf.drain(..self.scanned).collect();
+                let line = self.take(self.scanned);
                 self.buf.pop_front(); // the newline itself
-                self.scanned = 0;
-                return match String::from_utf8(line) {
-                    Ok(line) => Ok(Some(line)),
-                    Err(_) => Err(FrameError::InvalidUtf8),
-                };
+                return line;
             }
             self.scanned += 1;
         }
@@ -172,13 +125,18 @@ impl LineFramer {
         if self.buf.is_empty() {
             return Ok(None);
         }
-        let line: Vec<u8> = self.buf.drain(..).collect();
+        self.take(self.buf.len())
+    }
+
+    /// Drains the first `len` buffered bytes as one line and restarts the
+    /// scan after them.
+    fn take(&mut self, len: usize) -> Result<Option<String>, FrameError> {
+        let line: Vec<u8> = self.buf.drain(..len).collect();
         self.scanned = 0;
-        self.scan = Scan::Start;
-        match String::from_utf8(line) {
-            Ok(line) => Ok(Some(line)),
-            Err(_) => Err(FrameError::InvalidUtf8),
-        }
+        self.scan = LineScan::Start;
+        String::from_utf8(line)
+            .map(Some)
+            .map_err(|_| FrameError::InvalidUtf8)
     }
 }
 
@@ -209,38 +167,6 @@ mod tests {
             ["STATS", "ASSERT edge(1, 2)", "QUERY CERTAIN edge"]
         );
         assert_eq!(f.buffered(), 0);
-    }
-
-    #[test]
-    fn quoted_newlines_continue_the_command() {
-        let mut f = LineFramer::default();
-        f.push(b"ASSERT note('line one\nline two')\nSTATS\n");
-        assert_eq!(
-            drain(&mut f),
-            ["ASSERT note('line one\nline two')", "STATS"]
-        );
-    }
-
-    #[test]
-    fn comment_lines_are_quote_inert() {
-        let mut f = LineFramer::default();
-        f.push(b"# CI's job drives this\nSTATS\n  # trailing note, isn't it\nSTATS\n");
-        assert_eq!(
-            drain(&mut f),
-            [
-                "# CI's job drives this",
-                "STATS",
-                "  # trailing note, isn't it",
-                "STATS"
-            ]
-        );
-        // …but a '#' inside an open quote is payload, not a comment
-        let mut f = LineFramer::default();
-        f.push(b"ASSERT note('x\n# still quoted\ny')\nSTATS\n");
-        assert_eq!(
-            drain(&mut f),
-            ["ASSERT note('x\n# still quoted\ny')", "STATS"]
-        );
     }
 
     #[test]

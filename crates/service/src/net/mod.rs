@@ -7,13 +7,14 @@
 //!
 //! * [`frame`] — [`LineFramer`], the request framing layer: an incremental,
 //!   quote-aware, length-capped logical-line splitter over a raw byte
-//!   stream.  It segments exactly like [`crate::command::split_lines`]
-//!   segments script text — `tests/net_framing.rs` holds the two to the
-//!   same output on the same bytes, chunked adversarially.
-//! * [`proto`] — the response encoding: zero or more `= `-prefixed data
-//!   lines followed by one `OK key=value…` / `ERR code message` status
-//!   line, with control characters escaped so every response line is
-//!   exactly one physical line.
+//!   stream.  It steps the scanner [`crate::command::split_lines`] steps
+//!   over script text, so the two segment alike; `tests/net_framing.rs`
+//!   checks that adversarial chunking does not change that.
+//! * [`proto`] — the response encoding, and the only text form of a
+//!   [`crate::Response`]: zero or more `= `-prefixed data lines followed
+//!   by one `OK key=value…` / `ERR code message` status line, with
+//!   control characters escaped so every response line is exactly one
+//!   physical line.
 //! * [`server`] — [`NetServer`]: an acceptor thread plus a bounded
 //!   [`kbt_par::WorkerSet`] of session workers (connections beyond
 //!   capacity are refused with `ERR unavailable`, not queued without

@@ -14,7 +14,8 @@
 //! response speaks for.  Because payloads may legally contain newlines
 //! (quoted constants admit them), every emitted line goes out under
 //! [`escape_line`]'s rule, so one response line is always exactly one
-//! physical line on the wire.
+//! physical line on the wire.  Checkpoint files escape their text fields
+//! by the same rule and read them back with its inverse, `unescape_line`.
 //!
 //! # Status key order
 //!
@@ -38,10 +39,12 @@
 //! # One encoder
 //!
 //! [`write_response`] is the only function that turns a [`Response`] into
-//! wire bytes.  It streams: each data line goes to the writer as its prefix
-//! followed by the payload's slices with the escaping rule applied on the
-//! way (the session's `BufWriter` collects them), so no line is ever built
-//! as a `String`, whatever the number of facts or worlds.
+//! text: the server streams it, and `kbt-shell` prints it in both its
+//! local and its remote mode.  It streams: each data line goes to the
+//! writer as its prefix followed by the payload's slices with the escaping
+//! rule applied on the way (the session's `BufWriter` collects them), so
+//! no line is ever built as a `String`, whatever the number of facts or
+//! worlds.
 //! [`encode_response`] is its line-splitting view — the same encoder run
 //! into a `Vec<u8>` and cut at the newlines — for callers that want lines.
 //!
@@ -56,7 +59,7 @@
 use std::io::{self, Write};
 
 use crate::error::ServiceError;
-use crate::service::Response;
+use crate::service::{Response, StatsReport};
 
 /// Prefix of every data line.
 pub const DATA_PREFIX: &str = "= ";
@@ -78,6 +81,27 @@ pub fn escape_line(s: &str) -> String {
     let mut out = Vec::with_capacity(s.len());
     write_escaped(&mut out, s).expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("escaping ASCII bytes keeps UTF-8 valid")
+}
+
+/// Reverses [`escape_line`]: `\n` → newline, `\r` → carriage return, and
+/// a `\` before any other character (or at the end) stands for that
+/// character (or itself).
+pub(crate) fn unescape_line(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(other) => out.push(other),
+            None => out.push('\\'),
+        }
+    }
+    out
 }
 
 /// [`escape_line`]'s rule, applied while writing: the stretches between
@@ -250,7 +274,7 @@ pub fn write_response(
                 .key("rows", rows.len())
         }
         Response::Stats(report) => {
-            write_data_lines(w, response.to_string().lines().map(str::trim_start))?;
+            write_data_lines(w, stats_rows(report).iter().map(String::as_str))?;
             status.epoch(report.epoch)
         }
         Response::Metrics { epoch, text } => {
@@ -278,6 +302,44 @@ pub fn write_response(
     };
     w.write_all(status.finish().as_bytes())?;
     w.write_all(b"\n")
+}
+
+/// The `STATS` payload, one row per data line.
+fn stats_rows(report: &StatsReport) -> Vec<String> {
+    let (stats, eval, sessions) = (&report.stats, &report.stats.eval, &report.sessions);
+    let mut rows = vec![
+        format!(
+            "epoch {} | {} world(s), {} fact(s) | threads {} | commits {} (applies {}, defines {}) | queries {}",
+            report.epoch,
+            report.worlds,
+            report.facts,
+            report.threads,
+            stats.commits,
+            stats.applies,
+            stats.defines,
+            report.queries
+        ),
+        format!(
+            "eval: {} update(s), {} fixpoint round(s), {} reused, {} rederived",
+            eval.updates, eval.fixpoint_iterations, eval.reused_facts, eval.rederived_facts
+        ),
+        format!(
+            "sessions: accepted {}, active {}, rejected-at-capacity {}, idle-closed {}",
+            sessions.accepted, sessions.active, sessions.rejected, sessions.idle_closed
+        ),
+    ];
+    if !report.held_epochs.is_empty() {
+        let held: Vec<String> = report
+            .held_epochs
+            .iter()
+            .map(|(epoch, holders)| format!("e{epoch} x{holders}"))
+            .collect();
+        rows.push(format!("held epochs: {}", held.join(", ")));
+    }
+    rows.extend(report.transforms.iter().map(|(name, text, applications)| {
+        format!("transform {name} := {text} (applied {applications}x)")
+    }));
+    rows
 }
 
 /// [`write_response`]'s output as `(data_lines, status_line)`, newlines
@@ -351,6 +413,13 @@ mod tests {
     fn escaping_keeps_every_line_physical() {
         assert_eq!(escape_line("plain"), "plain");
         assert_eq!(escape_line("a\nb\r\\c"), "a\\nb\\r\\\\c");
+    }
+
+    #[test]
+    fn escaping_round_trips() {
+        for s in ["plain", "new\nline", "back\\slash\r", "\\n literal"] {
+            assert_eq!(unescape_line(&escape_line(s)), s, "{s:?}");
+        }
     }
 
     fn service() -> Service {
@@ -576,7 +645,9 @@ mod tests {
     }
 
     /// What the encoder before the streaming one (a `String` per data
-    /// line, `join` + `format!` per world) produced for [`corpus`].
+    /// line, `join` + `format!` per world) produced for [`corpus`] — but
+    /// for the `STATS` transform row, which that encoder split at its
+    /// quoted newline instead of escaping it.
     const CORPUS_BYTES: &str = r#"OK
 OK id=t1
 OK id=t2 epoch=3 durable=true worlds=1 facts=2
@@ -606,8 +677,7 @@ OK id=p epoch=3 worlds=2 rows=1
 = eval: 0 update(s), 0 fixpoint round(s), 0 reused, 0 rederived
 = sessions: accepted 0, active 0, rejected-at-capacity 0, idle-closed 0
 = held epochs: e1 x2
-= transform tc := tau[p('a
-= b')]; lub (applied 4x)
+= transform tc := tau[p('a\nb')]; lub (applied 4x)
 OK epoch=3
 = # TYPE a counter
 = a 1

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use kbt_par::WorkerSet;
 
-use crate::command::split_command;
+use crate::command::{split_command, split_trace};
 use crate::metrics::{verb_label, NetMetrics};
 use crate::net::frame::{FrameError, LineFramer, MAX_LINE_BYTES};
 use crate::net::proto;
@@ -306,17 +306,6 @@ fn serve_session(
     }
 }
 
-/// Splits an optional `#id=<token>` trace prefix off a command line,
-/// returning `(token, command)`.  The `#` lead keeps traced lines inert
-/// for parsers that do not know the prefix (they read a comment); a bare
-/// `#id=` with no token stays an ordinary comment.
-fn client_trace(line: &str) -> Option<(&str, &str)> {
-    let rest = line.trim_start().strip_prefix("#id=")?;
-    let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
-    let (id, cmd) = rest.split_at(end);
-    (!id.is_empty()).then_some((id, cmd.trim_start()))
-}
-
 fn respond(
     writer: &mut impl Write,
     service: &Service,
@@ -329,7 +318,7 @@ fn respond(
     // the status line, attached to slow-query records, and logged per
     // command, so wire traffic, logs and histograms correlate
     let assigned;
-    let (trace, line) = match client_trace(line) {
+    let (trace, line) = match split_trace(line) {
         Some((id, rest)) => (id, rest),
         None => {
             *trace_seq += 1;
@@ -453,6 +442,18 @@ mod tests {
         assert!(r.is_ok(), "{}", r.status);
         let r = client.roundtrip("QUERY POSSIBLE note").unwrap();
         assert_eq!(r.data, ["= note('one\\ntwo')"]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn traced_commands_with_quoted_newlines_stay_whole() {
+        let (server, _service) = start(NetConfig::default());
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let r = client.roundtrip("#id=q ASSERT note('a\nb')").unwrap();
+        assert_eq!(r.status, "OK id=q epoch=1 worlds=1 facts=1");
+        let r = client.roundtrip("QUERY POSSIBLE note").unwrap();
+        assert_eq!(r.data, ["= note('a\\nb')"]);
+        assert!(r.status.starts_with("OK id=t1 "), "{}", r.status);
         server.shutdown();
     }
 

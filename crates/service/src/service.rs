@@ -14,7 +14,6 @@
 //! fixpoint ([`kbt_engine::IncrementalSession`] underneath).
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use kbt_core::{ChainSession, EvalStats, Transform, Transformer};
@@ -219,8 +218,8 @@ pub struct QueryResult {
     pub stats: EvalStats,
 }
 
-/// The response to one command (see [`Service::execute`]); renders
-/// human-readably through `Display`.
+/// The response to one command (see [`Service::execute`]);
+/// [`crate::net::proto::write_response`] turns it into text.
 #[derive(Clone, Debug)]
 pub enum Response {
     /// A blank line or comment.
@@ -1082,148 +1081,6 @@ fn commit_epoch(response: &Response) -> Option<EpochId> {
         | Response::Defined { epoch, .. }
         | Response::Applied { epoch, .. } => Some(*epoch),
         _ => None,
-    }
-}
-
-impl fmt::Display for Response {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Response::Ok => write!(f, "ok"),
-            // `durable` stays out of the human rendering: scripts and the
-            // shell read the same lines durable or not (the wire status is
-            // where the flag travels)
-            Response::Committed {
-                epoch,
-                worlds,
-                facts,
-                durable: _,
-            } => write!(f, "committed {epoch}: {worlds} world(s), {facts} fact(s)"),
-            Response::Defined {
-                epoch,
-                name,
-                text,
-                durable: _,
-            } => {
-                write!(f, "defined {name} := {text} ({epoch})")
-            }
-            Response::Applied {
-                epoch,
-                name,
-                worlds,
-                facts,
-                reused_facts,
-                durable: _,
-            } => write!(
-                f,
-                "applied {name} at {epoch}: {worlds} world(s), {facts} fact(s), {reused_facts} reused"
-            ),
-            Response::Worlds { epoch, worlds } => {
-                write!(f, "{epoch}: {} world(s)", worlds.len())?;
-                for (i, world) in worlds.iter().enumerate() {
-                    write!(f, "\n  world {i}: {{{}}}", world.join(", "))?;
-                }
-                Ok(())
-            }
-            Response::Facts {
-                epoch,
-                kind,
-                relation,
-                facts,
-                strategy,
-            } => {
-                write!(
-                    f,
-                    "{kind}({relation}) at {epoch}: {{{}}}",
-                    facts.join(", ")
-                )?;
-                if let Some(strategy) = strategy {
-                    write!(f, " [{strategy}]")?;
-                }
-                Ok(())
-            }
-            Response::Explain { epoch, rows } => {
-                write!(f, "explain at {epoch}: {} row(s)", rows.len())?;
-                for row in rows {
-                    write!(f, "\n  {row}")?;
-                }
-                Ok(())
-            }
-            Response::Profile {
-                epoch,
-                worlds,
-                rows,
-            } => {
-                write!(
-                    f,
-                    "profile at {epoch}: {worlds} world(s), {} row(s)",
-                    rows.len()
-                )?;
-                for row in rows {
-                    write!(f, "\n  {row}")?;
-                }
-                Ok(())
-            }
-            Response::Stats(report) => {
-                write!(
-                    f,
-                    "epoch {} | {} world(s), {} fact(s) | threads {} | commits {} (applies {}, defines {}) | queries {}",
-                    report.epoch,
-                    report.worlds,
-                    report.facts,
-                    report.threads,
-                    report.stats.commits,
-                    report.stats.applies,
-                    report.stats.defines,
-                    report.queries
-                )?;
-                write!(
-                    f,
-                    "\n  eval: {} update(s), {} fixpoint round(s), {} reused, {} rederived",
-                    report.stats.eval.updates,
-                    report.stats.eval.fixpoint_iterations,
-                    report.stats.eval.reused_facts,
-                    report.stats.eval.rederived_facts
-                )?;
-                write!(
-                    f,
-                    "\n  sessions: accepted {}, active {}, rejected-at-capacity {}, idle-closed {}",
-                    report.sessions.accepted,
-                    report.sessions.active,
-                    report.sessions.rejected,
-                    report.sessions.idle_closed
-                )?;
-                if !report.held_epochs.is_empty() {
-                    let held: Vec<String> = report
-                        .held_epochs
-                        .iter()
-                        .map(|(epoch, holders)| format!("e{epoch} x{holders}"))
-                        .collect();
-                    write!(f, "\n  held epochs: {}", held.join(", "))?;
-                }
-                for (name, text, applications) in &report.transforms {
-                    write!(f, "\n  transform {name} := {text} (applied {applications}x)")?;
-                }
-                Ok(())
-            }
-            Response::Metrics { text, .. } => f.write_str(text.trim_end()),
-            Response::Loaded { commands } => write!(f, "loaded: {commands} command(s)"),
-            Response::Checkpointed { epoch, file } => {
-                write!(f, "checkpointed {epoch}: {file}")
-            }
-            Response::WalStat {
-                epoch,
-                policy,
-                records,
-                bytes,
-                fsyncs,
-                durable_epoch,
-                checkpoint_epoch,
-            } => write!(
-                f,
-                "wal at {epoch}: policy {policy}, {records} record(s), {bytes} byte(s), \
-                 {fsyncs} fsync(s), durable e{durable_epoch}, checkpoint e{checkpoint_epoch}"
-            ),
-        }
     }
 }
 

@@ -3,16 +3,19 @@
 //! yield exactly the logical command lines the batch splitter
 //! [`split_lines`] yields.  The framer is what the server trusts to
 //! segment a TCP byte stream; the splitter is what scripts and
-//! `execute_script` use; if they ever disagreed, the same script would
-//! mean different things locally and over the wire.
+//! `execute_script` use.  Both step one scanner, so what this checks is
+//! the framer's buffering: resuming a scan across chunk boundaries must
+//! not change where lines end.
 //!
 //! The generated streams are deliberately nasty: quoted constants
 //! containing newlines, quote characters toggling state mid-stream
-//! (including unbalanced quotes running to EOF), multi-byte UTF-8
-//! characters that chunk boundaries split mid-encoding, empty lines, and
-//! many pipelined commands in one "segment".  Chunk boundaries are part of
-//! the generated input, so every shrinkage of a failure would pinpoint
-//! both the text and the read pattern that broke.
+//! (including unbalanced quotes running to EOF), `#id=` trace prefixes
+//! (whose commands keep their quotes live) next to comments (which do
+//! not), multi-byte UTF-8 characters that chunk boundaries split
+//! mid-encoding, empty lines, and many pipelined commands in one
+//! "segment".  Chunk boundaries are part of the generated input, so every
+//! shrinkage of a failure would pinpoint both the text and the read
+//! pattern that broke.
 
 use kbt_service::command::split_lines;
 use kbt_service::net::LineFramer;
@@ -32,6 +35,8 @@ enum Piece {
     Newline,
     /// Multi-byte UTF-8 outside quotes (chunking must not corrupt it).
     Unicode(&'static str),
+    /// A `#`-led fragment: a trace prefix, a bare prefix, or a comment.
+    Hash(&'static str),
 }
 
 const WORDS: &[&str] = &[
@@ -57,14 +62,25 @@ const QUOTED: &[&str] = &[
 
 const UNICODE: &[&str] = &["é", "→", "königsberg", "…"];
 
+const HASH: &[&str] = &[
+    "#id=t9 ",
+    "#id=req-42\t",
+    "#id=",
+    "#id= ",
+    "#idea ",
+    "#i",
+    "  #id=x ",
+];
+
 fn decode_piece(code: (u8, u8)) -> Piece {
     let (kind, pick) = code;
-    match kind % 8 {
+    match kind % 9 {
         0 | 1 => Piece::Word(WORDS[pick as usize % WORDS.len()]),
         2 | 3 => Piece::Quoted(QUOTED[pick as usize % QUOTED.len()]),
         4 => Piece::Quote,
         5 | 6 => Piece::Newline,
-        _ => Piece::Unicode(UNICODE[pick as usize % UNICODE.len()]),
+        7 => Piece::Unicode(UNICODE[pick as usize % UNICODE.len()]),
+        _ => Piece::Hash(HASH[pick as usize % HASH.len()]),
     }
 }
 
@@ -76,7 +92,7 @@ fn render(pieces: &[Piece]) -> String {
             Piece::Quoted(q) => out.push_str(q),
             Piece::Quote => out.push('\''),
             Piece::Newline => out.push('\n'),
-            Piece::Unicode(u) => out.push_str(u),
+            Piece::Unicode(u) | Piece::Hash(u) => out.push_str(u),
         }
     }
     out
@@ -145,6 +161,11 @@ fn framer_agrees_on_handwritten_adversarial_streams() {
         "'\n'\n'\n",
         "é→…\n'é\n→'\n",
         "a\r\nb\r\n", // CR is payload, not a terminator
+        "# CI's job drives this\nSTATS\n  # trailing note, isn't it\nSTATS\n",
+        "ASSERT note('x\n# still quoted\ny')\nSTATS\n",
+        "#id=t9 ASSERT note('one\ntwo')\nSTATS\n",
+        "#id=t9\tASSERT note('a\n# b')\n#id= it's\nSTATS\n",
+        "#idea's\n#id=it's\nSTATS\n",
     ] {
         let expected: Vec<String> = split_lines(text).into_iter().map(str::to_string).collect();
         for chunk in [1usize, 2, 3, 7] {

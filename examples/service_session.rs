@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use kbt::service::net::proto::encode_response;
 use kbt::service::{Response, Service, ServiceConfig};
 
 fn main() {
@@ -83,8 +84,9 @@ fn main() {
     for r in readers {
         r.join().unwrap();
     }
-    println!(
-        "{}",
-        service.execute("STATS").map(|r| r.to_string()).unwrap()
-    );
+    let (rows, status) = encode_response(&service.execute("STATS").unwrap(), None);
+    for row in rows {
+        println!("{row}");
+    }
+    println!("{status}");
 }

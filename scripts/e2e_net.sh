@@ -115,11 +115,22 @@ TRACED=""
 while IFS= read -r line <&3; do
     case "$line" in OK*|ERR*) TRACED="$line"; break ;; esac
 done
+# the prefix leaves the command's quotes live: the quoted newline continues
+# the command instead of cutting it in two
+printf "#id=ci-q ASSERT note('ci\nq')\n" >&3
+TRACED_Q=""
+while IFS= read -r line <&3; do
+    case "$line" in OK*|ERR*) TRACED_Q="$line"; break ;; esac
+done
 exec 3<&- 3>&-
 # OK lines lead with the trace ID (fixed key order); ERR lines trail it
 case "$TRACED" in
     "OK id=ci-e2e-42"*|*" id=ci-e2e-42") echo "e2e-net: client trace ID echoes on the status line" ;;
     *) echo "client trace ID did not round-trip (got: $TRACED)" >&2; exit 1 ;;
+esac
+case "$TRACED_Q" in
+    "OK id=ci-q "*) echo "e2e-net: a traced command keeps its quoted newline" ;;
+    *) echo "traced command with a quoted newline was cut (got: $TRACED_Q)" >&2; exit 1 ;;
 esac
 
 # kill-and-recover: a durable server is SIGKILLed mid-session — no

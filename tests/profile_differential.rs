@@ -13,6 +13,7 @@ use kbt::core::{EvalOptions, Transform, Transformer, View};
 use kbt::data::{DatabaseBuilder, Knowledgebase, RelId};
 use kbt::logic::builder::{and, atom, forall, implies, var};
 use kbt::logic::Sentence;
+use kbt::service::net::proto::encode_response;
 use kbt::service::{Response, Service, ServiceConfig};
 
 /// The Section 3 Example 1 closure, as the service's transform syntax.
@@ -99,8 +100,8 @@ fn run(
     u64,
     Knowledgebase,
     kbt::service::ServiceStats,
-    String,
-    String,
+    (Vec<String>, String),
+    (Vec<String>, String),
 ) {
     let service = Service::new(ServiceConfig::builder().threads(threads).build());
     let read = if profile {
@@ -122,12 +123,12 @@ fn run(
                 reads.push((epoch.get(), worlds));
                 rows.push(r.iter().map(|row| strip_elapsed(row)).collect());
             }
-            other => panic!("unexpected read response: {other}"),
+            other => panic!("unexpected read response: {other:?}"),
         }
     }
     let snap = service.snapshot();
-    let certain = service.execute("QUERY CERTAIN path").unwrap().to_string();
-    let stats = service.execute("STATS").unwrap().to_string();
+    let certain = encode_response(&service.execute("QUERY CERTAIN path").unwrap(), None);
+    let stats = encode_response(&service.execute("STATS").unwrap(), None);
     (
         reads,
         rows,
@@ -306,7 +307,7 @@ fn explain_renders_the_section3_closure_golden() {
         .unwrap();
     let r = s.execute(&format!("EXPLAIN {TC}; lub")).unwrap();
     let Response::Explain { epoch, rows } = r else {
-        panic!("EXPLAIN must yield Response::Explain, got {r}");
+        panic!("EXPLAIN must yield Response::Explain, got {r:?}");
     };
     assert_eq!(epoch.get(), 1);
     assert_eq!(
