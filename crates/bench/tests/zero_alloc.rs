@@ -3,8 +3,8 @@
 //! The flat-arena redesign of `IndexedRelation` promises that a join probe
 //! against a ≤ [`PACK_MAX`]-column key performs **zero heap allocations**:
 //! the key packs into a `u64` on the stack, the bucket lookup returns a
-//! borrowed id slice, and row verification reads `&[Const]` slices straight
-//! out of the arena.  This binary installs the counting allocator from
+//! borrowed walk along the bucket's id chain (no key owns a heap `Vec`),
+//! and row verification reads `&[Const]` slices straight out of the arena.  This binary installs the counting allocator from
 //! `kbt_bench::alloc_counter` as its global allocator and holds the loop to
 //! that budget — if a future change boxes keys, clones tuples per
 //! candidate, or materialises probe results, the count goes non-zero and
@@ -43,7 +43,7 @@ fn probe_inner_loop_allocates_nothing() {
     for g in 0..50u32 {
         let mut acc = KeyAcc::new(1);
         acc.push(c(g));
-        warm += rel.probe_bucket(0b01, acc.finish()).len() as u64;
+        warm += rel.probe_bucket(0b01, acc.finish()).count() as u64;
     }
     assert_eq!(warm, 1_000, "every row is reachable through its group");
 
@@ -56,7 +56,7 @@ fn probe_inner_loop_allocates_nothing() {
         let group = c(i % 50);
         let mut acc = KeyAcc::new(1);
         acc.push(group);
-        for &id in rel.probe_bucket(0b01, acc.finish()) {
+        for id in rel.probe_bucket(0b01, acc.finish()) {
             if rel.is_live(id) {
                 let row = rel.row(id);
                 debug_assert_eq!(row[0], group);
@@ -69,7 +69,7 @@ fn probe_inner_loop_allocates_nothing() {
         let mut acc = KeyAcc::new(2);
         acc.push(group);
         acc.push(c(i % 1_000));
-        if !rel.member_bucket(acc.finish()).is_empty() {
+        if rel.member_bucket(acc.finish()).next().is_some() {
             hits += 1;
         }
     }

@@ -550,11 +550,30 @@ impl Relation {
 /// This is the low-level primitive behind [`Relation::from_rows`], exposed
 /// so engines batching derived rows into strided buffers can canonicalise
 /// them without round-tripping through `Relation`.
+///
+/// At arity 1 and 2 each row packs into one `u64` ([`Const::pack_onto`]),
+/// which orders exactly like the row: the keys are sorted and deduplicated
+/// as plain integers and unpacked in place.  Wider rows sort an index
+/// permutation by row comparison and apply it.
 pub fn sort_dedup_rows(rows: &mut [Const], arity: usize) -> usize {
     debug_assert!(arity > 0);
     let count = rows.len() / arity;
     if count <= 1 {
         return count;
+    }
+    if arity <= Const::PACK_MAX {
+        let mut keys: Vec<u64> = (rows.chunks_exact(arity))
+            .map(|row| row.iter().fold(0, |key, c| c.pack_onto(key)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for (row, &key) in rows.chunks_exact_mut(arity).zip(&keys) {
+            let mut key = key;
+            for slot in row.iter_mut().rev() {
+                (*slot, key) = Const::unpack_from(key);
+            }
+        }
+        return keys.len();
     }
     // Sort an index permutation, then apply it — avoids a chunked sort's
     // per-comparison bounds checks and keeps the row moves to one pass.

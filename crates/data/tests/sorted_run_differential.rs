@@ -80,6 +80,10 @@ fn assert_identical(rel: &Relation, model: &BTreeSet<Tuple>) {
     prop_assert_eq!(rel.tuples().collect::<BTreeSet<_>>(), model.clone());
 }
 
+/// Few enough constants that rows repeat, including both ends of the
+/// `u32` range and both sides of its sign bit.
+const EDGE_CONSTANTS: [u32; 7] = [0, 1, 2, i32::MAX as u32, 1 << 31, u32::MAX - 1, u32::MAX];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -134,6 +138,31 @@ proptest! {
         for (snap, expected) in held {
             assert_identical(&snap, &expected);
         }
+    }
+
+    /// `Relation::from_rows` canonicalises like a `BTreeSet` of rows at
+    /// arity 1 and 2 (packed `u64` sort) and 3 (row sort), from shuffled,
+    /// already sorted and reversed input, with heavy duplicates and
+    /// constants at both ends of the `u32` range — so a packing with its
+    /// columns swapped, or one that sign-extends a constant, fails here.
+    #[test]
+    fn from_rows_sorts_like_a_btreeset(
+        arity in 1usize..4,
+        picks in proptest::collection::vec(0usize..EDGE_CONSTANTS.len(), 0..90),
+        order in 0u8..3,
+    ) {
+        let mut rows: Vec<Vec<u32>> =
+            picks.chunks_exact(arity).map(|row| row.iter().map(|&i| EDGE_CONSTANTS[i]).collect()).collect();
+        match order {
+            0 => {}
+            1 => rows.sort(),
+            _ => rows.sort_by(|a, b| b.cmp(a)),
+        }
+        let model: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
+        let flat: Vec<Const> = rows.iter().flatten().copied().map(Const::new).collect();
+        let rel = Relation::from_rows(arity, flat, rows.len()).unwrap();
+        let got: Vec<Vec<u32>> = rel.iter().map(|row| row.iter().map(|c| c.index()).collect()).collect();
+        prop_assert_eq!(got, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

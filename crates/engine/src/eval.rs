@@ -761,12 +761,12 @@ fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Option<Const
     for &t in terms {
         acc.push(resolve(t, regs));
     }
-    let bucket = relation.member_bucket(acc.finish());
+    let mut bucket = relation.member_bucket(acc.finish());
     if key_is_exact(terms.len()) {
         // packed keys are injective over the full row
-        !bucket.is_empty()
+        bucket.next().is_some()
     } else {
-        bucket.iter().any(|&id| {
+        bucket.any(|id| {
             relation
                 .row(id)
                 .iter()
@@ -836,7 +836,7 @@ fn run_steps(
             }
             stats.index_probes += 1;
             let exact = key_is_exact(key.len());
-            for &id in relation.probe_bucket(*mask, acc.finish()) {
+            for id in relation.probe_bucket(*mask, acc.finish()) {
                 if !relation.is_live(id) {
                     continue; // tombstone from an incremental removal
                 }

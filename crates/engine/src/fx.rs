@@ -7,15 +7,26 @@
 //! derived from the bound column values, so the inner loops never build a
 //! boxed key:
 //!
-//! * **≤ 2 key columns** — the `u32` constants are *packed* exactly
-//!   (`c0 << 32 | c1`, one column is just its index, zero columns is `0`),
-//!   so the key is injective and bucket hits need no further verification;
+//! * **≤ 2 key columns** — the `u32` constants are *packed* exactly by
+//!   [`Const::pack_onto`] (`c0 << 32 | c1`, one column is just its index,
+//!   zero columns is `0`), the rule `kbt-data`'s canonicalising sort packs
+//!   rows by too, so the key is injective and bucket hits need no further
+//!   verification;
 //! * **≥ 3 key columns** — the constants are folded through the FxHash
 //!   mixer; collisions are possible, so bucket candidates are verified
 //!   against the row arena before they count as matches.
 //!
 //! Every map is keyed consistently (the column count is fixed per binding
 //! mask), so packed and hashed keys never mix within one map.
+//!
+//! # Placement
+//!
+//! A map places a key by the low bits of [`FxHasher::finish`].  One mixing
+//! step is a multiply, whose low bits depend only on the low bits of the
+//! word — for a packed key `c0 << 32 | c1`, on `c1` alone, so every row of
+//! `isa(x, cls)` with the same class would start probing at the same slot.
+//! `finish` therefore rotates the high half down (as rustc-hash 2 does).
+//! Only placement changes: keys, bucket contents and walk order do not.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -38,9 +49,11 @@ pub struct FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The hash with its high half rotated into the low bits the map
+    /// places by (see the module docs).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -71,7 +84,7 @@ pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Maximum number of key columns packed exactly into the `u64`; keys over
 /// more columns fall back to hash-with-verify.
-pub const PACK_MAX: usize = 2;
+pub const PACK_MAX: usize = Const::PACK_MAX;
 
 /// Whether a key over `cols` columns is exact (packed, collision-free) —
 /// `true` means bucket candidates need no row verification.
@@ -102,11 +115,10 @@ impl KeyAcc {
     /// Feeds the next key column value.
     #[inline]
     pub fn push(&mut self, c: Const) {
-        let w = u64::from(c.index());
         self.key = if self.exact {
-            self.key << 32 | w
+            c.pack_onto(self.key)
         } else {
-            mix(self.key, w)
+            mix(self.key, u64::from(c.index()))
         };
     }
 
@@ -161,5 +173,16 @@ mod tests {
         let mut b = FxHasher::default();
         b.write_u64(43);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn packed_keys_are_placed_by_both_columns() {
+        use std::hash::BuildHasher as _;
+        // 1 024 rows `(c0, 7)`: the low ten bits the map places by must
+        // tell most of them apart, not send them all to one slot
+        let slots: std::collections::BTreeSet<u64> = (0..1024u32)
+            .map(|c0| FxBuild::default().hash_one(row_key(&[Const::new(c0), Const::new(7)])) & 1023)
+            .collect();
+        assert!(slots.len() >= 512, "{} distinct slots", slots.len());
     }
 }

@@ -57,6 +57,20 @@
 //! probe**.  Hashed (≥ 3 column) buckets may contain collisions; consumers
 //! verify candidates against the arena (the evaluator's bound-column check).
 //!
+//! Every such table — the membership table below and each index — is one
+//! chained id table: a hash map from key to the first and last id of its
+//! bucket, and one `next: Vec<u32>` indexed by slot that links each id to
+//! the next one with the same key.  No key owns a heap allocation, so
+//! appending a run costs one map entry and one link per row and table, and
+//! a probe walks a borrowed chain ([`Bucket`]).  A push appends at the
+//! bucket's last id, and ids are pushed in slot order, so every bucket
+//! walks **first stored first**: join derivations come out in the order
+//! they always have, the first witness a head-bound plan finds is the
+//! same, and every statistics counter stays put.  Only the membership
+//! table removes — it unlinks the id from its chain, since it holds live
+//! ids only; index buckets keep their tombstones until compaction.  `clear`
+//! and compaction reset the links with the maps.
+//!
 //! The *membership table* is the same thing for the full row: full-row key
 //! → live id.  A relation that starts empty has it from the start.  A bulk
 //! load **defers** it: hashing every stored fact of a relation that is only
@@ -81,7 +95,7 @@
 use kbt_data::{Const, Relation, Tuple};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::fx::{self, FxBuild, KeyAcc};
 
@@ -102,52 +116,113 @@ pub fn mask_key(row: &[Const], mask: Mask) -> u64 {
     acc.finish()
 }
 
-/// A hash bucket of tuple ids, inlining the overwhelmingly common
-/// single-occupant case (exact membership keys collide only on true
-/// duplicates, which are rejected) so bucket creation does not allocate.
+/// The end of a chain in [`Chains::next`].
+const NIL: u32 = u32::MAX;
+
+/// Tuple ids bucketed by `u64` row key, every bucket a chain through one
+/// slot-indexed link array (see the module docs): the membership table and
+/// every index are one of these, and no key owns a heap allocation.
+#[derive(Clone, Debug, Default)]
+struct Chains {
+    /// Key → the first and the last id of its bucket.
+    heads: HashMap<u64, (u32, u32), FxBuild>,
+    /// `next[id]` is the id after `id` in its bucket, or [`NIL`]; slots
+    /// never pushed (or unlinked) hold [`NIL`] too.
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// Room for `keys` more keys and `slots` more slots.
+    fn reserve(&mut self, keys: usize, slots: usize) {
+        self.heads.reserve(keys);
+        self.next.reserve(slots);
+    }
+
+    /// Appends `id` to the bucket of `key`.  Ids are pushed in ascending
+    /// order, each at most once, so every bucket walks in ascending order.
+    #[inline]
+    fn push(&mut self, key: u64, id: u32) {
+        debug_assert!(
+            id as usize >= self.next.len(),
+            "ids are pushed in ascending order"
+        );
+        self.next.resize(id as usize + 1, NIL);
+        match self.heads.entry(key) {
+            Entry::Occupied(mut bucket) => {
+                let (_, last) = bucket.get_mut();
+                self.next[*last as usize] = id;
+                *last = id;
+            }
+            Entry::Vacant(bucket) => {
+                bucket.insert((id, id));
+            }
+        }
+    }
+
+    /// The ids of `key`'s bucket, first pushed first.
+    #[inline]
+    fn bucket(&self, key: u64) -> Bucket<'_> {
+        Bucket {
+            next: &self.next,
+            at: self.heads.get(&key).map_or(NIL, |&(first, _)| first),
+        }
+    }
+
+    /// Unlinks `id` from the bucket of `key` (the membership table's
+    /// removal), dropping the key once its bucket is empty.
+    fn unlink(&mut self, key: u64, id: u32) {
+        let Entry::Occupied(mut bucket) = self.heads.entry(key) else {
+            unreachable!("an unlinked id is in its key's bucket");
+        };
+        let (first, last) = bucket.get_mut();
+        let after = std::mem::replace(&mut self.next[id as usize], NIL);
+        if *first == id {
+            if after == NIL {
+                bucket.remove();
+            } else {
+                *first = after;
+            }
+            return;
+        }
+        let mut prev = *first;
+        while self.next[prev as usize] != id {
+            prev = self.next[prev as usize];
+            debug_assert_ne!(prev, NIL, "an unlinked id is in its key's bucket");
+        }
+        self.next[prev as usize] = after;
+        if *last == id {
+            *last = prev;
+        }
+    }
+
+    /// Forgets every key and slot.
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+    }
+}
+
+/// A borrowed walk over one bucket of a relation's membership table or of
+/// one of its indexes, in ascending id order; it allocates nothing.
 #[derive(Clone, Debug)]
-enum IdList {
-    One(u32),
-    Many(Vec<u32>),
+pub struct Bucket<'a> {
+    next: &'a [u32],
+    at: u32,
 }
 
-impl IdList {
-    #[inline]
-    fn push(&mut self, id: u32) {
-        match self {
-            IdList::One(a) => *self = IdList::Many(vec![*a, id]),
-            IdList::Many(v) => v.push(id),
-        }
-    }
+impl Iterator for Bucket<'_> {
+    type Item = u32;
 
     #[inline]
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            IdList::One(a) => std::slice::from_ref(a),
-            IdList::Many(v) => v,
+    fn next(&mut self) -> Option<u32> {
+        let id = self.at;
+        if id == NIL {
+            return None;
         }
-    }
-
-    /// Removes one occurrence of `id`; returns `true` when the bucket is now
-    /// empty (the caller drops the map entry).  Bucket order is not
-    /// significant — only index buckets (which never remove) are walked in
-    /// order.
-    fn remove_id(&mut self, id: u32) -> bool {
-        match self {
-            IdList::One(a) => {
-                debug_assert_eq!(*a, id);
-                true
-            }
-            IdList::Many(v) => {
-                let pos = v.iter().position(|&x| x == id).expect("id in bucket");
-                v.swap_remove(pos);
-                v.is_empty()
-            }
-        }
+        self.at = self.next[id as usize];
+        Some(id)
     }
 }
-
-type Buckets = HashMap<u64, IdList, FxBuild>;
 
 /// A relation stored as a flat row arena with hash indexes per demanded
 /// binding pattern (see the module docs for layout, how it knows its
@@ -169,9 +244,9 @@ pub struct IndexedRelation {
     /// the full-binding-pattern index).  `None` only on a bulk load nobody
     /// has written to or demanded membership of — `base` is then all of
     /// the contents and answers membership.
-    ids: Option<Buckets>,
+    ids: Option<Chains>,
     /// One hash index per demanded mask (buckets may contain tombstones).
-    indexes: Vec<(Mask, Buckets)>,
+    indexes: Vec<(Mask, Chains)>,
     /// The last canonical run handed out (or loaded): exactly the rows that
     /// were live in slots `..base_slots` when it was taken.
     base: Relation,
@@ -194,7 +269,7 @@ impl IndexedRelation {
             live: Vec::new(),
             dead: 0,
             live_count: 0,
-            ids: Some(Buckets::default()),
+            ids: Some(Chains::default()),
             indexes: Vec::new(),
             base: Relation::empty(arity),
             base_slots: 0,
@@ -253,30 +328,26 @@ impl IndexedRelation {
     /// The membership table; every caller sits behind a mutation or a
     /// demand, both of which build it.
     #[inline]
-    fn ids(&self) -> &Buckets {
+    fn ids(&self) -> &Chains {
         self.ids
             .as_ref()
             .expect("membership table built by ensure_membership or the first mutation")
     }
 
     /// [`Self::ids`] for writing; every mutation builds the table first.
-    fn ids_mut(&mut self) -> &mut Buckets {
+    fn ids_mut(&mut self) -> &mut Chains {
         self.ids.as_mut().expect("built before the first mutation")
     }
 
     fn find_live_id(&self, row: &[Const]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.arity);
-        let bucket = self.ids().get(&fx::row_key(row))?;
+        let mut bucket = self.ids().bucket(fx::row_key(row));
         if fx::key_is_exact(self.arity) {
             // packed keys are injective over the full row: any occupant is a
             // true match (membership buckets hold live ids only)
-            bucket.as_slice().first().copied()
+            bucket.next()
         } else {
-            bucket
-                .as_slice()
-                .iter()
-                .copied()
-                .find(|&id| self.row(id) == row)
+            bucket.find(|&id| self.row(id) == row)
         }
     }
 
@@ -351,9 +422,9 @@ impl IndexedRelation {
         self.rows.extend_from_slice(row);
         self.live.push(true);
         self.live_count += 1;
-        bucket_push(self.ids_mut(), fx::row_key(row), id);
+        self.ids_mut().push(fx::row_key(row), id);
         for (mask, index) in &mut self.indexes {
-            bucket_push(index, mask_key(row, *mask), id);
+            index.push(mask_key(row, *mask), id);
         }
         self.runs.push(self.live.len() as u32);
         true
@@ -388,13 +459,14 @@ impl IndexedRelation {
         self.live.resize(self.live.len() + run.len(), true);
         self.live_count += run.len();
         let ids = self.ids_mut();
-        ids.reserve(run.len());
+        ids.reserve(run.len(), run.len());
         for (id, row) in (first..).zip(run.iter()) {
-            bucket_push(ids, fx::row_key(row), id);
+            ids.push(fx::row_key(row), id);
         }
         for (mask, index) in &mut self.indexes {
+            index.reserve(0, run.len());
             for (id, row) in (first..).zip(run.iter()) {
-                bucket_push(index, mask_key(row, *mask), id);
+                index.push(mask_key(row, *mask), id);
             }
         }
         self.runs.push(self.live.len() as u32);
@@ -417,11 +489,7 @@ impl IndexedRelation {
         }
         self.ensure_membership();
         let id = self.find_live_id(row).expect("present, checked above");
-        let key = fx::row_key(row);
-        let ids = self.ids_mut();
-        if ids.get_mut(&key).expect("bucket found above").remove_id(id) {
-            ids.remove(&key);
-        }
+        self.ids_mut().unlink(fx::row_key(row), id);
         self.live[id as usize] = false;
         self.dead += 1;
         self.live_count -= 1;
@@ -483,7 +551,7 @@ impl IndexedRelation {
             let mask = self.indexes[i].0;
             for id in 0..self.live_count as u32 {
                 let key = mask_key(self.row_raw(id), mask);
-                bucket_push(&mut self.indexes[i].1, key, id);
+                self.indexes[i].1.push(key, id);
             }
         }
         self.rebase(contents);
@@ -510,11 +578,12 @@ impl IndexedRelation {
 
     /// The membership table of an arena without tombstones (a load nobody
     /// has written to, or one just compacted).
-    fn build_membership(&self) -> Buckets {
+    fn build_membership(&self) -> Chains {
         debug_assert_eq!(self.dead, 0);
-        let mut ids = Buckets::with_capacity_and_hasher(self.live.len(), FxBuild::default());
+        let mut ids = Chains::default();
+        ids.reserve(self.live.len(), self.live.len());
         for id in 0..self.live.len() as u32 {
-            bucket_push(&mut ids, fx::row_key(self.row_raw(id)), id);
+            ids.push(fx::row_key(self.row_raw(id)), id);
         }
         ids
     }
@@ -529,31 +598,32 @@ impl IndexedRelation {
         if mask == 0 || self.indexes.iter().any(|(m, _)| *m == mask) {
             return;
         }
-        let mut index = Buckets::default();
+        let mut index = Chains::default();
+        index.reserve(0, self.live.len());
         for id in 0..self.live.len() as u32 {
             if self.live[id as usize] {
-                bucket_push(&mut index, mask_key(self.row_raw(id), mask), id);
+                index.push(mask_key(self.row_raw(id), mask), id);
             }
         }
         self.indexes.push((mask, index));
     }
 
     /// The raw id bucket for a probe key on `mask` (compute the key with
-    /// [`KeyAcc`] / [`mask_key`]).  The bucket may contain tombstoned ids —
+    /// [`KeyAcc`] / [`mask_key`]), walked in ascending id order — the order
+    /// the rows were stored in.  The bucket may contain tombstoned ids —
     /// filter with [`Self::is_live`] — and, for hashed (> 2 column) keys,
     /// false positives — verify the bound columns against [`Self::row`].
     /// The index for `mask` must have been demanded with
     /// [`Self::ensure_index`] beforehand — the planner collects every mask a
     /// plan needs, so a missing index is an engine bug, not a user error.
     #[inline]
-    pub fn probe_bucket(&self, mask: Mask, key: u64) -> &[u32] {
-        let index = self
-            .indexes
+    pub fn probe_bucket(&self, mask: Mask, key: u64) -> Bucket<'_> {
+        self.indexes
             .iter()
             .find(|(m, _)| *m == mask)
-            .map(|(_, idx)| idx)
-            .expect("index demanded by the planner before evaluation");
-        index.get(&key).map_or(&[], IdList::as_slice)
+            .map(|(_, index)| index)
+            .expect("index demanded by the planner before evaluation")
+            .bucket(key)
     }
 
     /// The raw membership bucket for a full-row key (live ids only; for
@@ -561,8 +631,8 @@ impl IndexedRelation {
     /// Like a probe index, the membership table of a loaded relation must
     /// have been demanded with [`Self::ensure_membership`] beforehand.
     #[inline]
-    pub fn member_bucket(&self, key: u64) -> &[u32] {
-        self.ids().get(&key).map_or(&[], IdList::as_slice)
+    pub fn member_bucket(&self, key: u64) -> Bucket<'_> {
+        self.ids().bucket(key)
     }
 
     /// Diagnostic probe: the live ids whose projection onto `mask` equals
@@ -575,8 +645,6 @@ impl IndexedRelation {
             acc.push(c);
         }
         self.probe_bucket(mask, acc.finish())
-            .iter()
-            .copied()
             .filter(|&id| {
                 self.is_live(id) && {
                     let row = self.row(id);
@@ -705,14 +773,6 @@ impl IndexedRelation {
         self.rebase(contents.clone());
         contents
     }
-}
-
-#[inline]
-fn bucket_push(buckets: &mut Buckets, key: u64, id: u32) {
-    buckets
-        .entry(key)
-        .and_modify(|b| b.push(id))
-        .or_insert(IdList::One(id));
 }
 
 #[cfg(test)]
@@ -1057,6 +1117,42 @@ mod tests {
         r.insert(tuple![7, 7]);
         r.remove(&tuple![2, 3]);
         assert_eq!(r.snapshot(), run2(&[(1, 2), (1, 3), (7, 7)]));
+    }
+
+    proptest::proptest! {
+        /// `Chains` against a model of one `Vec` per key: random pushes of
+        /// fresh ids onto four keys and unlinks of random members (head,
+        /// middle or tail of buckets several long, which a relation's
+        /// membership table only sees on hash collisions), every bucket
+        /// walked after every step.
+        #[test]
+        fn chains_walk_like_a_vec_per_key(
+            script in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u64..4, 0usize..64), 1..120),
+        ) {
+            let mut chains = Chains::default();
+            let mut model: Vec<Vec<u32>> = vec![Vec::new(); 4];
+            let mut next_id = 0u32;
+            for (push, key, pick) in script {
+                let members: Vec<(u64, u32)> = (0..4u64)
+                    .flat_map(|k| model[k as usize].iter().map(move |&id| (k, id)))
+                    .collect();
+                if push || members.is_empty() {
+                    chains.push(key, next_id);
+                    model[key as usize].push(next_id);
+                    next_id += 1;
+                } else {
+                    let (key, id) = members[pick % members.len()];
+                    chains.unlink(key, id);
+                    model[key as usize].retain(|&m| m != id);
+                }
+                for (key, ids) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(&chains.bucket(key as u64).collect::<Vec<u32>>(), ids);
+                    proptest::prop_assert_eq!(chains.heads.contains_key(&(key as u64)), !ids.is_empty());
+                }
+            }
+            chains.clear();
+            proptest::prop_assert!((0..4).all(|key| chains.bucket(key).next().is_none()));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   pattern)` pairs a rule body demands.  Keys over ≤ [`PACK_MAX`] bound
 //!   columns pack injectively into a `u64` ([`fx::KeyAcc`]); wider patterns
 //!   hash with verification.  A probe is therefore allocation-free: pack
-//!   the key on the stack, borrow the bucket's id slice, verify candidates
+//!   the key on the stack, walk the bucket's borrowed id chain, verify candidates
 //!   against `&[Const]` row slices straight out of the arena.  Storage is
 //!   **written in bulk and read back by merging**: one-shot evaluation
 //!   loads only the relations its rules name (a memcpy each — the

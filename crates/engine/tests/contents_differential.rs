@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use kbt_data::{Const, Relation, Tuple};
-use kbt_engine::IndexedRelation;
+use kbt_engine::{IndexedRelation, KeyAcc};
 use proptest::prelude::*;
 
 type Rows = BTreeSet<Vec<u32>>;
@@ -208,6 +208,84 @@ proptest! {
         prop_assert_eq!(&indexed.snapshot(), &expected);
         for row in &seen {
             prop_assert!(indexed.contains_row(&consts(row)));
+        }
+    }
+
+    /// Every index bucket and every membership bucket walks its live ids in
+    /// ascending slot order — the order the rows were stored in, not
+    /// re-sorted — through removals, re-insertions and the compactions
+    /// they trigger: masks `0b01` and `0b10` at arity 2 (packed keys),
+    /// and at arity 4 a hashed three-column index and a one-column one.
+    /// The expected walk is read off the arena slot by slot; the rows it
+    /// names are checked against a `BTreeSet` oracle.  A bucket that walks
+    /// last-pushed first, or a membership unlink that loses or keeps the
+    /// wrong ids, fails here.
+    #[test]
+    fn buckets_walk_live_ids_in_slot_order(
+        wide in any::<bool>(),
+        script in proptest::collection::vec(
+            (0u8..10, proptest::collection::vec(0u32..3, 4..5),
+             proptest::collection::vec(proptest::collection::vec(0u32..3, 4..5), 0..6)),
+            1..100,
+        ),
+    ) {
+        let (arity, masks): (usize, [u32; 2]) = if wide { (4, [0b1011, 0b0100]) } else { (2, [0b01, 0b10]) };
+        let mut indexed = IndexedRelation::new(arity);
+        for mask in masks {
+            indexed.ensure_index(mask);
+        }
+        let mut oracle = Rows::new();
+        for (op, row, rows) in script {
+            let row = &row[..arity];
+            match op {
+                0..=3 => {
+                    prop_assert_eq!(indexed.insert_row(&consts(row)), oracle.insert(row.to_vec()));
+                }
+                4..=7 => {
+                    prop_assert_eq!(indexed.remove_row(&consts(row)), oracle.remove(row));
+                }
+                8 => {
+                    let fresh: Rows = rows
+                        .iter()
+                        .map(|r| r[..arity].to_vec())
+                        .filter(|r| !oracle.contains(r))
+                        .collect();
+                    indexed.append_run(&relation_of(arity, &fresh));
+                    oracle.extend(fresh);
+                }
+                _ => {
+                    indexed.snapshot();
+                }
+            }
+            let live: Vec<u32> = (0..indexed.slot_count()).filter(|&id| indexed.is_live(id)).collect();
+            let stored: Rows = live
+                .iter()
+                .map(|&id| indexed.row(id).iter().map(|c| c.index()).collect())
+                .collect();
+            prop_assert_eq!(&stored, &oracle);
+            let project = |id: u32, mask: u32| -> Vec<Const> {
+                (0..arity).filter(|col| mask & 1 << col != 0).map(|col| indexed.row(id)[col]).collect()
+            };
+            for mask in masks {
+                let mut keys: Vec<Vec<Const>> = live.iter().map(|&id| project(id, mask)).collect();
+                keys.push(vec![Const::new(9); mask.count_ones() as usize]);
+                for key in keys {
+                    let expected: Vec<u32> =
+                        live.iter().copied().filter(|&id| project(id, mask) == key).collect();
+                    prop_assert_eq!(indexed.probe(mask, &key), expected);
+                }
+            }
+            let full_key = |row: &[Const]| {
+                let mut acc = KeyAcc::new(arity);
+                row.iter().for_each(|&c| acc.push(c));
+                acc.finish()
+            };
+            for probe in oracle.iter().chain([&vec![9; arity]]) {
+                let key = full_key(&consts(probe));
+                let expected: Vec<u32> =
+                    live.iter().copied().filter(|&id| full_key(indexed.row(id)) == key).collect();
+                prop_assert_eq!(indexed.member_bucket(key).collect::<Vec<u32>>(), expected);
+            }
         }
     }
 
