@@ -98,11 +98,16 @@ impl EvalOptions {
 /// Statistics accumulated while evaluating a transformation expression.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Number of `τ_φ` applications to individual databases (`µ` calls).
+    /// Number of `µ` evaluations actually run.  A `τ_φ` step on a
+    /// multi-world knowledgebase runs one per group of worlds that agree on
+    /// the domain and on `σ(φ)` (see [`crate::transformer`]), so this can be
+    /// smaller than the number of worlds.
     pub updates: usize,
-    /// Total number of candidate ground atoms considered across updates.
+    /// Total number of candidate ground atoms considered across the `µ`
+    /// evaluations counted in `updates`.
     pub candidate_atoms: usize,
-    /// Total number of minimal models produced by `µ`.
+    /// Total number of minimal models those `µ` evaluations produced (the
+    /// answers replayed onto a group's other worlds are not counted again).
     pub minimal_models: usize,
     /// Number of operator applications (τ, ⊓, ⊔, π) evaluated.
     pub operators: usize,

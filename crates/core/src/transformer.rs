@@ -5,6 +5,17 @@
 //! [`Transform`] expression step by step, carrying statistics and enforcing
 //! the resource limits of [`EvalOptions`].
 //!
+//! `µ(φ, db)` depends only on the domain `db.constants() ∪ φ.constants()`
+//! and on `db`'s relations among `σ(φ)`: every other fact carries over
+//! unchanged into each minimal model, by the argument in the
+//! [`universe`](crate::update::universe) module docs.  So a multi-world
+//! `τ_φ` step solves `µ` once per group of worlds that agree on those two
+//! things, on the group's first world, and replays each answer's `σ(φ)`
+//! relations onto the group's other worlds.  Worlds are visited in order
+//! and each group is solved at its first world, so errors and the
+//! `max_worlds` check fire exactly as a world-by-world fold would fire
+//! them.  Single-world knowledgebases build no key.
+//!
 //! `Seq` compositions get the *incremental chain* optimisation (when
 //! [`EvalOptions::incremental`] is on): while walking the flattened steps,
 //! the evaluator keeps at most one live [`ChainSession`] — a persistent
@@ -15,7 +26,9 @@
 //! scratch.  Results are byte-identical; `EvalStats::reused_facts` shows
 //! the saving.
 
-use kbt_data::{Database, Knowledgebase};
+use std::collections::BTreeSet;
+
+use kbt_data::{Const, Database, Knowledgebase, RelId};
 use kbt_datalog::View;
 
 use crate::error::CoreError;
@@ -94,7 +107,8 @@ impl Transformer {
     /// `view`'s namer renders relation identifiers in rule and plan text).
     ///
     /// Under a **profiling** view every Datalog-fast-path insertion step
-    /// records one [`kbt_datalog::RuleProfile`] per lowered rule per world.
+    /// records one [`kbt_datalog::RuleProfile`] per lowered rule per group
+    /// of worlds (see the module docs).
     /// The resulting knowledgebase is byte-identical to [`Self::apply`]'s;
     /// the incremental chain optimisation is skipped (chain sessions are
     /// documented to be byte-identical to from-scratch evaluation, so only
@@ -203,17 +217,38 @@ impl Transformer {
             Transform::Insert(phi) => {
                 stats.operators += 1;
                 let mut out = Knowledgebase::empty();
-                if let Some(chain) = chain {
-                    if let Some(outcome) = self.chain_update(phi, &kb, chain)? {
-                        self.absorb_outcome(&outcome, stats);
-                        self.collect_worlds(outcome, &mut out)?;
-                        return Ok(out);
-                    }
-                }
-                for db in kb.iter() {
-                    let outcome = minimal_update(phi, db, &self.options, view.as_deref_mut())?;
+                if let Some(db) = kb.as_singleton() {
+                    let chained = match chain {
+                        Some(chain) => self.chain_update(phi, db, chain)?,
+                        None => None,
+                    };
+                    let outcome = match chained {
+                        Some(outcome) => outcome,
+                        None => minimal_update(phi, db, &self.options, view)?,
+                    };
                     self.absorb_outcome(&outcome, stats);
-                    self.collect_worlds(outcome, &mut out)?;
+                    self.collect_worlds(outcome.databases, &mut out)?;
+                    return Ok(out);
+                }
+                // One `µ` per group of worlds that agree on the domain and on
+                // φ's relations; each answer's σ(φ) part is kept to be
+                // replayed onto the group's later worlds.
+                let mentioned: Vec<RelId> = phi.schema().relations().collect();
+                let mut groups: Vec<(WorldKey, Vec<Database>)> = Vec::new();
+                for db in kb.iter() {
+                    let key = world_key(phi, db, &mentioned);
+                    let worlds = match groups.iter().find(|(k, _)| *k == key) {
+                        Some((_, answers)) => answers.iter().map(|a| replay(db, a)).collect(),
+                        None => {
+                            let outcome =
+                                minimal_update(phi, db, &self.options, view.as_deref_mut())?;
+                            self.absorb_outcome(&outcome, stats);
+                            let answers = outcome.databases.iter();
+                            groups.push((key, answers.map(|a| a.project(&mentioned)).collect()));
+                            outcome.databases
+                        }
+                    };
+                    self.collect_worlds(worlds, &mut out)?;
                 }
                 Ok(out)
             }
@@ -232,25 +267,20 @@ impl Transformer {
         }
     }
 
-    /// Tries the incremental chain path for `τ_φ(kb)`: engaged for
-    /// singleton knowledgebases under the `Auto`/`Datalog` strategies when
-    /// the Datalog fast path applies.  Returns `None` when the regular
-    /// per-database path should run instead.
+    /// Tries the incremental chain path for `τ_φ` on a singleton
+    /// knowledgebase's one world: engaged under the `Auto`/`Datalog`
+    /// strategies when the Datalog fast path applies.  Returns `None` when
+    /// the regular path should run instead.
     fn chain_update(
         &self,
         phi: &kbt_logic::Sentence,
-        kb: &Knowledgebase,
+        db: &Database,
         chain: &mut Option<ChainSession>,
     ) -> Result<Option<UpdateOutcome>> {
         if !self.options.incremental
             || !matches!(self.options.strategy, Strategy::Auto | Strategy::Datalog)
+            || !datalog::applicable(phi, db)
         {
-            return Ok(None);
-        }
-        let Some(db) = kb.as_singleton() else {
-            return Ok(None);
-        };
-        if !datalog::applicable(phi, db) {
             return Ok(None);
         }
         if let Some(session) = chain.as_mut() {
@@ -273,10 +303,10 @@ impl Transformer {
         }
     }
 
-    /// Adds an outcome's databases to the output knowledgebase, enforcing
-    /// the world limit.
-    fn collect_worlds(&self, outcome: UpdateOutcome, out: &mut Knowledgebase) -> Result<()> {
-        for result in outcome.databases {
+    /// Adds result databases to the output knowledgebase, enforcing the
+    /// world limit.
+    fn collect_worlds(&self, worlds: Vec<Database>, out: &mut Knowledgebase) -> Result<()> {
+        for result in worlds {
             out.insert(result)?;
             if out.len() > self.options.max_worlds {
                 return Err(CoreError::TooManyWorlds {
@@ -287,6 +317,26 @@ impl Transformer {
         }
         Ok(())
     }
+}
+
+/// What `µ(φ, db)` depends on: the domain `B` and `db`'s relations among
+/// `σ(φ)` (presence, arity and contents).
+type WorldKey = (BTreeSet<Const>, Database);
+
+fn world_key(phi: &kbt_logic::Sentence, db: &Database, mentioned: &[RelId]) -> WorldKey {
+    let mut domain = db.constants();
+    domain.extend(phi.constants());
+    (domain, db.project(mentioned))
+}
+
+/// `db` with its `σ(φ)` relations replaced by those of `answer` (an answer
+/// of the group's first world, projected onto `σ(φ)`).
+fn replay(db: &Database, answer: &Database) -> Database {
+    let mut world = db.clone();
+    for (rel, relation) in answer.iter() {
+        world.set_relation(rel, relation.clone());
+    }
+    world
 }
 
 #[cfg(test)]

@@ -38,6 +38,10 @@ pub enum ServiceError {
     /// A `CHECKPOINT`/`WALSTAT` command reached a service configured
     /// without durability.
     DurabilityDisabled,
+    /// A commit panicked while it held the writer lock, so the writer's
+    /// state may be half-mutated.  Every later commit is refused with this
+    /// error; reads keep serving the last published epoch.
+    WriterPoisoned,
     /// A WAL record *before* the final one failed its length or checksum
     /// frame: the log is corrupt in the middle and replaying past the
     /// damage could serve silently wrong state, so recovery refuses.
@@ -97,6 +101,10 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
         "durability-disabled",
         "CHECKPOINT/WALSTAT without a configured data dir",
     ),
+    (
+        "writer-poisoned",
+        "an earlier commit panicked; commits are refused",
+    ),
     ("wal-corrupt", "corrupt interior WAL record at recovery"),
     (
         "checkpoint-corrupt",
@@ -128,6 +136,7 @@ impl ServiceError {
             ServiceError::ArityMismatch { .. } => "arity-mismatch",
             ServiceError::ScriptDepth(_) => "script-depth",
             ServiceError::DurabilityDisabled => "durability-disabled",
+            ServiceError::WriterPoisoned => "writer-poisoned",
             ServiceError::WalCorrupt { .. } => "wal-corrupt",
             ServiceError::CheckpointCorrupt { .. } => "checkpoint-corrupt",
             ServiceError::EpochMismatch { .. } => "epoch-mismatch",
@@ -162,6 +171,10 @@ impl fmt::Display for ServiceError {
             ServiceError::DurabilityDisabled => {
                 write!(f, "durability is not configured (start with a data dir)")
             }
+            ServiceError::WriterPoisoned => write!(
+                f,
+                "an earlier commit panicked: commits are refused, reads serve the last published epoch"
+            ),
             ServiceError::WalCorrupt { offset, detail } => {
                 write!(f, "corrupt WAL record at byte {offset}: {detail}")
             }
@@ -233,6 +246,7 @@ mod tests {
             },
             ServiceError::ScriptDepth(0),
             ServiceError::DurabilityDisabled,
+            ServiceError::WriterPoisoned,
             ServiceError::WalCorrupt {
                 offset: 0,
                 detail: String::new(),
@@ -278,6 +292,7 @@ mod tests {
                 | ServiceError::ArityMismatch { .. }
                 | ServiceError::ScriptDepth(_)
                 | ServiceError::DurabilityDisabled
+                | ServiceError::WriterPoisoned
                 | ServiceError::WalCorrupt { .. }
                 | ServiceError::CheckpointCorrupt { .. }
                 | ServiceError::EpochMismatch { .. }

@@ -201,10 +201,11 @@
 //! commits name the epoch they speak for in `epoch=N`.  Error codes are
 //! stable: the service-level ones come from [`ServiceError::code`]
 //! (`parse`, `unknown-transform`, `unknown-relation`, `unknown-constant`,
-//! `arity-mismatch`, `script-depth`, `durability-disabled`, `wal-corrupt`,
-//! `checkpoint-corrupt`, `epoch-mismatch`, `data`, `logic`, `eval`,
-//! `io` — the consolidated table with descriptions is
-//! [`error::CODE_TABLE`], exhaustiveness-tested against the enum), and
+//! `arity-mismatch`, `script-depth`, `durability-disabled`,
+//! `writer-poisoned`, `wal-corrupt`, `checkpoint-corrupt`,
+//! `epoch-mismatch`, `data`, `logic`, `eval`, `io` — the consolidated
+//! table with descriptions is [`error::CODE_TABLE`], exhaustiveness-tested
+//! against the enum), and
 //! the net layer adds
 //! `line-too-long`, `invalid-utf8`, `idle-timeout` (session sat idle past
 //! the server's timeout), `unavailable` (all session workers busy —

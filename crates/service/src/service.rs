@@ -691,8 +691,12 @@ impl Service {
     // Write path: the serialized commit pipeline.
     // ------------------------------------------------------------------
 
-    fn lock_writer(&self) -> std::sync::MutexGuard<'_, Writer> {
-        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The writer, or [`ServiceError::WriterPoisoned`] once a commit has
+    /// panicked under the lock: its `Writer` may be half-mutated, so no
+    /// later commit may build on it.  Reads never take this lock and keep
+    /// serving the last published epoch.
+    fn lock_writer(&self) -> Result<std::sync::MutexGuard<'_, Writer>> {
+        self.writer.lock().map_err(|_| ServiceError::WriterPoisoned)
     }
 
     pub(crate) fn lock_query_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
@@ -832,7 +836,7 @@ impl Service {
 
     fn write_command(&self, verb: Verb, rest: &str) -> Result<Response> {
         let mut response = {
-            let mut w = self.lock_writer();
+            let mut w = self.lock_writer()?;
             // Parse against a handle of our own on the authoritative
             // vocabulary: a rejected command must leave no trace, and
             // interning is only adopted once the whole commit has
@@ -1208,7 +1212,7 @@ mod tests {
                 kbt_core::CoreError::TooManyWorlds { .. }
             ))
         ));
-        assert!(s.lock_writer().transforms["step"].chain.is_none());
+        assert!(s.lock_writer().unwrap().transforms["step"].chain.is_none());
         // the next successful APPLY rebuilds the session and equals a
         // from-scratch application
         s.execute("RETRACT mark(2)").unwrap();

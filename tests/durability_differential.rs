@@ -257,3 +257,50 @@ fn a_checkpoint_alone_recovers_when_the_wal_tail_is_empty() {
     assert_equivalent(&recovered, &oracle(&ops, 1), "checkpoint-only");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `eval:` row of a `STATS` reply, as the wire renders it.
+fn eval_row(service: &Service) -> String {
+    let mut out = Vec::new();
+    let stats = service.execute("STATS").unwrap();
+    kbt::service::net::proto::write_response(&mut out, &stats, None).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    text.lines()
+        .find(|line| line.starts_with("= eval:"))
+        .expect("STATS has an eval row")
+        .to_string()
+}
+
+#[test]
+fn grouped_commits_recover_the_same_eval_counters() {
+    // Four worlds that share e, then non-Horn cover probes over them: each
+    // APPLY is one µ evaluation, whether it runs live, is replayed from the
+    // WAL tail, or was folded into the checkpoint before it.
+    let mut ops = vec![
+        "ASSERT e(1, 2), e(2, 3), e(3, 1), e(3, 4)".to_string(),
+        "DEFINE split := tau[(marked(1) | marked(2)) & (marked(3) | marked(4))]".to_string(),
+        "APPLY split".to_string(),
+        "DEFINE probe := tau[forall x y. e(x, y) -> (c(x) | c(y))]; project[e, marked]".to_string(),
+    ];
+    ops.extend(std::iter::repeat_n("APPLY probe".to_string(), 3));
+    let dir = scratch_dir("grouped-eval");
+    let (live_row, live_eval) = {
+        let s = Service::open(durable_config(&dir, 1, 0)).unwrap();
+        for op in &ops {
+            s.execute(op).unwrap();
+        }
+        s.execute("CHECKPOINT").unwrap();
+        for _ in 0..2 {
+            s.execute("APPLY probe").unwrap();
+        }
+        (eval_row(&s), s.snapshot().stats().eval)
+    };
+    // the split is one update, each of the five probes one more
+    assert_eq!(live_eval.updates, 6, "{live_row}");
+    assert!(live_row.starts_with("= eval: 6 update(s),"), "{live_row}");
+
+    let recovered = Service::open(durable_config(&dir, 1, 0)).unwrap();
+    assert_eq!(recovered.snapshot().kb().len(), 4);
+    assert_eq!(recovered.snapshot().stats().eval, live_eval);
+    assert_eq!(eval_row(&recovered), live_row);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -11,12 +11,17 @@
 //! `KBT_THREADS={1,4}` matrix varies the environment default on top —
 //! which the service deliberately ignores in favour of its explicit
 //! width).
+//!
+//! A commit that panics under the writer lock poisons it: every later
+//! commit is refused with `writer-poisoned`, and readers on other threads
+//! keep observing the last published epoch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use kbt::data::Knowledgebase;
-use kbt::service::{Service, ServiceConfig};
+use kbt::obs::{LogSink, Record};
+use kbt::service::{Service, ServiceConfig, ServiceError};
 
 const READERS: usize = 4;
 
@@ -186,4 +191,68 @@ fn wire_format_round_trip_preserves_service_behaviour() {
         format!("{:?}", replayed.snapshot().kb()),
         "rendered states must be byte-identical"
     );
+}
+
+/// A log sink that panics on one record name: host code that panics while
+/// a commit holds the writer lock.
+struct PanicOn(&'static str);
+
+impl LogSink for PanicOn {
+    fn emit(&self, record: &Record<'_>) {
+        if record.name == self.0 {
+            panic!("sink refuses {}", self.0);
+        }
+    }
+}
+
+#[test]
+fn a_commit_that_panics_poisons_the_writer_and_reads_keep_serving() {
+    let service = Arc::new(Service::new(ServiceConfig::builder().threads(1).build()));
+    service.execute(DEFINE).unwrap();
+    service.execute("ASSERT edge(1, 2), edge(2, 3)").unwrap();
+    service.execute("APPLY refresh").unwrap();
+    let (epoch, kb) = (service.snapshot().epoch(), service.snapshot().kb().clone());
+
+    // the commit-apply span closes under the writer lock; a sink that
+    // panics on it unwinds through the lock on a session's thread
+    let registry = service.obs_registry();
+    registry.set_slow_span_ns(1);
+    registry.set_sink(Some(Arc::new(PanicOn("kbt_service_commit_apply_ns"))));
+    let committer = {
+        let service = service.clone();
+        std::thread::spawn(move || service.execute("ASSERT edge(3, 4)"))
+    };
+    assert!(committer.join().is_err(), "the commit must have panicked");
+    registry.set_sink(None);
+
+    // the refusal is the poisoned lock's, not the sink's: every later
+    // commit gets the typed error and publishes nothing
+    for command in [
+        "ASSERT edge(3, 4)",
+        "RETRACT edge(1, 2)",
+        "DEFINE other := project[edge]",
+        "APPLY refresh",
+    ] {
+        match service.execute(command) {
+            Err(e @ ServiceError::WriterPoisoned) => assert_eq!(e.code(), "writer-poisoned"),
+            other => panic!("{command}: expected WriterPoisoned, got {other:?}"),
+        }
+    }
+    assert_eq!(service.snapshot().epoch(), epoch);
+    assert_eq!(service.snapshot().kb(), &kb);
+
+    // reads, from any thread, keep serving the last published epoch
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let snap = service.snapshot();
+                service.execute("QUERY CERTAIN reach").unwrap();
+                (snap.epoch(), snap.kb().clone())
+            })
+        })
+        .collect();
+    for reader in readers {
+        assert_eq!(reader.join().unwrap(), (epoch, kb.clone()));
+    }
 }

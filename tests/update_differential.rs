@@ -1,5 +1,6 @@
 //! `Strategy::Grounding` against `Strategy::Exhaustive` on generated
-//! sentences.
+//! sentences, and every strategy's grouped `τ_φ` against a world-by-world
+//! fold of `µ`.
 //!
 //! The SAT path (ground, Tseitin-encode, two stages of minimal-model
 //! enumeration) and the literal enumeration of definition (9) share the
@@ -11,8 +12,18 @@
 //! world's active domain — over knowledgebases of one to three small
 //! worlds.  The candidate universe is kept to nine facts, which is what
 //! the oracle can enumerate a few hundred times.
+//!
+//! `Transformer` solves `µ` once per group of worlds that agree on the
+//! domain and on `σ(φ)`, and replays the answers onto the group's other
+//! worlds.  Comparing two strategies through `Transformer` would hide a
+//! grouping bug on both sides, so the second oracle folds `minimal_update`
+//! over every world itself.  It covers worlds that agree on `σ(φ)` and
+//! differ elsewhere, agree on `σ(φ)`'s facts but not on the domain, and
+//! lack φ's relation against hold it empty; results and the
+//! `TooManyWorlds`/`UniverseTooLarge` errors must match under every
+//! strategy.
 
-use kbt::core::{CoreError, EvalOptions, Strategy, Transformer};
+use kbt::core::{minimal_update, CoreError, EvalOptions, Strategy, Transformer};
 use kbt::data::{Database, DatabaseBuilder, Knowledgebase, RelId};
 use kbt::logic::builder::*;
 use kbt::logic::{Formula, Sentence, Term};
@@ -152,4 +163,214 @@ fn grounding_agrees_with_the_exhaustive_oracle_on_random_sentences() {
         refused >= 10,
         "only {refused} of 600 updates hit the world budget"
     );
+}
+
+// ---------------------------------------------------------------------
+// Grouped worlds against the world-by-world fold
+// ---------------------------------------------------------------------
+
+/// The five strategy choices, each run on both sides.
+const STRATEGIES: [Strategy; 5] = [
+    Strategy::Auto,
+    Strategy::Exhaustive,
+    Strategy::Grounding,
+    Strategy::QuantifierFree,
+    Strategy::Datalog,
+];
+
+/// Definition (10) literally: `µ(φ, db)` on every world, folded into one
+/// knowledgebase with the world budget checked after each insertion.  No
+/// two worlds share a solve.
+fn world_by_world(
+    phi: &Sentence,
+    kb: &Knowledgebase,
+    options: &EvalOptions,
+) -> Result<Knowledgebase, CoreError> {
+    let mut out = Knowledgebase::empty();
+    for db in kb.iter() {
+        for world in minimal_update(phi, db, options, None)?.databases {
+            out.insert(world)?;
+            if out.len() > options.max_worlds {
+                return Err(CoreError::TooManyWorlds {
+                    worlds: out.len(),
+                    limit: options.max_worlds,
+                });
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Runs `τ_φ` on `kb` under every strategy of [`STRATEGIES`], grouped and
+/// world by world, and requires the same knowledgebase or the same error.
+/// Returns the grouped side's `updates` (or its error) per strategy.
+fn assert_grouping_agrees(
+    what: &str,
+    phi: &Sentence,
+    kb: &Knowledgebase,
+    options: &EvalOptions,
+) -> Vec<Result<usize, CoreError>> {
+    STRATEGIES
+        .iter()
+        .map(|&strategy| {
+            let options = EvalOptions {
+                strategy,
+                ..*options
+            };
+            let grouped = Transformer::with_options(options).insert(phi, kb);
+            let oracle = world_by_world(phi, kb, &options);
+            assert_eq!(
+                grouped.as_ref().map(|r| &r.kb),
+                oracle.as_ref(),
+                "{what}, {strategy:?}: τ[{phi}] on {kb:?}"
+            );
+            grouped.map(|r| r.stats.updates)
+        })
+        .collect()
+}
+
+fn world(facts: &[(u32, &[u32])]) -> Database {
+    facts
+        .iter()
+        .fold(DatabaseBuilder::new(), |b, &(rel, t)| {
+            b.fact(RelId::new(rel), t)
+        })
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn grouping_agrees_with_the_world_by_world_oracle_on_each_kind_of_group() {
+    let options = EvalOptions::default();
+    // (a) both worlds store the same R1 and the same constants, and differ
+    // in R2, which φ does not mention: one group, one solve
+    let kb = Knowledgebase::from_databases([
+        world(&[(1, &[1, 2]), (1, &[2, 1]), (2, &[1])]),
+        world(&[(1, &[1, 2]), (1, &[2, 1]), (2, &[2])]),
+    ])
+    .unwrap();
+    let cover = Sentence::new(forall(
+        [1, 2],
+        implies(
+            atom(1, [var(1), var(2)]),
+            or(atom(3, [var(1)]), atom(3, [var(2)])),
+        ),
+    ))
+    .unwrap();
+    let horn = Sentence::new(forall(
+        [1, 2],
+        implies(atom(1, [var(1), var(2)]), atom(3, [var(2)])),
+    ))
+    .unwrap();
+    let ground = Sentence::new(or(
+        atom(1, [cst(1), cst(1)]),
+        not(atom(1, [cst(1), cst(2)])),
+    ))
+    .unwrap();
+    for phi in [&cover, &horn, &ground] {
+        let updates = assert_grouping_agrees("(a)", phi, &kb, &options);
+        assert!(
+            updates.iter().flatten().all(|&u| u == 1),
+            "(a) τ[{phi}]: one solve per strategy, got {updates:?}"
+        );
+    }
+
+    // (b) the same R1 but different active domains (R2 brings constant 4
+    // into one world only): `∀x R3(x)` fills each world's own domain
+    let kb = Knowledgebase::from_databases([
+        world(&[(1, &[1]), (1, &[2]), (2, &[1])]),
+        world(&[(1, &[1]), (1, &[2]), (2, &[4])]),
+    ])
+    .unwrap();
+    let everything = Sentence::new(forall([1], atom(3, [var(1)]))).unwrap();
+    let updates = assert_grouping_agrees("(b)", &everything, &kb, &options);
+    assert_eq!(updates[0], Ok(2), "(b): the domains differ");
+    let got = Transformer::new().insert(&everything, &kb).unwrap().kb;
+    let mut sizes: Vec<usize> = got
+        .iter()
+        .map(|db| db.relation(RelId::new(3)).unwrap().len())
+        .collect();
+    sizes.sort_unstable();
+    assert_eq!(sizes, [2, 3], "R3 over {{1, 2}} and over {{1, 2, 4}}");
+
+    // (c) φ's relation R2 absent from the worlds against held empty.  The
+    // worlds of one knowledgebase share a schema, so these are two
+    // knowledgebases, and µ must tell them apart: a fresh R2 is minimised
+    // after the stored relations, a stored one is flipped like them.
+    let without =
+        Knowledgebase::from_databases([world(&[(1, &[1, 2])]), world(&[(1, &[2, 1])])]).unwrap();
+    let with_empty = Knowledgebase::from_databases(without.iter().map(|db| {
+        let mut db = db.clone();
+        db.ensure_relation(RelId::new(2), 1).unwrap();
+        db
+    }))
+    .unwrap();
+    let mixed = [without.iter().next(), with_empty.iter().next()];
+    assert!(Knowledgebase::from_databases(mixed.into_iter().flatten().cloned()).is_err());
+    let either = Sentence::new(or(atom(1, [cst(1), cst(1)]), atom(2, [cst(1)]))).unwrap();
+    assert_grouping_agrees("(c) absent", &either, &without, &options);
+    assert_grouping_agrees("(c) empty", &either, &with_empty, &options);
+    let absent = Transformer::new().insert(&either, &without).unwrap().kb;
+    let empty = Transformer::new().insert(&either, &with_empty).unwrap().kb;
+    assert_eq!((absent.len(), empty.len()), (2, 4));
+}
+
+#[test]
+fn every_strategy_agrees_with_the_world_by_world_oracle_on_random_groups() {
+    // Worlds draw R1/R2 from two cores, so several share what φ mentions,
+    // and add unary R4 facts φ never mentions, which sometimes widen the
+    // active domain.
+    let mut rng = StdRng::seed_from_u64(0x6E0_0F5);
+    let (mut shared, mut too_many, mut too_large) = (0, 0, 0);
+    for case in 0..200 {
+        let shape = loop {
+            let shape = random_shape(&mut rng);
+            let universe: usize = shape
+                .arities
+                .iter()
+                .map(|&a| (shape.constants as usize).pow(a as u32))
+                .sum();
+            if universe + shape.constants as usize <= MAX_UNIVERSE {
+                break shape;
+            }
+        };
+        let cores = [0; 2].map(|_| random_world(&mut rng, &shape));
+        let worlds: Vec<Database> = (0..rng.random_range(2..5u32))
+            .map(|_| {
+                let mut db = cores[rng.random_range(0..2usize)].clone();
+                db.ensure_relation(RelId::new(4), 1).unwrap();
+                if rng.random_bool(0.5) {
+                    db.insert_fact(
+                        RelId::new(4),
+                        kbt::data::tuple![rng.random_range(1..shape.constants + 1)],
+                    )
+                    .unwrap();
+                }
+                db
+            })
+            .collect();
+        let kb = Knowledgebase::from_databases(worlds).unwrap();
+        let phi = Sentence::new(random_formula(&mut rng, &shape, 4, 0)).unwrap();
+        // budgets small enough to be hit: worlds every third case, ground
+        // atoms every fifth
+        let mut options = EvalOptions::default();
+        if case % 3 == 0 {
+            options.max_worlds = 2;
+        }
+        if case % 5 == 0 {
+            options.max_ground_atoms = 4;
+        }
+        for result in assert_grouping_agrees(&format!("case {case}"), &phi, &kb, &options) {
+            match result {
+                Ok(updates) => shared += usize::from(updates < kb.len()),
+                Err(CoreError::TooManyWorlds { .. }) => too_many += 1,
+                Err(CoreError::UniverseTooLarge { .. }) => too_large += 1,
+                Err(_) => {}
+            }
+        }
+    }
+    println!("{shared} grouped runs shared a solve, {too_many} + {too_large} refused");
+    assert!(shared >= 200, "only {shared} runs shared a solve");
+    assert!(too_many >= 20, "only {too_many} runs hit the world budget");
+    assert!(too_large >= 20, "only {too_large} runs hit the atom budget");
 }
