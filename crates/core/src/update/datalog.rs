@@ -16,13 +16,15 @@
 
 use std::collections::BTreeSet;
 
-use kbt_data::{Database, RelId, Relation, Schema, Tuple};
-use kbt_datalog::{program_from_sentence, semi_naive_eval_viewed, IncrementalEval, View};
+use kbt_data::{Const, Database, RelId, Relation, Schema, Tuple};
+use kbt_datalog::{
+    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, IncrementalEval, View,
+};
 use kbt_logic::{horn_clauses, Sentence};
 
 use crate::error::CoreError;
 use crate::options::EvalOptions;
-use crate::update::UpdateOutcome;
+use crate::update::{operator_row, UpdateOutcome};
 use crate::Result;
 
 /// Whether the Datalog fast path applies to `φ` and `db`: the sentence is a
@@ -66,7 +68,65 @@ pub fn datalog_update(
     let program = program_from_sentence(phi)?;
     let schema = db.schema().union(&phi.schema())?;
     let lifted = db.extend_schema(&schema)?;
-    let (fixpoint, stats) = semi_naive_eval_viewed(&program, &lifted, options.threads, view)?;
+    let (fixpoint, stats) = semi_naive_eval_viewed(&program, &lifted, options.threads, view, None)?;
+    Ok(UpdateOutcome {
+        databases: vec![fixpoint],
+        candidate_atoms: 0,
+        fixpoint: Some(stats),
+    })
+}
+
+/// `µ(φ, db)` projected onto `keep`, for a sentence [`applicable`] to `db`,
+/// deriving only what the projection keeps: φ's program goes through
+/// [`demand_rewrite`] with its heads in `keep` as all-free goals, and the
+/// engine materialises only the kept relations.  The outcome's database is
+/// byte-identical to [`datalog_update`]'s projected onto `keep`; its
+/// statistics count the rewritten fixpoint.  Under a view, the invented
+/// predicates render as `reach_fb` / `m_reach_fb`, and every seed fact gets
+/// a row of its own.
+pub fn pushdown_update(
+    phi: &Sentence,
+    db: &Database,
+    keep: &[RelId],
+    options: &EvalOptions,
+    view: Option<&mut View<'_>>,
+) -> Result<UpdateOutcome> {
+    let program = program_from_sentence(phi)?;
+    let schema = db.schema().union(&phi.schema())?;
+    // invented predicates must collide with no relation of the input, of φ,
+    // or of the projection
+    let first_free = (schema.relations().chain(keep.iter().copied()))
+        .map(|rel| rel.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let plan = demand_rewrite(&program, keep, first_free)?;
+    let mut edb = db.extend_schema(&schema)?;
+    for (rel, consts) in &plan.seeds {
+        edb.insert_fact(*rel, Tuple::new(consts.clone()))?;
+    }
+    let threads = options.threads;
+    let (fixpoint, stats) = match view {
+        None => semi_naive_eval_viewed(&plan.program, &edb, threads, None, Some(keep))?,
+        Some(view) => {
+            let base = view.namer;
+            let namer = |rel| plan.render_relation(rel, base);
+            let mut renamed = view.renamed(&namer);
+            for (rel, consts) in &plan.seeds {
+                let args: Vec<String> = consts.iter().map(Const::to_string).collect();
+                let seed = format!("seed {}({})", namer(*rel), args.join(", "));
+                renamed.rows.push(operator_row(seed, "magic"));
+            }
+            let out = semi_naive_eval_viewed(
+                &plan.program,
+                &edb,
+                threads,
+                Some(&mut renamed),
+                Some(keep),
+            )?;
+            view.rows.append(&mut renamed.rows);
+            out
+        }
+    };
     Ok(UpdateOutcome {
         databases: vec![fixpoint],
         candidate_atoms: 0,

@@ -13,7 +13,7 @@
 //! [`crate::reference`] as independent oracles; the differential tests
 //! assert byte-identical fixpoints between the engine and both of them.
 
-use kbt_data::Database;
+use kbt_data::{Database, RelId};
 use kbt_engine::{EngineStats, View};
 
 use crate::ast::Program;
@@ -83,7 +83,7 @@ pub fn semi_naive_eval_threads(
     edb: &Database,
     threads: usize,
 ) -> Result<(Database, EvalStats)> {
-    semi_naive_eval_viewed(program, edb, threads, None)
+    semi_naive_eval_viewed(program, edb, threads, None, None)
 }
 
 /// [`semi_naive_eval_threads`] observed through `view` (see
@@ -92,15 +92,17 @@ pub fn semi_naive_eval_threads(
 /// rule; a plan-only view yields the same rows with the join plans only
 /// and evaluates nothing (the returned database is `edb` with the
 /// program's relations declared).  Under a view the lowering attaches each
-/// rule's source text, rendered through the view's namer.
+/// rule's source text, rendered through the view's namer.  `keep` restricts
+/// the returned database to the kept relations (see [`kbt_engine::evaluate`]).
 pub fn semi_naive_eval_viewed(
     program: &Program,
     edb: &Database,
     threads: usize,
     view: Option<&mut View<'_>>,
+    keep: Option<&[RelId]>,
 ) -> Result<(Database, EvalStats)> {
     let lowered = lower_strata(program, view.as_ref().map(|v| v.namer))?;
-    let (db, stats) = kbt_engine::evaluate(&lowered, edb, threads, view)?;
+    let (db, stats) = kbt_engine::evaluate(&lowered, edb, threads, view, keep)?;
     Ok((db, stats.into()))
 }
 

@@ -115,12 +115,16 @@ use crate::Result;
 /// observer; a plan-only view gets the same rows zeroed and the rounds are
 /// **skipped**, along with everything only they need (no index and no
 /// membership table is built) — the returned database is then the
-/// un-evaluated storage and the statistics are all zero.
+/// un-evaluated storage and the statistics are all zero.  `keep` restricts
+/// the result to the kept relations (see [`IndexStorage::overlay_on`]): a
+/// caller that projects the fixpoint anyway never pays to materialise what
+/// it drops.
 pub fn evaluate(
     strata: &[Program],
     edb: &Database,
     threads: usize,
     view: Option<&mut View<'_>>,
+    keep: Option<&[RelId]>,
 ) -> Result<(Database, EngineStats)> {
     let runs = view.as_ref().is_none_or(|v| v.runs());
     let metrics = crate::metrics::metrics();
@@ -141,7 +145,7 @@ pub fn evaluate(
         metrics.absorb_stats(&stats);
     }
     let _materialize_span = runs.then(|| metrics.materialize_ns.span());
-    Ok((storage.overlay_on(edb), stats))
+    Ok((storage.overlay_on(edb, keep), stats))
 }
 
 /// The engine's one stratum driver: plans every stratum in order over the
@@ -915,7 +919,7 @@ mod tests {
     }
 
     fn eval(strata: &[Program], edb: &Database, threads: usize) -> (Database, EngineStats) {
-        evaluate(strata, edb, threads, None).unwrap()
+        evaluate(strata, edb, threads, None, None).unwrap()
     }
 
     fn chain_db(n: u32) -> Database {
@@ -1128,10 +1132,10 @@ mod tests {
 
         // the same rows the public entry explains, and the plans a run runs
         let mut explained = View::explain(&namer);
-        evaluate(&strata, &edb, 1, Some(&mut explained)).unwrap();
+        evaluate(&strata, &edb, 1, Some(&mut explained), None).unwrap();
         assert_eq!(planned_only.rows, explained.rows);
         let mut profiled = View::profile(&namer);
-        evaluate(&strata, &edb, 1, Some(&mut profiled)).unwrap();
+        evaluate(&strata, &edb, 1, Some(&mut profiled), None).unwrap();
         let plans = |v: &View<'_>| v.rows.iter().map(|p| p.plan.clone()).collect::<Vec<_>>();
         assert_eq!(plans(&planned_only), plans(&profiled));
 
@@ -1173,7 +1177,7 @@ mod tests {
         // a plan-only view hands the whole EDB back the same way
         let namer = |rel: RelId| rel.to_string();
         let mut view = View::explain(&namer);
-        let (fix, _) = evaluate(&[tc_program()], &edb, 1, Some(&mut view)).unwrap();
+        let (fix, _) = evaluate(&[tc_program()], &edb, 1, Some(&mut view), None).unwrap();
         assert!(fix
             .relation(r(7))
             .unwrap()
@@ -1185,7 +1189,7 @@ mod tests {
     fn arity_conflicts_with_the_edb_are_errors() {
         // the EDB stores r(1) as unary; the program reads it as binary
         let edb = DatabaseBuilder::new().fact(r(1), [1u32]).build().unwrap();
-        assert!(evaluate(&[tc_program()], &edb, 1, None).is_err());
+        assert!(evaluate(&[tc_program()], &edb, 1, None, None).is_err());
     }
 
     #[test]

@@ -521,7 +521,7 @@ mod tests {
 
     /// The from-scratch fixpoint the session must stay byte-identical to.
     fn from_scratch(strata: &[Program], edb: &Database) -> Database {
-        evaluate(strata, edb, 0, None).unwrap().0
+        evaluate(strata, edb, 0, None, None).unwrap().0
     }
 
     #[test]

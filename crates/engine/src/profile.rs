@@ -131,6 +131,17 @@ impl<'a> View<'a> {
         self.runs
     }
 
+    /// An empty view of the same kind rendering through `namer`: for a
+    /// layer that evaluates a rewritten program whose invented relations
+    /// its caller's namer does not know, and hands the rows back here.
+    pub fn renamed<'b>(&self, namer: &'b dyn Fn(RelId) -> String) -> View<'b> {
+        View {
+            runs: self.runs,
+            namer,
+            rows: Vec::new(),
+        }
+    }
+
     /// Records one row per planned rule of a stratum and returns the
     /// observer that fills them in while the stratum's rounds run.
     pub(crate) fn observe<'s>(
@@ -260,9 +271,10 @@ mod tests {
         let strata = tc_strata();
         let edb = chain_edb(12);
         for threads in [1, 4] {
-            let (plain_db, plain_stats) = evaluate(&strata, &edb, threads, None).unwrap();
+            let (plain_db, plain_stats) = evaluate(&strata, &edb, threads, None, None).unwrap();
             let mut view = View::profile(&namer);
-            let (prof_db, prof_stats) = evaluate(&strata, &edb, threads, Some(&mut view)).unwrap();
+            let (prof_db, prof_stats) =
+                evaluate(&strata, &edb, threads, Some(&mut view), None).unwrap();
             assert_eq!(plain_db, prof_db, "x{threads}: databases differ");
             assert_eq!(plain_stats, prof_stats, "x{threads}: stats differ");
             // Attribution is complete: per-rule counts sum to the
@@ -280,7 +292,7 @@ mod tests {
     #[test]
     fn profiles_carry_provenance_and_plans() {
         let mut view = View::profile(&namer);
-        evaluate(&tc_strata(), &chain_edb(4), 1, Some(&mut view)).unwrap();
+        evaluate(&tc_strata(), &chain_edb(4), 1, Some(&mut view), None).unwrap();
         let profiles = &view.rows;
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].rule, "path(x, y) :- edge(x, y)");
@@ -300,7 +312,7 @@ mod tests {
     fn explain_renders_without_evaluating() {
         let edb = chain_edb(4);
         let mut view = View::explain(&namer);
-        let (db, stats) = evaluate(&tc_strata(), &edb, 0, Some(&mut view)).unwrap();
+        let (db, stats) = evaluate(&tc_strata(), &edb, 0, Some(&mut view), None).unwrap();
         assert!(db.relation(rel(2)).unwrap().is_empty(), "no round ran");
         assert_eq!(stats, EngineStats::default());
         let profiles = &view.rows;

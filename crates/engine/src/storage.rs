@@ -171,16 +171,30 @@ impl IndexStorage {
 
     /// Copies the storage back into a plain database.
     pub fn to_database(&self) -> Database {
-        self.overlay_on(&Database::new())
+        self.overlay_on(&Database::new(), None)
     }
 
     /// `edb` with every stored relation set to its current contents: the
     /// relations [`Self::load`] left out pass through as `Arc` clones, and
-    /// so does every stored one nothing was written to.
-    pub fn overlay_on(&self, edb: &Database) -> Database {
-        let mut db = edb.clone();
-        for (&rel, r) in &self.relations {
-            db.set_relation(rel, r.to_relation());
+    /// so does every stored one nothing was written to.  Given `keep`, only
+    /// the kept relations, each from storage where stored and from `edb`
+    /// otherwise (absent where neither has it): no other relation is
+    /// materialised.
+    pub fn overlay_on(&self, edb: &Database, keep: Option<&[RelId]>) -> Database {
+        let Some(keep) = keep else {
+            let mut db = edb.clone();
+            for (&rel, r) in &self.relations {
+                db.set_relation(rel, r.to_relation());
+            }
+            return db;
+        };
+        let mut db = Database::new();
+        for &rel in keep {
+            match (self.relations.get(&rel), edb.relation(rel)) {
+                (Some(r), _) => db.set_relation(rel, r.to_relation()),
+                (None, Some(r)) => db.set_relation(rel, r.clone()),
+                (None, None) => {}
+            }
         }
         db
     }
@@ -211,6 +225,19 @@ mod tests {
         assert!(storage.holds(r(1), &tuple![1, 2]));
         assert!(!storage.holds(r(1), &tuple![2, 1]));
         assert_eq!(storage.to_database(), db());
+    }
+
+    #[test]
+    fn a_kept_overlay_materialises_only_the_kept_relations() {
+        let mut storage = IndexStorage::load(&db(), [(r(1), 2), (r(3), 1)]).unwrap();
+        storage.insert_fact(r(3), tuple![9]);
+        let kept = storage.overlay_on(&db(), Some(&[r(2), r(3), r(4)]));
+        let want = DatabaseBuilder::new()
+            .fact(r(2), [7u32])
+            .fact(r(3), [9u32])
+            .build()
+            .unwrap();
+        assert_eq!(kept, want);
     }
 
     #[test]

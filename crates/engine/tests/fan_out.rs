@@ -68,9 +68,9 @@ fn braid_closure_rounds_fan_out_at_width_2_and_run_inline_at_width_1() {
     let edb = braid_db(64, 16);
 
     let start = pool_counts();
-    let (seq, seq_stats) = evaluate(&strata, &edb, 1, None).unwrap();
+    let (seq, seq_stats) = evaluate(&strata, &edb, 1, None, None).unwrap();
     let inline = pool_counts();
-    let (par, par_stats) = evaluate(&strata, &edb, 2, None).unwrap();
+    let (par, par_stats) = evaluate(&strata, &edb, 2, None, None).unwrap();
     let end = pool_counts();
     println!(
         "scopes: width 1 {}, width 2 {}; contended {}",

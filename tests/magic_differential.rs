@@ -24,15 +24,19 @@
 //! 4. **Goal-directedness, by counts**: a point goal over a thousand
 //!    disjoint chains derives one chain's answers and scans about as many
 //!    tuples, where materialization derives all 55 000 — work counters,
-//!    so the gap is the same on any machine.
+//!    so the gap is the same on any machine.  A goal bound in its *second*
+//!    argument stays a slice too (bound-first binding propagation), and so
+//!    does a hypothetical `tau[…]; project[hits]` read through the
+//!    transformer (the projection push-down).
 
-use kbt::data::{Const, Database, DatabaseBuilder, RelId, Relation, Tuple};
+use kbt::core::{Transform, Transformer};
+use kbt::data::{Const, Database, DatabaseBuilder, Knowledgebase, RelId, Relation, Tuple};
 use kbt::datalog::{
     magic_rewrite, semi_naive_eval_threads, DatalogError, DlAtom, Literal, Program, Rule,
 };
 use kbt::engine::table::{filter_rows, SubsumptiveTable};
-use kbt::logic::builder::{cst, var};
-use kbt::logic::Term;
+use kbt::logic::builder::{and, atom, cst, forall, implies, var};
+use kbt::logic::{Sentence, Term};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -348,4 +352,101 @@ fn a_point_goal_scans_its_answers_not_the_closure() {
             materialize.tuples_scanned
         );
     }
+}
+
+/// The closure facts of one braid chain: 10 edges, 55 pairs.
+const CHAIN_CLOSURE: usize = 55;
+
+#[test]
+fn a_second_argument_goal_derives_one_chain_not_the_closure() {
+    // path(x, 11) asks who reaches the end of the first chain: bound-first
+    // propagation calls path(x, y) under the recursive rule as path^fb
+    // (edge(y, 11) binds y first), so only that chain's closure and its
+    // demand are derived — textual order would call path^ff, all 55 000
+    let program = tc_program();
+    let edb = braid(1_000);
+    let path = r(IDB_BIN);
+    let terms = [var(50), cst(11)];
+    let bound = [(1usize, Const::new(11))];
+    let plan = magic_rewrite(&program, path, &terms, FIRST_FREE).unwrap();
+    let mut seeded = edb.clone();
+    for (seed_rel, consts) in &plan.seeds {
+        seeded
+            .insert_fact(*seed_rel, Tuple::new(consts.clone()))
+            .unwrap();
+    }
+    for threads in [1, 2] {
+        let (db, magic) = semi_naive_eval_threads(&plan.program, &seeded, threads).unwrap();
+        let answers = filter_rows(db.relation(plan.answer).unwrap(), &bound);
+        assert_eq!(
+            answers,
+            oracle(&program, &edb, path, 2, &bound),
+            "width {threads}"
+        );
+        assert_eq!(answers.len(), 10, "width {threads}");
+        assert!(
+            magic.derived_facts <= 2 * CHAIN_CLOSURE,
+            "width {threads}: derived {} facts for one chain ({magic:?})",
+            magic.derived_facts
+        );
+    }
+}
+
+#[test]
+fn a_hypothetical_point_read_derives_one_chain_not_the_closure() {
+    // tau[non-linear TC & (forall x. path(x, 11) -> hits(x))]; project[hits]
+    // through the transformer: the projection keeps only `hits`, so the
+    // insertion is rewritten around it and `path` is called path^fb
+    let (edge, path, hits) = (EDB_BIN, IDB_BIN, IDB_UN);
+    let phi = Sentence::new(and(
+        and(
+            forall(
+                [1, 2],
+                implies(atom(edge, [var(1), var(2)]), atom(path, [var(1), var(2)])),
+            ),
+            forall(
+                [1, 2, 3],
+                implies(
+                    and(atom(path, [var(1), var(2)]), atom(path, [var(2), var(3)])),
+                    atom(path, [var(1), var(3)]),
+                ),
+            ),
+        ),
+        forall(
+            [1],
+            implies(atom(path, [var(1), cst(11)]), atom(hits, [var(1)])),
+        ),
+    ))
+    .unwrap();
+    let expr = Transform::insert(phi.clone()).then(Transform::project([r(hits)]));
+    let result = Transformer::new()
+        .apply(&expr, &Knowledgebase::singleton(braid(1_000)))
+        .unwrap();
+    // the yardstick: one chain's closure materialised in full (the `lub`
+    // keeps the projection from being pushed down)
+    let full = Transform::insert(phi)
+        .then(Transform::Lub)
+        .then(Transform::project([r(hits)]));
+    let one_chain = Transformer::new()
+        .apply(&full, &Knowledgebase::singleton(braid(1)))
+        .unwrap();
+    let want: Vec<Tuple> = (1..11u32)
+        .map(|x| Tuple::new(vec![Const::new(x)]))
+        .collect();
+    let world = result.kb.as_singleton().unwrap();
+    assert_eq!(
+        world
+            .relation(r(hits))
+            .unwrap()
+            .tuples()
+            .collect::<Vec<_>>(),
+        want
+    );
+    assert!(world.relation(r(path)).is_none());
+    assert!(
+        result.stats.tuples_scanned <= 2 * one_chain.stats.tuples_scanned,
+        "scanned {} tuples over a thousand chains, {} to close one in full",
+        result.stats.tuples_scanned,
+        one_chain.stats.tuples_scanned
+    );
 }
