@@ -23,14 +23,17 @@
 //!
 //! Constants are interned `u32` ids ([`Const`]), and a [`Relation`] of arity
 //! `k` stores its tuples as **one flat, arity-strided sorted run**: a single
-//! `Arc<Vec<Const>>` in which row `i` occupies `rows[i*k .. (i+1)*k]`, rows
+//! `Vec<Const>` behind an `Arc`, in which row `i` occupies `rows[i*k .. (i+1)*k]`, rows
 //! sorted lexicographically and deduplicated.  There is no per-tuple
 //! allocation and no pointer tree — scans are linear walks over one
 //! contiguous buffer, membership is a binary search over fixed-width row
 //! chunks, and the set algebra runs as linear merges of sorted runs.
 //! Cloning bumps the `Arc` (copy-on-write, O(1)); mutations unshare lazily
 //! and no-op mutations never copy.  Zero-arity "flag" relations keep the
-//! run empty and track presence in a separate length field.
+//! run empty and track presence in a separate length field.  A run also
+//! carries what other layers build over its rows once it is shared (the
+//! engine's hash indexes, [`Relation::cached`]), for exactly as long as
+//! some clone holds it.
 //!
 //! [`Tuple`] survives as the boundary type — parsing, rendering, and the
 //! public fact APIs speak owned tuples — while hot paths (the engine's

@@ -4,8 +4,8 @@
 //! # Storage layout
 //!
 //! A relation of arity `k` keeps its tuples as one arity-strided
-//! `Arc<Vec<Const>>`: row `i` occupies `rows[i*k .. (i+1)*k]`, rows are
-//! sorted lexicographically and deduplicated (a *sorted run*).  There is no
+//! `Vec<Const>` behind an `Arc`: row `i` occupies `rows[i*k .. (i+1)*k]`,
+//! rows are sorted lexicographically and deduplicated (a *sorted run*).  There is no
 //! per-tuple allocation and no tree of pointers — scans are linear walks
 //! over one contiguous buffer, membership is a binary search over row
 //! chunks, and the set algebra (union, intersection, difference, symmetric
@@ -28,14 +28,30 @@
 //! * the bulk merge operations always build a fresh run, so outstanding
 //!   clones are never disturbed.
 //!
+//! # What a run owns besides its rows
+//!
+//! A run never changes once it is shared, so whatever another layer
+//! builds over its rows holds for as long as the run lives.  Each run
+//! therefore carries a small cache of such values ([`Relation::cached`]):
+//! the query engine keeps the hash indexes of a stored relation there, so
+//! every read of every epoch that still holds the run — a commit that
+//! leaves a relation untouched hands the next epoch the very same `Arc` —
+//! probes one index built once.  The cache lives and dies with the run:
+//! there is nothing to evict and no size to set.  An `insert`/`remove`
+//! that writes a uniquely owned run in place drops its cache, and the copy
+//! a shared run is unshared into starts with none.  Equality, ordering and
+//! hashing ignore the cache.
+//!
 //! [`Tuple`] survives as the boundary/view type: parsing, rendering and
 //! the public fact APIs still speak tuples, while the engine's hot paths
 //! consume `&[Const]` row slices straight out of the run.
 
+use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::DataError;
 use crate::tuple::Tuple;
@@ -56,8 +72,75 @@ use crate::Result;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Relation {
     arity: usize,
-    rows: Arc<Vec<Const>>,
+    rows: Arc<Run>,
     len: usize,
+}
+
+/// A sorted run's row buffer and what was built over it (see the module
+/// docs).  Equality, ordering and hashing see the rows alone, and a clone
+/// — the copy-on-write copy — starts with nothing cached.
+#[derive(Default)]
+struct Run {
+    rows: Vec<Const>,
+    cache: Mutex<Vec<CacheSlot>>,
+}
+
+/// One value cached on a run: its type, its key, and the cell it is built
+/// into once.  The cell holds a `OnceLock<Arc<T>>`; it is shared so that a
+/// build runs outside the lock that finds the cell.
+struct CacheSlot {
+    type_id: TypeId,
+    key: u32,
+    cell: Arc<dyn Any + Send + Sync>,
+}
+
+impl Run {
+    fn new(rows: Vec<Const>) -> Self {
+        Run {
+            rows,
+            cache: Mutex::default(),
+        }
+    }
+}
+
+impl std::ops::Deref for Run {
+    type Target = [Const];
+
+    fn deref(&self) -> &[Const] {
+        &self.rows
+    }
+}
+
+impl Clone for Run {
+    fn clone(&self) -> Self {
+        Run::new(self.rows.clone())
+    }
+}
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for Run {}
+
+impl PartialOrd for Run {
+    fn partial_cmp(&self, other: &Run) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Run {
+    fn cmp(&self, other: &Run) -> Ordering {
+        self.rows.cmp(&other.rows)
+    }
+}
+
+impl Hash for Run {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.rows.hash(state);
+    }
 }
 
 impl Relation {
@@ -65,7 +148,7 @@ impl Relation {
     pub fn empty(arity: usize) -> Self {
         Relation {
             arity,
-            rows: Arc::new(Vec::new()),
+            rows: Arc::new(Run::new(Vec::new())),
             len: 0,
         }
     }
@@ -142,7 +225,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(rows),
+            rows: Arc::new(Run::new(rows)),
             len,
         })
     }
@@ -153,7 +236,7 @@ impl Relation {
         if arity == 0 {
             return Relation {
                 arity,
-                rows: Arc::new(Vec::new()),
+                rows: Arc::new(Run::new(Vec::new())),
                 len: usize::from(count > 0),
             };
         }
@@ -162,7 +245,7 @@ impl Relation {
         rows.truncate(sorted * arity);
         Relation {
             arity,
-            rows: Arc::new(rows),
+            rows: Arc::new(Run::new(rows)),
             len: sorted,
         }
     }
@@ -220,6 +303,63 @@ impl Relation {
         Err(lo)
     }
 
+    /// The position of `row` in the sorted run (`Some(i)` iff
+    /// [`Self::row`]`(i) == row`), by binary search.  A row of the wrong
+    /// length is absent.
+    pub fn position(&self, row: &[Const]) -> Option<usize> {
+        if row.len() != self.arity {
+            return None;
+        }
+        self.find_row(row).ok()
+    }
+
+    /// The rows for writing: a shared run is copied once
+    /// (`Arc::make_mut`), and a run written in place drops what was cached
+    /// on it.
+    fn rows_mut(&mut self) -> &mut Vec<Const> {
+        let run = Arc::make_mut(&mut self.rows);
+        run.cache = Mutex::default();
+        &mut run.rows
+    }
+
+    /// The value of type `T` cached on this relation's run under `key`,
+    /// built by `build` the first time a holder of the run asks for it (see
+    /// the module docs).  Concurrent first demands build it once: the
+    /// others wait for that build.  `build` must depend on the run's rows
+    /// alone — [`Self::as_rows`] — since every clone sharing the run gets
+    /// the same value; a zero-arity relation's run has no rows, so nothing
+    /// about its contents belongs in its cache.
+    pub fn cached<T: Any + Send + Sync>(
+        &self,
+        key: u32,
+        build: impl FnOnce(&Relation) -> T,
+    ) -> Arc<T> {
+        let type_id = TypeId::of::<T>();
+        let cell = {
+            let mut slots = self
+                .rows
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match slots.iter().find(|s| s.type_id == type_id && s.key == key) {
+                Some(slot) => slot.cell.clone(),
+                None => {
+                    let cell: Arc<dyn Any + Send + Sync> = Arc::new(OnceLock::<Arc<T>>::new());
+                    slots.push(CacheSlot {
+                        type_id,
+                        key,
+                        cell: cell.clone(),
+                    });
+                    cell
+                }
+            }
+        };
+        let cell = cell
+            .downcast::<OnceLock<Arc<T>>>()
+            .expect("a slot holds the type it is keyed by");
+        cell.get_or_init(|| Arc::new(build(self))).clone()
+    }
+
     /// Inserts a tuple; returns `true` if it was not already present.
     ///
     /// Copy-on-write: a redundant insertion never copies a shared run; a
@@ -245,8 +385,8 @@ impl Relation {
             Ok(_) => false,
             Err(at) => {
                 if self.arity > 0 {
-                    let rows = Arc::make_mut(&mut self.rows);
                     let insert_at = at * self.arity;
+                    let rows = self.rows_mut();
                     rows.splice(insert_at..insert_at, row.iter().copied());
                 }
                 self.len += 1;
@@ -271,9 +411,8 @@ impl Relation {
             Err(_) => false,
             Ok(at) => {
                 if self.arity > 0 {
-                    let rows = Arc::make_mut(&mut self.rows);
-                    let start = at * self.arity;
-                    rows.drain(start..start + self.arity);
+                    let (start, arity) = (at * self.arity, self.arity);
+                    self.rows_mut().drain(start..start + arity);
                 }
                 self.len -= 1;
                 true
@@ -338,7 +477,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(out),
+            rows: Arc::new(Run::new(out)),
             len: count,
         })
     }
@@ -367,7 +506,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(out),
+            rows: Arc::new(Run::new(out)),
             len: count,
         })
     }
@@ -396,7 +535,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(out),
+            rows: Arc::new(Run::new(out)),
             len: count,
         })
     }
@@ -423,7 +562,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(out),
+            rows: Arc::new(Run::new(out)),
             len: count,
         })
     }
@@ -476,7 +615,7 @@ impl Relation {
         }
         Ok(Relation {
             arity,
-            rows: Arc::new(out),
+            rows: Arc::new(Run::new(out)),
             len: count,
         })
     }
@@ -526,7 +665,7 @@ impl Relation {
     fn flag(len: usize) -> Relation {
         Relation {
             arity: 0,
-            rows: Arc::new(Vec::new()),
+            rows: Arc::new(Run::new(Vec::new())),
             len: usize::from(len > 0),
         }
     }
@@ -898,6 +1037,61 @@ mod tests {
         assert!(rel(1, &[tuple![9]]) < rel(2, &[tuple![1, 1]]));
         // zero-arity: {} < {()}
         assert!(Relation::empty(0) < rel(0, &[Tuple::empty()]));
+    }
+
+    #[test]
+    fn a_cached_value_is_built_once_per_run_and_shared_by_clones() {
+        let a = rel(2, &[tuple![1, 2], tuple![3, 4]]);
+        let builds = std::cell::Cell::new(0);
+        let count = |r: &Relation| {
+            builds.set(builds.get() + 1);
+            r.len()
+        };
+        assert_eq!(*a.cached(7, count), 2);
+        let b = a.clone();
+        assert_eq!(*b.cached(7, count), 2);
+        assert_eq!(builds.get(), 1, "a clone shares the run and its cache");
+        // another key, or another type under the same key, is another slot
+        assert_eq!(*a.cached(8, count), 2);
+        assert_eq!(
+            *a.cached(7, |r| r.row(0).to_vec()),
+            vec![Const::new(1), Const::new(2)]
+        );
+        assert_eq!(builds.get(), 2);
+        // an equal relation on another run has a cache of its own
+        let c = rel(2, &[tuple![1, 2], tuple![3, 4]]);
+        assert_eq!(a, c, "the cache is not part of the contents");
+        c.cached(7, count);
+        assert_eq!(builds.get(), 3);
+    }
+
+    #[test]
+    fn writing_a_run_never_serves_what_was_cached_on_it() {
+        let mut a = rel(2, &[tuple![1, 2]]);
+        let len = |r: &Relation| r.len();
+        assert_eq!(*a.cached(0, len), 1);
+        // unshared: the writer's copy starts empty, the clone keeps its own
+        let b = a.clone();
+        assert!(a.insert(tuple![5, 6]).unwrap());
+        assert_eq!(*a.cached(0, len), 2);
+        assert_eq!(*b.cached(0, len), 1);
+        // uniquely owned: written in place, and the cache goes with it
+        let held = a.cached(0, len);
+        assert!(a.remove(&tuple![1, 2]));
+        assert_eq!(*a.cached(0, len), 1);
+        assert_eq!(*held, 2, "a value handed out before the write is its own");
+        // a no-op write changes nothing, so it keeps the cache
+        let before = a.cached(0, len);
+        assert!(!a.insert(tuple![5, 6]).unwrap());
+        assert!(Arc::ptr_eq(&before, &a.cached(0, len)));
+    }
+
+    #[test]
+    fn position_finds_rows_by_binary_search() {
+        let a = rel(2, &[tuple![1, 2], tuple![3, 4], tuple![5, 6]]);
+        assert_eq!(a.position(&[Const::new(3), Const::new(4)]), Some(1));
+        assert_eq!(a.position(&[Const::new(3), Const::new(5)]), None);
+        assert_eq!(a.position(&[Const::new(3)]), None, "wrong length is absent");
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod eval;
 pub mod from_logic;
 pub mod lower;
 pub mod magic;
+pub mod metrics;
 pub mod reference;
 pub mod stratify;
 
@@ -47,6 +48,7 @@ pub use from_logic::{program_from_horn, program_from_sentence};
 pub use kbt_engine::{RuleProfile, View};
 pub use lower::{lower_program, lower_rule, lower_strata, render_rule};
 pub use magic::{demand_rewrite, magic_rewrite, DemandPlan, MagicName, MagicPlan};
+pub use metrics::{metrics, DatalogMetrics};
 pub use reference::{reference_naive_eval, reference_semi_naive_eval};
 pub use stratify::stratify;
 

@@ -10,11 +10,11 @@
 //! ## Row-slice evaluation
 //!
 //! The interpreter never materialises tuples while joining: scans and probes
-//! hand out `&[Const]` row slices borrowed straight from the storage's row
-//! arenas, probe keys are single `u64`s accumulated in registers (see
-//! [`crate::fx`]), and instantiated head facts go into a per-plan scratch
-//! buffer that the pending-set sink copies out of.  The inner join loops
-//! perform **zero heap allocations per probe**.
+//! hand out `&[Const]` row slices borrowed straight from the storage's
+//! stored runs and tails, probe keys are single `u64`s accumulated in
+//! registers (see [`crate::fx`]), and instantiated head facts go into a
+//! per-plan scratch buffer that the pending-set sink copies out of.  The
+//! inner join loops perform **zero heap allocations per probe**.
 //!
 //! There is one interpreter of plan steps, `run_steps`, and the sink it
 //! feeds says whether to go on ([`ControlFlow`]).  A fixpoint round wants
@@ -36,7 +36,7 @@
 //!   storage;
 //! * storage is borrowed shared for the whole round and nothing writes
 //!   between the filter's last lookup and the append, so the run is still
-//!   disjoint when [`IndexStorage::append_run`] extends the arena with it —
+//!   disjoint when [`IndexStorage::append_run`] extends the tail with it —
 //!   one reserve-then-extend, one membership insert and one bucket push per
 //!   live index per row, no second lookup;
 //! * the pending runs are then **moved out** as the next round's delta.
@@ -45,7 +45,7 @@
 //!   no membership table, no copy.
 //!
 //! Each derived fact is therefore written twice in all — into its round's
-//! run, and from the run into the arena — and because every arena the
+//! run, and from the run into the tail — and because every tail the
 //! fixpoint writes is a concatenation of such runs, materialising the
 //! result merges them instead of sorting (see [`crate::index`]).
 //!
@@ -102,8 +102,15 @@ use crate::Result;
 /// Every relation mentioned by any stratum is materialised (empty if absent
 /// from `edb`); the result contains the EDB unchanged plus the derived
 /// facts.  Only the relations some stratum names are loaded into indexed
-/// storage; every other relation of `edb` — and every named one nothing
-/// was derived into — is in the result as the very `Arc` it came in as.
+/// storage, and loading copies nothing: each stored run is the shared first
+/// segment of the relation the rounds read, and the rounds' derivations go
+/// into private tails on top of it ([`IndexStorage::load`]).  The indexes
+/// and membership tables the plans demand on a stored run are cached on
+/// the run, so a second evaluation over an `edb` that shares its runs —
+/// every read of one epoch, and of the next for each relation a commit left
+/// untouched — builds none of them again.  Every other relation of `edb` —
+/// and every named one nothing was derived into — is in the result as the
+/// very `Arc` it came in as.
 /// `threads` is the evaluation width: `0` uses the process default
 /// ([`kbt_par::default_threads`] — the `KBT_THREADS` environment variable,
 /// else the machine's available parallelism), `1` is the exact sequential
@@ -500,6 +507,8 @@ pub(crate) fn run_round_with<K>(
 where
     K: Fn(RelId, &[Const]) -> bool + Sync,
 {
+    let metrics = crate::metrics::metrics();
+    let join_span = metrics.join_ns.span();
     let (tasks, width) = round_tasks(plans, storage, deltas, width);
     let results = ThreadPool::global().map(width, &tasks, |_, task| {
         let mut pending = Bags::new();
@@ -531,6 +540,8 @@ where
             }
         }
     }
+    drop(join_span);
+    let _sort_span = metrics.sort_ns.span();
     into_runs(pending)
 }
 
@@ -841,9 +852,6 @@ fn run_steps(
             stats.index_probes += 1;
             let exact = key_is_exact(key.len());
             for id in relation.probe_bucket(*mask, acc.finish()) {
-                if !relation.is_live(id) {
-                    continue; // tombstone from an incremental removal
-                }
                 let row = relation.row(id);
                 if !exact && !bound_cols_match(row, *mask, key, regs) {
                     continue; // hash collision in a wide-key bucket

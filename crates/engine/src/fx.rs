@@ -14,7 +14,7 @@
 //!   verification;
 //! * **≥ 3 key columns** — the constants are folded through the FxHash
 //!   mixer; collisions are possible, so bucket candidates are verified
-//!   against the row arena before they count as matches.
+//!   against the stored rows before they count as matches.
 //!
 //! Every map is keyed consistently (the column count is fixed per binding
 //! mask), so packed and hashed keys never mix within one map.

@@ -7,24 +7,27 @@
 //! that makes the fast path actually fast:
 //!
 //! * [`index::IndexedRelation`] / [`storage::IndexStorage`] — flat row
-//!   storage: every relation keeps its tuples in one arity-strided
-//!   `Vec<Const>` arena (slot = row id) with hash indexes keyed by
-//!   *bound-column masks*, built lazily for exactly the `(relation, binding
-//!   pattern)` pairs a rule body demands.  Keys over ≤ [`PACK_MAX`] bound
+//!   storage: every relation keeps its tuples as arity-strided row slices
+//!   (slot = row id) in two segments — the stored sorted run it was loaded
+//!   from, shared and never copied, then a private `Vec<Const>` tail that
+//!   evaluation appends to — with hash indexes keyed by *bound-column
+//!   masks*, built lazily for exactly the `(relation, binding pattern)`
+//!   pairs a rule body demands.  A stored run's indexes are cached on the
+//!   run itself, so they are built once per run, not once per read.  Keys over ≤ [`PACK_MAX`] bound
 //!   columns pack injectively into a `u64` ([`fx::KeyAcc`]); wider patterns
 //!   hash with verification.  A probe is therefore allocation-free: pack
 //!   the key on the stack, walk the bucket's borrowed id chain, verify candidates
-//!   against `&[Const]` row slices straight out of the arena.  Storage is
+//!   against `&[Const]` row slices straight out of storage.  Storage is
 //!   **written in bulk and read back by merging**: one-shot evaluation
-//!   loads only the relations its rules name (a memcpy each — the
+//!   loads only the relations its rules name (an `Arc` clone each — the
 //!   membership table of a loaded relation is deferred until a plan or a
 //!   write needs it; everything else in the database passes through as the
 //!   `Arc` it is), each fixpoint round appends one sorted run per relation
-//!   that is by construction disjoint from what is stored, the arena
+//!   that is by construction disjoint from what is stored, the tail
 //!   records the run boundaries, and the result is a k-way merge of them.
 //!   Each derived fact is written once into its round's run and once into
-//!   the arena.  A relation knows its contents in order one way — the last
-//!   canonical run it handed out (a load is one) plus what the arena
+//!   the tail.  A relation knows its contents in order one way — the last
+//!   canonical run it handed out (a load is one) plus what the tail
 //!   records since — so a snapshot costs one merge of what changed since
 //!   the previous one.  Single-row writes and tombstoned removals with
 //!   amortised compaction exist for the incremental session, which is the

@@ -10,12 +10,14 @@
 //!
 //! Timing (the `_ns` histograms) is gated on the global registry's
 //! enabled flag — one relaxed load per span when off.  The counters
-//! always accumulate; they are absorbed from the final `EngineStats` in
-//! one batch per evaluation, off the round hot path.
+//! always accumulate; the work counters are absorbed from the final
+//! `EngineStats` in one batch per evaluation, off the round hot path, and
+//! the storage ones (index builds, rows copied, shared index bytes) are
+//! recorded where a table is built or freed, never per probe.
 
 use std::sync::OnceLock;
 
-use kbt_obs::{Counter, Histogram, Registry};
+use kbt_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::stats::EngineStats;
 
@@ -42,16 +44,34 @@ pub struct EngineMetrics {
     /// `kbt_engine_table_evictions` — memoized calls dropped when their
     /// snapshot was superseded.
     pub table_evictions: Counter,
+    /// `kbt_engine_index_builds_total` — indexes and membership tables
+    /// built over stored rows: once per stored run and mask, plus every
+    /// private table built over a non-empty tail (see [`crate::index`]).
+    pub index_builds_total: Counter,
+    /// `kbt_engine_rows_copied_total` — stored rows copied into a private
+    /// arena (a compaction moving a shared first segment's live rows).
+    pub rows_copied_total: Counter,
+    /// `kbt_engine_shared_index_bytes` — heap bytes of the indexes and
+    /// membership tables cached on stored runs; up on each build, down
+    /// when the run holding one is freed.
+    pub shared_index_bytes: Gauge,
     /// `kbt_engine_eval_ns` — whole-evaluation wall time.
     pub eval_ns: Histogram,
-    /// `kbt_engine_round_ns` — per-fixpoint-round wall time (derive+commit).
+    /// `kbt_engine_round_ns` — per-fixpoint-round wall time (join, sort and
+    /// commit).
     pub round_ns: Histogram,
     /// `kbt_engine_load_ns` — getting ready to run: one sample for wrapping
     /// the relations the strata name, one per stratum for planning it and
     /// building the indexes and membership tables its plans demand.
     pub load_ns: Histogram,
+    /// `kbt_engine_join_ns` — per-round wall time of running the round's
+    /// plans into pending bags (the join stage of `round_ns`).
+    pub join_ns: Histogram,
+    /// `kbt_engine_sort_ns` — per-round wall time of canonicalising the
+    /// pending bags into sorted runs (the sort stage of `round_ns`).
+    pub sort_ns: Histogram,
     /// `kbt_engine_commit_ns` — per-round wall time of the bulk append
-    /// alone (the part of `round_ns` that is not joining).
+    /// alone (the commit stage of `round_ns`).
     pub commit_ns: Histogram,
     /// `kbt_engine_materialize_ns` — turning the evaluated storage's runs
     /// back into a `Database`, once per from-scratch evaluation.
@@ -112,6 +132,18 @@ pub fn metrics() -> &'static EngineMetrics {
                 "Memoized calls dropped when their snapshot was superseded.",
             ),
             (
+                "kbt_engine_index_builds_total",
+                "Indexes and membership tables built over stored rows.",
+            ),
+            (
+                "kbt_engine_rows_copied_total",
+                "Stored rows copied into a private arena.",
+            ),
+            (
+                "kbt_engine_shared_index_bytes",
+                "Heap bytes of the indexes cached on stored runs.",
+            ),
+            (
                 "kbt_engine_eval_ns",
                 "Whole-evaluation wall time in nanoseconds.",
             ),
@@ -122,6 +154,14 @@ pub fn metrics() -> &'static EngineMetrics {
             (
                 "kbt_engine_load_ns",
                 "Wall time wrapping named relations, and per stratum planning and building demanded indexes, in nanoseconds.",
+            ),
+            (
+                "kbt_engine_join_ns",
+                "Per-fixpoint-round wall time of running the plans in nanoseconds.",
+            ),
+            (
+                "kbt_engine_sort_ns",
+                "Per-fixpoint-round wall time of sorting the derived rows into runs in nanoseconds.",
             ),
             (
                 "kbt_engine_commit_ns",
@@ -148,9 +188,14 @@ pub fn metrics() -> &'static EngineMetrics {
             table_hits: r.counter("kbt_engine_table_hits"),
             table_misses: r.counter("kbt_engine_table_misses"),
             table_evictions: r.counter("kbt_engine_table_evictions"),
+            index_builds_total: r.counter("kbt_engine_index_builds_total"),
+            rows_copied_total: r.counter("kbt_engine_rows_copied_total"),
+            shared_index_bytes: r.gauge("kbt_engine_shared_index_bytes"),
             eval_ns: r.histogram("kbt_engine_eval_ns"),
             round_ns: r.histogram("kbt_engine_round_ns"),
             load_ns: r.histogram("kbt_engine_load_ns"),
+            join_ns: r.histogram("kbt_engine_join_ns"),
+            sort_ns: r.histogram("kbt_engine_sort_ns"),
             commit_ns: r.histogram("kbt_engine_commit_ns"),
             materialize_ns: r.histogram("kbt_engine_materialize_ns"),
             delta_ns: r.histogram("kbt_engine_delta_ns"),

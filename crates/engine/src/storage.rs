@@ -8,7 +8,8 @@ use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 use crate::index::{IndexedRelation, Mask};
 
 /// A database whose relations are [`IndexedRelation`]s: the engine's working
-/// set during fixpoint evaluation.
+/// set during fixpoint evaluation — stored runs shared, with private tails
+/// on top (see [`crate::index`]).
 #[derive(Clone, Debug, Default)]
 pub struct IndexStorage {
     relations: BTreeMap<RelId, IndexedRelation>,
@@ -20,9 +21,13 @@ impl IndexStorage {
         IndexStorage::default()
     }
 
-    /// Copies a whole database into indexed form — what a session does,
-    /// since later deltas may touch any relation.  One-shot evaluation uses
-    /// [`Self::load`] instead.
+    /// Wraps a whole database — what a session does, since later deltas
+    /// may touch any relation.  Each relation is loaded the one way
+    /// [`IndexedRelation::from_relation`] loads: its stored run becomes
+    /// the shared first segment (nothing is copied), the indexes the
+    /// session demands on it are the ones cached on the run, and the
+    /// session's own writes go into private tails.  One-shot evaluation
+    /// uses [`Self::load`] instead.
     pub fn from_database(db: &Database) -> Self {
         IndexStorage {
             relations: db
@@ -34,9 +39,15 @@ impl IndexStorage {
 
     /// Wraps only the `named` relations of `edb` (each with the arity its
     /// user expects; empty where `edb` has none) — the one-shot path's
-    /// load: a relation no rule names is never copied, and comes back
-    /// through [`Self::overlay_on`] as the `Arc` it went in as.  Fails on an
-    /// arity conflict, between `edb` and a name or between two names.
+    /// load, through the same [`IndexedRelation::from_relation`] as
+    /// [`Self::from_database`]: each stored run becomes the shared first
+    /// segment of its relation, so a load copies no row and hashes
+    /// nothing, and an index a plan demands on it is built once per run
+    /// and found there by every later read of an epoch that holds the same
+    /// run.  A relation no rule names is not wrapped at all.  Every stored
+    /// relation nothing is written to comes back through
+    /// [`Self::overlay_on`] as the `Arc` it went in as.  Fails on an arity
+    /// conflict, between `edb` and a name or between two names.
     pub fn load(
         edb: &Database,
         named: impl IntoIterator<Item = (RelId, usize)>,

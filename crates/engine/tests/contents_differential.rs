@@ -1,6 +1,6 @@
 //! Differential proptests for the one way [`IndexedRelation`] knows its own
 //! contents in order — the last canonical run it handed out (or was loaded
-//! from) plus what the arena records since: the runs appended above the
+//! from) plus what it records since: the runs appended above the
 //! watermark and the ids tombstoned below it — and for the membership table
 //! a load defers.
 //!
@@ -161,8 +161,7 @@ proptest! {
     }
 
     /// `to_relation` after *k* bulk appends is `Relation::from_rows` over
-    /// the same rows — at arity 0 (no row data: the count lives in the
-    /// liveness vector), 1 and 2 (packed, exact membership keys) and 4
+    /// the same rows — at arity 0 (no row data, only slots), 1 and 2 (packed, exact membership keys) and 4
     /// (hashed keys: membership verifies rows), from a relation that starts
     /// empty and from one loaded from the first batch (an empty first batch
     /// leaves an empty first run behind).
@@ -216,7 +215,7 @@ proptest! {
     /// re-sorted — through removals, re-insertions and the compactions
     /// they trigger: masks `0b01` and `0b10` at arity 2 (packed keys),
     /// and at arity 4 a hashed three-column index and a one-column one.
-    /// The expected walk is read off the arena slot by slot; the rows it
+    /// The expected walk is read off the slots one by one; the rows it
     /// names are checked against a `BTreeSet` oracle.  A bucket that walks
     /// last-pushed first, or a membership unlink that loses or keeps the
     /// wrong ids, fails here.

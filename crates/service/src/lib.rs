@@ -285,8 +285,8 @@
 //! Every serving layer records into `kbt-obs` ([`kbt_obs::Registry`]):
 //! each [`Service`] owns a **per-instance** registry (two services never
 //! share a counter — essential for tests and embedded use), while the
-//! library crates underneath (`kbt-engine`, `kbt-par`, `kbt-solver`)
-//! record into the process-global one.  The `METRICS` command merges both
+//! library crates underneath (`kbt-engine`, `kbt-datalog`, `kbt-par`,
+//! `kbt-solver`) record into the process-global one.  The `METRICS` command merges both
 //! and returns a Prometheus-style text exposition, one `= `-prefixed data
 //! line per sample over the wire:
 //!
@@ -361,16 +361,37 @@
 //!   found no memoized call.
 //! * `kbt_engine_table_evictions` (counter): memoized calls dropped when
 //!   their snapshot was superseded.
+//! * `kbt_engine_index_builds_total` (counter): indexes and membership
+//!   tables built over stored rows — once per stored run and mask (the
+//!   run keeps them for every later read), plus each private table built
+//!   over an evaluation's own rows.  A repeated read of an unchanged
+//!   epoch adds none.
+//! * `kbt_engine_rows_copied_total` (counter): stored rows copied into a
+//!   private arena (only a compaction of a relation a session deleted
+//!   from does that; a read copies none).
+//! * `kbt_engine_shared_index_bytes` (gauge): heap bytes of the indexes
+//!   cached on stored runs — those of the current epoch and of every epoch
+//!   still pinned; it falls as superseded runs are freed.
 //! * `kbt_engine_eval_ns` (histogram): full evaluation latency.
-//! * `kbt_engine_round_ns` (histogram): per-round latency.
+//! * `kbt_engine_round_ns` (histogram): per-round latency (join, sort
+//!   and commit).
 //! * `kbt_engine_load_ns` (histogram): getting ready to run — one sample
 //!   for wrapping the relations the strata name, one per stratum for
-//!   planning and building the indexes and membership tables demanded.
+//!   planning and fetching (or building) the indexes and membership tables
+//!   demanded.
+//! * `kbt_engine_join_ns` (histogram): per-round latency of running the
+//!   round's plans into pending bags.
+//! * `kbt_engine_sort_ns` (histogram): per-round latency of sorting and
+//!   deduplicating the pending bags into runs.
 //! * `kbt_engine_commit_ns` (histogram): per-round latency of the bulk
-//!   append alone (the part of a round that is not joining).
+//!   append alone.
 //! * `kbt_engine_materialize_ns` (histogram): merging an evaluation's
 //!   storage back into a database.
 //! * `kbt_engine_delta_ns` (histogram): per-delta latency.
+//! * `kbt_datalog_demand_rewrites_total` (counter): hypothetical
+//!   `tau[φ]; project[K]` reads pushed down by one demand rewrite.
+//! * `kbt_datalog_demand_rewrite_ns` (histogram): latency of one demand
+//!   rewrite.
 //! * `kbt_par_scopes_total` (counter): pool scopes entered.
 //! * `kbt_par_contended_scopes_total` (counter): scopes that waited.
 //! * `kbt_par_workerset_jobs_total` (counter): worker-set jobs admitted.
@@ -388,9 +409,10 @@
 //!   updates).
 //!
 //! **Span taxonomy.**  Timed spans feed the `_ns` histograms above:
-//! `eval` / `load` / `round` / `commit` / `materialize` / `delta` (engine:
-//! an `eval` is its `load`s, its `round`s — each ending in a `commit` — and
-//! one `materialize`), `commit_parse` / `commit_apply` /
+//! `eval` / `load` / `round` / `join` / `sort` / `commit` / `materialize` /
+//! `delta` (engine: an `eval` is its `load`s, its `round`s — each a `join`,
+//! a `sort` and a `commit` — and one `materialize`), `demand_rewrite`
+//! (the push-down of a hypothetical read), `commit_parse` / `commit_apply` /
 //! `commit_publish` (the commit pipeline), `slow_query` (textual queries;
 //! carries the query text and, over the wire, the trace `id`), and the
 //! per-verb net command spans.  With `kbt-serve --log-format text|json` a

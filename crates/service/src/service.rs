@@ -438,10 +438,11 @@ impl Service {
         transforms: BTreeMap<String, Registered>,
         stats: ServiceStats,
     ) -> Self {
-        // Touch the library-level registries eagerly: every engine/par/
-        // solver series must exist from the first scrape, not the first
+        // Touch the library-level registries eagerly: every engine/
+        // datalog/par/solver series must exist from the first scrape, not the first
         // fixpoint or the first non-Horn update.
         kbt_engine::metrics();
+        kbt_datalog::metrics();
         kbt_par::metrics();
         kbt_solver::metrics();
         let metrics = ServiceMetrics::register(Registry::new());
