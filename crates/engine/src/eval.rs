@@ -13,16 +13,28 @@
 //! hand out `&[Const]` row slices borrowed straight from the storage's
 //! stored runs and tails, probe keys are single `u64`s accumulated in
 //! registers (see [`crate::fx`]), and instantiated head facts go into a
-//! per-plan scratch buffer that the pending-set sink copies out of.  The
+//! per-task scratch buffer that the pending-set sink copies out of.  The
 //! inner join loops perform **zero heap allocations per probe**.
 //!
-//! There is one interpreter of plan steps, `run_steps`, and the sink it
-//! feeds says whether to go on ([`ControlFlow`]).  A fixpoint round wants
-//! every derivation, so its sinks always continue.  The incremental
-//! session's rederivation wants to know whether *one* exists: it unifies a
-//! rule's head with the fact in question, runs the rule's head-bound plan
-//! ([`JoinPlan::head_bound`]) and breaks at the first row that arrives
-//! (`derives`) — the same steps, the same counters, no second walker.
+//! Nor does it keep any bookkeeping of its own.  Which slot each column of
+//! a scanned or probed row binds, and which column it checks, is **static**:
+//! the planner compiled it into the step ([`crate::plan::Schedule`]), so
+//! the registers hold plain constants — a slot is read only after the
+//! schedule has bound it — and nothing is undone between rows: the next
+//! row simply binds the same slots again.  What each step reads — the
+//! scanned run, the probed or checked relation — is looked up once per
+//! task, not once per binding that reaches the step.
+//!
+//! There is one interpreter of plan steps, `run_steps`, generic over the
+//! sink it feeds; the sink says whether to go on ([`ControlFlow`]).  A
+//! fixpoint round wants every derivation, so its sinks always continue:
+//! each task derives into one relation, its rule's head, so it binds its
+//! filter to that relation once and collects into one bag.  The incremental
+//! session's rederivation wants to know whether *one* derivation exists:
+//! it unifies a rule's head with the fact in question (the head-bound
+//! plan's entry schedule, [`JoinPlan::head_bound`]), runs the plan and
+//! breaks at the first row that arrives (`derives`) — the same steps, the
+//! same counters, no second walker.
 //!
 //! ## The commit contract: canonical, disjoint, moved out as the delta
 //!
@@ -90,7 +102,7 @@ use kbt_par::ThreadPool;
 use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
 use crate::ir::{Program, Term};
-use crate::plan::{JoinPlan, PlannedRule, Source, Step};
+use crate::plan::{JoinPlan, PlannedRule, Schedule, Source, Step};
 use crate::profile::{RoundObserver, View};
 use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
@@ -346,6 +358,33 @@ impl<'a> Scanned<'a> {
     }
 }
 
+/// What one step of a plan reads, looked up once per task (or per
+/// [`derives`] call) rather than once per binding that reaches the step.
+enum Input<'a> {
+    /// A scan's relation and the slots it walks: all of them, or the
+    /// chunk a ranged task drives.
+    Rows(Scanned<'a>, Range<u32>),
+    /// The stored relation a probe or a membership check looks into.
+    Stored(&'a IndexedRelation),
+    /// Nothing to read: the step, and so the plan, yields nothing.
+    Absent,
+}
+
+/// The inputs of `steps`, one per step, in order.
+fn inputs<'a>(steps: &[Step], storage: &'a IndexStorage, deltas: &'a Deltas) -> Vec<Input<'a>> {
+    let input = |step: &Step| match step {
+        Step::Scan { rel, source, .. } => Scanned::of(*rel, *source, storage, deltas)
+            .map(|scanned| Input::Rows(scanned, 0..scanned.slots())),
+        Step::Probe { rel, .. } | Step::Member { rel, .. } | Step::NegCheck { rel, .. } => {
+            storage.relation(*rel).map(Input::Stored)
+        }
+    };
+    steps
+        .iter()
+        .map(|step| input(step).unwrap_or(Input::Absent))
+        .collect()
+}
+
 /// One unit of parallel work within a round: a plan, optionally restricted
 /// to a slice of its driving scan.
 struct RoundTask<'a> {
@@ -419,84 +458,60 @@ fn round_tasks<'a>(
     (tasks, width)
 }
 
-/// Per-plan scratch space, allocated once per plan (or task) and reused by
-/// every derivation so the join loops themselves never touch the heap: the
-/// register file, one undo list per step depth, and the head-fact buffer.
+/// Per-task scratch space, allocated once per task (or per [`derives`]
+/// call) and reused by every derivation, so the join loops themselves never
+/// touch the heap: the register file and the head-fact buffer.  The plan's
+/// schedule binds every register before anything reads it, so the value a
+/// register starts with is never seen.
 struct Scratch {
-    regs: Vec<Option<Const>>,
-    undos: Vec<Vec<usize>>,
+    regs: Vec<Const>,
     head: Vec<Const>,
 }
 
 impl Scratch {
-    fn for_rule(rule: &PlannedRule, steps: usize) -> Self {
+    fn for_rule(rule: &PlannedRule) -> Self {
         Scratch {
-            regs: vec![None; rule.slots],
-            undos: vec![Vec::new(); steps],
+            regs: vec![Const::new(0); rule.slots],
             head: Vec::with_capacity(rule.head.terms.len()),
         }
     }
 }
 
-/// Runs one task, feeding instantiated head rows to `sink` (which every
-/// round keeps going — see [`Sink`]).
-fn run_task(
+/// Runs one task — its plan, its driving scan restricted to the task's
+/// chunk if it has one — feeding instantiated head rows to `sink`.
+fn run_task<S>(
     task: &RoundTask<'_>,
     storage: &IndexStorage,
     deltas: &Deltas,
     stats: &mut EngineStats,
-    sink: &mut Sink<'_>,
-) {
-    let Some(range) = task.range.clone() else {
-        run_plan(task.rule, task.plan, storage, deltas, stats, sink);
-        return;
-    };
-    let Some((Step::Scan { rel, source, cols }, rest)) = task.plan.split_driving_scan() else {
-        unreachable!("ranged tasks are built from scan-driven plans only");
-    };
-    let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
-        return;
-    };
-    let mut scratch = Scratch::for_rule(task.rule, task.plan.steps.len());
-    let (undo, rest_undos) = scratch
-        .undos
-        .split_first_mut()
-        .expect("plans have at least the driving step");
-    for id in range {
-        let Some(row) = scanned.live_row(id) else {
-            continue; // tombstone from an incremental removal
-        };
-        stats.tuples_scanned += 1;
-        if match_cols(row, cols, &mut scratch.regs, undo) {
-            let flow = run_steps(
-                task.rule,
-                rest,
-                storage,
-                deltas,
-                &mut scratch.regs,
-                rest_undos,
-                &mut scratch.head,
-                stats,
-                sink,
-            );
-            if flow.is_break() {
-                return;
-            }
-        }
-        for s in undo.drain(..) {
-            scratch.regs[s] = None;
-        }
+    sink: &mut S,
+) where
+    S: FnMut(&[Const]) -> ControlFlow<()>,
+{
+    let mut inputs = inputs(&task.plan.steps, storage, deltas);
+    if let (Some(chunk), Some(Input::Rows(_, ids))) = (&task.range, inputs.first_mut()) {
+        *ids = chunk.clone();
     }
+    let mut scratch = Scratch::for_rule(task.rule);
+    let _ = run_steps(
+        task.rule,
+        &task.plan.steps,
+        &inputs,
+        &mut scratch,
+        stats,
+        sink,
+    );
 }
 
 /// Runs one round — every listed plan — and returns the pending head facts
-/// that pass `keep` (called with the head relation and the candidate row),
-/// one canonical run per relation.
+/// that pass their relation's filter, one canonical run per relation.  A
+/// task derives into one relation, its rule's head, so it asks `keep` for
+/// that relation's filter once, up front, and collects into one bag.
 ///
 /// The round's tasks go through one `ThreadPool::map` at every width (inline
 /// at width 1); private per-task buffers are merged in task order, so the
 /// result and the counters added to `stats` are identical at every width.
-pub(crate) fn run_round_with<K>(
+pub(crate) fn run_round_with<K, F>(
     plans: &[(&PlannedRule, &JoinPlan)],
     storage: &IndexStorage,
     deltas: &Deltas,
@@ -505,39 +520,37 @@ pub(crate) fn run_round_with<K>(
     keep: &K,
 ) -> Deltas
 where
-    K: Fn(RelId, &[Const]) -> bool + Sync,
+    K: Fn(RelId) -> F + Sync,
+    F: FnMut(&[Const]) -> bool,
 {
     let metrics = crate::metrics::metrics();
     let join_span = metrics.join_ns.span();
     let (tasks, width) = round_tasks(plans, storage, deltas, width);
     let results = ThreadPool::global().map(width, &tasks, |_, task| {
-        let mut pending = Bags::new();
+        let head = &task.rule.head;
+        let (mut keep, mut bag) = (keep(head.rel), RowBag::new(head.terms.len()));
         let mut local = EngineStats::default();
-        let head_rel = task.rule.head.rel;
-        let head_arity = task.rule.head.terms.len();
-        run_task(task, storage, deltas, &mut local, &mut |row| {
-            if keep(head_rel, row) {
-                pending
-                    .entry(head_rel)
-                    .or_insert_with(|| RowBag::new(head_arity))
-                    .push(row);
+        run_task(task, storage, deltas, &mut local, &mut |row: &[Const]| {
+            if keep(row) {
+                bag.push(row);
             }
             ControlFlow::Continue(())
         });
-        (pending, local)
+        (bag, local)
     });
     // Deterministic merge: task order is rule order then chunk offset, and
     // the canonicalisation below erases even that.
     let mut pending = Bags::new();
-    for (part, local) in results {
+    for (task, (bag, local)) in tasks.iter().zip(results) {
         stats.absorb(&local);
-        for (rel, rows) in part {
-            match pending.entry(rel) {
-                Entry::Vacant(v) => {
-                    v.insert(rows);
-                }
-                Entry::Occupied(mut o) => o.get_mut().absorb(rows),
+        if bag.count == 0 {
+            continue;
+        }
+        match pending.entry(task.rule.head.rel) {
+            Entry::Vacant(v) => {
+                v.insert(bag);
             }
+            Entry::Occupied(mut o) => o.get_mut().absorb(bag),
         }
     }
     drop(join_span);
@@ -565,7 +578,11 @@ pub(crate) fn commit(
 ) -> Deltas {
     let pending = {
         let storage = &*storage;
-        let keep = |rel: RelId, row: &[Const]| !storage.holds_row(rel, row);
+        // the fixpoint filter, bound to the head relation once per task
+        let keep = |rel: RelId| {
+            let stored = storage.relation(rel);
+            move |row: &[Const]| !stored.is_some_and(|r| r.contains_row(row))
+        };
         match observer {
             None => run_round_with(plans, storage, deltas, stats, width, &keep),
             Some(observer) => {
@@ -643,40 +660,11 @@ pub(crate) fn eval_stratum(
     }
 }
 
-/// Where the interpreter sends every instantiated head row.  The sink says
-/// whether to go on: a fixpoint round wants every derivation and always
-/// continues; [`derives`] wants one and breaks at the first.  After a break
-/// the scratch registers are left as they stood — the scratch is done.
-type Sink<'a> = dyn FnMut(&[Const]) -> ControlFlow<()> + 'a;
-
-/// Runs one join plan, feeding every instantiated head row to `sink`.
-fn run_plan(
-    rule: &PlannedRule,
-    plan: &JoinPlan,
-    storage: &IndexStorage,
-    deltas: &Deltas,
-    stats: &mut EngineStats,
-    sink: &mut Sink<'_>,
-) {
-    let mut scratch = Scratch::for_rule(rule, plan.steps.len());
-    let _ = run_steps(
-        rule,
-        &plan.steps,
-        storage,
-        deltas,
-        &mut scratch.regs,
-        &mut scratch.undos,
-        &mut scratch.head,
-        stats,
-        sink,
-    );
-}
-
 /// Whether `rule` derives the head row `fact` from the current storage:
-/// unifies the head with the fact and runs `plan` — a head-bound plan of
-/// this rule ([`JoinPlan::head_bound`]), whose indexes and membership tables
-/// have been [`demand`]ed — through the one interpreter, stopping at the
-/// first witness.
+/// unifies the head with the fact per `plan`'s entry schedule and runs
+/// `plan` — a head-bound plan of this rule ([`JoinPlan::head_bound`]), whose
+/// indexes and membership tables have been [`demand`]ed — through the one
+/// interpreter, stopping at the first witness.
 pub(crate) fn derives(
     rule: &PlannedRule,
     plan: &JoinPlan,
@@ -684,75 +672,43 @@ pub(crate) fn derives(
     storage: &IndexStorage,
     stats: &mut EngineStats,
 ) -> bool {
-    let mut scratch = Scratch::for_rule(rule, plan.steps.len());
-    for (term, &value) in rule.head.terms.iter().zip(fact) {
-        match *term {
-            Term::Const(c) if c != value => return false,
-            Term::Const(_) => {}
-            Term::Slot(s) => match scratch.regs[s] {
-                Some(bound) if bound != value => return false,
-                _ => scratch.regs[s] = Some(value),
-            },
-        }
+    let mut scratch = Scratch::for_rule(rule);
+    if !unify(fact, &plan.entry, &mut scratch.regs) {
+        return false;
     }
-    run_steps(
-        rule,
-        &plan.steps,
-        storage,
-        &Deltas::new(),
-        &mut scratch.regs,
-        &mut scratch.undos,
-        &mut scratch.head,
-        stats,
-        &mut |_| ControlFlow::Break(()),
-    )
+    let no_deltas = Deltas::new();
+    let inputs = inputs(&plan.steps, storage, &no_deltas);
+    run_steps(rule, &plan.steps, &inputs, &mut scratch, stats, &mut |_| {
+        ControlFlow::Break(())
+    })
     .is_break()
 }
 
-fn resolve(term: Term, regs: &[Option<Const>]) -> Const {
+#[inline]
+fn resolve(term: Term, regs: &[Const]) -> Const {
     match term {
         Term::Const(c) => c,
-        Term::Slot(s) => regs[s].expect("slot bound by an earlier step (range restriction)"),
+        Term::Slot(s) => regs[s],
     }
 }
 
-/// Matches a row against per-column actions, binding unbound slots.
-/// Returns `false` (after recording partial bindings in `undo`) on mismatch.
-fn match_cols(
-    row: &[Const],
-    cols: &[(usize, Term)],
-    regs: &mut [Option<Const>],
-    undo: &mut Vec<usize>,
-) -> bool {
-    for &(col, term) in cols {
-        let value = row[col];
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    return false;
-                }
-            }
-            Term::Slot(s) => match regs[s] {
-                Some(existing) => {
-                    if existing != value {
-                        return false;
-                    }
-                }
-                None => {
-                    regs[s] = Some(value);
-                    undo.push(s);
-                }
-            },
-        }
+/// Binds and checks `row` per `schedule`; returns whether the row matches.
+/// A mismatch leaves the slots it bound holding this row's values, which
+/// nothing reads: the next row binds them again, and the steps before this
+/// one never read them.
+#[inline]
+fn unify(row: &[Const], schedule: &Schedule, regs: &mut [Const]) -> bool {
+    for &(col, slot) in &schedule.binds {
+        regs[slot] = row[col];
     }
-    true
+    (schedule.checks.iter()).all(|&(col, term)| row[col] == resolve(term, regs))
 }
 
 /// Whether `row` matches the resolved key terms on `mask`'s bound columns —
 /// the verification pass behind hashed (> 2 column) probe keys, whose
 /// buckets may contain false positives.
 #[inline]
-fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Option<Const>]) -> bool {
+fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Const]) -> bool {
     let mut m = mask;
     let mut k = 0;
     while m != 0 {
@@ -770,7 +726,7 @@ fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Option<Const
 /// one membership-bucket probe, no tuple materialisation.  The terms cover
 /// every column in ascending order, so the accumulated key is exactly the
 /// stored row key.
-fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Option<Const>]) -> bool {
+fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Const]) -> bool {
     debug_assert_eq!(terms.len(), relation.arity());
     let mut acc = KeyAcc::new(terms.len());
     for &t in terms {
@@ -791,104 +747,76 @@ fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Option<Const
     }
 }
 
-/// The engine's one interpreter of [`Step`]s, behind [`run_plan`] and
-/// [`derives`]: `undos` carries one reusable undo list per remaining step,
-/// split level by level alongside `steps` (capacity sticks across
-/// derivations, so binding bookkeeping stops allocating after the first few
-/// matches).  Slots bound on entry are simply bound — a head-bound plan
-/// never binds them again.  Breaks as soon as `sink` does.
-#[allow(clippy::too_many_arguments)]
-fn run_steps(
+/// The engine's one interpreter of [`Step`]s, behind every round's tasks
+/// and [`derives`].  `inputs` holds what each step reads, split level by
+/// level alongside `steps`.  Every slot a step reads was bound before it —
+/// by an earlier step's schedule, or on entry — so the registers are plain
+/// constants and nothing is undone between rows.  `sink` receives every
+/// instantiated head row and says whether to go on: a round's always
+/// continues, [`derives`]'s breaks at the first row, and so does this.
+fn run_steps<S>(
     rule: &PlannedRule,
     steps: &[Step],
-    storage: &IndexStorage,
-    deltas: &Deltas,
-    regs: &mut Vec<Option<Const>>,
-    undos: &mut [Vec<usize>],
-    head: &mut Vec<Const>,
+    inputs: &[Input<'_>],
+    scratch: &mut Scratch,
     stats: &mut EngineStats,
-    sink: &mut Sink<'_>,
-) -> ControlFlow<()> {
-    let Some((step, rest)) = steps.split_first() else {
+    sink: &mut S,
+) -> ControlFlow<()>
+where
+    S: FnMut(&[Const]) -> ControlFlow<()>,
+{
+    let (Some((step, rest)), Some((input, rest_inputs))) =
+        (steps.split_first(), inputs.split_first())
+    else {
+        let Scratch { regs, head } = scratch;
         head.clear();
-        for &t in &rule.head.terms {
-            head.push(resolve(t, regs));
-        }
+        head.extend(rule.head.terms.iter().map(|&t| resolve(t, regs)));
         return sink(head);
     };
-    let (undo, rest_undos) = undos
-        .split_first_mut()
-        .expect("one undo list per plan step");
-    match step {
-        Step::Scan { rel, source, cols } => {
-            let Some(scanned) = Scanned::of(*rel, *source, storage, deltas) else {
-                return ControlFlow::Continue(());
-            };
-            for row in (0..scanned.slots()).filter_map(|id| scanned.live_row(id)) {
+    match (step, input) {
+        (Step::Scan { schedule, .. }, Input::Rows(scanned, ids)) => {
+            for row in ids.clone().filter_map(|id| scanned.live_row(id)) {
                 stats.tuples_scanned += 1;
-                if match_cols(row, cols, regs, undo) {
-                    run_steps(
-                        rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                    )?;
-                }
-                for s in undo.drain(..) {
-                    regs[s] = None;
+                if unify(row, schedule, &mut scratch.regs) {
+                    run_steps(rule, rest, rest_inputs, scratch, stats, sink)?;
                 }
             }
         }
-        Step::Probe {
-            rel,
-            mask,
-            key,
-            cols,
-        } => {
-            let Some(relation) = storage.relation(*rel) else {
-                return ControlFlow::Continue(());
-            };
+        (
+            Step::Probe {
+                mask,
+                key,
+                schedule,
+                ..
+            },
+            Input::Stored(relation),
+        ) => {
             let mut acc = KeyAcc::new(key.len());
             for &t in key {
-                acc.push(resolve(t, regs));
+                acc.push(resolve(t, &scratch.regs));
             }
             stats.index_probes += 1;
             let exact = key_is_exact(key.len());
             for id in relation.probe_bucket(*mask, acc.finish()) {
                 let row = relation.row(id);
-                if !exact && !bound_cols_match(row, *mask, key, regs) {
+                if !exact && !bound_cols_match(row, *mask, key, &scratch.regs) {
                     continue; // hash collision in a wide-key bucket
                 }
                 stats.tuples_scanned += 1;
-                if match_cols(row, cols, regs, undo) {
-                    run_steps(
-                        rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                    )?;
-                }
-                for s in undo.drain(..) {
-                    regs[s] = None;
+                if unify(row, schedule, &mut scratch.regs) {
+                    run_steps(rule, rest, rest_inputs, scratch, stats, sink)?;
                 }
             }
         }
-        Step::Member { rel, terms } => {
+        (Step::Member { terms, .. } | Step::NegCheck { terms, .. }, input) => {
             stats.index_probes += 1;
-            let holds = storage
-                .relation(*rel)
-                .is_some_and(|r| member_holds(r, terms, regs));
-            if holds {
-                run_steps(
-                    rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                )?;
+            let holds = matches!(input, Input::Stored(r) if member_holds(r, terms, &scratch.regs));
+            if holds == matches!(step, Step::Member { .. }) {
+                run_steps(rule, rest, rest_inputs, scratch, stats, sink)?;
             }
         }
-        Step::NegCheck { rel, terms } => {
-            stats.index_probes += 1;
-            let holds = storage
-                .relation(*rel)
-                .is_some_and(|r| member_holds(r, terms, regs));
-            if !holds {
-                run_steps(
-                    rule, rest, storage, deltas, regs, rest_undos, head, stats, sink,
-                )?;
-            }
-        }
+        // a scan or probe of nothing yields nothing
+        (Step::Scan { .. } | Step::Probe { .. }, _) => {}
     }
     ControlFlow::Continue(())
 }

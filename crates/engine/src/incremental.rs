@@ -265,18 +265,15 @@ impl IncrementalSession {
             let storage = &self.storage;
             let over_ref = &over;
             let protected = &self.protected;
-            round = run_round_with(
-                &plans,
-                storage,
-                &round,
-                &mut stats,
-                self.width,
-                &|rel, f: &[Const]| {
-                    storage.holds_row(rel, f)
-                        && !over_ref.get(&rel).is_some_and(|o| o.contains_row(f))
-                        && !protected.get(&rel).is_some_and(|p| p.contains_row(f))
-                },
-            );
+            round = run_round_with(&plans, storage, &round, &mut stats, self.width, &|rel| {
+                let stored = storage.relation(rel);
+                let (over, protected) = (over_ref.get(&rel), protected.get(&rel));
+                move |f: &[Const]| {
+                    stored.is_some_and(|s| s.contains_row(f))
+                        && !over.is_some_and(|o| o.contains_row(f))
+                        && !protected.is_some_and(|p| p.contains_row(f))
+                }
+            });
             // the filter just kept these out of `over`, which has not
             // changed since: the bulk append's disjointness holds
             for (&rel, run) in &round {

@@ -34,7 +34,9 @@
 //!   only caller that needs them;
 //! * [`plan`] — a join planner that orders body atoms by bound-variable
 //!   count and compiles every rule into a sequence of index probes instead
-//!   of full scans;
+//!   of full scans, each step carrying its binding schedule — which columns
+//!   bind which slots and which are checked — so the evaluator's registers
+//!   are plain constants with no run-time "bound yet?" state;
 //! * [`eval`] — a delta-aware semi-naive driver (stratified negation
 //!   preserved) whose one `commit` runs a round, appends what it derived
 //!   and hands the very same runs on as the next round's delta;

@@ -23,6 +23,11 @@
 //! The same greedy order, started with the head's slots already bound, is a
 //! *rederivation plan* ([`JoinPlan::head_bound`]): the incremental session
 //! asks it whether one given head fact still has a derivation.
+//!
+//! Because the order is fixed, so is what every step does with its slots:
+//! the planner knows which ones are bound before each atom, and compiles
+//! that knowledge into the step ([`Schedule`]) — the evaluator never asks
+//! at run time whether a slot is bound yet.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,22 +45,70 @@ pub enum Source {
     Delta,
 }
 
-/// One compiled join step.
+/// What a scan or probe does with each row it hands out, fixed at planning
+/// time from the slots bound before its atom: the first occurrence of every
+/// unbound slot *binds* it, and every other column is *checked* — against
+/// its constant, or against a slot bound by an earlier step or earlier in
+/// this atom (`reach#delta(s0, s0)` binds `s0` from column 0 and checks
+/// column 1 against it).  Binds run before checks, so a check never reads a
+/// slot that is not bound.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Schedule {
+    /// `(column, slot)`: the column's value goes into the slot.
+    pub binds: Vec<(usize, usize)>,
+    /// `(column, term)`: the column must equal the term's value.
+    pub checks: Vec<(usize, Term)>,
+}
+
+impl Schedule {
+    /// The schedule of `columns` with the slots in `bound` already bound.
+    fn of(columns: impl IntoIterator<Item = (usize, Term)>, bound: &[bool]) -> Self {
+        let mut schedule = Schedule::default();
+        for (col, term) in columns {
+            match term {
+                Term::Slot(s) if !bound[s] && schedule.binds.iter().all(|&(_, b)| b != s) => {
+                    schedule.binds.push((col, s))
+                }
+                _ => schedule.checks.push((col, term)),
+            }
+        }
+        schedule
+    }
+
+    /// The number of columns the schedule covers.
+    pub fn width(&self) -> usize {
+        self.binds.len() + self.checks.len()
+    }
+
+    /// The `(column, term)` pairs the schedule was made from, in column
+    /// order.
+    pub fn columns(&self) -> Vec<(usize, Term)> {
+        let binds = self.binds.iter().map(|&(col, s)| (col, Term::Slot(s)));
+        let mut cols: Vec<(usize, Term)> = binds.chain(self.checks.iter().copied()).collect();
+        cols.sort_by_key(|&(col, _)| col);
+        cols
+    }
+}
+
+/// One compiled join step.  Which slots a step binds, and which it only
+/// reads, is fixed when it is planned: a probe's key and a membership
+/// check's terms read slots bound before the step, and a scan or probe
+/// binds and checks each row's remaining columns per its [`Schedule`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Iterate over every tuple of `rel` (from `source`), matching each
-    /// column against `cols` (constants filter, unbound slots bind, bound
-    /// slots — possible when scanning a delta driver — compare).
+    /// Iterate over every tuple of `rel` (from `source`), binding and
+    /// checking each one's columns per `schedule` (a delta driver's
+    /// constants and repeated slots are checks).
     Scan {
         /// The scanned relation.
         rel: RelId,
         /// Full relation or current delta.
         source: Source,
-        /// `(column, term)` for every column.
-        cols: Vec<(usize, Term)>,
+        /// What each row binds and checks, over every column.
+        schedule: Schedule,
     },
     /// Probe the hash index of `rel` for `mask` with a key assembled from
-    /// `key`, then bind the remaining columns per `cols`.
+    /// `key`, then bind and check the remaining columns per `schedule`.
     Probe {
         /// The probed relation.
         rel: RelId,
@@ -63,9 +116,10 @@ pub enum Step {
         mask: Mask,
         /// Key parts in ascending column order (slots are bound).
         key: Vec<Term>,
-        /// `(column, term)` for the unbound columns (always slots — bound
-        /// terms are part of the key).
-        cols: Vec<(usize, Term)>,
+        /// What each row binds and checks over the unbound columns: every
+        /// check there is a slot this same atom repeats, since bound terms
+        /// are part of the key.
+        schedule: Schedule,
     },
     /// All columns bound: a single membership check.
     Member {
@@ -88,6 +142,10 @@ pub enum Step {
 pub struct JoinPlan {
     /// For delta variants, the body position driven by the delta.
     pub delta_pos: Option<usize>,
+    /// How a head-bound plan ([`Self::head_bound`]) unifies the rule's head
+    /// with the fact it is asked about — the slots its steps find bound on
+    /// entry; empty for every other plan.
+    pub entry: Schedule,
     /// The steps, in execution order.
     pub steps: Vec<Step>,
 }
@@ -196,7 +254,14 @@ impl JoinPlan {
     /// the full plan scans.  `sizes` breaks greedy ties as in
     /// [`PlannedRule::plan_sized`].
     pub fn head_bound(rule: &Rule, sizes: &BTreeMap<RelId, usize>) -> Self {
-        plan_body(rule, &rule.head.slots(), None, sizes)
+        let entry = Schedule::of(
+            rule.head.terms.iter().copied().enumerate(),
+            &vec![false; rule.slots],
+        );
+        JoinPlan {
+            entry,
+            ..plan_body(rule, &rule.head.slots(), None, sizes)
+        }
     }
 
     /// Stable one-line rendering of the steps in execution order, joined
@@ -211,23 +276,25 @@ impl JoinPlan {
             .steps
             .iter()
             .map(|step| match step {
-                Step::Scan { rel, source, cols } => {
+                Step::Scan {
+                    rel,
+                    source,
+                    schedule,
+                } => {
                     let suffix = match source {
                         Source::Delta => "#delta",
                         Source::Full => "",
                     };
-                    let mut cols = cols.clone();
-                    cols.sort_by_key(|&(c, _)| c);
-                    let terms: Vec<Term> = cols.into_iter().map(|(_, t)| t).collect();
+                    let terms: Vec<Term> = schedule.columns().into_iter().map(|(_, t)| t).collect();
                     format!("scan {}{suffix}{}", namer(*rel), render_app("", &terms))
                 }
                 Step::Probe {
                     rel,
                     mask,
                     key,
-                    cols,
+                    schedule,
                 } => {
-                    let width = key.len() + cols.len();
+                    let width = key.len() + schedule.width();
                     let keys: Vec<String> = key.iter().map(Term::to_string).collect();
                     format!(
                         "probe {} mask=0b{mask:0width$b} key=({})",
@@ -249,13 +316,14 @@ impl JoinPlan {
 
 /// Compiles one atom into a step given the currently bound slots.
 fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
+    let columns = || atom.terms.iter().copied().enumerate();
     if source == Source::Delta {
         // Delta drivers are always scans of the (small) delta relation;
         // constants and already-bound slots are checked per tuple.
         return Step::Scan {
             rel: atom.rel,
             source,
-            cols: atom.terms.iter().copied().enumerate().collect(),
+            schedule: Schedule::of(columns(), bound),
         };
     }
     let mut mask: Mask = 0;
@@ -285,31 +353,20 @@ fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
         return Step::Scan {
             rel: atom.rel,
             source: Source::Full,
-            cols: atom.terms.iter().copied().enumerate().collect(),
+            schedule: Schedule::of(columns(), bound),
         };
     }
-    let key = atom
-        .terms
-        .iter()
-        .enumerate()
+    let key = columns()
         .filter(|&(i, _)| mask >> i & 1 == 1)
-        .map(|(_, &t)| t)
+        .map(|(_, t)| t)
         .collect();
-    let cols = atom
-        .terms
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| mask >> i & 1 == 0)
-        .map(|(i, &t)| {
-            debug_assert!(matches!(t, Term::Slot(_)), "constants are always bound");
-            (i, t)
-        })
-        .collect();
+    // constants are always in the key, so what is left are slots
+    let unbound = columns().filter(|&(i, _)| mask >> i & 1 == 0);
     Step::Probe {
         rel: atom.rel,
         mask,
         key,
-        cols,
+        schedule: Schedule::of(unbound, bound),
     }
 }
 
@@ -396,6 +453,7 @@ fn plan_body(
     );
     JoinPlan {
         delta_pos: forced_first,
+        entry: Schedule::default(),
         steps,
     }
 }
@@ -627,6 +685,78 @@ mod tests {
         // without sizes the old positional tie-break is preserved
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(planned.full.steps[0], Step::Scan { rel, .. } if rel == r(1)));
+    }
+
+    #[test]
+    fn schedules_bind_first_occurrences_and_check_the_rest() {
+        // oncycle(x) :- reach(x, x): the delta driver binds s0 from column
+        // 0 and checks column 1 against it
+        let rule = Rule::new(
+            Atom::new(r(3), vec![s(0)]),
+            vec![Literal::positive(Atom::new(r(2), vec![s(0), s(0)]))],
+        )
+        .unwrap();
+        let planned = PlannedRule::plan(&rule, &[r(2)].into_iter().collect());
+        let repeat = Schedule {
+            binds: vec![(0, 0)],
+            checks: vec![(1, s(0))],
+        };
+        for plan in [&planned.full, &planned.deltas[0].1] {
+            assert!(
+                matches!(&plan.steps[..], [Step::Scan { schedule, .. }] if *schedule == repeat)
+            );
+            assert_eq!(plan.entry, Schedule::default());
+        }
+
+        // w(x) :- e3(x, y, 7), f(x, z, z): e3 is probed on its constant
+        // and binds x and y; f is probed on x, binds z and checks the repeat
+        let rule = Rule::new(
+            Atom::new(r(4), vec![s(0)]),
+            vec![
+                Literal::positive(Atom::new(
+                    r(1),
+                    vec![s(0), s(1), Term::Const(Const::new(7))],
+                )),
+                Literal::positive(Atom::new(r(2), vec![s(0), s(2), s(2)])),
+            ],
+        )
+        .unwrap();
+        let full = PlannedRule::plan(&rule, &BTreeSet::new()).full;
+        let schedules: Vec<(&[Term], &Schedule)> = (full.steps.iter())
+            .filter_map(|step| match step {
+                Step::Probe { key, schedule, .. } => Some((&key[..], schedule)),
+                _ => None,
+            })
+            .collect();
+        let bind_both = Schedule {
+            binds: vec![(0, 0), (1, 1)],
+            checks: vec![],
+        };
+        let bind_and_check = Schedule {
+            binds: vec![(1, 2)],
+            checks: vec![(2, s(2))],
+        };
+        assert_eq!(
+            schedules,
+            [
+                (&[Term::Const(Const::new(7))][..], &bind_both),
+                (&[s(0)][..], &bind_and_check)
+            ]
+        );
+
+        // a head-bound plan of p(x, x, 5) :- q(x) unifies the head on entry
+        let rule = Rule::new(
+            Atom::new(r(5), vec![s(0), s(0), Term::Const(Const::new(5))]),
+            vec![Literal::positive(Atom::new(r(1), vec![s(0)]))],
+        )
+        .unwrap();
+        let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
+        assert_eq!(plan.entry.binds, vec![(0, 0)]);
+        assert_eq!(
+            plan.entry.checks,
+            vec![(1, s(0)), (2, Term::Const(Const::new(5)))]
+        );
+        assert!(matches!(plan.steps[..], [Step::Member { .. }]));
     }
 
     #[test]

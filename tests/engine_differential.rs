@@ -22,7 +22,7 @@ use kbt::datalog::{
     program_from_sentence, reference_naive_eval, reference_semi_naive_eval, semi_naive_eval,
     DlAtom, Literal, Program, Rule,
 };
-use kbt::logic::builder::var;
+use kbt::logic::builder::{cst, var};
 use rand::prelude::*;
 
 fn r(i: u32) -> RelId {
@@ -65,28 +65,50 @@ fn transitive_closure_program_agrees_on_varied_graphs() {
 
 #[test]
 fn randomized_positive_programs_agree() {
-    let mut rng = StdRng::seed_from_u64(0xFEED);
-    for case in 0..40 {
-        let program = random_positive_program(&mut rng);
-        let edb = random_edb(&mut rng);
-        assert_engine_matches_oracles(&program, &edb, &format!("positive case {case}"));
-    }
+    randomized_positive_programs(0xFEED, 40, 8);
 }
 
 #[test]
 fn randomized_stratified_programs_with_negation_agree() {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for case in 0..40 {
+    randomized_stratified_programs(0xBEEF, 40, 8);
+}
+
+/// The long variant: more and larger random cases than a debug build can
+/// afford (run it in release with `--include-ignored`).
+#[test]
+#[ignore = "long; run in release with --include-ignored"]
+fn randomized_programs_agree_long() {
+    randomized_positive_programs(0xFEED_0001, 4000, 24);
+    randomized_stratified_programs(0xBEEF_0001, 4000, 24);
+}
+
+fn randomized_positive_programs(seed: u64, cases: usize, facts: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..cases {
+        let program = random_positive_program(&mut rng);
+        let edb = random_edb(&mut rng, facts);
+        assert_engine_matches_oracles(&program, &edb, &format!("positive case {case}"));
+    }
+}
+
+fn randomized_stratified_programs(seed: u64, cases: usize, facts: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..cases {
         let program = random_stratified_program(&mut rng);
-        let edb = random_edb(&mut rng);
+        let edb = random_edb(&mut rng, facts);
         assert_engine_matches_oracles(&program, &edb, &format!("stratified case {case}"));
     }
 }
 
-/// Relations: R1 binary EDB, R2 unary EDB; R11 binary IDB, R12 unary IDB
-/// (stratum 0); R21 unary IDB (stratum 1, may negate stratum 0).
+/// Relations: R1 binary, R2 unary, R3 ternary and R4 4-ary EDB; R11 binary
+/// IDB, R12 unary IDB (stratum 0); R21 unary IDB (stratum 1, may negate
+/// stratum 0).  R3's fully bound atoms are membership checks on hashed
+/// (> 2 column) row keys, and R4 probed on three bound columns is a hashed
+/// probe key, whose bucket candidates are verified against the row.
 const EDB_BIN: u32 = 1;
 const EDB_UN: u32 = 2;
+const EDB_TER: u32 = 3;
+const EDB_WIDE: u32 = 4;
 const IDB_BIN: u32 = 11;
 const IDB_UN: u32 = 12;
 const TOP_UN: u32 = 21;
@@ -94,18 +116,25 @@ const TOP_UN: u32 = 21;
 fn arity_of(rel: u32) -> usize {
     match rel {
         EDB_BIN | IDB_BIN => 2,
+        EDB_TER => 3,
+        EDB_WIDE => 4,
         _ => 1,
     }
 }
 
-/// A random safe positive rule with the given head relation.
+/// A random safe positive rule with the given head relation.  One term in
+/// four is a constant, in the body and in the head, so constant checks,
+/// constant probe keys and atoms with no variable at all occur.
 fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     let num_atoms = rng.random_range(1..4usize);
     let mut body: Vec<Literal> = Vec::new();
     for _ in 0..num_atoms {
         let rel = *body_pool.choose(rng).expect("non-empty pool");
         let terms: Vec<_> = (0..arity_of(rel))
-            .map(|_| var(rng.random_range(1..4u32)))
+            .map(|_| match rng.random_range(0..4u32) {
+                0 => random_constant(rng),
+                _ => var(rng.random_range(1..4u32)),
+            })
             .collect();
         body.push(Literal::positive(DlAtom::new(r(rel), terms)));
     }
@@ -116,54 +145,66 @@ fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
         .map(|v| v.index())
         .collect();
     let head_terms: Vec<_> = (0..arity_of(head_rel))
-        .map(|_| var(*body_vars.choose(rng).expect("positive body")))
+        .map(|_| match body_vars.choose(rng) {
+            Some(&v) if rng.random_range(0..4u32) > 0 => var(v),
+            _ => random_constant(rng),
+        })
         .collect();
     Rule::new(DlAtom::new(r(head_rel), head_terms), body)
 }
+
+fn random_constant(rng: &mut impl Rng) -> kbt::logic::Term {
+    cst(rng.random_range(1..5u32))
+}
+
+const BODY_POOL: [u32; 6] = [EDB_BIN, EDB_UN, EDB_TER, EDB_WIDE, IDB_BIN, IDB_UN];
 
 fn random_positive_program(rng: &mut impl Rng) -> Program {
     let mut rules = Vec::new();
     let num_rules = rng.random_range(2..5usize);
     for _ in 0..num_rules {
         let head = *[IDB_BIN, IDB_UN].choose(rng).expect("non-empty");
-        rules.push(random_rule(head, &[EDB_BIN, EDB_UN, IDB_BIN, IDB_UN], rng));
+        rules.push(random_rule(head, &BODY_POOL, rng));
     }
     Program::new(rules).expect("generated rules are safe")
 }
 
 fn random_stratified_program(rng: &mut impl Rng) -> Program {
     let mut rules = random_positive_program(rng).rules().to_vec();
-    // one or two stratum-1 rules negating a stratum-0 or EDB relation
+    // one or two stratum-1 rules negating a stratum-0 or EDB relation on
+    // one of their body variables (or on a constant, if they have none)
     for _ in 0..rng.random_range(1..3usize) {
-        let mut rule = random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN], rng);
+        let mut rule = random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN, EDB_TER], rng);
         let negated = *[EDB_UN, IDB_UN].choose(rng).expect("non-empty");
-        let bound = *rule.body[0]
-            .atom
-            .variables()
-            .iter()
-            .next()
-            .expect("at least one variable");
-        rule.body.push(Literal::negative(DlAtom::new(
-            r(negated),
-            vec![kbt::logic::Term::Var(bound)],
-        )));
+        let vars: Vec<_> = rule.body.iter().flat_map(|l| l.atom.variables()).collect();
+        let term = match vars.choose(rng) {
+            Some(&v) => kbt::logic::Term::Var(v),
+            None => random_constant(rng),
+        };
+        rule.body
+            .push(Literal::negative(DlAtom::new(r(negated), vec![term])));
         rules.push(rule);
     }
     Program::new(rules).expect("generated rules are safe and stratified")
 }
 
-fn random_edb(rng: &mut impl Rng) -> Database {
+/// Fewer than `facts` random facts per EDB relation, over the constants
+/// the rules use (the 4-ary relation over two of them, so that its probes
+/// find rows).
+fn random_edb(rng: &mut impl Rng, facts: usize) -> Database {
     let mut b = DatabaseBuilder::new()
         .relation(r(EDB_BIN), 2)
-        .relation(r(EDB_UN), 1);
-    for _ in 0..rng.random_range(0..8usize) {
-        b = b.fact(
-            r(EDB_BIN),
-            [rng.random_range(1..5u32), rng.random_range(1..5u32)],
-        );
-    }
-    for _ in 0..rng.random_range(0..4usize) {
-        b = b.fact(r(EDB_UN), [rng.random_range(1..5u32)]);
+        .relation(r(EDB_UN), 1)
+        .relation(r(EDB_TER), 3)
+        .relation(r(EDB_WIDE), 4);
+    for rel in [EDB_BIN, EDB_UN, EDB_TER, EDB_WIDE] {
+        let values = if rel == EDB_WIDE { 1..3u32 } else { 1..5u32 };
+        for _ in 0..rng.random_range(0..facts) {
+            let row: Vec<u32> = (0..arity_of(rel))
+                .map(|_| rng.random_range(values.clone()))
+                .collect();
+            b = b.fact(r(rel), row.as_slice());
+        }
     }
     b.build().unwrap()
 }
