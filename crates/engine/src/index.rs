@@ -1,5 +1,6 @@
 //! Indexed relations: a shared stored run plus a private row arena, with
-//! hash indexes keyed by bound-column masks.
+//! indexes keyed by bound-column masks — the run's own first-column
+//! offsets where they serve, chained hash tables elsewhere.
 //!
 //! # Storage layout: a shared first segment and a private tail
 //!
@@ -85,9 +86,44 @@
 //! lookup.  Tombstones stay in the tables until compaction; a bucket walk
 //! skips them, so every bucket yields live ids only.
 //!
+//! **A sorted run is its own index on its leading columns.**  The rows of
+//! a stored run that share their first column — or their first two — fill
+//! one contiguous range of its slots, so for those masks the first
+//! segment's table is not a hash table but the run's **first-column
+//! offsets** (a `RunIndex` of its own): one `Vec<u32>` in which
+//! `starts[c - lo] .. starts[c - lo + 1]` are the slots whose column 0 is
+//! `c`, built in one pass.  They answer
+//!
+//! * a probe on mask `0b1`: the range is the bucket;
+//! * a probe on mask `0b11`: a binary search on column 1 inside the range;
+//! * full-row membership at arity 1 and 2, which is one of those two masks
+//!   — so the one array a binary relation is probed through is also its
+//!   membership table.
+//!
+//! A bucket walks the range, in slot order, and then the tail's chain, so
+//! it yields the ids a chained table would, in the same order.
+//! Offsets are taken only where the first column is **dense**: its span
+//! `hi − lo + 1` is at most `4 ×` the run's rows, plus 16 so that tiny runs
+//! qualify.  That bounds them at 16 B per row (plus 68 B), against at least
+//! 21 B per row for a chained full-row table (a 16 B map slot and a
+//! control byte per key, one key per row, and a 4 B link) — so where they
+//! replace a membership table, memory never rises.  A chained prefix table
+//! costs 4 B per row plus 17 B per distinct first value, so offsets serving
+//! only a probe can cost more than it when the span holds several times
+//! more values than the run has distinct ones.  The rule is a constant,
+//! not a knob: which table a mask gets is a function of the run (its
+//! arity, and the span of its first column) alone.  Every other mask, a
+//! run whose first column is sparse, full-row membership at arity ≥ 3 and
+//! every tail keep chained tables.  Offsets are cached on the run like any
+//! of its tables (one cache entry serves every mask they answer), counted
+//! in `kbt_engine_index_builds_total` and `kbt_engine_shared_index_bytes`
+//! alike, and dropped with the first segment — by `clear` and by
+//! compaction, which leave the relation with no first segment to index.
+//!
 //! The *membership table* is the same thing for the full row: full-row key
 //! → id, the first segment's cached on its run like any index (it *is* the
-//! full-mask index), the tail's private.  The tail's exists from the start.
+//! full-mask index — the offsets at arity ≤ 2 on a dense run), the tail's
+//! private.  The tail's exists from the start.
 //! The segment's is **deferred**: hashing every stored fact of a relation
 //! that is only ever scanned or probed is wasted work, and a loaded
 //! relation that has not been written since answers
@@ -108,6 +144,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use kbt_data::{Const, Relation, Tuple};
@@ -135,7 +172,8 @@ pub fn mask_key(row: &[Const], mask: Mask) -> u64 {
 /// The mask binding every column of an `arity`-ary row: its index is the
 /// membership table.
 fn full_mask(arity: usize) -> Mask {
-    Mask::MAX >> (Mask::BITS as usize - arity.min(Mask::BITS as usize))
+    let unbound = Mask::BITS - arity.min(Mask::BITS as usize) as u32;
+    Mask::MAX.checked_shr(unbound).unwrap_or(0)
 }
 
 /// The end of a chain in [`Chains::next`].
@@ -235,40 +273,160 @@ impl Walk<'_> {
 /// `kbt_engine_shared_index_bytes`.
 #[derive(Debug)]
 struct RunIndex {
-    chains: Chains,
+    table: RunTable,
     bytes: u64,
 }
 
+/// What a [`RunIndex`] holds.
+#[derive(Debug)]
+enum RunTable {
+    /// A chained table of one mask.
+    Chains(Chains),
+    /// The run's first-column offsets (see the module docs), serving every
+    /// mask [`RunIndex::offsets_serve`] admits: `starts[c - lo] ..
+    /// starts[c - lo + 1]` are the slots whose column 0 is `c`.
+    Offsets {
+        /// The smallest first-column value.
+        lo: u32,
+        /// One start slot per first-column value in `lo..=hi`, then the
+        /// run's length.
+        starts: Vec<u32>,
+    },
+}
+
+/// How far a run's first column may spread before offsets stop paying:
+/// its span is at most this many times the run's rows (see the module
+/// docs)…
+const DENSE_SPAN_PER_ROW: u64 = 4;
+/// …plus this much, so that tiny runs always qualify.
+const DENSE_SPAN_SLACK: u64 = 16;
+
+/// The cache key of a run's offsets: the empty mask, which is a scan and
+/// never has a table of its own.
+const OFFSETS_KEY: Mask = 0;
+
 impl RunIndex {
-    /// The table of `mask` over `run`, built now if no holder of the run
-    /// has asked for it before.  `run` is non-empty and not a flag: a
-    /// zero-arity run has no rows to key its cache by.
-    fn of(run: &Relation, mask: Mask) -> Arc<RunIndex> {
-        debug_assert!(run.arity() > 0 && !run.is_empty());
-        run.cached(mask, |run| {
-            let keys = if mask == full_mask(run.arity()) {
-                run.len()
-            } else {
-                0
-            };
-            let mut chains = Chains::default();
-            chains.reserve(keys, run.len());
-            for (id, row) in (0..).zip(run.iter()) {
-                chains.push(mask_key(row, mask), id);
-            }
-            let bytes = chains.bytes();
-            let metrics = metrics();
-            metrics.index_builds_total.inc();
-            metrics.shared_index_bytes.add(bytes);
-            RunIndex { chains, bytes }
-        })
+    /// The table of `mask` over the first segment `run` (`None` while it
+    /// is empty), fetched from the run — built there now if no holder of
+    /// the run has asked for it before.  Where they serve the mask, that is
+    /// the run's offsets, one table for all of their masks.
+    fn of(run: &Relation, mask: Mask) -> Option<Arc<RunIndex>> {
+        if run.is_empty() {
+            None
+        } else if RunIndex::offsets_serve(run, mask) {
+            Some(run.cached(OFFSETS_KEY, RunIndex::offsets))
+        } else {
+            Some(run.cached(mask, |run| RunIndex::chains(run, mask)))
+        }
     }
+
+    /// Whether the offsets of `run`, a non-empty run, answer `mask`: a
+    /// prefix of one or two columns, over a dense first column.
+    fn offsets_serve(run: &Relation, mask: Mask) -> bool {
+        let prefix = mask == 0b1 || (mask == 0b11 && run.arity() >= 2);
+        prefix && {
+            let (lo, hi) = (run.row(0)[0].index(), run.row(run.len() - 1)[0].index());
+            u64::from(hi - lo) < DENSE_SPAN_PER_ROW * run.len() as u64 + DENSE_SPAN_SLACK
+        }
+    }
+
+    /// Builds the chained table of `mask` over `run`, a non-empty run and
+    /// not a flag: a zero-arity run has no rows to key its cache by.
+    fn chains(run: &Relation, mask: Mask) -> RunIndex {
+        debug_assert!(run.arity() > 0 && !run.is_empty());
+        let keys = if mask == full_mask(run.arity()) {
+            run.len()
+        } else {
+            0
+        };
+        let mut chains = Chains::default();
+        chains.reserve(keys, run.len());
+        for (id, row) in (0..).zip(run.iter()) {
+            chains.push(mask_key(row, mask), id);
+        }
+        let bytes = chains.bytes();
+        RunIndex::counted(RunTable::Chains(chains), bytes)
+    }
+
+    /// Builds `run`'s offsets, in one pass over its first column.
+    fn offsets(run: &Relation) -> RunIndex {
+        let lo = run.row(0)[0].index();
+        let span = (run.row(run.len() - 1)[0].index() - lo) as usize + 1;
+        let mut starts = Vec::with_capacity(span + 1);
+        for (slot, row) in (0..).zip(run.iter()) {
+            let value = (row[0].index() - lo) as usize;
+            while starts.len() <= value {
+                starts.push(slot);
+            }
+        }
+        starts.push(run.len() as u32);
+        let bytes = (starts.capacity() * std::mem::size_of::<u32>()) as u64;
+        RunIndex::counted(RunTable::Offsets { lo, starts }, bytes)
+    }
+
+    /// `table`, counted as one build holding `bytes`.
+    fn counted(table: RunTable, bytes: u64) -> RunIndex {
+        let metrics = metrics();
+        metrics.index_builds_total.inc();
+        metrics.shared_index_bytes.add(bytes);
+        RunIndex { table, bytes }
+    }
+
+    /// The segment's share of a bucket of `key` on `mask`: the slots of
+    /// `run` — the run this table was built over — that the offsets hold
+    /// for it (the first column's range, narrowed by binary search on the
+    /// second for `0b11`), or the chain a chained table holds.
+    #[inline]
+    fn bucket<'a>(&'a self, run: &Relation, mask: Mask, key: u64) -> (Range<u32>, Walk<'a>) {
+        let (lo, starts) = match &self.table {
+            RunTable::Chains(chains) => return (0..0, chains.walk(key)),
+            RunTable::Offsets { lo, starts } => (*lo, starts),
+        };
+        let (c0, c1) = match Const::unpack_from(key) {
+            (c0, _) if mask == 0b1 => (c0, None),
+            (c1, rest) => (Const::unpack_from(rest).0, Some(c1)),
+        };
+        let Some(&[start, end]) = (c0.index().checked_sub(lo))
+            .and_then(|value| starts.get(value as usize..value as usize + 2))
+        else {
+            return (0..0, Walk::EMPTY);
+        };
+        let slots = match c1 {
+            None => start..end,
+            Some(c1) => narrow(run, start..end, c1),
+        };
+        (slots, Walk::EMPTY)
+    }
+}
+
+/// The slots of `range` — rows of `run` that agree on their first column,
+/// and so are sorted on their second — whose second column is `c1`.
+fn narrow(run: &Relation, range: Range<u32>, c1: Const) -> Range<u32> {
+    let first = partition(range.start, range.end, |slot| {
+        run.row(slot as usize)[1] < c1
+    });
+    first..partition(first, range.end, |slot| run.row(slot as usize)[1] <= c1)
 }
 
 impl Drop for RunIndex {
     fn drop(&mut self) {
         metrics().shared_index_bytes.sub(self.bytes);
     }
+}
+
+/// The first slot in `lo..hi` at which `below` turns false (`below` holds
+/// on a prefix of the range).
+#[inline]
+fn partition(mut lo: u32, mut hi: u32, below: impl Fn(u32) -> bool) -> u32 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// A demanded index: the first segment's table (`None` while the segment
@@ -291,10 +449,13 @@ enum SegMembership {
 }
 
 /// A borrowed walk over one bucket of a relation's membership table or of
-/// one of its indexes: the first segment's chain, then the tail's, in
-/// ascending id order, skipping tombstones; it allocates nothing.
+/// one of its indexes: the first segment's slot range or chain, then the
+/// tail's chain, in ascending id order, skipping tombstones; it allocates
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct Bucket<'a> {
+    /// The first segment's slots, where its offsets answer the bucket.
+    slots: Range<u32>,
     seg: Walk<'a>,
     tail: Walk<'a>,
     /// The first tail id (tail chains hold tail-local ids).
@@ -308,7 +469,7 @@ impl Iterator for Bucket<'_> {
     #[inline]
     fn next(&mut self) -> Option<u32> {
         loop {
-            let id = match self.seg.step() {
+            let id = match self.slots.next().or_else(|| self.seg.step()) {
                 Some(id) => id,
                 None => self.tail.step()? + self.offset,
             };
@@ -328,7 +489,7 @@ fn is_live_in(dead: &[u64], id: u32) -> bool {
 }
 
 /// A relation stored as a shared first segment and a private tail, with
-/// hash indexes per demanded binding pattern (see the module docs for the
+/// an index per demanded binding pattern (see the module docs for the
 /// layout, how it knows its contents in order, and where its indexes and
 /// membership table live).
 #[derive(Clone, Debug)]
@@ -437,10 +598,12 @@ impl IndexedRelation {
     }
 
     /// [`Self::contains`] for a raw row slice.
+    #[inline]
     pub fn contains_row(&self, row: &[Const]) -> bool {
         self.find_live_id(row).is_some()
     }
 
+    #[inline]
     fn find_live_id(&self, row: &[Const]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.arity);
         if let SegMembership::Deferred = self.seg_ids {
@@ -690,9 +853,7 @@ impl IndexedRelation {
     /// `Member` / `NegCheck` step targets, and by every mutation.
     pub fn ensure_membership(&mut self) {
         if let SegMembership::Deferred = self.seg_ids {
-            let table =
-                (!self.seg.is_empty()).then(|| RunIndex::of(&self.seg, full_mask(self.arity)));
-            self.seg_ids = SegMembership::Ready(table);
+            self.seg_ids = SegMembership::Ready(RunIndex::of(&self.seg, full_mask(self.arity)));
         }
     }
 
@@ -709,17 +870,28 @@ impl IndexedRelation {
         if mask == 0 || self.indexes.iter().any(|index| index.mask == mask) {
             return;
         }
-        let seg = (!self.seg.is_empty()).then(|| RunIndex::of(&self.seg, mask));
+        let seg = RunIndex::of(&self.seg, mask);
         let tail = self.tail_chains(|row| mask_key(row, mask));
         self.indexes.push(Index { mask, seg, tail });
     }
 
-    /// A bucket of `key` over the first segment's table `seg` and the
-    /// tail's `tail`.
+    /// A bucket of `key` on `mask` over the first segment's table `seg`
+    /// and the tail's `tail`.
     #[inline]
-    fn bucket<'a>(&'a self, seg: Option<&'a RunIndex>, tail: &'a Chains, key: u64) -> Bucket<'a> {
+    fn bucket<'a>(
+        &'a self,
+        seg: Option<&'a RunIndex>,
+        mask: Mask,
+        tail: &'a Chains,
+        key: u64,
+    ) -> Bucket<'a> {
+        let (slots, seg) = match seg {
+            Some(index) => index.bucket(&self.seg, mask, key),
+            None => (0..0, Walk::EMPTY),
+        };
         Bucket {
-            seg: seg.map_or(Walk::EMPTY, |index| index.chains.walk(key)),
+            slots,
+            seg,
             tail: tail.walk(key),
             offset: self.seg_slots(),
             dead: &self.dead_bits,
@@ -740,7 +912,7 @@ impl IndexedRelation {
             .iter()
             .find(|index| index.mask == mask)
             .expect("index demanded by the planner before evaluation");
-        self.bucket(index.seg.as_deref(), &index.tail, key)
+        self.bucket(index.seg.as_deref(), mask, &index.tail, key)
     }
 
     /// The live ids of a full-row key (for hashed keys — arity > 2 — verify
@@ -752,7 +924,7 @@ impl IndexedRelation {
         let SegMembership::Ready(seg) = &self.seg_ids else {
             panic!("membership table demanded by ensure_membership or the first mutation");
         };
-        self.bucket(seg.as_deref(), &self.tail_ids, key)
+        self.bucket(seg.as_deref(), full_mask(self.arity), &self.tail_ids, key)
     }
 
     /// Diagnostic probe: the live ids whose projection onto `mask` equals
@@ -1257,6 +1429,182 @@ mod tests {
             }
             chains.clear();
             proptest::prop_assert!((0..4).all(|key| chains.walk(key).step().is_none()));
+        }
+    }
+
+    /// The first-column value `a` stands for: dense values sit next to
+    /// each other, sparse ones a thousand apart.
+    fn first_value(a: u32, dense: bool) -> u32 {
+        if dense {
+            a + 3
+        } else {
+            a * 1_000 + 5
+        }
+    }
+
+    /// A row of `arity` columns over `(a, b, c)`.
+    fn offsets_row(arity: usize, dense: bool, (a, b, c): (u32, u32, u32)) -> Vec<Const> {
+        [first_value(a, dense), b, c][..arity]
+            .iter()
+            .map(|&v| Const::new(v))
+            .collect()
+    }
+
+    /// The first segment's table for `mask`.
+    fn seg_table(r: &IndexedRelation, mask: Mask) -> Option<&Arc<RunIndex>> {
+        let index = r.indexes.iter().find(|index| index.mask == mask)?;
+        index.seg.as_ref()
+    }
+
+    fn is_offsets(table: Option<&Arc<RunIndex>>) -> bool {
+        table.is_some_and(|index| matches!(index.table, RunTable::Offsets { .. }))
+    }
+
+    #[test]
+    fn a_dense_run_answers_prefix_probes_and_small_membership_from_its_offsets() {
+        let rows = |arity, dense| {
+            let rows = (0..6).flat_map(|a| (0..3).map(move |b| (a, b, a + b)));
+            Relation::from_tuples(
+                arity,
+                rows.map(|row| Tuple::from_row(&offsets_row(arity, dense, row))),
+            )
+            .unwrap()
+        };
+        for arity in 1..=3 {
+            for dense in [true, false] {
+                let mut r = IndexedRelation::from_relation(&rows(arity, dense));
+                let masks: &[Mask] = if arity == 1 {
+                    &[0b1]
+                } else {
+                    &[0b1, 0b11, 0b10]
+                };
+                for &mask in masks {
+                    r.ensure_index(mask);
+                }
+                r.ensure_membership();
+                assert_eq!(is_offsets(seg_table(&r, 0b1)), dense, "arity {arity}");
+                if arity > 1 {
+                    assert_eq!(is_offsets(seg_table(&r, 0b11)), dense);
+                    assert!(!is_offsets(seg_table(&r, 0b10)), "not a prefix");
+                }
+                let SegMembership::Ready(member) = &r.seg_ids else {
+                    panic!("membership demanded");
+                };
+                assert_eq!(is_offsets(member.as_ref()), dense && arity <= 2);
+                if let (Some(probe), Some(member)) = (seg_table(&r, 0b1), member) {
+                    // at arity 1 the probe mask is the full mask anyway
+                    assert_eq!(
+                        Arc::ptr_eq(probe, member),
+                        arity == 1 || (dense && arity == 2),
+                        "one array serves both"
+                    );
+                }
+                r.clear();
+                assert!(r.indexes.iter().all(|index| index.seg.is_none()));
+                assert!(matches!(r.seg_ids, SegMembership::Ready(None)));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The first segment's offsets against a model of one `Vec` per
+        /// key: random sorted runs at arity 1, 2 and 3 with a dense or a
+        /// sparse first column (offsets or chains), then random removals,
+        /// inserts, appended tail runs, `clear` and compaction.  After
+        /// every step each probe on `0b1` and on `0b11`, each membership
+        /// bucket and each `contains_row` yields exactly the live ids the
+        /// model holds for its key, in ascending order.
+        #[test]
+        fn offsets_walk_like_a_vec_per_key(
+            arity in 1usize..4,
+            dense in proptest::arbitrary::any::<bool>(),
+            stored in proptest::collection::btree_set((0u32..6, 0u32..3, 0u32..3), 0..30),
+            script in proptest::collection::vec((0u8..12, (0u32..7, 0u32..3, 0u32..3)), 0..40),
+        ) {
+            let rows: Vec<Vec<Const>> =
+                stored.iter().map(|&row| offsets_row(arity, dense, row)).collect();
+            let run = Relation::from_tuples(arity, rows.iter().map(|row| Tuple::from_row(row)))
+                .unwrap();
+            let mut r = IndexedRelation::from_relation(&run);
+            let masks: &[Mask] = if arity == 1 { &[0b1] } else { &[0b1, 0b11] };
+            for &mask in masks {
+                r.ensure_index(mask);
+            }
+            // the model: every slot's row and whether it is live
+            let mut model: Vec<(Vec<Const>, bool)> =
+                run.iter().map(|row| (row.to_vec(), true)).collect();
+            let domain: Vec<Vec<Const>> = (0..7)
+                .flat_map(|a| (0..3).flat_map(move |b| (0..3).map(move |c| (a, b, c))))
+                .map(|row| offsets_row(arity, dense, row))
+                .collect();
+            for (op, row) in script {
+                let row = offsets_row(arity, dense, row);
+                let present = model.iter().any(|(r, live)| *live && *r == row);
+                match op {
+                    0..=3 => {
+                        proptest::prop_assert_eq!(r.remove_row(&row), present);
+                        if let Some(slot) = model.iter_mut().find(|(r, live)| *live && *r == row) {
+                            slot.1 = false;
+                        }
+                    }
+                    4..=6 => {
+                        proptest::prop_assert_eq!(r.insert_row(&row), !present);
+                        if !present {
+                            model.push((row, true));
+                        }
+                    }
+                    7..=9 => {
+                        // the absent rows of a small cross through `row`
+                        let cross = (0..3).map(|b| {
+                            let mut cell = row.clone();
+                            if arity > 1 {
+                                cell[1] = Const::new(b);
+                            }
+                            cell
+                        });
+                        let absent: Vec<Tuple> = cross
+                            .filter(|cell| !model.iter().any(|(r, live)| *live && r == cell))
+                            .map(|cell| Tuple::from_row(&cell))
+                            .collect();
+                        let appended = Relation::from_tuples(arity, absent).unwrap();
+                        r.append_run(&appended);
+                        model.extend(appended.iter().map(|row| (row.to_vec(), true)));
+                    }
+                    10 => {
+                        r.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        r.compact();
+                        model.retain(|(_, live)| *live);
+                    }
+                }
+                if r.slot_count() as usize != model.len() {
+                    // a removal compacted: the live slots, renumbered in order
+                    model.retain(|(_, live)| *live);
+                }
+                proptest::prop_assert_eq!(r.slot_count() as usize, model.len());
+                let expected = |mask: Mask, key: &[Const]| -> Vec<u32> {
+                    (0..).zip(&model)
+                        .filter(|(_, (row, live))| *live && mask_key(row, mask) == mask_key(key, mask))
+                        .map(|(id, _)| id)
+                        .collect()
+                };
+                for key in &domain {
+                    for &mask in masks {
+                        let probed: Vec<u32> = r.probe_bucket(mask, mask_key(key, mask)).collect();
+                        proptest::prop_assert_eq!(probed, expected(mask, key));
+                    }
+                    let member = expected(full_mask(arity), key);
+                    proptest::prop_assert_eq!(r.contains_row(key), !member.is_empty());
+                    r.ensure_membership();
+                    let walked: Vec<u32> = r
+                        .member_bucket(fx::row_key(key))
+                        .filter(|&id| fx::key_is_exact(arity) || r.row(id) == key.as_slice())
+                        .collect();
+                    proptest::prop_assert_eq!(walked, member);
+                }
+            }
         }
     }
 

@@ -10,13 +10,17 @@
 //!   storage: every relation keeps its tuples as arity-strided row slices
 //!   (slot = row id) in two segments — the stored sorted run it was loaded
 //!   from, shared and never copied, then a private `Vec<Const>` tail that
-//!   evaluation appends to — with hash indexes keyed by *bound-column
-//!   masks*, built lazily for exactly the `(relation, binding pattern)`
-//!   pairs a rule body demands.  A stored run's indexes are cached on the
-//!   run itself, so they are built once per run, not once per read.  Keys over ≤ [`PACK_MAX`] bound
-//!   columns pack injectively into a `u64` ([`fx::KeyAcc`]); wider patterns
-//!   hash with verification.  A probe is therefore allocation-free: pack
-//!   the key on the stack, walk the bucket's borrowed id chain, verify candidates
+//!   evaluation appends to — with indexes keyed by *bound-column masks*,
+//!   built lazily for exactly the `(relation, binding pattern)` pairs a
+//!   rule body demands.  A stored run's indexes are cached on the run
+//!   itself, so they are built once per run, not once per read; where its
+//!   first column is dense, the sorted run is its own index for probes on
+//!   its first one or two columns and for membership at arity ≤ 2, through
+//!   one array of first-column offsets, and every other table is a chained
+//!   hash table.  Keys over ≤ [`PACK_MAX`] bound columns pack injectively
+//!   into a `u64` ([`fx::KeyAcc`]); wider patterns hash with verification.
+//!   A probe is therefore allocation-free: pack the key on the stack, walk
+//!   the bucket's slot range and borrowed id chains, verify candidates
 //!   against `&[Const]` row slices straight out of storage.  Storage is
 //!   **written in bulk and read back by merging**: one-shot evaluation
 //!   loads only the relations its rules name (an `Arc` clone each — the

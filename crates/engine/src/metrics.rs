@@ -45,15 +45,18 @@ pub struct EngineMetrics {
     /// snapshot was superseded.
     pub table_evictions: Counter,
     /// `kbt_engine_index_builds_total` — indexes and membership tables
-    /// built over stored rows: once per stored run and mask, plus every
-    /// private table built over a non-empty tail (see [`crate::index`]).
+    /// built over stored rows: once per stored run and mask — once per run
+    /// for the first-column offsets, whichever masks they serve — plus
+    /// every private table built over a non-empty tail (see
+    /// [`crate::index`]).
     pub index_builds_total: Counter,
     /// `kbt_engine_rows_copied_total` — stored rows copied into a private
     /// arena (a compaction moving a shared first segment's live rows).
     pub rows_copied_total: Counter,
     /// `kbt_engine_shared_index_bytes` — heap bytes of the indexes and
-    /// membership tables cached on stored runs; up on each build, down
-    /// when the run holding one is freed.
+    /// membership tables cached on stored runs, chained tables and
+    /// first-column offsets alike; up on each build, down when the run
+    /// holding one is freed.
     pub shared_index_bytes: Gauge,
     /// `kbt_engine_eval_ns` — whole-evaluation wall time.
     pub eval_ns: Histogram,
@@ -133,7 +136,7 @@ pub fn metrics() -> &'static EngineMetrics {
             ),
             (
                 "kbt_engine_index_builds_total",
-                "Indexes and membership tables built over stored rows.",
+                "Indexes and membership tables built over stored rows (chained tables and first-column offsets).",
             ),
             (
                 "kbt_engine_rows_copied_total",
@@ -141,7 +144,7 @@ pub fn metrics() -> &'static EngineMetrics {
             ),
             (
                 "kbt_engine_shared_index_bytes",
-                "Heap bytes of the indexes cached on stored runs.",
+                "Heap bytes of the indexes cached on stored runs (chained tables and first-column offsets).",
             ),
             (
                 "kbt_engine_eval_ns",

@@ -15,8 +15,8 @@ pub struct EngineStats {
     pub iterations: usize,
     /// Number of facts newly derived for intensional relations.
     pub derived_facts: usize,
-    /// Number of hash-index probes (including full-tuple membership checks
-    /// and negated-literal lookups).
+    /// Number of index probes (including full-tuple membership checks and
+    /// negated-literal lookups).
     pub index_probes: usize,
     /// Number of candidate tuples iterated by scans and probe buckets.
     pub tuples_scanned: usize,

@@ -362,16 +362,19 @@
 //! * `kbt_engine_table_evictions` (counter): memoized calls dropped when
 //!   their snapshot was superseded.
 //! * `kbt_engine_index_builds_total` (counter): indexes and membership
-//!   tables built over stored rows — once per stored run and mask (the
-//!   run keeps them for every later read), plus each private table built
+//!   tables built over stored rows — once per stored run and mask (once
+//!   per run for a dense run's first-column offsets, which serve its
+//!   leading-column probes and, at arity ≤ 2, its membership; the run
+//!   keeps them for every later read), plus each private table built
 //!   over an evaluation's own rows.  A repeated read of an unchanged
 //!   epoch adds none.
 //! * `kbt_engine_rows_copied_total` (counter): stored rows copied into a
 //!   private arena (only a compaction of a relation a session deleted
 //!   from does that; a read copies none).
 //! * `kbt_engine_shared_index_bytes` (gauge): heap bytes of the indexes
-//!   cached on stored runs — those of the current epoch and of every epoch
-//!   still pinned; it falls as superseded runs are freed.
+//!   (chained tables and first-column offsets) cached on stored runs —
+//!   those of the current epoch and of every epoch still pinned; it falls
+//!   as superseded runs are freed.
 //! * `kbt_engine_eval_ns` (histogram): full evaluation latency.
 //! * `kbt_engine_round_ns` (histogram): per-round latency (join, sort
 //!   and commit).

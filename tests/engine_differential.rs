@@ -85,8 +85,9 @@ fn randomized_programs_agree_long() {
 fn randomized_positive_programs(seed: u64, cases: usize, facts: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..cases {
-        let program = random_positive_program(&mut rng);
-        let edb = random_edb(&mut rng, facts);
+        let pool = Pool::of_case(case);
+        let program = random_positive_program(pool, &mut rng);
+        let edb = random_edb(pool, &mut rng, facts);
         assert_engine_matches_oracles(&program, &edb, &format!("positive case {case}"));
     }
 }
@@ -94,8 +95,9 @@ fn randomized_positive_programs(seed: u64, cases: usize, facts: usize) {
 fn randomized_stratified_programs(seed: u64, cases: usize, facts: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..cases {
-        let program = random_stratified_program(&mut rng);
-        let edb = random_edb(&mut rng, facts);
+        let pool = Pool::of_case(case);
+        let program = random_stratified_program(pool, &mut rng);
+        let edb = random_edb(pool, &mut rng, facts);
         assert_engine_matches_oracles(&program, &edb, &format!("stratified case {case}"));
     }
 }
@@ -125,14 +127,14 @@ fn arity_of(rel: u32) -> usize {
 /// A random safe positive rule with the given head relation.  One term in
 /// four is a constant, in the body and in the head, so constant checks,
 /// constant probe keys and atoms with no variable at all occur.
-fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
+fn random_rule(pool: Pool, head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     let num_atoms = rng.random_range(1..4usize);
     let mut body: Vec<Literal> = Vec::new();
     for _ in 0..num_atoms {
         let rel = *body_pool.choose(rng).expect("non-empty pool");
         let terms: Vec<_> = (0..arity_of(rel))
             .map(|_| match rng.random_range(0..4u32) {
-                0 => random_constant(rng),
+                0 => pool.constant(rng),
                 _ => var(rng.random_range(1..4u32)),
             })
             .collect();
@@ -147,39 +149,68 @@ fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     let head_terms: Vec<_> = (0..arity_of(head_rel))
         .map(|_| match body_vars.choose(rng) {
             Some(&v) if rng.random_range(0..4u32) > 0 => var(v),
-            _ => random_constant(rng),
+            _ => pool.constant(rng),
         })
         .collect();
     Rule::new(DlAtom::new(r(head_rel), head_terms), body)
 }
 
-fn random_constant(rng: &mut impl Rng) -> kbt::logic::Term {
-    cst(rng.random_range(1..5u32))
+/// A constant far from the others: a stored run whose first column holds
+/// it is sparse, so its prefix probes and its membership checks go through
+/// the chained tables instead of the run's first-column offsets.
+const FAR: u32 = 1_000_000;
+
+/// The constants one case draws from, in its rules and in its facts.
+#[derive(Clone, Copy, Debug)]
+struct Pool {
+    /// Whether [`FAR`] is among them (one case in four).
+    far: bool,
+}
+
+impl Pool {
+    fn of_case(case: usize) -> Pool {
+        Pool { far: case % 4 == 3 }
+    }
+
+    /// A value from `values`, or [`FAR`] as one more in a far case.
+    fn draw(self, values: std::ops::Range<u32>, rng: &mut impl Rng) -> u32 {
+        if !self.far {
+            return rng.random_range(values);
+        }
+        match rng.random_range(values.start..values.end + 1) {
+            v if v == values.end => FAR,
+            v => v,
+        }
+    }
+
+    fn constant(self, rng: &mut impl Rng) -> kbt::logic::Term {
+        cst(self.draw(1..5, rng))
+    }
 }
 
 const BODY_POOL: [u32; 6] = [EDB_BIN, EDB_UN, EDB_TER, EDB_WIDE, IDB_BIN, IDB_UN];
 
-fn random_positive_program(rng: &mut impl Rng) -> Program {
+fn random_positive_program(pool: Pool, rng: &mut impl Rng) -> Program {
     let mut rules = Vec::new();
     let num_rules = rng.random_range(2..5usize);
     for _ in 0..num_rules {
         let head = *[IDB_BIN, IDB_UN].choose(rng).expect("non-empty");
-        rules.push(random_rule(head, &BODY_POOL, rng));
+        rules.push(random_rule(pool, head, &BODY_POOL, rng));
     }
     Program::new(rules).expect("generated rules are safe")
 }
 
-fn random_stratified_program(rng: &mut impl Rng) -> Program {
-    let mut rules = random_positive_program(rng).rules().to_vec();
+fn random_stratified_program(pool: Pool, rng: &mut impl Rng) -> Program {
+    let mut rules = random_positive_program(pool, rng).rules().to_vec();
     // one or two stratum-1 rules negating a stratum-0 or EDB relation on
     // one of their body variables (or on a constant, if they have none)
     for _ in 0..rng.random_range(1..3usize) {
-        let mut rule = random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN, EDB_TER], rng);
+        let mut rule = random_rule(pool, TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN, EDB_TER], rng);
         let negated = *[EDB_UN, IDB_UN].choose(rng).expect("non-empty");
         let vars: Vec<_> = rule.body.iter().flat_map(|l| l.atom.variables()).collect();
         let term = match vars.choose(rng) {
             Some(&v) => kbt::logic::Term::Var(v),
-            None => random_constant(rng),
+            None => pool.constant(rng),
         };
         rule.body
             .push(Literal::negative(DlAtom::new(r(negated), vec![term])));
@@ -191,7 +222,7 @@ fn random_stratified_program(rng: &mut impl Rng) -> Program {
 /// Fewer than `facts` random facts per EDB relation, over the constants
 /// the rules use (the 4-ary relation over two of them, so that its probes
 /// find rows).
-fn random_edb(rng: &mut impl Rng, facts: usize) -> Database {
+fn random_edb(pool: Pool, rng: &mut impl Rng, facts: usize) -> Database {
     let mut b = DatabaseBuilder::new()
         .relation(r(EDB_BIN), 2)
         .relation(r(EDB_UN), 1)
@@ -201,7 +232,7 @@ fn random_edb(rng: &mut impl Rng, facts: usize) -> Database {
         let values = if rel == EDB_WIDE { 1..3u32 } else { 1..5u32 };
         for _ in 0..rng.random_range(0..facts) {
             let row: Vec<u32> = (0..arity_of(rel))
-                .map(|_| rng.random_range(values.clone()))
+                .map(|_| pool.draw(values.clone(), rng))
                 .collect();
             b = b.fact(r(rel), row.as_slice());
         }
