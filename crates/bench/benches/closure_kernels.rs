@@ -1,5 +1,5 @@
-//! `closure_kernels` — the engine kernel behind `closure_scan`'s `oncycle`
-//! read, in process.
+//! `closure_kernels` — the engine kernels behind `closure_scan`'s closures,
+//! in process.
 //!
 //! The `oncycle` read of `bench/stackbench`'s `closure_scan` workload asks
 //! `reach(x0, x0)` with every argument free, so it derives the whole linear
@@ -13,6 +13,15 @@
 //! stored `edge` is one run for the whole target, so its indexes are built
 //! by the warm-up and every timed evaluation reads them in place, as every
 //! read of one epoch does in the service.
+//!
+//! Next to it, `nonlinear` derives the same closure by `reach ⋈ reach`
+//! (`closure_scan`'s `hits` shape without the push-down that `QUERY`
+//! applies): the head is probed through two indexes as it grows, and its
+//! second delta variant — the delta scanned as `reach(x1, x2)`, `reach`
+//! probed on its second column — hands the fixpoint filter its candidates
+//! ordered by the joined column, not by their own first one: the worst
+//! case for the filter's cursor, which gallops forward through sorted key
+//! levels and searches back when a key is smaller than the last.
 //!
 //! Run it with the allocator pinned as `stackbench` pins its server —
 //! without the three `MALLOC_*` variables glibc's adaptive mmap threshold
@@ -63,9 +72,10 @@ fn braid() -> Database {
     b.build().expect("a binary edge relation")
 }
 
-/// The `oncycle` read's program: the linear closure of `edge`, and the
-/// nodes it leads back to.
-fn oncycle() -> Vec<ir::Program> {
+/// The closure of `edge` joined on `second` — `edge` for the linear
+/// closure, `reach` for the non-linear one — and the nodes it leads back
+/// to.
+fn closure(second: u32) -> Vec<ir::Program> {
     let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     let reach = |a, b| DlAtom::new(r(REACH), vec![var(a), var(b)]);
     let program = Program::new(vec![
@@ -74,7 +84,7 @@ fn oncycle() -> Vec<ir::Program> {
             reach(0, 2),
             vec![
                 Literal::positive(reach(0, 1)),
-                Literal::positive(edge(1, 2)),
+                Literal::positive(DlAtom::new(r(second), vec![var(1), var(2)])),
             ],
         ),
         Rule::new(
@@ -97,18 +107,25 @@ fn stages() -> [u64; 4] {
     ]
 }
 
-fn oncycle_closure(c: &mut Criterion) {
-    let (strata, edb) = (oncycle(), braid());
+fn closures(c: &mut Criterion) {
+    let edb = braid();
+    for (name, second) in [("oncycle", EDGE), ("nonlinear", REACH)] {
+        kernels(c, name, &closure(second), &edb);
+    }
+}
+
+/// Times one closure at widths 1 and 2 and prints its split.
+fn kernels(c: &mut Criterion, name: &str, strata: &[ir::Program], edb: &Database) {
     let keep = [r(ONCYCLE)];
-    let (_, stats) = evaluate(&strata, &edb, 1, None, Some(&keep)).unwrap();
+    let (_, stats) = evaluate(strata, edb, 1, None, Some(&keep)).unwrap();
     println!(
-        "closure_kernels/oncycle: {} facts derived over {} rounds from {} probes",
+        "closure_kernels/{name}: {} facts derived over {} rounds from {} probes",
         stats.derived_facts, stats.iterations, stats.index_probes
     );
     for width in [1, 2] {
         let before = stages();
-        c.bench_function(format!("closure_kernels/oncycle/width{width}"), |b| {
-            b.iter(|| black_box(evaluate(&strata, &edb, width, None, Some(&keep)).unwrap()));
+        c.bench_function(format!("closure_kernels/{name}/width{width}"), |b| {
+            b.iter(|| black_box(evaluate(strata, edb, width, None, Some(&keep)).unwrap()));
         });
         let after = stages();
         if after[3] == before[3] {
@@ -118,7 +135,7 @@ fn oncycle_closure(c: &mut Criterion) {
         let ms = |stage: usize| (after[stage] - before[stage]) as f64 / evals / 1e6;
         println!(
             "{:<60} join {:.2} ms  sort {:.2} ms  commit {:.2} ms  (mean of {evals} evaluations)",
-            format!("closure_kernels/oncycle/width{width} split"),
+            format!("closure_kernels/{name}/width{width} split"),
             ms(0),
             ms(1),
             ms(2),
@@ -129,6 +146,6 @@ fn oncycle_closure(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = oncycle_closure
+    targets = closures
 }
 criterion_main!(benches);

@@ -16,18 +16,23 @@
 //! materialisation, a membership table over every stored fact) the same
 //! evaluation allocated 1 864 713 bytes, and 882 241 while every index key
 //! still owned a heap `Vec` of ids, 601 753 while a load copied
-//! `edge` into a private arena, and 511 845 while the interpreter kept an
-//! undo list per step and a bag per head relation per task; it now
-//! allocates `MEASURED`, and the test allows 10 % on top — well short of
-//! what going back would cost.
+//! `edge` into a private arena, 511 845 while the interpreter kept an
+//! undo list per step and a bag per head relation per task, and 506 689
+//! while the head's tail hashed every derived fact into a chained
+//! membership table (its keys now sit in sorted levels, 8 B a row, until
+//! something asks for a row by key); it now allocates `MEASURED`, and the
+//! test allows 10 % on top — well short of what going back would cost.
 //!
 //! The non-linear closure (`path ⋈ path`) pins the buckets of a probed head
 //! relation by allocation count: `path` grows every round under two
-//! indexes (first column and second column bound) and its membership table.
+//! indexes (first column and second column bound) and its membership:
+//! once a chained table, now sorted key levels that the fixpoint filter
+//! gallops through.
 //! When every key of those owned a heap `Vec` of ids it took 5 361
 //! allocations (1 356 450 bytes); with one chained id table per index it
-//! took 361, and with static binding schedules (no undo lists) it takes
-//! `MEASURED_NONLINEAR_ALLOCS`; the test allows 10 % on top.
+//! took 361, and with static binding schedules (no undo lists) 331 —
+//! `MEASURED_NONLINEAR_ALLOCS`; the test allows 10 % on top.  With sorted
+//! key levels it takes 333, within that bound, which stays where it was.
 //!
 //! Like `zero_alloc.rs`, this binary holds exactly one `#[test]`:
 //! `kbt_bench::alloc_counter` is process-global.
@@ -41,7 +46,7 @@ use kbt_logic::builder::var;
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 /// Bytes allocated by the measured linear closure when the bound was set.
-const MEASURED: u64 = 506_689;
+const MEASURED: u64 = 327_025;
 
 /// Allocations made by the measured non-linear closure when the bound was
 /// set.

@@ -45,12 +45,17 @@
 //!
 //! * it runs the round under the **fixpoint filter** (keep a derived row
 //!   iff storage does not hold it), so every pending run is *disjoint* from
-//!   storage;
+//!   storage.  Each task binds the filter to its head once, as a
+//!   [`MemberCursor`](crate::index::MemberCursor): while the head has only
+//!   been appended to in bulk its membership is sorted key levels, and the
+//!   cursor gallops a finger through each of them and through the stored
+//!   run (see [`crate::index`]);
 //! * storage is borrowed shared for the whole round and nothing writes
 //!   between the filter's last lookup and the append, so the run is still
 //!   disjoint when [`IndexStorage::append_run`] extends the tail with it —
-//!   one reserve-then-extend, one membership insert and one bucket push per
-//!   live index per row, no second lookup;
+//!   one reserve-then-extend, the run's keys pushed as one sorted level (a
+//!   membership insert per row once the tail is chained) and one bucket
+//!   push per live index per row, no second lookup;
 //! * the pending runs are then **moved out** as the next round's delta.
 //!   A delta is only ever scanned ([`crate::plan`] compiles every delta
 //!   driver to a scan), so a sorted run is all it needs to be: no arena,
@@ -226,7 +231,7 @@ pub(crate) fn demand<'a>(steps: impl IntoIterator<Item = &'a Step>, storage: &mu
         match step {
             Step::Probe { rel, mask, .. } => storage.ensure_index(*rel, *mask),
             Step::Member { rel, .. } | Step::NegCheck { rel, .. } => {
-                storage.ensure_membership(*rel)
+                storage.demand_membership(*rel)
             }
             Step::Scan { .. } => {}
         }
@@ -578,10 +583,10 @@ pub(crate) fn commit(
 ) -> Deltas {
     let pending = {
         let storage = &*storage;
-        // the fixpoint filter, bound to the head relation once per task
+        // the fixpoint filter, a cursor over the head relation per task
         let keep = |rel: RelId| {
-            let stored = storage.relation(rel);
-            move |row: &[Const]| !stored.is_some_and(|r| r.contains_row(row))
+            let mut stored = storage.relation(rel).map(IndexedRelation::member_cursor);
+            move |row: &[Const]| !stored.as_mut().is_some_and(|r| r.contains(row))
         };
         match observer {
             None => run_round_with(plans, storage, deltas, stats, width, &keep),
@@ -732,19 +737,11 @@ fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Const]) -> b
     for &t in terms {
         acc.push(resolve(t, regs));
     }
-    let mut bucket = relation.member_bucket(acc.finish());
-    if key_is_exact(terms.len()) {
-        // packed keys are injective over the full row
-        bucket.next().is_some()
-    } else {
-        bucket.any(|id| {
-            relation
-                .row(id)
-                .iter()
-                .zip(terms)
-                .all(|(&v, &t)| v == resolve(t, regs))
-        })
-    }
+    // packed keys are injective over the full row
+    let exact = key_is_exact(terms.len());
+    relation.holds_key(acc.finish(), |row| {
+        exact || row.iter().zip(terms).all(|(&v, &t)| v == resolve(t, regs))
+    })
 }
 
 /// The engine's one interpreter of [`Step`]s, behind every round's tasks

@@ -31,6 +31,17 @@
 //!   positive programs, which is what the Horn fast path of `kbt-core`
 //!   produces, never hit the fallback.
 //!
+//! The session's initial closure runs like a one-shot evaluation: every
+//! head it derives into keeps its tail's membership in sorted key levels,
+//! filtered by a galloping cursor (see [`crate::index`]).  Point lookups,
+//! single-row writes and removals begin with the first delta, so
+//! [`IncrementalSession::apply_delta`] first switches every non-empty tail
+//! the fixpoint left sorted to its chained table — once per tail, counted
+//! as a build — and every later delta runs on the tables it always has.
+//! Keeping a session sorted past its first delta measured ≈ 10 % slower
+//! on a stream of small deltas: the overdeletion and rederivation lookups
+//! then search levels instead of hashing.
+//!
 //! Deltas may only touch *extensional* relations; mutating a relation any
 //! stratum derives returns [`EngineError::IntensionalUpdate`] — intensional
 //! content is owned by the fixpoint.
@@ -207,6 +218,9 @@ impl IncrementalSession {
         let _delta_span = metrics.delta_ns.span();
         let mut stats = EngineStats::default();
         let count_before = self.storage.fact_count();
+        // point lookups, writes and removals start here: every tail the
+        // fixpoint left sorted switches to its chained table now, once
+        self.storage.chain_sorted_tails();
 
         // The deletions actually present, grouped and deduplicated.
         let mut del_actual = FactSets::new();

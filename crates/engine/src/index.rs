@@ -114,27 +114,64 @@
 //! not a knob: which table a mask gets is a function of the run (its
 //! arity, and the span of its first column) alone.  Every other mask, a
 //! run whose first column is sparse, full-row membership at arity ≥ 3 and
-//! every tail keep chained tables.  Offsets are cached on the run like any
-//! of its tables (one cache entry serves every mask they answer), counted
-//! in `kbt_engine_index_builds_total` and `kbt_engine_shared_index_bytes`
-//! alike, and dropped with the first segment — by `clear` and by
-//! compaction, which leave the relation with no first segment to index.
+//! every index on a tail keep chained tables.  Offsets are cached on the
+//! run like any of its tables (one cache entry serves every mask they
+//! answer), counted in `kbt_engine_index_builds_total` and
+//! `kbt_engine_shared_index_bytes` alike, and dropped with the first
+//! segment — by `clear` and by compaction, which leave the relation with
+//! no first segment to index.
 //!
 //! The *membership table* is the same thing for the full row: full-row key
 //! → id, the first segment's cached on its run like any index (it *is* the
 //! full-mask index — the offsets at arity ≤ 2 on a dense run), the tail's
-//! private.  The tail's exists from the start.
-//! The segment's is **deferred**: hashing every stored fact of a relation
-//! that is only ever scanned or probed is wasted work, and a loaded
-//! relation that has not been written since answers
-//! [`IndexedRelation::contains_row`] by binary search on its first segment,
-//! which is still all of it.  The segment's table is fetched — built, the
-//! first time any holder of the run asks — by
-//! [`IndexedRelation::ensure_membership`], demanded for the targets of the
+//! private.  The segment's is **deferred**: hashing every stored fact of a
+//! relation that is only ever scanned or probed is wasted work, and the
+//! sorted run answers [`IndexedRelation::contains_row`] by binary search
+//! while no row of it has died.  The segment's table is fetched — built,
+//! the first time any holder of the run asks — by
+//! [`IndexedRelation::demand_membership`], demanded for the targets of the
 //! `Member` / `NegCheck` steps of every plan about to run exactly as
 //! [`IndexedRelation::ensure_index`] is for probe masks, and by the first
-//! mutation of any kind, so that [`IndexedRelation::member_bucket`] is
-//! either complete or absent, never partial.
+//! point write or removal.
+//!
+//! **Derived facts stay sorted until something asks for one by key.**  A
+//! fixpoint writes its head's tail only in bulk, one sorted run per round
+//! ([`IndexedRelation::append_run`]), and reads its membership only
+//! through the fixpoint filter, once per candidate.  So while a relation is
+//! only appended to in bulk, at arity 1 and 2 — where a row's packed key is
+//! exact and sorts like the row — the tail's membership is not a hash
+//! table but a stack of **sorted key levels**, as in datafrog's relations:
+//! each append pushes its run's keys as one `Vec<u64>`, merged with the
+//! level below while that one is at most twice what has been merged (so a
+//! level is more than twice the size of the one above it, and there are at
+//! most `log₂ n` of them).  No row can have died while the tail is sorted —
+//! the first removal switches it — so the levels hold keys only: 8 B per
+//! tail row, against at least 21 B for a chained full-row table.  The
+//! fixpoint filter looks rows up through a [`MemberCursor`], one per task:
+//! a finger on the first segment and one per level, each galloping forward
+//! from the last key looked up and falling back to a binary search when a
+//! key steps backwards.  Where a head's first column comes from the
+//! scanned delta, its candidates arrive in near-key order and a lookup
+//! touches about one cache line per level.  `Member` / `NegCheck` steps
+//! and [`IndexedRelation::contains_row`] search the levels outright: the
+//! relation a negation checks is often a lower stratum's finished head,
+//! and hashing it would cost one more build on every read.
+//!
+//! The chained table is built in one pass over the arena, with an exact
+//! reserve, only when something first asks for a row by key: a single-row
+//! [`IndexedRelation::insert_row`] or [`IndexedRelation::remove_row`],
+//! [`IndexedRelation::ensure_membership`], or the incremental session
+//! before its first delta, where point lookups begin (the session switches
+//! only non-empty tails; first segments keep their tables deferred).  It
+//! is counted in
+//! `kbt_engine_index_builds_total` when the tail is not empty, and from
+//! then on each bulk append inserts its rows into it, as a single-row write
+//! does.  Arity 0 and arity ≥ 3 (hashed keys, which do not sort like the
+//! row) keep the chained tail from the start: the kind is a function of the
+//! arity and of the first point write, removal or session delta, not a
+//! knob.  [`IndexedRelation::member_bucket`], which walks ids, wants the
+//! whole table demanded first — the first segment's and a chained tail —
+//! so it is complete or absent, never partial.
 //!
 //! Once more than half the slots are dead the relation compacts itself: the
 //! live rows of both segments move, in slot order, into a fresh private
@@ -265,6 +302,165 @@ impl Walk<'_> {
         self.at = self.next[id as usize];
         Some(id)
     }
+}
+
+/// The tail's membership while the relation is only appended to in bulk, at
+/// an arity whose packed key is exact and sorts like the row (see the
+/// module docs): the appended rows' keys as a stack of sorted, disjoint
+/// levels, each more than twice the size of the one above it.
+#[derive(Clone, Debug, Default)]
+struct Levels {
+    levels: Vec<Vec<u64>>,
+}
+
+/// An upper bound on the number of [`Levels`]: each level is more than
+/// twice the size of the one above it, and a relation holds fewer than
+/// 2³² slots.
+const MAX_LEVELS: usize = 33;
+
+impl Levels {
+    /// Pushes the sorted keys of an appended run as a level, merging it
+    /// with the level below while that one is at most twice what has been
+    /// merged so far.
+    fn push(&mut self, mut keys: Vec<u64>) {
+        while let Some(below) = self.levels.last() {
+            if below.len() > 2 * keys.len() {
+                break;
+            }
+            let below = self.levels.pop().expect("just looked at");
+            keys = merge_disjoint(below, keys);
+        }
+        self.levels.push(keys);
+        assert!(
+            self.levels.len() <= MAX_LEVELS,
+            "a cursor has a finger per level"
+        );
+    }
+
+    /// Whether some level holds `key` (a binary search per level).
+    fn contains(&self, key: u64) -> bool {
+        self.levels
+            .iter()
+            .any(|level| level.binary_search(&key).is_ok())
+    }
+}
+
+/// Merges two sorted, disjoint key vectors into one, in place in `a`.
+fn merge_disjoint(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    let (mut i, mut j) = (a.len(), b.len());
+    a.reserve_exact(j);
+    a.resize(i + j, 0);
+    // fill from the back: the slots past `i + j` are already final
+    while j > 0 {
+        if i > 0 && a[i - 1] > b[j - 1] {
+            a[i + j - 1] = a[i - 1];
+            i -= 1;
+        } else {
+            a[i + j - 1] = b[j - 1];
+            j -= 1;
+        }
+    }
+    a
+}
+
+/// The tail's membership table (see the module docs).
+#[derive(Clone, Debug)]
+enum TailMembership {
+    /// Sorted levels of packed keys: at arity 1 and 2, until the first
+    /// point write or removal, [`IndexedRelation::ensure_membership`] or
+    /// session delta.
+    Levels(Levels),
+    /// A chained table by tail-local id: every other arity, and every
+    /// relation once something asked for a row by key.
+    Chains(Chains),
+}
+
+impl TailMembership {
+    /// The empty table a relation of `arity` starts with.
+    fn for_arity(arity: usize) -> Self {
+        if arity > 0 && fx::key_is_exact(arity) {
+            TailMembership::Levels(Levels::default())
+        } else {
+            TailMembership::Chains(Chains::default())
+        }
+    }
+}
+
+/// The first position at or after `from` in `0..len` whose key is not
+/// below `key`, where every position before `from` holds a key below it:
+/// a gallop forward in doubling steps, then a binary search of the last
+/// step.
+#[inline]
+fn gallop(len: usize, from: usize, key: u64, at: &impl Fn(usize) -> u64) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < len && at(hi) < key {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(len);
+    lo + partition(0, (hi - lo) as u32, |i| at(lo + i as usize) < key) as usize
+}
+
+/// A per-task membership lookup over one relation — what the fixpoint
+/// filter asks (see the module docs).  While the relation is sorted it
+/// keeps one finger on the first segment and one per tail level, each at
+/// the first key not below the last one looked up: a key at or above it
+/// gallops forward from there, a smaller one binary-searches back.  Once
+/// the relation is chained it is [`IndexedRelation::contains_row`].
+#[derive(Debug)]
+pub struct MemberCursor<'a> {
+    relation: &'a IndexedRelation,
+    /// The levels to search, `None` once the tail is chained.
+    levels: Option<&'a [Vec<u64>]>,
+    /// The last key looked up.
+    last: u64,
+    /// The first segment's finger.
+    seg: usize,
+    /// One finger per level.
+    fingers: [usize; MAX_LEVELS],
+}
+
+impl MemberCursor<'_> {
+    /// Whether the relation holds `row` (of the relation's arity).
+    #[inline]
+    pub fn contains(&mut self, row: &[Const]) -> bool {
+        let Some(levels) = self.levels else {
+            return self.relation.contains_row(row);
+        };
+        let key = fx::row_key(row);
+        let forward = key >= self.last;
+        self.last = key;
+        // the keys are disjoint, but every finger moves to the new key
+        let seg = &self.relation.seg;
+        let mut found = seek(&mut self.seg, seg.len(), key, forward, |i| {
+            fx::row_key(seg.row(i))
+        });
+        for (level, finger) in levels.iter().zip(&mut self.fingers) {
+            found |= seek(finger, level.len(), key, forward, |i| level[i]);
+        }
+        found
+    }
+}
+
+/// Moves `finger` — the first position in `0..len` whose key is not below
+/// the previous key looked up — to the first one not below `key`, by a
+/// gallop forward or, when `key` is smaller, a binary search back; returns
+/// whether the key there is `key`.
+#[inline]
+fn seek(
+    finger: &mut usize,
+    len: usize,
+    key: u64,
+    forward: bool,
+    at: impl Fn(usize) -> u64,
+) -> bool {
+    *finger = if forward {
+        gallop(len, *finger, key, &at)
+    } else {
+        partition(0, *finger as u32, |i| at(i as usize) < key) as usize
+    };
+    *finger < len && at(*finger) == key
 }
 
 /// The table of one mask over one stored run, cached on the run (see the
@@ -512,8 +708,9 @@ pub struct IndexedRelation {
     live_count: usize,
     /// The first segment's membership table.
     seg_ids: SegMembership,
-    /// The tail's membership table, by tail-local id.
-    tail_ids: Chains,
+    /// The tail's membership table: sorted key levels or, once something
+    /// asked for a row by key, a chained table by tail-local id.
+    tail_ids: TailMembership,
     /// One index per demanded mask.
     indexes: Vec<Index>,
     /// The last canonical run handed out (or loaded): exactly the rows that
@@ -546,7 +743,7 @@ impl IndexedRelation {
         }
         let mut flag = IndexedRelation::new(0);
         if !relation.is_empty() {
-            flag.tail_ids.push(fx::row_key(&[]), 0);
+            flag.chains_mut().push(fx::row_key(&[]), 0);
             flag.slots = 1;
             flag.live_count = 1;
             flag.rebase(relation.clone());
@@ -565,7 +762,7 @@ impl IndexedRelation {
             dead: 0,
             live_count: seg.len(),
             seg_ids,
-            tail_ids: Chains::default(),
+            tail_ids: TailMembership::for_arity(seg.arity()),
             indexes: Vec::new(),
             base: seg.clone(),
             base_slots: slots,
@@ -591,8 +788,8 @@ impl IndexedRelation {
     }
 
     /// Whether the tuple is present (one hash probe per segment plus
-    /// verification, or a binary search while the first segment's
-    /// membership table is deferred).
+    /// verification, or binary searches while the relation is sorted — its
+    /// first segment's membership table deferred, its tail in levels).
     pub fn contains(&self, t: &Tuple) -> bool {
         t.arity() == self.arity && self.contains_row(t.components())
     }
@@ -600,17 +797,46 @@ impl IndexedRelation {
     /// [`Self::contains`] for a raw row slice.
     #[inline]
     pub fn contains_row(&self, row: &[Const]) -> bool {
-        self.find_live_id(row).is_some()
+        match &self.tail_ids {
+            // sorted: no tombstone, and no table on the first segment
+            TailMembership::Levels(levels) => {
+                self.seg.contains_row(row) || levels.contains(fx::row_key(row))
+            }
+            TailMembership::Chains(_) => self.find_live_id(row).is_some(),
+        }
     }
 
+    /// A membership cursor for a run of lookups from one task (see
+    /// [`MemberCursor`]): the fixpoint filter's.
+    pub fn member_cursor(&self) -> MemberCursor<'_> {
+        let levels = match &self.tail_ids {
+            TailMembership::Levels(levels) => Some(&levels.levels[..]),
+            TailMembership::Chains(_) => None,
+        };
+        MemberCursor {
+            relation: self,
+            levels,
+            last: 0,
+            seg: 0,
+            fingers: [0; MAX_LEVELS],
+        }
+    }
+
+    /// The live id holding `row`, once the tail is chained.
     #[inline]
     fn find_live_id(&self, row: &[Const]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.arity);
-        if let SegMembership::Deferred = self.seg_ids {
-            // an unwritten load: the first segment is all of it
-            return self.seg.position(row).map(|id| id as u32);
-        }
-        let mut bucket = self.member_bucket(fx::row_key(row));
+        let key = fx::row_key(row);
+        let mut bucket = match (&self.seg_ids, &self.tail_ids) {
+            // a deferred first segment has no table and no tombstone: a
+            // binary search, then the tail's chain
+            (SegMembership::Deferred, TailMembership::Chains(tail)) => match self.seg.position(row)
+            {
+                Some(id) => return Some(id as u32),
+                None => self.bucket(None, full_mask(self.arity), tail.walk(key), key),
+            },
+            _ => self.member_bucket(key),
+        };
         if fx::key_is_exact(self.arity) {
             // packed keys are injective over the full row: any live
             // occupant is a true match
@@ -635,7 +861,7 @@ impl IndexedRelation {
 
     /// The number of first-segment slots (the first tail id).
     #[inline]
-    fn seg_slots(&self) -> u32 {
+    pub(crate) fn seg_slots(&self) -> u32 {
         self.seg.len() as u32
     }
 
@@ -683,12 +909,11 @@ impl IndexedRelation {
         if self.contains_row(row) {
             return false;
         }
-        self.ensure_membership();
         let local = self.slots - self.seg_slots();
+        self.chains_mut().push(fx::row_key(row), local);
         self.tail.extend_from_slice(row);
         self.slots += 1;
         self.live_count += 1;
-        self.tail_ids.push(fx::row_key(row), local);
         for index in &mut self.indexes {
             index.tail.push(mask_key(row, index.mask), local);
         }
@@ -701,9 +926,10 @@ impl IndexedRelation {
     /// caller guarantees that **none of its rows is present** (the commit
     /// filters the round's derivations against this very relation, and
     /// nothing writes in between — see [`crate::eval`]).  One tail extend,
-    /// then one membership insert and one bucket push per index per row; no
-    /// second lookup.  The run's end is recorded for the merge that
-    /// materialises the relation.
+    /// then the run's keys pushed as one sorted level while the tail is
+    /// sorted (a membership insert per row once it is chained), and one
+    /// bucket push per index per row; no second lookup.  The run's end is
+    /// recorded for the merge that materialises the relation.
     ///
     /// Appending a row that is present is a caller bug: debug builds assert,
     /// release builds find out in [`Self::to_relation`], whose merged run
@@ -719,15 +945,20 @@ impl IndexedRelation {
         if run.is_empty() {
             return;
         }
-        self.ensure_membership();
         let first = self.slots - self.seg_slots();
+        match &mut self.tail_ids {
+            // packed keys sort like the rows: the run's keys are a level
+            TailMembership::Levels(levels) => levels.push(run.iter().map(fx::row_key).collect()),
+            TailMembership::Chains(chains) => {
+                chains.reserve(run.len(), run.len());
+                for (local, row) in (first..).zip(run.iter()) {
+                    chains.push(fx::row_key(row), local);
+                }
+            }
+        }
         self.tail.extend_from_slice(run.as_rows());
         self.slots += run.len() as u32;
         self.live_count += run.len();
-        self.tail_ids.reserve(run.len(), run.len());
-        for (local, row) in (first..).zip(run.iter()) {
-            self.tail_ids.push(fx::row_key(row), local);
-        }
         for index in &mut self.indexes {
             index.tail.reserve(0, run.len());
             for (local, row) in (first..).zip(run.iter()) {
@@ -749,10 +980,15 @@ impl IndexedRelation {
     /// in either segment; the tables keep it until compaction, which runs
     /// automatically once tombstones outnumber live rows.
     pub fn remove_row(&mut self, row: &[Const]) -> bool {
+        // a miss is not a write: a sorted tail switches only for a hit
+        if self.is_sorted() && !self.contains_row(row) {
+            return false;
+        }
+        self.chain_tail();
         let Some(id) = self.find_live_id(row) else {
             return false;
         };
-        self.ensure_membership();
+        self.demand_membership();
         let word = id as usize / 64;
         if self.dead_bits.len() <= word {
             self.dead_bits.resize(word + 1, 0);
@@ -780,7 +1016,10 @@ impl IndexedRelation {
         self.dead = 0;
         self.live_count = 0;
         self.seg_ids = SegMembership::Ready(None);
-        self.tail_ids.clear();
+        match &mut self.tail_ids {
+            TailMembership::Levels(levels) => levels.levels.clear(),
+            TailMembership::Chains(chains) => chains.clear(),
+        }
         for index in &mut self.indexes {
             index.seg = None;
             index.tail.clear();
@@ -817,30 +1056,37 @@ impl IndexedRelation {
         self.dead_bits.clear();
         self.dead = 0;
         self.seg_ids = SegMembership::Ready(None);
-        self.tail_ids = self.tail_chains(fx::row_key);
+        self.tail_ids = TailMembership::Chains(self.tail_chains(full_mask(self.arity)));
         self.indexes = (self.indexes.iter())
             .map(|&Index { mask, .. }| Index {
                 mask,
                 seg: None,
-                tail: self.tail_chains(|row| mask_key(row, mask)),
+                tail: self.tail_chains(mask),
             })
             .collect();
         self.rebase(contents);
     }
 
-    /// A table over the live tail rows, keyed by `key` — one build, counted
-    /// as such unless the tail is empty.
-    fn tail_chains(&self, key: impl Fn(&[Const]) -> u64) -> Chains {
+    /// A table of `mask` over the live tail rows — one build, counted as
+    /// such unless the tail is empty.  The full mask reserves a key per
+    /// slot: live rows are distinct, and the tails it is built over — a
+    /// sorted one switching, a compacted one — hold no tombstone.
+    fn tail_chains(&self, mask: Mask) -> Chains {
         let (seg_slots, tail_slots) = (self.seg_slots(), self.slots - self.seg_slots());
         let mut chains = Chains::default();
         if tail_slots == 0 {
             return chains;
         }
-        chains.reserve(0, tail_slots as usize);
+        let keys = if mask == full_mask(self.arity) {
+            tail_slots as usize
+        } else {
+            0
+        };
+        chains.reserve(keys, tail_slots as usize);
         for local in 0..tail_slots {
             let id = seg_slots + local;
             if self.is_live(id) {
-                chains.push(key(self.row(id)), local);
+                chains.push(mask_key(self.row(id), mask), local);
             }
         }
         metrics().index_builds_total.inc();
@@ -850,17 +1096,57 @@ impl IndexedRelation {
     /// Fetches the first segment's membership table if a load deferred it
     /// (see the module docs) — built now if no holder of the run has built
     /// it before.  Called by the demand pass for every relation a
-    /// `Member` / `NegCheck` step targets, and by every mutation.
-    pub fn ensure_membership(&mut self) {
+    /// `Member` / `NegCheck` step targets, and by
+    /// [`Self::ensure_membership`].
+    pub fn demand_membership(&mut self) {
         if let SegMembership::Deferred = self.seg_ids {
             self.seg_ids = SegMembership::Ready(RunIndex::of(&self.seg, full_mask(self.arity)));
         }
     }
 
-    /// Whether the membership table is complete — not deferred (for tests
-    /// and diagnostics).
+    /// Makes the membership table complete, so that rows can be found by
+    /// id (see the module docs): demands the first segment's
+    /// ([`Self::demand_membership`]) and switches a sorted tail to its
+    /// chained table.  Called by every point write; a removal does the
+    /// same around its lookup.
+    pub fn ensure_membership(&mut self) {
+        self.demand_membership();
+        self.chain_tail();
+    }
+
+    /// Switches a sorted tail to its chained table, built in one pass over
+    /// the arena and counted as a build unless the tail is empty; the first
+    /// segment's table stays as it is.  Called by
+    /// [`Self::ensure_membership`], by a removal that hits, and by the
+    /// incremental session before a delta for every tail the fixpoint left
+    /// sorted.
+    pub(crate) fn chain_tail(&mut self) {
+        if let TailMembership::Levels(_) = self.tail_ids {
+            self.tail_ids = TailMembership::Chains(self.tail_chains(full_mask(self.arity)));
+        }
+    }
+
+    /// The tail's chained membership table, switched to first.
+    fn chains_mut(&mut self) -> &mut Chains {
+        self.ensure_membership();
+        match &mut self.tail_ids {
+            TailMembership::Chains(chains) => chains,
+            TailMembership::Levels(_) => unreachable!("ensure_membership chains the tail"),
+        }
+    }
+
+    /// Whether the first segment's membership table has been fetched — not
+    /// deferred (for tests and diagnostics).  [`Self::member_bucket`] also
+    /// wants the tail chained: not [`Self::is_sorted`].
     pub fn has_membership(&self) -> bool {
         matches!(self.seg_ids, SegMembership::Ready(_))
+    }
+
+    /// Whether the tail keeps its membership in sorted levels — the
+    /// relation has only been appended to in bulk (for tests and
+    /// diagnostics).
+    pub fn is_sorted(&self) -> bool {
+        matches!(self.tail_ids, TailMembership::Levels(_))
     }
 
     /// Demands the index for `mask`: the first segment's is fetched from
@@ -871,18 +1157,18 @@ impl IndexedRelation {
             return;
         }
         let seg = RunIndex::of(&self.seg, mask);
-        let tail = self.tail_chains(|row| mask_key(row, mask));
+        let tail = self.tail_chains(mask);
         self.indexes.push(Index { mask, seg, tail });
     }
 
-    /// A bucket of `key` on `mask` over the first segment's table `seg`
-    /// and the tail's `tail`.
+    /// A bucket of `key` on `mask` over the first segment's table `seg`,
+    /// then the tail's chain `tail` of the same key.
     #[inline]
     fn bucket<'a>(
         &'a self,
         seg: Option<&'a RunIndex>,
         mask: Mask,
-        tail: &'a Chains,
+        tail: Walk<'a>,
         key: u64,
     ) -> Bucket<'a> {
         let (slots, seg) = match seg {
@@ -892,7 +1178,7 @@ impl IndexedRelation {
         Bucket {
             slots,
             seg,
-            tail: tail.walk(key),
+            tail,
             offset: self.seg_slots(),
             dead: &self.dead_bits,
         }
@@ -912,19 +1198,42 @@ impl IndexedRelation {
             .iter()
             .find(|index| index.mask == mask)
             .expect("index demanded by the planner before evaluation");
-        self.bucket(index.seg.as_deref(), mask, &index.tail, key)
+        self.bucket(index.seg.as_deref(), mask, index.tail.walk(key), key)
     }
 
     /// The live ids of a full-row key (for hashed keys — arity > 2 — verify
-    /// candidates against [`Self::row`]).  Like a probe index, the
-    /// membership table of a loaded relation must have been demanded with
-    /// [`Self::ensure_membership`] beforehand.
+    /// candidates against [`Self::row`]).  The complete membership table
+    /// must have been demanded first — with [`Self::ensure_membership`] or
+    /// by a point write or removal — for the first segment of a load and
+    /// for a tail that was only bulk-appended to alike.
     #[inline]
     pub fn member_bucket(&self, key: u64) -> Bucket<'_> {
-        let SegMembership::Ready(seg) = &self.seg_ids else {
-            panic!("membership table demanded by ensure_membership or the first mutation");
+        let (SegMembership::Ready(seg), TailMembership::Chains(tail)) =
+            (&self.seg_ids, &self.tail_ids)
+        else {
+            panic!("membership table demanded by ensure_membership or a point write");
         };
-        self.bucket(seg.as_deref(), full_mask(self.arity), &self.tail_ids, key)
+        self.bucket(seg.as_deref(), full_mask(self.arity), tail.walk(key), key)
+    }
+
+    /// Whether a live row has the full-row key `key` and passes `matches`
+    /// (which verifies the candidates of a hashed key) — the lookup behind
+    /// a plan's `Member` and `NegCheck` steps.  The first segment's table
+    /// must have been demanded with [`Self::demand_membership`]; the tail
+    /// answers from its chained table, or from its sorted levels, which
+    /// only exist where keys are exact.
+    #[inline]
+    pub fn holds_key(&self, key: u64, mut matches: impl FnMut(&[Const]) -> bool) -> bool {
+        let SegMembership::Ready(seg) = &self.seg_ids else {
+            panic!("membership table demanded by the plan's demand pass");
+        };
+        let tail = match &self.tail_ids {
+            TailMembership::Chains(chains) => chains.walk(key),
+            TailMembership::Levels(levels) if levels.contains(key) => return true,
+            TailMembership::Levels(_) => Walk::EMPTY,
+        };
+        self.bucket(seg.as_deref(), full_mask(self.arity), tail, key)
+            .any(|id| matches(self.row(id)))
     }
 
     /// Diagnostic probe: the live ids whose projection onto `mask` equals
@@ -1302,7 +1611,8 @@ mod tests {
         r.append_run(&Relation::empty(2));
         r.append_run(&run2(&[(1, 1), (9, 9)]));
         r.append_run(&run2(&[(2, 1)]));
-        assert!(r.has_membership());
+        // bulk appends alone keep the tail's membership in sorted levels
+        assert!(r.is_sorted() && !r.has_membership());
         assert_eq!(r.len(), 6);
         assert_eq!(r.slot_count(), 6);
         // arena order is append order; the indexes cover every run
@@ -1323,6 +1633,7 @@ mod tests {
         // single-row writes between bulk appends merge like any other run
         let mut s = r.clone();
         s.remove(&tuple![1, 5]);
+        assert!(!s.is_sorted() && s.has_membership(), "a removal switches");
         s.append_run(&run2(&[(1, 5), (4, 4)]));
         assert_eq!(s.to_relation().len(), 8);
         assert_eq!(s.to_relation(), s.snapshot());
@@ -1603,6 +1914,113 @@ mod tests {
                         .filter(|&id| fx::key_is_exact(arity) || r.row(id) == key.as_slice())
                         .collect();
                     proptest::prop_assert_eq!(walked, member);
+                }
+            }
+        }
+    }
+
+    /// A row of `arity` columns over `(a, b)`.
+    fn sorted_row(arity: usize, (a, b): (u32, u32)) -> Vec<Const> {
+        [a, b][..arity].iter().map(|&v| Const::new(v)).collect()
+    }
+
+    proptest::proptest! {
+        /// Sorted membership against a `BTreeSet` model: random sorted runs
+        /// appended at arity 1 and 2 over an empty or a stored first
+        /// segment, single-row writes, removals and explicit demands that
+        /// switch the tail to its chained table, `clear` and compaction.
+        /// After every step, `contains_row` and three cursors — one walking
+        /// the domain in ascending order, then descending, then in a random
+        /// order, and a fresh one in that random order — answer every row
+        /// as the model does; while the tail is sorted its levels hold
+        /// exactly its keys, each level more than twice the one above.
+        #[test]
+        fn sorted_membership_answers_like_a_set(
+            arity in 1usize..3,
+            stored in proptest::collection::btree_set((0u32..8, 0u32..8), 0..20),
+            script in proptest::collection::vec(
+                (0u8..13, proptest::collection::btree_set((0u32..8, 0u32..8), 0..12), (0u32..8, 0u32..8)),
+                0..24,
+            ),
+            order in proptest::collection::vec(0usize..64, 0..64),
+        ) {
+            let rows = |set: &std::collections::BTreeSet<(u32, u32)>| -> std::collections::BTreeSet<Vec<Const>> {
+                set.iter().map(|&row| sorted_row(arity, row)).collect()
+            };
+            let run_of = |rows: &std::collections::BTreeSet<Vec<Const>>| {
+                Relation::from_tuples(arity, rows.iter().map(|row| Tuple::from_row(row))).unwrap()
+            };
+            let mut model = rows(&stored);
+            let mut r = IndexedRelation::from_relation(&run_of(&model));
+            let mut sorted = true;
+            let domain: Vec<Vec<Const>> = (0..8)
+                .flat_map(|a| (0..8).map(move |b| (a, b)))
+                .map(|row| sorted_row(arity, row))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            for (op, set, row) in script {
+                let row = sorted_row(arity, row);
+                match op {
+                    0..=5 => {
+                        let absent: std::collections::BTreeSet<Vec<Const>> =
+                            rows(&set).difference(&model).cloned().collect();
+                        r.append_run(&run_of(&absent));
+                        model.extend(absent);
+                    }
+                    6 => {
+                        let added = model.insert(row.clone());
+                        proptest::prop_assert_eq!(r.insert_row(&row), added);
+                        sorted &= !added;
+                    }
+                    7 => {
+                        let removed = model.remove(&row);
+                        proptest::prop_assert_eq!(r.remove_row(&row), removed);
+                        sorted &= !removed;
+                    }
+                    8 => {
+                        r.ensure_membership();
+                        sorted = false;
+                    }
+                    9 => {
+                        r.clear();
+                        model.clear();
+                    }
+                    10 => {
+                        r.compact();
+                        sorted = false;
+                    }
+                    _ => {
+                        let _ = r.snapshot();
+                    }
+                }
+                proptest::prop_assert_eq!(r.is_sorted(), sorted);
+                proptest::prop_assert_eq!(r.len(), model.len());
+                if let TailMembership::Levels(levels) = &r.tail_ids {
+                    let keys: Vec<u64> = (r.seg_slots()..r.slot_count())
+                        .map(|id| fx::row_key(r.row(id)))
+                        .collect::<std::collections::BTreeSet<_>>()
+                        .into_iter()
+                        .collect();
+                    let mut held: Vec<u64> = levels.levels.concat();
+                    held.sort_unstable();
+                    proptest::prop_assert_eq!(held, keys);
+                    for pair in levels.levels.windows(2) {
+                        proptest::prop_assert!(pair[0].len() > 2 * pair[1].len());
+                    }
+                    for level in &levels.levels {
+                        proptest::prop_assert!(level.windows(2).all(|w| w[0] < w[1]));
+                    }
+                }
+                let random: Vec<&Vec<Const>> = order.iter().map(|&i| &domain[i % domain.len()]).collect();
+                let mut cursor = r.member_cursor();
+                for key in domain.iter().chain(domain.iter().rev()).chain(random.iter().copied()) {
+                    proptest::prop_assert_eq!(cursor.contains(key), model.contains(key));
+                    proptest::prop_assert_eq!(r.contains_row(key), model.contains(key));
+                }
+                let mut fresh = r.member_cursor();
+                for key in random {
+                    proptest::prop_assert_eq!(fresh.contains(key), model.contains(key));
                 }
             }
         }

@@ -47,7 +47,8 @@ pub struct EngineMetrics {
     /// `kbt_engine_index_builds_total` — indexes and membership tables
     /// built over stored rows: once per stored run and mask — once per run
     /// for the first-column offsets, whichever masks they serve — plus
-    /// every private table built over a non-empty tail (see
+    /// every private table built over a non-empty tail, the chained
+    /// membership table a sorted tail switches to included (see
     /// [`crate::index`]).
     pub index_builds_total: Counter,
     /// `kbt_engine_rows_copied_total` — stored rows copied into a private
@@ -136,7 +137,7 @@ pub fn metrics() -> &'static EngineMetrics {
             ),
             (
                 "kbt_engine_index_builds_total",
-                "Indexes and membership tables built over stored rows (chained tables and first-column offsets).",
+                "Indexes and membership tables built over stored rows (chained tables, first-column offsets, and sorted tails switched to chained tables).",
             ),
             (
                 "kbt_engine_rows_copied_total",

@@ -160,12 +160,26 @@ impl IndexStorage {
         }
     }
 
-    /// Demands the membership table of `rel` (see
-    /// [`IndexedRelation::ensure_membership`]); a no-op for unknown
+    /// Demands the first segment's membership table of `rel` (see
+    /// [`IndexedRelation::demand_membership`]); a no-op for unknown
     /// relations.
-    pub fn ensure_membership(&mut self, rel: RelId) {
+    pub fn demand_membership(&mut self, rel: RelId) {
         if let Some(r) = self.relations.get_mut(&rel) {
-            r.ensure_membership();
+            r.demand_membership();
+        }
+    }
+
+    /// Switches every relation whose tail is sorted and non-empty to its
+    /// chained membership table ([`IndexedRelation::chain_tail`]): what
+    /// the incremental session does before a delta, whose point lookups,
+    /// writes and removals want the tables.  First segments keep their
+    /// tables deferred, and empty tails stay sorted, until something asks
+    /// for a row by key.
+    pub(crate) fn chain_sorted_tails(&mut self) {
+        for r in self.relations.values_mut() {
+            if r.slot_count() > r.seg_slots() {
+                r.chain_tail();
+            }
         }
     }
 

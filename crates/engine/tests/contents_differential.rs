@@ -279,6 +279,9 @@ proptest! {
                 row.iter().for_each(|&c| acc.push(c));
                 acc.finish()
             };
+            // a tail only bulk-appended to keeps sorted levels: the
+            // membership table is demanded before its buckets are walked
+            indexed.ensure_membership();
             for probe in oracle.iter().chain([&vec![9; arity]]) {
                 let key = full_key(&consts(probe));
                 let expected: Vec<u32> =

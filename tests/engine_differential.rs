@@ -160,16 +160,24 @@ fn random_rule(pool: Pool, head_rel: u32, body_pool: &[u32], rng: &mut impl Rng)
 /// the chained tables instead of the run's first-column offsets.
 const FAR: u32 = 1_000_000;
 
-/// The constants one case draws from, in its rules and in its facts.
+/// The constants one case draws from, in its rules and in its facts, and
+/// whether its stored database holds facts of the rules' heads too.
 #[derive(Clone, Copy, Debug)]
 struct Pool {
     /// Whether [`FAR`] is among them (one case in four).
     far: bool,
+    /// Whether `IDB_BIN` and `IDB_UN` start with stored facts (one case in
+    /// three): the fixpoint filter then meets a head whose first segment
+    /// is not empty, and the rounds append behind it.
+    stored_heads: bool,
 }
 
 impl Pool {
     fn of_case(case: usize) -> Pool {
-        Pool { far: case % 4 == 3 }
+        Pool {
+            far: case % 4 == 3,
+            stored_heads: case % 3 == 1,
+        }
     }
 
     /// A value from `values`, or [`FAR`] as one more in a far case.
@@ -221,14 +229,19 @@ fn random_stratified_program(pool: Pool, rng: &mut impl Rng) -> Program {
 
 /// Fewer than `facts` random facts per EDB relation, over the constants
 /// the rules use (the 4-ary relation over two of them, so that its probes
-/// find rows).
+/// find rows) — and per head relation too, where the pool stores heads.
 fn random_edb(pool: Pool, rng: &mut impl Rng, facts: usize) -> Database {
     let mut b = DatabaseBuilder::new()
         .relation(r(EDB_BIN), 2)
         .relation(r(EDB_UN), 1)
         .relation(r(EDB_TER), 3)
         .relation(r(EDB_WIDE), 4);
-    for rel in [EDB_BIN, EDB_UN, EDB_TER, EDB_WIDE] {
+    let heads: &[u32] = if pool.stored_heads {
+        &[IDB_BIN, IDB_UN]
+    } else {
+        &[]
+    };
+    for &rel in [EDB_BIN, EDB_UN, EDB_TER, EDB_WIDE].iter().chain(heads) {
         let values = if rel == EDB_WIDE { 1..3u32 } else { 1..5u32 };
         for _ in 0..rng.random_range(0..facts) {
             let row: Vec<u32> = (0..arity_of(rel))
