@@ -47,13 +47,6 @@ pub struct EvalOptions {
     pub max_ground_atoms: usize,
     /// Ceiling on the number of possible worlds a knowledgebase may grow to.
     pub max_worlds: usize,
-    /// Whether repeated Datalog-fast-path `τ_φ` steps inside one `Seq` may
-    /// share a persistent incremental engine session: consecutive
-    /// applications of the same Horn sentence to closely related singleton
-    /// knowledgebases are then evaluated by feeding the databases' diff into
-    /// the live fixpoint instead of re-deriving it from scratch.  Results
-    /// are byte-identical either way; disable to benchmark the difference.
-    pub incremental: bool,
     /// Evaluation width of the Datalog fast path's fixpoint engine: `0`
     /// (the default) uses the process default — the `KBT_THREADS`
     /// environment variable when set, else the machine's available
@@ -71,7 +64,6 @@ impl Default for EvalOptions {
             strategy: Strategy::Auto,
             max_ground_atoms: 200_000,
             max_worlds: 100_000,
-            incremental: true,
             threads: 0,
         }
     }
@@ -121,7 +113,7 @@ pub struct EvalStats {
     /// steps without recomputation (zero when evaluation ran from scratch).
     pub reused_facts: usize,
     /// Facts the incremental chain sessions restored through DRed
-    /// rederivation or a fallback stratum recomputation.
+    /// rederivation.
     pub rederived_facts: usize,
 }
 
@@ -159,7 +151,6 @@ mod tests {
         assert_eq!(o.strategy, Strategy::Auto);
         assert!(o.max_ground_atoms > 0);
         assert!(o.max_worlds > 0);
-        assert!(o.incremental);
         assert_eq!(Strategy::default(), Strategy::Auto);
     }
 

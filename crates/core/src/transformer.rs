@@ -16,15 +16,15 @@
 //! `max_worlds` check fire exactly as a world-by-world fold would fire
 //! them.  Single-world knowledgebases build no key.
 //!
-//! `Seq` compositions get the *incremental chain* optimisation (when
-//! [`EvalOptions::incremental`] is on): while walking the flattened steps,
-//! the evaluator keeps at most one live [`ChainSession`] — a persistent
-//! engine fixpoint for the most recent Datalog-fast-path sentence.  A later
-//! `τ_φ` step with the same Horn sentence applied to a singleton
-//! knowledgebase is then evaluated by feeding the diff of the two input
-//! databases into the session instead of re-deriving the fixpoint from
-//! scratch.  Results are byte-identical; `EvalStats::reused_facts` shows
-//! the saving.
+//! A caller-owned chain slot ([`Transformer::apply_with_chain`], the commit
+//! pipeline's) gets the *incremental chain* optimisation: the slot keeps at
+//! most one live [`ChainSession`] — a persistent engine fixpoint for the
+//! most recent Datalog-fast-path sentence.  A later `τ_φ` step with the
+//! same Horn sentence applied to a singleton knowledgebase, later in the
+//! walk or in a later call, is then evaluated by feeding the diff of the
+//! two input databases into the session instead of re-deriving the
+//! fixpoint from scratch.  Results are byte-identical;
+//! `EvalStats::reused_facts` shows the saving.
 //!
 //! ## The projection push-down
 //!
@@ -40,18 +40,13 @@
 //! no-op.  The views name the invented predicates (`reach_fb`,
 //! `m_reach_fb`).
 //!
-//! The push-down and the chain never compete within one walk.  A sentence
-//! the walk inserts more than once is left to the chain session, which must
-//! derive the whole fixpoint to be advanced later, and is never pushed
-//! down, whether or not the session runs; a sentence inserted once has no
-//! later step to reuse a session, so it pushes down.  That choice reads
-//! only the steps, so `QUERY`, `EXPLAIN` and `PROFILE` make the same one.
-//! The cost is the chain shape whose projections keep none of φ's heads,
-//! `(π_1 ∘ τ_TC ∘ τ_fact)*`: it still advances its session where a
-//! push-down would derive nothing.  A caller-owned slot
-//! ([`Transformer::apply_with_chain`], the commit pipeline) chains every
-//! insertion, since its session pays off on the next call; it pushes down
-//! only when the chain declines (`incremental: false`).
+//! The push-down and the chain never compete within one walk.  A walk
+//! with a caller-owned slot chains every fast-path insertion, since its
+//! session pays off on the next call, and so never pushes down; it must
+//! derive the whole fixpoint to be advanced later.  Every other walk
+//! (`QUERY`, `EXPLAIN`, `PROFILE`) evaluates each insertion on its own and
+//! pushes down whenever a projection follows, so all three make the same
+//! choice.
 //!
 //! The push-down covers one-world knowledgebases only.  A multi-world step
 //! solves `µ` once per group of worlds and replays each answer's whole
@@ -142,12 +137,8 @@ impl Transformer {
     ///
     /// Under a **profiling** view every Datalog-fast-path insertion step
     /// records one [`kbt_datalog::RuleProfile`] per lowered rule per group
-    /// of worlds (see the module docs).
-    /// The resulting knowledgebase is byte-identical to [`Self::apply`]'s;
-    /// the incremental chain optimisation is skipped (chain sessions are
-    /// documented to be byte-identical to from-scratch evaluation, so only
-    /// the `reused_facts` saving is forgone) — against a transformer with
-    /// `incremental: false` the statistics match exactly.
+    /// of worlds (see the module docs).  The resulting knowledgebase and
+    /// the statistics are [`Self::apply`]'s.
     ///
     /// Under a **plan-only** view nothing is evaluated: Datalog-fast-path
     /// insertions record their join plans, every other operator records a
@@ -173,37 +164,23 @@ impl Transformer {
         Ok(TransformResult { kb, stats })
     }
 
-    /// Walks the flattened steps of `transform` with a persistent chain
-    /// session, so Datalog-fast-path insertions of the same sentence share
-    /// one live engine fixpoint.  When the caller supplies a slot
-    /// (apply_with_chain) every insertion uses it — the session may pay off
-    /// on a *later* call.  Otherwise a local slot is used, and building a
-    /// session only pays off when another insertion in this same walk can
-    /// reuse it, so only sentences the walk inserts more than once use it —
-    /// and observed walks, which evaluate every step from scratch, skip it.
-    /// An insertion the walk does not repeat pushes the projection after it
-    /// down (see the module docs); a repeated one never does, chained or
-    /// not, so every kind of walk makes the same choice.
+    /// Walks the flattened steps of `transform`.  With a caller-owned slot
+    /// ([`Self::apply_with_chain`]) every fast-path insertion goes through
+    /// its chain session; without one, an insertion followed by a
+    /// projection pushes the projection down (see the module docs).
     fn walk(
         &self,
         transform: &Transform,
         kb: Knowledgebase,
         stats: &mut EvalStats,
-        chain: Option<&mut Option<ChainSession>>,
+        mut chain: Option<&mut Option<ChainSession>>,
         mut view: Option<&mut View<'_>>,
     ) -> Result<Knowledgebase> {
         let steps = transform.steps();
-        let external = chain.is_some();
-        let mut local: Option<ChainSession> = None;
-        let mut slot: Option<&mut Option<ChainSession>> = match chain {
-            Some(external) => Some(external),
-            None => view.is_none().then_some(&mut local),
-        };
         let mut current = kb;
         for (i, step) in steps.iter().enumerate() {
-            let repeated = inserted_again(&steps, step);
             let keep = match steps.get(i + 1) {
-                Some(Transform::Project(keep)) if !repeated => Some(keep.as_slice()),
+                Some(Transform::Project(keep)) => Some(keep.as_slice()),
                 _ => None,
             };
             current = match view.as_deref_mut() {
@@ -211,10 +188,7 @@ impl Transformer {
                     self.plan_step(step, keep, &current, view)?;
                     current
                 }
-                view => {
-                    let chain = slot.as_deref_mut().filter(|_| external || repeated);
-                    self.apply_step(step, keep, current, stats, chain, view)?
-                }
+                view => self.apply_step(step, keep, current, stats, chain.as_deref_mut(), view)?,
             };
         }
         Ok(current)
@@ -257,8 +231,8 @@ impl Transformer {
     /// Applies one primitive operator (`steps()` has flattened away `Seq`
     /// and `Identity`).  `keep` is the projection the next step makes, when
     /// an insertion may push it down (see the module docs).  `chain` is the
-    /// walk's persistent session slot; `None` disables chain reuse
-    /// (unrepeated insertions of local walks, and observed walks).
+    /// caller-owned session slot of [`Self::apply_with_chain`]; every other
+    /// walk passes `None` and evaluates each insertion on its own.
     fn apply_step(
         &self,
         step: &Transform,
@@ -340,7 +314,7 @@ impl Transformer {
         db: &Database,
         chain: &mut Option<ChainSession>,
     ) -> Result<Option<UpdateOutcome>> {
-        if !self.options.incremental || !self.fast_path(phi, db) {
+        if !self.fast_path(phi, db) {
             return Ok(None);
         }
         if let Some(session) = chain.as_mut() {
@@ -387,17 +361,6 @@ impl Transformer {
     }
 }
 
-/// Whether `step` inserts a sentence that another of `steps` inserts too.
-fn inserted_again(steps: &[&Transform], step: &Transform) -> bool {
-    let Transform::Insert(phi) = step else {
-        return false;
-    };
-    let inserts = steps
-        .iter()
-        .filter(|s| matches!(s, Transform::Insert(p) if p == phi));
-    inserts.count() > 1
-}
-
 /// What `µ(φ, db)` depends on: the domain `B` and `db`'s relations among
 /// `σ(φ)` (presence, arity and contents).
 type WorldKey = (BTreeSet<Const>, Database);
@@ -427,6 +390,21 @@ mod tests {
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
+    }
+
+    /// The step-by-step oracle: each of `expr`'s steps through its own
+    /// [`Transformer::apply`], which can neither chain nor push down.
+    fn fold(expr: &Transform, kb: &Knowledgebase) -> TransformResult {
+        let mut folded = TransformResult {
+            kb: kb.clone(),
+            stats: EvalStats::default(),
+        };
+        for step in expr.steps() {
+            let result = Transformer::new().apply(step, &folded.kb).unwrap();
+            folded.kb = result.kb;
+            folded.stats.absorb(&result.stats);
+        }
+        folded
     }
 
     fn space_kb() -> Knowledgebase {
@@ -555,13 +533,10 @@ mod tests {
                 .unwrap(),
         );
 
-        let incremental = Transformer::new().apply(&expr, &kb).unwrap();
-        let from_scratch = Transformer::with_options(EvalOptions {
-            incremental: false,
-            ..EvalOptions::default()
-        })
-        .apply(&expr, &kb)
-        .unwrap();
+        let incremental = Transformer::new()
+            .apply_with_chain(&expr, &kb, &mut None)
+            .unwrap();
+        let from_scratch = fold(&expr, &kb);
 
         assert_eq!(incremental.kb, from_scratch.kb);
         assert_eq!(incremental.stats.updates, from_scratch.stats.updates);
@@ -680,9 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn profiled_apply_skips_the_chain_but_matches_from_scratch_stats() {
+    fn profiled_apply_matches_apply_and_the_chained_walk() {
         // the chain-shaped expression of the incremental test: profiled
-        // results match the chained walk, statistics match the chain-free one.
+        // results and statistics match `apply`'s, whose knowledgebase is the
+        // chained walk's and the step-by-step fold's.
         let tc = tc_sentence();
         let mut expr = Transform::Identity;
         for i in 0..3u32 {
@@ -698,24 +674,25 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let chained = Transformer::new().apply(&expr, &kb).unwrap();
-        let from_scratch = Transformer::with_options(EvalOptions {
-            incremental: false,
-            ..EvalOptions::default()
-        })
-        .apply(&expr, &kb)
-        .unwrap();
+        let plain = Transformer::new().apply(&expr, &kb).unwrap();
+        let chained = Transformer::new()
+            .apply_with_chain(&expr, &kb, &mut None)
+            .unwrap();
         let mut view = View::profile(&namer);
         let profiled = Transformer::new()
             .apply_viewed(&expr, &kb, Some(&mut view))
             .unwrap();
-        assert_eq!(profiled.kb, chained.kb);
-        assert_eq!(profiled.stats, from_scratch.stats);
-        assert_eq!(view.rows.len(), 3 * 2, "two TC rules per profiled insert");
+        assert_eq!(profiled, plain);
+        assert_eq!(plain.kb, chained.kb);
+        assert_eq!(plain.kb, fold(&expr, &kb).kb);
+        assert!(chained.stats.reused_facts > 0, "{:?}", chained.stats);
+        // π[R1] keeps no head of TC, so each pushed-down insertion runs no
+        // rule at all
+        assert!(view.rows.is_empty(), "{:?}", view.rows);
     }
 
     #[test]
-    fn every_walk_pushes_down_the_insertions_it_does_not_repeat() {
+    fn every_walk_but_a_chained_one_pushes_down() {
         // the closure of R1 into R2, read through R4(x) <- R2(x, 3)
         let phi = Sentence::new(and(
             and(
@@ -765,24 +742,22 @@ mod tests {
         let full = Transformer::new().insert(&phi, &kb).unwrap();
         assert!(queried.stats.tuples_scanned < full.stats.tuples_scanned);
 
-        // inserted twice: QUERY chains, PROFILE evaluates from scratch, and
-        // neither pushes the projection down
+        // inserted twice: QUERY and PROFILE push both projections down, a
+        // caller-owned slot chains the second insertion onto the first
         let twice = Transform::insert(phi.clone())
             .then(Transform::project([r(1)]))
             .then(Transform::insert(phi))
             .then(Transform::project([r(4)]));
         let queried = Transformer::new().apply(&twice, &kb).unwrap();
         let (profiled, seeded) = profile(&twice);
-        let from_scratch = Transformer::with_options(EvalOptions {
-            incremental: false,
-            ..EvalOptions::default()
-        })
-        .apply(&twice, &kb)
-        .unwrap();
-        assert_eq!(profiled.kb, queried.kb);
-        assert_eq!(profiled.stats, from_scratch.stats);
-        assert!(queried.stats.reused_facts > 0, "{:?}", queried.stats);
-        assert!(!seeded, "a repeated insertion is never pushed down");
+        assert_eq!(profiled, queried);
+        assert!(seeded, "a repeated insertion is pushed down too");
+        let chained = Transformer::new()
+            .apply_with_chain(&twice, &kb, &mut None)
+            .unwrap();
+        assert_eq!(chained.kb, queried.kb);
+        assert_eq!(chained.kb, fold(&twice, &kb).kb);
+        assert!(chained.stats.reused_facts > 0, "{:?}", chained.stats);
     }
 
     #[test]

@@ -243,7 +243,8 @@ impl ChainSession {
 type FactList = Vec<(RelId, Tuple)>;
 
 /// The componentwise diff `new − old` / `old − new` over both schemas,
-/// grouped as insertion and deletion fact lists for the engine.
+/// grouped as insertion and deletion fact lists for the engine, each
+/// relation's rows in order.
 fn diff(new: &Database, old: &Database) -> (FactList, FactList) {
     let rels: BTreeSet<RelId> = new
         .schema()
@@ -253,63 +254,21 @@ fn diff(new: &Database, old: &Database) -> (FactList, FactList) {
     let mut insertions = Vec::new();
     let mut deletions = Vec::new();
     for rel in rels {
-        let new_rel = new.relation(rel);
-        let old_rel = old.relation(rel);
-        match (new_rel, old_rel) {
+        let (added, removed) = match (new.relation(rel), old.relation(rel)) {
             // Copy-on-write fast path: a chain step leaves most relations
             // on the very Arc the previous step produced, so the common
             // case is a pointer check instead of a scan.
-            (Some(nr), Some(or)) if nr.shares_rows(or) => {}
-            // Same arity: one linear merge walk over the two sorted runs.
-            (Some(nr), Some(or)) if nr.arity() == or.arity() && nr.arity() > 0 => {
-                let (mut i, mut j) = (0, 0);
-                while i < nr.len() || j < or.len() {
-                    match (nr.len() - i, or.len() - j) {
-                        (0, _) => {
-                            deletions.push((rel, Tuple::from_row(or.row(j))));
-                            j += 1;
-                        }
-                        (_, 0) => {
-                            insertions.push((rel, Tuple::from_row(nr.row(i))));
-                            i += 1;
-                        }
-                        _ => match nr.row(i).cmp(or.row(j)) {
-                            std::cmp::Ordering::Equal => {
-                                i += 1;
-                                j += 1;
-                            }
-                            std::cmp::Ordering::Less => {
-                                insertions.push((rel, Tuple::from_row(nr.row(i))));
-                                i += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                deletions.push((rel, Tuple::from_row(or.row(j))));
-                                j += 1;
-                            }
-                        },
-                    }
-                }
-            }
-            // Zero arity, arity conflicts, or a one-sided relation: the
-            // generic membership formulation (a row of the wrong length is
-            // simply absent).
-            _ => {
-                if let Some(nr) = new_rel {
-                    for row in nr.iter() {
-                        if !old_rel.is_some_and(|o| o.contains_row(row)) {
-                            insertions.push((rel, Tuple::from_row(row)));
-                        }
-                    }
-                }
-                if let Some(or) = old_rel {
-                    for row in or.iter() {
-                        if !new_rel.is_some_and(|n| n.contains_row(row)) {
-                            deletions.push((rel, Tuple::from_row(row)));
-                        }
-                    }
-                }
-            }
-        }
+            (Some(n), Some(o)) if n.shares_rows(o) => continue,
+            (Some(n), Some(o)) => match (n.difference(o), o.difference(n)) {
+                (Ok(added), Ok(removed)) => (Some(added), Some(removed)),
+                // an arity conflict: every new row in, every old row out
+                _ => (Some(n.clone()), Some(o.clone())),
+            },
+            // a one-sided relation
+            (n, o) => (n.cloned(), o.cloned()),
+        };
+        insertions.extend(added.iter().flat_map(Relation::tuples).map(|t| (rel, t)));
+        deletions.extend(removed.iter().flat_map(Relation::tuples).map(|t| (rel, t)));
     }
     (insertions, deletions)
 }

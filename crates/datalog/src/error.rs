@@ -26,6 +26,12 @@ pub enum DatalogError {
         /// Human-readable description of the limit.
         message: String,
     },
+    /// An incremental session was asked to maintain a program with a
+    /// negated literal; sessions serve positive programs only.
+    NegationInSession {
+        /// Display form of the first lowered rule with a negated literal.
+        rule: String,
+    },
     /// The goal-directed (magic-set) rewrite does not cover this program
     /// shape; callers fall back to full materialization.
     GoalDirected {
@@ -52,6 +58,12 @@ impl fmt::Display for DatalogError {
             }
             DatalogError::Data(e) => write!(f, "{e}"),
             DatalogError::Engine { message } => write!(f, "engine limit: {message}"),
+            DatalogError::NegationInSession { rule } => {
+                write!(
+                    f,
+                    "incremental sessions maintain positive programs only: {rule}"
+                )
+            }
             DatalogError::GoalDirected { reason } => {
                 write!(f, "goal-directed rewrite unavailable: {reason}")
             }
@@ -72,6 +84,9 @@ impl From<kbt_engine::EngineError> for DatalogError {
         match e {
             kbt_engine::EngineError::UnsafeRule { rule } => DatalogError::UnsafeRule { rule },
             kbt_engine::EngineError::Data(e) => DatalogError::Data(e),
+            kbt_engine::EngineError::NegationInSession { rule } => {
+                DatalogError::NegationInSession { rule }
+            }
             other => DatalogError::Engine {
                 message: other.to_string(),
             },

@@ -45,8 +45,7 @@ pub struct EvalStats {
     /// Incremental only: facts of the previous fixpoint reused untouched by
     /// a delta application (zero for from-scratch evaluations).
     pub reused_facts: usize,
-    /// Incremental only: facts restored by DRed rederivation or re-derived
-    /// by the stratified-negation fallback recomputation.
+    /// Incremental only: facts restored by DRed rederivation.
     pub rederived_facts: usize,
 }
 
@@ -114,7 +113,13 @@ pub fn semi_naive_eval_viewed(
 /// storage — tuples and hash indexes — alive across them.
 /// [`IncrementalEval::current`] is always byte-identical to
 /// [`semi_naive_eval`] over the mutated database.  See the engine crate
-/// docs for the lifecycle and the stratified-negation caveats.
+/// docs for the lifecycle.
+///
+/// A session maintains a positive program only: [`Self::with_threads`]
+/// refuses a program with a negated literal with
+/// [`DatalogError::NegationInSession`](crate::DatalogError::NegationInSession)
+/// before it evaluates anything.  [`semi_naive_eval`] keeps stratified
+/// negation.
 #[derive(Clone, Debug)]
 pub struct IncrementalEval {
     session: kbt_engine::IncrementalSession,

@@ -27,6 +27,12 @@ pub enum EngineError {
         /// The offending relation.
         rel: kbt_data::RelId,
     },
+    /// An incremental session was asked to maintain a program with a
+    /// negated literal; sessions serve positive programs only.
+    NegationInSession {
+        /// Display form of the first rule with a negated literal.
+        rule: String,
+    },
     /// An error from the relational substrate (arity mismatches, …).
     Data(DataError),
 }
@@ -48,6 +54,12 @@ impl fmt::Display for EngineError {
                     f,
                     "relation {rel} is intensional: incremental deltas may only touch \
                      extensional relations"
+                )
+            }
+            EngineError::NegationInSession { rule } => {
+                write!(
+                    f,
+                    "incremental sessions maintain positive programs only: {rule}"
                 )
             }
             EngineError::Data(e) => write!(f, "data error: {e}"),

@@ -24,12 +24,12 @@
 //!   non-empty overdeletion**, with the cardinalities of that moment, and
 //!   their indexes and membership tables are demanded then: a session that
 //!   never deletes builds nothing for them.
-//! * **Stratified negation** is handled by a conservative fallback: a
-//!   stratum whose negated relations may have changed — and every stratum
-//!   above it — is recomputed from scratch (its intensional relations are
-//!   cleared and re-derived with the usual semi-naive rounds).  Purely
-//!   positive programs, which is what the Horn fast path of `kbt-core`
-//!   produces, never hit the fallback.
+//! * **Negation** is refused: [`IncrementalSession::with_threads`] returns
+//!   [`EngineError::NegationInSession`] for a program with a negated
+//!   literal, before anything is evaluated.  DRed's overdelete/rederive
+//!   phases are sound only when what a rule negates never changes, and the
+//!   programs a session serves — the Horn fast path of `kbt-core` — are
+//!   positive.
 //!
 //! The session's initial closure runs like a one-shot evaluation: every
 //! head it derives into keeps its tail's membership in sorted key levels,
@@ -51,8 +51,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    commit, delta_plans, demand, derives, eval_strata, eval_stratum, into_runs, relation_sizes,
-    run_round_with, Bags, Deltas, RowBag,
+    commit, delta_plans, demand, derives, eval_strata, into_runs, relation_sizes, run_round_with,
+    Bags, Deltas, RowBag,
 };
 use crate::index::IndexedRelation;
 use crate::ir::Program;
@@ -61,7 +61,7 @@ use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::{EngineError, Result};
 
-/// One planned stratum with the relation sets the delta dispatcher needs.
+/// One planned stratum of a positive program.
 #[derive(Clone, Debug)]
 struct Stratum {
     /// The stratum as given, kept for planning rederivation.
@@ -75,10 +75,6 @@ struct Stratum {
     rederive: Vec<JoinPlan>,
     /// The stratum's head relations.
     heads: BTreeSet<RelId>,
-    /// Relations occurring under negation in this stratum.
-    neg_rels: BTreeSet<RelId>,
-    /// Every relation the stratum's rule bodies read.
-    read_rels: BTreeSet<RelId>,
 }
 
 /// A live fixpoint over indexed storage that accepts fact deltas.
@@ -92,15 +88,15 @@ pub struct IncrementalSession {
     idb: BTreeSet<RelId>,
     /// Extensional facts the initial EDB stored *in head relations*.  They
     /// hold without needing a rule derivation, so DRed must never retract
-    /// them and fallback recomputations must re-seed them.  Stored as plain
-    /// sorted-run relations: membership is a binary search over row slices,
-    /// and capturing them at session start is an `O(1)` `Arc` clone.
+    /// them.  Stored as plain sorted-run relations: membership is a binary
+    /// search over row slices, and capturing them at session start is an
+    /// `O(1)` `Arc` clone.
     protected: BTreeMap<RelId, Relation>,
     storage: IndexStorage,
     totals: EngineStats,
     /// Resolved evaluation width (see [`crate::evaluate`]);
     /// every maintenance call — initial evaluation, propagation rounds,
-    /// overdeletion, fallback recomputation — runs at this width.
+    /// overdeletion — runs at this width.
     width: usize,
 }
 
@@ -116,7 +112,16 @@ impl IncrementalSession {
     /// [`Self::new`] with an explicit thread count (`0` = process default,
     /// `1` = every round on the calling thread).  The maintained fixpoint and all
     /// statistics are identical at every width.
+    ///
+    /// A program with a negated literal is refused with
+    /// [`EngineError::NegationInSession`] before anything is evaluated.
     pub fn with_threads(strata: &[Program], edb: &Database, threads: usize) -> Result<Self> {
+        let mut rules = strata.iter().flat_map(|program| &program.rules);
+        if let Some(rule) = rules.find(|rule| rule.body.iter().any(|l| !l.positive)) {
+            return Err(EngineError::NegationInSession {
+                rule: rule.to_string(),
+            });
+        }
         let metrics = crate::metrics::metrics();
         let _eval_span = metrics.eval_ns.span();
         let width = kbt_par::resolve_threads(threads);
@@ -145,14 +150,11 @@ impl IncrementalSession {
                 }
             }
             idb.extend(heads.iter().copied());
-            let body = || program.rules.iter().flat_map(|r| &r.body);
             planned.push(Stratum {
                 program: program.clone(),
                 rules,
                 rederive: Vec::new(),
                 heads,
-                neg_rels: body().filter(|l| !l.positive).map(|l| l.atom.rel).collect(),
-                read_rels: body().map(|l| l.atom.rel).collect(),
             });
         }
         metrics.evals_total.inc();
@@ -229,37 +231,6 @@ impl IncrementalSession {
                 set_insert(&mut del_actual, *rel, t.components());
             }
         }
-        // Relations whose content this call may change, from the input's
-        // point of view (cascaded intensional changes are added per stratum
-        // below while picking the negation-fallback cutoff).
-        let mut possibly_changed: BTreeSet<RelId> = del_actual.keys().copied().collect();
-        for (rel, t) in insertions {
-            if !self.storage.holds(*rel, t) || del_actual.get(rel).is_some_and(|d| d.contains(t)) {
-                possibly_changed.insert(*rel);
-            }
-        }
-
-        // The lowest stratum whose negated relations may change; it and
-        // everything above it fall back to a from-scratch recomputation.
-        let mut fallback_from = self.strata.len();
-        for (k, stratum) in self.strata.iter().enumerate() {
-            if stratum
-                .neg_rels
-                .iter()
-                .any(|r| possibly_changed.contains(r))
-            {
-                fallback_from = k;
-                break;
-            }
-            if stratum
-                .read_rels
-                .iter()
-                .any(|r| possibly_changed.contains(r))
-            {
-                possibly_changed.extend(stratum.heads.iter().copied());
-            }
-        }
-
         // Phase A — overdeletion, against the *old* storage (nothing has
         // been removed yet, so joins still see every deleted fact and no
         // joint deletion across body atoms can be missed).  Rounds fan out
@@ -273,7 +244,7 @@ impl IncrementalSession {
         while !round.is_empty() {
             stats.iterations += 1;
             let mut plans: Vec<(&PlannedRule, &JoinPlan)> = Vec::new();
-            for stratum in &self.strata[..fallback_from] {
+            for stratum in &self.strata {
                 plans.extend(delta_plans(&stratum.rules, &round));
             }
             let storage = &self.storage;
@@ -327,8 +298,7 @@ impl IncrementalSession {
         // Phase D — per stratum (bottom-up): rederive overdeleted facts
         // with a surviving alternative derivation, then run semi-naive
         // insertion rounds seeded with everything added so far.
-        for k in 0..fallback_from {
-            let stratum = &mut self.strata[k];
+        for stratum in &mut self.strata {
             if stratum.rederive.is_empty() && stratum.heads.iter().any(|h| over.contains_key(h)) {
                 let sizes = relation_sizes(&stratum.program, &self.storage);
                 stratum.rederive = (stratum.program.rules.iter())
@@ -339,7 +309,7 @@ impl IncrementalSession {
                     &mut self.storage,
                 );
             }
-            let stratum = &self.strata[k];
+            let stratum = &*stratum;
             for rel in &stratum.heads {
                 let Some(over_rel) = over.get(rel) else {
                     continue;
@@ -377,43 +347,7 @@ impl IncrementalSession {
             }
         }
 
-        // Phase E — stratified-negation fallback: recompute the cut-off
-        // stratum and everything above it from scratch (re-seeding the
-        // protected extensional facts the initial EDB stored in the cleared
-        // head relations).
-        let mut cleared = 0usize;
-        for k in fallback_from..self.strata.len() {
-            stats.strata += 1;
-            let mut olds: BTreeMap<RelId, Relation> = BTreeMap::new();
-            for rel in &self.strata[k].heads {
-                let old = self
-                    .storage
-                    .relation(*rel)
-                    .map(IndexedRelation::to_relation)
-                    .unwrap_or_else(|| Relation::empty(0));
-                cleared += old.len();
-                olds.insert(*rel, old);
-                self.storage.clear_relation(*rel);
-                if let Some(base) = self.protected.get(rel) {
-                    cleared -= base.len();
-                    self.storage.append_run(*rel, base);
-                }
-            }
-            let stratum = &self.strata[k];
-            eval_stratum(
-                &stratum.rules,
-                &mut self.storage,
-                &mut stats,
-                self.width,
-                None,
-            );
-            for (rel, old) in olds {
-                let new = self.storage.relation(rel).expect("relation ensured");
-                stats.rederived_facts += old.iter().filter(|row| new.contains_row(row)).count();
-            }
-        }
-
-        stats.reused_facts = count_before.saturating_sub(removed + cleared);
+        stats.reused_facts = count_before.saturating_sub(removed);
         self.totals.absorb(&stats);
         metrics.deltas_total.inc();
         metrics.absorb_stats(&stats);
@@ -645,73 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn negation_fallback_recomputes_upper_strata() {
-        // Stratum 0: reach = TC(edge).  Stratum 1: unreach(x,y) :- node(x),
-        // node(y), ~reach(x,y).
-        let stratum1 = Program::new(vec![Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap()]);
-        let strata = [tc_program(), stratum1];
-
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=4u32 {
-            b = b.fact(r(3), [i]);
-        }
-        b = b.fact(r(1), [1u32, 2]).fact(r(1), [2u32, 3]);
-        let mut edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
-
-        // inserting an edge makes (3,4) reachable → unreach(3,4) must go
-        session.insert_facts(&[(r(1), tuple![3, 4])]).unwrap();
-        edb.insert_fact(r(1), tuple![3, 4]).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
-        assert!(!session.holds(r(4), &tuple![3, 4]));
-
-        // deleting it makes (3,4) unreachable again → unreach(3,4) returns
-        session.remove_facts(&[(r(1), tuple![3, 4])]).unwrap();
-        edb.remove_fact(r(1), &tuple![3, 4]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
-        assert!(session.holds(r(4), &tuple![3, 4]));
-    }
-
-    #[test]
-    fn negation_on_untouched_relations_stays_incremental() {
-        // unreach negates reach; mutating only the node relation r3 (which
-        // never appears under negation) must not trigger the fallback, and
-        // the result must still be exact.
-        let stratum1 = Program::new(vec![Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap()]);
-        let strata = [tc_program(), stratum1];
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=3u32 {
-            b = b.fact(r(3), [i]);
-        }
-        b = b.fact(r(1), [1u32, 2]);
-        let mut edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
-
-        let stats = session.insert_facts(&[(r(3), tuple![4])]).unwrap();
-        edb.insert_fact(r(3), tuple![4]).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
-        // no stratum was recomputed from scratch
-        assert_eq!(stats.strata, 0);
-    }
-
-    #[test]
     fn parallel_sessions_track_sequential_ones_exactly() {
         // a braid wide enough that propagation and overdeletion rounds clear
         // the fan-out threshold
@@ -744,6 +611,35 @@ mod tests {
             assert_eq!(s, p, "per-delta stats diverge");
         }
         assert_eq!(seq.stats(), par.stats());
+    }
+
+    #[test]
+    fn a_negated_program_is_refused_before_it_loads_anything() {
+        // stratum 1: unreach(x,y) :- node(x), node(y), ~path(x,y).  The EDB
+        // stores `node` at the wrong arity, so a session that got as far as
+        // loading would fail with a data error instead.
+        let stratum1 = Program::new(vec![Rule::new(
+            Atom::new(r(4), vec![s(0), s(1)]),
+            vec![
+                Literal::positive(Atom::new(r(3), vec![s(0)])),
+                Literal::positive(Atom::new(r(3), vec![s(1)])),
+                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
+            ],
+        )
+        .unwrap()]);
+        let strata = [tc_program(), stratum1];
+        let edb = DatabaseBuilder::new()
+            .fact(r(1), [1u32, 2])
+            .fact(r(3), [1u32, 2])
+            .build()
+            .unwrap();
+        for threads in [1, 2] {
+            let refused = IncrementalSession::with_threads(&strata, &edb, threads);
+            assert!(matches!(
+                refused,
+                Err(EngineError::NegationInSession { ref rule }) if rule.contains("~R2(")
+            ));
+        }
     }
 
     #[test]
@@ -830,36 +726,6 @@ mod tests {
         edb.remove_fact(r(1), &tuple![2, 3]);
         assert_eq!(session.current(), from_scratch(&strata, &edb));
         assert!(session.holds(r(2), &tuple![1, 3]), "EDB fact must survive");
-    }
-
-    #[test]
-    fn edb_facts_in_head_relations_survive_the_negation_fallback() {
-        // unreach(2,1) stored extensionally; the fallback recomputation of
-        // the negation stratum must re-seed it after clearing.
-        let stratum1 = Program::new(vec![Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap()]);
-        let strata = [tc_program(), stratum1];
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=3u32 {
-            b = b.fact(r(3), [i]);
-        }
-        // unreach(9,9) cannot be derived (9 is not a node): EDB-only fact
-        b = b.fact(r(1), [1u32, 2]).fact(r(4), [9u32, 9]);
-        let mut edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
-
-        // mutating an edge forces the fallback for the negation stratum
-        session.insert_facts(&[(r(1), tuple![2, 3])]).unwrap();
-        edb.insert_fact(r(1), tuple![2, 3]).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
-        assert!(session.holds(r(4), &tuple![9, 9]));
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! first segment *and* its base).  [`IndexedRelation::snapshot`] is the same
 //! materialisation followed by moving base and watermark up to it, so the
 //! next one pays only for what changes in between — one `Arc` clone if
-//! nothing does; `clear` and compaction (which renumbers the slots, and
-//! therefore materialises first) move them too.  Outstanding snapshots are
+//! nothing does; compaction (which renumbers the slots, and therefore
+//! materialises first) moves them too.  Outstanding snapshots are
 //! never disturbed: every merge builds a fresh run.
 //!
 //! A materialisation whose length differs from the live count is never
@@ -118,8 +118,8 @@
 //! run like any of its tables (one cache entry serves every mask they
 //! answer), counted in `kbt_engine_index_builds_total` and
 //! `kbt_engine_shared_index_bytes` alike, and dropped with the first
-//! segment — by `clear` and by compaction, which leave the relation with
-//! no first segment to index.
+//! segment by compaction, which leaves the relation with no first
+//! segment to index.
 //!
 //! The *membership table* is the same thing for the full row: full-row key
 //! → id, the first segment's cached on its run like any index (it *is* the
@@ -267,12 +267,6 @@ impl Chains {
             next: &self.next,
             at: self.heads.get(&key).map_or(NIL, |&(first, _)| first),
         }
-    }
-
-    /// Forgets every key and id.
-    fn clear(&mut self) {
-        self.heads.clear();
-        self.next.clear();
     }
 
     /// The heap bytes the table holds (the map's slots and control bytes,
@@ -1005,28 +999,6 @@ impl IndexedRelation {
         true
     }
 
-    /// Drops every tuple while keeping the demanded index masks alive (with
-    /// empty buckets), so existing plans can still probe after a reset.
-    pub fn clear(&mut self) {
-        let empty = Relation::empty(self.arity);
-        self.seg = empty.clone();
-        self.tail.clear();
-        self.slots = 0;
-        self.dead_bits.clear();
-        self.dead = 0;
-        self.live_count = 0;
-        self.seg_ids = SegMembership::Ready(None);
-        match &mut self.tail_ids {
-            TailMembership::Levels(levels) => levels.levels.clear(),
-            TailMembership::Chains(chains) => chains.clear(),
-        }
-        for index in &mut self.indexes {
-            index.seg = None;
-            index.tail.clear();
-        }
-        self.rebase(empty);
-    }
-
     /// Makes `contents` — the live rows in canonical order — the base,
     /// covering every slot there is.
     fn rebase(&mut self, contents: Relation) {
@@ -1574,10 +1546,9 @@ mod tests {
         assert!(!r.remove(&tuple![7, 7]), "nor is a removal that misses");
         assert!(r.to_relation().shares_rows(&plain));
         // a write is
-        r.clear();
-        assert!(r.to_relation().is_empty());
-        r.insert(tuple![4, 4]);
-        assert_eq!(r.snapshot().len(), 1);
+        assert!(r.insert(tuple![4, 4]));
+        assert!(!r.to_relation().shares_rows(&plain));
+        assert_eq!(r.snapshot().len(), plain.len() + 1);
     }
 
     #[test]
@@ -1738,8 +1709,6 @@ mod tests {
                     proptest::prop_assert_eq!(&walked, ids);
                 }
             }
-            chains.clear();
-            proptest::prop_assert!((0..4).all(|key| chains.walk(key).step().is_none()));
         }
     }
 
@@ -1810,7 +1779,7 @@ mod tests {
                         "one array serves both"
                     );
                 }
-                r.clear();
+                r.compact();
                 assert!(r.indexes.iter().all(|index| index.seg.is_none()));
                 assert!(matches!(r.seg_ids, SegMembership::Ready(None)));
             }
@@ -1821,7 +1790,7 @@ mod tests {
         /// The first segment's offsets against a model of one `Vec` per
         /// key: random sorted runs at arity 1, 2 and 3 with a dense or a
         /// sparse first column (offsets or chains), then random removals,
-        /// inserts, appended tail runs, `clear` and compaction.  After
+        /// inserts, appended tail runs and compaction.  After
         /// every step each probe on `0b1` and on `0b11`, each membership
         /// bucket and each `contains_row` yields exactly the live ids the
         /// model holds for its key, in ascending order.
@@ -1881,10 +1850,6 @@ mod tests {
                         r.append_run(&appended);
                         model.extend(appended.iter().map(|row| (row.to_vec(), true)));
                     }
-                    10 => {
-                        r.clear();
-                        model.clear();
-                    }
                     _ => {
                         r.compact();
                         model.retain(|(_, live)| *live);
@@ -1928,7 +1893,7 @@ mod tests {
         /// Sorted membership against a `BTreeSet` model: random sorted runs
         /// appended at arity 1 and 2 over an empty or a stored first
         /// segment, single-row writes, removals and explicit demands that
-        /// switch the tail to its chained table, `clear` and compaction.
+        /// switch the tail to its chained table, and compaction.
         /// After every step, `contains_row` and three cursors — one walking
         /// the domain in ascending order, then descending, then in a random
         /// order, and a fresh one in that random order — answer every row
@@ -1982,11 +1947,7 @@ mod tests {
                         r.ensure_membership();
                         sorted = false;
                     }
-                    9 => {
-                        r.clear();
-                        model.clear();
-                    }
-                    10 => {
+                    9 | 10 => {
                         r.compact();
                         sorted = false;
                     }
@@ -2024,16 +1985,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn clear_keeps_demanded_indexes_probe_ready() {
-        let mut r = sample();
-        r.ensure_index(0b01);
-        r.clear();
-        assert!(r.is_empty());
-        assert!(r.probe(0b01, &[Const::new(1)]).is_empty());
-        r.insert(tuple![1, 7]);
-        assert_eq!(r.probe(0b01, &[Const::new(1)]).len(), 1);
     }
 }

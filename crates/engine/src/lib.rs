@@ -91,13 +91,14 @@
 //!    it is guaranteed byte-identical to a from-scratch [`evaluate`] over
 //!    the mutated extensional database.
 //!
-//! Caveats under stratified negation: a delta that may change a relation
-//! some stratum negates makes that stratum — and every stratum above it —
-//! fall back to a from-scratch recomputation (cleared and re-derived inside
-//! the session), because DRed's overdelete/rederive phases are only sound
-//! when negated relations are stable.  Purely positive programs (all Horn
-//! fast-path programs of `kbt-core`) never hit the fallback.  Deltas may
-//! only touch extensional relations; mutating a derived relation returns
+//! Sessions maintain **positive** programs only: DRed's overdelete and
+//! rederive phases are sound only when nothing a rule negates can change,
+//! and every program a session serves — the Horn fast path of `kbt-core`,
+//! which inserts clauses with positive bodies — has no negation to change.
+//! So [`IncrementalSession::new`] refuses a program with a negated literal
+//! with [`EngineError::NegationInSession`], before it evaluates anything;
+//! one-shot [`evaluate`] keeps stratified negation.  Deltas may only touch
+//! extensional relations; mutating a derived relation returns
 //! [`EngineError::IntensionalUpdate`].  A delta is checked whole before any
 //! of it is applied: on error the session is unchanged.
 

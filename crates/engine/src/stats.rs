@@ -24,11 +24,10 @@ pub struct EngineStats {
     pub strata: usize,
     /// Incremental only: facts of the previous fixpoint carried over into
     /// the new one without being touched by the delta application (neither
-    /// removed, overdeleted, nor recomputed).
+    /// removed nor overdeleted).
     pub reused_facts: usize,
     /// Incremental only: overdeleted facts restored by the DRed
-    /// rederivation phase, plus facts re-derived by a stratum that had to be
-    /// recomputed from scratch (the stratified-negation fallback).
+    /// rederivation phase.
     pub rederived_facts: usize,
 }
 

@@ -144,15 +144,6 @@ impl IndexStorage {
             .is_some_and(|r| r.remove_row(row))
     }
 
-    /// Empties a relation while keeping its demanded indexes probe-ready
-    /// (used by the incremental session to recompute a stratum from
-    /// scratch).  A no-op for unknown relations.
-    pub fn clear_relation(&mut self, rel: RelId) {
-        if let Some(r) = self.relations.get_mut(&rel) {
-            r.clear();
-        }
-    }
-
     /// Demands the index for `(rel, mask)`; a no-op for unknown relations.
     pub fn ensure_index(&mut self, rel: RelId, mask: Mask) {
         if let Some(r) = self.relations.get_mut(&rel) {
@@ -292,14 +283,5 @@ mod tests {
         assert!(!storage.holds(r(1), &tuple![1, 2]));
         assert_eq!(storage.relation_len(r(1)), 1);
         assert_eq!(storage.relation_len(r(9)), 0);
-    }
-
-    #[test]
-    fn clear_relation_empties_without_dropping() {
-        let mut storage = IndexStorage::from_database(&db());
-        storage.clear_relation(r(1));
-        assert!(storage.relation(r(1)).unwrap().is_empty());
-        assert_eq!(storage.fact_count(), 1);
-        storage.clear_relation(r(9)); // unknown relations are a no-op
     }
 }

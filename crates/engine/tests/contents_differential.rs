@@ -5,13 +5,13 @@
 //! a load defers.
 //!
 //! Random interleavings of load / bulk append / `insert` / `remove` /
-//! `clear` / `snapshot` (with automatic compaction kicking in on
+//! `snapshot` (with automatic compaction kicking in on
 //! delete-heavy prefixes) are replayed against a `BTreeSet` of rows, which
 //! shares no code with either relation type, and every view of the indexed
 //! relation must agree with it after every step.  Any bookkeeping bug — a
 //! run boundary lost, a death below the watermark not recorded, a base row
 //! that died and came back counted twice or not at all, a membership table
-//! built late, a clear or compaction that forgets to move the base — shows
+//! built late, a compaction that forgets to move the base — shows
 //! up as a mismatch, or trips the debug assertion that the materialised
 //! length equals the live count.
 
@@ -44,7 +44,6 @@ fn rows_of(relation: &Relation) -> Vec<Vec<u32>> {
 enum Op {
     Insert(u32, u32),
     Remove(u32, u32),
-    Clear,
     /// Take (and hold) a snapshot here, so later mutations run against an
     /// outstanding reader — and against a base and watermark moved up to
     /// this point.
@@ -52,7 +51,7 @@ enum Op {
     /// Replace the relation by a bulk load of its own current contents: the
     /// same rows, but pristine again — deferred membership table, the load
     /// as the base, nothing recorded.  (A load of the empty relation when
-    /// the script opens with one or one follows a `Clear`.)
+    /// the script opens with one or its removals emptied the relation.)
     Load,
     /// Bulk-append the run of those rows of a cross through `(a, b)` that
     /// are not present: canonical and disjoint, as the commit's are.
@@ -65,9 +64,7 @@ fn decode(code: (u8, u32, u32)) -> Op {
         // insert-biased so relations actually grow
         0..=3 => Op::Insert(a, b),
         4..=6 => Op::Remove(a, b),
-        // rare: a full reset
-        7 => Op::Clear,
-        8 => Op::Snapshot,
+        7..=8 => Op::Snapshot,
         9..=10 => Op::Load,
         _ => Op::Append(a, b),
     }
@@ -101,10 +98,6 @@ proptest! {
                 Op::Remove(a, b) => {
                     let removed = indexed.remove_row(&consts(&[a, b]));
                     prop_assert_eq!(removed, oracle.remove(&vec![a, b]));
-                }
-                Op::Clear => {
-                    indexed.clear();
-                    oracle.clear();
                 }
                 Op::Snapshot => {
                     held.push((indexed.snapshot(), oracle.clone()));

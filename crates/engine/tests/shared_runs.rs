@@ -16,7 +16,9 @@
 //!   with cold caches — at widths 1 and 2, through an incremental
 //!   session's tail appends, tombstones and compaction, with the database
 //!   checked against `kbt_datalog::reference_semi_naive_eval` after every
-//!   step.
+//!   step.  Sessions maintain the program without its negated stratum,
+//!   which they refuse before evaluating anything; one-shot reads keep
+//!   it.
 //!
 //! The storage counters are process-global, so every test holds `SERIAL`
 //! while it reads them.
@@ -25,7 +27,9 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId, Relation, Tuple};
 use kbt_datalog::{lower_strata, reference_semi_naive_eval, DlAtom, Literal, Program, Rule};
-use kbt_engine::{evaluate, ir, metrics, EngineStats, IncrementalSession, IndexedRelation};
+use kbt_engine::{
+    evaluate, ir, metrics, EngineError, EngineStats, IncrementalSession, IndexedRelation,
+};
 use kbt_logic::builder::var;
 use proptest::prelude::*;
 
@@ -57,9 +61,26 @@ fn counters() -> (u64, u64) {
 /// a triangle with a membership check on `edge`; loose(x) :- node(x),
 /// ~path(x,x) negates a derived relation, one stratum up.
 fn program() -> Program {
+    let mut rules = positive_rules();
+    rules.push(Rule::new(
+        DlAtom::new(r(LOOSE), vec![var(1)]),
+        vec![
+            Literal::positive(DlAtom::new(r(NODE), vec![var(1)])),
+            Literal::negative(DlAtom::new(r(PATH), vec![var(1), var(1)])),
+        ],
+    ));
+    Program::new(rules).unwrap()
+}
+
+/// [`program`] without `loose`: what an incremental session maintains.
+fn session_program() -> Program {
+    Program::new(positive_rules()).unwrap()
+}
+
+fn positive_rules() -> Vec<Rule> {
     let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     let path = |a, b| DlAtom::new(r(PATH), vec![var(a), var(b)]);
-    Program::new(vec![
+    vec![
         Rule::new(path(1, 2), vec![Literal::positive(edge(1, 2))]),
         Rule::new(
             path(1, 3),
@@ -73,15 +94,7 @@ fn program() -> Program {
                 Literal::positive(edge(3, 1)),
             ],
         ),
-        Rule::new(
-            DlAtom::new(r(LOOSE), vec![var(1)]),
-            vec![
-                Literal::positive(DlAtom::new(r(NODE), vec![var(1)])),
-                Literal::negative(path(1, 1)),
-            ],
-        ),
-    ])
-    .unwrap()
+    ]
 }
 
 fn strata() -> Vec<ir::Program> {
@@ -246,19 +259,20 @@ fn edge_facts(edges: &[(u32, u32)]) -> Vec<(RelId, Tuple)> {
 /// Drives a session over shared, warm runs next to one over fresh runs at
 /// each width, checking every step against the reference evaluator.
 fn sessions_agree(edb: &Database, steps: &[Step]) {
+    let strata = lower_strata(&session_program(), None).unwrap();
     // warm the runs: every index a session demands on them is cached
-    drop(IncrementalSession::with_threads(&strata(), edb, 1).unwrap());
+    drop(IncrementalSession::with_threads(&strata, edb, 1).unwrap());
     let before = counters();
-    let mut warm = IncrementalSession::with_threads(&strata(), edb, 1).unwrap();
+    let mut warm = IncrementalSession::with_threads(&strata, edb, 1).unwrap();
     assert_eq!(
         counters(),
         before,
         "a session over warm runs builds and copies nothing"
     );
     let mut others = vec![
-        IncrementalSession::with_threads(&strata(), &fresh(edb), 1).unwrap(),
-        IncrementalSession::with_threads(&strata(), edb, 2).unwrap(),
-        IncrementalSession::with_threads(&strata(), &fresh(edb), 2).unwrap(),
+        IncrementalSession::with_threads(&strata, &fresh(edb), 1).unwrap(),
+        IncrementalSession::with_threads(&strata, edb, 2).unwrap(),
+        IncrementalSession::with_threads(&strata, &fresh(edb), 2).unwrap(),
     ];
     for other in &others {
         assert_eq!(other.stats(), warm.stats());
@@ -274,7 +288,8 @@ fn sessions_agree(edb: &Database, steps: &[Step]) {
             oracle.insert_fact(*rel, t.clone()).unwrap();
         }
         let current = warm.current();
-        assert_eq!(current, reference(&oracle));
+        let (expected, _) = reference_semi_naive_eval(&session_program(), &oracle).unwrap();
+        assert_eq!(current, expected);
         for other in &mut others {
             assert_eq!(other.apply_delta(&ins, &del).unwrap(), stats);
             assert_eq!(other.current(), current);
@@ -283,6 +298,21 @@ fn sessions_agree(edb: &Database, steps: &[Step]) {
     for other in &others {
         assert_eq!(other.stats(), warm.stats());
     }
+}
+
+#[test]
+fn a_session_refuses_the_negated_stratum_before_evaluating_anything() {
+    let _serial = serial();
+    let edb = graph(3);
+    let before = (metrics().evals_total.get(), counters());
+    for threads in [1, 2] {
+        let refused = IncrementalSession::with_threads(&strata(), &edb, threads);
+        assert!(
+            matches!(&refused, Err(EngineError::NegationInSession { rule }) if rule.contains(&format!("~R{PATH}("))),
+            "{refused:?}"
+        );
+    }
+    assert_eq!((metrics().evals_total.get(), counters()), before);
 }
 
 #[test]

@@ -106,8 +106,8 @@
 //! closure (`closure_scan`'s non-linear read: ≈ 36 ms to ≈ 1 ms in
 //! process).  `EXPLAIN` and `PROFILE` show the same rewritten plan, with
 //! the invented predicates named `reach_fb` / `m_reach_fb` and one
-//! `seed …` row per seed fact.  A read that inserts the same sentence
-//! twice is left to the chain session instead, under every verb.
+//! `seed …` row per seed fact.  A read keeps no chain session, so a
+//! sentence it inserts twice is pushed down each time, under every verb.
 //!
 //! The bare form `QUERY CERTAIN path` reads the **stored** facts of a
 //! relation.  The bound form `QUERY CERTAIN path('a', x)` instead asks a

@@ -18,9 +18,7 @@
 //!   the Winslett order), run as levels pushed on and popped off that one
 //!   trail,
 //! * [`mod@metrics`] — counts of the work done (searches, decisions,
-//!   propagations, conflicts, minimal models) on the process-wide registry,
-//! * [`dimacs`] — DIMACS CNF import/export, handy for debugging and
-//!   cross-checking against external solvers.
+//!   propagations, conflicts, minimal models) on the process-wide registry.
 //!
 //! This loop *is* the paper's general case: every update outside the two
 //! polynomial fragments (Theorems 4.7 and 4.8) is answered here.  The search
@@ -36,7 +34,6 @@
 
 pub mod circuit;
 pub mod cnf;
-pub mod dimacs;
 pub mod dpll;
 pub mod metrics;
 pub mod minimal;

@@ -47,9 +47,10 @@
 //! [`datalog::EvalStats`] expose iterations, index
 //! probes and tuples scanned so regressions are observable.
 //!
-//! Composition chains get a second layer: repeated Horn `τ_φ` steps inside
-//! one `Seq` share a persistent
-//! [`engine::IncrementalSession`] — the
+//! Composition chains get a second layer: repeated Horn `τ_φ` steps
+//! applied through a caller-owned slot
+//! ([`core::Transformer::apply_with_chain`], the service's `APPLY`) share a
+//! persistent [`engine::IncrementalSession`] — the
 //! diff between consecutive databases is fed into the live fixpoint
 //! (semi-naive propagation for insertions, DRed overdelete/rederive for
 //! deletions) instead of re-deriving it from scratch.  `stackbench`'s
