@@ -51,6 +51,7 @@
 pub mod error;
 pub mod examples;
 pub mod hypothetical;
+pub mod metrics;
 pub mod options;
 pub mod postulates;
 pub mod transform;
@@ -59,6 +60,7 @@ pub mod update;
 
 pub use error::CoreError;
 pub use kbt_datalog::{RuleProfile, View};
+pub use metrics::metrics;
 pub use options::{EvalOptions, EvalStats, Strategy};
 pub use transform::Transform;
 pub use transformer::{TransformResult, Transformer};

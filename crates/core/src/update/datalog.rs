@@ -197,7 +197,11 @@ impl ChainSession {
         // the incremental path must fail identically (a tuple-level diff
         // alone would miss conflicts on *empty* relations).
         db.schema().union(&self.phi_schema)?;
-        let (insertions, deletions) = diff(db, &self.base);
+        let metrics = crate::metrics();
+        let (insertions, deletions) = {
+            let _diff = metrics.chain_diff_ns.span();
+            diff(db, &self.base)
+        };
         let stats = match self.eval.apply_delta(&insertions, &deletions) {
             Ok(stats) => stats,
             Err(_) => {
@@ -221,6 +225,7 @@ impl ChainSession {
         // out as copy-on-write snapshots, so a step pays for the tuples its
         // delta changed, not for re-collecting the whole (large) fixpoint
         // relation.
+        let _assemble = metrics.chain_assemble_ns.span();
         let mut result = db.clone();
         for (rel, arity) in self.phi_schema.iter() {
             if result.relation(rel).is_none() {

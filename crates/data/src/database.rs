@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::error::DataError;
-use crate::relation::Relation;
+use crate::relation::{sort_dedup_rows, Relation};
 use crate::schema::{RelId, Schema};
 use crate::tuple::Tuple;
 use crate::value::Const;
@@ -91,6 +91,47 @@ impl Database {
     /// Removes the fact `rel(t)`; returns whether it was present.
     pub fn remove_fact(&mut self, rel: RelId, t: &Tuple) -> bool {
         self.relations.get_mut(&rel).is_some_and(|r| r.remove(t))
+    }
+
+    /// Inserts a batch of facts (`insert`) or removes one: each relation's
+    /// rows are sorted once and written by one [`Relation::merge_rows`], so
+    /// a batch costs its own size and the relation's delta, not a splice of
+    /// the relation per fact.  The outcome, errors included, is that of
+    /// [`Self::insert_fact`] / [`Self::remove_fact`] fact by fact.
+    pub fn apply_facts(&mut self, facts: &[(RelId, Tuple)], insert: bool) -> Result<()> {
+        let mut batches: BTreeMap<RelId, Vec<Const>> = BTreeMap::new();
+        for (rel, t) in facts {
+            if insert {
+                self.ensure_relation(*rel, t.arity())?;
+            }
+            match self.relations.get_mut(rel) {
+                // a flag has no rows to batch
+                Some(flag) if t.arity() == 0 && flag.arity() == 0 => {
+                    if insert {
+                        flag.insert_row(&[]);
+                    } else {
+                        flag.remove_row(&[]);
+                    }
+                }
+                Some(relation) if relation.arity() == t.arity() => {
+                    batches.entry(*rel).or_default().extend(t.components());
+                }
+                // removing from a relation of another arity, or none, misses
+                _ => {}
+            }
+        }
+        for (rel, mut rows) in batches {
+            let relation = self.relations.get_mut(&rel).expect("batched above");
+            let arity = relation.arity();
+            let kept = sort_dedup_rows(&mut rows, arity);
+            rows.truncate(kept * arity);
+            *relation = if insert {
+                relation.merge_rows(&rows, &[])?
+            } else {
+                relation.merge_rows(&[], &rows)?
+            };
+        }
+        Ok(())
     }
 
     /// Number of facts across all relations.

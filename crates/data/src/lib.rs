@@ -22,23 +22,30 @@
 //! ## Storage layout
 //!
 //! Constants are interned `u32` ids ([`Const`]), and a [`Relation`] of arity
-//! `k` stores its tuples as **one flat, arity-strided sorted run**: a single
-//! `Vec<Const>` behind an `Arc`, in which row `i` occupies `rows[i*k .. (i+1)*k]`, rows
-//! sorted lexicographically and deduplicated.  There is no per-tuple
-//! allocation and no pointer tree — scans are linear walks over one
-//! contiguous buffer, membership is a binary search over fixed-width row
-//! chunks, and the set algebra runs as linear merges of sorted runs.
-//! Cloning bumps the `Arc` (copy-on-write, O(1)); mutations unshare lazily
-//! and no-op mutations never copy.  Zero-arity "flag" relations keep the
-//! run empty and track presence in a separate length field.  A run also
-//! carries what other layers build over its rows once it is shared (the
-//! engine's hash indexes, [`Relation::cached`]), for exactly as long as
-//! some clone holds it.
+//! `k` stores its tuples in **flat, arity-strided sorted runs**: a single
+//! `Vec<Const>` in which row `i` occupies `rows[i*k .. (i+1)*k]`, rows
+//! sorted lexicographically and deduplicated.  A relation is a shared
+//! **base** run behind an `Arc` plus one small sorted **delta** against it
+//! (a run of added rows and a run of deleted ones), folded into a fresh
+//! base once it passes 1/64 of the base: a write composes into the delta
+//! in `O(delta)`, so a commit that changes a few facts of a large relation
+//! costs what it changed and leaves the base — and what other layers
+//! cached on it — shared with every earlier epoch.  There is no per-tuple
+//! allocation and no pointer tree — scans are merge walks over contiguous
+//! buffers, membership is a binary search over fixed-width row chunks, and
+//! the set algebra runs as linear merges of sorted runs (of the deltas
+//! alone, between relations that share a base).  Cloning bumps the `Arc`s
+//! (copy-on-write, O(1)); mutations unshare lazily and no-op mutations
+//! never copy.  Zero-arity "flag" relations keep the run empty and track
+//! presence in a separate length field.  A run also carries what other
+//! layers build over its rows once it is shared (the engine's indexes,
+//! [`Relation::cached`]), for exactly as long as some clone holds it.
 //!
 //! [`Tuple`] survives as the boundary type — parsing, rendering, and the
 //! public fact APIs speak owned tuples — while hot paths (the engine's
 //! joins, diffs, and deltas) consume borrowed `&[Const]` row slices
-//! straight out of the run via [`Relation::iter`] / [`Relation::as_rows`].
+//! straight out of the runs via [`Relation::iter`] (the engine reads a
+//! base run in place through [`Relation::as_rows`]).
 //! See the [`relation`] module docs for the full layout and
 //! copy-on-write/unsharing rules.
 
@@ -48,6 +55,7 @@ pub mod delta;
 pub mod epoch;
 pub mod error;
 pub mod knowledgebase;
+pub mod metrics;
 pub mod order;
 pub mod relation;
 pub mod schema;
@@ -61,6 +69,7 @@ pub use delta::DatabaseDelta;
 pub use epoch::{EpochCell, EpochId, Versioned};
 pub use error::DataError;
 pub use knowledgebase::Knowledgebase;
+pub use metrics::metrics;
 pub use order::{is_minimal, minimal_elements, winslett_leq, winslett_lt};
 pub use relation::Relation;
 pub use schema::{RelId, Schema};

@@ -1,52 +1,91 @@
-//! Finite relations: sets of tuples of a fixed arity, stored as flat
-//! sorted runs.
+//! Finite relations: sets of tuples of a fixed arity, stored as a shared
+//! sorted base run plus one small sorted delta.
 //!
-//! # Storage layout
+//! # Storage layout: a base run and a delta
 //!
-//! A relation of arity `k` keeps its tuples as one arity-strided
-//! `Vec<Const>` behind an `Arc`: row `i` occupies `rows[i*k .. (i+1)*k]`,
-//! rows are sorted lexicographically and deduplicated (a *sorted run*).  There is no
-//! per-tuple allocation and no tree of pointers — scans are linear walks
-//! over one contiguous buffer, membership is a binary search over row
-//! chunks, and the set algebra (union, intersection, difference, symmetric
-//! difference) runs as linear merges of two sorted runs.
+//! A relation of arity `k` keeps its tuples in flat, arity-strided sorted
+//! runs of `Const`s: row `i` of a run occupies `rows[i*k .. (i+1)*k]`, and
+//! rows are sorted lexicographically and deduplicated.  There is no
+//! per-tuple allocation and no tree of pointers.  A relation is
+//!
+//! * a **base** run behind an `Arc`, shared by every clone and by every
+//!   relation derived from this one by a small change, plus
+//! * a **delta** against it, also behind an `Arc`: the **adds**, a sorted
+//!   run disjoint from the base, and the **dels**, a sorted run that is a
+//!   subset of the base.  The contents are `(base \ dels) ∪ adds`.
+//!
+//! A relation with no delta is **flat**: its base is all of it.  Every
+//! constructor builds a flat relation; a write makes a delta.  `insert`,
+//! `remove` and [`Relation::merge_rows`] compose into the delta in
+//! `O(delta)` plus a binary search of the base per row, and leave the base
+//! — and whatever is cached on it — untouched.  The delta is **folded**
+//! into a fresh flat base once it holds more than `1/64` of the base's rows
+//! (a one-level LSM: a constant rule, like the engine's key levels, not a
+//! knob), so a delta stays small and reads stay one merge walk.  A
+//! relation under 64 rows has no room for a delta, and a flat run nothing
+//! else holds has no reader to keep, so a write to either lands in the run
+//! as it always has.
+//!
+//! `len` is `O(1)`.  Iteration is a merge walk of the base and the adds
+//! that skips the dels — a plain walk over one buffer while the delta is
+//! empty.  Membership is a binary search of the base (and of the dels on a
+//! hit, of the adds on a miss).  The set algebra (union, intersection,
+//! difference, symmetric difference, inclusion) runs as linear merges of
+//! the two relations' rows — except between two relations that share a
+//! base, where it compares only the deltas: a chain step's diff against
+//! the previous step costs what changed, not what is stored.
+//!
+//! Equality, ordering and hashing are defined over the rows alone: a
+//! layered relation and a flat one with the same rows are equal and hash
+//! equal.  [`Relation::as_rows`], [`Relation::row`] and
+//! [`Relation::position`] read the **base run only**; the query engine,
+//! which loads the base as its first segment and the delta as its tail and
+//! tombstones ([`Relation::base`], [`Relation::delta`]), is their reader.
 //!
 //! Zero-arity "flag" relations (the paper's boolean relations, e.g. `R4`
-//! in Example 3) store no row data at all: `rows` stays empty and the
-//! separate `len` field (0 or 1) says whether the empty tuple is present.
+//! in Example 3) store no row data and no delta: the run stays empty and
+//! the separate `len` field (0 or 1) says whether the empty tuple is
+//! present.
 //!
 //! # Copy-on-write and unsharing
 //!
-//! Cloning a relation bumps the `Arc`'s reference count; equality,
-//! ordering and hashing compare *contents*, so sharing is unobservable.
-//! Mutations unshare lazily:
+//! Cloning a relation bumps two reference counts; equality, ordering and
+//! hashing compare *contents*, so sharing is unobservable.  Mutations
+//! unshare lazily:
 //!
 //! * no-op mutations (inserting a present row, removing an absent one)
 //!   never copy;
-//! * `insert`/`remove` on a shared run copy it once (`Arc::make_mut`) and
-//!   then splice in place;
-//! * the bulk merge operations always build a fresh run, so outstanding
-//!   clones are never disturbed.
+//! * a write into the delta copies a shared delta once, never the base;
+//! * a write into a small flat run copies a shared run once
+//!   (`Arc::make_mut`) and then splices in place;
+//! * the bulk merge operations build a fresh delta or a fresh run, so
+//!   outstanding clones are never disturbed.
+//!
+//! Every row a fold writes into a fresh base, and every row of a shared
+//! run a write unshares, is counted in `kbt_data_rows_copied_total`
+//! ([`mod@crate::metrics`]); composing a delta copies no stored row.
 //!
 //! # What a run owns besides its rows
 //!
 //! A run never changes once it is shared, so whatever another layer
 //! builds over its rows holds for as long as the run lives.  Each run
 //! therefore carries a small cache of such values ([`Relation::cached`]):
-//! the query engine keeps the hash indexes of a stored relation there, so
+//! the query engine keeps the indexes of a stored relation's base there, so
 //! every read of every epoch that still holds the run — a commit that
-//! leaves a relation untouched hands the next epoch the very same `Arc` —
-//! probes one index built once.  The cache lives and dies with the run:
-//! there is nothing to evict and no size to set.  An `insert`/`remove`
-//! that writes a uniquely owned run in place drops its cache, and the copy
-//! a shared run is unshared into starts with none.  Equality, ordering and
+//! leaves a relation untouched hands the next epoch the very same `Arc`,
+//! and one that changes a few of its rows hands it the same base under a
+//! new delta — probes one index built once.  The cache lives and dies with
+//! the run: there is nothing to evict and no size to set.  A write that
+//! splices a uniquely owned run in place drops its cache, and the copy a
+//! shared run is unshared into starts with none.  Equality, ordering and
 //! hashing ignore the cache.
 //!
 //! [`Tuple`] survives as the boundary/view type: parsing, rendering and
 //! the public fact APIs still speak tuples, while the engine's hot paths
-//! consume `&[Const]` row slices straight out of the run.
+//! consume `&[Const]` row slices straight out of the runs.
 
 use std::any::{Any, TypeId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -54,31 +93,49 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::DataError;
+use crate::metrics::metrics;
 use crate::tuple::Tuple;
 use crate::value::Const;
 use crate::Result;
 
-/// A finite relation `r ⊆ A^k`, stored as an arity-strided sorted run.
+/// A delta is folded into a fresh base once it holds more than
+/// `1 / FOLD_FRACTION` of the base's rows (see the module docs).
+const FOLD_FRACTION: usize = 64;
+
+/// Whether a delta of `delta` constants over a base of `base` constants
+/// (rows of one arity) is folded.
+#[inline]
+fn folds(delta: usize, base: usize) -> bool {
+    delta * FOLD_FRACTION > base
+}
+
+/// A finite relation `r ⊆ A^k`: a shared sorted base run plus a small
+/// sorted delta.
 ///
 /// The arity is fixed at construction time so that empty relations still know
 /// their arity (the paper's zero-ary "flag" relations rely on this).  See the
 /// [module docs](self) for the storage layout and copy-on-write rules.
-// Field order is load-bearing: the derived `Ord` compares `arity`, then the
-// concatenated sorted rows, then `len`.  For equal arities the flat rows
-// compare exactly like the old lexicographic sequence-of-tuples order (rows
-// are fixed-width, so the element-wise walk hits the first differing tuple
-// at the same position, and a strict prefix is shorter); `len` only breaks
-// the zero-arity tie, where `rows` is empty for both operands.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone)]
 pub struct Relation {
     arity: usize,
-    rows: Arc<Run>,
+    base: Arc<Run>,
+    /// The delta against `base`; `None` while the relation is flat, never
+    /// an empty one.
+    delta: Option<Arc<Delta>>,
     len: usize,
 }
 
+/// What a layered relation holds on top of its base: `adds`, disjoint from
+/// the base, and `dels`, a subset of it — sorted, deduplicated,
+/// arity-strided runs, not both empty.
+#[derive(Clone, Debug, Default)]
+struct Delta {
+    adds: Vec<Const>,
+    dels: Vec<Const>,
+}
+
 /// A sorted run's row buffer and what was built over it (see the module
-/// docs).  Equality, ordering and hashing see the rows alone, and a clone
-/// — the copy-on-write copy — starts with nothing cached.
+/// docs).  A clone — the copy-on-write copy — starts with nothing cached.
 #[derive(Default)]
 struct Run {
     rows: Vec<Const>,
@@ -103,54 +160,55 @@ impl Run {
     }
 }
 
-impl std::ops::Deref for Run {
-    type Target = [Const];
-
-    fn deref(&self) -> &[Const] {
-        &self.rows
-    }
-}
-
 impl Clone for Run {
     fn clone(&self) -> Self {
         Run::new(self.rows.clone())
     }
 }
 
-impl PartialEq for Run {
-    fn eq(&self, other: &Run) -> bool {
-        self.rows == other.rows
-    }
-}
-
-impl Eq for Run {}
-
-impl PartialOrd for Run {
-    fn partial_cmp(&self, other: &Run) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Run {
-    fn cmp(&self, other: &Run) -> Ordering {
-        self.rows.cmp(&other.rows)
-    }
-}
-
-impl Hash for Run {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.rows.hash(state);
-    }
-}
-
 impl Relation {
     /// Creates an empty relation of the given arity.
     pub fn empty(arity: usize) -> Self {
+        Relation::flat(arity, Vec::new(), 0)
+    }
+
+    /// A flat relation over `rows`, a sorted, deduplicated run of `len`
+    /// rows (empty for a flag, whose `len` is 0 or 1).
+    fn flat(arity: usize, rows: Vec<Const>, len: usize) -> Self {
         Relation {
             arity,
-            rows: Arc::new(Run::new(Vec::new())),
-            len: 0,
+            base: Arc::new(Run::new(rows)),
+            delta: None,
+            len,
         }
+    }
+
+    /// A flat relation over `rows`, a sorted, deduplicated run (arity > 0).
+    fn from_run(arity: usize, rows: Vec<Const>) -> Self {
+        let len = rows.len() / arity;
+        Relation::flat(arity, rows, len)
+    }
+
+    /// `base` under the delta `adds` / `dels` (arity > 0; `adds` disjoint
+    /// from the base, `dels` a subset of it): flat when both are empty,
+    /// folded into a fresh run when they pass the fold rule.
+    fn layered(arity: usize, base: Arc<Run>, adds: Vec<Const>, dels: Vec<Const>) -> Self {
+        let base_rows = base.rows.len() / arity;
+        let (add_rows, del_rows) = (adds.len() / arity, dels.len() / arity);
+        let mut relation = Relation {
+            arity,
+            base,
+            delta: None,
+            len: base_rows + add_rows - del_rows,
+        };
+        if add_rows + del_rows > 0 {
+            let folded = folds(adds.len() + dels.len(), relation.base.rows.len());
+            relation.delta = Some(Arc::new(Delta { adds, dels }));
+            if folded {
+                return relation.folded();
+            }
+        }
+        relation
     }
 
     /// Creates a relation of the given arity from an iterator of tuples.
@@ -223,112 +281,216 @@ impl Relation {
                 return Err(DataError::UnsortedRows { position: w });
             }
         }
-        Ok(Relation {
-            arity,
-            rows: Arc::new(Run::new(rows)),
-            len,
-        })
+        Ok(Relation::flat(arity, rows, len))
     }
 
     /// Builds from an unsorted (possibly duplicated) row buffer: sort rows
     /// as fixed-width chunks, dedup, done.
     fn from_row_buf(arity: usize, mut rows: Vec<Const>, count: usize) -> Self {
         if arity == 0 {
-            return Relation {
-                arity,
-                rows: Arc::new(Run::new(Vec::new())),
-                len: usize::from(count > 0),
-            };
+            return Relation::flag(count);
         }
         debug_assert_eq!(rows.len(), arity * count);
         let sorted = sort_dedup_rows(&mut rows, arity);
         rows.truncate(sorted * arity);
-        Relation {
-            arity,
-            rows: Arc::new(Run::new(rows)),
-            len: sorted,
-        }
+        Relation::flat(arity, rows, sorted)
     }
 
     /// The arity of the relation.
+    #[inline]
     pub fn arity(&self) -> usize {
         self.arity
     }
 
     /// Number of tuples.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the relation contains no tuples.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The raw sorted run: `len() * arity()` constants, row-major.  Empty
-    /// for zero-arity relations regardless of [`Self::len`].
-    pub fn as_rows(&self) -> &[Const] {
-        &self.rows
+    /// Whether the relation has no delta: its base run is all of it.
+    #[inline]
+    pub fn is_flat(&self) -> bool {
+        self.delta.is_none()
     }
 
-    /// Row `i` of the sorted run (`i < len()`); the empty slice for
+    /// The number of rows in the base run.
+    #[inline]
+    fn base_len(&self) -> usize {
+        match self.delta {
+            None => self.len,
+            Some(_) => self.base.rows.len() / self.arity,
+        }
+    }
+
+    /// [`find`] in the base run (arity > 0).
+    #[inline]
+    fn find_in_base(&self, row: &[Const]) -> std::result::Result<usize, usize> {
+        search(&self.base.rows, self.base_len(), row)
+    }
+
+    /// The delta's adds (empty while flat).
+    #[inline]
+    fn adds(&self) -> &[Const] {
+        self.delta.as_deref().map_or(&[], |delta| &delta.adds)
+    }
+
+    /// The delta's dels (empty while flat).
+    #[inline]
+    fn dels(&self) -> &[Const] {
+        self.delta.as_deref().map_or(&[], |delta| &delta.dels)
+    }
+
+    /// The base run as a flat relation of its own, sharing the run (and
+    /// what is cached on it): the relation itself when it is flat.
+    pub fn base(&self) -> Relation {
+        Relation {
+            arity: self.arity,
+            base: self.base.clone(),
+            delta: None,
+            len: self.base_len(),
+        }
+    }
+
+    /// The delta against [`Self::base`]: the added rows, disjoint from the
+    /// base, and the deleted rows, a subset of it — sorted, arity-strided
+    /// runs, both empty while the relation is flat.
+    pub fn delta(&self) -> (&[Const], &[Const]) {
+        (self.adds(), self.dels())
+    }
+
+    /// The same rows as one flat run: the relation itself when it is flat,
+    /// otherwise a fresh run (a fold, counted in
+    /// `kbt_data_rows_copied_total`).  The base is copied in blocks between
+    /// the delta's rows, each found by galloping from the last: a fold
+    /// costs a copy of the base plus `O(d log(n / d))` row comparisons for
+    /// a delta of `d` rows.
+    pub fn folded(&self) -> Relation {
+        if self.is_flat() {
+            return self.clone();
+        }
+        let arity = self.arity;
+        let (mut rest, mut adds, mut dels) = (&self.base.rows[..], self.adds(), self.dels());
+        let mut rows = Vec::with_capacity(self.len * arity);
+        while !adds.is_empty() || !dels.is_empty() {
+            // the base rows before the next add, or before the next del
+            let add = (!adds.is_empty()).then(|| seek(rest, &adds[..arity]).unwrap_err());
+            let del = (!dels.is_empty()).then(|| seek(rest, &dels[..arity]));
+            let (copy, skip, row) = match (add, del) {
+                (Some(add), Some(Ok(del))) if del < add => (del, 1, None),
+                (None, Some(Ok(del))) => (del, 1, None),
+                (Some(add), _) => (add, 0, Some(&adds[..arity])),
+                (_, _) => unreachable!("a delta deletes rows of its base"),
+            };
+            rows.extend_from_slice(&rest[..copy * arity]);
+            rest = &rest[(copy + skip) * arity..];
+            match row {
+                Some(row) => {
+                    rows.extend_from_slice(row);
+                    adds = &adds[arity..];
+                }
+                None => dels = &dels[arity..],
+            }
+        }
+        rows.extend_from_slice(rest);
+        metrics().rows_copied_total.add(self.len as u64);
+        Relation::from_run(arity, rows)
+    }
+
+    /// The base run: `base().len() * arity()` constants, row-major — all
+    /// of the relation's rows while it [`Self::is_flat`].  Empty for
+    /// zero-arity relations regardless of [`Self::len`].
+    #[inline]
+    pub fn as_rows(&self) -> &[Const] {
+        &self.base.rows
+    }
+
+    /// Row `i` of the base run (`i < base().len()`); the empty slice for
     /// zero-arity relations.
+    #[inline]
     pub fn row(&self, i: usize) -> &[Const] {
         if self.arity == 0 {
             debug_assert!(i < self.len);
             &[]
         } else {
-            &self.rows[i * self.arity..(i + 1) * self.arity]
+            &self.base.rows[i * self.arity..(i + 1) * self.arity]
         }
     }
 
-    /// Binary search for a row: `Ok(index)` if present, `Err(insertion)` if
-    /// absent.  Zero-arity relations treat the empty row as index 0.
-    fn find_row(&self, row: &[Const]) -> std::result::Result<usize, usize> {
-        if self.arity == 0 {
-            return if self.len == 1 { Ok(0) } else { Err(0) };
-        }
-        let arity = self.arity;
-        let rows = &self.rows[..];
-        let mut lo = 0usize;
-        let mut hi = self.len;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match rows[mid * arity..(mid + 1) * arity].cmp(row) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
-    }
-
-    /// The position of `row` in the sorted run (`Some(i)` iff
+    /// The position of `row` in the base run (`Some(i)` iff
     /// [`Self::row`]`(i) == row`), by binary search.  A row of the wrong
     /// length is absent.
+    #[inline]
     pub fn position(&self, row: &[Const]) -> Option<usize> {
-        if row.len() != self.arity {
-            return None;
+        if row.len() != self.arity || self.arity == 0 {
+            return (row.len() == self.arity && self.len == 1).then_some(0);
         }
-        self.find_row(row).ok()
+        self.find_in_base(row).ok()
     }
 
-    /// The rows for writing: a shared run is copied once
-    /// (`Arc::make_mut`), and a run written in place drops what was cached
-    /// on it.
+    /// The rows of a flat run for splicing in place: a shared run is copied
+    /// once (`Arc::make_mut`, counted as copied rows), and a run written in
+    /// place drops what was cached on it.
     fn rows_mut(&mut self) -> &mut Vec<Const> {
-        let run = Arc::make_mut(&mut self.rows);
+        debug_assert!(self.is_flat());
+        if !self.holds_run_alone() {
+            // flat: the run holds all `len` rows
+            metrics().rows_copied_total.add(self.len as u64);
+        }
+        let run = Arc::make_mut(&mut self.base);
         run.cache = Mutex::default();
         &mut run.rows
     }
 
-    /// The value of type `T` cached on this relation's run under `key`,
-    /// built by `build` the first time a holder of the run asks for it (see
-    /// the module docs).  Concurrent first demands build it once: the
-    /// others wait for that build.  `build` must depend on the run's rows
-    /// alone — [`Self::as_rows`] — since every clone sharing the run gets
-    /// the same value; a zero-arity relation's run has no rows, so nothing
-    /// about its contents belongs in its cache.
+    /// The delta for writing, copied first if shared.
+    fn delta_mut(&mut self) -> &mut Delta {
+        Arc::make_mut(self.delta.get_or_insert_with(Arc::default))
+    }
+
+    /// After a write into the delta: drops it if it emptied, folds it if it
+    /// passed the fold rule.
+    #[inline]
+    fn settle(&mut self) {
+        let Some(delta) = &self.delta else {
+            return;
+        };
+        let consts = delta.adds.len() + delta.dels.len();
+        if consts == 0 {
+            self.delta = None;
+        } else if folds(consts, self.base.rows.len()) {
+            *self = self.folded();
+        }
+    }
+
+    /// Whether a write of one row goes into the run itself: the relation is
+    /// flat, and a delta of one row would fold at once or nothing else
+    /// holds the run (a loader building it row by row).
+    fn splices(&self) -> bool {
+        self.is_flat() && (folds(self.arity, self.base.rows.len()) || self.holds_run_alone())
+    }
+
+    /// Whether no other relation holds the base run.  (Nothing takes a
+    /// weak reference to a run, and another holder could only clone it
+    /// from a clone of its own, so one holder stays one while `self` is
+    /// borrowed.)
+    fn holds_run_alone(&self) -> bool {
+        Arc::strong_count(&self.base) == 1
+    }
+
+    /// The value of type `T` cached on this relation's base run under
+    /// `key`, built by `build` the first time a holder of the run asks for
+    /// it (see the module docs).  Concurrent first demands build it once:
+    /// the others wait for that build.  `build` is handed the base run as a
+    /// flat relation ([`Self::base`]) and must depend on its rows alone,
+    /// since every relation sharing the run gets the same value; a
+    /// zero-arity relation's run has no rows, so nothing about its contents
+    /// belongs in its cache.
     pub fn cached<T: Any + Send + Sync>(
         &self,
         key: u32,
@@ -337,7 +499,7 @@ impl Relation {
         let type_id = TypeId::of::<T>();
         let cell = {
             let mut slots = self
-                .rows
+                .base
                 .cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
@@ -357,16 +519,23 @@ impl Relation {
         let cell = cell
             .downcast::<OnceLock<Arc<T>>>()
             .expect("a slot holds the type it is keyed by");
-        cell.get_or_init(|| Arc::new(build(self))).clone()
+        cell.get_or_init(|| {
+            Arc::new(if self.is_flat() {
+                build(self)
+            } else {
+                build(&self.base())
+            })
+        })
+        .clone()
     }
 
     /// Inserts a tuple; returns `true` if it was not already present.
     ///
-    /// Copy-on-write: a redundant insertion never copies a shared run; a
-    /// real insertion into a shared run copies it once, then splices.  Note
-    /// the splice is `O(n)` — bulk loads should use [`Self::from_rows`] /
-    /// [`Self::from_sorted_rows`] or the merge operations instead of a loop
-    /// of single inserts.
+    /// Copy-on-write: a redundant insertion never copies.  A real one
+    /// composes into the delta (`O(delta)`, folding it if it passes the
+    /// fold rule), or splices a small flat run in place.  Bulk loads should
+    /// use [`Self::from_rows`] / [`Self::from_sorted_rows`] or
+    /// [`Self::merge_rows`] instead of a loop of single inserts.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
         if t.arity() != self.arity {
             return Err(DataError::TupleArityMismatch {
@@ -381,18 +550,35 @@ impl Relation {
     /// which the caller has already checked).
     pub fn insert_row(&mut self, row: &[Const]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        match self.find_row(row) {
-            Ok(_) => false,
-            Err(at) => {
-                if self.arity > 0 {
-                    let insert_at = at * self.arity;
-                    let rows = self.rows_mut();
-                    rows.splice(insert_at..insert_at, row.iter().copied());
-                }
-                self.len += 1;
-                true
+        if self.arity == 0 {
+            let added = self.len == 0;
+            self.len = 1;
+            return added;
+        }
+        let arity = self.arity;
+        match self.find_in_base(row) {
+            // in the base: present unless deleted
+            Ok(_) => {
+                let Ok(at) = find(self.dels(), row) else {
+                    return false;
+                };
+                self.delta_mut().dels.drain(at * arity..(at + 1) * arity);
+            }
+            Err(at) if self.splices() => {
+                let at = at * arity;
+                self.rows_mut().splice(at..at, row.iter().copied());
+            }
+            Err(_) => {
+                let Err(at) = find(self.adds(), row) else {
+                    return false;
+                };
+                let at = at * arity;
+                self.delta_mut().adds.splice(at..at, row.iter().copied());
             }
         }
+        self.len += 1;
+        self.settle();
+        true
     }
 
     /// Removes a tuple; returns `true` if it was present.  Copy-on-write
@@ -407,35 +593,67 @@ impl Relation {
     /// [`Self::remove`] for a raw row slice.
     pub fn remove_row(&mut self, row: &[Const]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
-        match self.find_row(row) {
-            Err(_) => false,
-            Ok(at) => {
-                if self.arity > 0 {
-                    let (start, arity) = (at * self.arity, self.arity);
-                    self.rows_mut().drain(start..start + arity);
-                }
-                self.len -= 1;
-                true
+        if self.arity == 0 {
+            let removed = self.len == 1;
+            self.len = 0;
+            return removed;
+        }
+        let arity = self.arity;
+        match self.find_in_base(row) {
+            // not in the base: present if added
+            Err(_) => {
+                let Ok(at) = find(self.adds(), row) else {
+                    return false;
+                };
+                self.delta_mut().adds.drain(at * arity..(at + 1) * arity);
+            }
+            Ok(at) if self.splices() => {
+                let at = at * arity;
+                self.rows_mut().drain(at..at + arity);
+            }
+            Ok(_) => {
+                let Err(at) = find(self.dels(), row) else {
+                    return false;
+                };
+                let at = at * arity;
+                self.delta_mut().dels.splice(at..at, row.iter().copied());
             }
         }
+        self.len -= 1;
+        self.settle();
+        true
     }
 
-    /// Whether the tuple is present (galloping/binary search over the run).
+    /// Whether the tuple is present (binary searches over the runs).
+    #[inline]
     pub fn contains(&self, t: &Tuple) -> bool {
-        t.arity() == self.arity && self.find_row(t.components()).is_ok()
+        self.contains_row(t.components())
     }
 
     /// Whether the raw row is present.  A row of the wrong length is
     /// simply absent (mirroring [`Relation::contains`]).
+    #[inline]
     pub fn contains_row(&self, row: &[Const]) -> bool {
-        row.len() == self.arity && self.find_row(row).is_ok()
+        if row.len() != self.arity {
+            return false;
+        }
+        if self.arity == 0 {
+            return self.len == 1;
+        }
+        match self.find_in_base(row) {
+            Ok(_) => find(self.dels(), row).is_err(),
+            Err(_) => find(self.adds(), row).is_ok(),
+        }
     }
 
     /// Iterates over the rows in canonical (sorted) order as `&[Const]`
     /// slices.  Zero-arity relations yield `len()` empty slices.
+    #[inline]
     pub fn iter(&self) -> RowIter<'_> {
         RowIter {
-            rows: &self.rows,
+            base: &self.base.rows,
+            adds: self.adds(),
+            dels: self.dels(),
             arity: self.arity,
             remaining: self.len,
         }
@@ -450,36 +668,54 @@ impl Relation {
 
     /// All constants occurring in the relation.
     pub fn constants(&self) -> BTreeSet<Const> {
-        self.rows.iter().copied().collect()
+        self.iter().flatten().copied().collect()
+    }
+
+    /// Whether both relations are non-flags of one arity over the same
+    /// base run: their set algebra compares only their deltas.
+    fn shares_base(&self, other: &Relation) -> bool {
+        self.arity == other.arity && self.arity > 0 && Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// The rows as one sorted buffer: the base run itself while the
+    /// relation is flat, a transient copy otherwise.
+    fn flat_rows(&self) -> Cow<'_, [Const]> {
+        if self.is_flat() {
+            Cow::Borrowed(&self.base.rows)
+        } else {
+            Cow::Owned(self.iter().flatten().copied().collect())
+        }
+    }
+
+    /// A fresh flat run of the rows of `self` and `other` that `keep`
+    /// admits by the side(s) they come from: one linear merge walk.
+    fn merged(&self, other: &Relation, keep: impl Fn(MergeSide) -> bool) -> Relation {
+        let rows = merge(&self.flat_rows(), &other.flat_rows(), self.arity, keep);
+        Relation::from_run(self.arity, rows)
     }
 
     /// Set union (same arity assumed; checked).  `O(n + m)` merge of the
-    /// two sorted runs; when one side is empty the other's run is shared,
-    /// not copied.
+    /// two relations, `O(delta)` when they share a base; when one side is
+    /// empty the other is shared, not copied.
     pub fn union(&self, other: &Relation) -> Result<Relation> {
         self.check_same_arity(other)?;
         if self.arity == 0 {
             return Ok(Relation::flag(self.len.max(other.len)));
         }
-        if self.is_empty() || Arc::ptr_eq(&self.rows, &other.rows) {
+        if self.shares_base(other) {
+            let adds = merge(self.adds(), other.adds(), self.arity, |_| true);
+            let dels = merge(self.dels(), other.dels(), self.arity, |side| {
+                side == MergeSide::Both
+            });
+            return Ok(Relation::layered(self.arity, self.base.clone(), adds, dels));
+        }
+        if self.is_empty() {
             return Ok(other.clone());
         }
         if other.is_empty() {
             return Ok(self.clone());
         }
-        let arity = self.arity;
-        let mut out = Vec::with_capacity(self.rows.len().max(other.rows.len()));
-        let mut count = 0usize;
-        let mut merge = MergeRows::new(&self.rows, &other.rows, arity);
-        while let Some((row, _)) = merge.next() {
-            out.extend_from_slice(row);
-            count += 1;
-        }
-        Ok(Relation {
-            arity,
-            rows: Arc::new(Run::new(out)),
-            len: count,
-        })
+        Ok(self.merged(other, |_| true))
     }
 
     /// Set intersection.
@@ -488,56 +724,37 @@ impl Relation {
         if self.arity == 0 {
             return Ok(Relation::flag(self.len.min(other.len)));
         }
-        if Arc::ptr_eq(&self.rows, &other.rows) {
-            return Ok(self.clone());
+        if self.shares_base(other) {
+            let adds = merge(self.adds(), other.adds(), self.arity, |side| {
+                side == MergeSide::Both
+            });
+            let dels = merge(self.dels(), other.dels(), self.arity, |_| true);
+            return Ok(Relation::layered(self.arity, self.base.clone(), adds, dels));
         }
         if self.is_empty() || other.is_empty() {
             return Ok(Relation::empty(self.arity));
         }
-        let arity = self.arity;
-        let mut out = Vec::new();
-        let mut count = 0usize;
-        let mut merge = MergeRows::new(&self.rows, &other.rows, arity);
-        while let Some((row, from)) = merge.next() {
-            if from == MergeSide::Both {
-                out.extend_from_slice(row);
-                count += 1;
-            }
-        }
-        Ok(Relation {
-            arity,
-            rows: Arc::new(Run::new(out)),
-            len: count,
-        })
+        Ok(self.merged(other, |side| side == MergeSide::Both))
     }
 
-    /// Set difference `self \ other`.
+    /// Set difference `self \ other`.  Between relations that share a base
+    /// it is `(adds \ other's adds) ∪ (other's dels \ dels)`, a merge of
+    /// the deltas alone.
     pub fn difference(&self, other: &Relation) -> Result<Relation> {
         self.check_same_arity(other)?;
         if self.arity == 0 {
             return Ok(Relation::flag(if other.len == 0 { self.len } else { 0 }));
         }
-        if Arc::ptr_eq(&self.rows, &other.rows) {
-            return Ok(Relation::empty(self.arity));
+        if self.shares_base(other) {
+            let left = |side| side == MergeSide::Left;
+            let added = merge(self.adds(), other.adds(), self.arity, left);
+            let removed = merge(other.dels(), self.dels(), self.arity, left);
+            return Ok(self.delta_run(&added, &removed));
         }
         if self.is_empty() || other.is_empty() {
             return Ok(self.clone());
         }
-        let arity = self.arity;
-        let mut out = Vec::new();
-        let mut count = 0usize;
-        let mut merge = MergeRows::new(&self.rows, &other.rows, arity);
-        while let Some((row, from)) = merge.next() {
-            if from == MergeSide::Left {
-                out.extend_from_slice(row);
-                count += 1;
-            }
-        }
-        Ok(Relation {
-            arity,
-            rows: Arc::new(Run::new(out)),
-            len: count,
-        })
+        Ok(self.merged(other, |side| side == MergeSide::Left))
     }
 
     /// Symmetric difference `self Δ other = (self \ other) ∪ (other \ self)`,
@@ -547,35 +764,31 @@ impl Relation {
         if self.arity == 0 {
             return Ok(Relation::flag(self.len ^ other.len));
         }
-        if Arc::ptr_eq(&self.rows, &other.rows) {
-            return Ok(Relation::empty(self.arity));
+        if self.shares_base(other) {
+            let either = |side| side != MergeSide::Both;
+            let added = merge(self.adds(), other.adds(), self.arity, either);
+            let removed = merge(self.dels(), other.dels(), self.arity, either);
+            return Ok(self.delta_run(&added, &removed));
         }
-        let arity = self.arity;
-        let mut out = Vec::new();
-        let mut count = 0usize;
-        let mut merge = MergeRows::new(&self.rows, &other.rows, arity);
-        while let Some((row, from)) = merge.next() {
-            if from != MergeSide::Both {
-                out.extend_from_slice(row);
-                count += 1;
-            }
-        }
-        Ok(Relation {
-            arity,
-            rows: Arc::new(Run::new(out)),
-            len: count,
-        })
+        Ok(self.merged(other, |side| side != MergeSide::Both))
     }
 
-    /// Applies a batch update in one linear merge: returns
-    /// `(self \ dels) ∪ adds`.  Both `adds` and `dels` must be sorted,
-    /// deduplicated, arity-strided runs, and they must be disjoint from each
-    /// other; `adds ∩ self` and `dels \ self` are tolerated (redundant adds
-    /// and misses are skipped).  This is how the engine's indexed relations
-    /// materialise — the last run handed out, plus the rows appended and
-    /// minus the rows tombstoned since: a whole delta's worth of mutations
-    /// costs one `O(n + a + d)` pass instead of `O(n)` per fact, and the
-    /// fresh run never disturbs outstanding copy-on-write snapshots.
+    /// The fresh run of `outside ∪ inside`, two runs of which the first is
+    /// disjoint from the shared base and the second inside it.
+    fn delta_run(&self, outside: &[Const], inside: &[Const]) -> Relation {
+        Relation::from_run(self.arity, merge(outside, inside, self.arity, |_| true))
+    }
+
+    /// Applies a batch update: returns `(self \ dels) ∪ adds`.  Both `adds`
+    /// and `dels` must be sorted, deduplicated, arity-strided runs, and
+    /// they must be disjoint from each other; `adds ∩ self` and
+    /// `dels \ self` are tolerated (redundant adds and misses are skipped).
+    /// This is how the engine's indexed relations materialise, and how a
+    /// fact commit writes a relation.  The batch composes into the delta —
+    /// `O(delta + batch)` plus a gallop through the base per batch row, the
+    /// base shared and untouched — and a delta that passes the fold rule is
+    /// folded into a fresh base ([`Self::folded`]).  Outstanding
+    /// copy-on-write snapshots are never disturbed.
     pub fn merge_rows(&self, adds: &[Const], dels: &[Const]) -> Result<Relation> {
         if self.arity == 0 {
             // adds/dels are disjoint runs of the empty row: at most one of
@@ -590,48 +803,68 @@ impl Relation {
             };
             return Ok(Relation::flag(len));
         }
-        if !adds.len().is_multiple_of(self.arity) || !dels.len().is_multiple_of(self.arity) {
+        let arity = self.arity;
+        if !adds.len().is_multiple_of(arity) || !dels.len().is_multiple_of(arity) {
             return Err(DataError::TupleArityMismatch {
-                expected: self.arity,
-                found: (adds.len().max(dels.len())) % self.arity,
+                expected: arity,
+                found: (adds.len().max(dels.len())) % arity,
             });
         }
         if adds.is_empty() && dels.is_empty() {
             return Ok(self.clone());
         }
-        let arity = self.arity;
-        let mut out = Vec::with_capacity(self.rows.len() + adds.len());
-        let mut count = 0usize;
-        let mut dels = RowCursor::new(dels, arity);
-        // 3-way merge: walk (self ∪ adds) in order, dropping rows matched
-        // by the deletion cursor.
-        let mut merge = MergeRows::new(&self.rows, adds, arity);
-        while let Some((row, _from)) = merge.next() {
-            if dels.skip_to(row) {
-                continue;
+        // split the sorted batch by the base, galloping through it: an add
+        // found there revives a deleted row, a del found there deletes one,
+        // and the rest touch the adds
+        let split = |rows: &[Const]| {
+            let (mut inside, mut outside) = (Vec::new(), Vec::new());
+            let mut rest = &self.base.rows[..];
+            for row in rows.chunks_exact(arity) {
+                let (at, side) = match seek(rest, row) {
+                    Ok(at) => (at + 1, &mut inside),
+                    Err(at) => (at, &mut outside),
+                };
+                rest = &rest[at * arity..];
+                side.extend_from_slice(row);
             }
-            out.extend_from_slice(row);
-            count += 1;
-        }
-        Ok(Relation {
+            (inside, outside)
+        };
+        let (revived, added) = split(adds);
+        let (deleted, dropped) = split(dels);
+        let left = |side| side == MergeSide::Left;
+        let kept = merge(self.adds(), &dropped, self.arity, left);
+        let new_adds = merge(&kept, &added, self.arity, |_| true);
+        let dead = merge(self.dels(), &deleted, self.arity, |_| true);
+        let new_dels = merge(&dead, &revived, self.arity, left);
+        Ok(Relation::layered(
             arity,
-            rows: Arc::new(Run::new(out)),
-            len: count,
-        })
+            self.base.clone(),
+            new_adds,
+            new_dels,
+        ))
     }
 
-    /// Whether both relations share the same underlying run — an `O(1)`
-    /// pointer check proving identical contents without comparing a single
-    /// row.  Copy-on-write keeps untouched relations on the same `Arc`
-    /// across database clones, so diff-style callers use this to skip
-    /// whole relations; `false` only means "unknown", never "different".
+    /// Whether both relations hold the same base run under the same delta
+    /// — an `O(1)` pointer check proving identical contents without
+    /// comparing a single row.  Copy-on-write keeps untouched relations on
+    /// the same `Arc`s across database clones, so diff-style callers use
+    /// this to skip whole relations; `false` only means "unknown", never
+    /// "different".
     pub fn shares_rows(&self, other: &Relation) -> bool {
-        self.arity == other.arity && self.len == other.len && Arc::ptr_eq(&self.rows, &other.rows)
+        let same_delta = match (&self.delta, &other.delta) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        self.arity == other.arity
+            && self.len == other.len
+            && Arc::ptr_eq(&self.base, &other.base)
+            && same_delta
     }
 
-    /// Whether `self ⊆ other`.  Gallops (binary-searches each of this
-    /// relation's rows) when this side is much smaller, otherwise runs a
-    /// linear merge walk.
+    /// Whether `self ⊆ other`.  Compares the deltas alone when both share
+    /// a base; otherwise gallops (binary-searches each of this relation's
+    /// rows) when this side is much smaller, or runs a linear merge walk.
     pub fn is_subset(&self, other: &Relation) -> bool {
         if self.arity != other.arity || self.len > other.len {
             return false;
@@ -639,16 +872,19 @@ impl Relation {
         if self.arity == 0 || self.is_empty() {
             return true;
         }
-        if Arc::ptr_eq(&self.rows, &other.rows) {
-            return true;
+        if self.shares_base(other) {
+            let left = |side| side == MergeSide::Left;
+            return merge(self.adds(), other.adds(), self.arity, left).is_empty()
+                && merge(other.dels(), self.dels(), self.arity, left).is_empty();
         }
         // galloping pays off when |self| * log|other| < |self| + |other|
         let log_other = (usize::BITS - other.len.leading_zeros()) as usize;
         if self.len * log_other < self.len + other.len {
             return self.iter().all(|row| other.contains_row(row));
         }
-        let mut merge = MergeRows::new(&self.rows, &other.rows, self.arity);
-        while let Some((_, from)) = merge.next() {
+        let (rows, others) = (self.flat_rows(), other.flat_rows());
+        let mut walk = MergeRows::new(&rows, &others, self.arity);
+        while let Some((_, from)) = walk.next() {
             if from == MergeSide::Left {
                 return false;
             }
@@ -663,11 +899,7 @@ impl Relation {
 
     /// A zero-arity relation holding the empty tuple iff `len > 0`.
     fn flag(len: usize) -> Relation {
-        Relation {
-            arity: 0,
-            rows: Arc::new(Run::new(Vec::new())),
-            len: usize::from(len > 0),
-        }
+        Relation::flat(0, Vec::new(), usize::from(len > 0))
     }
 
     fn check_same_arity(&self, other: &Relation) -> Result<()> {
@@ -682,6 +914,132 @@ impl Relation {
     }
 }
 
+/// Equality over the rows: `O(delta)` between relations that share a base
+/// (a set has one delta against a given base), a row walk otherwise.
+impl PartialEq for Relation {
+    #[inline]
+    fn eq(&self, other: &Relation) -> bool {
+        self.arity == other.arity
+            && self.len == other.len
+            && match (&self.delta, &other.delta) {
+                (None, None) => {
+                    Arc::ptr_eq(&self.base, &other.base) || self.base.rows == other.base.rows
+                }
+                _ if Arc::ptr_eq(&self.base, &other.base) => {
+                    self.adds() == other.adds() && self.dels() == other.dels()
+                }
+                _ => self.iter().eq(other.iter()),
+            }
+    }
+}
+
+impl Eq for Relation {}
+
+impl PartialOrd for Relation {
+    #[inline]
+    fn partial_cmp(&self, other: &Relation) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Ordering by arity, then by the rows in order, then by `len` (which only
+/// breaks the zero-arity tie, where both have no rows).  Rows are
+/// fixed-width, so comparing the row sequences is comparing their
+/// concatenations: the old lexicographic sequence-of-tuples order.
+impl Ord for Relation {
+    #[inline]
+    fn cmp(&self, other: &Relation) -> Ordering {
+        if self.arity != other.arity {
+            return self.arity.cmp(&other.arity);
+        }
+        let rows = match (&self.delta, &other.delta) {
+            (None, None) if Arc::ptr_eq(&self.base, &other.base) => Ordering::Equal,
+            (None, None) => self.base.rows.cmp(&other.base.rows),
+            _ => self.iter().cmp(other.iter()),
+        };
+        rows.then(self.len.cmp(&other.len))
+    }
+}
+
+/// Hashing over the rows: a layered relation hashes like the flat one with
+/// the same rows.
+impl Hash for Relation {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.arity.hash(state);
+        self.len.hash(state);
+        if self.is_flat() {
+            self.base.rows.iter().for_each(|c| c.hash(state));
+        } else {
+            self.iter().flatten().for_each(|c| c.hash(state));
+        }
+    }
+}
+
+/// Binary search for `row` in a sorted, arity-strided run of rows of its
+/// width: `Ok(index)` if present, `Err(insertion)` if absent.
+#[inline]
+fn find(rows: &[Const], row: &[Const]) -> std::result::Result<usize, usize> {
+    if rows.is_empty() {
+        return Err(0);
+    }
+    search(rows, rows.len() / row.len(), row)
+}
+
+/// [`find`] in a run known to hold `len` rows.
+#[inline]
+fn search(rows: &[Const], len: usize, row: &[Const]) -> std::result::Result<usize, usize> {
+    let arity = row.len();
+    debug_assert!(arity > 0 && rows.len() == len * arity);
+    let (mut lo, mut hi) = (0usize, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match rows[mid * arity..(mid + 1) * arity].cmp(row) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
+/// [`find`] by galloping from the front: `O(log i)` row comparisons for a
+/// row that belongs at row `i`.
+fn seek(rows: &[Const], row: &[Const]) -> std::result::Result<usize, usize> {
+    let arity = row.len();
+    let len = rows.len() / arity;
+    let below = |i: usize| &rows[i * arity..(i + 1) * arity] < row;
+    let (mut lo, mut hi) = (0, 1);
+    while hi <= len && below(hi - 1) {
+        lo = hi;
+        hi *= 2;
+    }
+    let hi = hi.min(len);
+    let at = lo + find(&rows[lo * arity..hi * arity], row).unwrap_or_else(|at| at);
+    match rows.get(at * arity..(at + 1) * arity) {
+        Some(found) if found == row => Ok(at),
+        _ => Err(at),
+    }
+}
+
+/// The rows of two sorted runs of one arity that `keep` admits by the
+/// side(s) they come from, in order, as one arity-strided buffer.
+fn merge(
+    left: &[Const],
+    right: &[Const],
+    arity: usize,
+    keep: impl Fn(MergeSide) -> bool,
+) -> Vec<Const> {
+    let mut out = Vec::new();
+    let mut walk = MergeRows::new(left, right, arity);
+    while let Some((row, side)) = walk.next() {
+        if keep(side) {
+            out.extend_from_slice(row);
+        }
+    }
+    out
+}
+
 /// Sorts an arity-strided row buffer in place (as fixed-width chunks) and
 /// compacts duplicates to the front; returns the deduplicated row count
 /// (the caller truncates to `count * arity`).  `arity` must be positive.
@@ -692,9 +1050,16 @@ impl Relation {
 ///
 /// At arity 1 and 2 each row packs into one `u64` ([`Const::pack_onto`]),
 /// which orders exactly like the row: the keys are sorted and deduplicated
-/// as plain integers and unpacked in place.  Wider rows sort an index
-/// permutation by row comparison and apply it.
+/// as plain integers and unpacked in place.  Keys that arrive as a few
+/// sorted runs — an engine's derived rows, where a probe walks a stored
+/// base before the tail loaded from its delta — are merged by the stable,
+/// run-adaptive sort in linear time (the unstable one falls back to a full
+/// sort at the first descent); any other order takes the unstable sort,
+/// which needs no scratch buffer.  Wider rows sort an index permutation by
+/// row comparison and apply it.
 pub fn sort_dedup_rows(rows: &mut [Const], arity: usize) -> usize {
+    /// At most this many sorted runs are merged rather than sorted afresh.
+    const FEW_RUNS: usize = 16;
     debug_assert!(arity > 0);
     let count = rows.len() / arity;
     if count <= 1 {
@@ -704,7 +1069,12 @@ pub fn sort_dedup_rows(rows: &mut [Const], arity: usize) -> usize {
         let mut keys: Vec<u64> = (rows.chunks_exact(arity))
             .map(|row| row.iter().fold(0, |key, c| c.pack_onto(key)))
             .collect();
-        keys.sort_unstable();
+        let runs = 1 + keys.windows(2).filter(|w| w[1] < w[0]).count();
+        if runs > FEW_RUNS {
+            keys.sort_unstable();
+        } else if runs > 1 {
+            keys.sort();
+        }
         keys.dedup();
         for (row, &key) in rows.chunks_exact_mut(arity).zip(&keys) {
             let mut key = key;
@@ -735,10 +1105,14 @@ pub fn sort_dedup_rows(rows: &mut [Const], arity: usize) -> usize {
     kept
 }
 
-/// Iterator over the rows of a sorted run as `&[Const]` slices.
+/// Iterator over the rows of a relation, in order, as `&[Const]` slices:
+/// a plain walk over the base run while the delta is empty, a merge walk
+/// of the base and the adds that skips the dels otherwise.
 #[derive(Clone, Debug)]
 pub struct RowIter<'a> {
-    rows: &'a [Const],
+    base: &'a [Const],
+    adds: &'a [Const],
+    dels: &'a [Const],
     arity: usize,
     remaining: usize,
 }
@@ -751,16 +1125,40 @@ impl<'a> RowIter<'a> {
     pub fn over(rows: &'a [Const], arity: usize, len: usize) -> Self {
         debug_assert_eq!(rows.len(), arity * len);
         RowIter {
-            rows,
+            base: rows,
+            adds: &[],
+            dels: &[],
             arity,
             remaining: len,
         }
+    }
+
+    /// The next row of a merge walk: base rows the dels delete are
+    /// skipped (the dels are a subset of the base, so each is met there),
+    /// then the smaller of the base's and the adds' next row is taken.
+    fn next_layered(&mut self) -> &'a [Const] {
+        let arity = self.arity;
+        while !self.dels.is_empty() && self.base[..arity] == self.dels[..arity] {
+            self.base = &self.base[arity..];
+            self.dels = &self.dels[arity..];
+        }
+        let from_base = !self.base.is_empty()
+            && (self.adds.is_empty() || self.base[..arity] < self.adds[..arity]);
+        let run = if from_base {
+            &mut self.base
+        } else {
+            &mut self.adds
+        };
+        let (row, rest) = run.split_at(arity);
+        *run = rest;
+        row
     }
 }
 
 impl<'a> Iterator for RowIter<'a> {
     type Item = &'a [Const];
 
+    #[inline]
     fn next(&mut self) -> Option<&'a [Const]> {
         if self.remaining == 0 {
             return None;
@@ -769,9 +1167,12 @@ impl<'a> Iterator for RowIter<'a> {
         if self.arity == 0 {
             return Some(&[]);
         }
-        let (row, rest) = self.rows.split_at(self.arity);
-        self.rows = rest;
-        Some(row)
+        if self.adds.is_empty() && self.dels.is_empty() {
+            let (row, rest) = self.base.split_at(self.arity);
+            self.base = rest;
+            return Some(row);
+        }
+        Some(self.next_layered())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -792,83 +1193,41 @@ enum MergeSide {
 /// Linear merge over two sorted runs of the same arity, yielding each
 /// distinct row once together with the side(s) it came from.
 struct MergeRows<'a> {
-    left: RowCursor<'a>,
-    right: RowCursor<'a>,
+    left: &'a [Const],
+    right: &'a [Const],
+    arity: usize,
 }
 
 impl<'a> MergeRows<'a> {
     fn new(left: &'a [Const], right: &'a [Const], arity: usize) -> Self {
-        MergeRows {
-            left: RowCursor::new(left, arity),
-            right: RowCursor::new(right, arity),
-        }
+        MergeRows { left, right, arity }
     }
 
     #[allow(clippy::should_implement_trait)] // lending iterator shape
     fn next(&mut self) -> Option<(&'a [Const], MergeSide)> {
-        match (self.left.current(), self.right.current()) {
-            (None, None) => None,
-            (Some(l), None) => {
-                self.left.advance();
-                Some((l, MergeSide::Left))
-            }
-            (None, Some(r)) => {
-                self.right.advance();
-                Some((r, MergeSide::Right))
-            }
+        let arity = self.arity;
+        let side = match (self.left.get(..arity), self.right.get(..arity)) {
+            (None, None) => return None,
+            (Some(_), None) => MergeSide::Left,
+            (None, Some(_)) => MergeSide::Right,
             (Some(l), Some(r)) => match l.cmp(r) {
-                Ordering::Less => {
-                    self.left.advance();
-                    Some((l, MergeSide::Left))
-                }
-                Ordering::Greater => {
-                    self.right.advance();
-                    Some((r, MergeSide::Right))
-                }
-                Ordering::Equal => {
-                    self.left.advance();
-                    self.right.advance();
-                    Some((l, MergeSide::Both))
-                }
+                Ordering::Less => MergeSide::Left,
+                Ordering::Greater => MergeSide::Right,
+                Ordering::Equal => MergeSide::Both,
             },
-        }
-    }
-}
-
-/// A cursor over one sorted run.
-struct RowCursor<'a> {
-    rows: &'a [Const],
-    arity: usize,
-}
-
-impl<'a> RowCursor<'a> {
-    fn new(rows: &'a [Const], arity: usize) -> Self {
-        RowCursor { rows, arity }
-    }
-
-    fn current(&self) -> Option<&'a [Const]> {
-        if self.rows.is_empty() {
-            None
+        };
+        let row = if side == MergeSide::Right {
+            &self.right[..arity]
         } else {
-            Some(&self.rows[..self.arity])
+            &self.left[..arity]
+        };
+        if side != MergeSide::Right {
+            self.left = &self.left[arity..];
         }
-    }
-
-    fn advance(&mut self) {
-        self.rows = &self.rows[self.arity..];
-    }
-
-    /// Advances past every row `< row`; returns `true` if the cursor now
-    /// sits exactly on `row`.
-    fn skip_to(&mut self, row: &[Const]) -> bool {
-        while let Some(cur) = self.current() {
-            match cur.cmp(row) {
-                Ordering::Less => self.advance(),
-                Ordering::Equal => return true,
-                Ordering::Greater => return false,
-            }
+        if side != MergeSide::Left {
+            self.right = &self.right[arity..];
         }
-        false
+        Some((row, side))
     }
 }
 
@@ -979,14 +1338,14 @@ mod tests {
     fn clones_share_storage_until_mutated() {
         let mut a = rel(2, &[tuple![1, 2], tuple![3, 4]]);
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.rows, &b.rows), "clone must share");
+        assert!(Arc::ptr_eq(&a.base, &b.base), "clone must share");
         // no-op mutations keep sharing
         assert!(!a.insert(tuple![1, 2]).unwrap());
         assert!(!a.remove(&tuple![9, 9]));
-        assert!(Arc::ptr_eq(&a.rows, &b.rows));
+        assert!(Arc::ptr_eq(&a.base, &b.base));
         // a real mutation unshares and leaves the clone untouched
         assert!(a.insert(tuple![5, 6]).unwrap());
-        assert!(!Arc::ptr_eq(&a.rows, &b.rows));
+        assert!(!Arc::ptr_eq(&a.base, &b.base));
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 2);
         assert!(!b.contains(&tuple![5, 6]));
@@ -1126,10 +1485,98 @@ mod tests {
         assert!(!out.contains(&tuple![3, 4]));
         // no-op merge shares storage
         let same = base.merge_rows(&[], &[]).unwrap();
-        assert!(Arc::ptr_eq(&base.rows, &same.rows));
+        assert!(Arc::ptr_eq(&base.base, &same.base));
         // an outstanding clone is never disturbed
         let snapshot = base.clone();
         let _ = base.merge_rows(&adds, &dels).unwrap();
         assert_eq!(snapshot, base);
+    }
+
+    /// `n` rows `(i, i)` for `i` in `0..n`, doubled so `n..2n` stays free.
+    fn diagonal(n: u32) -> Relation {
+        Relation::from_tuples(2, (0..n).map(|i| tuple![2 * i, 2 * i])).unwrap()
+    }
+
+    #[test]
+    fn writes_to_a_large_relation_compose_into_a_delta_over_the_shared_base() {
+        let stored = diagonal(640);
+        let index = stored.cached(0, |r| r.len());
+        let mut written = stored.clone();
+        assert!(written.insert(tuple![1, 1]).unwrap());
+        assert!(written.remove(&tuple![4, 4]));
+        assert!(!written.remove(&tuple![4, 4]), "already deleted");
+        assert!(!written.insert(tuple![1, 1]).unwrap(), "already added");
+        assert!(!written.is_flat());
+        assert!(
+            Arc::ptr_eq(&written.base, &stored.base),
+            "the base is shared"
+        );
+        assert!(Arc::ptr_eq(&written.cached(0, |r| r.len()), &index));
+        assert_eq!(written.len(), 640);
+        assert_eq!(written.delta().0, &[Const::new(1), Const::new(1)]);
+        assert_eq!(written.delta().1, &[Const::new(4), Const::new(4)]);
+        assert!(written.contains(&tuple![1, 1]) && !written.contains(&tuple![4, 4]));
+        // a revived row leaves the dels, a removed add leaves the adds
+        assert!(written.insert(tuple![4, 4]).unwrap());
+        assert!(written.remove(&tuple![1, 1]));
+        assert!(written.is_flat(), "an emptied delta is dropped");
+        assert_eq!(written, stored);
+        assert!(written.shares_rows(&stored));
+    }
+
+    #[test]
+    fn a_delta_past_a_sixty_fourth_of_the_base_folds_into_a_fresh_run() {
+        let stored = diagonal(640);
+        let mut written = stored.clone();
+        for i in 0..10 {
+            assert!(written.insert(tuple![2 * i + 1, 0]).unwrap());
+            assert!(Arc::ptr_eq(&written.base, &stored.base));
+        }
+        assert!(written.insert(tuple![21, 0]).unwrap());
+        assert!(written.is_flat(), "11 rows over a base of 640 fold");
+        assert!(!Arc::ptr_eq(&written.base, &stored.base));
+        assert_eq!(written.len(), 651);
+        assert_eq!(stored.len(), 640, "the snapshot is untouched");
+        // a batch that would pass the rule writes a fresh base at once
+        let adds: Vec<Const> = (0..11)
+            .flat_map(|i| [Const::new(2 * i + 1), Const::new(1)])
+            .collect();
+        assert!(stored.merge_rows(&adds, &[]).unwrap().is_flat());
+        assert!(!stored.merge_rows(&adds[..20], &[]).unwrap().is_flat());
+    }
+
+    #[test]
+    fn relations_sharing_a_base_compare_their_deltas() {
+        let stored = diagonal(640);
+        let c = Const::new;
+        let a = stored
+            .merge_rows(&[c(1), c(1), c(3), c(3)], &[c(0), c(0)])
+            .unwrap();
+        let b = stored
+            .merge_rows(&[c(3), c(3), c(5), c(5)], &[c(2), c(2)])
+            .unwrap();
+        let flat = |r: &Relation| Relation::from_tuples(2, r.tuples()).unwrap();
+        let (fa, fb) = (flat(&a), flat(&b));
+        assert_eq!(a.difference(&b).unwrap(), fa.difference(&fb).unwrap());
+        assert_eq!(a.difference(&b).unwrap().len(), 2, "(1,1) and (2,2)");
+        assert_eq!(
+            a.symmetric_difference(&b).unwrap(),
+            fa.symmetric_difference(&fb).unwrap()
+        );
+        assert_eq!(a.union(&b).unwrap(), fa.union(&fb).unwrap());
+        assert_eq!(a.intersection(&b).unwrap(), fa.intersection(&fb).unwrap());
+        assert!(Arc::ptr_eq(&a.union(&b).unwrap().base, &stored.base));
+        assert!(!a.is_subset(&b));
+        assert!(a.intersection(&b).unwrap().is_subset(&b));
+        // equal rows are equal, ordered and hashed alike, layered or flat
+        assert_eq!(a, fa);
+        assert_eq!(a.cmp(&fb), fa.cmp(&fb));
+        let hash = |r: &Relation| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            r.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&fa));
+        assert_eq!(a.to_string(), fa.to_string());
     }
 }

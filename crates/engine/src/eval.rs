@@ -266,6 +266,7 @@ impl RowBag {
     /// Appends the rows of a run (same relation, so same arity).
     pub(crate) fn push_run(&mut self, run: &Relation) {
         debug_assert_eq!(self.arity, run.arity());
+        debug_assert!(run.is_flat(), "a round's run is one sorted run");
         self.rows.extend_from_slice(run.as_rows());
         self.count += run.len();
     }

@@ -9,42 +9,57 @@
 //! come in two segments:
 //!
 //! * the **first segment**, slots `0..n`, is a stored sorted run — the
-//!   plain [`Relation`] the relation was loaded from
-//!   ([`IndexedRelation::from_relation`]), held by `Arc` and never copied.
-//!   Loading a stored relation costs one reference count; a relation that
-//!   starts empty has an empty first segment;
+//!   base run of the [`Relation`] the relation was loaded from
+//!   ([`IndexedRelation::from_relation`], [`Relation::base`]), held by
+//!   `Arc` and never copied.  A relation that starts empty has an empty
+//!   first segment;
 //! * the **tail**, slots `n..`, is a private `Vec<Const>` arena that every
 //!   write appends to: each [`IndexedRelation::append_run`] — one per
 //!   fixpoint round, see the commit contract in [`crate::eval`] — adds a
 //!   sorted, duplicate-free run that is disjoint from everything live, and
 //!   a single-row [`IndexedRelation::insert_row`] adds a run of one.
 //!
-//! Removal only tombstones a slot, in either segment.  Tombstones are
-//! private: a bitset allocated by the first removal, so a load never pays
-//! for liveness it does not use, and every slot past its end is live.
+//! A stored relation is a base run plus a small sorted delta (see
+//! [`kbt_data::relation`]), and a load takes it apart along the same
+//! line: the base is the first segment, the delta's adds are the tail's
+//! first run, and the delta's dels are tombstones in the first segment,
+//! found by binary search.  So a load costs two reference counts and
+//! `O(delta)`, and a commit that changed a few rows of a relation leaves
+//! the next read the very first segment — with the indexes cached on it —
+//! that the previous read had.
 //!
-//! # Contents: a base run plus what the relation records since
+//! Removal only tombstones a slot, in either segment.  Tombstones are
+//! private: a bitset allocated by the first removal (or by a load whose
+//! delta deletes), so a load never pays for liveness it does not use, and
+//! every slot past its end is live.
+//!
+//! # Contents: a base relation plus what the relation records since
 //!
 //! The relation knows its contents in canonical order exactly one way.  It
-//! keeps the last canonical run it handed out — the **base**, a plain
-//! [`Relation`] — and a watermark: the base holds exactly the rows that
-//! were live in the slots below the watermark when it was taken.  Since
-//! then the relation itself has recorded everything that changed: where
-//! each appended run ends, and the ids below the watermark that were
+//! keeps the last [`Relation`] it handed out or was loaded from — the
+//! **base** — and a watermark: the base holds exactly the rows that were
+//! live in the slots below the watermark when it was taken.  Since then
+//! the relation itself has recorded everything that changed: where each
+//! appended run ends, and the ids below the watermark that were
 //! tombstoned.  Materialising ([`IndexedRelation::to_relation`]) k-way
-//! merges the live rows of the runs above the watermark, sorts the rows
-//! that died below it (less those that were appended again), and applies
-//! both to the base in one linear merge ([`Relation::merge_rows`]) — or,
-//! while the base is empty, hands the merged run to the verifying
-//! [`Relation::from_sorted_rows`] as it is.  With nothing recorded the
-//! merge returns the base itself, so a relation that was loaded and never
-//! written comes back as the very `Arc` it was loaded from (the load is its
-//! first segment *and* its base).  [`IndexedRelation::snapshot`] is the same
-//! materialisation followed by moving base and watermark up to it, so the
-//! next one pays only for what changes in between — one `Arc` clone if
-//! nothing does; compaction (which renumbers the slots, and therefore
-//! materialises first) moves them too.  Outstanding snapshots are
-//! never disturbed: every merge builds a fresh run.
+//! merges the live rows of the runs above the watermark into one sorted
+//! run of additions, sorts the rows that died below it (less those that
+//! were appended again) into one of deletions, and applies both to the
+//! base with [`Relation::merge_rows`] — or, while the base is empty, hands
+//! the merged run to the verifying [`Relation::from_sorted_rows`] as it
+//! is.  The base is itself a base run plus a delta, so that merge composes
+//! what changed into the delta in `O(delta)` and hands out a relation over
+//! the same base run — the run a read loads as its first segment, indexes
+//! and all — until the delta passes the data crate's fold rule and one
+//! merge writes a fresh run.  With nothing recorded the merge returns the
+//! base itself, so a relation that was loaded and never written comes back
+//! as the very relation it was loaded from.
+//! [`IndexedRelation::snapshot`] is the same materialisation followed by
+//! moving base and watermark up to it, so the next one pays only for what
+//! changes in between — one `Arc` clone if nothing does; compaction
+//! (which renumbers the slots, and therefore materialises first) moves
+//! them too.  Outstanding snapshots are never disturbed: every merge
+//! builds a fresh delta or a fresh run.
 //!
 //! A materialisation whose length differs from the live count is never
 //! served.  The comparison is `O(1)` and runs in every build; on a mismatch
@@ -126,9 +141,10 @@
 //! full-mask index — the offsets at arity ≤ 2 on a dense run), the tail's
 //! private.  The segment's is **deferred**: hashing every stored fact of a
 //! relation that is only ever scanned or probed is wasted work, and the
-//! sorted run answers [`IndexedRelation::contains_row`] by binary search
-//! while no row of it has died.  The segment's table is fetched — built,
-//! the first time any holder of the run asks — by
+//! sorted run answers [`IndexedRelation::contains_row`] by binary search,
+//! checked against the tombstones a load set, until the first point write
+//! or removal.  The segment's table is fetched — built, the first time any
+//! holder of the run asks — by
 //! [`IndexedRelation::demand_membership`], demanded for the targets of the
 //! `Member` / `NegCheck` steps of every plan about to run exactly as
 //! [`IndexedRelation::ensure_index`] is for probe masks, and by the first
@@ -144,10 +160,12 @@
 //! each append pushes its run's keys as one `Vec<u64>`, merged with the
 //! level below while that one is at most twice what has been merged (so a
 //! level is more than twice the size of the one above it, and there are at
-//! most `log₂ n` of them).  No row can have died while the tail is sorted —
-//! the first removal switches it — so the levels hold keys only: 8 B per
-//! tail row, against at least 21 B for a chained full-row table.  The
-//! fixpoint filter looks rows up through a [`MemberCursor`], one per task:
+//! most `log₂ n` of them).  No tail row can have died while the tail is
+//! sorted — the first removal switches it — so the levels hold keys only
+//! (a first-segment row found by binary search is checked against the
+//! tombstones a load set): 8 B per tail row, against at least 21 B for a
+//! chained full-row table.  The fixpoint filter looks rows up through a
+//! [`MemberCursor`], one per task:
 //! a finger on the first segment and one per level, each galloping forward
 //! from the last key looked up and falling back to a binary search when a
 //! key steps backwards.  Where a head's first column comes from the
@@ -184,6 +202,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
+use kbt_data::relation::RowIter;
 use kbt_data::{Const, Relation, Tuple};
 
 use crate::fx::{self, FxBuild, KeyAcc};
@@ -219,13 +238,27 @@ const NIL: u32 = u32::MAX;
 /// Tuple ids bucketed by `u64` row key, every bucket a chain through one
 /// id-indexed link array (see the module docs): the membership table and
 /// every index are one of these, and no key owns a heap allocation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Chains {
     /// Key → the first and the last id of its bucket.
     heads: HashMap<u64, (u32, u32), FxBuild>,
     /// `next[id]` is the id after `id` in its bucket, or [`NIL`]; ids never
     /// pushed hold [`NIL`] too.
     next: Vec<u32>,
+    /// The smallest and the largest key pushed (`lo > hi` while empty).
+    lo: u64,
+    hi: u64,
+}
+
+impl Default for Chains {
+    fn default() -> Self {
+        Chains {
+            heads: HashMap::default(),
+            next: Vec::new(),
+            lo: u64::MAX,
+            hi: 0,
+        }
+    }
 }
 
 impl Chains {
@@ -244,6 +277,7 @@ impl Chains {
             "ids are pushed in ascending order"
         );
         self.next.resize(id as usize + 1, NIL);
+        (self.lo, self.hi) = (self.lo.min(key), self.hi.max(key));
         match self.heads.entry(key) {
             Entry::Occupied(mut bucket) => {
                 let (_, last) = bucket.get_mut();
@@ -256,11 +290,13 @@ impl Chains {
         }
     }
 
-    /// The ids of `key`'s bucket, first pushed first; a table with no key
-    /// at all costs no lookup.
+    /// The ids of `key`'s bucket, first pushed first; a key outside the
+    /// range of the keys pushed — any key, in a table with none — costs no
+    /// lookup.  (A tail loaded from a stored relation's delta holds a few
+    /// rows, often of one neighbourhood of the keys.)
     #[inline]
     fn walk(&self, key: u64) -> Walk<'_> {
-        if self.heads.is_empty() {
+        if key < self.lo || key > self.hi {
             return Walk::EMPTY;
         }
         Walk {
@@ -425,11 +461,12 @@ impl MemberCursor<'_> {
         let key = fx::row_key(row);
         let forward = key >= self.last;
         self.last = key;
-        // the keys are disjoint, but every finger moves to the new key
+        // the keys are disjoint, but every finger moves to the new key; a
+        // first-segment row a load tombstoned is not found
         let seg = &self.relation.seg;
         let mut found = seek(&mut self.seg, seg.len(), key, forward, |i| {
             fx::row_key(seg.row(i))
-        });
+        }) && self.relation.is_live(self.seg as u32);
         for (level, finger) in levels.iter().zip(&mut self.fingers) {
             found |= seek(finger, level.len(), key, forward, |i| level[i]);
         }
@@ -631,8 +668,9 @@ struct Index {
 /// The first segment's membership table.
 #[derive(Clone, Debug)]
 enum SegMembership {
-    /// Not fetched: an unwritten load, whose first segment is all of it and
-    /// answers membership by binary search.
+    /// Not fetched: an unwritten load, whose first segment answers
+    /// membership by binary search (and its tombstones, for the rows the
+    /// loaded relation's delta deletes).
     Deferred,
     /// Fetched (`None`: the segment is empty).
     Ready(Option<Arc<RunIndex>>),
@@ -726,14 +764,24 @@ impl IndexedRelation {
         IndexedRelation::over(Relation::empty(arity), SegMembership::Ready(None))
     }
 
-    /// Wraps a stored relation — a load: the relation becomes the first
-    /// segment (an `Arc` clone, nothing copied) and the base covering all
-    /// of it, and nothing is hashed.  Until the first mutation the segment
-    /// answers membership and is handed back by [`Self::to_relation`].  A
-    /// flag relation has no rows to share, so its slot goes in the tail.
+    /// Wraps a stored relation — a load: the relation's base run becomes
+    /// the first segment (an `Arc` clone, nothing copied), its delta's
+    /// adds the tail and its dels tombstones in the segment, and the
+    /// relation itself the base covering all of it; nothing is hashed.
+    /// Until the first mutation the segment answers membership by binary
+    /// search, and [`Self::to_relation`] hands the relation back.  A flag
+    /// relation has no rows to share, so its slot goes in the tail.
     pub fn from_relation(relation: &Relation) -> Self {
         if relation.arity() > 0 {
-            return IndexedRelation::over(relation.clone(), SegMembership::Deferred);
+            let mut loaded = IndexedRelation::over(relation.base(), SegMembership::Deferred);
+            let (adds, dels) = relation.delta();
+            loaded.append_rows(adds, adds.len() / relation.arity());
+            for row in dels.chunks_exact(relation.arity()) {
+                let id = (loaded.seg.position(row)).expect("a delta deletes rows of its base");
+                loaded.tombstone(id as u32);
+            }
+            loaded.rebase(relation.clone());
+            return loaded;
         }
         let mut flag = IndexedRelation::new(0);
         if !relation.is_empty() {
@@ -792,12 +840,21 @@ impl IndexedRelation {
     #[inline]
     pub fn contains_row(&self, row: &[Const]) -> bool {
         match &self.tail_ids {
-            // sorted: no tombstone, and no table on the first segment
+            // sorted: no table on the first segment, and no tombstone but
+            // those a load set there
             TailMembership::Levels(levels) => {
-                self.seg.contains_row(row) || levels.contains(fx::row_key(row))
+                self.seg_holds(row) || levels.contains(fx::row_key(row))
             }
             TailMembership::Chains(_) => self.find_live_id(row).is_some(),
         }
+    }
+
+    /// Whether a live first-segment slot holds `row`, by binary search.
+    #[inline]
+    fn seg_holds(&self, row: &[Const]) -> bool {
+        self.seg
+            .position(row)
+            .is_some_and(|id| self.is_live(id as u32))
     }
 
     /// A membership cursor for a run of lookups from one task (see
@@ -822,13 +879,14 @@ impl IndexedRelation {
         debug_assert_eq!(row.len(), self.arity);
         let key = fx::row_key(row);
         let mut bucket = match (&self.seg_ids, &self.tail_ids) {
-            // a deferred first segment has no table and no tombstone: a
-            // binary search, then the tail's chain
-            (SegMembership::Deferred, TailMembership::Chains(tail)) => match self.seg.position(row)
-            {
-                Some(id) => return Some(id as u32),
-                None => self.bucket(None, full_mask(self.arity), tail.walk(key), key),
-            },
+            // a deferred first segment has no table: a binary search, then
+            // the tail's chain
+            (SegMembership::Deferred, TailMembership::Chains(tail)) => {
+                match self.seg.position(row).map(|id| id as u32) {
+                    Some(id) if self.is_live(id) => return Some(id),
+                    _ => self.bucket(None, full_mask(self.arity), tail.walk(key), key),
+                }
+            }
             _ => self.member_bucket(key),
         };
         if fx::key_is_exact(self.arity) {
@@ -930,32 +988,40 @@ impl IndexedRelation {
     /// fails verification or comes out shorter than the live count.
     pub fn append_run(&mut self, run: &Relation) {
         debug_assert_eq!(run.arity(), self.arity);
+        debug_assert!(run.is_flat(), "a round's run is one sorted run");
+        self.append_rows(run.as_rows(), run.len());
+    }
+
+    /// [`Self::append_run`] for a raw sorted run of `len` rows (empty for
+    /// arity 0, where `len` counts empty tuples).
+    fn append_rows(&mut self, rows: &[Const], len: usize) {
+        let run = || RowIter::over(rows, self.arity, len);
         debug_assert!(
             // `contains_row` compares rows, so a hashed-key collision with a
             // stored row does not read as "present"
-            run.iter().all(|row| !self.contains_row(row)),
+            run().all(|row| !self.contains_row(row)),
             "bulk-appended rows must be absent from the relation"
         );
-        if run.is_empty() {
+        if len == 0 {
             return;
         }
         let first = self.slots - self.seg_slots();
         match &mut self.tail_ids {
             // packed keys sort like the rows: the run's keys are a level
-            TailMembership::Levels(levels) => levels.push(run.iter().map(fx::row_key).collect()),
+            TailMembership::Levels(levels) => levels.push(run().map(fx::row_key).collect()),
             TailMembership::Chains(chains) => {
-                chains.reserve(run.len(), run.len());
-                for (local, row) in (first..).zip(run.iter()) {
+                chains.reserve(len, len);
+                for (local, row) in (first..).zip(run()) {
                     chains.push(fx::row_key(row), local);
                 }
             }
         }
-        self.tail.extend_from_slice(run.as_rows());
-        self.slots += run.len() as u32;
-        self.live_count += run.len();
+        self.tail.extend_from_slice(rows);
+        self.slots += len as u32;
+        self.live_count += len;
         for index in &mut self.indexes {
-            index.tail.reserve(0, run.len());
-            for (local, row) in (first..).zip(run.iter()) {
+            index.tail.reserve(0, len);
+            for (local, row) in (first..).zip(run()) {
                 index.tail.push(mask_key(row, index.mask), local);
             }
         }
@@ -983,6 +1049,15 @@ impl IndexedRelation {
             return false;
         };
         self.demand_membership();
+        self.tombstone(id);
+        if self.dead * 2 > self.slots as usize {
+            self.compact();
+        }
+        true
+    }
+
+    /// Marks the live slot `id` dead, recording it if the base holds it.
+    fn tombstone(&mut self, id: u32) {
         let word = id as usize / 64;
         if self.dead_bits.len() <= word {
             self.dead_bits.resize(word + 1, 0);
@@ -993,10 +1068,6 @@ impl IndexedRelation {
         if id < self.base_slots {
             self.died.push(id);
         }
-        if self.dead * 2 > self.slots as usize {
-            self.compact();
-        }
-        true
     }
 
     /// Makes `contents` — the live rows in canonical order — the base,

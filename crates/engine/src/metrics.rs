@@ -47,9 +47,9 @@ pub struct EngineMetrics {
     /// `kbt_engine_index_builds_total` — indexes and membership tables
     /// built over stored rows: once per stored run and mask — once per run
     /// for the first-column offsets, whichever masks they serve — plus
-    /// every private table built over a non-empty tail, the chained
-    /// membership table a sorted tail switches to included (see
-    /// [`crate::index`]).
+    /// every private table built over a non-empty tail — an evaluation's
+    /// own rows or a loaded relation's delta — the chained membership
+    /// table a sorted tail switches to included (see [`crate::index`]).
     pub index_builds_total: Counter,
     /// `kbt_engine_rows_copied_total` — stored rows copied into a private
     /// arena (a compaction moving a shared first segment's live rows).

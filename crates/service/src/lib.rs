@@ -285,8 +285,9 @@
 //! Every serving layer records into `kbt-obs` ([`kbt_obs::Registry`]):
 //! each [`Service`] owns a **per-instance** registry (two services never
 //! share a counter — essential for tests and embedded use), while the
-//! library crates underneath (`kbt-engine`, `kbt-datalog`, `kbt-par`,
-//! `kbt-solver`) record into the process-global one.  The `METRICS` command merges both
+//! library crates underneath (`kbt-data`, `kbt-core`, `kbt-engine`,
+//! `kbt-datalog`, `kbt-par`, `kbt-solver`) record into the process-global
+//! one.  The `METRICS` command merges both
 //! and returns a Prometheus-style text exposition, one `= `-prefixed data
 //! line per sample over the wire:
 //!
@@ -366,8 +367,10 @@
 //!   per run for a dense run's first-column offsets, which serve its
 //!   leading-column probes and, at arity ≤ 2, its membership; the run
 //!   keeps them for every later read), plus each private table built
-//!   over an evaluation's own rows.  A repeated read of an unchanged
-//!   epoch adds none.
+//!   over a tail: an evaluation's own rows, or the small delta a stored
+//!   relation holds over its base run, which every read of the epoch
+//!   indexes for itself.  A repeated read of an unchanged flat relation
+//!   adds none.
 //! * `kbt_engine_rows_copied_total` (counter): stored rows copied into a
 //!   private arena (only a compaction of a relation a session deleted
 //!   from does that; a read copies none).
@@ -391,6 +394,14 @@
 //! * `kbt_engine_materialize_ns` (histogram): merging an evaluation's
 //!   storage back into a database.
 //! * `kbt_engine_delta_ns` (histogram): per-delta latency.
+//! * `kbt_data_rows_copied_total` (counter): stored rows written into
+//!   fresh base runs by delta folds and copy-on-write unsharing — a commit
+//!   that composes a few facts into a relation's delta copies none.
+//! * `kbt_core_chain_diff_ns` (histogram): one `APPLY` chain step's diff
+//!   of its input against the previous step's.
+//! * `kbt_core_chain_assemble_ns` (histogram): one `APPLY` chain step's
+//!   result assembly — the part of `APPLY` outside `kbt_engine_delta_ns`
+//!   besides the diff.
 //! * `kbt_datalog_demand_rewrites_total` (counter): hypothetical
 //!   `tau[φ]; project[K]` reads pushed down by one demand rewrite.
 //! * `kbt_datalog_demand_rewrite_ns` (histogram): latency of one demand

@@ -438,9 +438,11 @@ impl Service {
         transforms: BTreeMap<String, Registered>,
         stats: ServiceStats,
     ) -> Self {
-        // Touch the library-level registries eagerly: every engine/
-        // datalog/par/solver series must exist from the first scrape, not the first
-        // fixpoint or the first non-Horn update.
+        // Touch the library-level registries eagerly: every data/core/
+        // engine/datalog/par/solver series must exist from the first scrape,
+        // not the first fixpoint or the first non-Horn update.
+        kbt_data::metrics();
+        kbt_core::metrics();
         kbt_engine::metrics();
         kbt_datalog::metrics();
         kbt_par::metrics();
@@ -941,13 +943,7 @@ impl Service {
         let mut worlds = Vec::with_capacity(w.kb.len());
         for db in w.kb.iter() {
             let mut db = db.clone();
-            for (rel, t) in facts {
-                if insert {
-                    db.insert_fact(*rel, t.clone())?;
-                } else {
-                    db.remove_fact(*rel, t);
-                }
-            }
+            db.apply_facts(facts, insert)?;
             worlds.push(db);
         }
         // worlds that differed only in the changed facts may collapse
