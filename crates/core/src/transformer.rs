@@ -14,7 +14,15 @@
 //! relations onto the group's other worlds.  Worlds are visited in order
 //! and each group is solved at its first world, so errors and the
 //! `max_worlds` check fire exactly as a world-by-world fold would fire
-//! them.  Single-world knowledgebases build no key.
+//! them.  Single-world knowledgebases build no key.  A world's key costs
+//! its active domain and a projection: `φ`'s constants are read once per
+//! step, the domain is one sorted pass over the world's rows
+//! ([`Database::constants`]), and the group's domain is handed to the
+//! grounding of its first world instead of being computed again; the
+//! worlds the step collects are checked for one schema without building
+//! any ([`Knowledgebase::insert`]).  So a four-world read whose worlds
+//! agree costs one solve; each further world costs its domain pass, the
+//! projection onto `σ(φ)` and the replay of the answers' `σ(φ)` relations.
 //!
 //! A caller-owned chain slot ([`Transformer::apply_with_chain`], the commit
 //! pipeline's) gets the *incremental chain* optimisation: the slot keeps at
@@ -64,7 +72,8 @@ use crate::error::CoreError;
 use crate::options::{EvalOptions, EvalStats, Strategy};
 use crate::transform::Transform;
 use crate::update::datalog::{self, ChainSession};
-use crate::update::{minimal_update, operator_row, UpdateOutcome};
+use crate::update::universe::domain_of;
+use crate::update::{minimal_update, minimal_update_over, operator_row, UpdateOutcome};
 use crate::Result;
 
 /// The result of applying a transformation expression.
@@ -271,14 +280,17 @@ impl Transformer {
                 // φ's relations; each answer's σ(φ) part is kept to be
                 // replayed onto the group's later worlds.
                 let mentioned: Vec<RelId> = phi.schema().relations().collect();
+                let phi_constants = phi.constants();
                 let mut groups: Vec<(WorldKey, Vec<Database>)> = Vec::new();
                 for db in kb.iter() {
-                    let key = world_key(phi, db, &mentioned);
+                    let key = (domain_of(db, &phi_constants), db.project(&mentioned));
                     let worlds = match groups.iter().find(|(k, _)| *k == key) {
                         Some((_, answers)) => answers.iter().map(|a| replay(db, a)).collect(),
                         None => {
+                            let domain = Some(key.0.clone());
+                            let view = view.as_deref_mut();
                             let outcome =
-                                minimal_update(phi, db, &self.options, view.as_deref_mut())?;
+                                minimal_update_over(phi, db, domain, &self.options, view)?;
                             self.absorb_outcome(&outcome, stats);
                             let answers = outcome.databases.iter();
                             groups.push((key, answers.map(|a| a.project(&mentioned)).collect()));
@@ -364,12 +376,6 @@ impl Transformer {
 /// What `µ(φ, db)` depends on: the domain `B` and `db`'s relations among
 /// `σ(φ)` (presence, arity and contents).
 type WorldKey = (BTreeSet<Const>, Database);
-
-fn world_key(phi: &kbt_logic::Sentence, db: &Database, mentioned: &[RelId]) -> WorldKey {
-    let mut domain = db.constants();
-    domain.extend(phi.constants());
-    (domain, db.project(mentioned))
-}
 
 /// `db` with its `σ(φ)` relations replaced by those of `answer` (an answer
 /// of the group's first world, projected onto `σ(φ)`).

@@ -34,8 +34,10 @@ pub fn applicable(phi: &Sentence, db: &Database) -> bool {
     let Some(clauses) = horn_clauses(phi) else {
         return false;
     };
-    let old = db.schema();
-    if clauses.iter().any(|c| old.contains(c.head_relation())) {
+    if clauses
+        .iter()
+        .any(|c| db.relation(c.head_relation()).is_some())
+    {
         return false;
     }
     // range-restriction (safety) is re-checked by Program construction

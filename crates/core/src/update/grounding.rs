@@ -24,13 +24,15 @@
 //! exceed the budget.  A sentence with exponentially many minimal models
 //! under a small budget is refused after `max_worlds + 1` of them.
 
-use kbt_data::Database;
+use std::collections::BTreeSet;
+
+use kbt_data::{Const, Database};
 use kbt_logic::{GroundFormula, Sentence};
 use kbt_solver::{enumerate_minimal_models, Bool, BoolVar, Cnf, Lit, Solver};
 
 use crate::error::CoreError;
 use crate::options::EvalOptions;
-use crate::update::universe::UpdateContext;
+use crate::update::universe::{domain_of, UpdateContext};
 use crate::update::UpdateOutcome;
 use crate::Result;
 
@@ -40,13 +42,24 @@ pub fn grounding_update(
     db: &Database,
     options: &EvalOptions,
 ) -> Result<UpdateOutcome> {
+    grounding_update_over(phi, db, domain_of(db, &phi.constants()), options)
+}
+
+/// [`grounding_update`] over the domain `db.constants() ∪ φ.constants()`,
+/// already computed by the caller (see [`UpdateContext::grounded_over`]).
+pub(crate) fn grounding_update_over(
+    phi: &Sentence,
+    db: &Database,
+    domain: BTreeSet<Const>,
+    options: &EvalOptions,
+) -> Result<UpdateOutcome> {
     // The lazy universe: only atoms `ground(φ)` mentions become SAT
     // variables — unmentioned facts cannot change in a Winslett-minimal
     // model and carry over from the input database when results are
     // materialised.  Large databases with
     // small-footprint sentences thus stop paying the `Σ_R |B|^arity`
     // ceiling; see `universe` for the soundness argument.
-    let (ctx, ground) = UpdateContext::grounded(phi, db, options)?;
+    let (ctx, ground) = UpdateContext::grounded_over(phi, db, domain, options)?;
     let n = ctx.atom_count();
 
     // Variables 0..n are the candidate facts; flip variables follow.
@@ -94,7 +107,7 @@ pub fn grounding_update(
     // limit is enforced against the *deduplicated* set: duplicate databases
     // (however they arise) must not count toward `max_worlds`, and the
     // error reports the number of distinct worlds actually found.
-    let mut result: std::collections::BTreeSet<Database> = std::collections::BTreeSet::new();
+    let mut result: BTreeSet<Database> = BTreeSet::new();
     for flips in &minimal_flip_sets {
         let mut assumptions: Vec<Lit> = Vec::with_capacity(flip_vars.len());
         for (&atom_idx, &fv) in old_atoms.iter().zip(&flip_vars) {

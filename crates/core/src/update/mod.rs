@@ -19,7 +19,9 @@ pub mod grounding;
 pub mod quantifier_free;
 pub mod universe;
 
-use kbt_data::Database;
+use std::collections::BTreeSet;
+
+use kbt_data::{Const, Database};
 use kbt_datalog::{RuleProfile, View};
 use kbt_logic::Sentence;
 
@@ -56,17 +58,31 @@ pub fn minimal_update(
     options: &EvalOptions,
     view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
+    minimal_update_over(phi, db, None, options, view)
+}
+
+/// [`minimal_update`], handed the domain `db.constants() ∪ φ.constants()`
+/// when the caller has already computed it (a multi-world step groups its
+/// worlds by it); the grounding strategy then grounds over it instead of
+/// computing it again.
+pub(crate) fn minimal_update_over(
+    phi: &Sentence,
+    db: &Database,
+    domain: Option<BTreeSet<Const>>,
+    options: &EvalOptions,
+    view: Option<&mut View<'_>>,
+) -> Result<UpdateOutcome> {
     let strategy = match options.strategy {
         Strategy::Auto if datalog::applicable(phi, db) => Strategy::Datalog,
         Strategy::Auto if kbt_logic::is_ground(phi.formula()) => Strategy::QuantifierFree,
         Strategy::Auto => Strategy::Grounding,
         chosen => chosen,
     };
-    let (name, update): (_, fn(&Sentence, &Database, &EvalOptions) -> _) = match strategy {
+    let name = match strategy {
         Strategy::Datalog => return datalog::datalog_update(phi, db, options, view),
-        Strategy::Exhaustive => ("exhaustive", exhaustive::exhaustive_update),
-        Strategy::QuantifierFree => ("quantifier-free", quantifier_free::quantifier_free_update),
-        Strategy::Grounding | Strategy::Auto => ("grounding", grounding::grounding_update),
+        Strategy::Exhaustive => "exhaustive",
+        Strategy::QuantifierFree => "quantifier-free",
+        Strategy::Grounding | Strategy::Auto => "grounding",
     };
     if let Some(view) = view.filter(|v| !v.runs()) {
         view.rows.push(operator_row(format!("insert {phi}"), name));
@@ -76,7 +92,14 @@ pub fn minimal_update(
             fixpoint: None,
         });
     }
-    update(phi, db, options)
+    match strategy {
+        Strategy::Exhaustive => exhaustive::exhaustive_update(phi, db, options),
+        Strategy::QuantifierFree => quantifier_free::quantifier_free_update(phi, db, options),
+        _ => {
+            let domain = domain.unwrap_or_else(|| universe::domain_of(db, &phi.constants()));
+            grounding::grounding_update_over(phi, db, domain, options)
+        }
+    }
 }
 
 /// A descriptive plan row for an operator that has no Datalog rule plan.

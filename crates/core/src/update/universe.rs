@@ -58,8 +58,7 @@ impl UpdateContext {
     /// Builds the eager context for `µ(φ, db)`, enforcing the configured
     /// ceiling on the number of candidate facts.
     pub fn new(phi: &Sentence, db: &Database, options: &EvalOptions) -> Result<Self> {
-        let mut domain = db.constants();
-        domain.extend(phi.constants());
+        let domain = domain_of(db, &phi.constants());
         let old_schema = db.schema();
         let schema = old_schema.union(&phi.schema())?;
 
@@ -116,8 +115,20 @@ impl UpdateContext {
         db: &Database,
         options: &EvalOptions,
     ) -> Result<(Self, GroundFormula)> {
-        let mut domain = db.constants();
-        domain.extend(phi.constants());
+        Self::grounded_over(phi, db, domain_of(db, &phi.constants()), options)
+    }
+
+    /// [`Self::grounded`] over a domain the caller has already computed:
+    /// `domain` must be `db.constants() ∪ φ.constants()` ([`domain_of`]).
+    /// A multi-world step computes it once per world to group the worlds,
+    /// and hands the group's to the grounding of its first world.
+    pub fn grounded_over(
+        phi: &Sentence,
+        db: &Database,
+        domain: BTreeSet<Const>,
+        options: &EvalOptions,
+    ) -> Result<(Self, GroundFormula)> {
+        debug_assert_eq!(domain, domain_of(db, &phi.constants()));
         let old_schema = db.schema();
         let schema = old_schema.union(&phi.schema())?;
 
@@ -184,19 +195,24 @@ impl UpdateContext {
     ///
     /// For the eager universe the database is built from scratch; for the
     /// lazy one it starts as the (lifted) input database, and only the
-    /// mentioned atoms are set to their model values — every unmentioned
-    /// stored fact carries over, matching definition (9) restricted to the
-    /// atoms that can actually change.
+    /// mentioned atoms whose model value differs from the input are
+    /// written — every other fact carries over, matching definition (9)
+    /// restricted to the atoms that can actually change.
     pub fn database_from(&self, mut member: impl FnMut(usize) -> bool) -> Database {
         let mut db = match &self.base {
             Some(base) => base.clone(),
             None => Database::empty_over(&self.schema),
         };
+        let lazy = self.base.is_some();
         for (i, a) in self.atoms.iter().enumerate() {
-            if member(i) {
+            let value = member(i);
+            if lazy && value == self.stored[i] {
+                continue;
+            }
+            if value {
                 db.insert_fact(a.rel, a.tuple.clone())
                     .expect("atom arity matches schema");
-            } else if self.base.is_some() {
+            } else if lazy {
                 db.remove_fact(a.rel, &a.tuple);
             }
         }
@@ -207,6 +223,14 @@ impl UpdateContext {
     pub fn lift(&self, db: &Database) -> Result<Database> {
         Ok(db.extend_schema(&self.schema)?)
     }
+}
+
+/// The finite domain `B` of `µ(φ, db)`: `db`'s active domain together with
+/// `phi_constants`, the constants of `φ`.
+pub fn domain_of(db: &Database, phi_constants: &BTreeSet<Const>) -> BTreeSet<Const> {
+    let mut domain = db.constants();
+    domain.extend(phi_constants);
+    domain
 }
 
 /// An upper bound on the number of nodes `ground(f)` materialises over a

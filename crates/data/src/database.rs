@@ -46,6 +46,18 @@ impl Database {
         s
     }
 
+    /// Whether `other` has the same schema: the same relation symbols with
+    /// the same arities.  Compares the two in place, building neither
+    /// [`Schema`].
+    pub(crate) fn same_schema(&self, other: &Database) -> bool {
+        self.relations.len() == other.relations.len()
+            && self
+                .relations
+                .iter()
+                .zip(&other.relations)
+                .all(|((r, a), (s, b))| r == s && a.arity() == b.arity())
+    }
+
     /// Adds (or replaces) a whole relation.
     pub fn set_relation(&mut self, rel: RelId, relation: Relation) {
         self.relations.insert(rel, relation);
@@ -155,12 +167,23 @@ impl Database {
             .flat_map(|(&r, rel)| rel.tuples().map(move |t| (r, t)))
     }
 
-    /// The active domain: every constant appearing in some fact.
+    /// The active domain: every constant appearing in some fact.  One
+    /// buffer of every relation's components — runs of one constant, as a
+    /// sorted column has them, pushed once — sorted, deduplicated and
+    /// bulk-loaded into the set: no set per relation, no merge of sets.
     pub fn constants(&self) -> BTreeSet<Const> {
-        self.relations
-            .values()
-            .flat_map(|r| r.constants())
-            .collect()
+        let size = self.relations.values().map(|r| r.len() * r.arity()).sum();
+        let mut all: Vec<Const> = Vec::with_capacity(size);
+        for relation in self.relations.values() {
+            for &c in relation.iter().flatten() {
+                if all.last() != Some(&c) {
+                    all.push(c);
+                }
+            }
+        }
+        all.sort_unstable();
+        all.dedup();
+        all.into_iter().collect()
     }
 
     /// Projects the database onto the listed relation symbols (the paper's
@@ -203,7 +226,7 @@ impl Database {
         other: &Database,
         op: impl Fn(&Relation, &Relation) -> Result<Relation>,
     ) -> Result<Database> {
-        if self.schema() != other.schema() {
+        if !self.same_schema(other) {
             return Err(DataError::SchemaMismatch {
                 left: self.schema(),
                 right: other.schema(),
@@ -321,6 +344,24 @@ mod tests {
         let mut d2 = Database::new();
         d2.insert_fact(r(2), tuple![1, 2]).unwrap();
         assert!(d1.componentwise_union(&d2).is_err());
+
+        // the same relation ids with another arity
+        let mut narrower = Database::new();
+        narrower.insert_fact(r(1), tuple![1]).unwrap();
+        assert!(!d1.same_schema(&narrower));
+        assert!(d1.componentwise_union(&narrower).is_err());
+        assert!(d1.componentwise_intersection(&narrower).is_err());
+        // one extra relation, on either side
+        let mut wider = d1.clone();
+        wider.ensure_relation(r(2), 2).unwrap();
+        assert!(!d1.same_schema(&wider) && !wider.same_schema(&d1));
+        assert!(d1.componentwise_union(&wider).is_err());
+        assert!(wider.componentwise_intersection(&d1).is_err());
+        // the same schema, other facts
+        let mut same = Database::new();
+        same.insert_fact(r(1), tuple![7, 8]).unwrap();
+        assert!(d1.same_schema(&same));
+        assert_eq!(d1.componentwise_union(&same).unwrap().fact_count(), 2);
     }
 
     #[test]
@@ -330,5 +371,57 @@ mod tests {
         db.insert_fact(r(2), tuple![5]).unwrap();
         let dom: Vec<_> = db.constants().into_iter().collect();
         assert_eq!(dom, vec![Const::new(1), Const::new(2), Const::new(5)]);
+    }
+
+    /// The active domain equals the union of the per-relation constant
+    /// sets on random databases, flags and layered relations (a shared
+    /// base plus a delta of adds and deletes) included.
+    #[test]
+    fn active_domain_is_the_union_of_the_relations_constants() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % u64::from(bound)) as u32
+        };
+        let mut layered = 0;
+        for _ in 0..200 {
+            let mut db = Database::new();
+            for rel in 0..next(5) {
+                let arity = next(4) as usize;
+                let span = 1 + next(300);
+                let mut rows: Vec<Const> = (0..arity * next(400) as usize)
+                    .map(|_| Const::new(next(span)))
+                    .collect();
+                let kept = sort_dedup_rows(&mut rows, arity.max(1));
+                rows.truncate(kept * arity);
+                let mut relation = if arity == 0 {
+                    let mut flag = Relation::empty(0);
+                    if next(2) == 1 {
+                        flag.insert_row(&[]);
+                    }
+                    flag
+                } else {
+                    Relation::from_sorted_rows(arity, rows).unwrap()
+                };
+                if arity > 0 && next(2) == 1 {
+                    // a small batch against a shared base: a layered relation
+                    let mut adds: Vec<Const> = (0..arity * 3)
+                        .map(|_| Const::new(span + next(20)))
+                        .collect();
+                    let kept = sort_dedup_rows(&mut adds, arity);
+                    adds.truncate(kept * arity);
+                    let dels: Vec<Const> = relation.iter().take(2).flatten().copied().collect();
+                    relation = relation.merge_rows(&adds, &dels).unwrap();
+                    layered += usize::from(!relation.is_flat());
+                }
+                db.set_relation(r(rel), relation);
+            }
+            let expected: BTreeSet<Const> =
+                db.iter().flat_map(|(_, rel)| rel.constants()).collect();
+            assert_eq!(db.constants(), expected, "{db:?}");
+        }
+        assert!(layered > 20, "only {layered} layered relations were drawn");
     }
 }

@@ -42,10 +42,11 @@ impl Knowledgebase {
     }
 
     /// Inserts a database; fails if its schema differs from the knowledge-
-    /// base's schema.  Returns whether the database was new.
+    /// base's schema (compared in place: neither schema is built unless
+    /// they differ).  Returns whether the database was new.
     pub fn insert(&mut self, db: Database) -> Result<bool> {
         if let Some(existing) = self.databases.iter().next() {
-            if existing.schema() != db.schema() {
+            if !existing.same_schema(&db) {
                 return Err(DataError::SchemaMismatch {
                     left: existing.schema(),
                     right: db.schema(),
@@ -250,6 +251,29 @@ mod tests {
         let mut other = Database::new();
         other.insert_fact(r(2), tuple![1]).unwrap();
         assert!(kb.insert(other).is_err());
+
+        // the same relation ids with another arity
+        let mut other_arity = Database::new();
+        other_arity.insert_fact(r(1), tuple![1]).unwrap();
+        match kb.insert(other_arity) {
+            Err(DataError::SchemaMismatch { left, right }) => {
+                assert_eq!(left.arity(r(1)), Some(2));
+                assert_eq!(right.arity(r(1)), Some(1));
+            }
+            other => panic!("expected a schema mismatch, got {other:?}"),
+        }
+        // one extra relation, empty or not
+        for extra in [0, 1] {
+            let mut wider = db_with(&[tuple![1, 2]]);
+            wider.ensure_relation(r(2), 1).unwrap();
+            if extra == 1 {
+                wider.insert_fact(r(2), tuple![5]).unwrap();
+            }
+            assert!(kb.insert(wider).is_err());
+        }
+        assert_eq!(kb.len(), 1);
+        // and the same schema is accepted
+        assert!(kb.insert(db_with(&[tuple![3, 4]])).unwrap());
     }
 
     #[test]

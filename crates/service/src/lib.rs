@@ -411,13 +411,15 @@
 //! * `kbt_par_workerset_jobs_total` (counter): worker-set jobs admitted.
 //! * `kbt_par_workerset_rejected_total` (counter): jobs refused at capacity.
 //! * `kbt_solver_solves_total` (counter): SAT searches run — one per
-//!   satisfiability call, per model looked for and per shrink candidate
-//!   tested by a minimal-model enumeration.
+//!   satisfiability call, and per minimal model a minimal-model
+//!   enumeration looks for (each search lands on a minimal model).
 //! * `kbt_solver_decisions_total` (counter): branching decisions taken.
 //! * `kbt_solver_propagations_total` (counter): assigned literals whose
 //!   watch lists were walked.
 //! * `kbt_solver_conflicts_total` (counter): propagations that falsified a
 //!   clause.
+//! * `kbt_solver_learned_clauses_total` (counter): clauses learned from
+//!   conflicts (one per conflict above the root).
 //! * `kbt_solver_minimal_models_total` (counter): minimal sets returned by
 //!   minimal-model enumerations (flip-sets and new-parts of non-Horn
 //!   updates).

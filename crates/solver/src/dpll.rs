@@ -1,61 +1,84 @@
-//! A DPLL satisfiability solver: one trail, two watched literals per clause,
-//! chronological backtracking.
+//! A conflict-driven satisfiability search: one trail, two watched literals
+//! per clause, 1UIP clause learning and non-chronological backjumps.
 //!
 //! [`Solver`] is the clause database the callers build; every question asked
 //! of it — [`Solver::solve`] here, the minimal-model enumeration in
 //! [`crate::minimal`] — is answered by one `Search`, built once per public
-//! call and run by one `propagate` and one decision loop.  No clause
-//! learning and no restarts: grounded updates over realistic active domains
-//! are a few hundred clauses, and what made them slow was not the size of
-//! the search tree but re-reading the whole clause list at every step of it.
+//! call and run by one `propagate` and one decision loop.  Conflict
+//! analysis is MiniSat's (Eén & Sörensson, SAT 2003) without its
+//! heuristics: no activity scores, no restarts, no clause deletion — the
+//! grounded updates this solver serves are a few hundred clauses, and the
+//! branching rule below is the measured one.
 //!
 //! # The search state and what it keeps true
 //!
 //! * **Arena.**  Every clause's literals lie end to end in one `Vec<u32>`
 //!   (a literal is `2·var`, or `2·var + 1` when negated, so `lit ^ 1` is its
-//!   complement); clause `c` is `lits[bounds[c]..bounds[c + 1]]`.  Clauses
-//!   are sorted, duplicate-free and never tautological, so a variable occurs
-//!   at most once in a clause.  Unit clauses are asserted at the root and
-//!   have no watches.
-//! * **Trail.**  The assigned literals in the order they became true.
-//!   `trail[..qhead]` have had their consequences drawn; a level is undone by
-//!   truncating the trail to the length its frame recorded and clearing
-//!   those variables — nothing else is touched, watches included.
+//!   complement); clause `c` is `lits[bounds[c]..bounds[c + 1]]`.  The
+//!   solver's own clauses come first, sorted, duplicate-free and never
+//!   tautological; learned clauses and an enumeration's blocking clauses are
+//!   appended after them, duplicate-free too.  Unit clauses are asserted at
+//!   the root and have no watches.
+//! * **Trail, levels and reasons.**  The assigned literals in the order
+//!   they became true; `trail[..qhead]` have had their consequences drawn.
+//!   Each assigned variable records its *level* — the number of decisions
+//!   on the trail before it; the root, level 0, holds the unit clauses and
+//!   the caller's assumptions — and its *reason*, the clause that became
+//!   unit on it (none for a decision or a root literal).  Every level above
+//!   the root starts with its decision, a literal made false by choice.
 //! * **Watches.**  A clause of two or more literals watches the two at its
 //!   first two positions, and is threaded on the watch list of each (`head`
 //!   per literal, `next` per clause and position: linked lists, so attaching
 //!   a clause or moving a watch never allocates).  When `propagate` has run
 //!   to completion without a conflict, a clause with a false watched literal
-//!   has its other watch true — and that one was assigned no later, so
-//!   truncating the trail un-assigns the false one first and the property
-//!   survives backtracking untouched.  A literal becoming false therefore
-//!   concerns only the clauses on its list: each either has its other watch
-//!   true, or finds a non-false literal to watch instead (and moves to that
-//!   list), or is unit on its other watch, or is the conflict.
-//! * **Frames and the clause cursor.**  Every clause before `cursor` is
-//!   satisfied by the current assignment.  A frame records the trail length
-//!   and the cursor from just before its level's first literal; a clause
-//!   satisfied then stays satisfied for as long as the frame lives, because
-//!   the assignment below a frame only grows.  So undoing a level restores
-//!   its frame's cursor, and the scan for the next clause to branch on
-//!   resumes where it stopped instead of starting from clause 0 at every
-//!   decision.  A frame is either a decision that still has its second value
-//!   to try, or *closed*: a decision on its second value, or a level of
-//!   assumptions, with nothing to try when it is refuted.
+//!   has its other watch true, at a level no higher — so undoing levels
+//!   un-assigns the false one first, and the property survives any backjump
+//!   untouched.  A literal becoming false therefore concerns only the
+//!   clauses on its list: each either has its other watch true, or finds a
+//!   non-false literal to watch instead (and moves to that list), or is unit
+//!   on its other watch — which it then implies, as its reason — or is the
+//!   conflict.
+//! * **Learned clauses.**  A conflict is resolved against the reasons of
+//!   its current-level literals, latest first, until one current-level
+//!   literal is left: the first unique implication point.  The clause
+//!   learned is its negation together with the lower-level literals met on
+//!   the way (root literals are left out: they hold for the whole call).
+//!   It is stored with that negation at position 0 and a literal of the
+//!   highest remaining level at position 1, the search jumps back to that
+//!   level — where the clause is unit — and the negation is asserted there
+//!   with the clause as its reason.  A learned clause is resolved from
+//!   clauses of the arena and the root, so it is implied by them and by
+//!   anything later added at the root: it stays for the rest of the call.
+//! * **Frames and the two cursors.**  A frame records, for one level, the
+//!   trail length and both cursors from just before its decision.  Every
+//!   one of the solver's own clauses before `cursor` is satisfied by the
+//!   current assignment, and every variable of `first` before `first_cursor`
+//!   is assigned; both stay true for as long as the frame lives, because
+//!   the assignment below a frame only grows — a backjump's asserted literal
+//!   included.  So a backjump restores the cursors of the first frame it
+//!   removes, and the scans for the next decision resume where they stopped
+//!   instead of starting over at every decision.
 //!
-//! # Branching: clause order, false first — measured, not assumed
+//! # Branching: minimised variables first, then clause order — false first
 //!
-//! The decision rule is the one this solver has always had: *the first
-//! clause not yet satisfied, its open variable of smallest index, false
-//! before true*.  It walks the Tseitin encoding gate by gate in the order
-//! grounding produced it, which keeps related variables together.  Branching
-//! in plain variable-index order instead looked equivalent and is not: on
-//! Example 7 (`examples::max_clique`) what is left after the clique is
-//! guessed is pigeonhole-shaped, a solver without learning refutes it only
-//! by exhausting it, and that module's two tests — 0.3 s in a release build
-//! with the rule above, 5.6 s before the search had watches — had not
-//! finished after two minutes (five, on the prototype of this rewrite).
-//! `tests/solver_differential.rs` keeps both instances.
+//! An enumeration names the variables it minimises (`first`); they are
+//! decided before any other, in index order, false first — which is what
+//! makes each model it finds ⊆-minimal ([`crate::minimal`] has the
+//! argument).  After them, or for [`Solver::solve`], the decision rule is
+//! the one this solver has always had: *the first of the solver's own
+//! clauses not yet satisfied, its open variable of smallest index, false*.
+//! It walks the Tseitin encoding gate by gate in the order grounding
+//! produced it, which keeps related variables together.  Branching in plain
+//! variable-index order instead looked equivalent and is not: on Example 7
+//! (`examples::max_clique`) what is left after the clique is guessed is
+//! pigeonhole-shaped, and without learning that search had not finished
+//! after two minutes where this rule took 0.3 s.  The scan stops at the
+//! solver's own clauses: learned clauses are implied by them, and a
+//! blocking clause names only minimised variables, which are all assigned
+//! before the scan starts — so an assignment that satisfies the solver's
+//! clauses, its open variables read as false, is a model of everything.
+//! `tests/solver_differential.rs` keeps the pigeonhole instances and
+//! Example 7, each with the conflicts it took.
 
 use crate::cnf::{BoolVar, Clause, Cnf, Lit};
 use crate::metrics::Counters;
@@ -182,7 +205,7 @@ impl Solver {
     /// Decides satisfiability under the given assumptions (literals forced
     /// true before the search starts).
     pub fn solve(&self, assumptions: &[Lit]) -> SolveResult {
-        let mut search = Search::new(self, assumptions.iter().map(|a| a.var));
+        let mut search = Search::new(self, &[], assumptions.iter().map(|a| a.var));
         let sat = search.assume(assumptions.iter().copied()) && search.search();
         crate::metrics::metrics().absorb(&search.counters);
         if sat {
@@ -205,24 +228,23 @@ const TRUE: u8 = 0;
 const FALSE: u8 = 1;
 const OPEN: u8 = 2;
 
-/// End of a watch list.
+/// End of a watch list; also the reason of a literal nothing implied.
 const NIL: u32 = u32::MAX;
 
-/// One level of the trail; see the module docs.
+/// Where one decision level starts; see the module docs.
 #[derive(Clone, Copy)]
 struct Frame {
-    /// Trail length just before the level's first literal.
+    /// Trail length just before the level's decision.
     trail_len: usize,
-    /// The clause cursor just before the level's first literal.
+    /// The clause cursor just before the level's decision.
     cursor: usize,
-    /// The literal to assert when this level is refuted — a decision's
-    /// second value — or `None` for a closed frame.
-    flip: Option<u32>,
+    /// The minimised-variable cursor just before the level's decision.
+    first_cursor: usize,
 }
 
 /// The search state over one [`Solver`]'s clauses: built once per public
-/// call, then asked any number of questions by pushing and popping levels.
-/// The module docs list what it keeps true.
+/// call, then asked any number of questions, each a [`Self::search`] from
+/// the root.  The module docs list what it keeps true.
 pub(crate) struct Search {
     lits: Vec<u32>,
     bounds: Vec<u32>,
@@ -232,11 +254,28 @@ pub(crate) struct Search {
     next: Vec<[u32; 2]>,
     /// Per variable: [`TRUE`], [`FALSE`] or [`OPEN`].
     assign: Vec<u8>,
+    /// Per assigned variable: the decision level it was assigned at.
+    level: Vec<u32>,
+    /// Per assigned variable: the clause that implied it, or [`NIL`] for a
+    /// decision and for the root.
+    reason: Vec<u32>,
     trail: Vec<u32>,
     qhead: usize,
+    /// One frame per decision level above the root.
     frames: Vec<Frame>,
+    /// The branching scan over the solver's own clauses (`..originals`).
     cursor: usize,
-    /// Whether the clauses alone are already contradictory.
+    originals: usize,
+    /// The variables decided before any other, in index order.
+    first: Vec<u32>,
+    /// Every variable of `first[..first_cursor]` is assigned.
+    first_cursor: usize,
+    /// Conflict analysis: the variables already on the clause being learned
+    /// (all unmarked between conflicts), and the clause itself, asserting
+    /// literal first.
+    seen: Vec<bool>,
+    learnt: Vec<u32>,
+    /// Whether the root level is contradictory: nothing is satisfiable.
     root_conflict: bool,
     /// Work done so far, for [`crate::metrics`]; the public entry points
     /// add it to the registry once, when they are finished with the search.
@@ -245,10 +284,22 @@ pub(crate) struct Search {
 
 impl Search {
     /// Copies `solver`'s clauses, watches them and asserts its unit clauses.
-    /// The state covers the solver's variables and `also` (assumptions and
-    /// projection sets may name variables no clause does).
-    pub(crate) fn new(solver: &Solver, also: impl Iterator<Item = BoolVar>) -> Search {
+    /// `first` are decided before any other variable, in index order, false
+    /// first (see [`crate::minimal`]).  The state covers the solver's
+    /// variables, `first` and `also` (assumptions may name variables no
+    /// clause does).
+    pub(crate) fn new(
+        solver: &Solver,
+        first: &[BoolVar],
+        also: impl Iterator<Item = BoolVar>,
+    ) -> Search {
+        let mut first: Vec<u32> = first.iter().map(|v| v.0).collect();
+        first.sort_unstable();
+        first.dedup();
         let num_vars = also.fold(solver.num_vars, |n, v| n.max(v.index() + 1));
+        let num_vars = first
+            .last()
+            .map_or(num_vars, |&v| num_vars.max(v as usize + 1));
         let num_clauses = solver.num_clauses();
         let mut search = Search {
             lits: solver.lits.clone(),
@@ -256,10 +307,17 @@ impl Search {
             head: vec![NIL; 2 * num_vars],
             next: vec![[NIL; 2]; num_clauses],
             assign: vec![OPEN; num_vars],
+            level: vec![0; num_vars],
+            reason: vec![NIL; num_vars],
             trail: Vec::with_capacity(num_vars),
             qhead: 0,
             frames: Vec::new(),
             cursor: 0,
+            originals: num_clauses,
+            first,
+            first_cursor: 0,
+            seen: vec![false; num_vars],
+            learnt: Vec::new(),
             root_conflict: solver.has_empty_clause,
             counters: Counters::default(),
         };
@@ -267,7 +325,7 @@ impl Search {
             let start = search.bounds[clause] as usize;
             if search.bounds[clause + 1] as usize - start == 1 {
                 let unit = search.lits[start];
-                search.root_conflict |= !search.enqueue(unit);
+                search.root_conflict |= !search.enqueue(unit, NIL);
             } else {
                 search.watch(clause as u32, 0);
                 search.watch(clause as u32, 1);
@@ -294,13 +352,28 @@ impl Search {
         self.head[lit] = clause;
     }
 
-    /// Makes `lit` true at the current level; `false` if it is already false.
-    fn enqueue(&mut self, lit: u32) -> bool {
+    /// Appends a clause of two or more literals to the arena and watches
+    /// its first two; returns its index.
+    fn attach(&mut self) -> u32 {
+        let clause = self.next.len() as u32;
+        self.bounds.push(self.lits.len() as u32);
+        self.next.push([NIL; 2]);
+        self.watch(clause, 0);
+        self.watch(clause, 1);
+        clause
+    }
+
+    /// Makes `lit` true at the current level, implied by `reason`; `false`
+    /// if it is already false.
+    fn enqueue(&mut self, lit: u32, reason: u32) -> bool {
         match self.value(lit) {
             TRUE => true,
             FALSE => false,
             _ => {
-                self.assign[(lit >> 1) as usize] = (lit & 1) as u8;
+                let var = (lit >> 1) as usize;
+                self.assign[var] = (lit & 1) as u8;
+                self.level[var] = self.frames.len() as u32;
+                self.reason[var] = reason;
                 self.trail.push(lit);
                 true
             }
@@ -308,9 +381,10 @@ impl Search {
     }
 
     /// Draws the consequences of every literal on the trail that has not had
-    /// them drawn.  `false` on a conflict; the caller then undoes the level
-    /// (which also discards the unprocessed rest of the queue).
-    fn propagate(&mut self) -> bool {
+    /// them drawn.  Returns the clause it falsified, if any; the caller then
+    /// undoes the level (which also discards the unprocessed rest of the
+    /// queue).
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let falsified = self.trail[self.qhead] ^ 1;
             self.qhead += 1;
@@ -340,58 +414,54 @@ impl Search {
                         continue;
                     }
                     if other_value == FALSE {
-                        return false;
+                        return Some(clause);
                     }
-                    self.enqueue(other);
+                    self.enqueue(other, clause);
                 }
                 link = Some((c, slot));
                 clause = next;
             }
         }
-        true
+        None
     }
 
-    /// Opens a closed level and returns its depth (the root is 0): what is
-    /// assumed next holds until [`Self::backtrack`] goes below that depth.
-    pub(crate) fn push_level(&mut self) -> usize {
-        self.frames.push(Frame {
-            trail_len: self.trail.len(),
-            cursor: self.cursor,
-            flip: None,
-        });
-        self.frames.len()
-    }
-
-    /// Undoes every level above the first `depth`.
+    /// Undoes every level above the first `depth` (the root is level 0).
     pub(crate) fn backtrack(&mut self, depth: usize) {
         if let Some(&frame) = self.frames.get(depth) {
             self.frames.truncate(depth);
-            self.undo(&frame);
+            for &lit in &self.trail[frame.trail_len..] {
+                self.assign[(lit >> 1) as usize] = OPEN;
+            }
+            self.trail.truncate(frame.trail_len);
+            self.qhead = frame.trail_len;
+            self.cursor = frame.cursor;
+            self.first_cursor = frame.first_cursor;
         }
     }
 
-    /// Restores the trail and the cursor to what `frame` recorded.
-    fn undo(&mut self, frame: &Frame) {
-        for &lit in &self.trail[frame.trail_len..] {
-            self.assign[(lit >> 1) as usize] = OPEN;
-        }
-        self.trail.truncate(frame.trail_len);
-        self.qhead = frame.trail_len;
-        self.cursor = frame.cursor;
-    }
-
-    /// Asserts `lits` at the current level and propagates.  `false` if that
-    /// is contradictory — then the level must be popped, and at the root
-    /// nothing is satisfiable any more.
+    /// Asserts `lits` at the root and propagates.  `false` if that is
+    /// contradictory — then nothing is satisfiable any more.
     pub(crate) fn assume(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
-        !self.root_conflict && lits.into_iter().all(|l| self.enqueue(code(l))) && self.propagate()
+        debug_assert!(self.frames.is_empty());
+        self.root_conflict = self.root_conflict
+            || !lits.into_iter().all(|l| self.enqueue(code(l), NIL))
+            || self.propagate().is_some();
+        !self.root_conflict
     }
 
-    /// The variable to branch on: the open variable of smallest index in
-    /// the first clause the assignment does not satisfy, or `None` when it
-    /// satisfies them all.  Advances the cursor over the satisfied ones.
+    /// The literal to decide: the first open variable of `first`, else the
+    /// open variable of smallest index in the first of the solver's clauses
+    /// the assignment does not satisfy — false, either way — or `None` when
+    /// the assignment satisfies them all.  Advances both cursors over what
+    /// they have passed.
     fn pick_branch(&mut self) -> Option<u32> {
-        while self.cursor + 1 < self.bounds.len() {
+        while let Some(&var) = self.first.get(self.first_cursor) {
+            if self.assign[var as usize] == OPEN {
+                return Some(var << 1 | 1);
+            }
+            self.first_cursor += 1;
+        }
+        while self.cursor < self.originals {
             let (start, end) = (self.bounds[self.cursor], self.bounds[self.cursor + 1]);
             let mut open: Option<u32> = None;
             let mut satisfied = false;
@@ -407,47 +477,119 @@ impl Search {
             }
             if !satisfied {
                 debug_assert!(open.is_some(), "propagation leaves no clause falsified");
-                return open;
+                return open.map(|var| var << 1 | 1);
             }
             self.cursor += 1;
         }
         None
     }
 
-    /// Extends the current assignment — propagated, without conflict — to
-    /// one satisfying every clause, by decisions on top of the levels
-    /// present.  `true` leaves the model on the trail (the caller reads it,
-    /// then backtracks); `false` leaves the levels present as they were.
-    pub(crate) fn search(&mut self) -> bool {
-        self.counters.solves += 1;
-        let base = self.frames.len();
-        while let Some(var) = self.pick_branch() {
-            self.counters.decisions += 1;
-            self.frames.push(Frame {
-                trail_len: self.trail.len(),
-                cursor: self.cursor,
-                flip: Some(var << 1),
-            });
-            self.enqueue(var << 1 | 1);
-            while !self.propagate() {
-                self.counters.conflicts += 1;
-                // the deepest decision with a value left takes it; the
-                // exhausted ones above it go
-                loop {
-                    if self.frames.len() == base {
-                        return false;
-                    }
-                    let mut frame = self.frames.pop().expect("deeper than base");
-                    self.undo(&frame);
-                    if let Some(second) = frame.flip.take() {
-                        self.frames.push(frame);
-                        self.enqueue(second);
-                        break;
-                    }
+    /// Resolves the clause `conflict` falsified back to its first unique
+    /// implication point at the current level, leaving the learned clause
+    /// in `learnt` — the negated point first, then a literal of the highest
+    /// level among the rest — and returns the level to jump back to: the
+    /// one where the clause becomes unit.
+    fn analyze(&mut self, conflict: u32) -> usize {
+        let current = self.frames.len() as u32;
+        self.learnt.clear();
+        self.learnt.push(NIL);
+        // literals of the current level seen but not yet resolved away
+        let mut pending = 0usize;
+        let mut clause = conflict as usize;
+        let mut pivot = NIL;
+        let mut index = self.trail.len();
+        loop {
+            let (start, end) = (
+                self.bounds[clause] as usize,
+                self.bounds[clause + 1] as usize,
+            );
+            for k in start..end {
+                let lit = self.lits[k];
+                let var = lit >> 1;
+                let v = var as usize;
+                if var == pivot || self.seen[v] || self.level[v] == 0 {
+                    continue;
+                }
+                self.seen[v] = true;
+                if self.level[v] == current {
+                    pending += 1;
+                } else {
+                    self.learnt.push(lit);
                 }
             }
+            // the latest literal on the trail the clause so far contains
+            index -= 1;
+            while !self.seen[(self.trail[index] >> 1) as usize] {
+                index -= 1;
+            }
+            let implied = self.trail[index];
+            pivot = implied >> 1;
+            self.seen[pivot as usize] = false;
+            pending -= 1;
+            if pending == 0 {
+                self.learnt[0] = implied ^ 1;
+                break;
+            }
+            clause = self.reason[pivot as usize] as usize;
         }
-        true
+        let mut deepest = 1;
+        for i in 1..self.learnt.len() {
+            let v = (self.learnt[i] >> 1) as usize;
+            self.seen[v] = false;
+            if self.level[v] > self.level[(self.learnt[deepest] >> 1) as usize] {
+                deepest = i;
+            }
+        }
+        if self.learnt.len() == 1 {
+            return 0;
+        }
+        self.learnt.swap(1, deepest);
+        self.level[(self.learnt[1] >> 1) as usize] as usize
+    }
+
+    /// Adds the clause [`Self::analyze`] left in `learnt` — after the
+    /// backjump, where it is unit — and asserts its first literal.
+    fn learn(&mut self) {
+        self.counters.learned_clauses += 1;
+        let asserting = self.learnt[0];
+        let reason = if self.learnt.len() == 1 {
+            NIL
+        } else {
+            self.lits.extend_from_slice(&self.learnt);
+            self.attach()
+        };
+        let consistent = self.enqueue(asserting, reason);
+        debug_assert!(consistent, "a learned clause is unit after its backjump");
+    }
+
+    /// Extends the root assignment — propagated, without conflict — to one
+    /// satisfying every clause.  `true` leaves the model on the trail (the
+    /// caller reads it, then backtracks to the root); `false` means there is
+    /// none, and the root is contradictory from then on.
+    pub(crate) fn search(&mut self) -> bool {
+        self.counters.solves += 1;
+        loop {
+            if let Some(conflict) = self.propagate() {
+                self.counters.conflicts += 1;
+                if self.frames.is_empty() {
+                    self.root_conflict = true;
+                    return false;
+                }
+                let depth = self.analyze(conflict);
+                self.backtrack(depth);
+                self.learn();
+            } else if let Some(lit) = self.pick_branch() {
+                self.counters.decisions += 1;
+                self.frames.push(Frame {
+                    trail_len: self.trail.len(),
+                    cursor: self.cursor,
+                    first_cursor: self.first_cursor,
+                });
+                self.enqueue(lit, NIL);
+            } else {
+                return true;
+            }
+        }
     }
 
     /// Adds a clause over distinct variables for good.  Only at the root,
@@ -471,14 +613,12 @@ impl Search {
             0 => false,
             1 => {
                 let unit = self.lits.pop().expect("one literal");
-                self.enqueue(unit) && self.propagate()
+                self.enqueue(unit, NIL);
+                self.root_conflict = self.propagate().is_some();
+                !self.root_conflict
             }
             _ => {
-                let clause = self.next.len() as u32;
-                self.bounds.push(self.lits.len() as u32);
-                self.next.push([NIL; 2]);
-                self.watch(clause, 0);
-                self.watch(clause, 1);
+                self.attach();
                 true
             }
         }

@@ -10,24 +10,26 @@
 //! * [`Lit`], [`Clause`], [`Cnf`] — CNF representation,
 //! * [`circuit::Bool`] — Boolean circuits (the shape produced by grounding),
 //! * [`tseitin`] — the Tseitin transformation from circuits to CNF,
-//! * [`Solver`] — a clause database and the DPLL search over it: one trail,
-//!   two watched literals per clause, assumptions ([`dpll`] lists what the
-//!   search state keeps true),
+//! * [`Solver`] — a clause database and the conflict-driven search over it:
+//!   one trail, two watched literals per clause, 1UIP clause learning,
+//!   backjumps, assumptions ([`dpll`] lists what the search state keeps
+//!   true),
 //! * [`minimal`] — enumeration of subset-minimal models projected onto a
 //!   chosen set of variables (the engine behind the two-stage minimisation of
-//!   the Winslett order), run as levels pushed on and popped off that one
-//!   trail,
+//!   the Winslett order): a search that decides those variables first, false
+//!   first, lands on a minimal model each time,
 //! * [`mod@metrics`] — counts of the work done (searches, decisions,
-//!   propagations, conflicts, minimal models) on the process-wide registry.
+//!   propagations, conflicts, learned clauses, minimal models) on the
+//!   process-wide registry.
 //!
 //! This loop *is* the paper's general case: every update outside the two
-//! polynomial fragments (Theorems 4.7 and 4.8) is answered here.  The search
-//! has no clause learning and no restarts — the grounded instances of
-//! realistic active domains are a few hundred clauses — but it does not
-//! re-read them: a step of the search costs the watch lists of the literals
-//! it falsifies, and a step of the enumeration costs the propagation it
-//! causes.  Two cheaper-looking searches were measured and rejected; [`dpll`]
-//! (branching order) and [`minimal`] (model-then-shrink) record the numbers.
+//! polynomial fragments (Theorems 4.7 and 4.8) is answered here.  A step of
+//! the search costs the watch lists of the literals it falsifies, a conflict
+//! costs the reasons it resolves, and each minimal model costs one search:
+//! there is no shrink loop.  The search has no restarts and no activity
+//! heuristics — the grounded instances of realistic active domains are a
+//! few hundred clauses — and [`dpll`] (branching order) and [`minimal`]
+//! (why minimised-first lands on minimal models) record what was measured.
 //! The solver also serves as the *independent baseline* for the Theorem 4.2
 //! experiment (3CNF satisfiability via a transformation expression versus
 //! direct DPLL).

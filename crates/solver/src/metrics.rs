@@ -15,8 +15,9 @@ use kbt_obs::{Counter, Registry};
 /// Handles onto the solver's series in [`Registry::global`].
 pub struct SolverMetrics {
     /// `kbt_solver_solves_total` — searches run: one per
-    /// [`crate::Solver::solve`], and inside an enumeration one per model
-    /// looked for and one per shrink candidate tested.
+    /// [`crate::Solver::solve`], and inside an enumeration one per minimal
+    /// model looked for: one per set found, and one that finds none unless
+    /// the last blocking clause already left nothing satisfiable.
     pub solves_total: Counter,
     /// `kbt_solver_decisions_total` — branching decisions taken.
     pub decisions_total: Counter,
@@ -25,6 +26,9 @@ pub struct SolverMetrics {
     pub propagations_total: Counter,
     /// `kbt_solver_conflicts_total` — propagations that falsified a clause.
     pub conflicts_total: Counter,
+    /// `kbt_solver_learned_clauses_total` — clauses learned from conflicts
+    /// (one per conflict above the root, unit ones included).
+    pub learned_clauses_total: Counter,
     /// `kbt_solver_minimal_models_total` — minimal sets returned by
     /// enumerations.
     pub minimal_models_total: Counter,
@@ -37,6 +41,7 @@ pub(crate) struct Counters {
     pub(crate) decisions: u64,
     pub(crate) propagations: u64,
     pub(crate) conflicts: u64,
+    pub(crate) learned_clauses: u64,
     pub(crate) minimal_models: u64,
 }
 
@@ -47,6 +52,7 @@ impl SolverMetrics {
         self.decisions_total.add(c.decisions);
         self.propagations_total.add(c.propagations);
         self.conflicts_total.add(c.conflicts);
+        self.learned_clauses_total.add(c.learned_clauses);
         self.minimal_models_total.add(c.minimal_models);
     }
 }
@@ -61,7 +67,7 @@ pub fn metrics() -> &'static SolverMetrics {
         for (name, help) in [
             (
                 "kbt_solver_solves_total",
-                "Searches run: satisfiability calls, models looked for and shrink candidates tested.",
+                "Searches run: satisfiability calls and minimal models looked for.",
             ),
             ("kbt_solver_decisions_total", "Branching decisions taken."),
             (
@@ -71,6 +77,10 @@ pub fn metrics() -> &'static SolverMetrics {
             (
                 "kbt_solver_conflicts_total",
                 "Propagations that falsified a clause.",
+            ),
+            (
+                "kbt_solver_learned_clauses_total",
+                "Clauses learned from conflicts.",
             ),
             (
                 "kbt_solver_minimal_models_total",
@@ -84,6 +94,7 @@ pub fn metrics() -> &'static SolverMetrics {
             decisions_total: r.counter("kbt_solver_decisions_total"),
             propagations_total: r.counter("kbt_solver_propagations_total"),
             conflicts_total: r.counter("kbt_solver_conflicts_total"),
+            learned_clauses_total: r.counter("kbt_solver_learned_clauses_total"),
             minimal_models_total: r.counter("kbt_solver_minimal_models_total"),
         }
     })

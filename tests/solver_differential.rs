@@ -11,10 +11,10 @@
 //! assumptions that contradict each other or name such variables; and every
 //! kind of `limit`.
 //!
-//! Two structured instances ride along because they fail by *timing out*
-//! on the two search orders the solver's docs reject: the pigeonhole
-//! principle, and Example 7's clique sentence whose remainder has that
-//! shape.
+//! Structured instances ride along because a search that stops learning,
+//! or branches in the wrong order, fails them by *timing out*: the
+//! pigeonhole principle — held to a recorded conflict count — and
+//! Example 7's clique sentence whose remainder has that shape.
 
 use std::collections::BTreeSet;
 
@@ -214,9 +214,9 @@ fn pigeonhole(pigeons: u32, holes: u32) -> Solver {
     solver
 }
 
-/// PHP(6, 5): six pigeons do not fit five holes.  Chronological DPLL in
-/// clause order refutes it in milliseconds; the same search in
-/// variable-index order does not come back.
+/// PHP(6, 5): six pigeons do not fit five holes.  The search refutes it in
+/// milliseconds; chronological DPLL in variable-index order does not come
+/// back.
 #[test]
 fn six_pigeons_do_not_fit_five_holes() {
     assert!(!pigeonhole(6, 5).is_satisfiable());
@@ -226,7 +226,7 @@ fn six_pigeons_do_not_fit_five_holes() {
 /// Example 7 on the triangle with a pendant vertex: cliques of two and
 /// three exist, of four not — and saying so means refuting a
 /// pigeonhole-shaped remainder, which a search that decides the minimised
-/// variables first cannot do in reasonable time.
+/// variables first cannot do in reasonable time without clause learning.
 #[test]
 fn example_7_finds_the_triangle_and_refutes_a_four_clique() {
     let edges = [(1, 2), (2, 3), (1, 3), (3, 4)];
@@ -234,4 +234,76 @@ fn example_7_finds_the_triangle_and_refutes_a_four_clique() {
     assert!(max_clique::has_clique_of_size(&t, &edges, 2).unwrap());
     assert!(max_clique::has_clique_of_size(&t, &edges, 3).unwrap());
     assert!(!max_clique::has_clique_of_size(&t, &edges, 4).unwrap());
+}
+
+/// Under random assumptions, the first set an enumeration returns is one
+/// the truth table calls ⊆-minimal: the search lands on a minimal model
+/// without shrinking it, and a limit of one stops it there.
+#[test]
+fn the_first_model_found_is_minimal_under_random_assumptions() {
+    let mut rng = StdRng::seed_from_u64(0x0F12_57A1);
+    for _ in 0..1_000 {
+        let instance = random_instance(&mut rng, 12);
+        let projection: Vec<BoolVar> = (0..instance.universe)
+            .filter(|_| rng.random_bool(0.6))
+            .map(BoolVar::new)
+            .collect();
+        let projection_mask = projection.iter().fold(0u32, |m, v| m | 1 << v.index());
+        let assumptions: Vec<Lit> = (0..rng.random_range(1..5u32))
+            .map(|_| random_lit(&mut rng, instance.universe))
+            .collect();
+        let expected = minimal_projections(&models(&instance, &assumptions), projection_mask);
+        let found = enumerate_minimal_models(&instance.solver, &projection, &assumptions, Some(1));
+        match found.as_slice() {
+            [] => assert!(
+                expected.is_empty(),
+                "nothing found, but {expected:?} are minimal"
+            ),
+            [first] => assert!(
+                expected.contains(first),
+                "{first:?} is not among {expected:?}"
+            ),
+            more => panic!("a limit of one returned {} sets", more.len()),
+        }
+    }
+}
+
+/// Conflicts the pigeonhole instances PHP(n + 1, n) took to refute when
+/// their bound was recorded, for n = 5, 6, 7.
+const PIGEONHOLE_CONFLICTS: [(u32, u64); 3] = [(5, 50), (6, 130), (7, 322)];
+
+/// (searches, conflicts) the solver has finished so far.
+fn finished_work() -> (u64, u64) {
+    let m = kbt::solver::metrics();
+    (m.solves_total.get(), m.conflicts_total.get())
+}
+
+/// PHP(n + 1, n) for n = 5..7 is refuted within the recorded number of
+/// conflicts — a count, so it repeats on any machine.  The counters are
+/// process-wide and a call adds to them when it returns, so a measurement
+/// is kept only when the one search it made is all that finished in its
+/// window (other tests of this binary may be running beside it).
+#[test]
+fn pigeonhole_refutations_stay_within_their_recorded_conflicts() {
+    for (holes, recorded) in PIGEONHOLE_CONFLICTS {
+        let solver = pigeonhole(holes + 1, holes);
+        let (attempt, conflicts) = (1..=1_000)
+            .find_map(|attempt| {
+                let before = finished_work();
+                assert!(!solver.is_satisfiable(), "PHP({}, {holes})", holes + 1);
+                let after = finished_work();
+                (after.0 - before.0 == 1).then_some((attempt, after.1 - before.1))
+            })
+            .expect("a window with no other search in it");
+        println!(
+            "PHP({}, {holes}): {conflicts} conflicts (measured on attempt {attempt})",
+            holes + 1
+        );
+        assert!(
+            conflicts <= recorded,
+            "PHP({}, {holes}) took {conflicts} conflicts; the bound is {recorded}",
+            holes + 1
+        );
+        assert!(pigeonhole(holes, holes).is_satisfiable());
+    }
 }
