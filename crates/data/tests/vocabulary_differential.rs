@@ -10,6 +10,16 @@
 //! while neither has **added** a name since the clone that related them
 //! (re-interning a known name copies nothing, and neither does a rejected
 //! arity conflict).
+//!
+//! A second property drives the same handles through *bursts* — hundreds
+//! to thousands of names at a time, fresh ones mixed with names the handle
+//! or another one already holds — so that every run crosses the
+//! vocabulary's chunk (1 024 names) and index-level (64 entries)
+//! boundaries many times over, with clones taken, held and dropped at
+//! random points between them.  Each step checks every handle at the
+//! boundaries, at its newest names and at a random sample; each run ends
+//! with a check of every name.  Its `#[ignore]`d long variant takes one
+//! handle past 100 000 names.
 
 use std::collections::BTreeMap;
 
@@ -169,5 +179,186 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One step of a burst script: `len` fresh names into handle `into`
+/// (every even step into handle 0, which is never dropped), together with
+/// `back` names from the `back_span` most recent ones any handle was given,
+/// then one other operation.
+#[derive(Clone, Debug)]
+struct BurstStep {
+    into: usize,
+    len: usize,
+    back: usize,
+    back_span: usize,
+    then: Op,
+}
+
+fn arb_bursts(
+    steps: std::ops::Range<usize>,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<BurstStep>> {
+    let step = (
+        0usize..64,
+        len,
+        0usize..200,
+        1usize..4000,
+        (0u8..9, 0usize..64, 0u8..8, 1usize..3),
+    );
+    proptest::collection::vec(step, steps).prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (into, len, back, back_span, code))| BurstStep {
+                into: if i % 2 == 0 { 0 } else { into },
+                len,
+                back,
+                back_span,
+                then: decode(code),
+            })
+            .collect()
+    })
+}
+
+/// The ids every check reads: both sides of every chunk and level boundary
+/// below 3 000, the newest names, and a few at random.
+fn probe_ids(count: usize, salt: usize) -> Vec<usize> {
+    let mut ids: Vec<usize> = [
+        0, 1, 63, 64, 65, 127, 128, 1023, 1024, 1025, 2047, 2048, 2049,
+    ]
+    .into_iter()
+    .chain((1..=3).map(|k| count.wrapping_sub(k)))
+    .chain((1..=5).map(|k| (salt.wrapping_mul(2_654_435_761) >> k) % count.max(1)))
+    .collect();
+    ids.retain(|&i| i < count);
+    ids
+}
+
+/// Agreement on the probed ids, counts, relations and one name past the end.
+fn assert_sampled(vocab: &Vocabulary, model: &Model, salt: usize) {
+    prop_assert_eq!(vocab.constant_count(), model.consts.len());
+    prop_assert_eq!(vocab.relation_count(), model.rels.len());
+    for i in probe_ids(model.consts.len(), salt) {
+        let (c, name) = (Const::new(i as u32), &model.consts[i]);
+        prop_assert_eq!(vocab.constant_name(c), Some(name.as_str()));
+        prop_assert_eq!(vocab.lookup_constant(name), Some(c));
+    }
+    let past = Const::new(model.consts.len() as u32);
+    prop_assert_eq!(vocab.constant_name(past), None);
+    for (i, (name, arity)) in model.rels.iter().enumerate() {
+        prop_assert_eq!(
+            vocab.lookup_relation(name),
+            Some((RelId::new(i as u32), *arity))
+        );
+    }
+}
+
+/// Runs a burst script; returns the most names one handle held.
+fn check_bursts(script: &[BurstStep]) -> usize {
+    let mut live: Vec<(Vocabulary, Model)> = vec![(Vocabulary::new(), Model::default())];
+    let (mut next_shared, mut frontier, mut most) = (1u32, 0usize, 0usize);
+    for (step_no, step) in script.iter().enumerate() {
+        let h = step.into % live.len();
+        let (vocab, model) = &mut live[h];
+        let recent = frontier.saturating_sub(step.back_span);
+        let again =
+            (0..step.back).map(|k| recent + (k * 7919 + step_no) % (frontier - recent).max(1));
+        let fresh = frontier..frontier + step.len;
+        let mut added = false;
+        for k in again.chain(fresh) {
+            let name = format!("n{k}");
+            let (expected, new) = model.constant(&name);
+            prop_assert_eq!(vocab.constant(&name), Const::new(expected));
+            added |= new;
+        }
+        if added {
+            model.shared = next_shared;
+            next_shared += 1;
+        }
+        frontier += step.len;
+        // the burst's own names, in the handle that took them
+        for k in frontier - step.len..frontier {
+            let name = format!("n{k}");
+            prop_assert_eq!(
+                vocab.lookup_constant(&name).map(|c| c.index()),
+                model.const_index.get(&name).copied()
+            );
+        }
+        match step.then.clone() {
+            Op::Constant(h, name) => {
+                let h = h % live.len();
+                let (vocab, model) = &mut live[h];
+                let (expected, new) = model.constant(&name);
+                prop_assert_eq!(vocab.constant(&name), Const::new(expected));
+                if new {
+                    model.shared = next_shared;
+                    next_shared += 1;
+                }
+            }
+            Op::Relation(h, name, arity) => {
+                let h = h % live.len();
+                let (vocab, model) = &mut live[h];
+                let expected = model.relation(&name, arity);
+                prop_assert_eq!(
+                    vocab.relation(&name, arity).ok(),
+                    expected.map(|(r, _)| RelId::new(r))
+                );
+                if let Some((_, true)) = expected {
+                    model.shared = next_shared;
+                    next_shared += 1;
+                }
+            }
+            Op::Clone(h) => {
+                let copy = live[h % live.len()].clone();
+                live.push(copy);
+            }
+            Op::Drop(h) => {
+                if live.len() > 1 {
+                    live.remove(1 + h % (live.len() - 1));
+                }
+            }
+        }
+        for (i, (vocab, model)) in live.iter().enumerate() {
+            assert_sampled(vocab, model, step_no * 31 + i);
+            // the burst's newest name is unknown to every handle whose
+            // model lacks it, whoever interned it
+            let newest = format!("n{}", frontier.saturating_sub(1));
+            prop_assert_eq!(
+                vocab.lookup_constant(&newest).is_some(),
+                model.const_index.contains_key(&newest)
+            );
+            most = most.max(model.consts.len());
+        }
+        for (a, model_a) in &live {
+            for (b, model_b) in &live {
+                prop_assert_eq!(a.shares_names(b), model_a.shared == model_b.shared);
+            }
+        }
+    }
+    for (vocab, model) in &live {
+        assert_agrees(vocab, model);
+    }
+    most
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    #[test]
+    fn bursts_across_chunks_and_levels_track_the_model(script in arb_bursts(2..14, 1..1600)) {
+        check_bursts(&script);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    #[test]
+    #[ignore = "a longer variant; CI runs it in release"]
+    fn bursts_across_chunks_and_levels_track_the_model_at_length(
+        script in arb_bursts(64..72, 3200..6400),
+    ) {
+        // 32 bursts of at least 3 200 fresh names go into handle 0 alone
+        prop_assert!(check_bursts(&script) >= 100_000);
     }
 }

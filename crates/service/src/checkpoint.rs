@@ -241,8 +241,13 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
 
     let mut vocab = Vocabulary::new();
     let n_constants = field(&expect("constants ")?)?;
-    for _ in 0..n_constants {
+    // a name listed twice would intern once and shift every later id, so
+    // each line must add exactly one name
+    for i in 0..n_constants {
         vocab.constant(&unescape_line(&expect("c ")?));
+        if vocab.constant_count() as u64 != i + 1 {
+            return Err(corrupt("duplicate constant name"));
+        }
     }
     let n_relations = field(&expect("relations ")?)?;
     for _ in 0..n_relations {
@@ -250,8 +255,12 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
         let (arity, name) = line
             .split_once(' ')
             .ok_or_else(|| corrupt("relation line needs arity and name"))?;
+        let name = unescape_line(name);
+        if vocab.lookup_relation(&name).is_some() {
+            return Err(corrupt("duplicate relation name"));
+        }
         vocab
-            .relation(&unescape_line(name), field(arity)? as usize)
+            .relation(&name, field(arity)? as usize)
             .map_err(|_| corrupt("conflicting relation arity"))?;
     }
 
@@ -506,5 +515,46 @@ mod tests {
         assert!(checkpoint_file_name(9) < checkpoint_file_name(10));
         assert_eq!(parse_file_name("checkpoint-000000000042.kbtc"), Some(42));
         assert_eq!(parse_file_name("wal.kbtl"), None);
+    }
+
+    /// A well-formed file, checksum included, around the given name lines.
+    fn file_with(constants: &[&str], relations: &[&str]) -> String {
+        let mut body =
+            String::from("kbt-checkpoint v1\nepoch 3\nstats 3 0 0\neval 0 0 0 0 0 0 0 0 0\n");
+        body.push_str(&format!("constants {}\n", constants.len()));
+        for name in constants {
+            body.push_str(&format!("c {name}\n"));
+        }
+        body.push_str(&format!("relations {}\n", relations.len()));
+        for name in relations {
+            body.push_str(&format!("r 1 {name}\n"));
+        }
+        body.push_str("transforms 0\nworlds 1\nworld 0\n");
+        let crc = crate::wal::crc32(body.as_bytes());
+        body + &format!("checksum {crc:08x}\n")
+    }
+
+    fn refusal(text: &str) -> String {
+        match parse("cp", text) {
+            Err(ServiceError::CheckpointCorrupt { detail, .. }) => detail,
+            other => panic!("expected CheckpointCorrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_names_are_refused() {
+        let ok = parse("cp", &file_with(&["a", "b"], &["p", "q"])).unwrap();
+        assert_eq!(ok.vocab.constant_count(), 2);
+        assert_eq!(ok.vocab.relation_count(), 2);
+        // at face value the second `a` would intern nothing and `b` would
+        // take id 1, where rows written against id 2 expect it
+        assert_eq!(
+            refusal(&file_with(&["a", "a", "b"], &["p"])),
+            "duplicate constant name"
+        );
+        assert_eq!(
+            refusal(&file_with(&["a"], &["p", "q", "p"])),
+            "duplicate relation name"
+        );
     }
 }

@@ -89,8 +89,10 @@
 //!
 //! The query is parsed against a clone of the snapshot's
 //! [`kbt_data::Vocabulary`], which is a handle on shared, immutable names:
-//! the clone is a reference-count bump, and the names are copied only if
-//! the query *interns* one (a fresh relation in a `tau[…]`, say).  That a
+//! the clone is a reference-count bump, and a query that *interns* a name
+//! (a fresh relation in a `tau[…]`, an unknown individual in a goal)
+//! copies only the open pieces it appends to, never the whole dictionary
+//! (`kbt_data::vocabulary`'s module docs).  That a
 //! read's names never reach the committed vocabulary — and a rejected
 //! write's neither — is the type's contract, not a defensive copy; a read
 //! that interns nothing costs nothing for it.  On the way out each fact is
@@ -341,6 +343,9 @@
 //! * `kbt_service_checkpoints_total` (counter): checkpoints written.
 //! * `kbt_service_recovery_replayed_total` (counter): WAL records
 //!   replayed during recovery.
+//! * `kbt_service_recovery_replay_ns` (histogram): time a durable open
+//!   spends replaying the WAL tail through the commit pipeline — the part
+//!   of recovery after the checkpoint is loaded.
 //! * `kbt_net_sessions_accepted_total` (counter): connections accepted.
 //! * `kbt_net_sessions_active` (gauge): sessions being served now.
 //! * `kbt_net_sessions_rejected_total` (counter): refused at capacity.
@@ -397,6 +402,10 @@
 //! * `kbt_data_rows_copied_total` (counter): stored rows written into
 //!   fresh base runs by delta folds and copy-on-write unsharing — a commit
 //!   that composes a few facts into a relation's delta copies none.
+//! * `kbt_data_names_copied_total` (counter): constant names written
+//!   into fresh vocabulary chunks and index levels, by copy-on-write
+//!   unsharing and by level merges — interning a name into a vocabulary of
+//!   *n* copies O(log n) amortised, not *n*.
 //! * `kbt_core_chain_diff_ns` (histogram): one `APPLY` chain step's diff
 //!   of its input against the previous step's.
 //! * `kbt_core_chain_assemble_ns` (histogram): one `APPLY` chain step's

@@ -80,6 +80,9 @@ pub struct ServiceMetrics {
     pub checkpoints_total: Counter,
     /// WAL records replayed during crash recovery.
     pub recovery_replayed_total: Counter,
+    /// Time [`crate::Service::open`] spends replaying the WAL tail (one
+    /// sample per open that found a log).
+    pub recovery_replay_ns: Histogram,
 }
 
 impl ServiceMetrics {
@@ -156,6 +159,10 @@ impl ServiceMetrics {
                 "WAL records replayed during crash recovery.",
             ),
             (
+                "kbt_service_recovery_replay_ns",
+                "Time spent replaying the WAL tail when a durable service opens.",
+            ),
+            (
                 "kbt_net_sessions_accepted_total",
                 "Connections accepted over the process lifetime.",
             ),
@@ -197,6 +204,7 @@ impl ServiceMetrics {
             group_commit_batch: registry.histogram("kbt_service_group_commit_batch"),
             checkpoints_total: registry.counter("kbt_service_checkpoints_total"),
             recovery_replayed_total: registry.counter("kbt_service_recovery_replayed_total"),
+            recovery_replay_ns: registry.histogram("kbt_service_recovery_replay_ns"),
             registry,
         }
     }

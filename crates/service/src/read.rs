@@ -207,10 +207,10 @@ impl Service {
         }
         let snap = self.snapshot();
         // parse against a handle of our own: a `Vocabulary` clone shares the
-        // committed names until this query interns one, and only then
-        // copies — query-local names cannot leak into (or wait on) the
-        // committed vocabulary, and a query that interns nothing copies
-        // nothing
+        // committed names until this query interns one, and then copies
+        // only the open chunk and index level it appends to — query-local
+        // names cannot leak into (or wait on) the committed vocabulary, and
+        // a query that interns nothing copies nothing
         let mut vocab = snap.vocab().clone();
         let query = parse_query(rest, &mut vocab)?;
         if evaluates {

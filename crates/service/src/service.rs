@@ -539,6 +539,7 @@ impl Service {
         // Replay the tail through the normal pipeline.  Durability is not
         // installed yet, so nothing re-appends to the log; each command
         // must commit exactly the epoch its record claims.
+        let replay = service.metrics.recovery_replay_ns.span();
         for record in &plan.tail {
             let response = service.execute(&record.command)?;
             let produced = commit_epoch(&response).ok_or_else(|| ServiceError::WalCorrupt {
@@ -556,6 +557,7 @@ impl Service {
             }
             service.metrics.recovery_replayed_total.inc();
         }
+        drop(replay);
         let wal = Wal::open(
             dur_config.data_dir.join(WAL_FILE),
             dur_config.fsync_policy.clone(),
@@ -845,8 +847,9 @@ impl Service {
             // interning is only adopted once the whole commit has
             // succeeded.  (A failed `ASSERT ghost(x)` must not make a
             // later `QUERY CERTAIN ghost` resolve.)  The isolation is the
-            // type's — the handle copies the names when this command
-            // first interns one, and not before.
+            // type's — the handle copies the open chunk and index level it
+            // appends to when this command first interns a name, and
+            // nothing before (`kbt_data::vocabulary`'s module docs).
             let mut vocab = w.vocab.as_ref().clone();
             match verb {
                 Verb::Assert => {
