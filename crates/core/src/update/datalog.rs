@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use kbt_data::{Const, Database, RelId, Relation, Schema, Tuple};
 use kbt_datalog::{
-    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, IncrementalEval, View,
+    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, EvalStats, IncrementalEval, View,
 };
 use kbt_logic::{horn_clauses, Sentence};
 
@@ -169,18 +169,14 @@ impl ChainSession {
         let lifted = db.extend_schema(&schema)?;
         let eval = IncrementalEval::with_threads(&program, &lifted, threads)?;
         let stats = eval.total_stats();
-        let session = ChainSession {
+        let mut session = ChainSession {
             phi: phi.clone(),
             phi_schema,
             base: db.clone(),
             threads,
             eval,
         };
-        let outcome = UpdateOutcome {
-            databases: vec![session.eval.current()],
-            candidate_atoms: 0,
-            fixpoint: Some(stats),
-        };
+        let outcome = session.outcome(db, stats);
         Ok((session, outcome))
     }
 
@@ -215,19 +211,23 @@ impl ChainSession {
             }
         };
         self.base = db.clone();
+        Ok(self.outcome(db, stats))
+    }
 
-        // Assemble the result the way the from-scratch path would have:
-        // the input database's relations verbatim (the engine mirrors them,
-        // but `db` already holds them materialised), plus the relations of
-        // σ(φ) absent from σ(db) — the fresh head relations at their
-        // maintained fixpoint and φ's body-only relations (empty).  This
-        // copies only the intensional output instead of the whole engine
-        // storage, and implicitly drops relations earlier chain inputs left
-        // behind in the engine.  The engine hands the intensional relations
-        // out as copy-on-write snapshots, so a step pays for the tuples its
-        // delta changed, not for re-collecting the whole (large) fixpoint
-        // relation.
-        let _assemble = metrics.chain_assemble_ns.span();
+    /// The outcome of a step over `db`, assembled the way the from-scratch
+    /// path would have: the input database's relations verbatim (the
+    /// engine mirrors them, but `db` already holds them materialised), plus
+    /// the relations of σ(φ) absent from σ(db) — the fresh head relations
+    /// at their maintained fixpoint and φ's body-only relations (empty).
+    /// This copies only the intensional output instead of the whole engine
+    /// storage, and implicitly drops relations earlier chain inputs left
+    /// behind in the engine.  The engine hands the intensional relations
+    /// out as copy-on-write snapshots and remembers them, so a step pays
+    /// for the tuples its delta changed, not for re-collecting the whole
+    /// (large) fixpoint relation — the first step included, whose snapshot
+    /// the next one merges into.
+    fn outcome(&mut self, db: &Database, stats: EvalStats) -> UpdateOutcome {
+        let _assemble = crate::metrics().chain_assemble_ns.span();
         let mut result = db.clone();
         for (rel, arity) in self.phi_schema.iter() {
             if result.relation(rel).is_none() {
@@ -238,11 +238,11 @@ impl ChainSession {
                 result.set_relation(rel, relation);
             }
         }
-        Ok(UpdateOutcome {
+        UpdateOutcome {
             databases: vec![result],
             candidate_atoms: 0,
             fixpoint: Some(stats),
-        })
+        }
     }
 }
 

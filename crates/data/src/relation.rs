@@ -780,15 +780,15 @@ impl Relation {
     }
 
     /// Applies a batch update: returns `(self \ dels) ∪ adds`.  Both `adds`
-    /// and `dels` must be sorted, deduplicated, arity-strided runs, and
-    /// they must be disjoint from each other; `adds ∩ self` and
-    /// `dels \ self` are tolerated (redundant adds and misses are skipped).
-    /// This is how the engine's indexed relations materialise, and how a
-    /// fact commit writes a relation.  The batch composes into the delta —
-    /// `O(delta + batch)` plus a gallop through the base per batch row, the
-    /// base shared and untouched — and a delta that passes the fold rule is
-    /// folded into a fresh base ([`Self::folded`]).  Outstanding
-    /// copy-on-write snapshots are never disturbed.
+    /// and `dels` must be sorted, deduplicated, arity-strided runs; a row
+    /// in both is kept (the adds apply after the dels), and `adds ∩ self`
+    /// and `dels \ self` are tolerated (redundant adds and misses are
+    /// skipped).  This is how a fact commit writes a relation.  The batch
+    /// composes into the delta — `O(delta + batch)` plus a gallop through
+    /// the base per batch row, the base shared and untouched — and a delta
+    /// that passes the fold rule is folded into a fresh base
+    /// ([`Self::folded`]).  Outstanding copy-on-write snapshots are never
+    /// disturbed.
     pub fn merge_rows(&self, adds: &[Const], dels: &[Const]) -> Result<Relation> {
         if self.arity == 0 {
             // adds/dels are disjoint runs of the empty row: at most one of
@@ -842,6 +842,17 @@ impl Relation {
             new_adds,
             new_dels,
         ))
+    }
+
+    /// [`Self::merge_rows`] with the adds handed over as an owned run: how
+    /// the engine's indexed relations materialise.  Over an empty base
+    /// there is nothing to merge into, so the adds become the run as they
+    /// are, verified as [`Self::from_sorted_rows`] verifies them.
+    pub fn merge_run(&self, adds: Vec<Const>, dels: &[Const]) -> Result<Relation> {
+        if self.arity > 0 && self.base.rows.is_empty() {
+            return Relation::from_sorted_rows(self.arity, adds);
+        }
+        self.merge_rows(&adds, dels)
     }
 
     /// Whether both relations hold the same base run under the same delta

@@ -14,54 +14,25 @@
 //! assert byte-identical fixpoints between the engine and both of them.
 
 use kbt_data::{Database, RelId};
-use kbt_engine::{EngineStats, View};
+use kbt_engine::View;
 
 use crate::ast::Program;
 use crate::lower::lower_strata;
 use crate::Result;
 
-/// Statistics reported by the evaluators (used by the benchmark harness and
-/// surfaced through `kbt-core`'s update outcomes).
+/// Statistics reported by the evaluators: the engine's own counters
+/// ([`kbt_engine::EngineStats`]), under the name `kbt-core`'s update
+/// outcomes and the benchmark harness use.
 ///
-/// Both the engine-backed evaluators and the reference oracle populate
+/// The engine-backed evaluators and the reference oracle populate
 /// `iterations`, `derived_facts`, `strata` and `tuples_scanned` the same
 /// way: iterations accumulate over every stratum (each stratum contributes
 /// at least its final empty round), derived facts count first-time
 /// insertions into intensional relations.  `index_probes` is only nonzero
-/// for the engine-backed paths — the reference oracle never probes an index.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of fixpoint iterations (across all strata).
-    pub iterations: usize,
-    /// Number of facts derived for intensional relations.
-    pub derived_facts: usize,
-    /// Number of strata evaluated.
-    pub strata: usize,
-    /// Number of hash-index probes (membership and negation checks
-    /// included); zero for the reference oracle.
-    pub index_probes: usize,
-    /// Number of candidate tuples inspected by scans and probe buckets.
-    pub tuples_scanned: usize,
-    /// Incremental only: facts of the previous fixpoint reused untouched by
-    /// a delta application (zero for from-scratch evaluations).
-    pub reused_facts: usize,
-    /// Incremental only: facts restored by DRed rederivation.
-    pub rederived_facts: usize,
-}
-
-impl From<EngineStats> for EvalStats {
-    fn from(s: EngineStats) -> Self {
-        EvalStats {
-            iterations: s.iterations,
-            derived_facts: s.derived_facts,
-            strata: s.strata,
-            index_probes: s.index_probes,
-            tuples_scanned: s.tuples_scanned,
-            reused_facts: s.reused_facts,
-            rederived_facts: s.rederived_facts,
-        }
-    }
-}
+/// for the engine-backed paths — the reference oracle never probes an
+/// index — and `reused_facts` / `rederived_facts` only for incremental
+/// deltas.
+pub use kbt_engine::EngineStats as EvalStats;
 
 /// Computes the least fixpoint of `program` over `edb` using delta-indexed
 /// semi-naive evaluation (only facts that are new in the previous round are
@@ -101,8 +72,7 @@ pub fn semi_naive_eval_viewed(
     keep: Option<&[RelId]>,
 ) -> Result<(Database, EvalStats)> {
     let lowered = lower_strata(program, view.as_ref().map(|v| v.namer))?;
-    let (db, stats) = kbt_engine::evaluate(&lowered, edb, threads, view, keep)?;
-    Ok((db, stats.into()))
+    Ok(kbt_engine::evaluate(&lowered, edb, threads, view, keep)?)
 }
 
 /// A persistent incremental evaluation of one Datalog program: the
@@ -145,7 +115,7 @@ impl IncrementalEval {
     /// Statistics of the initial from-scratch evaluation plus every delta
     /// applied since.
     pub fn total_stats(&self) -> EvalStats {
-        (*self.session.stats()).into()
+        *self.session.stats()
     }
 
     /// Applies one delta (deletions retracted before insertions are added)
@@ -158,7 +128,7 @@ impl IncrementalEval {
         insertions: &[(kbt_data::RelId, kbt_data::Tuple)],
         deletions: &[(kbt_data::RelId, kbt_data::Tuple)],
     ) -> Result<EvalStats> {
-        Ok(self.session.apply_delta(insertions, deletions)?.into())
+        Ok(self.session.apply_delta(insertions, deletions)?)
     }
 
     /// Inserts extensional facts and propagates them.

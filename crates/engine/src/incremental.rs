@@ -41,6 +41,11 @@
 //! Keeping a session sorted past its first delta measured ≈ 10 % slower
 //! on a stream of small deltas: the overdeletion and rederivation lookups
 //! then search levels instead of hashing.
+//! A snapshot that lands on a new run — a fold, or a head's first —
+//! re-seats its relation there (see [`crate::index`]), so the session's
+//! tables are the run's, found by the readers of the epoch it publishes;
+//! a re-seated tail that is not empty switches once more at the next
+//! delta.
 //!
 //! Deltas may only touch *extensional* relations; mutating a relation any
 //! stratum derives returns [`EngineError::IntensionalUpdate`] — intensional
@@ -368,11 +373,12 @@ impl IncrementalSession {
     }
 
     /// A snapshot of one maintained relation (see
-    /// [`IndexedRelation::snapshot`]): one merge of what the deltas since the
-    /// previous call changed — an `O(1)` `Arc` clone if nothing — and never
-    /// disturbed by later deltas.  The chain evaluator uses this to assemble
-    /// each step's output without re-collecting the (large) intensional
-    /// relations.
+    /// [`IndexedRelation::snapshot`]): one merge of what the deltas changed
+    /// since the relation was last re-seated, which the fold rule keeps
+    /// small — an `O(1)` `Arc` clone if nothing changed since the previous
+    /// call — and never disturbed by later deltas.  The chain evaluator
+    /// uses this to assemble each step's output without re-collecting the
+    /// (large) intensional relations.
     pub fn snapshot_relation(&mut self, rel: RelId) -> Option<kbt_data::Relation> {
         self.storage.snapshot_relation(rel)
     }

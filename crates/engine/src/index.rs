@@ -2,64 +2,65 @@
 //! indexes keyed by bound-column masks — the run's own first-column
 //! offsets where they serve, chained hash tables elsewhere.
 //!
-//! # Storage layout: a shared first segment and a private tail
+//! # Storage layout: a relation it sits on, plus what was written since
 //!
 //! A relation's slots are numbered `0..slot_count()`, and every row is one
-//! arity-strided `&[Const]` slice — no per-tuple allocation anywhere.  They
-//! come in two segments:
+//! arity-strided `&[Const]` slice — no per-tuple allocation anywhere.  An
+//! indexed relation always **sits on** a data-crate [`Relation`] — the one
+//! it was loaded from ([`IndexedRelation::from_relation`]) or last re-seated
+//! on — which is itself a shared base run plus a small sorted delta (see
+//! [`kbt_data::relation`]), and takes it apart along that line:
 //!
-//! * the **first segment**, slots `0..n`, is a stored sorted run — the
-//!   base run of the [`Relation`] the relation was loaded from
-//!   ([`IndexedRelation::from_relation`], [`Relation::base`]), held by
-//!   `Arc` and never copied.  A relation that starts empty has an empty
-//!   first segment;
-//! * the **tail**, slots `n..`, is a private `Vec<Const>` arena that every
-//!   write appends to: each [`IndexedRelation::append_run`] — one per
-//!   fixpoint round, see the commit contract in [`crate::eval`] — adds a
-//!   sorted, duplicate-free run that is disjoint from everything live, and
-//!   a single-row [`IndexedRelation::insert_row`] adds a run of one.
+//! * the **first segment**, slots `0..n`, is that relation's base run
+//!   ([`Relation::base`]), held by `Arc` and never copied.  A relation that
+//!   starts empty has an empty first segment;
+//! * the **tail**, slots `n..`, is a private `Vec<Const>` arena: the
+//!   delta's adds as its first run, then every write since, appended —
+//!   each [`IndexedRelation::append_run`] (one per fixpoint round, see the
+//!   commit contract in [`crate::eval`]) adds a sorted, duplicate-free run
+//!   that is disjoint from everything live, and a single-row
+//!   [`IndexedRelation::insert_row`] adds a run of one;
+//! * the **tombstones** are the delta's dels, found in the first segment by
+//!   binary search, plus every removal since, in either segment.
 //!
-//! A stored relation is a base run plus a small sorted delta (see
-//! [`kbt_data::relation`]), and a load takes it apart along the same
-//! line: the base is the first segment, the delta's adds are the tail's
-//! first run, and the delta's dels are tombstones in the first segment,
-//! found by binary search.  So a load costs two reference counts and
-//! `O(delta)`, and a commit that changed a few rows of a relation leaves
-//! the next read the very first segment — with the indexes cached on it —
-//! that the previous read had.
+//! So a load costs two reference counts and `O(delta)`, and a commit that
+//! changed a few rows of a relation leaves the next read the very first
+//! segment — with the indexes cached on it — that the previous read had.
+//! Tombstones are a private bitset, allocated by the first removal (or by
+//! a load whose delta deletes), so a load never pays for liveness it does
+//! not use, and every slot past its end is live.
 //!
-//! Removal only tombstones a slot, in either segment.  Tombstones are
-//! private: a bitset allocated by the first removal (or by a load whose
-//! delta deletes), so a load never pays for liveness it does not use, and
-//! every slot past its end is live.
+//! # Contents: one merge into the first segment
 //!
-//! # Contents: a base relation plus what the relation records since
+//! The relation knows its contents in canonical order exactly one way.
+//! While nothing has been written since it was seated or handed out, they
+//! are the relation it keeps for that: a relation that was loaded and
+//! never written comes back as the very relation it was loaded from.
+//! Otherwise materialising ([`IndexedRelation::to_relation`]) is one
+//! [`Relation::merge_run`] into the first segment: the additions are the
+//! live rows of the tail's runs, k-way merged into one sorted run, and the
+//! deletions are the dead first-segment slots, read off the tombstones in
+//! slot order — which is row order — so neither is sorted again.  A
+//! segment row that died and was appended again is in both, and the merge
+//! keeps it.  The merge composes a delta over the same base run — the run
+//! a read loads as its first segment, indexes and all — until the delta
+//! passes the data crate's fold rule (more than 1/64 of the base) and the
+//! merge writes a fresh run; over an empty first segment the additions
+//! become the run as they are.
 //!
-//! The relation knows its contents in canonical order exactly one way.  It
-//! keeps the last [`Relation`] it handed out or was loaded from — the
-//! **base** — and a watermark: the base holds exactly the rows that were
-//! live in the slots below the watermark when it was taken.  Since then
-//! the relation itself has recorded everything that changed: where each
-//! appended run ends, and the ids below the watermark that were
-//! tombstoned.  Materialising ([`IndexedRelation::to_relation`]) k-way
-//! merges the live rows of the runs above the watermark into one sorted
-//! run of additions, sorts the rows that died below it (less those that
-//! were appended again) into one of deletions, and applies both to the
-//! base with [`Relation::merge_rows`] — or, while the base is empty, hands
-//! the merged run to the verifying [`Relation::from_sorted_rows`] as it
-//! is.  The base is itself a base run plus a delta, so that merge composes
-//! what changed into the delta in `O(delta)` and hands out a relation over
-//! the same base run — the run a read loads as its first segment, indexes
-//! and all — until the delta passes the data crate's fold rule and one
-//! merge writes a fresh run.  With nothing recorded the merge returns the
-//! base itself, so a relation that was loaded and never written comes back
-//! as the very relation it was loaded from.
-//! [`IndexedRelation::snapshot`] is the same materialisation followed by
-//! moving base and watermark up to it, so the next one pays only for what
-//! changes in between — one `Arc` clone if nothing does; compaction
-//! (which renumbers the slots, and therefore materialises first) moves
-//! them too.  Outstanding snapshots are never disturbed: every merge
-//! builds a fresh delta or a fresh run.
+//! **Re-seating.**  [`IndexedRelation::snapshot`] is the same
+//! materialisation, remembered until the next write; when it landed on a
+//! new base run — a fold, or the first snapshot of a relation derived from
+//! scratch — the relation **re-seats** on it: the first segment becomes
+//! the new run, its delta the tail and the tombstones, and each demanded
+//! table is fetched from the new run, built there by the first holder that
+//! asks.  So an incremental session and the readers of the epochs it
+//! publishes probe one index per run and mask, and a session's tail stays
+//! bounded: at each snapshot its live rows are a delta within the fold
+//! rule, and its dead ones are fewer than half the slots, or the relation
+//! compacts.  A load, a re-seat and a compaction are one code path.
+//! Outstanding snapshots are never disturbed: every merge builds a fresh
+//! delta or a fresh run.
 //!
 //! A materialisation whose length differs from the live count is never
 //! served.  The comparison is `O(1)` and runs in every build; on a mismatch
@@ -131,10 +132,8 @@
 //! run whose first column is sparse, full-row membership at arity ≥ 3 and
 //! every index on a tail keep chained tables.  Offsets are cached on the
 //! run like any of its tables (one cache entry serves every mask they
-//! answer), counted in `kbt_engine_index_builds_total` and
-//! `kbt_engine_shared_index_bytes` alike, and dropped with the first
-//! segment by compaction, which leaves the relation with no first
-//! segment to index.
+//! answer), and counted in `kbt_engine_index_builds_total` and
+//! `kbt_engine_shared_index_bytes` alike.
 //!
 //! The *membership table* is the same thing for the full row: full-row key
 //! → id, the first segment's cached on its run like any index (it *is* the
@@ -191,10 +190,13 @@
 //! whole table demanded first — the first segment's and a chained tail —
 //! so it is complete or absent, never partial.
 //!
-//! Once more than half the slots are dead the relation compacts itself: the
-//! live rows of both segments move, in slot order, into a fresh private
-//! tail (the first segment is dropped, the only time stored rows are ever
-//! copied), and the tail's tables are rebuilt without garbage.
+//! Once more than half the slots are dead the relation compacts itself: it
+//! re-seats on its own contents, so the dead slots go and the live ones
+//! are renumbered — the first segment's rows in order, then the delta's.
+//! A first segment the contents still lie on keeps its tables, and
+//! contents that fold are a fresh run the data crate writes (and counts
+//! in its `kbt_data_rows_copied_total`); the engine itself never copies a
+//! stored row.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -723,8 +725,9 @@ fn is_live_in(dead: &[u64], id: u32) -> bool {
 #[derive(Clone, Debug)]
 pub struct IndexedRelation {
     arity: usize,
-    /// The first segment: slot `i < seg.len()` is `seg.row(i)`.  Always
-    /// empty at arity 0, whose slots all live in the tail.
+    /// The first segment: slot `i < seg.len()` is `seg.row(i)` — the base
+    /// run of the relation last seated.  Always empty at arity 0, whose
+    /// slots all live in the tail.
     seg: Relation,
     /// The tail arena: slot `seg.len() + i` occupies
     /// `tail[i*arity..][..arity]` (always empty for arity 0).
@@ -745,73 +748,84 @@ pub struct IndexedRelation {
     tail_ids: TailMembership,
     /// One index per demanded mask.
     indexes: Vec<Index>,
-    /// The last canonical run handed out (or loaded): exactly the rows that
-    /// were live in slots `..base_slots` when it was taken.
-    base: Relation,
-    /// The watermark `base` covers the slots up to.
-    base_slots: u32,
-    /// Ids below the watermark tombstoned since `base` was taken.
-    died: Vec<u32>,
-    /// The end slot of every sorted run appended since `base` was taken —
-    /// the first starts at the watermark, a single-row insert is a run of
-    /// one, and rows in them may have been tombstoned again.
-    runs: Vec<u32>,
+    /// The slots of every sorted run in the tail that may still hold a
+    /// live row — a single-row insert is a run of one, and rows in them
+    /// may have been tombstoned again.
+    runs: Vec<Range<u32>>,
+    /// The relation last seated on or handed out, while nothing has been
+    /// written since.
+    current: Option<Relation>,
 }
 
 impl IndexedRelation {
     /// An empty indexed relation of the given arity.
     pub fn new(arity: usize) -> Self {
-        IndexedRelation::over(Relation::empty(arity), SegMembership::Ready(None))
+        IndexedRelation::from_relation(&Relation::empty(arity))
     }
 
-    /// Wraps a stored relation — a load: the relation's base run becomes
-    /// the first segment (an `Arc` clone, nothing copied), its delta's
-    /// adds the tail and its dels tombstones in the segment, and the
-    /// relation itself the base covering all of it; nothing is hashed.
-    /// Until the first mutation the segment answers membership by binary
-    /// search, and [`Self::to_relation`] hands the relation back.  A flag
-    /// relation has no rows to share, so its slot goes in the tail.
+    /// Wraps a stored relation — a load, seated as a snapshot re-seats (see
+    /// the module docs): the relation's base run becomes the first segment
+    /// (an `Arc` clone, nothing copied), its delta's adds the tail and its
+    /// dels tombstones in the segment; nothing is hashed.  Until the first
+    /// write the segment answers membership by binary search, and
+    /// [`Self::to_relation`] hands the relation back.
     pub fn from_relation(relation: &Relation) -> Self {
-        if relation.arity() > 0 {
-            let mut loaded = IndexedRelation::over(relation.base(), SegMembership::Deferred);
-            let (adds, dels) = relation.delta();
-            loaded.append_rows(adds, adds.len() / relation.arity());
-            for row in dels.chunks_exact(relation.arity()) {
-                let id = (loaded.seg.position(row)).expect("a delta deletes rows of its base");
-                loaded.tombstone(id as u32);
-            }
-            loaded.rebase(relation.clone());
-            return loaded;
-        }
-        let mut flag = IndexedRelation::new(0);
-        if !relation.is_empty() {
-            flag.chains_mut().push(fx::row_key(&[]), 0);
-            flag.slots = 1;
-            flag.live_count = 1;
-            flag.rebase(relation.clone());
-        }
-        flag
+        IndexedRelation::seated(relation.clone(), Vec::new(), false)
     }
 
-    /// `seg` as the first segment and the base, with nothing in the tail.
-    fn over(seg: Relation, seg_ids: SegMembership) -> Self {
-        let slots = seg.len() as u32;
-        IndexedRelation {
-            arity: seg.arity(),
+    /// Re-seats the relation on `relation`, which holds exactly its live
+    /// rows (see the module docs), keeping what it demanded.
+    fn seat(&mut self, relation: Relation) {
+        let indexes = std::mem::take(&mut self.indexes);
+        *self = IndexedRelation::seated(relation, indexes, self.has_membership());
+    }
+
+    /// `relation` taken apart (see the module docs): its base run the
+    /// first segment, its delta the tail and the tombstones, and the
+    /// segment tables of `indexes` — and of the full row if `membership`,
+    /// deferred otherwise — fetched from the run.  A flag relation has no
+    /// rows to share, so its slot goes in the tail.
+    fn seated(relation: Relation, indexes: Vec<Index>, membership: bool) -> Self {
+        let arity = relation.arity();
+        let seg = if arity > 0 {
+            relation.base()
+        } else {
+            Relation::empty(0)
+        };
+        let mut seated = IndexedRelation {
+            arity,
             tail: Vec::new(),
-            slots,
+            slots: seg.len() as u32,
             dead_bits: Vec::new(),
             dead: 0,
             live_count: seg.len(),
-            seg_ids,
-            tail_ids: TailMembership::for_arity(seg.arity()),
-            indexes: Vec::new(),
-            base: seg.clone(),
-            base_slots: slots,
-            died: Vec::new(),
+            seg_ids: if membership {
+                SegMembership::Ready(RunIndex::of(&seg, full_mask(arity)))
+            } else {
+                SegMembership::Deferred
+            },
+            tail_ids: TailMembership::for_arity(arity),
+            indexes: (indexes.into_iter())
+                .map(|Index { mask, .. }| Index {
+                    mask,
+                    seg: RunIndex::of(&seg, mask),
+                    tail: Chains::default(),
+                })
+                .collect(),
             runs: Vec::new(),
+            current: None,
             seg,
+        };
+        // (a flag's delta is empty)
+        let (adds, dels) = relation.delta();
+        for row in dels.chunks_exact(arity.max(1)) {
+            let id = (seated.seg.position(row)).expect("a delta deletes rows of its base");
+            seated.tombstone(id as u32);
         }
+        // what is left are the adds (or a flag's row, which has none)
+        seated.append_rows(adds, relation.len() - seated.live_count);
+        seated.current = Some(relation);
+        seated
     }
 
     /// The arity of the relation.
@@ -969,7 +983,8 @@ impl IndexedRelation {
         for index in &mut self.indexes {
             index.tail.push(mask_key(row, index.mask), local);
         }
-        self.runs.push(self.slots);
+        self.runs.push(self.slots - 1..self.slots);
+        self.current = None;
         true
     }
 
@@ -1017,6 +1032,7 @@ impl IndexedRelation {
             }
         }
         self.tail.extend_from_slice(rows);
+        self.runs.push(self.slots..self.slots + len as u32);
         self.slots += len as u32;
         self.live_count += len;
         for index in &mut self.indexes {
@@ -1025,7 +1041,7 @@ impl IndexedRelation {
                 index.tail.push(mask_key(row, index.mask), local);
             }
         }
-        self.runs.push(self.slots);
+        self.current = None;
     }
 
     /// Removes a tuple, returning `true` if it was present.
@@ -1056,7 +1072,7 @@ impl IndexedRelation {
         true
     }
 
-    /// Marks the live slot `id` dead, recording it if the base holds it.
+    /// Marks the live slot `id` dead.
     fn tombstone(&mut self, id: u32) {
         let word = id as usize / 64;
         if self.dead_bits.len() <= word {
@@ -1065,55 +1081,21 @@ impl IndexedRelation {
         self.dead_bits[word] |= 1 << (id % 64);
         self.dead += 1;
         self.live_count -= 1;
-        if id < self.base_slots {
-            self.died.push(id);
-        }
+        self.current = None;
     }
 
-    /// Makes `contents` — the live rows in canonical order — the base,
-    /// covering every slot there is.
-    fn rebase(&mut self, contents: Relation) {
-        self.base = contents;
-        self.base_slots = self.slots;
-        self.died.clear();
-        self.runs.clear();
-    }
-
-    /// Moves the live rows of both segments, in slot order, into a fresh
-    /// tail and rebuilds its tables (so scan order is unchanged).  Slots
-    /// are renumbered, so what was recorded against the old numbers is
-    /// folded into a new base first.
+    /// Re-seats the relation on its own contents (see the module docs):
+    /// slots are renumbered, the dead ones dropped, and a first segment
+    /// the contents still lie on keeps its tables.
     fn compact(&mut self) {
         let contents = self.materialise();
-        let mut tail = Vec::with_capacity(self.live_count * self.arity);
-        for row in self.iter() {
-            tail.extend_from_slice(row);
-        }
-        let copied = (0..self.seg_slots()).filter(|&id| self.is_live(id)).count();
-        if copied > 0 {
-            metrics().rows_copied_total.add(copied as u64);
-        }
-        self.seg = Relation::empty(self.arity);
-        self.tail = tail;
-        self.slots = self.live_count as u32;
-        self.dead_bits.clear();
-        self.dead = 0;
-        self.seg_ids = SegMembership::Ready(None);
-        self.tail_ids = TailMembership::Chains(self.tail_chains(full_mask(self.arity)));
-        self.indexes = (self.indexes.iter())
-            .map(|&Index { mask, .. }| Index {
-                mask,
-                seg: None,
-                tail: self.tail_chains(mask),
-            })
-            .collect();
-        self.rebase(contents);
+        self.seat(contents);
     }
 
     /// A table of `mask` over the live tail rows — one build, counted as
     /// such unless the tail is empty.  The full mask reserves a key per
-    /// slot: live rows are distinct, and the tails it is built over — a
-    /// sorted one switching, a compacted one — hold no tombstone.
+    /// slot: live rows are distinct, and the tail it is built over — a
+    /// sorted one switching — holds no tombstone.
     fn tail_chains(&self, mask: Mask) -> Chains {
         let (seg_slots, tail_slots) = (self.seg_slots(), self.slots - self.seg_slots());
         let mut chains = Chains::default();
@@ -1316,23 +1298,21 @@ impl IndexedRelation {
         self.dead
     }
 
-    /// The live rows of the runs appended since the base was taken, merged
-    /// into one sorted, arity-strided buffer (live rows are distinct, so it
-    /// is duplicate-free).
-    fn merged_tail(&self) -> Vec<Const> {
+    /// The `len` live rows of the tail's runs, merged into one sorted,
+    /// arity-strided buffer (live rows are distinct, so it is
+    /// duplicate-free).
+    fn merged_tail(&self, len: usize) -> Vec<Const> {
         let next_live = |slot: u32, end: u32| (slot..end).find(|&s| self.is_live(s));
         // (next live slot, end slot) per run that has a live row left
-        let mut cursors: Vec<(u32, u32)> = std::iter::once(self.base_slots)
-            .chain(self.runs.iter().copied())
-            .zip(self.runs.iter().copied())
-            .filter_map(|(start, end)| Some((next_live(start, end)?, end)))
+        let mut cursors: Vec<(u32, u32)> = (self.runs.iter())
+            .filter_map(|run| Some((next_live(run.start, run.end)?, run.end)))
             .collect();
         let mut heap: BinaryHeap<Reverse<(&[Const], usize)>> = cursors
             .iter()
             .enumerate()
             .map(|(run, &(next, _))| Reverse((self.row(next), run)))
             .collect();
-        let mut merged = Vec::with_capacity((self.slots - self.base_slots) as usize * self.arity);
+        let mut merged = Vec::with_capacity(len * self.arity);
         while let Some(mut top) = heap.peek_mut() {
             let Reverse((row, run)) = *top;
             merged.extend_from_slice(row);
@@ -1350,36 +1330,47 @@ impl IndexedRelation {
         merged
     }
 
+    /// The tombstoned first-segment slots, in slot order — which is row
+    /// order, the segment being a sorted run.
+    fn seg_dead(&self) -> impl Iterator<Item = u32> + '_ {
+        let seg_slots = self.seg_slots();
+        (0u32..)
+            .zip(&self.dead_bits)
+            .take(seg_slots.div_ceil(64) as usize)
+            .filter(|&(_, &bits)| bits != 0)
+            .flat_map(|(word, &bits)| {
+                (0..64)
+                    .filter(move |bit| bits >> bit & 1 != 0)
+                    .map(move |bit| word * 64 + bit)
+            })
+            .take_while(move |&id| id < seg_slots)
+    }
+
     /// The one way the relation becomes a [`Relation`] (see the module
-    /// docs): the base with everything recorded since applied in one merge.
-    /// A base row that died and was appended again is live, so it is not
-    /// among the deletions, and [`Relation::merge_rows`] skips it among the
-    /// additions as already there.
+    /// docs): the relation last seated on or handed out while nothing was
+    /// written since, and otherwise the first segment with the tail's
+    /// live rows added and its own dead rows deleted, in one merge.
     fn materialise(&self) -> Relation {
+        if let Some(current) = &self.current {
+            return current.clone();
+        }
         if self.arity == 0 {
             return Relation::from_rows(0, Vec::new(), self.live_count).expect("flag relation");
         }
         let arity = self.arity;
-        let adds = self.merged_tail();
-        let mut died: Vec<u32> = (self.died.iter().copied())
-            .filter(|&id| !self.contains_row(self.row(id)))
+        let dels: Vec<Const> = (self.seg_dead())
+            .flat_map(|id| self.row(id))
+            .copied()
             .collect();
-        died.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
-        let dels: Vec<Const> = died.iter().flat_map(|&id| self.row(id)).copied().collect();
-        let contents = if self.base.is_empty() && !adds.is_empty() {
-            // nothing to merge into (and so nothing died): the verifying
-            // constructor takes the run as it is
-            Relation::from_sorted_rows(arity, adds)
-                .expect("every appended run is sorted and disjoint from the live rows before it")
-        } else {
-            self.base
-                .merge_rows(&adds, &dels)
-                .expect("the rows are arity-strided by construction")
-        };
+        let tail_live = self.live_count + dels.len() / arity - self.seg.len();
+        let contents = self
+            .seg
+            .merge_run(self.merged_tail(tail_live), &dels)
+            .expect("every tail run is sorted and disjoint from the live rows before it");
         debug_assert_eq!(
             contents.len(),
             self.live_count,
-            "the base and what was recorded since do not add up to the live rows"
+            "the first segment and the tail do not add up to the live rows"
         );
         if contents.len() == self.live_count {
             return contents;
@@ -1396,20 +1387,32 @@ impl IndexedRelation {
 
     /// The live contents as a plain relation, in canonical order: `O(1)`
     /// when nothing was written since the load or the last
-    /// [`Self::snapshot`], otherwise one merge of what was (see the module
-    /// docs).  (Callers holding `&mut self` and coming back for more should
-    /// prefer [`Self::snapshot`], which remembers the result.)
+    /// [`Self::snapshot`], otherwise one merge of the tail and the first
+    /// segment's tombstones into it (see the module docs).  (Callers
+    /// holding `&mut self` and coming back for more should prefer
+    /// [`Self::snapshot`], which remembers the result.)
     pub fn to_relation(&self) -> Relation {
         self.materialise()
     }
 
-    /// [`Self::to_relation`], remembered: the result becomes the base, so
-    /// the next materialisation merges only the mutations in between — and
-    /// costs one `Arc` clone when there were none.  The snapshot handed out
-    /// is never disturbed by later mutations.
+    /// [`Self::to_relation`], remembered until the next write — and, when
+    /// the merge landed on a new base run (a fold, or the first snapshot
+    /// of a relation derived from scratch), re-seated on: the first
+    /// segment becomes that run, with the tables the relation demanded
+    /// fetched from it, so the relation and every reader of the snapshot
+    /// share them, and the tail shrinks to the snapshot's delta.  The
+    /// snapshot handed out is never disturbed by later mutations.
     pub fn snapshot(&mut self) -> Relation {
         let contents = self.materialise();
-        self.rebase(contents.clone());
+        if contents.base().shares_rows(&self.seg) {
+            self.current = Some(contents.clone());
+            // the next merge walks only runs that add something
+            let dead = &self.dead_bits;
+            self.runs
+                .retain(|run| run.clone().any(|slot| is_live_in(dead, slot)));
+        } else {
+            self.seat(contents.clone());
+        }
         contents
     }
 }
@@ -1695,7 +1698,7 @@ mod tests {
     }
 
     #[test]
-    fn a_compaction_between_two_snapshots_rebases() {
+    fn a_compaction_between_two_snapshots_reseats() {
         let mut r = sample();
         r.ensure_index(0b01);
         let before = r.snapshot();
@@ -1706,7 +1709,7 @@ mod tests {
         r.remove(&tuple![1, 3]); // 3 dead of 4 slots → compaction
         assert_eq!(r.tombstone_count(), 0);
         assert_eq!(r.slot_count(), 1);
-        // the renumbered arena keeps recording against the new base
+        // the re-seated relation goes on taking writes
         r.insert(tuple![0, 1]);
         r.remove(&tuple![2, 3]);
         r.insert(tuple![2, 3]);
@@ -1737,26 +1740,26 @@ mod tests {
         assert!(!r.contains(&Tuple::empty()));
     }
 
-    /// Both halves of the safety contract in one test: a base that does not
-    /// add up to the arena is never served.  Under `cargo test` the
-    /// assertion fires (a fast path that silently always fell back would
-    /// fail the suite, not slow it down); under `cargo test --release` the
-    /// contents are rebuilt from the arena's live rows.
+    /// Both halves of the safety contract in one test: a merge that does
+    /// not add up to the live rows is never served.  Under `cargo test`
+    /// the assertion fires (a fast path that silently always fell back
+    /// would fail the suite, not slow it down); under `cargo test
+    /// --release` the contents are rebuilt from the arena's live rows.
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "do not add up"))]
-    fn a_corrupted_base_is_rebuilt_not_served() {
+    fn a_corrupted_tail_is_rebuilt_not_served() {
         let mut r = sample();
         let _ = r.snapshot();
-        // drop one base row behind the arena's back
-        let victim = r.base.row(0).to_vec();
-        r.base.remove_row(&victim);
+        r.insert(tuple![7, 7]);
+        // lose the tail's run boundaries behind the arena's back
+        r.runs.clear();
         let expected = Relation::from_tuples(r.arity(), r.tuples()).unwrap();
         assert_eq!(r.to_relation(), expected, "never serve the mismatch");
         assert_eq!(r.snapshot(), expected);
-        // and the rebuilt base is merged into again from here on
-        r.insert(tuple![7, 7]);
+        // and the rebuilt relation is merged into again from here on
+        r.insert(tuple![8, 8]);
         r.remove(&tuple![2, 3]);
-        assert_eq!(r.snapshot(), run2(&[(1, 2), (1, 3), (7, 7)]));
+        assert_eq!(r.snapshot(), run2(&[(1, 2), (1, 3), (7, 7), (8, 8)]));
     }
 
     proptest::proptest! {
@@ -1850,9 +1853,19 @@ mod tests {
                         "one array serves both"
                     );
                 }
+                // a compaction re-seats on the same run: its tables stay
+                let tables: Vec<Option<Arc<RunIndex>>> = (r.indexes.iter())
+                    .map(|index| index.seg.clone())
+                    .chain([member.clone()])
+                    .collect();
                 r.compact();
-                assert!(r.indexes.iter().all(|index| index.seg.is_none()));
-                assert!(matches!(r.seg_ids, SegMembership::Ready(None)));
+                let SegMembership::Ready(member) = &r.seg_ids else {
+                    panic!("membership was demanded");
+                };
+                let seated = (r.indexes.iter().map(|index| &index.seg)).chain([member]);
+                for (table, before) in seated.zip(tables) {
+                    assert!(Arc::ptr_eq(table.as_ref().unwrap(), &before.unwrap()));
+                }
             }
         }
     }
@@ -1926,9 +1939,12 @@ mod tests {
                         model.retain(|(_, live)| *live);
                     }
                 }
-                if r.slot_count() as usize != model.len() {
-                    // a removal compacted: the live slots, renumbered in order
+                if r.slot_count() as usize != model.len() || op >= 10 {
+                    // a compaction re-seated the relation on its contents,
+                    // which fold into one sorted run at this size: the live
+                    // rows, renumbered in row order
                     model.retain(|(_, live)| *live);
+                    model.sort();
                 }
                 proptest::prop_assert_eq!(r.slot_count() as usize, model.len());
                 let expected = |mask: Mask, key: &[Const]| -> Vec<u32> {
@@ -1964,7 +1980,8 @@ mod tests {
         /// Sorted membership against a `BTreeSet` model: random sorted runs
         /// appended at arity 1 and 2 over an empty or a stored first
         /// segment, single-row writes, removals and explicit demands that
-        /// switch the tail to its chained table, and compaction.
+        /// switch the tail to its chained table, and compactions and
+        /// snapshots, whose re-seat leaves it sorted again.
         /// After every step, `contains_row` and three cursors — one walking
         /// the domain in ascending order, then descending, then in a random
         /// order, and a fresh one in that random order — answer every row
@@ -2010,9 +2027,10 @@ mod tests {
                         sorted &= !added;
                     }
                     7 => {
-                        let removed = model.remove(&row);
+                        let (removed, slots) = (model.remove(&row), r.slot_count());
                         proptest::prop_assert_eq!(r.remove_row(&row), removed);
-                        sorted &= !removed;
+                        // a removal that compacted re-seated the relation
+                        sorted = r.slot_count() < slots || (sorted && !removed);
                     }
                     8 => {
                         r.ensure_membership();
@@ -2020,10 +2038,13 @@ mod tests {
                     }
                     9 | 10 => {
                         r.compact();
-                        sorted = false;
+                        sorted = true;
                     }
                     _ => {
+                        // a snapshot that landed on a new run re-seated
+                        let seg = r.seg.clone();
                         let _ = r.snapshot();
+                        sorted |= !r.seg.shares_rows(&seg);
                     }
                 }
                 proptest::prop_assert_eq!(r.is_sorted(), sorted);

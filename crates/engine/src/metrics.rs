@@ -51,9 +51,6 @@ pub struct EngineMetrics {
     /// own rows or a loaded relation's delta — the chained membership
     /// table a sorted tail switches to included (see [`crate::index`]).
     pub index_builds_total: Counter,
-    /// `kbt_engine_rows_copied_total` — stored rows copied into a private
-    /// arena (a compaction moving a shared first segment's live rows).
-    pub rows_copied_total: Counter,
     /// `kbt_engine_shared_index_bytes` — heap bytes of the indexes and
     /// membership tables cached on stored runs, chained tables and
     /// first-column offsets alike; up on each build, down when the run
@@ -140,10 +137,6 @@ pub fn metrics() -> &'static EngineMetrics {
                 "Indexes and membership tables built over stored rows (chained tables, first-column offsets, and sorted tails switched to chained tables).",
             ),
             (
-                "kbt_engine_rows_copied_total",
-                "Stored rows copied into a private arena.",
-            ),
-            (
                 "kbt_engine_shared_index_bytes",
                 "Heap bytes of the indexes cached on stored runs (chained tables and first-column offsets).",
             ),
@@ -193,7 +186,6 @@ pub fn metrics() -> &'static EngineMetrics {
             table_misses: r.counter("kbt_engine_table_misses"),
             table_evictions: r.counter("kbt_engine_table_evictions"),
             index_builds_total: r.counter("kbt_engine_index_builds_total"),
-            rows_copied_total: r.counter("kbt_engine_rows_copied_total"),
             shared_index_bytes: r.gauge("kbt_engine_shared_index_bytes"),
             eval_ns: r.histogram("kbt_engine_eval_ns"),
             round_ns: r.histogram("kbt_engine_round_ns"),

@@ -26,8 +26,9 @@ impl IndexStorage {
     /// [`IndexedRelation::from_relation`] loads: its stored run becomes
     /// the shared first segment (nothing is copied), the indexes the
     /// session demands on it are the ones cached on the run, and the
-    /// session's own writes go into private tails.  One-shot evaluation
-    /// uses [`Self::load`] instead.
+    /// session's own writes go into private tails, until a snapshot
+    /// re-seats the relation ([`Self::snapshot_relation`]).  One-shot
+    /// evaluation uses [`Self::load`] instead.
     pub fn from_database(db: &Database) -> Self {
         IndexStorage {
             relations: db
@@ -88,7 +89,8 @@ impl IndexStorage {
 
     /// A snapshot of the relation stored under `rel` (see
     /// [`IndexedRelation::snapshot`]): `O(1)` when nothing changed since the
-    /// last one, and never disturbed by later mutations of the storage.
+    /// last one, never disturbed by later mutations of the storage, and —
+    /// when it lands on a new base run — re-seating the relation there.
     pub fn snapshot_relation(&mut self, rel: RelId) -> Option<kbt_data::Relation> {
         self.relations.get_mut(&rel).map(IndexedRelation::snapshot)
     }

@@ -51,10 +51,14 @@ fn r(i: u32) -> RelId {
     RelId::new(i)
 }
 
-/// The storage counters: `(index builds, rows copied)` so far.
+/// The storage counters: `(index builds, stored rows copied)` so far — a
+/// compaction re-seats a relation on its contents, and the fold that may
+/// take is the data crate's.
 fn counters() -> (u64, u64) {
-    let m = metrics();
-    (m.index_builds_total.get(), m.rows_copied_total.get())
+    (
+        metrics().index_builds_total.get(),
+        kbt_data::metrics().rows_copied_total.get(),
+    )
 }
 
 /// path = TC(edge), probing `edge` on its first column; tri(x,y,z) closes
@@ -332,8 +336,8 @@ fn sessions_over_shared_runs_match_fresh_ones_through_appends_tombstones_and_com
         (vec![], vec![(0, 1), (101, 100), (7, 8)]),
         // a removed stored row comes back, in the tail
         (vec![(0, 1), (7, 8)], vec![(22, 23)]),
-        // more than half of everything dies: compaction moves the
-        // survivors of the segment into the tail
+        // more than half of everything dies: compaction re-seats the
+        // relation on its contents, which fold into a fresh run
         (vec![(200, 201)], all[..all.len() * 2 / 3].to_vec()),
         // and the compacted relation goes on taking writes
         (all[..10].to_vec(), vec![(200, 201), (290, 291)]),

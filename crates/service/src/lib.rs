@@ -376,9 +376,6 @@
 //!   relation holds over its base run, which every read of the epoch
 //!   indexes for itself.  A repeated read of an unchanged flat relation
 //!   adds none.
-//! * `kbt_engine_rows_copied_total` (counter): stored rows copied into a
-//!   private arena (only a compaction of a relation a session deleted
-//!   from does that; a read copies none).
 //! * `kbt_engine_shared_index_bytes` (gauge): heap bytes of the indexes
 //!   (chained tables and first-column offsets) cached on stored runs —
 //!   those of the current epoch and of every epoch still pinned; it falls
@@ -401,7 +398,9 @@
 //! * `kbt_engine_delta_ns` (histogram): per-delta latency.
 //! * `kbt_data_rows_copied_total` (counter): stored rows written into
 //!   fresh base runs by delta folds and copy-on-write unsharing — a commit
-//!   that composes a few facts into a relation's delta copies none.
+//!   that composes a few facts into a relation's delta copies none, and
+//!   neither does a read; an engine relation's compaction re-seats it on
+//!   its own contents, so the fold it may make is counted here too.
 //! * `kbt_data_names_copied_total` (counter): constant names written
 //!   into fresh vocabulary chunks and index levels, by copy-on-write
 //!   unsharing and by level merges — interning a name into a vocabulary of

@@ -16,6 +16,14 @@
 //! When a commit wrote fresh runs instead, the first read rebuilt the
 //! indexes of `edge` and `reach` (3 builds against 1, and +512 KB).
 //!
+//! The chain's engine session re-seats each relation it hands out on the
+//! run it lands on (`kbt_engine::index`), so its tables and the readers'
+//! are one index per run and mask: after the first `APPLY`, a goal read
+//! bound on `reach`'s second column — the mask the session's delta plan
+//! probes `reach` by — builds no index over `reach`'s run.  When the
+//! session's tables were private to its tail, that read built one
+//! (2 builds against 1).
+//!
 //! The counters are process-global, so this file holds one test.
 
 use kbt_service::{Response, Service, ServiceConfig};
@@ -40,14 +48,21 @@ fn counters() -> (u64, u64, u64) {
     )
 }
 
-fn read(s: &Service, node: u32) -> usize {
-    match s
-        .execute(&format!("QUERY CERTAIN reach({node}, x)"))
-        .unwrap()
-    {
+fn facts(s: &Service, query: &str) -> usize {
+    match s.execute(query).unwrap() {
         Response::Facts { facts, .. } => facts.len(),
         other => panic!("expected facts, got {other:?}"),
     }
+}
+
+/// The nodes `node` reaches.
+fn read(s: &Service, node: u32) -> usize {
+    facts(s, &format!("QUERY CERTAIN reach({node}, x)"))
+}
+
+/// The nodes that reach `node`.
+fn read_to(s: &Service, node: u32) -> usize {
+    facts(s, &format!("QUERY CERTAIN reach(x, {node})"))
 }
 
 #[test]
@@ -62,7 +77,23 @@ fn the_first_read_after_a_commit_builds_what_a_second_read_builds() {
          (forall x0 x1 x2. reach(x0, x1) & edge(x1, x2) -> reach(x0, x2))]",
     )
     .unwrap();
+    // a goal bound on the second column indexes `edge` by it, once
+    assert_eq!(read_to(&s, 3 * STRIDE + 5), 5);
     s.execute("APPLY refresh").unwrap();
+    let applied = counters();
+    assert_eq!(read_to(&s, 4 * STRIDE + 5), 5);
+    let first = counters();
+    assert_eq!(read_to(&s, 5 * STRIDE + 7), 7);
+    let second = counters();
+    assert_eq!(
+        first.0 - applied.0,
+        second.0 - first.0,
+        "the first read of the published reach builds what a second read builds"
+    );
+    assert_eq!(
+        first.1, applied.1,
+        "the session built the read's index over reach's run"
+    );
     // one step of the chain, and a read that indexes the stored runs
     s.execute(&format!("ASSERT {}", edges(7, 10, 18))).unwrap();
     s.execute("APPLY refresh").unwrap();
