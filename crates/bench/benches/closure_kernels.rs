@@ -7,9 +7,9 @@
 //! rounds, from 120 230 probes of the stored `edge` on its first column.
 //! This target evaluates the same program over the same 4 000-unit braid
 //! straight through [`kbt_engine::evaluate`] at widths 1 and 2 — no
-//! service, no parsing, no rendering — and prints, next to the shim's
-//! min / median / max per evaluation, the mean join / sort / commit split
-//! of the evaluations it timed, read off [`kbt_engine::metrics`].  The
+//! service, no parsing, no rendering — and prints the median, min and max
+//! of `EVALS` timed evaluations, and the mean join / sort / commit split of
+//! the evaluations it timed, read off [`kbt_engine::metrics`].  The
 //! stored `edge` is one run for the whole target, so its indexes are built
 //! by the warm-up and every timed evaluation reads them in place, as every
 //! read of one epoch does in the service.
@@ -32,9 +32,13 @@
 //! MALLOC_MMAP_THRESHOLD_=67108864 MALLOC_TRIM_THRESHOLD_=268435456 \
 //!   MALLOC_TOP_PAD_=16777216 cargo bench -p kbt-bench --bench closure_kernels
 //! ```
+//!
+//! A name filter after `--` (`width1`, `nonlinear`, …) times only the
+//! lines whose name contains it.
 
-use kbt_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
-use kbt_bench::quick_criterion;
+use std::hint::black_box;
+use std::time::Instant;
+
 use kbt_data::{Database, DatabaseBuilder, RelId};
 use kbt_datalog::{lower_strata, DlAtom, Literal, Program, Rule};
 use kbt_engine::{evaluate, ir, metrics};
@@ -46,6 +50,9 @@ const ONCYCLE: u32 = 3;
 
 /// Units in the braid (`closure_scan`'s default size).
 const UNITS: u32 = 4_000;
+/// Evaluations run before timing, and evaluations timed, per width.
+const WARMUP: usize = 3;
+const EVALS: usize = 30;
 
 fn r(i: u32) -> RelId {
     RelId::new(i)
@@ -96,26 +103,18 @@ fn closure(second: u32) -> Vec<ir::Program> {
     lower_strata(&program, None).expect("a positive program stratifies")
 }
 
-/// The round stages' summed wall time in ns, and the evaluations run.
-fn stages() -> [u64; 4] {
+/// The round stages' summed wall time in ns: join, sort, commit.
+fn stages() -> [u64; 3] {
     let m = metrics();
     [
         m.join_ns.snapshot().sum,
         m.sort_ns.snapshot().sum,
         m.commit_ns.snapshot().sum,
-        m.eval_ns.snapshot().count,
     ]
 }
 
-fn closures(c: &mut Criterion) {
-    let edb = braid();
-    for (name, second) in [("oncycle", EDGE), ("nonlinear", REACH)] {
-        kernels(c, name, &closure(second), &edb);
-    }
-}
-
 /// Times one closure at widths 1 and 2 and prints its split.
-fn kernels(c: &mut Criterion, name: &str, strata: &[ir::Program], edb: &Database) {
+fn kernels(filter: Option<&str>, name: &str, strata: &[ir::Program], edb: &Database) {
     let keep = [r(ONCYCLE)];
     let (_, stats) = evaluate(strata, edb, 1, None, Some(&keep)).unwrap();
     println!(
@@ -123,29 +122,43 @@ fn kernels(c: &mut Criterion, name: &str, strata: &[ir::Program], edb: &Database
         stats.derived_facts, stats.iterations, stats.index_probes
     );
     for width in [1, 2] {
-        let before = stages();
-        c.bench_function(format!("closure_kernels/{name}/width{width}"), |b| {
-            b.iter(|| black_box(evaluate(strata, edb, width, None, Some(&keep)).unwrap()));
-        });
-        let after = stages();
-        if after[3] == before[3] {
-            continue; // filtered out
+        let line = format!("closure_kernels/{name}/width{width}");
+        if filter.is_some_and(|f| !line.contains(f)) {
+            continue;
         }
-        let evals = (after[3] - before[3]) as f64;
-        let ms = |stage: usize| (after[stage] - before[stage]) as f64 / evals / 1e6;
+        let run = || black_box(evaluate(strata, edb, width, None, Some(&keep)).unwrap());
+        for _ in 0..WARMUP {
+            run();
+        }
+        let before = stages();
+        let mut ms: Vec<f64> = (0..EVALS)
+            .map(|_| {
+                let start = Instant::now();
+                run();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        let after = stages();
+        ms.sort_by(f64::total_cmp);
+        let stage = |i: usize| (after[i] - before[i]) as f64 / EVALS as f64 / 1e6;
         println!(
-            "{:<60} join {:.2} ms  sort {:.2} ms  commit {:.2} ms  (mean of {evals} evaluations)",
-            format!("closure_kernels/{name}/width{width} split"),
-            ms(0),
-            ms(1),
-            ms(2),
+            "{line:<40} median {:.2} ms  min {:.2} ms  max {:.2} ms  \
+             (join {:.2} ms  sort {:.2} ms  commit {:.2} ms, mean of {EVALS})",
+            ms[EVALS / 2],
+            ms[0],
+            ms[EVALS - 1],
+            stage(0),
+            stage(1),
+            stage(2),
         );
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = quick_criterion();
-    targets = closures
+fn main() {
+    // `cargo bench` passes `--bench`; the first other argument filters
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let edb = braid();
+    for (name, second) in [("oncycle", EDGE), ("nonlinear", REACH)] {
+        kernels(filter.as_deref(), name, &closure(second), &edb);
+    }
 }
-criterion_main!(benches);

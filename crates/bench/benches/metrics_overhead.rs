@@ -23,14 +23,14 @@
 //! baseline but the documented "disabled" cost model (one relaxed load per
 //! span site).
 //!
-//! The primitive benches (`counter_inc`, `histogram_record`,
-//! `span_enabled`, `span_disabled`) pin the per-operation costs the crate
-//! docs of `kbt-obs` promise; they are printed, not gated.
+//! The primitive timings (`counter_inc`, `histogram_record`,
+//! `span_enabled`, `span_disabled`: the median over `PRIMITIVE_SAMPLES`
+//! samples of `PRIMITIVE_CALLS` calls) show the per-operation costs the
+//! crate docs of `kbt-obs` promise; they are printed, not gated.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use kbt_bench::criterion::{black_box, criterion_group, criterion_main, Criterion};
-use kbt_bench::quick_criterion;
 use kbt_obs::Registry;
 use kbt_service::{Service, ServiceConfig};
 
@@ -39,6 +39,10 @@ const EDGES: u32 = 100;
 
 /// Paired rounds per comparison (each round times both variants).
 const ROUNDS: usize = 20;
+
+/// Calls per sample, and samples, of each primitive's timing.
+const PRIMITIVE_CALLS: u32 = 100_000;
+const PRIMITIVE_SAMPLES: usize = 10;
 
 /// The documented instrumentation budget: the largest median paired ratio
 /// (instrumented ÷ plain) a comparison may read.
@@ -70,6 +74,19 @@ fn sample(iters: u32, f: &mut impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_nanos() as f64 / f64::from(iters)
+}
+
+/// Prints the median ns per call of `f` over `PRIMITIVE_SAMPLES` samples.
+fn primitive(name: &str, mut f: impl FnMut()) {
+    let mut ns: Vec<f64> = (0..PRIMITIVE_SAMPLES)
+        .map(|_| sample(PRIMITIVE_CALLS, &mut f))
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    println!(
+        "{:<60} median {:.2} ns per call",
+        format!("metrics_overhead/{name}"),
+        ns[PRIMITIVE_SAMPLES / 2]
+    );
 }
 
 /// Interleaved paired sampling: every round times `plain` and
@@ -106,7 +123,7 @@ fn spans_ratio(service: &Service, command: &str, iters: u32) -> f64 {
     ratio
 }
 
-fn benches(c: &mut Criterion) {
+fn main() {
     let service = seeded_service();
     let query_tc = format!("QUERY {TC}");
     let profile_tc = format!("PROFILE {TC}");
@@ -134,18 +151,14 @@ fn benches(c: &mut Criterion) {
     }
 
     // primitive costs, on a private registry
-    let mut group = c.benchmark_group("metrics_overhead");
     let registry = Registry::new();
     let counter = registry.counter("bench_counter");
-    group.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
+    primitive("counter_inc", || counter.inc());
     let hist = registry.histogram("bench_hist_ns");
-    group.bench_function("histogram_record", |b| {
-        b.iter(|| hist.record(black_box(1234)))
-    });
-    group.bench_function("span_enabled", |b| b.iter(|| drop(hist.span())));
+    primitive("histogram_record", || hist.record(black_box(1234)));
+    primitive("span_enabled", || drop(hist.span()));
     registry.set_enabled(false);
-    group.bench_function("span_disabled", |b| b.iter(|| drop(hist.span())));
-    group.finish();
+    primitive("span_disabled", || drop(hist.span()));
 
     let over: Vec<_> = comparisons
         .iter()
@@ -156,6 +169,3 @@ fn benches(c: &mut Criterion) {
         "instrumentation over its {BUDGET} paired budget: {over:?}"
     );
 }
-
-criterion_group!(name = metrics; config = quick_criterion(); targets = benches);
-criterion_main!(metrics);

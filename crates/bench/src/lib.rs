@@ -1,44 +1,33 @@
-//! # kbt-bench — shared helpers for the benchmark harness
+//! # kbt-bench — in-process harnesses and machine-independent bounds
 //!
-//! Each Criterion bench target under `benches/` regenerates one of the
-//! paper's experiments (one row-group of the Section 4 complexity table, a
-//! Section 3 example, a Section 4/5 reduction, the KM postulates), except
-//! `metrics_overhead`, which asserts the observability layer's paired
-//! <5 % budget.  The serving stack's performance is measured end to end by
-//! `bench/stackbench` (`BENCHMARK.json`), not here.  The integration tests
-//! under `tests/` pin work by counts (allocations, solver searches), which
-//! repeat on any machine.  This library crate only hosts the small helpers
-//! the targets and tests share, so that the benchmark code itself stays
-//! focused on the experiment being reproduced.
-
-use std::time::Duration;
-
-use criterion::Criterion;
-
-/// A Criterion configuration tuned for repository-sized runs: small sample
-/// counts and short measurement windows, because the interesting signal here
-/// is asymptotic shape (polynomial versus exponential growth), not
-/// microsecond-level precision.
-pub fn quick_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_millis(1500))
-        .configure_from_args()
-}
-
-pub use criterion;
+//! The targets under `benches/` time one layer's kernels in process with
+//! plain `std::time` — `closure_kernels` (the engine under
+//! `closure_scan`'s closures), `commit_kernels` (`commit_stream`'s commit
+//! cycle) and `sat_kernels` (`update_sat`'s non-Horn reads) — for a
+//! before/after on one machine; they print and assert nothing.
+//! `metrics_overhead` is the exception: it fails unless the observability
+//! layer stays within its paired 5 % budget.  The serving stack's
+//! performance is measured end to end by `bench/stackbench`
+//! (`BENCHMARK.json`), not here.  The integration tests under `tests/` pin
+//! work by counts (allocations, solver searches, copied names), which
+//! repeat on any machine; the paper's complexity shapes are pinned the same
+//! way by the root package's `tests/complexity_shape.rs`.  This library
+//! crate only hosts the counting allocator those tests share.
 
 pub mod alloc_counter {
     //! A counting global allocator for allocation-budget assertions.
     //!
     //! Install [`CountingAlloc`] as the `#[global_allocator]` of a bench or
     //! test binary, then bracket the region of interest with [`reset`] /
-    //! [`snapshot`].  Counting is process-global and relaxed-atomic, so
-    //! keep measured regions single-threaded (the engine's sequential inner
-    //! loops, which is exactly what the zero-allocation probe assertions
-    //! target).  `dealloc` is deliberately not counted: the interesting
-    //! budget is *new* heap traffic per operation.
+    //! [`snapshot`].  Counting is process-global and relaxed-atomic, so a
+    //! measured window must be the only thread running: the test binaries
+    //! that bracket it are built with `harness = false` and measure on
+    //! their `main` thread.  Under libtest the test runs on a thread of its
+    //! own while the harness's main thread keeps allocating beside it, and
+    //! `zero_alloc`'s window was billed those allocations (4 of them,
+    //! 900 bytes) whenever the two overlapped.  `dealloc` is deliberately
+    //! not counted: the interesting budget is *new* heap traffic per
+    //! operation.
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,11 +85,6 @@ pub mod alloc_counter {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn quick_criterion_is_constructible() {
-        let _ = super::quick_criterion();
-    }
-
     #[test]
     fn alloc_counter_observes_heap_traffic() {
         // The counter is attached per *binary*; in this test binary the

@@ -34,8 +34,8 @@
 //! `MEASURED_NONLINEAR_ALLOCS`; the test allows 10 % on top.  With sorted
 //! key levels it takes 333, within that bound, which stays where it was.
 //!
-//! Like `zero_alloc.rs`, this binary holds exactly one `#[test]`:
-//! `kbt_bench::alloc_counter` is process-global.
+//! Like `zero_alloc.rs`, this binary runs without the test harness, on its
+//! `main` thread alone: `kbt_bench::alloc_counter` is process-global.
 
 use kbt_bench::alloc_counter;
 use kbt_data::{Database, DatabaseBuilder, RelId};
@@ -102,8 +102,7 @@ fn measure(program: &Program, edb: &Database) -> (u64, u64) {
     counts
 }
 
-#[test]
-fn one_shot_closures_allocate_within_their_bounds() {
+fn main() {
     let edb = braid(100);
     let (allocs, bytes) = measure(&tc_program(r(1)), &edb);
     println!("one-shot linear TC, 1000 edges, width 1: allocs {allocs}  bytes {bytes}");

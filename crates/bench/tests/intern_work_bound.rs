@@ -26,8 +26,7 @@
 //! merges, and at most 1 624 for one late command.  The figures are printed
 //! with `-- --nocapture`.
 //!
-//! Like `read_alloc_bound.rs`, this binary holds exactly one `#[test]`: the
-//! counter is process-global.
+//! This binary holds exactly one `#[test]`: the counter is process-global.
 
 use kbt_service::{Service, ServiceConfig};
 

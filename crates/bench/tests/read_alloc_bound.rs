@@ -26,8 +26,9 @@
 //! top, more than two orders of magnitude short of what going back would
 //! cost.
 //!
-//! Like `eval_alloc_bound.rs`, this binary holds exactly one `#[test]`:
-//! `kbt_bench::alloc_counter` is process-global.
+//! Like `eval_alloc_bound.rs`, this binary runs without the test harness,
+//! on its `main` thread alone: `kbt_bench::alloc_counter` is
+//! process-global.
 
 use kbt_bench::alloc_counter;
 use kbt_service::net::proto;
@@ -55,8 +56,7 @@ fn read(service: &Service, line: &str, wire: &mut Vec<u8>) -> (u64, u64) {
     alloc_counter::snapshot()
 }
 
-#[test]
-fn reads_over_a_large_vocabulary_allocate_within_their_bound() {
+fn main() {
     let service = Service::new(ServiceConfig::builder().threads(1).build());
     for batch in 0..40 {
         let facts: Vec<String> = (batch * 500..(batch + 1) * 500)

@@ -4,7 +4,7 @@
 //! round out across cores, and it asks for exactly one shape to do it: an
 //! ordered map over the round's tasks, what `rayon` spells
 //! `into_par_iter().map().collect()`.  This repository builds offline (no
-//! crates.io), so — like `vendor/rand` and `vendor/criterion` — that one
+//! crates.io), so — like `vendor/rand` and `vendor/proptest` — that one
 //! shape is implemented in-workspace, and nothing else is: no job queue, no
 //! nested spawns, no work *stealing*.
 //!

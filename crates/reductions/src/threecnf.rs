@@ -276,8 +276,12 @@ mod tests {
     fn transformation_and_dpll_agree_on_small_random_instances() {
         let mut rng = StdRng::seed_from_u64(99);
         let t = Transformer::new();
-        for _ in 0..3 {
-            let instance = ThreeCnf::random(3, 6, &mut rng);
+        let mut instances: Vec<ThreeCnf> =
+            (0..3).map(|_| ThreeCnf::random(3, 6, &mut rng)).collect();
+        // and three variables under two and three clauses
+        let mut rng = StdRng::seed_from_u64(2024);
+        instances.extend([2, 3].map(|clauses| ThreeCnf::random(3, clauses, &mut rng)));
+        for instance in instances {
             assert_eq!(
                 satisfiable_via_transformation(&t, &instance).unwrap(),
                 satisfiable_via_dpll(&instance),

@@ -435,6 +435,12 @@ mod tests {
         assert!(m.accepts(&[1], 10));
         assert!(!m.accepts(&[0, 0, 0], 10));
         assert!(!m.accepts(&[], 10));
+        // a 1 at the end of a long input is reached in one step per cell
+        for n in [8, 16, 32] {
+            let mut input = vec![0; n];
+            input[n - 1] = 1;
+            assert!(m.accepts(&input, n + 2), "n = {n}");
+        }
     }
 
     #[test]
@@ -456,12 +462,22 @@ mod tests {
     #[test]
     fn encoding_size_grows_quadratically_in_the_input_length() {
         let m = scanner();
-        let sizes: Vec<usize> = (1..=6).map(|n| encode(&m, &vec![0; n], n).size).collect();
+        let lengths = [1, 2, 3, 4, 5, 6, 8, 16];
+        let sizes: Vec<usize> = lengths
+            .iter()
+            .map(|&n| encode(&m, &vec![0; n], n).size)
+            .collect();
         // strictly growing …
         assert!(sizes.windows(2).all(|w| w[0] < w[1]));
         // … and sub-cubically: size(2n) ≤ ~4·size(n) with slack.
-        let ratio = sizes[5] as f64 / sizes[2] as f64; // n=6 vs n=3
-        assert!(ratio < 8.0, "growth ratio {ratio} too steep for O(n²)");
+        for (short, long) in [(3, 6), (4, 8), (8, 16)] {
+            let size = |n| sizes[lengths.iter().position(|&l| l == n).unwrap()] as f64;
+            let ratio = size(long) / size(short);
+            assert!(
+                ratio < 8.0,
+                "growth ratio {ratio} from n = {short} to {long} too steep for O(n²)"
+            );
+        }
     }
 
     #[test]

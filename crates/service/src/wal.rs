@@ -55,9 +55,9 @@ const HEADER_BYTES: usize = 8;
 /// Bytes of the `epoch` field inside the body.
 const EPOCH_BYTES: usize = 8;
 
-/// IEEE CRC-32 (the polynomial Ethernet, gzip and PNG use), computed
-/// bitwise with an 8-entry nibble table — small, std-only, and fast enough
-/// for commit-sized payloads.
+/// IEEE CRC-32 (the polynomial Ethernet, gzip and PNG use), computed one
+/// bit at a time with no table — small, std-only, and fast enough for
+/// commit-sized payloads.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const POLY: u32 = 0xEDB8_8320;
     let mut crc = !0u32;

@@ -30,8 +30,9 @@ fn arb_database() -> impl proptest::strategy::Strategy<Value = Database> {
         })
 }
 
+/// A knowledgebase of one to four such worlds.
 fn arb_knowledgebase() -> impl proptest::strategy::Strategy<Value = Knowledgebase> {
-    proptest::collection::vec(arb_database(), 1..3)
+    proptest::collection::vec(arb_database(), 1..5)
         .prop_map(|dbs| Knowledgebase::from_databases(dbs).expect("uniform schema"))
 }
 

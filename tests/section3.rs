@@ -19,6 +19,13 @@ fn example_1_transitive_closure_on_a_cycle_with_a_tail() {
     assert!(closure.contains(&kbt::data::tuple![2, 1]));
     assert!(closure.contains(&kbt::data::tuple![1, 4]));
     assert!(!closure.contains(&kbt::data::tuple![4, 1]));
+    for n in [4, 5] {
+        let chain: Vec<(u32, u32)> = (1..n).map(|i| (i, i + 1)).collect();
+        assert_eq!(
+            transitive_closure::transitive_closure(&t, &chain).unwrap(),
+            transitive_closure::baseline_transitive_closure(&chain)
+        );
+    }
 }
 
 #[test]
@@ -56,6 +63,8 @@ fn example_7_maximum_clique_of_a_square_with_one_diagonal() {
     let edges = vec![(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)];
     assert_eq!(max_clique::baseline_max_clique(&edges), 3);
     assert!(max_clique::has_clique_of_size(&t, &edges, 3).unwrap());
+    // a triangle alone is its own 3-clique
+    assert!(max_clique::has_clique_of_size(&t, &[(1, 2), (2, 3), (1, 3)], 3).unwrap());
     // (the k = 4 refutation on this graph enumerates every minimal repair of
     // the inputs and is exercised, on a smaller graph, in the crate tests)
 }
