@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use kbt_data::{minimal_elements, Database};
+use kbt_data::Database;
 use kbt_logic::{ground_sentence, is_ground, GroundAtom, Sentence};
 
 use crate::error::CoreError;
@@ -30,8 +30,9 @@ use crate::Result;
 /// of `φ`, and `φ` mentions no other facts — so the truth of `φ` in a
 /// candidate depends only on the chosen bit assignment.  The `2^k`
 /// assignments are therefore evaluated symbolically (one membership lookup
-/// per atom fixes the base truth values); a candidate database is only
-/// materialised for the assignments that satisfy `φ`.
+/// per atom fixes the base truth values), minimality is decided on the
+/// assignments' bit differences from `db`, and a candidate database is only
+/// materialised for the minimal assignments that satisfy `φ`.
 pub fn quantifier_free_update(
     phi: &Sentence,
     db: &Database,
@@ -69,39 +70,97 @@ pub fn quantifier_free_update(
         });
     }
 
-    let base = db.extend_schema(&schema)?;
-    let mut models: Vec<Database> = Vec::new();
-    for bits in 0..(1u64 << k) {
-        let mut true_atoms: BTreeSet<GroundAtom> = BTreeSet::new();
-        for (j, atom) in atoms.iter().enumerate() {
-            if bits & (1 << j) != 0 {
-                true_atoms.insert(atom.clone());
+    // Every candidate is known by its k-bit difference from the input (bit
+    // j set = atom j flipped).  Winslett's order (Definition 2.1,
+    // `kbt_data::order`) compares the flips on the input's relations
+    // first, and the flips on new relations only between candidates whose
+    // other flips are equal — so a satisfying difference `d` is minimal
+    // unless some satisfying difference flips a strict subset of its
+    // stored atoms, or the same stored atoms and a strict subset of its
+    // new ones.
+    let (mut held, mut stored) = (0u64, 0u64);
+    for (j, atom) in atoms.iter().enumerate() {
+        if db.relation(atom.rel).is_some() {
+            stored |= 1 << j;
+            if db.holds(atom.rel, &atom.tuple) {
+                held |= 1 << j;
             }
         }
-        if !ground.eval(&true_atoms) {
+    }
+    let fresh = !stored & ((1u64 << k) - 1);
+    let mut satisfying = vec![false; 1 << k];
+    for bits in 0..(1u64 << k) {
+        let true_atoms: BTreeSet<GroundAtom> = atoms
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| bits & (1 << j) != 0)
+            .map(|(_, atom)| atom.clone())
+            .collect();
+        satisfying[(bits ^ held) as usize] = ground.eval(&true_atoms);
+    }
+    // same_stored[d]: a satisfying difference has d's stored flips and a
+    // subset of its new ones; stored_within[s]: a satisfying difference
+    // flips a subset of the stored atoms s
+    let same_stored = upward_closure(satisfying.clone(), fresh);
+    let mut stored_within = vec![false; 1 << k];
+    for d in (0..satisfying.len()).filter(|&d| satisfying[d]) {
+        stored_within[d & stored as usize] = true;
+    }
+    let stored_within = upward_closure(stored_within, stored);
+
+    // Only the minimal assignments pay for a database: start from the
+    // lifted base and apply the difference as a patch.
+    let base = db.extend_schema(&schema)?;
+    let mut minimal: Vec<Database> = Vec::new();
+    for bits in 0..(1u64 << k) {
+        let d = (bits ^ held) as usize;
+        if !satisfying[d]
+            || one_below(&same_stored, d, fresh)
+            || one_below(&stored_within, d & stored as usize, stored)
+        {
             continue;
         }
-        // Only satisfying assignments pay for a database: start from the
-        // lifted base and apply the bit vector as a patch.
         let mut candidate = base.clone();
         for (j, atom) in atoms.iter().enumerate() {
-            let value = bits & (1 << j) != 0;
-            if value {
-                if !db.holds(atom.rel, &atom.tuple) {
-                    candidate.insert_fact(atom.rel, atom.tuple.clone())?;
-                }
-            } else if db.holds(atom.rel, &atom.tuple) {
+            if d & (1 << j) == 0 {
+                continue;
+            }
+            if bits & (1 << j) != 0 {
+                candidate.insert_fact(atom.rel, atom.tuple.clone())?;
+            } else {
                 candidate.remove_fact(atom.rel, &atom.tuple);
             }
         }
-        models.push(candidate);
+        minimal.push(candidate);
     }
-    let minimal = minimal_elements(&models, db)?;
     Ok(UpdateOutcome {
         databases: minimal,
         candidate_atoms: k,
         fixpoint: None,
     })
+}
+
+/// Whether `marks` holds at `d` minus one of its bits in `bits`.
+fn one_below(marks: &[bool], d: usize, bits: u64) -> bool {
+    let mut rest = d as u64 & bits;
+    while rest != 0 {
+        let low = rest & rest.wrapping_neg();
+        if marks[d ^ low as usize] {
+            return true;
+        }
+        rest ^= low;
+    }
+    false
+}
+
+/// Closes `marks` upwards along `bits`: afterwards `marks[d]` holds when
+/// it held at some `d'` that `d` extends by bits of `bits` only.  Each such
+/// `d'` is numerically smaller than `d`, so one ascending pass suffices.
+fn upward_closure(mut marks: Vec<bool>, bits: u64) -> Vec<bool> {
+    for d in 0..marks.len() {
+        marks[d] = marks[d] || one_below(&marks, d, bits);
+    }
+    marks
 }
 
 #[cfg(test)]

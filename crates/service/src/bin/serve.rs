@@ -8,7 +8,7 @@
 //! ```text
 //! kbt-serve [--addr HOST:PORT] [--threads N] [--max-sessions N]
 //!           [--idle-timeout-ms N] [--preload script.kbt]
-//!           [--data-dir DIR] [--fsync always|group|never]
+//!           [--data-dir DIR] [--fsync group|never]
 //!           [--checkpoint-every N]
 //!           [--log-format text|json] [--slow-query-ms N]
 //! ```
@@ -21,7 +21,8 @@
 //!   write-ahead log under the directory, `CHECKPOINT`/`WALSTAT` work,
 //!   and startup recovers the committed state (newest checkpoint + WAL
 //!   replay; the `recovered` line reports the epoch).  `--fsync` picks
-//!   the flush policy (default `group`: group-commit fsync batching) and
+//!   the flush policy (default `group`: every commit is flushed before
+//!   its reply, concurrent commits sharing fsyncs; `never`: no flush) and
 //!   `--checkpoint-every` the automatic checkpoint interval in commits
 //!   (`0` = manual checkpoints only); both require `--data-dir`.
 //! * `--log-format` installs a structured stderr log sink (`text` =
@@ -117,11 +118,10 @@ fn main() -> ExitCode {
             }
             "--fsync" => {
                 let policy = match args.next().as_deref() {
-                    Some("always") => FsyncPolicy::Always,
                     Some("group") => FsyncPolicy::group_commit(),
                     Some("never") => FsyncPolicy::Never,
                     _ => {
-                        eprintln!("--fsync needs 'always', 'group' or 'never'");
+                        eprintln!("--fsync needs 'group' or 'never'");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: kbt-serve [--addr HOST:PORT] [--threads N] [--max-sessions N] \
                      [--idle-timeout-ms N] [--preload script.kbt] \
-                     [--data-dir DIR] [--fsync always|group|never] [--checkpoint-every N] \
+                     [--data-dir DIR] [--fsync group|never] [--checkpoint-every N] \
                      [--log-format text|json] [--slow-query-ms N]"
                 );
                 return ExitCode::SUCCESS;

@@ -18,28 +18,19 @@
 //! *Durability* section.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use kbt_core::EvalOptions;
 
 /// When the WAL is flushed to stable storage relative to commits.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Every commit fsyncs before its response is produced.  Maximum
-    /// safety, one fsync per commit.
-    Always,
-    /// Commits are acknowledged durable, but concurrent committers share
+    /// Commits are acknowledged durable, and concurrent committers share
     /// fsyncs: one leader flushes the whole appended tail while followers
-    /// wait for their record to become durable.  Under load this *raises*
-    /// throughput over [`FsyncPolicy::Always`] — the cost of an fsync is
-    /// amortized over the batch.
-    GroupCommit {
-        /// Stop accumulating and flush once this many commits are pending.
-        max_batch: usize,
-        /// How long a leader may wait for more committers to join its
-        /// batch before flushing what it has.
-        max_wait: Duration,
-    },
+    /// wait for their record to become durable.  A commit alone flushes at
+    /// once; a leader waits only while another commit is in flight, for it
+    /// to append (see the `wal` module docs), so `N` concurrent committers
+    /// pay fewer than `N` fsyncs.
+    GroupCommit,
     /// Append to the WAL but never fsync (the OS flushes eventually).
     /// Commits report `durable=false`; a crash may lose the recent tail
     /// but recovery still replays everything that reached the disk.
@@ -47,20 +38,15 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// The default group-commit shape: flush at 64 pending commits or
-    /// after 100 µs of accumulation, whichever comes first.
-    pub fn group_commit() -> Self {
-        FsyncPolicy::GroupCommit {
-            max_batch: 64,
-            max_wait: Duration::from_micros(100),
-        }
+    /// The durable policy, [`FsyncPolicy::GroupCommit`].
+    pub const fn group_commit() -> Self {
+        FsyncPolicy::GroupCommit
     }
 
     /// Short lowercase name used in `WALSTAT` output and logs.
     pub fn name(&self) -> &'static str {
         match self {
-            FsyncPolicy::Always => "always",
-            FsyncPolicy::GroupCommit { .. } => "group-commit",
+            FsyncPolicy::GroupCommit => "group-commit",
             FsyncPolicy::Never => "never",
         }
     }
@@ -251,12 +237,12 @@ mod tests {
         let c = ServiceConfig::builder()
             .threads(2)
             .durable("/tmp/kbt-data")
-            .fsync_policy(FsyncPolicy::Always)
+            .fsync_policy(FsyncPolicy::Never)
             .checkpoint_every_n_commits(10)
             .build();
         let d = c.durability.expect("durability configured");
         assert_eq!(d.data_dir, PathBuf::from("/tmp/kbt-data"));
-        assert_eq!(d.fsync_policy, FsyncPolicy::Always);
+        assert_eq!(d.fsync_policy, FsyncPolicy::Never);
         assert_eq!(d.checkpoint_every_n_commits, 10);
         assert_eq!(FsyncPolicy::group_commit().name(), "group-commit");
     }

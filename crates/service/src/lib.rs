@@ -247,13 +247,14 @@
 //!   parser itself accepts — the log replays through the ordinary command
 //!   pipeline, no second interpreter.  Appends happen under the writer
 //!   mutex, so record order **is** epoch order by construction.
-//! * **Fsync policy** ([`FsyncPolicy`]).  `Always` fsyncs every commit;
-//!   `Never` appends without flushing (the OS decides); `GroupCommit` —
-//!   the default — batches concurrent committers under one fsync: a
-//!   commit enqueues its appended epoch, one leader flushes the whole
-//!   appended tail, and every commit at or below the flushed epoch
+//! * **Fsync policy** ([`FsyncPolicy`]).  `Never` appends without
+//!   flushing (the OS decides); `GroupCommit`, the default, batches
+//!   concurrent committers under one fsync: one leader flushes the whole
+//!   appended tail — at once when no other commit is in flight, else once
+//!   those have appended — and every commit at or below the flushed epoch
 //!   returns together.  `N` writers pay ~1 fsync, not `N`
-//!   (`wal.rs::group_commit_wakes_every_follower` asserts fewer fsyncs
+//!   (`wal.rs::group_commit_wakes_every_follower` and
+//!   `service.rs::concurrent_commits_share_fsyncs` assert fewer fsyncs
 //!   than commits under 4 writers; `stackbench`'s `commit_stream` reports
 //!   `wal.group_batch_mean`).  Commit responses report the outcome as `durable=true`
 //!   (flushed before the reply) or `durable=false` (appended, not yet

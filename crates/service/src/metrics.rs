@@ -73,8 +73,8 @@ pub struct ServiceMetrics {
     /// WAL fsyncs issued — under group commit this grows slower than
     /// `wal_records_total`; the gap is the batching win.
     pub wal_fsyncs_total: Counter,
-    /// Commits made durable per fsync (the group-commit batch size; always
-    /// records 1 under `FsyncPolicy::Always`).
+    /// Commits made durable per fsync (the group-commit batch size: 1 for
+    /// a lone committer, up to the number of concurrent committers).
     pub group_commit_batch: Histogram,
     /// Checkpoint files written (automatic and `CHECKPOINT`-commanded).
     pub checkpoints_total: Counter,

@@ -27,7 +27,7 @@
 //! 3. `strategy=<s>` — how a bound goal was answered;
 //! 4. `durable=<true|false>` — whether a commit was flushed to stable
 //!    storage before this status (present only on durable services:
-//!    `true` under `always`/`group-commit`, `false` under `never`);
+//!    `true` under `group-commit`, `false` under `never`);
 //! 5. the command-specific keys (`worlds=`, `facts=`, `applied=`, …).
 //!
 //! Keys a response does not carry are simply absent — clients parse by

@@ -233,7 +233,7 @@ pub enum Response {
         /// Total facts across all worlds after the commit.
         facts: usize,
         /// Whether the commit was flushed to stable storage before this
-        /// response: `Some(true)` under `always`/`group-commit`,
+        /// response: `Some(true)` under `group-commit`,
         /// `Some(false)` under `never`, `None` without durability.
         durable: Option<bool>,
     },
@@ -329,7 +329,7 @@ pub enum Response {
     WalStat {
         /// The committed epoch at report time.
         epoch: EpochId,
-        /// The configured fsync policy (`always`/`group-commit`/`never`).
+        /// The configured fsync policy (`group-commit`/`never`).
         policy: &'static str,
         /// Records appended over the log's lifetime.
         records: u64,
@@ -560,7 +560,7 @@ impl Service {
         drop(replay);
         let wal = Wal::open(
             dur_config.data_dir.join(WAL_FILE),
-            dur_config.fsync_policy.clone(),
+            dur_config.fsync_policy,
             plan.wal_valid_len,
             service.epoch().get(),
             WalMetrics {
@@ -841,6 +841,9 @@ impl Service {
 
     fn write_command(&self, verb: Verb, rest: &str) -> Result<Response> {
         let mut response = {
+            // enter before queueing on the writer lock, so a flushing
+            // leader waits for this commit; declared first, dropped last
+            let _in_flight = self.durability.get().map(|dur| dur.wal.enter());
             let mut w = self.lock_writer()?;
             // Parse against a handle of our own on the authoritative
             // vocabulary: a rejected command must leave no trace, and
@@ -1484,7 +1487,6 @@ mod tests {
         ServiceConfig::builder()
             .threads(1)
             .durable(dir)
-            .fsync_policy(crate::config::FsyncPolicy::Always)
             .checkpoint_every_n_commits(0)
             .build()
     }
@@ -1503,7 +1505,7 @@ mod tests {
                         ..
                     }
                 ),
-                "Always must flush before responding: {r:?}"
+                "group commit must flush before responding: {r:?}"
             );
             s.execute("DEFINE close := tau[forall x0 x1. edge(x0, x1) -> path(x0, x1)]")
                 .unwrap();
@@ -1549,7 +1551,7 @@ mod tests {
                     checkpoint_epoch,
                     ..
                 } => {
-                    assert_eq!(policy, "always");
+                    assert_eq!(policy, "group-commit");
                     assert_eq!(records, 3);
                     assert_eq!(durable_epoch, 3);
                     assert_eq!(checkpoint_epoch, 2);
@@ -1602,6 +1604,108 @@ mod tests {
         }
         let s = Service::open(config()).unwrap();
         assert_eq!(s.epoch(), EpochId::new(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs 100 `ASSERT`s split over `threads` committers (started together)
+    /// on a fresh durable service under group commit; returns the fsync
+    /// count and the mean batch.
+    fn commit_concurrently(threads: usize) -> (u64, f64) {
+        let dir = scratch_dir(&format!("batch-{threads}"));
+        let s = Arc::new(Service::open(durable_config(&dir)).unwrap());
+        let start = Arc::new(std::sync::Barrier::new(threads));
+        let committers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (s, start) = (s.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..100 / threads {
+                        let r = s.execute(&format!("ASSERT probe({t}, {i})")).unwrap();
+                        assert!(
+                            matches!(
+                                r,
+                                Response::Committed {
+                                    durable: Some(true),
+                                    ..
+                                }
+                            ),
+                            "every commit is flushed before its reply: {r:?}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for c in committers {
+            c.join().unwrap();
+        }
+        assert_eq!(s.epoch(), EpochId::new(100));
+        let fsyncs = s.metrics().wal_fsyncs_total.get();
+        let batch = s.metrics().group_commit_batch.snapshot();
+        assert_eq!(batch.count, fsyncs);
+        let _ = std::fs::remove_dir_all(&dir);
+        (fsyncs, batch.sum as f64 / fsyncs as f64)
+    }
+
+    #[test]
+    fn concurrent_commits_share_fsyncs() {
+        // through the real writer lock: a guard entered after it (or not
+        // at all) leaves the leader little or nothing to wait for
+        let (fsyncs, mean) = commit_concurrently(4);
+        println!("4 committers: {fsyncs} fsyncs for 100 commits, batch mean {mean:.2}");
+        assert!(
+            fsyncs < 100,
+            "group commit must batch: {fsyncs} fsyncs for 100 commits"
+        );
+        // a lone committer has nobody to wait for: one flush per commit
+        assert_eq!(commit_concurrently(1), (100, 1.0));
+    }
+
+    /// A log sink that panics on one record name: host code that panics
+    /// while a commit holds the writer lock.
+    struct PanicOn(&'static str);
+
+    impl kbt_obs::LogSink for PanicOn {
+        fn emit(&self, record: &kbt_obs::Record<'_>) {
+            if record.name == self.0 {
+                panic!("sink refuses {}", self.0);
+            }
+        }
+    }
+
+    #[test]
+    fn refused_commits_leave_the_wal_pipeline() {
+        let dir = scratch_dir("leave");
+        let s = Arc::new(Service::open(durable_config(&dir)).unwrap());
+        let in_flight = || s.durability.get().unwrap().wal.in_flight();
+        s.execute("ASSERT edge(1, 2)").unwrap();
+        assert_eq!(in_flight(), 0);
+        assert!(matches!(
+            s.execute("ASSERT edge(1,"),
+            Err(ServiceError::Logic(_))
+        ));
+        assert_eq!(in_flight(), 0, "after a parse error");
+        assert!(matches!(
+            s.execute("RETRACT edge('Ghost', 1)"),
+            Err(ServiceError::UnknownConstant(_))
+        ));
+        assert_eq!(in_flight(), 0, "after an unknown name");
+        // the commit-apply span closes under the writer lock: a sink that
+        // panics on it unwinds through the lock
+        let registry = s.obs_registry();
+        registry.set_slow_span_ns(1);
+        registry.set_sink(Some(Arc::new(PanicOn("kbt_service_commit_apply_ns"))));
+        let committer = {
+            let s = s.clone();
+            std::thread::spawn(move || s.execute("ASSERT edge(3, 4)"))
+        };
+        assert!(committer.join().is_err(), "the commit must have panicked");
+        registry.set_sink(None);
+        assert_eq!(in_flight(), 0, "after a panic under the writer lock");
+        assert!(matches!(
+            s.execute("ASSERT edge(3, 4)"),
+            Err(ServiceError::WriterPoisoned)
+        ));
+        assert_eq!(in_flight(), 0, "after a refusal of the poisoned writer");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,12 +20,15 @@
 //! record order is exactly epoch order and each record's epoch is the
 //! epoch its commit published.  Durability waits happen *after* the lock
 //! is released: under [`FsyncPolicy::GroupCommit`] one committer becomes
-//! the **leader**, optionally waits `max_wait` for more committers to
-//! append (up to `max_batch` pending), issues one fsync covering the whole
-//! appended tail, and wakes every follower whose record it covered.  The
-//! cost of an fsync (~100 µs on commodity storage) is amortized over the
-//! batch, which is why durable throughput under concurrency *exceeds*
-//! one-fsync-per-commit throughput.
+//! the **leader**, issues one fsync covering the whole appended tail, and
+//! wakes every follower whose record it covered.  A commit counts as *in
+//! flight* from [`Wal::enter`], before it queues for the writer lock,
+//! until its [`InFlight`] guard drops after the append (or on a refusal
+//! or panic).  A leader flushes at once when nothing is in flight, so a
+//! lone committer never waits, and otherwise waits for every in-flight
+//! commit to append (at most `GATHER_CAP`, against a slow `APPLY`): `N`
+//! concurrent committers share one fsync instead of paying `N`.  A caller
+//! that never enters (a replay, a benchmark's shadow log) counts as alone.
 //!
 //! # Torn tails
 //!
@@ -54,6 +57,9 @@ pub const WAL_FILE: &str = "wal.kbtl";
 const HEADER_BYTES: usize = 8;
 /// Bytes of the `epoch` field inside the body.
 const EPOCH_BYTES: usize = 8;
+/// The longest a leader waits for in-flight commits to append before it
+/// flushes what it has (see module docs).
+const GATHER_CAP: Duration = Duration::from_micros(100);
 
 /// IEEE CRC-32 (the polynomial Ethernet, gzip and PNG use), computed one
 /// bit at a time with no table — small, std-only, and fast enough for
@@ -116,6 +122,8 @@ struct SyncState {
     durable: u64,
     /// Whether a leader currently owns the fsync.
     leader_busy: bool,
+    /// Commits that entered ([`Wal::enter`]) and have not left.
+    in_flight: usize,
 }
 
 /// The open write-ahead log (see module docs).
@@ -265,6 +273,7 @@ impl Wal {
                 appended: last_epoch,
                 durable: last_epoch,
                 leader_busy: false,
+                in_flight: 0,
             }),
             synced: Condvar::new(),
             metrics,
@@ -281,6 +290,14 @@ impl Wal {
         &self.policy
     }
 
+    /// Enters one commit into the pipeline: a leader flushing before the
+    /// returned guard drops waits for it (see module docs).
+    pub fn enter(&self) -> InFlight<'_> {
+        let mut st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
+        st.in_flight += 1;
+        InFlight { wal: self }
+    }
+
     /// Appends one record.  Must be called with commit order pinned (the
     /// service calls it under the writer lock), so the log's record order
     /// is exactly epoch order.
@@ -294,9 +311,6 @@ impl Wal {
         self.metrics.bytes_total.add(frame.len() as u64);
         let mut st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
         st.appended = st.appended.max(epoch);
-        drop(st);
-        // a leader may be accumulating its batch: let it see the new record
-        self.synced.notify_all();
         Ok(())
     }
 
@@ -304,32 +318,9 @@ impl Wal {
     /// policy.  Returns whether the record was actually flushed (`false`
     /// under [`FsyncPolicy::Never`]).  Called *outside* the writer lock.
     pub fn sync(&self, epoch: u64) -> Result<bool> {
-        match &self.policy {
-            FsyncPolicy::Never => Ok(false),
-            FsyncPolicy::Always => {
-                let covered = {
-                    let st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
-                    st.appended.saturating_sub(st.durable).max(1)
-                };
-                {
-                    let file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-                    file.sync_data()?;
-                }
-                let mut st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
-                st.durable = st.durable.max(epoch);
-                self.metrics.fsyncs_total.inc();
-                self.metrics.batch.record(covered);
-                Ok(true)
-            }
-            FsyncPolicy::GroupCommit {
-                max_batch,
-                max_wait,
-            } => self.group_sync(epoch, *max_batch, *max_wait),
+        if self.policy == FsyncPolicy::Never {
+            return Ok(false);
         }
-    }
-
-    /// Leader/follower group commit: see module docs.
-    fn group_sync(&self, epoch: u64, max_batch: usize, max_wait: Duration) -> Result<bool> {
         let mut st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if st.durable >= epoch {
@@ -341,18 +332,12 @@ impl Wal {
             }
             st = self.synced.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        // Leader: optionally wait for more committers to append, then
-        // flush the whole appended tail with one fsync.
-        let pending = (st.appended - st.durable) as usize;
-        if pending < max_batch && !max_wait.is_zero() {
-            // appenders notify; one bounded wait is enough — this is an
-            // amortization heuristic, not a correctness condition
-            let (guard, _timeout) = self
-                .synced
-                .wait_timeout(st, max_wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
+        // Leader: let every commit in flight append (no wait when none
+        // is), then flush the whole appended tail with one fsync.
+        let (st, _) = self
+            .synced
+            .wait_timeout_while(st, GATHER_CAP, |st| st.in_flight > 0)
+            .unwrap_or_else(PoisonError::into_inner);
         let target = st.appended;
         let batch = target - st.durable;
         drop(st);
@@ -380,6 +365,15 @@ impl Wal {
         }
     }
 
+    /// Commits entered and not yet left.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.sync
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .in_flight
+    }
+
     /// Point-in-time counters for `WALSTAT`.
     pub fn stat(&self) -> WalStat {
         let st = self.sync.lock().unwrap_or_else(PoisonError::into_inner);
@@ -389,6 +383,25 @@ impl Wal {
             fsyncs: self.metrics.fsyncs_total.get(),
             appended_epoch: st.appended,
             durable_epoch: st.durable,
+        }
+    }
+}
+
+/// One commit in the pipeline, from [`Wal::enter`] until the guard drops:
+/// after the commit has appended its record, or on any exit without one.
+#[derive(Debug)]
+#[must_use = "a commit counts as in flight only while its guard lives"]
+pub struct InFlight<'a> {
+    wal: &'a Wal,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut st = self.wal.sync.lock().unwrap_or_else(PoisonError::into_inner);
+        st.in_flight -= 1;
+        if st.in_flight == 0 {
+            // a leader may be waiting for the last commit in flight
+            self.wal.synced.notify_all();
         }
     }
 }
@@ -404,8 +417,8 @@ pub struct WalStat {
     pub fsyncs: u64,
     /// Highest epoch appended.
     pub appended_epoch: u64,
-    /// Highest epoch known durable (equals appended under `Always` once
-    /// quiescent; trails it under `Never`).
+    /// Highest epoch known durable (equals appended under group commit
+    /// once every commit has returned; trails it under `Never`).
     pub durable_epoch: u64,
 }
 
@@ -441,7 +454,7 @@ mod tests {
     #[test]
     fn append_scan_round_trip() {
         let path = temp_path("roundtrip");
-        let wal = Wal::open(path.clone(), FsyncPolicy::Always, 0, 0, metrics()).unwrap();
+        let wal = Wal::open(path.clone(), FsyncPolicy::group_commit(), 0, 0, metrics()).unwrap();
         wal.append(1, "ASSERT edge(1, 2)").unwrap();
         assert!(wal.sync(1).unwrap());
         wal.append(2, "RETRACT edge(1, 2)").unwrap();
@@ -564,6 +577,7 @@ mod tests {
                     for _ in 0..25 {
                         // simulate the writer lock: appends are serialized
                         let e = {
+                            let _in_flight = wal.enter();
                             let mut guard = epoch.lock().unwrap();
                             *guard += 1;
                             let e = *guard;

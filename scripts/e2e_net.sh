@@ -139,7 +139,7 @@ esac
 DPORT=$((PORT + 1))
 DDIR="$WORK/data"
 "$BIN/kbt-serve" --addr "127.0.0.1:$DPORT" --threads 2 \
-    --data-dir "$DDIR" --fsync always --checkpoint-every 3 >"$WORK/durable.log" 2>&1 &
+    --data-dir "$DDIR" --fsync group --checkpoint-every 3 >"$WORK/durable.log" 2>&1 &
 DURABLE_PID=$!
 for _ in $(seq 1 100); do
     grep -q "listening on" "$WORK/durable.log" 2>/dev/null && break
@@ -158,18 +158,18 @@ QUERY CERTAIN path
 EOF
 "$BIN/kbt-shell" --connect "127.0.0.1:$DPORT" "$WORK/durable.kbt" >"$WORK/durable1.txt"
 grep -q 'durable=true' "$WORK/durable1.txt" || {
-    echo "fsync-always commits did not report durable=true:" >&2; cat "$WORK/durable1.txt" >&2; exit 1
+    echo "group-commit commits did not report durable=true:" >&2; cat "$WORK/durable1.txt" >&2; exit 1
 }
 grep -Eq '^OK id=t[0-9]+ epoch=5 file=checkpoint-' "$WORK/durable1.txt" || {
     echo "CHECKPOINT did not report its file:" >&2; cat "$WORK/durable1.txt" >&2; exit 1
 }
-grep -Eq '^OK id=t[0-9]+ epoch=5 policy=always records=5 ' "$WORK/durable1.txt" || {
+grep -Eq '^OK id=t[0-9]+ epoch=5 policy=group-commit records=5 ' "$WORK/durable1.txt" || {
     echo "WALSTAT status malformed:" >&2; cat "$WORK/durable1.txt" >&2; exit 1
 }
 kill -KILL "$DURABLE_PID"
 wait "$DURABLE_PID" 2>/dev/null || true
 "$BIN/kbt-serve" --addr "127.0.0.1:$DPORT" --threads 2 \
-    --data-dir "$DDIR" --fsync always --checkpoint-every 3 >"$WORK/durable2.log" 2>&1 &
+    --data-dir "$DDIR" --fsync group --checkpoint-every 3 >"$WORK/durable2.log" 2>&1 &
 DURABLE_PID=$!
 for _ in $(seq 1 100); do
     grep -q "listening on" "$WORK/durable2.log" 2>/dev/null && break

@@ -393,7 +393,7 @@ fn a_cycle_cover_update_searches_once_per_minimal_cover() {
 #[ignore = "longer ladders: seconds in a release build"]
 fn longer_ladders_keep_their_shapes() {
     quantifier_free_row(&[400, 800, 1_600, 3_200, 6_400]);
-    expression_row(&[6, 7]);
+    expression_row(&[6, 7, 8]);
     datalog_row(&[32, 64, 128, 256]);
     threecnf_row(&[7, 8]);
     cover_row(&[14, 16, 18, 20]);
