@@ -40,7 +40,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
-use kbt_datalog::{lower_strata, DlAtom, Literal, Program, Rule};
+use kbt_datalog::{lower_program, DlAtom, Program, Rule};
 use kbt_engine::{evaluate, ir, metrics};
 use kbt_logic::builder::var;
 
@@ -82,25 +82,19 @@ fn braid() -> Database {
 /// The closure of `edge` joined on `second` — `edge` for the linear
 /// closure, `reach` for the non-linear one — and the nodes it leads back
 /// to.
-fn closure(second: u32) -> Vec<ir::Program> {
+fn closure(second: u32) -> ir::Program {
     let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     let reach = |a, b| DlAtom::new(r(REACH), vec![var(a), var(b)]);
     let program = Program::new(vec![
-        Rule::new(reach(0, 1), vec![Literal::positive(edge(0, 1))]),
+        Rule::new(reach(0, 1), vec![edge(0, 1)]),
         Rule::new(
             reach(0, 2),
-            vec![
-                Literal::positive(reach(0, 1)),
-                Literal::positive(DlAtom::new(r(second), vec![var(1), var(2)])),
-            ],
+            vec![reach(0, 1), DlAtom::new(r(second), vec![var(1), var(2)])],
         ),
-        Rule::new(
-            DlAtom::new(r(ONCYCLE), vec![var(0)]),
-            vec![Literal::positive(reach(0, 0))],
-        ),
+        Rule::new(DlAtom::new(r(ONCYCLE), vec![var(0)]), vec![reach(0, 0)]),
     ])
     .expect("a positive program");
-    lower_strata(&program, None).expect("a positive program stratifies")
+    lower_program(&program, None).expect("a safe program lowers")
 }
 
 /// The round stages' summed wall time in ns: join, sort, commit.
@@ -114,9 +108,9 @@ fn stages() -> [u64; 3] {
 }
 
 /// Times one closure at widths 1 and 2 and prints its split.
-fn kernels(filter: Option<&str>, name: &str, strata: &[ir::Program], edb: &Database) {
+fn kernels(filter: Option<&str>, name: &str, program: &ir::Program, edb: &Database) {
     let keep = [r(ONCYCLE)];
-    let (_, stats) = evaluate(strata, edb, 1, None, Some(&keep)).unwrap();
+    let (_, stats) = evaluate(program, edb, 1, None, Some(&keep)).unwrap();
     println!(
         "closure_kernels/{name}: {} facts derived over {} rounds from {} probes",
         stats.derived_facts, stats.iterations, stats.index_probes
@@ -126,7 +120,7 @@ fn kernels(filter: Option<&str>, name: &str, strata: &[ir::Program], edb: &Datab
         if filter.is_some_and(|f| !line.contains(f)) {
             continue;
         }
-        let run = || black_box(evaluate(strata, edb, width, None, Some(&keep)).unwrap());
+        let run = || black_box(evaluate(program, edb, width, None, Some(&keep)).unwrap());
         for _ in 0..WARMUP {
             run();
         }

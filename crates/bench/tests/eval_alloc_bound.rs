@@ -39,7 +39,7 @@
 
 use kbt_bench::alloc_counter;
 use kbt_data::{Database, DatabaseBuilder, RelId};
-use kbt_datalog::{semi_naive_eval_threads, DlAtom, Literal, Program, Rule};
+use kbt_datalog::{semi_naive_eval_threads, DlAtom, Program, Rule};
 use kbt_logic::builder::var;
 
 #[global_allocator]
@@ -63,15 +63,12 @@ fn tc_program(second: RelId) -> Program {
     let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
     let path = |a, b| DlAtom::new(r(2), vec![a, b]);
     Program::new(vec![
-        Rule::new(
-            path(var(1), var(2)),
-            vec![Literal::positive(edge(var(1), var(2)))],
-        ),
+        Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
         Rule::new(
             path(var(1), var(3)),
             vec![
-                Literal::positive(path(var(1), var(2))),
-                Literal::positive(DlAtom::new(second, vec![var(2), var(3)])),
+                path(var(1), var(2)),
+                DlAtom::new(second, vec![var(2), var(3)]),
             ],
         ),
     ])

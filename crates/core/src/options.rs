@@ -183,7 +183,6 @@ mod tests {
         a.absorb_fixpoint(&kbt_datalog::EvalStats {
             iterations: 5,
             derived_facts: 100,
-            strata: 1,
             index_probes: 42,
             tuples_scanned: 77,
             reused_facts: 9,

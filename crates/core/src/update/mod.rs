@@ -105,7 +105,6 @@ pub(crate) fn minimal_update_over(
 /// A descriptive plan row for an operator that has no Datalog rule plan.
 pub(crate) fn operator_row(rule: String, strategy: &str) -> RuleProfile {
     RuleProfile {
-        stratum: 0,
         rule,
         plan: format!("strategy: {strategy} (no rule plan)"),
         rounds: 0,

@@ -8,22 +8,19 @@
 //! (`b` = bound, `f` = free) under which it is called, propagating bindings
 //! sideways through each rule body.
 //!
-//! The sideways order is **bound-first**: at each step the positive body
-//! literal with the most bound positions goes next (ties in textual order),
-//! and negated literals go last.  Textual left-to-right order calls the
+//! The sideways order is **bound-first**: at each step the body atom with
+//! the most bound positions goes next (ties in textual order).  Textual
+//! left-to-right order calls the
 //! non-linear closure's `reach(x0, x1) & reach(x1, x2) -> reach(x0, x2)`
 //! under `reach^fb` as `reach(x0, x1)` first, all free: the rewrite then
 //! derives the whole closure *and* the demanded slice, 164–227 ms on
 //! `closure_scan`'s 40 005-edge braid against 36–66 ms for no rewrite at
 //! all.  Bound-first takes `reach(x1, x2)` first, bound, and the demand
 //! stays a slice (1.3 ms).  Where the textual order already puts the most
-//! bound literal first — every left-linear `bf` goal — the two agree.
+//! bound atom first — every left-linear `bf` goal — the two agree.
 //!
 //! This module computes that adorned program.  [`crate::magic`] turns it
-//! into the rewritten (magic) program.  Both refuse — with
-//! [`DatalogError::GoalDirected`] — on program shapes the rewrite does not
-//! cover (negated intensional subgoals); callers fall back to full
-//! materialization, which is always available.
+//! into the rewritten (magic) program.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -31,9 +28,7 @@ use std::fmt;
 use kbt_data::RelId;
 use kbt_logic::{Term, Var};
 
-use crate::ast::{Literal, Program, Rule};
-use crate::error::DatalogError;
-use crate::Result;
+use crate::ast::{DlAtom, Program, Rule};
 
 /// A binding pattern over the argument positions of one predicate:
 /// `true` = bound, `false` = free.  Displays as the classical `bf…` string.
@@ -102,28 +97,28 @@ pub struct AdornedPred {
     pub adornment: Adornment,
 }
 
-/// One body literal of an adorned rule.  `call` is `Some` exactly when the
-/// literal is a positive intensional subgoal (and therefore subject to
-/// renaming by the magic rewrite).
+/// One body atom of an adorned rule.  `call` is `Some` exactly when the
+/// atom is an intensional subgoal (and therefore subject to renaming by the
+/// magic rewrite).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdornedLiteral {
-    /// The original literal.
-    pub literal: Literal,
+pub struct AdornedAtom {
+    /// The original atom.
+    pub atom: DlAtom,
     /// The adornment under which an intensional subgoal is called.
     pub call: Option<Adornment>,
 }
 
 /// One rule of the adorned program: the original rule, the adornment of its
-/// head, and the per-literal call patterns derived in sideways order.
+/// head, and the per-atom call patterns derived in sideways order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdornedRule {
     /// The head predicate with its adornment.
     pub head: AdornedPred,
     /// The original rule.
     pub rule: Rule,
-    /// Body literals in sideways order (bound-first, negated last), each
-    /// with its call pattern.
-    pub body: Vec<AdornedLiteral>,
+    /// Body atoms in sideways order (bound-first), each with its call
+    /// pattern.
+    pub body: Vec<AdornedAtom>,
 }
 
 /// The adorned slice of a program around its goals: exactly the rules
@@ -141,11 +136,8 @@ pub struct AdornedProgram {
 ///
 /// Propagation is bound-first (see the module docs): a body position is
 /// bound if it is a constant, a bound head variable, or a variable of a
-/// *positive* body literal placed before it.  Returns
-/// [`DatalogError::GoalDirected`] if a negated intensional subgoal is
-/// reachable — the magic rewrite does not guard negated predicates, so such
-/// queries must fall back to materialization.
-pub fn adorn_program(program: &Program, goals: &[AdornedPred]) -> Result<AdornedProgram> {
+/// body atom placed before it.
+pub fn adorn_program(program: &Program, goals: &[AdornedPred]) -> AdornedProgram {
     let idb = program.idb_relations();
     let mut seen: BTreeSet<AdornedPred> = BTreeSet::new();
     let mut preds: Vec<AdornedPred> = Vec::new();
@@ -163,11 +155,11 @@ pub fn adorn_program(program: &Program, goals: &[AdornedPred]) -> Result<Adorned
             if rule.head.rel != pred.rel {
                 continue;
             }
-            let adorned = adorn_rule(rule, &pred, &idb)?;
-            for lit in &adorned.body {
-                if let Some(call) = &lit.call {
+            let adorned = adorn_rule(rule, &pred, &idb);
+            for sub in &adorned.body {
+                if let Some(call) = &sub.call {
                     let callee = AdornedPred {
-                        rel: lit.literal.atom.rel,
+                        rel: sub.atom.rel,
                         adornment: call.clone(),
                     };
                     if seen.insert(callee.clone()) {
@@ -180,21 +172,12 @@ pub fn adorn_program(program: &Program, goals: &[AdornedPred]) -> Result<Adorned
         }
     }
 
-    Ok(AdornedProgram { rules, preds })
+    AdornedProgram { rules, preds }
 }
 
-/// Adorns one rule called under `pred`, ordering its body bound-first, or
-/// refuses on a negated intensional subgoal.
-fn adorn_rule(rule: &Rule, pred: &AdornedPred, idb: &BTreeSet<RelId>) -> Result<AdornedRule> {
+/// Adorns one rule called under `pred`, ordering its body bound-first.
+fn adorn_rule(rule: &Rule, pred: &AdornedPred, idb: &BTreeSet<RelId>) -> AdornedRule {
     debug_assert_eq!(rule.head.arity(), pred.adornment.len());
-    if let Some(lit) = (rule.body.iter()).find(|l| !l.positive && idb.contains(&l.atom.rel)) {
-        return Err(DatalogError::GoalDirected {
-            reason: format!(
-                "negated intensional subgoal {} is reachable from the query",
-                lit.atom
-            ),
-        });
-    }
     let mut bound: BTreeSet<Var> = rule
         .head
         .terms
@@ -210,38 +193,29 @@ fn adorn_rule(rule: &Rule, pred: &AdornedPred, idb: &BTreeSet<RelId>) -> Result<
                 .collect(),
         )
     };
-    let mut pending: Vec<&Literal> = rule.body.iter().filter(|l| l.positive).collect();
+    let mut pending: Vec<&DlAtom> = rule.body.iter().collect();
     let mut body = Vec::with_capacity(rule.body.len());
     while !pending.is_empty() {
         // the most bound positions wins; `max_by_key` keeps the last of
         // equals, so scan in reverse to keep the textually first
         let (next, _) = (pending.iter().enumerate().rev())
-            .max_by_key(|(_, l)| pattern(&l.atom.terms, &bound).bound_count())
+            .max_by_key(|(_, atom)| pattern(&atom.terms, &bound).bound_count())
             .expect("pending is non-empty");
-        let lit = pending.remove(next);
+        let atom = pending.remove(next);
         let call = idb
-            .contains(&lit.atom.rel)
-            .then(|| pattern(&lit.atom.terms, &bound));
-        bound.extend(lit.atom.variables());
-        body.push(AdornedLiteral {
-            literal: lit.clone(),
+            .contains(&atom.rel)
+            .then(|| pattern(&atom.terms, &bound));
+        bound.extend(atom.variables());
+        body.push(AdornedAtom {
+            atom: atom.clone(),
             call,
         });
     }
-    body.extend(
-        rule.body
-            .iter()
-            .filter(|l| !l.positive)
-            .map(|l| AdornedLiteral {
-                literal: l.clone(),
-                call: None,
-            }),
-    );
-    Ok(AdornedRule {
+    AdornedRule {
         head: pred.clone(),
         rule: rule.clone(),
         body,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -265,16 +239,10 @@ mod tests {
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let path = |a, b| DlAtom::new(r(2), vec![a, b]);
         Program::new(vec![
-            Rule::new(
-                path(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
+            Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), edge(var(2), var(3))],
             ),
         ])
         .unwrap()
@@ -293,7 +261,7 @@ mod tests {
     #[test]
     fn tc_bf_adorns_recursively() {
         let p = tc_program();
-        let adorned = adorn_program(&p, &goal(2, &[true, false])).unwrap();
+        let adorned = adorn_program(&p, &goal(2, &[true, false]));
         // Only path^bf is reached: the recursive call keeps the first
         // argument bound (it is a bound head variable).
         assert_eq!(adorned.preds.len(), 1);
@@ -309,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn the_most_bound_literal_goes_first_and_negations_last() {
+    fn the_most_bound_atom_goes_first() {
         // path(x, z) :- path(x, y), path(y, z) under path^fb: textually
         // path(x, y) would be called all free; bound-first calls path(y, z)
         // first, and path(x, y) is then bound too
@@ -317,25 +285,18 @@ mod tests {
         let prog = Program::new(vec![
             Rule::new(
                 path(var(1), var(2)),
-                vec![
-                    Literal::negative(DlAtom::new(r(3), vec![var(1)])),
-                    Literal::positive(DlAtom::new(r(1), vec![var(1), var(2)])),
-                ],
+                vec![DlAtom::new(r(1), vec![var(1), var(2)])],
             ),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(path(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), path(var(2), var(3))],
             ),
         ])
         .unwrap();
-        let adorned = adorn_program(&prog, &goal(2, &[false, true])).unwrap();
+        let adorned = adorn_program(&prog, &goal(2, &[false, true]));
         assert_eq!(adorned.preds.len(), 1, "only path^fb is reached");
-        assert!(!adorned.rules[0].body[1].literal.positive);
         let rec = &adorned.rules[1];
-        assert_eq!(rec.body[0].literal.atom, path(var(2), var(3)));
+        assert_eq!(rec.body[0].atom, path(var(2), var(3)));
         let calls: Vec<String> = (rec.body.iter())
             .map(|l| l.call.as_ref().unwrap().to_string())
             .collect();
@@ -350,48 +311,15 @@ mod tests {
         let p = |a, b| DlAtom::new(r(2), vec![a, b]);
         let q = |a, b| DlAtom::new(r(3), vec![a, b]);
         let prog = Program::new(vec![
-            Rule::new(
-                p(var(1), var(2)),
-                vec![Literal::positive(e(var(1), var(2)))],
-            ),
+            Rule::new(p(var(1), var(2)), vec![e(var(1), var(2))]),
             Rule::new(
                 q(var(1), var(2)),
-                vec![
-                    Literal::positive(e(var(1), var(3))),
-                    Literal::positive(p(var(3), var(2))),
-                ],
+                vec![e(var(1), var(3)), p(var(3), var(2))],
             ),
         ])
         .unwrap();
-        let adorned = adorn_program(&prog, &goal(3, &[false, false])).unwrap();
+        let adorned = adorn_program(&prog, &goal(3, &[false, false]));
         let call = adorned.rules[0].body[1].call.as_ref().unwrap();
         assert_eq!(call.to_string(), "bf", "z is bound sideways by e(x, z)");
-    }
-
-    #[test]
-    fn negated_idb_subgoals_refuse() {
-        let e = |a| DlAtom::new(r(1), vec![a]);
-        let p = |a| DlAtom::new(r(2), vec![a]);
-        let q = |a| DlAtom::new(r(3), vec![a]);
-        let prog = Program::new(vec![
-            Rule::new(p(var(1)), vec![Literal::positive(e(var(1)))]),
-            Rule::new(
-                q(var(1)),
-                vec![Literal::positive(e(var(1))), Literal::negative(p(var(1)))],
-            ),
-        ])
-        .unwrap();
-        let err = adorn_program(&prog, &goal(3, &[true])).unwrap_err();
-        assert!(matches!(err, DatalogError::GoalDirected { .. }));
-        // Negated *extensional* literals are fine.
-        let prog2 = Program::new(vec![Rule::new(
-            q(var(1)),
-            vec![
-                Literal::positive(e(var(1))),
-                Literal::negative(DlAtom::new(r(4), vec![var(1)])),
-            ],
-        )])
-        .unwrap();
-        assert!(adorn_program(&prog2, &goal(3, &[true])).is_ok());
     }
 }

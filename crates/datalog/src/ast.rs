@@ -1,4 +1,5 @@
-//! Datalog atoms, literals, rules and programs.
+//! Datalog atoms, rules and programs: positive Datalog, whose rule bodies
+//! are lists of atoms.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -56,54 +57,18 @@ impl fmt::Display for DlAtom {
     }
 }
 
-/// A body literal: a possibly negated atom.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Literal {
-    /// The underlying atom.
-    pub atom: DlAtom,
-    /// `true` for a positive literal, `false` for a negated one.
-    pub positive: bool,
-}
-
-impl Literal {
-    /// A positive literal.
-    pub fn positive(atom: DlAtom) -> Self {
-        Literal {
-            atom,
-            positive: true,
-        }
-    }
-
-    /// A negated literal (used only by stratified programs).
-    pub fn negative(atom: DlAtom) -> Self {
-        Literal {
-            atom,
-            positive: false,
-        }
-    }
-}
-
-impl fmt::Display for Literal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.positive {
-            write!(f, "~")?;
-        }
-        write!(f, "{}", self.atom)
-    }
-}
-
 /// A rule `head :- body`.  An empty body makes the rule a fact.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rule {
     /// The head atom.
     pub head: DlAtom,
-    /// The body literals.
-    pub body: Vec<Literal>,
+    /// The body atoms.
+    pub body: Vec<DlAtom>,
 }
 
 impl Rule {
     /// Builds a rule.
-    pub fn new(head: DlAtom, body: impl Into<Vec<Literal>>) -> Self {
+    pub fn new(head: DlAtom, body: impl Into<Vec<DlAtom>>) -> Self {
         Rule {
             head,
             body: body.into(),
@@ -119,27 +84,10 @@ impl Rule {
     }
 
     /// Whether the rule is *safe* (range-restricted): every variable of the
-    /// head and of every negated body literal occurs in some positive body
-    /// literal.
+    /// head occurs in the body.
     pub fn is_safe(&self) -> bool {
-        let positive_vars: BTreeSet<Var> = self
-            .body
-            .iter()
-            .filter(|l| l.positive)
-            .flat_map(|l| l.atom.variables())
-            .collect();
-        let mut needed = self.head.variables();
-        for l in &self.body {
-            if !l.positive {
-                needed.extend(l.atom.variables());
-            }
-        }
-        needed.is_subset(&positive_vars)
-    }
-
-    /// Whether every body literal is positive.
-    pub fn is_positive(&self) -> bool {
-        self.body.iter().all(|l| l.positive)
+        let body_vars: BTreeSet<Var> = self.body.iter().flat_map(DlAtom::variables).collect();
+        self.head.variables().is_subset(&body_vars)
     }
 }
 
@@ -148,11 +96,11 @@ impl fmt::Display for Rule {
         write!(f, "{}", self.head)?;
         if !self.body.is_empty() {
             write!(f, " :- ")?;
-            for (i, l) in self.body.iter().enumerate() {
+            for (i, atom) in self.body.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
-                write!(f, "{l}")?;
+                write!(f, "{atom}")?;
             }
         }
         write!(f, ".")
@@ -179,9 +127,9 @@ impl Program {
             schema
                 .add(rule.head.rel, rule.head.arity())
                 .map_err(DatalogError::Data)?;
-            for l in &rule.body {
+            for atom in &rule.body {
                 schema
-                    .add(l.atom.rel, l.atom.arity())
+                    .add(atom.rel, atom.arity())
                     .map_err(DatalogError::Data)?;
             }
         }
@@ -213,7 +161,7 @@ impl Program {
         let idb = self.idb_relations();
         self.rules
             .iter()
-            .flat_map(|r| r.body.iter().map(|l| l.atom.rel))
+            .flat_map(|r| r.body.iter().map(|atom| atom.rel))
             .filter(|r| !idb.contains(r))
             .collect()
     }
@@ -223,16 +171,11 @@ impl Program {
         let mut s = Schema::new();
         for rule in &self.rules {
             let _ = s.add(rule.head.rel, rule.head.arity());
-            for l in &rule.body {
-                let _ = s.add(l.atom.rel, l.atom.arity());
+            for atom in &rule.body {
+                let _ = s.add(atom.rel, atom.arity());
             }
         }
         s
-    }
-
-    /// Whether the program is negation-free.
-    pub fn is_positive(&self) -> bool {
-        self.rules.iter().all(Rule::is_positive)
     }
 }
 
@@ -260,16 +203,10 @@ mod tests {
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let path = |a, b| DlAtom::new(r(2), vec![a, b]);
         Program::new(vec![
-            Rule::new(
-                path(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
+            Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), edge(var(2), var(3))],
             ),
         ])
         .unwrap()
@@ -279,7 +216,6 @@ mod tests {
     fn program_classification() {
         let p = tc_program();
         assert_eq!(p.len(), 2);
-        assert!(p.is_positive());
         assert_eq!(
             p.idb_relations().into_iter().collect::<Vec<_>>(),
             vec![r(2)]
@@ -293,26 +229,16 @@ mod tests {
 
     #[test]
     fn unsafe_rules_are_rejected() {
-        // head variable x2 does not occur in a positive body literal
+        // head variable x2 does not occur in the body
         let bad = Rule::new(
             DlAtom::new(r(2), vec![var(1), var(2)]),
-            vec![Literal::positive(DlAtom::new(r(1), vec![var(1), var(1)]))],
+            vec![DlAtom::new(r(1), vec![var(1), var(1)])],
         );
         assert!(!bad.is_safe());
         assert!(matches!(
             Program::new(vec![bad]),
             Err(DatalogError::UnsafeRule { .. })
         ));
-
-        // negated literal with a variable not bound positively
-        let bad_neg = Rule::new(
-            DlAtom::new(r(2), vec![var(1)]),
-            vec![
-                Literal::positive(DlAtom::new(r(1), vec![var(1)])),
-                Literal::negative(DlAtom::new(r(3), vec![var(2)])),
-            ],
-        );
-        assert!(!bad_neg.is_safe());
     }
 
     #[test]

@@ -10,11 +10,6 @@ pub enum DatalogError {
         /// Display form of the offending rule.
         rule: String,
     },
-    /// The program uses negation through recursion and cannot be stratified.
-    NotStratifiable {
-        /// Display form of a relation on the offending cycle.
-        relation: String,
-    },
     /// The sentence handed to [`crate::program_from_sentence`] is not a
     /// conjunction of function-free Horn clauses.
     NotHorn,
@@ -26,18 +21,6 @@ pub enum DatalogError {
         /// Human-readable description of the limit.
         message: String,
     },
-    /// An incremental session was asked to maintain a program with a
-    /// negated literal; sessions serve positive programs only.
-    NegationInSession {
-        /// Display form of the first lowered rule with a negated literal.
-        rule: String,
-    },
-    /// The goal-directed (magic-set) rewrite does not cover this program
-    /// shape; callers fall back to full materialization.
-    GoalDirected {
-        /// Why the rewrite refused.
-        reason: String,
-    },
 }
 
 impl fmt::Display for DatalogError {
@@ -46,10 +29,6 @@ impl fmt::Display for DatalogError {
             DatalogError::UnsafeRule { rule } => {
                 write!(f, "rule is not range-restricted: {rule}")
             }
-            DatalogError::NotStratifiable { relation } => write!(
-                f,
-                "program recurses through negation (e.g. via {relation}) and cannot be stratified"
-            ),
             DatalogError::NotHorn => {
                 write!(
                     f,
@@ -58,15 +37,6 @@ impl fmt::Display for DatalogError {
             }
             DatalogError::Data(e) => write!(f, "{e}"),
             DatalogError::Engine { message } => write!(f, "engine limit: {message}"),
-            DatalogError::NegationInSession { rule } => {
-                write!(
-                    f,
-                    "incremental sessions maintain positive programs only: {rule}"
-                )
-            }
-            DatalogError::GoalDirected { reason } => {
-                write!(f, "goal-directed rewrite unavailable: {reason}")
-            }
         }
     }
 }
@@ -84,9 +54,6 @@ impl From<kbt_engine::EngineError> for DatalogError {
         match e {
             kbt_engine::EngineError::UnsafeRule { rule } => DatalogError::UnsafeRule { rule },
             kbt_engine::EngineError::Data(e) => DatalogError::Data(e),
-            kbt_engine::EngineError::NegationInSession { rule } => {
-                DatalogError::NegationInSession { rule }
-            }
             other => DatalogError::Engine {
                 message: other.to_string(),
             },

@@ -3,8 +3,8 @@
 //! Inserting a Datalog program into an extensional database produces the
 //! program's unique least fixpoint (the remark before the contributions list
 //! in Section 1, made precise by Theorem 4.8).  [`semi_naive_eval_viewed`]
-//! computes it by stratifying the program, lowering each stratum to the
-//! `kbt-engine` IR, and running the engine's one evaluator — delta-aware
+//! computes it by lowering the program to the `kbt-engine` IR and running
+//! the engine's one evaluator — delta-aware
 //! semi-naive rounds over hash-indexed storage — optionally observed
 //! through a [`View`] (`EXPLAIN` / `PROFILE`); [`semi_naive_eval_threads`]
 //! and [`semi_naive_eval`] are that same call with nothing recorded.
@@ -17,7 +17,7 @@ use kbt_data::{Database, RelId};
 use kbt_engine::View;
 
 use crate::ast::Program;
-use crate::lower::lower_strata;
+use crate::lower::lower_program;
 use crate::Result;
 
 /// Statistics reported by the evaluators: the engine's own counters
@@ -25,10 +25,10 @@ use crate::Result;
 /// outcomes and the benchmark harness use.
 ///
 /// The engine-backed evaluators and the reference oracle populate
-/// `iterations`, `derived_facts`, `strata` and `tuples_scanned` the same
-/// way: iterations accumulate over every stratum (each stratum contributes
-/// at least its final empty round), derived facts count first-time
-/// insertions into intensional relations.  `index_probes` is only nonzero
+/// `iterations`, `derived_facts` and `tuples_scanned` the same way:
+/// iterations count every round including the final empty one (a program
+/// with no rules runs none), derived facts count first-time insertions
+/// into intensional relations.  `index_probes` is only nonzero
 /// for the engine-backed paths — the reference oracle never probes an
 /// index — and `reused_facts` / `rederived_facts` only for incremental
 /// deltas.
@@ -37,9 +37,6 @@ pub use kbt_engine::EngineStats as EvalStats;
 /// Computes the least fixpoint of `program` over `edb` using delta-indexed
 /// semi-naive evaluation (only facts that are new in the previous round are
 /// re-joined, through hash-index probes), at the process-default width.
-///
-/// Supports stratified negation: the program is stratified first and the
-/// strata are evaluated in order.
 pub fn semi_naive_eval(program: &Program, edb: &Database) -> Result<(Database, EvalStats)> {
     semi_naive_eval_threads(program, edb, 0)
 }
@@ -71,7 +68,7 @@ pub fn semi_naive_eval_viewed(
     view: Option<&mut View<'_>>,
     keep: Option<&[RelId]>,
 ) -> Result<(Database, EvalStats)> {
-    let lowered = lower_strata(program, view.as_ref().map(|v| v.namer))?;
+    let lowered = lower_program(program, view.as_ref().map(|v| v.namer))?;
     Ok(kbt_engine::evaluate(&lowered, edb, threads, view, keep)?)
 }
 
@@ -84,20 +81,14 @@ pub fn semi_naive_eval_viewed(
 /// [`IncrementalEval::current`] is always byte-identical to
 /// [`semi_naive_eval`] over the mutated database.  See the engine crate
 /// docs for the lifecycle.
-///
-/// A session maintains a positive program only: [`Self::with_threads`]
-/// refuses a program with a negated literal with
-/// [`DatalogError::NegationInSession`](crate::DatalogError::NegationInSession)
-/// before it evaluates anything.  [`semi_naive_eval`] keeps stratified
-/// negation.
 #[derive(Clone, Debug)]
 pub struct IncrementalEval {
     session: kbt_engine::IncrementalSession,
 }
 
 impl IncrementalEval {
-    /// Stratifies and lowers `program`, then evaluates it over `edb` to
-    /// seed the session (at the process-default evaluation width).
+    /// Lowers `program`, then evaluates it over `edb` to seed the session
+    /// (at the process-default evaluation width).
     pub fn new(program: &Program, edb: &Database) -> Result<Self> {
         IncrementalEval::with_threads(program, edb, 0)
     }
@@ -106,7 +97,7 @@ impl IncrementalEval {
     /// default, `1` = every round on the calling thread).  Fixpoints and
     /// statistics are identical at every width.
     pub fn with_threads(program: &Program, edb: &Database, threads: usize) -> Result<Self> {
-        let lowered = lower_strata(program, None)?;
+        let lowered = lower_program(program, None)?;
         Ok(IncrementalEval {
             session: kbt_engine::IncrementalSession::with_threads(&lowered, edb, threads)?,
         })
@@ -173,7 +164,7 @@ pub fn idb_only(program: &Program, fixpoint: &Database) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{DlAtom, Literal, Rule};
+    use crate::ast::{DlAtom, Rule};
     use crate::reference::{reference_naive_eval, reference_semi_naive_eval};
     use kbt_data::{DatabaseBuilder, RelId};
     use kbt_logic::builder::{cst, var};
@@ -186,16 +177,10 @@ mod tests {
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let path = |a, b| DlAtom::new(r(2), vec![a, b]);
         Program::new(vec![
-            Rule::new(
-                path(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
+            Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), edge(var(2), var(3))],
             ),
         ])
         .unwrap()
@@ -235,63 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_populated_per_stratum() {
-        // Two strata: TC in the first, a negation rule in the second.
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let reach = |a, b| DlAtom::new(r(2), vec![a, b]);
-        let node = |a| DlAtom::new(r(3), vec![a]);
-        let unreach = |a, b| DlAtom::new(r(4), vec![a, b]);
-        let p = Program::new(vec![
-            Rule::new(
-                reach(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
-            Rule::new(
-                reach(var(1), var(3)),
-                vec![
-                    Literal::positive(reach(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
-            ),
-            Rule::new(
-                unreach(var(1), var(2)),
-                vec![
-                    Literal::positive(node(var(1))),
-                    Literal::positive(node(var(2))),
-                    Literal::negative(reach(var(1), var(2))),
-                ],
-            ),
-        ])
-        .unwrap();
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=4u32 {
-            b = b.fact(r(3), [i]);
-        }
-        b = b
-            .fact(r(1), [1u32, 2])
-            .fact(r(1), [2u32, 3])
-            .fact(r(1), [3u32, 4]);
-        let edb = b.build().unwrap();
-
-        let (_, stats) = semi_naive_eval(&p, &edb).unwrap();
-        assert_eq!(stats.strata, 2, "both strata must be reported");
-        // each stratum runs at least one round: iterations accumulate
-        // across strata rather than reporting only the last one.
-        assert!(
-            stats.iterations > stats.strata,
-            "iterations ({}) must cover all strata",
-            stats.iterations
-        );
-        assert!(stats.index_probes > 0, "probes must be reported");
-    }
-
-    #[test]
     fn facts_and_constants_in_rules() {
         // p(x) :- edge(1, x).   q(7).
         let p = Program::new(vec![
             Rule::new(
                 DlAtom::new(r(3), vec![var(1)]),
-                vec![Literal::positive(DlAtom::new(r(1), vec![cst(1), var(1)]))],
+                vec![DlAtom::new(r(1), vec![cst(1), var(1)])],
             ),
             Rule::fact(DlAtom::new(r(4), vec![cst(7)])),
         ])
@@ -301,51 +235,6 @@ mod tests {
         assert!(fix.holds(r(3), &kbt_data::tuple![2]));
         assert!(!fix.holds(r(3), &kbt_data::tuple![3]));
         assert!(fix.holds(r(4), &kbt_data::tuple![7]));
-    }
-
-    #[test]
-    fn stratified_negation_complement_of_reachability() {
-        // reach(x,y) :- edge(x,y).  reach(x,z) :- reach(x,y), edge(y,z).
-        // unreach(x,y) :- node(x), node(y), ~reach(x,y).
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let reach = |a, b| DlAtom::new(r(2), vec![a, b]);
-        let node = |a| DlAtom::new(r(3), vec![a]);
-        let unreach = |a, b| DlAtom::new(r(4), vec![a, b]);
-        let p = Program::new(vec![
-            Rule::new(
-                reach(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
-            Rule::new(
-                reach(var(1), var(3)),
-                vec![
-                    Literal::positive(reach(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
-            ),
-            Rule::new(
-                unreach(var(1), var(2)),
-                vec![
-                    Literal::positive(node(var(1))),
-                    Literal::positive(node(var(2))),
-                    Literal::negative(reach(var(1), var(2))),
-                ],
-            ),
-        ])
-        .unwrap();
-
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=3u32 {
-            b = b.fact(r(3), [i]);
-        }
-        b = b.fact(r(1), [1u32, 2]).fact(r(1), [2u32, 3]);
-        let edb = b.build().unwrap();
-
-        let (fix, _) = semi_naive_eval(&p, &edb).unwrap();
-        // 3 nodes → 9 pairs, reachable = {(1,2),(2,3),(1,3)} → 6 unreachable
-        assert_eq!(fix.relation(r(4)).unwrap().len(), 6);
-        assert!(fix.holds(r(4), &kbt_data::tuple![3, 1]));
-        assert!(!fix.holds(r(4), &kbt_data::tuple![1, 3]));
     }
 
     #[test]

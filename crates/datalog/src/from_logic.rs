@@ -6,7 +6,7 @@
 
 use kbt_logic::{horn_clauses, HornClause, Sentence};
 
-use crate::ast::{DlAtom, Literal, Program, Rule};
+use crate::ast::{DlAtom, Program, Rule};
 use crate::error::DatalogError;
 use crate::Result;
 
@@ -19,7 +19,7 @@ pub fn program_from_horn(clauses: &[HornClause]) -> Result<Program> {
                 DlAtom::new(c.head.0, c.head.1.clone()),
                 c.body
                     .iter()
-                    .map(|(rel, terms)| Literal::positive(DlAtom::new(*rel, terms.clone())))
+                    .map(|(rel, terms)| DlAtom::new(*rel, terms.clone()))
                     .collect::<Vec<_>>(),
             )
         })

@@ -12,9 +12,17 @@
 //!   strata of the program.
 //!
 //! This crate implements that substrate from scratch: a rule/program
-//! representation, safety (range-restriction) checking, stratification, and
-//! bottom-up least-fixpoint evaluation over the relational substrate of
-//! `kbt-data`.
+//! representation, safety (range-restriction) checking, and bottom-up
+//! least-fixpoint evaluation over the relational substrate of `kbt-data`.
+//!
+//! The rules are **positive Datalog**: a rule body is a list of atoms
+//! ([`Rule::body`]), so a negated literal cannot be written and every
+//! program is one stratum.  That is exactly the fragment of Theorem 4.8,
+//! and every program the product evaluates comes from a Horn sentence
+//! ([`program_from_horn`]).  A stratified program is expressed in the
+//! transformation language as a sequence of `τ` steps, one per stratum
+//! (Section 2.1's remark); a step that negates is not Horn, so it goes
+//! through grounding, not this crate.
 //!
 //! Evaluation is delegated to `kbt-engine` ([`lower`] maps the AST onto the
 //! engine's slot-based IR).  The evaluator inventory is short on purpose:
@@ -38,7 +46,7 @@ pub mod reference;
 pub mod stratify;
 
 pub use adorn::{adorn_program, AdornedPred, AdornedProgram, Adornment};
-pub use ast::{DlAtom, Literal, Program, Rule};
+pub use ast::{DlAtom, Program, Rule};
 pub use error::DatalogError;
 pub use eval::{
     idb_only, semi_naive_eval, semi_naive_eval_threads, semi_naive_eval_viewed, EvalStats,
@@ -46,7 +54,7 @@ pub use eval::{
 };
 pub use from_logic::{program_from_horn, program_from_sentence};
 pub use kbt_engine::{RuleProfile, View};
-pub use lower::{lower_program, lower_rule, lower_strata, render_rule};
+pub use lower::{lower_program, lower_rule, render_rule};
 pub use magic::{demand_rewrite, magic_rewrite, DemandPlan, MagicName, MagicPlan};
 pub use metrics::{metrics, DatalogMetrics};
 pub use reference::{reference_naive_eval, reference_semi_naive_eval};

@@ -37,19 +37,10 @@ pub fn lower_rule(rule: &Rule, namer: Option<&dyn Fn(RelId) -> String>) -> Resul
             .collect::<Vec<_>>()
     };
 
-    // Body first so positive literals claim the early slots; the head can
-    // only mention variables the body binds (range restriction).
-    let body: Vec<ir::Literal> = rule
-        .body
-        .iter()
-        .map(|l| {
-            let atom = ir::Atom::new(l.atom.rel, lower_terms(&l.atom.terms, &mut slot_of));
-            if l.positive {
-                ir::Literal::positive(atom)
-            } else {
-                ir::Literal::negative(atom)
-            }
-        })
+    // Body first so its atoms claim the slots; the head can only mention
+    // variables the body binds (range restriction).
+    let body: Vec<ir::Atom> = (rule.body.iter())
+        .map(|atom| ir::Atom::new(atom.rel, lower_terms(&atom.terms, &mut slot_of)))
         .collect();
     let head = ir::Atom::new(rule.head.rel, lower_terms(&rule.head.terms, &mut slot_of));
     let lowered = ir::Rule::new(head, body)?;
@@ -69,21 +60,21 @@ pub fn render_rule(rule: &Rule, namer: &dyn Fn(RelId) -> String) -> String {
     let mut out = app(&rule.head);
     if !rule.body.is_empty() {
         out.push_str(" :- ");
-        for (i, l) in rule.body.iter().enumerate() {
+        for (i, atom) in rule.body.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            if !l.positive {
-                out.push('~');
-            }
-            out.push_str(&app(&l.atom));
+            out.push_str(&app(atom));
         }
     }
     out.push('.');
     out
 }
 
-/// Lowers a whole program (typically one stratum).
+/// Lowers a whole program: the entry point shared by the one-shot evaluator
+/// and the delta-driven [`IncrementalEval`](crate::eval::IncrementalEval)
+/// session, which hands the result straight to
+/// [`kbt_engine::IncrementalSession`].
 pub fn lower_program(
     program: &Program,
     namer: Option<&dyn Fn(RelId) -> String>,
@@ -97,24 +88,10 @@ pub fn lower_program(
     ))
 }
 
-/// Stratifies `program` and lowers every stratum: the entry point shared by
-/// the one-shot evaluator and the delta-driven
-/// [`IncrementalEval`](crate::eval::IncrementalEval) session, which hands
-/// the result straight to [`kbt_engine::IncrementalSession`].
-pub fn lower_strata(
-    program: &Program,
-    namer: Option<&dyn Fn(RelId) -> String>,
-) -> Result<Vec<ir::Program>> {
-    crate::stratify::stratify(program)?
-        .iter()
-        .map(|stratum| lower_program(stratum, namer))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{DlAtom, Literal};
+    use crate::ast::DlAtom;
     use kbt_data::RelId;
     use kbt_logic::builder::{cst, var};
 
@@ -128,18 +105,18 @@ mod tests {
         let rule = Rule::new(
             DlAtom::new(r(2), vec![var(7), var(3)]),
             vec![
-                Literal::positive(DlAtom::new(r(2), vec![var(7), var(5)])),
-                Literal::positive(DlAtom::new(r(1), vec![var(5), var(3)])),
+                DlAtom::new(r(2), vec![var(7), var(5)]),
+                DlAtom::new(r(1), vec![var(5), var(3)]),
             ],
         );
         let lowered = lower_rule(&rule, None).unwrap();
         assert_eq!(lowered.slots, 3);
         assert_eq!(
-            lowered.body[0].atom.terms,
+            lowered.body[0].terms,
             vec![ir::Term::Slot(0), ir::Term::Slot(1)]
         );
         assert_eq!(
-            lowered.body[1].atom.terms,
+            lowered.body[1].terms,
             vec![ir::Term::Slot(1), ir::Term::Slot(2)]
         );
         assert_eq!(
@@ -152,29 +129,26 @@ mod tests {
     fn constants_survive_lowering() {
         let rule = Rule::new(
             DlAtom::new(r(3), vec![var(1)]),
-            vec![Literal::positive(DlAtom::new(r(1), vec![cst(1), var(1)]))],
+            vec![DlAtom::new(r(1), vec![cst(1), var(1)])],
         );
         let lowered = lower_rule(&rule, None).unwrap();
         assert_eq!(
-            lowered.body[0].atom.terms,
+            lowered.body[0].terms,
             vec![ir::Term::Const(kbt_data::Const::new(1)), ir::Term::Slot(0)]
         );
     }
 
     #[test]
-    fn negation_polarity_is_preserved() {
+    fn a_namer_attaches_the_rule_text() {
         let rule = Rule::new(
             DlAtom::new(r(4), vec![var(1)]),
             vec![
-                Literal::positive(DlAtom::new(r(3), vec![var(1)])),
-                Literal::negative(DlAtom::new(r(2), vec![var(1)])),
+                DlAtom::new(r(3), vec![var(1)]),
+                DlAtom::new(r(2), vec![var(1), cst(5)]),
             ],
         );
-        let lowered = lower_rule(&rule, None).unwrap();
-        assert!(lowered.body[0].positive);
-        assert!(!lowered.body[1].positive);
-        assert_eq!(lowered.name, None);
+        assert_eq!(lower_rule(&rule, None).unwrap().name, None);
         let named = lower_rule(&rule, Some(&|rel| format!("r{}", rel.index()))).unwrap();
-        assert_eq!(named.name.as_deref(), Some("r4(x1) :- r3(x1), ~r2(x1)."));
+        assert_eq!(named.name.as_deref(), Some("r4(x1) :- r3(x1), r2(x1, a5)."));
     }
 }

@@ -1,6 +1,6 @@
 //! The magic-sets program rewrite: goal-directed bottom-up evaluation.
 //!
-//! Given a query `reach('a', x)` over a stratified program, the rewrite of
+//! Given a query `reach('a', x)` over a positive program, the rewrite of
 //! Bancilhon et al. produces a new program whose fixpoint derives **only**
 //! the tuples demanded by the query, while remaining evaluable by the same
 //! semi-naive bottom-up engine:
@@ -13,7 +13,7 @@
 //!   predicates;
 //! * **magic rules** push demand sideways: for each intensional subgoal,
 //!   the bound arguments it will be called with are derivable from the
-//!   head's magic predicate plus the preceding positive body literals;
+//!   head's magic predicate plus the preceding body atoms;
 //! * a **base-import rule** `p_a(x̄) :- m_p_a(x̄|_b), p(x̄)` lets stored
 //!   facts of an intensional relation (the engine treats intensional
 //!   relations with stored tuples as extra base facts) flow into the
@@ -25,12 +25,8 @@
 //! the hypothetical read `tau[φ]; project[K]`, whose kept heads call the
 //! rest of φ with whatever bindings their bodies carry.
 //!
-//! The rewrite refuses ([`DatalogError::GoalDirected`]) when a negated
-//! intensional subgoal is reachable or the rewritten program fails to
-//! stratify; callers fall back to full materialization.  Negated
-//! *extensional* literals are kept verbatim — they are filters, never
-//! demand sources — so the output is always negation-stratified when the
-//! input slice is.
+//! The rewritten program is positive like its input, so it evaluates as one
+//! program, through the same engine call as any other.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,9 +34,7 @@ use kbt_data::{Const, RelId};
 use kbt_logic::{Term, Var};
 
 use crate::adorn::{adorn_program, AdornedPred, AdornedProgram, Adornment};
-use crate::ast::{DlAtom, Literal, Program, Rule};
-use crate::error::DatalogError;
-use crate::stratify::stratify;
+use crate::ast::{DlAtom, Program, Rule};
 use crate::Result;
 
 /// Rendering metadata for one predicate invented by the rewrite.
@@ -59,7 +53,7 @@ pub struct MagicName {
 /// caller needs to seed, evaluate, and read it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MagicPlan {
-    /// The rewritten, stratification-checked program.
+    /// The rewritten program.
     pub program: Program,
     /// The relation holding the query's answers in the rewritten fixpoint
     /// (filter it by the query's bound constants to obtain the answer set).
@@ -86,7 +80,7 @@ impl MagicPlan {
 /// has no single answer relation — each kept relation answers for itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemandPlan {
-    /// The rewritten, stratification-checked program.
+    /// The rewritten program.
     pub program: Program,
     /// Seed facts to add to the extensional database before evaluating.
     pub seeds: Vec<(RelId, Vec<Const>)>,
@@ -137,7 +131,7 @@ pub fn magic_rewrite(
         rel,
         adornment: Adornment::from_terms(terms),
     };
-    let adorned = adorn_program(program, std::slice::from_ref(&goal))?;
+    let adorned = adorn_program(program, std::slice::from_ref(&goal));
     let consts: Vec<Const> = terms.iter().filter_map(|t| t.as_const()).collect();
     let (plan, answers) = rewrite(program, &adorned, &[(goal.clone(), consts)], first_free)?;
     Ok(MagicPlan {
@@ -174,7 +168,7 @@ pub fn demand_rewrite(program: &Program, keep: &[RelId], first_free: u32) -> Res
         })
         .collect();
     let preds: Vec<AdornedPred> = goals.iter().map(|(goal, _)| goal.clone()).collect();
-    let adorned = adorn_program(program, &preds)?;
+    let adorned = adorn_program(program, &preds);
     let free: BTreeSet<RelId> = (adorned.preds.iter())
         .filter(|p| p.adornment.is_all_free())
         .map(|p| p.rel)
@@ -204,8 +198,8 @@ fn rewrite(
     let mut next = first_free;
     for r in program.rules() {
         next = next.max(r.head.rel.index() + 1);
-        for l in &r.body {
-            next = next.max(l.atom.rel.index() + 1);
+        for atom in &r.body {
+            next = next.max(atom.rel.index() + 1);
         }
     }
     let mut ids: BTreeMap<AdornedPred, (RelId, RelId)> = BTreeMap::new();
@@ -236,7 +230,7 @@ fn rewrite(
         ));
     }
 
-    // Renames a positive intensional subgoal to its answer predicate.
+    // Renames an intensional subgoal to its answer predicate.
     let rename = |atom: &DlAtom, call: &Option<Adornment>| -> DlAtom {
         match call {
             Some(a) if !a.is_all_free() => {
@@ -274,13 +268,7 @@ fn rewrite(
             let fresh: Vec<Term> = (0..arity).map(|i| Term::Var(Var::new(i as u32))).collect();
             let head = DlAtom::new(*ans, fresh.clone());
             let guard = magic_atom(&head, &pred.adornment, *magic);
-            rules.push(Rule::new(
-                head,
-                vec![
-                    Literal::positive(guard),
-                    Literal::positive(DlAtom::new(pred.rel, fresh)),
-                ],
-            ));
+            rules.push(Rule::new(head, vec![guard, DlAtom::new(pred.rel, fresh)]));
         }
     }
 
@@ -293,46 +281,32 @@ fn rewrite(
         };
         let mut body = Vec::with_capacity(ar.body.len() + 1);
         if let Some((_, magic)) = head_ids {
-            body.push(Literal::positive(magic_atom(
-                &ar.rule.head,
-                &ar.head.adornment,
-                *magic,
-            )));
+            body.push(magic_atom(&ar.rule.head, &ar.head.adornment, *magic));
         }
-        for lit in &ar.body {
-            let atom = rename(&lit.literal.atom, &lit.call);
-            body.push(Literal {
-                atom,
-                positive: lit.literal.positive,
-            });
-        }
+        body.extend(ar.body.iter().map(|sub| rename(&sub.atom, &sub.call)));
         rules.push(Rule::new(head, body));
 
         // Magic (demand) rules: one per bound intensional subgoal, seeded
-        // from the head's magic guard plus the preceding positive literals.
-        for (j, lit) in ar.body.iter().enumerate() {
-            let Some(call) = &lit.call else { continue };
+        // from the head's magic guard plus the preceding body atoms.
+        for (j, sub) in ar.body.iter().enumerate() {
+            let Some(call) = &sub.call else { continue };
             if call.is_all_free() {
                 continue;
             }
             let callee = AdornedPred {
-                rel: lit.literal.atom.rel,
+                rel: sub.atom.rel,
                 adornment: call.clone(),
             };
-            let m_head = magic_atom(&lit.literal.atom, call, ids[&callee].1);
+            let m_head = magic_atom(&sub.atom, call, ids[&callee].1);
             let mut m_body = Vec::new();
             if let Some((_, magic)) = head_ids {
-                m_body.push(Literal::positive(magic_atom(
-                    &ar.rule.head,
-                    &ar.head.adornment,
-                    *magic,
-                )));
+                m_body.push(magic_atom(&ar.rule.head, &ar.head.adornment, *magic));
             }
-            for prev in &ar.body[..j] {
-                if prev.literal.positive {
-                    m_body.push(Literal::positive(rename(&prev.literal.atom, &prev.call)));
-                }
-            }
+            m_body.extend(
+                ar.body[..j]
+                    .iter()
+                    .map(|prev| rename(&prev.atom, &prev.call)),
+            );
             if m_body.is_empty() {
                 // No guard and no prefix: the demand is a ground fact.
                 let consts: Vec<Const> = m_head.terms.iter().filter_map(|t| t.as_const()).collect();
@@ -341,7 +315,7 @@ fn rewrite(
                 continue;
             }
             // Skip the trivial self-demand m(x̄) :- m(x̄).
-            if m_body.len() == 1 && m_body[0].atom == m_head {
+            if m_body.len() == 1 && m_body[0] == m_head {
                 continue;
             }
             let m_rule = Rule::new(m_head, m_body);
@@ -363,16 +337,8 @@ fn rewrite(
         }
     }
 
-    let program = Program::new(rules)?;
-    stratify(&program).map_err(|e| match e {
-        DatalogError::NotStratifiable { relation } => DatalogError::GoalDirected {
-            reason: format!("rewritten program does not stratify (via {relation})"),
-        },
-        other => other,
-    })?;
-
     let plan = DemandPlan {
-        program,
+        program: Program::new(rules)?,
         seeds,
         names,
     };
@@ -394,16 +360,10 @@ mod tests {
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let path = |a, b| DlAtom::new(r(2), vec![a, b]);
         Program::new(vec![
-            Rule::new(
-                path(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
+            Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), edge(var(2), var(3))],
             ),
         ])
         .unwrap()
@@ -582,57 +542,5 @@ mod tests {
         let magic = plan.seeds[0].0;
         assert_eq!(plan.render_relation(magic, &namer), "m_path_bf");
         assert_eq!(plan.render_relation(r(1), &namer), "edge");
-    }
-
-    #[test]
-    fn negation_on_idb_refuses_with_typed_error() {
-        let e = |a| DlAtom::new(r(1), vec![a]);
-        let p = |a| DlAtom::new(r(2), vec![a]);
-        let q = |a| DlAtom::new(r(3), vec![a]);
-        let prog = Program::new(vec![
-            Rule::new(p(var(1)), vec![Literal::positive(e(var(1)))]),
-            Rule::new(
-                q(var(1)),
-                vec![Literal::positive(e(var(1))), Literal::negative(p(var(1)))],
-            ),
-        ])
-        .unwrap();
-        let err = magic_rewrite(&prog, r(3), &[cst(1)], 100).unwrap_err();
-        assert!(matches!(err, DatalogError::GoalDirected { .. }));
-        assert!(err.to_string().contains("goal-directed"));
-    }
-
-    #[test]
-    fn negation_on_edb_is_preserved() {
-        // q(x) :- e(x), ~blocked(x).  blocked is extensional.
-        let e = |a| DlAtom::new(r(1), vec![a]);
-        let blocked = |a| DlAtom::new(r(4), vec![a]);
-        let q = |a| DlAtom::new(r(3), vec![a]);
-        let prog = Program::new(vec![Rule::new(
-            q(var(1)),
-            vec![
-                Literal::positive(e(var(1))),
-                Literal::negative(blocked(var(1))),
-            ],
-        )])
-        .unwrap();
-        let mut edb = Database::new();
-        let mut es = Relation::empty(1);
-        es.insert_row(&[Const::new(1)]);
-        es.insert_row(&[Const::new(2)]);
-        edb.set_relation(r(1), es);
-        let mut bs = Relation::empty(1);
-        bs.insert_row(&[Const::new(2)]);
-        edb.set_relation(r(4), bs);
-        let terms = vec![cst(1)];
-        let plan = magic_rewrite(&prog, r(3), &terms, 100).unwrap();
-        let got = run_plan(&plan, &edb, &terms);
-        let want = oracle(&prog, &edb, r(3), &terms);
-        assert_eq!(got, want);
-        assert_eq!(got.len(), 1);
-        let terms = vec![cst(2)];
-        let plan = magic_rewrite(&prog, r(3), &terms, 100).unwrap();
-        let got = run_plan(&plan, &edb, &terms);
-        assert_eq!(got.len(), 0, "blocked node is filtered by the negation");
     }
 }

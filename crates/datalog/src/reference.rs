@@ -1,7 +1,7 @@
 //! The reference (oracle) evaluators: substitution-based nested-loop joins.
 //!
 //! These are the original naive and semi-naive evaluators of this crate,
-//! kept verbatim as a cross-check oracle for the indexed engine: they share
+//! kept as a cross-check oracle for the indexed engine: they share
 //! no code with `kbt-engine`, so agreement between the two is strong
 //! evidence of correctness.  The differential tests call them; production
 //! paths go through [`crate::eval`].
@@ -13,16 +13,12 @@ use kbt_logic::{Term, Var};
 
 use crate::ast::{DlAtom, Program, Rule};
 use crate::eval::EvalStats;
-use crate::stratify::stratify;
 use crate::Result;
 
 type Subst = BTreeMap<Var, Const>;
 
 /// Computes the least fixpoint of `program` over `edb` by naive nested-loop
 /// evaluation (recompute everything each round).
-///
-/// Supports stratified negation: the program is stratified first and the
-/// strata are evaluated in order.
 pub fn reference_naive_eval(program: &Program, edb: &Database) -> Result<(Database, EvalStats)> {
     eval_with(program, edb, false)
 }
@@ -38,7 +34,6 @@ pub fn reference_semi_naive_eval(
 }
 
 fn eval_with(program: &Program, edb: &Database, semi_naive: bool) -> Result<(Database, EvalStats)> {
-    let strata = stratify(program)?;
     let mut db = edb.clone();
     // make sure every relation of the program exists in the working database
     for (rel, arity) in program.schema().iter() {
@@ -46,22 +41,22 @@ fn eval_with(program: &Program, edb: &Database, semi_naive: bool) -> Result<(Dat
             .map_err(crate::DatalogError::Data)?;
     }
     let mut stats = EvalStats::default();
-    for stratum in &strata {
-        stats.strata += 1;
+    // a program with no rules runs no round
+    if !program.is_empty() {
         if semi_naive {
-            semi_naive_stratum(stratum, &mut db, &mut stats);
+            semi_naive_rounds(program, &mut db, &mut stats);
         } else {
-            naive_stratum(stratum, &mut db, &mut stats);
+            naive_rounds(program, &mut db, &mut stats);
         }
     }
     Ok((db, stats))
 }
 
-fn naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats) {
     loop {
         stats.iterations += 1;
         let mut new_facts: Vec<(kbt_data::RelId, Tuple)> = Vec::new();
-        for rule in stratum.rules() {
+        for rule in program.rules() {
             for fact in derive(rule, db, None, stats) {
                 if !db.holds(rule.head.rel, &fact) {
                     new_facts.push((rule.head.rel, fact));
@@ -79,11 +74,11 @@ fn naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
     }
 }
 
-fn semi_naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn semi_naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats) {
     // round 0: plain naive round to seed the deltas
     let mut delta: BTreeMap<kbt_data::RelId, BTreeSet<Tuple>> = BTreeMap::new();
     stats.iterations += 1;
-    for rule in stratum.rules() {
+    for rule in program.rules() {
         for fact in derive(rule, db, None, stats) {
             if !db.holds(rule.head.rel, &fact) {
                 delta.entry(rule.head.rel).or_default().insert(fact);
@@ -92,18 +87,18 @@ fn semi_naive_stratum(stratum: &Program, db: &mut Database, stats: &mut EvalStat
     }
     commit(db, &delta, stats);
 
-    let idb = stratum.idb_relations();
+    let idb = program.idb_relations();
     while !delta.is_empty() {
         stats.iterations += 1;
         let mut next_delta: BTreeMap<kbt_data::RelId, BTreeSet<Tuple>> = BTreeMap::new();
-        for rule in stratum.rules() {
+        for rule in program.rules() {
             // for each body position holding an IDB relation with a delta,
             // evaluate the rule with that position restricted to the delta.
-            for (pos, lit) in rule.body.iter().enumerate() {
-                if !lit.positive || !idb.contains(&lit.atom.rel) {
+            for (pos, atom) in rule.body.iter().enumerate() {
+                if !idb.contains(&atom.rel) {
                     continue;
                 }
-                let Some(d) = delta.get(&lit.atom.rel) else {
+                let Some(d) = delta.get(&atom.rel) else {
                     continue;
                 };
                 if d.is_empty() {
@@ -147,68 +142,45 @@ fn derive(
     delta_pos: Option<(usize, &BTreeSet<Tuple>)>,
     stats: &mut EvalStats,
 ) -> BTreeSet<Tuple> {
-    // evaluate positive literals first (they bind variables), negatives last
-    let mut order: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| rule.body[i].positive)
-        .collect();
-    order.extend((0..rule.body.len()).filter(|&i| !rule.body[i].positive));
-
     let mut out = BTreeSet::new();
     let mut subst = Subst::new();
-    search(rule, db, delta_pos, &order, 0, &mut subst, &mut out, stats);
+    search(rule, db, delta_pos, 0, &mut subst, &mut out, stats);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Joins the body atoms from position `depth` on, in textual order.
 fn search(
     rule: &Rule,
     db: &Database,
     delta_pos: Option<(usize, &BTreeSet<Tuple>)>,
-    order: &[usize],
     depth: usize,
     subst: &mut Subst,
     out: &mut BTreeSet<Tuple>,
     stats: &mut EvalStats,
 ) {
-    if depth == order.len() {
+    let Some(atom) = rule.body.get(depth) else {
         if let Some(fact) = instantiate(&rule.head, subst) {
             out.insert(fact);
         }
         return;
-    }
-    let idx = order[depth];
-    let lit = &rule.body[idx];
-    if lit.positive {
-        // candidate tuples: either the delta (for the designated position) or
-        // the full relation.
-        let full = db.relation(lit.atom.rel);
-        let use_delta = matches!(delta_pos, Some((p, _)) if p == idx);
-        let iter: Box<dyn Iterator<Item = &[Const]>> = if use_delta {
-            let (_, d) = delta_pos.expect("checked");
-            Box::new(d.iter().map(Tuple::components))
-        } else {
-            match full {
-                Some(rel) => Box::new(rel.iter()),
-                None => return,
-            }
-        };
-        for row in iter {
-            stats.tuples_scanned += 1;
-            let mut bound: Vec<Var> = Vec::new();
-            if unify(&lit.atom, row, subst, &mut bound) {
-                search(rule, db, delta_pos, order, depth + 1, subst, out, stats);
-            }
-            for v in bound {
-                subst.remove(&v);
-            }
+    };
+    // candidate tuples: either the delta (for the designated position) or
+    // the full relation.
+    let iter: Box<dyn Iterator<Item = &[Const]>> = match delta_pos {
+        Some((p, d)) if p == depth => Box::new(d.iter().map(Tuple::components)),
+        _ => match db.relation(atom.rel) {
+            Some(rel) => Box::new(rel.iter()),
+            None => return,
+        },
+    };
+    for row in iter {
+        stats.tuples_scanned += 1;
+        let mut bound: Vec<Var> = Vec::new();
+        if unify(atom, row, subst, &mut bound) {
+            search(rule, db, delta_pos, depth + 1, subst, out, stats);
         }
-    } else {
-        // negated literal: safety guarantees all its variables are bound
-        let Some(fact) = instantiate(&lit.atom, subst) else {
-            return;
-        };
-        if !db.holds(lit.atom.rel, &fact) {
-            search(rule, db, delta_pos, order, depth + 1, subst, out, stats);
+        for v in bound {
+            subst.remove(&v);
         }
     }
 }
@@ -257,7 +229,6 @@ fn instantiate(atom: &DlAtom, subst: &Subst) -> Option<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Literal;
     use kbt_data::{DatabaseBuilder, RelId};
     use kbt_logic::builder::var;
 
@@ -269,16 +240,10 @@ mod tests {
         let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
         let path = |a, b| DlAtom::new(r(2), vec![a, b]);
         Program::new(vec![
-            Rule::new(
-                path(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
+            Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
                 path(var(1), var(3)),
-                vec![
-                    Literal::positive(path(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
+                vec![path(var(1), var(2)), edge(var(2), var(3))],
             ),
         ])
         .unwrap()

@@ -1,87 +1,26 @@
-//! Stratification of Datalog programs with negation.
-//!
-//! The paper (Section 2.1) notes that the iterative fixpoint of a stratified
-//! program can be obtained in the transformation language by sequentially
-//! updating the database with the strata of the program in their hierarchical
-//! order.  This module computes exactly that stratification.
+//! Stratification, which positive Datalog makes trivial.
 
-use std::collections::BTreeMap;
-
-use kbt_data::RelId;
-
-use crate::ast::{Program, Rule};
-use crate::error::DatalogError;
+use crate::ast::Program;
 use crate::Result;
 
-/// Splits a program into strata `P_1, …, P_k` such that every negated body
-/// relation of a rule in `P_i` is defined in some `P_j` with `j < i` (or is
-/// extensional), and every positive IDB dependency stays within `P_1 ∪ … ∪
-/// P_i`.  Fails if the program recurses through negation.
+/// Splits `program` into strata.  A rule body is a list of atoms, so a
+/// non-empty program is its one stratum and an empty program has none.
+///
+/// Evaluation never calls this: the end-to-end benchmark's
+/// `datalog.stratify` shadow span (`bench/stackbench`) is its only caller.
 pub fn stratify(program: &Program) -> Result<Vec<Program>> {
-    let idb = program.idb_relations();
-    let mut stratum: BTreeMap<RelId, usize> = idb.iter().map(|&r| (r, 0)).collect();
-    let max_rounds = idb.len().max(1) * idb.len().max(1) + 1;
-
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed {
-        changed = false;
-        rounds += 1;
-        if rounds > max_rounds {
-            // a stratum number exceeded the number of IDB relations: cycle
-            // through negation.
-            let culprit = stratum
-                .iter()
-                .max_by_key(|(_, &s)| s)
-                .map(|(r, _)| r.to_string())
-                .unwrap_or_else(|| "<unknown>".to_string());
-            return Err(DatalogError::NotStratifiable { relation: culprit });
-        }
-        for rule in program.rules() {
-            let head_stratum = *stratum.get(&rule.head.rel).expect("head is IDB");
-            for lit in &rule.body {
-                let Some(&body_stratum) = stratum.get(&lit.atom.rel) else {
-                    continue; // extensional relation: stratum 0 conceptually
-                };
-                let required = if lit.positive {
-                    body_stratum
-                } else {
-                    body_stratum + 1
-                };
-                if head_stratum < required {
-                    stratum.insert(rule.head.rel, required);
-                    changed = true;
-                }
-            }
-        }
-        // sanity bound: strata can never legitimately exceed |IDB|
-        if stratum.values().any(|&s| s > idb.len()) {
-            let culprit = stratum
-                .iter()
-                .max_by_key(|(_, &s)| s)
-                .map(|(r, _)| r.to_string())
-                .unwrap_or_else(|| "<unknown>".to_string());
-            return Err(DatalogError::NotStratifiable { relation: culprit });
-        }
+    if program.is_empty() {
+        Ok(Vec::new())
+    } else {
+        Ok(vec![program.clone()])
     }
-
-    let max_stratum = stratum.values().copied().max().unwrap_or(0);
-    let mut strata: Vec<Vec<Rule>> = vec![Vec::new(); max_stratum + 1];
-    for rule in program.rules() {
-        let s = *stratum.get(&rule.head.rel).expect("head is IDB");
-        strata[s].push(rule.clone());
-    }
-    strata
-        .into_iter()
-        .filter(|rules| !rules.is_empty())
-        .map(Program::new)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{DlAtom, Literal, Rule};
+    use crate::ast::{DlAtom, Rule};
+    use kbt_data::RelId;
     use kbt_logic::builder::var;
 
     fn r(i: u32) -> RelId {
@@ -89,79 +28,22 @@ mod tests {
     }
 
     #[test]
-    fn positive_programs_form_a_single_stratum() {
+    fn a_program_is_its_one_stratum() {
         let p = Program::new(vec![
             Rule::new(
                 DlAtom::new(r(2), vec![var(1), var(2)]),
-                vec![Literal::positive(DlAtom::new(r(1), vec![var(1), var(2)]))],
+                vec![DlAtom::new(r(1), vec![var(1), var(2)])],
             ),
             Rule::new(
                 DlAtom::new(r(2), vec![var(1), var(3)]),
                 vec![
-                    Literal::positive(DlAtom::new(r(2), vec![var(1), var(2)])),
-                    Literal::positive(DlAtom::new(r(1), vec![var(2), var(3)])),
+                    DlAtom::new(r(2), vec![var(1), var(2)]),
+                    DlAtom::new(r(1), vec![var(2), var(3)]),
                 ],
             ),
         ])
         .unwrap();
-        let strata = stratify(&p).unwrap();
-        assert_eq!(strata.len(), 1);
-        assert_eq!(strata[0].len(), 2);
-    }
-
-    #[test]
-    fn negation_of_a_derived_relation_forces_a_later_stratum() {
-        // reach(x,y) :- edge(x,y).
-        // reach(x,z) :- reach(x,y), edge(y,z).
-        // unreachable(x,y) :- node(x), node(y), ~reach(x,y).
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let reach = |a, b| DlAtom::new(r(2), vec![a, b]);
-        let node = |a| DlAtom::new(r(3), vec![a]);
-        let unreach = |a, b| DlAtom::new(r(4), vec![a, b]);
-        let p = Program::new(vec![
-            Rule::new(
-                reach(var(1), var(2)),
-                vec![Literal::positive(edge(var(1), var(2)))],
-            ),
-            Rule::new(
-                reach(var(1), var(3)),
-                vec![
-                    Literal::positive(reach(var(1), var(2))),
-                    Literal::positive(edge(var(2), var(3))),
-                ],
-            ),
-            Rule::new(
-                unreach(var(1), var(2)),
-                vec![
-                    Literal::positive(node(var(1))),
-                    Literal::positive(node(var(2))),
-                    Literal::negative(reach(var(1), var(2))),
-                ],
-            ),
-        ])
-        .unwrap();
-        let strata = stratify(&p).unwrap();
-        assert_eq!(strata.len(), 2);
-        assert!(strata[0].idb_relations().contains(&r(2)));
-        assert!(strata[1].idb_relations().contains(&r(4)));
-    }
-
-    #[test]
-    fn recursion_through_negation_is_rejected() {
-        // p(x) :- q(x), ~p(x)  — not stratifiable.
-        let p_atom = |a| DlAtom::new(r(1), vec![a]);
-        let q_atom = |a| DlAtom::new(r(2), vec![a]);
-        let prog = Program::new(vec![Rule::new(
-            p_atom(var(1)),
-            vec![
-                Literal::positive(q_atom(var(1))),
-                Literal::negative(p_atom(var(1))),
-            ],
-        )])
-        .unwrap();
-        assert!(matches!(
-            stratify(&prog),
-            Err(DatalogError::NotStratifiable { .. })
-        ));
+        assert_eq!(stratify(&p).unwrap(), vec![p]);
+        assert!(stratify(&Program::default()).unwrap().is_empty());
     }
 }

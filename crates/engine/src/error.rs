@@ -7,8 +7,8 @@ use kbt_data::DataError;
 /// Errors raised by the evaluation engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// A rule is not range-restricted: a head or negated-literal slot does
-    /// not occur in any positive body literal.
+    /// A rule is not range-restricted: a head slot does not occur in the
+    /// body.
     UnsafeRule {
         /// Display form of the offending rule.
         rule: String,
@@ -21,17 +21,11 @@ pub enum EngineError {
         arity: usize,
     },
     /// An incremental delta tried to insert or remove facts of a relation
-    /// that some stratum derives; the session only accepts extensional
+    /// that the program derives; the session only accepts extensional
     /// mutations (intensional relations are maintained by the fixpoint).
     IntensionalUpdate {
         /// The offending relation.
         rel: kbt_data::RelId,
-    },
-    /// An incremental session was asked to maintain a program with a
-    /// negated literal; sessions serve positive programs only.
-    NegationInSession {
-        /// Display form of the first rule with a negated literal.
-        rule: String,
     },
     /// An error from the relational substrate (arity mismatches, …).
     Data(DataError),
@@ -54,12 +48,6 @@ impl fmt::Display for EngineError {
                     f,
                     "relation {rel} is intensional: incremental deltas may only touch \
                      extensional relations"
-                )
-            }
-            EngineError::NegationInSession { rule } => {
-                write!(
-                    f,
-                    "incremental sessions maintain positive programs only: {rule}"
                 )
             }
             EngineError::Data(e) => write!(f, "data error: {e}"),

@@ -2,10 +2,8 @@
 //! storage, sequential or parallel, optionally observed through a
 //! [`View`].
 //!
-//! The caller supplies pre-stratified programs (`kbt-datalog` stratifies and
-//! lowers); each stratum is run to its least fixpoint before the next one
-//! starts, so negated literals — which stratification confines to relations
-//! of earlier strata or the EDB — always read fully computed relations.
+//! The caller supplies one positive program (`kbt-datalog` lowers it), which
+//! is planned once and run to its least fixpoint.
 //!
 //! ## Row-slice evaluation
 //!
@@ -113,12 +111,12 @@ use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::Result;
 
-/// Computes the least fixpoint of the stratified program over `edb` — the
-/// engine's one evaluation entry.
+/// Computes the least fixpoint of `program` over `edb` — the engine's one
+/// evaluation entry.
 ///
-/// Every relation mentioned by any stratum is materialised (empty if absent
+/// Every relation the program mentions is materialised (empty if absent
 /// from `edb`); the result contains the EDB unchanged plus the derived
-/// facts.  Only the relations some stratum names are loaded into indexed
+/// facts.  Only the relations the program names are loaded into indexed
 /// storage, and loading copies nothing: each stored run is the shared first
 /// segment of the relation the rounds read, and the rounds' derivations go
 /// into private tails on top of it ([`IndexStorage::load`]).  The indexes
@@ -144,7 +142,7 @@ use crate::Result;
 /// caller that projects the fixpoint anyway never pays to materialise what
 /// it drops.
 pub fn evaluate(
-    strata: &[Program],
+    program: &Program,
     edb: &Database,
     threads: usize,
     view: Option<&mut View<'_>>,
@@ -155,10 +153,10 @@ pub fn evaluate(
     let _eval_span = runs.then(|| metrics.eval_ns.span());
     let mut storage = {
         let _load_span = runs.then(|| metrics.load_ns.span());
-        IndexStorage::load(edb, strata.iter().flat_map(Program::relation_arities))?
+        IndexStorage::load(edb, program.relation_arities())?
     };
-    let (_, stats) = eval_strata(
-        strata,
+    let (_, stats) = eval_program(
+        program,
         &mut storage,
         kbt_par::resolve_threads(threads),
         view,
@@ -172,45 +170,42 @@ pub fn evaluate(
     Ok((storage.overlay_on(edb, keep), stats))
 }
 
-/// The engine's one stratum driver: plans every stratum in order over the
-/// loaded `storage` and, unless `view` is plan-only, demands what its plans
-/// look up and runs it to its fixpoint before planning the next.  `eligible`
-/// names, per stratum, the relations that get delta-scan variants: the
-/// stratum's heads for one-shot evaluation, every positive body relation as
-/// well for the incremental session, whose extensional relations change
-/// too.  Returns the plans, stratum by stratum, for a caller that goes on
-/// running them.
-pub(crate) fn eval_strata(
-    strata: &[Program],
+/// The engine's one plan-and-run: plans `program` over the loaded `storage`
+/// and, unless `view` is plan-only, demands what its plans look up and runs
+/// them to the fixpoint.  A program with no rules — `τ_true`'s, or a
+/// push-down's whose projection keeps no head — plans and runs nothing.
+/// `eligible` names the relations that get delta-scan variants: the heads
+/// for one-shot evaluation, every body relation as well for the incremental
+/// session, whose extensional relations change too.  Returns the plans for
+/// a caller that goes on running them.
+pub(crate) fn eval_program(
+    program: &Program,
     storage: &mut IndexStorage,
     width: usize,
-    mut view: Option<&mut View<'_>>,
+    view: Option<&mut View<'_>>,
     eligible: fn(&Program) -> BTreeSet<RelId>,
-) -> (Vec<Vec<PlannedRule>>, EngineStats) {
-    let runs = view.as_ref().is_none_or(|v| v.runs());
-    let load_ns = &crate::metrics::metrics().load_ns;
+) -> (Vec<PlannedRule>, EngineStats) {
     let mut stats = EngineStats::default();
-    let mut plans = Vec::with_capacity(strata.len());
-    for (stratum, program) in strata.iter().enumerate() {
-        let planned = {
-            let _load_span = runs.then(|| load_ns.span());
-            let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
-            let planned: Vec<PlannedRule> = (program.rules.iter())
-                .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
-                .collect();
-            if runs {
-                demand(planned.iter().flat_map(PlannedRule::steps), storage);
-            }
-            planned
-        };
-        let mut observer = view.as_deref_mut().map(|v| v.observe(stratum, &planned));
-        if runs {
-            stats.strata += 1;
-            eval_stratum(&planned, storage, &mut stats, width, observer.as_mut());
-        }
-        plans.push(planned);
+    if program.rules.is_empty() {
+        return (Vec::new(), stats);
     }
-    (plans, stats)
+    let runs = view.as_ref().is_none_or(|v| v.runs());
+    let planned = {
+        let _load_span = runs.then(|| crate::metrics::metrics().load_ns.span());
+        let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
+        let planned: Vec<PlannedRule> = (program.rules.iter())
+            .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
+            .collect();
+        if runs {
+            demand(planned.iter().flat_map(PlannedRule::steps), storage);
+        }
+        planned
+    };
+    let mut observer = view.map(|v| v.observe(&planned));
+    if runs {
+        run_to_fixpoint(&planned, storage, &mut stats, width, observer.as_mut());
+    }
+    (planned, stats)
 }
 
 /// The cardinalities of the relations `program` names, as stored right now:
@@ -224,15 +219,12 @@ pub(crate) fn relation_sizes(program: &Program, storage: &IndexStorage) -> BTree
 }
 
 /// Builds what running `steps` will look up: the index of every probed
-/// `(relation, mask)` and the membership table of every `Member` /
-/// `NegCheck` target.
+/// `(relation, mask)` and the membership table of every `Member` target.
 pub(crate) fn demand<'a>(steps: impl IntoIterator<Item = &'a Step>, storage: &mut IndexStorage) {
     for step in steps {
         match step {
             Step::Probe { rel, mask, .. } => storage.ensure_index(*rel, *mask),
-            Step::Member { rel, .. } | Step::NegCheck { rel, .. } => {
-                storage.demand_membership(*rel)
-            }
+            Step::Member { rel, .. } => storage.demand_membership(*rel),
             Step::Scan { .. } => {}
         }
     }
@@ -261,14 +253,6 @@ impl RowBag {
         debug_assert_eq!(row.len(), self.arity);
         self.rows.extend_from_slice(row);
         self.count += 1;
-    }
-
-    /// Appends the rows of a run (same relation, so same arity).
-    pub(crate) fn push_run(&mut self, run: &Relation) {
-        debug_assert_eq!(self.arity, run.arity());
-        debug_assert!(run.is_flat(), "a round's run is one sorted run");
-        self.rows.extend_from_slice(run.as_rows());
-        self.count += run.len();
     }
 
     /// Appends another bag (same relation, so same arity).
@@ -381,7 +365,7 @@ fn inputs<'a>(steps: &[Step], storage: &'a IndexStorage, deltas: &'a Deltas) -> 
     let input = |step: &Step| match step {
         Step::Scan { rel, source, .. } => Scanned::of(*rel, *source, storage, deltas)
             .map(|scanned| Input::Rows(scanned, 0..scanned.slots())),
-        Step::Probe { rel, .. } | Step::Member { rel, .. } | Step::NegCheck { rel, .. } => {
+        Step::Probe { rel, .. } | Step::Member { rel, .. } => {
             storage.relation(*rel).map(Input::Stored)
         }
     };
@@ -634,16 +618,16 @@ pub(crate) fn delta_plans<'a>(
         .collect()
 }
 
-/// Runs one planned stratum to its least fixpoint — the engine's one
+/// Runs the planned rules to their least fixpoint — the engine's one
 /// commit-until-the-delta-is-empty loop.  The seeding round runs every
 /// rule's full plan; each later round runs only the delta variants driven
 /// by the facts the previous round committed.
 ///
-/// Kept out of line: inlined into [`eval_strata`], its one caller, it made
+/// Kept out of line: inlined into [`eval_program`], its one caller, it made
 /// `commit_stream`'s goal reads slower end to end (`stackbench`
 /// `read_p50_us` 355 against 295 µs on a 2-core machine, three seeds each).
 #[inline(never)]
-pub(crate) fn eval_stratum(
+pub(crate) fn run_to_fixpoint(
     rules: &[PlannedRule],
     storage: &mut IndexStorage,
     stats: &mut EngineStats,
@@ -811,10 +795,9 @@ where
                 }
             }
         }
-        (Step::Member { terms, .. } | Step::NegCheck { terms, .. }, input) => {
+        (Step::Member { terms, .. }, input) => {
             stats.index_probes += 1;
-            let holds = matches!(input, Input::Stored(r) if member_holds(r, terms, &scratch.regs));
-            if holds == matches!(step, Step::Member { .. }) {
+            if matches!(input, Input::Stored(r) if member_holds(r, terms, &scratch.regs)) {
                 run_steps(rule, rest, rest_inputs, scratch, stats, sink)?;
             }
         }
@@ -827,7 +810,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Atom, Literal, Rule};
+    use crate::ir::{Atom, Rule};
     use kbt_data::{tuple, DatabaseBuilder};
 
     fn r(i: u32) -> RelId {
@@ -843,22 +826,22 @@ mod tests {
         Program::new(vec![
             Rule::new(
                 Atom::new(r(2), vec![s(0), s(1)]),
-                vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
+                vec![Atom::new(r(1), vec![s(0), s(1)])],
             )
             .unwrap(),
             Rule::new(
                 Atom::new(r(2), vec![s(0), s(2)]),
                 vec![
-                    Literal::positive(Atom::new(r(2), vec![s(0), s(1)])),
-                    Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
+                    Atom::new(r(2), vec![s(0), s(1)]),
+                    Atom::new(r(1), vec![s(1), s(2)]),
                 ],
             )
             .unwrap(),
         ])
     }
 
-    fn eval(strata: &[Program], edb: &Database, threads: usize) -> (Database, EngineStats) {
-        evaluate(strata, edb, threads, None, None).unwrap()
+    fn eval(program: &Program, edb: &Database, threads: usize) -> (Database, EngineStats) {
+        evaluate(program, edb, threads, None, None).unwrap()
     }
 
     fn chain_db(n: u32) -> Database {
@@ -871,56 +854,12 @@ mod tests {
 
     #[test]
     fn transitive_closure_of_a_chain() {
-        let (fix, stats) = eval(&[tc_program()], &chain_db(6), 0);
+        let (fix, stats) = eval(&tc_program(), &chain_db(6), 0);
         assert_eq!(fix.relation(r(2)).unwrap().len(), 15);
         assert!(fix.holds(r(2), &tuple![1, 6]));
         assert!(!fix.holds(r(2), &tuple![6, 1]));
         assert_eq!(stats.derived_facts, 15);
-        assert_eq!(stats.strata, 1);
         assert!(stats.index_probes > 0);
-    }
-
-    #[test]
-    fn stratified_negation_runs_after_the_lower_stratum() {
-        // Stratum 0: reach = TC(edge).  Stratum 1: unreach(x,y) :- node(x),
-        // node(y), ~reach(x,y).
-        let stratum0 = Program::new(vec![
-            Rule::new(
-                Atom::new(r(2), vec![s(0), s(1)]),
-                vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
-            )
-            .unwrap(),
-            Rule::new(
-                Atom::new(r(2), vec![s(0), s(2)]),
-                vec![
-                    Literal::positive(Atom::new(r(2), vec![s(0), s(1)])),
-                    Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
-                ],
-            )
-            .unwrap(),
-        ]);
-        let stratum1 = Program::new(vec![Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap()]);
-
-        let mut b = DatabaseBuilder::new().relation(r(1), 2).relation(r(3), 1);
-        for i in 1..=3u32 {
-            b = b.fact(r(3), [i]);
-        }
-        b = b.fact(r(1), [1u32, 2]).fact(r(1), [2u32, 3]);
-        let edb = b.build().unwrap();
-
-        let (fix, stats) = eval(&[stratum0, stratum1], &edb, 0);
-        assert_eq!(fix.relation(r(4)).unwrap().len(), 6);
-        assert!(fix.holds(r(4), &tuple![3, 1]));
-        assert!(!fix.holds(r(4), &tuple![1, 3]));
-        assert_eq!(stats.strata, 2);
     }
 
     #[test]
@@ -929,16 +868,13 @@ mod tests {
         let program = Program::new(vec![
             Rule::new(
                 Atom::new(r(3), vec![s(0)]),
-                vec![Literal::positive(Atom::new(
-                    r(1),
-                    vec![Term::Const(Const::new(1)), s(0)],
-                ))],
+                vec![Atom::new(r(1), vec![Term::Const(Const::new(1)), s(0)])],
             )
             .unwrap(),
             Rule::new(Atom::new(r(4), vec![Term::Const(Const::new(7))]), vec![]).unwrap(),
         ]);
         let edb = chain_db(4);
-        let (fix, _) = eval(&[program], &edb, 0);
+        let (fix, _) = eval(&program, &edb, 0);
         assert!(fix.holds(r(3), &tuple![2]));
         assert!(!fix.holds(r(3), &tuple![3]));
         assert!(fix.holds(r(4), &tuple![7]));
@@ -949,7 +885,7 @@ mod tests {
         // loops(x) :- edge(x, x).
         let program = Program::new(vec![Rule::new(
             Atom::new(r(3), vec![s(0)]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0), s(0)]))],
+            vec![Atom::new(r(1), vec![s(0), s(0)])],
         )
         .unwrap()]);
         let mut b = DatabaseBuilder::new().relation(r(1), 2);
@@ -958,23 +894,23 @@ mod tests {
             .fact(r(1), [2u32, 2])
             .fact(r(1), [3u32, 3]);
         let edb = b.build().unwrap();
-        let (fix, _) = eval(&[program], &edb, 0);
+        let (fix, _) = eval(&program, &edb, 0);
         assert_eq!(fix.relation(r(3)).unwrap().len(), 2);
         assert!(fix.holds(r(3), &tuple![2]));
         assert!(fix.holds(r(3), &tuple![3]));
     }
 
-    /// Wide rows exercise the hashed (> 2 column) key paths: membership,
-    /// negation and probes must all verify bucket candidates.
+    /// Wide rows exercise the hashed (> 2 column) key paths: membership
+    /// and probes must verify bucket candidates.
     #[test]
     fn wide_relations_join_through_hashed_keys() {
-        // w(a,b,c,d) :- e3(a,b,c), f(c,d), ~g3(a,b,d).
+        // w(a,b,c,d) :- e3(a,b,c), f(c,d), g3(a,b,d).
         let program = Program::new(vec![Rule::new(
             Atom::new(r(5), vec![s(0), s(1), s(2), s(3)]),
             vec![
-                Literal::positive(Atom::new(r(1), vec![s(0), s(1), s(2)])),
-                Literal::positive(Atom::new(r(2), vec![s(2), s(3)])),
-                Literal::negative(Atom::new(r(3), vec![s(0), s(1), s(3)])),
+                Atom::new(r(1), vec![s(0), s(1), s(2)]),
+                Atom::new(r(2), vec![s(2), s(3)]),
+                Atom::new(r(3), vec![s(0), s(1), s(3)]),
             ],
         )
         .unwrap()]);
@@ -986,10 +922,10 @@ mod tests {
             .fact(r(3), [4u32, 5, 8])
             .build()
             .unwrap();
-        let (fix, _) = eval(&[program], &edb, 0);
+        let (fix, _) = eval(&program, &edb, 0);
         assert_eq!(fix.relation(r(5)).unwrap().len(), 1);
-        assert!(fix.holds(r(5), &tuple![1, 2, 3, 7]));
-        assert!(!fix.holds(r(5), &tuple![4, 5, 6, 8]), "negated by g3");
+        assert!(fix.holds(r(5), &tuple![4, 5, 6, 8]));
+        assert!(!fix.holds(r(5), &tuple![1, 2, 3, 7]), "no g3(1, 2, 7)");
     }
 
     /// `chains` disjoint chains of `len` edges each — enough driving tuples
@@ -1008,9 +944,9 @@ mod tests {
     #[test]
     fn parallel_widths_match_sequential_bytes_and_stats() {
         let edb = braid_db(40, 16);
-        let (seq, seq_stats) = eval(&[tc_program()], &edb, 1);
+        let (seq, seq_stats) = eval(&tc_program(), &edb, 1);
         for threads in [2, 4] {
-            let (par, par_stats) = eval(&[tc_program()], &edb, threads);
+            let (par, par_stats) = eval(&tc_program(), &edb, threads);
             assert_eq!(seq, par, "fixpoint diverges at width {threads}");
             assert_eq!(seq_stats, par_stats, "stats diverge at width {threads}");
         }
@@ -1020,8 +956,8 @@ mod tests {
     fn small_rounds_stay_sequential_but_identical() {
         // far below the fan-out threshold: the cutoff must not be observable
         let edb = chain_db(8);
-        let (seq, seq_stats) = eval(&[tc_program()], &edb, 1);
-        let (par, par_stats) = eval(&[tc_program()], &edb, 4);
+        let (seq, seq_stats) = eval(&tc_program(), &edb, 1);
+        let (par, par_stats) = eval(&tc_program(), &edb, 4);
         assert_eq!(seq, par);
         assert_eq!(seq_stats, par_stats);
     }
@@ -1029,7 +965,7 @@ mod tests {
     #[test]
     fn empty_edb_yields_empty_idb() {
         let edb = DatabaseBuilder::new().relation(r(1), 2).build().unwrap();
-        let (fix, stats) = eval(&[tc_program()], &edb, 0);
+        let (fix, stats) = eval(&tc_program(), &edb, 0);
         assert!(fix.relation(r(2)).unwrap().is_empty());
         assert_eq!(stats.derived_facts, 0);
     }
@@ -1037,7 +973,7 @@ mod tests {
     /// tri(x,y,z) :- edge(x,y), edge(y,z), edge(z,x): probes `edge` on its
     /// first column and closes with a membership check on it.
     fn triangle_rule() -> Rule {
-        let e = |a, b| Literal::positive(Atom::new(r(1), vec![a, b]));
+        let e = |a, b| Atom::new(r(1), vec![a, b]);
         Rule::new(
             Atom::new(r(3), vec![s(0), s(1), s(2)]),
             vec![e(s(0), s(1)), e(s(1), s(2)), e(s(2), s(0))],
@@ -1049,15 +985,14 @@ mod tests {
     fn plan_only_views_build_no_index_and_no_membership_table() {
         let mut program = tc_program();
         program.rules.push(triangle_rule());
-        let strata = [program];
         let edb = chain_db(6);
         let namer = |rel: RelId| rel.to_string();
-        let load = || IndexStorage::load(&edb, strata[0].relation_arities()).unwrap();
+        let load = || IndexStorage::load(&edb, program.relation_arities()).unwrap();
 
         let mut storage = load();
         let mut planned_only = View::explain(&namer);
-        let (_, stats) = eval_strata(
-            &strata,
+        let (_, stats) = eval_program(
+            &program,
             &mut storage,
             1,
             Some(&mut planned_only),
@@ -1071,16 +1006,16 @@ mod tests {
 
         // the same rows the public entry explains, and the plans a run runs
         let mut explained = View::explain(&namer);
-        evaluate(&strata, &edb, 1, Some(&mut explained), None).unwrap();
+        evaluate(&program, &edb, 1, Some(&mut explained), None).unwrap();
         assert_eq!(planned_only.rows, explained.rows);
         let mut profiled = View::profile(&namer);
-        evaluate(&strata, &edb, 1, Some(&mut profiled), None).unwrap();
+        evaluate(&program, &edb, 1, Some(&mut profiled), None).unwrap();
         let plans = |v: &View<'_>| v.rows.iter().map(|p| p.plan.clone()).collect::<Vec<_>>();
         assert_eq!(plans(&planned_only), plans(&profiled));
 
         // whereas a run demands exactly what its steps look up
         let mut storage = load();
-        eval_strata(&strata, &mut storage, 1, None, Program::idb_relations);
+        eval_program(&program, &mut storage, 1, None, Program::idb_relations);
         let edge = storage.relation(r(1)).unwrap();
         assert_eq!(edge.index_count(), 1, "probed on the first column");
         assert!(edge.has_membership(), "the closing edge is a Member step");
@@ -1101,7 +1036,7 @@ mod tests {
             edb
         };
         for threads in [1, 4] {
-            let (fix, _) = eval(&[tc_program()], &edb, threads);
+            let (fix, _) = eval(&tc_program(), &edb, threads);
             for rel in [r(1), r(7), r(8)] {
                 assert!(
                     fix.relation(rel)
@@ -1116,7 +1051,7 @@ mod tests {
         // a plan-only view hands the whole EDB back the same way
         let namer = |rel: RelId| rel.to_string();
         let mut view = View::explain(&namer);
-        let (fix, _) = evaluate(&[tc_program()], &edb, 1, Some(&mut view), None).unwrap();
+        let (fix, _) = evaluate(&tc_program(), &edb, 1, Some(&mut view), None).unwrap();
         assert!(fix
             .relation(r(7))
             .unwrap()
@@ -1128,7 +1063,7 @@ mod tests {
     fn arity_conflicts_with_the_edb_are_errors() {
         // the EDB stores r(1) as unary; the program reads it as binary
         let edb = DatabaseBuilder::new().fact(r(1), [1u32]).build().unwrap();
-        assert!(evaluate(&[tc_program()], &edb, 1, None, None).is_err());
+        assert!(evaluate(&tc_program(), &edb, 1, None, None).is_err());
     }
 
     #[test]
@@ -1136,10 +1071,7 @@ mod tests {
         // pair(x,y) :- a(x), b(y) — no shared variables, pure product.
         let program = Program::new(vec![Rule::new(
             Atom::new(r(3), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(1), vec![s(0)])),
-                Literal::positive(Atom::new(r(2), vec![s(1)])),
-            ],
+            vec![Atom::new(r(1), vec![s(0)]), Atom::new(r(2), vec![s(1)])],
         )
         .unwrap()]);
         let edb = DatabaseBuilder::new()
@@ -1148,7 +1080,7 @@ mod tests {
             .fact(r(2), [8u32])
             .build()
             .unwrap();
-        let (fix, _) = eval(&[program], &edb, 0);
+        let (fix, _) = eval(&program, &edb, 0);
         assert_eq!(fix.relation(r(3)).unwrap().len(), 2);
         assert!(fix.holds(r(3), &tuple![2, 8]));
     }

@@ -8,8 +8,8 @@
 //! exploits that:
 //!
 //! * **Insertions** run as a continuation of semi-naive evaluation — the new
-//!   extensional facts seed a delta round per stratum and only derivations
-//!   touching the delta are recomputed.
+//!   extensional facts seed a delta round and only derivations touching the
+//!   delta are recomputed.
 //! * **Deletions** use DRed-style *overdeletion / rederivation* (the shape
 //!   of micro-datalog's `dred.rs`): first every fact transitively supported
 //!   by a deleted fact is overdeleted against the *old* state, then the
@@ -20,16 +20,10 @@
 //!   head's slots bound on entry ([`JoinPlan::head_bound`]), and asking
 //!   whether an overdeleted fact survives is unifying the head with it and
 //!   running that plan through the engine's one step interpreter until the
-//!   first witness.  A stratum's rederivation plans are made at its **first
-//!   non-empty overdeletion**, with the cardinalities of that moment, and
-//!   their indexes and membership tables are demanded then: a session that
-//!   never deletes builds nothing for them.
-//! * **Negation** is refused: [`IncrementalSession::with_threads`] returns
-//!   [`EngineError::NegationInSession`] for a program with a negated
-//!   literal, before anything is evaluated.  DRed's overdelete/rederive
-//!   phases are sound only when what a rule negates never changes, and the
-//!   programs a session serves — the Horn fast path of `kbt-core` — are
-//!   positive.
+//!   first witness.  The rederivation plans are made at the session's
+//!   **first non-empty overdeletion**, with the cardinalities of that
+//!   moment, and their indexes and membership tables are demanded then: a
+//!   session that never deletes builds nothing for them.
 //!
 //! The session's initial closure runs like a one-shot evaluation: every
 //! head it derives into keeps its tail's membership in sorted key levels,
@@ -47,8 +41,8 @@
 //! a re-seated tail that is not empty switches once more at the next
 //! delta.
 //!
-//! Deltas may only touch *extensional* relations; mutating a relation any
-//! stratum derives returns [`EngineError::IntensionalUpdate`] — intensional
+//! Deltas may only touch *extensional* relations; mutating a relation the
+//! program derives returns [`EngineError::IntensionalUpdate`] — intensional
 //! content is owned by the fixpoint.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    commit, delta_plans, demand, derives, eval_strata, into_runs, relation_sizes, run_round_with,
+    commit, delta_plans, demand, derives, eval_program, into_runs, relation_sizes, run_round_with,
     Bags, Deltas, RowBag,
 };
 use crate::index::IndexedRelation;
@@ -66,30 +60,22 @@ use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::{EngineError, Result};
 
-/// One planned stratum of a positive program.
-#[derive(Clone, Debug)]
-struct Stratum {
-    /// The stratum as given, kept for planning rederivation.
-    program: Program,
-    /// The planned rules (with delta variants for *every* positive body
-    /// occurrence, since between calls the extensional relations change
-    /// too, not just the intensional ones).
-    rules: Vec<PlannedRule>,
-    /// One head-bound plan per rule, same order; empty until the stratum's
-    /// first non-empty overdeletion (see the module docs).
-    rederive: Vec<JoinPlan>,
-    /// The stratum's head relations.
-    heads: BTreeSet<RelId>,
-}
-
 /// A live fixpoint over indexed storage that accepts fact deltas.
 ///
 /// See the [module docs](self) for the algorithm; see `kbt-engine`'s crate
 /// docs for the lifecycle contract.
 #[derive(Clone, Debug)]
 pub struct IncrementalSession {
-    strata: Vec<Stratum>,
-    /// Union of all head relations — the relations deltas must not touch.
+    /// The program as given, kept for planning rederivation.
+    program: Program,
+    /// The planned rules (with delta variants for *every* body occurrence,
+    /// since between calls the extensional relations change too, not just
+    /// the intensional ones).
+    rules: Vec<PlannedRule>,
+    /// One head-bound plan per rule, same order; empty until the first
+    /// non-empty overdeletion (see the module docs).
+    rederive: Vec<JoinPlan>,
+    /// The head relations — the relations deltas must not touch.
     idb: BTreeSet<RelId>,
     /// Extensional facts the initial EDB stored *in head relations*.  They
     /// hold without needing a rule derivation, so DRed must never retract
@@ -106,66 +92,45 @@ pub struct IncrementalSession {
 }
 
 impl IncrementalSession {
-    /// Builds a session by fully evaluating the pre-stratified `strata` over
-    /// `edb` (the same computation as [`crate::evaluate`]), at the
-    /// process-default width.  The statistics of this initial
-    /// evaluation are available through [`Self::stats`].
-    pub fn new(strata: &[Program], edb: &Database) -> Result<Self> {
-        IncrementalSession::with_threads(strata, edb, 0)
+    /// Builds a session by fully evaluating `program` over `edb` (the same
+    /// computation as [`crate::evaluate`]), at the process-default width.
+    /// The statistics of this initial evaluation are available through
+    /// [`Self::stats`].
+    pub fn new(program: &Program, edb: &Database) -> Result<Self> {
+        IncrementalSession::with_threads(program, edb, 0)
     }
 
     /// [`Self::new`] with an explicit thread count (`0` = process default,
     /// `1` = every round on the calling thread).  The maintained fixpoint and all
     /// statistics are identical at every width.
-    ///
-    /// A program with a negated literal is refused with
-    /// [`EngineError::NegationInSession`] before anything is evaluated.
-    pub fn with_threads(strata: &[Program], edb: &Database, threads: usize) -> Result<Self> {
-        let mut rules = strata.iter().flat_map(|program| &program.rules);
-        if let Some(rule) = rules.find(|rule| rule.body.iter().any(|l| !l.positive)) {
-            return Err(EngineError::NegationInSession {
-                rule: rule.to_string(),
-            });
-        }
+    pub fn with_threads(program: &Program, edb: &Database, threads: usize) -> Result<Self> {
         let metrics = crate::metrics::metrics();
         let _eval_span = metrics.eval_ns.span();
         let width = kbt_par::resolve_threads(threads);
         let mut storage = {
             let _load_span = metrics.load_ns.span();
             let mut storage = IndexStorage::from_database(edb);
-            for program in strata {
-                for (rel, arity) in program.relation_arities() {
-                    storage.ensure_relation(rel, arity)?;
-                }
+            for (rel, arity) in program.relation_arities() {
+                storage.ensure_relation(rel, arity)?;
             }
             storage
         };
 
-        let (plans, stats) = eval_strata(strata, &mut storage, width, None, delta_eligible);
-        let mut idb = BTreeSet::new();
-        let mut protected: BTreeMap<RelId, Relation> = BTreeMap::new();
-        let mut planned = Vec::with_capacity(strata.len());
-        for (program, rules) in strata.iter().zip(plans) {
-            let heads = program.idb_relations();
-            // facts the EDB itself stores in head relations hold
-            // unconditionally
-            for &rel in &heads {
-                if let Some(base) = edb.relation(rel).filter(|base| !base.is_empty()) {
-                    protected.insert(rel, base.clone());
-                }
-            }
-            idb.extend(heads.iter().copied());
-            planned.push(Stratum {
-                program: program.clone(),
-                rules,
-                rederive: Vec::new(),
-                heads,
-            });
-        }
+        let (rules, stats) = eval_program(program, &mut storage, width, None, delta_eligible);
+        let idb = program.idb_relations();
+        // facts the EDB itself stores in head relations hold unconditionally
+        let protected: BTreeMap<RelId, Relation> = (idb.iter())
+            .filter_map(|&rel| {
+                let base = edb.relation(rel).filter(|base| !base.is_empty())?;
+                Some((rel, base.clone()))
+            })
+            .collect();
         metrics.evals_total.inc();
         metrics.absorb_stats(&stats);
         Ok(IncrementalSession {
-            strata: planned,
+            program: program.clone(),
+            rules,
+            rederive: Vec::new(),
             idb,
             protected,
             storage,
@@ -248,10 +213,7 @@ impl IncrementalSession {
         let mut over = del_actual;
         while !round.is_empty() {
             stats.iterations += 1;
-            let mut plans: Vec<(&PlannedRule, &JoinPlan)> = Vec::new();
-            for stratum in &self.strata {
-                plans.extend(delta_plans(&stratum.rules, &round));
-            }
+            let plans = delta_plans(&self.rules, &round);
             let storage = &self.storage;
             let over_ref = &over;
             let protected = &self.protected;
@@ -284,8 +246,8 @@ impl IncrementalSession {
         }
 
         // Phase C — apply the extensional insertions; `added` accumulates
-        // every fact added during this call and seeds the per-stratum
-        // propagation deltas.  Each entry is a real absent-to-present step
+        // every fact added during this call and seeds the propagation
+        // delta.  Each entry is a real absent-to-present step
         // of the storage and nothing is removed from here on, so no fact
         // enters twice.
         let mut added = Bags::new();
@@ -300,56 +262,54 @@ impl IncrementalSession {
             }
         }
 
-        // Phase D — per stratum (bottom-up): rederive overdeleted facts
-        // with a surviving alternative derivation, then run semi-naive
-        // insertion rounds seeded with everything added so far.
-        for stratum in &mut self.strata {
-            if stratum.rederive.is_empty() && stratum.heads.iter().any(|h| over.contains_key(h)) {
-                let sizes = relation_sizes(&stratum.program, &self.storage);
-                stratum.rederive = (stratum.program.rules.iter())
-                    .map(|rule| JoinPlan::head_bound(rule, &sizes))
-                    .collect();
-                demand(
-                    stratum.rederive.iter().flat_map(|plan| &plan.steps),
-                    &mut self.storage,
-                );
-            }
-            let stratum = &*stratum;
-            for rel in &stratum.heads {
-                let Some(over_rel) = over.get(rel) else {
-                    continue;
-                };
-                for fact in over_rel.iter() {
-                    if self.storage.holds_row(*rel, fact) {
-                        continue; // restored by an earlier rederivation
-                    }
-                    let derivable = (stratum.rules.iter().zip(&stratum.rederive))
-                        .filter(|(rule, _)| rule.head.rel == *rel)
-                        .any(|(rule, plan)| derives(rule, plan, fact, &self.storage, &mut stats));
-                    if derivable {
-                        self.storage.insert_row(*rel, fact);
-                        stats.rederived_facts += 1;
-                        bag(&mut added, *rel, fact.len()).push(fact);
-                    }
+        // Phase D — rederive overdeleted facts with a surviving alternative
+        // derivation, then run semi-naive insertion rounds seeded with
+        // everything added so far.
+        if self.rederive.is_empty() && self.idb.iter().any(|h| over.contains_key(h)) {
+            let sizes = relation_sizes(&self.program, &self.storage);
+            self.rederive = (self.program.rules.iter())
+                .map(|rule| JoinPlan::head_bound(rule, &sizes))
+                .collect();
+            demand(
+                self.rederive.iter().flat_map(|plan| &plan.steps),
+                &mut self.storage,
+            );
+        }
+        for rel in &self.idb {
+            let Some(over_rel) = over.get(rel) else {
+                continue;
+            };
+            for fact in over_rel.iter() {
+                if self.storage.holds_row(*rel, fact) {
+                    continue; // restored by an earlier rederivation
+                }
+                let derivable = (self.rules.iter().zip(&self.rederive))
+                    .filter(|(rule, _)| rule.head.rel == *rel)
+                    .any(|(rule, plan)| derives(rule, plan, fact, &self.storage, &mut stats));
+                if derivable {
+                    self.storage.insert_row(*rel, fact);
+                    stats.rederived_facts += 1;
+                    bag(&mut added, *rel, fact.len()).push(fact);
                 }
             }
-
-            let mut delta = into_runs(added.clone());
-            while !delta.is_empty() {
-                stats.iterations += 1;
-                let plans = delta_plans(&stratum.rules, &delta);
-                delta = commit(
-                    &plans,
-                    &mut self.storage,
-                    &delta,
-                    &mut stats,
-                    self.width,
-                    None,
-                );
-                for (&rel, run) in &delta {
-                    bag(&mut added, rel, run.arity()).push_run(run);
-                }
-            }
+        }
+        // a program with no rules (`τ_true`'s) runs no round
+        let mut delta = if self.rules.is_empty() {
+            Deltas::new()
+        } else {
+            into_runs(added)
+        };
+        while !delta.is_empty() {
+            stats.iterations += 1;
+            let plans = delta_plans(&self.rules, &delta);
+            delta = commit(
+                &plans,
+                &mut self.storage,
+                &delta,
+                &mut stats,
+                self.width,
+                None,
+            );
         }
 
         stats.reused_facts = count_before.saturating_sub(removed);
@@ -399,13 +359,13 @@ impl IncrementalSession {
     }
 }
 
-/// The relations whose change between calls drives a stratum's delta plans:
-/// its heads and, since a session's extensional relations change too, every
-/// relation its bodies read positively.
+/// The relations whose change between calls drives the delta plans: the
+/// heads and, since a session's extensional relations change too, every
+/// relation the bodies read.
 fn delta_eligible(program: &Program) -> BTreeSet<RelId> {
     let mut eligible = program.idb_relations();
     for rule in &program.rules {
-        eligible.extend(rule.positive_atoms().map(|(_, atom)| atom.rel));
+        eligible.extend(rule.body.iter().map(|atom| atom.rel));
     }
     eligible
 }
@@ -432,7 +392,7 @@ fn set_insert(sets: &mut FactSets, rel: RelId, row: &[Const]) -> bool {
 mod tests {
     use super::*;
     use crate::eval::evaluate;
-    use crate::ir::{Atom, Literal, Rule, Term};
+    use crate::ir::{Atom, Rule, Term};
     use kbt_data::{tuple, DatabaseBuilder};
 
     fn r(i: u32) -> RelId {
@@ -448,14 +408,14 @@ mod tests {
         Program::new(vec![
             Rule::new(
                 Atom::new(r(2), vec![s(0), s(1)]),
-                vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
+                vec![Atom::new(r(1), vec![s(0), s(1)])],
             )
             .unwrap(),
             Rule::new(
                 Atom::new(r(2), vec![s(0), s(2)]),
                 vec![
-                    Literal::positive(Atom::new(r(2), vec![s(0), s(1)])),
-                    Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
+                    Atom::new(r(2), vec![s(0), s(1)]),
+                    Atom::new(r(1), vec![s(1), s(2)]),
                 ],
             )
             .unwrap(),
@@ -471,31 +431,31 @@ mod tests {
     }
 
     /// The from-scratch fixpoint the session must stay byte-identical to.
-    fn from_scratch(strata: &[Program], edb: &Database) -> Database {
-        evaluate(strata, edb, 0, None, None).unwrap().0
+    fn from_scratch(program: &Program, edb: &Database) -> Database {
+        evaluate(program, edb, 0, None, None).unwrap().0
     }
 
     #[test]
     fn initial_session_matches_from_scratch() {
-        let strata = [tc_program()];
+        let program = tc_program();
         let edb = chain_db(8);
-        let session = IncrementalSession::new(&strata, &edb).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        let session = IncrementalSession::new(&program, &edb).unwrap();
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(session.stats().derived_facts > 0);
     }
 
     #[test]
     fn insertions_propagate_like_semi_naive() {
-        let strata = [tc_program()];
+        let program = tc_program();
         let mut edb = chain_db(6);
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
 
         let stats = session
             .insert_facts(&[(r(1), tuple![6, 7]), (r(1), tuple![7, 8])])
             .unwrap();
         edb.insert_fact(r(1), tuple![6, 7]).unwrap();
         edb.insert_fact(r(1), tuple![7, 8]).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(stats.derived_facts > 0);
         assert!(stats.reused_facts > 0, "old closure facts must be reused");
         assert_eq!(stats.rederived_facts, 0);
@@ -506,17 +466,17 @@ mod tests {
         // Diamond: 1→2→4 and 1→3→4, plus a tail 4→5.  Deleting edge (2,4)
         // overdeletes path(1,4)/path(2,4)/path(1,5)/path(2,5)…, and
         // rederivation must restore path(1,4) and path(1,5) via 3.
-        let strata = [tc_program()];
+        let program = tc_program();
         let mut b = DatabaseBuilder::new().relation(r(1), 2);
         for (x, y) in [(1u32, 2u32), (2, 4), (1, 3), (3, 4), (4, 5)] {
             b = b.fact(r(1), [x, y]);
         }
         let mut edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
 
         let stats = session.remove_facts(&[(r(1), tuple![2, 4])]).unwrap();
         edb.remove_fact(r(1), &tuple![2, 4]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(session.holds(r(2), &tuple![1, 4]), "alternative path via 3");
         assert!(!session.holds(r(2), &tuple![2, 4]));
         assert!(stats.rederived_facts > 0, "the diamond must rederive");
@@ -530,7 +490,7 @@ mod tests {
         // is overdeleted has another derivation, and finding that out must
         // cost a probe and a membership check per fact — not a walk over
         // the 11 000 stored path facts for each of them.
-        let strata = [tc_program()];
+        let program = tc_program();
         let mut b = DatabaseBuilder::new().relation(r(1), 2);
         for c in 0..200u32 {
             for i in 1..=10 {
@@ -538,7 +498,7 @@ mod tests {
             }
         }
         let edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
         let extension: Vec<(RelId, Tuple)> = (0..4u32)
             .flat_map(|c| (11..19).map(move |i| (r(1), tuple![c * 32 + i, c * 32 + i + 1])))
             .collect();
@@ -546,7 +506,7 @@ mod tests {
 
         let before = session.fact_count();
         let stats = session.remove_facts(&extension).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert_eq!(stats.rederived_facts, 0);
         let overdeleted = before - stats.reused_facts;
         assert_eq!(overdeleted, 4 * (8 + 171 - 55), "edges plus closure growth");
@@ -559,9 +519,9 @@ mod tests {
 
     #[test]
     fn mixed_deltas_and_repeated_calls_stay_exact() {
-        let strata = [tc_program()];
+        let program = tc_program();
         let mut edb = chain_db(10);
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
 
         type Edges = Vec<(u32, u32)>;
         let steps: Vec<(Edges, Edges)> = vec![
@@ -580,7 +540,7 @@ mod tests {
             for (rel, t) in &ins {
                 edb.insert_fact(*rel, t.clone()).unwrap();
             }
-            assert_eq!(session.current(), from_scratch(&strata, &edb));
+            assert_eq!(session.current(), from_scratch(&program, &edb));
         }
     }
 
@@ -596,9 +556,9 @@ mod tests {
             }
         }
         let edb = b.build().unwrap();
-        let strata = [tc_program()];
-        let mut seq = IncrementalSession::with_threads(&strata, &edb, 1).unwrap();
-        let mut par = IncrementalSession::with_threads(&strata, &edb, 4).unwrap();
+        let program = tc_program();
+        let mut seq = IncrementalSession::with_threads(&program, &edb, 1).unwrap();
+        let mut par = IncrementalSession::with_threads(&program, &edb, 4).unwrap();
         assert_eq!(seq.current(), par.current());
         assert_eq!(seq.stats(), par.stats());
 
@@ -620,38 +580,21 @@ mod tests {
     }
 
     #[test]
-    fn a_negated_program_is_refused_before_it_loads_anything() {
-        // stratum 1: unreach(x,y) :- node(x), node(y), ~path(x,y).  The EDB
-        // stores `node` at the wrong arity, so a session that got as far as
-        // loading would fail with a data error instead.
-        let stratum1 = Program::new(vec![Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap()]);
-        let strata = [tc_program(), stratum1];
-        let edb = DatabaseBuilder::new()
-            .fact(r(1), [1u32, 2])
-            .fact(r(3), [1u32, 2])
-            .build()
-            .unwrap();
-        for threads in [1, 2] {
-            let refused = IncrementalSession::with_threads(&strata, &edb, threads);
-            assert!(matches!(
-                refused,
-                Err(EngineError::NegationInSession { ref rule }) if rule.contains("~R2(")
-            ));
-        }
+    fn a_program_with_no_rules_runs_no_round() {
+        // `τ_true` lowers to no rules: neither evaluation counts a round
+        let (empty, edb) = (Program::default(), chain_db(4));
+        let (fix, stats) = evaluate(&empty, &edb, 1, None, None).unwrap();
+        assert_eq!((fix, stats), (edb.clone(), EngineStats::default()));
+        let mut session = IncrementalSession::new(&empty, &edb).unwrap();
+        let stats = session.insert_facts(&[(r(1), tuple![4, 5])]).unwrap();
+        assert_eq!(stats.iterations, 0);
+        assert!(session.holds(r(1), &tuple![4, 5]));
     }
 
     #[test]
     fn intensional_mutations_are_rejected() {
-        let strata = [tc_program()];
-        let mut session = IncrementalSession::new(&strata, &chain_db(4)).unwrap();
+        let program = tc_program();
+        let mut session = IncrementalSession::new(&program, &chain_db(4)).unwrap();
         assert!(matches!(
             session.insert_facts(&[(r(2), tuple![1, 9])]),
             Err(EngineError::IntensionalUpdate { rel }) if rel == r(2)
@@ -664,24 +607,24 @@ mod tests {
 
     #[test]
     fn deleting_and_reinserting_everything_round_trips() {
-        let strata = [tc_program()];
+        let program = tc_program();
         let edb = chain_db(5);
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
         let all_edges: Vec<(RelId, Tuple)> = (1..5u32).map(|i| (r(1), tuple![i, i + 1])).collect();
 
         session.remove_facts(&all_edges).unwrap();
         let empty = DatabaseBuilder::new().relation(r(1), 2).build().unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &empty));
+        assert_eq!(session.current(), from_scratch(&program, &empty));
         assert_eq!(session.fact_count(), 0);
 
         session.insert_facts(&all_edges).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
     }
 
     #[test]
     fn brand_new_relations_are_absorbed() {
-        let strata = [tc_program()];
-        let mut session = IncrementalSession::new(&strata, &chain_db(3)).unwrap();
+        let program = tc_program();
+        let mut session = IncrementalSession::new(&program, &chain_db(3)).unwrap();
         session.insert_facts(&[(r(9), tuple![7])]).unwrap();
         assert!(session.holds(r(9), &tuple![7]));
         // arity conflicts surface as errors
@@ -690,10 +633,10 @@ mod tests {
 
     #[test]
     fn a_rejected_delta_leaves_the_session_untouched() {
-        let strata = [tc_program()];
+        let program = tc_program();
         let edb = chain_db(6);
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
-        let untouched = from_scratch(&strata, &edb);
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
+        let untouched = from_scratch(&program, &edb);
         let valid_deletion = [(r(1), tuple![2, 3])];
 
         // against the stored arity …
@@ -714,7 +657,7 @@ mod tests {
         session.remove_facts(&valid_deletion).unwrap();
         let mut edb = edb;
         edb.remove_fact(r(1), &tuple![2, 3]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
     }
 
     #[test]
@@ -722,15 +665,15 @@ mod tests {
         // path(1,3) is stored extensionally (no rule derives it once
         // edge(2,3) is gone); deleting edge(2,3) must not retract it —
         // from-scratch evaluation keeps EDB facts of IDB relations.
-        let strata = [tc_program()];
+        let program = tc_program();
         let mut edb = chain_db(4);
         edb.insert_fact(r(2), tuple![1, 3]).unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
+        assert_eq!(session.current(), from_scratch(&program, &edb));
 
         session.remove_facts(&[(r(1), tuple![2, 3])]).unwrap();
         edb.remove_fact(r(1), &tuple![2, 3]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(session.holds(r(2), &tuple![1, 3]), "EDB fact must survive");
     }
 
@@ -739,7 +682,7 @@ mod tests {
         // p(x,y) :- a(x,y), b(x).   p(x,y) :- a(x,y), c(x).
         // `a` is the smallest relation, so both full plans scan it first,
         // and every delta variant either scans its delta or probes it on
-        // x: no Member / NegCheck step of theirs ever names `a`.  But
+        // x: no Member step of theirs ever names `a`.  But
         // rederiving p(1,5) binds x and y on entry, so the head-bound plan
         // checks `a` for membership — a relation the session loaded and
         // never writes.  Its table exists because the rederivation plan's
@@ -748,13 +691,13 @@ mod tests {
             Rule::new(
                 Atom::new(r(9), vec![s(0), s(1)]),
                 vec![
-                    Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
-                    Literal::positive(Atom::new(r(other), vec![s(0)])),
+                    Atom::new(r(1), vec![s(0), s(1)]),
+                    Atom::new(r(other), vec![s(0)]),
                 ],
             )
             .unwrap()
         };
-        let strata = [Program::new(vec![rule(2), rule(3)])];
+        let program = Program::new(vec![rule(2), rule(3)]);
         let mut b = DatabaseBuilder::new()
             .fact(r(1), [1u32, 5])
             .fact(r(1), [2u32, 6]);
@@ -762,11 +705,11 @@ mod tests {
             b = b.fact(r(2), [i]).fact(r(3), [i]);
         }
         let mut edb = b.build().unwrap();
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
 
         let stats = session.remove_facts(&[(r(2), tuple![1])]).unwrap();
         edb.remove_fact(r(2), &tuple![1]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(session.holds(r(9), &tuple![1, 5]), "derivable through c");
         assert_eq!(stats.rederived_facts, 1);
         // `a` came through it all exactly as loaded
@@ -781,13 +724,12 @@ mod tests {
         program
             .rules
             .push(Rule::new(Atom::new(r(4), vec![Term::Const(Const::new(7))]), vec![]).unwrap());
-        let strata = [program];
         let mut edb = chain_db(4);
-        let mut session = IncrementalSession::new(&strata, &edb).unwrap();
+        let mut session = IncrementalSession::new(&program, &edb).unwrap();
 
         session.remove_facts(&[(r(1), tuple![2, 3])]).unwrap();
         edb.remove_fact(r(1), &tuple![2, 3]);
-        assert_eq!(session.current(), from_scratch(&strata, &edb));
+        assert_eq!(session.current(), from_scratch(&program, &edb));
         assert!(session.holds(r(4), &tuple![7]));
     }
 }

@@ -145,7 +145,7 @@
 //! or removal.  The segment's table is fetched — built, the first time any
 //! holder of the run asks — by
 //! [`IndexedRelation::demand_membership`], demanded for the targets of the
-//! `Member` / `NegCheck` steps of every plan about to run exactly as
+//! `Member` steps of every plan about to run exactly as
 //! [`IndexedRelation::ensure_index`] is for probe masks, and by the first
 //! point write or removal.
 //!
@@ -169,10 +169,11 @@
 //! from the last key looked up and falling back to a binary search when a
 //! key steps backwards.  Where a head's first column comes from the
 //! scanned delta, its candidates arrive in near-key order and a lookup
-//! touches about one cache line per level.  `Member` / `NegCheck` steps
-//! and [`IndexedRelation::contains_row`] search the levels outright: the
-//! relation a negation checks is often a lower stratum's finished head,
-//! and hashing it would cost one more build on every read.
+//! touches about one cache line per level.  `Member` steps and
+//! [`IndexedRelation::contains_row`] search the levels outright: the
+//! relation a `Member` step checks is often a head the same fixpoint is
+//! still appending to in bulk, and hashing it would cost one more build on
+//! every read.
 //!
 //! The chained table is built in one pass over the arena, with an exact
 //! reserve, only when something first asks for a row by key: a single-row
@@ -1121,7 +1122,7 @@ impl IndexedRelation {
     /// Fetches the first segment's membership table if a load deferred it
     /// (see the module docs) — built now if no holder of the run has built
     /// it before.  Called by the demand pass for every relation a
-    /// `Member` / `NegCheck` step targets, and by
+    /// `Member` step targets, and by
     /// [`Self::ensure_membership`].
     pub fn demand_membership(&mut self) {
         if let SegMembership::Deferred = self.seg_ids {
@@ -1243,7 +1244,7 @@ impl IndexedRelation {
 
     /// Whether a live row has the full-row key `key` and passes `matches`
     /// (which verifies the candidates of a hashed key) — the lookup behind
-    /// a plan's `Member` and `NegCheck` steps.  The first segment's table
+    /// a plan's `Member` steps.  The first segment's table
     /// must have been demanded with [`Self::demand_membership`]; the tail
     /// answers from its chained table, or from its sorted levels, which
     /// only exist where keys are exact.

@@ -87,49 +87,13 @@ impl fmt::Display for Atom {
     }
 }
 
-/// A possibly negated atom.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Literal {
-    /// The underlying atom.
-    pub atom: Atom,
-    /// `true` for a positive occurrence.
-    pub positive: bool,
-}
-
-impl Literal {
-    /// A positive literal.
-    pub fn positive(atom: Atom) -> Self {
-        Literal {
-            atom,
-            positive: true,
-        }
-    }
-
-    /// A negated literal.
-    pub fn negative(atom: Atom) -> Self {
-        Literal {
-            atom,
-            positive: false,
-        }
-    }
-}
-
-impl fmt::Display for Literal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.positive {
-            write!(f, "~")?;
-        }
-        write!(f, "{}", self.atom)
-    }
-}
-
 /// A rule `head :- body` with `slots` registers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rule {
     /// The head atom.
     pub head: Atom,
-    /// The body literals.
-    pub body: Vec<Literal>,
+    /// The body atoms.
+    pub body: Vec<Atom>,
     /// Number of register slots the rule uses (`0..slots` all occur).
     pub slots: usize,
     /// Provenance: the rule's source text in the caller's vocabulary
@@ -140,12 +104,11 @@ pub struct Rule {
 }
 
 impl Rule {
-    /// Builds a rule, checking range restriction (every head slot and every
-    /// slot of a negated literal occurs in some positive body literal) and
-    /// the engine's arity ceiling.
-    pub fn new(head: Atom, body: impl Into<Vec<Literal>>) -> Result<Self> {
+    /// Builds a rule, checking range restriction (every head slot occurs
+    /// in the body) and the engine's arity ceiling.
+    pub fn new(head: Atom, body: impl Into<Vec<Atom>>) -> Result<Self> {
         let body = body.into();
-        for atom in std::iter::once(&head).chain(body.iter().map(|l| &l.atom)) {
+        for atom in std::iter::once(&head).chain(&body) {
             if atom.arity() > MAX_ARITY {
                 return Err(EngineError::ArityTooLarge {
                     rel: atom.rel,
@@ -153,18 +116,8 @@ impl Rule {
                 });
             }
         }
-        let positive: BTreeSet<usize> = body
-            .iter()
-            .filter(|l| l.positive)
-            .flat_map(|l| l.atom.slots())
-            .collect();
-        let mut needed = head.slots();
-        for l in &body {
-            if !l.positive {
-                needed.extend(l.atom.slots());
-            }
-        }
-        if !needed.is_subset(&positive) {
+        let bound: BTreeSet<usize> = body.iter().flat_map(Atom::slots).collect();
+        if !head.slots().is_subset(&bound) {
             let rule = Rule {
                 head,
                 body,
@@ -175,11 +128,7 @@ impl Rule {
                 rule: rule.to_string(),
             });
         }
-        let slots = positive
-            .iter()
-            .chain(needed.iter())
-            .max()
-            .map_or(0, |&m| m + 1);
+        let slots = bound.last().map_or(0, |&m| m + 1);
         Ok(Rule {
             head,
             body,
@@ -193,15 +142,6 @@ impl Rule {
         self.name = Some(name.into());
         self
     }
-
-    /// The positive body literals with their body positions.
-    pub fn positive_atoms(&self) -> impl Iterator<Item = (usize, &Atom)> + '_ {
-        self.body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.positive)
-            .map(|(i, l)| (i, &l.atom))
-    }
 }
 
 impl fmt::Display for Rule {
@@ -209,18 +149,18 @@ impl fmt::Display for Rule {
         write!(f, "{}", self.head)?;
         if !self.body.is_empty() {
             write!(f, " :- ")?;
-            for (i, l) in self.body.iter().enumerate() {
+            for (i, atom) in self.body.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
-                write!(f, "{l}")?;
+                write!(f, "{atom}")?;
             }
         }
         write!(f, ".")
     }
 }
 
-/// A set of rules evaluated together (one stratum, typically).
+/// A set of rules evaluated together to their least fixpoint.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     /// The rules.
@@ -245,8 +185,8 @@ impl Program {
         let mut out = BTreeMap::new();
         for rule in &self.rules {
             out.insert(rule.head.rel, rule.head.arity());
-            for l in &rule.body {
-                out.insert(l.atom.rel, l.atom.arity());
+            for atom in &rule.body {
+                out.insert(atom.rel, atom.arity());
             }
         }
         out
@@ -272,31 +212,21 @@ mod tests {
         let rule = Rule::new(
             Atom::new(r(2), vec![s(0), s(2)]),
             vec![
-                Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
-                Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
+                Atom::new(r(1), vec![s(0), s(1)]),
+                Atom::new(r(1), vec![s(1), s(2)]),
             ],
         )
         .unwrap();
         assert_eq!(rule.slots, 3);
-        assert_eq!(rule.positive_atoms().count(), 2);
     }
 
     #[test]
     fn unsafe_rules_are_rejected() {
         let bad = Rule::new(
             Atom::new(r(2), vec![s(0), s(1)]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0)]))],
+            vec![Atom::new(r(1), vec![s(0)])],
         );
         assert!(matches!(bad, Err(EngineError::UnsafeRule { .. })));
-
-        let bad_neg = Rule::new(
-            Atom::new(r(2), vec![s(0)]),
-            vec![
-                Literal::positive(Atom::new(r(1), vec![s(0)])),
-                Literal::negative(Atom::new(r(3), vec![s(1)])),
-            ],
-        );
-        assert!(matches!(bad_neg, Err(EngineError::UnsafeRule { .. })));
     }
 
     #[test]
@@ -322,7 +252,7 @@ mod tests {
     fn program_classification() {
         let p = Program::new(vec![Rule::new(
             Atom::new(r(2), vec![s(0)]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0)]))],
+            vec![Atom::new(r(1), vec![s(0)])],
         )
         .unwrap()]);
         assert_eq!(

@@ -41,14 +41,14 @@
 //!   of full scans, each step carrying its binding schedule — which columns
 //!   bind which slots and which are checked — so the evaluator's registers
 //!   are plain constants with no run-time "bound yet?" state;
-//! * [`eval`] — a delta-aware semi-naive driver (stratified negation
-//!   preserved) whose one `commit` runs a round, appends what it derived
-//!   and hands the very same runs on as the next round's delta;
+//! * [`eval`] — a delta-aware semi-naive driver whose one `commit` runs a
+//!   round, appends what it derived and hands the very same runs on as the
+//!   next round's delta;
 //! * [`EngineStats`] — iterations, derived facts, index probes and tuples
 //!   scanned, so callers and benchmarks can see the work performed.
 //!
 //! There are exactly two evaluators here: the one-shot [`evaluate`] — one
-//! entry, one stratum loop, optionally observed through a [`View`] that
+//! entry, one plan-and-run, optionally observed through a [`View`] that
 //! turns the same run into an `EXPLAIN` or a `PROFILE` (see [`profile`]) —
 //! and the delta-driven [`IncrementalSession`] built on the same round
 //! driver.  The independent oracles they are tested against (naive and
@@ -67,6 +67,15 @@
 //! this crate free of any dependency on the surface syntax (and free of
 //! dependency cycles: `kbt-datalog` depends on `kbt-engine`, not the other
 //! way round).
+//!
+//! The IR is **positive Datalog**: a rule body is a list of atoms, so a
+//! program is one stratum and [`evaluate`] and [`IncrementalSession`] each
+//! take one [`ir::Program`].  That is the paper's PTIME fragment
+//! (Theorem 4.8: conjunctions of Horn clauses, whose bodies are positive),
+//! and every program the product evaluates comes from such a sentence.  A
+//! stratified program is expressed in the transformation language as a
+//! sequence of `τ` steps (the remark in Section 2.1); a step that negates
+//! is not Horn, so it goes through grounding, not this engine.
 
 //! ## Incremental evaluation
 //!
@@ -78,7 +87,7 @@
 //! (the body with the head's slots bound on entry), run by the same step
 //! interpreter as every other plan.  Lifecycle:
 //!
-//! 1. [`IncrementalSession::new`] evaluates the stratified program once and
+//! 1. [`IncrementalSession::new`] evaluates the program once and
 //!    becomes the owner of the fixpoint ([`IncrementalSession::stats`]
 //!    reports that initial evaluation).
 //! 2. Each [`IncrementalSession::insert_facts`] /
@@ -91,16 +100,9 @@
 //!    it is guaranteed byte-identical to a from-scratch [`evaluate`] over
 //!    the mutated extensional database.
 //!
-//! Sessions maintain **positive** programs only: DRed's overdelete and
-//! rederive phases are sound only when nothing a rule negates can change,
-//! and every program a session serves — the Horn fast path of `kbt-core`,
-//! which inserts clauses with positive bodies — has no negation to change.
-//! So [`IncrementalSession::new`] refuses a program with a negated literal
-//! with [`EngineError::NegationInSession`], before it evaluates anything;
-//! one-shot [`evaluate`] keeps stratified negation.  Deltas may only touch
-//! extensional relations; mutating a derived relation returns
-//! [`EngineError::IntensionalUpdate`].  A delta is checked whole before any
-//! of it is applied: on error the session is unchanged.
+//! Deltas may only touch extensional relations; mutating a derived relation
+//! returns [`EngineError::IntensionalUpdate`].  A delta is checked whole
+//! before any of it is applied: on error the session is unchanged.
 
 pub mod error;
 pub mod eval;

@@ -62,7 +62,7 @@ pub struct EngineMetrics {
     /// commit).
     pub round_ns: Histogram,
     /// `kbt_engine_load_ns` — getting ready to run: one sample for wrapping
-    /// the relations the strata name, one per stratum for planning it and
+    /// the relations the program names, and one for planning it and
     /// building the indexes and membership tables its plans demand.
     pub load_ns: Histogram,
     /// `kbt_engine_join_ns` — per-round wall time of running the round's

@@ -1,12 +1,10 @@
 //! The join planner: compiles rule bodies into sequences of index probes.
 //!
 //! For each rule the planner orders the body greedily — at every step it
-//! picks the positive atom with the most bound argument positions (constants
-//! count as bound), breaking ties by preferring the relation with the
-//! smallest cardinality at planning time (when the caller supplies sizes via
-//! [`PlannedRule::plan_sized`]), interleaving negated literals as soon as
-//! all their slots are bound so they prune as early as possible.  Each
-//! chosen atom becomes one [`Step`]:
+//! picks the atom with the most bound argument positions (constants count
+//! as bound), breaking ties by preferring the relation with the smallest
+//! cardinality at planning time (when the caller supplies sizes via
+//! [`PlannedRule::plan_sized`]).  Each chosen atom becomes one [`Step`]:
 //!
 //! * every position bound at that point contributes to the atom's *binding
 //!   mask*, and the step becomes an index [`Step::Probe`] keyed by the bound
@@ -16,7 +14,7 @@
 //!   for the first atom of a plan, or for genuinely cross-product rules).
 //!
 //! For semi-naive evaluation the planner additionally produces one *delta
-//! variant* per positive occurrence of an intensional relation: that
+//! variant* per body occurrence of an intensional relation: that
 //! occurrence is forced to the front as a scan of the delta relation, and
 //! the rest of the body is re-planned greedily around the slots it binds.
 //!
@@ -128,13 +126,6 @@ pub enum Step {
         /// The fully bound argument terms.
         terms: Vec<Term>,
     },
-    /// A negated literal with all slots bound: succeed iff absent.
-    NegCheck {
-        /// The negated relation.
-        rel: RelId,
-        /// The fully bound argument terms.
-        terms: Vec<Term>,
-    },
 }
 
 /// A fully ordered compilation of one rule body.
@@ -174,8 +165,8 @@ pub struct PlannedRule {
     pub slots: usize,
     /// The plan used by naive rounds and the semi-naive seeding round.
     pub full: JoinPlan,
-    /// One variant per positive body occurrence of an IDB relation, with
-    /// that occurrence scanning the delta.
+    /// One variant per body occurrence of an IDB relation, with that
+    /// occurrence scanning the delta.
     pub deltas: Vec<(RelId, JoinPlan)>,
     /// Provenance carried from [`Rule::name`]: the rule's source text in
     /// the caller's vocabulary, for plans and profiles.
@@ -183,7 +174,7 @@ pub struct PlannedRule {
 }
 
 impl PlannedRule {
-    /// Plans `rule`, producing delta variants for positive occurrences of
+    /// Plans `rule`, producing delta variants for the body occurrences of
     /// the relations in `idb`.
     pub fn plan(rule: &Rule, idb: &BTreeSet<RelId>) -> Self {
         PlannedRule::plan_sized(rule, idb, &BTreeMap::new())
@@ -195,8 +186,7 @@ impl PlannedRule {
     pub fn plan_sized(rule: &Rule, idb: &BTreeSet<RelId>, sizes: &BTreeMap<RelId, usize>) -> Self {
         let unbound = BTreeSet::new();
         let full = plan_body(rule, &unbound, None, sizes);
-        let deltas = rule
-            .positive_atoms()
+        let deltas = (rule.body.iter().enumerate())
             .filter(|(_, atom)| idb.contains(&atom.rel))
             .map(|(pos, atom)| (atom.rel, plan_body(rule, &unbound, Some(pos), sizes)))
             .collect();
@@ -231,7 +221,7 @@ impl PlannedRule {
 
     /// Every step of every plan: the full plan, then each delta variant.
     /// What running them looks up — the index of a `Probe`, the membership
-    /// table of a `Member` / `NegCheck` target — is demanded from these.
+    /// table of a `Member` target — is demanded from these.
     pub(crate) fn steps(&self) -> impl Iterator<Item = &Step> {
         std::iter::once(&self.full)
             .chain(self.deltas.iter().map(|(_, p)| p))
@@ -266,8 +256,8 @@ impl JoinPlan {
 
     /// Stable one-line rendering of the steps in execution order, joined
     /// with `; `: `scan` (the driving scan, `#delta` for delta drivers),
-    /// `probe` with its bound-column mask and key, `member`, and `absent`
-    /// (negation).  Fact rules with no body render as `emit`.
+    /// `probe` with its bound-column mask and key, and `member`.  Fact
+    /// rules with no body render as `emit`.
     pub fn render(&self, namer: &dyn Fn(RelId) -> String) -> String {
         if self.steps.is_empty() {
             return "emit".to_string();
@@ -304,9 +294,6 @@ impl JoinPlan {
                 }
                 Step::Member { rel, terms } => {
                     format!("member {}{}", namer(*rel), render_app("", terms))
-                }
-                Step::NegCheck { rel, terms } => {
-                    format!("absent {}{}", namer(*rel), render_app("", terms))
                 }
             })
             .collect();
@@ -402,55 +389,32 @@ fn plan_body(
     let mut scheduled = vec![false; rule.body.len()];
 
     if let Some(pos) = forced_first {
-        let atom = &rule.body[pos].atom;
-        debug_assert!(rule.body[pos].positive, "delta drivers are positive");
+        let atom = &rule.body[pos];
         steps.push(compile_atom(atom, &bound, Source::Delta));
         mark_bound(atom, &mut bound);
         scheduled[pos] = true;
     }
 
-    loop {
-        // Negated literals prune as soon as they are fully bound.
-        let ready_negative = rule.body.iter().enumerate().position(|(i, l)| {
-            !scheduled[i] && !l.positive && l.atom.slots().iter().all(|&s| bound[s])
-        });
-        if let Some(i) = ready_negative {
-            steps.push(Step::NegCheck {
-                rel: rule.body[i].atom.rel,
-                terms: rule.body[i].atom.terms.clone(),
-            });
-            scheduled[i] = true;
-            continue;
-        }
-        // Greedy: the positive atom with the most bound positions next;
-        // ties go to the smallest relation (ROADMAP "join-order
-        // statistics" — probing into fewer tuples first shrinks every
-        // intermediate binding set downstream).
-        let best = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(i, l)| !scheduled[*i] && l.positive)
-            .max_by_key(|(i, l)| {
-                (
-                    bound_positions(&l.atom, &bound),
-                    std::cmp::Reverse(sizes.get(&l.atom.rel).copied().unwrap_or(0)),
-                    std::cmp::Reverse(l.atom.arity()),
-                    std::cmp::Reverse(*i),
-                )
-            });
-        let Some((i, lit)) = best else {
-            break;
-        };
-        steps.push(compile_atom(&lit.atom, &bound, Source::Full));
-        mark_bound(&lit.atom, &mut bound);
+    // Greedy: the atom with the most bound positions next; ties go to the
+    // smallest relation (ROADMAP "join-order statistics" — probing into
+    // fewer tuples first shrinks every intermediate binding set
+    // downstream).
+    while let Some((i, atom)) = (rule.body.iter().enumerate())
+        .filter(|(i, _)| !scheduled[*i])
+        .max_by_key(|(i, atom)| {
+            (
+                bound_positions(atom, &bound),
+                std::cmp::Reverse(sizes.get(&atom.rel).copied().unwrap_or(0)),
+                std::cmp::Reverse(atom.arity()),
+                std::cmp::Reverse(*i),
+            )
+        })
+    {
+        steps.push(compile_atom(atom, &bound, Source::Full));
+        mark_bound(atom, &mut bound);
         scheduled[i] = true;
     }
 
-    debug_assert!(
-        scheduled.iter().all(|&s| s),
-        "range restriction guarantees every literal is schedulable"
-    );
     JoinPlan {
         delta_pos: forced_first,
         entry: Schedule::default(),
@@ -461,7 +425,7 @@ fn plan_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Literal, Rule};
+    use crate::ir::Rule;
     use kbt_data::Const;
 
     fn r(i: u32) -> RelId {
@@ -477,8 +441,8 @@ mod tests {
         Rule::new(
             Atom::new(r(2), vec![s(0), s(2)]),
             vec![
-                Literal::positive(Atom::new(r(2), vec![s(0), s(1)])),
-                Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
+                Atom::new(r(2), vec![s(0), s(1)]),
+                Atom::new(r(1), vec![s(1), s(2)]),
             ],
         )
         .unwrap()
@@ -542,10 +506,7 @@ mod tests {
         // p(x) :- edge(1, x): the constant makes column 0 bound → probe.
         let rule = Rule::new(
             Atom::new(r(3), vec![s(0)]),
-            vec![Literal::positive(Atom::new(
-                r(1),
-                vec![Term::Const(Const::new(1)), s(0)],
-            ))],
+            vec![Atom::new(r(1), vec![Term::Const(Const::new(1)), s(0)])],
         )
         .unwrap();
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
@@ -562,35 +523,13 @@ mod tests {
         let e = |a, b| Atom::new(r(1), vec![a, b]);
         let rule = Rule::new(
             Atom::new(r(2), vec![s(0), s(1), s(2)]),
-            vec![
-                Literal::positive(e(s(0), s(1))),
-                Literal::positive(e(s(1), s(2))),
-                Literal::positive(e(s(2), s(0))),
-            ],
+            vec![e(s(0), s(1)), e(s(1), s(2)), e(s(2), s(0))],
         )
         .unwrap();
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(planned.full.steps[0], Step::Scan { .. }));
         assert!(matches!(planned.full.steps[1], Step::Probe { .. }));
         assert!(matches!(planned.full.steps[2], Step::Member { .. }));
-    }
-
-    #[test]
-    fn negations_run_as_soon_as_bound() {
-        // unreach(x,y) :- node(x), node(y), ~reach(x,y): the negation must
-        // be scheduled after both nodes but before nothing else.
-        let rule = Rule::new(
-            Atom::new(r(4), vec![s(0), s(1)]),
-            vec![
-                Literal::positive(Atom::new(r(3), vec![s(0)])),
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(1)])),
-            ],
-        )
-        .unwrap();
-        let planned = PlannedRule::plan(&rule, &BTreeSet::new());
-        assert_eq!(planned.full.steps.len(), 3);
-        assert!(matches!(planned.full.steps[2], Step::NegCheck { .. }));
     }
 
     #[test]
@@ -627,27 +566,25 @@ mod tests {
         // path(x,y) :- edge(x,y): the head determines the whole atom
         let base = Rule::new(
             Atom::new(r(2), vec![s(0), s(1)]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
+            vec![Atom::new(r(1), vec![s(0), s(1)])],
         )
         .unwrap();
         let plan = JoinPlan::head_bound(&base, &sizes);
         assert!(matches!(plan.steps[..], [Step::Member { rel, .. }] if rel == r(1)));
 
-        // a negation the head determines runs first, and what the probe
-        // binds turns the atom the head says nothing about into a check
+        // what the probe binds turns the atom the head says nothing about
+        // into a check
         let rule = Rule::new(
             Atom::new(r(4), vec![s(0)]),
             vec![
-                Literal::positive(Atom::new(r(3), vec![s(1)])),
-                Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
-                Literal::negative(Atom::new(r(2), vec![s(0), s(0)])),
+                Atom::new(r(3), vec![s(1)]),
+                Atom::new(r(1), vec![s(0), s(1)]),
             ],
         )
         .unwrap();
         let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
-        assert!(matches!(plan.steps[0], Step::NegCheck { .. }));
-        assert!(matches!(plan.steps[1], Step::Probe { rel, mask: 0b01, .. } if rel == r(1)));
-        assert!(matches!(plan.steps[2], Step::Member { rel, .. } if rel == r(3)));
+        assert!(matches!(plan.steps[0], Step::Probe { rel, mask: 0b01, .. } if rel == r(1)));
+        assert!(matches!(plan.steps[1], Step::Member { rel, .. } if rel == r(3)));
     }
 
     #[test]
@@ -659,8 +596,8 @@ mod tests {
         let rule = Rule::new(
             Atom::new(r(3), vec![s(0), s(1), s(2)]),
             vec![
-                Literal::positive(Atom::new(r(1), vec![s(0), s(1)])),
-                Literal::positive(Atom::new(r(2), vec![s(1), s(2)])),
+                Atom::new(r(1), vec![s(0), s(1)]),
+                Atom::new(r(2), vec![s(1), s(2)]),
             ],
         )
         .unwrap();
@@ -693,7 +630,7 @@ mod tests {
         // 0 and checks column 1 against it
         let rule = Rule::new(
             Atom::new(r(3), vec![s(0)]),
-            vec![Literal::positive(Atom::new(r(2), vec![s(0), s(0)]))],
+            vec![Atom::new(r(2), vec![s(0), s(0)])],
         )
         .unwrap();
         let planned = PlannedRule::plan(&rule, &[r(2)].into_iter().collect());
@@ -713,11 +650,8 @@ mod tests {
         let rule = Rule::new(
             Atom::new(r(4), vec![s(0)]),
             vec![
-                Literal::positive(Atom::new(
-                    r(1),
-                    vec![s(0), s(1), Term::Const(Const::new(7))],
-                )),
-                Literal::positive(Atom::new(r(2), vec![s(0), s(2), s(2)])),
+                Atom::new(r(1), vec![s(0), s(1), Term::Const(Const::new(7))]),
+                Atom::new(r(2), vec![s(0), s(2), s(2)]),
             ],
         )
         .unwrap();
@@ -747,7 +681,7 @@ mod tests {
         // a head-bound plan of p(x, x, 5) :- q(x) unifies the head on entry
         let rule = Rule::new(
             Atom::new(r(5), vec![s(0), s(0), Term::Const(Const::new(5))]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0)]))],
+            vec![Atom::new(r(1), vec![s(0)])],
         )
         .unwrap();
         let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
@@ -761,11 +695,7 @@ mod tests {
 
     #[test]
     fn zero_ary_atoms_are_membership_checks() {
-        let rule = Rule::new(
-            Atom::new(r(2), vec![]),
-            vec![Literal::positive(Atom::new(r(1), vec![]))],
-        )
-        .unwrap();
+        let rule = Rule::new(Atom::new(r(2), vec![]), vec![Atom::new(r(1), vec![])]).unwrap();
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(planned.full.steps[0], Step::Member { .. }));
     }

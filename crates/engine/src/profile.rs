@@ -7,9 +7,10 @@
 //! planned rule — its plan rendering, the rounds it ran in, the new facts,
 //! index probes and scanned tuples it accounted for, and its wall-clock
 //! time.  [`View::explain`]: the same rows with the plan rendering only,
-//! and the fixpoint rounds are skipped.  All three plan every stratum
-//! through the same planner call in the same entry, so what `EXPLAIN`
-//! shows is what `QUERY` runs and what `PROFILE` measures.
+//! and the fixpoint rounds are skipped.  All three plan the program
+//! through the same planner call in the same entry, against the same
+//! un-evaluated storage, so what `EXPLAIN` shows is what `QUERY` runs and
+//! what `PROFILE` measures.
 //!
 //! ## Determinism contract
 //!
@@ -25,16 +26,6 @@
 //! run at every thread width — `tests/profile_differential.rs` pins this.
 //! The only additions are `Instant` reads, counter differences and an
 //! attribution pass over each plan's pending rows.
-//!
-//! ## Explanation caveat
-//!
-//! A plan-only view plans every stratum against the **un-evaluated**
-//! storage: relation cardinalities seen by the planner reflect the EDB
-//! only, so for later strata the greedy size-based tie-breaks may differ
-//! from the plans a real evaluation (which plans each stratum after the
-//! previous ones ran) would choose.  The rendering is still the faithful
-//! plan for the shown sizes, and for single-stratum programs — every `τ_φ`
-//! lowering — it is exact.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -55,8 +46,6 @@ use crate::stats::EngineStats;
 /// only nondeterministic field.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleProfile {
-    /// Index of the stratum the rule was evaluated in.
-    pub stratum: usize,
     /// The rule in the caller's vocabulary.
     pub rule: String,
     /// Stable rendering of the rule's join plans.
@@ -75,13 +64,12 @@ pub struct RuleProfile {
 }
 
 impl RuleProfile {
-    fn new(rule: &PlannedRule, stratum: usize, namer: &dyn Fn(RelId) -> String) -> Self {
+    fn new(rule: &PlannedRule, namer: &dyn Fn(RelId) -> String) -> Self {
         let fallback = || {
             let args: Vec<String> = rule.head.terms.iter().map(|t| t.to_string()).collect();
             format!("{}({})", namer(rule.head.rel), args.join(", "))
         };
         RuleProfile {
-            stratum,
             rule: rule.name.clone().unwrap_or_else(fallback),
             plan: rule.render(namer),
             rounds: 0,
@@ -101,9 +89,9 @@ pub struct View<'a> {
     /// Maps relation ids into the caller's vocabulary for the rendered rule
     /// and plan texts.
     pub namer: &'a dyn Fn(RelId) -> String,
-    /// The rows recorded so far, in evaluation order (stratum order then
-    /// rule order within one evaluation; layers above the engine append
-    /// rows for operators without a rule plan).
+    /// The rows recorded so far, in evaluation order (rule order within one
+    /// evaluation; layers above the engine append rows for operators
+    /// without a rule plan).
     pub rows: Vec<RuleProfile>,
 }
 
@@ -142,19 +130,12 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Records one row per planned rule of a stratum and returns the
-    /// observer that fills them in while the stratum's rounds run.
-    pub(crate) fn observe<'s>(
-        &'s mut self,
-        stratum: usize,
-        rules: &'s [PlannedRule],
-    ) -> RoundObserver<'s> {
+    /// Records one row per planned rule and returns the observer that
+    /// fills them in while the rounds run.
+    pub(crate) fn observe<'s>(&'s mut self, rules: &'s [PlannedRule]) -> RoundObserver<'s> {
         let (first, namer) = (self.rows.len(), self.namer);
-        self.rows.extend(
-            rules
-                .iter()
-                .map(|rule| RuleProfile::new(rule, stratum, namer)),
-        );
+        self.rows
+            .extend(rules.iter().map(|rule| RuleProfile::new(rule, namer)));
         RoundObserver {
             rules,
             rows: &mut self.rows[first..],
@@ -164,7 +145,7 @@ impl<'a> View<'a> {
     }
 }
 
-/// The round-level observer of one stratum: called by the round driver
+/// The round-level observer of one evaluation: called by the round driver
 /// around each plan execution, it charges the execution to its rule's row.
 pub(crate) struct RoundObserver<'s> {
     rules: &'s [PlannedRule],
@@ -196,7 +177,7 @@ impl RoundObserver<'_> {
             .rules
             .iter()
             .position(|r| std::ptr::eq(r, rule))
-            .expect("the round driver only runs plans of the observed stratum");
+            .expect("the round driver only runs plans of the observed rules");
         let (probes, scanned) = (stats.index_probes, stats.tuples_scanned);
         let start = Instant::now();
         let part = run(stats);
@@ -223,7 +204,7 @@ impl RoundObserver<'_> {
 mod tests {
     use super::*;
     use crate::evaluate;
-    use crate::ir::{Atom, Literal, Program, Rule, Term};
+    use crate::ir::{Atom, Program, Rule, Term};
     use kbt_data::{Database, DatabaseBuilder};
 
     fn rel(i: u32) -> RelId {
@@ -235,23 +216,23 @@ mod tests {
     }
 
     /// Transitive closure: path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).
-    fn tc_strata() -> Vec<Program> {
+    fn tc_program() -> Program {
         let base = Rule::new(
             Atom::new(rel(2), vec![s(0), s(1)]),
-            vec![Literal::positive(Atom::new(rel(1), vec![s(0), s(1)]))],
+            vec![Atom::new(rel(1), vec![s(0), s(1)])],
         )
         .unwrap()
         .with_name("path(x, y) :- edge(x, y)");
         let step = Rule::new(
             Atom::new(rel(2), vec![s(0), s(2)]),
             vec![
-                Literal::positive(Atom::new(rel(2), vec![s(0), s(1)])),
-                Literal::positive(Atom::new(rel(1), vec![s(1), s(2)])),
+                Atom::new(rel(2), vec![s(0), s(1)]),
+                Atom::new(rel(1), vec![s(1), s(2)]),
             ],
         )
         .unwrap()
         .with_name("path(x, z) :- path(x, y), edge(y, z)");
-        vec![Program::new(vec![base, step])]
+        Program::new(vec![base, step])
     }
 
     fn chain_edb(n: u32) -> Database {
@@ -268,13 +249,13 @@ mod tests {
 
     #[test]
     fn profiled_evaluation_matches_plain_evaluation_exactly() {
-        let strata = tc_strata();
+        let program = tc_program();
         let edb = chain_edb(12);
         for threads in [1, 4] {
-            let (plain_db, plain_stats) = evaluate(&strata, &edb, threads, None, None).unwrap();
+            let (plain_db, plain_stats) = evaluate(&program, &edb, threads, None, None).unwrap();
             let mut view = View::profile(&namer);
             let (prof_db, prof_stats) =
-                evaluate(&strata, &edb, threads, Some(&mut view), None).unwrap();
+                evaluate(&program, &edb, threads, Some(&mut view), None).unwrap();
             assert_eq!(plain_db, prof_db, "x{threads}: databases differ");
             assert_eq!(plain_stats, prof_stats, "x{threads}: stats differ");
             // Attribution is complete: per-rule counts sum to the
@@ -292,11 +273,10 @@ mod tests {
     #[test]
     fn profiles_carry_provenance_and_plans() {
         let mut view = View::profile(&namer);
-        evaluate(&tc_strata(), &chain_edb(4), 1, Some(&mut view), None).unwrap();
+        evaluate(&tc_program(), &chain_edb(4), 1, Some(&mut view), None).unwrap();
         let profiles = &view.rows;
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].rule, "path(x, y) :- edge(x, y)");
-        assert_eq!(profiles[0].stratum, 0);
         assert!(profiles[0].plan.starts_with("path(s0, s1) <- scan edge"));
         // The base rule runs only in the seeding round (no delta variant
         // on an EDB driver); the recursive rule runs every round.
@@ -312,7 +292,7 @@ mod tests {
     fn explain_renders_without_evaluating() {
         let edb = chain_edb(4);
         let mut view = View::explain(&namer);
-        let (db, stats) = evaluate(&tc_strata(), &edb, 0, Some(&mut view), None).unwrap();
+        let (db, stats) = evaluate(&tc_program(), &edb, 0, Some(&mut view), None).unwrap();
         assert!(db.relation(rel(2)).unwrap().is_empty(), "no round ran");
         assert_eq!(stats, EngineStats::default());
         let profiles = &view.rows;

@@ -10,18 +10,16 @@
 /// shows how much of the previous fixpoint survived a delta untouched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Number of fixpoint rounds, summed over all strata (each stratum
-    /// contributes at least one round, including the final empty one).
+    /// Number of fixpoint rounds, including the final one that derives
+    /// nothing (a program with no rules runs none); an incremental delta
+    /// counts its overdeletion and propagation rounds.
     pub iterations: usize,
     /// Number of facts newly derived for intensional relations.
     pub derived_facts: usize,
-    /// Number of index probes (including full-tuple membership checks and
-    /// negated-literal lookups).
+    /// Number of index probes (including full-tuple membership checks).
     pub index_probes: usize,
     /// Number of candidate tuples iterated by scans and probe buckets.
     pub tuples_scanned: usize,
-    /// Number of strata evaluated.
-    pub strata: usize,
     /// Incremental only: facts of the previous fixpoint carried over into
     /// the new one without being touched by the delta application (neither
     /// removed nor overdeleted).
@@ -40,7 +38,6 @@ impl EngineStats {
         self.derived_facts += other.derived_facts;
         self.index_probes += other.index_probes;
         self.tuples_scanned += other.tuples_scanned;
-        self.strata += other.strata;
         self.reused_facts += other.reused_facts;
         self.rederived_facts += other.rederived_facts;
     }

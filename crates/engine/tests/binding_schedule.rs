@@ -18,8 +18,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, Database, DatabaseBuilder, RelId, Tuple};
-use kbt_datalog::{lower_strata, reference_semi_naive_eval, DlAtom};
-use kbt_engine::ir::{Atom, Literal, Program, Rule, Term};
+use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom};
+use kbt_engine::ir::{Atom, Program, Rule, Term};
 use kbt_engine::plan::{JoinPlan, PlannedRule, Schedule, Step};
 use kbt_engine::{evaluate, IncrementalSession};
 use kbt_logic::builder::var;
@@ -42,11 +42,9 @@ fn term(code: u32) -> Term {
     }
 }
 
-/// A safe rule from raw draws: each literal is `(relation, positive?,
-/// term codes)`, the first literal is always positive, a negated literal's
-/// slots that no positive literal binds become constants, and the head
-/// takes its terms from the positive literals' slots (or constants).
-fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, bool, Vec<u32>)>) -> Rule {
+/// A safe rule from raw draws: each atom is `(relation, term codes)`, and
+/// the head takes its terms from the body's slots (or constants).
+fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, Vec<u32>)>) -> Rule {
     let atom = |rel: u32, codes: &[u32]| {
         Atom::new(
             r(rel),
@@ -57,31 +55,13 @@ fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, bool, Vec<u32>)>) -> Rule {
                 .collect::<Vec<_>>(),
         )
     };
-    let positive: Vec<Atom> = body
-        .iter()
-        .enumerate()
-        .filter(|(i, (_, pos, _))| *i == 0 || *pos)
-        .map(|(_, (rel, _, codes))| atom(*rel, codes))
-        .collect();
-    let bound: Vec<usize> = positive
+    let body: Vec<Atom> = body.iter().map(|(rel, codes)| atom(*rel, codes)).collect();
+    let bound: Vec<usize> = body
         .iter()
         .flat_map(Atom::slots)
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    let ground = |t: Term| match t {
-        Term::Slot(s) if !bound.contains(&s) => Term::Const(Const::new(s as u32 + 10)),
-        t => t,
-    };
-    let negative = (body.iter().enumerate())
-        .filter(|(i, (_, pos, _))| *i > 0 && !*pos)
-        .map(|(_, (rel, _, codes))| {
-            let Atom { rel, terms } = atom(*rel, codes);
-            Literal::negative(Atom::new(
-                rel,
-                terms.into_iter().map(ground).collect::<Vec<_>>(),
-            ))
-        });
     let (head_rel, head_codes) = head;
     let head_terms: Vec<Term> = (head_codes.iter().take(arity(head_rel)))
         .map(|&c| match bound.get(c as usize % 8) {
@@ -89,17 +69,12 @@ fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, bool, Vec<u32>)>) -> Rule {
             None => Term::Const(Const::new(c)),
         })
         .collect();
-    let body: Vec<Literal> = positive
-        .into_iter()
-        .map(Literal::positive)
-        .chain(negative)
-        .collect();
     Rule::new(Atom::new(r(head_rel), head_terms), body).expect("safe by construction")
 }
 
 /// The atom a step stands for, rebuilt from its key, its schedule or its
-/// terms, with whether it is positive.
-fn step_atom(step: &Step) -> (Atom, bool) {
+/// terms.
+fn step_atom(step: &Step) -> Atom {
     let rebuilt = |rel: RelId, cols: Vec<(usize, Term)>| {
         let mut cols = cols;
         cols.sort_by_key(|&(c, _)| c);
@@ -112,7 +87,7 @@ fn step_atom(step: &Step) -> (Atom, bool) {
         Atom::new(rel, cols.into_iter().map(|(_, t)| t).collect::<Vec<_>>())
     };
     match step {
-        Step::Scan { rel, schedule, .. } => (rebuilt(*rel, schedule.columns()), true),
+        Step::Scan { rel, schedule, .. } => rebuilt(*rel, schedule.columns()),
         Step::Probe {
             rel,
             mask,
@@ -123,10 +98,9 @@ fn step_atom(step: &Step) -> (Atom, bool) {
             let mut cols: Vec<(usize, Term)> = key_cols.zip(key.iter().copied()).collect();
             assert_eq!(cols.len(), key.len(), "one key part per mask bit: {step:?}");
             cols.extend(schedule.columns());
-            (rebuilt(*rel, cols), true)
+            rebuilt(*rel, cols)
         }
-        Step::Member { rel, terms } => (Atom::new(*rel, terms.clone()), true),
-        Step::NegCheck { rel, terms } => (Atom::new(*rel, terms.clone()), false),
+        Step::Member { rel, terms } => Atom::new(*rel, terms.clone()),
     }
 }
 
@@ -181,46 +155,35 @@ fn check_plan(rule: &Rule, plan: &JoinPlan, entry: bool) -> Result<(), String> {
             Step::Probe { key, schedule, .. } => {
                 reads(key.iter().copied(), &bound).and_then(|()| run_schedule(schedule, &mut bound))
             }
-            Step::Member { terms, .. } | Step::NegCheck { terms, .. } => {
-                reads(terms.iter().copied(), &bound)
-            }
+            Step::Member { terms, .. } => reads(terms.iter().copied(), &bound),
         }
         .map_err(|e| format!("{step:?}: {e}"))?;
         atoms.push(step_atom(step));
     }
     reads(rule.head.terms.iter().copied(), &bound).map_err(|e| format!("head: {e}"))?;
-    let mut body: Vec<(Atom, bool)> = rule
-        .body
-        .iter()
-        .map(|l| (l.atom.clone(), l.positive))
-        .collect();
-    let key = |(atom, positive): &(Atom, bool)| (atom.to_string(), *positive);
-    body.sort_by_key(key);
-    atoms.sort_by_key(key);
+    let mut body = rule.body.clone();
+    body.sort_by_key(Atom::to_string);
+    atoms.sort_by_key(Atom::to_string);
     if atoms != body {
         return Err(format!("the steps are not the body: {atoms:?}"));
     }
     Ok(())
 }
 
-fn literal() -> impl Strategy<Value = (u32, bool, Vec<u32>)> {
-    (
-        0u32..5,
-        any::<bool>(),
-        proptest::collection::vec(0u32..8, 3..4),
-    )
+fn body_atom() -> impl Strategy<Value = (u32, Vec<u32>)> {
+    (0u32..5, proptest::collection::vec(0u32..8, 3..4))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
     /// Full plans, every delta variant and head-bound plans of random safe
-    /// rules — repeated slots, constants, negations, sizes that reorder the
-    /// greedy — all keep the schedule's invariants.
+    /// rules — repeated slots, constants, sizes that reorder the greedy —
+    /// all keep the schedule's invariants.
     #[test]
     fn every_plan_binds_each_slot_once_before_reading_it(
         head in (0u32..5, proptest::collection::vec(0u32..16, 3..4)),
-        body in proptest::collection::vec(literal(), 1..5),
+        body in proptest::collection::vec(body_atom(), 1..5),
         sizes in proptest::collection::vec(0usize..4, 5..6),
         idb in proptest::collection::vec(any::<bool>(), 5..6),
     ) {
@@ -243,18 +206,18 @@ fn a_repeated_head_slot_rederives_no_fact_whose_columns_differ() {
     // p(x, y) :- e(x, y).   p(x, x) :- f(x).
     let (e, f, p) = (r(1), r(2), r(3));
     let s = Term::Slot;
-    let strata = [Program::new(vec![
+    let program = Program::new(vec![
         Rule::new(
             Atom::new(p, vec![s(0), s(1)]),
-            vec![Literal::positive(Atom::new(e, vec![s(0), s(1)]))],
+            vec![Atom::new(e, vec![s(0), s(1)])],
         )
         .unwrap(),
         Rule::new(
             Atom::new(p, vec![s(0), s(0)]),
-            vec![Literal::positive(Atom::new(f, vec![s(0)]))],
+            vec![Atom::new(f, vec![s(0)])],
         )
         .unwrap(),
-    ])];
+    ]);
     // f holds both columns of p(1, 2), so binding s0 from either one and
     // not checking the other would rederive it
     let edb = DatabaseBuilder::new()
@@ -264,7 +227,7 @@ fn a_repeated_head_slot_rederives_no_fact_whose_columns_differ() {
         .build()
         .unwrap();
     for threads in [1, 2] {
-        let mut session = IncrementalSession::with_threads(&strata, &edb, threads).unwrap();
+        let mut session = IncrementalSession::with_threads(&program, &edb, threads).unwrap();
         assert!(session.holds(p, &Tuple::from([1u32, 2])));
         let stats = session
             .remove_facts(&[(e, Tuple::from([1u32, 2]))])
@@ -276,7 +239,7 @@ fn a_repeated_head_slot_rederives_no_fact_whose_columns_differ() {
         assert_eq!(stats.rederived_facts, 0);
         let mut after = edb.clone();
         after.remove_fact(e, &Tuple::from([1u32, 2]));
-        let (scratch, _) = evaluate(&strata, &after, threads, None, None).unwrap();
+        let (scratch, _) = evaluate(&program, &after, threads, None, None).unwrap();
         assert_eq!(session.current(), scratch);
     }
 }
@@ -307,34 +270,22 @@ fn on_cycle_matches_the_reference_with_identical_counters_at_every_width() {
     let (edge, reach, oncycle) = (r(1), r(2), r(3));
     let atom = |rel, a, b| DlAtom::new(rel, vec![var(a), var(b)]);
     let program = kbt_datalog::Program::new(vec![
-        kbt_datalog::Rule::new(
-            atom(reach, 1, 2),
-            vec![kbt_datalog::Literal::positive(atom(edge, 1, 2))],
-        ),
-        kbt_datalog::Rule::new(
-            atom(reach, 1, 3),
-            vec![
-                kbt_datalog::Literal::positive(atom(reach, 1, 2)),
-                kbt_datalog::Literal::positive(atom(edge, 2, 3)),
-            ],
-        ),
-        kbt_datalog::Rule::new(
-            DlAtom::new(oncycle, vec![var(1)]),
-            vec![kbt_datalog::Literal::positive(atom(reach, 1, 1))],
-        ),
+        kbt_datalog::Rule::new(atom(reach, 1, 2), vec![atom(edge, 1, 2)]),
+        kbt_datalog::Rule::new(atom(reach, 1, 3), vec![atom(reach, 1, 2), atom(edge, 2, 3)]),
+        kbt_datalog::Rule::new(DlAtom::new(oncycle, vec![var(1)]), vec![atom(reach, 1, 1)]),
     ])
     .unwrap();
-    let strata = lower_strata(&program, None).unwrap();
+    let lowered = lower_program(&program, None).unwrap();
     let edb = braid(60);
     let (reference, _) = reference_semi_naive_eval(&program, &edb).unwrap();
-    let (fix, stats) = evaluate(&strata, &edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&lowered, &edb, 1, None, None).unwrap();
     assert_eq!(fix, reference);
     assert_eq!(
         fix.relation(oncycle).unwrap().len(),
         12 * 6,
         "six nodes on each of twelve cycles"
     );
-    let (wide, wide_stats) = evaluate(&strata, &edb, 2, None, None).unwrap();
+    let (wide, wide_stats) = evaluate(&lowered, &edb, 2, None, None).unwrap();
     assert_eq!(wide, reference);
     assert_eq!(wide_stats, stats);
 }

@@ -12,7 +12,7 @@
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
 use kbt_engine::evaluate;
-use kbt_engine::ir::{Atom, Literal, Program, Rule, Term};
+use kbt_engine::ir::{Atom, Program, Rule, Term};
 
 /// `kbt_par_scopes_total` over one width-2 evaluation of the braid closure
 /// below, recorded at the parent of the change that reduced the pool to
@@ -29,14 +29,14 @@ fn tc_program() -> Program {
     Program::new(vec![
         Rule::new(
             Atom::new(r(2), vec![s(0), s(1)]),
-            vec![Literal::positive(Atom::new(r(1), vec![s(0), s(1)]))],
+            vec![Atom::new(r(1), vec![s(0), s(1)])],
         )
         .unwrap(),
         Rule::new(
             Atom::new(r(2), vec![s(0), s(2)]),
             vec![
-                Literal::positive(Atom::new(r(2), vec![s(0), s(1)])),
-                Literal::positive(Atom::new(r(1), vec![s(1), s(2)])),
+                Atom::new(r(2), vec![s(0), s(1)]),
+                Atom::new(r(1), vec![s(1), s(2)]),
             ],
         )
         .unwrap(),
@@ -64,13 +64,13 @@ fn pool_counts() -> (u64, u64) {
 
 #[test]
 fn braid_closure_rounds_fan_out_at_width_2_and_run_inline_at_width_1() {
-    let strata = [tc_program()];
+    let program = tc_program();
     let edb = braid_db(64, 16);
 
     let start = pool_counts();
-    let (seq, seq_stats) = evaluate(&strata, &edb, 1, None, None).unwrap();
+    let (seq, seq_stats) = evaluate(&program, &edb, 1, None, None).unwrap();
     let inline = pool_counts();
-    let (par, par_stats) = evaluate(&strata, &edb, 2, None, None).unwrap();
+    let (par, par_stats) = evaluate(&program, &edb, 2, None, None).unwrap();
     let end = pool_counts();
     println!(
         "scopes: width 1 {}, width 2 {}; contended {}",

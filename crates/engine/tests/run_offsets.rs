@@ -15,7 +15,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
-use kbt_datalog::{lower_strata, reference_semi_naive_eval, DlAtom, Literal, Program, Rule};
+use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
 use kbt_engine::{evaluate, ir, metrics, EngineStats};
 use kbt_logic::builder::var;
 
@@ -39,7 +39,7 @@ fn r(i: u32) -> RelId {
 /// column; `mutual(x, y) :- edge(x, y), edge(y, x)` checks `edge`'s
 /// membership.  `edge` is the only stored relation the rules read.
 fn program() -> Program {
-    let edge = |a, b| Literal::positive(DlAtom::new(r(EDGE), vec![var(a), var(b)]));
+    let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     Program::new(vec![
         Rule::new(
             DlAtom::new(r(TWO_STEP), vec![var(1), var(3)]),
@@ -53,8 +53,8 @@ fn program() -> Program {
     .unwrap()
 }
 
-fn strata() -> Vec<ir::Program> {
-    lower_strata(&program(), None).unwrap()
+fn lowered() -> ir::Program {
+    lower_program(&program(), None).unwrap()
 }
 
 /// Chains of five edges with every other one closed into a cycle, and a
@@ -84,7 +84,7 @@ fn graph(scale: u32) -> Database {
 /// indexes it built.
 fn read(edb: &Database) -> (Database, EngineStats, u64) {
     let before = metrics().index_builds_total.get();
-    let (fix, stats) = evaluate(&strata(), edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&lowered(), edb, 1, None, None).unwrap();
     (fix, stats, metrics().index_builds_total.get() - before)
 }
 

@@ -16,9 +16,7 @@
 //!   with cold caches — at widths 1 and 2, through an incremental
 //!   session's tail appends, tombstones and compaction, with the database
 //!   checked against `kbt_datalog::reference_semi_naive_eval` after every
-//!   step.  Sessions maintain the program without its negated stratum,
-//!   which they refuse before evaluating anything; one-shot reads keep
-//!   it.
+//!   step.
 //!
 //! The storage counters are process-global, so every test holds `SERIAL`
 //! while it reads them.
@@ -26,10 +24,8 @@
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId, Relation, Tuple};
-use kbt_datalog::{lower_strata, reference_semi_naive_eval, DlAtom, Literal, Program, Rule};
-use kbt_engine::{
-    evaluate, ir, metrics, EngineError, EngineStats, IncrementalSession, IndexedRelation,
-};
+use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
+use kbt_engine::{evaluate, ir, metrics, EngineStats, IncrementalSession, IndexedRelation};
 use kbt_logic::builder::var;
 use proptest::prelude::*;
 
@@ -62,47 +58,27 @@ fn counters() -> (u64, u64) {
 }
 
 /// path = TC(edge), probing `edge` on its first column; tri(x,y,z) closes
-/// a triangle with a membership check on `edge`; loose(x) :- node(x),
-/// ~path(x,x) negates a derived relation, one stratum up.
+/// a triangle with a membership check on `edge`; loose(x) :- node(x).
 fn program() -> Program {
-    let mut rules = positive_rules();
-    rules.push(Rule::new(
-        DlAtom::new(r(LOOSE), vec![var(1)]),
-        vec![
-            Literal::positive(DlAtom::new(r(NODE), vec![var(1)])),
-            Literal::negative(DlAtom::new(r(PATH), vec![var(1), var(1)])),
-        ],
-    ));
-    Program::new(rules).unwrap()
-}
-
-/// [`program`] without `loose`: what an incremental session maintains.
-fn session_program() -> Program {
-    Program::new(positive_rules()).unwrap()
-}
-
-fn positive_rules() -> Vec<Rule> {
     let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     let path = |a, b| DlAtom::new(r(PATH), vec![var(a), var(b)]);
-    vec![
-        Rule::new(path(1, 2), vec![Literal::positive(edge(1, 2))]),
-        Rule::new(
-            path(1, 3),
-            vec![Literal::positive(path(1, 2)), Literal::positive(edge(2, 3))],
-        ),
+    Program::new(vec![
+        Rule::new(path(1, 2), vec![edge(1, 2)]),
+        Rule::new(path(1, 3), vec![path(1, 2), edge(2, 3)]),
         Rule::new(
             DlAtom::new(r(TRI), vec![var(1), var(2), var(3)]),
-            vec![
-                Literal::positive(edge(1, 2)),
-                Literal::positive(edge(2, 3)),
-                Literal::positive(edge(3, 1)),
-            ],
+            vec![edge(1, 2), edge(2, 3), edge(3, 1)],
         ),
-    ]
+        Rule::new(
+            DlAtom::new(r(LOOSE), vec![var(1)]),
+            vec![DlAtom::new(r(NODE), vec![var(1)])],
+        ),
+    ])
+    .unwrap()
 }
 
-fn strata() -> Vec<ir::Program> {
-    lower_strata(&program(), None).unwrap()
+fn lowered() -> ir::Program {
+    lower_program(&program(), None).unwrap()
 }
 
 /// `chains` chains of six nodes, every third one closed into a cycle,
@@ -150,7 +126,7 @@ fn a_second_read_of_the_same_runs_builds_nothing_and_copies_nothing() {
     let _serial = serial();
     let edb = graph(40);
     let before = counters();
-    let (first, first_stats) = evaluate(&strata(), &edb, 1, None, None).unwrap();
+    let (first, first_stats) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
     let built = counters().0 - before.0;
     assert_eq!(
         built, 1,
@@ -160,18 +136,18 @@ fn a_second_read_of_the_same_runs_builds_nothing_and_copies_nothing() {
 
     let before = counters();
     for threads in [1, 2] {
-        let (again, stats) = evaluate(&strata(), &edb, threads, None, None).unwrap();
+        let (again, stats) = evaluate(&lowered(), &edb, threads, None, None).unwrap();
         assert_eq!(again, first);
         assert_eq!(stats, first_stats);
     }
     // a database that shares the runs (what the next epoch holds for a
     // relation a commit left untouched) is the same runs
-    let (_, stats) = evaluate(&strata(), &edb.clone(), 1, None, None).unwrap();
+    let (_, stats) = evaluate(&lowered(), &edb.clone(), 1, None, None).unwrap();
     assert_eq!(stats, first_stats);
     assert_eq!(counters(), before, "nothing built, nothing copied");
 
     // fresh runs pay again, and answer the same
-    let (cold, cold_stats) = evaluate(&strata(), &fresh(&edb), 1, None, None).unwrap();
+    let (cold, cold_stats) = evaluate(&lowered(), &fresh(&edb), 1, None, None).unwrap();
     assert_eq!(counters().0 - before.0, built);
     assert_eq!(first, reference(&edb));
     assert_eq!((cold, cold_stats), (first, first_stats));
@@ -183,7 +159,7 @@ fn indexes_live_as_long_as_their_run() {
     let gauge = || metrics().shared_index_bytes.get();
     let edb = fresh(&graph(40));
     let before = gauge();
-    evaluate(&strata(), &edb, 1, None, None).unwrap();
+    evaluate(&lowered(), &edb, 1, None, None).unwrap();
     let held = gauge() - before;
     assert!(held > 0, "the runs keep their indexes after the read");
     let copy = edb.clone();
@@ -197,7 +173,7 @@ fn indexes_live_as_long_as_their_run() {
 fn a_run_written_in_place_never_serves_its_old_index() {
     let _serial = serial();
     let mut edb = fresh(&graph(12));
-    let (first, _) = evaluate(&strata(), &edb, 1, None, None).unwrap();
+    let (first, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
     assert_eq!(first, reference(&edb));
     drop(first); // the result shared `edge`'s run: `edb` owns it alone now
                  // each write lands in place, on a run whose index was built above or
@@ -205,7 +181,7 @@ fn a_run_written_in_place_never_serves_its_old_index() {
     for (a, b) in [(5u32, 10u32), (15, 20), (20, 23), (33, 30)] {
         let before = counters().0;
         assert!(edb.insert_fact(r(EDGE), Tuple::from([a, b])).unwrap());
-        let (fix, _) = evaluate(&strata(), &edb, 1, None, None).unwrap();
+        let (fix, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
         assert_eq!(fix, reference(&edb), "after inserting edge({a}, {b})");
         assert!(
             counters().0 > before,
@@ -213,7 +189,7 @@ fn a_run_written_in_place_never_serves_its_old_index() {
         );
     }
     assert!(edb.remove_fact(r(EDGE), &Tuple::from([7u32, 8])));
-    let (fix, _) = evaluate(&strata(), &edb, 1, None, None).unwrap();
+    let (fix, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
     assert_eq!(fix, reference(&edb));
 }
 
@@ -222,7 +198,7 @@ fn two_threads_reading_one_run_build_its_indexes_once() {
     let _serial = serial();
     let solo = fresh(&graph(60));
     let before = counters().0;
-    let (expected, expected_stats) = evaluate(&strata(), &solo, 1, None, None).unwrap();
+    let (expected, expected_stats) = evaluate(&lowered(), &solo, 1, None, None).unwrap();
     let once = counters().0 - before;
 
     let shared = fresh(&graph(60));
@@ -233,7 +209,7 @@ fn two_threads_reading_one_run_build_its_indexes_once() {
             let (shared, barrier) = (&shared, &barrier);
             scope.spawn(move || {
                 barrier.wait();
-                evaluate(&strata(), shared, threads, None, None).unwrap()
+                evaluate(&lowered(), shared, threads, None, None).unwrap()
             })
         };
         let handles = [read(1), read(2)];
@@ -263,20 +239,20 @@ fn edge_facts(edges: &[(u32, u32)]) -> Vec<(RelId, Tuple)> {
 /// Drives a session over shared, warm runs next to one over fresh runs at
 /// each width, checking every step against the reference evaluator.
 fn sessions_agree(edb: &Database, steps: &[Step]) {
-    let strata = lower_strata(&session_program(), None).unwrap();
+    let program = lowered();
     // warm the runs: every index a session demands on them is cached
-    drop(IncrementalSession::with_threads(&strata, edb, 1).unwrap());
+    drop(IncrementalSession::with_threads(&program, edb, 1).unwrap());
     let before = counters();
-    let mut warm = IncrementalSession::with_threads(&strata, edb, 1).unwrap();
+    let mut warm = IncrementalSession::with_threads(&program, edb, 1).unwrap();
     assert_eq!(
         counters(),
         before,
         "a session over warm runs builds and copies nothing"
     );
     let mut others = vec![
-        IncrementalSession::with_threads(&strata, &fresh(edb), 1).unwrap(),
-        IncrementalSession::with_threads(&strata, edb, 2).unwrap(),
-        IncrementalSession::with_threads(&strata, &fresh(edb), 2).unwrap(),
+        IncrementalSession::with_threads(&program, &fresh(edb), 1).unwrap(),
+        IncrementalSession::with_threads(&program, edb, 2).unwrap(),
+        IncrementalSession::with_threads(&program, &fresh(edb), 2).unwrap(),
     ];
     for other in &others {
         assert_eq!(other.stats(), warm.stats());
@@ -292,7 +268,7 @@ fn sessions_agree(edb: &Database, steps: &[Step]) {
             oracle.insert_fact(*rel, t.clone()).unwrap();
         }
         let current = warm.current();
-        let (expected, _) = reference_semi_naive_eval(&session_program(), &oracle).unwrap();
+        let expected = reference(&oracle);
         assert_eq!(current, expected);
         for other in &mut others {
             assert_eq!(other.apply_delta(&ins, &del).unwrap(), stats);
@@ -302,21 +278,6 @@ fn sessions_agree(edb: &Database, steps: &[Step]) {
     for other in &others {
         assert_eq!(other.stats(), warm.stats());
     }
-}
-
-#[test]
-fn a_session_refuses_the_negated_stratum_before_evaluating_anything() {
-    let _serial = serial();
-    let edb = graph(3);
-    let before = (metrics().evals_total.get(), counters());
-    for threads in [1, 2] {
-        let refused = IncrementalSession::with_threads(&strata(), &edb, threads);
-        assert!(
-            matches!(&refused, Err(EngineError::NegationInSession { rule }) if rule.contains(&format!("~R{PATH}("))),
-            "{refused:?}"
-        );
-    }
-    assert_eq!((metrics().evals_total.get(), counters()), before);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId, Relation, Tuple};
-use kbt_datalog::{lower_strata, reference_semi_naive_eval, DlAtom, Literal, Program, Rule};
+use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
 use kbt_engine::{evaluate, ir, metrics, EngineStats, IncrementalSession};
 use kbt_logic::builder::var;
 
@@ -47,28 +47,16 @@ fn program() -> Program {
     let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
     let reach = |a, b| DlAtom::new(r(REACH), vec![var(a), var(b)]);
     Program::new(vec![
-        Rule::new(reach(0, 1), vec![Literal::positive(edge(0, 1))]),
-        Rule::new(
-            reach(0, 2),
-            vec![
-                Literal::positive(reach(0, 1)),
-                Literal::positive(edge(1, 2)),
-            ],
-        ),
-        Rule::new(
-            DlAtom::new(r(ONCYCLE), vec![var(0)]),
-            vec![Literal::positive(reach(0, 0))],
-        ),
-        Rule::new(
-            DlAtom::new(r(LOOP), vec![var(0)]),
-            vec![Literal::positive(edge(0, 0))],
-        ),
+        Rule::new(reach(0, 1), vec![edge(0, 1)]),
+        Rule::new(reach(0, 2), vec![reach(0, 1), edge(1, 2)]),
+        Rule::new(DlAtom::new(r(ONCYCLE), vec![var(0)]), vec![reach(0, 0)]),
+        Rule::new(DlAtom::new(r(LOOP), vec![var(0)]), vec![edge(0, 0)]),
     ])
     .unwrap()
 }
 
-fn strata() -> Vec<ir::Program> {
-    lower_strata(&program(), None).unwrap()
+fn lowered() -> ir::Program {
+    lower_program(&program(), None).unwrap()
 }
 
 /// Forty chains of five edges, every fourth closed into a cycle, on fresh
@@ -109,9 +97,9 @@ fn reference(edb: &Database) -> (Database, usize) {
 /// counters (equal at both widths), and the builds of the first.
 fn read(edb: &Database) -> (Database, EngineStats, u64) {
     let before = builds();
-    let (fix, stats) = evaluate(&strata(), edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&lowered(), edb, 1, None, None).unwrap();
     let built = builds() - before;
-    let (wide, wide_stats) = evaluate(&strata(), edb, 2, None, None).unwrap();
+    let (wide, wide_stats) = evaluate(&lowered(), edb, 2, None, None).unwrap();
     assert_eq!((&wide, wide_stats), (&fix, stats), "width 2 differs");
     (fix, stats, built)
 }
@@ -142,7 +130,7 @@ fn a_session_is_sorted_until_its_first_delta_and_switches_each_tail_once() {
     for stored_heads in [false, true] {
         let edb = graph(stored_heads);
         let mut sessions: Vec<IncrementalSession> = [1, 2]
-            .map(|width| IncrementalSession::with_threads(&strata(), &edb, width).unwrap())
+            .map(|width| IncrementalSession::with_threads(&lowered(), &edb, width).unwrap())
             .into();
         assert_eq!(sessions[0].stats(), sessions[1].stats());
         let (expected, derived) = reference(&edb);

@@ -264,8 +264,11 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
             .map_err(|_| corrupt("conflicting relation arity"))?;
     }
 
+    // the declared counts size nothing up front: the vectors grow as lines
+    // arrive, so a count the lines do not back is a refusal, not an
+    // allocation
     let n_transforms = field(&expect("transforms ")?)?;
-    let mut transforms = Vec::with_capacity(n_transforms as usize);
+    let mut transforms = Vec::new();
     for _ in 0..n_transforms {
         let line = expect("t ")?;
         let mut parts = line.splitn(3, ' ');
@@ -279,7 +282,7 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
     }
 
     let n_worlds = field(&expect("worlds ")?)?;
-    let mut worlds = Vec::with_capacity(n_worlds as usize);
+    let mut worlds = Vec::new();
     for _ in 0..n_worlds {
         let n_rels = field(&expect("world ")?)?;
         let mut db = Database::new();
@@ -289,7 +292,9 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
             let [rel, arity, rows] = nums[..] else {
                 return Err(corrupt("rel line needs id, arity, rows"));
             };
-            let rel_id = RelId::new(rel as u32);
+            // relation ids and constants are `u32`s: a wider one is
+            // refused, never narrowed
+            let rel_id = RelId::new(u32::try_from(rel).map_err(|_| corrupt("bad id"))?);
             db.ensure_relation(rel_id, arity as usize)
                 .map_err(|_| corrupt("conflicting world schema"))?;
             for _ in 0..rows {
@@ -297,7 +302,7 @@ pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
                 let row = expect("w")?;
                 let consts: Vec<Const> = row
                     .split_whitespace()
-                    .map(|c| field(c).map(|i| Const::new(i as u32)))
+                    .map(|c| c.parse().map(Const::new).map_err(|_| corrupt("bad id")))
                     .collect::<Result<_>>()?;
                 if consts.len() != arity as usize {
                     return Err(corrupt("row arity mismatch"));
@@ -534,6 +539,13 @@ mod tests {
         body + &format!("checksum {crc:08x}\n")
     }
 
+    /// `text` with the first `from` replaced by `to`, checksum recomputed.
+    fn edited(text: &str, from: &str, to: &str) -> String {
+        let body = text[..text.rfind("checksum ").unwrap()].replacen(from, to, 1);
+        let crc = crate::wal::crc32(body.as_bytes());
+        body + &format!("checksum {crc:08x}\n")
+    }
+
     fn refusal(text: &str) -> String {
         match parse("cp", text) {
             Err(ServiceError::CheckpointCorrupt { detail, .. }) => detail,
@@ -556,5 +568,30 @@ mod tests {
             refusal(&file_with(&["a"], &["p", "q", "p"])),
             "duplicate relation name"
         );
+    }
+
+    #[test]
+    fn a_declared_count_sizes_nothing() {
+        let ok = file_with(&["a"], &["p"]);
+        for (from, to) in [
+            ("transforms 0\n", "transforms 18446744073709551615\n"),
+            ("worlds 1\n", "worlds 18446744073709551615\n"),
+        ] {
+            let detail = refusal(&edited(&ok, from, to));
+            assert!(detail.starts_with("unexpected EOF") || detail.starts_with("expected"));
+        }
+    }
+
+    #[test]
+    fn an_id_wider_than_u32_is_refused_not_wrapped() {
+        let ok = file_with(&["a", "b"], &["p"]);
+        let world = |rel: &str, cell: &str| format!("worlds 1\nworld 1\nrel {rel} 1 1\nw {cell}\n");
+        let read = parse("cp", &edited(&ok, "worlds 1\nworld 0\n", &world("0", "1"))).unwrap();
+        assert!(read.worlds[0].holds(RelId::new(0), &Tuple::new(vec![Const::new(1)])));
+        // 2^32 + 1 would read back as constant 1, 2^32 as relation 0
+        for (rel, cell) in [("0", "4294967297"), ("4294967296", "1")] {
+            let text = edited(&ok, "worlds 1\nworld 0\n", &world(rel, cell));
+            assert_eq!(refusal(&text), "bad id");
+        }
     }
 }

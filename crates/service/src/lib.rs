@@ -144,9 +144,8 @@
 //!   epoch).  Only `QUERY` consults and fills it: a memo hit would explain
 //!   and profile nothing.
 //! * **`materialize`** — no rulebase is registered: the stored facts,
-//!   filtered.  The rulebase only ever holds positive Horn rules, whose
-//!   magic rewrite never refuses; were it to, the goal would answer with
-//!   a typed `eval` error, never a wrong answer.  Magic answers are
+//!   filtered.  The rulebase holds Horn rules, whose bodies are lists of
+//!   atoms, so every goal over it has a magic rewrite.  Magic answers are
 //!   byte-identical to the full fixpoint filtered the same way
 //!   (`tests/magic_differential.rs` pins this at widths 1 and 4).
 //!
@@ -385,9 +384,8 @@
 //! * `kbt_engine_round_ns` (histogram): per-round latency (join, sort
 //!   and commit).
 //! * `kbt_engine_load_ns` (histogram): getting ready to run — one sample
-//!   for wrapping the relations the strata name, one per stratum for
-//!   planning and fetching (or building) the indexes and membership tables
-//!   demanded.
+//!   for wrapping the relations the program names, one for planning it and
+//!   fetching (or building) the indexes and membership tables demanded.
 //! * `kbt_engine_join_ns` (histogram): per-round latency of running the
 //!   round's plans into pending bags.
 //! * `kbt_engine_sort_ns` (histogram): per-round latency of sorting and
@@ -453,7 +451,7 @@
 //! row.  An `EXPLAIN` row is fully deterministic:
 //!
 //! ```text
-//! s<stratum> <rule> :: <plan>
+//! <rule> :: <plan>
 //! ```
 //!
 //! where `<rule>` is the source `τ_φ` clause (user vocabulary) and
@@ -463,7 +461,7 @@
 //! rule and plan:
 //!
 //! ```text
-//! s<stratum> <rule> | rounds=<n> derived=<n> probes=<n> scanned=<n> elapsed_ns=<n> :: <plan>
+//! <rule> | rounds=<n> derived=<n> probes=<n> scanned=<n> elapsed_ns=<n> :: <plan>
 //! ```
 //!
 //! `elapsed_ns` is wall-clock and therefore the only nondeterministic

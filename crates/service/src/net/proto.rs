@@ -601,7 +601,7 @@ mod tests {
                     epoch,
                     worlds: 2,
                     rows: vec![
-                        "s0 r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan".into(),
+                        "r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan".into(),
                     ],
                 },
                 Some("p"),
@@ -671,7 +671,7 @@ OK epoch=3 strategy=tabled kind=certain relation=edge count=1
 = certain(p) pattern=bf: magic plan
 = seed m_p_bf('a\nb')
 OK epoch=3 rows=2
-= s0 r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan
+= r1 | rounds=1 derived=2 probes=3 scanned=4 elapsed_ns=5 :: scan
 OK id=p epoch=3 worlds=2 rows=1
 = epoch e3 | 2 world(s), 5 fact(s) | threads 1 | commits 0 (applies 0, defines 0) | queries 7
 = eval: 0 update(s), 0 fixpoint round(s), 0 reused, 0 rederived

@@ -108,9 +108,6 @@ impl GoalPlan {
         let Some(program) = rulebase else {
             return Ok(GoalPlan::Stored);
         };
-        // the rulebase is positive Horn (`build_rulebase`), whose rewrite
-        // never refuses; were it to, the refusal is a typed error, never a
-        // wrong answer
         magic_rewrite(&program, rel, terms, fresh)
             .map(GoalPlan::Magic)
             .map_err(datalog_err)
@@ -486,10 +483,10 @@ impl Service {
     }
 }
 
-/// One `EXPLAIN` row: stratum, rule provenance, and the plan rendering —
-/// fully deterministic (no counters, no timing).
+/// One `EXPLAIN` row: rule provenance and the plan rendering — fully
+/// deterministic (no counters, no timing).
 fn render_explain_row(p: &RuleProfile) -> String {
-    format!("s{} {} :: {}", p.stratum, p.rule, p.plan)
+    format!("{} :: {}", p.rule, p.plan)
 }
 
 /// One `PROFILE` row: the `EXPLAIN` row plus the rule's share of the
@@ -497,8 +494,8 @@ fn render_explain_row(p: &RuleProfile) -> String {
 /// nondeterministic field; it lives in data rows, never in status lines.
 fn render_profile_row(p: &RuleProfile) -> String {
     format!(
-        "s{} {} | rounds={} derived={} probes={} scanned={} elapsed_ns={} :: {}",
-        p.stratum, p.rule, p.rounds, p.derived, p.probes, p.scanned, p.elapsed_ns, p.plan
+        "{} | rounds={} derived={} probes={} scanned={} elapsed_ns={} :: {}",
+        p.rule, p.rounds, p.derived, p.probes, p.scanned, p.elapsed_ns, p.plan
     )
 }
 
@@ -818,7 +815,7 @@ mod tests {
         };
         assert!(
             rows.iter()
-                .any(|r| r.starts_with("s0 seed m_reach_fb(a5) :: ")),
+                .any(|r| r.starts_with("seed m_reach_fb(a5) :: ")),
             "the seed must render with its invented name: {rows:?}"
         );
         assert!(
@@ -906,49 +903,6 @@ mod tests {
             assert!(
                 rows.iter().any(|r| r.contains("seed m_reach_fb(a5)")),
                 "{rows:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_refused_rewrite_is_a_typed_error_under_every_view() {
-        // No `tau` registered over the wire lowers to a rule with negation,
-        // so the refusing rulebase is planted in the epoch's cache:
-        // far(x, y) :- edge(x, y), ~path(y, x) on top of path = edge.
-        use kbt_datalog::{DlAtom, Literal, Rule};
-        use kbt_logic::builder::var;
-        let s = service();
-        s.execute("ASSERT edge(1, 2), edge(2, 1), edge(2, 3), far(9, 9)")
-            .unwrap();
-        s.execute("RETRACT far(9, 9)").unwrap();
-        let snap = s.snapshot();
-        let rel = |name| snap.vocab().lookup_relation(name).unwrap().0;
-        let (edge, far, path) = (rel("edge"), rel("far"), RelId::new(50));
-        let atom = |rel, a, b| DlAtom::new(rel, vec![var(a), var(b)]);
-        let program = Program::new(vec![
-            Rule::new(atom(path, 0, 1), vec![Literal::positive(atom(edge, 0, 1))]),
-            Rule::new(
-                atom(far, 0, 1),
-                vec![
-                    Literal::positive(atom(edge, 0, 1)),
-                    Literal::negative(atom(path, 1, 0)),
-                ],
-            ),
-        ])
-        .unwrap();
-        s.lock_query_cache().rulebase = Some(Some(Arc::new(program)));
-
-        // `QUERY` twice: a refusal memoizes nothing in the answer table
-        for verb in ["EXPLAIN", "PROFILE", "QUERY", "QUERY"] {
-            let r = s.execute(&format!("{verb} CERTAIN far(2, x)"));
-            assert!(
-                matches!(
-                    r,
-                    Err(ServiceError::Core(CoreError::Datalog(
-                        DatalogError::GoalDirected { .. }
-                    )))
-                ),
-                "{verb}: {r:?}"
             );
         }
     }

@@ -13,14 +13,13 @@
 //! 2. **Engine-level differential**: `IncrementalEval` under random
 //!    insert/delete batches — including delete-heavy ones that exercise the
 //!    DRed overdelete/rederive path — must match from-scratch
-//!    `semi_naive_eval` after every batch.  A program with negation is
-//!    refused when the session is built.
+//!    `semi_naive_eval` after every batch.
 //! 3. **Chain shape**: a long `(π ∘ τ_φ ∘ τ_fact)*` chain must produce the
 //!    fold's knowledgebase while reusing most of the engine's facts.
 
 use kbt::core::{EvalStats, Transform, TransformResult, Transformer};
 use kbt::data::{DatabaseBuilder, Knowledgebase, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval, DatalogError, IncrementalEval};
+use kbt::datalog::{semi_naive_eval, IncrementalEval};
 use kbt::logic::builder::*;
 use kbt::logic::Sentence;
 use proptest::prelude::*;
@@ -202,37 +201,6 @@ fn tc_program() -> kbt::datalog::Program {
     kbt::datalog::program_from_sentence(&tc_sentence()).unwrap()
 }
 
-/// reach = TC(edge); unreach(x,y) :- node(x), node(y), ~reach(x,y).
-fn negation_program() -> kbt::datalog::Program {
-    use kbt::datalog::{DlAtom, Literal, Program, Rule};
-    let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-    let reach = |a, b| DlAtom::new(r(2), vec![a, b]);
-    let node = |a| DlAtom::new(r(3), vec![a]);
-    let unreach = |a, b| DlAtom::new(r(4), vec![a, b]);
-    Program::new(vec![
-        Rule::new(
-            reach(var(1), var(2)),
-            vec![Literal::positive(edge(var(1), var(2)))],
-        ),
-        Rule::new(
-            reach(var(1), var(3)),
-            vec![
-                Literal::positive(reach(var(1), var(2))),
-                Literal::positive(edge(var(2), var(3))),
-            ],
-        ),
-        Rule::new(
-            unreach(var(1), var(2)),
-            vec![
-                Literal::positive(node(var(1))),
-                Literal::positive(node(var(2))),
-                Literal::negative(reach(var(1), var(2))),
-            ],
-        ),
-    ])
-    .unwrap()
-}
-
 /// A random edge over the nodes `1..=nodes`.
 fn random_edge(nodes: u32, rng: &mut impl Rng) -> (u32, u32) {
     (
@@ -338,29 +306,6 @@ fn engine_incremental_matches_from_scratch_on_long_random_delta_streams() {
         }
     }
     assert!(total_reused > 0 && total_rederived > 0);
-}
-
-#[test]
-fn engine_incremental_handles_stratified_negation_deltas() {
-    // a session maintains positive programs only: the negated stratum is
-    // refused when the session is built, at every width
-    let edb = DatabaseBuilder::new()
-        .fact(r(1), [1u32, 2])
-        .fact(r(3), [1u32])
-        .fact(r(3), [2u32])
-        .build()
-        .unwrap();
-    for threads in [1, 2] {
-        let refused = IncrementalEval::with_threads(&negation_program(), &edb, threads);
-        assert!(
-            matches!(refused, Err(DatalogError::NegationInSession { ref rule }) if rule.contains('~')),
-            "{refused:?}"
-        );
-    }
-    // one-shot evaluation keeps stratified negation
-    let (fixpoint, _) = semi_naive_eval(&negation_program(), &edb).unwrap();
-    assert!(fixpoint.holds(r(4), &kbt::data::tuple![2, 1]));
-    assert!(!fixpoint.holds(r(4), &kbt::data::tuple![1, 2]));
 }
 
 // ---------------------------------------------------------------------------

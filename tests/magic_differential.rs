@@ -3,25 +3,18 @@
 //!
 //! Three layers:
 //!
-//! 1. **Vendored-proptest property**: randomized stratified positive
-//!    programs over randomized extensional databases × random binding
+//! 1. **Vendored-proptest property**: randomized positive programs over
+//!    randomized extensional databases × random binding
 //!    patterns on a random intensional goal.  The rewritten program — seed
 //!    facts inserted, fixpoint run, answer predicate read, bound columns
 //!    filtered — must be byte-identical to the full fixpoint filtered the
 //!    same way, at widths 1 **and** 4 (and the two widths identical to
 //!    each other, so goal-directed evaluation preserves the engine's
 //!    width-independence contract).
-//! 2. **Negation refusal**: programs whose top stratum negates a derived
-//!    predicate make the rewrite refuse with the *typed*
-//!    [`DatalogError::GoalDirected`] error — never a wrong answer — while
-//!    the materializing oracle still answers the goal.  (The service never
-//!    meets one: its rulebase is positive Horn, and a refusal there would
-//!    be a typed `ERR`.)  Negation confined below the goal's reachable
-//!    slice must *not* trigger the refusal.
-//! 3. **Subsumptive-table layer**: a memoized less-bound call re-filtered
+//! 2. **Subsumptive-table layer**: a memoized less-bound call re-filtered
 //!    for a more-bound pattern must equal evaluating the more-bound goal
 //!    directly.
-//! 4. **Goal-directedness, by counts**: a point goal over a thousand
+//! 3. **Goal-directedness, by counts**: a point goal over a thousand
 //!    disjoint chains derives one chain's answers and scans about as many
 //!    tuples, where materialization derives all 55 000 — work counters,
 //!    so the gap is the same on any machine.  A goal bound in its *second*
@@ -31,9 +24,7 @@
 
 use kbt::core::{Transform, Transformer};
 use kbt::data::{Const, Database, DatabaseBuilder, Knowledgebase, RelId, Relation, Tuple};
-use kbt::datalog::{
-    magic_rewrite, semi_naive_eval_threads, DatalogError, DlAtom, Literal, Program, Rule,
-};
+use kbt::datalog::{magic_rewrite, semi_naive_eval_threads, DatalogError, DlAtom, Program, Rule};
 use kbt::engine::table::{filter_rows, SubsumptiveTable};
 use kbt::logic::builder::{and, atom, cst, forall, implies, var};
 use kbt::logic::{Sentence, Term};
@@ -44,8 +35,8 @@ fn r(i: u32) -> RelId {
     RelId::new(i)
 }
 
-/// Relations: R1 binary EDB, R2 unary EDB; R11 binary IDB, R12 unary IDB
-/// (stratum 0); R21 unary IDB (top stratum, negating in the fallback test).
+/// Relations: R1 binary EDB, R2 unary EDB; R11 binary IDB, R12 unary IDB;
+/// R21 unary IDB, the top predicate, derived from the others.
 const EDB_BIN: u32 = 1;
 const EDB_UN: u32 = 2;
 const IDB_BIN: u32 = 11;
@@ -65,17 +56,17 @@ fn arity_of(rel: u32) -> usize {
 /// A random safe positive rule with the given head relation.
 fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     let num_atoms = rng.random_range(1..4usize);
-    let mut body: Vec<Literal> = Vec::new();
+    let mut body: Vec<DlAtom> = Vec::new();
     for _ in 0..num_atoms {
         let rel = *body_pool.choose(rng).expect("non-empty pool");
         let terms: Vec<_> = (0..arity_of(rel))
             .map(|_| var(rng.random_range(1..4u32)))
             .collect();
-        body.push(Literal::positive(DlAtom::new(r(rel), terms)));
+        body.push(DlAtom::new(r(rel), terms));
     }
     let body_vars: Vec<u32> = body
         .iter()
-        .flat_map(|l| l.atom.variables())
+        .flat_map(DlAtom::variables)
         .map(|v| v.index())
         .collect();
     let head_terms: Vec<_> = (0..arity_of(head_rel))
@@ -84,8 +75,8 @@ fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     Rule::new(DlAtom::new(r(head_rel), head_terms), body)
 }
 
-/// A random stratified *positive* program over the fixed schema, with the
-/// top predicate derived from the lower strata (so every goal relation has
+/// A random positive program over the fixed schema, with the top predicate
+/// derived from the other derived relations (so every goal relation has
 /// rules to rewrite).
 fn random_positive_program(rng: &mut impl Rng) -> Program {
     let mut rules = Vec::new();
@@ -96,7 +87,7 @@ fn random_positive_program(rng: &mut impl Rng) -> Program {
     for _ in 0..rng.random_range(1..3usize) {
         rules.push(random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN], rng));
     }
-    Program::new(rules).expect("generated rules are safe and stratified")
+    Program::new(rules).expect("generated rules are safe")
 }
 
 fn random_edb(rng: &mut impl Rng) -> Database {
@@ -196,62 +187,6 @@ proptest! {
     }
 
     #[test]
-    fn negated_goals_refuse_with_a_typed_error_and_fall_back(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // lower strata as before, but the top predicate negates a derived
-        // predicate — binding the goal would have to push demand through
-        // the negation, which the rewrite refuses rather than risks
-        let mut rules = Vec::new();
-        // at least one rule derives IDB_UN, so negating it is genuinely a
-        // negated *intensional* subgoal (the refusal condition)
-        rules.push(random_rule(IDB_UN, &[EDB_BIN, EDB_UN], &mut rng));
-        for _ in 0..rng.random_range(2..5usize) {
-            let head = *[IDB_BIN, IDB_UN].choose(&mut rng).expect("non-empty");
-            rules.push(random_rule(head, &[EDB_BIN, EDB_UN, IDB_BIN, IDB_UN], &mut rng));
-        }
-        let mut top = random_rule(TOP_UN, &[EDB_UN, EDB_BIN], &mut rng);
-        let guard = *top.body[0]
-            .atom
-            .variables()
-            .iter()
-            .next()
-            .expect("at least one variable");
-        top.body.push(Literal::negative(DlAtom::new(
-            r(IDB_UN),
-            vec![Term::Var(guard)],
-        )));
-        rules.push(top);
-        let program = Program::new(rules).expect("stratified");
-        let edb = random_edb(&mut rng);
-
-        // bound goal on the negating stratum: typed refusal, never a wrong answer
-        let terms = vec![cst(rng.random_range(1..6u32))];
-        let bound = vec![(0usize, terms[0].as_const().unwrap())];
-        let err = goal_directed(&program, &edb, r(TOP_UN), &terms, &bound, 1)
-            .expect_err("demand through negation must refuse");
-        prop_assert!(
-            matches!(err, DatalogError::GoalDirected { .. }),
-            "refusal must be the typed GoalDirected error, got {err:?}"
-        );
-
-        // ... and the materializing oracle still answers the goal;
-        // sanity-check it against a by-hand filter
-        let full = oracle(&program, &edb, r(TOP_UN), 1, &[]);
-        let fallback = oracle(&program, &edb, r(TOP_UN), 1, &bound);
-        for row in fallback.iter() {
-            prop_assert!(full.contains_row(row));
-            prop_assert_eq!(row[0], bound[0].1);
-        }
-
-        // a goal *below* the negation never sees it: the reachable slice
-        // excludes the top stratum, so the rewrite still succeeds
-        let (low_terms, low_bound) = random_pattern(arity_of(IDB_UN), &mut rng);
-        let got = goal_directed(&program, &edb, r(IDB_UN), &low_terms, &low_bound, 4)
-            .expect("negation above the goal is out of the reachable slice");
-        prop_assert!(got == oracle(&program, &edb, r(IDB_UN), 1, &low_bound));
-    }
-
-    #[test]
     fn subsumed_table_answers_equal_direct_evaluation(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let program = random_positive_program(&mut rng);
@@ -288,16 +223,10 @@ fn tc_program() -> Program {
     let edge = |a, b| DlAtom::new(r(EDB_BIN), vec![a, b]);
     let path = |a, b| DlAtom::new(r(IDB_BIN), vec![a, b]);
     Program::new(vec![
-        Rule::new(
-            path(var(1), var(2)),
-            vec![Literal::positive(edge(var(1), var(2)))],
-        ),
+        Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
         Rule::new(
             path(var(1), var(3)),
-            vec![
-                Literal::positive(path(var(1), var(2))),
-                Literal::positive(edge(var(2), var(3))),
-            ],
+            vec![path(var(1), var(2)), edge(var(2), var(3))],
         ),
     ])
     .unwrap()

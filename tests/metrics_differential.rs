@@ -7,7 +7,7 @@
 //! test running on another thread of the same test binary.
 
 use kbt::data::{Database, DatabaseBuilder, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Literal, Program, Rule};
+use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Program, Rule};
 use kbt::logic::builder::var;
 use kbt::obs::Registry;
 
@@ -20,16 +20,10 @@ fn tc_datalog() -> Program {
     let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
     let path = |a, b| DlAtom::new(r(9), vec![a, b]);
     Program::new(vec![
-        Rule::new(
-            path(var(1), var(2)),
-            vec![Literal::positive(edge(var(1), var(2)))],
-        ),
+        Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
         Rule::new(
             path(var(1), var(3)),
-            vec![
-                Literal::positive(path(var(1), var(2))),
-                Literal::positive(edge(var(2), var(3))),
-            ],
+            vec![path(var(1), var(2)), edge(var(2), var(3))],
         ),
     ])
     .unwrap()

@@ -3,14 +3,13 @@
 //!
 //! Three layers:
 //!
-//! 1. **Vendored-proptest property**: randomized stratified programs (with
-//!    negation) over randomized extensional databases, followed by random
-//!    insert/delete delta batches, evaluated at `threads = 1` and
-//!    `threads = 4` — one-shot fixpoints must be byte-identical with equal
-//!    derived-fact counts (all statistics, in fact), and incremental
-//!    sessions over the program's positive rules (a session refuses
-//!    negation) must stay byte-identical to each other *and* to the
-//!    from-scratch oracle after every batch.
+//! 1. **Vendored-proptest property**: randomized programs over randomized
+//!    extensional databases, followed by random insert/delete delta
+//!    batches, evaluated at `threads = 1` and `threads = 4` — one-shot
+//!    fixpoints must be byte-identical with equal derived-fact counts (all
+//!    statistics, in fact), and incremental sessions over the same program
+//!    must stay byte-identical to each other *and* to the from-scratch
+//!    oracle after every batch.
 //! 2. **Above-threshold workload**: a braid graph large enough that the
 //!    parallel rounds genuinely fan out (the random instances above are
 //!    often below the engine's fan-out cutoff, which must itself be
@@ -21,7 +20,7 @@
 
 use kbt::core::{EvalOptions, Transform, Transformer};
 use kbt::data::{Database, DatabaseBuilder, Knowledgebase, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Literal, Program, Rule};
+use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Program, Rule};
 use kbt::logic::builder::*;
 use kbt::logic::Sentence;
 use proptest::prelude::*;
@@ -31,8 +30,8 @@ fn r(i: u32) -> RelId {
     RelId::new(i)
 }
 
-/// Relations: R1 binary EDB, R2 unary EDB; R11 binary IDB, R12 unary IDB
-/// (stratum 0); R21 unary IDB (stratum 1, may negate stratum 0).
+/// Relations: R1 binary EDB, R2 unary EDB; R11 binary IDB, R12 unary IDB;
+/// R21 unary IDB, derived from R12 and the EDB.
 const EDB_BIN: u32 = 1;
 const EDB_UN: u32 = 2;
 const IDB_BIN: u32 = 11;
@@ -49,17 +48,17 @@ fn arity_of(rel: u32) -> usize {
 /// A random safe positive rule with the given head relation.
 fn random_rule(head_rel: u32, body_pool: &[u32], rng: &mut impl Rng) -> Rule {
     let num_atoms = rng.random_range(1..4usize);
-    let mut body: Vec<Literal> = Vec::new();
+    let mut body: Vec<DlAtom> = Vec::new();
     for _ in 0..num_atoms {
         let rel = *body_pool.choose(rng).expect("non-empty pool");
         let terms: Vec<_> = (0..arity_of(rel))
             .map(|_| var(rng.random_range(1..4u32)))
             .collect();
-        body.push(Literal::positive(DlAtom::new(r(rel), terms)));
+        body.push(DlAtom::new(r(rel), terms));
     }
     let body_vars: Vec<u32> = body
         .iter()
-        .flat_map(|l| l.atom.variables())
+        .flat_map(DlAtom::variables)
         .map(|v| v.index())
         .collect();
     let head_terms: Vec<_> = (0..arity_of(head_rel))
@@ -75,21 +74,9 @@ fn random_stratified_program(rng: &mut impl Rng) -> Program {
         rules.push(random_rule(head, &[EDB_BIN, EDB_UN, IDB_BIN, IDB_UN], rng));
     }
     for _ in 0..rng.random_range(1..3usize) {
-        let mut rule = random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN], rng);
-        let negated = *[EDB_UN, IDB_UN].choose(rng).expect("non-empty");
-        let bound = *rule.body[0]
-            .atom
-            .variables()
-            .iter()
-            .next()
-            .expect("at least one variable");
-        rule.body.push(Literal::negative(DlAtom::new(
-            r(negated),
-            vec![kbt::logic::Term::Var(bound)],
-        )));
-        rules.push(rule);
+        rules.push(random_rule(TOP_UN, &[EDB_UN, IDB_UN, EDB_BIN], rng));
     }
-    Program::new(rules).expect("generated rules are safe and stratified")
+    Program::new(rules).expect("generated rules are safe")
 }
 
 fn random_edb(rng: &mut impl Rng) -> Database {
@@ -159,10 +146,8 @@ proptest! {
         prop_assert_eq!(seq_stats.derived_facts, par_stats.derived_facts);
         prop_assert_eq!(seq_stats, par_stats);
 
-        // incremental, over the rules without negation: both widths track
-        // each other and the oracle across random insert/delete batches
-        let positive: Vec<Rule> = program.rules().iter().filter(|rule| rule.is_positive()).cloned().collect();
-        let program = Program::new(positive).unwrap();
+        // incremental: both widths track each other and the oracle across
+        // random insert/delete batches
         let mut inc_seq = IncrementalEval::with_threads(&program, &edb, 1).unwrap();
         let mut inc_par = IncrementalEval::with_threads(&program, &edb, 4).unwrap();
         for step in 0..4 {
@@ -189,16 +174,10 @@ fn tc_datalog() -> Program {
     let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
     let path = |a, b| DlAtom::new(r(9), vec![a, b]);
     Program::new(vec![
-        Rule::new(
-            path(var(1), var(2)),
-            vec![Literal::positive(edge(var(1), var(2)))],
-        ),
+        Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
         Rule::new(
             path(var(1), var(3)),
-            vec![
-                Literal::positive(path(var(1), var(2))),
-                Literal::positive(edge(var(2), var(3))),
-            ],
+            vec![path(var(1), var(2)), edge(var(2), var(3))],
         ),
     ])
     .unwrap()

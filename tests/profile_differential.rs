@@ -209,8 +209,8 @@ fn core_apply_profiled_is_invisible_at_widths_1_and_4() {
             .iter()
             .map(|p| {
                 format!(
-                    "s{} {} rounds={} derived={} probes={} scanned={} :: {}",
-                    p.stratum, p.rule, p.rounds, p.derived, p.probes, p.scanned, p.plan
+                    "{} rounds={} derived={} probes={} scanned={} :: {}",
+                    p.rule, p.rounds, p.derived, p.probes, p.scanned, p.plan
                 )
             })
             .collect();
@@ -234,9 +234,7 @@ fn field<'a>(row: &'a str, key: &str) -> &'a str {
 fn query_explain_and_profile_agree_on_strategy_and_count() {
     // (registered rules?, goal): bare, bound Horn, a goal on a relation
     // only a negating — hence non-Horn, rule-less — `tau` defines, no
-    // rulebase at all, repeated variable.  (A rewrite that *refuses* needs
-    // negation inside the rulebase, which no `tau` registered over the wire
-    // can contribute; `read::tests` injects one.)
+    // rulebase at all, repeated variable.
     let corpus = [
         (true, "CERTAIN edge", None),
         (true, "CERTAIN path(1, x)", Some("magic")),
@@ -313,11 +311,11 @@ fn explain_renders_the_section3_closure_golden() {
     assert_eq!(
         rows,
         [
-            "s0 path(x0, x1) :- edge(x0, x1). :: path(s0, s1) <- scan edge(s0, s1)",
-            "s0 path(x0, x2) :- path(x0, x1), edge(x1, x2). :: \
+            "path(x0, x1) :- edge(x0, x1). :: path(s0, s1) <- scan edge(s0, s1)",
+            "path(x0, x2) :- path(x0, x1), edge(x1, x2). :: \
              path(s0, s2) <- scan path(s0, s1); probe edge mask=0b01 key=(s1) \
              | dpath: scan path#delta(s0, s1); probe edge mask=0b01 key=(s1)",
-            "s0 lub :: strategy: lattice (no rule plan)",
+            "lub :: strategy: lattice (no rule plan)",
         ]
     );
 }
