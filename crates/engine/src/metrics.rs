@@ -150,7 +150,7 @@ pub fn metrics() -> &'static EngineMetrics {
             ),
             (
                 "kbt_engine_load_ns",
-                "Wall time wrapping named relations, and per stratum planning and building demanded indexes, in nanoseconds.",
+                "Wall time getting ready to run: wrapping the named relations, and planning and fetching or building the demanded indexes, in nanoseconds.",
             ),
             (
                 "kbt_engine_join_ns",

@@ -4,7 +4,7 @@
 //! somewhere.  The two built-ins write one line per record to stderr,
 //! either `key=value` text or JSON — the formats behind
 //! `kbt-serve --log-format {text,json}`.  Sinks must be `Send + Sync`;
-//! they are called from session worker threads.
+//! they are called from session threads.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;

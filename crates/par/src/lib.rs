@@ -6,13 +6,14 @@
 //! `into_par_iter().map().collect()`.  This repository builds offline (no
 //! crates.io), so — like `vendor/rand` and `vendor/proptest` — that one
 //! shape is implemented in-workspace, and nothing else is: no job queue, no
-//! nested spawns, no work *stealing*.
+//! nested spawns, no work *stealing*, no long-lived job threads (the
+//! network front spawns one scoped thread per session itself).
 //!
 //! ## Design
 //!
 //! * **Pool** — [`ThreadPool`] owns helper threads that sleep on a condvar
 //!   until a `map` is installed.  [`ThreadPool::global`] is the process-wide
-//!   instance the engine uses; it grows its worker set on demand so an
+//!   instance the engine uses; it grows its helpers on demand so an
 //!   explicit `threads = 4` request is honoured even when
 //!   `available_parallelism` reports fewer cores (the OS timeslices — the
 //!   callers' *determinism* never depends on the physical core count).
@@ -42,24 +43,12 @@
 //! [`default_threads`] is the process-wide default width: the
 //! `KBT_THREADS` environment variable when set, otherwise
 //! [`std::thread::available_parallelism`].
-//!
-//! ## Beyond `map`: bounded long-lived workers
-//!
-//! [`WorkerSet`] is the second shape this crate offers: a fixed set of
-//! named worker threads pulling independent `'static` jobs from a bounded
-//! queue, with admission control ([`WorkerSet::try_submit`] refuses work at
-//! capacity instead of growing).  `map` serves the evaluation engine; the
-//! worker set serves connection supervision in the network front, where a
-//! session outlives any one call stack and "reject at capacity" is the
-//! correct overload behaviour.
 
 pub mod metrics;
 mod pool;
-mod worker_set;
 
 pub use metrics::{metrics, ParMetrics};
 pub use pool::ThreadPool;
-pub use worker_set::WorkerSet;
 
 use std::sync::OnceLock;
 

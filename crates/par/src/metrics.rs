@@ -18,11 +18,6 @@ pub struct ParMetrics {
     /// `kbt_par_contended_scopes_total` — scopes that wanted helpers while
     /// another `map` held the pool and therefore ran caller-only.
     pub contended_scopes_total: Counter,
-    /// `kbt_par_workerset_jobs_total` — jobs admitted by a [`crate::WorkerSet`].
-    pub workerset_jobs_total: Counter,
-    /// `kbt_par_workerset_rejected_total` — jobs refused at capacity (or
-    /// during shutdown).
-    pub workerset_rejected_total: Counter,
 }
 
 /// The pool's metric handles, registered once per process.  Call eagerly
@@ -38,22 +33,12 @@ pub fn metrics() -> &'static ParMetrics {
                 "kbt_par_contended_scopes_total",
                 "Scopes that ran caller-only because the pool was held.",
             ),
-            (
-                "kbt_par_workerset_jobs_total",
-                "Jobs admitted by a worker set.",
-            ),
-            (
-                "kbt_par_workerset_rejected_total",
-                "Jobs refused at capacity or during shutdown.",
-            ),
         ] {
             r.describe(name, help);
         }
         ParMetrics {
             scopes_total: r.counter("kbt_par_scopes_total"),
             contended_scopes_total: r.counter("kbt_par_contended_scopes_total"),
-            workerset_jobs_total: r.counter("kbt_par_workerset_jobs_total"),
-            workerset_rejected_total: r.counter("kbt_par_workerset_rejected_total"),
         }
     })
 }

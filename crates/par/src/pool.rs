@@ -314,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_maps_grow_the_worker_set_up_to_the_cap() {
+    fn wide_maps_grow_the_helpers_up_to_the_cap() {
         let pool = ThreadPool::new(0);
         pool.map(3, &(0..64).collect::<Vec<_>>(), |_, &x: &i32| x);
         assert!(pool.helpers() >= 2);

@@ -92,10 +92,6 @@ pub struct ServiceConfig {
     /// grounding limits, chain reuse).  The `threads` field in here is
     /// overridden by [`Self::threads`] — see [`Self::eval_options`].
     pub options: EvalOptions,
-    /// Whether span *timing* records (clock reads feeding the `_ns`
-    /// histograms and the slow-query log) are enabled on the service's
-    /// registry.  Counters and gauges always record.
-    pub metrics_timing: bool,
     /// Durability options; `None` (the default) is the in-memory service.
     pub durability: Option<DurabilityConfig>,
 }
@@ -106,7 +102,6 @@ impl Default for ServiceConfig {
             // same policy as the process default, but resolved freshly
             threads: kbt_par::fresh_threads(),
             options: EvalOptions::default(),
-            metrics_timing: true,
             durability: None,
         }
     }
@@ -153,13 +148,6 @@ impl ServiceConfigBuilder {
     /// [`Self::threads`] at use time).
     pub fn options(mut self, options: EvalOptions) -> Self {
         self.config.options = options;
-        self
-    }
-
-    /// Enables or disables span timing on the service registry (counters
-    /// always record).
-    pub fn metrics_timing(mut self, enabled: bool) -> Self {
-        self.config.metrics_timing = enabled;
         self
     }
 
@@ -216,7 +204,6 @@ mod tests {
             c.eval_options().threads >= 1,
             "0 would mean 'frozen default'"
         );
-        assert!(c.metrics_timing);
         assert!(c.durability.is_none());
     }
 

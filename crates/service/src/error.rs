@@ -118,7 +118,7 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
     ("line-too-long", "net: command line exceeded the length cap"),
     ("invalid-utf8", "net: command line was not valid UTF-8"),
     ("idle-timeout", "net: session idle past the timeout"),
-    ("unavailable", "net: all session workers busy"),
+    ("unavailable", "net: max_sessions sessions already active"),
     ("shutting-down", "net: server is shutting down"),
 ];
 

@@ -221,9 +221,9 @@
 //! against the enum), and
 //! the net layer adds
 //! `line-too-long`, `invalid-utf8`, `idle-timeout` (session sat idle past
-//! the server's timeout), `unavailable` (all session workers busy —
-//! connections beyond [`net::NetConfig::max_sessions`] are refused, not
-//! queued unboundedly) and `shutting-down` (graceful stop: `kbt-serve`
+//! the server's timeout), `unavailable` (a connection that arrives while
+//! [`net::NetConfig::max_sessions`] sessions are active is refused, not
+//! queued) and `shutting-down` (graceful stop: `kbt-serve`
 //! converts SIGINT/SIGTERM into a drain-and-join).  An `ERR` response
 //! never ends the session except for those five net-level conditions.
 //!
@@ -415,8 +415,6 @@
 //!   rewrite.
 //! * `kbt_par_scopes_total` (counter): pool scopes entered.
 //! * `kbt_par_contended_scopes_total` (counter): scopes that waited.
-//! * `kbt_par_workerset_jobs_total` (counter): worker-set jobs admitted.
-//! * `kbt_par_workerset_rejected_total` (counter): jobs refused at capacity.
 //! * `kbt_solver_solves_total` (counter): SAT searches run — one per
 //!   satisfiability call, and per minimal model a minimal-model
 //!   enumeration looks for (each search lands on a minimal model).

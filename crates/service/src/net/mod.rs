@@ -15,10 +15,11 @@
 //!   by one `OK key=value…` / `ERR code message` status line, with
 //!   control characters escaped so every response line is exactly one
 //!   physical line.
-//! * [`server`] — [`NetServer`]: an acceptor thread plus a bounded
-//!   [`kbt_par::WorkerSet`] of session workers (connections beyond
-//!   capacity are refused with `ERR unavailable`, not queued without
-//!   bound), idle timeouts, and cooperative graceful shutdown.
+//! * [`server`] — [`NetServer`]: an acceptor thread that serves each
+//!   admitted connection on one scoped thread of its own, at most
+//!   [`NetConfig::max_sessions`] at a time (connections beyond that are
+//!   refused with `ERR unavailable`, not queued), idle timeouts, and
+//!   cooperative graceful shutdown.
 //! * [`client`] — [`Client`]: a blocking client speaking the same
 //!   protocol, with split `send`/`recv` so callers can pipeline many
 //!   commands per round-trip (`kbt-shell --connect` and

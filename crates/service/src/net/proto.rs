@@ -70,7 +70,7 @@ pub const CODE_LINE_TOO_LONG: &str = "line-too-long";
 pub const CODE_INVALID_UTF8: &str = "invalid-utf8";
 /// The session sat idle past the configured timeout (connection closes).
 pub const CODE_IDLE_TIMEOUT: &str = "idle-timeout";
-/// Every session worker is busy; the connection was refused.
+/// `max_sessions` sessions are already active; the connection was refused.
 pub const CODE_UNAVAILABLE: &str = "unavailable";
 /// The server is shutting down; the session is being closed.
 pub const CODE_SHUTTING_DOWN: &str = "shutting-down";

@@ -1,11 +1,13 @@
-//! The TCP server: an acceptor thread feeding a bounded worker set of
-//! session handlers.
+//! The TCP server: an acceptor thread that serves each admitted connection
+//! on a scoped thread of its own.
 //!
-//! Concurrency shape: one acceptor thread owns the listener; each accepted
-//! connection is handed to a [`kbt_par::WorkerSet`] of long-lived session
-//! workers.  A connection that arrives while every worker is busy is
-//! answered `ERR unavailable` and closed immediately — bounded concurrency
-//! with explicit rejection, never an unbounded thread-per-connection spawn.
+//! Concurrency shape: one acceptor thread owns the listener, blocks in
+//! `accept`, and runs one [`std::thread::scope`]; each admitted connection
+//! is served by a session thread spawned in it, at most
+//! [`NetConfig::max_sessions`] at a time.  A connection that arrives while
+//! that many sessions are active is answered `ERR unavailable` and closed
+//! immediately — bounded concurrency with explicit rejection, never an
+//! unbounded thread-per-connection spawn.
 //! Sessions multiplex onto the shared [`Service`]: queries evaluate against
 //! `O(1)` MVCC epoch snapshots without blocking anything, writes serialize
 //! through the service's single commit pipeline, so N concurrent
@@ -15,18 +17,18 @@
 //! Sessions poll their socket on a short tick so they can notice — without
 //! a dedicated signalling channel — both the **idle timeout** (answered
 //! `ERR idle-timeout`, counted in `idle_closed`) and **graceful shutdown**
-//! (answered `ERR shutting-down`).  [`NetServer::shutdown`] stops the
-//! acceptor, lets in-flight sessions drain, and joins every thread; the
-//! `kbt-serve` binary wires SIGINT/SIGTERM to it.
+//! (answered `ERR shutting-down`).  [`NetServer::shutdown`] wakes the
+//! acceptor with a connection of its own and stops it; the acceptor's scope
+//! lets in-flight sessions drain and joins them.  The `kbt-serve` binary
+//! wires SIGINT/SIGTERM to it.
 
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use kbt_par::WorkerSet;
 
 use crate::command::{split_command, split_trace};
 use crate::metrics::{verb_label, NetMetrics};
@@ -38,23 +40,19 @@ use crate::service::Service;
 /// shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
-/// How long the acceptor sleeps when no connection is pending.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
-
 /// Network front configuration.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Address to bind (`host:port`; port `0` picks an ephemeral port —
     /// [`NetServer::local_addr`] reports the actual one).
     pub addr: String,
-    /// Maximum concurrently served sessions; further connections are
-    /// refused with `ERR unavailable`.
+    /// Maximum concurrently served sessions, each on a thread of its own;
+    /// a connection that arrives while this many are active is refused
+    /// with `ERR unavailable`.
     pub max_sessions: usize,
     /// Close a session after this much time without a byte from the
     /// client.
     pub idle_timeout: Duration,
-    /// Cap on one logical command line, in bytes.
-    pub max_line_bytes: usize,
 }
 
 impl Default for NetConfig {
@@ -63,7 +61,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_sessions: 32,
             idle_timeout: Duration::from_secs(300),
-            max_line_bytes: MAX_LINE_BYTES,
         }
     }
 }
@@ -81,16 +78,15 @@ impl NetServer {
     pub fn start(service: Arc<Service>, config: NetConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(resolve(&config.addr)?)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // register the network series before serving: a scrape right after
         // the readiness line must see the whole verb taxonomy, traffic or not
-        let metrics = Arc::new(NetMetrics::register(service.obs_registry()));
+        let metrics = NetMetrics::register(service.obs_registry());
         let shutdown = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let shutdown = shutdown.clone();
             std::thread::Builder::new()
                 .name("kbt-acceptor".to_string())
-                .spawn(move || accept_loop(listener, service, metrics, config, &shutdown))
+                .spawn(move || accept_loop(listener, &service, &metrics, &config, &shutdown))
                 .expect("spawning the acceptor thread")
         };
         Ok(NetServer {
@@ -120,6 +116,9 @@ impl NetServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.acceptor.take() {
+            // the acceptor blocks in `accept`: a connection of our own wakes
+            // it to see the flag
+            let _ = TcpStream::connect(self.local_addr);
             let _ = handle.join();
         }
     }
@@ -142,74 +141,70 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 
 fn accept_loop(
     listener: TcpListener,
-    service: Arc<Service>,
-    metrics: Arc<NetMetrics>,
-    config: NetConfig,
-    shutdown: &Arc<AtomicBool>,
+    service: &Service,
+    metrics: &NetMetrics,
+    config: &NetConfig,
+    shutdown: &AtomicBool,
 ) {
     let counters = service.session_counters();
-    // Dropping the set at the end joins the session workers; sessions
-    // notice the shutdown flag within one poll tick.
-    let workers = WorkerSet::new("kbt-session", config.max_sessions.max(1), 0);
-    while !shutdown.load(Ordering::SeqCst) {
+    // The scope joins every session before it returns; sessions notice the
+    // shutdown flag within one poll tick.
+    std::thread::scope(|scope| loop {
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
+            Ok((mut stream, peer)) => {
                 counters.accepted.inc();
                 service
                     .obs_registry()
                     .event("session_open", &[("peer", peer.to_string())]);
-                // a duplicate handle, because the stream itself moves into
-                // the session job: on refusal the job is dropped unrun and
-                // the rejection must still be answered on the socket
-                let reject_handle = stream.try_clone();
-                let service = service.clone();
-                let session_metrics = metrics.clone();
-                let session_counters = counters.clone();
-                let session_config = config.clone();
-                let shutdown = shutdown.clone();
-                let admitted = workers.try_submit(move || {
-                    // a drop guard, not a trailing decrement: the worker set
-                    // contains session panics, and a panicking session must
-                    // not inflate the active gauge forever
-                    struct ActiveGuard(Arc<Service>, std::net::SocketAddr);
-                    impl Drop for ActiveGuard {
-                        fn drop(&mut self) {
-                            self.0.session_counters().active.sub(1);
-                            self.0
-                                .obs_registry()
-                                .event("session_close", &[("peer", self.1.to_string())]);
-                        }
-                    }
-                    session_counters.active.add(1);
-                    let _guard = ActiveGuard(service.clone(), peer);
-                    let _ = serve_session(
-                        &service,
-                        &session_metrics,
-                        &session_config,
-                        &shutdown,
-                        stream,
-                    );
-                });
-                if !admitted {
+                // this thread alone raises the gauge, so it cannot
+                // overshoot the cap
+                if counters.active.get() >= config.max_sessions as u64 {
                     counters.rejected.inc();
-                    if let Ok(mut s) = reject_handle {
-                        let _ = writeln!(
-                            s,
-                            "{}",
-                            proto::encode_error(
-                                proto::CODE_UNAVAILABLE,
-                                &format!("server at capacity ({} sessions)", config.max_sessions),
-                            )
-                        );
-                    }
+                    let _ = writeln!(
+                        stream,
+                        "{}",
+                        proto::encode_error(
+                            proto::CODE_UNAVAILABLE,
+                            &format!("server at capacity ({} sessions)", config.max_sessions),
+                        )
+                    );
+                    continue;
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
+                counters.active.add(1);
+                // a drop guard, not a trailing decrement: it restores the
+                // gauge when the session ends, when it panics, and when
+                // its thread cannot be spawned
+                let guard = ActiveGuard(service, peer);
+                let spawned = std::thread::Builder::new()
+                    .name("kbt-session".to_string())
+                    .spawn_scoped(scope, move || {
+                        let _guard = guard;
+                        // contained here, a panic closes its connection
+                        // and leaves the scope to join the others
+                        let _ = catch_unwind(AssertUnwindSafe(|| {
+                            serve_session(service, metrics, config, shutdown, stream)
+                        }));
+                    });
+                if spawned.is_err() {
+                    counters.rejected.inc();
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break, // listener gone; nothing sensible left to do
         }
+    });
+}
+
+/// Marks one session active for as long as it lives.
+struct ActiveGuard<'a>(&'a Service, SocketAddr);
+
+impl Drop for ActiveGuard<'_> {
+    fn drop(&mut self) {
+        self.0.session_counters().active.sub(1);
+        self.0
+            .obs_registry()
+            .event("session_close", &[("peer", self.1.to_string())]);
     }
 }
 
@@ -229,7 +224,7 @@ fn serve_session(
     stream.set_read_timeout(Some(config.idle_timeout.min(POLL_TICK)))?;
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
-    let mut framer = LineFramer::new(config.max_line_bytes);
+    let mut framer = LineFramer::new(MAX_LINE_BYTES);
     let mut buf = [0u8; 4096];
     let mut last_activity = Instant::now();
     // per-session trace sequence: commands without a client-supplied
@@ -459,16 +454,24 @@ mod tests {
 
     #[test]
     fn oversized_lines_are_refused_and_the_connection_closes() {
-        let (server, _service) = start(NetConfig {
-            max_line_bytes: 64,
-            ..NetConfig::default()
-        });
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let r = client
-            .roundtrip(&format!("ASSERT edge({}, 2)", "9".repeat(100)))
-            .unwrap();
-        assert_eq!(r.err_code(), Some("line-too-long"));
-        assert!(client.recv().is_err(), "the server must have closed");
+        use std::io::{BufRead, BufReader};
+        let (server, _service) = start(NetConfig::default());
+        // a raw stream, not a `Client`: the server may refuse the line
+        // before its newline arrives, and a write that then fails is no
+        // part of what is checked here
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let line = format!("ASSERT {}", "x".repeat(MAX_LINE_BYTES - 6));
+        assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+        let _ = stream.write_all(format!("{line}\n").as_bytes());
+        let mut reader = BufReader::new(stream);
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        assert!(status.starts_with("ERR line-too-long "), "{status}");
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "the server must have closed"
+        );
         server.shutdown();
     }
 
@@ -480,7 +483,7 @@ mod tests {
         });
         let mut first = Client::connect(server.local_addr()).unwrap();
         assert!(first.roundtrip("STATS").unwrap().is_ok());
-        // the second connection is refused by the supervisor with an
+        // the second connection is refused by the acceptor with an
         // explicit status, then closed
         let mut second = Client::connect(server.local_addr()).unwrap();
         let rejected = second.recv().unwrap();
@@ -498,6 +501,25 @@ mod tests {
         assert_eq!(counters.accepted.get(), 2);
         // the first session is still healthy
         assert!(first.roundtrip("STATS").unwrap().is_ok());
+        // once it closes, its slot frees up and a new connection is served
+        drop(first);
+        for _ in 0..100 {
+            if counters.active.get() == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(counters.active.get(), 0);
+        let mut third = Client::connect(server.local_addr()).unwrap();
+        let r = third.roundtrip("STATS").unwrap();
+        assert!(r.is_ok(), "{}", r.status);
+        assert!(
+            r.data.iter().any(|line| line.contains(" active 1,")),
+            "{:?}",
+            r.data
+        );
+        assert_eq!(counters.accepted.get(), 3);
+        assert_eq!(counters.rejected.get(), 1);
         server.shutdown();
     }
 

@@ -64,7 +64,7 @@ pub struct SessionCounters {
     pub accepted: Counter,
     /// Sessions currently being served (`kbt_net_sessions_active`).
     pub active: Gauge,
-    /// Connections refused because the session workers were at capacity
+    /// Connections refused because `max_sessions` sessions were active
     /// (`kbt_net_sessions_rejected_total`).
     pub rejected: Counter,
     /// Sessions closed by the idle timeout
@@ -448,7 +448,6 @@ impl Service {
         kbt_par::metrics();
         kbt_solver::metrics();
         let metrics = ServiceMetrics::register(Registry::new());
-        metrics.registry.set_enabled(config.metrics_timing);
         let sessions = Arc::new(SessionCounters::register(&metrics.registry));
         let mut writer = Writer {
             kb: kb.clone(),

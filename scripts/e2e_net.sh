@@ -19,7 +19,8 @@ PORT=${KBT_E2E_PORT:-7341}
 WORK=$(mktemp -d)
 SERVE_PID=""
 DURABLE_PID=""
-trap 'kill "$SERVE_PID" "$DURABLE_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+ADMIT_PID=""
+trap 'kill "$SERVE_PID" "$DURABLE_PID" "$ADMIT_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 for bin in kbt-serve kbt-shell; do
     [ -x "$BIN/$bin" ] || { echo "missing $BIN/$bin (cargo build --release first)" >&2; exit 1; }
@@ -192,6 +193,56 @@ diff -u "$WORK/expect-path.txt" "$WORK/got-path.txt" || {
 kill -TERM "$DURABLE_PID"
 wait "$DURABLE_PID"
 echo "e2e-net: SIGKILL + restart recovers the committed epoch and answers"
+
+# admission: a server of its own with --max-sessions 1 (so the first
+# server's session counts stay as the golden has them).  While one session
+# is open a second connection is refused with ERR unavailable; once the
+# first closes, its slot frees up and a new connection is served.
+APORT=$((PORT + 2))
+"$BIN/kbt-serve" --addr "127.0.0.1:$APORT" --threads 1 --max-sessions 1 >"$WORK/admit.log" 2>&1 &
+ADMIT_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on" "$WORK/admit.log" 2>/dev/null && break
+    kill -0 "$ADMIT_PID" 2>/dev/null || { echo "admission kbt-serve died:" >&2; cat "$WORK/admit.log" >&2; exit 1; }
+    sleep 0.1
+done
+# every line of one reply read from file descriptor $1, up to its status line
+reply_on() {
+    local line
+    while IFS= read -r -t 5 line <&"$1"; do
+        echo "$line"
+        case "$line" in OK*|ERR*) return ;; esac
+    done
+}
+exec 4<>"/dev/tcp/127.0.0.1/$APORT"
+printf 'STATS\n' >&4
+FIRST=$(reply_on 4)
+grep -q '^OK' <<<"$FIRST" || { echo "first session was not served (got: $FIRST)" >&2; exit 1; }
+exec 5<>"/dev/tcp/127.0.0.1/$APORT"
+REFUSED=$(reply_on 5)
+exec 5<&- 5>&-
+case "$REFUSED" in
+    "ERR unavailable "*) echo "e2e-net: a connection beyond --max-sessions is refused" ;;
+    *) echo "second connection was not refused (got: $REFUSED)" >&2; exit 1 ;;
+esac
+exec 4<&- 4>&-
+# the first session notices its EOF at once, but the gauge falls on its own
+# thread: a connection that races it is refused, so retry for a while
+SERVED=""
+for _ in $(seq 1 50); do
+    exec 6<>"/dev/tcp/127.0.0.1/$APORT"
+    printf 'STATS\n' >&6
+    SERVED=$(reply_on 6)
+    exec 6<&- 6>&-
+    grep -q '^OK' <<<"$SERVED" && break
+    sleep 0.1
+done
+grep -q '^= sessions: .* active 1,' <<<"$SERVED" || {
+    echo "no session was served after the first closed (got: $SERVED)" >&2; exit 1
+}
+echo "e2e-net: a closed session frees its slot for the next connection"
+kill -TERM "$ADMIT_PID"
+wait "$ADMIT_PID"
 
 # graceful shutdown on signal: SIGTERM must yield exit code 0
 kill -TERM "$SERVE_PID"

@@ -73,7 +73,7 @@
 //! `service.commit_apply_ns`, `service.commit_publish_ns`).
 //!
 //! The same language travels over TCP: `kbt-serve` is a std-only network
-//! front (one session per connection, bounded session workers with
+//! front (one thread per session, at most `--max-sessions` of them, with
 //! explicit rejection at capacity, idle timeouts, graceful signal
 //! shutdown) and `kbt-shell --connect host:port` runs the same scripts
 //! remotely.  See the wire-protocol section of the
