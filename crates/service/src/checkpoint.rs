@@ -1,5 +1,5 @@
 //! Epoch-snapshot checkpoints: a whole committed state serialized to one
-//! checksummed text file, so recovery replays only the WAL *tail*.
+//! checksummed binary file, so recovery replays only the WAL *tail*.
 //!
 //! # Capture vs. serialization
 //!
@@ -11,34 +11,58 @@
 //! snapshot ([`CheckpointManager::trigger`]); at most one serialization is
 //! in flight, later triggers are skipped until it finishes.
 //!
-//! # File format (`checkpoint-<epoch>.kbtc`)
+//! # File format (`checkpoint-<epoch>.kbtc`, version 2)
 //!
-//! Line-oriented text; every name/text field is escaped to one physical
-//! line by the wire's rule ([`crate::net::proto::escape_line`]: `\\`,
-//! `\n`, `\r`).  Interning is append-only and Vec-ordered in
-//! [`kbt_data::Vocabulary`], so writing constants and relations **in id
-//! order** and re-interning them on load reproduces identical
-//! `Const`/`RelId` assignments — fact rows serialize as raw indices.
+//! Stored facts are the unit that persists: each relation is written as
+//! the one sorted run of `u32` rows it already is in memory, and loading
+//! adopts that run as it stands ([`Relation::from_sorted_rows`]: one
+//! order check, no sort, no per-row tuple).  Indexes are never written;
+//! they rebuild lazily on first probe.  Every integer is little-endian;
+//! a *count* is a `u64`, and a *string* is a `u32` byte length followed by
+//! that many bytes of UTF-8.
 //!
 //! ```text
-//! kbt-checkpoint v1
-//! epoch <n>
-//! stats <commits> <applies> <defines>
-//! eval <updates> <candidates> <models> <ops> <rounds> <probes> <scanned> <reused> <rederived>
-//! constants <n>      then per constant:   c <name>
-//! relations <n>      then per relation:   r <arity> <name>
-//! transforms <n>     then per transform:  t <applications> <name> <text>
-//! worlds <n>         then per world:      world <n-relations>
-//!                    then per relation:   rel <id> <arity> <n-rows>
-//!                    then per row:        w <c0> <c1> …
-//! checksum <crc32-hex-of-everything-above>
+//! header      "kbt-checkpoint v2\n"
+//! epoch       u64
+//! stats       u64 × 12: commits applies defines, then the nine eval
+//!             counters (updates candidates models ops rounds probes
+//!             scanned reused rederived)
+//! constants   count, then per constant:  name string
+//! relations   count, then per relation:  arity u32, name string
+//! transforms  count, then per transform: applications u64, name string,
+//!                                        wire-text string
+//! worlds      count, then per world:     relation count, then per
+//!             relation: id u32, arity u32, rows u64, then rows × arity
+//!             u32 cells, the rows sorted and distinct (a zero-arity flag
+//!             has 0 or 1 rows and no cells)
+//! checksum    u32: IEEE CRC-32 ([`crate::wal::crc32`]) of every byte above
 //! ```
+//!
+//! Interning is append-only and Vec-ordered in [`kbt_data::Vocabulary`],
+//! so writing constants and relations **in id order** and re-interning
+//! them on load reproduces identical `Const`/`RelId` assignments — cells
+//! are raw indices.  The writer emits everything in one canonical order
+//! (transforms by name, a world's relations by id, worlds in the
+//! knowledgebase's set order), so a file the decoder accepts re-renders to
+//! the same bytes.
+//!
+//! The decoder refuses, as [`ServiceError::CheckpointCorrupt`], anything
+//! but such a file: a wrong header or checksum, a count the remaining
+//! bytes cannot back (refused before anything is sized by it), a name
+//! listed twice, rows out of order or repeated, transforms, relations or
+//! worlds out of order or repeated, a world relation whose id or arity
+//! disagrees with the restored vocabulary, worlds of different schemas,
+//! and trailing bytes.  The vocabulary is interned only once every section
+//! has parsed, so a refused file sizes nothing by its names.
+//!
+//! There is one format.  A file of an earlier version (the text format v1)
+//! is refused with "unsupported checkpoint version", never skipped.  The
+//! WAL alone is a complete history, so such a file can be deleted and the
+//! state rebuilt from the log.
 //!
 //! The file is written to a `.tmp` sibling, fsynced, and atomically
 //! renamed into place (then the directory is fsynced), so a crash never
-//! leaves a half-written checkpoint under the real name.  A file that
-//! fails its header, shape, or checksum check surfaces as
-//! [`ServiceError::CheckpointCorrupt`].
+//! leaves a half-written checkpoint under the real name.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -48,12 +72,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use kbt_core::EvalStats;
-use kbt_data::{Const, Database, RelId, Tuple, Vocabulary};
-use kbt_obs::Counter;
+use kbt_data::{Const, Database, Knowledgebase, RelId, Relation, Vocabulary};
+use kbt_obs::{Counter, Histogram};
 
 use crate::error::{Result, ServiceError};
-use crate::net::proto::{escape_line, unescape_line};
 use crate::service::{CommittedState, ServiceStats};
+use crate::wal::crc32;
 
 /// File-name prefix of checkpoints inside the data dir.
 pub const CHECKPOINT_PREFIX: &str = "checkpoint-";
@@ -62,6 +86,15 @@ pub const CHECKPOINT_SUFFIX: &str = ".kbtc";
 /// How many finished checkpoints are retained (older ones are deleted
 /// after a newer one lands).
 pub const KEEP_CHECKPOINTS: usize = 2;
+
+/// What every checkpoint file starts with, whatever its version.
+const MAGIC: &[u8] = b"kbt-checkpoint v";
+/// The format version this module writes and reads.
+const VERSION: u32 = 2;
+/// The whole header line of a current file: [`MAGIC`], [`VERSION`], `\n`.
+const HEADER: &[u8] = b"kbt-checkpoint v2\n";
+/// Bytes of the trailing checksum.
+const CRC_BYTES: usize = 4;
 
 /// The canonical file name of the checkpoint for `epoch` (zero-padded so
 /// lexical order is epoch order).
@@ -89,250 +122,360 @@ pub struct CheckpointData {
     /// The restored vocabulary (identical id assignments — see module
     /// docs).
     pub vocab: Vocabulary,
-    /// Registered transformations: `(name, applications, wire text)`.
+    /// Registered transformations: `(name, applications, wire text)`, in
+    /// name order.
     pub transforms: Vec<(String, u64, String)>,
-    /// The possible worlds, fully materialized.
-    pub worlds: Vec<Database>,
+    /// The possible worlds, each relation one adopted sorted run.
+    pub kb: Knowledgebase,
 }
 
-/// Serializes one committed state (see the module-level format).
-pub fn render(epoch: u64, state: &CommittedState) -> String {
-    let mut out = String::new();
-    out.push_str("kbt-checkpoint v1\n");
-    out.push_str(&format!("epoch {epoch}\n"));
-    let s = &state.stats;
-    out.push_str(&format!(
-        "stats {} {} {}\n",
-        s.commits, s.applies, s.defines
-    ));
+/// The twelve stats counters in file order.
+fn stats_counters(s: &ServiceStats) -> [u64; 12] {
     let e = &s.eval;
-    out.push_str(&format!(
-        "eval {} {} {} {} {} {} {} {} {}\n",
-        e.updates,
-        e.candidate_atoms,
-        e.minimal_models,
-        e.operators,
-        e.fixpoint_iterations,
-        e.index_probes,
-        e.tuples_scanned,
-        e.reused_facts,
-        e.rederived_facts
-    ));
-    let vocab = state.vocab.as_ref();
-    out.push_str(&format!("constants {}\n", vocab.constant_count()));
-    for i in 0..vocab.constant_count() {
-        let name = vocab
-            .constant_name(Const::new(i as u32))
-            .expect("interned constants are dense");
-        out.push_str(&format!("c {}\n", escape_line(name)));
-    }
-    out.push_str(&format!("relations {}\n", vocab.relation_count()));
-    for i in 0..vocab.relation_count() {
-        let rel = RelId::new(i as u32);
-        let name = vocab
-            .relation_name(rel)
-            .expect("interned relations are dense");
-        let arity = vocab.relation_arity(rel).expect("registered above");
-        out.push_str(&format!("r {arity} {}\n", escape_line(name)));
-    }
-    out.push_str(&format!("transforms {}\n", state.transforms.len()));
-    for (name, info) in state.transforms.iter() {
-        out.push_str(&format!(
-            "t {} {name} {}\n",
-            info.applications,
-            escape_line(&info.text)
-        ));
-    }
-    out.push_str(&format!("worlds {}\n", state.kb.len()));
-    for db in state.kb.iter() {
-        let rels: Vec<(RelId, &kbt_data::Relation)> = db.iter().collect();
-        out.push_str(&format!("world {}\n", rels.len()));
-        for (rel, relation) in rels {
-            out.push_str(&format!(
-                "rel {} {} {}\n",
-                rel.index(),
-                relation.arity(),
-                relation.len()
-            ));
-            for row in relation.iter() {
-                out.push('w');
-                for c in row {
-                    out.push_str(&format!(" {}", c.index()));
-                }
-                out.push('\n');
-            }
-        }
-    }
-    let crc = crate::wal::crc32(out.as_bytes());
-    out.push_str(&format!("checksum {crc:08x}\n"));
-    out
+    [
+        s.commits,
+        s.applies,
+        s.defines,
+        e.updates as u64,
+        e.candidate_atoms as u64,
+        e.minimal_models as u64,
+        e.operators as u64,
+        e.fixpoint_iterations as u64,
+        e.index_probes as u64,
+        e.tuples_scanned as u64,
+        e.reused_facts as u64,
+        e.rederived_facts as u64,
+    ]
 }
 
-/// Parses a checkpoint file's text (see the module-level format),
-/// verifying the checksum first.
-pub fn parse(path_for_errors: &str, text: &str) -> Result<CheckpointData> {
-    let corrupt = |detail: &str| ServiceError::CheckpointCorrupt {
-        path: path_for_errors.to_string(),
-        detail: detail.to_string(),
-    };
-    // the checksum line covers every byte before it
-    let body_end = text
-        .trim_end_matches('\n')
-        .rfind('\n')
-        .ok_or_else(|| corrupt("missing checksum line"))?
-        + 1;
-    let (body, tail) = text.split_at(body_end);
-    let declared = tail
-        .trim()
-        .strip_prefix("checksum ")
-        .ok_or_else(|| corrupt("missing checksum line"))?;
-    let declared = u32::from_str_radix(declared, 16).map_err(|_| corrupt("bad checksum field"))?;
-    if crate::wal::crc32(body.as_bytes()) != declared {
-        return Err(corrupt("checksum mismatch"));
-    }
-
-    let mut lines = body.lines();
-    let mut expect = |prefix: &str| -> Result<String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| corrupt(&format!("unexpected EOF, wanted {prefix:?}")))?;
-        line.strip_prefix(prefix)
-            .map(str::to_string)
-            .ok_or_else(|| corrupt(&format!("expected {prefix:?}, found {line:?}")))
-    };
-    let field = |s: &str| -> Result<u64> { s.trim().parse().map_err(|_| corrupt("bad number")) };
-
-    expect("kbt-checkpoint v1")?;
-    let epoch = field(&expect("epoch ")?)?;
-    let stats_line = expect("stats ")?;
-    let nums: Vec<u64> = stats_line
-        .split_whitespace()
-        .map(field)
-        .collect::<Result<_>>()?;
-    let [commits, applies, defines] = nums[..] else {
-        return Err(corrupt("stats line needs 3 fields"));
-    };
-    let eval_line = expect("eval ")?;
-    let nums: Vec<u64> = eval_line
-        .split_whitespace()
-        .map(field)
-        .collect::<Result<_>>()?;
+/// The inverse of [`stats_counters`].
+fn stats_from(counters: [u64; 12]) -> ServiceStats {
+    let [commits, applies, defines, eval @ ..] = counters;
     let [updates, candidate_atoms, minimal_models, operators, fixpoint_iterations, index_probes, tuples_scanned, reused_facts, rederived_facts] =
-        nums[..]
-    else {
-        return Err(corrupt("eval line needs 9 fields"));
-    };
-    let stats = ServiceStats {
+        eval.map(|c| c as usize);
+    ServiceStats {
         commits,
         applies,
         defines,
         eval: EvalStats {
-            updates: updates as usize,
-            candidate_atoms: candidate_atoms as usize,
-            minimal_models: minimal_models as usize,
-            operators: operators as usize,
-            fixpoint_iterations: fixpoint_iterations as usize,
-            index_probes: index_probes as usize,
-            tuples_scanned: tuples_scanned as usize,
-            reused_facts: reused_facts as usize,
-            rederived_facts: rederived_facts as usize,
+            updates,
+            candidate_atoms,
+            minimal_models,
+            operators,
+            fixpoint_iterations,
+            index_probes,
+            tuples_scanned,
+            reused_facts,
+            rederived_facts,
         },
-    };
-
-    let mut vocab = Vocabulary::new();
-    let n_constants = field(&expect("constants ")?)?;
-    // a name listed twice would intern once and shift every later id, so
-    // each line must add exactly one name
-    for i in 0..n_constants {
-        vocab.constant(&unescape_line(&expect("c ")?));
-        if vocab.constant_count() as u64 != i + 1 {
-            return Err(corrupt("duplicate constant name"));
-        }
     }
-    let n_relations = field(&expect("relations ")?)?;
-    for _ in 0..n_relations {
-        let line = expect("r ")?;
-        let (arity, name) = line
-            .split_once(' ')
-            .ok_or_else(|| corrupt("relation line needs arity and name"))?;
-        let name = unescape_line(name);
-        if vocab.lookup_relation(&name).is_some() {
-            return Err(corrupt("duplicate relation name"));
-        }
-        vocab
-            .relation(&name, field(arity)? as usize)
-            .map_err(|_| corrupt("conflicting relation arity"))?;
-    }
+}
 
-    // the declared counts size nothing up front: the vectors grow as lines
-    // arrive, so a count the lines do not back is a refusal, not an
-    // allocation
-    let n_transforms = field(&expect("transforms ")?)?;
-    let mut transforms = Vec::new();
-    for _ in 0..n_transforms {
-        let line = expect("t ")?;
-        let mut parts = line.splitn(3, ' ');
-        let applications = field(parts.next().unwrap_or_default())?;
-        let name = parts
-            .next()
-            .ok_or_else(|| corrupt("transform line needs a name"))?
-            .to_string();
-        let text = unescape_line(parts.next().unwrap_or_default());
-        transforms.push((name, applications, text));
-    }
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
-    let n_worlds = field(&expect("worlds ")?)?;
-    let mut worlds = Vec::new();
-    for _ in 0..n_worlds {
-        let n_rels = field(&expect("world ")?)?;
-        let mut db = Database::new();
-        for _ in 0..n_rels {
-            let line = expect("rel ")?;
-            let nums: Vec<u64> = line.split_whitespace().map(field).collect::<Result<_>>()?;
-            let [rel, arity, rows] = nums[..] else {
-                return Err(corrupt("rel line needs id, arity, rows"));
-            };
-            // relation ids and constants are `u32`s: a wider one is
-            // refused, never narrowed
-            let rel_id = RelId::new(u32::try_from(rel).map_err(|_| corrupt("bad id"))?);
-            db.ensure_relation(rel_id, arity as usize)
-                .map_err(|_| corrupt("conflicting world schema"))?;
-            for _ in 0..rows {
-                // `"w"` not `"w "`: an arity-0 row is the bare line `w`
-                let row = expect("w")?;
-                let consts: Vec<Const> = row
-                    .split_whitespace()
-                    .map(|c| c.parse().map(Const::new).map_err(|_| corrupt("bad id")))
-                    .collect::<Result<_>>()?;
-                if consts.len() != arity as usize {
-                    return Err(corrupt("row arity mismatch"));
-                }
-                db.insert_fact(rel_id, Tuple::new(consts))
-                    .map_err(|_| corrupt("row rejected"))?;
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(
+        out,
+        u32::try_from(s.len()).expect("names and texts are under 4 GiB"),
+    );
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Serializes one committed state (see the module-level format).
+pub fn render(epoch: u64, state: &CommittedState) -> Vec<u8> {
+    let cells: usize = state
+        .kb
+        .iter()
+        .flat_map(|db| db.iter())
+        .map(|(_, relation)| relation.len() * relation.arity())
+        .sum();
+    let mut out = Vec::with_capacity(4 * cells + 4096);
+    out.extend_from_slice(HEADER);
+    put_u64(&mut out, epoch);
+    for counter in stats_counters(&state.stats) {
+        put_u64(&mut out, counter);
+    }
+    let vocab = state.vocab.as_ref();
+    put_u64(&mut out, vocab.constant_count() as u64);
+    for i in 0..vocab.constant_count() {
+        let name = vocab
+            .constant_name(Const::new(i as u32))
+            .expect("interned constants are dense");
+        put_str(&mut out, name);
+    }
+    put_u64(&mut out, vocab.relation_count() as u64);
+    for i in 0..vocab.relation_count() {
+        let rel = RelId::new(i as u32);
+        let arity = vocab
+            .relation_arity(rel)
+            .expect("interned relations are dense");
+        put_u32(&mut out, arity as u32);
+        put_str(
+            &mut out,
+            vocab.relation_name(rel).expect("registered above"),
+        );
+    }
+    put_u64(&mut out, state.transforms.len() as u64);
+    for (name, info) in state.transforms.iter() {
+        put_u64(&mut out, info.applications);
+        put_str(&mut out, name);
+        put_str(&mut out, &info.text);
+    }
+    put_u64(&mut out, state.kb.len() as u64);
+    for db in state.kb.iter() {
+        put_u64(&mut out, db.iter().count() as u64);
+        for (rel, relation) in db.iter() {
+            put_u32(&mut out, rel.index());
+            put_u32(&mut out, relation.arity() as u32);
+            put_u64(&mut out, relation.len() as u64);
+            // a layered relation is written folded: base and delta merged
+            // into the one sorted run it reads as
+            for c in relation.iter().flatten() {
+                put_u32(&mut out, c.index());
             }
+        }
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Why a file was refused: the `detail` of its
+/// [`ServiceError::CheckpointCorrupt`].
+type Decode<T> = std::result::Result<T, String>;
+
+/// The refusal of a count the remaining bytes cannot back.
+const UNBACKED: &str = "a declared count the file cannot back";
+
+/// A cursor over a checkpoint's body: every read is bounds-checked, and
+/// running out of bytes is a refusal.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Decode<&'a [u8]> {
+        if n > self.remaining() {
+            return Err("truncated".into());
+        }
+        let out = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn u32(&mut self) -> Decode<u32> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn u64(&mut self) -> Decode<u64> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    fn str(&mut self) -> Decode<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| "a name or text is not UTF-8".into())
+    }
+
+    /// A count of items that take at least `min_bytes` each, refused
+    /// before anything is sized by it when the rest of the file is too
+    /// short to hold them.
+    fn count(&mut self, min_bytes: usize) -> Decode<usize> {
+        usize::try_from(self.u64()?)
+            .ok()
+            .filter(|n| {
+                n.checked_mul(min_bytes)
+                    .is_some_and(|need| need <= self.remaining())
+            })
+            .ok_or_else(|| UNBACKED.into())
+    }
+}
+
+/// Decodes a checkpoint file's bytes (see the module-level format),
+/// verifying the header and checksum first.
+pub fn parse(path_for_errors: &str, bytes: &[u8]) -> Result<CheckpointData> {
+    decode(bytes).map_err(|detail| ServiceError::CheckpointCorrupt {
+        path: path_for_errors.to_string(),
+        detail,
+    })
+}
+
+fn decode(bytes: &[u8]) -> Decode<CheckpointData> {
+    // the version is read before the checksum, so a file of another
+    // version is named as such rather than failing a checksum it never had
+    if !bytes.starts_with(HEADER) {
+        if HEADER.starts_with(bytes) {
+            return Err("truncated".into());
+        }
+        let after_magic = bytes
+            .strip_prefix(MAGIC)
+            .ok_or("not a checkpoint file (bad magic)")?;
+        let line = after_magic
+            .split(|&b| b == b'\n')
+            .next()
+            .unwrap_or_default();
+        let shown = String::from_utf8_lossy(&line[..line.len().min(16)]);
+        return Err(format!(
+            "unsupported checkpoint version {shown:?} (this build reads version {VERSION})"
+        ));
+    }
+    let body_len = bytes
+        .len()
+        .checked_sub(CRC_BYTES)
+        .filter(|&n| n >= HEADER.len())
+        .ok_or("truncated")?;
+    let (body, crc) = bytes.split_at(body_len);
+    if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+        return Err("checksum mismatch".into());
+    }
+
+    let mut r = Reader {
+        bytes: body,
+        pos: HEADER.len(),
+    };
+    let epoch = r.u64()?;
+    let mut counters = [0u64; 12];
+    for counter in &mut counters {
+        *counter = r.u64()?;
+    }
+    let stats = stats_from(counters);
+
+    // the names are checked here and interned at the end, once every
+    // section has parsed
+    let n_constants = r.count(4)?;
+    let constants_at = r.pos;
+    for _ in 0..n_constants {
+        r.str()?;
+    }
+    let n_relations = r.count(8)?;
+    let relations_at = r.pos;
+    let mut arities = Vec::with_capacity(n_relations);
+    for _ in 0..n_relations {
+        arities.push(r.u32()? as usize);
+        r.str()?;
+    }
+
+    let n_transforms = r.count(16)?;
+    let mut transforms: Vec<(String, u64, String)> = Vec::new();
+    for _ in 0..n_transforms {
+        let applications = r.u64()?;
+        let name = r.str()?;
+        let text = r.str()?;
+        if transforms
+            .last()
+            .is_some_and(|(prev, ..)| prev.as_str() >= name)
+        {
+            return Err("transforms out of order or repeated".into());
+        }
+        transforms.push((name.to_string(), applications, text.to_string()));
+    }
+
+    let n_worlds = r.count(8)?;
+    let mut worlds: Vec<Database> = Vec::new();
+    for _ in 0..n_worlds {
+        let n_rels = r.count(16)?;
+        let mut db = Database::new();
+        let mut last: Option<u32> = None;
+        for _ in 0..n_rels {
+            let id = r.u32()?;
+            let arity = r.u32()? as usize;
+            let rows = r.u64()?;
+            if last.is_some_and(|last| last >= id) {
+                return Err("world relations out of order or repeated".into());
+            }
+            last = Some(id);
+            match arities.get(id as usize) {
+                None => return Err(format!("world relation {id} is not in the vocabulary")),
+                Some(&known) if known != arity => {
+                    return Err(format!(
+                        "world relation {id} has arity {arity}, the vocabulary says {known}"
+                    ))
+                }
+                Some(_) => {}
+            }
+            let relation = if arity == 0 {
+                // a flag: present or absent, no cells
+                match rows {
+                    0 => Relation::empty(0),
+                    1 => Relation::from_rows(0, Vec::new(), 1).expect("one empty row"),
+                    _ => return Err(format!("flag {id} declares {rows} rows")),
+                }
+            } else {
+                let len = usize::try_from(rows)
+                    .ok()
+                    .and_then(|rows| rows.checked_mul(arity)?.checked_mul(4))
+                    .filter(|&len| len <= r.remaining())
+                    .ok_or(UNBACKED)?;
+                let run = r
+                    .take(len)?
+                    .chunks_exact(4)
+                    .map(|b| Const::new(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+                    .collect();
+                Relation::from_sorted_rows(arity, run).map_err(|e| format!("relation {id}: {e}"))?
+            };
+            db.set_relation(RelId::new(id), relation);
+        }
+        if worlds.last().is_some_and(|prev| *prev >= db) {
+            return Err("worlds out of order or repeated".into());
         }
         worlds.push(db);
     }
-    if lines.next().is_some() {
-        return Err(corrupt("trailing content after worlds"));
+    if r.remaining() != 0 {
+        return Err("trailing bytes after the worlds".into());
+    }
+    let kb = Knowledgebase::from_databases(worlds)
+        .map_err(|_| "worlds of different schemas".to_string())?;
+
+    // a name listed twice would intern once and shift every later id, so
+    // each must add exactly one
+    let mut vocab = Vocabulary::new();
+    r.pos = constants_at;
+    for i in 0..n_constants {
+        vocab.constant(r.str()?);
+        if vocab.constant_count() != i + 1 {
+            return Err("duplicate constant name".into());
+        }
+    }
+    r.pos = relations_at;
+    for _ in 0..n_relations {
+        let arity = r.u32()? as usize;
+        let name = r.str()?;
+        if vocab.lookup_relation(name).is_some() {
+            return Err("duplicate relation name".into());
+        }
+        vocab
+            .relation(name, arity)
+            .expect("a new name takes any arity");
     }
     Ok(CheckpointData {
         epoch,
         stats,
         vocab,
         transforms,
-        worlds,
+        kb,
     })
 }
 
-/// Writes `text` to `dir/name` via a fsynced temp file and an atomic
+/// Writes `bytes` to `dir/name` via a fsynced temp file and an atomic
 /// rename, then fsyncs the directory.
-fn write_atomically(dir: &Path, name: &str, text: &str) -> Result<()> {
+fn write_atomically(dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     let target = dir.join(name);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_data()?;
     }
     fs::rename(&tmp, &target)?;
@@ -364,8 +507,8 @@ pub fn newest_checkpoint(dir: &Path) -> Result<Option<(u64, PathBuf)>> {
 
 /// Loads and verifies the checkpoint at `path`.
 pub fn load(path: &Path) -> Result<CheckpointData> {
-    let text = fs::read_to_string(path)?;
-    parse(&path.display().to_string(), &text)
+    let bytes = fs::read(path)?;
+    parse(&path.display().to_string(), &bytes)
 }
 
 /// Deletes all but the newest [`KEEP_CHECKPOINTS`] checkpoint files.
@@ -387,6 +530,20 @@ fn prune(dir: &Path) {
     }
 }
 
+/// Renders the checkpoint of `state` at `epoch` and writes it into `dir`
+/// under its canonical name, timed into `write_ns`.
+fn write_checkpoint(
+    dir: &Path,
+    epoch: u64,
+    state: &CommittedState,
+    write_ns: &Histogram,
+) -> Result<String> {
+    let _span = write_ns.span();
+    let name = checkpoint_file_name(epoch);
+    write_atomically(dir, &name, &render(epoch, state))?;
+    Ok(name)
+}
+
 /// Owns checkpoint scheduling for one service: the commit counter that
 /// triggers automatic checkpoints, the in-flight guard, and the background
 /// serialization thread.
@@ -406,11 +563,19 @@ pub struct CheckpointManager {
     worker: Mutex<Option<JoinHandle<()>>>,
     /// `kbt_service_checkpoints_total`.
     written_total: Counter,
+    /// `kbt_service_checkpoint_write_ns`: render, write and fsync.
+    write_ns: Histogram,
 }
 
 impl CheckpointManager {
     /// A manager writing into `dir` every `every` commits.
-    pub fn new(dir: PathBuf, every: u64, last_epoch: u64, written_total: Counter) -> Self {
+    pub fn new(
+        dir: PathBuf,
+        every: u64,
+        last_epoch: u64,
+        written_total: Counter,
+        write_ns: Histogram,
+    ) -> Self {
         CheckpointManager {
             dir,
             every,
@@ -419,6 +584,7 @@ impl CheckpointManager {
             in_flight: Arc::new(AtomicBool::new(false)),
             worker: Mutex::new(None),
             written_total,
+            write_ns,
         }
     }
 
@@ -450,12 +616,12 @@ impl CheckpointManager {
         let dir = self.dir.clone();
         let in_flight = self.in_flight.clone();
         let written_total = self.written_total.clone();
+        let write_ns = self.write_ns.clone();
         let handle = std::thread::Builder::new()
             .name("kbt-checkpoint".to_string())
             .spawn(move || {
                 // rendering happens here, off the commit path
-                let rendered = render(epoch, &state);
-                if write_atomically(&dir, &checkpoint_file_name(epoch), &rendered).is_ok() {
+                if write_checkpoint(&dir, epoch, &state, &write_ns).is_ok() {
                     written_total.inc();
                     prune(&dir);
                 }
@@ -483,8 +649,7 @@ impl CheckpointManager {
     /// `CHECKPOINT` command), returning the file name.
     pub fn write_now(&self, epoch: u64, state: &CommittedState) -> Result<String> {
         self.join();
-        let name = checkpoint_file_name(epoch);
-        write_atomically(&self.dir, &name, &render(epoch, state))?;
+        let name = write_checkpoint(&self.dir, epoch, state, &self.write_ns)?;
         self.written_total.inc();
         self.commits_since.store(0, Ordering::Relaxed);
         self.last_epoch.fetch_max(epoch, Ordering::AcqRel);
@@ -513,6 +678,7 @@ impl Drop for CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kbt_data::Tuple;
 
     #[test]
     fn file_names_sort_by_epoch() {
@@ -522,76 +688,217 @@ mod tests {
         assert_eq!(parse_file_name("wal.kbtl"), None);
     }
 
-    /// A well-formed file, checksum included, around the given name lines.
-    fn file_with(constants: &[&str], relations: &[&str]) -> String {
-        let mut body =
-            String::from("kbt-checkpoint v1\nepoch 3\nstats 3 0 0\neval 0 0 0 0 0 0 0 0 0\n");
-        body.push_str(&format!("constants {}\n", constants.len()));
+    /// A file's body through its names: the header, epoch 3, zeroed
+    /// stats, then the given constants and `(arity, name)` relations.
+    fn head(constants: &[&str], relations: &[(u32, &str)]) -> Vec<u8> {
+        let mut out = HEADER.to_vec();
+        for _ in 0..13 {
+            put_u64(&mut out, 3);
+        }
+        put_u64(&mut out, constants.len() as u64);
         for name in constants {
-            body.push_str(&format!("c {name}\n"));
+            put_str(&mut out, name);
         }
-        body.push_str(&format!("relations {}\n", relations.len()));
-        for name in relations {
-            body.push_str(&format!("r 1 {name}\n"));
+        put_u64(&mut out, relations.len() as u64);
+        for &(arity, name) in relations {
+            put_u32(&mut out, arity);
+            put_str(&mut out, name);
         }
-        body.push_str("transforms 0\nworlds 1\nworld 0\n");
-        let crc = crate::wal::crc32(body.as_bytes());
-        body + &format!("checksum {crc:08x}\n")
+        out
     }
 
-    /// `text` with the first `from` replaced by `to`, checksum recomputed.
-    fn edited(text: &str, from: &str, to: &str) -> String {
-        let body = text[..text.rfind("checksum ").unwrap()].replacen(from, to, 1);
-        let crc = crate::wal::crc32(body.as_bytes());
-        body + &format!("checksum {crc:08x}\n")
+    /// `body` with its checksum appended.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
     }
 
-    fn refusal(text: &str) -> String {
-        match parse("cp", text) {
+    /// One world's relations: `(id, arity, rows, cells)`.
+    type World<'a> = &'a [(u32, u32, u64, &'a [u32])];
+
+    /// The body of a file with no transforms and one world.
+    fn body_with(constants: &[&str], relations: &[(u32, &str)], world: World) -> Vec<u8> {
+        let mut out = head(constants, relations);
+        put_u64(&mut out, 0);
+        put_u64(&mut out, 1);
+        put_u64(&mut out, world.len() as u64);
+        for &(id, arity, rows, cells) in world {
+            put_u32(&mut out, id);
+            put_u32(&mut out, arity);
+            put_u64(&mut out, rows);
+            for &c in cells {
+                put_u32(&mut out, c);
+            }
+        }
+        out
+    }
+
+    fn file_with(constants: &[&str], relations: &[(u32, &str)], world: World) -> Vec<u8> {
+        sealed(body_with(constants, relations, world))
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        match parse("cp", bytes) {
             Err(ServiceError::CheckpointCorrupt { detail, .. }) => detail,
             other => panic!("expected CheckpointCorrupt, got {other:?}"),
         }
     }
 
     #[test]
+    fn a_well_formed_file_decodes() {
+        let bytes = file_with(
+            &["a", "b"],
+            &[(1, "p"), (0, "f")],
+            &[(0, 1, 2, &[0, 7]), (1, 0, 1, &[])],
+        );
+        let data = parse("cp", &bytes).unwrap();
+        assert_eq!(data.epoch, 3);
+        assert_eq!(data.stats.commits, 3);
+        assert_eq!(data.stats.eval.rederived_facts, 3);
+        assert_eq!(data.vocab.constant_name(Const::new(1)), Some("b"));
+        assert_eq!(data.vocab.lookup_relation("f"), Some((RelId::new(1), 0)));
+        let world = data.kb.as_singleton().unwrap();
+        // cells are raw ids: 7 is a numeral the vocabulary does not name
+        assert!(world.holds(RelId::new(0), &Tuple::new(vec![Const::new(7)])));
+        assert!(world.holds(RelId::new(1), &Tuple::new(vec![])));
+    }
+
+    #[test]
     fn duplicate_names_are_refused() {
-        let ok = parse("cp", &file_with(&["a", "b"], &["p", "q"])).unwrap();
-        assert_eq!(ok.vocab.constant_count(), 2);
-        assert_eq!(ok.vocab.relation_count(), 2);
         // at face value the second `a` would intern nothing and `b` would
         // take id 1, where rows written against id 2 expect it
         assert_eq!(
-            refusal(&file_with(&["a", "a", "b"], &["p"])),
+            refusal(&file_with(&["a", "a", "b"], &[(1, "p")], &[])),
             "duplicate constant name"
         );
         assert_eq!(
-            refusal(&file_with(&["a"], &["p", "q", "p"])),
+            refusal(&file_with(&["a"], &[(1, "p"), (1, "q"), (2, "p")], &[])),
             "duplicate relation name"
         );
     }
 
     #[test]
     fn a_declared_count_sizes_nothing() {
-        let ok = file_with(&["a"], &["p"]);
-        for (from, to) in [
-            ("transforms 0\n", "transforms 18446744073709551615\n"),
-            ("worlds 1\n", "worlds 18446744073709551615\n"),
-        ] {
-            let detail = refusal(&edited(&ok, from, to));
-            assert!(detail.starts_with("unexpected EOF") || detail.starts_with("expected"));
+        let huge = |count_at: fn(&mut Vec<u8>, u64)| {
+            let mut body = head(&["a"], &[(1, "p")]);
+            count_at(&mut body, u64::MAX);
+            refusal(&sealed(body))
+        };
+        // the transforms' count, and the worlds' behind no transforms
+        assert_eq!(huge(put_u64), UNBACKED);
+        assert_eq!(
+            huge(|body, n| {
+                put_u64(body, 0);
+                put_u64(body, n);
+            }),
+            UNBACKED
+        );
+        // a world's relation count, and a relation's rows: 2^62 rows of
+        // one cell would need 2^64 bytes
+        for rows in [u64::MAX, 1 << 62, 3] {
+            let body = body_with(&["a"], &[(1, "p")], &[(0, 1, rows, &[0, 1])]);
+            assert_eq!(refusal(&sealed(body)), UNBACKED, "{rows} rows");
         }
+        let mut body = head(&["a"], &[(1, "p")]);
+        for n in [0, 1, u64::MAX] {
+            put_u64(&mut body, n);
+        }
+        assert_eq!(refusal(&sealed(body)), UNBACKED);
     }
 
     #[test]
-    fn an_id_wider_than_u32_is_refused_not_wrapped() {
-        let ok = file_with(&["a", "b"], &["p"]);
-        let world = |rel: &str, cell: &str| format!("worlds 1\nworld 1\nrel {rel} 1 1\nw {cell}\n");
-        let read = parse("cp", &edited(&ok, "worlds 1\nworld 0\n", &world("0", "1"))).unwrap();
-        assert!(read.worlds[0].holds(RelId::new(0), &Tuple::new(vec![Const::new(1)])));
-        // 2^32 + 1 would read back as constant 1, 2^32 as relation 0
-        for (rel, cell) in [("0", "4294967297"), ("4294967296", "1")] {
-            let text = edited(&ok, "worlds 1\nworld 0\n", &world(rel, cell));
-            assert_eq!(refusal(&text), "bad id");
+    fn rows_out_of_order_or_repeated_are_refused() {
+        let ok = file_with(&[], &[(2, "e")], &[(0, 2, 2, &[1, 2, 1, 3])]);
+        assert_eq!(
+            parse("cp", &ok)
+                .unwrap()
+                .kb
+                .as_singleton()
+                .unwrap()
+                .fact_count(),
+            2
+        );
+        for cells in [[1, 3, 1, 2], [1, 2, 1, 2]] {
+            let detail = refusal(&file_with(&[], &[(2, "e")], &[(0, 2, 2, &cells)]));
+            assert!(
+                detail.starts_with("relation 0: row buffer is not a strictly ascending"),
+                "{detail}"
+            );
         }
+        let detail = refusal(&file_with(&[], &[(0, "f")], &[(0, 0, 2, &[])]));
+        assert_eq!(detail, "flag 0 declares 2 rows");
+    }
+
+    #[test]
+    fn repeated_transforms_relations_and_worlds_are_refused() {
+        let mut body = head(&[], &[(1, "p")]);
+        put_u64(&mut body, 2);
+        for _ in 0..2 {
+            put_u64(&mut body, 0);
+            put_str(&mut body, "t");
+            put_str(&mut body, "lub");
+        }
+        put_u64(&mut body, 0);
+        assert_eq!(
+            refusal(&sealed(body)),
+            "transforms out of order or repeated"
+        );
+
+        let world = &[(0, 1, 0, &[][..]), (0, 1, 0, &[][..])];
+        assert_eq!(
+            refusal(&file_with(&[], &[(1, "p")], world)),
+            "world relations out of order or repeated"
+        );
+
+        let mut body = head(&[], &[(1, "p")]);
+        put_u64(&mut body, 0);
+        put_u64(&mut body, 2);
+        for _ in 0..2 {
+            put_u64(&mut body, 1);
+            put_u32(&mut body, 0);
+            put_u32(&mut body, 1);
+            put_u64(&mut body, 0);
+        }
+        assert_eq!(refusal(&sealed(body)), "worlds out of order or repeated");
+    }
+
+    #[test]
+    fn a_world_relation_must_agree_with_the_vocabulary() {
+        assert_eq!(
+            refusal(&file_with(&[], &[(1, "p")], &[(1, 1, 0, &[])])),
+            "world relation 1 is not in the vocabulary"
+        );
+        assert_eq!(
+            refusal(&file_with(&[], &[(1, "p")], &[(0, 2, 1, &[4, 5])])),
+            "world relation 0 has arity 2, the vocabulary says 1"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let mut body = body_with(&["a"], &[(1, "p")], &[]);
+        body.push(0);
+        assert_eq!(refusal(&sealed(body)), "trailing bytes after the worlds");
+    }
+
+    #[test]
+    fn damage_and_other_versions_are_refused_before_decoding() {
+        assert_eq!(HEADER, [MAGIC, format!("{VERSION}\n").as_bytes()].concat());
+        let ok = file_with(&["a"], &[(1, "p")], &[(0, 1, 1, &[0])]);
+        let mut flipped = ok.clone();
+        flipped[HEADER.len() + 2] ^= 0x10;
+        assert_eq!(refusal(&flipped), "checksum mismatch");
+        assert_eq!(refusal(&ok[..ok.len() - 1]), "checksum mismatch");
+        assert_eq!(refusal(&ok[..HEADER.len() - 3]), "truncated");
+        assert_eq!(refusal(b""), "truncated");
+        assert_eq!(refusal(b"wal"), "not a checkpoint file (bad magic)");
+        // the text format of version 1
+        let v1 = b"kbt-checkpoint v1\nepoch 3\nstats 3 0 0\n";
+        let detail = refusal(v1);
+        assert!(
+            detail.starts_with("unsupported checkpoint version \"1\""),
+            "{detail}"
+        );
     }
 }

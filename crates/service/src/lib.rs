@@ -262,9 +262,18 @@
 //!   (or on the `CHECKPOINT` command) the service captures the committed
 //!   MVCC snapshot — `O(1)`, copy-on-write, no writer stall — and a
 //!   background thread serializes it to `checkpoint-<epoch>.kbtc`
-//!   (checksummed, written tmp + fsync + rename, newest two kept).
+//!   (written tmp + fsync + rename, newest two kept).  The file is binary
+//!   (format version 2, [`checkpoint`]): the vocabulary in id order, the
+//!   registry, and each world's relations as the sorted runs of `u32`
+//!   cells they are in memory, under one IEEE CRC-32.  Loading checks the
+//!   CRC and adopts each run after one order check — no sort, no per-row
+//!   tuple — and indexes rebuild lazily on first probe.
 //!   Checkpoints only bound replay length; the WAL alone is already
-//!   complete.
+//!   complete.  So a checkpoint of another format version (the text
+//!   format v1 of earlier builds) is refused at start-up with
+//!   `checkpoint-corrupt` "unsupported checkpoint version", never skipped,
+//!   and an operator may delete it: the restart then replays the whole
+//!   log.
 //!
 //! **Recovery** ([`Service::open`]) loads the newest valid checkpoint,
 //! scans the WAL, and replays the records after the checkpoint epoch
@@ -278,9 +287,12 @@
 //! and checkpoint positions (records, bytes, fsyncs, durable epoch).
 //! `tests/durability_differential.rs` pins recovery against an in-memory
 //! oracle — randomized command streams, crashes at commit boundaries,
-//! torn-tail truncation injection, interior corruption — at widths 1
-//! and 4, and CI's `e2e-net` job SIGKILLs a durable server mid-session
-//! and asserts the restarted one serves the same answers.
+//! torn-tail truncation injection, interior corruption, a damaged newest
+//! checkpoint — at widths 1 and 4, and CI's `e2e-net` job SIGKILLs a
+//! durable server mid-session and asserts the restarted one serves the
+//! same answers.  `tests/checkpoint_codec.rs` holds the checkpoint codec
+//! to a round trip over random layered knowledgebases and to typed
+//! refusals of truncated and byte-flipped files.
 //!
 //! ## Observability
 //!
@@ -341,6 +353,12 @@
 //! * `kbt_service_group_commit_batch` (histogram): commits made durable
 //!   per fsync (group-commit batch size).
 //! * `kbt_service_checkpoints_total` (counter): checkpoints written.
+//! * `kbt_service_checkpoint_write_ns` (histogram): time to render, write
+//!   and fsync one checkpoint, on the background thread or under
+//!   `CHECKPOINT`.
+//! * `kbt_service_checkpoint_load_ns` (histogram): time a durable open
+//!   spends reading and decoding the checkpoint it recovers from — the
+//!   part of recovery before the WAL tail replays.
 //! * `kbt_service_recovery_replayed_total` (counter): WAL records
 //!   replayed during recovery.
 //! * `kbt_service_recovery_replay_ns` (histogram): time a durable open

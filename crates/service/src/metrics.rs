@@ -78,6 +78,12 @@ pub struct ServiceMetrics {
     pub group_commit_batch: Histogram,
     /// Checkpoint files written (automatic and `CHECKPOINT`-commanded).
     pub checkpoints_total: Counter,
+    /// Time one checkpoint takes to render, write and fsync (on the
+    /// background thread or under `CHECKPOINT`).
+    pub checkpoint_write_ns: Histogram,
+    /// Time [`crate::Service::open`] spends reading and decoding the
+    /// newest checkpoint (one sample per open that found one).
+    pub checkpoint_load_ns: Histogram,
     /// WAL records replayed during crash recovery.
     pub recovery_replayed_total: Counter,
     /// Time [`crate::Service::open`] spends replaying the WAL tail (one
@@ -155,6 +161,14 @@ impl ServiceMetrics {
             ),
             ("kbt_service_checkpoints_total", "Checkpoint files written."),
             (
+                "kbt_service_checkpoint_write_ns",
+                "Time to render, write and fsync one checkpoint.",
+            ),
+            (
+                "kbt_service_checkpoint_load_ns",
+                "Time to read and decode the checkpoint a durable service opens from.",
+            ),
+            (
                 "kbt_service_recovery_replayed_total",
                 "WAL records replayed during crash recovery.",
             ),
@@ -203,6 +217,8 @@ impl ServiceMetrics {
             wal_fsyncs_total: registry.counter("kbt_service_wal_fsyncs_total"),
             group_commit_batch: registry.histogram("kbt_service_group_commit_batch"),
             checkpoints_total: registry.counter("kbt_service_checkpoints_total"),
+            checkpoint_write_ns: registry.histogram("kbt_service_checkpoint_write_ns"),
+            checkpoint_load_ns: registry.histogram("kbt_service_checkpoint_load_ns"),
             recovery_replayed_total: registry.counter("kbt_service_recovery_replayed_total"),
             recovery_replay_ns: registry.histogram("kbt_service_recovery_replay_ns"),
             registry,

@@ -14,8 +14,7 @@
 //! response speaks for.  Because payloads may legally contain newlines
 //! (quoted constants admit them), every emitted line goes out under
 //! [`escape_line`]'s rule, so one response line is always exactly one
-//! physical line on the wire.  Checkpoint files escape their text fields
-//! by the same rule and read them back with its inverse, `unescape_line`.
+//! physical line on the wire.
 //!
 //! # Status key order
 //!
@@ -81,27 +80,6 @@ pub fn escape_line(s: &str) -> String {
     let mut out = Vec::with_capacity(s.len());
     write_escaped(&mut out, s).expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("escaping ASCII bytes keeps UTF-8 valid")
-}
-
-/// Reverses [`escape_line`]: `\n` → newline, `\r` → carriage return, and
-/// a `\` before any other character (or at the end) stands for that
-/// character (or itself).
-pub(crate) fn unescape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 /// [`escape_line`]'s rule, applied while writing: the stretches between
@@ -413,13 +391,6 @@ mod tests {
     fn escaping_keeps_every_line_physical() {
         assert_eq!(escape_line("plain"), "plain");
         assert_eq!(escape_line("a\nb\r\\c"), "a\\nb\\r\\\\c");
-    }
-
-    #[test]
-    fn escaping_round_trips() {
-        for s in ["plain", "new\nline", "back\\slash\r", "\\n literal"] {
-            assert_eq!(unescape_line(&escape_line(s)), s, "{s:?}");
-        }
     }
 
     fn service() -> Service {

@@ -4,7 +4,8 @@
 //! Recovery is `checkpoint + WAL tail`:
 //!
 //! 1. Load the **newest valid checkpoint** (if any) — a full state at some
-//!    epoch `c` (a checkpoint that fails its checksum is refused with
+//!    epoch `c` (a checkpoint that fails its checksum or its decoding, or
+//!    was written in another format version, is refused with
 //!    [`ServiceError::CheckpointCorrupt`]; it is never silently skipped,
 //!    because a half-trusted base state could replay into garbage).
 //! 2. Scan the WAL.  Records with `epoch ≤ c` are already inside the
@@ -21,6 +22,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::time::Instant;
 
 use crate::checkpoint::{self, CheckpointData};
 use crate::error::{Result, ServiceError};
@@ -32,6 +34,9 @@ use crate::wal::{Wal, WalRecord, WAL_FILE};
 pub struct RecoveryPlan {
     /// The newest valid checkpoint, when one exists.
     pub checkpoint: Option<CheckpointData>,
+    /// How long reading and decoding that checkpoint took, in
+    /// nanoseconds (`None` without one).
+    pub checkpoint_load_ns: Option<u64>,
     /// WAL records newer than the checkpoint, in commit order, each
     /// verified (length, checksum, epoch contiguity).
     pub tail: Vec<WalRecord>,
@@ -48,9 +53,13 @@ pub struct RecoveryPlan {
 pub fn plan(data_dir: &Path) -> Result<RecoveryPlan> {
     fs::create_dir_all(data_dir)?;
 
-    let checkpoint = match checkpoint::newest_checkpoint(data_dir)? {
-        Some((_, path)) => Some(checkpoint::load(&path)?),
-        None => None,
+    let (checkpoint, checkpoint_load_ns) = match checkpoint::newest_checkpoint(data_dir)? {
+        Some((_, path)) => {
+            let started = Instant::now();
+            let data = checkpoint::load(&path)?;
+            (Some(data), Some(started.elapsed().as_nanos() as u64))
+        }
+        None => (None, None),
     };
     let base_epoch = checkpoint.as_ref().map_or(0, |c| c.epoch);
 
@@ -78,6 +87,7 @@ pub fn plan(data_dir: &Path) -> Result<RecoveryPlan> {
     let epoch = tail.last().map_or(base_epoch, |r| r.epoch);
     Ok(RecoveryPlan {
         checkpoint,
+        checkpoint_load_ns,
         tail,
         wal_valid_len: scan.valid_len,
         torn_tail: scan.torn_tail,

@@ -524,17 +524,19 @@ impl Service {
                             },
                         );
                     }
-                    let kb = Knowledgebase::from_databases(data.worlds)?;
                     Service::from_parts(
                         config,
                         EpochId::new(data.epoch),
-                        kb,
+                        data.kb,
                         vocab,
                         transforms,
                         data.stats,
                     )
                 }
             };
+        if let Some(ns) = plan.checkpoint_load_ns {
+            service.metrics.checkpoint_load_ns.record(ns);
+        }
         // Replay the tail through the normal pipeline.  Durability is not
         // installed yet, so nothing re-appends to the log; each command
         // must commit exactly the epoch its record claims.
@@ -574,6 +576,7 @@ impl Service {
             dur_config.checkpoint_every_n_commits,
             checkpoint_epoch,
             service.metrics.checkpoints_total.clone(),
+            service.metrics.checkpoint_write_ns.clone(),
         );
         let installed = service
             .durability

@@ -16,6 +16,10 @@
 //!   following), which recovery must refuse with the typed
 //!   `WalCorrupt` error rather than serve a silently wrong state.
 //!
+//! A damaged newest checkpoint (a flipped byte, or a file cut short) is
+//! likewise refused with `CheckpointCorrupt`, never skipped for the older
+//! one beside it.
+//!
 //! Evaluator statistics are deliberately excluded from the comparison:
 //! recovery replays through fresh chain sessions, so `reused_facts` /
 //! `rederived_facts` legitimately differ from the oracle's warm chains.
@@ -256,6 +260,64 @@ fn a_checkpoint_alone_recovers_when_the_wal_tail_is_empty() {
     let recovered = Service::open(durable_config(&dir, 1, 0)).unwrap();
     assert_equivalent(&recovered, &oracle(&ops, 1), "checkpoint-only");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_newest_checkpoint_is_refused_not_skipped() {
+    // two checkpoints on disk; the newest is damaged by a flipped byte in
+    // one trial and cut short in the other.  Recovery names the damage
+    // with the typed error rather than fall back to the older file, whose
+    // replay would rest on a log it never checked against the newer one.
+    let ops = command_stream(0xDA3A, 16);
+    for (trial, damage) in ["flip", "truncate"].into_iter().enumerate() {
+        let dir = scratch_dir(&format!("damaged-checkpoint-{trial}"));
+        {
+            let s = Service::open(durable_config(&dir, 1, 0)).unwrap();
+            for (i, op) in ops.iter().enumerate() {
+                s.execute(op).unwrap();
+                if i == 7 || i == ops.len() - 1 {
+                    s.execute("CHECKPOINT").unwrap();
+                }
+            }
+        }
+        let mut checkpoints: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("checkpoint-")
+            })
+            .collect();
+        checkpoints.sort();
+        assert_eq!(
+            checkpoints.len(),
+            2,
+            "{damage}: an older and a newest checkpoint"
+        );
+        let newest = checkpoints.pop().unwrap();
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xB17 + trial as u64);
+        match damage {
+            "flip" => {
+                let at = rng.random_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.random_range(0..8u32);
+            }
+            _ => bytes.truncate(rng.random_range(0..bytes.len())),
+        }
+        std::fs::write(&newest, &bytes).unwrap();
+        match Service::open(durable_config(&dir, 1, 0)) {
+            Err(e @ ServiceError::CheckpointCorrupt { .. }) => {
+                assert_eq!(e.code(), "checkpoint-corrupt");
+                let newest_name = newest.file_name().unwrap().to_string_lossy();
+                assert!(e.to_string().contains(&*newest_name), "{damage}: {e}");
+            }
+            Err(other) => panic!("{damage}: expected checkpoint-corrupt, got {other}"),
+            Ok(_) => panic!("{damage}: a damaged checkpoint must refuse to open"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The `eval:` row of a `STATS` reply, as the wire renders it.
