@@ -32,7 +32,10 @@
 //! walk or in a later call, is then evaluated by feeding the diff of the
 //! two input databases into the session instead of re-deriving the
 //! fixpoint from scratch.  Results are byte-identical;
-//! `EvalStats::reused_facts` shows the saving.
+//! `EvalStats::reused_facts` shows the saving.  A host that restarts from
+//! the knowledgebase a `project[R]; τ_φ` application produced rebuilds the
+//! slot that application left ([`Transformer::resume_chain`]) instead of
+//! paying the fixpoint again at its next application.
 //!
 //! ## The projection push-down
 //!
@@ -134,6 +137,37 @@ impl Transformer {
         let mut stats = EvalStats::default();
         let kb = self.walk(transform, kb.clone(), &mut stats, Some(chain), None)?;
         Ok(TransformResult { kb, stats })
+    }
+
+    /// The chain slot [`Self::apply_with_chain`] leaves behind when
+    /// `transform` produces `kb`, rebuilt from `kb` without evaluating:
+    /// what a restarted host holding only the committed `kb` installs in
+    /// the slot (`kbt-service` at recovery).  Theorem 4.8 puts the session
+    /// in `kb` already: a Horn `τ_φ` over fresh heads returns its input
+    /// plus the least fixpoint, so when `transform`'s steps end in
+    /// `project[R]; τ_φ`, the session's input is `project[R](kb)` and its
+    /// fixpoint is `kb`'s head relations ([`ChainSession::resume`]).
+    ///
+    /// `None` — nothing to resume, and the next application evaluates in
+    /// full — unless all of these hold: the steps end in `Project(R)`,
+    /// `Insert(φ)`; `kb` is a singleton; and φ takes the same Datalog fast
+    /// path [`Self::apply_with_chain`] chains, under the same strategy, on
+    /// `project[R](kb)`, whose σ must not hold a head of φ (so no head is
+    /// in `R`: `kb` holds every head).  The caller vouches that the last
+    /// application of `transform` produced `kb`.
+    pub fn resume_chain(&self, transform: &Transform, kb: &Knowledgebase) -> Option<ChainSession> {
+        let steps = transform.steps();
+        let [.., Transform::Project(keep), Transform::Insert(phi)] = steps.as_slice() else {
+            return None;
+        };
+        let result = kb.as_singleton()?;
+        let db = result.project(keep);
+        if !self.fast_path(phi, &db) {
+            return None;
+        }
+        // an error means `kb` is not what this step returns, so nothing is
+        // resumed and the next application finds out for itself
+        ChainSession::resume(phi, &db, result, self.options.threads).ok()
     }
 
     /// Convenience: apply a single insertion `τ_φ`.
@@ -622,6 +656,61 @@ mod tests {
             ),
         ))
         .unwrap()
+    }
+
+    fn edges(pairs: &[(u32, u32)]) -> Database {
+        let mut b = DatabaseBuilder::new().relation(r(1), 2);
+        for &(x, y) in pairs {
+            b = b.fact(r(1), [x, y]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_resumed_slot_continues_the_chain_it_stands_for() {
+        let expr = Transform::project([r(1)]).then(Transform::insert(tc_sentence()));
+        let t = Transformer::new();
+        let mut live = None;
+        let kb = Knowledgebase::singleton(edges(&[(1, 2), (2, 3), (3, 4)]));
+        let applied = t.apply_with_chain(&expr, &kb, &mut live).unwrap().kb;
+        let mut resumed = t.resume_chain(&expr, &applied);
+        assert!(resumed.is_some());
+
+        let mut next = applied.as_singleton().unwrap().clone();
+        next.insert_fact(r(1), kbt_data::tuple![4, 5]).unwrap();
+        next.remove_fact(r(1), &kbt_data::tuple![1, 2]);
+        let next = Knowledgebase::singleton(next);
+        let want = t.apply_with_chain(&expr, &next, &mut live).unwrap();
+        let got = t.apply_with_chain(&expr, &next, &mut resumed).unwrap();
+        assert_eq!(got, want, "knowledgebase and statistics");
+        assert!(got.stats.reused_facts > 0, "{:?}", got.stats);
+    }
+
+    #[test]
+    fn resume_chain_refuses_what_it_cannot_stand_for() {
+        let tc = || Transform::insert(tc_sentence());
+        let kb = Knowledgebase::singleton(edges(&[(1, 2), (2, 3)]));
+        let resumable = |t: &Transformer, expr: &Transform, kb: &Knowledgebase| {
+            let applied = t.apply_with_chain(expr, kb, &mut None).unwrap().kb;
+            t.resume_chain(expr, &applied).is_some()
+        };
+        let auto = Transformer::new();
+        let chained = Transform::project([r(1)]).then(tc());
+        assert!(resumable(&auto, &chained, &kb));
+        // a projection after the insertion
+        let projected = chained.clone().then(Transform::project([r(1), r(2)]));
+        assert!(!resumable(&auto, &projected, &kb));
+        // a head the projection keeps
+        let keeps_head = Transform::project([r(1), r(2)]).then(tc());
+        assert!(!resumable(&auto, &keeps_head, &kb));
+        // two worlds
+        let two = Knowledgebase::from_databases([edges(&[(1, 2)]), edges(&[(2, 3)])]).unwrap();
+        assert!(!resumable(&auto, &chained, &two));
+        // a strategy that never takes the fast path
+        let grounding = Transformer::with_options(EvalOptions::with_strategy(Strategy::Grounding));
+        assert!(!resumable(&grounding, &chained, &kb));
+        // a knowledgebase the insertion did not produce: no head to seat
+        assert!(auto.resume_chain(&chained, &kb).is_none());
     }
 
     fn namer(rel: RelId) -> String {

@@ -180,6 +180,47 @@ impl ChainSession {
         Ok((session, outcome))
     }
 
+    /// A session for `φ` synced to `db` whose step already produced
+    /// `result` — the one database [`datalog_update`] returns over `db` —
+    /// rebuilt without evaluating anything: the engine plans against `db`
+    /// and adopts `result`'s head relations as its fixpoint
+    /// ([`IncrementalEval::from_fixpoint`]).  The next [`Self::advance`]
+    /// then returns what it would have returned on the session that
+    /// produced `result`, except for the plan-dependent counters
+    /// (`index_probes`, `tuples_scanned`) where that session was planned
+    /// against another input.  The caller must have checked [`applicable`]
+    /// for `db` and vouches for `result`; a head relation of φ missing
+    /// from `result` is refused.
+    pub fn resume(
+        phi: &Sentence,
+        db: &Database,
+        result: &Database,
+        threads: usize,
+    ) -> Result<Self> {
+        let program = program_from_sentence(phi)?;
+        let phi_schema = phi.schema();
+        let mut fixpoint = db.extend_schema(&db.schema().union(&phi_schema)?)?;
+        for rel in program.idb_relations() {
+            let derived = result
+                .relation(rel)
+                .filter(|derived| phi_schema.arity(rel) == Some(derived.arity()));
+            let Some(derived) = derived else {
+                return Err(CoreError::StrategyNotApplicable {
+                    strategy: "Datalog",
+                    reason: format!("the step's result holds no {rel} of φ's arity to resume"),
+                });
+            };
+            fixpoint.set_relation(rel, derived.clone());
+        }
+        Ok(ChainSession {
+            eval: IncrementalEval::from_fixpoint(&program, &fixpoint, threads)?,
+            phi: phi.clone(),
+            phi_schema,
+            base: db.clone(),
+            threads,
+        })
+    }
+
     /// Whether the session evaluates this sentence.
     pub fn matches(&self, phi: &Sentence) -> bool {
         self.phi == *phi
@@ -404,6 +445,43 @@ mod tests {
             let want = datalog_update(&phi, &db, &opts, None).unwrap();
             assert_eq!(got.databases, want.databases);
         }
+    }
+
+    #[test]
+    fn a_resumed_session_advances_like_the_one_that_produced_its_result() {
+        let phi = tc_sentence();
+        let mut db = DatabaseBuilder::new()
+            .fact(r(1), [1u32, 2])
+            .fact(r(1), [2u32, 3])
+            .fact(r(3), [9u32])
+            .build()
+            .unwrap();
+        let (mut live, first) = ChainSession::start(&phi, &db, 1).unwrap();
+        let mut resumed = ChainSession::resume(&phi, &db, &first.databases[0], 1).unwrap();
+        assert!(resumed.matches(&phi));
+        let edits: Vec<(bool, (u32, u32))> = vec![(true, (3, 4)), (false, (1, 2)), (true, (1, 2))];
+        for (insert, (x, y)) in edits {
+            if insert {
+                db.insert_fact(r(1), kbt_data::tuple![x, y]).unwrap();
+            } else {
+                db.remove_fact(r(1), &kbt_data::tuple![x, y]);
+            }
+            let got = resumed.advance(&db).unwrap();
+            assert_eq!(got, live.advance(&db).unwrap(), "outcome and statistics");
+            assert!(got.fixpoint.unwrap().reused_facts > 0);
+        }
+    }
+
+    #[test]
+    fn a_result_without_the_heads_resumes_nothing() {
+        let db = DatabaseBuilder::new()
+            .fact(r(1), [1u32, 2])
+            .build()
+            .unwrap();
+        assert!(matches!(
+            ChainSession::resume(&tc_sentence(), &db, &db, 1),
+            Err(CoreError::StrategyNotApplicable { .. })
+        ));
     }
 
     #[test]

@@ -103,6 +103,17 @@ impl IncrementalEval {
         })
     }
 
+    /// Lowers `program` and adopts `fixpoint` as the session's state
+    /// without evaluating it: `fixpoint` must be the least fixpoint of
+    /// `program` over its relations other than the program's heads (see
+    /// [`kbt_engine::IncrementalSession::from_fixpoint`]).
+    pub fn from_fixpoint(program: &Program, fixpoint: &Database, threads: usize) -> Result<Self> {
+        let lowered = lower_program(program, None)?;
+        Ok(IncrementalEval {
+            session: kbt_engine::IncrementalSession::from_fixpoint(&lowered, fixpoint, threads)?,
+        })
+    }
+
     /// Statistics of the initial from-scratch evaluation plus every delta
     /// applied since.
     pub fn total_stats(&self) -> EvalStats {

@@ -190,22 +190,35 @@ pub(crate) fn eval_program(
         return (Vec::new(), stats);
     }
     let runs = view.as_ref().is_none_or(|v| v.runs());
-    let planned = {
-        let _load_span = runs.then(|| crate::metrics::metrics().load_ns.span());
-        let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
-        let planned: Vec<PlannedRule> = (program.rules.iter())
-            .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
-            .collect();
-        if runs {
-            demand(planned.iter().flat_map(PlannedRule::steps), storage);
-        }
-        planned
-    };
+    let planned = plan_program(program, storage, runs, eligible);
     let mut observer = view.map(|v| v.observe(&planned));
     if runs {
         run_to_fixpoint(&planned, storage, &mut stats, width, observer.as_mut());
     }
     (planned, stats)
+}
+
+/// [`eval_program`]'s planner: plans `program` against the cardinalities
+/// `storage` holds now and, when `demanded`, builds what the plans look up.
+/// The incremental session's [`from_fixpoint`] plans through it too, and
+/// runs no round.
+///
+/// [`from_fixpoint`]: crate::IncrementalSession::from_fixpoint
+pub(crate) fn plan_program(
+    program: &Program,
+    storage: &mut IndexStorage,
+    demanded: bool,
+    eligible: fn(&Program) -> BTreeSet<RelId>,
+) -> Vec<PlannedRule> {
+    let _load_span = demanded.then(|| crate::metrics::metrics().load_ns.span());
+    let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
+    let planned: Vec<PlannedRule> = (program.rules.iter())
+        .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
+        .collect();
+    if demanded {
+        demand(planned.iter().flat_map(PlannedRule::steps), storage);
+    }
+    planned
 }
 
 /// The cardinalities of the relations `program` names, as stored right now:

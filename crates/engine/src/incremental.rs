@@ -50,8 +50,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use kbt_data::{Const, DataError, Database, RelId, Relation, Tuple};
 
 use crate::eval::{
-    commit, delta_plans, demand, derives, eval_program, into_runs, relation_sizes, run_round_with,
-    Bags, Deltas, RowBag,
+    commit, delta_plans, demand, derives, eval_program, into_runs, plan_program, relation_sizes,
+    run_round_with, Bags, Deltas, RowBag,
 };
 use crate::index::IndexedRelation;
 use crate::ir::Program;
@@ -107,36 +107,85 @@ impl IncrementalSession {
         let metrics = crate::metrics::metrics();
         let _eval_span = metrics.eval_ns.span();
         let width = kbt_par::resolve_threads(threads);
-        let mut storage = {
-            let _load_span = metrics.load_ns.span();
-            let mut storage = IndexStorage::from_database(edb);
-            for (rel, arity) in program.relation_arities() {
-                storage.ensure_relation(rel, arity)?;
-            }
-            storage
-        };
-
+        let mut storage = load(program, edb)?;
         let (rules, stats) = eval_program(program, &mut storage, width, None, delta_eligible);
+        metrics.evals_total.inc();
+        metrics.absorb_stats(&stats);
+        Ok(IncrementalSession::assemble(
+            program, edb, rules, storage, stats, width,
+        ))
+    }
+
+    /// A session over a fixpoint that is already derived, evaluating
+    /// nothing: `fixpoint` must be the least fixpoint of `program` over its
+    /// own relations other than the program's heads — what [`Self::new`]
+    /// would reach over that EDB, which stores nothing in the heads.  The
+    /// session loads the EDB and plans against it, and demands what the
+    /// plans look up, exactly as [`Self::with_threads`] does; then, in
+    /// place of the rounds, it seats each head on the run `fixpoint` holds
+    /// for it, as the session's first snapshot would have, with the tables
+    /// its plans demanded built there (or found, by a run that already has
+    /// them).  Every head fact is a derived fact, so none is protected from
+    /// DRed: a later deletion retracts whatever loses its last derivation.
+    /// No evaluation is counted, and [`Self::stats`] starts at zero.
+    ///
+    /// The caller vouches for `fixpoint`; a database that is not one makes
+    /// the session maintain a wrong fixpoint.  Fails on an arity conflict
+    /// between `fixpoint` and the program.
+    pub fn from_fixpoint(program: &Program, fixpoint: &Database, threads: usize) -> Result<Self> {
+        let width = kbt_par::resolve_threads(threads);
         let idb = program.idb_relations();
-        // facts the EDB itself stores in head relations hold unconditionally
+        let mut edb = fixpoint.clone();
+        for &rel in &idb {
+            if let Some(derived) = fixpoint.relation(rel) {
+                edb.set_relation(rel, Relation::empty(derived.arity()));
+            }
+        }
+        let mut storage = load(program, &edb)?;
+        let rules = plan_program(program, &mut storage, true, delta_eligible);
+        for &rel in &idb {
+            if let Some(derived) = fixpoint.relation(rel) {
+                storage.seat(rel, derived.clone())?;
+            }
+        }
+        Ok(IncrementalSession::assemble(
+            program,
+            &edb,
+            rules,
+            storage,
+            EngineStats::default(),
+            width,
+        ))
+    }
+
+    /// A session around its loaded and planned `storage`; the facts `edb`
+    /// itself stores in head relations hold unconditionally, so DRed never
+    /// retracts them.
+    fn assemble(
+        program: &Program,
+        edb: &Database,
+        rules: Vec<PlannedRule>,
+        storage: IndexStorage,
+        totals: EngineStats,
+        width: usize,
+    ) -> Self {
+        let idb = program.idb_relations();
         let protected: BTreeMap<RelId, Relation> = (idb.iter())
             .filter_map(|&rel| {
                 let base = edb.relation(rel).filter(|base| !base.is_empty())?;
                 Some((rel, base.clone()))
             })
             .collect();
-        metrics.evals_total.inc();
-        metrics.absorb_stats(&stats);
-        Ok(IncrementalSession {
+        IncrementalSession {
             program: program.clone(),
             rules,
             rederive: Vec::new(),
             idb,
             protected,
             storage,
-            totals: stats,
+            totals,
             width,
-        })
+        }
     }
 
     /// Inserts extensional facts and propagates them through the fixpoint.
@@ -357,6 +406,18 @@ impl IncrementalSession {
     pub fn stats(&self) -> &EngineStats {
         &self.totals
     }
+}
+
+/// A session's storage before any round: the whole of `edb` (later deltas
+/// may touch any relation), plus every relation `program` names, empty
+/// where `edb` has none.
+fn load(program: &Program, edb: &Database) -> Result<IndexStorage> {
+    let _load_span = crate::metrics::metrics().load_ns.span();
+    let mut storage = IndexStorage::from_database(edb);
+    for (rel, arity) in program.relation_arities() {
+        storage.ensure_relation(rel, arity)?;
+    }
+    Ok(storage)
 }
 
 /// The relations whose change between calls drives the delta plans: the
@@ -589,6 +650,77 @@ mod tests {
         let stats = session.insert_facts(&[(r(1), tuple![4, 5])]).unwrap();
         assert_eq!(stats.iterations, 0);
         assert!(session.holds(r(1), &tuple![4, 5]));
+    }
+
+    #[test]
+    fn a_session_resumed_from_its_fixpoint_tracks_the_one_that_derived_it() {
+        // the resumed session plans against the same EDB and seats the
+        // closure the other derived, so every later delta — insertions,
+        // DRed retractions, a rederivation — reports the same fixpoint
+        // and the same statistics, at widths 1 and 4
+        let program = tc_program();
+        let mut b = DatabaseBuilder::new().relation(r(1), 2);
+        for (x, y) in [(1u32, 2u32), (2, 4), (1, 3), (3, 4), (4, 5)] {
+            b = b.fact(r(1), [x, y]);
+        }
+        let edb = b.build().unwrap();
+        for threads in [1, 4] {
+            let mut derived = IncrementalSession::with_threads(&program, &edb, threads).unwrap();
+            let fixpoint = derived.current();
+            let mut resumed =
+                IncrementalSession::from_fixpoint(&program, &fixpoint, threads).unwrap();
+            assert_eq!(resumed.current(), fixpoint);
+            assert_eq!(
+                *resumed.stats(),
+                EngineStats::default(),
+                "nothing evaluated"
+            );
+            assert!(resumed.protected.is_empty(), "seeded heads are derived");
+
+            type Edges = Vec<(u32, u32)>;
+            let steps: Vec<(Edges, Edges)> = vec![
+                (vec![(5, 6)], vec![]),
+                (vec![], vec![(2, 4)]),
+                (vec![(6, 7)], vec![(4, 5)]),
+                (vec![(4, 5)], vec![(1, 3), (3, 4)]),
+            ];
+            for (ins, del) in steps {
+                let ins: Vec<_> = ins.into_iter().map(|(x, y)| (r(1), tuple![x, y])).collect();
+                let del: Vec<_> = del.into_iter().map(|(x, y)| (r(1), tuple![x, y])).collect();
+                let want = derived.apply_delta(&ins, &del).unwrap();
+                let got = resumed.apply_delta(&ins, &del).unwrap();
+                assert_eq!(resumed.current(), derived.current(), "threads={threads}");
+                assert_eq!(got, want, "threads={threads}: per-delta stats");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_session_retracts_the_heads_it_was_seeded_with() {
+        // path(1, 3) was seeded, not stored by the EDB: once edge(2, 3)
+        // goes, nothing derives it, and DRed must take it out
+        let program = tc_program();
+        let mut edb = chain_db(4);
+        let fixpoint = from_scratch(&program, &edb);
+        let mut session = IncrementalSession::from_fixpoint(&program, &fixpoint, 1).unwrap();
+        assert!(session.holds(r(2), &tuple![1, 3]));
+        session.remove_facts(&[(r(1), tuple![2, 3])]).unwrap();
+        edb.remove_fact(r(1), &tuple![2, 3]);
+        assert_eq!(session.current(), from_scratch(&program, &edb));
+        assert!(!session.holds(r(2), &tuple![1, 3]));
+    }
+
+    #[test]
+    fn a_fixpoint_of_another_arity_is_refused() {
+        let fixpoint = DatabaseBuilder::new()
+            .fact(r(1), [1u32, 2])
+            .fact(r(2), [1u32])
+            .build()
+            .unwrap();
+        assert!(matches!(
+            IncrementalSession::from_fixpoint(&tc_program(), &fixpoint, 1),
+            Err(EngineError::Data(DataError::ArityMismatch { .. }))
+        ));
     }
 
     #[test]

@@ -774,9 +774,11 @@ impl IndexedRelation {
         IndexedRelation::seated(relation.clone(), Vec::new(), false)
     }
 
-    /// Re-seats the relation on `relation`, which holds exactly its live
-    /// rows (see the module docs), keeping what it demanded.
-    fn seat(&mut self, relation: Relation) {
+    /// Re-seats the relation on `relation`, keeping what it demanded: its
+    /// own live rows for a snapshot or a compaction (see the module docs),
+    /// or the contents a resumed incremental session already derived
+    /// ([`crate::IncrementalSession::from_fixpoint`]).
+    pub(crate) fn seat(&mut self, relation: Relation) {
         let indexes = std::mem::take(&mut self.indexes);
         *self = IndexedRelation::seated(relation, indexes, self.has_membership());
     }

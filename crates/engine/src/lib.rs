@@ -89,7 +89,18 @@
 //!
 //! 1. [`IncrementalSession::new`] evaluates the program once and
 //!    becomes the owner of the fixpoint ([`IncrementalSession::stats`]
-//!    reports that initial evaluation).
+//!    reports that initial evaluation).  Or
+//!    [`IncrementalSession::from_fixpoint`] adopts a fixpoint derived
+//!    before — a restarted service's, read back from its checkpoint —
+//!    without evaluating: it loads and plans against the EDB (the
+//!    fixpoint's relations other than the heads, which the EDB must not
+//!    store) exactly as `new` does, demands what the plans look up, and
+//!    seats each head on its derived run, so every later delta reports
+//!    what it reports on a session `new` built over the same EDB.  The
+//!    seeded heads are derived facts, not protected ones: DRed retracts
+//!    them like any other.  The caller vouches that the database *is* the
+//!    least fixpoint; the session cannot check it without the evaluation
+//!    it exists to skip.
 //! 2. Each [`IncrementalSession::insert_facts`] /
 //!    [`IncrementalSession::remove_facts`] /
 //!    [`IncrementalSession::apply_delta`] call mutates the *extensional*

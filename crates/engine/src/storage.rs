@@ -95,6 +95,16 @@ impl IndexStorage {
         self.relations.get_mut(&rel).map(IndexedRelation::snapshot)
     }
 
+    /// Seats `rel` on `relation` in place of its contents, keeping the
+    /// tables demanded on it ([`IndexedRelation::seat`]); fails on an
+    /// arity conflict.
+    pub(crate) fn seat(&mut self, rel: RelId, relation: Relation) -> Result<(), DataError> {
+        self.ensure_relation(rel, relation.arity())?;
+        let stored = self.relations.get_mut(&rel).expect("ensured above");
+        stored.seat(relation);
+        Ok(())
+    }
+
     /// Whether the fact `rel(t)` is stored.
     pub fn holds(&self, rel: RelId, t: &Tuple) -> bool {
         self.relations.get(&rel).is_some_and(|r| r.contains(t))

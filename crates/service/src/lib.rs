@@ -285,6 +285,23 @@
 //! typed `wal-corrupt` / `checkpoint-corrupt` / `epoch-mismatch` errors
 //! rather than serve a silently wrong state.  `WALSTAT` reports the log
 //! and checkpoint positions (records, bytes, fsyncs, durable epoch).
+//!
+//! **A restart resumes the closure it checkpointed.**  The log is never
+//! truncated below its torn end, so next to the tail it still holds the
+//! record of the checkpoint's own epoch `c`.  When that record is
+//! `APPLY <name>`, `<name>`'s steps end in `project[R]; τ_φ`, `φ` takes
+//! the Datalog fast path under the configured strategy, no head of `φ` is
+//! in `R`, and the checkpointed knowledgebase `K` is one world, then
+//! Theorem 4.8 puts `<name>`'s chain session in `K` already: its input is
+//! `project[R](K)` and its fixpoint `K`'s head relations.  The open
+//! installs that session ([`kbt_core::Transformer::resume_chain`]) before
+//! it replays the tail, so the tail's first `APPLY <name>` advances it by
+//! its delta instead of re-deriving the closure — over `stackbench`'s
+//! `commit_stream` state, 0 full evaluations and 464 derived facts where
+//! a rebuild runs 1 and derives 110 464 (`tests/resumed_recovery.rs`).
+//! Any other state replays as it always did, and its first `APPLY`
+//! evaluates in full; `kbt_service_recovery_chains_seeded_total` says
+//! which happened ([`recover`]'s module docs have the details).
 //! `tests/durability_differential.rs` pins recovery against an in-memory
 //! oracle — randomized command streams, crashes at commit boundaries,
 //! torn-tail truncation injection, interior corruption, a damaged newest
@@ -363,7 +380,12 @@
 //!   replayed during recovery.
 //! * `kbt_service_recovery_replay_ns` (histogram): time a durable open
 //!   spends replaying the WAL tail through the commit pipeline — the part
-//!   of recovery after the checkpoint is loaded.
+//!   of recovery after the checkpoint is loaded, a resumed chain session
+//!   included.
+//! * `kbt_service_recovery_chains_seeded_total` (counter): chain sessions
+//!   a durable open resumed from the checkpoint instead of re-deriving
+//!   them at the first replayed `APPLY` — 1 when a restart resumed, 0 when
+//!   it rebuilt (see *Durability*).
 //! * `kbt_net_sessions_accepted_total` (counter): connections accepted.
 //! * `kbt_net_sessions_active` (gauge): sessions being served now.
 //! * `kbt_net_sessions_rejected_total` (counter): refused at capacity.

@@ -86,9 +86,14 @@ pub struct ServiceMetrics {
     pub checkpoint_load_ns: Histogram,
     /// WAL records replayed during crash recovery.
     pub recovery_replayed_total: Counter,
-    /// Time [`crate::Service::open`] spends replaying the WAL tail (one
-    /// sample per open that found a log).
+    /// Time [`crate::Service::open`] spends replaying the WAL tail, and
+    /// resuming the chain session the checkpoint holds before it (one
+    /// sample per durable open).
     pub recovery_replay_ns: Histogram,
+    /// Chain sessions [`crate::Service::open`] resumed from the checkpoint
+    /// instead of re-deriving them at the first replayed `APPLY` (0 or 1
+    /// per open; see [`crate::recover`]).
+    pub recovery_chains_seeded_total: Counter,
 }
 
 impl ServiceMetrics {
@@ -177,6 +182,10 @@ impl ServiceMetrics {
                 "Time spent replaying the WAL tail when a durable service opens.",
             ),
             (
+                "kbt_service_recovery_chains_seeded_total",
+                "Chain sessions a durable open resumed from the checkpoint instead of re-deriving.",
+            ),
+            (
                 "kbt_net_sessions_accepted_total",
                 "Connections accepted over the process lifetime.",
             ),
@@ -221,6 +230,8 @@ impl ServiceMetrics {
             checkpoint_load_ns: registry.histogram("kbt_service_checkpoint_load_ns"),
             recovery_replayed_total: registry.counter("kbt_service_recovery_replayed_total"),
             recovery_replay_ns: registry.histogram("kbt_service_recovery_replay_ns"),
+            recovery_chains_seeded_total: registry
+                .counter("kbt_service_recovery_chains_seeded_total"),
             registry,
         }
     }

@@ -17,8 +17,32 @@
 //!    first record is not `c + 1` — is refused with a typed error instead,
 //!    because replaying past damage would serve state that never existed.
 //!
+//! 4. The log is never truncated below its torn end, so it still holds the
+//!    record that committed `c` itself.  The plan keeps it
+//!    ([`RecoveryPlan::checkpoint_record`]) next to the tail: it names
+//!    what produced the checkpointed state.
+//!
 //! This module only plans; the replay itself runs in
-//! [`crate::Service::open`], which owns the commit pipeline.
+//! [`crate::Service::open`], which owns the commit pipeline.  Before the
+//! replay, `open` **resumes a chain session** from the checkpoint when
+//! the record at `c` is `APPLY <name>` and
+//! [`kbt_core::Transformer::resume_chain`] accepts `<name>` over the
+//! checkpointed knowledgebase `K`:
+//!
+//! * `<name>`'s flattened steps end in `Project(R), Insert(φ)`;
+//! * `φ` takes the Datalog fast path `APPLY` chains under the configured
+//!   strategy (`Auto` or `Datalog`, and a conjunction of safe Horn
+//!   clauses over heads absent from `project[R](K)`);
+//! * no head of `φ` is in `R`;
+//! * `K` is a singleton.
+//!
+//! Then Theorem 4.8 puts the session's state in `K` already: its input is
+//! `project[R](K)` and its fixpoint `K`'s head relations, so the session is
+//! installed without evaluating, and the tail's first `APPLY <name>`
+//! advances it by its delta, as the `APPLY` after `c` did before the
+//! restart.  A state that fails any condition — a checkpoint at another
+//! verb's epoch, or a log that no longer holds the record at `c` — replays
+//! exactly as before, and its first `APPLY` evaluates in full.
 
 use std::fs;
 use std::path::Path;
@@ -37,6 +61,9 @@ pub struct RecoveryPlan {
     /// How long reading and decoding that checkpoint took, in
     /// nanoseconds (`None` without one).
     pub checkpoint_load_ns: Option<u64>,
+    /// The WAL record that committed the checkpoint's epoch, when the log
+    /// still holds it (see the module docs).
+    pub checkpoint_record: Option<WalRecord>,
     /// WAL records newer than the checkpoint, in commit order, each
     /// verified (length, checksum, epoch contiguity).
     pub tail: Vec<WalRecord>,
@@ -64,11 +91,13 @@ pub fn plan(data_dir: &Path) -> Result<RecoveryPlan> {
     let base_epoch = checkpoint.as_ref().map_or(0, |c| c.epoch);
 
     let scan = Wal::scan(&data_dir.join(WAL_FILE))?;
-    let tail: Vec<WalRecord> = scan
-        .records
-        .into_iter()
-        .skip_while(|r| r.epoch <= base_epoch)
-        .collect();
+    // the scan proved the log contiguous, so it is ascending: what the
+    // checkpoint holds, then the record that committed its epoch, then
+    // the tail
+    let mut records = scan.records.into_iter().peekable();
+    while records.next_if(|r| r.epoch < base_epoch).is_some() {}
+    let checkpoint_record = records.next_if(|r| base_epoch > 0 && r.epoch == base_epoch);
+    let tail: Vec<WalRecord> = records.collect();
     if let Some(first) = tail.first() {
         // the scan already proved the tail internally contiguous; it must
         // also pick up exactly where the checkpoint stops
@@ -81,13 +110,14 @@ pub fn plan(data_dir: &Path) -> Result<RecoveryPlan> {
     }
     // records *older* than the checkpoint in the middle of the log would
     // mean epochs went backwards — the scan's contiguity check already
-    // refused that, so skip_while is safe; assert the invariant anyway.
+    // refused that; assert the invariant anyway.
     debug_assert!(tail.windows(2).all(|w| w[1].epoch == w[0].epoch + 1));
 
     let epoch = tail.last().map_or(base_epoch, |r| r.epoch);
     Ok(RecoveryPlan {
         checkpoint,
         checkpoint_load_ns,
+        checkpoint_record,
         tail,
         wal_valid_len: scan.valid_len,
         torn_tail: scan.torn_tail,

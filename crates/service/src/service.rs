@@ -537,10 +537,13 @@ impl Service {
         if let Some(ns) = plan.checkpoint_load_ns {
             service.metrics.checkpoint_load_ns.record(ns);
         }
+        let replay = service.metrics.recovery_replay_ns.span();
+        if let Some(record) = &plan.checkpoint_record {
+            service.resume_chain(&record.command)?;
+        }
         // Replay the tail through the normal pipeline.  Durability is not
         // installed yet, so nothing re-appends to the log; each command
         // must commit exactly the epoch its record claims.
-        let replay = service.metrics.recovery_replay_ns.span();
         for record in &plan.tail {
             let response = service.execute(&record.command)?;
             let produced = commit_epoch(&response).ok_or_else(|| ServiceError::WalCorrupt {
@@ -584,6 +587,28 @@ impl Service {
             .is_ok();
         debug_assert!(installed, "open() owns the only handle before here");
         Ok(service)
+    }
+
+    /// Installs the chain session of the transformation whose `APPLY`
+    /// committed the checkpointed state, `command` being that record,
+    /// when [`Transformer::resume_chain`] can rebuild it from the state
+    /// (see [`crate::recover`]); otherwise the first `APPLY` evaluates in
+    /// full, as it always did.
+    fn resume_chain(&self, command: &str) -> Result<()> {
+        let Ok((Verb::Apply, name)) = split_command(command) else {
+            return Ok(());
+        };
+        let mut w = self.lock_writer()?;
+        let w = &mut *w;
+        let Some(reg) = w.transforms.get_mut(name.trim()) else {
+            return Ok(());
+        };
+        let transformer = Transformer::with_options(self.config.eval_options());
+        if let Some(chain) = transformer.resume_chain(&reg.transform, &w.kb) {
+            reg.chain = Some(chain);
+            self.metrics.recovery_chains_seeded_total.inc();
+        }
+        Ok(())
     }
 
     /// The session counters a network front attached to this service
@@ -1509,8 +1534,11 @@ mod tests {
                 ),
                 "group commit must flush before responding: {r:?}"
             );
-            s.execute("DEFINE close := tau[forall x0 x1. edge(x0, x1) -> path(x0, x1)]")
-                .unwrap();
+            // `project[edge]` keeps `path` fresh, so every APPLY chains
+            s.execute(
+                "DEFINE close := project[edge]; tau[forall x0 x1. edge(x0, x1) -> path(x0, x1)]",
+            )
+            .unwrap();
             s.execute("APPLY close").unwrap();
             s.execute("RETRACT edge(2, 3)").unwrap();
         }
@@ -1522,10 +1550,15 @@ mod tests {
         assert_eq!(self::total_facts(snap.kb()), 3, "edge(1,2) + 2 paths");
         assert_eq!(s.certain(&snap, path).len(), 2);
         assert_eq!(snap.stats().commits, 4);
-        // the chain session rebuilds transparently after recovery
+        // with no checkpoint, the replay re-ran `APPLY close` through the
+        // commit pipeline, which rebuilt its chain session; the APPLY
+        // after recovery advances that session by its delta
         s.execute("ASSERT edge(5, 6)").unwrap();
         let r = s.execute("APPLY close").unwrap();
-        assert!(matches!(r, Response::Applied { .. }));
+        assert!(
+            matches!(r, Response::Applied { reused_facts, .. } if reused_facts > 0),
+            "{r:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,17 +20,40 @@
 //! likewise refused with `CheckpointCorrupt`, never skipped for the older
 //! one beside it.
 //!
-//! Evaluator statistics are deliberately excluded from the comparison:
-//! recovery replays through fresh chain sessions, so `reused_facts` /
-//! `rederived_facts` legitimately differ from the oracle's warm chains.
 //! Everything the paper's semantics speaks about — the knowledgebase, the
-//! vocabulary, the registry, the epoch — must be identical.
+//! vocabulary, the registry, the epoch — must be identical after every
+//! recovery.  Evaluator statistics are left out of that comparison,
+//! because a recovery may still rebuild a chain session that the oracle
+//! keeps warm.  A restart resumes the chain session of the `APPLY` whose
+//! epoch its newest checkpoint holds, when `kbt_core::Transformer::
+//! resume_chain` accepts that state (`kbt_service::recover`'s module docs
+//! list the conditions).  So when the checkpoint was taken right after
+//! `APPLY refresh` and nothing else is registered, the recovered
+//! `reused_facts` and `rederived_facts` equal the oracle's, and so does
+//! the next `APPLY`'s `reused=`; `a_restart_resumes_the_chain_its_checkpoint_applied`
+//! holds them equal.  They may still differ:
+//!
+//! * when the checkpoint's epoch was committed by anything but an
+//!   accepted `APPLY` — an `ASSERT`, a `RETRACT`, a `DEFINE`, an `APPLY`
+//!   of an expression not ending in `project[R]; τ_φ`, one over several
+//!   worlds, one whose heads `R` keeps, or one under a strategy without the
+//!   Datalog fast path — or the log no longer holds that epoch's record:
+//!   the tail's first `APPLY` then evaluates in full where the oracle's
+//!   chain advanced by its delta;
+//! * for every other registered transformation, whose chain session no
+//!   checkpoint carries, at its first `APPLY` in the tail.
+//!
+//! `index_probes` and `tuples_scanned` may differ even where the rest
+//! agrees: a join plan breaks ties by the cardinalities at planning time,
+//! and a resumed session plans against the checkpoint's input, the
+//! oracle's against the input of the `APPLY` that started it.
 
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
 use rand::prelude::*;
 
+use kbt::core::{EvalOptions, Strategy};
 use kbt::service::checkpoint::KEEP_CHECKPOINTS;
 use kbt::service::wal::{Wal, WAL_FILE};
 use kbt::service::{DurabilityConfig, FsyncPolicy, Response, Service, ServiceConfig, ServiceError};
@@ -364,5 +387,234 @@ fn grouped_commits_recover_the_same_eval_counters() {
     assert_eq!(recovered.snapshot().kb().len(), 4);
     assert_eq!(recovered.snapshot().stats().eval, live_eval);
     assert_eq!(eval_row(&recovered), live_row);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `prefix`, a `CHECKPOINT` and `tail` on a durable service over
+/// `config`, then drops it without any shutdown step (a crash).
+fn checkpoint_then_crash(config: ServiceConfig, prefix: &[String], tail: &[String]) {
+    let s = Service::open(config).unwrap();
+    for op in prefix {
+        s.execute(op).unwrap();
+    }
+    s.execute("CHECKPOINT").unwrap();
+    for op in tail {
+        s.execute(op).unwrap();
+    }
+}
+
+/// `reused_facts` of an `APPLY` response.
+fn reused(response: Response) -> usize {
+    match response {
+        Response::Applied { reused_facts, .. } => reused_facts,
+        other => panic!("expected Applied, got {other:?}"),
+    }
+}
+
+fn seeded_chains(service: &Service) -> u64 {
+    service.metrics().recovery_chains_seeded_total.get()
+}
+
+fn ops(lines: &[&str]) -> Vec<String> {
+    lines.iter().map(|line| line.to_string()).collect()
+}
+
+#[test]
+fn a_restart_resumes_the_chain_its_checkpoint_applied() {
+    for threads in [1usize, 4] {
+        for trial in 0..3u64 {
+            let seed = 0x5EED + trial * 13 + threads as u64;
+            let mut prefix = command_stream(seed, 24);
+            prefix.push("APPLY refresh".to_string());
+            // a tail that grows the closure, then retracts through DRed:
+            // edge(2, 3) may be the only support of some reach facts, or
+            // one of several
+            let tail = ops(&[
+                "ASSERT edge(2, 3), edge(3, 9)",
+                "APPLY refresh",
+                "RETRACT edge(2, 3)",
+                "APPLY refresh",
+            ]);
+            let dir = scratch_dir(&format!("seeded-{threads}-{trial}"));
+            let context = format!("threads={threads} trial={trial}");
+            checkpoint_then_crash(durable_config(&dir, threads, 0), &prefix, &tail);
+
+            let recovered = Service::open(durable_config(&dir, threads, 0)).unwrap();
+            assert_eq!(seeded_chains(&recovered), 1, "{context}");
+            assert_eq!(
+                recovered.metrics().recovery_replayed_total.get(),
+                tail.len() as u64,
+                "{context}"
+            );
+            let everything: Vec<String> = prefix.iter().chain(&tail).cloned().collect();
+            let oracle = oracle(&everything, threads);
+            assert_equivalent(&recovered, &oracle, &context);
+            let (r, o) = (recovered.snapshot(), oracle.snapshot());
+            assert!(
+                o.stats().eval.reused_facts > 0,
+                "{context}: the oracle chains"
+            );
+            assert_eq!(
+                r.stats().eval.reused_facts,
+                o.stats().eval.reused_facts,
+                "{context}: reused_facts"
+            );
+            assert_eq!(
+                r.stats().eval.rederived_facts,
+                o.stats().eval.rederived_facts,
+                "{context}: rederived_facts"
+            );
+            // and the next APPLY advances the same chain on both sides
+            for service in [&recovered, &oracle] {
+                service.execute("ASSERT edge(9, 4)").unwrap();
+            }
+            let got = reused(recovered.execute("APPLY refresh").unwrap());
+            assert_eq!(
+                got,
+                reused(oracle.execute("APPLY refresh").unwrap()),
+                "{context}"
+            );
+            assert!(got > 0, "{context}");
+            assert_equivalent(&recovered, &oracle, &context);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn a_restart_resumes_nothing_it_cannot_stand_for() {
+    // each case checkpoints right after its last command and crashes with
+    // an empty tail: the restart recovers the oracle's state, resumes no
+    // chain, and its next APPLY evaluates in full
+    let edges = "ASSERT edge(0, 1), edge(1, 2), edge(2, 3), edge(1, 3)";
+    let tau = "tau[(forall x0 x1. edge(x0, x1) -> reach(x0, x1)) & \
+               (forall x0 x1 x2. reach(x0, x1) & edge(x1, x2) -> reach(x0, x2))]";
+    let chained = format!("DEFINE refresh := project[edge]; {tau}");
+    let grounding = EvalOptions::with_strategy(Strategy::Grounding);
+    let cases: Vec<(&str, Vec<String>, EvalOptions, bool)> = vec![
+        (
+            "the last step is not tau",
+            vec![
+                edges.to_string(),
+                format!("DEFINE refresh := project[edge]; {tau}; project[edge, reach]"),
+                "APPLY refresh".to_string(),
+            ],
+            EvalOptions::default(),
+            false,
+        ),
+        (
+            "the projection keeps a head",
+            vec![
+                edges.to_string(),
+                format!("DEFINE refresh := project[edge, reach]; {tau}"),
+                "APPLY refresh".to_string(),
+            ],
+            EvalOptions::default(),
+            false,
+        ),
+        (
+            "two worlds",
+            vec![
+                edges.to_string(),
+                "DEFINE split := tau[marked(1) | marked(2)]".to_string(),
+                "APPLY split".to_string(),
+                format!("DEFINE refresh := project[edge, marked]; {tau}"),
+                "APPLY refresh".to_string(),
+            ],
+            EvalOptions::default(),
+            false,
+        ),
+        (
+            "the grounding strategy",
+            vec![
+                edges.to_string(),
+                chained.clone(),
+                "APPLY refresh".to_string(),
+            ],
+            grounding,
+            false,
+        ),
+        (
+            "a checkpoint at an ASSERT epoch",
+            vec![
+                edges.to_string(),
+                chained.clone(),
+                "APPLY refresh".to_string(),
+                "ASSERT edge(3, 4)".to_string(),
+            ],
+            EvalOptions::default(),
+            false,
+        ),
+        (
+            "a deleted WAL",
+            vec![
+                edges.to_string(),
+                chained.clone(),
+                "APPLY refresh".to_string(),
+            ],
+            EvalOptions::default(),
+            true,
+        ),
+    ];
+    for (trial, (case, prefix, options, delete_wal)) in cases.into_iter().enumerate() {
+        let dir = scratch_dir(&format!("refused-{trial}"));
+        let config = |dir: &Path| {
+            ServiceConfig::builder()
+                .threads(1)
+                .options(options)
+                .durable(dir)
+                .fsync_policy(FsyncPolicy::Never)
+                .checkpoint_every_n_commits(0)
+                .build()
+        };
+        checkpoint_then_crash(config(&dir), &prefix, &[]);
+        if delete_wal {
+            std::fs::remove_file(dir.join(WAL_FILE)).unwrap();
+        }
+        let recovered = Service::open(config(&dir)).unwrap();
+        assert_eq!(seeded_chains(&recovered), 0, "{case}");
+        let oracle = {
+            let service =
+                Service::new(ServiceConfig::builder().threads(1).options(options).build());
+            for op in &prefix {
+                service.execute(op).unwrap();
+            }
+            service
+        };
+        assert_equivalent(&recovered, &oracle, case);
+        recovered.execute("ASSERT edge(3, 5)").unwrap();
+        oracle.execute("ASSERT edge(3, 5)").unwrap();
+        let response = recovered.execute("APPLY refresh").unwrap();
+        assert_eq!(reused(response), 0, "{case}: evaluated in full");
+        oracle.execute("APPLY refresh").unwrap();
+        assert_equivalent(&recovered, &oracle, case);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_retraction_right_after_a_resumed_restart_retracts_the_derived_facts() {
+    // the resumed session's reach facts are derived, not stored: DRed must
+    // take out everything edge(1, 2) supported, as the oracle's does
+    let prefix = ops(&[
+        "ASSERT edge(0, 1), edge(1, 2), edge(2, 3), edge(3, 4)",
+        DEFINE,
+        "APPLY refresh",
+    ]);
+    let dir = scratch_dir("dred-trap");
+    checkpoint_then_crash(durable_config(&dir, 1, 0), &prefix, &[]);
+    let recovered = Service::open(durable_config(&dir, 1, 0)).unwrap();
+    assert_eq!(seeded_chains(&recovered), 1);
+    let oracle = oracle(&prefix, 1);
+    for service in [&recovered, &oracle] {
+        service.execute("RETRACT edge(1, 2)").unwrap();
+    }
+    let got = reused(recovered.execute("APPLY refresh").unwrap());
+    assert_eq!(got, reused(oracle.execute("APPLY refresh").unwrap()));
+    assert_equivalent(&recovered, &oracle, "dred-trap");
+    let snap = recovered.snapshot();
+    let (reach, _) = snap.vocab().lookup_relation("reach").unwrap();
+    // 0→1 and the three pairs of 2→3→4 are all that is left
+    assert_eq!(recovered.certain(&snap, reach).len(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
