@@ -18,6 +18,11 @@
 //!   disabled;
 //! * `PROFILE` ÷ `QUERY` on that closure (per-rule rows recorded vs none).
 //!
+//! Every timed call serves its command as a session does: `execute`, then
+//! `proto::write_response` into a reused buffer.  A read's reply holds its
+//! answer and its rows are rendered in the write, so timing `execute`
+//! alone would leave the rendering out of the read path.
+//!
 //! Counters record in both settings by design — only clock reads are
 //! gated — which is why the disabled variants are not a zero-instrumentation
 //! baseline but the documented "disabled" cost model (one relaxed load per
@@ -32,6 +37,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use kbt_obs::Registry;
+use kbt_service::net::proto;
 use kbt_service::{Service, ServiceConfig};
 
 /// Chain length of the seeded graph.
@@ -110,15 +116,23 @@ fn paired_ratio(plain: &mut impl FnMut() -> f64, instrumented: &mut impl FnMut()
     (ratios[mid - 1] + ratios[mid]) / 2.0
 }
 
+/// Serves `command` as a session does: executes it and writes the reply
+/// into a reused buffer (a read's rows are rendered in the write).
+fn serve(service: &Service, command: &str, wire: &mut Vec<u8>) {
+    wire.clear();
+    let response = service.execute(command).expect("read");
+    proto::write_response(wire, &response, None).expect("writing to a Vec cannot fail");
+    black_box(wire);
+}
+
 /// Spans enabled ÷ disabled on `iters` executions of `command`.
 fn spans_ratio(service: &Service, command: &str, iters: u32) -> f64 {
-    let run = |enabled: bool| {
+    let run = |enabled: bool, wire: &mut Vec<u8>| {
         set_enabled(service, enabled);
-        sample(iters, &mut || {
-            black_box(service.execute(command).expect("read"));
-        })
+        sample(iters, &mut || serve(service, command, wire))
     };
-    let ratio = paired_ratio(&mut || run(false), &mut || run(true));
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    let ratio = paired_ratio(&mut || run(false, &mut off), &mut || run(true, &mut on));
     set_enabled(service, true);
     ratio
 }
@@ -127,11 +141,9 @@ fn main() {
     let service = seeded_service();
     let query_tc = format!("QUERY {TC}");
     let profile_tc = format!("PROFILE {TC}");
-    let timed = |command: &str| {
-        sample(4, &mut || {
-            black_box(service.execute(command).expect("read"));
-        })
-    };
+    let timed =
+        |command: &str, wire: &mut Vec<u8>| sample(4, &mut || serve(&service, command, wire));
+    let (mut query_wire, mut profile_wire) = (Vec::new(), Vec::new());
     let comparisons = [
         (
             "query_certain_edge spans on/off",
@@ -140,7 +152,9 @@ fn main() {
         ("closure spans on/off", spans_ratio(&service, &query_tc, 4)),
         (
             "closure PROFILE/QUERY",
-            paired_ratio(&mut || timed(&query_tc), &mut || timed(&profile_tc)),
+            paired_ratio(&mut || timed(&query_tc, &mut query_wire), &mut || {
+                timed(&profile_tc, &mut profile_wire)
+            }),
         ),
     ];
     for (name, ratio) in &comparisons {

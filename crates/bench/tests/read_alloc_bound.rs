@@ -15,16 +15,24 @@
 //! owned collections, each of the first two reads opened with a deep copy
 //! of all 20 002 entries and allocated 1 836 244 bytes in 45 113
 //! allocations (bare) and 1 809 478 in 43 132 (bound), of which the answer
-//! was a hundredth.  A fact is rendered with one allocation and a data
-//! line with none.  And a read that interns a name copies only the pieces
-//! of the vocabulary it appends to (the open chunk of names and the open
-//! index level, `kbt_data::vocabulary`'s module docs): while the handle
-//! copied every name on its first miss, the third read allocated
-//! 2 289 237 bytes in 43 120 allocations.  They now allocate
-//! `MEASURED_BARE` (208 allocations: one per fact and eight around them),
+//! was a hundredth.  A reply holds its answer, not its text: the facts are
+//! rendered as the reply is written, each into one scratch line the whole
+//! reply reuses, so the rows cost no allocation at all — while every fact
+//! was rendered into a `String` of its own, the bare read allocated
+//! 7 569 bytes in 208 allocations, one per fact and eight around them.
+//! And a read that interns a name copies only the pieces of the vocabulary
+//! it appends to (the open chunk of names and the open index level,
+//! `kbt_data::vocabulary`'s module docs): while the handle copied every
+//! name on its first miss, the third read allocated 2 289 237 bytes in
+//! 43 120 allocations.  They now allocate `MEASURED_BARE` (9 allocations),
 //! `MEASURED_BOUND` (18) and `MEASURED_GHOST` (26); the test allows 10 % on
 //! top, more than two orders of magnitude short of what going back would
 //! cost.
+//!
+//! Bytes depend on name lengths; the number of allocations does not.  So
+//! the test also holds the 200-row read to the *count* of the one-row read
+//! plus `ROW_FREE_SLACK`: a read allocates O(1), not O(rows), and a
+//! `String` per row again would miss that by some 190 allocations.
 //!
 //! Like `eval_alloc_bound.rs`, this binary runs without the test harness,
 //! on its `main` thread alone: `kbt_bench::alloc_counter` is
@@ -38,9 +46,13 @@ use kbt_service::{Service, ServiceConfig};
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 /// Bytes allocated by the bare 200-row read when the bound was set.
-const MEASURED_BARE: u64 = 7_569;
+const MEASURED_BARE: u64 = 95;
 /// Bytes allocated by the tabled one-row read when the bound was set.
-const MEASURED_BOUND: u64 = 587;
+const MEASURED_BOUND: u64 = 495;
+/// Allocations the bare 200-row read may make beyond the tabled one-row
+/// read's: the two differ in how they find their answer, not in what
+/// writing a row costs.
+const ROW_FREE_SLACK: u64 = 4;
 /// Bytes allocated by the read that interns an unknown name when the bound
 /// was set.
 const MEASURED_GHOST: u64 = 15_977;
@@ -103,6 +115,11 @@ fn main() {
     println!("bare 200-row read: allocs {bare_allocs}  bytes {bare_bytes}");
     println!("tabled 1-row read: allocs {bound_allocs}  bytes {bound_bytes}");
     println!("interning 0-row read: allocs {ghost_allocs}  bytes {ghost_bytes}");
+    assert!(
+        bare_allocs <= bound_allocs + ROW_FREE_SLACK,
+        "the 200-row read made {bare_allocs} allocations, the one-row read \
+         {bound_allocs}: rows must not allocate"
+    );
     assert!(
         bare_bytes <= MEASURED_BARE + MEASURED_BARE / 10,
         "the bare read allocated {bare_bytes} bytes; the bound is 10 % over {MEASURED_BARE}"

@@ -592,16 +592,9 @@ pub(crate) fn commit(
                 observer.begin_round();
                 let mut pending = Deltas::new();
                 for &(rule, plan) in plans {
-                    let part = observer.observe_plan(rule, stats, |stats| {
+                    observer.observe_plan(rule, stats, &mut pending, |stats| {
                         run_round_with(&[(rule, plan)], storage, deltas, stats, width, &keep)
                     });
-                    for (rel, run) in part {
-                        let merged = match pending.get(&rel) {
-                            Some(seen) => seen.union(&run).expect("one relation, one arity"),
-                            None => run,
-                        };
-                        pending.insert(rel, merged);
-                    }
                 }
                 pending
             }

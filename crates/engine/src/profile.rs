@@ -24,13 +24,14 @@
 //! the single per-round commit.  So the fixpoint, the resulting database
 //! and every [`EngineStats`] counter are byte-identical to the unobserved
 //! run at every thread width — `tests/profile_differential.rs` pins this.
-//! The only additions are `Instant` reads, counter differences and an
-//! attribution pass over each plan's pending rows.
+//! The only additions are `Instant` reads, counter differences and, per
+//! plan execution, the count of rows its pending set adds to the round's
+//! union.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use kbt_data::{Const, RelId};
+use kbt_data::RelId;
 
 use crate::eval::Deltas;
 use crate::plan::PlannedRule;
@@ -140,7 +141,6 @@ impl<'a> View<'a> {
             rules,
             rows: &mut self.rows[first..],
             ran: BTreeSet::new(),
-            seen: BTreeSet::new(),
         }
     }
 }
@@ -153,26 +153,26 @@ pub(crate) struct RoundObserver<'s> {
     rows: &'s mut [RuleProfile],
     /// Rules that ran in the current round.
     ran: BTreeSet<usize>,
-    /// Facts already attributed in the current round (first deriving rule
-    /// wins).
-    seen: BTreeSet<(RelId, Vec<Const>)>,
 }
 
 impl RoundObserver<'_> {
     pub(crate) fn begin_round(&mut self) {
         self.ran.clear();
-        self.seen.clear();
     }
 
-    /// Runs one plan execution of `rule` through `run`, charging its time,
-    /// its counter differences and the new facts of its pending set (all
-    /// absent from storage: the keep-filter saw to that) to the rule's row.
+    /// Runs one plan execution of `rule` through `run`, charging its time
+    /// and its counter differences to the rule's row, and merges its
+    /// pending set into the round's union `pending`, charging the rule with
+    /// the facts it adds there: new facts (all absent from storage: the
+    /// keep-filter saw to that) that no earlier execution of the round
+    /// derived — the first deriving rule wins.
     pub(crate) fn observe_plan(
         &mut self,
         rule: &PlannedRule,
         stats: &mut EngineStats,
+        pending: &mut Deltas,
         run: impl FnOnce(&mut EngineStats) -> Deltas,
-    ) -> Deltas {
+    ) {
         let idx = self
             .rules
             .iter()
@@ -189,14 +189,20 @@ impl RoundObserver<'_> {
         if self.ran.insert(idx) {
             row.rounds += 1;
         }
-        for (rel, set) in &part {
-            for fact in set.iter() {
-                if self.seen.insert((*rel, fact.to_vec())) {
-                    row.derived += 1;
+        for (rel, run) in part {
+            let merged = match pending.remove(&rel) {
+                Some(earlier) => {
+                    let merged = earlier.union(&run).expect("one relation, one arity");
+                    row.derived += merged.len() - earlier.len();
+                    merged
                 }
-            }
+                None => {
+                    row.derived += run.len();
+                    run
+                }
+            };
+            pending.insert(rel, merged);
         }
-        part
     }
 }
 
@@ -286,6 +292,33 @@ mod tests {
         // The base rule derived the 4 edges; the rest is the closure.
         assert_eq!(profiles[0].derived, 4);
         assert_eq!(profiles[1].derived, 6);
+    }
+
+    #[test]
+    fn a_fact_two_rules_derive_in_one_round_counts_for_the_first() {
+        // p(x) :- a(x).  p(x) :- b(x).  with a = {1, 2}, b = {2, 3}
+        let copy = |from: u32| {
+            Rule::new(
+                Atom::new(rel(3), vec![s(0)]),
+                vec![Atom::new(rel(from), vec![s(0)])],
+            )
+            .unwrap()
+        };
+        let program = Program::new(vec![copy(1), copy(2)]);
+        let edb = DatabaseBuilder::new()
+            .relation(rel(1), 1)
+            .relation(rel(2), 1)
+            .fact(rel(1), [1])
+            .fact(rel(1), [2])
+            .fact(rel(2), [2])
+            .fact(rel(2), [3])
+            .build()
+            .unwrap();
+        let mut view = View::profile(&namer);
+        let (_, stats) = evaluate(&program, &edb, 1, Some(&mut view), None).unwrap();
+        assert_eq!(stats.derived_facts, 3);
+        let derived: Vec<usize> = view.rows.iter().map(|p| p.derived).collect();
+        assert_eq!(derived, [2, 1]);
     }
 
     #[test]

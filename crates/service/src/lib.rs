@@ -95,9 +95,13 @@
 //! (`kbt_data::vocabulary`'s module docs).  That a
 //! read's names never reach the committed vocabulary — and a rejected
 //! write's neither — is the type's contract, not a defensive copy; a read
-//! that interns nothing costs nothing for it.  On the way out each fact is
-//! rendered once ([`command::render_fact_into`]) and the reply is streamed
-//! to the socket by the one encoder, [`net::proto::write_response`].
+//! that interns nothing costs nothing for it.  The reply holds the answer
+//! itself — the answer relation ([`service::FactRows`]) or the result
+//! knowledgebase ([`service::WorldRows`]) with that vocabulary handle —
+//! and the one encoder, [`net::proto::write_response`], renders each fact
+//! ([`command::render_fact_into`]) into one reused line as it streams the
+//! reply to the socket: no `String` per row, and rendering counts in the
+//! net write, not in the read.
 //!
 //! A hypothetical read `QUERY project[edge]; tau[φ]; project[hits]` goes
 //! through [`kbt_core::Transformer`]'s projection push-down (see its module
@@ -363,7 +367,8 @@
 //! * `kbt_service_commit_publish_ns` (histogram): commit phase — publish.
 //! * `kbt_service_commit_batch_facts` (histogram): facts per fact commit.
 //! * `kbt_service_query_ns` (histogram): textual `QUERY`/`PROFILE`
-//!   latency (the slow-query span).
+//!   latency (the slow-query span): parse and evaluation.  A `QUERY`
+//!   reply's facts are rendered as it is written, after the span closes.
 //! * `kbt_service_wal_records_total` (counter): WAL records appended.
 //! * `kbt_service_wal_bytes_total` (counter): WAL bytes appended.
 //! * `kbt_service_wal_fsyncs_total` (counter): WAL fsyncs issued.
@@ -393,7 +398,9 @@
 //! * `kbt_net_command_ns` (histogram): per-verb wire command latency,
 //!   labelled `{verb="nop"|"load"|"assert"|"retract"|"define"|"apply"|
 //!   "query"|"stats"|"metrics"|"explain"|"profile"|"checkpoint"|
-//!   "walstat"|"error"}` — all pre-registered at server start.
+//!   "walstat"|"error"}` — all pre-registered at server start.  It times
+//!   the execution and the writing of the reply into the session's
+//!   buffer, so a read's rendering counts here.
 //! * `kbt_net_framing_errors_total` (counter): lines the framer refused.
 //! * `kbt_engine_evals_total` (counter): from-scratch fixpoint evaluations.
 //! * `kbt_engine_deltas_total` (counter): incremental delta applications.
@@ -522,7 +529,11 @@
 //!            (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]").unwrap();
 //! s.execute("APPLY tc").unwrap();
 //! match s.execute("QUERY CERTAIN path").unwrap() {
-//!     Response::Facts { facts, .. } => assert_eq!(facts.len(), 3),
+//!     // the reply holds the answer relation; rows become text on demand
+//!     Response::Facts { facts, .. } => {
+//!         assert_eq!(facts.len(), 3);
+//!         assert_eq!(facts.render(), ["path(1, 2)", "path(1, 3)", "path(2, 3)"]);
+//!     }
 //!     _ => unreachable!(),
 //! }
 //! ```
@@ -544,6 +555,6 @@ pub use error::{Result, ServiceError};
 pub use metrics::{NetMetrics, ServiceMetrics};
 pub use net::{Client, LineFramer, NetConfig, NetServer, WireResponse};
 pub use service::{
-    CommittedState, QueryResult, Response, Service, ServiceStats, SessionCounters, SessionSnapshot,
-    Snapshot, StatsReport, TransformInfo,
+    CommittedState, FactRows, QueryResult, Response, Service, ServiceStats, SessionCounters,
+    SessionSnapshot, Snapshot, StatsReport, TransformInfo, WorldRows,
 };

@@ -63,8 +63,9 @@ pub struct ServiceMetrics {
     pub commit_publish_ns: Histogram,
     /// Facts per `ASSERT`/`RETRACT` commit (a size, not a duration).
     pub commit_batch_facts: Histogram,
-    /// End-to-end latency of textual `QUERY` commands (parse included);
-    /// the span that feeds the slow-query log (`slow_query` events).
+    /// Latency of textual `QUERY` commands, parse and evaluation (a reply's
+    /// facts are rendered as it is written, after this span closes); the
+    /// span that feeds the slow-query log (`slow_query` events).
     pub query_ns: Histogram,
     /// WAL records appended (one per durable commit).
     pub wal_records_total: Counter,
@@ -149,7 +150,7 @@ impl ServiceMetrics {
             ),
             (
                 "kbt_service_query_ns",
-                "End-to-end latency of textual QUERY/PROFILE commands.",
+                "Latency of textual QUERY/PROFILE commands: parse and evaluation.",
             ),
             (
                 "kbt_service_wal_records_total",
@@ -274,7 +275,7 @@ impl NetMetrics {
     pub fn register(registry: &Registry) -> Self {
         registry.describe(
             "kbt_net_command_ns",
-            "Per-verb command latency over the wire.",
+            "Per-verb command latency over the wire: execution and writing the reply.",
         );
         registry.describe(
             "kbt_net_framing_errors_total",

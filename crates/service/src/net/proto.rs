@@ -41,11 +41,21 @@
 //! text: the server streams it, and `kbt-shell` prints it in both its
 //! local and its remote mode.  It streams: each data line goes to the
 //! writer as its prefix followed by the payload's slices with the escaping
-//! rule applied on the way (the session's `BufWriter` collects them), so
-//! no line is ever built as a `String`, whatever the number of facts or
-//! worlds.
-//! [`encode_response`] is its line-splitting view — the same encoder run
-//! into a `Vec<u8>` and cut at the newlines — for callers that want lines.
+//! rule applied on the way (the session's `BufWriter` collects them).
+//!
+//! A read's reply holds its answer, not its text: `Facts` holds the answer
+//! relation and `Worlds` the result knowledgebase, each with the read's
+//! vocabulary handle.  Their rows become text here, at write time: each
+//! fact is rendered by [`crate::command::render_fact_into`] — the one
+//! quoting rule — into one scratch line that the whole response reuses,
+//! and that line is escaped into the writer.  So a read allocates the
+//! same whatever the number of rows, and rendering is part of the net
+//! write: `kbt_net_command_ns` times it, the slow-query span
+//! (`kbt_service_query_ns`), which closes when the read returns, does not.
+//!
+//! [`encode_response`] is the encoder's line-splitting view — the same
+//! encoder run into a `Vec<u8>` and cut at the newlines — for callers that
+//! want lines.
 //!
 //! Error codes: [`crate::ServiceError::code`] defines the service-level
 //! codes (`parse`, `unknown-relation`, …); the net layer adds
@@ -55,8 +65,10 @@
 //! lives in [`crate::error`] (`CODE_TABLE`), with an exhaustiveness test
 //! holding it to the error enum.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
+use crate::command::render_fact_into;
 use crate::error::ServiceError;
 use crate::service::{Response, StatsReport};
 
@@ -100,15 +112,35 @@ fn write_escaped(w: &mut impl Write, s: &str) -> io::Result<()> {
     w.write_all(rest)
 }
 
-/// Writes one data line per payload: prefix, escaped payload, newline.
+/// Writes one data line: prefix, escaped payload, newline.
+fn write_data_line(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    w.write_all(DATA_PREFIX.as_bytes())?;
+    write_escaped(w, payload)?;
+    w.write_all(b"\n")
+}
+
+/// Writes one data line per payload.
 fn write_data_lines<'a>(
     w: &mut impl Write,
     payloads: impl IntoIterator<Item = &'a str>,
 ) -> io::Result<()> {
-    for payload in payloads {
-        w.write_all(DATA_PREFIX.as_bytes())?;
-        write_escaped(w, payload)?;
-        w.write_all(b"\n")?;
+    payloads
+        .into_iter()
+        .try_for_each(|payload| write_data_line(w, payload))
+}
+
+/// Writes one data line per item, each rendered by `render` into one
+/// scratch line that all of them reuse.
+fn write_rendered_lines<T>(
+    w: &mut impl Write,
+    items: impl IntoIterator<Item = T>,
+    mut render: impl FnMut(&mut String, T),
+) -> io::Result<()> {
+    let mut line = String::new();
+    for item in items {
+        line.clear();
+        render(&mut line, item);
+        write_data_line(w, &line)?;
     }
     Ok(())
 }
@@ -133,7 +165,6 @@ impl StatusBuilder {
 
     /// Appends one `key=value` field.
     fn key(mut self, key: &str, value: impl std::fmt::Display) -> Self {
-        use std::fmt::Write;
         write!(self.line, " {key}={value}").expect("writing to a String cannot fail");
         self
     }
@@ -207,16 +238,20 @@ pub fn write_response(
             .key("facts", facts)
             .key("reused", reused_facts),
         Response::Worlds { epoch, worlds } => {
-            for (i, world) in worlds.iter().enumerate() {
-                write!(w, "{DATA_PREFIX}world {i}: {{")?;
-                for (j, fact) in world.iter().enumerate() {
+            let vocab = worlds.vocab();
+            write_rendered_lines(w, worlds.kb().iter().enumerate(), |line, (i, db)| {
+                write!(line, "world {i}: {{").expect("writing to a String cannot fail");
+                let facts = db
+                    .iter()
+                    .flat_map(|(rel, facts)| facts.iter().map(move |row| (rel, row)));
+                for (j, (rel, row)) in facts.enumerate() {
                     if j > 0 {
-                        w.write_all(b", ")?;
+                        line.push_str(", ");
                     }
-                    write_escaped(w, fact)?;
+                    render_fact_into(line, rel, row, vocab);
                 }
-                w.write_all(b"}\n")?;
-            }
+                line.push('}');
+            })?;
             status.epoch(*epoch).key("worlds", worlds.len())
         }
         Response::Facts {
@@ -226,7 +261,10 @@ pub fn write_response(
             facts,
             strategy,
         } => {
-            write_data_lines(w, facts.iter().map(String::as_str))?;
+            let (rel, vocab) = (facts.rel(), facts.vocab());
+            write_rendered_lines(w, facts.relation().iter(), |line, row| {
+                render_fact_into(line, rel, row, vocab)
+            })?;
             status
                 .epoch(*epoch)
                 // only bound goals carry a strategy; the bare form's
@@ -383,6 +421,8 @@ impl WireResponse {
 
 #[cfg(test)]
 mod tests {
+    use kbt_data::{Const, Database, Knowledgebase, Relation, Vocabulary};
+
     use super::*;
     use crate::config::ServiceConfig;
     use crate::service::Service;
@@ -463,18 +503,79 @@ mod tests {
         assert_eq!(data, ["= note('one\\ntwo')"]);
     }
 
+    #[test]
+    fn worlds_with_newlines_stay_one_wire_line() {
+        use std::sync::Arc;
+
+        use crate::net::{Client, NetConfig, NetServer};
+
+        let server = NetServer::start(Arc::new(service()), NetConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let r = client
+            .roundtrip("ASSERT note('one\ntwo'), note('cr\r\n')")
+            .unwrap();
+        assert!(r.is_ok(), "{}", r.status);
+        let r = client
+            .roundtrip("QUERY tau[note('x\ny') | note('z')]; project[note]")
+            .unwrap();
+        assert_eq!(
+            r.data,
+            [
+                "= world 0: {note('one\\ntwo'), note('cr\\r\\n'), note('x\\ny')}",
+                "= world 1: {note('one\\ntwo'), note('cr\\r\\n'), note('z')}",
+            ]
+        );
+        assert!(r.status.ends_with(" epoch=1 worlds=2"), "{}", r.status);
+        server.shutdown();
+    }
+
+    /// A relation of the given rows.
+    fn relation(arity: usize, rows: &[&[Const]]) -> Relation {
+        let mut relation = Relation::empty(arity);
+        for row in rows {
+            relation.insert_row(row);
+        }
+        relation
+    }
+
     /// One response of every variant, with everything the escaping rule
     /// and the line splitting can trip over.
     fn corpus() -> Vec<(Response, Option<&'static str>)> {
-        use crate::service::{ServiceStats, SessionSnapshot, StatsReport};
+        use crate::service::{FactRows, ServiceStats, SessionSnapshot, StatsReport, WorldRows};
         let epoch = kbt_data::EpochId::new(3);
-        let facts = |facts: &[&str]| Response::Facts {
+        // names that need escaping, the empty name, and a numeral: the
+        // named constants take ids 0–3, so `Const::new(7)` has no name
+        let mut vocab = Vocabulary::new();
+        let note = vocab.relation("note", 1).unwrap();
+        let named = ["one\ntwo", "cr\rlf\r\n", "back\\slash\\", ""].map(|n| vocab.constant(n));
+        let facts = |rows: &[&[Const]]| Response::Facts {
             epoch,
             kind: "possible",
             relation: "note".into(),
-            facts: facts.iter().map(|f| f.to_string()).collect(),
+            facts: FactRows::new(note, relation(1, rows), vocab.clone()),
             strategy: None,
         };
+        // one name only, at id 0, so the numerals 1 and 2 stay numerals
+        let mut numerals = Vocabulary::new();
+        let r = numerals.relation("r", 1).unwrap();
+        let noted = numerals.relation("note", 1).unwrap();
+        let edge = numerals.relation("edge", 2).unwrap();
+        let x = numerals.constant("x\ny");
+        let world = |rs: &[&[Const]], notes: &[&[Const]]| {
+            let mut db = Database::new();
+            db.set_relation(r, relation(1, rs));
+            db.set_relation(noted, relation(1, notes));
+            db
+        };
+        let (one, two) = (Const::new(1), Const::new(2));
+        // a knowledgebase is a set of worlds ordered by their rows, so the
+        // empty world comes first
+        let worlds = Knowledgebase::from_databases([
+            world(&[&[one]], &[&[x]]),
+            world(&[], &[]),
+            world(&[&[two]], &[]),
+        ])
+        .unwrap();
         let stats = StatsReport {
             epoch,
             worlds: 2,
@@ -521,28 +622,24 @@ mod tests {
             (
                 Response::Worlds {
                     epoch,
-                    worlds: vec![
-                        vec!["r(1)".into(), "note('x\ny')".into()],
-                        vec![],
-                        vec!["r(2)".into()],
-                    ],
+                    worlds: WorldRows::new(worlds, numerals.clone()),
                 },
                 Some("w"),
             ),
             (
                 Response::Worlds {
                     epoch,
-                    worlds: vec![],
+                    worlds: WorldRows::new(Knowledgebase::empty(), numerals.clone()),
                 },
                 None,
             ),
             (
                 facts(&[
-                    "note('one\ntwo')",
-                    "note('cr\rlf\r\n')",
-                    "note('back\\slash\\')",
-                    "note('')",
-                    "note(7)",
+                    &[named[0]],
+                    &[named[1]],
+                    &[named[2]],
+                    &[named[3]],
+                    &[Const::new(7)],
                 ]),
                 Some("req-9"),
             ),
@@ -552,7 +649,7 @@ mod tests {
                     epoch,
                     kind: "certain",
                     relation: "edge".into(),
-                    facts: vec!["edge(1, 2)".into()],
+                    facts: FactRows::new(edge, relation(2, &[&[one, two]]), numerals),
                     strategy: Some("tabled"),
                 },
                 None,
@@ -618,15 +715,17 @@ mod tests {
     /// What the encoder before the streaming one (a `String` per data
     /// line, `join` + `format!` per world) produced for [`corpus`] — but
     /// for the `STATS` transform row, which that encoder split at its
-    /// quoted newline instead of escaping it.
+    /// quoted newline instead of escaping it, and for the order of the
+    /// three worlds, which a hand-built list of rendered worlds could set
+    /// and a knowledgebase cannot.
     const CORPUS_BYTES: &str = r#"OK
 OK id=t1
 OK id=t2 epoch=3 durable=true worlds=1 facts=2
 = tau[p('a\nb\\c')]
 OK epoch=3 defined=tc
 OK epoch=3 durable=false applied=tc worlds=1 facts=9 reused=3
-= world 0: {r(1), note('x\ny')}
-= world 1: {}
+= world 0: {}
+= world 1: {r(1), note('x\ny')}
 = world 2: {r(2)}
 OK id=w epoch=3 worlds=3
 OK epoch=3 worlds=0

@@ -24,11 +24,10 @@ use kbt_engine::table::{filter_rows, SubsumptiveTable};
 use kbt_logic::Term;
 
 use crate::command::{
-    parse_query, parse_transform, render_args_into, render_fact, render_relation, QueryCmd,
-    QueryGoal,
+    parse_query, parse_transform, render_args_into, render_relation, QueryCmd, QueryGoal,
 };
 use crate::error::{Result, ServiceError};
-use crate::service::{QueryResult, Response, Service, Snapshot};
+use crate::service::{FactRows, QueryResult, Response, Service, Snapshot, WorldRows};
 
 /// Which view of a read the client asked for (the verb).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,15 +225,7 @@ impl Service {
                 Ok(match view {
                     ReadView::Answer => Response::Worlds {
                         epoch,
-                        worlds: result
-                            .kb
-                            .iter()
-                            .map(|db| {
-                                db.facts()
-                                    .map(|(rel, t)| render_fact(rel, t.components(), &vocab))
-                                    .collect()
-                            })
-                            .collect(),
+                        worlds: WorldRows::new(result.kb, vocab.clone()),
                     },
                     ReadView::Explain => Response::Explain {
                         epoch,
@@ -275,14 +266,11 @@ impl Service {
         } else {
             ("possible", "union", 1u8)
         };
-        let facts_response = |facts: &Relation, strategy| Response::Facts {
+        let facts_response = |facts: Relation, strategy| Response::Facts {
             epoch,
             kind,
             relation: namer(rel),
-            facts: facts
-                .iter()
-                .map(|row| render_fact(rel, row, vocab))
-                .collect(),
+            facts: FactRows::new(rel, facts, vocab.clone()),
             strategy,
         };
 
@@ -313,7 +301,7 @@ impl Service {
                         if let Some(answer) = cache.table.lookup(tag, rel.index(), &bound) {
                             self.metrics().queries_tabled_total.inc();
                             return Ok(facts_response(
-                                &filter_equal(&answer, &groups),
+                                filter_equal(&answer, &groups),
                                 Some("tabled"),
                             ));
                         }
@@ -404,7 +392,7 @@ impl Service {
                 cache.table.insert(tag, rel.index(), &goal.bound, answer);
             }
         }
-        Ok(facts_response(&facts, strategy))
+        Ok(facts_response(facts, strategy))
     }
 
     /// The one per-world fold: every world's answers to the resolved goal,
@@ -582,7 +570,7 @@ mod tests {
         match r {
             Response::Worlds { epoch, worlds } => {
                 assert_eq!(epoch, EpochId::new(1));
-                assert_eq!(worlds, vec![vec!["edge(1, 2)".to_string()]]);
+                assert_eq!(worlds.render(), [["edge(1, 2)"]]);
             }
             other => panic!("expected Worlds, got {other:?}"),
         }
@@ -618,7 +606,7 @@ mod tests {
                 facts,
                 strategy: Some(strategy),
                 ..
-            } => (facts, strategy),
+            } => (facts.render(), strategy),
             other => panic!("expected bound Facts, got {other:?}"),
         }
     }
@@ -670,6 +658,7 @@ mod tests {
         };
         let (from_one, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
         assert_eq!(strategy, "magic");
+        let oracle = oracle.render();
         let expected: Vec<String> = oracle
             .iter()
             .filter(|f| f.starts_with("path(1,"))
@@ -840,7 +829,10 @@ mod tests {
         let Response::Worlds { worlds, .. } = s.execute(&format!("QUERY {read}")).unwrap() else {
             panic!("expected Worlds");
         };
-        assert_eq!(worlds, [["hits(1)", "hits(2)", "hits(3)", "hits(4)"]]);
+        assert_eq!(
+            worlds.render(),
+            [["hits(1)", "hits(2)", "hits(3)", "hits(4)"]]
+        );
     }
 
     #[test]
@@ -862,7 +854,10 @@ mod tests {
             else {
                 panic!("expected Worlds");
             };
-            assert_eq!(worlds, [["hits(1)", "hits(2)", "hits(3)", "hits(4)"]]);
+            assert_eq!(
+                worlds.render(),
+                [["hits(1)", "hits(2)", "hits(3)", "hits(4)"]]
+            );
             (rows, profiled)
         };
         let closure = |over: &str| {

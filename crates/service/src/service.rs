@@ -17,13 +17,15 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use kbt_core::{ChainSession, EvalStats, Transform, Transformer};
-use kbt_data::{Database, EpochCell, EpochId, Knowledgebase, RelId, Versioned, Vocabulary};
+use kbt_data::{
+    Database, EpochCell, EpochId, Knowledgebase, RelId, Relation, Versioned, Vocabulary,
+};
 use kbt_obs::{Counter, Gauge, Registry};
 
 use crate::checkpoint::CheckpointManager;
 use crate::command::{
-    parse_define, parse_fact_list, parse_transform, render_fact_into, render_transform,
-    split_command, split_lines, Verb,
+    parse_define, parse_fact_list, parse_transform, render_fact, render_fact_into,
+    render_transform, split_command, split_lines, Verb,
 };
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
@@ -218,6 +220,122 @@ pub struct QueryResult {
     pub stats: EvalStats,
 }
 
+/// The answer of a `QUERY CERTAIN/POSSIBLE` read: one relation's facts,
+/// held as the [`Relation`] they are, with the read's own vocabulary handle
+/// to name them.  Nothing is rendered until
+/// [`crate::net::proto::write_response`] writes each row straight into its
+/// writer; `Debug` prints the rendered rows.
+#[derive(Clone)]
+pub struct FactRows {
+    rel: RelId,
+    facts: Relation,
+    vocab: Vocabulary,
+}
+
+impl FactRows {
+    pub(crate) fn new(rel: RelId, facts: Relation, vocab: Vocabulary) -> Self {
+        FactRows { rel, facts, vocab }
+    }
+
+    /// The relation the facts belong to.
+    pub fn rel(&self) -> RelId {
+        self.rel
+    }
+
+    /// The facts, as the relation they are.
+    pub fn relation(&self) -> &Relation {
+        &self.facts
+    }
+
+    /// The vocabulary that names the facts' relation and constants.
+    pub fn vocab(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
+    /// The number of facts.
+    pub fn len(&self) -> usize {
+        self.facts.len()
+    }
+
+    /// Whether there are no facts.
+    pub fn is_empty(&self) -> bool {
+        self.facts.is_empty()
+    }
+
+    /// Every fact rendered ([`render_fact`]), in canonical order.
+    pub fn render(&self) -> Vec<String> {
+        self.facts
+            .iter()
+            .map(|row| render_fact(self.rel, row, &self.vocab))
+            .collect()
+    }
+}
+
+impl std::fmt::Debug for FactRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.render()).finish()
+    }
+}
+
+/// The answer of a `QUERY <texpr>` read: the result knowledgebase, with the
+/// read's own vocabulary handle to name its facts.  Like [`FactRows`], it
+/// is rendered only as the reply is written, and `Debug` prints the
+/// rendered worlds.
+#[derive(Clone)]
+pub struct WorldRows {
+    kb: Knowledgebase,
+    vocab: Vocabulary,
+}
+
+impl WorldRows {
+    pub(crate) fn new(kb: Knowledgebase, vocab: Vocabulary) -> Self {
+        WorldRows { kb, vocab }
+    }
+
+    /// The result knowledgebase.
+    pub fn kb(&self) -> &Knowledgebase {
+        &self.kb
+    }
+
+    /// The vocabulary that names the worlds' relations and constants.
+    pub fn vocab(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
+    /// The number of worlds.
+    pub fn len(&self) -> usize {
+        self.kb.len()
+    }
+
+    /// Whether there are no worlds.
+    pub fn is_empty(&self) -> bool {
+        self.kb.is_empty()
+    }
+
+    /// One entry per world: its facts rendered ([`render_fact`]), in
+    /// canonical order.
+    pub fn render(&self) -> Vec<Vec<String>> {
+        self.kb
+            .iter()
+            .map(|db| {
+                db.iter()
+                    .flat_map(|(rel, facts)| {
+                        facts
+                            .iter()
+                            .map(move |row| render_fact(rel, row, &self.vocab))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+impl std::fmt::Debug for WorldRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.render()).finish()
+    }
+}
+
 /// The response to one command (see [`Service::execute`]);
 /// [`crate::net::proto::write_response`] turns it into text.
 #[derive(Clone, Debug)]
@@ -263,12 +381,13 @@ pub enum Response {
         /// Durability of the commit (see [`Response::Committed::durable`]).
         durable: Option<bool>,
     },
-    /// A `QUERY <texpr>` result: the rendered worlds.
+    /// A `QUERY <texpr>` result: the resulting worlds.
     Worlds {
         /// The epoch the query evaluated against.
         epoch: EpochId,
-        /// One entry per world: the rendered facts, in canonical order.
-        worlds: Vec<Vec<String>>,
+        /// The result knowledgebase, one data line per world; its facts
+        /// are rendered only as the reply is written.
+        worlds: WorldRows,
     },
     /// A `QUERY CERTAIN/POSSIBLE` result.
     Facts {
@@ -278,8 +397,9 @@ pub enum Response {
         kind: &'static str,
         /// The queried relation's surface name.
         relation: String,
-        /// The rendered facts, in canonical order.
-        facts: Vec<String>,
+        /// The answer relation, one data line per fact in canonical order;
+        /// the facts are rendered only as the reply is written.
+        facts: FactRows,
         /// How a *bound* goal was answered (`"magic"`, `"tabled"` or
         /// `"materialize"`); `None` for the bare all-facts form.
         strategy: Option<&'static str>,
@@ -1185,7 +1305,7 @@ mod tests {
             Response::Facts { kind, facts, .. } => {
                 assert_eq!(kind, "certain");
                 assert_eq!(facts.len(), 6);
-                assert!(facts.contains(&"path(1, 4)".to_string()));
+                assert!(facts.render().contains(&"path(1, 4)".to_string()));
             }
             other => panic!("expected Facts, got {other:?}"),
         }
@@ -1304,7 +1424,7 @@ mod tests {
         // a fresh relation and a fresh constant in a hypothetical update
         match s.execute("QUERY tau[fresh('n')]; project[fresh]").unwrap() {
             Response::Worlds { worlds, .. } => {
-                assert_eq!(worlds, vec![vec!["fresh('n')".to_string()]]);
+                assert_eq!(worlds.render(), [["fresh('n')"]]);
             }
             other => panic!("expected Worlds, got {other:?}"),
         }
@@ -1366,7 +1486,7 @@ mod tests {
         s.execute("ASSERT flight('Toronto', 'Ottawa')").unwrap();
         match s.execute("QUERY POSSIBLE flight").unwrap() {
             Response::Facts { facts, .. } => {
-                assert_eq!(facts, vec!["flight('Toronto', 'Ottawa')".to_string()]);
+                assert_eq!(facts.render(), ["flight('Toronto', 'Ottawa')"]);
             }
             other => panic!("expected Facts, got {other:?}"),
         }
@@ -1479,7 +1599,7 @@ mod tests {
         assert_eq!(responses.len(), 2);
         match &responses[1] {
             Response::Facts { facts, .. } => {
-                assert_eq!(facts, &["note('line one\nline two')".to_string()]);
+                assert_eq!(facts.render(), ["note('line one\nline two')"]);
             }
             other => panic!("expected Facts, got {other:?}"),
         }
