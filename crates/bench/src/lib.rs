@@ -3,8 +3,9 @@
 //! The targets under `benches/` time one layer's kernels in process with
 //! plain `std::time` — `closure_kernels` (the engine under
 //! `closure_scan`'s closures), `commit_kernels` (`commit_stream`'s commit
-//! cycle) and `sat_kernels` (`update_sat`'s non-Horn reads) — for a
-//! before/after on one machine; they print and assert nothing.
+//! cycle), `sat_kernels` (`update_sat`'s non-Horn reads) and
+//! `read_kernels` (`abox_read`'s stored reads) — for a before/after on one
+//! machine; they print and assert nothing.
 //! `metrics_overhead` is the exception: it fails unless the observability
 //! layer stays within its paired 5 % budget.  The serving stack's
 //! performance is measured end to end by `bench/stackbench`

@@ -77,10 +77,10 @@
 //!    relation's tuple range and any other plan a single task.  Otherwise
 //!    — at width 1, or in a round too small for the fan-out to pay — every
 //!    plan is one whole-plan task and the round runs at width 1;
-//! 2. the tasks go through one `ThreadPool::map`, which runs them inline
-//!    at width 1 and over the `kbt-par` pool above it; every task derives
-//!    into **private** bags with private [`EngineStats`] counters — tasks
-//!    share nothing mutable;
+//! 2. the tasks go through one [`kbt_par::map`], which runs them inline
+//!    at width 1 and on scoped helper threads above it, every one joined
+//!    before the call returns; every task derives into **private** bags
+//!    with private [`EngineStats`] counters — tasks share nothing mutable;
 //! 3. the bags are merged **in task order** (rule index first, chunk
 //!    offset second), each relation's pending rows are sorted and
 //!    deduplicated once, and the per-task counters are summed.
@@ -100,7 +100,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{ControlFlow, Range};
 
 use kbt_data::{Const, Database, RelId, Relation};
-use kbt_par::ThreadPool;
 
 use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
@@ -511,9 +510,10 @@ fn run_task<S>(
 /// task derives into one relation, its rule's head, so it asks `keep` for
 /// that relation's filter once, up front, and collects into one bag.
 ///
-/// The round's tasks go through one `ThreadPool::map` at every width (inline
-/// at width 1); private per-task buffers are merged in task order, so the
-/// result and the counters added to `stats` are identical at every width.
+/// The round's tasks go through one [`kbt_par::map`] at every width (inline
+/// at width 1, above it on helper threads that end with the call); private
+/// per-task buffers are merged in task order, so the result and the
+/// counters added to `stats` are identical at every width.
 pub(crate) fn run_round_with<K, F>(
     plans: &[(&PlannedRule, &JoinPlan)],
     storage: &IndexStorage,
@@ -529,7 +529,7 @@ where
     let metrics = crate::metrics::metrics();
     let join_span = metrics.join_ns.span();
     let (tasks, width) = round_tasks(plans, storage, deltas, width);
-    let results = ThreadPool::global().map(width, &tasks, |_, task| {
+    let results = kbt_par::map(width, &tasks, |_, task| {
         let head = &task.rule.head;
         let (mut keep, mut bag) = (keep(head.rel), RowBag::new(head.terms.len()));
         let mut local = EngineStats::default();

@@ -1,14 +1,14 @@
 //! The fan-out of a fixpoint round, pinned by count.
 //!
 //! A round whose driving scans clear the engine's threshold is split into
-//! chunk tasks and handed to the `kbt-par` pool at widths above 1; losing
-//! that fan-out costs `closure_scan` about 11 % of its read latency and
-//! changes no byte of any result, so no differential would notice.  This
-//! test does: it counts the pool's `map` calls (`kbt_par_scopes_total`)
-//! around one braid closure at width 1 and at width 2.  The count depends
-//! only on the driving-tuple counts of the rounds, so it is exact on any
-//! machine.  It is a binary of its own because the counters are
-//! process-global.
+//! chunk tasks and handed to `kbt_par::map`, which runs them on scoped
+//! helper threads at widths above 1; losing that fan-out costs
+//! `closure_scan` about 11 % of its read latency and changes no byte of
+//! any result, so no differential would notice.  This test does: it
+//! counts the fanned-out `map` calls (`kbt_par_scopes_total`) around one
+//! braid closure at width 1 and at width 2.  The count depends only on
+//! the driving-tuple counts of the rounds, so it is exact on any machine.
+//! It is a binary of its own because the counters are process-global.
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
 use kbt_engine::evaluate;

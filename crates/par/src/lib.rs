@@ -11,28 +11,30 @@
 //!
 //! ## Design
 //!
-//! * **Pool** — [`ThreadPool`] owns helper threads that sleep on a condvar
-//!   until a `map` is installed.  [`ThreadPool::global`] is the process-wide
-//!   instance the engine uses; it grows its helpers on demand so an
-//!   explicit `threads = 4` request is honoured even when
+//! * **The one `map`** — [`map`]`(width, items, f)` runs `f` on the
+//!   calling thread plus at most `width - 1` helpers spawned inside
+//!   [`std::thread::scope`], each claiming the next unclaimed item by one
+//!   atomic increment.  The scope lets `f` borrow from the caller's stack
+//!   and joins every helper before `map` returns, so no helper outlives
+//!   the `map` that spawned it, and the borrow checker, not a hand-kept
+//!   protocol, proves it.  A `width` of 1 or a single item runs inline and
+//!   spawns nothing.  Helpers are named `kbt-par-N`; one the OS refuses
+//!   to start is done without, as its items go to the threads that did
+//!   start.  An explicit `threads = 4` is honoured even when
 //!   `available_parallelism` reports fewer cores (the OS timeslices — the
 //!   callers' *determinism* never depends on the physical core count).
-//! * **The one `map`** — [`ThreadPool::map`]`(width, items, f)` runs `f`
-//!   on the calling thread plus at most `width - 1` helpers, each claiming
-//!   the next unclaimed item by one atomic increment, and may borrow from
-//!   the caller's stack, because it does not return until every helper has
-//!   left.  A `width` of 1 or a single item runs inline and never touches
-//!   the pool.  The pool serves one `map` at a time; one that finds it held
-//!   runs caller-only and is counted (`kbt_par_contended_scopes_total`).
-//! * **Panic propagation** — an item that panics does not tear down the
-//!   pool: the first payload is captured, the remaining items still run,
-//!   and the payload is re-raised on the calling thread once every helper
-//!   has left.
+//! * **One fan-out at a time** — a process-wide mutex, taken by
+//!   `try_lock`, admits one `map` with helpers out; one that finds it held
+//!   runs caller-only and is counted (`kbt_par_contended_scopes_total`),
+//!   so the process never runs more than 64 helpers.
+//! * **Panic propagation** — the thread whose item panics stops, the
+//!   others finish the items, and the first payload is re-raised on the
+//!   calling thread once every helper has been joined.
 //!
 //! ## Determinism contract
 //!
 //! `map` returns its results **in item order**, whichever thread computed
-//! which.  That is all the pool guarantees, and all the engine needs: it
+//! which.  That is all `map` guarantees, and all the engine needs: it
 //! builds byte-identical fixpoints on top by giving every task a *private*
 //! derivation buffer and merging the buffers in stable task order — thread
 //! interleaving can then never reach the output.  See `kbt_engine::eval`
@@ -42,13 +44,14 @@
 //!
 //! [`default_threads`] is the process-wide default width: the
 //! `KBT_THREADS` environment variable when set, otherwise
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`].  Nothing is sized from it up
+//! front: each [`map`] spawns the helpers its own `width` asks for.
 
+mod map;
 pub mod metrics;
-mod pool;
 
+pub use map::map;
 pub use metrics::{metrics, ParMetrics};
-pub use pool::ThreadPool;
 
 use std::sync::OnceLock;
 

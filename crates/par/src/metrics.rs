@@ -1,6 +1,6 @@
-//! Pool metrics on the process-wide [`kbt_obs::Registry`].
+//! Fan-out metrics on the process-wide [`kbt_obs::Registry`].
 //!
-//! Counters only — the pool adds no spans of its own (scope latency is
+//! Counters only — [`crate::map`] adds no spans of its own (its latency is
 //! visible through the engine's round histograms).  Counting is one
 //! relaxed `fetch_add` per event and never influences scheduling, so the
 //! callers' determinism contract is untouched.
@@ -9,18 +9,19 @@ use std::sync::OnceLock;
 
 use kbt_obs::{Counter, Registry};
 
-/// Handles onto the pool's series in [`Registry::global`].
+/// Handles onto the crate's series in [`Registry::global`].  Their HELP
+/// text still says "pool", after the persistent pool these series first
+/// counted; the names, the text and when they count are unchanged.
 pub struct ParMetrics {
-    /// `kbt_par_scopes_total` — scopes opened on the shared pool: one per
-    /// [`crate::ThreadPool::map`] that fans out (width above 1, more than
-    /// one item).
+    /// `kbt_par_scopes_total` — one per [`crate::map`] that wants helpers
+    /// (width above 1, more than one item), whether or not it gets them.
     pub scopes_total: Counter,
-    /// `kbt_par_contended_scopes_total` — scopes that wanted helpers while
-    /// another `map` held the pool and therefore ran caller-only.
+    /// `kbt_par_contended_scopes_total` — `map`s that wanted helpers while
+    /// another `map` had its helpers out, and therefore ran caller-only.
     pub contended_scopes_total: Counter,
 }
 
-/// The pool's metric handles, registered once per process.  Call eagerly
+/// The crate's metric handles, registered once per process.  Call eagerly
 /// (e.g. at service startup) to make the series visible to scrapes before
 /// any parallel work has run.
 pub fn metrics() -> &'static ParMetrics {

@@ -460,8 +460,12 @@
 //!   `tau[φ]; project[K]` reads pushed down by one demand rewrite.
 //! * `kbt_datalog_demand_rewrite_ns` (histogram): latency of one demand
 //!   rewrite.
-//! * `kbt_par_scopes_total` (counter): pool scopes entered.
-//! * `kbt_par_contended_scopes_total` (counter): scopes that waited.
+//! * `kbt_par_scopes_total` (counter): engine rounds that asked for
+//!   helper threads (a `kbt_par::map` wider than 1 over more than one
+//!   task).
+//! * `kbt_par_contended_scopes_total` (counter): of those, the ones that
+//!   ran caller-only, with no helpers, because another round had its
+//!   helpers out.
 //! * `kbt_solver_solves_total` (counter): SAT searches run — one per
 //!   satisfiability call, and per minimal model a minimal-model
 //!   enumeration looks for (each search lands on a minimal model).
