@@ -40,9 +40,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
-use kbt_datalog::{lower_program, DlAtom, Program, Rule};
-use kbt_engine::{evaluate, ir, metrics};
+use kbt_engine::{evaluate, metrics, Program};
 use kbt_logic::builder::var;
+use kbt_logic::{Atom, Rule};
 
 const EDGE: u32 = 1;
 const REACH: u32 = 2;
@@ -82,19 +82,18 @@ fn braid() -> Database {
 /// The closure of `edge` joined on `second` — `edge` for the linear
 /// closure, `reach` for the non-linear one — and the nodes it leads back
 /// to.
-fn closure(second: u32) -> ir::Program {
-    let edge = |a, b| DlAtom::new(r(EDGE), vec![var(a), var(b)]);
-    let reach = |a, b| DlAtom::new(r(REACH), vec![var(a), var(b)]);
-    let program = Program::new(vec![
+fn closure(second: u32) -> Program {
+    let edge = |a, b| Atom::new(r(EDGE), vec![var(a), var(b)]);
+    let reach = |a, b| Atom::new(r(REACH), vec![var(a), var(b)]);
+    Program::new(vec![
         Rule::new(reach(0, 1), vec![edge(0, 1)]),
         Rule::new(
             reach(0, 2),
-            vec![reach(0, 1), DlAtom::new(r(second), vec![var(1), var(2)])],
+            vec![reach(0, 1), Atom::new(r(second), vec![var(1), var(2)])],
         ),
-        Rule::new(DlAtom::new(r(ONCYCLE), vec![var(0)]), vec![reach(0, 0)]),
+        Rule::new(Atom::new(r(ONCYCLE), vec![var(0)]), vec![reach(0, 0)]),
     ])
-    .expect("a positive program");
-    lower_program(&program, None).expect("a safe program lowers")
+    .expect("a safe program")
 }
 
 /// The round stages' summed wall time in ns: join, sort, commit.
@@ -108,7 +107,7 @@ fn stages() -> [u64; 3] {
 }
 
 /// Times one closure at widths 1 and 2 and prints its split.
-fn kernels(filter: Option<&str>, name: &str, program: &ir::Program, edb: &Database) {
+fn kernels(filter: Option<&str>, name: &str, program: &Program, edb: &Database) {
     let keep = [r(ONCYCLE)];
     let (_, stats) = evaluate(program, edb, 1, None, Some(&keep)).unwrap();
     println!(

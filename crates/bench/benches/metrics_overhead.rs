@@ -9,7 +9,10 @@
 //! frequency scaling hit both sides equally, and the gated number is the
 //! median over the rounds of each round's own ratio — a ratio of two
 //! timings taken on the same machine a millisecond apart, so the bound
-//! does not depend on how fast the machine is.
+//! does not depend on how fast the machine is.  Each comparison prints its
+//! lower and upper quartile beside the median, so a run over the budget
+//! shows whether the rounds spread across it (noise) or sit above it (a
+//! level).
 //!
 //! * `QUERY CERTAIN edge` with spans enabled ÷ disabled;
 //! * a hypothetical transitive closure — the read that runs the engine's
@@ -43,7 +46,8 @@ use kbt_service::{Service, ServiceConfig};
 /// Chain length of the seeded graph.
 const EDGES: u32 = 100;
 
-/// Paired rounds per comparison (each round times both variants).
+/// Paired rounds per comparison (each round times both variants); a
+/// multiple of 4, so the quartiles fall between two rounds.
 const ROUNDS: usize = 20;
 
 /// Calls per sample, and samples, of each primitive's timing.
@@ -95,10 +99,23 @@ fn primitive(name: &str, mut f: impl FnMut()) {
     );
 }
 
+/// The lower quartile, the median and the upper quartile of a
+/// comparison's per-round ratios: the gate reads the median, and the
+/// spread beside it shows whether a red run is noise or a level.
+#[derive(Clone, Copy, Debug)]
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
 /// Interleaved paired sampling: every round times `plain` and
 /// `instrumented` back to back, swapping which goes first between rounds.
-/// Returns the median of the per-round ratios instrumented ÷ plain.
-fn paired_ratio(plain: &mut impl FnMut() -> f64, instrumented: &mut impl FnMut() -> f64) -> f64 {
+/// Returns the quartiles of the per-round ratios instrumented ÷ plain.
+fn paired_ratio(
+    plain: &mut impl FnMut() -> f64,
+    instrumented: &mut impl FnMut() -> f64,
+) -> Quartiles {
     let mut ratios: Vec<f64> = (0..ROUNDS)
         .map(|round| {
             let (p, i) = if round % 2 == 0 {
@@ -112,8 +129,16 @@ fn paired_ratio(plain: &mut impl FnMut() -> f64, instrumented: &mut impl FnMut()
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    let mid = ratios.len() / 2;
-    (ratios[mid - 1] + ratios[mid]) / 2.0
+    // the k-th quartile of the ROUNDS (a multiple of 4) sorted ratios
+    let at = |k: usize| {
+        let i = k * ratios.len() / 4;
+        (ratios[i - 1] + ratios[i]) / 2.0
+    };
+    Quartiles {
+        q1: at(1),
+        median: at(2),
+        q3: at(3),
+    }
 }
 
 /// Serves `command` as a session does: executes it and writes the reply
@@ -126,7 +151,7 @@ fn serve(service: &Service, command: &str, wire: &mut Vec<u8>) {
 }
 
 /// Spans enabled ÷ disabled on `iters` executions of `command`.
-fn spans_ratio(service: &Service, command: &str, iters: u32) -> f64 {
+fn spans_ratio(service: &Service, command: &str, iters: u32) -> Quartiles {
     let run = |enabled: bool, wire: &mut Vec<u8>| {
         set_enabled(service, enabled);
         sample(iters, &mut || serve(service, command, wire))
@@ -157,9 +182,9 @@ fn main() {
             }),
         ),
     ];
-    for (name, ratio) in &comparisons {
+    for (name, Quartiles { q1, median, q3 }) in &comparisons {
         println!(
-            "{:<60} median paired ratio: {ratio:.3}",
+            "{:<60} median paired ratio: {median:.3}  (quartiles {q1:.3} .. {q3:.3})",
             format!("metrics_overhead/{name}")
         );
     }
@@ -176,7 +201,7 @@ fn main() {
 
     let over: Vec<_> = comparisons
         .iter()
-        .filter(|(_, ratio)| *ratio > BUDGET)
+        .filter(|(_, ratio)| ratio.median > BUDGET)
         .collect();
     assert!(
         over.is_empty(),

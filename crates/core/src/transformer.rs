@@ -179,7 +179,7 @@ impl Transformer {
     /// `view`'s namer renders relation identifiers in rule and plan text).
     ///
     /// Under a **profiling** view every Datalog-fast-path insertion step
-    /// records one [`kbt_datalog::RuleProfile`] per lowered rule per group
+    /// records one [`kbt_datalog::RuleProfile`] per rule per group
     /// of worlds (see the module docs).  The resulting knowledgebase and
     /// the statistics are [`Self::apply`]'s.
     ///
@@ -740,7 +740,7 @@ mod tests {
         let profiles = view.rows;
         assert_eq!(profiled.kb, plain.kb);
         assert_eq!(profiled.stats, plain.stats);
-        assert_eq!(profiles.len(), 2, "one profile per lowered TC rule");
+        assert_eq!(profiles.len(), 2, "one profile per TC rule");
         assert!(profiles[0].rule.contains("path"));
         assert!(profiles.iter().any(|p| p.rounds > 1), "TC must iterate");
         let probes: usize = profiles.iter().map(|p| p.probes).sum();

@@ -18,8 +18,10 @@ use std::collections::BTreeSet;
 
 use kbt_data::{Const, Database, RelId, Relation, Schema, Tuple};
 use kbt_datalog::{
-    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, EvalStats, IncrementalEval, View,
+    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, EvalStats, IncrementalEval,
+    Program, View,
 };
+use kbt_engine::EngineError;
 use kbt_logic::{horn_clauses, Sentence};
 
 use crate::error::CoreError;
@@ -30,18 +32,25 @@ use crate::Result;
 /// Whether the Datalog fast path applies to `φ` and `db`: the sentence is a
 /// conjunction of range-restricted Horn clauses, and every head relation is
 /// absent from `σ(db)`.
+///
+/// A program with a relation wider than the engine's
+/// [`MAX_ARITY`](kbt_engine::MAX_ARITY) still takes this path, so that
+/// evaluation refuses it with the engine's error instead of handing the
+/// sentence to grounding.
 pub fn applicable(phi: &Sentence, db: &Database) -> bool {
-    let Some(clauses) = horn_clauses(phi) else {
+    let Some(rules) = horn_clauses(phi) else {
         return false;
     };
-    if clauses
+    if rules
         .iter()
-        .any(|c| db.relation(c.head_relation()).is_some())
+        .any(|rule| db.relation(rule.head.rel).is_some())
     {
         return false;
     }
-    // range-restriction (safety) is re-checked by Program construction
-    kbt_datalog::program_from_horn(&clauses).is_ok()
+    matches!(
+        Program::new(rules),
+        Ok(_) | Err(EngineError::ArityTooLarge { .. })
+    )
 }
 
 /// Computes `µ(φ, db)` for a Horn sentence defining fresh relations,

@@ -26,9 +26,9 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use kbt_data::RelId;
-use kbt_logic::{Term, Var};
+use kbt_logic::{Atom, Rule, Term, Var};
 
-use crate::ast::{DlAtom, Program, Rule};
+use crate::Program;
 
 /// A binding pattern over the argument positions of one predicate:
 /// `true` = bound, `false` = free.  Displays as the classical `bf…` string.
@@ -103,7 +103,7 @@ pub struct AdornedPred {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdornedAtom {
     /// The original atom.
-    pub atom: DlAtom,
+    pub atom: Atom,
     /// The adornment under which an intensional subgoal is called.
     pub call: Option<Adornment>,
 }
@@ -193,7 +193,7 @@ fn adorn_rule(rule: &Rule, pred: &AdornedPred, idb: &BTreeSet<RelId>) -> Adorned
                 .collect(),
         )
     };
-    let mut pending: Vec<&DlAtom> = rule.body.iter().collect();
+    let mut pending: Vec<&Atom> = rule.body.iter().collect();
     let mut body = Vec::with_capacity(rule.body.len());
     while !pending.is_empty() {
         // the most bound positions wins; `max_by_key` keeps the last of
@@ -221,7 +221,6 @@ fn adorn_rule(rule: &Rule, pred: &AdornedPred, idb: &BTreeSet<RelId>) -> Adorned
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::DlAtom;
     use kbt_logic::builder::{cst, var};
 
     fn r(i: u32) -> RelId {
@@ -236,8 +235,8 @@ mod tests {
     }
 
     fn tc_program() -> Program {
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let path = |a, b| DlAtom::new(r(2), vec![a, b]);
+        let edge = |a, b| Atom::new(r(1), vec![a, b]);
+        let path = |a, b| Atom::new(r(2), vec![a, b]);
         Program::new(vec![
             Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
@@ -281,11 +280,11 @@ mod tests {
         // path(x, z) :- path(x, y), path(y, z) under path^fb: textually
         // path(x, y) would be called all free; bound-first calls path(y, z)
         // first, and path(x, y) is then bound too
-        let path = |a, b| DlAtom::new(r(2), vec![a, b]);
+        let path = |a, b| Atom::new(r(2), vec![a, b]);
         let prog = Program::new(vec![
             Rule::new(
                 path(var(1), var(2)),
-                vec![DlAtom::new(r(1), vec![var(1), var(2)])],
+                vec![Atom::new(r(1), vec![var(1), var(2)])],
             ),
             Rule::new(
                 path(var(1), var(3)),
@@ -307,9 +306,9 @@ mod tests {
     fn free_patterns_propagate_bindings_sideways() {
         // q(x, y) :- e(x, z), p(z, y): under q^ff the call to p is p^bf,
         // because z flows in sideways from e.
-        let e = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let p = |a, b| DlAtom::new(r(2), vec![a, b]);
-        let q = |a, b| DlAtom::new(r(3), vec![a, b]);
+        let e = |a, b| Atom::new(r(1), vec![a, b]);
+        let p = |a, b| Atom::new(r(2), vec![a, b]);
+        let q = |a, b| Atom::new(r(3), vec![a, b]);
         let prog = Program::new(vec![
             Rule::new(p(var(1), var(2)), vec![e(var(1), var(2))]),
             Rule::new(

@@ -3,8 +3,8 @@
 //! Inserting a Datalog program into an extensional database produces the
 //! program's unique least fixpoint (the remark before the contributions list
 //! in Section 1, made precise by Theorem 4.8).  [`semi_naive_eval_viewed`]
-//! computes it by lowering the program to the `kbt-engine` IR and running
-//! the engine's one evaluator — delta-aware
+//! computes it by handing the program to the engine's one evaluator —
+//! delta-aware
 //! semi-naive rounds over hash-indexed storage — optionally observed
 //! through a [`View`] (`EXPLAIN` / `PROFILE`); [`semi_naive_eval_threads`]
 //! and [`semi_naive_eval`] are that same call with nothing recorded.
@@ -16,9 +16,7 @@
 use kbt_data::{Database, RelId};
 use kbt_engine::View;
 
-use crate::ast::Program;
-use crate::lower::lower_program;
-use crate::Result;
+use crate::{Program, Result};
 
 /// Statistics reported by the evaluators: the engine's own counters
 /// ([`kbt_engine::EngineStats`]), under the name `kbt-core`'s update
@@ -55,11 +53,10 @@ pub fn semi_naive_eval_threads(
 
 /// [`semi_naive_eval_threads`] observed through `view` (see
 /// [`kbt_engine::profile`]): a profiling view yields the identical
-/// fixpoint and statistics plus one [`kbt_engine::RuleProfile`] per lowered
-/// rule; a plan-only view yields the same rows with the join plans only
-/// and evaluates nothing (the returned database is `edb` with the
-/// program's relations declared).  Under a view the lowering attaches each
-/// rule's source text, rendered through the view's namer.  `keep` restricts
+/// fixpoint and statistics plus one [`kbt_engine::RuleProfile`] per rule,
+/// its text rendered through the view's namer; a plan-only view yields the
+/// same rows with the join plans only and evaluates nothing (the returned
+/// database is `edb` with the program's relations declared).  `keep` restricts
 /// the returned database to the kept relations (see [`kbt_engine::evaluate`]).
 pub fn semi_naive_eval_viewed(
     program: &Program,
@@ -68,12 +65,11 @@ pub fn semi_naive_eval_viewed(
     view: Option<&mut View<'_>>,
     keep: Option<&[RelId]>,
 ) -> Result<(Database, EvalStats)> {
-    let lowered = lower_program(program, view.as_ref().map(|v| v.namer))?;
-    Ok(kbt_engine::evaluate(&lowered, edb, threads, view, keep)?)
+    Ok(kbt_engine::evaluate(program, edb, threads, view, keep)?)
 }
 
 /// A persistent incremental evaluation of one Datalog program: the
-/// AST-level face of [`kbt_engine::IncrementalSession`].
+/// [`kbt_engine::IncrementalSession`] behind it, with this crate's errors.
 ///
 /// Built once from a program and an extensional database (paying one full
 /// fixpoint), it then accepts fact deltas and keeps the engine's indexed
@@ -87,7 +83,7 @@ pub struct IncrementalEval {
 }
 
 impl IncrementalEval {
-    /// Lowers `program`, then evaluates it over `edb` to seed the session
+    /// Evaluates `program` over `edb` to seed the session
     /// (at the process-default evaluation width).
     pub fn new(program: &Program, edb: &Database) -> Result<Self> {
         IncrementalEval::with_threads(program, edb, 0)
@@ -97,20 +93,18 @@ impl IncrementalEval {
     /// default, `1` = every round on the calling thread).  Fixpoints and
     /// statistics are identical at every width.
     pub fn with_threads(program: &Program, edb: &Database, threads: usize) -> Result<Self> {
-        let lowered = lower_program(program, None)?;
         Ok(IncrementalEval {
-            session: kbt_engine::IncrementalSession::with_threads(&lowered, edb, threads)?,
+            session: kbt_engine::IncrementalSession::with_threads(program, edb, threads)?,
         })
     }
 
-    /// Lowers `program` and adopts `fixpoint` as the session's state
+    /// Adopts `fixpoint` as the session's state for `program`
     /// without evaluating it: `fixpoint` must be the least fixpoint of
     /// `program` over its relations other than the program's heads (see
     /// [`kbt_engine::IncrementalSession::from_fixpoint`]).
     pub fn from_fixpoint(program: &Program, fixpoint: &Database, threads: usize) -> Result<Self> {
-        let lowered = lower_program(program, None)?;
         Ok(IncrementalEval {
-            session: kbt_engine::IncrementalSession::from_fixpoint(&lowered, fixpoint, threads)?,
+            session: kbt_engine::IncrementalSession::from_fixpoint(program, fixpoint, threads)?,
         })
     }
 
@@ -175,18 +169,18 @@ pub fn idb_only(program: &Program, fixpoint: &Database) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{DlAtom, Rule};
     use crate::reference::{reference_naive_eval, reference_semi_naive_eval};
     use kbt_data::{DatabaseBuilder, RelId};
     use kbt_logic::builder::{cst, var};
+    use kbt_logic::{Atom, Rule};
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
     }
 
     fn tc_program() -> Program {
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let path = |a, b| DlAtom::new(r(2), vec![a, b]);
+        let edge = |a, b| Atom::new(r(1), vec![a, b]);
+        let path = |a, b| Atom::new(r(2), vec![a, b]);
         Program::new(vec![
             Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(
@@ -235,10 +229,10 @@ mod tests {
         // p(x) :- edge(1, x).   q(7).
         let p = Program::new(vec![
             Rule::new(
-                DlAtom::new(r(3), vec![var(1)]),
-                vec![DlAtom::new(r(1), vec![cst(1), var(1)])],
+                Atom::new(r(3), vec![var(1)]),
+                vec![Atom::new(r(1), vec![cst(1), var(1)])],
             ),
-            Rule::fact(DlAtom::new(r(4), vec![cst(7)])),
+            Rule::fact(Atom::new(r(4), vec![cst(7)])),
         ])
         .unwrap();
         let edb = chain_db(4);

@@ -1,38 +1,21 @@
 //! Conversion from first-order Horn sentences to Datalog programs.
 //!
 //! Theorem 4.8 considers transformations whose sentences are conjunctions of
-//! function-free Horn clauses.  `kbt-logic::horn` recognises that shape; this
-//! module turns the recognised clauses into an executable [`Program`].
+//! function-free Horn clauses.  `kbt-logic::horn` recognises that shape and
+//! returns its clauses as rules; this module checks them into a [`Program`].
 
-use kbt_logic::{horn_clauses, HornClause, Sentence};
+use kbt_logic::{horn_clauses, Sentence};
 
-use crate::ast::{DlAtom, Program, Rule};
 use crate::error::DatalogError;
-use crate::Result;
-
-/// Converts already-extracted Horn clauses into a program.
-pub fn program_from_horn(clauses: &[HornClause]) -> Result<Program> {
-    let rules: Vec<Rule> = clauses
-        .iter()
-        .map(|c| {
-            Rule::new(
-                DlAtom::new(c.head.0, c.head.1.clone()),
-                c.body
-                    .iter()
-                    .map(|(rel, terms)| DlAtom::new(*rel, terms.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    Program::new(rules)
-}
+use crate::{Program, Result};
 
 /// Converts a sentence into a Datalog program, if the sentence is a
 /// conjunction of function-free Horn clauses; fails with
-/// [`DatalogError::NotHorn`] otherwise.
+/// [`DatalogError::NotHorn`] otherwise, and with [`Program::new`]'s refusal
+/// when the clauses do not make a program.
 pub fn program_from_sentence(sentence: &Sentence) -> Result<Program> {
-    let clauses = horn_clauses(sentence).ok_or(DatalogError::NotHorn)?;
-    program_from_horn(&clauses)
+    let rules = horn_clauses(sentence).ok_or(DatalogError::NotHorn)?;
+    Ok(Program::new(rules)?)
 }
 
 #[cfg(test)]

@@ -31,11 +31,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, RelId};
-use kbt_logic::{Term, Var};
+use kbt_logic::{Atom, Rule, Term, Var};
 
 use crate::adorn::{adorn_program, AdornedPred, AdornedProgram, Adornment};
-use crate::ast::{DlAtom, Program, Rule};
-use crate::Result;
+use crate::{Program, Result};
 
 /// Rendering metadata for one predicate invented by the rewrite.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -231,21 +230,21 @@ fn rewrite(
     }
 
     // Renames an intensional subgoal to its answer predicate.
-    let rename = |atom: &DlAtom, call: &Option<Adornment>| -> DlAtom {
+    let rename = |atom: &Atom, call: &Option<Adornment>| -> Atom {
         match call {
             Some(a) if !a.is_all_free() => {
                 let pred = AdornedPred {
                     rel: atom.rel,
                     adornment: a.clone(),
                 };
-                DlAtom::new(ids[&pred].0, atom.terms.clone())
+                Atom::new(ids[&pred].0, atom.terms.clone())
             }
             _ => atom.clone(),
         }
     };
     // The magic guard for a bound adorned head/subgoal: the atom's terms at
     // the adornment's bound positions.
-    let magic_atom = |atom: &DlAtom, adornment: &Adornment, magic_rel: RelId| -> DlAtom {
+    let magic_atom = |atom: &Atom, adornment: &Adornment, magic_rel: RelId| -> Atom {
         let bound_terms: Vec<Term> = atom
             .terms
             .iter()
@@ -253,7 +252,7 @@ fn rewrite(
             .filter(|(i, _)| adornment.is_bound(*i))
             .map(|(_, t)| *t)
             .collect();
-        DlAtom::new(magic_rel, bound_terms)
+        Atom::new(magic_rel, bound_terms)
     };
 
     let mut rules: Vec<Rule> = Vec::new();
@@ -266,9 +265,9 @@ fn rewrite(
         if let Some((ans, magic)) = ids.get(pred) {
             let arity = pred.adornment.len();
             let fresh: Vec<Term> = (0..arity).map(|i| Term::Var(Var::new(i as u32))).collect();
-            let head = DlAtom::new(*ans, fresh.clone());
+            let head = Atom::new(*ans, fresh.clone());
             let guard = magic_atom(&head, &pred.adornment, *magic);
-            rules.push(Rule::new(head, vec![guard, DlAtom::new(pred.rel, fresh)]));
+            rules.push(Rule::new(head, vec![guard, Atom::new(pred.rel, fresh)]));
         }
     }
 
@@ -276,7 +275,7 @@ fn rewrite(
         // Guarded adorned rule.
         let head_ids = ids.get(&ar.head);
         let head = match head_ids {
-            Some((ans, _)) => DlAtom::new(*ans, ar.rule.head.terms.clone()),
+            Some((ans, _)) => Atom::new(*ans, ar.rule.head.terms.clone()),
             None => ar.rule.head.clone(),
         };
         let mut body = Vec::with_capacity(ar.body.len() + 1);
@@ -357,8 +356,8 @@ mod tests {
     }
 
     fn tc_program() -> Program {
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let path = |a, b| DlAtom::new(r(2), vec![a, b]);
+        let edge = |a, b| Atom::new(r(1), vec![a, b]);
+        let path = |a, b| Atom::new(r(2), vec![a, b]);
         Program::new(vec![
             Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(

@@ -9,11 +9,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, Database, Tuple};
-use kbt_logic::{Term, Var};
+use kbt_logic::{Atom, Rule, Term, Var};
 
-use crate::ast::{DlAtom, Program, Rule};
 use crate::eval::EvalStats;
-use crate::Result;
+use crate::{Program, Result};
 
 type Subst = BTreeMap<Var, Const>;
 
@@ -188,7 +187,7 @@ fn search(
 /// Extends `subst` so that `atom` matches the row; records newly bound
 /// variables in `bound`.  Returns `false` (and leaves `subst` extended with
 /// whatever was bound so far — caller unbinds) on mismatch.
-fn unify(atom: &DlAtom, row: &[Const], subst: &mut Subst, bound: &mut Vec<Var>) -> bool {
+fn unify(atom: &Atom, row: &[Const], subst: &mut Subst, bound: &mut Vec<Var>) -> bool {
     if atom.arity() != row.len() {
         return false;
     }
@@ -215,7 +214,7 @@ fn unify(atom: &DlAtom, row: &[Const], subst: &mut Subst, bound: &mut Vec<Var>) 
     true
 }
 
-fn instantiate(atom: &DlAtom, subst: &Subst) -> Option<Tuple> {
+fn instantiate(atom: &Atom, subst: &Subst) -> Option<Tuple> {
     let mut values = Vec::with_capacity(atom.arity());
     for term in &atom.terms {
         match term {
@@ -237,8 +236,8 @@ mod tests {
     }
 
     fn tc_program() -> Program {
-        let edge = |a, b| DlAtom::new(r(1), vec![a, b]);
-        let path = |a, b| DlAtom::new(r(2), vec![a, b]);
+        let edge = |a, b| Atom::new(r(1), vec![a, b]);
+        let path = |a, b| Atom::new(r(2), vec![a, b]);
         Program::new(vec![
             Rule::new(path(var(1), var(2)), vec![edge(var(1), var(2))]),
             Rule::new(

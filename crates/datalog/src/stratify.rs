@@ -1,7 +1,6 @@
 //! Stratification, which positive Datalog makes trivial.
 
-use crate::ast::Program;
-use crate::Result;
+use crate::{Program, Result};
 
 /// Splits `program` into strata.  A rule body is a list of atoms, so a
 /// non-empty program is its one stratum and an empty program has none.
@@ -19,9 +18,9 @@ pub fn stratify(program: &Program) -> Result<Vec<Program>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{DlAtom, Rule};
     use kbt_data::RelId;
     use kbt_logic::builder::var;
+    use kbt_logic::{Atom, Rule};
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
@@ -31,14 +30,14 @@ mod tests {
     fn a_program_is_its_one_stratum() {
         let p = Program::new(vec![
             Rule::new(
-                DlAtom::new(r(2), vec![var(1), var(2)]),
-                vec![DlAtom::new(r(1), vec![var(1), var(2)])],
+                Atom::new(r(2), vec![var(1), var(2)]),
+                vec![Atom::new(r(1), vec![var(1), var(2)])],
             ),
             Rule::new(
-                DlAtom::new(r(2), vec![var(1), var(3)]),
+                Atom::new(r(2), vec![var(1), var(3)]),
                 vec![
-                    DlAtom::new(r(2), vec![var(1), var(2)]),
-                    DlAtom::new(r(1), vec![var(2), var(3)]),
+                    Atom::new(r(2), vec![var(1), var(2)]),
+                    Atom::new(r(1), vec![var(2), var(3)]),
                 ],
             ),
         ])

@@ -2,7 +2,7 @@
 //! storage, sequential or parallel, optionally observed through a
 //! [`View`].
 //!
-//! The caller supplies one positive program (`kbt-datalog` lowers it), which
+//! The caller supplies one positive [`Program`] of `kbt-logic` rules, which
 //! is planned once and run to its least fixpoint.
 //!
 //! ## Row-slice evaluation
@@ -103,9 +103,9 @@ use kbt_data::{Const, Database, RelId, Relation};
 
 use crate::fx::{key_is_exact, KeyAcc};
 use crate::index::IndexedRelation;
-use crate::ir::{Program, Term};
-use crate::plan::{JoinPlan, PlannedRule, Schedule, Source, Step};
+use crate::plan::{Arg, JoinPlan, PlannedRule, Schedule, Source, Step};
 use crate::profile::{RoundObserver, View};
+use crate::program::Program;
 use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::Result;
@@ -128,7 +128,7 @@ use crate::Result;
 /// `threads` is the evaluation width: `0` uses the process default
 /// ([`kbt_par::default_threads`] — the `KBT_THREADS` environment variable,
 /// else the machine's available parallelism), `1` is the exact sequential
-/// path, anything larger fans the rounds out over the `kbt-par` pool;
+/// path, anything larger fans the rounds out through `kbt_par::map`;
 /// results and statistics are identical at every width.  `view` selects
 /// what is recorded on the way (see
 /// [`crate::profile`]): `None` records nothing; a profiling view gets one
@@ -152,7 +152,7 @@ pub fn evaluate(
     let _eval_span = runs.then(|| metrics.eval_ns.span());
     let mut storage = {
         let _load_span = runs.then(|| metrics.load_ns.span());
-        IndexStorage::load(edb, program.relation_arities())?
+        IndexStorage::load(edb, program.schema().iter())?
     };
     let (_, stats) = eval_program(
         program,
@@ -185,12 +185,12 @@ pub(crate) fn eval_program(
     eligible: fn(&Program) -> BTreeSet<RelId>,
 ) -> (Vec<PlannedRule>, EngineStats) {
     let mut stats = EngineStats::default();
-    if program.rules.is_empty() {
+    if program.is_empty() {
         return (Vec::new(), stats);
     }
     let runs = view.as_ref().is_none_or(|v| v.runs());
     let planned = plan_program(program, storage, runs, eligible);
-    let mut observer = view.map(|v| v.observe(&planned));
+    let mut observer = view.map(|v| v.observe(program, &planned));
     if runs {
         run_to_fixpoint(&planned, storage, &mut stats, width, observer.as_mut());
     }
@@ -211,7 +211,7 @@ pub(crate) fn plan_program(
 ) -> Vec<PlannedRule> {
     let _load_span = demanded.then(|| crate::metrics::metrics().load_ns.span());
     let (sizes, eligible) = (relation_sizes(program, storage), eligible(program));
-    let planned: Vec<PlannedRule> = (program.rules.iter())
+    let planned: Vec<PlannedRule> = (program.rules().iter())
         .map(|rule| PlannedRule::plan_sized(rule, &eligible, &sizes))
         .collect();
     if demanded {
@@ -223,10 +223,8 @@ pub(crate) fn plan_program(
 /// The cardinalities of the relations `program` names, as stored right now:
 /// what the planner breaks greedy ties with.
 pub(crate) fn relation_sizes(program: &Program, storage: &IndexStorage) -> BTreeMap<RelId, usize> {
-    program
-        .relation_arities()
-        .keys()
-        .map(|&rel| (rel, storage.relation_len(rel)))
+    (program.schema().relations())
+        .map(|rel| (rel, storage.relation_len(rel)))
         .collect()
 }
 
@@ -474,7 +472,7 @@ impl Scratch {
     fn for_rule(rule: &PlannedRule) -> Self {
         Scratch {
             regs: vec![Const::new(0); rule.slots],
-            head: Vec::with_capacity(rule.head.terms.len()),
+            head: Vec::with_capacity(rule.head_args.len()),
         }
     }
 }
@@ -530,8 +528,8 @@ where
     let join_span = metrics.join_ns.span();
     let (tasks, width) = round_tasks(plans, storage, deltas, width);
     let results = kbt_par::map(width, &tasks, |_, task| {
-        let head = &task.rule.head;
-        let (mut keep, mut bag) = (keep(head.rel), RowBag::new(head.terms.len()));
+        let rule = task.rule;
+        let (mut keep, mut bag) = (keep(rule.head), RowBag::new(rule.head_args.len()));
         let mut local = EngineStats::default();
         run_task(task, storage, deltas, &mut local, &mut |row: &[Const]| {
             if keep(row) {
@@ -549,7 +547,7 @@ where
         if bag.count == 0 {
             continue;
         }
-        match pending.entry(task.rule.head.rel) {
+        match pending.entry(task.rule.head) {
             Entry::Vacant(v) => {
                 v.insert(bag);
             }
@@ -686,10 +684,10 @@ pub(crate) fn derives(
 }
 
 #[inline]
-fn resolve(term: Term, regs: &[Const]) -> Const {
-    match term {
-        Term::Const(c) => c,
-        Term::Slot(s) => regs[s],
+fn resolve(arg: Arg, regs: &[Const]) -> Const {
+    match arg {
+        Arg::Const(c) => c,
+        Arg::Slot(s) => regs[s],
     }
 }
 
@@ -709,7 +707,7 @@ fn unify(row: &[Const], schedule: &Schedule, regs: &mut [Const]) -> bool {
 /// the verification pass behind hashed (> 2 column) probe keys, whose
 /// buckets may contain false positives.
 #[inline]
-fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Const]) -> bool {
+fn bound_cols_match(row: &[Const], mask: u32, key: &[Arg], regs: &[Const]) -> bool {
     let mut m = mask;
     let mut k = 0;
     while m != 0 {
@@ -727,7 +725,7 @@ fn bound_cols_match(row: &[Const], mask: u32, key: &[Term], regs: &[Const]) -> b
 /// one membership-bucket probe, no tuple materialisation.  The terms cover
 /// every column in ascending order, so the accumulated key is exactly the
 /// stored row key.
-fn member_holds(relation: &IndexedRelation, terms: &[Term], regs: &[Const]) -> bool {
+fn member_holds(relation: &IndexedRelation, terms: &[Arg], regs: &[Const]) -> bool {
     debug_assert_eq!(terms.len(), relation.arity());
     let mut acc = KeyAcc::new(terms.len());
     for &t in terms {
@@ -763,7 +761,7 @@ where
     else {
         let Scratch { regs, head } = scratch;
         head.clear();
-        head.extend(rule.head.terms.iter().map(|&t| resolve(t, regs)));
+        head.extend(rule.head_args.iter().map(|&t| resolve(t, regs)));
         return sink(head);
     };
     match (step, input) {
@@ -816,34 +814,33 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Atom, Rule};
     use kbt_data::{tuple, DatabaseBuilder};
+    use kbt_logic::{Atom, Rule, Term, Var};
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
     }
 
-    fn s(i: usize) -> Term {
-        Term::Slot(i)
+    fn x(i: u32) -> Term {
+        Term::Var(Var::new(i))
     }
 
     /// path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).
     fn tc_program() -> Program {
         Program::new(vec![
             Rule::new(
-                Atom::new(r(2), vec![s(0), s(1)]),
-                vec![Atom::new(r(1), vec![s(0), s(1)])],
-            )
-            .unwrap(),
+                Atom::new(r(2), vec![x(0), x(1)]),
+                vec![Atom::new(r(1), vec![x(0), x(1)])],
+            ),
             Rule::new(
-                Atom::new(r(2), vec![s(0), s(2)]),
+                Atom::new(r(2), vec![x(0), x(2)]),
                 vec![
-                    Atom::new(r(2), vec![s(0), s(1)]),
-                    Atom::new(r(1), vec![s(1), s(2)]),
+                    Atom::new(r(2), vec![x(0), x(1)]),
+                    Atom::new(r(1), vec![x(1), x(2)]),
                 ],
-            )
-            .unwrap(),
+            ),
         ])
+        .unwrap()
     }
 
     fn eval(program: &Program, edb: &Database, threads: usize) -> (Database, EngineStats) {
@@ -873,12 +870,12 @@ mod tests {
         // p(x) :- edge(1, x).   q(7).
         let program = Program::new(vec![
             Rule::new(
-                Atom::new(r(3), vec![s(0)]),
-                vec![Atom::new(r(1), vec![Term::Const(Const::new(1)), s(0)])],
-            )
-            .unwrap(),
-            Rule::new(Atom::new(r(4), vec![Term::Const(Const::new(7))]), vec![]).unwrap(),
-        ]);
+                Atom::new(r(3), vec![x(0)]),
+                vec![Atom::new(r(1), vec![Term::Const(Const::new(1)), x(0)])],
+            ),
+            Rule::fact(Atom::new(r(4), vec![Term::Const(Const::new(7))])),
+        ])
+        .unwrap();
         let edb = chain_db(4);
         let (fix, _) = eval(&program, &edb, 0);
         assert!(fix.holds(r(3), &tuple![2]));
@@ -890,10 +887,10 @@ mod tests {
     fn repeated_variables_within_an_atom() {
         // loops(x) :- edge(x, x).
         let program = Program::new(vec![Rule::new(
-            Atom::new(r(3), vec![s(0)]),
-            vec![Atom::new(r(1), vec![s(0), s(0)])],
-        )
-        .unwrap()]);
+            Atom::new(r(3), vec![x(0)]),
+            vec![Atom::new(r(1), vec![x(0), x(0)])],
+        )])
+        .unwrap();
         let mut b = DatabaseBuilder::new().relation(r(1), 2);
         b = b
             .fact(r(1), [1u32, 2])
@@ -912,14 +909,14 @@ mod tests {
     fn wide_relations_join_through_hashed_keys() {
         // w(a,b,c,d) :- e3(a,b,c), f(c,d), g3(a,b,d).
         let program = Program::new(vec![Rule::new(
-            Atom::new(r(5), vec![s(0), s(1), s(2), s(3)]),
+            Atom::new(r(5), vec![x(0), x(1), x(2), x(3)]),
             vec![
-                Atom::new(r(1), vec![s(0), s(1), s(2)]),
-                Atom::new(r(2), vec![s(2), s(3)]),
-                Atom::new(r(3), vec![s(0), s(1), s(3)]),
+                Atom::new(r(1), vec![x(0), x(1), x(2)]),
+                Atom::new(r(2), vec![x(2), x(3)]),
+                Atom::new(r(3), vec![x(0), x(1), x(3)]),
             ],
-        )
-        .unwrap()]);
+        )])
+        .unwrap();
         let edb = DatabaseBuilder::new()
             .fact(r(1), [1u32, 2, 3])
             .fact(r(1), [4u32, 5, 6])
@@ -981,19 +978,17 @@ mod tests {
     fn triangle_rule() -> Rule {
         let e = |a, b| Atom::new(r(1), vec![a, b]);
         Rule::new(
-            Atom::new(r(3), vec![s(0), s(1), s(2)]),
-            vec![e(s(0), s(1)), e(s(1), s(2)), e(s(2), s(0))],
+            Atom::new(r(3), vec![x(0), x(1), x(2)]),
+            vec![e(x(0), x(1)), e(x(1), x(2)), e(x(2), x(0))],
         )
-        .unwrap()
     }
 
     #[test]
     fn plan_only_views_build_no_index_and_no_membership_table() {
-        let mut program = tc_program();
-        program.rules.push(triangle_rule());
+        let program = Program::new([tc_program().rules(), &[triangle_rule()]].concat()).unwrap();
         let edb = chain_db(6);
         let namer = |rel: RelId| rel.to_string();
-        let load = || IndexStorage::load(&edb, program.relation_arities()).unwrap();
+        let load = || IndexStorage::load(&edb, program.schema().iter()).unwrap();
 
         let mut storage = load();
         let mut planned_only = View::explain(&namer);
@@ -1076,10 +1071,10 @@ mod tests {
     fn cross_product_rules_still_work() {
         // pair(x,y) :- a(x), b(y) — no shared variables, pure product.
         let program = Program::new(vec![Rule::new(
-            Atom::new(r(3), vec![s(0), s(1)]),
-            vec![Atom::new(r(1), vec![s(0)]), Atom::new(r(2), vec![s(1)])],
-        )
-        .unwrap()]);
+            Atom::new(r(3), vec![x(0), x(1)]),
+            vec![Atom::new(r(1), vec![x(0)]), Atom::new(r(2), vec![x(1)])],
+        )])
+        .unwrap();
         let edb = DatabaseBuilder::new()
             .fact(r(1), [1u32])
             .fact(r(1), [2u32])

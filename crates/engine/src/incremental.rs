@@ -54,8 +54,8 @@ use crate::eval::{
     run_round_with, Bags, Deltas, RowBag,
 };
 use crate::index::IndexedRelation;
-use crate::ir::Program;
 use crate::plan::{JoinPlan, PlannedRule};
+use crate::program::Program;
 use crate::stats::EngineStats;
 use crate::storage::IndexStorage;
 use crate::{EngineError, Result};
@@ -316,7 +316,7 @@ impl IncrementalSession {
         // everything added so far.
         if self.rederive.is_empty() && self.idb.iter().any(|h| over.contains_key(h)) {
             let sizes = relation_sizes(&self.program, &self.storage);
-            self.rederive = (self.program.rules.iter())
+            self.rederive = (self.program.rules().iter())
                 .map(|rule| JoinPlan::head_bound(rule, &sizes))
                 .collect();
             demand(
@@ -333,7 +333,7 @@ impl IncrementalSession {
                     continue; // restored by an earlier rederivation
                 }
                 let derivable = (self.rules.iter().zip(&self.rederive))
-                    .filter(|(rule, _)| rule.head.rel == *rel)
+                    .filter(|(rule, _)| rule.head == *rel)
                     .any(|(rule, plan)| derives(rule, plan, fact, &self.storage, &mut stats));
                 if derivable {
                     self.storage.insert_row(*rel, fact);
@@ -414,7 +414,7 @@ impl IncrementalSession {
 fn load(program: &Program, edb: &Database) -> Result<IndexStorage> {
     let _load_span = crate::metrics::metrics().load_ns.span();
     let mut storage = IndexStorage::from_database(edb);
-    for (rel, arity) in program.relation_arities() {
+    for (rel, arity) in program.schema().iter() {
         storage.ensure_relation(rel, arity)?;
     }
     Ok(storage)
@@ -425,7 +425,7 @@ fn load(program: &Program, edb: &Database) -> Result<IndexStorage> {
 /// relation the bodies read.
 fn delta_eligible(program: &Program) -> BTreeSet<RelId> {
     let mut eligible = program.idb_relations();
-    for rule in &program.rules {
+    for rule in program.rules() {
         eligible.extend(rule.body.iter().map(|atom| atom.rel));
     }
     eligible
@@ -453,34 +453,33 @@ fn set_insert(sets: &mut FactSets, rel: RelId, row: &[Const]) -> bool {
 mod tests {
     use super::*;
     use crate::eval::evaluate;
-    use crate::ir::{Atom, Rule, Term};
     use kbt_data::{tuple, DatabaseBuilder};
+    use kbt_logic::{Atom, Rule, Term, Var};
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
     }
 
-    fn s(i: usize) -> Term {
-        Term::Slot(i)
+    fn x(i: u32) -> Term {
+        Term::Var(Var::new(i))
     }
 
     /// path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).
     fn tc_program() -> Program {
         Program::new(vec![
             Rule::new(
-                Atom::new(r(2), vec![s(0), s(1)]),
-                vec![Atom::new(r(1), vec![s(0), s(1)])],
-            )
-            .unwrap(),
+                Atom::new(r(2), vec![x(0), x(1)]),
+                vec![Atom::new(r(1), vec![x(0), x(1)])],
+            ),
             Rule::new(
-                Atom::new(r(2), vec![s(0), s(2)]),
+                Atom::new(r(2), vec![x(0), x(2)]),
                 vec![
-                    Atom::new(r(2), vec![s(0), s(1)]),
-                    Atom::new(r(1), vec![s(1), s(2)]),
+                    Atom::new(r(2), vec![x(0), x(1)]),
+                    Atom::new(r(1), vec![x(1), x(2)]),
                 ],
-            )
-            .unwrap(),
+            ),
         ])
+        .unwrap()
     }
 
     fn chain_db(n: u32) -> Database {
@@ -642,7 +641,7 @@ mod tests {
 
     #[test]
     fn a_program_with_no_rules_runs_no_round() {
-        // `τ_true` lowers to no rules: neither evaluation counts a round
+        // `τ_true` has no rules: neither evaluation counts a round
         let (empty, edb) = (Program::default(), chain_db(4));
         let (fix, stats) = evaluate(&empty, &edb, 1, None, None).unwrap();
         assert_eq!((fix, stats), (edb.clone(), EngineStats::default()));
@@ -821,15 +820,14 @@ mod tests {
         // `Member` step demands it.
         let rule = |other: u32| {
             Rule::new(
-                Atom::new(r(9), vec![s(0), s(1)]),
+                Atom::new(r(9), vec![x(0), x(1)]),
                 vec![
-                    Atom::new(r(1), vec![s(0), s(1)]),
-                    Atom::new(r(other), vec![s(0)]),
+                    Atom::new(r(1), vec![x(0), x(1)]),
+                    Atom::new(r(other), vec![x(0)]),
                 ],
             )
-            .unwrap()
         };
-        let program = Program::new(vec![rule(2), rule(3)]);
+        let program = Program::new(vec![rule(2), rule(3)]).unwrap();
         let mut b = DatabaseBuilder::new()
             .fact(r(1), [1u32, 5])
             .fact(r(1), [2u32, 6]);
@@ -852,10 +850,8 @@ mod tests {
     #[test]
     fn program_facts_survive_unrelated_deletions() {
         // q(7). plus TC; deleting an edge must not disturb the fact rule.
-        let mut program = tc_program();
-        program
-            .rules
-            .push(Rule::new(Atom::new(r(4), vec![Term::Const(Const::new(7))]), vec![]).unwrap());
+        let fact = Rule::fact(Atom::new(r(4), vec![Term::Const(Const::new(7))]));
+        let program = Program::new([tc_program().rules(), &[fact]].concat()).unwrap();
         let mut edb = chain_db(4);
         let mut session = IncrementalSession::new(&program, &edb).unwrap();
 

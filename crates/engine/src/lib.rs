@@ -56,21 +56,26 @@
 //!
 //! Rounds can run **in parallel**: a width above 1 (see [`evaluate`]) fans
 //! the independent (rule, plan) derivations of a round — chunked over each
-//! plan's driving scan — out through the vendored `kbt-par` pool's ordered
+//! plan's driving scan — out through `kbt-par`'s ordered
 //! `map`.  Each task derives into a private buffer merged in task order, so
 //! fixpoints *and statistics* are byte-identical at every width; `threads =
 //! 1` runs the same tasks inline on the calling thread.  See the [`eval`]
 //! module docs for the determinism argument.
 //!
-//! The engine has its own minimal rule IR ([`ir`]) with variables resolved
-//! to dense register slots; `kbt-datalog` lowers its AST into it, which keeps
-//! this crate free of any dependency on the surface syntax (and free of
-//! dependency cycles: `kbt-datalog` depends on `kbt-engine`, not the other
-//! way round).
+//! Rules are written one way: `kbt-logic`'s [`kbt_logic::Rule`], a head
+//! atom and body atoms over variables and constants — what
+//! [`kbt_logic::horn_clauses`] extracts from a sentence and what
+//! `kbt-datalog`'s magic rewrite transforms.  [`Program::new`] checks a set
+//! of them once (range restriction, one arity per relation, arity at most
+//! [`MAX_ARITY`]), and a checked [`Program`] is the engine's only rule
+//! input; the planner numbers each rule's variables into register slots
+//! itself, and a slot exists only inside a compiled [`plan::Step`].  The
+//! dependencies run one way: `kbt-datalog` depends on this crate, which
+//! depends on `kbt-logic`.
 //!
-//! The IR is **positive Datalog**: a rule body is a list of atoms, so a
+//! Rules are **positive Datalog**: a rule body is a list of atoms, so a
 //! program is one stratum and [`evaluate`] and [`IncrementalSession`] each
-//! take one [`ir::Program`].  That is the paper's PTIME fragment
+//! take one [`Program`].  That is the paper's PTIME fragment
 //! (Theorem 4.8: conjunctions of Horn clauses, whose bodies are positive),
 //! and every program the product evaluates comes from such a sentence.  A
 //! stratified program is expressed in the transformation language as a
@@ -120,10 +125,10 @@ pub mod eval;
 pub mod fx;
 pub mod incremental;
 pub mod index;
-pub mod ir;
 pub mod metrics;
 pub mod plan;
 pub mod profile;
+pub mod program;
 pub mod stats;
 pub mod storage;
 pub mod table;
@@ -135,6 +140,7 @@ pub use incremental::IncrementalSession;
 pub use index::{IndexedRelation, Mask};
 pub use metrics::{metrics, EngineMetrics};
 pub use profile::{RuleProfile, View};
+pub use program::{Program, MAX_ARITY};
 pub use stats::EngineStats;
 pub use storage::IndexStorage;
 pub use table::SubsumptiveTable;

@@ -22,17 +22,85 @@
 //! *rederivation plan* ([`JoinPlan::head_bound`]): the incremental session
 //! asks it whether one given head fact still has a derivation.
 //!
+//! The planner takes `kbt-logic`'s rules as written and numbers each rule's
+//! variables into register slots: the body atoms' variables in
+//! order of first occurrence, then the head's (none new, since the program
+//! checked range restriction).  A slot is an [`Arg`] of a compiled step,
+//! and nowhere else.
+//!
 //! Because the order is fixed, so is what every step does with its slots:
 //! the planner knows which ones are bound before each atom, and compiles
 //! that knowledge into the step ([`Schedule`]) — the evaluator never asks
 //! at run time whether a slot is bound yet.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use kbt_data::RelId;
+use kbt_data::{Const, RelId};
+use kbt_logic::{Atom, Rule, Term, Var};
 
 use crate::index::Mask;
-use crate::ir::{Atom, Rule, Term};
+
+/// One argument of a compiled step: a register slot or a constant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Arg {
+    /// A register slot (a rule-local variable).
+    Slot(usize),
+    /// A constant.
+    Const(Const),
+}
+
+impl fmt::Display for Arg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Arg::Slot(s) => write!(f, "s{s}"),
+            Arg::Const(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// A rule's variables numbered into register slots: the body atoms'
+/// variables in order of first occurrence, then the head's.  Range
+/// restriction ([`crate::Program::new`]) leaves the head nothing new, so
+/// the body binds every slot.
+struct Slots(Vec<Var>);
+
+impl Slots {
+    /// Numbers `rule`'s variables.
+    fn of(rule: &Rule) -> Self {
+        let mut vars = Vec::new();
+        let terms = (rule.body.iter())
+            .chain(std::iter::once(&rule.head))
+            .flat_map(|atom| &atom.terms);
+        for v in terms.filter_map(|t| t.as_var()) {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        Slots(vars)
+    }
+
+    /// The number of slots.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `term` as a step argument.
+    fn arg(&self, term: Term) -> Arg {
+        match term {
+            Term::Const(c) => Arg::Const(c),
+            Term::Var(v) => Arg::Slot(
+                (self.0.iter().position(|&w| w == v))
+                    .expect("every variable of the rule has a slot"),
+            ),
+        }
+    }
+
+    /// The arguments of `atom`, column by column.
+    fn columns<'a>(&'a self, atom: &'a Atom) -> impl Iterator<Item = (usize, Arg)> + 'a {
+        atom.terms.iter().map(|&t| self.arg(t)).enumerate()
+    }
+}
 
 /// Where a scan step reads its tuples from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,16 +123,16 @@ pub struct Schedule {
     /// `(column, slot)`: the column's value goes into the slot.
     pub binds: Vec<(usize, usize)>,
     /// `(column, term)`: the column must equal the term's value.
-    pub checks: Vec<(usize, Term)>,
+    pub checks: Vec<(usize, Arg)>,
 }
 
 impl Schedule {
     /// The schedule of `columns` with the slots in `bound` already bound.
-    fn of(columns: impl IntoIterator<Item = (usize, Term)>, bound: &[bool]) -> Self {
+    fn of(columns: impl IntoIterator<Item = (usize, Arg)>, bound: &[bool]) -> Self {
         let mut schedule = Schedule::default();
         for (col, term) in columns {
             match term {
-                Term::Slot(s) if !bound[s] && schedule.binds.iter().all(|&(_, b)| b != s) => {
+                Arg::Slot(s) if !bound[s] && schedule.binds.iter().all(|&(_, b)| b != s) => {
                     schedule.binds.push((col, s))
                 }
                 _ => schedule.checks.push((col, term)),
@@ -80,9 +148,9 @@ impl Schedule {
 
     /// The `(column, term)` pairs the schedule was made from, in column
     /// order.
-    pub fn columns(&self) -> Vec<(usize, Term)> {
-        let binds = self.binds.iter().map(|&(col, s)| (col, Term::Slot(s)));
-        let mut cols: Vec<(usize, Term)> = binds.chain(self.checks.iter().copied()).collect();
+    pub fn columns(&self) -> Vec<(usize, Arg)> {
+        let binds = self.binds.iter().map(|&(col, s)| (col, Arg::Slot(s)));
+        let mut cols: Vec<(usize, Arg)> = binds.chain(self.checks.iter().copied()).collect();
         cols.sort_by_key(|&(col, _)| col);
         cols
     }
@@ -113,7 +181,7 @@ pub enum Step {
         /// The binding pattern of the probe.
         mask: Mask,
         /// Key parts in ascending column order (slots are bound).
-        key: Vec<Term>,
+        key: Vec<Arg>,
         /// What each row binds and checks over the unbound columns: every
         /// check there is a slot this same atom repeats, since bound terms
         /// are part of the key.
@@ -124,7 +192,7 @@ pub enum Step {
         /// The checked relation.
         rel: RelId,
         /// The fully bound argument terms.
-        terms: Vec<Term>,
+        terms: Vec<Arg>,
     },
 }
 
@@ -159,8 +227,10 @@ impl JoinPlan {
 /// A rule with its full plan and one delta variant per IDB occurrence.
 #[derive(Clone, Debug)]
 pub struct PlannedRule {
-    /// The head atom (slots are bound by the body plans).
-    pub head: Atom,
+    /// The head relation.
+    pub head: RelId,
+    /// The head's arguments (slots are bound by the body plans).
+    pub head_args: Vec<Arg>,
     /// Number of register slots.
     pub slots: usize,
     /// The plan used by naive rounds and the semi-naive seeding round.
@@ -168,9 +238,6 @@ pub struct PlannedRule {
     /// One variant per body occurrence of an IDB relation, with that
     /// occurrence scanning the delta.
     pub deltas: Vec<(RelId, JoinPlan)>,
-    /// Provenance carried from [`Rule::name`]: the rule's source text in
-    /// the caller's vocabulary, for plans and profiles.
-    pub name: Option<String>,
 }
 
 impl PlannedRule {
@@ -184,18 +251,24 @@ impl PlannedRule {
     /// planning time: ties on bound-position counts are broken towards the
     /// smaller relation (relations absent from `sizes` count as empty).
     pub fn plan_sized(rule: &Rule, idb: &BTreeSet<RelId>, sizes: &BTreeMap<RelId, usize>) -> Self {
-        let unbound = BTreeSet::new();
-        let full = plan_body(rule, &unbound, None, sizes);
+        let slots = Slots::of(rule);
+        let unbound = vec![false; slots.len()];
+        let full = plan_body(rule, &slots, &unbound, None, sizes);
         let deltas = (rule.body.iter().enumerate())
             .filter(|(_, atom)| idb.contains(&atom.rel))
-            .map(|(pos, atom)| (atom.rel, plan_body(rule, &unbound, Some(pos), sizes)))
+            .map(|(pos, atom)| {
+                (
+                    atom.rel,
+                    plan_body(rule, &slots, &unbound, Some(pos), sizes),
+                )
+            })
             .collect();
         PlannedRule {
-            head: rule.head.clone(),
-            slots: rule.slots,
+            head: rule.head.rel,
+            head_args: rule.head.terms.iter().map(|&t| slots.arg(t)).collect(),
+            slots: slots.len(),
             full,
             deltas,
-            name: rule.name.clone(),
         }
     }
 
@@ -207,7 +280,7 @@ impl PlannedRule {
     pub fn render(&self, namer: &dyn Fn(RelId) -> String) -> String {
         let mut out = format!(
             "{} <- {}",
-            render_app(&namer(self.head.rel), &self.head.terms),
+            render_app(&namer(self.head), &self.head_args),
             self.full.render(namer)
         );
         for (rel, plan) in &self.deltas {
@@ -229,9 +302,10 @@ impl PlannedRule {
     }
 }
 
-/// Renders `name(t0, t1, …)` with the ir term syntax (`s0`, constants).
-fn render_app(name: &str, terms: &[Term]) -> String {
-    let args: Vec<String> = terms.iter().map(Term::to_string).collect();
+/// Renders `name(t0, t1, …)` with the step argument syntax (`s0`,
+/// constants).
+fn render_app(name: &str, terms: &[Arg]) -> String {
+    let args: Vec<String> = terms.iter().map(Arg::to_string).collect();
     format!("{name}({})", args.join(", "))
 }
 
@@ -244,13 +318,13 @@ impl JoinPlan {
     /// the full plan scans.  `sizes` breaks greedy ties as in
     /// [`PlannedRule::plan_sized`].
     pub fn head_bound(rule: &Rule, sizes: &BTreeMap<RelId, usize>) -> Self {
-        let entry = Schedule::of(
-            rule.head.terms.iter().copied().enumerate(),
-            &vec![false; rule.slots],
-        );
+        let slots = Slots::of(rule);
+        let mut bound = vec![false; slots.len()];
+        let entry = Schedule::of(slots.columns(&rule.head), &bound);
+        mark_bound(&rule.head, &slots, &mut bound);
         JoinPlan {
             entry,
-            ..plan_body(rule, &rule.head.slots(), None, sizes)
+            ..plan_body(rule, &slots, &bound, None, sizes)
         }
     }
 
@@ -275,7 +349,7 @@ impl JoinPlan {
                         Source::Delta => "#delta",
                         Source::Full => "",
                     };
-                    let terms: Vec<Term> = schedule.columns().into_iter().map(|(_, t)| t).collect();
+                    let terms: Vec<Arg> = schedule.columns().into_iter().map(|(_, t)| t).collect();
                     format!("scan {}{suffix}{}", namer(*rel), render_app("", &terms))
                 }
                 Step::Probe {
@@ -285,7 +359,7 @@ impl JoinPlan {
                     schedule,
                 } => {
                     let width = key.len() + schedule.width();
-                    let keys: Vec<String> = key.iter().map(Term::to_string).collect();
+                    let keys: Vec<String> = key.iter().map(Arg::to_string).collect();
                     format!(
                         "probe {} mask=0b{mask:0width$b} key=({})",
                         namer(*rel),
@@ -302,8 +376,8 @@ impl JoinPlan {
 }
 
 /// Compiles one atom into a step given the currently bound slots.
-fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
-    let columns = || atom.terms.iter().copied().enumerate();
+fn compile_atom(atom: &Atom, slots: &Slots, bound: &[bool], source: Source) -> Step {
+    let columns = || slots.columns(atom);
     if source == Source::Delta {
         // Delta drivers are always scans of the (small) delta relation;
         // constants and already-bound slots are checked per tuple.
@@ -314,12 +388,8 @@ fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
         };
     }
     let mut mask: Mask = 0;
-    for (i, term) in atom.terms.iter().enumerate() {
-        let is_bound = match term {
-            Term::Const(_) => true,
-            Term::Slot(s) => bound[*s],
-        };
-        if is_bound {
+    for (i, arg) in columns() {
+        if is_bound(arg, bound) {
             mask |= 1 << i;
         }
     }
@@ -327,7 +397,7 @@ fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
     if arity > 0 && mask == (Mask::MAX >> (Mask::BITS - arity as u32)) {
         return Step::Member {
             rel: atom.rel,
-            terms: atom.terms.clone(),
+            terms: columns().map(|(_, arg)| arg).collect(),
         };
     }
     if arity == 0 {
@@ -357,41 +427,48 @@ fn compile_atom(atom: &Atom, bound: &[bool], source: Source) -> Step {
     }
 }
 
-/// Number of bound argument positions of `atom` under `bound`.
-fn bound_positions(atom: &Atom, bound: &[bool]) -> usize {
-    atom.terms
-        .iter()
-        .filter(|t| match t {
-            Term::Const(_) => true,
-            Term::Slot(s) => bound[*s],
-        })
-        .count()
-}
-
-fn mark_bound(atom: &Atom, bound: &mut [bool]) {
-    for s in atom.slots() {
-        bound[s] = true;
+/// Whether `arg` has a value before the step that reads it runs.
+fn is_bound(arg: Arg, bound: &[bool]) -> bool {
+    match arg {
+        Arg::Const(_) => true,
+        Arg::Slot(s) => bound[s],
     }
 }
 
-/// Plans the body of `rule`; `entry` names the slots bound before the first
-/// step runs (none, or the head's); `forced_first` names a body position
-/// scanned from the delta and moved to the front; `sizes` supplies the
-/// relation cardinalities used to break greedy ties.
+/// Number of bound argument positions of `atom` under `bound`.
+fn bound_positions(atom: &Atom, slots: &Slots, bound: &[bool]) -> usize {
+    (slots.columns(atom))
+        .filter(|&(_, arg)| is_bound(arg, bound))
+        .count()
+}
+
+fn mark_bound(atom: &Atom, slots: &Slots, bound: &mut [bool]) {
+    for (_, arg) in slots.columns(atom) {
+        if let Arg::Slot(s) = arg {
+            bound[s] = true;
+        }
+    }
+}
+
+/// Plans the body of `rule` over its `slots`; `entry` says which slots are
+/// bound before the first step runs (none, or the head's); `forced_first`
+/// names a body position scanned from the delta and moved to the front;
+/// `sizes` supplies the relation cardinalities used to break greedy ties.
 fn plan_body(
     rule: &Rule,
-    entry: &BTreeSet<usize>,
+    slots: &Slots,
+    entry: &[bool],
     forced_first: Option<usize>,
     sizes: &BTreeMap<RelId, usize>,
 ) -> JoinPlan {
-    let mut bound: Vec<bool> = (0..rule.slots).map(|s| entry.contains(&s)).collect();
+    let mut bound = entry.to_vec();
     let mut steps = Vec::with_capacity(rule.body.len());
     let mut scheduled = vec![false; rule.body.len()];
 
     if let Some(pos) = forced_first {
         let atom = &rule.body[pos];
-        steps.push(compile_atom(atom, &bound, Source::Delta));
-        mark_bound(atom, &mut bound);
+        steps.push(compile_atom(atom, slots, &bound, Source::Delta));
+        mark_bound(atom, slots, &mut bound);
         scheduled[pos] = true;
     }
 
@@ -403,15 +480,15 @@ fn plan_body(
         .filter(|(i, _)| !scheduled[*i])
         .max_by_key(|(i, atom)| {
             (
-                bound_positions(atom, &bound),
+                bound_positions(atom, slots, &bound),
                 std::cmp::Reverse(sizes.get(&atom.rel).copied().unwrap_or(0)),
                 std::cmp::Reverse(atom.arity()),
                 std::cmp::Reverse(*i),
             )
         })
     {
-        steps.push(compile_atom(atom, &bound, Source::Full));
-        mark_bound(atom, &mut bound);
+        steps.push(compile_atom(atom, slots, &bound, Source::Full));
+        mark_bound(atom, slots, &mut bound);
         scheduled[i] = true;
     }
 
@@ -425,27 +502,55 @@ fn plan_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Rule;
-    use kbt_data::Const;
+    use kbt_logic::Var;
 
     fn r(i: u32) -> RelId {
         RelId::new(i)
     }
 
-    fn s(i: usize) -> Term {
-        Term::Slot(i)
+    /// The variable `x_i`: where a body meets its variables in index
+    /// order, `x_i` takes slot `i`.
+    fn x(i: u32) -> Term {
+        Term::Var(Var::new(i))
+    }
+
+    fn s(i: usize) -> Arg {
+        Arg::Slot(i)
+    }
+
+    fn c(i: u32) -> Term {
+        Term::Const(Const::new(i))
     }
 
     /// path(x,z) :- path(x,y), edge(y,z).
     fn tc_recursive_rule() -> Rule {
         Rule::new(
-            Atom::new(r(2), vec![s(0), s(2)]),
+            Atom::new(r(2), vec![x(0), x(2)]),
             vec![
-                Atom::new(r(2), vec![s(0), s(1)]),
-                Atom::new(r(1), vec![s(1), s(2)]),
+                Atom::new(r(2), vec![x(0), x(1)]),
+                Atom::new(r(1), vec![x(1), x(2)]),
             ],
         )
-        .unwrap()
+    }
+
+    #[test]
+    fn variables_become_slots_body_first_in_order_of_first_occurrence() {
+        // path(x7, x3) :- path(x7, x5), edge(x5, x3): x7, x5, x3 are s0, s1, s2
+        let rule = Rule::new(
+            Atom::new(r(2), vec![x(7), x(3)]),
+            vec![
+                Atom::new(r(2), vec![x(7), x(5)]),
+                Atom::new(r(1), vec![x(5), x(3)]),
+            ],
+        );
+        let planned = PlannedRule::plan(&rule, &BTreeSet::new());
+        assert_eq!(planned.slots, 3);
+        assert_eq!(planned.head_args, [s(0), s(2)]);
+        let namer = |rel: RelId| rel.to_string();
+        assert_eq!(
+            planned.render(&namer),
+            "R2(s0, s2) <- scan R2(s0, s1); probe R1 mask=0b01 key=(s1)"
+        );
     }
 
     #[test]
@@ -486,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_render_stably_with_names() {
+    fn plans_render_stably_in_the_callers_vocabulary() {
         let idb = [r(2)].into_iter().collect();
         let planned = PlannedRule::plan(&tc_recursive_rule(), &idb);
         let namer = |rel: RelId| if rel == r(1) { "edge" } else { "path" }.to_string();
@@ -505,10 +610,9 @@ mod tests {
     fn constants_are_bound_positions() {
         // p(x) :- edge(1, x): the constant makes column 0 bound → probe.
         let rule = Rule::new(
-            Atom::new(r(3), vec![s(0)]),
-            vec![Atom::new(r(1), vec![Term::Const(Const::new(1)), s(0)])],
-        )
-        .unwrap();
+            Atom::new(r(3), vec![x(0)]),
+            vec![Atom::new(r(1), vec![c(1), x(0)])],
+        );
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(
             planned.full.steps[0],
@@ -522,10 +626,9 @@ mod tests {
         // membership test, not a scan.
         let e = |a, b| Atom::new(r(1), vec![a, b]);
         let rule = Rule::new(
-            Atom::new(r(2), vec![s(0), s(1), s(2)]),
-            vec![e(s(0), s(1)), e(s(1), s(2)), e(s(2), s(0))],
-        )
-        .unwrap();
+            Atom::new(r(2), vec![x(0), x(1), x(2)]),
+            vec![e(x(0), x(1)), e(x(1), x(2)), e(x(2), x(0))],
+        );
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(planned.full.steps[0], Step::Scan { .. }));
         assert!(matches!(planned.full.steps[1], Step::Probe { .. }));
@@ -565,23 +668,21 @@ mod tests {
 
         // path(x,y) :- edge(x,y): the head determines the whole atom
         let base = Rule::new(
-            Atom::new(r(2), vec![s(0), s(1)]),
-            vec![Atom::new(r(1), vec![s(0), s(1)])],
-        )
-        .unwrap();
+            Atom::new(r(2), vec![x(0), x(1)]),
+            vec![Atom::new(r(1), vec![x(0), x(1)])],
+        );
         let plan = JoinPlan::head_bound(&base, &sizes);
         assert!(matches!(plan.steps[..], [Step::Member { rel, .. }] if rel == r(1)));
 
         // what the probe binds turns the atom the head says nothing about
         // into a check
         let rule = Rule::new(
-            Atom::new(r(4), vec![s(0)]),
+            Atom::new(r(4), vec![x(0)]),
             vec![
-                Atom::new(r(3), vec![s(1)]),
-                Atom::new(r(1), vec![s(0), s(1)]),
+                Atom::new(r(3), vec![x(1)]),
+                Atom::new(r(1), vec![x(0), x(1)]),
             ],
-        )
-        .unwrap();
+        );
         let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
         assert!(matches!(plan.steps[0], Step::Probe { rel, mask: 0b01, .. } if rel == r(1)));
         assert!(matches!(plan.steps[1], Step::Member { rel, .. } if rel == r(3)));
@@ -594,13 +695,12 @@ mod tests {
         // tied — the cardinality tie-break must scan the smaller relation
         // first and probe the bigger one.
         let rule = Rule::new(
-            Atom::new(r(3), vec![s(0), s(1), s(2)]),
+            Atom::new(r(3), vec![x(0), x(1), x(2)]),
             vec![
-                Atom::new(r(1), vec![s(0), s(1)]),
-                Atom::new(r(2), vec![s(1), s(2)]),
+                Atom::new(r(1), vec![x(0), x(1)]),
+                Atom::new(r(2), vec![x(1), x(2)]),
             ],
-        )
-        .unwrap();
+        );
         let sizes: BTreeMap<RelId, usize> = [(r(1), 10_000), (r(2), 3)].into_iter().collect();
         let planned = PlannedRule::plan_sized(&rule, &BTreeSet::new(), &sizes);
         assert!(
@@ -629,10 +729,9 @@ mod tests {
         // oncycle(x) :- reach(x, x): the delta driver binds s0 from column
         // 0 and checks column 1 against it
         let rule = Rule::new(
-            Atom::new(r(3), vec![s(0)]),
-            vec![Atom::new(r(2), vec![s(0), s(0)])],
-        )
-        .unwrap();
+            Atom::new(r(3), vec![x(0)]),
+            vec![Atom::new(r(2), vec![x(0), x(0)])],
+        );
         let planned = PlannedRule::plan(&rule, &[r(2)].into_iter().collect());
         let repeat = Schedule {
             binds: vec![(0, 0)],
@@ -648,15 +747,14 @@ mod tests {
         // w(x) :- e3(x, y, 7), f(x, z, z): e3 is probed on its constant
         // and binds x and y; f is probed on x, binds z and checks the repeat
         let rule = Rule::new(
-            Atom::new(r(4), vec![s(0)]),
+            Atom::new(r(4), vec![x(0)]),
             vec![
-                Atom::new(r(1), vec![s(0), s(1), Term::Const(Const::new(7))]),
-                Atom::new(r(2), vec![s(0), s(2), s(2)]),
+                Atom::new(r(1), vec![x(0), x(1), c(7)]),
+                Atom::new(r(2), vec![x(0), x(2), x(2)]),
             ],
-        )
-        .unwrap();
+        );
         let full = PlannedRule::plan(&rule, &BTreeSet::new()).full;
-        let schedules: Vec<(&[Term], &Schedule)> = (full.steps.iter())
+        let schedules: Vec<(&[Arg], &Schedule)> = (full.steps.iter())
             .filter_map(|step| match step {
                 Step::Probe { key, schedule, .. } => Some((&key[..], schedule)),
                 _ => None,
@@ -673,29 +771,28 @@ mod tests {
         assert_eq!(
             schedules,
             [
-                (&[Term::Const(Const::new(7))][..], &bind_both),
+                (&[Arg::Const(Const::new(7))][..], &bind_both),
                 (&[s(0)][..], &bind_and_check)
             ]
         );
 
         // a head-bound plan of p(x, x, 5) :- q(x) unifies the head on entry
         let rule = Rule::new(
-            Atom::new(r(5), vec![s(0), s(0), Term::Const(Const::new(5))]),
-            vec![Atom::new(r(1), vec![s(0)])],
-        )
-        .unwrap();
+            Atom::new(r(5), vec![x(0), x(0), c(5)]),
+            vec![Atom::new(r(1), vec![x(0)])],
+        );
         let plan = JoinPlan::head_bound(&rule, &BTreeMap::new());
         assert_eq!(plan.entry.binds, vec![(0, 0)]);
         assert_eq!(
             plan.entry.checks,
-            vec![(1, s(0)), (2, Term::Const(Const::new(5)))]
+            vec![(1, s(0)), (2, Arg::Const(Const::new(5)))]
         );
         assert!(matches!(plan.steps[..], [Step::Member { .. }]));
     }
 
     #[test]
     fn zero_ary_atoms_are_membership_checks() {
-        let rule = Rule::new(Atom::new(r(2), vec![]), vec![Atom::new(r(1), vec![])]).unwrap();
+        let rule = Rule::new(Atom::new(r(2), vec![]), vec![Atom::new(r(1), vec![])]);
         let planned = PlannedRule::plan(&rule, &BTreeSet::new());
         assert!(matches!(planned.full.steps[0], Step::Member { .. }));
     }

@@ -35,13 +35,13 @@ use kbt_data::RelId;
 
 use crate::eval::Deltas;
 use crate::plan::PlannedRule;
+use crate::program::Program;
 use crate::stats::EngineStats;
 
 /// One rule's share of a fixpoint evaluation.
 ///
-/// `rule` is the provenance text carried by [`crate::ir::Rule::name`]
-/// (the source `τ_φ` clause, when the lowering attached it) or the head
-/// atom rendered through the namer; `plan` is the stable
+/// `rule` is the rule as written — its `τ_φ` clause — rendered through
+/// the view's namer ([`kbt_logic::Rule::render`]); `plan` is the stable
 /// [`PlannedRule::render`] line.  The counters sum over every round the
 /// rule participated in; `elapsed_ns` is wall-clock and therefore the
 /// only nondeterministic field.
@@ -65,14 +65,10 @@ pub struct RuleProfile {
 }
 
 impl RuleProfile {
-    fn new(rule: &PlannedRule, namer: &dyn Fn(RelId) -> String) -> Self {
-        let fallback = || {
-            let args: Vec<String> = rule.head.terms.iter().map(|t| t.to_string()).collect();
-            format!("{}({})", namer(rule.head.rel), args.join(", "))
-        };
+    fn new(rule: &kbt_logic::Rule, planned: &PlannedRule, namer: &dyn Fn(RelId) -> String) -> Self {
         RuleProfile {
-            rule: rule.name.clone().unwrap_or_else(fallback),
-            plan: rule.render(namer),
+            rule: rule.render(namer),
+            plan: planned.render(namer),
             rounds: 0,
             derived: 0,
             probes: 0,
@@ -131,12 +127,17 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Records one row per planned rule and returns the observer that
-    /// fills them in while the rounds run.
-    pub(crate) fn observe<'s>(&'s mut self, rules: &'s [PlannedRule]) -> RoundObserver<'s> {
+    /// Records one row per rule of `program`, planned as `rules`, and
+    /// returns the observer that fills them in while the rounds run.
+    pub(crate) fn observe<'s>(
+        &'s mut self,
+        program: &Program,
+        rules: &'s [PlannedRule],
+    ) -> RoundObserver<'s> {
         let (first, namer) = (self.rows.len(), self.namer);
+        let rows = (program.rules().iter()).zip(rules);
         self.rows
-            .extend(rules.iter().map(|rule| RuleProfile::new(rule, namer)));
+            .extend(rows.map(|(rule, planned)| RuleProfile::new(rule, planned, namer)));
         RoundObserver {
             rules,
             rows: &mut self.rows[first..],
@@ -210,35 +211,31 @@ impl RoundObserver<'_> {
 mod tests {
     use super::*;
     use crate::evaluate;
-    use crate::ir::{Atom, Program, Rule, Term};
     use kbt_data::{Database, DatabaseBuilder};
+    use kbt_logic::{Atom, Rule, Term, Var};
 
     fn rel(i: u32) -> RelId {
         RelId::new(i)
     }
 
-    fn s(i: usize) -> Term {
-        Term::Slot(i)
+    fn x(i: u32) -> Term {
+        Term::Var(Var::new(i))
     }
 
     /// Transitive closure: path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).
     fn tc_program() -> Program {
         let base = Rule::new(
-            Atom::new(rel(2), vec![s(0), s(1)]),
-            vec![Atom::new(rel(1), vec![s(0), s(1)])],
-        )
-        .unwrap()
-        .with_name("path(x, y) :- edge(x, y)");
+            Atom::new(rel(2), vec![x(0), x(1)]),
+            vec![Atom::new(rel(1), vec![x(0), x(1)])],
+        );
         let step = Rule::new(
-            Atom::new(rel(2), vec![s(0), s(2)]),
+            Atom::new(rel(2), vec![x(0), x(2)]),
             vec![
-                Atom::new(rel(2), vec![s(0), s(1)]),
-                Atom::new(rel(1), vec![s(1), s(2)]),
+                Atom::new(rel(2), vec![x(0), x(1)]),
+                Atom::new(rel(1), vec![x(1), x(2)]),
             ],
-        )
-        .unwrap()
-        .with_name("path(x, z) :- path(x, y), edge(y, z)");
-        Program::new(vec![base, step])
+        );
+        Program::new(vec![base, step]).unwrap()
     }
 
     fn chain_edb(n: u32) -> Database {
@@ -277,12 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn profiles_carry_provenance_and_plans() {
+    fn profiles_carry_the_rule_as_written_and_its_plans() {
         let mut view = View::profile(&namer);
         evaluate(&tc_program(), &chain_edb(4), 1, Some(&mut view), None).unwrap();
         let profiles = &view.rows;
         assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].rule, "path(x, y) :- edge(x, y)");
+        assert_eq!(profiles[0].rule, "path(x0, x1) :- edge(x0, x1).");
         assert!(profiles[0].plan.starts_with("path(s0, s1) <- scan edge"));
         // The base rule runs only in the seeding round (no delta variant
         // on an EDB driver); the recursive rule runs every round.
@@ -299,12 +296,11 @@ mod tests {
         // p(x) :- a(x).  p(x) :- b(x).  with a = {1, 2}, b = {2, 3}
         let copy = |from: u32| {
             Rule::new(
-                Atom::new(rel(3), vec![s(0)]),
-                vec![Atom::new(rel(from), vec![s(0)])],
+                Atom::new(rel(3), vec![x(0)]),
+                vec![Atom::new(rel(from), vec![x(0)])],
             )
-            .unwrap()
         };
-        let program = Program::new(vec![copy(1), copy(2)]);
+        let program = Program::new(vec![copy(1), copy(2)]).unwrap();
         let edb = DatabaseBuilder::new()
             .relation(rel(1), 1)
             .relation(rel(2), 1)

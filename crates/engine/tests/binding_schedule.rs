@@ -8,7 +8,8 @@
 //!   and head-bound plans: every step is its body atom, a key or check
 //!   slot is bound on entry or by an earlier step (or earlier in the same
 //!   atom), no slot is bound twice, and the head's slots are all bound
-//!   once the last step has run;
+//!   once the last step has run — with the slots numbered as the planner
+//!   promises, the body's variables by first occurrence;
 //! * a repeated head slot: asking a head-bound plan about a fact whose two
 //!   columns differ finds no derivation, however the body would bind;
 //! * a repeated body slot, `oncycle(x) :- reach(x, x)` — a check inside a
@@ -18,11 +19,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, Database, DatabaseBuilder, RelId, Tuple};
-use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom};
-use kbt_engine::ir::{Atom, Program, Rule, Term};
-use kbt_engine::plan::{JoinPlan, PlannedRule, Schedule, Step};
-use kbt_engine::{evaluate, IncrementalSession};
+use kbt_datalog::reference_semi_naive_eval;
+use kbt_engine::plan::{Arg, JoinPlan, PlannedRule, Schedule, Step};
+use kbt_engine::{evaluate, IncrementalSession, Program};
 use kbt_logic::builder::var;
+use kbt_logic::{Atom, Rule, Term, Var};
 use proptest::prelude::*;
 
 fn r(i: u32) -> RelId {
@@ -34,16 +35,16 @@ fn arity(i: u32) -> usize {
     i as usize % 3 + 1
 }
 
-/// A term code: slots `0..5`, constants above.
+/// A term code: variables `0..5`, constants above.
 fn term(code: u32) -> Term {
     match code {
-        0..=4 => Term::Slot(code as usize),
+        0..=4 => Term::Var(Var::new(code)),
         c => Term::Const(Const::new(c)),
     }
 }
 
 /// A safe rule from raw draws: each atom is `(relation, term codes)`, and
-/// the head takes its terms from the body's slots (or constants).
+/// the head takes its terms from the body's variables (or constants).
 fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, Vec<u32>)>) -> Rule {
     let atom = |rel: u32, codes: &[u32]| {
         Atom::new(
@@ -56,26 +57,50 @@ fn safe_rule(head: (u32, Vec<u32>), body: Vec<(u32, Vec<u32>)>) -> Rule {
         )
     };
     let body: Vec<Atom> = body.iter().map(|(rel, codes)| atom(*rel, codes)).collect();
-    let bound: Vec<usize> = body
+    let bound: Vec<Var> = body
         .iter()
-        .flat_map(Atom::slots)
+        .flat_map(Atom::variables)
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
     let (head_rel, head_codes) = head;
     let head_terms: Vec<Term> = (head_codes.iter().take(arity(head_rel)))
         .map(|&c| match bound.get(c as usize % 8) {
-            Some(&s) => Term::Slot(s),
+            Some(&v) => Term::Var(v),
             None => Term::Const(Const::new(c)),
         })
         .collect();
-    Rule::new(Atom::new(r(head_rel), head_terms), body).expect("safe by construction")
+    Rule::new(Atom::new(r(head_rel), head_terms), body)
+}
+
+/// An atom over register slots: what a plan's steps stand for.
+type SlotAtom = (RelId, Vec<Arg>);
+
+/// `rule` over register slots, numbered as the planner promises: the
+/// body's variables by first occurrence, then the head's.  Returns the
+/// head, the body and the number of slots.
+fn slotted(rule: &Rule) -> (SlotAtom, Vec<SlotAtom>, usize) {
+    let mut vars: Vec<Var> = Vec::new();
+    let mut atom = |a: &Atom| -> SlotAtom {
+        let args = (a.terms.iter()).map(|t| match *t {
+            Term::Const(c) => Arg::Const(c),
+            Term::Var(v) => Arg::Slot(vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+                vars.push(v);
+                vars.len() - 1
+            })),
+        });
+        (a.rel, args.collect())
+    };
+    let body: Vec<SlotAtom> = rule.body.iter().map(&mut atom).collect();
+    let head = atom(&rule.head);
+    let slots = vars.len();
+    (head, body, slots)
 }
 
 /// The atom a step stands for, rebuilt from its key, its schedule or its
 /// terms.
-fn step_atom(step: &Step) -> Atom {
-    let rebuilt = |rel: RelId, cols: Vec<(usize, Term)>| {
+fn step_atom(step: &Step) -> SlotAtom {
+    let rebuilt = |rel: RelId, cols: Vec<(usize, Arg)>| {
         let mut cols = cols;
         cols.sort_by_key(|&(c, _)| c);
         let columns: Vec<usize> = cols.iter().map(|&(c, _)| c).collect();
@@ -84,7 +109,7 @@ fn step_atom(step: &Step) -> Atom {
             (0..cols.len()).collect::<Vec<_>>(),
             "every column once: {step:?}"
         );
-        Atom::new(rel, cols.into_iter().map(|(_, t)| t).collect::<Vec<_>>())
+        (rel, cols.into_iter().map(|(_, t)| t).collect::<Vec<_>>())
     };
     match step {
         Step::Scan { rel, schedule, .. } => rebuilt(*rel, schedule.columns()),
@@ -95,12 +120,12 @@ fn step_atom(step: &Step) -> Atom {
             schedule,
         } => {
             let key_cols = (0..32).filter(|c| mask >> c & 1 == 1);
-            let mut cols: Vec<(usize, Term)> = key_cols.zip(key.iter().copied()).collect();
+            let mut cols: Vec<(usize, Arg)> = key_cols.zip(key.iter().copied()).collect();
             assert_eq!(cols.len(), key.len(), "one key part per mask bit: {step:?}");
             cols.extend(schedule.columns());
             rebuilt(*rel, cols)
         }
-        Step::Member { rel, terms } => Atom::new(*rel, terms.clone()),
+        Step::Member { rel, terms } => (*rel, terms.clone()),
     }
 }
 
@@ -115,11 +140,12 @@ fn run_schedule(schedule: &Schedule, bound: &mut [bool]) -> Result<(), String> {
     reads(schedule.checks.iter().map(|&(_, t)| t), bound)
 }
 
-fn reads(terms: impl IntoIterator<Item = Term>, bound: &[bool]) -> Result<(), String> {
-    match terms
-        .into_iter()
-        .find_map(|t| t.slot().filter(|&s| !bound[s]))
-    {
+fn reads(args: impl IntoIterator<Item = Arg>, bound: &[bool]) -> Result<(), String> {
+    let unbound = |arg| match arg {
+        Arg::Slot(s) if !bound[s] => Some(s),
+        _ => None,
+    };
+    match args.into_iter().find_map(unbound) {
         Some(s) => Err(format!("s{s} is read before it is bound")),
         None => Ok(()),
     }
@@ -128,17 +154,11 @@ fn reads(terms: impl IntoIterator<Item = Term>, bound: &[bool]) -> Result<(), St
 /// Checks one plan of `rule` against the schedule's invariants.  `entry`
 /// says whether the head is unified on entry (a head-bound plan).
 fn check_plan(rule: &Rule, plan: &JoinPlan, entry: bool) -> Result<(), String> {
-    let mut bound = vec![false; rule.slots];
+    let (head, mut body, slots) = slotted(rule);
+    let mut bound = vec![false; slots];
     if entry {
-        let head = Atom::new(
-            rule.head.rel,
-            plan.entry
-                .columns()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect::<Vec<_>>(),
-        );
-        if head != rule.head {
+        let unified = plan.entry.columns().into_iter().map(|(_, t)| t);
+        if (head.0, unified.collect()) != head {
             return Err(format!(
                 "the entry schedule is not the head: {:?}",
                 plan.entry
@@ -160,10 +180,9 @@ fn check_plan(rule: &Rule, plan: &JoinPlan, entry: bool) -> Result<(), String> {
         .map_err(|e| format!("{step:?}: {e}"))?;
         atoms.push(step_atom(step));
     }
-    reads(rule.head.terms.iter().copied(), &bound).map_err(|e| format!("head: {e}"))?;
-    let mut body = rule.body.clone();
-    body.sort_by_key(Atom::to_string);
-    atoms.sort_by_key(Atom::to_string);
+    reads(head.1.iter().copied(), &bound).map_err(|e| format!("head: {e}"))?;
+    body.sort();
+    atoms.sort();
     if atoms != body {
         return Err(format!("the steps are not the body: {atoms:?}"));
     }
@@ -205,19 +224,17 @@ proptest! {
 fn a_repeated_head_slot_rederives_no_fact_whose_columns_differ() {
     // p(x, y) :- e(x, y).   p(x, x) :- f(x).
     let (e, f, p) = (r(1), r(2), r(3));
-    let s = Term::Slot;
     let program = Program::new(vec![
         Rule::new(
-            Atom::new(p, vec![s(0), s(1)]),
-            vec![Atom::new(e, vec![s(0), s(1)])],
-        )
-        .unwrap(),
+            Atom::new(p, vec![var(0), var(1)]),
+            vec![Atom::new(e, vec![var(0), var(1)])],
+        ),
         Rule::new(
-            Atom::new(p, vec![s(0), s(0)]),
-            vec![Atom::new(f, vec![s(0)])],
-        )
-        .unwrap(),
-    ]);
+            Atom::new(p, vec![var(0), var(0)]),
+            vec![Atom::new(f, vec![var(0)])],
+        ),
+    ])
+    .unwrap();
     // f holds both columns of p(1, 2), so binding s0 from either one and
     // not checking the other would rederive it
     let edb = DatabaseBuilder::new()
@@ -268,24 +285,23 @@ fn on_cycle_matches_the_reference_with_identical_counters_at_every_width() {
     // reach = TC(edge); oncycle(x) :- reach(x, x): the delta driver scans
     // reach#delta(s0, s0), binding s0 from column 0 and checking column 1
     let (edge, reach, oncycle) = (r(1), r(2), r(3));
-    let atom = |rel, a, b| DlAtom::new(rel, vec![var(a), var(b)]);
-    let program = kbt_datalog::Program::new(vec![
-        kbt_datalog::Rule::new(atom(reach, 1, 2), vec![atom(edge, 1, 2)]),
-        kbt_datalog::Rule::new(atom(reach, 1, 3), vec![atom(reach, 1, 2), atom(edge, 2, 3)]),
-        kbt_datalog::Rule::new(DlAtom::new(oncycle, vec![var(1)]), vec![atom(reach, 1, 1)]),
+    let atom = |rel, a, b| Atom::new(rel, vec![var(a), var(b)]);
+    let program = Program::new(vec![
+        Rule::new(atom(reach, 1, 2), vec![atom(edge, 1, 2)]),
+        Rule::new(atom(reach, 1, 3), vec![atom(reach, 1, 2), atom(edge, 2, 3)]),
+        Rule::new(Atom::new(oncycle, vec![var(1)]), vec![atom(reach, 1, 1)]),
     ])
     .unwrap();
-    let lowered = lower_program(&program, None).unwrap();
     let edb = braid(60);
     let (reference, _) = reference_semi_naive_eval(&program, &edb).unwrap();
-    let (fix, stats) = evaluate(&lowered, &edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&program, &edb, 1, None, None).unwrap();
     assert_eq!(fix, reference);
     assert_eq!(
         fix.relation(oncycle).unwrap().len(),
         12 * 6,
         "six nodes on each of twelve cycles"
     );
-    let (wide, wide_stats) = evaluate(&lowered, &edb, 2, None, None).unwrap();
+    let (wide, wide_stats) = evaluate(&program, &edb, 2, None, None).unwrap();
     assert_eq!(wide, reference);
     assert_eq!(wide_stats, stats);
 }

@@ -12,7 +12,9 @@
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
 use kbt_engine::evaluate;
-use kbt_engine::ir::{Atom, Program, Rule, Term};
+use kbt_engine::Program;
+use kbt_logic::builder::var;
+use kbt_logic::{Atom, Rule};
 
 /// `kbt_par_scopes_total` over one width-2 evaluation of the braid closure
 /// below, recorded at the parent of the change that reduced the pool to
@@ -25,22 +27,20 @@ fn r(i: u32) -> RelId {
 
 /// path(x,y) :- edge(x,y).  path(x,z) :- path(x,y), edge(y,z).
 fn tc_program() -> Program {
-    let s = Term::Slot;
     Program::new(vec![
         Rule::new(
-            Atom::new(r(2), vec![s(0), s(1)]),
-            vec![Atom::new(r(1), vec![s(0), s(1)])],
-        )
-        .unwrap(),
+            Atom::new(r(2), vec![var(0), var(1)]),
+            vec![Atom::new(r(1), vec![var(0), var(1)])],
+        ),
         Rule::new(
-            Atom::new(r(2), vec![s(0), s(2)]),
+            Atom::new(r(2), vec![var(0), var(2)]),
             vec![
-                Atom::new(r(2), vec![s(0), s(1)]),
-                Atom::new(r(1), vec![s(1), s(2)]),
+                Atom::new(r(2), vec![var(0), var(1)]),
+                Atom::new(r(1), vec![var(1), var(2)]),
             ],
-        )
-        .unwrap(),
+        ),
     ])
+    .unwrap()
 }
 
 /// `chains` disjoint chains of `len` edges each: the early rounds drive

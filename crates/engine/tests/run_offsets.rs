@@ -15,8 +15,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId};
-use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
-use kbt_engine::{evaluate, ir, metrics, EngineStats};
+use kbt_datalog::{reference_semi_naive_eval, DlAtom, Program, Rule};
+use kbt_engine::{evaluate, metrics, EngineStats};
 use kbt_logic::builder::var;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -53,10 +53,6 @@ fn program() -> Program {
     .unwrap()
 }
 
-fn lowered() -> ir::Program {
-    lower_program(&program(), None).unwrap()
-}
-
 /// Chains of five edges with every other one closed into a cycle, and a
 /// few two-cycles — every node numbered `scale` times its dense number, so
 /// `scale = 1` is dense and a large scale is sparse, with the rows in the
@@ -84,7 +80,7 @@ fn graph(scale: u32) -> Database {
 /// indexes it built.
 fn read(edb: &Database) -> (Database, EngineStats, u64) {
     let before = metrics().index_builds_total.get();
-    let (fix, stats) = evaluate(&lowered(), edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&program(), edb, 1, None, None).unwrap();
     (fix, stats, metrics().index_builds_total.get() - before)
 }
 

@@ -24,8 +24,8 @@
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId, Relation, Tuple};
-use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
-use kbt_engine::{evaluate, ir, metrics, EngineStats, IncrementalSession, IndexedRelation};
+use kbt_datalog::{reference_semi_naive_eval, DlAtom, Program, Rule};
+use kbt_engine::{evaluate, metrics, EngineStats, IncrementalSession, IndexedRelation};
 use kbt_logic::builder::var;
 use proptest::prelude::*;
 
@@ -77,10 +77,6 @@ fn program() -> Program {
     .unwrap()
 }
 
-fn lowered() -> ir::Program {
-    lower_program(&program(), None).unwrap()
-}
-
 /// `chains` chains of six nodes, every third one closed into a cycle,
 /// with one triangle; every node in `node`.
 fn graph(chains: u32) -> Database {
@@ -126,7 +122,7 @@ fn a_second_read_of_the_same_runs_builds_nothing_and_copies_nothing() {
     let _serial = serial();
     let edb = graph(40);
     let before = counters();
-    let (first, first_stats) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
+    let (first, first_stats) = evaluate(&program(), &edb, 1, None, None).unwrap();
     let built = counters().0 - before.0;
     assert_eq!(
         built, 1,
@@ -136,18 +132,18 @@ fn a_second_read_of_the_same_runs_builds_nothing_and_copies_nothing() {
 
     let before = counters();
     for threads in [1, 2] {
-        let (again, stats) = evaluate(&lowered(), &edb, threads, None, None).unwrap();
+        let (again, stats) = evaluate(&program(), &edb, threads, None, None).unwrap();
         assert_eq!(again, first);
         assert_eq!(stats, first_stats);
     }
     // a database that shares the runs (what the next epoch holds for a
     // relation a commit left untouched) is the same runs
-    let (_, stats) = evaluate(&lowered(), &edb.clone(), 1, None, None).unwrap();
+    let (_, stats) = evaluate(&program(), &edb.clone(), 1, None, None).unwrap();
     assert_eq!(stats, first_stats);
     assert_eq!(counters(), before, "nothing built, nothing copied");
 
     // fresh runs pay again, and answer the same
-    let (cold, cold_stats) = evaluate(&lowered(), &fresh(&edb), 1, None, None).unwrap();
+    let (cold, cold_stats) = evaluate(&program(), &fresh(&edb), 1, None, None).unwrap();
     assert_eq!(counters().0 - before.0, built);
     assert_eq!(first, reference(&edb));
     assert_eq!((cold, cold_stats), (first, first_stats));
@@ -159,7 +155,7 @@ fn indexes_live_as_long_as_their_run() {
     let gauge = || metrics().shared_index_bytes.get();
     let edb = fresh(&graph(40));
     let before = gauge();
-    evaluate(&lowered(), &edb, 1, None, None).unwrap();
+    evaluate(&program(), &edb, 1, None, None).unwrap();
     let held = gauge() - before;
     assert!(held > 0, "the runs keep their indexes after the read");
     let copy = edb.clone();
@@ -173,7 +169,7 @@ fn indexes_live_as_long_as_their_run() {
 fn a_run_written_in_place_never_serves_its_old_index() {
     let _serial = serial();
     let mut edb = fresh(&graph(12));
-    let (first, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
+    let (first, _) = evaluate(&program(), &edb, 1, None, None).unwrap();
     assert_eq!(first, reference(&edb));
     drop(first); // the result shared `edge`'s run: `edb` owns it alone now
                  // each write lands in place, on a run whose index was built above or
@@ -181,7 +177,7 @@ fn a_run_written_in_place_never_serves_its_old_index() {
     for (a, b) in [(5u32, 10u32), (15, 20), (20, 23), (33, 30)] {
         let before = counters().0;
         assert!(edb.insert_fact(r(EDGE), Tuple::from([a, b])).unwrap());
-        let (fix, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
+        let (fix, _) = evaluate(&program(), &edb, 1, None, None).unwrap();
         assert_eq!(fix, reference(&edb), "after inserting edge({a}, {b})");
         assert!(
             counters().0 > before,
@@ -189,7 +185,7 @@ fn a_run_written_in_place_never_serves_its_old_index() {
         );
     }
     assert!(edb.remove_fact(r(EDGE), &Tuple::from([7u32, 8])));
-    let (fix, _) = evaluate(&lowered(), &edb, 1, None, None).unwrap();
+    let (fix, _) = evaluate(&program(), &edb, 1, None, None).unwrap();
     assert_eq!(fix, reference(&edb));
 }
 
@@ -198,7 +194,7 @@ fn two_threads_reading_one_run_build_its_indexes_once() {
     let _serial = serial();
     let solo = fresh(&graph(60));
     let before = counters().0;
-    let (expected, expected_stats) = evaluate(&lowered(), &solo, 1, None, None).unwrap();
+    let (expected, expected_stats) = evaluate(&program(), &solo, 1, None, None).unwrap();
     let once = counters().0 - before;
 
     let shared = fresh(&graph(60));
@@ -209,7 +205,7 @@ fn two_threads_reading_one_run_build_its_indexes_once() {
             let (shared, barrier) = (&shared, &barrier);
             scope.spawn(move || {
                 barrier.wait();
-                evaluate(&lowered(), shared, threads, None, None).unwrap()
+                evaluate(&program(), shared, threads, None, None).unwrap()
             })
         };
         let handles = [read(1), read(2)];
@@ -239,7 +235,7 @@ fn edge_facts(edges: &[(u32, u32)]) -> Vec<(RelId, Tuple)> {
 /// Drives a session over shared, warm runs next to one over fresh runs at
 /// each width, checking every step against the reference evaluator.
 fn sessions_agree(edb: &Database, steps: &[Step]) {
-    let program = lowered();
+    let program = program();
     // warm the runs: every index a session demands on them is cached
     drop(IncrementalSession::with_threads(&program, edb, 1).unwrap());
     let before = counters();

@@ -18,8 +18,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use kbt_data::{Database, DatabaseBuilder, RelId, Relation, Tuple};
-use kbt_datalog::{lower_program, reference_semi_naive_eval, DlAtom, Program, Rule};
-use kbt_engine::{evaluate, ir, metrics, EngineStats, IncrementalSession};
+use kbt_datalog::{reference_semi_naive_eval, DlAtom, Program, Rule};
+use kbt_engine::{evaluate, metrics, EngineStats, IncrementalSession};
 use kbt_logic::builder::var;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -53,10 +53,6 @@ fn program() -> Program {
         Rule::new(DlAtom::new(r(LOOP), vec![var(0)]), vec![edge(0, 0)]),
     ])
     .unwrap()
-}
-
-fn lowered() -> ir::Program {
-    lower_program(&program(), None).unwrap()
 }
 
 /// Forty chains of five edges, every fourth closed into a cycle, on fresh
@@ -97,9 +93,9 @@ fn reference(edb: &Database) -> (Database, usize) {
 /// counters (equal at both widths), and the builds of the first.
 fn read(edb: &Database) -> (Database, EngineStats, u64) {
     let before = builds();
-    let (fix, stats) = evaluate(&lowered(), edb, 1, None, None).unwrap();
+    let (fix, stats) = evaluate(&program(), edb, 1, None, None).unwrap();
     let built = builds() - before;
-    let (wide, wide_stats) = evaluate(&lowered(), edb, 2, None, None).unwrap();
+    let (wide, wide_stats) = evaluate(&program(), edb, 2, None, None).unwrap();
     assert_eq!((&wide, wide_stats), (&fix, stats), "width 2 differs");
     (fix, stats, built)
 }
@@ -130,7 +126,7 @@ fn a_session_is_sorted_until_its_first_delta_and_switches_each_tail_once() {
     for stored_heads in [false, true] {
         let edb = graph(stored_heads);
         let mut sessions: Vec<IncrementalSession> = [1, 2]
-            .map(|width| IncrementalSession::with_threads(&lowered(), &edb, width).unwrap())
+            .map(|width| IncrementalSession::with_threads(&program(), &edb, width).unwrap())
             .into();
         assert_eq!(sessions[0].stats(), sessions[1].stats());
         let (expected, derived) = reference(&edb);

@@ -15,7 +15,8 @@
 //! * [`classify`] — syntactic classification: ground / quantifier-free /
 //!   existential / universal-Horn (the PTIME fragments of Theorems 4.7
 //!   and 4.8),
-//! * [`horn`] — extraction of Datalog-style Horn clauses from sentences,
+//! * [`horn`] — Horn clauses as Datalog rules ([`Rule`], the one rule type
+//!   of the workspace) and their extraction from sentences,
 //! * [`nnf`] — negation normal form,
 //! * [`parser`] — a small recursive-descent parser for a readable surface
 //!   syntax.
@@ -40,7 +41,7 @@ pub use error::LogicError;
 pub use eval::{satisfies, satisfies_with_domain, Interpretation};
 pub use formula::Formula;
 pub use ground::{ground_sentence, GroundAtom, GroundFormula};
-pub use horn::{horn_clauses, HornClause};
+pub use horn::{horn_clauses, Atom, Rule};
 pub use parser::parse_formula;
 pub use pretty::render;
 pub use sentence::Sentence;

@@ -554,8 +554,9 @@ pub struct CheckpointManager {
     every: u64,
     /// Commits since the last (triggered) checkpoint.
     commits_since: AtomicU64,
-    /// Epoch of the newest checkpoint known written.
-    last_epoch: AtomicU64,
+    /// Epoch of the newest checkpoint known written: a background write
+    /// records its epoch here only once the file is on disk.
+    last_epoch: Arc<AtomicU64>,
     /// Guard: at most one serialization in flight.
     in_flight: Arc<AtomicBool>,
     /// The current/most recent background writer, joined before the next
@@ -580,7 +581,7 @@ impl CheckpointManager {
             dir,
             every,
             commits_since: AtomicU64::new(0),
-            last_epoch: AtomicU64::new(last_epoch),
+            last_epoch: Arc::new(AtomicU64::new(last_epoch)),
             in_flight: Arc::new(AtomicBool::new(false)),
             worker: Mutex::new(None),
             written_total,
@@ -612,8 +613,12 @@ impl CheckpointManager {
         if self.in_flight.swap(true, Ordering::AcqRel) {
             return false;
         }
+        // The interval restarts now, whatever the write's outcome: a disk
+        // that keeps failing gets one attempt per interval, not one per
+        // commit.
         self.commits_since.store(0, Ordering::Relaxed);
         let dir = self.dir.clone();
+        let last_epoch = self.last_epoch.clone();
         let in_flight = self.in_flight.clone();
         let written_total = self.written_total.clone();
         let write_ns = self.write_ns.clone();
@@ -622,6 +627,7 @@ impl CheckpointManager {
             .spawn(move || {
                 // rendering happens here, off the commit path
                 if write_checkpoint(&dir, epoch, &state, &write_ns).is_ok() {
+                    last_epoch.fetch_max(epoch, Ordering::AcqRel);
                     written_total.inc();
                     prune(&dir);
                 }
@@ -633,9 +639,6 @@ impl CheckpointManager {
                 if let Some(prev) = worker.replace(handle) {
                     let _ = prev.join();
                 }
-                // the epoch is recorded optimistically; a failed write
-                // simply means the next recovery replays a longer tail
-                self.last_epoch.store(epoch, Ordering::Release);
                 true
             }
             Err(_) => {

@@ -398,7 +398,7 @@ impl Service {
     /// The one per-world fold: every world's answers to the resolved goal,
     /// intersected (certain) or united (possible), plus — under a profiling
     /// view — the per-rule rows merged positionally across worlds (the
-    /// worlds all evaluate the same lowered program, so index `i` is the
+    /// worlds all evaluate the same program, so index `i` is the
     /// same rule everywhere).
     fn fold_worlds(
         &self,
@@ -523,7 +523,7 @@ fn filter_equal(rel: &Relation, groups: &[Vec<usize>]) -> Relation {
 }
 
 /// Assembles the goal-directed rulebase from a snapshot's transform
-/// registry: every `tau[…]` step whose sentence lowers to safe Horn rules
+/// registry: every `tau[…]` step whose sentence is a program of Horn rules
 /// contributes them.  Steps that are not Horn (disjunctive updates, say)
 /// simply contribute nothing — the goal planner only ever speaks for the
 /// Datalog-restricted fragment (Theorem 4.8), and relations those steps

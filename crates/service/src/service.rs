@@ -1723,6 +1723,53 @@ mod tests {
     }
 
     #[test]
+    fn walstat_names_no_checkpoint_a_failed_write_left_unwritten() {
+        let dir = scratch_dir("failed-checkpoint");
+        let config = ServiceConfig::builder()
+            .threads(1)
+            .durable(&dir)
+            .checkpoint_every_n_commits(2)
+            .build();
+        let s = Service::open(config).unwrap();
+        s.execute("ASSERT edge(1, 2)").unwrap();
+        s.execute("ASSERT edge(2, 3)").unwrap(); // the background write of epoch 2
+        let dur = s.durability.get().expect("a durable service");
+        dur.checkpoints.join();
+        assert_eq!(dur.checkpoints.last_epoch(), 2);
+        // every later write fails: its directory is gone
+        std::fs::remove_dir_all(&dir).unwrap();
+        s.execute("ASSERT edge(3, 4)").unwrap();
+        s.execute("ASSERT edge(4, 5)").unwrap(); // triggers epoch 4, which fails
+        dur.checkpoints.join();
+        match s.execute("WALSTAT").unwrap() {
+            Response::WalStat {
+                checkpoint_epoch, ..
+            } => assert_eq!(checkpoint_epoch, 2, "epoch 4's checkpoint is not on disk"),
+            other => panic!("expected WalStat, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_horn_read_wider_than_the_engine_is_refused_not_grounded() {
+        let s = service();
+        s.execute("ASSERT e(1)").unwrap();
+        let wide = |n: usize| {
+            format!(
+                "QUERY tau[forall x0. e(x0) -> wide({})]",
+                vec!["x0"; n].join(", ")
+            )
+        };
+        assert!(s.execute(&wide(32)).is_ok());
+        let err = s.execute(&wide(33)).unwrap_err();
+        assert_eq!(err.code(), "eval");
+        assert_eq!(
+            err.to_string(),
+            "evaluation error: engine limit: relation R1 has arity 33, above the engine maximum of 32"
+        );
+    }
+
+    #[test]
     fn durability_commands_refuse_on_an_in_memory_service() {
         let s = service();
         for cmd in ["CHECKPOINT", "WALSTAT"] {

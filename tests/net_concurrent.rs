@@ -10,10 +10,10 @@
 //! The commit stream mixes fact insertions, retractions and incremental
 //! `APPLY`s of a registered transitive-closure refresh, as in the
 //! in-process differential; the probe the readers hammer is
-//! `QUERY CERTAIN reach`.  Runs at evaluation widths 1 and 4 explicitly
-//! (the CI `KBT_THREADS` matrix varies the environment default on top,
-//! which the service deliberately ignores in favour of its explicit
-//! width).
+//! `QUERY CERTAIN reach`.  Runs at evaluation widths 1 and 4 explicitly,
+//! pinned in process: CI runs the suite once, with `KBT_THREADS=4` as the
+//! environment default, which the service deliberately ignores in favour
+//! of its explicit width.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

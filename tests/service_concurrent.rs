@@ -7,10 +7,10 @@
 //! The commit stream mixes fact insertions, retractions (exercising the
 //! engine's DRed deletion path through the persistent chain sessions) and
 //! incremental `APPLY`s of a registered transitive-closure refresh.  The
-//! differential runs at evaluation widths 1 and 4 explicitly (and the CI
-//! `KBT_THREADS={1,4}` matrix varies the environment default on top —
-//! which the service deliberately ignores in favour of its explicit
-//! width).
+//! differential runs at evaluation widths 1 and 4 explicitly, pinned in
+//! process: CI runs the suite once, with `KBT_THREADS=4` as the
+//! environment default, which the service deliberately ignores in favour
+//! of its explicit width.
 //!
 //! A commit that panics under the writer lock poisons it: every later
 //! commit is refused with `writer-poisoned`, and readers on other threads
