@@ -21,10 +21,20 @@
 //!   disabled;
 //! * `PROFILE` ÷ `QUERY` on that closure (per-rule rows recorded vs none).
 //!
-//! Every timed call serves its command as a session does: `execute`, then
-//! `proto::write_response` into a reused buffer.  A read's reply holds its
-//! answer and its rows are rendered in the write, so timing `execute`
-//! alone would leave the rendering out of the read path.
+//! The spans comparisons time each command as a session serves it:
+//! `execute`, then `proto::write_response` into a reused buffer.  A read's
+//! reply holds its answer and its rows are rendered in the write, so
+//! timing `execute` alone would leave the rendering out of the read path.
+//! `PROFILE` ÷ `QUERY` times `execute` alone on both sides, so that both
+//! do the same work but the profiling: written out, the `QUERY` reply
+//! renders the closure's ≈ 5 150 facts where the `PROFILE` reply has two
+//! rule rows, and the ratio would compare rendering instead.
+//!
+//! A closure read takes about a millisecond, and one round's ratio of two
+//! such timings spreads by several percent, so the closure comparisons take
+//! [`CLOSURE_ROUNDS`] rounds, many more than the stored read's
+//! [`ROUNDS`]: with twenty, the median of `closure spans on/off` read above
+//! the budget by chance about one run in twenty on unchanged code.
 //!
 //! Counters record in both settings by design — only clock reads are
 //! gated — which is why the disabled variants are not a zero-instrumentation
@@ -46,9 +56,12 @@ use kbt_service::{Service, ServiceConfig};
 /// Chain length of the seeded graph.
 const EDGES: u32 = 100;
 
-/// Paired rounds per comparison (each round times both variants); a
-/// multiple of 4, so the quartiles fall between two rounds.
+/// Paired rounds of the stored-read comparison (each round times both
+/// variants); a multiple of 4, so the quartiles fall between two rounds.
 const ROUNDS: usize = 20;
+
+/// Paired rounds of each closure comparison, a multiple of 4 as well.
+const CLOSURE_ROUNDS: usize = 200;
 
 /// Calls per sample, and samples, of each primitive's timing.
 const PRIMITIVE_CALLS: u32 = 100_000;
@@ -109,14 +122,16 @@ struct Quartiles {
     q3: f64,
 }
 
-/// Interleaved paired sampling: every round times `plain` and
-/// `instrumented` back to back, swapping which goes first between rounds.
-/// Returns the quartiles of the per-round ratios instrumented ÷ plain.
+/// Interleaved paired sampling: each of `rounds` rounds (a multiple of 4)
+/// times `plain` and `instrumented` back to back, swapping which goes first
+/// between rounds.  Returns the quartiles of the per-round ratios
+/// instrumented ÷ plain.
 fn paired_ratio(
+    rounds: usize,
     plain: &mut impl FnMut() -> f64,
     instrumented: &mut impl FnMut() -> f64,
 ) -> Quartiles {
-    let mut ratios: Vec<f64> = (0..ROUNDS)
+    let mut ratios: Vec<f64> = (0..rounds)
         .map(|round| {
             let (p, i) = if round % 2 == 0 {
                 let p = plain();
@@ -129,7 +144,7 @@ fn paired_ratio(
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    // the k-th quartile of the ROUNDS (a multiple of 4) sorted ratios
+    // the k-th quartile of the sorted ratios
     let at = |k: usize| {
         let i = k * ratios.len() / 4;
         (ratios[i - 1] + ratios[i]) / 2.0
@@ -150,14 +165,17 @@ fn serve(service: &Service, command: &str, wire: &mut Vec<u8>) {
     black_box(wire);
 }
 
-/// Spans enabled ÷ disabled on `iters` executions of `command`.
-fn spans_ratio(service: &Service, command: &str, iters: u32) -> Quartiles {
+/// Spans enabled ÷ disabled on `iters` executions of `command` per
+/// sample, over `rounds` paired rounds.
+fn spans_ratio(service: &Service, command: &str, iters: u32, rounds: usize) -> Quartiles {
     let run = |enabled: bool, wire: &mut Vec<u8>| {
         set_enabled(service, enabled);
         sample(iters, &mut || serve(service, command, wire))
     };
     let (mut off, mut on) = (Vec::new(), Vec::new());
-    let ratio = paired_ratio(&mut || run(false, &mut off), &mut || run(true, &mut on));
+    let ratio = paired_ratio(rounds, &mut || run(false, &mut off), &mut || {
+        run(true, &mut on)
+    });
     set_enabled(service, true);
     ratio
 }
@@ -166,19 +184,25 @@ fn main() {
     let service = seeded_service();
     let query_tc = format!("QUERY {TC}");
     let profile_tc = format!("PROFILE {TC}");
-    let timed =
-        |command: &str, wire: &mut Vec<u8>| sample(4, &mut || serve(&service, command, wire));
-    let (mut query_wire, mut profile_wire) = (Vec::new(), Vec::new());
+    // `execute` alone: the reply is dropped unwritten (see the module docs)
+    let executed = |command: &str| {
+        sample(4, &mut || {
+            black_box(service.execute(command).expect("read"));
+        })
+    };
     let comparisons = [
         (
             "query_certain_edge spans on/off",
-            spans_ratio(&service, "QUERY CERTAIN edge", 100),
+            spans_ratio(&service, "QUERY CERTAIN edge", 100, ROUNDS),
         ),
-        ("closure spans on/off", spans_ratio(&service, &query_tc, 4)),
+        (
+            "closure spans on/off",
+            spans_ratio(&service, &query_tc, 4, CLOSURE_ROUNDS),
+        ),
         (
             "closure PROFILE/QUERY",
-            paired_ratio(&mut || timed(&query_tc, &mut query_wire), &mut || {
-                timed(&profile_tc, &mut profile_wire)
+            paired_ratio(CLOSURE_ROUNDS, &mut || executed(&query_tc), &mut || {
+                executed(&profile_tc)
             }),
         ),
     ];

@@ -30,8 +30,9 @@ pub enum CoreError {
     Data(kbt_data::DataError),
     /// An error bubbled up from the logic substrate.
     Logic(kbt_logic::LogicError),
-    /// An error bubbled up from the Datalog substrate.
-    Datalog(kbt_datalog::DatalogError),
+    /// The evaluation engine refused a program or a delta (a relation
+    /// wider than it can index, say).
+    Engine(kbt_engine::EngineError),
 }
 
 impl fmt::Display for CoreError {
@@ -50,7 +51,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::Data(e) => write!(f, "{e}"),
             CoreError::Logic(e) => write!(f, "{e}"),
-            CoreError::Datalog(e) => write!(f, "{e}"),
+            CoreError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
@@ -69,9 +70,9 @@ impl From<kbt_logic::LogicError> for CoreError {
     }
 }
 
-impl From<kbt_datalog::DatalogError> for CoreError {
-    fn from(e: kbt_datalog::DatalogError) -> Self {
-        CoreError::Datalog(e)
+impl From<kbt_engine::EngineError> for CoreError {
+    fn from(e: kbt_engine::EngineError) -> Self {
+        CoreError::Engine(e)
     }
 }
 

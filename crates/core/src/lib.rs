@@ -59,7 +59,7 @@ pub mod transformer;
 pub mod update;
 
 pub use error::CoreError;
-pub use kbt_datalog::{RuleProfile, View};
+pub use kbt_engine::{RuleProfile, View};
 pub use metrics::metrics;
 pub use options::{EvalOptions, EvalStats, Strategy};
 pub use transform::Transform;

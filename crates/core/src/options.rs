@@ -132,7 +132,7 @@ impl EvalStats {
     }
 
     /// Folds the engine statistics of one `µ` evaluation into this record.
-    pub fn absorb_fixpoint(&mut self, fixpoint: &kbt_datalog::EvalStats) {
+    pub fn absorb_fixpoint(&mut self, fixpoint: &kbt_engine::EngineStats) {
         self.fixpoint_iterations += fixpoint.iterations;
         self.index_probes += fixpoint.index_probes;
         self.tuples_scanned += fixpoint.tuples_scanned;
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn stats_absorb_fixpoint_maps_engine_counters() {
         let mut a = EvalStats::default();
-        a.absorb_fixpoint(&kbt_datalog::EvalStats {
+        a.absorb_fixpoint(&kbt_engine::EngineStats {
             iterations: 5,
             derived_facts: 100,
             index_probes: 42,

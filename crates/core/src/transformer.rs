@@ -69,14 +69,14 @@
 use std::collections::BTreeSet;
 
 use kbt_data::{Const, Database, Knowledgebase, RelId};
-use kbt_datalog::View;
+use kbt_engine::View;
 
 use crate::error::CoreError;
-use crate::options::{EvalOptions, EvalStats, Strategy};
+use crate::options::{EvalOptions, EvalStats};
 use crate::transform::Transform;
-use crate::update::datalog::{self, ChainSession};
+use crate::update::datalog::{self, ChainSession, HornStep};
 use crate::update::universe::domain_of;
-use crate::update::{minimal_update, minimal_update_over, operator_row, UpdateOutcome};
+use crate::update::{fast_path, minimal_update, minimal_update_over, operator_row, UpdateOutcome};
 use crate::Result;
 
 /// The result of applying a transformation expression.
@@ -162,12 +162,10 @@ impl Transformer {
         };
         let result = kb.as_singleton()?;
         let db = result.project(keep);
-        if !self.fast_path(phi, &db) {
-            return None;
-        }
         // an error means `kb` is not what this step returns, so nothing is
         // resumed and the next application finds out for itself
-        ChainSession::resume(phi, &db, result, self.options.threads).ok()
+        let step = fast_path(phi, &db, &self.options)?.ok()?;
+        ChainSession::resume(phi, &step, &db, result, self.options.threads).ok()
     }
 
     /// Convenience: apply a single insertion `τ_φ`.
@@ -179,7 +177,7 @@ impl Transformer {
     /// `view`'s namer renders relation identifiers in rule and plan text).
     ///
     /// Under a **profiling** view every Datalog-fast-path insertion step
-    /// records one [`kbt_datalog::RuleProfile`] per rule per group
+    /// records one [`kbt_engine::RuleProfile`] per rule per group
     /// of worlds (see the module docs).  The resulting knowledgebase and
     /// the statistics are [`Self::apply`]'s.
     ///
@@ -248,16 +246,24 @@ impl Transformer {
     ) -> Result<()> {
         match step {
             Transform::Identity | Transform::Seq(_) => {}
-            Transform::Insert(phi) => match (keep, kb.as_singleton()) {
-                (Some(keep), Some(db)) if self.fast_path(phi, db) => {
-                    datalog::pushdown_update(phi, db, keep, &self.options, Some(view))?;
-                }
-                _ => {
-                    for db in kb.iter() {
-                        minimal_update(phi, db, &self.options, Some(&mut *view))?;
+            Transform::Insert(phi) => {
+                let pushdown = match (keep, kb.as_singleton()) {
+                    (Some(keep), Some(db)) => {
+                        fast_path(phi, db, &self.options).map(|step| (keep, db, step))
+                    }
+                    _ => None,
+                };
+                match pushdown {
+                    Some((keep, db, step)) => {
+                        datalog::pushdown_update(&step?, db, keep, &self.options, Some(view))?;
+                    }
+                    None => {
+                        for db in kb.iter() {
+                            minimal_update(phi, db, &self.options, Some(&mut *view))?;
+                        }
                     }
                 }
-            },
+            }
             Transform::Glb => view.rows.push(operator_row("glb".to_string(), "lattice")),
             Transform::Lub => view.rows.push(operator_row("lub".to_string(), "lattice")),
             Transform::Project(rels) => {
@@ -293,18 +299,18 @@ impl Transformer {
                 stats.operators += 1;
                 let mut out = Knowledgebase::empty();
                 if let Some(db) = kb.as_singleton() {
-                    let chained = match chain {
-                        Some(chain) => self.chain_update(phi, db, chain)?,
-                        None => None,
-                    };
-                    let outcome = match chained {
-                        Some(outcome) => outcome,
-                        None => match keep.filter(|_| self.fast_path(phi, db)) {
-                            Some(keep) => {
-                                datalog::pushdown_update(phi, db, keep, &self.options, view)?
-                            }
-                            None => minimal_update(phi, db, &self.options, view)?,
-                        },
+                    // the fast path's step, the condition for a chain session and for
+                    // a push-down alike
+                    let step = fast_path(phi, db, &self.options).transpose()?;
+                    let outcome = match (step, chain, keep) {
+                        (None, ..) => minimal_update(phi, db, &self.options, view)?,
+                        (Some(step), Some(chain), _) => self.chain_update(phi, &step, db, chain)?,
+                        (Some(step), None, Some(keep)) => {
+                            datalog::pushdown_update(&step, db, keep, &self.options, view)?
+                        }
+                        (Some(step), None, None) => {
+                            datalog::datalog_update(&step, db, &self.options, view)?
+                        }
                     };
                     self.absorb_outcome(&outcome, stats);
                     self.collect_worlds(outcome.databases, &mut out)?;
@@ -350,35 +356,22 @@ impl Transformer {
         }
     }
 
-    /// Tries the incremental chain path for `τ_φ` on a singleton
-    /// knowledgebase's one world: engaged under the `Auto`/`Datalog`
-    /// strategies when the Datalog fast path applies.  Returns `None` when
-    /// the regular path should run instead.
+    /// The incremental chain path for the fast-path step `τ_φ` on a
+    /// singleton knowledgebase's one world: advances the slot's session
+    /// when it evaluates φ, and starts one in its place otherwise.
     fn chain_update(
         &self,
         phi: &kbt_logic::Sentence,
+        step: &HornStep,
         db: &Database,
         chain: &mut Option<ChainSession>,
-    ) -> Result<Option<UpdateOutcome>> {
-        if !self.fast_path(phi, db) {
-            return Ok(None);
+    ) -> Result<UpdateOutcome> {
+        if let Some(session) = chain.as_mut().filter(|session| session.matches(phi)) {
+            return session.advance(step, db);
         }
-        if let Some(session) = chain.as_mut() {
-            if session.matches(phi) {
-                return session.advance(db).map(Some);
-            }
-        }
-        let (session, outcome) = ChainSession::start(phi, db, self.options.threads)?;
+        let (session, outcome) = ChainSession::start(phi, step, db, self.options.threads)?;
         *chain = Some(session);
-        Ok(Some(outcome))
-    }
-
-    /// Whether the Datalog fast path evaluates `τ_φ` on `db` under the
-    /// selected strategy: the condition for a chain session and for a
-    /// push-down alike.
-    fn fast_path(&self, phi: &kbt_logic::Sentence, db: &Database) -> bool {
-        matches!(self.options.strategy, Strategy::Auto | Strategy::Datalog)
-            && datalog::applicable(phi, db)
+        Ok(outcome)
     }
 
     /// Folds one `µ` outcome's counters into the running statistics.
@@ -424,6 +417,7 @@ fn replay(db: &Database, answer: &Database) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::Strategy;
     use kbt_data::{DatabaseBuilder, RelId};
     use kbt_logic::builder::*;
     use kbt_logic::Sentence;

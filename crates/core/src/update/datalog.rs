@@ -17,11 +17,8 @@
 use std::collections::BTreeSet;
 
 use kbt_data::{Const, Database, RelId, Relation, Schema, Tuple};
-use kbt_datalog::{
-    demand_rewrite, program_from_sentence, semi_naive_eval_viewed, EvalStats, IncrementalEval,
-    Program, View,
-};
-use kbt_engine::EngineError;
+use kbt_datalog::{demand_rewrite, Program};
+use kbt_engine::{EngineError, EngineStats, IncrementalSession, View};
 use kbt_logic::{horn_clauses, Sentence};
 
 use crate::error::CoreError;
@@ -29,57 +26,68 @@ use crate::options::EvalOptions;
 use crate::update::{operator_row, UpdateOutcome};
 use crate::Result;
 
-/// Whether the Datalog fast path applies to `φ` and `db`: the sentence is a
-/// conjunction of range-restricted Horn clauses, and every head relation is
-/// absent from `σ(db)`.
+/// A `τ_φ` step the Datalog fast path evaluates: φ's checked program and
+/// the result schema `σ(db) ∪ σ(φ)` for the database [`horn_step`]
+/// recognised it on.  Only [`horn_step`] makes one, so [`datalog_update`],
+/// [`pushdown_update`] and [`ChainSession`] cannot be handed a sentence
+/// the fast path does not apply to, and each step checks its sentence once.
+#[derive(Clone, Debug)]
+pub struct HornStep {
+    program: Program,
+    schema: Schema,
+}
+
+/// Recognises `τ_φ` on `db` as a Datalog-fast-path step: `None` unless the
+/// sentence is a conjunction of range-restricted Horn clauses and every
+/// head relation is absent from `σ(db)`.
 ///
 /// A program with a relation wider than the engine's
-/// [`MAX_ARITY`](kbt_engine::MAX_ARITY) still takes this path, so that
-/// evaluation refuses it with the engine's error instead of handing the
-/// sentence to grounding.
-pub fn applicable(phi: &Sentence, db: &Database) -> bool {
-    let Some(rules) = horn_clauses(phi) else {
-        return false;
-    };
+/// [`MAX_ARITY`](kbt_engine::MAX_ARITY) still takes this path, as the
+/// engine's error, so that the step is refused instead of handed to
+/// grounding; so does a relation to which `db` and φ give two arities, as
+/// the data layer's error.
+pub fn horn_step(phi: &Sentence, db: &Database) -> Option<Result<HornStep>> {
+    let rules = horn_clauses(phi)?;
     if rules
         .iter()
         .any(|rule| db.relation(rule.head.rel).is_some())
     {
-        return false;
+        return None;
     }
-    matches!(
-        Program::new(rules),
-        Ok(_) | Err(EngineError::ArityTooLarge { .. })
-    )
+    let program = match Program::new(rules) {
+        Ok(program) => program,
+        Err(e @ EngineError::ArityTooLarge { .. }) => return Some(Err(e.into())),
+        Err(_) => return None,
+    };
+    Some(match db.schema().union(&phi.schema()) {
+        Ok(schema) => Ok(HornStep { program, schema }),
+        Err(e) => Err(e.into()),
+    })
 }
 
-/// Computes `µ(φ, db)` for a Horn sentence defining fresh relations,
+/// Whether the Datalog fast path applies to `φ` and `db` ([`horn_step`]).
+pub fn applicable(phi: &Sentence, db: &Database) -> bool {
+    horn_step(phi, db).is_some()
+}
+
+/// Computes `µ(φ, db)` for the step [`horn_step`] recognised on `db`,
 /// optionally observed through `view` (see [`kbt_engine::profile`]): a
 /// profiling view leaves the outcome byte-identical and records the
 /// per-rule breakdown; a plan-only view records the join plans and
 /// evaluates nothing (the outcome's database is then `db` over the result
 /// schema, the fresh relations empty).
 pub fn datalog_update(
-    phi: &Sentence,
+    step: &HornStep,
     db: &Database,
     options: &EvalOptions,
     view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
-    if !applicable(phi, db) {
-        return Err(CoreError::StrategyNotApplicable {
-            strategy: "Datalog",
-            reason:
-                "the sentence is not a conjunction of safe Horn clauses over fresh head relations"
-                    .to_string(),
-        });
-    }
     // No candidate universe is materialised here: the result schema is just
     // σ(db) ∪ σ(φ) and the fixpoint engine works directly on the database,
     // which is what makes this path polynomial (Theorem 4.8).
-    let program = program_from_sentence(phi)?;
-    let schema = db.schema().union(&phi.schema())?;
-    let lifted = db.extend_schema(&schema)?;
-    let (fixpoint, stats) = semi_naive_eval_viewed(&program, &lifted, options.threads, view, None)?;
+    let lifted = db.extend_schema(&step.schema)?;
+    let (fixpoint, stats) =
+        kbt_engine::evaluate(&step.program, &lifted, options.threads, view, None)?;
     Ok(UpdateOutcome {
         databases: vec![fixpoint],
         candidate_atoms: 0,
@@ -87,37 +95,35 @@ pub fn datalog_update(
     })
 }
 
-/// `µ(φ, db)` projected onto `keep`, for a sentence [`applicable`] to `db`,
-/// deriving only what the projection keeps: φ's program goes through
-/// [`demand_rewrite`] with its heads in `keep` as all-free goals, and the
-/// engine materialises only the kept relations.  The outcome's database is
-/// byte-identical to [`datalog_update`]'s projected onto `keep`; its
-/// statistics count the rewritten fixpoint.  Under a view, the invented
-/// predicates render as `reach_fb` / `m_reach_fb`, and every seed fact gets
-/// a row of its own.
+/// `µ(φ, db)` projected onto `keep`, for the step [`horn_step`] recognised
+/// on `db`, deriving only what the projection keeps: φ's program goes
+/// through [`demand_rewrite`] with its heads in `keep` as all-free goals,
+/// and the engine materialises only the kept relations.  The outcome's
+/// database is byte-identical to [`datalog_update`]'s projected onto
+/// `keep`; its statistics count the rewritten fixpoint.  Under a view, the
+/// invented predicates render as `reach_fb` / `m_reach_fb`, and every seed
+/// fact gets a row of its own.
 pub fn pushdown_update(
-    phi: &Sentence,
+    step: &HornStep,
     db: &Database,
     keep: &[RelId],
     options: &EvalOptions,
     view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
-    let program = program_from_sentence(phi)?;
-    let schema = db.schema().union(&phi.schema())?;
     // invented predicates must collide with no relation of the input, of φ,
     // or of the projection
-    let first_free = (schema.relations().chain(keep.iter().copied()))
+    let first_free = (step.schema.relations().chain(keep.iter().copied()))
         .map(|rel| rel.index() + 1)
         .max()
         .unwrap_or(0);
-    let plan = demand_rewrite(&program, keep, first_free)?;
-    let mut edb = db.extend_schema(&schema)?;
+    let plan = demand_rewrite(&step.program, keep, first_free)?;
+    let mut edb = db.extend_schema(&step.schema)?;
     for (rel, consts) in &plan.seeds {
         edb.insert_fact(*rel, Tuple::new(consts.clone()))?;
     }
     let threads = options.threads;
     let (fixpoint, stats) = match view {
-        None => semi_naive_eval_viewed(&plan.program, &edb, threads, None, Some(keep))?,
+        None => kbt_engine::evaluate(&plan.program, &edb, threads, None, Some(keep))?,
         Some(view) => {
             let base = view.namer;
             let namer = |rel| plan.render_relation(rel, base);
@@ -127,13 +133,8 @@ pub fn pushdown_update(
                 let seed = format!("seed {}({})", namer(*rel), args.join(", "));
                 renamed.rows.push(operator_row(seed, "magic"));
             }
-            let out = semi_naive_eval_viewed(
-                &plan.program,
-                &edb,
-                threads,
-                Some(&mut renamed),
-                Some(keep),
-            )?;
+            let out =
+                kbt_engine::evaluate(&plan.program, &edb, threads, Some(&mut renamed), Some(keep))?;
             view.rows.append(&mut renamed.rows);
             out
         }
@@ -149,7 +150,7 @@ pub fn pushdown_update(
 /// of closely related databases.
 ///
 /// The transformer keeps at most one of these per `Seq` walk: the first
-/// applicable `τ_φ` step builds it (paying one full fixpoint), and every
+/// fast-path `τ_φ` step builds it (paying one full fixpoint), and every
 /// later `τ_φ` step with the *same* sentence advances it by diffing the new
 /// input database against the one the session last saw.  The produced
 /// outcome is byte-identical to [`datalog_update`]; if the engine rejects a
@@ -158,61 +159,58 @@ pub fn pushdown_update(
 #[derive(Clone, Debug)]
 pub struct ChainSession {
     phi: Sentence,
-    /// The schema of `φ`, cached (the per-step result assembly needs it).
-    phi_schema: Schema,
     /// The input database the session is currently synced to.
     base: Database,
     /// Engine evaluation width, kept so transparent rebuilds preserve it.
     threads: usize,
-    eval: IncrementalEval,
+    session: IncrementalSession,
 }
 
 impl ChainSession {
-    /// Builds a session for `φ` over `db` (the caller must have checked
-    /// [`applicable`]) at the given engine evaluation width (`0` = process
+    /// Builds a session for `φ` over `db`, whose step [`horn_step`]
+    /// recognised, at the given engine evaluation width (`0` = process
     /// default), and returns the first update outcome.
-    pub fn start(phi: &Sentence, db: &Database, threads: usize) -> Result<(Self, UpdateOutcome)> {
-        let program = program_from_sentence(phi)?;
-        let phi_schema = phi.schema();
-        let schema = db.schema().union(&phi_schema)?;
-        let lifted = db.extend_schema(&schema)?;
-        let eval = IncrementalEval::with_threads(&program, &lifted, threads)?;
-        let stats = eval.total_stats();
-        let mut session = ChainSession {
+    pub fn start(
+        phi: &Sentence,
+        step: &HornStep,
+        db: &Database,
+        threads: usize,
+    ) -> Result<(Self, UpdateOutcome)> {
+        let lifted = db.extend_schema(&step.schema)?;
+        let session = IncrementalSession::with_threads(&step.program, &lifted, threads)?;
+        let stats = *session.stats();
+        let mut chain = ChainSession {
             phi: phi.clone(),
-            phi_schema,
             base: db.clone(),
             threads,
-            eval,
+            session,
         };
-        let outcome = session.outcome(db, stats);
-        Ok((session, outcome))
+        let outcome = chain.outcome(step, db, stats);
+        Ok((chain, outcome))
     }
 
-    /// A session for `φ` synced to `db` whose step already produced
-    /// `result` — the one database [`datalog_update`] returns over `db` —
-    /// rebuilt without evaluating anything: the engine plans against `db`
-    /// and adopts `result`'s head relations as its fixpoint
-    /// ([`IncrementalEval::from_fixpoint`]).  The next [`Self::advance`]
-    /// then returns what it would have returned on the session that
-    /// produced `result`, except for the plan-dependent counters
-    /// (`index_probes`, `tuples_scanned`) where that session was planned
-    /// against another input.  The caller must have checked [`applicable`]
-    /// for `db` and vouches for `result`; a head relation of φ missing
-    /// from `result` is refused.
+    /// A session for `φ` synced to `db`, whose step [`horn_step`]
+    /// recognised and already produced `result` — the one database
+    /// [`datalog_update`] returns over `db` — rebuilt without evaluating
+    /// anything: the engine plans against `db` and adopts `result`'s head
+    /// relations as its fixpoint ([`IncrementalSession::from_fixpoint`]).
+    /// The next [`Self::advance`] then returns what it would have returned
+    /// on the session that produced `result`, except for the
+    /// plan-dependent counters (`index_probes`, `tuples_scanned`) where
+    /// that session was planned against another input.  The caller vouches
+    /// for `result`; a head relation of φ missing from `result` is refused.
     pub fn resume(
         phi: &Sentence,
+        step: &HornStep,
         db: &Database,
         result: &Database,
         threads: usize,
     ) -> Result<Self> {
-        let program = program_from_sentence(phi)?;
-        let phi_schema = phi.schema();
-        let mut fixpoint = db.extend_schema(&db.schema().union(&phi_schema)?)?;
-        for rel in program.idb_relations() {
+        let mut fixpoint = db.extend_schema(&step.schema)?;
+        for rel in step.program.idb_relations() {
             let derived = result
                 .relation(rel)
-                .filter(|derived| phi_schema.arity(rel) == Some(derived.arity()));
+                .filter(|derived| step.schema.arity(rel) == Some(derived.arity()));
             let Some(derived) = derived else {
                 return Err(CoreError::StrategyNotApplicable {
                     strategy: "Datalog",
@@ -222,9 +220,8 @@ impl ChainSession {
             fixpoint.set_relation(rel, derived.clone());
         }
         Ok(ChainSession {
-            eval: IncrementalEval::from_fixpoint(&program, &fixpoint, threads)?,
+            session: IncrementalSession::from_fixpoint(&step.program, &fixpoint, threads)?,
             phi: phi.clone(),
-            phi_schema,
             base: db.clone(),
             threads,
         })
@@ -235,55 +232,54 @@ impl ChainSession {
         self.phi == *phi
     }
 
-    /// Advances the session to `db` (the caller must have checked
-    /// [`applicable`] for `db`): the diff against the previously seen
-    /// database is fed to the engine as a delta, and the maintained fixpoint
-    /// is returned restricted to the schema `σ(db) ∪ σ(φ)` — exactly what
-    /// [`datalog_update`] would produce from scratch.
-    pub fn advance(&mut self, db: &Database) -> Result<UpdateOutcome> {
-        // The from-scratch path fails here on a σ(db)/σ(φ) arity conflict;
-        // the incremental path must fail identically (a tuple-level diff
-        // alone would miss conflicts on *empty* relations).
-        db.schema().union(&self.phi_schema)?;
+    /// Advances the session to `db`, on which [`horn_step`] recognised
+    /// `step` for the session's sentence: the diff against the previously
+    /// seen database is fed to the engine as a delta, and the maintained
+    /// fixpoint is returned restricted to the schema `σ(db) ∪ σ(φ)` —
+    /// exactly what [`datalog_update`] would produce from scratch.  (A
+    /// `σ(db)`/`σ(φ)` arity conflict, which a tuple-level diff alone would
+    /// miss on an *empty* relation, never reaches here: [`horn_step`]
+    /// refuses it, as the from-scratch path does.)
+    pub fn advance(&mut self, step: &HornStep, db: &Database) -> Result<UpdateOutcome> {
         let metrics = crate::metrics();
         let (insertions, deletions) = {
             let _diff = metrics.chain_diff_ns.span();
             diff(db, &self.base)
         };
-        let stats = match self.eval.apply_delta(&insertions, &deletions) {
+        let stats = match self.session.apply_delta(&insertions, &deletions) {
             Ok(stats) => stats,
             Err(_) => {
                 // e.g. a relation came back with a different arity: fall
                 // back to rebuilding the whole session on the new input.
-                let (rebuilt, outcome) = ChainSession::start(&self.phi, db, self.threads)?;
+                let (rebuilt, outcome) = ChainSession::start(&self.phi, step, db, self.threads)?;
                 *self = rebuilt;
                 return Ok(outcome);
             }
         };
         self.base = db.clone();
-        Ok(self.outcome(db, stats))
+        Ok(self.outcome(step, db, stats))
     }
 
     /// The outcome of a step over `db`, assembled the way the from-scratch
     /// path would have: the input database's relations verbatim (the
     /// engine mirrors them, but `db` already holds them materialised), plus
-    /// the relations of σ(φ) absent from σ(db) — the fresh head relations
-    /// at their maintained fixpoint and φ's body-only relations (empty).
-    /// This copies only the intensional output instead of the whole engine
-    /// storage, and implicitly drops relations earlier chain inputs left
-    /// behind in the engine.  The engine hands the intensional relations
-    /// out as copy-on-write snapshots and remembers them, so a step pays
-    /// for the tuples its delta changed, not for re-collecting the whole
-    /// (large) fixpoint relation — the first step included, whose snapshot
-    /// the next one merges into.
-    fn outcome(&mut self, db: &Database, stats: EvalStats) -> UpdateOutcome {
+    /// the relations of the result schema absent from σ(db) — the fresh
+    /// head relations at their maintained fixpoint and φ's body-only
+    /// relations (empty).  This copies only the intensional output instead
+    /// of the whole engine storage, and implicitly drops relations earlier
+    /// chain inputs left behind in the engine.  The engine hands the
+    /// intensional relations out as copy-on-write snapshots and remembers
+    /// them, so a step pays for the tuples its delta changed, not for
+    /// re-collecting the whole (large) fixpoint relation — the first step
+    /// included, whose snapshot the next one merges into.
+    fn outcome(&mut self, step: &HornStep, db: &Database, stats: EngineStats) -> UpdateOutcome {
         let _assemble = crate::metrics().chain_assemble_ns.span();
         let mut result = db.clone();
-        for (rel, arity) in self.phi_schema.iter() {
+        for (rel, arity) in step.schema.iter() {
             if result.relation(rel).is_none() {
                 let relation = self
-                    .eval
-                    .relation(rel)
+                    .session
+                    .snapshot_relation(rel)
                     .unwrap_or_else(|| Relation::empty(arity));
                 result.set_relation(rel, relation);
             }
@@ -342,6 +338,19 @@ mod tests {
         RelId::new(i)
     }
 
+    /// The fast-path step of `phi` on `db`, which the test expects to apply.
+    fn step(phi: &Sentence, db: &Database) -> HornStep {
+        horn_step(phi, db)
+            .expect("a Horn step")
+            .expect("a checked program")
+    }
+
+    /// `µ(φ, db)` from scratch, through [`horn_step`] as every caller goes.
+    fn from_scratch(phi: &Sentence, db: &Database) -> Result<UpdateOutcome> {
+        let step = horn_step(phi, db).expect("a Horn step")?;
+        datalog_update(&step, db, &EvalOptions::default(), None)
+    }
+
     fn tc_sentence() -> Sentence {
         Sentence::new(and(
             forall(
@@ -393,7 +402,7 @@ mod tests {
             .fact(r(1), [4u32, 5])
             .build()
             .unwrap();
-        let out = datalog_update(&tc_sentence(), &db, &EvalOptions::default(), None).unwrap();
+        let out = from_scratch(&tc_sentence(), &db).unwrap();
         assert_eq!(out.databases.len(), 1);
         let result = &out.databases[0];
         assert_eq!(result.relation(r(1)).unwrap().len(), 4);
@@ -414,7 +423,7 @@ mod tests {
         ))
         .unwrap();
         let opts = EvalOptions::default();
-        let mut a = datalog_update(&phi, &db, &opts, None).unwrap().databases;
+        let mut a = from_scratch(&phi, &db).unwrap().databases;
         let mut b = grounding_update(&phi, &db, &opts).unwrap().databases;
         let mut c = exhaustive_update(&phi, &db, &opts).unwrap().databases;
         a.sort();
@@ -432,9 +441,8 @@ mod tests {
             .fact(r(1), [2u32, 3])
             .build()
             .unwrap();
-        let opts = EvalOptions::default();
-        let (mut session, first) = ChainSession::start(&phi, &db, 0).unwrap();
-        assert_eq!(first, datalog_update(&phi, &db, &opts, None).unwrap());
+        let (mut session, first) = ChainSession::start(&phi, &step(&phi, &db), &db, 0).unwrap();
+        assert_eq!(first, from_scratch(&phi, &db).unwrap());
         assert!(session.matches(&phi));
 
         // grow the chain, shrink it, and then change an unrelated relation
@@ -450,8 +458,8 @@ mod tests {
             } else {
                 db.remove_fact(r(1), &kbt_data::tuple![x, y]);
             }
-            let got = session.advance(&db).unwrap();
-            let want = datalog_update(&phi, &db, &opts, None).unwrap();
+            let got = session.advance(&step(&phi, &db), &db).unwrap();
+            let want = from_scratch(&phi, &db).unwrap();
             assert_eq!(got.databases, want.databases);
         }
     }
@@ -465,8 +473,9 @@ mod tests {
             .fact(r(3), [9u32])
             .build()
             .unwrap();
-        let (mut live, first) = ChainSession::start(&phi, &db, 1).unwrap();
-        let mut resumed = ChainSession::resume(&phi, &db, &first.databases[0], 1).unwrap();
+        let (mut live, first) = ChainSession::start(&phi, &step(&phi, &db), &db, 1).unwrap();
+        let resumed = ChainSession::resume(&phi, &step(&phi, &db), &db, &first.databases[0], 1);
+        let mut resumed = resumed.unwrap();
         assert!(resumed.matches(&phi));
         let edits: Vec<(bool, (u32, u32))> = vec![(true, (3, 4)), (false, (1, 2)), (true, (1, 2))];
         for (insert, (x, y)) in edits {
@@ -475,8 +484,13 @@ mod tests {
             } else {
                 db.remove_fact(r(1), &kbt_data::tuple![x, y]);
             }
-            let got = resumed.advance(&db).unwrap();
-            assert_eq!(got, live.advance(&db).unwrap(), "outcome and statistics");
+            let step = step(&phi, &db);
+            let got = resumed.advance(&step, &db).unwrap();
+            assert_eq!(
+                got,
+                live.advance(&step, &db).unwrap(),
+                "outcome and statistics"
+            );
             assert!(got.fixpoint.unwrap().reused_facts > 0);
         }
     }
@@ -487,8 +501,9 @@ mod tests {
             .fact(r(1), [1u32, 2])
             .build()
             .unwrap();
+        let phi = tc_sentence();
         assert!(matches!(
-            ChainSession::resume(&tc_sentence(), &db, &db, 1),
+            ChainSession::resume(&phi, &step(&phi, &db), &db, &db, 1),
             Err(CoreError::StrategyNotApplicable { .. })
         ));
     }
@@ -508,9 +523,9 @@ mod tests {
             .fact(r(1), [2u32, 3])
             .build()
             .unwrap();
-        let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
-        let got = session.advance(&db2).unwrap();
-        let want = datalog_update(&phi, &db2, &EvalOptions::default(), None).unwrap();
+        let (mut session, _) = ChainSession::start(&phi, &step(&phi, &db1), &db1, 0).unwrap();
+        let got = session.advance(&step(&phi, &db2), &db2).unwrap();
+        let want = from_scratch(&phi, &db2).unwrap();
         assert_eq!(got.databases, want.databases);
         assert!(got.databases[0].relation(r(3)).is_none());
     }
@@ -530,44 +545,43 @@ mod tests {
             .fact(r(3), [7u32, 8])
             .build()
             .unwrap();
-        let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
-        let got = session.advance(&db2).unwrap();
-        let want = datalog_update(&phi, &db2, &EvalOptions::default(), None).unwrap();
+        let (mut session, _) = ChainSession::start(&phi, &step(&phi, &db1), &db1, 0).unwrap();
+        let got = session.advance(&step(&phi, &db2), &db2).unwrap();
+        let want = from_scratch(&phi, &db2).unwrap();
         assert_eq!(got.databases, want.databases);
         // and the rebuilt session keeps advancing correctly
         let mut db3 = db2.clone();
         db3.insert_fact(r(1), kbt_data::tuple![2, 3]).unwrap();
-        let got = session.advance(&db3).unwrap();
-        let want = datalog_update(&phi, &db3, &EvalOptions::default(), None).unwrap();
+        let got = session.advance(&step(&phi, &db3), &db3).unwrap();
+        let want = from_scratch(&phi, &db3).unwrap();
         assert_eq!(got.databases, want.databases);
     }
 
     #[test]
-    fn chain_session_rejects_schema_conflicts_with_phi() {
-        // R1 returns empty with arity 3: the tuple-level diff is deletions
-        // only, but σ(db) ∪ σ(φ) is contradictory — advance must fail just
-        // like the from-scratch path does.
+    fn schema_conflicts_with_phi_are_refused_not_skipped() {
+        // R1 returns empty with arity 3: a chain's tuple-level diff would be
+        // deletions only, but σ(db) ∪ σ(φ) is contradictory — the step
+        // applies, and is refused before any session or evaluation sees it.
         let phi = tc_sentence();
-        let db1 = DatabaseBuilder::new()
-            .fact(r(1), [1u32, 2])
-            .build()
-            .unwrap();
-        let db2 = DatabaseBuilder::new().relation(r(1), 3).build().unwrap();
-        let (mut session, _) = ChainSession::start(&phi, &db1, 0).unwrap();
-        assert!(session.advance(&db2).is_err());
-        assert!(datalog_update(&phi, &db2, &EvalOptions::default(), None).is_err());
+        let db = DatabaseBuilder::new().relation(r(1), 3).build().unwrap();
+        assert!(applicable(&phi, &db));
+        assert!(matches!(
+            horn_step(&phi, &db),
+            Some(Err(CoreError::Data(_)))
+        ));
     }
 
     #[test]
-    fn rejects_when_not_applicable() {
-        let db = DatabaseBuilder::new()
-            .fact(r(1), [1u32, 2])
-            .relation(r(2), 2)
-            .build()
-            .unwrap();
+    fn a_relation_wider_than_the_engine_is_refused_not_skipped() {
+        let wide = Sentence::new(forall(
+            [1],
+            implies(atom(1, [var(1)]), atom(2, vec![var(1); 33])),
+        ))
+        .unwrap();
+        let db = DatabaseBuilder::new().fact(r(1), [1u32]).build().unwrap();
         assert!(matches!(
-            datalog_update(&tc_sentence(), &db, &EvalOptions::default(), None),
-            Err(CoreError::StrategyNotApplicable { .. })
+            horn_step(&wide, &db),
+            Some(Err(CoreError::Engine(EngineError::ArityTooLarge { .. })))
         ));
     }
 }

@@ -22,9 +22,10 @@ pub mod universe;
 use std::collections::BTreeSet;
 
 use kbt_data::{Const, Database};
-use kbt_datalog::{RuleProfile, View};
+use kbt_engine::{EngineStats, RuleProfile, View};
 use kbt_logic::Sentence;
 
+use crate::error::CoreError;
 use crate::options::{EvalOptions, Strategy};
 use crate::Result;
 
@@ -40,7 +41,7 @@ pub struct UpdateOutcome {
     pub candidate_atoms: usize,
     /// Engine statistics of the least-fixpoint computation, when the Datalog
     /// fast path ran.
-    pub fixpoint: Option<kbt_datalog::EvalStats>,
+    pub fixpoint: Option<EngineStats>,
 }
 
 /// Computes `µ(φ, db)` with the strategy selected in `options`, optionally
@@ -72,17 +73,26 @@ pub(crate) fn minimal_update_over(
     options: &EvalOptions,
     view: Option<&mut View<'_>>,
 ) -> Result<UpdateOutcome> {
+    if let Some(step) = fast_path(phi, db, options) {
+        return datalog::datalog_update(&step?, db, options, view);
+    }
     let strategy = match options.strategy {
-        Strategy::Auto if datalog::applicable(phi, db) => Strategy::Datalog,
+        Strategy::Datalog => {
+            return Err(CoreError::StrategyNotApplicable {
+                strategy: "Datalog",
+                reason: "the sentence is not a conjunction of safe Horn clauses over fresh head \
+                         relations"
+                    .to_string(),
+            })
+        }
         Strategy::Auto if kbt_logic::is_ground(phi.formula()) => Strategy::QuantifierFree,
         Strategy::Auto => Strategy::Grounding,
         chosen => chosen,
     };
     let name = match strategy {
-        Strategy::Datalog => return datalog::datalog_update(phi, db, options, view),
         Strategy::Exhaustive => "exhaustive",
         Strategy::QuantifierFree => "quantifier-free",
-        Strategy::Grounding | Strategy::Auto => "grounding",
+        _ => "grounding",
     };
     if let Some(view) = view.filter(|v| !v.runs()) {
         view.rows.push(operator_row(format!("insert {phi}"), name));
@@ -99,6 +109,19 @@ pub(crate) fn minimal_update_over(
             let domain = domain.unwrap_or_else(|| universe::domain_of(db, &phi.constants()));
             grounding::grounding_update_over(phi, db, domain, options)
         }
+    }
+}
+
+/// φ's step on `db` when the strategy `options` select evaluates `τ_φ`
+/// there on the Datalog fast path ([`datalog::horn_step`]).
+pub(crate) fn fast_path(
+    phi: &Sentence,
+    db: &Database,
+    options: &EvalOptions,
+) -> Option<Result<datalog::HornStep>> {
+    match options.strategy {
+        Strategy::Auto | Strategy::Datalog => datalog::horn_step(phi, db),
+        _ => None,
     }
 }
 
@@ -159,6 +182,26 @@ mod tests {
             b.sort();
             assert_eq!(a, b, "strategy {:?} disagrees", strategy);
         }
+    }
+
+    #[test]
+    fn the_datalog_strategy_refuses_what_is_not_a_horn_step() {
+        // R2 is stored already, so the least fixpoint is not the update
+        let db = DatabaseBuilder::new()
+            .fact(r(1), [1u32])
+            .relation(r(2), 1)
+            .build()
+            .unwrap();
+        let phi =
+            Sentence::new(forall([1], implies(atom(1, [var(1)]), atom(2, [var(1)])))).unwrap();
+        let options = EvalOptions::with_strategy(Strategy::Datalog);
+        assert!(matches!(
+            minimal_update(&phi, &db, &options, None),
+            Err(CoreError::StrategyNotApplicable {
+                strategy: "Datalog",
+                ..
+            })
+        ));
     }
 
     #[test]

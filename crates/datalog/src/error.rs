@@ -1,63 +1,39 @@
-//! Error types for the Datalog substrate.
+//! The one refusal this crate adds to the engine's: a sentence that is not
+//! Horn.
 
 use std::fmt;
 
-/// Errors produced while building or evaluating Datalog programs.
+use kbt_engine::EngineError;
+
+/// Why [`crate::program_from_sentence`] makes no program of a sentence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DatalogError {
-    /// A rule is not range-restricted.
-    UnsafeRule {
-        /// Display form of the offending rule.
-        rule: String,
-    },
-    /// The sentence handed to [`crate::program_from_sentence`] is not a
-    /// conjunction of function-free Horn clauses.
+    /// The sentence is not a conjunction of function-free Horn clauses.
     NotHorn,
-    /// An error bubbled up from the relational substrate.
-    Data(kbt_data::DataError),
-    /// A limit of the evaluation engine was exceeded (e.g. a relation wider
-    /// than a binding mask can express).
-    Engine {
-        /// Human-readable description of the limit.
-        message: String,
-    },
+    /// The clauses do not make a program: [`crate::Program::new`]'s
+    /// refusal, as the engine wrote it.
+    Engine(EngineError),
 }
 
 impl fmt::Display for DatalogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DatalogError::UnsafeRule { rule } => {
-                write!(f, "rule is not range-restricted: {rule}")
-            }
             DatalogError::NotHorn => {
                 write!(
                     f,
                     "sentence is not a conjunction of function-free Horn clauses"
                 )
             }
-            DatalogError::Data(e) => write!(f, "{e}"),
-            DatalogError::Engine { message } => write!(f, "engine limit: {message}"),
+            DatalogError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for DatalogError {}
 
-impl From<kbt_data::DataError> for DatalogError {
-    fn from(e: kbt_data::DataError) -> Self {
-        DatalogError::Data(e)
-    }
-}
-
-impl From<kbt_engine::EngineError> for DatalogError {
-    fn from(e: kbt_engine::EngineError) -> Self {
-        match e {
-            kbt_engine::EngineError::UnsafeRule { rule } => DatalogError::UnsafeRule { rule },
-            kbt_engine::EngineError::Data(e) => DatalogError::Data(e),
-            other => DatalogError::Engine {
-                message: other.to_string(),
-            },
-        }
+impl From<EngineError> for DatalogError {
+    fn from(e: EngineError) -> Self {
+        DatalogError::Engine(e)
     }
 }
 
@@ -67,10 +43,13 @@ mod tests {
 
     #[test]
     fn messages_are_informative() {
-        let e = DatalogError::UnsafeRule {
+        let e = DatalogError::from(EngineError::UnsafeRule {
             rule: "R2(x1) :- R1(x2).".into(),
-        };
-        assert!(e.to_string().contains("range-restricted"));
+        });
+        assert_eq!(
+            e.to_string(),
+            "rule is not range-restricted: R2(x1) :- R1(x2)."
+        );
         assert!(DatalogError::NotHorn.to_string().contains("Horn"));
     }
 }

@@ -7,13 +7,13 @@
 use kbt_logic::{horn_clauses, Sentence};
 
 use crate::error::DatalogError;
-use crate::{Program, Result};
+use crate::Program;
 
 /// Converts a sentence into a Datalog program, if the sentence is a
 /// conjunction of function-free Horn clauses; fails with
 /// [`DatalogError::NotHorn`] otherwise, and with [`Program::new`]'s refusal
 /// when the clauses do not make a program.
-pub fn program_from_sentence(sentence: &Sentence) -> Result<Program> {
+pub fn program_from_sentence(sentence: &Sentence) -> Result<Program, DatalogError> {
     let rules = horn_clauses(sentence).ok_or(DatalogError::NotHorn)?;
     Ok(Program::new(rules)?)
 }
@@ -21,7 +21,7 @@ pub fn program_from_sentence(sentence: &Sentence) -> Result<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::semi_naive_eval;
+    use crate::eval::semi_naive_eval_threads;
     use kbt_data::{DatabaseBuilder, RelId};
     use kbt_logic::builder::*;
 
@@ -56,7 +56,7 @@ mod tests {
             .fact(r(1), [3u32, 4])
             .build()
             .unwrap();
-        let (fix, _) = semi_naive_eval(&program, &edb).unwrap();
+        let (fix, _) = semi_naive_eval_threads(&program, &edb, 1).unwrap();
         assert_eq!(fix.relation(r(2)).unwrap().len(), 6);
         assert!(fix.holds(r(2), &kbt_data::tuple![1, 4]));
     }
@@ -84,7 +84,9 @@ mod tests {
         .unwrap();
         assert!(matches!(
             program_from_sentence(&phi),
-            Err(DatalogError::UnsafeRule { .. })
+            Err(DatalogError::Engine(
+                kbt_engine::EngineError::UnsafeRule { .. }
+            ))
         ));
     }
 }

@@ -28,15 +28,17 @@
 //! (Section 2.1's remark); a step that negates is not Horn, so it goes
 //! through grounding, not this crate.
 //!
-//! Evaluation is delegated to `kbt-engine`, which plans the rules as they
-//! are.  The evaluator inventory is short on purpose:
-//! [`semi_naive_eval_threads`] (delta-indexed semi-naive rounds over
-//! hash-indexed storage; [`semi_naive_eval_viewed`] is the same run observed
-//! as an `EXPLAIN` or a `PROFILE`) and the delta-driven [`IncrementalEval`]
-//! session are the engine; the original nested-loop
-//! [`reference_naive_eval`] / [`reference_semi_naive_eval`] survive
-//! unchanged in [`reference`](mod@reference) as the independent oracles the
-//! differential tests hold the engine to.
+//! Evaluation is `kbt-engine`'s, called directly: the one-shot
+//! [`kbt_engine::evaluate`] (optionally observed as an `EXPLAIN` or a
+//! `PROFILE` through a [`kbt_engine::View`]) and the delta-driven
+//! [`kbt_engine::IncrementalSession`]; an engine refusal is a
+//! [`kbt_engine::EngineError`].  This crate keeps
+//! [`semi_naive_eval_threads`], `evaluate` with nothing observed, under the
+//! name the benchmarks call, and the original nested-loop
+//! [`reference_naive_eval`] / [`reference_semi_naive_eval`] unchanged in
+//! [`reference`](mod@reference) as the independent oracles the
+//! differential tests hold the engine to.  Its one error of its own,
+//! [`DatalogError::NotHorn`], says a sentence has no program.
 
 pub mod adorn;
 pub mod error;
@@ -49,12 +51,9 @@ pub mod stratify;
 
 pub use adorn::{adorn_program, AdornedPred, AdornedProgram, Adornment};
 pub use error::DatalogError;
-pub use eval::{
-    idb_only, semi_naive_eval, semi_naive_eval_threads, semi_naive_eval_viewed, EvalStats,
-    IncrementalEval,
-};
+pub use eval::semi_naive_eval_threads;
 pub use from_logic::program_from_sentence;
-pub use kbt_engine::{Program, RuleProfile, View};
+pub use kbt_engine::Program;
 /// A rule's atom: [`kbt_logic::Atom`], under the name this crate's callers
 /// use for it.
 pub use kbt_logic::Atom as DlAtom;
@@ -63,6 +62,3 @@ pub use magic::{demand_rewrite, magic_rewrite, DemandPlan, MagicName, MagicPlan}
 pub use metrics::{metrics, DatalogMetrics};
 pub use reference::{reference_naive_eval, reference_semi_naive_eval};
 pub use stratify::stratify;
-
-/// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, DatalogError>;

@@ -31,10 +31,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kbt_data::{Const, RelId};
+use kbt_engine::EngineError;
 use kbt_logic::{Atom, Rule, Term, Var};
 
 use crate::adorn::{adorn_program, AdornedPred, AdornedProgram, Adornment};
-use crate::{Program, Result};
+use crate::Program;
 
 /// Rendering metadata for one predicate invented by the rewrite.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,7 +126,7 @@ pub fn magic_rewrite(
     rel: RelId,
     terms: &[Term],
     first_free: u32,
-) -> Result<MagicPlan> {
+) -> Result<MagicPlan, EngineError> {
     let goal = AdornedPred {
         rel,
         adornment: Adornment::from_terms(terms),
@@ -153,7 +154,11 @@ pub fn magic_rewrite(
 /// non-linear closure asked `reach(x0, x1)` and `reach(x, k)` at once does
 /// both, 164–227 ms against 36–66 ms for no rewrite — so the plan is then
 /// the plain reachable slice: the source rules of every reached relation.
-pub fn demand_rewrite(program: &Program, keep: &[RelId], first_free: u32) -> Result<DemandPlan> {
+pub fn demand_rewrite(
+    program: &Program,
+    keep: &[RelId],
+    first_free: u32,
+) -> Result<DemandPlan, EngineError> {
     let metrics = crate::metrics::metrics();
     let _span = metrics.demand_rewrite_ns.span();
     metrics.demand_rewrites_total.inc();
@@ -192,7 +197,7 @@ fn rewrite(
     adorned: &AdornedProgram,
     goals: &[(AdornedPred, Vec<Const>)],
     first_free: u32,
-) -> Result<(DemandPlan, Vec<RelId>)> {
+) -> Result<(DemandPlan, Vec<RelId>), EngineError> {
     // Allocate answer/magic predicate ids for every bound adorned predicate.
     let mut next = first_free;
     for r in program.rules() {
@@ -347,7 +352,6 @@ fn rewrite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::semi_naive_eval;
     use kbt_data::{Database, Relation};
     use kbt_logic::builder::{cst, var};
 
@@ -385,7 +389,7 @@ mod tests {
             db.ensure_relation(*rel, consts.len()).unwrap();
             db.insert_fact(*rel, consts.clone().into()).unwrap();
         }
-        let (fix, _) = semi_naive_eval(&plan.program, &db).unwrap();
+        let (fix, _) = kbt_engine::evaluate(&plan.program, &db, 1, None, None).unwrap();
         let arity = terms.len();
         let full = fix
             .relation(plan.answer)
@@ -406,7 +410,7 @@ mod tests {
 
     /// The materializing oracle: full fixpoint, then filter.
     fn oracle(program: &Program, edb: &Database, rel: RelId, terms: &[Term]) -> Relation {
-        let (fix, _) = semi_naive_eval(program, edb).unwrap();
+        let (fix, _) = kbt_engine::evaluate(program, edb, 1, None, None).unwrap();
         let arity = terms.len();
         let full = fix
             .relation(rel)
@@ -447,7 +451,7 @@ mod tests {
             db.ensure_relation(*rel, consts.len()).unwrap();
             db.insert_fact(*rel, consts.clone().into()).unwrap();
         }
-        let (fix, _) = semi_naive_eval(&plan.program, &db).unwrap();
+        let (fix, _) = kbt_engine::evaluate(&plan.program, &db, 1, None, None).unwrap();
         let derived: usize = fix
             .relation(plan.answer)
             .map(|rl| rl.len())

@@ -4,21 +4,25 @@
 //! kept as a cross-check oracle for the indexed engine: they share
 //! no code with `kbt-engine`, so agreement between the two is strong
 //! evidence of correctness.  The differential tests call them; production
-//! paths go through [`crate::eval`].
+//! paths call [`kbt_engine::evaluate`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use kbt_data::{Const, Database, Tuple};
+use kbt_data::{Const, DataError, Database, Tuple};
 use kbt_logic::{Atom, Rule, Term, Var};
 
-use crate::eval::EvalStats;
-use crate::{Program, Result};
+use kbt_engine::EngineStats;
+
+use crate::Program;
 
 type Subst = BTreeMap<Var, Const>;
 
 /// Computes the least fixpoint of `program` over `edb` by naive nested-loop
 /// evaluation (recompute everything each round).
-pub fn reference_naive_eval(program: &Program, edb: &Database) -> Result<(Database, EvalStats)> {
+pub fn reference_naive_eval(
+    program: &Program,
+    edb: &Database,
+) -> Result<(Database, EngineStats), DataError> {
     eval_with(program, edb, false)
 }
 
@@ -28,18 +32,21 @@ pub fn reference_naive_eval(program: &Program, edb: &Database) -> Result<(Databa
 pub fn reference_semi_naive_eval(
     program: &Program,
     edb: &Database,
-) -> Result<(Database, EvalStats)> {
+) -> Result<(Database, EngineStats), DataError> {
     eval_with(program, edb, true)
 }
 
-fn eval_with(program: &Program, edb: &Database, semi_naive: bool) -> Result<(Database, EvalStats)> {
+fn eval_with(
+    program: &Program,
+    edb: &Database,
+    semi_naive: bool,
+) -> Result<(Database, EngineStats), DataError> {
     let mut db = edb.clone();
     // make sure every relation of the program exists in the working database
     for (rel, arity) in program.schema().iter() {
-        db.ensure_relation(rel, arity)
-            .map_err(crate::DatalogError::Data)?;
+        db.ensure_relation(rel, arity)?;
     }
-    let mut stats = EvalStats::default();
+    let mut stats = EngineStats::default();
     // a program with no rules runs no round
     if !program.is_empty() {
         if semi_naive {
@@ -51,7 +58,7 @@ fn eval_with(program: &Program, edb: &Database, semi_naive: bool) -> Result<(Dat
     Ok((db, stats))
 }
 
-fn naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn naive_rounds(program: &Program, db: &mut Database, stats: &mut EngineStats) {
     loop {
         stats.iterations += 1;
         let mut new_facts: Vec<(kbt_data::RelId, Tuple)> = Vec::new();
@@ -73,7 +80,7 @@ fn naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats) {
     }
 }
 
-fn semi_naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats) {
+fn semi_naive_rounds(program: &Program, db: &mut Database, stats: &mut EngineStats) {
     // round 0: plain naive round to seed the deltas
     let mut delta: BTreeMap<kbt_data::RelId, BTreeSet<Tuple>> = BTreeMap::new();
     stats.iterations += 1;
@@ -118,7 +125,7 @@ fn semi_naive_rounds(program: &Program, db: &mut Database, stats: &mut EvalStats
 fn commit(
     db: &mut Database,
     delta: &BTreeMap<kbt_data::RelId, BTreeSet<Tuple>>,
-    stats: &mut EvalStats,
+    stats: &mut EngineStats,
 ) {
     for (&rel, facts) in delta {
         for fact in facts {
@@ -139,7 +146,7 @@ fn derive(
     rule: &Rule,
     db: &Database,
     delta_pos: Option<(usize, &BTreeSet<Tuple>)>,
-    stats: &mut EvalStats,
+    stats: &mut EngineStats,
 ) -> BTreeSet<Tuple> {
     let mut out = BTreeSet::new();
     let mut subst = Subst::new();
@@ -155,7 +162,7 @@ fn search(
     depth: usize,
     subst: &mut Subst,
     out: &mut BTreeSet<Tuple>,
-    stats: &mut EvalStats,
+    stats: &mut EngineStats,
 ) {
     let Some(atom) = rule.body.get(depth) else {
         if let Some(fact) = instantiate(&rule.head, subst) {

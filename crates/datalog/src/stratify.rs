@@ -1,13 +1,16 @@
 //! Stratification, which positive Datalog makes trivial.
 
-use crate::{Program, Result};
+use std::convert::Infallible;
+
+use crate::Program;
 
 /// Splits `program` into strata.  A rule body is a list of atoms, so a
-/// non-empty program is its one stratum and an empty program has none.
+/// non-empty program is its one stratum, an empty program has none, and
+/// the split never fails.
 ///
 /// Evaluation never calls this: the end-to-end benchmark's
 /// `datalog.stratify` shadow span (`bench/stackbench`) is its only caller.
-pub fn stratify(program: &Program) -> Result<Vec<Program>> {
+pub fn stratify(program: &Program) -> Result<Vec<Program>, Infallible> {
     if program.is_empty() {
         Ok(Vec::new())
     } else {

@@ -1,4 +1,8 @@
 //! Engine error type.
+//!
+//! An engine refusal reaches a client as it is (`ERR eval` on the wire), so
+//! each message is written for that reader: a rule that is not
+//! range-restricted, a limit of the engine, or the data layer's own message.
 
 use std::fmt;
 
@@ -35,22 +39,22 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::UnsafeRule { rule } => {
-                write!(f, "unsafe rule (not range-restricted): {rule}")
+                write!(f, "rule is not range-restricted: {rule}")
             }
             EngineError::ArityTooLarge { rel, arity } => {
                 write!(
                     f,
-                    "relation {rel} has arity {arity}, above the engine maximum of 32"
+                    "engine limit: relation {rel} has arity {arity}, above the engine maximum of 32"
                 )
             }
             EngineError::IntensionalUpdate { rel } => {
                 write!(
                     f,
-                    "relation {rel} is intensional: incremental deltas may only touch \
+                    "engine limit: relation {rel} is intensional: incremental deltas may only touch \
                      extensional relations"
                 )
             }
-            EngineError::Data(e) => write!(f, "data error: {e}"),
+            EngineError::Data(e) => write!(f, "{e}"),
         }
     }
 }

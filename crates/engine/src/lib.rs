@@ -47,12 +47,17 @@
 //! * [`EngineStats`] — iterations, derived facts, index probes and tuples
 //!   scanned, so callers and benchmarks can see the work performed.
 //!
-//! There are exactly two evaluators here: the one-shot [`evaluate`] — one
-//! entry, one plan-and-run, optionally observed through a [`View`] that
-//! turns the same run into an `EXPLAIN` or a `PROFILE` (see [`profile`]) —
-//! and the delta-driven [`IncrementalSession`] built on the same round
-//! driver.  The independent oracles they are tested against (naive and
-//! semi-naive nested-loop evaluators) live in `kbt_datalog::reference`.
+//! There are exactly two evaluators here, and they are the product's only
+//! evaluator API: the one-shot [`evaluate`] — one entry, one plan-and-run,
+//! optionally observed through a [`View`] that turns the same run into an
+//! `EXPLAIN` or a `PROFILE` (see [`profile`]) — and the delta-driven
+//! [`IncrementalSession`] built on the same round driver.  `kbt-core`'s
+//! fast path and chain sessions and `kbt-service`'s goal reads call them
+//! directly, and an engine refusal reaches them as the [`EngineError`] it
+//! is; `kbt-datalog` turns sentences into programs and rewrites them, and
+//! evaluates nothing of its own.  The independent oracles the two are
+//! tested against (naive and semi-naive nested-loop evaluators) live in
+//! `kbt_datalog::reference`.
 //!
 //! Rounds can run **in parallel**: a width above 1 (see [`evaluate`]) fans
 //! the independent (rule, plan) derivations of a round — chunked over each

@@ -16,17 +16,12 @@ use std::time::Instant;
 
 use kbt_core::{CoreError, RuleProfile, Transform, Transformer, View};
 use kbt_data::{Const, Database, EpochId, RelId, Relation, Tuple, Vocabulary};
-use kbt_datalog::{
-    magic_rewrite, program_from_sentence, semi_naive_eval_viewed, Adornment, DatalogError,
-    MagicPlan, Program,
-};
+use kbt_datalog::{magic_rewrite, program_from_sentence, Adornment, MagicPlan, Program};
 use kbt_engine::table::{filter_rows, SubsumptiveTable};
 use kbt_logic::Term;
 
-use crate::command::{
-    parse_query, parse_transform, render_args_into, render_relation, QueryCmd, QueryGoal,
-};
-use crate::error::{Result, ServiceError};
+use crate::command::{parse_query, render_args_into, render_relation, QueryCmd, QueryGoal};
+use crate::error::Result;
 use crate::service::{FactRows, QueryResult, Response, Service, Snapshot, WorldRows};
 
 /// Which view of a read the client asked for (the verb).
@@ -107,9 +102,8 @@ impl GoalPlan {
         let Some(program) = rulebase else {
             return Ok(GoalPlan::Stored);
         };
-        magic_rewrite(&program, rel, terms, fresh)
-            .map(GoalPlan::Magic)
-            .map_err(datalog_err)
+        let plan = magic_rewrite(&program, rel, terms, fresh).map_err(CoreError::Engine)?;
+        Ok(GoalPlan::Magic(plan))
     }
 
     /// The strategy name reported for a bound goal this plan answers.
@@ -458,8 +452,8 @@ impl Service {
                 for (seed_rel, consts) in &magic.seeds {
                     edb.insert_fact(*seed_rel, Tuple::new(consts.clone()))?;
                 }
-                fixpoint = semi_naive_eval_viewed(&magic.program, &edb, threads, view, None)
-                    .map_err(datalog_err)?
+                fixpoint = kbt_engine::evaluate(&magic.program, &edb, threads, view, None)
+                    .map_err(CoreError::Engine)?
                     .0;
                 (&fixpoint, magic.answer)
             }
@@ -485,12 +479,6 @@ fn render_profile_row(p: &RuleProfile) -> String {
         "{} | rounds={} derived={} probes={} scanned={} elapsed_ns={} :: {}",
         p.rule, p.rounds, p.derived, p.probes, p.scanned, p.elapsed_ns, p.plan
     )
-}
-
-/// Maps a Datalog-substrate error onto the service error space (bound
-/// queries drive the evaluator directly, without going through `kbt-core`).
-fn datalog_err(e: DatalogError) -> ServiceError {
-    ServiceError::Core(CoreError::Datalog(e))
 }
 
 /// Position groups the goal binds to one repeated variable (`reach(x, x)`
@@ -530,15 +518,9 @@ fn filter_equal(rel: &Relation, groups: &[Vec<usize>]) -> Relation {
 /// define fall back to stored-fact materialization.  Returns `None` when
 /// no step yields any rule.
 fn build_rulebase(snap: &Snapshot) -> Option<Program> {
-    let mut vocab = snap.vocab().clone();
     let mut rules = Vec::new();
     for info in snap.transforms().values() {
-        // the wire text was rendered from this vocabulary, so re-parsing
-        // interns nothing new and cannot fail — but stay defensive
-        let Ok(t) = parse_transform(&info.text, &mut vocab) else {
-            continue;
-        };
-        for step in t.steps() {
+        for step in info.transform.steps() {
             if let Transform::Insert(sentence) = step {
                 if let Ok(p) = program_from_sentence(sentence) {
                     rules.extend(p.rules().iter().cloned());
@@ -556,7 +538,7 @@ fn build_rulebase(snap: &Snapshot) -> Option<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServiceConfig;
+    use crate::{ServiceConfig, ServiceError};
 
     fn service() -> Service {
         Service::new(ServiceConfig::builder().threads(1).build())
@@ -638,6 +620,27 @@ mod tests {
         let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
         assert_eq!(strategy, "magic");
         assert_eq!(facts.len(), 4, "the new edge must be visible: {facts:?}");
+    }
+
+    #[test]
+    fn a_redefinition_reaches_the_next_epochs_rulebase() {
+        let s = service();
+        s.execute("ASSERT edge(1, 2), edge(2, 3), edge(3, 4)")
+            .unwrap();
+        s.execute(
+            "DEFINE tc := tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
+             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]",
+        )
+        .unwrap();
+        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
+        assert_eq!(strategy, "magic");
+        assert_eq!(facts, ["path(1, 2)", "path(1, 3)", "path(1, 4)"]);
+        // `tc` again, one step only: the next epoch's rulebase is these rules
+        s.execute("DEFINE tc := tau[forall x0 x1. edge(x0, x1) -> path(x0, x1)]")
+            .unwrap();
+        let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
+        assert_eq!(strategy, "magic");
+        assert_eq!(facts, ["path(1, 2)"]);
     }
 
     #[test]

@@ -115,6 +115,10 @@ pub struct TransformInfo {
     /// The canonical wire-format rendering of the expression (shared:
     /// registry refreshes bump a pointer, they do not re-allocate texts).
     pub text: Arc<str>,
+    /// The expression `text` renders, parsed once at `DEFINE` (or at
+    /// checkpoint recovery) and shared with the writer's registry: the
+    /// goal-directed rulebase reads its steps from here.
+    pub transform: Arc<Transform>,
     /// How many times it has been `APPLY`ed.
     pub applications: u64,
 }
@@ -192,6 +196,7 @@ impl Writer {
                         name.clone(),
                         TransformInfo {
                             text: reg.text.clone(),
+                            transform: reg.transform.clone(),
                             applications: reg.applications,
                         },
                     )
@@ -202,7 +207,7 @@ impl Writer {
 }
 
 struct Registered {
-    transform: Transform,
+    transform: Arc<Transform>,
     text: Arc<str>,
     /// Persistent incremental engine state, advanced per `APPLY`.
     chain: Option<ChainSession>,
@@ -637,7 +642,7 @@ impl Service {
                         transforms.insert(
                             name,
                             Registered {
-                                transform,
+                                transform: Arc::new(transform),
                                 text: text.into(),
                                 chain: None,
                                 applications,
@@ -1052,7 +1057,7 @@ impl Service {
                     w.transforms.insert(
                         name.clone(),
                         Registered {
-                            transform,
+                            transform: Arc::new(transform),
                             text: text.clone(),
                             chain: None,
                             applications: 0,

@@ -20,9 +20,10 @@
 //!   compiles rule bodies into index-probe sequences, and a delta-aware
 //!   semi-naive fixpoint driver with work counters (crate `kbt-engine`),
 //! * [`datalog`] — the Datalog substrate used by the PTIME fast path and the
-//!   fixpoint expressiveness results; its evaluators lower onto the engine,
-//!   with the original nested-loop evaluators preserved as a cross-check
-//!   oracle in `datalog::reference` (crate `kbt-datalog`),
+//!   fixpoint expressiveness results: Horn sentences to programs and the
+//!   magic-sets rewrite; programs are evaluated by the engine, called
+//!   directly, with the original nested-loop evaluators preserved as a
+//!   cross-check oracle in `datalog::reference` (crate `kbt-datalog`),
 //! * [`core`] — the transformation language itself: `τ`, `⊓`, `⊔`, `π`,
 //!   transformation expressions, evaluation strategies, the KM postulates,
 //!   and the paper's seven worked examples (crate `kbt-core`),
@@ -44,7 +45,7 @@
 //! end-to-end benchmark (`bench/stackbench`, described in `bench/README.md`)
 //! times it on its `closure_scan` workload (`engine.eval_ns`);
 //! [`core::EvalStats`] and
-//! [`datalog::EvalStats`] expose iterations, index
+//! [`engine::EngineStats`] expose iterations, index
 //! probes and tuples scanned so regressions are observable.
 //!
 //! Composition chains get a second layer: repeated Horn `τ_φ` steps

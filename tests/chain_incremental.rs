@@ -10,16 +10,16 @@
 //!    through a fresh caller-owned chain slot, must evaluate, at every
 //!    prefix, to the knowledgebase of the step-by-step fold, which applies
 //!    each step on its own and so can neither chain nor push down.
-//! 2. **Engine-level differential**: `IncrementalEval` under random
+//! 2. **Engine-level differential**: `IncrementalSession` under random
 //!    insert/delete batches — including delete-heavy ones that exercise the
 //!    DRed overdelete/rederive path — must match from-scratch
-//!    `semi_naive_eval` after every batch.
+//!    `evaluate` after every batch.
 //! 3. **Chain shape**: a long `(π ∘ τ_φ ∘ τ_fact)*` chain must produce the
 //!    fold's knowledgebase while reusing most of the engine's facts.
 
 use kbt::core::{EvalStats, Transform, TransformResult, Transformer};
 use kbt::data::{DatabaseBuilder, Knowledgebase, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval, IncrementalEval};
+use kbt::engine::{evaluate, IncrementalSession};
 use kbt::logic::builder::*;
 use kbt::logic::Sentence;
 use proptest::prelude::*;
@@ -193,7 +193,7 @@ fn first_divergence(expr: &Transform, kb: &Knowledgebase) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level: IncrementalEval vs from-scratch semi-naive under random
+// Engine-level: IncrementalSession vs from-scratch semi-naive under random
 // insert/delete batches.
 // ---------------------------------------------------------------------------
 
@@ -225,7 +225,7 @@ fn run_random_deltas(
     }
     let mut edb = b.build().unwrap();
 
-    let mut inc = IncrementalEval::new(program, &edb).unwrap();
+    let mut inc = IncrementalSession::new(program, &edb).unwrap();
     let (mut reused, mut rederived) = (0usize, 0usize);
     for _ in 0..batches {
         let mut ins: Vec<(RelId, Tuple)> = Vec::new();
@@ -251,7 +251,7 @@ fn run_random_deltas(
         reused += stats.reused_facts;
         rederived += stats.rederived_facts;
 
-        let (want, _) = semi_naive_eval(program, &edb).unwrap();
+        let (want, _) = evaluate(program, &edb, 0, None, None).unwrap();
         assert_eq!(
             inc.current(),
             want,

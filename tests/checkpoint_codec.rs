@@ -27,7 +27,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::prelude::*;
 
-use kbt::core::EvalStats;
+use kbt::core::{EvalStats, Transform};
 use kbt::data::{Const, Database, Knowledgebase, RelId, Relation, Vocabulary};
 use kbt::service::checkpoint::{parse, render, CheckpointData};
 use kbt::service::wal::crc32;
@@ -182,6 +182,7 @@ fn random_state(rng: &mut StdRng, scale: usize) -> (u64, CommittedState) {
         .map(|i| {
             let info = TransformInfo {
                 text: odd_name(rng, i).into(),
+                transform: unparsed(),
                 applications: rng.next_u64(),
             };
             (odd_name(rng, i), info)
@@ -212,6 +213,13 @@ fn random_state(rng: &mut StdRng, scale: usize) -> (u64, CommittedState) {
     (rng.next_u64(), state)
 }
 
+/// The parsed form of a transform the codec is handed: the codec writes
+/// and reads a transform's text only, so these states' texts (odd names,
+/// say) need not parse, and one stand-in serves them all.
+fn unparsed() -> Arc<Transform> {
+    Arc::new(Transform::Identity)
+}
+
 /// The committed state a decoded checkpoint describes.
 fn restored(data: CheckpointData) -> CommittedState {
     let transforms = data
@@ -220,6 +228,7 @@ fn restored(data: CheckpointData) -> CommittedState {
         .map(|(name, applications, text)| {
             let info = TransformInfo {
                 text: text.into(),
+                transform: unparsed(),
                 applications,
             };
             (name, info)
@@ -378,6 +387,7 @@ fn fixture() -> (u64, CommittedState) {
         .map(|(name, text)| {
             let info = TransformInfo {
                 text: text.into(),
+                transform: unparsed(),
                 applications: 7,
             };
             (name.to_string(), info)

@@ -19,9 +19,9 @@ use kbt::core::examples::{
 use kbt::core::{EvalOptions, Strategy, Transform, Transformer};
 use kbt::data::{Database, DatabaseBuilder, RelId};
 use kbt::datalog::{
-    program_from_sentence, reference_naive_eval, reference_semi_naive_eval, semi_naive_eval,
-    DlAtom, Program, Rule,
+    program_from_sentence, reference_naive_eval, reference_semi_naive_eval, DlAtom, Program, Rule,
 };
+use kbt::engine::evaluate;
 use kbt::logic::builder::{cst, var};
 use rand::prelude::*;
 
@@ -34,7 +34,7 @@ fn r(i: u32) -> RelId {
 fn assert_engine_matches_oracles(program: &Program, edb: &Database, label: &str) {
     let (oracle, _) = reference_naive_eval(program, edb).expect(label);
     let (oracle_semi, _) = reference_semi_naive_eval(program, edb).expect(label);
-    let (engine_semi, _) = semi_naive_eval(program, edb).expect(label);
+    let (engine_semi, _) = evaluate(program, edb, 0, None, None).expect(label);
     assert_eq!(oracle, oracle_semi, "oracle modes disagree on {label}");
     assert_eq!(engine_semi, oracle, "engine semi-naive diverges on {label}");
 }
@@ -366,7 +366,7 @@ fn indexed_evaluation_scans_fewer_tuples_than_the_oracle() {
     let program = program_from_sentence(&transitive_closure::sentence_horn()).unwrap();
     let edges: Vec<(u32, u32)> = (1..60).map(|i| (i, i + 1)).collect();
     let edb = graph(&edges);
-    let (fix_engine, engine_stats) = semi_naive_eval(&program, &edb).unwrap();
+    let (fix_engine, engine_stats) = evaluate(&program, &edb, 0, None, None).unwrap();
     let (fix_oracle, oracle_stats) = reference_semi_naive_eval(&program, &edb).unwrap();
     assert_eq!(fix_engine, fix_oracle);
     assert!(engine_stats.index_probes > 0);

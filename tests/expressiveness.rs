@@ -3,7 +3,8 @@
 //! fixpoint-query expressibility through the Datalog fast path.
 
 use kbt::core::{EvalOptions, Strategy, Transformer};
-use kbt::datalog::{program_from_sentence, semi_naive_eval};
+use kbt::datalog::program_from_sentence;
+use kbt::engine::evaluate;
 use kbt::prelude::*;
 use kbt::reductions::eso::{two_colourable_side_query, SecondOrderBaseline};
 use kbt::reductions::so::translate_block;
@@ -74,7 +75,7 @@ fn fixpoint_queries_are_expressible_and_match_the_datalog_substrate() {
     }
     let db = b.build().unwrap();
 
-    let (fixpoint, _) = semi_naive_eval(&program, &db).unwrap();
+    let (fixpoint, _) = evaluate(&program, &db, 0, None, None).unwrap();
     let t = Transformer::with_options(EvalOptions::with_strategy(Strategy::Datalog));
     let via_update = t.insert(&phi, &Knowledgebase::singleton(db)).unwrap().kb;
     assert_eq!(via_update.len(), 1);

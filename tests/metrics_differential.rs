@@ -7,7 +7,8 @@
 //! test running on another thread of the same test binary.
 
 use kbt::data::{Database, DatabaseBuilder, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Program, Rule};
+use kbt::datalog::{semi_naive_eval_threads, DlAtom, Program, Rule};
+use kbt::engine::{EngineStats, IncrementalSession};
 use kbt::logic::builder::var;
 use kbt::obs::Registry;
 
@@ -44,19 +45,12 @@ fn braid(chains: u32) -> Database {
 /// One full workload — a from-scratch fixpoint plus an incremental
 /// insert/remove cycle — at the given width, returning everything an
 /// observer could compare.
-fn run_workload(
-    width: usize,
-) -> (
-    Database,
-    kbt::datalog::EvalStats,
-    Vec<kbt::datalog::EvalStats>,
-    Database,
-) {
+fn run_workload(width: usize) -> (Database, EngineStats, Vec<EngineStats>, Database) {
     let program = tc_datalog();
     let edb = braid(60);
     let (db, stats) = semi_naive_eval_threads(&program, &edb, width).unwrap();
 
-    let mut session = IncrementalEval::with_threads(&program, &edb, width).unwrap();
+    let mut session = IncrementalSession::with_threads(&program, &edb, width).unwrap();
     let link: Vec<(RelId, Tuple)> = (0..6u32)
         .map(|c| (r(1), kbt::data::tuple![c * 11 + 11, c * 11 + 12]))
         .collect();

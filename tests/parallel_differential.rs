@@ -20,7 +20,8 @@
 
 use kbt::core::{EvalOptions, Transform, Transformer};
 use kbt::data::{Database, DatabaseBuilder, Knowledgebase, RelId, Tuple};
-use kbt::datalog::{semi_naive_eval_threads, DlAtom, IncrementalEval, Program, Rule};
+use kbt::datalog::{semi_naive_eval_threads, DlAtom, Program, Rule};
+use kbt::engine::IncrementalSession;
 use kbt::logic::builder::*;
 use kbt::logic::Sentence;
 use proptest::prelude::*;
@@ -148,8 +149,8 @@ proptest! {
 
         // incremental: both widths track each other and the oracle across
         // random insert/delete batches
-        let mut inc_seq = IncrementalEval::with_threads(&program, &edb, 1).unwrap();
-        let mut inc_par = IncrementalEval::with_threads(&program, &edb, 4).unwrap();
+        let mut inc_seq = IncrementalSession::with_threads(&program, &edb, 1).unwrap();
+        let mut inc_par = IncrementalSession::with_threads(&program, &edb, 4).unwrap();
         for step in 0..4 {
             let (ins, del) = random_delta(&edb, &mut rng);
             let s = inc_seq.apply_delta(&ins, &del).unwrap();
@@ -211,8 +212,8 @@ fn large_fixpoints_fan_out_identically() {
 fn large_incremental_deltas_fan_out_identically() {
     let program = tc_datalog();
     let edb = braid(120);
-    let mut seq = IncrementalEval::with_threads(&program, &edb, 1).unwrap();
-    let mut par = IncrementalEval::with_threads(&program, &edb, 4).unwrap();
+    let mut seq = IncrementalSession::with_threads(&program, &edb, 1).unwrap();
+    let mut par = IncrementalSession::with_threads(&program, &edb, 4).unwrap();
     // link the first ten chains end-to-start (a ~110-edge merged chain, so
     // the insertion cascade and the later DRed overdeletion both clear the
     // engine's fan-out cutoff without the closure exploding quadratically)
@@ -229,7 +230,7 @@ fn large_incremental_deltas_fan_out_identically() {
     assert_eq!(s, p);
     assert!(s.rederived_facts > 0 || s.reused_facts > 0);
     assert_eq!(seq.current(), par.current());
-    assert_eq!(seq.total_stats(), par.total_stats());
+    assert_eq!(seq.stats(), par.stats());
 }
 
 // ---------------------------------------------------------------------------
