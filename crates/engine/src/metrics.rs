@@ -41,8 +41,8 @@ pub struct EngineMetrics {
     /// `kbt_engine_table_misses` — subsumptive-table lookups that found no
     /// memoized call.
     pub table_misses: Counter,
-    /// `kbt_engine_table_evictions` — memoized calls dropped when their
-    /// snapshot was superseded.
+    /// `kbt_engine_table_evictions` — memoized calls dropped with their
+    /// snapshot.
     pub table_evictions: Counter,
     /// `kbt_engine_index_builds_total` — indexes and membership tables
     /// built over stored rows: once per stored run and mask — once per run

@@ -15,8 +15,8 @@
 //! and the shared positions carry the same constants.
 //!
 //! The table never invalidates individual entries: it caches answers over
-//! one immutable epoch snapshot, so the owner (the service's per-epoch
-//! query cache) drops the whole table when a new epoch is published.
+//! one immutable epoch snapshot, so its owner (in the service, the epoch's
+//! published version) drops the whole table with that epoch.
 //! Hit/miss/eviction counts feed the `kbt_engine_table_*` counters on the
 //! global registry.
 
@@ -147,7 +147,7 @@ impl SubsumptiveTable {
     }
 
     /// Drops every memoized call (the snapshot the answers were computed
-    /// over is being superseded).  Returns the number of entries dropped
+    /// over is being dropped).  Returns the number of entries dropped
     /// and adds it to the `kbt_engine_table_evictions` counter.
     pub fn evict(&mut self) -> usize {
         let dropped = self.len();

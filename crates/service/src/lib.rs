@@ -12,7 +12,9 @@
 //!
 //! The committed state — knowledgebase, vocabulary, transform registry,
 //! statistics — is published in a [`kbt_data::EpochCell`] under a
-//! monotonically increasing [`kbt_data::EpochId`].
+//! monotonically increasing [`kbt_data::EpochId`], together with the read
+//! state that depends on that epoch alone (the goal-directed rulebase and
+//! the epoch's answer table, below).
 //!
 //! * **Readers never block on writers.**  [`Service::snapshot`] is an
 //!   `O(1)` `Arc` clone of the committed cell.  Query evaluation —
@@ -121,11 +123,12 @@
 //! rulebase over each world — the same fixpoint `APPLY` would commit —
 //! restricted to tuples matching the goal's constants (repeated variables
 //! impose equality), and folds the worlds certain/possible as usual.  The
-//! rulebase is assembled from the registry once per epoch and cached with
-//! the answer table.  A bound goal must name an existing relation with its
-//! exact arity (`unknown-relation` / `arity-mismatch` otherwise) and never
-//! interns new symbols: an unknown constant is a legal empty answer, not
-//! an error.
+//! rulebase is assembled from the registry at each `DEFINE` (and when the
+//! service opens) and published with every epoch until the next `DEFINE`:
+//! fact commits and `APPLY`s publish the same one.  A bound goal must name
+//! an existing relation with its exact arity (`unknown-relation` /
+//! `arity-mismatch` otherwise) and never interns new symbols: an unknown
+//! constant is a legal empty answer, not an error.
 //!
 //! Three strategies serve a bound goal, reported as `strategy=` in the
 //! wire status line and counted per strategy in the metrics catalogue:
@@ -136,17 +139,18 @@
 //!   the goal can reach.  On a 10k-edge transitive closure a point query
 //!   scans 21 tuples where materialization scans 110 000
 //!   (`tests/magic_differential.rs` pins the gap by counts).
-//! * **`tabled`** — answered from the per-epoch subsumptive table
+//! * **`tabled`** — answered from the epoch's subsumptive table
 //!   (`kbt_engine::table::SubsumptiveTable`): a memoized call whose bound
 //!   positions are a subset of the goal's (agreeing where shared) already
 //!   contains every answer; the extra bound columns are filtered
-//!   residually.  The table is keyed by packed call patterns, shared by
-//!   the whole reader pool, and **evicted atomically on every commit** —
-//!   a memoized answer can never survive its epoch, and a reader holding
-//!   an older snapshot re-derives rather than polluting the cache
-//!   (inserts are dropped unless the snapshot still matches the cache
-//!   epoch).  Only `QUERY` consults and fills it: a memo hit would explain
-//!   and profile nothing.
+//!   residually.  The table is keyed by packed call patterns and shared by
+//!   the whole reader pool, but **each epoch owns its own**: it is
+//!   published with the epoch and dropped with it, once the epoch is
+//!   superseded and no reader holds it.  A memoized answer can never be
+//!   read against another epoch, and a reader holding an older snapshot
+//!   consults and fills that epoch's table, leaving the current one alone.
+//!   Only `QUERY` consults and fills it: a memo hit would explain and
+//!   profile nothing.
 //! * **`materialize`** — no rulebase is registered: the stored facts,
 //!   filtered.  The rulebase holds Horn rules, whose bodies are lists of
 //!   atoms, so every goal over it has a magic rewrite.  Magic answers are
@@ -412,8 +416,8 @@
 //!   from a memoized call.
 //! * `kbt_engine_table_misses` (counter): subsumptive-table lookups that
 //!   found no memoized call.
-//! * `kbt_engine_table_evictions` (counter): memoized calls dropped when
-//!   their snapshot was superseded.
+//! * `kbt_engine_table_evictions` (counter): memoized calls dropped with
+//!   their epoch, once it is superseded and no reader holds it.
 //! * `kbt_engine_index_builds_total` (counter): indexes and membership
 //!   tables built over stored rows — once per stored run and mask (once
 //!   per run for a dense run's first-column offsets, which serve its

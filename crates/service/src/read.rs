@@ -7,22 +7,26 @@
 //! profiling view (`PROFILE`: same evaluation, per-rule rows recorded).  A
 //! transformation expression goes through [`Transformer::apply_viewed`]; a
 //! `CERTAIN`/`POSSIBLE` goal is resolved once into a [`GoalPlan`] and run
-//! through the one per-world fold, `Service::fold_worlds`.  Nothing here
-//! touches the writer lock.
+//! through the one per-world fold, `Service::fold_worlds`.  A bound goal
+//! reads the rulebase and the answer table of its own snapshot's epoch, so
+//! no read can meet another epoch's state.  Nothing here touches the
+//! writer lock.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use kbt_core::{CoreError, RuleProfile, Transform, Transformer, View};
-use kbt_data::{Const, Database, EpochId, RelId, Relation, Tuple, Vocabulary};
+use kbt_data::{Const, Database, RelId, Relation, Tuple, Vocabulary};
 use kbt_datalog::{magic_rewrite, program_from_sentence, Adornment, MagicPlan, Program};
-use kbt_engine::table::{filter_rows, SubsumptiveTable};
+use kbt_engine::table::filter_rows;
 use kbt_logic::Term;
 
 use crate::command::{parse_query, render_args_into, render_relation, QueryCmd, QueryGoal};
 use crate::error::Result;
-use crate::service::{FactRows, QueryResult, Response, Service, Snapshot, WorldRows};
+use crate::service::{
+    FactRows, QueryResult, Response, Service, Snapshot, TransformInfo, WorldRows,
+};
 
 /// Which view of a read the client asked for (the verb).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,40 +52,7 @@ impl ReadView {
     }
 }
 
-/// Per-epoch goal-directed query state: the rulebase assembled from the
-/// snapshot's transform registry (built lazily, once per epoch) and the
-/// subsumptive answer table.  The whole cache is evicted when a new epoch
-/// publishes — the table memoizes answers over one immutable snapshot, so
-/// staleness is impossible by construction.
-pub(crate) struct QueryCache {
-    /// The epoch the cached state speaks for.
-    epoch: EpochId,
-    /// The assembled rulebase: `None` until first needed, `Some(None)` when
-    /// the registry defines no Horn rules at all.
-    rulebase: Option<Option<Arc<Program>>>,
-    /// Memoized goal answers over this epoch's snapshot (tag 0 = certain,
-    /// tag 1 = possible).
-    table: SubsumptiveTable,
-}
-
-impl QueryCache {
-    pub(crate) fn new(epoch: EpochId) -> Self {
-        QueryCache {
-            epoch,
-            rulebase: None,
-            table: SubsumptiveTable::new(),
-        }
-    }
-
-    /// Drops everything cached for another epoch and starts over at `epoch`.
-    pub(crate) fn reset(&mut self, epoch: EpochId) {
-        self.table.evict();
-        self.rulebase = None;
-        self.epoch = epoch;
-    }
-}
-
-/// How a goal is answered, resolved once per read from the per-epoch
+/// How a goal is answered, resolved once per read from the snapshot's
 /// rulebase.
 enum GoalPlan {
     /// No rule can derive into the goal's fixpoint (the bare form, or no
@@ -94,7 +65,7 @@ enum GoalPlan {
 
 impl GoalPlan {
     fn resolve(
-        rulebase: Option<Arc<Program>>,
+        rulebase: Option<&Arc<Program>>,
         rel: RelId,
         terms: &[Term],
         fresh: u32,
@@ -102,7 +73,7 @@ impl GoalPlan {
         let Some(program) = rulebase else {
             return Ok(GoalPlan::Stored);
         };
-        let plan = magic_rewrite(&program, rel, terms, fresh).map_err(CoreError::Engine)?;
+        let plan = magic_rewrite(program, rel, terms, fresh).map_err(CoreError::Engine)?;
         Ok(GoalPlan::Magic(plan))
     }
 
@@ -238,8 +209,8 @@ impl Service {
     /// A `CERTAIN`/`POSSIBLE` goal under any view (the crate docs describe
     /// the strategies).  The bare form folds the **stored** relation; the
     /// bound form answers against the fixpoint of the registered `tau`
-    /// rules.  Only `QUERY` consults and fills the per-epoch
-    /// [`SubsumptiveTable`] — a memo hit would explain and profile nothing.
+    /// rules.  Only `QUERY` consults and fills the snapshot's answer table
+    /// ([`Snapshot::table`]) — a memo hit would explain and profile nothing.
     /// Positions bound by repeated variables (`reach(x, x)`) are
     /// equality-filtered after memo retrieval, so the memoized answer stays
     /// reusable for other patterns.
@@ -286,35 +257,26 @@ impl Service {
                     .filter_map(|(i, t)| t.as_const().map(|c| (i, c)))
                     .collect();
                 let groups = var_groups(terms);
-                let rulebase = {
-                    let mut cache = self.lock_query_cache();
-                    if cache.epoch != epoch {
-                        cache.reset(epoch);
+                if view == ReadView::Answer {
+                    // the table lock drops with this statement: evaluation
+                    // runs unlocked
+                    let hit = snap.table().lookup(tag, rel.index(), &bound);
+                    if let Some(answer) = hit {
+                        self.metrics().queries_tabled_total.inc();
+                        return Ok(facts_response(
+                            filter_equal(&answer, &groups),
+                            Some("tabled"),
+                        ));
                     }
-                    if view == ReadView::Answer {
-                        if let Some(answer) = cache.table.lookup(tag, rel.index(), &bound) {
-                            self.metrics().queries_tabled_total.inc();
-                            return Ok(facts_response(
-                                filter_equal(&answer, &groups),
-                                Some("tabled"),
-                            ));
-                        }
-                    }
-                    cache
-                        .rulebase
-                        .get_or_insert_with(|| build_rulebase(snap).map(Arc::new))
-                        .clone()
-                    // the lock drops here: evaluation must not block the
-                    // commit pipeline (publish evicts this cache under the
-                    // same lock)
-                };
+                }
                 let goal = Goal {
                     rel,
                     certain,
                     bound,
                     arity: terms.len(),
                 };
-                let plan = GoalPlan::resolve(rulebase, rel, terms, vocab.relation_count() as u32)?;
+                let fresh = vocab.relation_count() as u32;
+                let plan = GoalPlan::resolve(snap.rulebase(), rel, terms, fresh)?;
                 (goal, plan, groups)
             }
         };
@@ -381,10 +343,7 @@ impl Service {
                 GoalPlan::Magic(_) => self.metrics().queries_magic_total.inc(),
                 GoalPlan::Stored => self.metrics().queries_materialize_total.inc(),
             }
-            let mut cache = self.lock_query_cache();
-            if cache.epoch == epoch {
-                cache.table.insert(tag, rel.index(), &goal.bound, answer);
-            }
+            snap.table().insert(tag, rel.index(), &goal.bound, answer);
         }
         Ok(facts_response(facts, strategy))
     }
@@ -510,16 +469,17 @@ fn filter_equal(rel: &Relation, groups: &[Vec<usize>]) -> Relation {
     out
 }
 
-/// Assembles the goal-directed rulebase from a snapshot's transform
-/// registry: every `tau[…]` step whose sentence is a program of Horn rules
+/// Assembles the goal-directed rulebase from a transform registry, at
+/// `DEFINE` and when a service opens: every `tau[…]` step whose sentence is
+/// a program of Horn rules
 /// contributes them.  Steps that are not Horn (disjunctive updates, say)
 /// simply contribute nothing — the goal planner only ever speaks for the
 /// Datalog-restricted fragment (Theorem 4.8), and relations those steps
 /// define fall back to stored-fact materialization.  Returns `None` when
 /// no step yields any rule.
-fn build_rulebase(snap: &Snapshot) -> Option<Program> {
+pub(crate) fn build_rulebase(transforms: &BTreeMap<String, TransformInfo>) -> Option<Arc<Program>> {
     let mut rules = Vec::new();
-    for info in snap.transforms().values() {
+    for info in transforms.values() {
         for step in info.transform.steps() {
             if let Transform::Insert(sentence) = step {
                 if let Ok(p) = program_from_sentence(sentence) {
@@ -531,7 +491,7 @@ fn build_rulebase(snap: &Snapshot) -> Option<Program> {
     if rules.is_empty() {
         None
     } else {
-        Program::new(rules).ok()
+        Program::new(rules).ok().map(Arc::new)
     }
 }
 
@@ -539,6 +499,7 @@ fn build_rulebase(snap: &Snapshot) -> Option<Program> {
 mod tests {
     use super::*;
     use crate::{ServiceConfig, ServiceError};
+    use kbt_data::EpochId;
 
     fn service() -> Service {
         Service::new(ServiceConfig::builder().threads(1).build())
@@ -620,6 +581,58 @@ mod tests {
         let (facts, strategy) = bound_facts(s.execute("QUERY CERTAIN path(1, x)").unwrap());
         assert_eq!(strategy, "magic");
         assert_eq!(facts.len(), 4, "the new edge must be visible: {facts:?}");
+    }
+
+    #[test]
+    fn each_epoch_owns_its_table_and_fact_commits_share_the_rulebase() {
+        let s = service();
+        s.execute(
+            "DEFINE tc := tau[(forall x0 x1. edge(x0, x1) -> path(x0, x1)) & \
+             (forall x0 x1 x2. path(x0, x1) & edge(x1, x2) -> path(x0, x2))]",
+        )
+        .unwrap();
+        let older = s.snapshot();
+        s.execute("ASSERT edge(1, 2), edge(2, 3)").unwrap();
+        let goal = "QUERY CERTAIN path(1, x)";
+        let (facts, strategy) = bound_facts(s.execute(goal).unwrap());
+        assert_eq!((facts.len(), strategy), (2, "magic"));
+        assert_eq!(bound_facts(s.execute(goal).unwrap()).1, "tabled");
+        // a reader still holding the older snapshot answers at its own
+        // epoch, against its own table …
+        let mut vocab = older.vocab().clone();
+        let QueryCmd::Certain(query) = parse_query("CERTAIN path(1, x)", &mut vocab).unwrap()
+        else {
+            panic!("expected a CERTAIN goal");
+        };
+        let old = s
+            .read_goal(&older, &vocab, &query, true, ReadView::Answer)
+            .unwrap();
+        let Response::Facts { epoch, facts, .. } = old else {
+            panic!("expected Facts");
+        };
+        assert_eq!(epoch, older.epoch());
+        assert!(facts.is_empty(), "no edges at the older epoch: {facts:?}");
+        // … and leaves the current epoch's memo in place
+        let (facts, strategy) = bound_facts(s.execute(goal).unwrap());
+        assert_eq!((facts.len(), strategy), (2, "tabled"));
+
+        // fact commits and applications publish the rulebase they found;
+        // only a DEFINE builds a new one
+        let rulebase = s.snapshot().rulebase().cloned().expect("tc is Horn");
+        assert!(Arc::ptr_eq(older.rulebase().unwrap(), &rulebase));
+        for command in ["RETRACT edge(2, 3)", "APPLY tc", "ASSERT edge(3, 4)"] {
+            s.execute(command).unwrap();
+            let current = s.snapshot();
+            assert!(
+                Arc::ptr_eq(current.rulebase().unwrap(), &rulebase),
+                "{command} must not rebuild the rulebase"
+            );
+        }
+        s.execute("DEFINE hop := tau[forall x0 x1. edge(x0, x1) -> hop(x0, x1)]")
+            .unwrap();
+        let redefined = s.snapshot().rulebase().cloned().unwrap();
+        assert!(!Arc::ptr_eq(&redefined, &rulebase));
+        assert!(redefined.rules().len() > rulebase.rules().len());
     }
 
     #[test]

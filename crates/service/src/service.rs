@@ -2,24 +2,29 @@
 //! the command dispatcher.
 //!
 //! See the crate docs for the epoch/commit/snapshot contract.  The
-//! concurrency structure in one paragraph: the committed state (an epoch
-//! number, the knowledgebase, the vocabulary, the transform registry and
-//! the cumulative statistics) lives in a [`kbt_data::EpochCell`]; readers
-//! take `O(1)` snapshots of it and never block on evaluation work.  All
-//! mutation goes through one writer [`Mutex`]: a commit parses/evaluates
-//! under that lock against the writer's working state and then atomically
+//! concurrency structure in one paragraph: each committed epoch is one
+//! published value in a [`kbt_data::EpochCell`] — the committed state (the
+//! knowledgebase, the vocabulary, the transform registry and the
+//! cumulative statistics) together with the read state that depends on it
+//! alone: the goal-directed rulebase and the epoch's subsumptive answer
+//! table, which is dropped with its epoch.  Readers take `O(1)` snapshots
+//! of it and never block on evaluation work.  All mutation goes through
+//! one writer [`Mutex`]: a commit parses/evaluates under that lock against
+//! the writer's working copy of the committed state and then atomically
 //! publishes the next epoch.  Registered transformations keep a persistent
 //! [`ChainSession`] in the writer state, so re-`APPLY`ing one feeds only
 //! the *delta* since its previous application into the live engine
 //! fixpoint ([`kbt_engine::IncrementalSession`] underneath).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use kbt_core::{ChainSession, EvalStats, Transform, Transformer};
 use kbt_data::{
     Database, EpochCell, EpochId, Knowledgebase, RelId, Relation, Versioned, Vocabulary,
 };
+use kbt_datalog::Program;
+use kbt_engine::table::SubsumptiveTable;
 use kbt_obs::{Counter, Gauge, Registry};
 
 use crate::checkpoint::CheckpointManager;
@@ -30,7 +35,7 @@ use crate::command::{
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 use crate::metrics::ServiceMetrics;
-use crate::read::{QueryCache, ReadView};
+use crate::read::{build_rulebase, ReadView};
 use crate::recover;
 use crate::wal::{Wal, WalMetrics, WAL_FILE};
 
@@ -113,11 +118,11 @@ pub struct SessionSnapshot {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransformInfo {
     /// The canonical wire-format rendering of the expression (shared:
-    /// registry refreshes bump a pointer, they do not re-allocate texts).
+    /// registry edits bump a pointer, they do not re-allocate texts).
     pub text: Arc<str>,
     /// The expression `text` renders, parsed once at `DEFINE` (or at
-    /// checkpoint recovery) and shared with the writer's registry: the
-    /// goal-directed rulebase reads its steps from here.
+    /// checkpoint recovery): `APPLY` evaluates it and the goal-directed
+    /// rulebase reads its steps from here.
     pub transform: Arc<Transform>,
     /// How many times it has been `APPLY`ed.
     pub applications: u64,
@@ -140,10 +145,47 @@ pub struct CommittedState {
     pub stats: ServiceStats,
 }
 
+/// What one epoch publishes: the committed state and the read state that
+/// depends on it alone.  Each epoch owns its answer table, so a memoized
+/// answer can never be read against another epoch, and the table is
+/// dropped with its epoch — when the epoch is superseded and no reader
+/// holds it anymore.
+#[derive(Debug)]
+struct Published {
+    state: CommittedState,
+    /// The goal-directed rulebase of `state.transforms` ([`build_rulebase`]),
+    /// shared by every epoch since the registry's last `DEFINE`.
+    rulebase: Option<Arc<Program>>,
+    /// Memoized goal answers over this epoch (tag 0 = certain, tag 1 =
+    /// possible).  Readers hold the lock only to consult or fill it.
+    table: Mutex<SubsumptiveTable>,
+}
+
+impl Published {
+    fn new(state: CommittedState, rulebase: Option<Arc<Program>>) -> Self {
+        Published {
+            state,
+            rulebase,
+            table: Mutex::new(SubsumptiveTable::new()),
+        }
+    }
+}
+
+impl Drop for Published {
+    /// Evicts the epoch's memo, so `kbt_engine_table_evictions` counts the
+    /// calls dropped with it.
+    fn drop(&mut self) {
+        self.table
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .evict();
+    }
+}
+
 /// An immutable `O(1)` snapshot of the committed state at some epoch.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    inner: Arc<Versioned<CommittedState>>,
+    inner: Arc<Versioned<Published>>,
 }
 
 impl Snapshot {
@@ -154,64 +196,47 @@ impl Snapshot {
 
     /// The knowledgebase at this epoch.
     pub fn kb(&self) -> &Knowledgebase {
-        &self.inner.value().kb
+        &self.inner.value().state.kb
     }
 
     /// The vocabulary at this epoch.
     pub fn vocab(&self) -> &Vocabulary {
-        self.inner.value().vocab.as_ref()
+        self.inner.value().state.vocab.as_ref()
     }
 
     /// The transform registry metadata at this epoch.
     pub fn transforms(&self) -> &BTreeMap<String, TransformInfo> {
-        self.inner.value().transforms.as_ref()
+        self.inner.value().state.transforms.as_ref()
     }
 
     /// The cumulative statistics as of this epoch.
     pub fn stats(&self) -> &ServiceStats {
-        &self.inner.value().stats
+        &self.inner.value().state.stats
+    }
+
+    /// The goal-directed rulebase of this epoch's registry (`None` when
+    /// no registered step is Horn).
+    pub(crate) fn rulebase(&self) -> Option<&Arc<Program>> {
+        self.inner.value().rulebase.as_ref()
+    }
+
+    /// This epoch's subsumptive answer table, locked.
+    pub(crate) fn table(&self) -> MutexGuard<'_, SubsumptiveTable> {
+        let table = &self.inner.value().table;
+        table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Writer-private state: the working copies a commit mutates before
-/// publishing.
+/// Writer-private state: the working copy of the committed state a commit
+/// mutates before publishing it, and what only the writer needs.
 struct Writer {
-    kb: Knowledgebase,
-    vocab: Arc<Vocabulary>,
-    transforms: BTreeMap<String, Registered>,
-    /// The published registry view, rebuilt only when the registry changes
-    /// (`DEFINE` / `APPLY`); fact commits publish the `Arc` as-is.
-    transforms_meta: Arc<BTreeMap<String, TransformInfo>>,
-    stats: ServiceStats,
-}
-
-impl Writer {
-    /// Rebuilds the published metadata view from the live registry.
-    fn refresh_transforms_meta(&mut self) {
-        self.transforms_meta = Arc::new(
-            self.transforms
-                .iter()
-                .map(|(name, reg)| {
-                    (
-                        name.clone(),
-                        TransformInfo {
-                            text: reg.text.clone(),
-                            transform: reg.transform.clone(),
-                            applications: reg.applications,
-                        },
-                    )
-                })
-                .collect(),
-        );
-    }
-}
-
-struct Registered {
-    transform: Arc<Transform>,
-    text: Arc<str>,
-    /// Persistent incremental engine state, advanced per `APPLY`.
-    chain: Option<ChainSession>,
-    applications: u64,
+    state: CommittedState,
+    /// Persistent incremental engine state per registered name, advanced
+    /// per `APPLY` (absent until the first, and after a failed one).
+    chains: BTreeMap<String, ChainSession>,
+    /// The rulebase of `state.transforms`, rebuilt at `DEFINE` only: every
+    /// other commit publishes the same `Arc`.
+    rulebase: Option<Arc<Program>>,
 }
 
 /// The result of a read-only `QUERY` over a transformation expression.
@@ -506,15 +531,14 @@ struct DurabilityState {
     checkpoints: CheckpointManager,
 }
 
+/// Weak handles to published versions, by epoch.
+type Holders = Vec<(EpochId, Weak<Versioned<Published>>)>;
+
 /// A concurrent, multi-session knowledgebase service (see crate docs).
 pub struct Service {
     config: ServiceConfig,
-    committed: EpochCell<CommittedState>,
+    committed: EpochCell<Published>,
     writer: Mutex<Writer>,
-    /// Goal-directed query state, shared across the reader pool.  Readers
-    /// hold the lock only to consult/update the memo — evaluation runs
-    /// unlocked — so a long derivation never blocks the commit pipeline.
-    query_cache: Mutex<QueryCache>,
     /// Per-instance metric handles (and the registry they live in) — see
     /// the crate-level *Observability* section for the catalogue.
     metrics: ServiceMetrics,
@@ -524,7 +548,7 @@ pub struct Service {
     /// `STATS` derives per-epoch snapshot holder counts from the strong
     /// counts.  Pruned on every publish, so it holds at most one entry per
     /// epoch a reader is still pinning (plus the current one).
-    holders: Mutex<Vec<(EpochId, Weak<Versioned<CommittedState>>)>>,
+    holders: Mutex<Holders>,
     /// Durability, when configured — empty until [`Service::open`] finishes
     /// recovery replay, and always empty for [`Service::new`] services.
     durability: OnceLock<Arc<DurabilityState>>,
@@ -545,24 +569,19 @@ impl Service {
         Service::from_parts(
             config,
             EpochId::ZERO,
-            Knowledgebase::singleton(Database::new()),
-            Arc::new(Vocabulary::new()),
-            BTreeMap::new(),
-            ServiceStats::default(),
+            CommittedState {
+                kb: Knowledgebase::singleton(Database::new()),
+                vocab: Arc::new(Vocabulary::new()),
+                transforms: Arc::default(),
+                stats: ServiceStats::default(),
+            },
         )
     }
 
     /// Assembles a service around an arbitrary committed state — the shared
     /// constructor behind [`Service::new`] (the empty state at epoch zero)
     /// and [`Service::open`] (a checkpoint-recovered state).
-    fn from_parts(
-        config: ServiceConfig,
-        epoch: EpochId,
-        kb: Knowledgebase,
-        vocab: Arc<Vocabulary>,
-        transforms: BTreeMap<String, Registered>,
-        stats: ServiceStats,
-    ) -> Self {
+    fn from_parts(config: ServiceConfig, epoch: EpochId, state: CommittedState) -> Self {
         // Touch the library-level registries eagerly: every data/core/
         // engine/datalog/par/solver series must exist from the first scrape,
         // not the first fixpoint or the first non-Horn update.
@@ -574,38 +593,25 @@ impl Service {
         kbt_solver::metrics();
         let metrics = ServiceMetrics::register(Registry::new());
         let sessions = Arc::new(SessionCounters::register(&metrics.registry));
-        let mut writer = Writer {
-            kb: kb.clone(),
-            vocab: vocab.clone(),
-            transforms,
-            transforms_meta: Arc::new(BTreeMap::new()),
-            stats,
-        };
-        writer.refresh_transforms_meta();
-        let committed = EpochCell::at(
-            epoch,
-            CommittedState {
-                kb,
-                vocab,
-                transforms: writer.transforms_meta.clone(),
-                stats,
-            },
-        );
-        metrics.epoch.set(epoch.get());
-        metrics.commits_total.set(stats.commits);
-        metrics.applies_total.set(stats.applies);
-        metrics.defines_total.set(stats.defines);
+        let (stats, rulebase) = (state.stats, build_rulebase(&state.transforms));
+        let committed = EpochCell::at(epoch, Published::new(state.clone(), rulebase.clone()));
         let holders = Mutex::new(vec![(epoch, Arc::downgrade(&committed.load()))]);
-        Service {
+        let writer = Writer {
+            state,
+            chains: BTreeMap::new(),
+            rulebase,
+        };
+        let service = Service {
             config,
             committed,
             writer: Mutex::new(writer),
-            query_cache: Mutex::new(QueryCache::new(epoch)),
             metrics,
             sessions,
             holders,
             durability: OnceLock::new(),
-        }
+        };
+        service.mirror_stats(epoch, &stats);
+        service
     }
 
     /// Opens a service with the durability described by `config`: loads the
@@ -641,10 +647,9 @@ impl Service {
                             })?;
                         transforms.insert(
                             name,
-                            Registered {
-                                transform: Arc::new(transform),
+                            TransformInfo {
                                 text: text.into(),
-                                chain: None,
+                                transform: Arc::new(transform),
                                 applications,
                             },
                         );
@@ -652,10 +657,12 @@ impl Service {
                     Service::from_parts(
                         config,
                         EpochId::new(data.epoch),
-                        data.kb,
-                        vocab,
-                        transforms,
-                        data.stats,
+                        CommittedState {
+                            kb: data.kb,
+                            vocab,
+                            transforms: Arc::new(transforms),
+                            stats: data.stats,
+                        },
                     )
                 }
             };
@@ -723,14 +730,14 @@ impl Service {
         let Ok((Verb::Apply, name)) = split_command(command) else {
             return Ok(());
         };
+        let name = name.trim();
         let mut w = self.lock_writer()?;
-        let w = &mut *w;
-        let Some(reg) = w.transforms.get_mut(name.trim()) else {
+        let Some(info) = w.state.transforms.get(name) else {
             return Ok(());
         };
         let transformer = Transformer::with_options(self.config.eval_options());
-        if let Some(chain) = transformer.resume_chain(&reg.transform, &w.kb) {
-            reg.chain = Some(chain);
+        if let Some(chain) = transformer.resume_chain(&info.transform, &w.state.kb) {
+            w.chains.insert(name.to_string(), chain);
             self.metrics.recovery_chains_seeded_total.inc();
         }
         Ok(())
@@ -856,62 +863,50 @@ impl Service {
         self.writer.lock().map_err(|_| ServiceError::WriterPoisoned)
     }
 
-    pub(crate) fn lock_query_cache(&self) -> std::sync::MutexGuard<'_, QueryCache> {
-        self.query_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Publishes the writer's current state as the next epoch and registers
-    /// it in the holder registry (pruning versions nobody holds anymore).
+    /// it in the holder registry.
     fn publish(&self, w: &Writer) -> EpochId {
         let _span = self.metrics.commit_publish_ns.span();
-        let epoch = self.committed.publish(CommittedState {
-            kb: w.kb.clone(),
-            vocab: w.vocab.clone(),
-            transforms: w.transforms_meta.clone(),
-            stats: w.stats,
-        });
-        // The goal-directed cache memoizes answers over the *previous*
-        // snapshot: evict it before anyone can read against the new epoch.
-        self.lock_query_cache().reset(epoch);
+        let published = Published::new(w.state.clone(), w.rulebase.clone());
+        let epoch = self.committed.publish(published);
         // Publishes serialize on the writer lock, so this load observes the
         // version published one line above.
         let current = self.committed.load();
-        let mut reg = self.holders.lock().unwrap_or_else(PoisonError::into_inner);
-        reg.retain(|(_, weak)| weak.strong_count() > 0);
-        reg.push((epoch, Arc::downgrade(&current)));
-        // Mirror the writer's cumulative totals into the registry — the
-        // writer stats stay the single source of truth (they are published
-        // with the epoch); the counters are a read-only reflection.
-        self.metrics.commits_total.set(w.stats.commits);
-        self.metrics.applies_total.set(w.stats.applies);
-        self.metrics.defines_total.set(w.stats.defines);
-        self.metrics.epoch.set(epoch.get());
-        Self::refresh_holder_gauges(&self.metrics, &reg, epoch);
+        self.holders(epoch).push((epoch, Arc::downgrade(&current)));
+        self.mirror_stats(epoch, &w.state.stats);
         epoch
     }
 
-    /// Recomputes the epoch-holder gauges from the (already pruned) holder
-    /// registry: how many **past** epochs readers still pin, and how far
-    /// behind the oldest of them is.
-    fn refresh_holder_gauges(
-        metrics: &ServiceMetrics,
-        reg: &[(EpochId, Weak<Versioned<CommittedState>>)],
-        current: EpochId,
-    ) {
-        let pinned = reg
-            .iter()
-            .filter(|(epoch, weak)| *epoch != current && weak.strong_count() > 0);
-        let (mut held, mut oldest) = (0u64, None::<u64>);
-        for (epoch, _) in pinned {
-            held += 1;
-            oldest = Some(oldest.map_or(epoch.get(), |o: u64| o.min(epoch.get())));
-        }
-        metrics.held_epochs.set(held);
-        metrics
+    /// Mirrors the committed cumulative totals into the registry — the
+    /// published stats stay the single source of truth; the counters are a
+    /// read-only reflection.
+    fn mirror_stats(&self, epoch: EpochId, stats: &ServiceStats) {
+        self.metrics.commits_total.set(stats.commits);
+        self.metrics.applies_total.set(stats.applies);
+        self.metrics.defines_total.set(stats.defines);
+        self.metrics.epoch.set(epoch.get());
+    }
+
+    /// The holder registry, pruned of versions nobody holds anymore, after
+    /// recomputing the epoch-holder gauges from it: how many **past**
+    /// epochs readers still pin, and how far behind `current` the oldest
+    /// of them is.
+    fn holders(&self, current: EpochId) -> MutexGuard<'_, Holders> {
+        let mut reg = self.holders.lock().unwrap_or_else(PoisonError::into_inner);
+        reg.retain(|(_, weak)| weak.strong_count() > 0);
+        let current = current.get();
+        let past = || {
+            reg.iter()
+                .map(|(epoch, _)| epoch.get())
+                .filter(|&e| e != current)
+        };
+        self.metrics.held_epochs.set(past().count() as u64);
+        // a report's snapshot may be older than a version published since
+        let oldest = past().min().unwrap_or(current);
+        self.metrics
             .held_epoch_lag
-            .set(oldest.map_or(0, |o| current.get().saturating_sub(o)));
+            .set(current.saturating_sub(oldest));
+        reg
     }
 
     /// Appends `command` to the WAL as the record of the epoch the writer
@@ -951,7 +946,7 @@ impl Service {
             // (epoch, state) pair that actually belong together
             let snap = self.committed.load();
             dur.checkpoints
-                .trigger(snap.epoch().get(), snap.value().clone());
+                .trigger(snap.epoch().get(), snap.value().state.clone());
         }
         Ok(())
     }
@@ -966,7 +961,7 @@ impl Service {
         let snap = self.committed.load();
         let file = dur
             .checkpoints
-            .write_now(snap.epoch().get(), snap.value())?;
+            .write_now(snap.epoch().get(), &snap.value().state)?;
         Ok(Response::Checkpointed {
             epoch: snap.epoch(),
             file,
@@ -1005,7 +1000,7 @@ impl Service {
             // type's — the handle copies the open chunk and index level it
             // appends to when this command first interns a name, and
             // nothing before (`kbt_data::vocabulary`'s module docs).
-            let mut vocab = w.vocab.as_ref().clone();
+            let mut vocab = w.state.vocab.as_ref().clone();
             match verb {
                 Verb::Assert => {
                     let facts = {
@@ -1025,14 +1020,15 @@ impl Service {
                     // typo — and silently committing it (and publishing the
                     // bogus name) would mask the mistake forever.
                     for (rel, _) in &facts {
-                        if rel.index() as usize >= w.vocab.relation_count() {
+                        if rel.index() as usize >= w.state.vocab.relation_count() {
                             return Err(ServiceError::UnknownRelation(
                                 vocab.relation_name(*rel).unwrap_or_default().to_string(),
                             ));
                         }
                     }
-                    if vocab.constant_count() > w.vocab.constant_count() {
-                        let first_new = kbt_data::Const::new(w.vocab.constant_count() as u32);
+                    let known = w.state.vocab.constant_count();
+                    if vocab.constant_count() > known {
+                        let first_new = kbt_data::Const::new(known as u32);
                         return Err(ServiceError::UnknownConstant(
                             vocab
                                 .constant_name(first_new)
@@ -1051,22 +1047,24 @@ impl Service {
                     // log the *canonical* rendering, not the user's spelling:
                     // replay must re-intern names in exactly this order
                     self.wal_append(&format!("DEFINE {name} := {text}"))?;
-                    w.vocab = Arc::new(vocab);
+                    let w = &mut *w;
+                    w.state.vocab = Arc::new(vocab);
                     // Re-registration under an existing name replaces the
                     // expression and drops the stale chain session.
-                    w.transforms.insert(
+                    let transforms = Arc::make_mut(&mut w.state.transforms);
+                    transforms.insert(
                         name.clone(),
-                        Registered {
-                            transform: Arc::new(transform),
+                        TransformInfo {
                             text: text.clone(),
-                            chain: None,
+                            transform: Arc::new(transform),
                             applications: 0,
                         },
                     );
-                    w.refresh_transforms_meta();
-                    w.stats.defines += 1;
-                    w.stats.commits += 1;
-                    let epoch = self.publish(&w);
+                    w.chains.remove(&name);
+                    w.rulebase = build_rulebase(transforms);
+                    w.state.stats.defines += 1;
+                    w.state.stats.commits += 1;
+                    let epoch = self.publish(w);
                     Ok(Response::Defined {
                         epoch,
                         name,
@@ -1098,8 +1096,8 @@ impl Service {
         // the timing toggle (like every counter)
         self.metrics.commit_batch_facts.record(facts.len() as u64);
         let apply_span = self.metrics.commit_apply_ns.span();
-        let mut worlds = Vec::with_capacity(w.kb.len());
-        for db in w.kb.iter() {
+        let mut worlds = Vec::with_capacity(w.state.kb.len());
+        for db in w.state.kb.iter() {
             let mut db = db.clone();
             db.apply_facts(facts, insert)?;
             worlds.push(db);
@@ -1119,33 +1117,30 @@ impl Service {
         }
         self.wal_append(&command)?;
         // publish a new vocabulary only when this command interned a name
-        if !vocab.shares_names(&w.vocab) {
-            w.vocab = Arc::new(vocab);
+        if !vocab.shares_names(&w.state.vocab) {
+            w.state.vocab = Arc::new(vocab);
         }
-        w.kb = kb;
-        w.stats.commits += 1;
+        w.state.kb = kb;
+        w.state.stats.commits += 1;
         let epoch = self.publish(w);
         Ok(Response::Committed {
             epoch,
-            worlds: w.kb.len(),
-            facts: total_facts(&w.kb),
+            worlds: w.state.kb.len(),
+            facts: total_facts(&w.state.kb),
             durable: None,
         })
     }
 
     fn apply_named(&self, w: &mut Writer, name: &str) -> Result<Response> {
-        let Some(reg) = w.transforms.get_mut(name) else {
+        let Some(info) = w.state.transforms.get(name) else {
             return Err(ServiceError::UnknownTransform(name.to_string()));
         };
-        let transform = reg.transform.clone();
-        // take the persistent chain out so the registry borrow can end
-        // while the evaluator borrows the writer's knowledgebase
-        let mut chain = reg.chain.take();
+        let transform = info.transform.clone();
+        let mut chain = w.chains.remove(name);
         let transformer = Transformer::with_options(self.config.eval_options());
         let apply_span = self.metrics.commit_apply_ns.span();
-        let result = transformer.apply_with_chain(&transform, &w.kb, &mut chain);
+        let result = transformer.apply_with_chain(&transform, &w.state.kb, &mut chain);
         drop(apply_span);
-        let reg = w.transforms.get_mut(name).expect("present above");
         // The session goes back only once the commit is certain.  After an
         // evaluation error the walk stopped midway; after a WAL failure it
         // has consumed a delta the committed knowledgebase never saw.
@@ -1154,19 +1149,24 @@ impl Service {
         // rebuilds it.
         let result = result?;
         self.wal_append(&format!("APPLY {name}"))?;
-        reg.chain = chain;
-        reg.applications += 1;
-        w.refresh_transforms_meta();
-        w.kb = result.kb;
-        w.stats.applies += 1;
-        w.stats.commits += 1;
-        w.stats.eval.absorb(&result.stats);
+        if let Some(chain) = chain {
+            w.chains.insert(name.to_string(), chain);
+        }
+        let transforms = Arc::make_mut(&mut w.state.transforms);
+        transforms
+            .get_mut(name)
+            .expect("present above")
+            .applications += 1;
+        w.state.kb = result.kb;
+        w.state.stats.applies += 1;
+        w.state.stats.commits += 1;
+        w.state.stats.eval.absorb(&result.stats);
         let epoch = self.publish(w);
         Ok(Response::Applied {
             epoch,
             name: name.to_string(),
-            worlds: w.kb.len(),
-            facts: total_facts(&w.kb),
+            worlds: w.state.kb.len(),
+            facts: total_facts(&w.state.kb),
             reused_facts: result.stats.reused_facts,
             durable: None,
         })
@@ -1174,22 +1174,17 @@ impl Service {
 
     fn stats_report(&self) -> StatsReport {
         let snap = self.snapshot();
-        let held_epochs = {
-            let mut reg = self.holders.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.retain(|(_, weak)| weak.strong_count() > 0);
-            Self::refresh_holder_gauges(&self.metrics, &reg, snap.epoch());
-            reg.iter()
-                .filter_map(|(epoch, weak)| {
-                    let mut holders = weak.strong_count() as u64;
-                    if *epoch == snap.epoch() {
-                        // exclude the cell's own reference and the snapshot
-                        // this report is being built from
-                        holders = holders.saturating_sub(2);
-                    }
-                    (holders > 0).then_some((epoch.get(), holders))
-                })
-                .collect()
-        };
+        let held_epochs = (self.holders(snap.epoch()).iter())
+            .filter_map(|(epoch, weak)| {
+                let mut holders = weak.strong_count() as u64;
+                if *epoch == snap.epoch() {
+                    // exclude the cell's own reference and the snapshot
+                    // this report is being built from
+                    holders = holders.saturating_sub(2);
+                }
+                (holders > 0).then_some((epoch.get(), holders))
+            })
+            .collect();
         StatsReport {
             epoch: snap.epoch(),
             worlds: snap.kb().len(),
@@ -1211,15 +1206,11 @@ impl Service {
     /// this service's registry merged with the process-global one (where
     /// `kbt-engine` / `kbt-par` record), point-in-time gauges refreshed.
     pub fn metrics_text(&self) -> String {
-        {
-            // refresh the scrape-time gauges so a scrape between commits
-            // still reports current holder state
-            let current = self.committed.epoch();
-            self.metrics.epoch.set(current.get());
-            let mut reg = self.holders.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.retain(|(_, weak)| weak.strong_count() > 0);
-            Self::refresh_holder_gauges(&self.metrics, &reg, current);
-        }
+        // refresh the scrape-time gauges so a scrape between commits still
+        // reports current holder state
+        let current = self.committed.epoch();
+        self.metrics.epoch.set(current.get());
+        drop(self.holders(current));
         let mut snap = self.metrics.registry.snapshot();
         snap.merge(&Registry::global().snapshot());
         snap.render()
@@ -1367,7 +1358,7 @@ mod tests {
                 kbt_core::CoreError::TooManyWorlds { .. }
             ))
         ));
-        assert!(s.lock_writer().unwrap().transforms["step"].chain.is_none());
+        assert!(!s.lock_writer().unwrap().chains.contains_key("step"));
         // the next successful APPLY rebuilds the session and equals a
         // from-scratch application
         s.execute("RETRACT mark(2)").unwrap();

@@ -7,10 +7,13 @@
 //! The commit stream mixes fact insertions, retractions (exercising the
 //! engine's DRed deletion path through the persistent chain sessions) and
 //! incremental `APPLY`s of a registered transitive-closure refresh.  The
-//! differential runs at evaluation widths 1 and 4 explicitly, pinned in
-//! process: CI runs the suite once, with `KBT_THREADS=4` as the
-//! environment default, which the service deliberately ignores in favour
-//! of its explicit width.
+//! readers also issue bound goals (`QUERY CERTAIN reach(<c>, x)`), which
+//! run the registry's rulebase through the magic rewrite and fill each
+//! epoch's answer table; every reply must equal the oracle's answer to the
+//! same goal at the reply's epoch.  The differential runs at evaluation
+//! widths 1 and 4 explicitly, pinned in process: CI runs the suite with
+//! `KBT_THREADS=4` as the environment default, which the service
+//! deliberately ignores in favour of its explicit width.
 //!
 //! A commit that panics under the writer lock poisons it: every later
 //! commit is refused with `writer-poisoned`, and readers on other threads
@@ -21,9 +24,12 @@ use std::sync::Arc;
 
 use kbt::data::Knowledgebase;
 use kbt::obs::{LogSink, Record};
-use kbt::service::{Service, ServiceConfig, ServiceError};
+use kbt::service::{Response, Service, ServiceConfig, ServiceError};
 
 const READERS: usize = 4;
+
+/// The constants the readers' bound goals start from: the whole domain.
+const GOAL_CONSTANTS: u32 = 10;
 
 /// The registered refresh: drop the derived closure, re-derive it from the
 /// current edges (incrementally, through the persistent chain session).
@@ -55,22 +61,58 @@ fn commit_ops() -> Vec<String> {
     ops
 }
 
+/// The bound goal a reader issues from constant `c`.
+fn goal(c: u32) -> String {
+    format!("QUERY CERTAIN reach({c}, x)")
+}
+
+/// A bound goal's reply: its epoch and its rendered facts.
+fn goal_answer(response: Response) -> (u64, Vec<String>) {
+    match response {
+        Response::Facts {
+            epoch,
+            facts,
+            strategy: Some("magic" | "tabled"),
+            ..
+        } => (epoch.get(), facts.render()),
+        other => panic!("expected a goal-directed answer, got {other:?}"),
+    }
+}
+
+/// One epoch of the sequential oracle: the knowledgebase, and the answer
+/// to [`goal`] from every constant (`None` before `DEFINE` names `reach`).
+struct OracleEpoch {
+    kb: Knowledgebase,
+    goals: Option<Vec<Vec<String>>>,
+}
+
 /// Sequential oracle: replay `DEFINE` + the ops on a fresh service,
-/// recording the knowledgebase at every epoch (index = epoch number).
-fn oracle(threads: usize) -> Vec<Knowledgebase> {
+/// recording every epoch (index = epoch number).
+fn oracle(threads: usize) -> Vec<OracleEpoch> {
     let service = Service::new(ServiceConfig::builder().threads(threads).build());
-    let mut by_epoch = vec![service.snapshot().kb().clone()];
+    let record = |service: &Service| OracleEpoch {
+        kb: service.snapshot().kb().clone(),
+        goals: service
+            .snapshot()
+            .vocab()
+            .lookup_relation("reach")
+            .map(|_| {
+                (0..GOAL_CONSTANTS)
+                    .map(|c| goal_answer(service.execute(&goal(c)).unwrap()).1)
+                    .collect()
+            }),
+    };
+    let mut by_epoch = vec![record(&service)];
     service.execute(DEFINE).unwrap();
-    by_epoch.push(service.snapshot().kb().clone());
+    by_epoch.push(record(&service));
     for op in commit_ops() {
         service.execute(&op).unwrap();
-        let snap = service.snapshot();
         assert_eq!(
-            snap.epoch().get() as usize,
+            service.snapshot().epoch().get() as usize,
             by_epoch.len(),
             "each command must commit exactly one epoch"
         );
-        by_epoch.push(snap.kb().clone());
+        by_epoch.push(record(&service));
     }
     by_epoch
 }
@@ -84,12 +126,13 @@ fn run_differential(threads: usize) {
     let done = Arc::new(AtomicBool::new(false));
     let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let readers: Vec<_> = (0..READERS)
-        .map(|_| {
+        .map(|reader| {
             let service = service.clone();
             let done = done.clone();
             let started = started.clone();
             std::thread::spawn(move || {
                 let mut observed: Vec<(u64, Knowledgebase)> = Vec::new();
+                let mut answers: Vec<(u64, u32, Vec<String>)> = Vec::new();
                 let mut last_epoch = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let snap = service.snapshot();
@@ -102,13 +145,18 @@ fn run_differential(threads: usize) {
                         let certain = service.certain(&snap, rel);
                         let possible = service.possible(&snap, rel);
                         assert!(certain.is_subset(&possible));
-                    }
-                    if observed.is_empty() {
-                        started.fetch_add(1, Ordering::Relaxed);
+                        // a bound goal reads at the service's current epoch,
+                        // which `reach` cannot have left
+                        let c = (reader as u32 + observed.len() as u32) % GOAL_CONSTANTS;
+                        let (epoch, facts) = goal_answer(service.execute(&goal(c)).unwrap());
+                        answers.push((epoch, c, facts));
+                        if answers.len() == 1 {
+                            started.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     observed.push((epoch, snap.kb().clone()));
                 }
-                observed
+                (observed, answers)
             })
         })
         .collect();
@@ -118,8 +166,9 @@ fn run_differential(threads: usize) {
         service.execute(&op).unwrap();
     }
     // On a loaded single-core machine the readers may not have had a
-    // single slice yet; hold the "done" signal until each has observed at
-    // least one snapshot, so the assertions below are never vacuous.
+    // single slice yet; hold the "done" signal until each has answered at
+    // least one bound goal (every epoch after `DEFINE` names `reach`), so
+    // the assertions below are never vacuous.
     // A reader that dies early exits the wait too — its panic surfaces at
     // the join below instead of hanging this loop forever.
     while started.load(Ordering::Relaxed) < READERS
@@ -131,9 +180,11 @@ fn run_differential(threads: usize) {
 
     let mut total = 0usize;
     let mut distinct = std::collections::BTreeSet::new();
+    let mut goals = 0usize;
     for reader in readers {
-        for (epoch, kb) in reader.join().expect("reader must not panic") {
-            let expected = &by_epoch[epoch as usize];
+        let (observed, answers) = reader.join().expect("reader must not panic");
+        for (epoch, kb) in observed {
+            let expected = &by_epoch[epoch as usize].kb;
             assert_eq!(
                 &kb, expected,
                 "snapshot at epoch {epoch} differs from the sequential oracle (width {threads})"
@@ -141,12 +192,26 @@ fn run_differential(threads: usize) {
             distinct.insert(epoch);
             total += 1;
         }
+        for (epoch, c, facts) in answers {
+            let expected = by_epoch[epoch as usize]
+                .goals
+                .as_ref()
+                .expect("reach is named");
+            assert_eq!(
+                facts,
+                expected[c as usize],
+                "{} at epoch {epoch} differs from the sequential oracle (width {threads})",
+                goal(c)
+            );
+            goals += 1;
+        }
     }
     assert!(total > 0, "readers must have observed snapshots");
+    assert!(goals > 0, "readers must have answered bound goals");
     // sanity: the final epoch was observable and matches the oracle's tail
     let final_epoch = service.snapshot().epoch().get() as usize;
     assert_eq!(final_epoch + 1, by_epoch.len());
-    assert_eq!(service.snapshot().kb(), &by_epoch[final_epoch]);
+    assert_eq!(service.snapshot().kb(), &by_epoch[final_epoch].kb);
 }
 
 #[test]
