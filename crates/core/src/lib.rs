@@ -64,7 +64,7 @@ pub use metrics::metrics;
 pub use options::{EvalOptions, EvalStats, Strategy};
 pub use transform::Transform;
 pub use transformer::{TransformResult, Transformer};
-pub use update::datalog::ChainSession;
+pub use update::datalog::{ChainSession, StoredFixpoint, StoredFixpoints};
 pub use update::{minimal_update, UpdateOutcome};
 
 /// Convenience result alias used throughout the crate.

@@ -65,6 +65,51 @@
 //! longer carries; and projecting while the step collects its worlds would
 //! merge worlds that differ only in dropped relations, so `max_worlds`
 //! would count fewer worlds than it counts today.
+//!
+//! ## Stored fixpoints
+//!
+//! Theorem 4.8 says more than how to evaluate a Horn `τ_φ` whose heads are
+//! fresh: the world it returns is its input plus the least fixpoint of φ's
+//! program.  So after a commit whose *last* step is such an insertion on
+//! one world ([`Transformer::apply_storing`]), the committed heads *are*
+//! `lfp(P)(I)` for φ's rules `P` over its other body relations `I`, and
+//! stay so until a commit changes a relation of `I` or a head.  A
+//! [`StoredFixpoint`] records that claim — rules in canonical form, inputs
+//! and heads by id — and a host keeps a catalogue of them next to the
+//! knowledgebase ([`StoredFixpoints::carried`] drops an entry once a
+//! commit changes one of its relations, and every entry once the
+//! knowledgebase has several worlds).  A restart rebuilds the entry of the
+//! application it resumes through [`Transformer::resume_chain`]'s gate
+//! ([`Transformer::resume`]).
+//!
+//! A read over that knowledgebase ([`Transformer::apply_stored`]) answers
+//! a fast-path insertion on one world, outside any chain, by reading what
+//! is stored.  An entry covers part of the step's φ when its rules are
+//! some of φ's, its inputs are in the step's world on the stored world's
+//! very rows (an `O(1)` check, since a projection hands its relations on),
+//! its heads are absent from the step's world, and no rule of φ outside
+//! the covering entries derives into one of its heads or inputs.  The step
+//! then adds the stored heads — the stored runs, with the indexes earlier
+//! reads cached on them — and evaluates only φ's remaining rules, pushed
+//! down as above, or nothing at all when no rule remains.  The answer is
+//! byte-identical to [`Transformer::apply`]'s: the stored heads satisfy
+//! every covered rule (each entry's are a fixpoint of its rules) and are
+//! contained in φ's least fixpoint (each entry's are the least fixpoint of
+//! a subset of φ's rules over the same inputs), so φ's least fixpoint holds
+//! them exactly; no remaining rule writes into them, so evaluating the
+//! remaining rules over them is evaluating φ stratum by stratum.
+//!
+//! Matching is exact — the same rules up to variable names and rule order
+//! — because program equivalence is undecidable and exact matching needs
+//! no containment test.  So `closure_scan`-style reads that insert the
+//! stored closure's rules plus a rule reading it (`reach(x, x) →
+//! oncycle(x)`) derive only that rule's facts.  Under `EXPLAIN` and
+//! `PROFILE` each entry read gets one row, `stored reach (2 rules)`, ahead
+//! of the remaining rules' rows; the plan-only walk plans each step
+//! against the input's first world as the steps before it project it, so
+//! it decides as the evaluating walk does.  A commit never reads the
+//! catalogue: its chain session must hold the whole fixpoint to be
+//! advanced later.
 
 use std::collections::BTreeSet;
 
@@ -74,7 +119,7 @@ use kbt_engine::View;
 use crate::error::CoreError;
 use crate::options::{EvalOptions, EvalStats};
 use crate::transform::Transform;
-use crate::update::datalog::{self, ChainSession, HornStep};
+use crate::update::datalog::{self, ChainSession, HornStep, StoredFixpoint, StoredFixpoints};
 use crate::update::universe::domain_of;
 use crate::update::{fast_path, minimal_update, minimal_update_over, operator_row, UpdateOutcome};
 use crate::Result;
@@ -92,6 +137,31 @@ pub struct TransformResult {
 #[derive(Clone, Debug, Default)]
 pub struct Transformer {
     options: EvalOptions,
+}
+
+/// How a walk evaluates its Datalog-fast-path insertions on one world.
+enum Mode<'a> {
+    /// A commit's walk ([`Transformer::apply_with_chain`]): each goes
+    /// through the caller-owned slot's chain session.  `last` is the fast
+    /// path's step of the walk's current step, when it is such an
+    /// insertion.
+    Chain {
+        slot: &'a mut Option<ChainSession>,
+        last: Option<HornStep>,
+    },
+    /// A read's walk: each is evaluated on its own, pushing down a
+    /// projection that follows it, and takes the heads of the stored
+    /// fixpoints that cover part of it from their world (`None`: there is
+    /// no stored fixpoint).
+    Read(Option<Stored<'a>>),
+}
+
+/// A read's stored fixpoints and the one world they describe.
+struct Stored<'a> {
+    catalogue: &'a StoredFixpoints,
+    world: &'a Database,
+    /// Entries the walk has read instead of deriving them.
+    taken: usize,
 }
 
 impl Transformer {
@@ -134,9 +204,43 @@ impl Transformer {
         kb: &Knowledgebase,
         chain: &mut Option<ChainSession>,
     ) -> Result<TransformResult> {
+        self.chain_walk(transform, kb, chain)
+            .map(|(result, _)| result)
+    }
+
+    /// [`Self::apply_with_chain`], and what its result stores: when the
+    /// last step is a Datalog-fast-path `τ_φ` on one world, Theorem 4.8
+    /// makes φ's heads in the result the least fixpoint of φ's rules over
+    /// the rest of φ's relations, and the [`StoredFixpoint`] says so (see
+    /// the module docs).  `None` for any other last step.
+    pub fn apply_storing(
+        &self,
+        transform: &Transform,
+        kb: &Knowledgebase,
+        chain: &mut Option<ChainSession>,
+    ) -> Result<(TransformResult, Option<StoredFixpoint>)> {
+        let (result, last) = self.chain_walk(transform, kb, chain)?;
+        Ok((result, last.as_ref().map(StoredFixpoint::of)))
+    }
+
+    /// The commit walk behind [`Self::apply_with_chain`], with the fast
+    /// path's step of the last step when it took one.
+    fn chain_walk(
+        &self,
+        transform: &Transform,
+        kb: &Knowledgebase,
+        chain: &mut Option<ChainSession>,
+    ) -> Result<(TransformResult, Option<HornStep>)> {
         let mut stats = EvalStats::default();
-        let kb = self.walk(transform, kb.clone(), &mut stats, Some(chain), None)?;
-        Ok(TransformResult { kb, stats })
+        let mut mode = Mode::Chain {
+            slot: chain,
+            last: None,
+        };
+        let kb = self.walk(transform, kb.clone(), &mut stats, &mut mode, None)?;
+        let Mode::Chain { last, .. } = mode else {
+            unreachable!("a walk keeps its mode")
+        };
+        Ok((TransformResult { kb, stats }, last))
     }
 
     /// The chain slot [`Self::apply_with_chain`] leaves behind when
@@ -156,6 +260,17 @@ impl Transformer {
     /// in `R`: `kb` holds every head).  The caller vouches that the last
     /// application of `transform` produced `kb`.
     pub fn resume_chain(&self, transform: &Transform, kb: &Knowledgebase) -> Option<ChainSession> {
+        self.resume(transform, kb).map(|(chain, _)| chain)
+    }
+
+    /// [`Self::resume_chain`]'s session, through the same gate, with the
+    /// [`StoredFixpoint`] that [`Self::apply_storing`] returned for the
+    /// application that produced `kb`.
+    pub fn resume(
+        &self,
+        transform: &Transform,
+        kb: &Knowledgebase,
+    ) -> Option<(ChainSession, StoredFixpoint)> {
         let steps = transform.steps();
         let [.., Transform::Project(keep), Transform::Insert(phi)] = steps.as_slice() else {
             return None;
@@ -165,7 +280,8 @@ impl Transformer {
         // an error means `kb` is not what this step returns, so nothing is
         // resumed and the next application finds out for itself
         let step = fast_path(phi, &db, &self.options)?.ok()?;
-        ChainSession::resume(phi, &step, &db, result, self.options.threads).ok()
+        let chain = ChainSession::resume(phi, &step, &db, result, self.options.threads).ok()?;
+        Some((chain, StoredFixpoint::of(&step)))
     }
 
     /// Convenience: apply a single insertion `τ_φ`.
@@ -185,77 +301,130 @@ impl Transformer {
     /// insertions record their join plans, every other operator records a
     /// single descriptive row (lattice operators and non-Horn insertions
     /// have no rule plans), and every step is planned against the *input*
-    /// knowledgebase's first world — earlier steps never ran, so index
-    /// choices shown for deep pipelines are representative, not exact.  The
-    /// returned knowledgebase is that one world, the statistics are zero.
+    /// knowledgebase's first world, projected as the steps before it
+    /// project — earlier insertions never ran, so index choices shown for
+    /// deep pipelines are representative, not exact.  The returned
+    /// knowledgebase is that first world, the statistics are zero.
     pub fn apply_viewed(
         &self,
         transform: &Transform,
         kb: &Knowledgebase,
         view: Option<&mut View<'_>>,
     ) -> Result<TransformResult> {
-        let start = match &view {
-            Some(v) if !v.runs() => {
-                Knowledgebase::singleton(kb.iter().next().cloned().unwrap_or_else(Database::new))
-            }
-            _ => kb.clone(),
-        };
-        let mut stats = EvalStats::default();
-        let kb = self.walk(transform, start, &mut stats, None, view)?;
-        Ok(TransformResult { kb, stats })
+        let stored = StoredFixpoints::default();
+        let (result, _) = self.apply_stored(transform, kb, &stored, view)?;
+        Ok(result)
     }
 
-    /// Walks the flattened steps of `transform`.  With a caller-owned slot
-    /// ([`Self::apply_with_chain`]) every fast-path insertion goes through
-    /// its chain session; without one, an insertion followed by a
-    /// projection pushes the projection down (see the module docs).
+    /// [`Self::apply_viewed`] over a knowledgebase whose stored fixpoints
+    /// are `stored` (empty unless `kb` is one world): a Datalog-fast-path
+    /// insertion on one world takes the heads of every entry that covers
+    /// part of it from `kb`, instead of deriving them, and evaluates only
+    /// the rest of its rules (see the module docs).  Under a view, each
+    /// entry read gets one row.  The knowledgebase is byte-identical to
+    /// [`Self::apply`]'s; the statistics count the evaluation that ran.
+    /// Also returns the number of entries read.
+    pub fn apply_stored(
+        &self,
+        transform: &Transform,
+        kb: &Knowledgebase,
+        stored: &StoredFixpoints,
+        view: Option<&mut View<'_>>,
+    ) -> Result<(TransformResult, usize)> {
+        let stored = match kb.as_singleton() {
+            Some(world) if !stored.is_empty() => Some(Stored {
+                catalogue: stored,
+                world,
+                taken: 0,
+            }),
+            _ => None,
+        };
+        let mut stats = EvalStats::default();
+        let (kb, stored) = match view {
+            Some(view) if !view.runs() => {
+                let mut stored = stored;
+                (self.plan(transform, kb, stored.as_mut(), view)?, stored)
+            }
+            view => {
+                let mut mode = Mode::Read(stored);
+                let kb = self.walk(transform, kb.clone(), &mut stats, &mut mode, view)?;
+                let Mode::Read(stored) = mode else {
+                    unreachable!("a walk keeps its mode")
+                };
+                (kb, stored)
+            }
+        };
+        let taken = stored.map_or(0, |stored| stored.taken);
+        Ok((TransformResult { kb, stats }, taken))
+    }
+
+    /// Walks the flattened steps of `transform`, evaluating each.  A
+    /// commit's walk ([`Mode::Chain`]) sends every fast-path insertion
+    /// through its chain session; a read's pushes a following projection
+    /// down (see the module docs).
     fn walk(
         &self,
         transform: &Transform,
         kb: Knowledgebase,
         stats: &mut EvalStats,
-        mut chain: Option<&mut Option<ChainSession>>,
+        mode: &mut Mode<'_>,
         mut view: Option<&mut View<'_>>,
     ) -> Result<Knowledgebase> {
         let steps = transform.steps();
         let mut current = kb;
         for (i, step) in steps.iter().enumerate() {
-            let keep = match steps.get(i + 1) {
-                Some(Transform::Project(keep)) => Some(keep.as_slice()),
-                _ => None,
-            };
-            current = match view.as_deref_mut() {
-                Some(view) if !view.runs() => {
-                    self.plan_step(step, keep, &current, view)?;
-                    current
-                }
-                view => self.apply_step(step, keep, current, stats, chain.as_deref_mut(), view)?,
-            };
+            if let Mode::Chain { last, .. } = mode {
+                *last = None;
+            }
+            let keep = kept_after(&steps, i);
+            current = self.apply_step(step, keep, current, stats, mode, view.as_deref_mut())?;
         }
         Ok(current)
     }
 
-    /// The plan-only view of one step against the (never advancing) input;
-    /// `keep` is the projection to push down, as in [`Self::apply_step`].
+    /// The plan-only walk: every step planned against `kb`'s first world,
+    /// projected as the steps before it project, and that first world
+    /// returned.
+    fn plan(
+        &self,
+        transform: &Transform,
+        kb: &Knowledgebase,
+        mut stored: Option<&mut Stored<'_>>,
+        view: &mut View<'_>,
+    ) -> Result<Knowledgebase> {
+        let first = kb.iter().next().cloned().unwrap_or_else(Database::new);
+        let first = Knowledgebase::singleton(first);
+        let steps = transform.steps();
+        let mut world = first.clone();
+        for (i, step) in steps.iter().enumerate() {
+            let keep = kept_after(&steps, i);
+            self.plan_step(step, keep, &world, stored.as_deref_mut(), view)?;
+            if let Transform::Project(rels) = step {
+                world = world.project(rels);
+            }
+        }
+        Ok(first)
+    }
+
+    /// The plan-only view of one step against the planning world; `keep`
+    /// is the projection to push down, as in [`Self::apply_step`].
     fn plan_step(
         &self,
         step: &Transform,
         keep: Option<&[RelId]>,
         kb: &Knowledgebase,
+        stored: Option<&mut Stored<'_>>,
         view: &mut View<'_>,
     ) -> Result<()> {
         match step {
             Transform::Identity | Transform::Seq(_) => {}
             Transform::Insert(phi) => {
-                let pushdown = match (keep, kb.as_singleton()) {
-                    (Some(keep), Some(db)) => {
-                        fast_path(phi, db, &self.options).map(|step| (keep, db, step))
-                    }
-                    _ => None,
-                };
-                match pushdown {
-                    Some((keep, db, step)) => {
-                        datalog::pushdown_update(&step?, db, keep, &self.options, Some(view))?;
+                let horn = kb
+                    .as_singleton()
+                    .and_then(|db| fast_path(phi, db, &self.options).map(|step| (db, step)));
+                match horn {
+                    Some((db, step)) => {
+                        self.read_update(&step?, db, keep, stored, Some(view))?;
                     }
                     None => {
                         for db in kb.iter() {
@@ -279,16 +448,15 @@ impl Transformer {
 
     /// Applies one primitive operator (`steps()` has flattened away `Seq`
     /// and `Identity`).  `keep` is the projection the next step makes, when
-    /// an insertion may push it down (see the module docs).  `chain` is the
-    /// caller-owned session slot of [`Self::apply_with_chain`]; every other
-    /// walk passes `None` and evaluates each insertion on its own.
+    /// an insertion may push it down (see the module docs); `mode` says how
+    /// a fast-path insertion on one world is evaluated.
     fn apply_step(
         &self,
         step: &Transform,
         keep: Option<&[RelId]>,
         kb: Knowledgebase,
         stats: &mut EvalStats,
-        chain: Option<&mut Option<ChainSession>>,
+        mode: &mut Mode<'_>,
         mut view: Option<&mut View<'_>>,
     ) -> Result<Knowledgebase> {
         match step {
@@ -299,17 +467,18 @@ impl Transformer {
                 stats.operators += 1;
                 let mut out = Knowledgebase::empty();
                 if let Some(db) = kb.as_singleton() {
-                    // the fast path's step, the condition for a chain session and for
-                    // a push-down alike
+                    // the fast path's step, the condition for a chain session, a
+                    // push-down and a stored fixpoint alike
                     let step = fast_path(phi, db, &self.options).transpose()?;
-                    let outcome = match (step, chain, keep) {
-                        (None, ..) => minimal_update(phi, db, &self.options, view)?,
-                        (Some(step), Some(chain), _) => self.chain_update(phi, &step, db, chain)?,
-                        (Some(step), None, Some(keep)) => {
-                            datalog::pushdown_update(&step, db, keep, &self.options, view)?
+                    let outcome = match (step, mode) {
+                        (None, _) => minimal_update(phi, db, &self.options, view)?,
+                        (Some(step), Mode::Chain { slot, last }) => {
+                            let outcome = self.chain_update(phi, &step, db, slot)?;
+                            *last = Some(step);
+                            outcome
                         }
-                        (Some(step), None, None) => {
-                            datalog::datalog_update(&step, db, &self.options, view)?
+                        (Some(step), Mode::Read(stored)) => {
+                            self.read_update(&step, db, keep, stored.as_mut(), view)?
                         }
                     };
                     self.absorb_outcome(&outcome, stats);
@@ -356,6 +525,33 @@ impl Transformer {
         }
     }
 
+    /// A read's fast-path step `τ_φ` on a one-world knowledgebase's world
+    /// `db`: the heads the stored fixpoints cover are read, not derived,
+    /// and the rest of φ is evaluated — pushed down into `keep` when given.
+    fn read_update(
+        &self,
+        step: &HornStep,
+        db: &Database,
+        keep: Option<&[RelId]>,
+        stored: Option<&mut Stored<'_>>,
+        mut view: Option<&mut View<'_>>,
+    ) -> Result<UpdateOutcome> {
+        if let Some(stored) = stored {
+            let (catalogue, world) = (stored.catalogue, stored.world);
+            let view = view.as_deref_mut();
+            let read =
+                datalog::stored_update(step, db, catalogue, world, keep, &self.options, view)?;
+            if let Some((outcome, taken)) = read {
+                stored.taken += taken;
+                return Ok(outcome);
+            }
+        }
+        match keep {
+            Some(keep) => datalog::pushdown_update(step, db, keep, &self.options, view),
+            None => datalog::datalog_update(step, db, &self.options, view),
+        }
+    }
+
     /// The incremental chain path for the fast-path step `τ_φ` on a
     /// singleton knowledgebase's one world: advances the slot's session
     /// when it evaluates φ, and starts one in its place otherwise.
@@ -397,6 +593,15 @@ impl Transformer {
             }
         }
         Ok(())
+    }
+}
+
+/// The projection the step after `steps[i]` makes, which an insertion at
+/// `i` may push down.
+fn kept_after<'a>(steps: &[&'a Transform], i: usize) -> Option<&'a [RelId]> {
+    match steps.get(i + 1) {
+        Some(Transform::Project(keep)) => Some(keep.as_slice()),
+        _ => None,
     }
 }
 

@@ -13,13 +13,20 @@
 //! singleton knowledgebases keeps one engine session alive and feeds it the
 //! diff between consecutive databases instead of re-deriving every fixpoint
 //! from scratch.
+//!
+//! [`StoredFixpoint`] records what such a step leaves behind: in the world
+//! it returns, its head relations *are* the least fixpoint of its rules
+//! over its input relations.  `stored_update` reads those heads back
+//! instead of deriving them again, for a later step whose sentence holds
+//! the same rules (see the `transformer` module docs).
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
-use kbt_data::{Const, Database, RelId, Relation, Schema, Tuple};
+use kbt_data::{Const, Database, Knowledgebase, RelId, Relation, Schema, Tuple};
 use kbt_datalog::{demand_rewrite, Program};
 use kbt_engine::{EngineError, EngineStats, IncrementalSession, View};
-use kbt_logic::{horn_clauses, Sentence};
+use kbt_logic::{horn_clauses, Atom, Rule, Sentence, Term, Var};
 
 use crate::error::CoreError;
 use crate::options::EvalOptions;
@@ -290,6 +297,256 @@ impl ChainSession {
             fixpoint: Some(stats),
         }
     }
+}
+
+/// One stored fixpoint of a single-world knowledgebase: the claim that its
+/// head relations are the least fixpoint of its rules over its inputs —
+/// the rules' body relations that are not heads — which Theorem 4.8 makes
+/// of the world a fast-path step returns.
+///
+/// The rules are kept in canonical form: each rule's variables renamed in
+/// order of first occurrence, the rules sorted and deduplicated.  So a
+/// later sentence that writes the same rules with other variable names or
+/// in another order matches them exactly; nothing weaker is tried, since
+/// program equivalence is undecidable.  An entry names relations by id and
+/// holds none of them: the knowledgebase it describes holds the rows.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoredFixpoint {
+    rules: Vec<Rule>,
+    inputs: Vec<RelId>,
+    heads: Vec<RelId>,
+}
+
+impl StoredFixpoint {
+    /// What the world `step` returns stores: its rules, its heads and the
+    /// rest of its body relations.
+    pub(crate) fn of(step: &HornStep) -> Self {
+        let mut rules: Vec<Rule> = step.program.rules().iter().map(canonical).collect();
+        rules.sort_unstable();
+        rules.dedup();
+        let heads: BTreeSet<RelId> = step.program.idb_relations();
+        let inputs: BTreeSet<RelId> = (rules.iter().flat_map(|rule| &rule.body))
+            .map(|atom| atom.rel)
+            .filter(|rel| !heads.contains(rel))
+            .collect();
+        StoredFixpoint {
+            rules,
+            inputs: inputs.into_iter().collect(),
+            heads: heads.into_iter().collect(),
+        }
+    }
+
+    /// Every relation the claim is about.
+    fn relations(&self) -> impl Iterator<Item = RelId> + '_ {
+        self.inputs.iter().chain(&self.heads).copied()
+    }
+
+    /// Whether the entry covers part of the step that reads `db`, whose
+    /// rules in canonical form are `rules` (sorted): every rule of the
+    /// entry is among them, every input is in `db` on the very rows of
+    /// `world`'s (the world the entry describes), and every head is absent
+    /// from `db` and stored in `world` at the step's arity.
+    fn covers(
+        &self,
+        rules: &[(Rule, usize)],
+        schema: &Schema,
+        db: &Database,
+        world: &Database,
+    ) -> bool {
+        let ruled = |rule: &Rule| rules.binary_search_by(|(r, _)| r.cmp(rule)).is_ok();
+        let shared = |rel: RelId| match (db.relation(rel), world.relation(rel)) {
+            (Some(read), Some(stored)) => read.shares_rows(stored),
+            _ => false,
+        };
+        let stored = |rel: RelId| {
+            db.relation(rel).is_none()
+                && world.relation(rel).map(Relation::arity) == schema.arity(rel)
+        };
+        self.rules.iter().all(ruled)
+            && self.inputs.iter().all(|&rel| shared(rel))
+            && self.heads.iter().all(|&rel| stored(rel))
+    }
+}
+
+/// `rule` with its variables renamed `x0, x1, …` in order of first
+/// occurrence, head first.
+fn canonical(rule: &Rule) -> Rule {
+    let mut seen: Vec<Var> = Vec::new();
+    let mut rename = |atom: &Atom| Atom {
+        rel: atom.rel,
+        terms: (atom.terms.iter())
+            .map(|term| match *term {
+                Term::Var(var) => {
+                    let at = seen.iter().position(|&v| v == var).unwrap_or_else(|| {
+                        seen.push(var);
+                        seen.len() - 1
+                    });
+                    Term::Var(Var::new(at as u32))
+                }
+                constant => constant,
+            })
+            .collect(),
+    };
+    let head = rename(&rule.head);
+    Rule::new(head, rule.body.iter().map(rename).collect::<Vec<_>>())
+}
+
+/// The stored fixpoints of one single-world knowledgebase — what a host
+/// publishes next to the knowledgebase, so that its reads take covered
+/// heads from it ([`crate::Transformer::apply_stored`]).  Empty for a
+/// knowledgebase of several worlds.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StoredFixpoints {
+    entries: Vec<StoredFixpoint>,
+}
+
+impl StoredFixpoints {
+    /// Whether there is no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The catalogue of `new`, which a commit made of `old` (the
+    /// knowledgebase this catalogue describes), with `recorded` — what the
+    /// commit's own last step stored — added: an entry is kept when every
+    /// one of its inputs and heads is equal in both, and none is once
+    /// `new` is not one world.  Relations a commit left on their run
+    /// compare in `O(1)`, and ones that share a base in `O(delta)`
+    /// ([`Relation`]'s `Eq`).  `None` when that is this catalogue again.
+    pub fn carried(
+        &self,
+        old: &Knowledgebase,
+        new: &Knowledgebase,
+        recorded: Option<StoredFixpoint>,
+    ) -> Option<StoredFixpoints> {
+        let mut entries: Vec<StoredFixpoint> = match (old.as_singleton(), new.as_singleton()) {
+            (Some(old), Some(new)) => (self.entries.iter())
+                .filter(|entry| {
+                    entry
+                        .relations()
+                        .all(|rel| old.relation(rel) == new.relation(rel))
+                })
+                .cloned()
+                .collect(),
+            _ => Vec::new(),
+        };
+        if let Some(entry) = recorded.filter(|entry| !entries.contains(entry)) {
+            entries.push(entry);
+        }
+        (entries != self.entries).then_some(StoredFixpoints { entries })
+    }
+}
+
+/// The catalogue of a knowledgebase that stores one fixpoint.
+impl From<StoredFixpoint> for StoredFixpoints {
+    fn from(entry: StoredFixpoint) -> Self {
+        StoredFixpoints {
+            entries: vec![entry],
+        }
+    }
+}
+
+/// `µ(φ, db)` — projected onto `keep` when one is given, as
+/// [`pushdown_update`] projects it — for the step [`horn_step`] recognised
+/// on `db`, taking from `world` the heads of every entry of `stored` that
+/// covers part of the step, instead of deriving them.  `stored` describes
+/// `world`; `db` is what the step reads.  Only φ's other rules are
+/// evaluated, over `db` plus those heads, or none at all when the entries
+/// cover every rule.  An entry covers part of the step when its rules are
+/// some of φ's (in canonical form), its inputs are in `db` on `world`'s
+/// very rows, its heads are absent from `db`, and no rule left to evaluate
+/// derives into one of its heads or inputs.  Then φ's least fixpoint over
+/// `db` holds the entry's heads exactly as `world` holds them (Theorem 4.8,
+/// and the argument in the `transformer` module docs), so the outcome is
+/// byte-identical to [`datalog_update`]'s (projected onto `keep`).
+///
+/// `None` when no entry covers any part.  Otherwise the outcome and the
+/// number of entries read; under a view, each of them gets one row
+/// (`stored reach (2 rules)`) ahead of the remaining rules' rows, timed
+/// under a profiling view.
+pub(crate) fn stored_update(
+    step: &HornStep,
+    db: &Database,
+    stored: &StoredFixpoints,
+    world: &Database,
+    keep: Option<&[RelId]>,
+    options: &EvalOptions,
+    mut view: Option<&mut View<'_>>,
+) -> Result<Option<(UpdateOutcome, usize)>> {
+    let start = Instant::now();
+    let source = step.program.rules();
+    let mut rules: Vec<(Rule, usize)> = source.iter().map(canonical).zip(0..).collect();
+    rules.sort_unstable();
+    let mut chosen: Vec<&StoredFixpoint> = (stored.entries.iter())
+        .filter(|entry| entry.covers(&rules, &step.schema, db, world))
+        .collect();
+    // dropping an entry hands its rules back to the evaluation, which may
+    // then derive into another entry's relations: repeat until none does
+    let remaining = loop {
+        let covered: BTreeSet<&Rule> = chosen.iter().flat_map(|entry| &entry.rules).collect();
+        let remaining: Vec<usize> = (rules.iter())
+            .filter(|(rule, _)| !covered.contains(rule))
+            .map(|&(_, at)| at)
+            .collect();
+        let derived: BTreeSet<RelId> = remaining.iter().map(|&at| source[at].head.rel).collect();
+        let before = chosen.len();
+        chosen.retain(|entry| entry.relations().all(|rel| !derived.contains(&rel)));
+        if chosen.len() == before {
+            break remaining;
+        }
+    };
+    if chosen.is_empty() {
+        return Ok(None);
+    }
+    let mut seated = db.clone();
+    for &rel in chosen.iter().flat_map(|entry| &entry.heads) {
+        let relation = world.relation(rel).expect("covers checked every head");
+        seated.set_relation(rel, relation.clone());
+    }
+    if let Some(view) = view.as_deref_mut() {
+        let elapsed_ns = if view.runs() {
+            start.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
+        for entry in &chosen {
+            let names: Vec<String> = entry.heads.iter().map(|&rel| (view.namer)(rel)).collect();
+            let count = entry.rules.len();
+            let noun = if count == 1 { "rule" } else { "rules" };
+            let rule = format!("stored {} ({count} {noun})", names.join(", "));
+            let mut row = operator_row(rule, "stored fixpoint");
+            row.elapsed_ns = elapsed_ns;
+            view.rows.push(row);
+        }
+    }
+    let taken = chosen.len();
+    if remaining.is_empty() {
+        let outcome = UpdateOutcome {
+            databases: vec![seated.extend_schema(&step.schema)?],
+            candidate_atoms: 0,
+            fixpoint: None,
+        };
+        return Ok(Some((outcome, taken)));
+    }
+    let rest = HornStep {
+        program: Program::new(
+            remaining
+                .iter()
+                .map(|&at| source[at].clone())
+                .collect::<Vec<_>>(),
+        )?,
+        schema: step.schema.clone(),
+    };
+    let outcome = match keep {
+        Some(keep) => pushdown_update(&rest, &seated, keep, options, view)?,
+        None => datalog_update(&rest, &seated, options, view)?,
+    };
+    Ok(Some((outcome, taken)))
 }
 
 /// A list of facts, as the engine's delta entry points accept them.

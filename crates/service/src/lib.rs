@@ -86,8 +86,9 @@
 //! share).  What `EXPLAIN` shows is therefore what `QUERY` runs and what
 //! `PROFILE` measures by construction, not by three implementations
 //! agreeing.  A transformation expression goes through
-//! `Transformer::apply_viewed`; a goal is resolved once into a goal plan
-//! (stored / magic / materialize) and run through one per-world fold.
+//! `Transformer::apply_stored`, with the snapshot's stored fixpoints; a
+//! goal is resolved once into a goal plan (stored / magic / materialize)
+//! and run through one per-world fold.
 //!
 //! The query is parsed against a clone of the snapshot's
 //! [`kbt_data::Vocabulary`], which is a handle on shared, immutable names:
@@ -116,6 +117,30 @@
 //! the invented predicates named `reach_fb` / `m_reach_fb` and one
 //! `seed …` row per seed fact.  A read keeps no chain session, so a
 //! sentence it inserts twice is pushed down each time, under every verb.
+//!
+//! A read does not derive again what the snapshot already stores.  Each
+//! epoch publishes its **stored fixpoints** next to its knowledgebase: an
+//! `APPLY` whose last step is a Horn `τ_φ` on one world records that φ's
+//! heads in the committed world are the least fixpoint of φ's rules over
+//! its other relations (Theorem 4.8), and a later commit keeps that entry
+//! only while every one of those relations stays equal (`O(1)` for a
+//! relation the commit left on its run), and none once the knowledgebase
+//! has several worlds.  `DEFINE` keeps the entries: they are facts about
+//! relations, not about names.  WAL replay rebuilds them as it replays each
+//! `APPLY`; over a checkpoint, only the entry of the application the open
+//! resumes is rebuilt.  A hypothetical read whose Horn insertion holds an
+//! entry's rules (up to variable names and rule order) over the stored
+//! inputs takes the entry's heads from the snapshot — the stored runs,
+//! with their cached indexes — and evaluates only φ's other rules
+//! (`kbt_core::transformer`'s module docs have the conditions and the
+//! argument).  So `closure_scan`'s `QUERY project[edge]; tau[LINEAR_TC &
+//! (∀x. reach(x, x) → oncycle(x))]; project[oncycle]`, after `APPLY lin`
+//! stored that closure, derives only `oncycle`'s rows.  The answer is
+//! byte-identical to evaluating from scratch
+//! (`tests/stored_fixpoint_differential.rs`); `EXPLAIN` and `PROFILE` show
+//! one `stored reach (2 rules)` row per entry read, and
+//! `kbt_service_stored_fixpoint_reads_total` counts the reads that took
+//! one.  Commits never read the catalogue.
 //!
 //! The bare form `QUERY CERTAIN path` reads the **stored** facts of a
 //! relation.  The bound form `QUERY CERTAIN path('a', x)` instead asks a
@@ -395,6 +420,11 @@
 //!   a durable open resumed from the checkpoint instead of re-deriving
 //!   them at the first replayed `APPLY` — 1 when a restart resumed, 0 when
 //!   it rebuilt (see *Durability*).
+//! * `kbt_service_stored_fixpoint_reads_total` (counter): hypothetical
+//!   reads (`QUERY`, `PROFILE` or typed) that took at least one stored
+//!   fixpoint's heads instead of deriving them (see *The read path*).
+//! * `kbt_service_stored_fixpoints` (gauge): stored fixpoints in the
+//!   current epoch's catalogue.
 //! * `kbt_net_sessions_accepted_total` (counter): connections accepted.
 //! * `kbt_net_sessions_active` (gauge): sessions being served now.
 //! * `kbt_net_sessions_rejected_total` (counter): refused at capacity.

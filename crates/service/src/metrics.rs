@@ -95,6 +95,11 @@ pub struct ServiceMetrics {
     /// instead of re-deriving them at the first replayed `APPLY` (0 or 1
     /// per open; see [`crate::recover`]).
     pub recovery_chains_seeded_total: Counter,
+    /// Hypothetical reads that took at least one stored fixpoint's heads
+    /// instead of deriving them.
+    pub stored_fixpoint_reads_total: Counter,
+    /// Stored fixpoints in the current epoch's catalogue.
+    pub stored_fixpoints: Gauge,
 }
 
 impl ServiceMetrics {
@@ -187,6 +192,14 @@ impl ServiceMetrics {
                 "Chain sessions a durable open resumed from the checkpoint instead of re-deriving.",
             ),
             (
+                "kbt_service_stored_fixpoint_reads_total",
+                "Hypothetical reads that took a stored fixpoint's heads instead of deriving them.",
+            ),
+            (
+                "kbt_service_stored_fixpoints",
+                "Stored fixpoints in the current epoch's catalogue.",
+            ),
+            (
                 "kbt_net_sessions_accepted_total",
                 "Connections accepted over the process lifetime.",
             ),
@@ -233,6 +246,9 @@ impl ServiceMetrics {
             recovery_replay_ns: registry.histogram("kbt_service_recovery_replay_ns"),
             recovery_chains_seeded_total: registry
                 .counter("kbt_service_recovery_chains_seeded_total"),
+            stored_fixpoint_reads_total: registry
+                .counter("kbt_service_stored_fixpoint_reads_total"),
+            stored_fixpoints: registry.gauge("kbt_service_stored_fixpoints"),
             registry,
         }
     }

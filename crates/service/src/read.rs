@@ -5,18 +5,21 @@
 //! [`kbt_core::View`] threaded down to the engine — none (the answer), a
 //! plan-only view (`EXPLAIN`: same planning, rounds skipped) or a
 //! profiling view (`PROFILE`: same evaluation, per-rule rows recorded).  A
-//! transformation expression goes through [`Transformer::apply_viewed`]; a
-//! `CERTAIN`/`POSSIBLE` goal is resolved once into a [`GoalPlan`] and run
-//! through the one per-world fold, `Service::fold_worlds`.  A bound goal
-//! reads the rulebase and the answer table of its own snapshot's epoch, so
-//! no read can meet another epoch's state.  Nothing here touches the
-//! writer lock.
+//! transformation expression, typed ([`Service::query_on`]) or textual,
+//! goes through [`Transformer::apply_stored`] with its snapshot's stored
+//! fixpoints, so an insertion takes the heads they cover from the snapshot
+//! and evaluates only the rest of its rules; a `CERTAIN`/`POSSIBLE` goal is
+//! resolved once into a [`GoalPlan`] and run through the one per-world
+//! fold, `Service::fold_worlds`.  A read consults only its own snapshot's
+//! epoch — its rulebase, its stored fixpoints and its answer table — so no
+//! read can meet another epoch's state.  Nothing here touches the writer
+//! lock.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kbt_core::{CoreError, RuleProfile, Transform, Transformer, View};
+use kbt_core::{CoreError, RuleProfile, Transform, TransformResult, Transformer, View};
 use kbt_data::{Const, Database, RelId, Relation, Tuple, Vocabulary};
 use kbt_datalog::{magic_rewrite, program_from_sentence, Adornment, MagicPlan, Program};
 use kbt_engine::table::filter_rows;
@@ -123,13 +126,31 @@ impl Service {
     /// snapshot.
     pub fn query_on(&self, snap: &Snapshot, transform: &Transform) -> Result<QueryResult> {
         self.metrics().queries_total.inc();
-        let transformer = Transformer::with_options(self.config().eval_options());
-        let result = transformer.apply(transform, snap.kb())?;
+        let result = self.hypothetical(snap, transform, None)?;
         Ok(QueryResult {
             epoch: snap.epoch(),
             kb: result.kb,
             stats: result.stats,
         })
+    }
+
+    /// The one evaluation of a transformation expression over a snapshot,
+    /// typed or textual, under any view: the heads the snapshot's stored
+    /// fixpoints cover are read, not derived ([`Transformer::apply_stored`]).
+    fn hypothetical(
+        &self,
+        snap: &Snapshot,
+        transform: &Transform,
+        view: Option<&mut View<'_>>,
+    ) -> Result<TransformResult> {
+        let evaluates = view.as_ref().is_none_or(|view| view.runs());
+        let transformer = Transformer::with_options(self.config().eval_options());
+        let (result, taken) =
+            transformer.apply_stored(transform, snap.kb(), snap.stored(), view)?;
+        if evaluates && taken > 0 {
+            self.metrics().stored_fixpoint_reads_total.inc();
+        }
+        Ok(result)
     }
 
     /// The facts of `rel` holding in **every** world of the snapshot.
@@ -183,8 +204,7 @@ impl Service {
             QueryCmd::Transform(t) => {
                 let namer = |rel: RelId| render_relation(rel, &vocab);
                 let mut recorded = view.open(&namer);
-                let transformer = Transformer::with_options(self.config().eval_options());
-                let result = transformer.apply_viewed(&t, snap.kb(), recorded.as_mut())?;
+                let result = self.hypothetical(&snap, &t, recorded.as_mut())?;
                 let epoch = snap.epoch();
                 let rows = recorded.as_ref().map_or(&[][..], |v| &v.rows).iter();
                 Ok(match view {

@@ -6,8 +6,9 @@
 //! published value in a [`kbt_data::EpochCell`] — the committed state (the
 //! knowledgebase, the vocabulary, the transform registry and the
 //! cumulative statistics) together with the read state that depends on it
-//! alone: the goal-directed rulebase and the epoch's subsumptive answer
-//! table, which is dropped with its epoch.  Readers take `O(1)` snapshots
+//! alone: the goal-directed rulebase, the stored fixpoints its one world
+//! holds, and the epoch's subsumptive answer table, which is dropped with
+//! its epoch.  Readers take `O(1)` snapshots
 //! of it and never block on evaluation work.  All mutation goes through
 //! one writer [`Mutex`]: a commit parses/evaluates under that lock against
 //! the writer's working copy of the committed state and then atomically
@@ -18,8 +19,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::Instant;
 
-use kbt_core::{ChainSession, EvalStats, Transform, Transformer};
+use kbt_core::{ChainSession, EvalStats, StoredFixpoint, StoredFixpoints, Transform, Transformer};
 use kbt_data::{
     Database, EpochCell, EpochId, Knowledgebase, RelId, Relation, Versioned, Vocabulary,
 };
@@ -156,16 +158,24 @@ struct Published {
     /// The goal-directed rulebase of `state.transforms` ([`build_rulebase`]),
     /// shared by every epoch since the registry's last `DEFINE`.
     rulebase: Option<Arc<Program>>,
+    /// The stored fixpoints of `state.kb`, shared by every epoch since the
+    /// last commit that changed them.
+    stored: Arc<StoredFixpoints>,
     /// Memoized goal answers over this epoch (tag 0 = certain, tag 1 =
     /// possible).  Readers hold the lock only to consult or fill it.
     table: Mutex<SubsumptiveTable>,
 }
 
 impl Published {
-    fn new(state: CommittedState, rulebase: Option<Arc<Program>>) -> Self {
+    fn new(
+        state: CommittedState,
+        rulebase: Option<Arc<Program>>,
+        stored: Arc<StoredFixpoints>,
+    ) -> Self {
         Published {
             state,
             rulebase,
+            stored,
             table: Mutex::new(SubsumptiveTable::new()),
         }
     }
@@ -220,6 +230,12 @@ impl Snapshot {
         self.inner.value().rulebase.as_ref()
     }
 
+    /// The stored fixpoints of this epoch's knowledgebase: the heads a
+    /// hypothetical read takes instead of deriving them.
+    pub(crate) fn stored(&self) -> &StoredFixpoints {
+        &self.inner.value().stored
+    }
+
     /// This epoch's subsumptive answer table, locked.
     pub(crate) fn table(&self) -> MutexGuard<'_, SubsumptiveTable> {
         let table = &self.inner.value().table;
@@ -237,6 +253,9 @@ struct Writer {
     /// The rulebase of `state.transforms`, rebuilt at `DEFINE` only: every
     /// other commit publishes the same `Arc`.
     rulebase: Option<Arc<Program>>,
+    /// The stored fixpoints of `state.kb`, replaced only by a commit that
+    /// changes them ([`Service::adopt`]).
+    stored: Arc<StoredFixpoints>,
 }
 
 /// The result of a read-only `QUERY` over a transformation expression.
@@ -575,13 +594,21 @@ impl Service {
                 transforms: Arc::default(),
                 stats: ServiceStats::default(),
             },
+            None,
         )
     }
 
     /// Assembles a service around an arbitrary committed state — the shared
     /// constructor behind [`Service::new`] (the empty state at epoch zero)
-    /// and [`Service::open`] (a checkpoint-recovered state).
-    fn from_parts(config: ServiceConfig, epoch: EpochId, state: CommittedState) -> Self {
+    /// and [`Service::open`] (a checkpoint-recovered state, with what the
+    /// application that produced it left behind when it could be resumed:
+    /// the transform's name, its chain session and its stored fixpoint).
+    fn from_parts(
+        config: ServiceConfig,
+        epoch: EpochId,
+        state: CommittedState,
+        resumed: Option<(String, ChainSession, StoredFixpoint)>,
+    ) -> Self {
         // Touch the library-level registries eagerly: every data/core/
         // engine/datalog/par/solver series must exist from the first scrape,
         // not the first fixpoint or the first non-Horn update.
@@ -594,12 +621,23 @@ impl Service {
         let metrics = ServiceMetrics::register(Registry::new());
         let sessions = Arc::new(SessionCounters::register(&metrics.registry));
         let (stats, rulebase) = (state.stats, build_rulebase(&state.transforms));
-        let committed = EpochCell::at(epoch, Published::new(state.clone(), rulebase.clone()));
+        let mut chains = BTreeMap::new();
+        let mut stored = StoredFixpoints::default();
+        if let Some((name, chain, entry)) = resumed {
+            chains.insert(name, chain);
+            stored = StoredFixpoints::from(entry);
+            metrics.recovery_chains_seeded_total.inc();
+        }
+        metrics.stored_fixpoints.set(stored.len() as u64);
+        let stored = Arc::new(stored);
+        let published = Published::new(state.clone(), rulebase.clone(), stored.clone());
+        let committed = EpochCell::at(epoch, published);
         let holders = Mutex::new(vec![(epoch, Arc::downgrade(&committed.load()))]);
         let writer = Writer {
             state,
-            chains: BTreeMap::new(),
+            chains,
             rulebase,
+            stored,
         };
         let service = Service {
             config,
@@ -630,6 +668,8 @@ impl Service {
         };
         let plan = recover::plan(&dur_config.data_dir)?;
         let checkpoint_epoch = plan.checkpoint.as_ref().map_or(0, |c| c.epoch);
+        // one sample: resuming the checkpoint's chain session, then the tail
+        let mut resume_ns = 0;
         let service =
             match plan.checkpoint {
                 None => Service::new(config),
@@ -654,25 +694,23 @@ impl Service {
                             },
                         );
                     }
-                    Service::from_parts(
-                        config,
-                        EpochId::new(data.epoch),
-                        CommittedState {
-                            kb: data.kb,
-                            vocab,
-                            transforms: Arc::new(transforms),
-                            stats: data.stats,
-                        },
-                    )
+                    let state = CommittedState {
+                        kb: data.kb,
+                        vocab,
+                        transforms: Arc::new(transforms),
+                        stats: data.stats,
+                    };
+                    let resuming = Instant::now();
+                    let resumed = (plan.checkpoint_record.as_ref())
+                        .and_then(|record| resume(&config, &state, &record.command));
+                    resume_ns = resuming.elapsed().as_nanos() as u64;
+                    Service::from_parts(config, EpochId::new(data.epoch), state, resumed)
                 }
             };
         if let Some(ns) = plan.checkpoint_load_ns {
             service.metrics.checkpoint_load_ns.record(ns);
         }
-        let replay = service.metrics.recovery_replay_ns.span();
-        if let Some(record) = &plan.checkpoint_record {
-            service.resume_chain(&record.command)?;
-        }
+        let replay = Instant::now();
         // Replay the tail through the normal pipeline.  Durability is not
         // installed yet, so nothing re-appends to the log; each command
         // must commit exactly the epoch its record claims.
@@ -693,7 +731,11 @@ impl Service {
             }
             service.metrics.recovery_replayed_total.inc();
         }
-        drop(replay);
+        let replay_ns = replay.elapsed().as_nanos() as u64;
+        service
+            .metrics
+            .recovery_replay_ns
+            .record(resume_ns + replay_ns);
         let wal = Wal::open(
             dur_config.data_dir.join(WAL_FILE),
             dur_config.fsync_policy,
@@ -719,28 +761,6 @@ impl Service {
             .is_ok();
         debug_assert!(installed, "open() owns the only handle before here");
         Ok(service)
-    }
-
-    /// Installs the chain session of the transformation whose `APPLY`
-    /// committed the checkpointed state, `command` being that record,
-    /// when [`Transformer::resume_chain`] can rebuild it from the state
-    /// (see [`crate::recover`]); otherwise the first `APPLY` evaluates in
-    /// full, as it always did.
-    fn resume_chain(&self, command: &str) -> Result<()> {
-        let Ok((Verb::Apply, name)) = split_command(command) else {
-            return Ok(());
-        };
-        let name = name.trim();
-        let mut w = self.lock_writer()?;
-        let Some(info) = w.state.transforms.get(name) else {
-            return Ok(());
-        };
-        let transformer = Transformer::with_options(self.config.eval_options());
-        if let Some(chain) = transformer.resume_chain(&info.transform, &w.state.kb) {
-            w.chains.insert(name.to_string(), chain);
-            self.metrics.recovery_chains_seeded_total.inc();
-        }
-        Ok(())
     }
 
     /// The session counters a network front attached to this service
@@ -867,7 +887,7 @@ impl Service {
     /// it in the holder registry.
     fn publish(&self, w: &Writer) -> EpochId {
         let _span = self.metrics.commit_publish_ns.span();
-        let published = Published::new(w.state.clone(), w.rulebase.clone());
+        let published = Published::new(w.state.clone(), w.rulebase.clone(), w.stored.clone());
         let epoch = self.committed.publish(published);
         // Publishes serialize on the writer lock, so this load observes the
         // version published one line above.
@@ -875,6 +895,21 @@ impl Service {
         self.holders(epoch).push((epoch, Arc::downgrade(&current)));
         self.mirror_stats(epoch, &w.state.stats);
         epoch
+    }
+
+    /// Adopts `kb`, which a commit made of the writer's knowledgebase, and
+    /// the stored fixpoints that still hold over it, plus `recorded` —
+    /// what the commit's own last step stored
+    /// ([`StoredFixpoints::carried`]).  With no fixpoint stored before or
+    /// by the commit, that is one check.
+    fn adopt(&self, w: &mut Writer, kb: Knowledgebase, recorded: Option<StoredFixpoint>) {
+        if !w.stored.is_empty() || recorded.is_some() {
+            if let Some(stored) = w.stored.carried(&w.state.kb, &kb, recorded) {
+                self.metrics.stored_fixpoints.set(stored.len() as u64);
+                w.stored = Arc::new(stored);
+            }
+        }
+        w.state.kb = kb;
     }
 
     /// Mirrors the committed cumulative totals into the registry — the
@@ -1120,7 +1155,7 @@ impl Service {
         if !vocab.shares_names(&w.state.vocab) {
             w.state.vocab = Arc::new(vocab);
         }
-        w.state.kb = kb;
+        self.adopt(w, kb, None);
         w.state.stats.commits += 1;
         let epoch = self.publish(w);
         Ok(Response::Committed {
@@ -1139,7 +1174,7 @@ impl Service {
         let mut chain = w.chains.remove(name);
         let transformer = Transformer::with_options(self.config.eval_options());
         let apply_span = self.metrics.commit_apply_ns.span();
-        let result = transformer.apply_with_chain(&transform, &w.state.kb, &mut chain);
+        let result = transformer.apply_storing(&transform, &w.state.kb, &mut chain);
         drop(apply_span);
         // The session goes back only once the commit is certain.  After an
         // evaluation error the walk stopped midway; after a WAL failure it
@@ -1147,7 +1182,7 @@ impl Service {
         // Either way it has been advanced towards a state that was never
         // committed, so it stays dropped and the next successful APPLY
         // rebuilds it.
-        let result = result?;
+        let (result, recorded) = result?;
         self.wal_append(&format!("APPLY {name}"))?;
         if let Some(chain) = chain {
             w.chains.insert(name.to_string(), chain);
@@ -1157,7 +1192,7 @@ impl Service {
             .get_mut(name)
             .expect("present above")
             .applications += 1;
-        w.state.kb = result.kb;
+        self.adopt(w, result.kb, recorded);
         w.state.stats.applies += 1;
         w.state.stats.commits += 1;
         w.state.stats.eval.absorb(&result.stats);
@@ -1215,6 +1250,26 @@ impl Service {
         snap.merge(&Registry::global().snapshot());
         snap.render()
     }
+}
+
+/// What the `APPLY` whose WAL record is `command` left behind in `state`,
+/// its result, when [`Transformer::resume`] can rebuild it without
+/// evaluating (see [`crate::recover`]): the transform's name, its chain
+/// session and its stored fixpoint.  `None` otherwise, and the first
+/// `APPLY` evaluates in full, as it always did.
+fn resume(
+    config: &ServiceConfig,
+    state: &CommittedState,
+    command: &str,
+) -> Option<(String, ChainSession, StoredFixpoint)> {
+    let Ok((Verb::Apply, name)) = split_command(command) else {
+        return None;
+    };
+    let name = name.trim();
+    let info = state.transforms.get(name)?;
+    let transformer = Transformer::with_options(config.eval_options());
+    let (chain, stored) = transformer.resume(&info.transform, &state.kb)?;
+    Some((name.to_string(), chain, stored))
 }
 
 /// Total facts across all worlds.
